@@ -83,7 +83,7 @@ def test_monitor_ingest_overhead_on_serving_path():
     server.telemetry = store
     assert server.classify_batch(project.project_id, requests) == want
     assert store.count(project.project_id) == n_requests
-    assert server.telemetry_errors == 0
+    assert server.snapshot()["telemetry_errors"] == 0
     run_off(), run_on()  # warm both paths before timing
 
     iters, reps = (4, 9) if smoke_mode() else (6, 13)

@@ -2,9 +2,9 @@
 
 Measures what the cross-process execution plane buys: a flood of
 independent classify requests over several projects, served by
-``ProcessShardedModelServer`` worker *processes* (batched queue gulps,
-frame-protocol transport) vs. the same flood pushed one-at-a-time
-through a single in-process ``ModelServer``.
+``ModelServer(placement="process")`` worker *processes* (batched queue
+gulps, frame-protocol transport) vs. the same flood pushed one-at-a-time
+through an inline ``ModelServer``.
 
 On a single-core runner the speedup comes from the same place the
 threaded tier's does — queue gulps turn N requests into few big
@@ -30,7 +30,7 @@ from repro.core import Platform
 from repro.graph import sequential_to_graph
 from repro.nn.architectures import mobilenet_v1
 from repro.quantize import quantize_graph
-from repro.serve import ModelServer, ProcessShardedModelServer, ShardedModelServer
+from repro.serve import ModelServer
 
 SERVE_SHAPE = (16, 16)
 N_CLASSES = 2
@@ -77,8 +77,8 @@ def test_multiproc_serving_throughput():
     ]
 
     single = ModelServer(platform)
-    threaded = ShardedModelServer(platform, workers=workers)
-    multiproc = ProcessShardedModelServer(platform, workers=workers)
+    threaded = ModelServer(platform, placement="thread", workers=workers)
+    multiproc = ModelServer(platform, placement="process", workers=workers)
     for p in projects:  # warm every tier so compile/spawn time is excluded
         single.get_model(p.project_id)
         threaded.get_model(p.project_id)

@@ -8,8 +8,8 @@ MobileNet-style graph (the paper's VWW architecture family):
    the opcode dispatch chain per op per call.
 2. **Batched vs. single-request serving** — the ModelServer's
    micro-batcher coalesces classify requests into one vectorized invoke.
-3. **Multi-worker sharded serving** — ``ShardedModelServer`` workers
-   drain their per-shard queues in batched gulps, so a flood of
+3. **Multi-worker sharded serving** — ``ModelServer(placement=
+   "thread")`` shard workers drain their queues in batched gulps, so a flood of
    independent requests gets the amortization without callers batching.
 
 int8 paths must stay bit-identical to the reference dispatch output;
@@ -36,7 +36,7 @@ from repro.runtime import (
     run_graph,
     run_graph_dispatch,
 )
-from repro.serve import ModelServer, ShardedModelServer
+from repro.serve import ModelServer
 
 # The plan-vs-dispatch comparison uses the paper-scale 32x32 VWW input,
 # where per-invoke kernel-prepare work (weight casts, einsum paths) is a
@@ -195,7 +195,7 @@ def test_sharded_serving_throughput():
     ]
 
     single = ModelServer(platform)
-    sharded = ShardedModelServer(platform, workers=workers)
+    sharded = ModelServer(platform, placement="thread", workers=workers)
     for p in projects:  # warm every cache so compile time is excluded
         single.get_model(p.project_id, "float32", "eon")
         sharded.get_model(p.project_id, "float32", "eon")

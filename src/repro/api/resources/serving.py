@@ -66,6 +66,13 @@ def register(router) -> None:
         "GET", "/v1/serving/stats", serving_stats, name="servingStats",
         tag="serving", summary="Serving-tier counters", auth="public",
         cache_ttl_s=0.5,
-        response={"description": "Aggregated (and per-shard) serving stats",
-                  "fields": ("requests", "batches", "mean_batch_size")},
+        response={"description": "Server-wide serving counters plus the "
+                                 "per-shard breakdown; the same shape on "
+                                 "every placement (per_shard is empty for "
+                                 "inline)",
+                  "fields": ("name", "requests", "batches", "batched_requests",
+                             "batch_errors", "mean_batch_size", "cache_size",
+                             "cache_hits", "cache_misses", "cache_evictions",
+                             "telemetry_errors", "restarts", "workers",
+                             "backend", "per_shard")},
     ))

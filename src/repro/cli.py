@@ -368,15 +368,13 @@ def _cmd_serve(args) -> int:
 
     from repro.data.dataset import Dataset
     from repro.data.ingestion import IngestionService
-    from repro.serve import (
-        ProcessShardedModelServer,
-        ServingError,
-        ShardedModelServer,
-    )
+    from repro.serve import ModelServer, ServingError
 
     scratch = IngestionService(Dataset(name="serve-scratch"))
-    server_cls = ProcessShardedModelServer if args.process else ShardedModelServer
-    with server_cls.for_project(project, workers=args.workers) as server:
+    with ModelServer.for_project(
+        project, placement="process" if args.process else "thread",
+        workers=args.workers,
+    ) as server:
         for filename in args.files:
             try:
                 payload = pathlib.Path(filename).read_bytes()

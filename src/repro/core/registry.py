@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.core.jobs import JobExecutor
 from repro.core.project import Project
-from repro.serve import ModelServer, ProcessShardedModelServer, ShardedModelServer
+from repro.serve import ModelServer
 
 
 class UnknownProjectError(KeyError):
@@ -62,11 +62,12 @@ class Platform:
         self.organizations: dict[str, Organization] = {}
         self.projects: dict[int, Project] = {}
         # The hosted-inference tier (paper Sec. 4.9): LRU-cached compiled
-        # models + micro-batched classify.  ``serving_workers > 1`` turns
-        # on the multi-worker sharded tier, partitioning the model cache
+        # models + micro-batched classify, one ModelServer whatever the
+        # placement.  ``serving_workers > 1`` partitions the model cache
         # across that many shard workers; ``serving_backend="process"``
         # runs those shards as worker *processes* (repro.core.workers),
-        # so invokes execute on real cores instead of sharing one GIL.
+        # so invokes execute on real cores instead of sharing one GIL;
+        # one thread worker needs no hop at all, so it serves inline.
         # ``passes`` selects the plan compiler's optimization pipeline
         # for served EON models.
         if serving_backend not in ("thread", "process"):
@@ -74,16 +75,16 @@ class Platform:
                 f"unknown serving_backend {serving_backend!r}; "
                 f"expected 'thread' or 'process'"
             )
-        if serving_backend == "process":
-            self.serving = ProcessShardedModelServer(
-                self, workers=max(serving_workers, 1), passes=passes
-            )
-        else:
-            self.serving = (
-                ShardedModelServer(self, workers=serving_workers, passes=passes)
-                if serving_workers > 1
-                else ModelServer(self, passes=passes)
-            )
+        workers = max(serving_workers, 1)
+        self.serving = ModelServer(
+            self,
+            placement=(
+                "inline" if serving_backend == "thread" and workers == 1
+                else serving_backend
+            ),
+            workers=workers,
+            passes=passes,
+        )
         # The device fleet + its rollout executor (paper Sec. 8.2): OTA
         # updates run as staged jobs, not inline with the API request.
         from repro.device.fleet import DeviceFleet

@@ -10,8 +10,8 @@ from serialized graphs (:mod:`~repro.core.workers.worker`), and
 (:mod:`~repro.core.workers.client`) give parents spawn, heartbeat,
 dead-worker detection, and respawn.
 
-Built on top of it: :class:`repro.serve.ProcessShardedModelServer`
-(serving shards as processes) and ``EonTuner.run_parallel(...,
+Built on top of it: ``repro.serve.ModelServer(placement="process")``
+(serving shards as processes, :mod:`repro.serve.runners`) and ``EonTuner.run_parallel(...,
 placement="process")`` (tuner trials as processes).
 """
 

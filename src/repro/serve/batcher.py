@@ -25,17 +25,31 @@ class ServingError(Exception):
 
 
 class PendingResult:
-    """Ticket for one submitted request; resolved by a batch flush."""
+    """Ticket for one submitted request; resolved by a batch flush (or,
+    on the queued serving placements, by a shard worker).
 
-    __slots__ = ("features", "ready", "result", "error")
+    ``entry`` is the cache entry the request was admitted against, so a
+    shard worker serves the model version the request was validated for
+    without a second cache lookup (which would double-count hit stats).
+    """
 
-    def __init__(self, features: np.ndarray):
+    __slots__ = ("features", "entry", "ready", "result", "error")
+
+    def __init__(self, features: np.ndarray, entry=None):
         self.features = features
+        self.entry = entry
         self.ready = threading.Event()
-        self.result: np.ndarray | None = None
+        self.result = None
         self.error: Exception | None = None
 
-    def value(self) -> np.ndarray:
+    def resolve(self, result=None, error: Exception | None = None) -> None:
+        self.result = result
+        self.error = error
+        self.ready.set()
+
+    def value(self):
+        """Block until resolved; the result row, or raises the error."""
+        self.ready.wait()
         if self.error is not None:
             raise self.error
         return self.result
@@ -110,7 +124,7 @@ class MicroBatcher:
                 ticket.ready.set()
         return len(batch)
 
-    def wait(self, ticket: PendingResult) -> np.ndarray:
+    def settle(self, ticket: PendingResult) -> None:
         """Block until ``ticket`` resolves, flushing if nobody else has."""
         while not ticket.ready.is_set():
             if self.flush() == 0:
@@ -119,6 +133,10 @@ class MicroBatcher:
                 # always resolves every claimed ticket, so a plain
                 # (poll-free) wait on the event cannot hang.
                 ticket.ready.wait()
+
+    def wait(self, ticket: PendingResult):
+        """:meth:`settle`, then the ticket's result (or its error)."""
+        self.settle(ticket)
         return ticket.value()
 
     @property

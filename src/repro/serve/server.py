@@ -1,143 +1,127 @@
 """The model-serving layer (paper Sec. 4.9's hosted inference API).
 
 A :class:`ModelServer` sits over the platform's project registry and
-serves classification requests from compiled models:
+serves classification requests from compiled models.  It is the only
+serving class; everything that does not depend on *where a batch runs*
+lives here, once:
 
-- models are compiled once (EON plan or TFLM interpreter — both execute
-  a :class:`repro.runtime.executor.CompiledPlan`) and held in an LRU
-  cache keyed ``(project_id, precision, engine)``;
-- retraining is detected by graph identity, so a cache entry never
-  serves a stale model;
-- requests go through a :class:`repro.serve.batcher.MicroBatcher` per
-  cached model, coalescing concurrent classify calls into one batched
-  invoke.
+- admission is synchronous, in the caller's thread: the model key is
+  validated, the project and graph resolved, features coerced — so bad
+  requests fail fast with ``KeyError`` / :class:`ServingError` /
+  :class:`ModelNotTrainedError` and can never poison a worker;
+- models are compiled once per ``(project_id, precision, engine)`` and
+  held in an LRU cache, partitioned across ``workers`` shards by a
+  stable crc32 of the key (:mod:`repro.serve.shard`); retraining is
+  detected by graph identity, so an entry never serves a stale model;
+- every stacked batch goes through :meth:`ModelServer._serve_chunk`:
+  one invoke on the shard's runner, the result-row-count guard, label
+  ordering, result shaping, counters and telemetry.
+
+``placement`` picks where batches run (:mod:`repro.serve.runners`):
+``"inline"`` in the caller's thread through a per-model
+:class:`MicroBatcher`, ``"thread"`` on one queue-draining thread per
+shard, ``"process"`` on one worker process per shard.  Results are
+bit-identical across placements (int8 exactly; float32 within BLAS
+reassociation, rtol 1e-5).  ``snapshot()`` has one shape on every
+placement and is served at ``GET /v1/serving/stats``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.active.embeddings import feature_sketch
 from repro.monitor.telemetry import TelemetryRecord, model_version_of
-from repro.runtime.eon import EONCompiler
-from repro.runtime.interpreter import TFLMInterpreter
-from repro.serve.batcher import MicroBatcher, ServingError
+from repro.serve.batcher import PendingResult, ServingError
+from repro.serve.runners import LocalRunner, WorkerRunner
+from repro.serve.shard import _CacheEntry, _Shard
 
 ENGINES = ("eon", "tflm")
 PRECISIONS = ("float32", "int8")
+PLACEMENTS = ("inline", "thread", "process")
 
 #: Dimensionality of the per-inference feature sketch telemetry carries.
 SKETCH_DIM = 8
+
+#: Default ``name`` per placement; shards are named ``<name>-<index>``.
+_DEFAULT_NAMES = {"inline": "server", "thread": "shard", "process": "proc-shard"}
+
+#: Per-shard counters that ``snapshot()`` sums into server-wide totals.
+_SUMMED = (
+    "requests", "batches", "batched_requests", "batch_errors", "cache_size",
+    "cache_hits", "cache_misses", "cache_evictions", "telemetry_errors",
+    "restarts",
+)
 
 
 class ModelNotTrainedError(ServingError):
     """The project has no trained graph for the requested precision."""
 
 
-@dataclass
-class ServingStats:
-    """Operational counters.  ``batches``/``batched_requests`` hold the
-    totals of retired cache entries; live entries are added by
-    :meth:`ModelServer.snapshot`."""
-
-    requests: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    batch_errors: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-
-
-@dataclass
-class _CacheEntry:
-    """One compiled model + its micro-batcher."""
-
-    graph: object
-    model: object  # EONModel or TFLMInterpreter; both expose predict_proba
-    batcher: MicroBatcher
-    feature_size: int = 0
-    feature_shape: tuple[int, ...] = field(default_factory=tuple)
-
-
-def emit_batch_telemetry(
-    telemetry, platform, project_id: int, labels: list[str],
-    rows, probs_rows, latency_ms: float, source: str,
-) -> None:
-    """Build one compact record per served row — vectorized over the
-    batch (one argmax/partition/matmul) and pushed to the store under a
-    single lock (:meth:`TelemetryStore.extend`).  Shared by the
-    in-process servers and the cross-process serving shards (which hold
-    probability rows in the parent, so emission stays parent-side)."""
-    probs = np.stack(probs_rows)
-    top_idx = probs.argmax(axis=1)
-    conf = probs[np.arange(len(probs)), top_idx]
-    if probs.shape[1] > 1:
-        margin = conf - np.partition(probs, -2, axis=1)[:, -2]
-    else:
-        margin = conf
-    sketches = feature_sketch(np.stack(rows), dim=SKETCH_DIM)
-    version = model_version_of(platform.projects[project_id])
-    # Bulk-convert to Python scalars (one C loop each) and share one
-    # timestamp: per-record float()/time.time() calls add up on a
-    # path that runs once per served batch.
-    ts = time.time()
-    n_labels = len(labels)
-    tops = top_idx.tolist()
-    confs = conf.tolist()
-    margins = margin.tolist()
-    telemetry.extend([
-        TelemetryRecord(
-            project_id,
-            model_version=version,
-            ts=ts,
-            latency_ms=latency_ms,
-            top=labels[tops[i]] if tops[i] < n_labels else None,
-            confidence=confs[i],
-            margin=margins[i],
-            source=source,
-            sketch=sketches[i],
-        )
-        for i in range(len(probs))
-    ])
-
-
 class ModelServer:
-    """Batched serving over compiled models with an LRU model cache."""
+    """Batched serving over compiled models with a sharded LRU cache.
+
+    ``cache_size`` and ``max_queue`` are per shard; ``max_batch`` caps
+    every batched invoke on every placement.  The three timeouts only
+    apply to ``placement="process"`` (worker heartbeat / request kill).
+    """
 
     def __init__(
         self,
         platform,
+        placement: str = "inline",
+        workers: int = 1,
         cache_size: int = 8,
         max_batch: int = 32,
-        name: str = "server",
+        max_queue: int = 4096,
         passes: object = "default",
+        name: str | None = None,
+        heartbeat_s: float = 5.0,
+        heartbeat_timeout_s: float = 15.0,
+        request_timeout_s: float = 120.0,
     ):
+        if placement not in PLACEMENTS:
+            raise ValueError(f"unknown placement {placement!r}; expected {PLACEMENTS}")
+        if workers < 1 or (placement == "inline" and workers != 1):
+            raise ValueError(
+                "workers must be >= 1 (and exactly 1 for placement='inline', "
+                "which runs in the caller's thread)"
+            )
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         self.platform = platform
+        self.placement = placement
+        self.workers = workers
         self.cache_size = cache_size
         self.max_batch = max_batch
-        self.name = name
-        # Optimization-pass selection for EON-compiled models ("default"
-        # or None; forwarded to compile_plan via EONCompiler).
-        self.passes = passes
-        self.stats = ServingStats()  # guarded-by: _lock
+        self.max_queue = max_queue
+        self.name = name or _DEFAULT_NAMES[placement]
         # Optional monitoring sink (a repro.monitor TelemetryStore).  When
         # None — the default — the serving path pays one attribute test
-        # per batch and nothing else.
+        # per batch and nothing else.  Emission is always parent-side, so
+        # the process placement monitors exactly like the others.
         self.telemetry = None
-        self.telemetry_errors = 0  # guarded-by: _lock
-        self._cache: OrderedDict[tuple[int, str, str], _CacheEntry] = OrderedDict()  # guarded-by: _lock
-        # Guards the cache and stats; per-entry batchers have their own
-        # lock, so classify calls only contend here for the model lookup.
-        self._lock = threading.RLock()
+
+        def runner(shard_name: str):
+            if placement != "process":
+                return LocalRunner(passes)
+            return WorkerRunner(shard_name, passes, heartbeat_s,
+                                heartbeat_timeout_s, request_timeout_s)
+
+        shard_names = (
+            [self.name] if placement == "inline"
+            else [f"{self.name}-{i}" for i in range(workers)]
+        )
+        self.shards = [
+            _Shard(self, index, shard_name, runner(shard_name))
+            for index, shard_name in enumerate(shard_names)
+        ]
 
     @classmethod
     def for_project(cls, project, **kwargs) -> "ModelServer":
@@ -145,12 +129,20 @@ class ModelServer:
         registry = SimpleNamespace(projects={project.project_id: project})
         return cls(registry, **kwargs)
 
-    # -- model cache -------------------------------------------------------
+    # -- admission ---------------------------------------------------------
 
-    def get_model(
-        self, project_id: int, precision: str = "int8", engine: str = "eon"
-    ) -> _CacheEntry:
-        """Fetch (or compile and cache) the served model for a project.
+    def shard_index(self, project_id: int, precision: str, engine: str) -> int:
+        """Stable shard assignment for a model key (crc32, not ``hash``,
+        so placement survives interpreter restarts and PYTHONHASHSEED —
+        and is the same on every placement)."""
+        key = f"{project_id}|{precision}|{engine}".encode()
+        return zlib.crc32(key) % self.workers
+
+    def _resolve(
+        self, project_id: int, precision: str, engine: str
+    ) -> tuple[_Shard, _CacheEntry]:
+        """Validate a model key and fetch (or build) its cache entry in
+        the owning shard — without touching any worker.
 
         Raises ``KeyError`` for an unknown project (a missing resource)
         and :class:`ServingError` for bad parameters or untrained models.
@@ -165,62 +157,24 @@ class ModelServer:
             raise ModelNotTrainedError(
                 f"project {project_id} has no trained {precision} model"
             )
+        shard = self.shards[self.shard_index(project_id, precision, engine)]
+        return shard, shard.lookup((project_id, precision, engine), graph)
 
-        key = (project_id, precision, engine)
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None and entry.graph is graph:
-                self.stats.cache_hits += 1
-                self._cache.move_to_end(key)
-                return entry
-
-            # Compiling under the lock serializes concurrent misses on the
-            # same key, so exactly one model (and batcher) is built.
-            self.stats.cache_misses += 1
-            model = (
-                EONCompiler(passes=self.passes).compile(graph)
-                if engine == "eon"
-                else TFLMInterpreter(graph)
-            )
-
-            def run_batch(stacked: np.ndarray) -> np.ndarray:
-                return model.predict_proba(stacked)
-
-            entry = _CacheEntry(
-                graph=graph,
-                model=model,
-                batcher=MicroBatcher(run_batch, max_batch=self.max_batch),
-                feature_size=int(np.prod(graph.tensors[graph.input_id].shape)),
-                feature_shape=tuple(graph.tensors[graph.input_id].shape),
-            )
-            stale = self._cache.get(key)
-            if stale is not None:  # project was retrained; replace the model
-                self._retire_locked(stale)
-            self._cache[key] = entry
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                _, evicted = self._cache.popitem(last=False)
-                self._retire_locked(evicted)
-                self.stats.cache_evictions += 1
-            return entry
-
-    def _retire_locked(self, entry: _CacheEntry) -> None:
-        """Fold a leaving entry's batcher counters into the totals so
-        stats survive eviction/invalidation."""
-        self.stats.batches += entry.batcher.batches
-        self.stats.batched_requests += entry.batcher.batched_requests
-        self.stats.batch_errors += entry.batcher.batch_errors
+    def get_model(
+        self, project_id: int, precision: str = "int8", engine: str = "eon"
+    ) -> _CacheEntry:
+        """Resolve the served model for a project **and** warm it where
+        it will run (on ``process``: spawn the owning worker and compile
+        the model in it)."""
+        shard, entry = self._resolve(project_id, precision, engine)
+        shard.runner.warm(entry.model)
+        return entry
 
     def invalidate(self, project_id: int | None = None) -> None:
-        """Drop cached models (all, or one project's)."""
-        with self._lock:
-            keys = [
-                k for k in self._cache if project_id is None or k[0] == project_id
-            ]
-            for key in keys:
-                self._retire_locked(self._cache.pop(key))
-
-    # -- classification ----------------------------------------------------
+        """Drop cached models (all, or one project's); worker processes
+        evict replaced models from their own LRU lazily."""
+        for shard in self.shards:
+            shard.invalidate(project_id)
 
     def _coerce_features(self, entry: _CacheEntry, features) -> np.ndarray:
         try:
@@ -234,14 +188,21 @@ class ModelServer:
             )
         return arr.reshape(entry.feature_shape)
 
-    def _labels(self, project_id: int) -> list[str]:
-        label_map = self.platform.projects[project_id].label_map
-        return [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+    # -- classification ----------------------------------------------------
 
-    def _to_result(self, labels: list[str], probs: np.ndarray) -> dict:
-        classification = {l: float(p) for l, p in zip(labels, probs)}
-        top = max(classification, key=classification.get) if classification else None
-        return {"classification": classification, "top": top}
+    def submit(
+        self,
+        project_id: int,
+        features,
+        precision: str = "int8",
+        engine: str = "eon",
+    ) -> PendingResult:
+        """Admit one request; returns a ticket whose ``value()`` blocks
+        for the result dict (inline tickets are already resolved).
+        Raises eagerly (``ServingError`` / ``KeyError``) on bad requests
+        and when the owning shard's queue is full."""
+        shard, entry = self._resolve(project_id, precision, engine)
+        return shard.dispatch(entry, [self._coerce_features(entry, features)])[0]
 
     def classify(
         self,
@@ -251,12 +212,8 @@ class ModelServer:
         engine: str = "eon",
     ) -> dict:
         """Classify one feature window; returns ``{"classification",
-        "top"}``.  Goes through the micro-batch queue, so concurrent
-        callers share one batched invoke."""
-        entry = self.get_model(project_id, precision, engine)
-        return self.classify_coerced(
-            project_id, entry, [self._coerce_features(entry, features)]
-        )[0]
+        "top"}``.  Concurrent callers share batched invokes."""
+        return self.submit(project_id, features, precision, engine).value()
 
     def classify_batch(
         self,
@@ -268,68 +225,120 @@ class ModelServer:
         """Classify many windows in micro-batches; one result per row."""
         if not isinstance(feature_rows, (list, tuple)) or len(feature_rows) == 0:
             raise ServingError("batch must be a non-empty list of feature rows")
-        entry = self.get_model(project_id, precision, engine)
-        # Validate every row before submitting any, so a malformed row
-        # mid-batch cannot strand already-queued tickets.
+        shard, entry = self._resolve(project_id, precision, engine)
+        # Admission is all-or-nothing: every row is validated before any
+        # is queued, and the group is queued under one lock acquisition —
+        # so a malformed row (or a full queue) mid-batch cannot leave
+        # earlier rows executing for a request the caller saw fail.
         coerced = [self._coerce_features(entry, row) for row in feature_rows]
-        return self.classify_coerced(project_id, entry, coerced)
+        return [ticket.value() for ticket in shard.dispatch(entry, coerced)]
 
-    def classify_coerced(self, project_id: int, entry: _CacheEntry, rows) -> list[dict]:
-        """Batch-classify rows already validated by ``_coerce_features``
-        against ``entry`` — the shard-worker hot path, which coerces at
-        admission time and must not pay for it twice."""
+    # -- execution (shared by every placement) -----------------------------
+
+    def _serve_chunk(
+        self, shard: _Shard, entry: _CacheEntry, stacked: np.ndarray
+    ) -> list[dict]:
+        """One batched invoke on ``shard``'s runner -> one result dict per
+        row.  Called from a :class:`MicroBatcher` flush (inline) or the
+        shard's worker thread; never while holding a shard lock."""
         telemetry = self.telemetry
         start = time.perf_counter() if telemetry is not None else 0.0
-        tickets = [entry.batcher.submit(row) for row in rows]
-        results = [entry.batcher.wait(t) for t in tickets]
-        with self._lock:
-            self.stats.requests += len(tickets)
-        labels = self._labels(project_id)
+        try:
+            probs = np.asarray(shard.runner.run(entry.model, stacked))
+            if len(probs) != len(stacked):
+                # A wrong-sized result set means some callers would get
+                # another request's row: fail the whole batch loudly
+                # instead of zip-truncating.
+                raise ServingError(
+                    f"{shard.name} got {len(probs)} result row(s) for a "
+                    f"batch of {len(stacked)} request(s)"
+                )
+            label_map = self.platform.projects[entry.key[0]].label_map
+            labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+            results = [self._to_result(labels, row) for row in probs]
+        except Exception:
+            shard.count_batch(len(stacked), ok=False)
+            raise
+        shard.count_batch(len(stacked), ok=True)
         if telemetry is not None:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            latency_ms = (time.perf_counter() - start) * 1000.0 / len(stacked)
             try:
                 self._emit_telemetry(
-                    telemetry, project_id, labels, rows, results,
-                    elapsed_ms / max(len(rows), 1),
+                    telemetry, shard.name, entry.key[0], labels, stacked, probs,
+                    latency_ms,
                 )
             except Exception:  # noqa: BLE001 - monitoring never breaks serving
-                with self._lock:
-                    self.telemetry_errors += 1
-        return [self._to_result(labels, probs) for probs in results]
+                shard.count_telemetry_error()
+        return results
+
+    def _to_result(self, labels: list[str], probs: np.ndarray) -> dict:
+        classification = {l: float(p) for l, p in zip(labels, probs)}
+        top = max(classification, key=classification.get) if classification else None
+        return {"classification": classification, "top": top}
 
     def _emit_telemetry(
-        self, telemetry, project_id: int, labels: list[str],
-        rows, probs_rows, latency_ms: float,
+        self, telemetry, source: str, project_id: int, labels: list[str],
+        stacked: np.ndarray, probs: np.ndarray, latency_ms: float,
     ) -> None:
-        emit_batch_telemetry(
-            telemetry, self.platform, project_id, labels, rows, probs_rows,
-            latency_ms, source=self.name,
-        )
+        """One compact record per served row — vectorized over the batch
+        (one argmax/partition/matmul) and pushed to the store under a
+        single lock (:meth:`TelemetryStore.extend`)."""
+        top_idx = probs.argmax(axis=1)
+        conf = probs[np.arange(len(probs)), top_idx]
+        if probs.shape[1] > 1:
+            margin = conf - np.partition(probs, -2, axis=1)[:, -2]
+        else:
+            margin = conf
+        sketches = feature_sketch(stacked, dim=SKETCH_DIM)
+        version = model_version_of(self.platform.projects[project_id])
+        # Bulk-convert to Python scalars (one C loop each) and share one
+        # timestamp: per-record float()/time.time() calls add up on a
+        # path that runs once per served batch.
+        ts = time.time()
+        n_labels = len(labels)
+        tops = top_idx.tolist()
+        confs = conf.tolist()
+        margins = margin.tolist()
+        telemetry.extend([
+            TelemetryRecord(
+                project_id,
+                model_version=version,
+                ts=ts,
+                latency_ms=latency_ms,
+                top=labels[tops[i]] if tops[i] < n_labels else None,
+                confidence=confs[i],
+                margin=margins[i],
+                source=source,
+                sketch=sketches[i],
+            )
+            for i in range(len(probs))
+        ])
 
-    # -- observability -----------------------------------------------------
+    # -- observability / lifecycle -----------------------------------------
 
     def snapshot(self) -> dict:
-        """Server-wide stats: retired totals + live batcher counters."""
-        with self._lock:
-            batches = self.stats.batches + sum(
-                e.batcher.batches for e in self._cache.values()
-            )
-            batched = self.stats.batched_requests + sum(
-                e.batcher.batched_requests for e in self._cache.values()
-            )
-            batch_errors = self.stats.batch_errors + sum(
-                e.batcher.batch_errors for e in self._cache.values()
-            )
-            return {
-                "name": self.name,
-                "requests": self.stats.requests,
-                "batches": batches,
-                "batched_requests": batched,
-                "batch_errors": batch_errors,
-                "mean_batch_size": batched / batches if batches else 0.0,
-                "cache_size": len(self._cache),
-                "cache_hits": self.stats.cache_hits,
-                "cache_misses": self.stats.cache_misses,
-                "cache_evictions": self.stats.cache_evictions,
-                "telemetry_errors": self.telemetry_errors,
-            }
+        """Server-wide totals plus the per-shard breakdown (empty on
+        ``inline``, whose single partition *is* the total)."""
+        per_shard = [shard.counters() for shard in self.shards]
+        total = {k: sum(s[k] for s in per_shard) for k in _SUMMED}
+        total["mean_batch_size"] = (
+            total["batched_requests"] / total["batches"] if total["batches"] else 0.0
+        )
+        total["name"] = self.name
+        total["workers"] = self.workers
+        total["backend"] = self.placement
+        total["per_shard"] = [] if self.placement == "inline" else per_shard
+        return total
+
+    def close(self) -> None:
+        """Stop every shard worker (and worker process): queued requests
+        fail cleanly, already-resolved tickets keep their results, and
+        later requests are rejected."""
+        for shard in self.shards:
+            shard.stop()
+
+    def __enter__(self) -> "ModelServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -1,102 +1,144 @@
-"""Multi-worker sharded serving: partitioned model caches + shard workers.
+"""One cache partition of a :class:`repro.serve.ModelServer`.
 
-The hosted inference tier scales past one process by sharding: each
-worker owns a disjoint partition of the compiled-model cache, so cache
-state never needs cross-worker coherence and lock contention stays
-per-shard.  :class:`ShardedModelServer` reproduces that topology
-in-process:
+The hosted inference tier scales by sharding: each partition owns a
+disjoint slice of the compiled-model cache (its own LRU + lock), so
+cache state never needs cross-partition coherence and a cold compile on
+one shard never blocks admission on another.  A :class:`_Shard` is that
+partition plus the placement-dependent half of request dispatch:
 
-- N shards, each wrapping its own :class:`repro.serve.ModelServer`
-  (cache + micro-batchers + lock) and its own daemon worker thread;
-- a request for ``(project, precision, engine)`` is routed to the shard
-  owning ``crc32(key) % N`` — a stable hash, so a model is only ever
-  compiled and cached in one shard;
-- each worker drains its queue in gulps, groups the gulp by model key
-  and executes one batched invoke per group, so a flood of requests
-  gets the micro-batching amortization without callers coordinating;
-- admission control is synchronous: ``submit`` resolves the model and
-  validates features in the caller's thread, so bad requests fail fast
-  with the same exceptions :class:`ModelServer` raises and can never
-  poison a worker.
+- ``inline`` (one partition): requests run in the caller's thread
+  through the entry's :class:`MicroBatcher` — no thread hop;
+- ``thread`` / ``process``: requests join a bounded queue that one
+  daemon thread drains in gulps, grouping each gulp by admitted model
+  and executing one batched invoke per ``max_batch`` chunk, so a flood
+  of requests gets the micro-batching amortization without callers
+  coordinating.
 
-``snapshot()`` aggregates the per-shard counters (summed totals plus a
-``per_shard`` breakdown) — surfaced at ``GET /api/serving/stats``.
+Either way a chunk executes through ``server._serve_chunk`` on the
+shard's runner (:mod:`repro.serve.runners`), so counters, telemetry and
+result shaping are the same code on every placement.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
-from collections import deque
-from types import SimpleNamespace
+from collections import OrderedDict, deque
+from functools import partial
 
 import numpy as np
 
-from repro.serve.server import ModelServer, ServingError
+from repro.serve.batcher import MicroBatcher, PendingResult, ServingError
 
 
-class _ShardTicket:
-    """One in-flight request owned by a shard worker.
+class _CacheEntry:
+    """One served model, as cached by its owning partition."""
 
-    Carries the cache entry resolved at admission, so the worker serves
-    the model version the request was validated against without a
-    second cache lookup (which would double-count hit statistics).
-    """
+    __slots__ = ("key", "graph", "model", "feature_shape", "feature_size",
+                 "batcher")
 
-    __slots__ = ("key", "entry", "features", "ready", "result", "error")
-
-    def __init__(self, key: tuple, entry, features: np.ndarray):
-        self.key = key
-        self.entry = entry
-        self.features = features
-        self.ready = threading.Event()
-        self.result: dict | None = None
-        self.error: Exception | None = None
-
-    def resolve(self, result: dict | None = None, error: Exception | None = None):
-        self.result = result
-        self.error = error
-        self.ready.set()
-
-    def value(self) -> dict:
-        self.ready.wait()
-        if self.error is not None:
-            raise self.error
-        return self.result
+    def __init__(self, key: tuple[int, str, str], graph, model):
+        self.key = key  # (project_id, precision, engine)
+        self.graph = graph
+        self.model = model  # whatever the shard's runner built
+        self.feature_shape = tuple(graph.tensors[graph.input_id].shape)
+        self.feature_size = int(np.prod(self.feature_shape))
+        self.batcher: MicroBatcher | None = None  # inline placement only
 
 
 class _Shard:
-    """One cache partition: a ModelServer, a request queue, a worker."""
+    """A model-cache partition, its counters, and (on the queued
+    placements) its request queue + worker thread."""
 
-    def __init__(self, server: ModelServer, index: int, max_queue: int):
+    def __init__(self, server, index: int, name: str, runner):
         self.server = server
         self.index = index
-        self.max_queue = max_queue
-        self._queue: deque[_ShardTicket] = deque()  # guarded-by: _cond
+        self.name = name
+        self.runner = runner
+        # The cache has its own lock (compiles happen under it); _cond
+        # guards the queue and the counters.  They are never nested.
+        self._lock = threading.Lock()
+        self._cache: OrderedDict[tuple, _CacheEntry] = OrderedDict()  # guarded-by: _lock
+        self.cache_hits = 0  # guarded-by: _lock
+        self.cache_misses = 0  # guarded-by: _lock
+        self.cache_evictions = 0  # guarded-by: _lock
         self._cond = threading.Condition()
-        self._thread: threading.Thread | None = None
+        self._queue: deque[PendingResult] = deque()  # guarded-by: _cond
+        self._thread: threading.Thread | None = None  # guarded-by: _cond
         self._stop = False  # guarded-by: _cond
-        # Worker counters — written by the worker thread, read by
-        # snapshot(), so both sides go through the condition's lock.
+        # ``requests`` counts rows that reached execution; ``batches`` /
+        # ``batched_requests`` only successful invokes (failed ones tick
+        # ``batch_errors``), so mean_batch_size stays a statement about
+        # batches that actually produced results.
+        self.requests = 0  # guarded-by: _cond
+        self.batches = 0  # guarded-by: _cond
+        self.batched_requests = 0  # guarded-by: _cond
+        self.largest_batch = 0  # guarded-by: _cond
+        self.batch_errors = 0  # guarded-by: _cond
+        self.telemetry_errors = 0  # guarded-by: _cond
         self.drains = 0  # guarded-by: _cond
         self.grouped_batches = 0  # guarded-by: _cond
-        self.batch_errors = 0  # guarded-by: _cond
 
-    def enqueue(self, ticket: _ShardTicket) -> None:
+    # -- model cache -------------------------------------------------------
+
+    def lookup(self, key: tuple[int, str, str], graph) -> _CacheEntry:
+        """Fetch (or build and cache) the entry for ``key``.  Retraining
+        is detected by graph identity, so an entry never serves a stale
+        model."""
+        with self._lock:
+            entry = self._cache.get(key)
+            if entry is not None and entry.graph is graph:
+                self.cache_hits += 1
+                self._cache.move_to_end(key)
+                return entry
+            # Building under the lock serializes concurrent misses on the
+            # same key, so exactly one model (and batcher) is built.
+            self.cache_misses += 1
+            entry = _CacheEntry(key, graph, self.runner.build(graph, key[2]))
+            if self.server.placement == "inline":
+                entry.batcher = MicroBatcher(
+                    partial(self.server._serve_chunk, self, entry),
+                    max_batch=self.server.max_batch,
+                )
+            self._cache[key] = entry  # replaces a retrained project's model
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.server.cache_size:
+                self._cache.popitem(last=False)
+                self.cache_evictions += 1
+            return entry
+
+    def invalidate(self, project_id: int | None) -> None:
+        with self._lock:
+            for key in [k for k in self._cache
+                        if project_id is None or k[0] == project_id]:
+                del self._cache[key]
+
+    # -- dispatch ----------------------------------------------------------
+
+    def dispatch(self, entry: _CacheEntry, rows: list) -> list[PendingResult]:
+        """Admit coerced ``rows`` as one all-or-nothing group; returns one
+        ticket per row.  Inline tickets come back already resolved."""
+        queued = entry.batcher is None
+        tickets = [PendingResult(row, entry) for row in rows] if queued else []
         with self._cond:
             if self._stop:
-                raise ServingError(f"shard {self.index} is shut down")
-            if len(self._queue) >= self.max_queue:
-                raise ServingError(
-                    f"shard {self.index} queue full ({self.max_queue} requests)"
-                )
-            self._queue.append(ticket)
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._worker, name=f"serve-shard-{self.index}", daemon=True
-                )
-                self._thread.start()
-            self._cond.notify()
+                raise ServingError(f"{self.name} is shut down")
+            if queued:
+                if len(self._queue) + len(tickets) > self.server.max_queue:
+                    raise ServingError(
+                        f"{self.name} queue full ({self.server.max_queue} requests)"
+                    )
+                self._queue.extend(tickets)
+                if self._thread is None or not self._thread.is_alive():
+                    self._thread = threading.Thread(
+                        target=self._worker, name=f"serve-{self.name}", daemon=True
+                    )
+                    self._thread.start()
+                self._cond.notify()
+                return tickets
+        tickets = [entry.batcher.submit(row) for row in rows]
+        for ticket in tickets:
+            entry.batcher.settle(ticket)
+        return tickets
 
     def _worker(self) -> None:
         while True:
@@ -109,48 +151,34 @@ class _Shard:
                 # shard worker is to turn a backlog into few big invokes.
                 gulp = list(self._queue)
                 self._queue.clear()
-                self.drains += 1
-            self._execute(gulp)
-
-    def _execute(self, gulp: list[_ShardTicket]) -> None:
-        # Group the gulp by admitted cache entry (stable order) -> one
-        # batched classify per distinct model version.  Grouping on the
-        # entry (not just the key) keeps requests admitted across a
-        # retrain boundary on the model they were validated against.
-        groups: dict[int, list[_ShardTicket]] = {}
-        for ticket in gulp:
-            groups.setdefault(id(ticket.entry), []).append(ticket)
-        for tickets in groups.values():
-            project_id = tickets[0].key[0]
-            try:
-                # Features were coerced at admission against this entry,
-                # so go straight to the batched invoke.
-                results = self.server.classify_coerced(
-                    project_id, tickets[0].entry, [t.features for t in tickets]
-                )
-            except Exception as exc:  # noqa: BLE001 - isolate per group
-                for ticket in tickets:
-                    ticket.resolve(error=exc)
-                with self._cond:
-                    self.batch_errors += 1
-                continue
-            if len(results) != len(tickets):
-                # Defense in depth over the batcher's own row-count guard:
-                # never zip-truncate — a short result set would strand the
-                # tail tickets on result=None.
-                exc = ServingError(
-                    f"shard {self.index} got {len(results)} result(s) for a "
-                    f"group of {len(tickets)} request(s)"
-                )
-                for ticket in tickets:
-                    ticket.resolve(error=exc)
-                with self._cond:
-                    self.batch_errors += 1
-                continue
+            # Group the gulp by admitted cache entry (stable order).
+            # Grouping on the entry (not just the key) keeps requests
+            # admitted across a retrain boundary on the model they were
+            # validated against.
+            groups: dict[int, list[PendingResult]] = {}
+            for ticket in gulp:
+                groups.setdefault(id(ticket.entry), []).append(ticket)
             with self._cond:
-                self.grouped_batches += 1
-            for ticket, result in zip(tickets, results):
-                ticket.resolve(result=result)
+                self.drains += 1
+                self.grouped_batches += len(groups)
+            max_batch = self.server.max_batch
+            for tickets in groups.values():
+                for i in range(0, len(tickets), max_batch):
+                    self._execute(tickets[i:i + max_batch])
+
+    def _execute(self, chunk: list[PendingResult]) -> None:
+        try:
+            # Features were coerced at admission against this entry, so
+            # go straight to the batched invoke.
+            results = self.server._serve_chunk(
+                self, chunk[0].entry, np.stack([t.features for t in chunk])
+            )
+        except Exception as exc:  # noqa: BLE001 - isolate per chunk
+            for ticket in chunk:
+                ticket.resolve(error=exc)
+            return
+        for ticket, result in zip(chunk, results):
+            ticket.resolve(result=result)
 
     def stop(self) -> None:
         # Claim the leftover queue under the lock so a still-running
@@ -160,185 +188,54 @@ class _Shard:
             self._stop = True
             leftovers = list(self._queue)
             self._queue.clear()
+            thread = self._thread
             self._cond.notify_all()
         for ticket in leftovers:
-            ticket.resolve(error=ServingError(f"shard {self.index} shut down"))
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
+            ticket.resolve(error=ServingError(f"{self.name} shut down"))
+        if thread is not None:
+            thread.join(timeout=5.0)
+        self.runner.close()
 
-    @property
-    def queue_depth(self) -> int:
+    # -- counters ----------------------------------------------------------
+
+    def count_batch(self, rows: int, ok: bool) -> None:
         with self._cond:
-            return len(self._queue)
+            self.requests += rows
+            if ok:
+                self.batches += 1
+                self.batched_requests += rows
+                self.largest_batch = max(self.largest_batch, rows)
+            else:
+                self.batch_errors += 1
+
+    def count_telemetry_error(self) -> None:
+        with self._cond:
+            self.telemetry_errors += 1
 
     def counters(self) -> dict:
-        """A consistent snapshot of the worker counters."""
+        """A consistent snapshot of this partition's counters."""
         with self._cond:
-            return {
+            snap = {
+                "name": self.name,
+                "requests": self.requests,
+                "batches": self.batches,
+                "batched_requests": self.batched_requests,
+                "largest_batch": self.largest_batch,
+                "batch_errors": self.batch_errors,
+                "mean_batch_size": (
+                    self.batched_requests / self.batches if self.batches else 0.0
+                ),
+                "telemetry_errors": self.telemetry_errors,
                 "queue_depth": len(self._queue),
                 "drains": self.drains,
                 "grouped_batches": self.grouped_batches,
-                "batch_errors": self.batch_errors,
             }
-
-
-class ShardedModelServer:
-    """N-worker serving: the model cache partitioned across shards.
-
-    Public surface mirrors :class:`ModelServer` (``classify``,
-    ``classify_batch``, ``get_model``, ``invalidate``, ``snapshot``), so
-    the API layer and CLI can use either interchangeably; ``submit`` /
-    ticket ``value()`` additionally expose the asynchronous path.
-    """
-
-    def __init__(
-        self,
-        platform,
-        workers: int = 4,
-        cache_size: int = 8,
-        max_batch: int = 32,
-        max_queue: int = 4096,
-        passes: object = "default",
-    ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.platform = platform
-        self.workers = workers
-        self.shards = [
-            _Shard(
-                ModelServer(
-                    platform,
-                    cache_size=cache_size,
-                    max_batch=max_batch,
-                    name=f"shard-{i}",
-                    passes=passes,
-                ),
-                index=i,
-                max_queue=max_queue,
+        with self._lock:
+            snap.update(
+                cache_size=len(self._cache),
+                cache_hits=self.cache_hits,
+                cache_misses=self.cache_misses,
+                cache_evictions=self.cache_evictions,
             )
-            for i in range(workers)
-        ]
-
-    @classmethod
-    def for_project(cls, project, **kwargs) -> "ShardedModelServer":
-        """A standalone sharded server over one project (CLI ``serve``)."""
-        registry = SimpleNamespace(projects={project.project_id: project})
-        return cls(registry, **kwargs)
-
-    # -- monitoring sink ---------------------------------------------------
-
-    @property
-    def telemetry(self):
-        """The monitoring sink; assigning propagates to every shard's
-        server, so all workers emit into the same store."""
-        return self.shards[0].server.telemetry
-
-    @telemetry.setter
-    def telemetry(self, store) -> None:
-        for shard in self.shards:
-            shard.server.telemetry = store
-
-    # -- routing -----------------------------------------------------------
-
-    def shard_index(self, project_id: int, precision: str, engine: str) -> int:
-        """Stable shard assignment for a model key (crc32, not ``hash``,
-        so placement survives interpreter restarts and PYTHONHASHSEED)."""
-        key = f"{project_id}|{precision}|{engine}".encode()
-        return zlib.crc32(key) % self.workers
-
-    def shard_for(self, project_id: int, precision: str, engine: str) -> _Shard:
-        return self.shards[self.shard_index(project_id, precision, engine)]
-
-    # -- serving -----------------------------------------------------------
-
-    def submit(
-        self,
-        project_id: int,
-        features,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> _ShardTicket:
-        """Admit one request onto its shard's queue; returns a ticket
-        whose ``value()`` blocks for the worker's result.  Raises
-        eagerly (``ServingError`` / ``KeyError``) on bad requests."""
-        shard = self.shard_for(project_id, precision, engine)
-        entry = shard.server.get_model(project_id, precision, engine)
-        coerced = shard.server._coerce_features(entry, features)
-        ticket = _ShardTicket((project_id, precision, engine), entry, coerced)
-        shard.enqueue(ticket)
-        return ticket
-
-    def classify(
-        self,
-        project_id: int,
-        features,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> dict:
-        return self.submit(project_id, features, precision, engine).value()
-
-    def classify_batch(
-        self,
-        project_id: int,
-        feature_rows,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> list[dict]:
-        if not isinstance(feature_rows, (list, tuple)) or len(feature_rows) == 0:
-            raise ServingError("batch must be a non-empty list of feature rows")
-        tickets = [
-            self.submit(project_id, row, precision, engine) for row in feature_rows
-        ]
-        return [t.value() for t in tickets]
-
-    # -- cache management --------------------------------------------------
-
-    def get_model(self, project_id: int, precision: str = "int8", engine: str = "eon"):
-        """Resolve (and warm) the model in its owning shard's cache."""
-        return self.shard_for(project_id, precision, engine).server.get_model(
-            project_id, precision, engine
-        )
-
-    def invalidate(self, project_id: int | None = None) -> None:
-        for shard in self.shards:
-            shard.server.invalidate(project_id)
-
-    # -- observability -----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Aggregated counters plus the per-shard breakdown."""
-        per_shard = []
-        for shard in self.shards:
-            snap = shard.server.snapshot()
-            worker_counters = shard.counters()
-            # The shard worker's own batch_errors (result-count guard in
-            # _execute) fold into the server's batcher-level counter so
-            # the summed total covers both layers.
-            snap["batch_errors"] += worker_counters.pop("batch_errors")
-            snap.update(worker_counters)
-            per_shard.append(snap)
-        summed = (
-            "requests", "batches", "batched_requests", "batch_errors",
-            "cache_size", "cache_hits", "cache_misses", "cache_evictions",
-            "telemetry_errors",
-        )
-        total = {k: sum(s[k] for s in per_shard) for k in summed}
-        total["mean_batch_size"] = (
-            total["batched_requests"] / total["batches"] if total["batches"] else 0.0
-        )
-        total["workers"] = self.workers
-        total["per_shard"] = per_shard
-        return total
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop every shard worker (queued requests fail cleanly)."""
-        for shard in self.shards:
-            shard.stop()
-
-    def __enter__(self) -> "ShardedModelServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        snap.update(self.runner.status())
+        return snap

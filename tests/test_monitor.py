@@ -297,7 +297,7 @@ def test_sharded_serving_propagates_telemetry(tiny_graphs):
     plat.serving.classify_batch(project.project_id, rows)
     records = plat.monitor.telemetry.recent(project.project_id)
     assert len(records) == 4
-    assert all(r.source.startswith("shard-") for r in records)
+    assert {r.source for r in records} <= {f"shard-{i}" for i in range(3)}
     plat.serving.close()
 
 

@@ -1,21 +1,14 @@
-"""Cross-process serving: bit-identity with the in-process tiers, worker
-death/respawn semantics, snapshot aggregation, and platform wiring."""
+"""What is specific to ``ModelServer(placement="process")``: worker
+death/respawn semantics, a worker that rejects a batch, and the Platform
+wiring.  The placement-independent contract (bit-identity included) is
+in test_serving_placements.py."""
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import Platform
-from repro.serve import (
-    ModelNotTrainedError,
-    ModelServer,
-    ProcessShardedModelServer,
-    ServingError,
-    ShardedModelServer,
-)
-
-RNG = np.random.default_rng(13)
+from repro.serve import ModelServer, ServingError
 
 
 @pytest.fixture()
@@ -32,70 +25,6 @@ def process_platform(tiny_graphs):
     return platform, projects
 
 
-def test_process_serving_bit_identical_to_in_process(
-    process_platform, tiny_classification_problem
-):
-    """The acceptance bar: worker processes serve the zoo graphs
-    bit-identically to the in-process server, int8 and float32 — the
-    compiled plan is rehydrated from the same serialized graph and runs
-    the same kernels on the same stacked rows."""
-    platform, projects = process_platform
-    x, _ = tiny_classification_problem
-    reference = ModelServer(platform)
-    with ProcessShardedModelServer(platform, workers=2) as server:
-        p = projects[0]
-        for precision in ("int8", "float32"):
-            got = server.classify(p.project_id, x[0], precision=precision)
-            want = reference.classify(p.project_id, x[0], precision=precision)
-            assert got == want  # dict equality == float bit-identity
-            got_batch = server.classify_batch(
-                p.project_id, list(x[:6]), precision=precision
-            )
-            want_batch = reference.classify_batch(
-                p.project_id, list(x[:6]), precision=precision
-            )
-            assert got_batch == want_batch
-
-
-def test_process_shard_placement_matches_threaded_tier(process_platform):
-    """crc32 placement is identical across backends, so swapping tiers
-    never reshuffles which shard owns a model."""
-    platform, projects = process_platform
-    proc = ProcessShardedModelServer(platform, workers=4)
-    threaded = ShardedModelServer(platform, workers=4)
-    try:
-        for p in projects:
-            for precision in ("float32", "int8"):
-                assert proc.shard_index(
-                    p.project_id, precision, "eon"
-                ) == threaded.shard_index(p.project_id, precision, "eon")
-    finally:
-        proc.close()
-        threaded.close()
-
-
-def test_process_serving_error_semantics(process_platform):
-    """Admission fails in the caller's thread with the ModelServer
-    exceptions — no worker round-trip, no worker poisoning."""
-    platform, projects = process_platform
-    with ProcessShardedModelServer(platform, workers=1) as server:
-        p = projects[0]
-        with pytest.raises(ServingError):
-            server.classify(p.project_id, [1.0, 2.0])  # wrong feature count
-        with pytest.raises(ServingError):
-            server.classify(p.project_id, RNG.standard_normal((16, 8)),
-                            precision="float16")
-        with pytest.raises(KeyError):
-            server.classify(999, RNG.standard_normal((16, 8)))
-        with pytest.raises(ServingError):
-            server.classify_batch(p.project_id, [])
-        untrained = platform.create_project("untrained", owner="alice")
-        with pytest.raises(ModelNotTrainedError):
-            server.classify(untrained.project_id, RNG.standard_normal((16, 8)))
-        # None of the bad requests ever reached (or spawned) a worker.
-        assert server.snapshot()["requests"] == 0
-
-
 def test_killed_worker_fails_inflight_cleanly_and_respawns(
     process_platform, tiny_classification_problem
 ):
@@ -105,10 +34,9 @@ def test_killed_worker_fails_inflight_cleanly_and_respawns(
     platform, projects = process_platform
     x, _ = tiny_classification_problem
     p = projects[0]
-    with ProcessShardedModelServer(platform, workers=1) as server:
+    with ModelServer(platform, placement="process", workers=1) as server:
         want = server.classify(p.project_id, x[0])  # warm + reference
-        shard = server.shard_for(p.project_id, "int8", "eon")
-        handle = shard._handle
+        handle = server.shards[0].runner._handle
         assert handle is not None and handle.alive
 
         # Occupy the worker's executor so the next gulp is guaranteed to
@@ -135,37 +63,28 @@ def test_killed_worker_fails_inflight_cleanly_and_respawns(
         assert snap["per_shard"][0]["worker_alive"] is True
 
 
-def test_process_snapshot_aggregation(process_platform, tiny_classification_problem):
-    platform, projects = process_platform
-    x, _ = tiny_classification_problem
-    with ProcessShardedModelServer(platform, workers=2) as server:
-        for p in projects:
-            server.classify_batch(p.project_id, list(x[:4]))
-        snap = server.snapshot()
-        assert snap["backend"] == "process"
-        assert snap["workers"] == 2
-        assert snap["requests"] == len(projects) * 4
-        assert len(snap["per_shard"]) == 2
-        assert sum(s["requests"] for s in snap["per_shard"]) == snap["requests"]
-        assert snap["mean_batch_size"] >= 1.0
-        assert snap["cache_size"] == len(projects)
-        assert sum(s["cache_size"] for s in snap["per_shard"]) == len(projects)
-        # Only shards that saw traffic spawned a worker process.
-        for s in snap["per_shard"]:
-            assert s["worker_alive"] is (s["requests"] > 0)
-
-
-def test_process_invalidate_recompiles_same_bits(
+def test_worker_rejecting_a_batch_fails_it_and_survives(
     process_platform, tiny_classification_problem
 ):
+    """A handler error in the worker (here: the model was evicted from
+    the worker's own LRU behind the parent's back) is an ok:false reply,
+    not a death: the batch fails with a clean ServingError, the process
+    and its connection survive, and a reload serves the same bits."""
     platform, projects = process_platform
     x, _ = tiny_classification_problem
     p = projects[0]
-    with ProcessShardedModelServer(platform, workers=1) as server:
+    with ModelServer(platform, placement="process", workers=1) as server:
         want = server.classify(p.project_id, x[0])
-        server.invalidate(p.project_id)
-        assert server.snapshot()["cache_size"] == 0
+        entry = server.get_model(p.project_id, "int8", "eon")
+        pid_before = server.snapshot()["per_shard"][0]["worker_pid"]
+        entry.model.model_id += 1000  # the worker never loaded this id
+        with pytest.raises(ServingError, match="worker rejected the batch"):
+            server.classify(p.project_id, x[0])
+        entry.model.loaded_session = 0  # force a load_model under the new id
         assert server.classify(p.project_id, x[0]) == want
+        snap = server.snapshot()
+        assert snap["batch_errors"] == 1 and snap["restarts"] == 0
+        assert snap["per_shard"][0]["worker_pid"] == pid_before
 
 
 def test_platform_process_backend_wiring(tiny_graphs, tiny_classification_problem):
@@ -189,10 +108,3 @@ def test_platform_process_backend_wiring(tiny_graphs, tiny_classification_proble
     with pytest.raises(ValueError, match="serving_backend"):
         Platform(serving_backend="fork")
 
-
-def test_process_server_shutdown_fails_queued_requests(process_platform):
-    platform, projects = process_platform
-    server = ProcessShardedModelServer(platform, workers=1)
-    server.close()
-    with pytest.raises(ServingError, match="shut down"):
-        server.submit(projects[0].project_id, RNG.standard_normal((16, 8)))

@@ -13,7 +13,7 @@ from repro.runtime import (
     run_graph,
     run_graph_dispatch,
 )
-from repro.serve import MicroBatcher, ModelNotTrainedError, ModelServer, ServingError
+from repro.serve import MicroBatcher, ServingError
 
 RNG = np.random.default_rng(7)
 
@@ -136,20 +136,6 @@ def test_batcher_failed_flush_does_not_skew_stats():
     assert batcher.largest_batch == 3
 
 
-def test_server_snapshot_counts_batch_errors(served_platform, tiny_classification_problem):
-    """batch_errors surfaces in snapshot() and survives invalidation."""
-    platform, project = served_platform
-    x, _ = tiny_classification_problem
-    server = ModelServer(platform)
-    entry = server.get_model(project.project_id, "int8", "eon")
-    entry.batcher._run_batch = lambda stacked: np.zeros((99, 3))
-    with pytest.raises(ServingError):
-        server.classify(project.project_id, x[0])
-    assert server.snapshot()["batch_errors"] == 1
-    server.invalidate()  # folds the live batcher's counters into totals
-    assert server.snapshot()["batch_errors"] == 1
-
-
 # -- model server -----------------------------------------------------------
 
 
@@ -216,63 +202,6 @@ def test_f32_batch_vs_single_tolerance_contract(served_platform,
             [sr["classification"][l] for l in labels],
             rtol=1e-5, atol=1e-7,
         )
-
-
-def test_server_cache_hits_and_retrain_invalidation(served_platform):
-    platform, project = served_platform
-    server = platform.serving
-    e1 = server.get_model(project.project_id, "int8", "eon")
-    e2 = server.get_model(project.project_id, "int8", "eon")
-    assert e1 is e2
-    assert server.stats.cache_hits == 1 and server.stats.cache_misses == 1
-
-    # Retraining replaces the graph object; the cache must recompile.
-    from repro.quantize import quantize_graph
-
-    calib = RNG.standard_normal((8, 16, 8)).astype(np.float32)
-    project.int8_graph = quantize_graph(project.float_graph, calib)
-    e3 = server.get_model(project.project_id, "int8", "eon")
-    assert e3 is not e1
-    assert server.stats.cache_misses == 2
-
-
-def test_server_lru_eviction(served_platform):
-    platform, project = served_platform
-    server = ModelServer(platform, cache_size=1)
-    server.get_model(project.project_id, "int8", "eon")
-    server.get_model(project.project_id, "float32", "eon")  # evicts int8
-    assert server.stats.cache_evictions == 1
-    server.get_model(project.project_id, "int8", "eon")
-    assert server.stats.cache_misses == 3  # int8 had to recompile
-
-
-def test_server_errors(served_platform):
-    platform, project = served_platform
-    server = platform.serving
-    with pytest.raises(ServingError):
-        server.get_model(project.project_id, "float16", "eon")
-    with pytest.raises(ServingError):
-        server.get_model(project.project_id, "int8", "cuda")
-    with pytest.raises(ServingError):
-        server.classify(project.project_id, [1.0, 2.0])
-    with pytest.raises(KeyError):
-        server.get_model(999, "int8", "eon")
-    project.int8_graph = None
-    server.invalidate(project.project_id)
-    with pytest.raises(ModelNotTrainedError):
-        server.get_model(project.project_id, "int8", "eon")
-
-
-def test_server_snapshot_counters(served_platform, tiny_classification_problem):
-    platform, project = served_platform
-    x, _ = tiny_classification_problem
-    server = platform.serving
-    server.classify_batch(project.project_id, list(x[:10]))
-    snap = server.snapshot()
-    assert snap["requests"] == 10
-    assert snap["batched_requests"] == 10
-    assert snap["batches"] >= 1
-    assert snap["mean_batch_size"] > 1.0
 
 
 def test_classify_rest_route(served_platform, tiny_classification_problem):

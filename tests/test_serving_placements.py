@@ -1,0 +1,373 @@
+"""The serving contract, once, on every placement.
+
+``ModelServer(placement="inline"|"thread"|"process")`` differ only in
+where a stacked batch runs; everything a caller can observe — results,
+admission errors, counters, telemetry, lifecycle — must be the same.
+Placement-specific behaviour (8-thread cache hammer, worker death and
+respawn) lives in test_sharded_serving.py / test_process_serving.py.
+"""
+
+import threading
+import time
+import zlib
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.monitor.telemetry import TelemetryStore
+from repro.serve import ModelNotTrainedError, ModelServer, ServingError
+
+PLACEMENTS = ["inline", "thread", "process"]
+LABELS = ("a", "b", "c")
+RNG = np.random.default_rng(17)
+
+pytestmark = pytest.mark.parametrize("placement", PLACEMENTS)
+
+
+@pytest.fixture()
+def platform(tiny_graphs):
+    """A platform with several 'trained' projects sharing the tiny graphs."""
+    from repro.core import Platform
+
+    platform = Platform()
+    platform.register_user("alice")
+    for i in range(4):
+        p = platform.create_project(f"placed-p{i}", owner="alice")
+        p.float_graph, p.int8_graph = tiny_graphs
+        p.label_map = dict(zip(LABELS, range(3)))
+    return platform
+
+
+def make_server(platform, placement, **kwargs):
+    workers = kwargs.pop("workers", 1 if placement == "inline" else 2)
+    return ModelServer(platform, placement=placement, workers=workers, **kwargs)
+
+
+def probs(result):
+    return [result["classification"][l] for l in LABELS]
+
+
+def wait_until_gulped(shard, timeout_s=10.0):
+    """Block until the shard's worker thread has claimed the queue."""
+    deadline = time.monotonic() + timeout_s
+    while shard.counters()["queue_depth"]:
+        assert time.monotonic() < deadline, "shard worker never drained"
+        time.sleep(0.001)
+
+
+def test_results_match_inline_reference(platform, placement,
+                                        tiny_classification_problem):
+    """int8 is bit-identical (dict equality) on every path — classify,
+    classify_batch, submit; float32 agrees to rtol 1e-5 (a batched
+    invoke may reassociate BLAS reductions)."""
+    x, _ = tiny_classification_problem
+    reference = ModelServer(platform)
+    with make_server(platform, placement) as server:
+        for pid in list(platform.projects)[:3]:
+            assert server.classify(pid, x[0]) == reference.classify(pid, x[0])
+            want = reference.classify_batch(pid, list(x[:6]))
+            assert server.classify_batch(pid, list(x[:6])) == want
+            tickets = [server.submit(pid, row) for row in x[:6]]
+            assert [t.value() for t in tickets] == want
+
+            got = server.classify_batch(pid, list(x[:6]), precision="float32")
+            want = reference.classify_batch(pid, list(x[:6]), precision="float32")
+            for g, w in zip(got, want):
+                assert g["top"] == w["top"]
+                np.testing.assert_allclose(probs(g), probs(w), rtol=1e-5, atol=1e-7)
+            single = server.classify(pid, x[0], precision="float32", engine="tflm")
+            np.testing.assert_allclose(probs(single), probs(want[0]),
+                                       rtol=1e-5, atol=1e-7)
+
+
+def test_bad_requests_fail_eagerly_with_zero_work(platform, placement):
+    """Admission runs in the caller's thread: bad requests raise the same
+    exceptions everywhere and never reach (or spawn) a worker."""
+    pid = next(iter(platform.projects))
+    good = RNG.standard_normal((16, 8))
+    with make_server(platform, placement) as server:
+        with pytest.raises(ServingError, match="expected 128 features"):
+            server.classify(pid, [1.0, 2.0])
+        with pytest.raises(ServingError, match="not numeric"):
+            server.submit(pid, ["not", "numbers"])
+        with pytest.raises(ServingError, match="unknown precision"):
+            server.classify(pid, good, precision="float16")
+        with pytest.raises(ServingError, match="unknown engine"):
+            server.get_model(pid, "int8", "cuda")
+        with pytest.raises(KeyError):
+            server.classify(999, good)
+        with pytest.raises(ServingError, match="non-empty list"):
+            server.classify_batch(pid, [])
+        with pytest.raises(ServingError, match="non-empty list"):
+            server.classify_batch(pid, 5)
+        untrained = platform.create_project("untrained", owner="alice")
+        with pytest.raises(ModelNotTrainedError):
+            server.classify(untrained.project_id, good)
+        snap = server.snapshot()
+        assert snap["requests"] == snap["batches"] == snap["batch_errors"] == 0
+        assert all(s["drains"] == 0 for s in snap["per_shard"])
+        assert not any(s.get("worker_alive") for s in snap["per_shard"])
+
+
+def test_batch_admission_is_all_or_nothing(platform, placement,
+                                           tiny_classification_problem):
+    """A malformed row anywhere in a batch rejects the whole request
+    before any row is queued: nothing executes, nothing is counted, and
+    no telemetry (drift-baseline input) is written for a request the
+    caller saw fail."""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    with make_server(platform, placement) as server:
+        server.telemetry = TelemetryStore()
+        with pytest.raises(ServingError, match="expected 128 features"):
+            server.classify_batch(pid, [*x[:4], [1.0]])
+        snap = server.snapshot()
+        assert snap["requests"] == 0 and snap["batches"] == 0
+        assert all(s["queue_depth"] == 0 for s in snap["per_shard"])
+        assert server.telemetry.count(pid) == 0
+        # Queues are FIFO, so a (wrongly) admitted prefix would have run
+        # by the time a later request on the same shard returns.
+        assert len(server.classify_batch(pid, list(x[:5]))) == 5
+        assert server.snapshot()["requests"] == 5
+        assert server.telemetry.count(pid) == 5
+
+
+def test_queue_full_sheds_the_whole_group(platform, placement,
+                                          tiny_classification_problem):
+    """Overload sheds with a clear error instead of queueing unboundedly;
+    a batch that does not fit is rejected whole.  (Inline has no queue:
+    the caller's own thread is the back-pressure.)"""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    with make_server(platform, placement, workers=1, max_queue=4) as server:
+        if placement == "inline":
+            assert len(server.classify_batch(pid, list(x[:6]))) == 6
+            return
+        server.classify(pid, x[0])  # warm, so the gate below is the only wait
+        shard = server.shards[0]
+        gate = threading.Event()
+        run = shard.runner.run
+        shard.runner.run = lambda model, stacked: (gate.wait(10), run(model, stacked))[1]
+        try:
+            first = server.submit(pid, x[0])  # occupies the worker thread
+            wait_until_gulped(shard)
+            queued = [server.submit(pid, x[i]) for i in range(3)]
+            with pytest.raises(ServingError, match="queue full"):
+                server.classify_batch(pid, list(x[:2]))  # 3 + 2 > 4
+            assert shard.counters()["queue_depth"] == 3  # nothing half-queued
+            queued.append(server.submit(pid, x[3]))  # exactly fills it
+            with pytest.raises(ServingError, match="queue full"):
+                server.submit(pid, x[0])
+        finally:
+            gate.set()
+        assert all(t.value()["top"] in LABELS for t in [first, *queued])
+        assert server.snapshot()["requests"] == 6
+
+
+def test_max_batch_chunks_every_placement(platform, placement,
+                                          tiny_classification_problem):
+    """``max_batch`` caps every batched invoke: a 70-row group is served
+    as 32 + 32 + 6 (three worker frames on ``process``), bit-identical
+    to the inline reference."""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    want = ModelServer(platform).classify_batch(pid, list(x[:70]))
+    with make_server(platform, placement, workers=1, max_batch=32) as server:
+        assert server.classify_batch(pid, list(x[:70])) == want
+        snap = server.snapshot()
+        assert snap["batches"] == 3 and snap["batched_requests"] == 70
+        assert snap["mean_batch_size"] == pytest.approx(70 / 3)
+        if placement != "inline":
+            assert snap["per_shard"][0]["largest_batch"] == 32
+
+
+def test_cache_hits_invalidate_retrain_and_lru(platform, placement,
+                                               tiny_classification_problem):
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    project = platform.projects[pid]
+    with make_server(platform, placement, workers=1, cache_size=2) as server:
+        want = server.classify(pid, x[0])
+        entry = server.get_model(pid, "int8", "eon")
+        assert server.get_model(pid, "int8", "eon") is entry
+        snap = server.snapshot()
+        assert (snap["cache_hits"], snap["cache_misses"]) == (2, 1)
+
+        other = list(platform.projects)[1]
+        server.get_model(other, "int8", "eon")
+        server.invalidate(pid)
+        assert server.snapshot()["cache_size"] == 1  # only pid's entry dropped
+        server.invalidate(other)
+        assert server.classify(pid, x[0]) == want  # recompiled, same bits
+        assert server.snapshot()["cache_misses"] == 3
+
+        # Retraining replaces the graph object; the cache must recompile.
+        from repro.quantize import quantize_graph
+
+        calib = RNG.standard_normal((8, 16, 8)).astype(np.float32)
+        project.int8_graph = quantize_graph(project.float_graph, calib)
+        assert server.get_model(pid, "int8", "eon") is not entry
+        assert server.snapshot()["cache_misses"] == 4
+        assert server.snapshot()["cache_size"] == 1  # replaced, not added
+
+        # LRU: cache_size is per shard; a third key evicts the oldest,
+        # which then has to recompile.
+        server.get_model(pid, "float32", "eon")
+        server.get_model(pid, "int8", "tflm")
+        snap = server.snapshot()
+        assert (snap["cache_size"], snap["cache_evictions"]) == (2, 1)
+        server.get_model(pid, "int8", "eon")
+        assert server.snapshot()["cache_misses"] == 7
+        server.invalidate()
+        assert server.snapshot()["cache_size"] == 0
+
+
+SNAPSHOT_KEYS = {
+    "name", "requests", "batches", "batched_requests", "batch_errors",
+    "mean_batch_size", "cache_size", "cache_hits", "cache_misses",
+    "cache_evictions", "telemetry_errors", "restarts", "workers", "backend",
+    "per_shard",
+}
+
+
+def test_snapshot_shape_and_per_shard_sums(platform, placement,
+                                           tiny_classification_problem):
+    x, _ = tiny_classification_problem
+    pids = list(platform.projects)
+    with make_server(platform, placement) as server:
+        for pid in pids:
+            server.classify_batch(pid, list(x[:4]))
+        snap = server.snapshot()
+        assert set(snap) == SNAPSHOT_KEYS
+        assert snap["backend"] == placement
+        assert snap["workers"] == len(server.shards)
+        assert snap["requests"] == snap["batched_requests"] == 4 * len(pids)
+        assert snap["cache_size"] == snap["cache_misses"] == len(pids)
+        assert snap["mean_batch_size"] > 1.0
+        assert snap["batch_errors"] == snap["restarts"] == 0
+        if placement == "inline":
+            assert snap["per_shard"] == []
+            return
+        rows = snap["per_shard"]
+        assert [s["name"] for s in rows] == [s.name for s in server.shards]
+        for key in ("requests", "batches", "cache_size", "cache_hits"):
+            assert sum(s[key] for s in rows) == snap[key]
+        for pid in pids:  # a model lives only in its owning shard's cache
+            owner = server.shard_index(pid, "int8", "eon")
+            assert rows[owner]["cache_size"] >= 1
+        for s in rows:
+            # Worker counters only tick on shards that saw traffic — and
+            # only those spawned a worker process.
+            assert (s["drains"] >= 1) is (s["requests"] > 0)
+            assert s["grouped_batches"] >= s["drains"]
+            assert s["queue_depth"] == 0
+            if placement == "process":
+                assert s["worker_alive"] is (s["requests"] > 0)
+                assert (s["worker_pid"] is not None) is s["worker_alive"]
+
+
+def test_wrong_result_row_count_fails_the_batch(platform, placement,
+                                                tiny_classification_problem):
+    """A runner returning the wrong number of rows fails every ticket of
+    that batch with a ServingError naming got vs expected (never
+    zip-truncates), ticks batch_errors, and the shard keeps serving."""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    with make_server(platform, placement, workers=1) as server:
+        server.classify(pid, x[0])  # warm the model
+        runner = server.shards[0].runner
+        run = runner.run
+        runner.run = lambda model, stacked: run(model, stacked)[:0]
+        with pytest.raises(ServingError, match=r"got 0 result row\(s\) for a batch of 3"):
+            server.classify_batch(pid, list(x[:3]))
+        runner.run = run
+        assert server.classify(pid, x[0])["top"] in LABELS
+        snap = server.snapshot()
+        assert snap["batch_errors"] == 1
+        assert snap["requests"] == 5 and snap["batched_requests"] == 2
+        server.invalidate()  # counters are per shard, not per cache entry
+        assert server.snapshot()["batch_errors"] == 1
+
+
+def test_telemetry_one_record_per_served_row(platform, placement,
+                                             tiny_classification_problem):
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    with make_server(platform, placement) as server:
+        assert server.telemetry is None
+        assert set(server.classify(pid, x[0])) == {"classification", "top"}
+        store = server.telemetry = TelemetryStore()
+        results = server.classify_batch(pid, list(x[:5]))
+        server.classify(pid, x[5])
+        records = store.recent(pid)
+        assert len(records) == store.count(pid) == 6
+        shard = server.shards[server.shard_index(pid, "int8", "eon")]
+        assert {r.source for r in records} == {shard.name}
+        assert [r.top for r in records[:5]] == [r["top"] for r in results]
+        assert all(r.sketch.shape == (8,) and r.latency_ms >= 0 for r in records)
+
+        # Monitoring never breaks serving: a failing sink is counted.
+        server.telemetry = SimpleNamespace(extend=lambda records: 1 / 0)
+        assert server.classify(pid, x[0])["top"] in LABELS
+        assert server.snapshot()["telemetry_errors"] == 1
+
+
+def test_close_fails_queued_tickets_and_rejects_new(platform, placement,
+                                                    tiny_classification_problem):
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    server = make_server(platform, placement, workers=1)
+    want = server.classify(pid, x[0])
+    queued = []
+    if placement != "inline":
+        shard = server.shards[0]
+        gate = threading.Event()
+        run = shard.runner.run
+        shard.runner.run = lambda model, stacked: (gate.wait(10), run(model, stacked))[1]
+        in_flight = server.submit(pid, x[0])
+        wait_until_gulped(shard)
+        queued = [server.submit(pid, x[i]) for i in range(3)]
+        threading.Timer(0.2, gate.set).start()
+    server.close()
+    for ticket in queued:
+        with pytest.raises(ServingError, match="shut down"):
+            ticket.value()
+    if placement != "inline":
+        assert in_flight.value() == want  # the in-flight gulp drains normally
+    with pytest.raises(ServingError, match="shut down"):
+        server.submit(pid, x[0])
+    with pytest.raises(ServingError, match="shut down"):
+        server.classify_batch(pid, list(x[:2]))
+    server.close()  # idempotent
+
+
+def test_shard_index_is_stable_crc32(platform, placement):
+    """Placement of a model key is crc32 (not ``hash``), so it is the
+    same on every placement and across interpreter restarts."""
+    workers = 1 if placement == "inline" else 4
+    with make_server(platform, placement, workers=workers) as server:
+        seen = set()
+        for pid in platform.projects:
+            for precision in ("float32", "int8"):
+                key = f"{pid}|{precision}|eon".encode()
+                idx = server.shard_index(pid, precision, "eon")
+                assert idx == zlib.crc32(key) % workers
+                seen.add(idx)
+        # Keys actually spread across shards (inline has exactly one).
+        assert seen == {0} if placement == "inline" else len(seen) > 1
+
+
+def test_constructor_validation(platform, placement):
+    with pytest.raises(ValueError, match="workers"):
+        ModelServer(platform, placement=placement, workers=0)
+    with pytest.raises(ValueError, match="cache_size"):
+        ModelServer(platform, placement=placement, cache_size=0)
+    with pytest.raises(ValueError, match="max_batch"):
+        ModelServer(platform, placement=placement, max_batch=0)
+    with pytest.raises(ValueError, match="placement"):
+        ModelServer(platform, placement=placement + "x")
+    if placement == "inline":
+        with pytest.raises(ValueError, match="workers"):
+            ModelServer(platform, placement="inline", workers=2)

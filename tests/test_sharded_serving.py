@@ -1,4 +1,6 @@
-"""Multi-worker sharded serving: routing, equivalence, stats, concurrency."""
+"""What is specific to ``ModelServer(placement="thread")``: the sharded
+cache under concurrent clients, and the Platform/REST wiring.  The
+placement-independent contract is in test_serving_placements.py."""
 
 import threading
 
@@ -6,14 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import Platform
-from repro.serve import (
-    ModelNotTrainedError,
-    ModelServer,
-    ServingError,
-    ShardedModelServer,
-)
-
-RNG = np.random.default_rng(11)
+from repro.serve import ModelServer
 
 
 @pytest.fixture()
@@ -30,137 +25,15 @@ def sharded_platform(tiny_graphs):
     return platform, projects
 
 
-def test_shard_assignment_is_stable_and_partitioned(sharded_platform):
-    platform, projects = sharded_platform
-    with ShardedModelServer(platform, workers=4) as server:
-        seen = set()
-        for p in projects:
-            for precision in ("float32", "int8"):
-                idx = server.shard_index(p.project_id, precision, "eon")
-                assert idx == server.shard_index(p.project_id, precision, "eon")
-                assert 0 <= idx < 4
-                seen.add(idx)
-        assert len(seen) > 1  # keys actually spread across shards
-
-        # A warmed model lives only in its owning shard's cache.
-        p = projects[0]
-        server.get_model(p.project_id, "int8", "eon")
-        owner = server.shard_index(p.project_id, "int8", "eon")
-        for shard in server.shards:
-            expected = 1 if shard.index == owner else 0
-            assert shard.server.snapshot()["cache_size"] == expected
-
-
-def test_sharded_matches_single_server(sharded_platform, tiny_classification_problem):
-    platform, projects = sharded_platform
-    x, _ = tiny_classification_problem
-    reference = ModelServer(platform)
-    with ShardedModelServer(platform, workers=3) as server:
-        for p in projects[:3]:
-            got = server.classify(p.project_id, x[0])
-            want = reference.classify(p.project_id, x[0])
-            assert got == want
-            got_batch = server.classify_batch(p.project_id, list(x[:5]))
-            want_batch = reference.classify_batch(p.project_id, list(x[:5]))
-            assert got_batch == want_batch
-
-
-def test_sharded_submit_is_async(sharded_platform, tiny_classification_problem):
-    platform, projects = sharded_platform
-    x, _ = tiny_classification_problem
-    with ShardedModelServer(platform, workers=2) as server:
-        tickets = [
-            server.submit(p.project_id, x[i % len(x)])
-            for i, p in enumerate(projects * 4)
-        ]
-        results = [t.value() for t in tickets]
-        assert len(results) == len(projects) * 4
-        assert all(r["top"] in ("a", "b", "c") for r in results)
-
-
-def test_sharded_error_semantics(sharded_platform):
-    platform, projects = sharded_platform
-    with ShardedModelServer(platform, workers=2) as server:
-        p = projects[0]
-        with pytest.raises(ServingError):
-            server.classify(p.project_id, [1.0, 2.0])  # wrong feature count
-        with pytest.raises(ServingError):
-            server.classify(p.project_id, RNG.standard_normal((16, 8)),
-                            precision="float16")
-        with pytest.raises(KeyError):
-            server.classify(999, RNG.standard_normal((16, 8)))
-        with pytest.raises(ServingError):
-            server.classify_batch(p.project_id, [])
-        untrained = platform.create_project("untrained", owner="alice")
-        with pytest.raises(ModelNotTrainedError):
-            server.classify(untrained.project_id, RNG.standard_normal((16, 8)))
-
-
-def test_shard_guards_wrong_result_count(sharded_platform,
-                                         tiny_classification_problem):
-    """A backing server returning the wrong number of rows for a grouped
-    batch fails every ticket with ServingError (no zip truncation) and
-    ticks the shard's batch_errors counter."""
-    platform, projects = sharded_platform
-    x, _ = tiny_classification_problem
-    with ShardedModelServer(platform, workers=1) as server:
-        p = projects[0]
-        server.classify(p.project_id, x[0])  # warm the model
-        shard = server.shard_for(p.project_id, "int8", "eon")
-        original = shard.server.classify_coerced
-        shard.server.classify_coerced = (
-            lambda pid, entry, rows: original(pid, entry, rows)[:0]
-        )
-        tickets = [server.submit(p.project_id, x[i]) for i in range(3)]
-        for ticket in tickets:
-            with pytest.raises(ServingError, match=r"got 0 result\(s\)"):
-                ticket.value()
-        shard.server.classify_coerced = original
-        assert server.classify(p.project_id, x[0])["top"] in ("a", "b", "c")
-        snap = server.snapshot()
-        assert snap["batch_errors"] >= 1
-        assert snap["per_shard"][0]["grouped_batches"] >= 1
-
-
-def test_sharded_stats_aggregation(sharded_platform, tiny_classification_problem):
-    platform, projects = sharded_platform
-    x, _ = tiny_classification_problem
-    with ShardedModelServer(platform, workers=4) as server:
-        for p in projects:
-            server.classify_batch(p.project_id, list(x[:4]))
-        snap = server.snapshot()
-        assert snap["workers"] == 4
-        assert snap["requests"] == len(projects) * 4
-        assert len(snap["per_shard"]) == 4
-        assert sum(s["requests"] for s in snap["per_shard"]) == snap["requests"]
-        assert snap["mean_batch_size"] >= 1.0
-        # Worker drain counters only tick on shards that saw traffic.
-        assert all(s["drains"] >= (1 if s["requests"] else 0)
-                   for s in snap["per_shard"])
-
-
-def test_sharded_invalidate(sharded_platform, tiny_classification_problem):
-    platform, projects = sharded_platform
-    x, _ = tiny_classification_problem
-    with ShardedModelServer(platform, workers=2) as server:
-        for p in projects[:2]:
-            server.classify(p.project_id, x[0])
-        server.invalidate(projects[0].project_id)
-        total = sum(s.server.snapshot()["cache_size"] for s in server.shards)
-        assert total == 1  # only project 0's entry dropped
-        server.invalidate()
-        total = sum(s.server.snapshot()["cache_size"] for s in server.shards)
-        assert total == 0
-
-
 def test_sharded_cache_hammered_from_8_threads(sharded_platform,
                                                tiny_classification_problem):
-    """The satellite concurrency contract: 8 client threads hammering the
+    """The concurrency contract: 8 client threads hammering the
     sharded cache (mixed projects/precisions, interleaved invalidations)
     produce correct results and no lost requests."""
     platform, projects = sharded_platform
     x, _ = tiny_classification_problem
-    with ShardedModelServer(platform, workers=4, cache_size=2) as server:
+    with ModelServer(platform, placement="thread", workers=4,
+                     cache_size=2) as server:
         reference = ModelServer(platform)
         expected = {
             (p.project_id, precision): reference.classify(
@@ -224,19 +97,9 @@ def test_sharded_platform_behind_rest_api(tiny_graphs, tiny_classification_probl
 
     stats = api.handle("GET", "/api/serving/stats")
     assert stats["status"] == 200
-    assert stats["workers"] == 4
+    assert stats["workers"] == 4 and stats["backend"] == "thread"
     assert stats["requests"] == 4
     assert len(stats["per_shard"]) == 4
     assert sum(s["requests"] for s in stats["per_shard"]) == 4
     platform.serving.close()
 
-
-def test_closed_shard_rejects_and_unblocks(sharded_platform,
-                                           tiny_classification_problem):
-    platform, projects = sharded_platform
-    x, _ = tiny_classification_problem
-    server = ShardedModelServer(platform, workers=2)
-    server.classify(projects[0].project_id, x[0])
-    server.close()
-    with pytest.raises(ServingError):
-        server.classify(projects[0].project_id, x[0])
