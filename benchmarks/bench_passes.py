@@ -6,16 +6,16 @@ zoo models, the workloads the pipeline was built for:
 1. **Fused vs. unfused int8 plans** — the ``fuse`` pass lowers int8
    contractions to exact float64 GEMM (provably bit-identical under the
    2^53 accumulator bound) and pools max-pool outputs *before*
-   requantization.  ``fusion_speedup_int8`` is the geometric mean over
-   the conv-dominated models, gated in CI.
+   requantization.  Both plans bind the same kernel family, so the
+   ratio is what the two annotations buy.  ``fusion_speedup_int8`` is
+   the geometric mean over the conv-dominated models, gated in CI.
 2. **Live-activation peak** — conv+pool collapse skips materializing the
    pre-pool activation, shrinking the Python-side analogue of the arena.
    ``pass_arena_reduction`` is deterministic (a plan property, not a
    timing) and gated.
 
 Bit-identity is a hard assert, not a metric: every fused plan must
-reproduce the unfused int8 output exactly, including batch-specialized
-plans exercised at a batch they were *not* specialized for.
+reproduce the unfused int8 output exactly, at more than one batch size.
 
 ``BENCH_SMOKE=1`` shrinks iteration counts for per-PR CI sampling.
 """
@@ -75,15 +75,12 @@ def test_fused_plan_speedup_int8():
         x = rng.standard_normal((BATCH,) + input_shape).astype(np.float32)
 
         unfused = compile_plan(graph, passes=None)
-        fused = compile_plan(graph, batch_size=BATCH)
+        fused = compile_plan(graph)
 
-        # Bit-identity first — the speedup must not change a single byte.
-        expected = unfused.execute(x)
-        assert np.array_equal(fused.execute(x), expected)
-        # A batch the plan was NOT specialized for takes the generic
-        # geometry fallback; it must stay bit-identical too.
-        x_odd = x[: BATCH - 1]
-        assert np.array_equal(fused.execute(x_odd), unfused.execute(x_odd))
+        # Bit-identity first — the speedup must not change a single byte,
+        # at any batch size the one plan is handed.
+        for batch in (x, x[: BATCH - 1]):
+            assert np.array_equal(fused.execute(batch), unfused.execute(batch))
 
         times = _interleaved_best_of(
             {"unfused": lambda: unfused.execute(x),
@@ -129,6 +126,6 @@ def test_pipeline_falls_back_not_over():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((BATCH, 25, 10)).astype(np.float32)
     unfused = compile_plan(graph, passes=None)
-    fused = compile_plan(graph, batch_size=BATCH)
+    fused = compile_plan(graph)
     assert np.array_equal(fused.execute(x), unfused.execute(x))
     assert not fused.pass_outcome.fell_back

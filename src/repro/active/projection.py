@@ -4,9 +4,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.utils.rng import ensure_rng
 
@@ -105,6 +102,10 @@ def tsne_2d(
 def spectral_2d(x: np.ndarray, n_neighbors: int = 10, seed: int = 0) -> np.ndarray:
     """UMAP-style spectral embedding: k-NN graph -> normalised Laplacian ->
     bottom non-trivial eigenvectors."""
+    import scipy.linalg  # at the point of use: see repro.dsp.mfcc
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n < 5:

@@ -12,6 +12,7 @@ live.  Wired into the CLI as ``repro-cli serve --http PORT``.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -22,6 +23,12 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 class GatewayRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-gateway/1.0"
+    # One send per response: with an unbuffered ``wfile`` head and body
+    # leave as two small segments, and on a persistent connection the
+    # second waits out the client's delayed ACK (~40 ms).  The base
+    # class flushes once per request; ``_send_stream`` flushes per chunk.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # The owning GatewayHTTPServer sets this.
     gateway = None
@@ -42,6 +49,11 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except (TypeError, ValueError):
+            length = -1
+        if length < 0:
+            # Unparseable or negative (``rfile.read(-1)`` would wait for
+            # EOF): the body's extent is unknown, so the connection
+            # cannot be reused either.
             self.close_connection = True
             self._send_json(
                 {"status": 400, "error": "malformed Content-Length header"}
@@ -102,6 +114,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/plain; charset=utf-8")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
+        self.wfile.flush()  # the head goes out now, not with the first line
         try:
             for line in lines:
                 chunk = (line + "\n").encode("utf-8")
@@ -127,21 +140,22 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         segments = ([unquote(s) for s in raw[1:].split("/")]
                     if raw.startswith("/") else None)
         path = unquote(raw)
-        body = self._read_body()
-        if body is None:
-            return
-        # Query parameters merge into the body; the route schema coerces
-        # the strings ("wait_s=2.5" -> 2.5).  JSON body keys win.
-        for key, value in parse_qsl(split.query):
-            body.setdefault(key, value)
-        token = self._token()
-        # Resolve once; the gateway reuses the (route, params) pair.
         try:
-            resolved = self.gateway.router.resolve(method, path,
-                                                   segments=segments)
-        except Exception:
-            resolved = None
-        try:
+            body = self._read_body()
+            if body is None:
+                return
+            # Query parameters merge into the body; the route schema
+            # coerces the strings ("wait_s=2.5" -> 2.5).  JSON body keys
+            # win.
+            for key, value in parse_qsl(split.query):
+                body.setdefault(key, value)
+            token = self._token()
+            # Resolve once; the gateway reuses the (route, params) pair.
+            try:
+                resolved = self.gateway.router.resolve(method, path,
+                                                       segments=segments)
+            except Exception:
+                resolved = None
             if resolved is not None and resolved[0].stream:
                 status, stream, error = self.gateway.open_stream(
                     method, path, body, token=token, _resolved=resolved
@@ -223,6 +237,13 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         )
         super().__init__(address, handler)
         self.gateway = gateway
+
+    def handle_error(self, request, client_address):
+        # A client that hung up mid-exchange is its own problem, not a
+        # server fault worth a traceback; with a buffered ``wfile`` the
+        # error surfaces at the base class's flush, outside ``_dispatch``.
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
 
     @property
     def url(self) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.automl.tuner import EonTuner, TunerTrial
 from repro.utils.rng import ensure_rng
@@ -55,6 +54,8 @@ def _rbf_predict(
     x_obs: np.ndarray, y_obs: np.ndarray, x_new: np.ndarray, bandwidth: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nadaraya-Watson mean + distance-based uncertainty."""
+    from scipy.spatial.distance import cdist  # at the point of use: see repro.dsp.mfcc
+
     d = cdist(x_new, x_obs)
     w = np.exp(-(d**2) / (2 * bandwidth**2))
     norm = w.sum(axis=1, keepdims=True)

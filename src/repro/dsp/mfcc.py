@@ -7,7 +7,6 @@ decorrelation, keeping the first ``n_coefficients`` cepstra.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from repro.dsp.base import DSPBlock, OpCounts, register_dsp_block
 from repro.dsp.mfe import MFEBlock
@@ -67,6 +66,10 @@ class MFCCBlock(DSPBlock):
         power = self._mfe._power_spectrogram(window)
         energies = power @ self._mfe._bank.T
         log_e = np.log(np.maximum(energies, 1e-30))
+        # Imported at the point of use: ``repro.core`` imports this module
+        # into every server and serving worker, few of which run an MFCC.
+        import scipy.fft
+
         cepstra = scipy.fft.dct(log_e, type=2, norm="ortho", axis=1)
         feats = cepstra[:, : self.n_coefficients]
         # Per-feature standardisation constant used by the production block

@@ -20,12 +20,12 @@ class Graph:
         self.ops: list[GOp] = []
         self.input_id: int = -1
         self.output_id: int = -1
-        # Memoized CompiledPlan for the default (passes, batch, engine)
+        # Memoized CompiledPlan for the default (passes, engine)
         # key (see repro.runtime.executor.compile_plan); invalidated by
         # structural edits.
         self._compiled_plan = None
-        # Non-default plan variants, keyed (pass signature, batch_size,
-        # engine), and memoized pass-pipeline outcomes keyed by pass
+        # Non-default plan variants, keyed (pass signature, engine),
+        # and memoized pass-pipeline outcomes keyed by pass
         # signature — same staleness contract as _compiled_plan.
         self._plan_cache: dict = {}
         self._pass_outcomes: dict = {}

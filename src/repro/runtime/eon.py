@@ -35,14 +35,10 @@ class EONModel:
 
     def invoke(self, batch: np.ndarray) -> np.ndarray:
         # Static plan: a straight-line sequence of bound kernels, no
-        # registry lookups, dead activations freed as they die.  Plans are
-        # batch-specialized (fused kernels pre-compute window geometry);
-        # a different batch size refetches from the per-graph plan cache.
-        bsz = int(np.asarray(batch).shape[0])
-        if self.plan is None or self.plan.batch_size != bsz:
-            self.plan = compile_plan(
-                self.graph, passes=self.passes, batch_size=bsz, engine="eon"
-            )
+        # registry lookups, dead activations freed as they die.  The one
+        # plan runs every batch size.
+        if self.plan is None:
+            self.plan = compile_plan(self.graph, passes=self.passes, engine="eon")
         return self.plan.execute(batch)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:

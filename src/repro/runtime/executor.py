@@ -13,11 +13,12 @@ Two ways to execute a :class:`repro.graph.Graph`:
   reference implementation for equivalence tests and the serving
   benchmark's baseline.
 
-Both paths call the same kernels with the same arguments, so outputs are
-bit-identical.  Compiled plans additionally use ``graph.lifetimes()`` to
-drop dead activations as execution proceeds (non-record mode), so peak
-Python-side memory tracks the arena plan instead of the sum of all
-activations.
+Dispatch calls the generic kernels (the spec); plans bind the
+``*_i8_plan`` family of ``repro.runtime.kernels``, whose rewrites are
+each proven exact at bind time, so outputs are bit-identical.  Compiled
+plans additionally use ``graph.lifetimes()`` to drop dead activations as
+execution proceeds (non-record mode), so peak Python-side memory tracks
+the arena plan instead of the sum of all activations.
 
 By default :func:`compile_plan` first runs the graph through the
 ``repro.runtime.passes`` optimization pipeline (fusion, constant
@@ -27,8 +28,9 @@ authored graph exactly as before.  Optimized plans produce bit-identical
 outputs (the pipeline only applies provably exact rewrites), and
 ``record=True`` execution transparently delegates to an unoptimized plan
 so every authored activation is still observable.  Plans are cached per
-``(pass signature, batch_size, engine)`` on the graph instance;
-``batch_size`` additionally specializes fused kernels' window geometry.
+``(pass signature, engine)`` on the graph instance; a plan is
+batch-polymorphic (kernels read window strides off the arrays they are
+handed), so one plan serves every batch size.
 """
 
 from __future__ import annotations
@@ -152,58 +154,17 @@ def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.nda
 _DW_EINSUM_PATH = ["einsum_path", (0, 1)]
 
 
-def _quant_kwargs(graph: Graph, op: GOp) -> dict:
-    """Requantization params with weights-side values pre-cast to the
-    int64 the kernels accumulate in, so per-invoke ``astype`` copies
-    (``copy=False`` fast path) disappear."""
+def _requantizer(graph: Graph, op: GOp) -> K.Requantizer:
+    """The op's requantization, validated and pre-cast once."""
     a = op.attrs
-    return dict(
-        in_zp=graph.tensors[op.inputs[0]].quant.zero_point,
-        out_zp=graph.tensors[op.outputs[0]].quant.zero_point,
-        out_mult=np.asarray(a["out_mult"], dtype=np.int64),
-        out_shift=np.asarray(a["out_shift"], dtype=np.int64),
-        clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
+    return K.Requantizer(
+        a["out_mult"], a["out_shift"],
+        graph.tensors[op.outputs[0]].quant.zero_point,
+        a["clamp_min"], a["clamp_max"],
     )
 
 
-def _conv2d_geom(batch_size, x_shape, kh, kw, stride, pad_h, pad_w):
-    """Batch-specialized window geometry for the fused 2-D convs: the
-    ``(batch, view_shape, view_strides)`` triple of the im2col
-    ``as_strided`` view over the zero-point-centered int32 batch (always
-    freshly-materialized and contiguous), so the specialized plan skips
-    the per-invoke stride arithmetic.  ``None`` for generic plans."""
-    if batch_size is None:
-        return None
-    h = int(x_shape[0]) + int(pad_h[0]) + int(pad_h[1])
-    w = int(x_shape[1]) + int(pad_w[0]) + int(pad_w[1])
-    c = int(x_shape[2])
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sc, sw, sh = 4, 4 * c, 4 * c * w  # int32 itemsize, C-contiguous
-    return (
-        batch_size,
-        (batch_size, oh, ow, kh, kw, c),
-        (sh * h, sh * stride, sw * stride, sh, sw, sc),
-    )
-
-
-def _conv1d_geom(batch_size, x_shape, k, stride, pad):
-    if batch_size is None:
-        return None
-    tlen = int(x_shape[0]) + int(pad[0]) + int(pad[1])
-    c = int(x_shape[1])
-    sc, st = 4, 4 * c
-    ot = (tlen - k) // stride + 1
-    return (
-        batch_size,
-        (batch_size, ot, k, c),
-        (st * tlen, st * stride, st, sc),
-    )
-
-
-def _bind_op(
-    graph: Graph, op: GOp, batch_size: int | None = None
-) -> Callable[[dict[int, np.ndarray]], np.ndarray]:
+def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndarray]:
     """Resolve one op into a closure over pre-fetched weights/attrs.
 
     All dispatch decisions (opcode, dtype, activation), tensor-table
@@ -211,12 +172,13 @@ def _bind_op(
     here, once; the returned closure only indexes the live-values map
     and calls the kernel.
 
+    int8 conv / dense ops bind the ``*_i8_plan`` kernels on operands
+    prepared here (zero point folded into the bias, requantizer
+    constants, and the GEMM / depthwise dtype each layer's exactness
+    proof allows — see the notes in ``repro.runtime.kernels``).
     Pass-pipeline annotations (``gemm_exact``, ``fused_pool``,
-    ``inplace`` — see ``repro.runtime.passes``) select the fused kernel
-    variants; graphs without them bind exactly the legacy closures.
-    ``batch_size`` pre-computes fused kernels' window geometry for
-    batch-specialized plans (fused kernels fall back to per-invoke
-    geometry when the actual batch differs).
+    ``inplace`` — see ``repro.runtime.passes``) pick the float64 GEMM
+    route and the pool a conv absorbs.
     """
     t = graph.tensors
     a = op.attrs
@@ -230,36 +192,19 @@ def _bind_op(
         fused_pool = a.get("fused_pool")
         pool_kind = a.get("fused_pool_kind", "max")
         if is_int8:
-            b64 = b.astype(np.int64)
-            kw = _quant_kwargs(graph, op)
+            in_zp = t[x_id].quant.zero_point
+            rq = _requantizer(graph, op)
             if op.opcode == "DEPTHWISE_CONV_2D":
-                w64 = w.astype(np.int64)
-                if fused_pool:
-                    geom = _conv2d_geom(
-                        batch_size, t[x_id].shape, w.shape[0], w.shape[1],
-                        stride, pad_h, pad_w,
-                    )
-                    return lambda v: K.dwconv2d_i8_fused(
-                        v[x_id], w64, b64, stride, pad_h, pad_w,
-                        pool=fused_pool, pool_kind=pool_kind, geom=geom, **kw
-                    )
-                return lambda v: K.dwconv2d_i8_prepared(
-                    v[x_id], w64, b64, stride, pad_h, pad_w, **kw
+                taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
+                return lambda v: K.dwconv2d_i8_plan(
+                    v[x_id], taps, bias, stride, pad_h, pad_w, in_zp, rq,
+                    pool=fused_pool, pool_kind=pool_kind,
                 )
-            kh, kw_ = w.shape[0], w.shape[1]
-            if a.get("gemm_exact"):
-                wf = w.astype(np.float64).reshape(-1, w.shape[3])
-                bf = b.astype(np.float64)
-                geom = _conv2d_geom(
-                    batch_size, t[x_id].shape, kh, kw_, stride, pad_h, pad_w
-                )
-                return lambda v: K.conv2d_i8_fused(
-                    v[x_id], wf, kh, kw_, bf, stride, pad_h, pad_w,
-                    pool=fused_pool, pool_kind=pool_kind, geom=geom, **kw
-                )
-            w2d = w.astype(np.int64).reshape(-1, w.shape[3])
-            return lambda v: K.conv2d_i8_prepared(
-                v[x_id], w2d, kh, kw_, b64, stride, pad_h, pad_w, **kw
+            kh, kw = w.shape[0], w.shape[1]
+            w2d, bias = K.prepare_gemm_i8(w, b, in_zp, a.get("gemm_exact"))
+            return lambda v: K.conv2d_i8_plan(
+                v[x_id], w2d, kh, kw, bias, stride, pad_h, pad_w, in_zp, rq,
+                pool=fused_pool, pool_kind=pool_kind,
             )
         act = a.get("activation", "none")
         if op.opcode == "DEPTHWISE_CONV_2D":
@@ -280,19 +225,11 @@ def _bind_op(
         fused_pool = a.get("fused_pool")
         if is_int8:
             k = w.shape[0]
-            kw = _quant_kwargs(graph, op)
-            if a.get("gemm_exact"):
-                wf = w.astype(np.float64).reshape(-1, w.shape[2])
-                bf = b.astype(np.float64)
-                geom = _conv1d_geom(batch_size, t[x_id].shape, k, stride, pad)
-                return lambda v: K.conv1d_i8_fused(
-                    v[x_id], wf, k, bf, stride, pad,
-                    pool=fused_pool, geom=geom, **kw
-                )
-            b64 = b.astype(np.int64)
-            w2d = w.astype(np.int64).reshape(-1, w.shape[2])
-            return lambda v: K.conv1d_i8_prepared(
-                v[x_id], w2d, k, b64, stride, pad, **kw
+            in_zp = t[x_id].quant.zero_point
+            rq = _requantizer(graph, op)
+            w2d, bias = K.prepare_gemm_i8(w, b, in_zp, a.get("gemm_exact"))
+            return lambda v: K.conv1d_i8_plan(
+                v[x_id], w2d, k, bias, stride, pad, in_zp, rq, pool=fused_pool
             )
         act = a.get("activation", "none")
         if fused_pool:
@@ -305,14 +242,11 @@ def _bind_op(
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
         if is_int8:
-            kw = _quant_kwargs(graph, op)
-            if a.get("gemm_exact"):
-                wf = w.astype(np.float64)
-                bf = b.astype(np.float64)
-                return lambda v: K.fc_i8_gemm(v[x_id], wf, bf, **kw)
-            w64 = w.astype(np.int64)
-            b64 = b.astype(np.int64)
-            return lambda v: K.fc_i8(v[x_id], w64, b64, **kw)
+            rq = _requantizer(graph, op)
+            w2d, bias = K.prepare_gemm_i8(
+                w, b, t[x_id].quant.zero_point, a.get("gemm_exact")
+            )
+            return lambda v: K.fc_i8_plan(v[x_id], w2d, bias, rq)
         act = a.get("activation", "none")
         return lambda v: K.fc_f32(v[x_id], w, b, act)
 
@@ -438,7 +372,6 @@ class CompiledPlan:
         *,
         source_graph: Graph | None = None,
         pass_outcome=None,
-        batch_size: int | None = None,
         engine: str | None = None,
     ):
         if verify and not getattr(graph, "_verified_ok", False):
@@ -460,13 +393,12 @@ class CompiledPlan:
         self.source_graph = source_graph if source_graph is not None else graph
         #: ``repro.runtime.passes.PassOutcome`` when the pipeline ran.
         self.pass_outcome = pass_outcome
-        self.batch_size = batch_size
         self.engine = engine
         self.steps: list[PlanStep] = [
             PlanStep(
                 op.opcode,
                 op.outputs[0],
-                _bind_op(graph, op, batch_size=batch_size),
+                _bind_op(graph, op),
                 op.inputs[op.attrs["inplace"]] if "inplace" in op.attrs else None,
             )
             for op in graph.ops
@@ -551,10 +483,10 @@ class CompiledPlan:
 # the *same* cold graph build exactly one plan.
 _PLAN_LOCKS_GUARD = threading.Lock()
 
-#: Cache key of the default-configured, unspecialized plan — stored in
+#: Cache key of the default-configured plan — stored in
 #: the legacy ``graph._compiled_plan`` slot (identity-stable across the
 #: pre-pass-pipeline API); every other key lives in ``graph._plan_cache``.
-_DEFAULT_PLAN_KEY = (DEFAULT_PASS_NAMES, None, None)
+_DEFAULT_PLAN_KEY = (DEFAULT_PASS_NAMES, None)
 
 #: Keyed-plan cache capacity per graph (FIFO eviction).
 _PLAN_CACHE_CAP = 16
@@ -572,18 +504,15 @@ def _pass_outcome(graph: Graph, config: PassConfig):
     return outcome
 
 
-def _build_plan(graph, verify, config, batch_size, engine) -> CompiledPlan:
+def _build_plan(graph, verify, config, engine) -> CompiledPlan:
     if config is None:
-        return CompiledPlan(
-            graph, verify=verify, batch_size=batch_size, engine=engine
-        )
+        return CompiledPlan(graph, verify=verify, engine=engine)
     outcome = _pass_outcome(graph, config)
     return CompiledPlan(
         outcome.graph,
         verify=True,
         source_graph=graph,
         pass_outcome=outcome,
-        batch_size=batch_size,
         engine=engine,
     )
 
@@ -611,7 +540,6 @@ def compile_plan(
     cache: bool = True,
     verify: bool = True,
     passes: object = "default",
-    batch_size: int | None = None,
     engine: str | None = None,
 ) -> CompiledPlan:
     """Compile (or fetch the cached) execution plan for ``graph``.
@@ -620,14 +548,12 @@ def compile_plan(
     ``"default"`` (the production pipeline — see
     ``repro.runtime.passes``), ``None`` (bind the authored graph exactly,
     the pre-pipeline behaviour), a :class:`~repro.runtime.passes.PassConfig`,
-    or an iterable of registered pass names.  ``batch_size`` specializes
-    fused kernels' window geometry for that batch (other batch sizes
-    still work via the kernels' generic fallback); ``engine`` is an
-    opaque cache-key component so e.g. the TFLM interpreter and the EON
-    compiler never share plan objects.
+    or an iterable of registered pass names.  ``engine`` is an opaque
+    cache-key component so e.g. the TFLM interpreter and the EON
+    compiler never share plan objects.  A plan runs every batch size.
 
     Plans are memoized on the graph instance per
-    ``(pass signature, batch_size, engine)``; structural edits via
+    ``(pass signature, engine)``; structural edits via
     ``Graph.add_tensor``/``Graph.add_op`` invalidate every cached plan.
     Thread-safe: concurrent callers racing on a cold graph get the same
     plan object.  Every cold compile runs the full graph verifier
@@ -639,9 +565,9 @@ def compile_plan(
     config = PassConfig.normalize(passes)
     if not verify or (config is not None and not config.names):
         config = None
-    key = (config.names if config is not None else None, batch_size, engine)
+    key = (config.names if config is not None else None, engine)
     if not cache:
-        return _build_plan(graph, verify, config, batch_size, engine)
+        return _build_plan(graph, verify, config, engine)
     plan = _cached_plan(graph, key)
     if plan is not None:
         return plan
@@ -653,7 +579,7 @@ def compile_plan(
     with lock:
         plan = _cached_plan(graph, key)
         if plan is None:
-            plan = _build_plan(graph, verify, config, batch_size, engine)
+            plan = _build_plan(graph, verify, config, engine)
             _store_plan(graph, key, plan)
     return plan
 

@@ -3,8 +3,10 @@
 The int8 kernels mirror TFLM/CMSIS-NN arithmetic: int8 operands, int32
 biases, int64 accumulation, fixed-point requantization
 (:mod:`repro.quantize.fixedpoint`), asymmetric activation zero points and
-symmetric (zero-zp) weights.  Both engines call these same functions, which
-is what makes the TFLM-vs-EON comparison a pure overhead comparison.
+symmetric (zero-zp) weights.  The generic ``*_i8`` kernels are the spec
+(and what ``run_graph_dispatch`` calls); compiled plans bind the
+``*_i8_plan`` family further down, which both engines share — that is
+what makes the TFLM-vs-EON comparison a pure overhead comparison.
 """
 
 from __future__ import annotations
@@ -212,210 +214,202 @@ def fc_i8(
     return _requant(acc, mult, shift, out_zp, clamp_min, clamp_max)
 
 
-# -- prepared int8 conv variants -------------------------------------------
+# -- plan-bound int8 kernels -------------------------------------------------
 #
-# Compile-time-specialized entry points used by compiled plans
-# (repro.runtime.executor).  They take weights already cast to int64 (and,
-# for CONV_2D, pre-flattened to the GEMM layout), replacing the generic
-# tensordot/einsum calls — whose per-call Python setup dominates small
-# invokes — with a direct matmul / multiply-sum.  Integer arithmetic is
-# exact, so outputs are bit-identical to the generic kernels above.
-
-
-def conv2d_i8_prepared(
-    x, w2d, kh, kw, bias64, stride, pad_h, pad_w, in_zp, out_zp,
-    out_mult, out_shift, clamp_min=-128, clamp_max=127,
-):
-    """``w2d`` is the weight tensor reshaped to ``(kh*kw*cin, cout)`` int64."""
-    xp = _pad2d(x, pad_h, pad_w, in_zp)
-    view = _windows_2d(xp.astype(np.int32) - in_zp, kh, kw, stride)
-    b, oh, ow = view.shape[:3]
-    acc = view.astype(np.int64).reshape(b * oh * ow, -1) @ w2d
-    acc = acc.reshape(b, oh, ow, -1) + bias64
-    return _requant(acc, out_mult, out_shift, out_zp, clamp_min, clamp_max)
-
-
-def dwconv2d_i8_prepared(
-    x, w64, bias64, stride, pad_h, pad_w, in_zp, out_zp,
-    out_mult, out_shift, clamp_min=-128, clamp_max=127,
-):
-    """``w64`` is the ``(kh, kw, c, d)`` weight tensor pre-cast to int64."""
-    xp = _pad2d(x, pad_h, pad_w, in_zp)
-    view = _windows_2d(xp.astype(np.int32) - in_zp, w64.shape[0], w64.shape[1], stride)
-    if w64.shape[3] == 1:
-        # Depth multiplier 1 (the common case): multiply in place on the
-        # int64 copy of the window view, so peak memory matches the
-        # generic einsum kernel while skipping einsum's per-call setup.
-        prod = view.astype(np.int64)
-        prod *= w64[:, :, :, 0]
-        acc = prod.sum(axis=(3, 4)) + bias64
-    else:
-        acc = np.einsum(
-            "bxyijc,ijcd->bxycd", view.astype(np.int64), w64,
-            optimize=["einsum_path", (0, 1)],
-        )
-        b, oh, ow, c, d = acc.shape
-        acc = acc.reshape(b, oh, ow, c * d) + bias64
-    return _requant(acc, out_mult, out_shift, out_zp, clamp_min, clamp_max)
-
-
-def conv1d_i8_prepared(
-    x, w2d, k, bias64, stride, pad, in_zp, out_zp,
-    out_mult, out_shift, clamp_min=-128, clamp_max=127,
-):
-    """``w2d`` is the weight tensor reshaped to ``(k*cin, cout)`` int64."""
-    xp = _pad1d(x, pad, in_zp)
-    bsz, t, c = xp.shape
-    ot = (t - k) // stride + 1
-    centered = xp.astype(np.int32) - in_zp
-    sb, st, sc = centered.strides
-    view = np.lib.stride_tricks.as_strided(
-        centered, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc),
-        writeable=False,
-    )
-    acc = view.astype(np.int64).reshape(bsz * ot, -1) @ w2d
-    acc = acc.reshape(bsz, ot, -1) + bias64
-    return _requant(acc, out_mult, out_shift, out_zp, clamp_min, clamp_max)
-
-
-# -- fused int8 kernels (pass-optimized plans) ------------------------------
+# The kernels compiled plans bind (repro.runtime.executor._bind_op), on
+# both engines: the TFLM interpreter's ``passes=None`` plan and EON's
+# pass-optimized plan.  The generic kernels above are the spec; these
+# compute the same bytes faster through four rewrites, each exact and
+# each proven per layer before the plan binds it, with a slower exact
+# route for a layer that fails its proof.  Bind-time constants are only
+# read and every per-call array is local, so one plan may run on several
+# threads at once; windows are taken with strides read off the array, so
+# one plan runs every batch size.
 #
-# Entry points bound by plans compiled through repro.runtime.passes.  Two
-# techniques, both bit-exact:
+# 1. Requantization constants are derived once (``Requantizer``) and
+#    applied in place on the accumulator the kernel owns.  Round half
+#    away from zero needs no abs/where: with h = 2**(s-1), a product
+#    p >= 0 rounds to (p + h) >> s, and for p < 0 the spec's
+#      -((-p + h) >> s) = ceil((p - h) / 2**s)
+#                       = (p - h + 2**s - 1) >> s = (p + h - 1) >> s,
+#    so both signs are (p + h + (p >> 63)) >> s.
+# 2. The input zero point is folded into the bias (``prepare_*_i8``):
+#    sum_k (x_k - zp) w_k + b = sum_k x_k w_k + (b - zp sum_k w_k).
+#    Padding is filled with zp, so every window has all K taps and the
+#    identity holds at the borders too.  Kernels therefore contract the
+#    padded int8 tensor directly; there is no centering pass.
+# 3. A contraction the fusion pass marked ``gemm_exact`` runs in float64
+#    BLAS.  Uncentered int8 products are at most 128*128 in magnitude,
+#    so every partial sum of K of them, in any order, plus a folded bias
+#    of at most max|bias| + 128*K*128, stays within
+#    2*K*128*128 + max|bias| (``passes.fusion.gemm_accumulator_bound``,
+#    proven per layer before annotating).  Under 2**53 float64 holds
+#    every such integer, so dgemm returns the exact accumulators, ~10x
+#    faster than the int64 matmul a layer over the bound (or a
+#    ``passes=None`` plan) runs on the same kernel.
+# 4. Depthwise convolution with depth multiplier 1 has no GEMM form; it
+#    accumulates its kh*kw taps as strided multiply-adds into one int32
+#    accumulator (products in int16, which holds any int8 x int8).
+#    ``prepare_dwconv_i8`` selects this only after proving
+#    kh*kw*128*128 + max|bias'| < 2**31, so neither a partial sum nor
+#    the biased total can wrap; otherwise the int64 window route runs.
 #
-# 1. The integer GEMM runs in float64 BLAS.  Every product is an integer
-#    of magnitude <= 255*127 and every partial sum is bounded by
-#    K*255*127 + max|bias| — the fusion pass only sets ``gemm_exact``
-#    after proving that bound < 2**53, where float64 represents every
-#    integer exactly, so dgemm returns the exact accumulators ~10x
-#    faster than numpy's int64 matmul loop.
-# 2. A fused max-pool runs on the accumulators *before* requantization.
-#    Requantize (rounding-doubling multiply + rounding shift + clip) is
-#    monotone non-decreasing and per-channel (spatial pooling never
-#    crosses channels), so requant(max(acc)) == max(requant(acc))
-#    element-for-element — and the requant work shrinks by pool^2.
-#    Average pooling does not commute with requantization, so fused avg
-#    pools run on the requantized int8 output (same kernel as unfused).
+# A fused max-pool runs on the accumulators *before* the bias and the
+# requantization: adding a per-channel bias and requantizing (multiply +
+# rounding shift + clip) are monotone non-decreasing and per-channel,
+# and spatial pooling never crosses channels, so
+# requant(max(acc) + b) == max(requant(acc + b)) element for element
+# while the bias and requant work shrinks by pool^2.  Average pooling
+# does not commute with the rounding, so a fused avg pool runs on the
+# requantized int8 output (same kernel as unfused).
 
 
-def _gemm_acc_i64(lhs_f64, w_f64, bias_f64):
-    """Exact integer GEMM in float64 (see exactness note above)."""
-    return (lhs_f64 @ w_f64 + bias_f64).astype(np.int64)
+class Requantizer:
+    """int32-range accumulators -> int8, constants prepared at bind time.
+
+    Equals ``_requant`` (the spec) byte for byte; raises the spec's
+    ``ValueError`` at construction for a shift outside its range.
+    """
+
+    __slots__ = ("mant", "shift", "half", "out_zp", "clamp_min", "clamp_max")
+
+    def __init__(self, out_mult, out_shift, out_zp, clamp_min=-128, clamp_max=127):
+        self.mant = np.asarray(out_mult, dtype=np.int64)
+        self.shift = 31 - np.asarray(out_shift, dtype=np.int64)
+        if np.any(self.shift < 1):
+            raise ValueError("multiplier exponent too large; accumulator would overflow")
+        self.half = np.int64(1) << (self.shift - 1)
+        self.out_zp, self.clamp_min, self.clamp_max = out_zp, clamp_min, clamp_max
+
+    def __call__(self, acc: np.ndarray) -> np.ndarray:
+        """``acc`` belongs to the caller and is consumed: an int64 array
+        is overwritten in place, any other dtype (exact-integer float64,
+        int32) is converted once first."""
+        acc = acc.astype(np.int64, copy=False)
+        acc *= self.mant
+        sign = acc >> 63
+        acc += self.half
+        acc += sign
+        acc >>= self.shift
+        acc += self.out_zp
+        np.maximum(acc, self.clamp_min, out=acc)
+        np.minimum(acc, self.clamp_max, out=acc)
+        return acc.astype(np.int8)
 
 
-def _finish_conv2d_fused(acc, pool, pool_kind, out_mult, out_shift, out_zp,
-                         clamp_min, clamp_max):
-    """Shared tail of the fused 2-D convs: pre-requant max pool /
-    post-requant avg pool around the requantization step."""
+def prepare_gemm_i8(w, bias, in_zp, exact):
+    """``(w2d, bias')`` for the GEMM kernels: weights flattened to
+    ``(K, cout)``, zero point folded into the bias; float64 when
+    ``exact`` (the layer carries the ``gemm_exact`` proof), else int64."""
+    w2d = w.reshape(-1, w.shape[-1])
+    folded = bias.astype(np.int64) - in_zp * w2d.sum(axis=0, dtype=np.int64)
+    dtype = np.float64 if exact else np.int64
+    return w2d.astype(dtype), folded.astype(dtype)
+
+
+def prepare_dwconv_i8(w, bias, in_zp):
+    """``(taps, bias')`` for ``dwconv2d_i8_plan``: int8 ``(kh, kw, c)``
+    taps and an int32 bias when tap accumulation provably fits int32
+    (note 4 above), else the int64 ``(kh, kw, c, d)`` weights and bias
+    of the window route."""
+    kh, kw, _, dm = w.shape
+    folded = bias.astype(np.int64) - in_zp * w.sum(axis=(0, 1), dtype=np.int64).reshape(-1)
+    max_bias = int(np.abs(folded).max()) if folded.size else 0
+    if dm == 1 and kh * kw * 128 * 128 + max_bias < 2 ** 31:
+        return w[..., 0].astype(np.int8), folded.astype(np.int32)
+    return w.astype(np.int64), folded
+
+
+def _gemm_i8(windows, w2d):
+    """int8 ``windows`` (a view whose trailing axes flatten to K) times
+    ``w2d``: ``(rows, cout)`` accumulators in ``w2d``'s dtype.  One pass
+    gathers and casts the view into the contiguous im2col matrix, so the
+    GEMM is dgemm exactly when ``prepare_gemm_i8`` chose float64 — whose
+    exact-integer results pool and take the bias as they are."""
+    lhs = windows.astype(w2d.dtype, order="C").reshape(-1, w2d.shape[0])
+    return lhs @ w2d
+
+
+def _finish(acc, bias, requant, pool=None, pool_kind="max"):
+    """Shared tail of the convs, on accumulators ``(batch, *spatial,
+    channels)`` the caller owns: (max pool) -> bias -> requantize ->
+    (avg pool)."""
     if pool and pool_kind == "max":
-        acc = maxpool2d_f32(acc, pool)  # dtype-agnostic block max
-    out = _requant(acc, out_mult, out_shift, out_zp, clamp_min, clamp_max)
+        # Block max as pool**d strided maxima: elementwise over whole
+        # channel runs, ~3x faster than a reshape + multi-axis reduce on
+        # accumulator-width data.
+        spatial = acc.shape[1:-1]
+        ends = [(n // pool - 1) * pool + 1 for n in spatial]
+        pooled = None
+        for offsets in np.ndindex(*(pool,) * len(spatial)):
+            tap = acc[(slice(None), *(slice(o, o + e, pool) for o, e in zip(offsets, ends)))]
+            pooled = tap.copy() if pooled is None else np.maximum(pooled, tap, out=pooled)
+        acc = pooled
+    acc += bias
+    out = requant(acc)
     if pool and pool_kind == "avg":
         out = avgpool2d_i8(out, pool)
     return out
 
 
-def conv2d_i8_fused(
-    x, w_f64, kh, kw, bias_f64, stride, pad_h, pad_w, in_zp, out_zp,
-    out_mult, out_shift, clamp_min=-128, clamp_max=127,
-    pool=None, pool_kind="max", geom=None,
+def conv2d_i8_plan(
+    x, w2d, kh, kw, bias, stride, pad_h, pad_w, in_zp, requant,
+    pool=None, pool_kind="max",
 ):
-    """Fused CONV_2D: pad -> window -> exact f64 GEMM -> bias -> (max
-    pool) -> requantize -> (avg pool), one closure, no intermediate
-    tensors.  ``w_f64`` is the weight tensor reshaped to ``(kh*kw*cin,
-    cout)`` float64; ``bias_f64`` is the int32 bias pre-cast.  ``geom``
-    is the optional batch-specialized window geometry
-    ``(batch, view_shape, view_strides)`` precomputed at plan-bind time.
-    """
+    """CONV_2D: pad -> int8 im2col -> GEMM -> ``_finish``.  ``w2d`` /
+    ``bias`` come from ``prepare_gemm_i8``."""
     xp = _pad2d(x, pad_h, pad_w, in_zp)
-    centered = xp.astype(np.int32) - in_zp
     if kh == 1 and kw == 1 and stride == 1:
-        # Pointwise conv: the window view is the input itself; skip the
-        # as_strided expansion entirely.
-        b, oh, ow, cin = centered.shape
-        lhs = centered.reshape(b * oh * ow, cin).astype(np.float64)
+        windows = xp  # pointwise: the im2col matrix is the input itself
     else:
-        if geom is not None and x.shape[0] == geom[0]:
-            view = np.lib.stride_tricks.as_strided(
-                centered, shape=geom[1], strides=geom[2], writeable=False
-            )
-        else:
-            view = _windows_2d(centered, kh, kw, stride)
-        b, oh, ow = view.shape[:3]
-        lhs = view.astype(np.float64).reshape(b * oh * ow, -1)
-    acc = _gemm_acc_i64(lhs, w_f64, bias_f64).reshape(b, oh, ow, -1)
-    return _finish_conv2d_fused(acc, pool, pool_kind, out_mult, out_shift,
-                                out_zp, clamp_min, clamp_max)
+        windows = _windows_2d(xp, kh, kw, stride)
+    acc = _gemm_i8(windows, w2d).reshape(windows.shape[:3] + (-1,))
+    return _finish(acc, bias, requant, pool, pool_kind)
 
 
-def dwconv2d_i8_fused(
-    x, w64, bias64, stride, pad_h, pad_w, in_zp, out_zp,
-    out_mult, out_shift, clamp_min=-128, clamp_max=127,
-    pool=None, pool_kind="max", geom=None,
+def dwconv2d_i8_plan(
+    x, taps, bias, stride, pad_h, pad_w, in_zp, requant,
+    pool=None, pool_kind="max",
 ):
-    """Fused DEPTHWISE_CONV_2D: the depthwise contraction has no GEMM
-    form (channels stay elementwise), so accumulation matches
-    ``dwconv2d_i8_prepared``; the fused pool still moves ahead of
-    requantization."""
+    """DEPTHWISE_CONV_2D.  ``taps`` / ``bias`` come from
+    ``prepare_dwconv_i8``, whose dtype choice selects the route."""
     xp = _pad2d(x, pad_h, pad_w, in_zp)
-    centered = xp.astype(np.int32) - in_zp
-    if geom is not None and x.shape[0] == geom[0]:
-        view = np.lib.stride_tricks.as_strided(
-            centered, shape=geom[1], strides=geom[2], writeable=False
-        )
+    kh, kw = taps.shape[:2]
+    b, h, w, c = xp.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    if taps.dtype == np.int8:
+        acc = np.zeros((b, oh, ow, c), dtype=np.int32)
+        prod = np.empty((b, oh, ow, c), dtype=np.int16)
+        h_end, w_end = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+        for i in range(kh):
+            for j in range(kw):
+                window = xp[:, i : i + h_end : stride, j : j + w_end : stride, :]
+                np.multiply(window, taps[i, j], out=prod, dtype=np.int16)
+                acc += prod
     else:
-        view = _windows_2d(centered, w64.shape[0], w64.shape[1], stride)
-    if w64.shape[3] == 1:
-        prod = view.astype(np.int64)
-        prod *= w64[:, :, :, 0]
-        acc = prod.sum(axis=(3, 4)) + bias64
-    else:
+        view = _windows_2d(xp, kh, kw, stride).astype(np.int64)
         acc = np.einsum(
-            "bxyijc,ijcd->bxycd", view.astype(np.int64), w64,
-            optimize=["einsum_path", (0, 1)],
-        )
-        b, oh, ow, c, d = acc.shape
-        acc = acc.reshape(b, oh, ow, c * d) + bias64
-    return _finish_conv2d_fused(acc, pool, pool_kind, out_mult, out_shift,
-                                out_zp, clamp_min, clamp_max)
+            "bxyijc,ijcd->bxycd", view, taps, optimize=["einsum_path", (0, 1)]
+        ).reshape(b, oh, ow, -1)
+    return _finish(acc, bias, requant, pool, pool_kind)
 
 
-def conv1d_i8_fused(
-    x, w_f64, k, bias_f64, stride, pad, in_zp, out_zp,
-    out_mult, out_shift, clamp_min=-128, clamp_max=127,
-    pool=None, geom=None,
-):
-    """Fused CONV_1D: exact f64 GEMM + optional pre-requant max pool."""
+def conv1d_i8_plan(x, w2d, k, bias, stride, pad, in_zp, requant, pool=None):
+    """CONV_1D: pad -> int8 im2col -> GEMM -> ``_finish``."""
     xp = _pad1d(x, pad, in_zp)
-    centered = xp.astype(np.int32) - in_zp
-    if geom is not None and x.shape[0] == geom[0]:
-        view = np.lib.stride_tricks.as_strided(
-            centered, shape=geom[1], strides=geom[2], writeable=False
-        )
-    else:
-        bsz, t, c = centered.shape
-        ot = (t - k) // stride + 1
-        sb, st, sc = centered.strides
-        view = np.lib.stride_tricks.as_strided(
-            centered, shape=(bsz, ot, k, c),
-            strides=(sb, st * stride, st, sc), writeable=False,
-        )
-    bsz, ot = view.shape[:2]
-    lhs = view.astype(np.float64).reshape(bsz * ot, -1)
-    acc = _gemm_acc_i64(lhs, w_f64, bias_f64).reshape(bsz, ot, -1)
-    if pool:
-        acc = maxpool1d_f32(acc, pool)
-    return _requant(acc, out_mult, out_shift, out_zp, clamp_min, clamp_max)
+    bsz, t, c = xp.shape
+    ot = (t - k) // stride + 1
+    sb, st, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
+    )
+    acc = _gemm_i8(windows, w2d).reshape(bsz, ot, -1)
+    return _finish(acc, bias, requant, pool)
 
 
-def fc_i8_gemm(
-    x, w_f64, bias_f64, in_zp, out_zp, out_mult, out_shift,
-    clamp_min=-128, clamp_max=127,
-):
-    """FULLY_CONNECTED via the exact f64 GEMM."""
-    centered = x.astype(np.float64) - in_zp
-    acc = _gemm_acc_i64(centered, w_f64, bias_f64)
-    return _requant(acc, out_mult, out_shift, out_zp, clamp_min, clamp_max)
+def fc_i8_plan(x, w2d, bias, requant):
+    """FULLY_CONNECTED on ``prepare_gemm_i8`` operands."""
+    return _finish(_gemm_i8(x, w2d), bias, requant)
 
 
 def maxpool2d_i8(x, pool):

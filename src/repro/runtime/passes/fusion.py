@@ -3,22 +3,23 @@
 Two annotations, both consumed by the plan binder
 (``repro.runtime.executor._bind_op``), which keeps the original opcode —
 so the TFLM registry check, serialization, and codegen all keep working
-— but swaps in a fused kernel:
+— and hands them to the op's plan-bound kernel:
 
 ``gemm_exact``
     The int8 contraction (conv im2col / dense) is provably exact in
-    float64 BLAS: every partial sum is bounded by ``K*255*127 +
-    max|bias|`` (inputs/weights are int8, so each product's magnitude is
-    at most 255*127 after zero-point centering).  When that bound is
-    below 2**53 — the largest integer float64 represents exactly — the
-    pass annotates the op and the binder lowers it to a dgemm-backed
-    kernel, ~10x over numpy's int64 matmul, bit-identical.
+    float64 BLAS: the plan kernels fold the input zero point into the
+    bias and contract uncentered int8 operands, so every partial sum is
+    bounded by ``2*K*128*128 + max|bias|``
+    (:func:`gemm_accumulator_bound`).  When that bound is below 2**53 —
+    the largest integer float64 represents exactly — the pass annotates
+    the op and the binder prepares float64 operands: dgemm, ~10x over
+    numpy's int64 matmul, bit-identical.
 
 ``fused_pool`` / ``fused_pool_kind``
     A conv immediately followed by its only consumer, a pool, collapses
     into one op producing the pool's output.  Max pooling commutes with
     requantization (monotone, per-channel), so the int8 kernel pools the
-    int64 accumulators *before* requantizing — pool^2 less requant work.
+    accumulators *before* requantizing — pool^2 less requant work.
     Average pooling has its own rounding, so it runs after requantization
     (and float pools simply compose) — same arithmetic as unfused, one
     less tensor materialized.
@@ -45,11 +46,12 @@ _GEMM_OPS = ("CONV_2D", "CONV_1D", "FULLY_CONNECTED")
 
 
 def gemm_accumulator_bound(w_shape, bias_data) -> int:
-    """Worst-case |accumulator| for an int8 contraction with this weight
-    shape: K products of magnitude <= 255*127, plus the bias."""
+    """Worst-case |partial sum| of a zero-point-folded int8 contraction
+    with this weight shape: K uncentered products of magnitude <=
+    128*128, plus a folded bias of at most ``max|bias| + 128*K*128``."""
     k = int(np.prod(w_shape[:-1]))
     max_bias = int(np.abs(bias_data.astype(np.int64)).max()) if bias_data.size else 0
-    return k * 255 * 127 + max_bias
+    return 2 * k * 128 * 128 + max_bias
 
 
 @register_pass
@@ -93,13 +95,6 @@ class FusionPass(GraphPass):
             pool_op = graph.ops[readers[0]]
             kind = kinds.get(pool_op.opcode)
             if kind is None:
-                continue
-            if (graph.tensors[out_id].dtype == "int8"
-                    and op.opcode != "DEPTHWISE_CONV_2D"
-                    and not op.attrs.get("gemm_exact")):
-                # The int8 fused conv kernels are the GEMM-lowered ones
-                # (depthwise has its own int64 fused kernel); without an
-                # exact lowering there is nothing to fuse into.
                 continue
             op.attrs["fused_pool"] = int(pool_op.attrs["pool_size"])
             op.attrs["fused_pool_kind"] = kind

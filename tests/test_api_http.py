@@ -5,6 +5,10 @@ from __future__ import annotations
 import base64
 import io
 import json
+import socket
+import statistics
+import struct
+import threading
 import time
 import urllib.request
 
@@ -242,3 +246,139 @@ def test_base64_upload_roundtrip_over_http(server, client):
     assert response["sample_id"]
     platform, _ = server
     assert len(platform.projects[pid].dataset) == 1
+
+
+# -- raw sockets: what the SDK's fresh-connection-per-request path hides ------
+
+
+def _connect(srv) -> socket.socket:
+    sock = socket.create_connection(srv.server_address[:2], timeout=3.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _read_reply(sock) -> tuple[int, bytes]:
+    """One ``Content-Length``-framed reply; a timeout or an early close
+    raises instead of returning."""
+    buf = b""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection without a reply"
+        buf += chunk
+    head, _, body = buf.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = next(int(line.split(":")[1]) for line in lines
+                  if line.lower().startswith("content-length:"))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection mid-body"
+        body += chunk
+    return int(lines[0].split()[1]), body
+
+
+def test_keepalive_replies_are_one_undelayed_send(server, monkeypatch):
+    """ROADMAP 1(a): head and body used to leave as two unbuffered
+    sends, so on a persistent connection the body waited out the
+    client's delayed ACK (~40 ms per request)."""
+    from repro.experiments.tasks import paper_scale_graphs
+
+    platform, srv = server
+    kws = paper_scale_graphs("kws")
+    project = platform.create_project("kws", owner="alice")
+    project.float_graph, project.int8_graph = kws.float_graph, kws.int8_graph
+    project.label_map = {f"label-{i}": i for i in range(12)}
+
+    nodelay = []
+    handler = srv.RequestHandlerClass
+    original_setup = handler.setup
+
+    def setup(self):
+        original_setup(self)
+        nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(handler, "setup", setup)
+
+    rng = np.random.default_rng(0)
+    body = json.dumps({"features": rng.standard_normal(490).tolist(),
+                       "precision": "int8"}).encode()
+    request = (f"POST /v1/projects/{project.project_id}/classify HTTP/1.1\r\n"
+               f"Host: test\r\nAuthorization: Bearer {platform.issue_token('alice')}\r\n"
+               f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+               f"Connection: keep-alive\r\n\r\n").encode("ascii") + body
+    latencies = []
+    with _connect(srv) as sock:
+        for _ in range(22):
+            started = time.perf_counter()
+            sock.sendall(request)  # head + body in one send: any stall is the server's
+            status, reply = _read_reply(sock)
+            latencies.append(time.perf_counter() - started)
+            assert status == 200 and json.loads(reply)["data"]["top"].startswith("label-")
+    assert statistics.median(latencies[2:]) < 0.025  # ~0.044 with the stall
+    assert nodelay == [1]  # one accepted connection, Nagle off
+
+
+def test_log_stream_still_arrives_line_by_line(server):
+    """The buffered ``wfile`` must not hold chunks back: the head and
+    every line are flushed as they are produced, then the terminator."""
+    platform, srv = server
+    project = platform.create_project("logs", owner="alice")
+    gate = threading.Event()
+
+    def chatty(job):
+        job.log("one")
+        gate.wait(10.0)
+        job.log("two")
+
+    job = project.jobs.submit("chatty", chatty)
+    request = (f"GET /v1/projects/{project.project_id}/jobs/{job.job_id}/logs HTTP/1.1\r\n"
+               f"Host: test\r\nAuthorization: Bearer {platform.issue_token('alice')}\r\n\r\n")
+    try:
+        with _connect(srv) as sock:
+            sock.sendall(request.encode("ascii"))
+            buf = b""
+            while b"one\n" not in buf:  # times out if the chunk is held back
+                buf += sock.recv(65536)
+            assert b"Transfer-Encoding: chunked" in buf
+            assert not job.done and b"two" not in buf
+            gate.set()
+            while not buf.endswith(b"0\r\n\r\n"):
+                chunk = sock.recv(65536)
+                assert chunk, "stream closed without its terminator"
+                buf += chunk
+    finally:
+        gate.set()
+    chunks = buf.partition(b"\r\n\r\n")[2].split(b"\r\n")
+    sizes, lines = chunks[0:-3:2], chunks[1:-3:2]  # minus the 0-size terminator
+    assert [int(size, 16) for size in sizes] == [len(line) for line in lines]
+    lines = [line.decode() for line in lines]
+    assert lines.index("one\n") < lines.index("two\n")
+    assert lines[-1] == f"[job {job.job_id} succeeded]\n"
+
+
+@pytest.mark.parametrize("length", ["-1", "-5", "abc"])
+def test_malformed_content_length_is_a_400_not_a_hang(server, length):
+    """``-1`` used to park the handler in ``rfile.read(-1)`` until the
+    client hung up; ``-5`` killed it with an uncaught ``ValueError``."""
+    platform, srv = server
+    request = (f"POST /v1/users HTTP/1.1\r\nHost: test\r\n"
+               f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n{{}}")
+    with _connect(srv) as sock:
+        sock.sendall(request.encode("ascii"))
+        status, reply = _read_reply(sock)
+        assert status == 400
+        assert json.loads(reply)["error"] == "malformed Content-Length header"
+        # The body's extent is unknown, so the server hangs up too.
+        sock.settimeout(3.0)
+        assert sock.recv(1) == b""
+
+
+def test_vanished_client_prints_no_traceback(server, capsys):
+    platform, srv = server
+    for _ in range(5):
+        sock = socket.create_connection(srv.server_address[:2], timeout=3.0)
+        # SO_LINGER 0: close() resets the connection under the handler.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(b"POST /v1/users HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n")
+        sock.close()
+    time.sleep(0.3)  # let the handler threads run into the reset
+    assert "Traceback" not in capsys.readouterr().err

@@ -32,3 +32,25 @@ def test_human_bytes():
 
 def test_human_ms():
     assert human_ms(12.345) == "12.35 ms"
+
+
+def test_server_imports_do_not_load_scipy():
+    """scipy is a quarter of a second and ~30 MB per process; only the
+    MFCC DCT, the explorer's spectral embedding and the surrogate search
+    use it, so nothing a server or a serving worker imports may."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys\n"
+        "import repro.api, repro.core, repro.serve, repro.core.workers\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
