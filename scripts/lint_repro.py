@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Lint the platform source: thin wrapper over ``python -m repro.analysis``.
 
-Chdirs to the repo root so the default scope (``src/repro``) and the
-committed baseline (``scripts/lint_baseline.json``) resolve — and so
-finding fingerprints use stable repo-relative paths.  CI runs
-``scripts/lint_repro.py --check``; re-ratchet with ``--update-baseline``.
+Chdirs to the repo root so the default scope (``src/repro``) resolves
+and findings print repo-relative paths.  CI runs
+``scripts/lint_repro.py --check``, which fails on any finding.
 """
 
 import os

@@ -35,6 +35,5 @@ from repro.core import (  # noqa: F401
     ImageInput,
     Platform,
     Project,
-    RestAPI,
     TimeSeriesInput,
 )

@@ -6,11 +6,6 @@ deserialization) and the platform linter (lock discipline, lock order,
 API consistency), exposed as ``python -m repro.analysis``.
 """
 
-from repro.analysis.baseline import (
-    load_baseline,
-    new_findings,
-    save_baseline,
-)
 from repro.analysis.diagnostics import CODES, Diagnostic, Report
 from repro.analysis.infer import ARITY, InferenceError, OpFacts, infer_op
 from repro.analysis.locklint import (
@@ -47,9 +42,6 @@ __all__ = [
     "lint_lock_discipline",
     "lint_lock_order",
     "lint_platform",
-    "load_baseline",
-    "new_findings",
-    "save_baseline",
     "verify_graph",
     "verify_graph_or_raise",
     "verify_plan",

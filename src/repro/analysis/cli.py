@@ -3,13 +3,12 @@
 Modes:
 
 - default / ``--check``: run every linter over the given paths (default
-  ``src/repro``), diff the findings against the baseline, print new
-  findings, and exit non-zero under ``--check`` when any exist.
-- ``--update-baseline``: rewrite the baseline from current findings.
+  ``src/repro``), print the findings, and exit non-zero under
+  ``--check`` when any exist.
 - ``--verify-zoo``: build the paper-scale model zoo and verify every
   float32/int8 graph; exit non-zero on any error diagnostic.  This is
   the CI smoke run for the graph verifier.
-- ``--json``: machine-readable output (all findings + new-vs-baseline).
+- ``--json``: machine-readable output.
 """
 
 from __future__ import annotations
@@ -19,17 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    load_baseline,
-    new_findings,
-    save_baseline,
-    stale_entries,
-)
 from repro.analysis.diagnostics import Report
 from repro.analysis.locklint import lint_lock_discipline, lint_lock_order
 from repro.analysis.platformlint import lint_platform
-
-DEFAULT_BASELINE = "scripts/lint_baseline.json"
 
 
 def _iter_py_files(paths: list[str]) -> list[Path]:
@@ -76,14 +67,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("paths", nargs="*", default=None,
                         help="files/dirs to lint (default: src/repro)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"baseline file (default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline; report every finding")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any finding is not baselined")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
+                        help="exit 1 on any finding")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit JSON instead of human-readable text")
     parser.add_argument("--verify-zoo", action="store_true",
@@ -107,39 +92,14 @@ def main(argv: list[str] | None = None) -> int:
 
     report = lint_paths(args.paths or ["src/repro"])
 
-    if args.update_baseline:
-        save_baseline(report, args.baseline)
-        out.write(
-            f"baseline written to {args.baseline}: "
-            f"{len(report)} finding(s) recorded\n"
-        )
-        return 0
-
-    baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    fresh = new_findings(report, baseline)
-    stale = stale_entries(report, baseline)
-
     if args.as_json:
-        out.write(json.dumps({
-            "findings": [d.to_dict() for d in report],
-            "new": [d.to_dict() for d in fresh],
-            "stale_baseline": stale,
-        }, indent=2) + "\n")
+        out.write(json.dumps(
+            {"findings": [d.to_dict() for d in report]}, indent=2) + "\n")
     else:
-        out.write(
-            f"lint: {len(report)} finding(s), {len(baseline)} baselined "
-            f"fingerprint(s), {len(fresh)} new\n"
-        )
-        for diag in fresh:
-            out.write("  NEW " + diag.format() + "\n")
-        if stale:
-            out.write(
-                f"note: {sum(stale.values())} baselined finding(s) no longer "
-                "present — ratchet down with --update-baseline\n"
-            )
-    if args.check and fresh:
-        return 1
-    return 0
+        out.write(f"lint: {len(report)} finding(s)\n")
+        for diag in report:
+            out.write("  " + diag.format() + "\n")
+    return 1 if args.check and len(report) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -5,7 +5,7 @@ Every check — graph verifier or platform linter — reports findings as
 raising bare ``ValueError``s.  A diagnostic carries a stable code (the
 key into :data:`CODES`), a severity, a location (op/tensor for graph
 findings, file/line/symbol for lint findings) and an optional fix hint,
-so callers can filter, baseline, or render findings without parsing
+so callers can filter or render findings without parsing
 message strings.
 """
 
@@ -19,7 +19,7 @@ SEVERITIES = ("note", "warning", "error")
 #: The diagnostic-code registry: code -> (default severity, title).
 #: ``G``-codes come from the graph IR verifier, ``L``-codes from the
 #: platform linter.  Codes are append-only: a published code never
-#: changes meaning (baselines and docs refer to them).
+#: changes meaning (docs and tests refer to them).
 CODES: dict[str, tuple[str, str]] = {
     # -- graph verifier: topology (subsumes the legacy Graph.validate) --
     "G001": ("error", "tensor index out of range"),
@@ -95,11 +95,6 @@ class Diagnostic:
         if self.tensor_id is not None:
             parts.append(f"tensor {self.tensor_id}")
         return ", ".join(parts) or "graph"
-
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the lint baseline, so
-        unrelated edits that shift lines don't churn the ratchet file."""
-        return f"{self.file or ''}::{self.code}::{self.symbol or self.message}"
 
     def format(self) -> str:
         text = f"{self.severity} {self.code} [{self.location()}]: {self.message}"

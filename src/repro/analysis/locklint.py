@@ -25,7 +25,7 @@ Both analyses are lexical over a single file's AST: a lock acquired in a
 caller and *held across a call* is invisible, which is exactly why the
 ``_locked``-suffix naming convention is part of the checked contract.
 Nested ``def``s inherit the enclosing ``with`` scope textually; closures
-that escape the lock must be baselined or refactored.
+that escape the lock must be refactored.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A layered redesign of the platform's programmatic surface:
 
-- :mod:`repro.api.router` — declarative routes dispatched via a compiled
-  path trie (vs. the pre-gateway linear regex scan);
+- :mod:`repro.api.router` — declarative routes dispatched via a
+  path-segment trie;
 - :mod:`repro.api.schemas` — typed request schemas validated before
   handlers run;
 - :mod:`repro.api.middleware` — request metrics, per-user token-bucket
@@ -16,8 +16,9 @@ A layered redesign of the platform's programmatic surface:
 - :mod:`repro.api.http` — real socket serving on a stdlib
   ``ThreadingHTTPServer`` with chunked job-log streaming.
 
-The legacy ``/api/...`` surface (:class:`repro.core.api.RestAPI`)
-delegates here unchanged; the Python SDK lives in :mod:`repro.client`.
+``ApiGateway.handle(method, "/v1/...", body, user=... | token=...)`` is
+the platform's one programmatic surface, in process and over sockets;
+the Python SDK lives in :mod:`repro.client`.
 """
 
 from repro.api.errors import (
@@ -29,7 +30,7 @@ from repro.api.errors import (
 from repro.api.gateway import ApiGateway, build_router
 from repro.api.http import GatewayHTTPServer, serve_http
 from repro.api.openapi import build_openapi, render_markdown
-from repro.api.router import LinearRegexRouter, Route, Router
+from repro.api.router import Route, Router
 from repro.api.schemas import Field, Schema
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "serve_http",
     "build_openapi",
     "render_markdown",
-    "LinearRegexRouter",
     "Route",
     "Router",
     "Field",

@@ -13,9 +13,6 @@ class Request:
     ``body`` starts as the raw caller dict and is replaced by the
     schema-validated (coerced + defaulted) copy before the handler runs.
     ``params`` holds the typed path parameters from the router.
-    ``legacy`` marks traffic arriving through the ``/api/`` compatibility
-    shim: trusted caller identity, no rate limiting, no request metrics —
-    exactly the pre-gateway contract.
     """
 
     method: str
@@ -25,10 +22,9 @@ class Request:
     user: str | None = None
     token: str | None = None
     # Authorization scope of the resolved credential.  Trusted in-process
-    # callers (user= passed explicitly, legacy shim) are operator; token
-    # callers get the scope the token was issued with.
+    # callers (user= passed explicitly) are operator; token callers get
+    # the scope the token was issued with.
     scope: str = "operator"
-    legacy: bool = False
     platform: Any = None
     gateway: Any = None
     route: Any = None

@@ -3,22 +3,20 @@
 One :class:`ApiGateway` per :class:`~repro.core.registry.Platform`
 (``platform.gateway``) dispatches every request:
 
-1. resolve ``(method, path)`` through the compiled path trie (404 miss);
+1. resolve ``(method, path)`` through the path trie (404 miss);
 2. middleware chain — request metrics, per-user token-bucket rate
    limiting (429 + ``retry_after_s``), API-token auth;
 3. schema validation of the body/query (400 before the handler runs);
 4. the resource handler.
 
-v1 responses use a consistent envelope that nests handler payloads under
-``data`` so they can never collide with ``status``/``error``::
+Every caller — the HTTP front end with a bearer ``token=``, in-process
+code with a trusted ``user=`` — enters through :meth:`ApiGateway.handle`
+and runs the same chain.  Responses use one envelope that nests handler
+payloads under ``data`` so they can never collide with
+``status``/``error``::
 
     {"status": 200, "data": {...}}
     {"status": 429, "error": "...", "retry_after_s": 0.31}
-
-The legacy ``/api/...`` surface (``RestAPI.handle``) delegates here with
-``legacy=True`` — trusted caller, no rate limiting/metrics — and
-flattens the payload into the historical ``{"status": 200, **payload}``
-shape, byte-identical to the pre-gateway dispatcher.
 
 Error statuses: :class:`ApiError` carries its own; the typed lookups
 ``UnknownJobError``/``UnknownProjectError`` map to 404 and
@@ -42,7 +40,7 @@ from repro.api.middleware import (
     ResponseCache,
     status_of,
 )
-from repro.api.router import Router
+from repro.api.router import Route, Router
 from repro.api.resources import register_all
 
 _ROUTER: Router | None = None
@@ -87,8 +85,7 @@ class ApiGateway:
             self.rate_limit,
         )
         # Fold the chain once — the composition is request-independent,
-        # so per-request closure allocation would just tax the hot path
-        # the dispatch benchmark measures.
+        # so per-request closure allocation would just tax the hot path.
         self._run_chain = self._invoke
         for middleware in reversed(self._middlewares):
             self._run_chain = (
@@ -101,109 +98,75 @@ class ApiGateway:
         ctx.body = ctx.route.request.validate(ctx.body)
         return ctx.route.handler(ctx)
 
-    def dispatch(
-        self, method: str, path: str, body: dict | None = None, *,
-        user: str | None = None, token: str | None = None,
-        legacy: bool = False, display_path: str | None = None,
-        _resolved: tuple | None = None,
-    ) -> tuple[int, object, str | None, dict]:
-        """Returns ``(status, payload, error_message, extras)``.
-
-        ``_resolved`` lets front ends that already resolved the route
-        (the HTTP handler peeks at ``route.stream``) skip the second
-        trie walk."""
-        if _resolved is not None:
-            route, params = _resolved
-        else:
-            try:
-                route, params = self.router.resolve(method, path)
-            except NotFoundError:
-                return (404, None,
-                        f"no route {method} {display_path or path}", {})
-        # Routes marked v1-only never existed on the /api/ surface; a
-        # translated legacy path must not reach them (an explicit /v1/
-        # path through the shim still may).
-        if (legacy and not route.legacy_twin and display_path is not None
-                and display_path != path):
-            return 404, None, f"no route {method} {display_path}", {}
+    def _dispatch(
+        self, method: str, path: str, body: dict | None,
+        user: str | None, token: str | None, resolved: tuple | None,
+        stream_only: bool = False,
+    ) -> tuple[Route | None, object, dict | None]:
+        """The one request path: resolve, build the :class:`Request`,
+        run the middleware chain.  Returns ``(route, payload, None)`` —
+        a streaming route's payload is its un-consumed line iterator —
+        or ``(route, None, error_envelope)``."""
+        try:
+            route, params = resolved or self.router.resolve(method, path)
+        except NotFoundError as exc:
+            return None, None, {"status": 404, "error": str(exc)}
+        if stream_only and not route.stream:
+            return route, None, {
+                "status": 400, "error": f"route {route.name} is not a stream"}
         ctx = Request(
             method=method, path=path, body=body or {}, params=params,
-            user=user, token=token, legacy=legacy,
+            user=user, token=token,
             platform=self.platform, gateway=self, route=route,
         )
         try:
-            payload = self._run_chain(ctx)
+            return route, self._run_chain(ctx), None
         except BaseException as exc:
-            return self._map_error(exc)
-        if route.stream and not isinstance(payload, dict):
-            # In-process callers get the stream materialized; the HTTP
-            # front end uses open_stream() to chunk it over the socket.
-            payload = {"lines": list(payload)}
-        return 200, payload, None, {}
+            return route, None, self._map_error(exc)
 
     @staticmethod
-    def _map_error(exc: BaseException) -> tuple[int, None, str, dict]:
+    def _map_error(exc: BaseException) -> dict:
         status = status_of(exc)
-        extras: dict = {}
-        if isinstance(exc, RateLimitedError):
-            extras["retry_after_s"] = round(exc.retry_after_s, 3)
         if status == 500:
             if not isinstance(exc, Exception):
                 raise exc  # KeyboardInterrupt/SystemExit must propagate
-            return 500, None, f"{type(exc).__name__}: {exc}", extras
-        return status, None, str(exc), extras
+            return {"status": 500, "error": f"{type(exc).__name__}: {exc}"}
+        envelope = {"status": status, "error": str(exc)}
+        if isinstance(exc, RateLimitedError):
+            envelope["retry_after_s"] = round(exc.retry_after_s, 3)
+        return envelope
 
     # -- public surfaces ---------------------------------------------------
 
     def handle(self, method: str, path: str, body: dict | None = None, *,
                user: str | None = None, token: str | None = None,
                _resolved: tuple | None = None) -> dict:
-        """v1 entry point: enveloped response, payload nested under
-        ``data``."""
-        status, payload, error, extras = self.dispatch(
-            method, path, body, user=user, token=token, _resolved=_resolved
+        """Dispatch one request; returns the envelope, payload nested
+        under ``data``.  ``user=`` is a trusted in-process identity;
+        socket callers pass ``token=``.  ``_resolved`` lets a front end
+        that already resolved the route (the HTTP handler peeks at
+        ``route.stream``) skip the second trie walk."""
+        route, payload, error = self._dispatch(
+            method, path, body, user, token, _resolved
         )
         if error is not None:
-            return {"status": status, "error": error, **extras}
-        return {"status": status, "data": payload or {}, **extras}
-
-    def handle_legacy(self, method: str, path: str, body: dict | None = None,
-                      user: str = "api", display_path: str | None = None) -> dict:
-        """The ``/api/...`` compatibility surface: flat payload merge,
-        trusted caller, no rate limiting or metrics."""
-        status, payload, error, _ = self.dispatch(
-            method, path, body, user=user, legacy=True,
-            display_path=display_path,
-        )
-        if error is not None:
-            return {"status": status, "error": error}
-        return {"status": status, **(payload or {})}
+            return error
+        if route.stream and not isinstance(payload, dict):
+            # In-process callers get the stream materialized; the HTTP
+            # front end uses open_stream() to chunk it over the socket.
+            payload = {"lines": list(payload)}
+        return {"status": 200, "data": payload or {}}
 
     def open_stream(
         self, method: str, path: str, body: dict | None = None, *,
         user: str | None = None, token: str | None = None,
         _resolved: tuple | None = None,
-    ) -> tuple[int, Iterator[str] | None, str | None]:
-        """Dispatch a streaming route; returns ``(status, line_iterator,
-        error)``.  Auth/rate-limit/validation run before the first line
-        is produced, so errors surface as a normal JSON envelope."""
-        if _resolved is not None:
-            route, params = _resolved
-        else:
-            try:
-                route, params = self.router.resolve(method, path)
-            except NotFoundError:
-                return 404, None, f"no route {method} {path}"
-        if not route.stream:
-            return 400, None, f"route {route.name} is not a stream"
-        ctx = Request(
-            method=method, path=path, body=body or {}, params=params,
-            user=user, token=token, platform=self.platform, gateway=self,
-            route=route,
+    ) -> Iterator[str] | dict:
+        """Dispatch a streaming route and hand back its line iterator.
+        Auth/rate-limit/validation run before the first line is
+        produced, so a failure comes back as the same JSON error
+        envelope (a dict) :meth:`handle` returns."""
+        _, stream, error = self._dispatch(
+            method, path, body, user, token, _resolved, stream_only=True
         )
-        try:
-            stream = self._run_chain(ctx)
-        except BaseException as exc:
-            status, _, error, _ = self._map_error(exc)
-            return status, None, error
-        return 200, stream, None
+        return stream if error is None else error

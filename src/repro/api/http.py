@@ -17,6 +17,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.api.errors import NotFoundError
+
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
@@ -150,23 +152,26 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             for key, value in parse_qsl(split.query):
                 body.setdefault(key, value)
             token = self._token()
-            # Resolve once; the gateway reuses the (route, params) pair.
+            # Resolve once, here, on the per-segment-decoded path; the
+            # gateway reuses the (route, params) pair.  A miss is final:
+            # re-resolving the fully decoded ``path`` would let an
+            # encoded slash change the route shape.
             try:
                 resolved = self.gateway.router.resolve(method, path,
                                                        segments=segments)
-            except Exception:
-                resolved = None
-            if resolved is not None and resolved[0].stream:
-                status, stream, error = self.gateway.open_stream(
+            except NotFoundError as exc:
+                self._send_json({"status": 404, "error": str(exc)})
+                return
+            if resolved[0].stream:
+                stream = self.gateway.open_stream(
                     method, path, body, token=token, _resolved=resolved
                 )
-                if error is not None:
-                    self._send_json({"status": status, "error": error})
+                if isinstance(stream, dict):  # an error envelope
+                    self._send_json(stream)
                 else:
                     self._send_stream(stream)
                 return
-            if (resolved is not None and method == "GET"
-                    and resolved[0].cache_ttl_s > 0):
+            if method == "GET" and resolved[0].cache_ttl_s > 0:
                 self._serve_cached_get(path, body, token, resolved)
                 return
             self._send_json(

@@ -1,11 +1,9 @@
-"""The gateway's middleware pipeline: metrics -> rate limit -> auth.
+"""The gateway's middleware pipeline: metrics -> auth -> rate limit.
 
 Middlewares are callables ``(ctx, call_next) -> payload`` composed by the
-gateway around schema validation + the route handler.  Requests arriving
-through the legacy ``/api/`` shim (``ctx.legacy``) bypass rate limiting,
-token auth and metrics emission — they run under the pre-gateway trusted
-in-process contract, which is what keeps every legacy payload
-byte-identical.
+gateway around schema validation + the route handler.  Every request
+runs the whole chain: a trusted in-process caller (``user=``) skips only
+the token lookup, and is metered and rate-limited like a token caller.
 """
 
 from __future__ import annotations
@@ -38,10 +36,11 @@ class TokenBucket:
         self.max_keys = max_keys
         self._lock = threading.Lock()
         self._buckets: dict[str, tuple[float, float]] = {}  # key -> (tokens, ts)
+        self.rejected = 0  # guarded-by: _lock
 
     def acquire(self, key: str) -> float | None:
         """Take one token; returns None on success, else the retry-after
-        hint in seconds."""
+        hint in seconds (and counts the rejection)."""
         now = time.monotonic()
         with self._lock:
             entry = self._buckets.get(key)
@@ -56,6 +55,7 @@ class TokenBucket:
                 self._buckets[key] = (tokens - 1.0, now)
                 return None
             self._buckets[key] = (tokens, now)
+            self.rejected += 1
             return (1.0 - tokens) / self.refill_per_s
 
 
@@ -69,15 +69,16 @@ class RateLimitMiddleware:
 
     def __init__(self, capacity: float = 500.0, refill_per_s: float = 100.0):
         self.bucket = TokenBucket(capacity, refill_per_s)
-        self.rejected = 0
+
+    @property
+    def rejected(self) -> int:
+        """429s issued; the bucket counts them under its own lock."""
+        return self.bucket.rejected
 
     def __call__(self, ctx, call_next):
-        if ctx.legacy:
-            return call_next(ctx)
         key = ctx.user or "anonymous"
         retry_after = self.bucket.acquire(key)
         if retry_after is not None:
-            self.rejected += 1
             raise RateLimitedError(key, retry_after)
         return call_next(ctx)
 
@@ -85,11 +86,11 @@ class RateLimitMiddleware:
 class AuthMiddleware:
     """API-token authentication + scope enforcement.
 
-    Trusted in-process callers pass ``user=`` explicitly (the legacy shim
-    and the in-process SDK path) and skip token checks.  Everything else
-    — i.e. every socket request — must present a token for any route not
-    marked ``auth="public"``; a presented token must resolve even on
-    public routes (a bad credential is never silently ignored).
+    Trusted in-process callers pass ``user=`` explicitly and skip token
+    checks.  Everything else — i.e. every socket request — must present
+    a token for any route not marked ``auth="public"``; a presented
+    token must resolve even on public routes (a bad credential is never
+    silently ignored).
 
     Tokens carry a scope (``Platform.issue_token(scope=...)``): ``read``
     tokens may only call non-mutating routes (GETs, plus POSTs
@@ -253,8 +254,6 @@ class MetricsMiddleware:
         self.emit_telemetry = emit_telemetry
 
     def __call__(self, ctx, call_next):
-        if ctx.legacy:
-            return call_next(ctx)
         start = time.perf_counter()
         status = 200
         try:

@@ -2,9 +2,8 @@
 
 The same :class:`Route` declarations that drive dispatch produce the
 machine-readable spec served at ``GET /v1/openapi.json`` and the
-``docs/api.md`` endpoint reference (``scripts/generate_openapi.py``).
-Aliases (legacy twins re-registered under ``/v1``) are excluded — one
-canonical path per operation, unique ``operationId`` per route.
+``docs/api.md`` endpoint reference (``scripts/generate_openapi.py``):
+one path per operation, unique ``operationId`` per route.
 """
 
 from __future__ import annotations
@@ -112,8 +111,7 @@ def build_openapi(router: Router, title: str = "repro API",
                 "Programmatic access to the full TinyML MLOps lifecycle "
                 "(paper Sec. 4.9): data, impulses, training jobs, tuner "
                 "searches, deployment, fleet rollouts, serving and "
-                "monitoring. Legacy `/api/...` paths remain available "
-                "through a compatibility shim."
+                "monitoring."
             ),
         },
         "paths": dict(sorted(paths.items())),
@@ -143,11 +141,9 @@ def render_markdown(router: Router) -> str:
         "All endpoints return the JSON envelope `{\"status\": int, \"data\":"
         " {...}}` (or `{\"status\": int, \"error\": \"...\"}`; 429s add"
         " `retry_after_s`).  Routes marked **auth** require an API token"
-        " (`Authorization: Bearer <token>`) over HTTP.  Every `/v1/...`"
-        " path is also reachable as `/api/...` through the legacy"
-        " compatibility shim (flat payload, no envelope) unless marked"
-        " *v1 only*.  Paginated listings accept `limit` (default 50, max"
-        " 200) and `offset`, and return `total`.",
+        " (`Authorization: Bearer <token>`) over HTTP.  Paginated listings"
+        " accept `limit` (default 50, max 200) and `offset`, and return"
+        " `total`.",
         "",
     ]
     by_tag: dict[str, list[Route]] = {}
@@ -163,8 +159,6 @@ def render_markdown(router: Router) -> str:
                 flags.append("stream")
             if route.paginated:
                 flags.append("paginated")
-            if not route.legacy_twin:
-                flags.append("v1 only")
             suffix = f" *({', '.join(flags)})*" if flags else ""
             lines.append(
                 f"### `{route.method} {_openapi_path(route.path)}`{suffix}"

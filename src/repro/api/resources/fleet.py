@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.api.errors import ApiError
 from repro.api.resources.jobs import JOB_VIEW_FIELDS, job_view
 from repro.api.router import Route
-from repro.api.schemas import PAGINATION, Field, Schema, paginate
+from repro.api.schemas import EMPTY, PAGINATION, Field, Schema, paginate
 
 
 def require_operator(ctx) -> None:
@@ -215,6 +215,7 @@ def register(router) -> None:
     router.add(Route(
         "POST", "/v1/fleet/rollout/{jid:int}/cancel", fleet_rollout_cancel,
         name="cancelRollout", tag="fleet", summary="Cancel a rollout job",
+        request=EMPTY,
         response={"description": "The job's post-cancel status",
                   "fields": ("job_id", "job_status")},
     ))

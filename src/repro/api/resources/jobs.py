@@ -6,7 +6,7 @@ import time
 
 from repro.api.errors import ApiError
 from repro.api.router import Route
-from repro.api.schemas import PAGINATION, Field, Schema, paginate
+from repro.api.schemas import EMPTY, PAGINATION, Field, Schema, paginate
 
 #: Long-poll + log-streaming knobs shared by every job-view route.  The
 #: wait is capped like the stream timeout: over sockets each long-poll
@@ -113,9 +113,13 @@ def job_logs(ctx):
     def stream():
         nonlocal offset
         while True:
+            # Sampled before the read: the consumer may take arbitrarily
+            # long over a yielded line, and a job that logs and settles
+            # meanwhile must still have those lines read.
+            done = job.done
             lines, offset = job.read_logs(offset)
             yield from lines
-            if job.done or time.monotonic() >= deadline:
+            if done or time.monotonic() >= deadline:
                 break
             job.wait(0.2)
         yield f"[job {job.job_id} {job.status}]"
@@ -129,7 +133,6 @@ def register(router) -> None:
     router.add(Route(
         "POST", "/v1/projects/{pid:int}/train", train, name="train",
         tag="jobs", summary="Queue a training job",
-        aliases=("/v1/projects/{pid:int}/jobs/train",),
         request=Schema(
             Field("seed", "int", default=0, doc="training RNG seed"),
             Field("retries", "int", default=0, minimum=0,
@@ -184,12 +187,13 @@ def register(router) -> None:
     router.add(Route(
         "POST", "/v1/projects/{pid:int}/jobs/{jid:int}/cancel", job_cancel,
         name="cancelJob", tag="jobs", summary="Cancel a queued/running job",
+        request=EMPTY,
         response={"description": "The job's post-cancel status",
                   "fields": ("job_id", "job_status")},
     ))
     router.add(Route(
         "GET", "/v1/projects/{pid:int}/jobs/{jid:int}/logs", job_logs,
-        name="jobLogs", tag="jobs", stream=True, legacy_twin=False,
+        name="jobLogs", tag="jobs", stream=True,
         summary="Follow job logs as a chunked line stream",
         request=Schema(
             Field("log_offset", "int", default=0, minimum=0, clamp=True),

@@ -23,14 +23,14 @@ def register(router) -> None:
     router.add(Route(
         "GET", "/v1/openapi.json", openapi_doc, name="openapi", tag="meta",
         summary="The generated OpenAPI 3 document for this gateway",
-        auth="public", legacy_twin=False, cache_ttl_s=30.0,
+        auth="public", cache_ttl_s=30.0,
         request=Schema(),
         response={"description": "OpenAPI 3.0 document"},
     ))
     router.add(Route(
         "GET", "/v1/gateway/stats", gateway_stats, name="gatewayStats",
         tag="meta", summary="Per-route request counters and latency",
-        auth="public", legacy_twin=False,
+        auth="public",
         request=Schema(),
         response={"description": "Request metrics",
                   "fields": ("requests", "errors", "by_status", "routes",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.api.errors import ApiError
 from repro.api.resources.fleet import require_operator
 from repro.api.router import Route
-from repro.api.schemas import PAGINATION, Field, Schema, paginate
+from repro.api.schemas import EMPTY, PAGINATION, Field, Schema, paginate
 
 
 def telemetry_ingest(ctx) -> dict:
@@ -158,6 +158,7 @@ def register(router) -> None:
         "POST", "/v1/projects/{pid:int}/monitor/reference", monitor_reference,
         name="pinReference", tag="monitor",
         summary="Pin the current telemetry window as the drift baseline",
+        request=EMPTY,
         response={"description": "Reference window size",
                   "fields": ("reference_records",)},
     ))

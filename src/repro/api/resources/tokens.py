@@ -41,7 +41,6 @@ def register(router) -> None:
     router.add(Route(
         "POST", "/v1/tokens", issue_token, name="issueToken", tag="auth",
         summary="Mint a scoped API token for the calling user",
-        legacy_twin=False,
         request=Schema(
             Field("scope", "str", default="operator",
                   enum=("read", "operator"),
@@ -53,7 +52,6 @@ def register(router) -> None:
     router.add(Route(
         "DELETE", "/v1/tokens", revoke_token, name="revokeToken", tag="auth",
         summary="Revoke one of the calling user's API tokens",
-        legacy_twin=False,
         request=Schema(
             Field("token", "str", doc="the token string to revoke"),
         ),

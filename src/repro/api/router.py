@@ -1,13 +1,10 @@
-"""Declarative routes dispatched via a compiled path trie.
+"""Declarative routes dispatched via a path-segment trie.
 
 Each resource module registers :class:`Route` objects — method, versioned
 path template, typed request schema, response description, auth level —
-and the :class:`Router` compiles every template into one segment trie.
-Dispatch walks the trie once per request (O(path depth)), instead of the
-linear regex scan the pre-gateway ``RestAPI`` used (O(route count) regex
-matches); :class:`LinearRegexRouter` keeps that old strategy alive as the
-benchmark's reference implementation
-(``benchmarks/bench_api_dispatch.py`` gates the trie at >= 2x).
+and the :class:`Router` inserts every template into one segment trie.
+Dispatch walks the trie once per request: O(path depth), independent of
+the number of routes.
 
 Path templates use ``{name}`` (string segment) and ``{name:int}``
 (decimal segment, converted) placeholders::
@@ -18,7 +15,6 @@ Path templates use ``{name}`` (string segment) and ``{name:int}``
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,8 +45,6 @@ class Route:
     response: dict = field(default_factory=dict)
     stream: bool = False  # handler returns an iterator (chunked over HTTP)
     paginated: bool = False
-    aliases: tuple[str, ...] = ()  # extra templates, kept out of OpenAPI
-    legacy_twin: bool = True  # reachable as /api/... through the shim
     # Scope enforcement: None means "infer from the verb" (non-GET
     # mutates); POSTs that are pure compute (classify, test, profile)
     # override with False so read-scoped tokens may call them.
@@ -65,17 +59,12 @@ class Route:
         return self.method != "GET"
 
     def param_specs(self) -> tuple[tuple[str, str], ...]:
-        """Ordered ``(name, converter)`` pairs from the canonical path
-        (computed once; :meth:`Router.resolve` reads it per request)."""
-        specs = getattr(self, "_param_specs", None)
-        if specs is None:
-            specs = tuple(
-                parsed
-                for segment in self.path.split("/")
-                if (parsed := _parse_segment(segment))
-            )
-            self._param_specs = specs
-        return specs
+        """Ordered ``(name, converter)`` pairs from the path template."""
+        return tuple(
+            parsed
+            for segment in self.path.split("/")
+            if (parsed := _parse_segment(segment))
+        )
 
 
 class _Node:
@@ -88,38 +77,26 @@ class _Node:
 
 
 class Router:
-    """Compiled path-trie dispatcher over the full route table.
+    """Segment-trie dispatcher over the full route table.
 
-    Templates are inserted into a segment trie; on first resolve the
-    trie is *compiled* — rendered into one generated Python function of
-    nested segment comparisons (the CompiledRouter idiom) and
-    ``exec``-ed once — so a request costs a single call over locals
-    instead of per-node attribute lookups, and nothing scales with the
-    number of routes.  Backtracking (a literal segment like
-    ``jobs/train`` shadowing a placeholder ``jobs/{jid}``) falls out of
-    the generated shape: each branch is an ``if`` that only returns on
-    a full match, so control falls through to the placeholder branch.
+    Templates are inserted into a trie keyed by path segment; a request
+    walks it once, so the cost scales with path depth, not with the
+    number of routes.  At each node a literal child is tried before the
+    placeholder, and a branch only answers on a full match — so a
+    literal like ``jobs/autotune`` shadowing ``jobs/{jid:int}`` falls
+    back to the placeholder when the rest of the path does not fit.
     """
 
     def __init__(self):
         self.routes: list[Route] = []
         self._root = _Node()
         self._names: set[str] = set()
-        self._find = None  # the generated dispatch function
 
     def add(self, route: Route) -> Route:
         if route.name in self._names:
             raise ValueError(f"duplicate operation id {route.name!r}")
-        self._names.add(route.name)
-        self.routes.append(route)
-        for template in (route.path, *route.aliases):
-            self._insert(template, route)
-        self._find = None  # recompile on next resolve
-        return route
-
-    def _insert(self, template: str, route: Route) -> None:
         node = self._root
-        for segment in template.strip("/").split("/"):
+        for segment in route.path.strip("/").split("/"):
             parsed = _parse_segment(segment)
             if parsed is None:
                 node = node.children.setdefault(segment, _Node())
@@ -129,113 +106,59 @@ class Router:
                     node.param = (name, conv, _Node())
                 elif node.param[:2] != (name, conv):
                     raise ValueError(
-                        f"conflicting placeholders at {template!r}: "
+                        f"conflicting placeholders at {route.path!r}: "
                         f"{node.param[:2]} vs {(name, conv)}"
                     )
                 node = node.param[2]
         if route.method in node.methods:
-            raise ValueError(f"duplicate route {route.method} {template}")
+            raise ValueError(f"duplicate route {route.method} {route.path}")
         node.methods[route.method] = route
+        self._names.add(route.name)
+        self.routes.append(route)
+        return route
 
     def resolve(self, method: str, path: str,
                 segments: list[str] | None = None) -> tuple[Route, dict]:
-        """Match one request; raises :class:`NotFoundError` (404, matching
-        the pre-gateway ``no route METHOD PATH`` contract) on a miss.
+        """Match one request; raises :class:`NotFoundError` (404,
+        ``no route METHOD PATH``) on a miss.
 
         ``segments`` lets a front end supply the pre-split path — the
         HTTP layer splits *before* percent-decoding each segment, so an
         encoded ``/`` inside a placeholder value cannot change the
         route shape (``path`` is then only used for error messages)."""
-        find = self._find
-        if find is None:
-            find = self._compile()
         if segments is None:
-            if not path.startswith("/"):
-                raise NotFoundError(f"no route {method} {path}")
-            segments = path[1:].split("/")
-        found = find(method, segments)
+            # A relative path has no segments, and the root holds no route.
+            segments = path[1:].split("/") if path.startswith("/") else []
+        found = self._walk(self._root, method, segments, 0, ())
         if found is None:
             raise NotFoundError(f"no route {method} {path}")
         return found
 
-    # -- trie compilation --------------------------------------------------
-
-    def _compile(self):
-        """Render the trie into one generated ``_find(method, segments)``
-        function and ``exec`` it (cached until the table changes)."""
-        namespace: dict = {}
-        lines = ["def _find(method, segments):", "    n = len(segments)"]
-        self._emit(self._root, 0, [], "    ", lines, namespace, [0])
-        lines.append("    return None")
-        exec(compile("\n".join(lines), "<compiled-route-trie>", "exec"),
-             namespace)
-        self._find = namespace["_find"]
-        self._source = "\n".join(lines)  # introspection/debugging aid
-        return self._find
-
-    def _emit(self, node: _Node, depth: int, values: list[str], indent: str,
-              lines: list[str], namespace: dict, counter: list[int]) -> None:
-        if node.methods:
-            table = f"M{counter[0]}"
-            counter[0] += 1
-            namespace[table] = node.methods
-            # The typed params dict is built inline by the generated
-            # code — placeholder names are fixed per trie node, so the
-            # dict literal costs no zip/comprehension at request time.
-            dict_src = "{" + "".join(f"{n}: {v}, " for n, v in values) + "}"
-            lines.append(f"{indent}if n == {depth}:")
-            lines.append(f"{indent}    r = {table}.get(method)")
-            lines.append(f"{indent}    if r is not None:")
-            lines.append(f"{indent}        return r, {dict_src}")
-        if not node.children and node.param is None:
-            return
-        lines.append(f"{indent}if n > {depth}:")
-        lines.append(f"{indent}    s{depth} = segments[{depth}]")
-        inner = indent + "    "
-        for segment, child in node.children.items():
-            lines.append(f"{inner}if s{depth} == {segment!r}:")
-            self._emit(child, depth + 1, values, inner + "    ",
-                       lines, namespace, counter)
-        if node.param is not None:
-            name, conv, child = node.param
-            if conv == "int":
-                # isdecimal(), not isdigit(): superscripts pass isdigit()
-                # but crash int() — they must be a 404, not a ValueError.
-                lines.append(f"{inner}if s{depth}.isdecimal():")
-                value = f"int(s{depth})"
-            else:
-                lines.append(f"{inner}if s{depth}:")
-                value = f"s{depth}"
-            self._emit(child, depth + 1, values + [(repr(name), value)],
-                       inner + "    ", lines, namespace, counter)
-
-
-class LinearRegexRouter:
-    """The pre-gateway dispatch strategy: one anchored regex per route,
-    scanned top to bottom.  Kept only as the benchmark baseline — every
-    request pays O(route count) regex matches, which is exactly what the
-    trie removes."""
-
-    def __init__(self, routes: list[Route]):
-        self._table: list[tuple[str, re.Pattern, Route]] = []
-        for route in routes:
-            for template in (route.path, *route.aliases):
-                pattern = "^"
-                for segment in template.strip("/").split("/"):
-                    parsed = _parse_segment(segment)
-                    if parsed is None:
-                        pattern += "/" + re.escape(segment)
-                    elif parsed[1] == "int":
-                        pattern += r"/(\d+)"
-                    else:
-                        pattern += r"/([^/]+)"
-                self._table.append((route.method, re.compile(pattern + "$"), route))
-
-    def resolve(self, method: str, path: str) -> tuple[Route, tuple]:
-        for verb, pattern, route in self._table:
-            if verb != method:
-                continue
-            match = pattern.match(path)
-            if match:
-                return route, match.groups()
-        raise NotFoundError(f"no route {method} {path}")
+    def _walk(self, node: _Node, method: str, segments: list[str],
+              depth: int, params: tuple) -> tuple[Route, dict] | None:
+        """Match ``segments[depth:]`` below ``node``; None on a miss, so
+        the caller can fall through to its next branch."""
+        if depth == len(segments):
+            route = node.methods.get(method)
+            return None if route is None else (route, dict(params))
+        segment = segments[depth]
+        child = node.children.get(segment)
+        if child is not None:
+            found = self._walk(child, method, segments, depth + 1, params)
+            if found is not None:
+                return found
+        if node.param is None:
+            return None
+        name, conv, child = node.param
+        if conv == "int":
+            # isdecimal(), not isdigit(): superscripts pass isdigit()
+            # but crash int() — they must be a 404, not a ValueError.
+            if not segment.isdecimal():
+                return None
+            value = int(segment)
+        elif segment:
+            value = segment
+        else:
+            return None
+        return self._walk(child, method, segments, depth + 1,
+                          params + ((name, value),))

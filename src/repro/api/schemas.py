@@ -163,12 +163,12 @@ EMPTY = Schema()
 #: The standard pagination pair: bounded page size, non-negative offset.
 PAGINATION = (
     Field("limit", "int", minimum=1, maximum=200, clamp=True,
-          doc="page size (default 50 on /v1, capped at 200)"),
+          doc="page size (default 50, capped at 200)"),
     Field("offset", "int", minimum=0, clamp=True,
           doc="items to skip from the start of the collection"),
 )
 
-#: The page size applied when a /v1 caller does not pass ``limit``.
+#: The page size applied when a caller does not pass ``limit``.
 DEFAULT_PAGE_SIZE = 50
 
 
@@ -177,19 +177,10 @@ def paginate(ctx, items: list) -> tuple[list, dict]:
     the page plus the ``total``/``limit``/``offset`` metadata paginated
     listings carry.
 
-    A v1 caller that omits ``limit`` gets :data:`DEFAULT_PAGE_SIZE`.  A
-    *legacy* (``/api/``) caller that passes neither knob gets the
-    pre-gateway response byte-identically: the whole collection and no
-    pagination keys at all — pre-gateway clients never paginated, and
-    silently truncating (or re-shaping) their listings is not
-    compatibility.  A legacy caller that opts in by passing ``limit``
-    or ``offset`` gets the full v1 pagination contract.
+    A caller that omits ``limit`` gets :data:`DEFAULT_PAGE_SIZE`.
     """
     limit = ctx.body.get("limit")
-    offset = ctx.body.get("offset")
-    if ctx.legacy and limit is None and offset is None:
-        return list(items), {}
-    offset = offset or 0
+    offset = ctx.body.get("offset") or 0
     if limit is None:
         limit = DEFAULT_PAGE_SIZE
     return items[offset:offset + limit], {

@@ -18,11 +18,9 @@ from repro.core.jobs import (
     Job,
     JobCancelled,
     JobExecutor,
-    JobQueue,
     UnknownJobError,
 )
 from repro.core.registry import Organization, Platform, User
-from repro.core.api import RestAPI
 
 __all__ = [
     "Impulse",
@@ -36,10 +34,8 @@ __all__ = [
     "Job",
     "JobCancelled",
     "JobExecutor",
-    "JobQueue",
     "UnknownJobError",
     "Platform",
     "Organization",
     "User",
-    "RestAPI",
 ]

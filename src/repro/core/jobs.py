@@ -416,9 +416,11 @@ class JobExecutor:
 
     def _run_one(self, job: Job) -> list[tuple[str, int]]:
         notes: list[tuple[str, int]] = []
+        with self._cond:
+            pool = max(self.workers, 1)
         job.log(
             f"job {job.job_id} ({job.name}) started on worker pool of "
-            f"{max(self.workers, 1)} (attempt {job.attempts})"
+            f"{pool} (attempt {job.attempts})"
         )
         try:
             job.check_cancelled()
@@ -456,9 +458,9 @@ class JobExecutor:
     def _finish_locked(
         self, job: Job, status: str, log: str, notes: list[tuple[str, int]]
     ) -> None:
-        job.status = status
         job.ended_at = time.time()
-        job.log(log)
+        job.log(log)  # before the status: a reader that sees `done` has every line
+        job.status = status
         job._done.set()
         if job._on_done is not None:
             notes.append(("ondone", job.job_id))
@@ -477,7 +479,8 @@ class JobExecutor:
         """
         while notes:
             kind, jid = notes.pop(0)
-            job = self.jobs.get(jid)
+            with self._cond:
+                job = self.jobs.get(jid)
             if job is None:
                 continue
             if kind == "ondone":
@@ -488,7 +491,8 @@ class JobExecutor:
                         f"on_done callback error: {type(exc).__name__}: {exc}"
                     )
             elif kind == "done":
-                parent = self.jobs.get(job.parent_id)
+                with self._cond:
+                    parent = self.jobs.get(job.parent_id)
                 if parent is None:
                     continue
                 if parent._on_child_done is not None:
@@ -592,10 +596,11 @@ class JobExecutor:
     # -- control plane ------------------------------------------------------
 
     def get(self, job_id: int) -> Job:
-        try:
-            return self.jobs[job_id]
-        except KeyError:
-            raise UnknownJobError(job_id) from None
+        with self._cond:
+            job = self.jobs.get(job_id)
+        if job is None:
+            raise UnknownJobError(job_id)
+        return job
 
     def status(self, job_id: int) -> str:
         """Status string; raises :class:`UnknownJobError` (not a bare
@@ -642,10 +647,10 @@ class JobExecutor:
         """Block until every submitted job is terminal; returns them in
         submission order (the old synchronous-queue contract)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        for job in list(self.jobs.values()):
+        for job in self.list_jobs():
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             job.wait(remaining)
-        return [j for j in self.jobs.values() if j.done]
+        return [j for j in self.list_jobs() if j.done]
 
     def list_jobs(self) -> list[Job]:
         with self._cond:
@@ -663,9 +668,3 @@ class JobExecutor:
             self._cond.notify_all()
         if wait:
             self.drain()
-
-
-#: Back-compat alias — the pre-orchestrator name.  ``JobQueue()`` now
-#: builds a real executor; the synchronous ``drain()`` contract (block
-#: until everything submitted has finished) is preserved.
-JobQueue = JobExecutor

@@ -159,7 +159,7 @@ class Project:
         self, seed: int = 0, quantize: bool = True, retries: int = 0
     ) -> Job:
         """Queue a training job and return it immediately (the hosted
-        semantics: ``POST /jobs/train`` answers with a job id while the
+        semantics: ``POST .../train`` answers with a job id while the
         worker pool does the work)."""
         if self.impulse is None:
             raise RuntimeError("set an impulse before training")

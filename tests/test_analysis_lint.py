@@ -1,4 +1,4 @@
-"""Platform linter: lock discipline, lock order, API lints, baseline ratchet."""
+"""Platform linter: lock discipline, lock order, API lints, the CLI gate."""
 
 import textwrap
 
@@ -6,11 +6,7 @@ from repro.analysis import (
     lint_lock_discipline,
     lint_lock_order,
     lint_platform,
-    load_baseline,
-    new_findings,
-    save_baseline,
 )
-from repro.analysis.baseline import stale_entries
 from repro.analysis.cli import lint_paths, main
 
 
@@ -202,80 +198,28 @@ def test_wallclock_duration_is_flagged():
     assert report.diagnostics[0].symbol == "cooldown_ok"
 
 
-# -- baseline ratchet -------------------------------------------------------
-
-
-def test_baseline_ratchet_blocks_only_new_findings(tmp_path):
-    report = _lint(GUARDED_CLASS)
-    baseline_file = tmp_path / "baseline.json"
-    save_baseline(report, baseline_file)
-    baseline = load_baseline(baseline_file)
-    assert new_findings(report, baseline) == []
-
-    # A second offender in the same class is NOT covered by the baseline.
-    worse = GUARDED_CLASS + (
-        "\n        def also_unsafe(self):\n"
-        "            return list(self._items)\n"
-    )
-    worse_report = _lint(worse)
-    fresh = new_findings(worse_report, baseline)
-    assert [d.symbol for d in fresh] == ["Store.also_unsafe._items"]
-
-    # Fixing the original finding leaves a stale baseline entry.
-    clean_report = _lint(GUARDED_CLASS.replace(
-        "return len(self._items)", "return 0"))
-    assert new_findings(clean_report, baseline) == []
-    assert sum(stale_entries(clean_report, baseline).values()) == 1
-
-
-def test_baseline_counts_duplicate_fingerprints(tmp_path):
-    twice = """
-        import threading
-
-        class S:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.n = 0  # guarded-by: _lock
-
-            def peek(self):
-                return self.n + self.n
-    """
-    report = _lint(twice)
-    assert len(report) == 2  # two accesses, one fingerprint
-    baseline_file = tmp_path / "baseline.json"
-    save_baseline(report, baseline_file)
-    baseline = load_baseline(baseline_file)
-    assert new_findings(report, baseline) == []
-    # A third access of the same attribute exceeds the count.
-    report3 = _lint(twice.replace(
-        "return self.n + self.n", "return self.n + self.n + self.n"))
-    assert len(new_findings(report3, baseline)) == 1
-
-
 # -- the real tree ----------------------------------------------------------
 
 
-def test_src_repro_lints_clean_against_committed_baseline(monkeypatch):
+def test_src_repro_lints_clean(monkeypatch):
     import pathlib
 
     monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
     report = lint_paths(["src/repro"])
-    baseline = load_baseline("scripts/lint_baseline.json")
-    fresh = new_findings(report, baseline)
-    assert fresh == [], "\n".join(d.format() for d in fresh)
-    # And the baseline isn't stale: every entry is still exercised.
-    assert stale_entries(report, baseline) == {}
+    assert len(report) == 0, report.format()
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
     bad = tmp_path / "fixture.py"
     bad.write_text(textwrap.dedent(GUARDED_CLASS))
-    empty = tmp_path / "baseline.json"
-    assert main(["--check", "--baseline", str(empty), str(bad)]) == 1
+    assert main(["--check", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "L001" in out and "NEW" in out
-    assert main(["--update-baseline", "--baseline", str(empty), str(bad)]) == 0
-    assert main(["--check", "--baseline", str(empty), str(bad)]) == 0
+    assert "1 finding(s)" in out and "L001" in out
+    assert main([str(bad)]) == 0  # reporting only: --check is the gate
+    good = tmp_path / "clean.py"
+    good.write_text(textwrap.dedent(GUARDED_CLASS).replace(
+        "return len(self._items)", "return 0"))
+    assert main(["--check", str(good)]) == 0
 
 
 def test_cli_verify_zoo_smoke(capsys):

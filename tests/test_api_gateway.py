@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -10,7 +11,7 @@ from repro.api import ApiGateway, build_router
 from repro.api.errors import ApiError, NotFoundError
 from repro.api.middleware import TokenBucket
 from repro.api.schemas import Field, Schema
-from repro.core import Platform, RestAPI
+from repro.core import Platform
 
 
 @pytest.fixture()
@@ -40,8 +41,14 @@ def test_trie_resolves_typed_params():
 
 def test_trie_literal_beats_placeholder():
     router = build_router()
-    assert router.resolve("POST", "/v1/projects/1/jobs/train")[0].name == "train"
-    assert router.resolve("GET", "/v1/projects/1/jobs/3")[0].name == "jobStatus"
+    route, params = router.resolve("POST", "/v1/projects/1/jobs/autotune")
+    assert route.name == "autotune" and params == {"pid": 1}
+    route, params = router.resolve("GET", "/v1/projects/1/jobs/7")
+    assert route.name == "jobStatus" and params == {"pid": 1, "jid": 7}
+    # The literal sibling only answers its own method: a GET falls
+    # through to {jid:int}, which "autotune" does not satisfy.
+    with pytest.raises(NotFoundError):
+        router.resolve("GET", "/v1/projects/1/jobs/autotune")
     # Non-digit segment at an int placeholder is a miss, not a str match.
     with pytest.raises(NotFoundError):
         router.resolve("GET", "/v1/projects/abc")
@@ -55,17 +62,85 @@ def test_trie_misses():
         ("GET", "/v1/projects/1/jobs/2/x"),  # too deep
         ("GET", "/v1/projects/1/"),          # trailing slash
         ("GET", "v1/projects"),              # not absolute
+        ("GET", "/v1/projects/\u00b2"),      # isdigit() but not int()-able
+        ("GET", "/v1/projects/-1"),
+        ("GET", "/v1/projects//jobs"),       # empty int segment
+        ("POST", "/v1/fleet/devices//classify"),  # empty str segment
+        ("GET", "/v1"),                      # a prefix is not a route
+        ("GET", "/"),
+        ("GET", ""),
     ):
-        with pytest.raises(NotFoundError, match="no route"):
+        with pytest.raises(NotFoundError) as err:
             router.resolve(method, path)
+        assert str(err.value) == f"no route {method} {path}"
+        if path.startswith("/"):
+            with pytest.raises(NotFoundError):
+                router.resolve(method, path, segments=path[1:].split("/"))
 
 
-def test_alias_resolves_to_same_route():
+def _concrete(route) -> tuple[str, dict]:
+    """A request path for ``route`` and the typed params it must yield."""
+    segments, params = [], {}
+    for segment in route.path.split("/"):
+        if segment.startswith("{"):
+            name, _, conv = segment[1:-1].partition(":")
+            params[name] = 40 + len(params) if conv == "int" else "dev-0"
+            segment = str(params[name])
+        segments.append(segment)
+    return "/".join(segments), params
+
+
+def test_every_route_round_trips_through_the_trie():
     router = build_router()
-    canonical = router.resolve("POST", "/v1/projects/4/train")
-    alias = router.resolve("POST", "/v1/projects/4/jobs/train")
-    assert canonical[0] is alias[0]
-    assert canonical[1] == alias[1] == {"pid": 4}
+    for route in router.routes:
+        path, params = _concrete(route)
+        for found, got in (
+            router.resolve(route.method, path),
+            router.resolve(route.method, path, segments=path[1:].split("/")),
+        ):
+            assert found is route, (route.method, path)
+            assert got == params and list(got) == list(params), path
+
+
+def test_segments_win_over_path():
+    """Pre-split segments are matched as given: a slash inside one stays
+    inside the placeholder value, and ``path`` only labels the miss."""
+    router = build_router()
+    route, params = router.resolve(
+        "POST", "ignored", segments=["v1", "fleet", "devices", "a/b", "classify"])
+    assert route.name == "deviceClassify" and params == {"did": "a/b"}
+    with pytest.raises(NotFoundError, match="no route POST /shown"):
+        router.resolve("POST", "/shown",
+                       segments=["v1", "fleet", "devices", "a/classify"])
+
+
+def test_trie_backtracks_from_literal_to_string_placeholder():
+    from repro.api.router import Route, Router
+
+    router = Router()
+    for method, path, name in (
+        ("GET", "/v1/fleet/devices/{did}", "getDevice"),
+        ("POST", "/v1/fleet/devices/{did}/classify", "deviceClassify"),
+        ("GET", "/v1/fleet/devices/all/versions", "allVersions"),
+    ):
+        router.add(Route(method, path, lambda ctx: {}, name=name))
+
+    def resolve(method, path):
+        route, params = router.resolve(method, path)
+        return route.name, params
+
+    assert resolve("GET", "/v1/fleet/devices/all/versions") == ("allVersions", {})
+    # "all" matches the literal child first; when that branch has no
+    # route for the rest of the path the walk retries it as a device id.
+    assert resolve("GET", "/v1/fleet/devices/all") == ("getDevice", {"did": "all"})
+    assert resolve("POST", "/v1/fleet/devices/all/classify") == (
+        "deviceClassify", {"did": "all"})
+    assert resolve("GET", "/v1/fleet/devices/d1") == ("getDevice", {"did": "d1"})
+    for method, path in (("GET", "/v1/fleet/devices/d1/versions"),
+                         ("GET", "/v1/fleet/devices/d1/classify"),
+                         ("POST", "/v1/fleet/devices/all/versions")):
+        with pytest.raises(NotFoundError):
+            router.resolve(method, path)
 
 
 def test_duplicate_operation_id_rejected():
@@ -75,6 +150,24 @@ def test_duplicate_operation_id_rejected():
     router.add(Route("GET", "/v1/a", lambda ctx: {}, name="op"))
     with pytest.raises(ValueError, match="duplicate operation id"):
         router.add(Route("GET", "/v1/b", lambda ctx: {}, name="op"))
+
+
+def test_duplicate_route_and_conflicting_placeholders_rejected():
+    from repro.api.router import Route, Router
+
+    router = Router()
+    router.add(Route("GET", "/v1/a/{x:int}", lambda ctx: {}, name="op"))
+    with pytest.raises(ValueError, match="duplicate route GET /v1/a/"):
+        router.add(Route("GET", "/v1/a/{x:int}", lambda ctx: {}, name="op2"))
+    with pytest.raises(ValueError, match="conflicting placeholders"):
+        router.add(Route("POST", "/v1/a/{x}", lambda ctx: {}, name="op3"))
+    with pytest.raises(ValueError, match="conflicting placeholders"):
+        router.add(Route("POST", "/v1/a/{y:int}", lambda ctx: {}, name="op4"))
+    # A rejected route leaves the table as it was.
+    assert [r.name for r in router.routes] == ["op"]
+    assert router.resolve("GET", "/v1/a/5")[1] == {"x": 5}
+    with pytest.raises(NotFoundError):
+        router.resolve("POST", "/v1/a/5")
 
 
 # -- schemas -----------------------------------------------------------------
@@ -105,8 +198,7 @@ def test_schema_clamps_pagination():
     assert schema.validate({"limit": 9999})["limit"] == 200
     assert schema.validate({"limit": 0})["limit"] == 1
     assert schema.validate({"offset": -3})["offset"] == 0
-    # No eager default: paginate() decides (50 on /v1, everything for
-    # legacy callers that never knew about pagination).
+    # No eager default: paginate() applies the page size of 50.
     assert "limit" not in schema.validate({})
 
 
@@ -198,23 +290,6 @@ def test_handler_keyerror_is_500_not_404(gw, monkeypatch):
     assert "KeyError" in response["error"] and "oops" in response["error"]
 
 
-def test_legacy_shim_also_reports_500(platform, monkeypatch):
-    api = RestAPI(platform)
-    pid = api.handle("POST", "/api/projects", {"name": "p"},
-                     user="alice")["project_id"]
-    route = platform.gateway.router.resolve(
-        "GET", f"/v1/projects/{pid}/data/summary")[0]
-
-    def exploding_handler(ctx):
-        raise RuntimeError("wires crossed")
-
-    monkeypatch.setitem(route.__dict__, "handler", exploding_handler)
-    response = api.handle("GET", f"/api/projects/{pid}/data/summary",
-                          user="alice")
-    assert response["status"] == 500
-    assert "RuntimeError: wires crossed" in response["error"]
-
-
 # -- auth --------------------------------------------------------------------
 
 
@@ -287,13 +362,34 @@ def test_rate_limited_request_is_429_with_hint(platform):
     assert response["status"] == 429
     assert response["retry_after_s"] > 0
     assert "rate limit exceeded" in response["error"]
-    # The legacy shim is exempt (trusted in-process surface).
-    api = RestAPI(platform)
-    api.gateway = gw
-    assert api.handle("GET", "/api/projects", user="alice")["status"] == 200
     # Other users have their own bucket.
     platform.register_user("bob")
     assert gw.handle("GET", "/v1/projects", user="bob")["status"] == 200
+
+
+@pytest.mark.parametrize("credential", ["user", "token"])
+def test_every_caller_runs_the_whole_chain(platform, credential):
+    """A trusted in-process ``user=`` caller is rate-limited, counted
+    and emits request telemetry exactly like a ``token=`` caller."""
+    gw = ApiGateway(platform, rate_limit_capacity=3,
+                    rate_limit_refill_per_s=0.001)
+    pid = platform.create_project("metered", owner="alice").project_id
+    caller = ({"user": "alice"} if credential == "user"
+              else {"token": platform.issue_token("alice")})
+    responses = [gw.handle("GET", f"/v1/projects/{pid}", **caller)
+                 for _ in range(5)]
+    assert [r["status"] for r in responses] == [200, 200, 200, 429, 429]
+    assert all(r["retry_after_s"] > 0 and "'alice'" in r["error"]
+               for r in responses[3:])
+    stats = gw.metrics.snapshot()
+    assert stats["requests"] == 5 and stats["errors"] == 2
+    assert stats["by_status"] == {"200": 3, "429": 2}
+    assert stats["routes"]["getProject"]["requests"] == 5
+    assert gw.rate_limit.rejected == 2
+    records = platform.monitor.telemetry.recent(pid, source="gateway")
+    assert [r.ok for r in records] == [True, True, True, False, False]
+    assert records[-1].error == "http 429"
+    assert platform.monitor.telemetry.recent(pid) == []  # infra ring only
 
 
 def test_rate_limit_multithread_hammer(platform):
@@ -313,10 +409,16 @@ def test_rate_limit_multithread_hammer(platform):
             results.extend(mine)
 
     workers = [threading.Thread(target=hammer) for _ in range(threads)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # widen any unsynchronised read-modify-write
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
 
     assert len(results) == threads * per_thread
     ok = [r for r in results if r["status"] == 200]
@@ -365,11 +467,6 @@ def test_request_metrics_feed_monitor_telemetry(gw, platform):
     assert platform.monitor.set_reference(pid) == 0
     snap = platform.monitor.evaluate(pid)
     assert snap["health"] == "baselining"
-    # The legacy shim emits no request telemetry at all.
-    api = RestAPI(platform)
-    before = len(platform.monitor.telemetry.recent(pid, source="gateway"))
-    api.handle("GET", f"/api/projects/{pid}", user="alice")
-    assert len(platform.monitor.telemetry.recent(pid, source="gateway")) == before
 
 
 def test_gateway_telemetry_cannot_starve_inference_window(gw, platform):
@@ -390,6 +487,49 @@ def test_gateway_telemetry_cannot_starve_inference_window(gw, platform):
     # The infra ring is itself bounded.
     assert (len(platform.monitor.telemetry.recent(pid, source="gateway"))
             <= platform.monitor.telemetry.infra_window)
+
+
+# -- streaming ---------------------------------------------------------------
+
+
+def test_stream_route_shares_the_request_path(gw, platform):
+    """``handle`` and ``open_stream`` run one preamble: a streaming route
+    that fails auth or validation answers the same JSON error envelope
+    from both, and on success they carry the same lines."""
+    project = platform.create_project("logs", owner="alice")
+    job = project.jobs.submit("chatty", lambda j: j.log("hello")).wait(5.0)
+    path = f"/v1/projects/{project.project_id}/jobs/{job.job_id}/logs"
+
+    for kwargs, status, needle in (
+        ({}, 401, "authentication required"),
+        ({"token": "ei_bogus"}, 401, "invalid API token"),
+        ({"user": "alice", "body": {"log_offset": "x"}}, 400, "log_offset"),
+        ({"user": "mallory"}, 403, ""),
+    ):
+        body = kwargs.pop("body", None)
+        handled = gw.handle("GET", path, body, **kwargs)
+        opened = gw.open_stream("GET", path, body, **kwargs)
+        assert handled == opened, kwargs
+        assert set(handled) == {"status", "error"}
+        assert handled["status"] == status and needle in handled["error"]
+    missing = f"/v1/projects/{project.project_id}/jobs/99/logs"
+    assert (gw.open_stream("GET", missing, user="alice")
+            == gw.handle("GET", missing, user="alice")
+            == {"status": 404, "error": "no job 99"})
+    assert gw.open_stream("GET", "/v1/nope") == {
+        "status": 404, "error": "no route GET /v1/nope"}
+
+    handled = gw.handle("GET", path, user="alice")
+    lines = list(gw.open_stream("GET", path, user="alice"))
+    assert handled == {"status": 200, "data": {"lines": lines}}
+    assert "hello" in lines and lines[-1] == f"[job {job.job_id} succeeded]"
+
+    # A non-streaming route is refused before its handler runs.
+    before = len(platform.projects)
+    refused = gw.open_stream("POST", "/v1/projects", {"name": "x"}, user="alice")
+    assert refused == {"status": 400,
+                       "error": "route createProject is not a stream"}
+    assert len(platform.projects) == before
 
 
 # -- pagination --------------------------------------------------------------
@@ -417,29 +557,19 @@ def test_pagination_on_projects_and_jobs(gw, platform):
     assert jobs["total"] == 5 and len(jobs["jobs"]) == 1
 
 
-def test_legacy_listings_never_truncate(gw, platform):
-    """Pre-gateway clients never paginated: a legacy /api/ listing
-    without an explicit limit returns the whole collection, while the
-    /v1 twin defaults to a 50-item page."""
+def test_listing_without_limit_is_one_default_page(gw, platform):
     pid = gw.handle("POST", "/v1/projects", {"name": "big"},
                     user="alice")["data"]["project_id"]
     project = platform.projects[pid]
     for i in range(60):
         project.jobs.submit(f"noop-{i}", lambda j: None)
     project.jobs.list_jobs()[-1].wait(5.0)
-    api = RestAPI(platform)
-    legacy = api.handle("GET", f"/api/projects/{pid}/jobs", user="alice")
-    # Byte-identical to the pre-gateway shape: all items, no pagination
-    # keys at all.
-    assert len(legacy["jobs"]) == 60
-    assert set(legacy) == {"status", "jobs"}
-    v1 = gw.handle("GET", f"/v1/projects/{pid}/jobs",
-                   user="alice")["data"]
-    assert v1["total"] == 60 and len(v1["jobs"]) == 50
-    # A legacy caller that opts in by passing limit/offset paginates.
-    page = api.handle("GET", f"/api/projects/{pid}/jobs",
-                      {"limit": 5, "offset": 58}, user="alice")
-    assert len(page["jobs"]) == 2 and page["total"] == 60
+    page = gw.handle("GET", f"/v1/projects/{pid}/jobs", user="alice")["data"]
+    assert page["total"] == 60 and len(page["jobs"]) == 50
+    assert page["limit"] == 50 and page["offset"] == 0
+    tail = gw.handle("GET", f"/v1/projects/{pid}/jobs",
+                     {"offset": 58}, user="alice")["data"]
+    assert len(tail["jobs"]) == 2 and tail["total"] == 60
 
 
 def test_pagination_on_fleet_devices_and_alerts(gw, platform):

@@ -164,6 +164,37 @@ def test_http_malformed_requests(server, client):
     assert cerr.value.status == 400 and "wait_s" in cerr.value.message
 
 
+def test_encoded_slash_cannot_change_the_route_shape(server, client):
+    """Segments are split before percent-decoding and a miss is final:
+    ``a%2Fclassify`` is one (unroutable) segment, never ``a/classify``."""
+    from repro.device import VirtualDevice
+
+    platform, srv = server
+    platform.fleet.register(VirtualDevice("dev a", "nano33ble"))
+    body = {"data": np.zeros((16, 8)).tolist()}
+
+    def refusal(method, raw_path, body=None):
+        with pytest.raises(ClientError) as err:
+            client.request(method, raw_path, body)
+        return err.value.status, err.value.message
+
+    # The message shows the decoded path; the route shape does not follow it.
+    assert refusal("POST", "/v1/fleet/devices/a%2Fclassify", body) == (
+        404, "no route POST /v1/fleet/devices/a/classify")
+    assert refusal("GET", "/v1%2Fprojects") == (404, "no route GET /v1/projects")
+    before = srv.gateway.metrics.requests
+    # Other encoded characters still reach the placeholder, decoded:
+    # device "dev a" is registered (an unknown id is a 404) but bare.
+    assert refusal("POST", "/v1/fleet/devices/dev%20a/classify", body) == (
+        409, "no firmware flashed")
+    assert refusal("POST", "/v1/fleet/devices/dev%20b/classify", body) == (
+        404, "unknown device 'dev b'")
+    # An encoded slash inside a segment stays inside the device id.
+    assert refusal("POST", "/v1/fleet/devices/a%2Fb/classify", body) == (
+        404, "unknown device 'a/b'")
+    assert srv.gateway.metrics.requests == before + 3
+
+
 def test_rate_limit_over_http(server):
     platform, srv = server
     gw = ApiGateway(platform, rate_limit_capacity=4,

@@ -1,78 +1,16 @@
-"""Route-table exhaustiveness + legacy /api/ <-> /v1/ twin parity.
-
-Guards the gateway redesign's compatibility contract:
-
-- every route has a schema, a response description and a unique
-  operationId, and appears in the generated OpenAPI document;
-- every pre-gateway legacy ``(method, /api/...)`` route still resolves
-  through the shim to the same handler as its ``/v1/...`` twin;
-- representative routes return byte-identical payloads through the
-  legacy shim (flat) and the v1 envelope (nested under ``data``).
-"""
+"""Route-table exhaustiveness: every route has a schema, a response
+description and a unique operationId, and appears in the generated
+OpenAPI document.  (Resolution of every route through the trie is in
+test_api_gateway.py.)"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import build_openapi, build_router
+from repro.api import build_openapi, build_router, serve_http
 from repro.api.schemas import Schema
-from repro.core import Platform, RestAPI
-from repro.core.api import _to_v1
-
-#: The complete pre-gateway route table (the 37 `(method, path)` pairs of
-#: the PR 4-era RestAPI, with representative ids substituted).  Nothing
-#: may ever drop off this list.
-LEGACY_ROUTES = [
-    ("POST", "/api/users"),
-    ("POST", "/api/projects"),
-    ("GET", "/api/projects"),
-    ("GET", "/api/projects/3"),
-    ("POST", "/api/projects/3/data"),
-    ("GET", "/api/projects/3/data/summary"),
-    ("POST", "/api/projects/3/impulse"),
-    ("GET", "/api/projects/3/impulse"),
-    ("POST", "/api/projects/3/jobs/train"),
-    ("POST", "/api/projects/3/train"),
-    ("POST", "/api/projects/3/jobs/autotune"),
-    ("POST", "/api/projects/3/tuner"),
-    ("GET", "/api/projects/3/tuner/8"),
-    ("POST", "/api/projects/3/tuner/8/apply"),
-    ("POST", "/api/fleet/devices"),
-    ("GET", "/api/fleet/devices"),
-    ("POST", "/api/fleet/devices/dev-0/classify"),
-    ("POST", "/api/fleet/rollout"),
-    ("POST", "/api/telemetry"),
-    ("GET", "/api/projects/3/monitor"),
-    ("GET", "/api/projects/3/monitor/alerts"),
-    ("POST", "/api/projects/3/monitor/policy"),
-    ("POST", "/api/projects/3/monitor/evaluate"),
-    ("POST", "/api/projects/3/monitor/reference"),
-    ("GET", "/api/fleet/rollout/8"),
-    ("POST", "/api/fleet/rollout/8/cancel"),
-    ("POST", "/api/projects/3/jobs/profile"),
-    ("POST", "/api/projects/3/jobs/deploy"),
-    ("GET", "/api/projects/3/jobs"),
-    ("GET", "/api/projects/3/jobs/8"),
-    ("POST", "/api/projects/3/jobs/8/cancel"),
-    ("POST", "/api/projects/3/test"),
-    ("POST", "/api/projects/3/classify"),
-    ("GET", "/api/serving/stats"),
-    ("POST", "/api/projects/3/profile"),
-    ("POST", "/api/projects/3/deploy"),
-    ("POST", "/api/projects/3/versions"),
-    ("POST", "/api/projects/3/public"),
-]
-
-
-def _concrete(template: str) -> str:
-    out = []
-    for segment in template.split("/"):
-        if segment.startswith("{"):
-            name, _, conv = segment[1:-1].partition(":")
-            out.append("3" if (conv or "str") == "int" else "dev-0")
-        else:
-            out.append(segment)
-    return "/".join(out)
+from repro.client import Client, ClientError
+from repro.core import Platform
 
 
 def test_every_route_is_fully_declared():
@@ -97,119 +35,23 @@ def test_every_route_appears_in_openapi():
         for op in operations.values()
     }
     assert op_ids == {r.name for r in router.routes}
-    # Aliases are deliberately excluded from the document.
-    assert "/v1/projects/{pid}/jobs/train" not in doc["paths"]
-
-
-def test_every_legacy_route_resolves_through_the_shim():
-    """Each pre-gateway (method, /api/...) pair still dispatches — to the
-    identical handler object its /v1/ twin uses."""
-    router = build_router()
-    for method, legacy_path in LEGACY_ROUTES:
-        v1_path = _to_v1(legacy_path)
-        assert v1_path.startswith("/v1/")
-        legacy_route, legacy_params = router.resolve(method, v1_path)
-        v1_route, v1_params = router.resolve(method, v1_path)
-        assert legacy_route is v1_route
-        assert legacy_params == v1_params
-
-
-def test_every_v1_twin_has_its_legacy_path():
-    """The inverse direction: every route not marked v1-only is
-    reachable via its derived /api/ path through the shim."""
-    router = build_router()
-    for route in router.routes:
-        if not route.legacy_twin:
-            continue
-        for template in (route.path, *route.aliases):
-            legacy = "/api/" + _concrete(template)[len("/v1/"):]
-            resolved, _ = router.resolve(route.method, _to_v1(legacy))
-            assert resolved is route, (route.method, legacy)
-
-
-def test_v1_only_routes_are_the_expected_set():
-    router = build_router()
-    v1_only = {r.name for r in router.routes if not r.legacy_twin}
-    assert v1_only == {"jobLogs", "openapi", "gatewayStats",
-                       "issueToken", "revokeToken"}
-
-
-def test_legacy_and_v1_payloads_are_identical():
-    """The byte-identical contract: for the same operation on the same
-    platform state, the legacy flat response equals the v1 envelope's
-    `data` (plus the shared `status`)."""
-    plat = Platform()
-    plat.register_user("alice")
-    api = RestAPI(plat)
-    gw = plat.gateway
-
-    pid = api.handle("POST", "/api/projects", {"name": "twin"},
-                     user="alice")["project_id"]
-    api.handle("POST", f"/api/projects/{pid}/public", {"tags": ["t"]},
-               user="alice")
-    from repro.device import VirtualDevice
-
-    plat.fleet.register(VirtualDevice("d0", "nano33ble"))
-
-    probes = [
-        # Listings: explicit limit engages the identical pagination
-        # contract on both surfaces (without it, legacy keeps the
-        # pre-gateway un-paginated shape — asserted separately below).
-        ("GET", "/api/projects", {"tag": "t", "limit": 50}),
-        ("GET", f"/api/projects/{pid}", None),
-        ("GET", f"/api/projects/{pid}/data/summary", None),
-        ("GET", f"/api/projects/{pid}/jobs", {"limit": 50}),
-        ("GET", "/api/fleet/devices", {"limit": 50}),
-        ("GET", f"/api/projects/{pid}/monitor", None),
-        ("GET", f"/api/projects/{pid}/monitor/alerts", {"limit": 50}),
-        ("GET", "/api/serving/stats", None),
-        # Error payloads must agree too.
-        ("GET", f"/api/projects/{pid}/impulse", None),
-        ("GET", f"/api/projects/{pid}/jobs/99", None),
-        ("GET", "/api/projects/999", None),
-    ]
-    for method, legacy_path, body in probes:
-        legacy = api.handle(method, legacy_path, body, user="alice")
-        v1 = gw.handle(method, _to_v1(legacy_path), body, user="alice")
-        assert legacy["status"] == v1["status"], legacy_path
-        if "error" in v1:
-            assert legacy == {"status": v1["status"], "error": v1["error"]}
-        else:
-            flat = {k: v for k, v in legacy.items() if k != "status"}
-            assert flat == v1["data"], legacy_path
-
-    # Without pagination knobs, legacy listings keep the exact
-    # pre-gateway key set (no total/limit/offset injected).
-    listing = api.handle("GET", "/api/projects", {"tag": "t"}, user="alice")
-    assert set(listing) == {"status", "projects"}
-    devices = api.handle("GET", "/api/fleet/devices", user="alice")
-    assert set(devices) == {"status", "devices"}
-
-    # v1-only routes are not reachable through the /api/ shim...
-    assert api.handle("GET", "/api/gateway/stats")["status"] == 404
-    assert api.handle("GET", "/api/openapi.json")["status"] == 404
-    # ...but explicit /v1/ paths through RestAPI still work.
-    assert api.handle("GET", "/v1/gateway/stats")["status"] == 200
 
 
 def test_unknown_job_still_404_through_both_surfaces():
+    """The typed ``UnknownJobError`` -> 404 mapping answers the same
+    status and message in process and over a socket."""
     plat = Platform()
     plat.register_user("alice")
-    api = RestAPI(plat)
-    pid = api.handle("POST", "/api/projects", {"name": "p"},
-                     user="alice")["project_id"]
-    legacy = api.handle("GET", f"/api/projects/{pid}/jobs/99", user="alice")
-    assert legacy == {"status": 404, "error": "no job 99"}
-    v1 = plat.gateway.handle("GET", f"/v1/projects/{pid}/jobs/99",
-                             user="alice")
-    assert v1 == {"status": 404, "error": "no job 99"}
-
-
-@pytest.mark.parametrize("path,expected", [
-    ("/api/projects/1/jobs", "/v1/projects/1/jobs"),
-    ("/v1/projects/1/jobs", "/v1/projects/1/jobs"),
-    ("/api", "/api"),            # not a legacy route — passes through
-    ("/other", "/other"),
-])
-def test_to_v1_translation(path, expected):
-    assert _to_v1(path) == expected
+    pid = plat.create_project("p", owner="alice").project_id
+    assert plat.gateway.handle("GET", f"/v1/projects/{pid}/jobs/99",
+                               user="alice") == {"status": 404,
+                                                 "error": "no job 99"}
+    server = serve_http(plat.gateway, port=0, background=True)
+    try:
+        client = Client(server.url, token=plat.issue_token("alice"))
+        with pytest.raises(ClientError) as err:
+            client.job(pid, 99)
+        assert (err.value.status, err.value.message) == (404, "no job 99")
+    finally:
+        server.shutdown()
+        server.server_close()

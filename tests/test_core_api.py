@@ -1,4 +1,6 @@
-"""REST-like API: routing, payloads, auth, end-to-end automation."""
+"""The /v1/ API driven in process: routing, payloads, auth, end-to-end
+automation.  ``api`` is ``platform.gateway``; ``user=`` is the trusted
+in-process identity."""
 
 import base64
 import io
@@ -6,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.core import Platform, RestAPI
+from repro.core import Platform
 from repro.formats.wav import write_wav
 
 
@@ -14,7 +16,7 @@ from repro.formats.wav import write_wav
 def api():
     platform = Platform()
     platform.register_user("alice")
-    return RestAPI(platform)
+    return platform.gateway
 
 
 def _wav_b64(freq=440.0, seed=0):
@@ -39,117 +41,118 @@ IMPULSE_SPEC = {
 
 
 def test_unknown_route(api):
-    assert api.handle("GET", "/api/nonsense")["status"] == 404
+    assert api.handle("GET", "/v1/nonsense") == {
+        "status": 404, "error": "no route GET /v1/nonsense"}
 
 
 def test_create_and_get_project(api):
-    created = api.handle("POST", "/api/projects", {"name": "demo"}, user="alice")
+    created = api.handle("POST", "/v1/projects", {"name": "demo"}, user="alice")
     assert created["status"] == 200
-    pid = created["project_id"]
-    fetched = api.handle("GET", f"/api/projects/{pid}", user="alice")
-    assert fetched["name"] == "demo"
-    assert fetched["samples"] == 0
+    pid = created["data"]["project_id"]
+    fetched = api.handle("GET", f"/v1/projects/{pid}", user="alice")
+    assert fetched["data"]["name"] == "demo"
+    assert fetched["data"]["samples"] == 0
 
 
 def test_project_requires_name(api):
-    assert api.handle("POST", "/api/projects", {})["status"] == 400
+    assert api.handle("POST", "/v1/projects", {}, user="alice")["status"] == 400
 
 
 def test_permission_denied_for_stranger(api):
-    pid = api.handle("POST", "/api/projects", {"name": "p"}, user="alice")["project_id"]
+    pid = api.handle("POST", "/v1/projects", {"name": "p"}, user="alice")["data"]["project_id"]
     api.platform.register_user("eve")
-    response = api.handle("GET", f"/api/projects/{pid}", user="eve")
+    response = api.handle("GET", f"/v1/projects/{pid}", user="eve")
     assert response["status"] == 403
 
 
 def test_full_automation_flow(api):
     """The Sec. 4.9 promise: the whole workflow is drivable over the API."""
-    pid = api.handle("POST", "/api/projects", {"name": "auto"}, user="alice")["project_id"]
+    pid = api.handle("POST", "/v1/projects", {"name": "auto"}, user="alice")["data"]["project_id"]
 
     # Upload two classes of tones.
     for label, freq in (("low", 200.0), ("high", 800.0)):
         for i in range(14):
             response = api.handle(
-                "POST", f"/api/projects/{pid}/data",
+                "POST", f"/v1/projects/{pid}/data",
                 {"payload_b64": _wav_b64(freq, seed=i), "label": label,
                  "format": "wav"},
                 user="alice",
             )
             assert response["status"] == 200
 
-    summary = api.handle("GET", f"/api/projects/{pid}/data/summary", user="alice")
-    assert set(summary["distribution"]) == {"low", "high"}
+    summary = api.handle("GET", f"/v1/projects/{pid}/data/summary", user="alice")
+    assert set(summary["data"]["distribution"]) == {"low", "high"}
 
-    set_resp = api.handle("POST", f"/api/projects/{pid}/impulse",
+    set_resp = api.handle("POST", f"/v1/projects/{pid}/impulse",
                           {"impulse": IMPULSE_SPEC}, user="alice")
     assert set_resp["status"] == 200
 
-    get_resp = api.handle("GET", f"/api/projects/{pid}/impulse", user="alice")
-    assert "mfe" in get_resp["dataflow"]
+    get_resp = api.handle("GET", f"/v1/projects/{pid}/impulse", user="alice")
+    assert "mfe" in get_resp["data"]["dataflow"]
 
     # Training is asynchronous: the route answers immediately with a job
     # id, and GET /jobs/<jid> (here with a long-poll) tracks it to done.
-    train = api.handle("POST", f"/api/projects/{pid}/jobs/train", {"seed": 0},
+    train = api.handle("POST", f"/v1/projects/{pid}/train", {"seed": 0},
                        user="alice")
     assert train["status"] == 200
-    assert train["job_status"] in ("queued", "running")
+    assert train["data"]["job_status"] in ("queued", "running")
 
-    job = api.handle("GET", f"/api/projects/{pid}/jobs/{train['job_id']}",
+    job = api.handle("GET", f"/v1/projects/{pid}/jobs/{train['data']['job_id']}",
                      {"wait_s": 60.0}, user="alice")
-    assert job["job_status"] == "succeeded"
-    assert job["progress"] == 1.0
-    assert "accuracy" in job["result"] or job["result"]  # training metrics
+    assert job["data"]["job_status"] == "succeeded"
+    assert job["data"]["progress"] == 1.0
+    assert "accuracy" in job["data"]["result"] or job["data"]["result"]  # training metrics
 
-    test = api.handle("POST", f"/api/projects/{pid}/test", {}, user="alice")
+    test = api.handle("POST", f"/v1/projects/{pid}/test", {}, user="alice")
     assert test["status"] == 200
-    assert test["accuracy"] > 0.7  # two tones are trivially separable
+    assert test["data"]["accuracy"] > 0.7  # two tones are trivially separable
 
-    profile = api.handle("POST", f"/api/projects/{pid}/profile",
+    profile = api.handle("POST", f"/v1/projects/{pid}/profile",
                          {"device": "nano33ble"}, user="alice")
-    assert profile["total_ms"] > 0
+    assert profile["data"]["total_ms"] > 0
 
-    deploy = api.handle("POST", f"/api/projects/{pid}/deploy",
+    deploy = api.handle("POST", f"/v1/projects/{pid}/deploy",
                         {"target": "cpp"}, user="alice")
     assert deploy["status"] == 200
-    assert any("eon_model" in f for f in deploy["artifact"]["files"])
+    assert any("eon_model" in f for f in deploy["data"]["artifact"]["files"])
 
-    version = api.handle("POST", f"/api/projects/{pid}/versions",
+    version = api.handle("POST", f"/v1/projects/{pid}/versions",
                          {"message": "v1"}, user="alice")
-    assert version["version_id"] == 1
+    assert version["data"]["version_id"] == 1
 
-    public = api.handle("POST", f"/api/projects/{pid}/public",
+    public = api.handle("POST", f"/v1/projects/{pid}/public",
                         {"tags": ["audio"]}, user="alice")
-    assert public["public"]
-    listing = api.handle("GET", "/api/projects", {"tag": "audio"})
-    assert any(p["project_id"] == pid for p in listing["projects"])
+    assert public["data"]["public"]
+    listing = api.handle("GET", "/v1/projects", {"tag": "audio"})
+    assert any(p["project_id"] == pid for p in listing["data"]["projects"])
 
 
 def test_missing_body_key_is_400_not_404(api):
     """Regression: a request missing a required body key used to surface
     as 404 via the blanket KeyError mapping; it must be a 400."""
-    pid = api.handle("POST", "/api/projects", {"name": "p"}, user="alice")["project_id"]
-    upload = api.handle("POST", f"/api/projects/{pid}/data", {"label": "x"},
+    pid = api.handle("POST", "/v1/projects", {"name": "p"}, user="alice")["data"]["project_id"]
+    upload = api.handle("POST", f"/v1/projects/{pid}/data", {"label": "x"},
                         user="alice")
     assert upload["status"] == 400
     assert "payload_b64" in upload["error"]
-    impulse = api.handle("POST", f"/api/projects/{pid}/impulse", {}, user="alice")
+    impulse = api.handle("POST", f"/v1/projects/{pid}/impulse", {}, user="alice")
     assert impulse["status"] == 400
     assert "impulse" in impulse["error"]
     # 404 stays reserved for genuinely missing resources.
-    assert api.handle("POST", "/api/projects/999/data",
+    assert api.handle("POST", "/v1/projects/999/data",
                       {"payload_b64": ""}, user="alice")["status"] == 404
 
 
 def test_bad_base64_is_400(api):
-    pid = api.handle("POST", "/api/projects", {"name": "p"}, user="alice")["project_id"]
-    response = api.handle("POST", f"/api/projects/{pid}/data",
+    pid = api.handle("POST", "/v1/projects", {"name": "p"}, user="alice")["data"]["project_id"]
+    response = api.handle("POST", f"/v1/projects/{pid}/data",
                           {"payload_b64": "!!not-base64!!"}, user="alice")
     assert response["status"] == 400
 
 
 def test_malformed_impulse_spec_is_400(api):
-    pid = api.handle("POST", "/api/projects", {"name": "p"}, user="alice")["project_id"]
-    response = api.handle("POST", f"/api/projects/{pid}/impulse",
+    pid = api.handle("POST", "/v1/projects", {"name": "p"}, user="alice")["data"]["project_id"]
+    response = api.handle("POST", f"/v1/projects/{pid}/impulse",
                           {"impulse": {"input": {"type": "time-series"}}},
                           user="alice")
     assert response["status"] == 400
@@ -158,36 +161,36 @@ def test_malformed_impulse_spec_is_400(api):
 def test_job_status_missing(api):
     """Regression: an unknown job id used to surface as a bare KeyError
     (a 500 in a real gateway); it must be a clean 404 with a message."""
-    pid = api.handle("POST", "/api/projects", {"name": "p"}, user="alice")["project_id"]
-    response = api.handle("GET", f"/api/projects/{pid}/jobs/99", user="alice")
+    pid = api.handle("POST", "/v1/projects", {"name": "p"}, user="alice")["data"]["project_id"]
+    response = api.handle("GET", f"/v1/projects/{pid}/jobs/99", user="alice")
     assert response["status"] == 404
     assert response["error"] == "no job 99"
-    cancel = api.handle("POST", f"/api/projects/{pid}/jobs/99/cancel", user="alice")
+    cancel = api.handle("POST", f"/v1/projects/{pid}/jobs/99/cancel", user="alice")
     assert cancel["status"] == 404 and cancel["error"] == "no job 99"
 
 
 def test_job_status_malformed_params_are_400(api):
     pid = _project_with_data(api, n_per_class=2)
-    train = api.handle("POST", f"/api/projects/{pid}/train", {}, user="alice")
-    jid = train["job_id"]
-    bad_wait = api.handle("GET", f"/api/projects/{pid}/jobs/{jid}",
+    train = api.handle("POST", f"/v1/projects/{pid}/train", {}, user="alice")
+    jid = train["data"]["job_id"]
+    bad_wait = api.handle("GET", f"/v1/projects/{pid}/jobs/{jid}",
                           {"wait_s": "soon"}, user="alice")
     assert bad_wait["status"] == 400
-    bad_offset = api.handle("GET", f"/api/projects/{pid}/jobs/{jid}",
+    bad_offset = api.handle("GET", f"/v1/projects/{pid}/jobs/{jid}",
                             {"log_offset": "x"}, user="alice")
     assert bad_offset["status"] == 400
-    api.handle("GET", f"/api/projects/{pid}/jobs/{jid}", {"wait_s": 60.0},
+    api.handle("GET", f"/v1/projects/{pid}/jobs/{jid}", {"wait_s": 60.0},
                user="alice")  # let the job finish before teardown
 
 
 def _project_with_data(api, n_per_class=14):
-    pid = api.handle("POST", "/api/projects", {"name": "jobs"}, user="alice")["project_id"]
+    pid = api.handle("POST", "/v1/projects", {"name": "jobs"}, user="alice")["data"]["project_id"]
     for label, freq in (("low", 200.0), ("high", 800.0)):
         for i in range(n_per_class):
-            api.handle("POST", f"/api/projects/{pid}/data",
+            api.handle("POST", f"/v1/projects/{pid}/data",
                        {"payload_b64": _wav_b64(freq, seed=i), "label": label,
                         "format": "wav"}, user="alice")
-    api.handle("POST", f"/api/projects/{pid}/impulse",
+    api.handle("POST", f"/v1/projects/{pid}/impulse",
                {"impulse": IMPULSE_SPEC}, user="alice")
     return pid
 
@@ -196,25 +199,25 @@ def test_train_job_async_lifecycle(api):
     """POST /train answers immediately; the job transitions
     queued -> running -> succeeded with progress and streamable logs."""
     pid = _project_with_data(api)
-    train = api.handle("POST", f"/api/projects/{pid}/train", {}, user="alice")
+    train = api.handle("POST", f"/v1/projects/{pid}/train", {}, user="alice")
     assert train["status"] == 200
-    assert train["job_status"] in ("queued", "running")
-    jid = train["job_id"]
+    assert train["data"]["job_status"] in ("queued", "running")
+    jid = train["data"]["job_id"]
 
-    done = api.handle("GET", f"/api/projects/{pid}/jobs/{jid}",
+    done = api.handle("GET", f"/v1/projects/{pid}/jobs/{jid}",
                       {"wait_s": 60.0}, user="alice")
-    assert done["job_status"] == "succeeded"
-    assert done["progress"] == 1.0
-    assert any("training" in line for line in done["logs"])
+    assert done["data"]["job_status"] == "succeeded"
+    assert done["data"]["progress"] == 1.0
+    assert any("training" in line for line in done["data"]["logs"])
 
     # Log streaming: a second read from the returned offset is empty.
-    rest = api.handle("GET", f"/api/projects/{pid}/jobs/{jid}",
-                      {"log_offset": done["log_offset"]}, user="alice")
-    assert rest["logs"] == []
+    rest = api.handle("GET", f"/v1/projects/{pid}/jobs/{jid}",
+                      {"log_offset": done["data"]["log_offset"]}, user="alice")
+    assert rest["data"]["logs"] == []
 
-    listing = api.handle("GET", f"/api/projects/{pid}/jobs", user="alice")
+    listing = api.handle("GET", f"/v1/projects/{pid}/jobs", user="alice")
     assert any(j["job_id"] == jid and j["job_status"] == "succeeded"
-               for j in listing["jobs"])
+               for j in listing["data"]["jobs"])
 
 
 def test_cancel_queued_train_job(api):
@@ -226,55 +229,55 @@ def test_cancel_queued_train_job(api):
     project = platform.projects[pid]
     gate = threading.Event()
     project.jobs.submit("blocker", lambda j: gate.wait(timeout=10.0))
-    queued = api.handle("POST", f"/api/projects/{pid}/train", {}, user="alice")
+    queued = api.handle("POST", f"/v1/projects/{pid}/train", {}, user="alice")
     cancel = api.handle("POST",
-                        f"/api/projects/{pid}/jobs/{queued['job_id']}/cancel",
+                        f"/v1/projects/{pid}/jobs/{queued['data']['job_id']}/cancel",
                         user="alice")
     gate.set()
-    assert cancel["status"] == 200 and cancel["job_status"] == "cancelled"
-    status = api.handle("GET", f"/api/projects/{pid}/jobs/{queued['job_id']}",
+    assert cancel["status"] == 200 and cancel["data"]["job_status"] == "cancelled"
+    status = api.handle("GET", f"/v1/projects/{pid}/jobs/{queued['data']['job_id']}",
                         {"wait_s": 10.0}, user="alice")
-    assert status["job_status"] == "cancelled"
+    assert status["data"]["job_status"] == "cancelled"
 
 
 def test_profile_deploy_autotune_as_jobs(api):
     pid = _project_with_data(api)
-    train = api.handle("POST", f"/api/projects/{pid}/train", {}, user="alice")
-    api.handle("GET", f"/api/projects/{pid}/jobs/{train['job_id']}",
+    train = api.handle("POST", f"/v1/projects/{pid}/train", {}, user="alice")
+    api.handle("GET", f"/v1/projects/{pid}/jobs/{train['data']['job_id']}",
                {"wait_s": 60.0}, user="alice")
 
-    prof = api.handle("POST", f"/api/projects/{pid}/jobs/profile",
+    prof = api.handle("POST", f"/v1/projects/{pid}/jobs/profile",
                       {"device": "nano33ble"}, user="alice")
     assert prof["status"] == 200
-    prof_done = api.handle("GET", f"/api/projects/{pid}/jobs/{prof['job_id']}",
+    prof_done = api.handle("GET", f"/v1/projects/{pid}/jobs/{prof['data']['job_id']}",
                            {"wait_s": 30.0}, user="alice")
-    assert prof_done["job_status"] == "succeeded"
-    assert prof_done["result"]["total_ms"] > 0
+    assert prof_done["data"]["job_status"] == "succeeded"
+    assert prof_done["data"]["result"]["total_ms"] > 0
 
-    dep = api.handle("POST", f"/api/projects/{pid}/jobs/deploy",
+    dep = api.handle("POST", f"/v1/projects/{pid}/jobs/deploy",
                      {"target": "cpp"}, user="alice")
-    dep_done = api.handle("GET", f"/api/projects/{pid}/jobs/{dep['job_id']}",
+    dep_done = api.handle("GET", f"/v1/projects/{pid}/jobs/{dep['data']['job_id']}",
                           {"wait_s": 30.0}, user="alice")
-    assert dep_done["job_status"] == "succeeded"
-    assert any("eon_model" in f for f in dep_done["result"]["manifest"]["files"])
+    assert dep_done["data"]["job_status"] == "succeeded"
+    assert any("eon_model" in f for f in dep_done["data"]["result"]["manifest"]["files"])
 
-    tune = api.handle("POST", f"/api/projects/{pid}/jobs/autotune", {},
+    tune = api.handle("POST", f"/v1/projects/{pid}/jobs/autotune", {},
                       user="alice")
-    tune_done = api.handle("GET", f"/api/projects/{pid}/jobs/{tune['job_id']}",
+    tune_done = api.handle("GET", f"/v1/projects/{pid}/jobs/{tune['data']['job_id']}",
                            {"wait_s": 30.0}, user="alice")
-    assert tune_done["job_status"] == "succeeded"
-    assert tune_done["result"]["config"]
+    assert tune_done["data"]["job_status"] == "succeeded"
+    assert tune_done["data"]["result"]["config"]
     # Autotune swapped the DSP block, which invalidates trained graphs.
     assert api.platform.projects[pid].float_graph is None
 
 
 def test_autotune_without_impulse_is_409(api):
-    pid = api.handle("POST", "/api/projects", {"name": "p"}, user="alice")["project_id"]
-    response = api.handle("POST", f"/api/projects/{pid}/jobs/autotune", {},
+    pid = api.handle("POST", "/v1/projects", {"name": "p"}, user="alice")["data"]["project_id"]
+    response = api.handle("POST", f"/v1/projects/{pid}/jobs/autotune", {},
                           user="alice")
     assert response["status"] == 409
 
 
 def test_user_creation(api):
-    assert api.handle("POST", "/api/users", {"username": "new"})["status"] == 200
-    assert api.handle("POST", "/api/users", {})["status"] == 400
+    assert api.handle("POST", "/v1/users", {"username": "new"})["status"] == 200
+    assert api.handle("POST", "/v1/users", {})["status"] == 400

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core.jobs import JobCancelled, JobExecutor, JobQueue, UnknownJobError
+from repro.core.jobs import JobCancelled, JobExecutor, UnknownJobError
 
 
 def test_job_lifecycle():
@@ -204,10 +204,6 @@ def test_shutdown_rejects_new_work():
     q.shutdown(wait=True)
     with pytest.raises(RuntimeError):
         q.submit("late", lambda j: None)
-
-
-def test_jobqueue_alias_is_executor():
-    assert JobQueue is JobExecutor
 
 
 # -- parent/child jobs + group caps -----------------------------------------

@@ -271,13 +271,13 @@ def test_sync_ota_update_unchanged_semantics(image):
 def test_rest_rollout_roundtrip(tiny_graphs):
     """Register devices, roll out a trained project's firmware with an
     injected transient failure, and stream the result over the API."""
-    from repro.core import Platform, RestAPI
+    from repro.core import Platform
 
     platform = Platform()
-    api = RestAPI(platform)
-    api.handle("POST", "/api/users", {"username": "ops"})
-    pid = api.handle("POST", "/api/projects", {"name": "fleet-proj"},
-                     user="ops")["project_id"]
+    api = platform.gateway
+    api.handle("POST", "/v1/users", {"username": "ops"})
+    pid = api.handle("POST", "/v1/projects", {"name": "fleet-proj"},
+                     user="ops")["data"]["project_id"]
     project = platform.get_project(pid)
     project.set_impulse(Impulse(
         TimeSeriesInput(window_size_ms=1000, window_increase_ms=1000,
@@ -290,72 +290,74 @@ def test_rest_rollout_roundtrip(tiny_graphs):
     project.label_map = {"a": 0, "b": 1, "c": 2}
 
     for i in range(4):
-        r = api.handle("POST", "/api/fleet/devices",
+        r = api.handle("POST", "/v1/fleet/devices",
                        {"device_id": f"r{i}"}, user="ops")
         assert r["status"] == 200
     # Duplicate registration is a clean 409.
-    assert api.handle("POST", "/api/fleet/devices",
+    assert api.handle("POST", "/v1/fleet/devices",
                       {"device_id": "r0"}, user="ops")["status"] == 409
     # Mutating fleet routes need a registered user.
-    assert api.handle("POST", "/api/fleet/devices",
+    assert api.handle("POST", "/v1/fleet/devices",
                       {"device_id": "x"}, user="mallory")["status"] == 403
 
-    r = api.handle("POST", "/api/fleet/rollout",
+    r = api.handle("POST", "/v1/fleet/rollout",
                    {"project_id": pid, "canary_fraction": 0.5,
                     "failure_threshold": 1.0, "retries": 1,
                     "inject_failures": {"r1": 1}}, user="ops")
-    assert r["status"] == 200 and r["devices_total"] == 4
-    jid = r["job_id"]
+    assert r["status"] == 200 and r["data"]["devices_total"] == 4
+    jid = r["data"]["job_id"]
 
-    r = api.handle("GET", f"/api/fleet/rollout/{jid}", {"wait_s": 30.0})
-    assert r["status"] == 200 and r["job_status"] == "succeeded"
-    assert sorted(r["result"]["updated"]) == ["r0", "r1", "r2", "r3"]
-    assert r["devices"]["r1"] == "succeeded"
-    assert r["result"]["aborted"] is False
+    r = api.handle("GET", f"/v1/fleet/rollout/{jid}", {"wait_s": 30.0},
+                   user="ops")
+    assert r["status"] == 200 and r["data"]["job_status"] == "succeeded"
+    assert sorted(r["data"]["result"]["updated"]) == ["r0", "r1", "r2", "r3"]
+    assert r["data"]["devices"]["r1"] == "succeeded"
+    assert r["data"]["result"]["aborted"] is False
 
-    versions = api.handle("GET", "/api/fleet/devices", {})["devices"]
+    versions = api.handle("GET", "/v1/fleet/devices", {})["data"]["devices"]
     assert set(versions.values()) == {"1.0.0"}
 
     # Unknown rollout job -> 404, not a 500.
-    assert api.handle("GET", "/api/fleet/rollout/999", {})["status"] == 404
+    assert api.handle("GET", "/v1/fleet/rollout/999", {},
+                      user="ops")["status"] == 404
     # Cancel by an unregistered user is refused before touching the job.
-    assert api.handle("POST", f"/api/fleet/rollout/{jid}/cancel", {},
+    assert api.handle("POST", f"/v1/fleet/rollout/{jid}/cancel", {},
                       user="mallory")["status"] == 403
 
 
 def test_rest_rollout_requires_trained_project():
-    from repro.core import Platform, RestAPI
+    from repro.core import Platform
 
     platform = Platform()
-    api = RestAPI(platform)
-    api.handle("POST", "/api/users", {"username": "ops"})
-    pid = api.handle("POST", "/api/projects", {"name": "untrained"},
-                     user="ops")["project_id"]
-    r = api.handle("POST", "/api/fleet/rollout", {"project_id": pid},
+    api = platform.gateway
+    api.handle("POST", "/v1/users", {"username": "ops"})
+    pid = api.handle("POST", "/v1/projects", {"name": "untrained"},
+                     user="ops")["data"]["project_id"]
+    r = api.handle("POST", "/v1/fleet/rollout", {"project_id": pid},
                    user="ops")
     assert r["status"] == 409
-    r = api.handle("POST", "/api/fleet/rollout", {}, user="ops")
+    r = api.handle("POST", "/v1/fleet/rollout", {}, user="ops")
     assert r["status"] == 400  # missing project_id
 
 
 def test_rest_malformed_numeric_bodies_are_400():
     """User-supplied numbers that don't parse are clean 400s, not
     unhandled ValueErrors."""
-    from repro.core import Platform, RestAPI
+    from repro.core import Platform
 
     platform = Platform()
-    api = RestAPI(platform)
-    api.handle("POST", "/api/users", {"username": "ops"})
-    pid = api.handle("POST", "/api/projects", {"name": "p"},
-                     user="ops")["project_id"]
-    r = api.handle("POST", f"/api/projects/{pid}/tuner",
+    api = platform.gateway
+    api.handle("POST", "/v1/users", {"username": "ops"})
+    pid = api.handle("POST", "/v1/projects", {"name": "p"},
+                     user="ops")["data"]["project_id"]
+    r = api.handle("POST", f"/v1/projects/{pid}/tuner",
                    {"n_trials": "six"}, user="ops")
     assert r["status"] == 400 and "n_trials" in r["error"]
-    r = api.handle("POST", "/api/fleet/rollout",
+    r = api.handle("POST", "/v1/fleet/rollout",
                    {"project_id": pid, "canary_fraction": "lots"},
                    user="ops")
     assert r["status"] == 400
-    r = api.handle("POST", "/api/fleet/rollout",
+    r = api.handle("POST", "/v1/fleet/rollout",
                    {"project_id": pid, "inject_failures": {"d0": "x"}},
                    user="ops")
     assert r["status"] == 400 and "inject_failures" in r["error"]

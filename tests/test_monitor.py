@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import ClassificationBlock, Impulse, Platform, RestAPI, TimeSeriesInput
+from repro.core import ClassificationBlock, Impulse, Platform, TimeSeriesInput
 from repro.core.jobs import JobExecutor
 from repro.deploy import build_artifact
 from repro.device import DeviceFleet, VirtualDevice
@@ -662,100 +662,101 @@ def test_auto_retrain_respects_cooldown_and_single_loop():
 
 def test_rest_monitor_routes(served_project):
     platform, project = served_project
-    api = RestAPI(platform)
+    api = platform.gateway
     pid = project.project_id
 
     # Policy: partial update, echo, validation.
-    r = api.handle("POST", f"/api/projects/{pid}/monitor/policy",
+    r = api.handle("POST", f"/v1/projects/{pid}/monitor/policy",
                    {"min_records": 4, "reference_size": 4, "window": 32},
                    user="u")
-    assert r["status"] == 200 and r["policy"]["min_records"] == 4
-    assert api.handle("POST", f"/api/projects/{pid}/monitor/policy",
+    assert r["status"] == 200 and r["data"]["policy"]["min_records"] == 4
+    assert api.handle("POST", f"/v1/projects/{pid}/monitor/policy",
                       {"bogus_knob": 1}, user="u")["status"] == 400
-    assert api.handle("POST", f"/api/projects/{pid}/monitor/policy",
+    assert api.handle("POST", f"/v1/projects/{pid}/monitor/policy",
                       {"window": 0}, user="u")["status"] == 400
     # Membership is enforced on mutation.
-    assert api.handle("POST", f"/api/projects/{pid}/monitor/policy",
+    assert api.handle("POST", f"/v1/projects/{pid}/monitor/policy",
                       {"window": 8}, user="mallory")["status"] == 403
 
     # No telemetry yet: reference capture is a clean 409.
-    assert api.handle("POST", f"/api/projects/{pid}/monitor/reference",
+    assert api.handle("POST", f"/v1/projects/{pid}/monitor/reference",
                       {}, user="u")["status"] == 409
 
     # Telemetry push (the device path) — records can end up in a
     # training set, so anonymous pushes are 403 and so are pushes into
     # a project the (registered) caller is not a member of.
-    assert api.handle("POST", "/api/telemetry",
+    assert api.handle("POST", "/v1/telemetry",
                       {"records": [{"project_id": pid}]},
                       user="mallory")["status"] == 403
     platform.register_user("intruder")
-    assert api.handle("POST", "/api/telemetry",
+    assert api.handle("POST", "/v1/telemetry",
                       {"records": [{"project_id": pid}]},
                       user="intruder")["status"] == 403
-    r = api.handle("POST", "/api/telemetry", {"records": [
+    r = api.handle("POST", "/v1/telemetry", {"records": [
         {"project_id": pid, "confidence": 0.95, "top": "a",
          "source": "field-1", "raw": [0.0] * 16},
         {"project_id": pid, "confidence": 0.91, "top": "a"},
     ]}, user="u")
-    assert r["status"] == 200 and r["accepted"] == 2
-    assert api.handle("POST", "/api/telemetry",
+    assert r["status"] == 200 and r["data"]["accepted"] == 2
+    assert api.handle("POST", "/v1/telemetry",
                       {"records": [{"project_id": 999}]},
                       user="u")["status"] == 404
-    assert api.handle("POST", "/api/telemetry",
+    assert api.handle("POST", "/v1/telemetry",
                       {"records": [{"confidence": 1}]},
                       user="u")["status"] == 400
-    assert api.handle("POST", "/api/telemetry", {"records": []},
+    assert api.handle("POST", "/v1/telemetry", {"records": []},
                       user="u")["status"] == 400
-    assert api.handle("POST", "/api/telemetry", {}, user="u")["status"] == 400
+    assert api.handle("POST", "/v1/telemetry", {}, user="u")["status"] == 400
 
-    r = api.handle("POST", f"/api/projects/{pid}/monitor/reference",
+    r = api.handle("POST", f"/v1/projects/{pid}/monitor/reference",
                    {}, user="u")
-    assert r["status"] == 200 and r["reference_records"] == 2
+    assert r["status"] == 200 and r["data"]["reference_records"] == 2
 
     # Status + summary.
-    r = api.handle("GET", f"/api/projects/{pid}/monitor", {}, user="u")
+    r = api.handle("GET", f"/v1/projects/{pid}/monitor", {}, user="u")
     assert r["status"] == 200
-    assert r["telemetry"]["records"] == 2
-    assert r["telemetry"]["by_source"].get("field-1") == 1
-    assert r["telemetry"]["raw_retained"] == 1
+    assert r["data"]["telemetry"]["records"] == 2
+    assert r["data"]["telemetry"]["by_source"].get("field-1") == 1
+    assert r["data"]["telemetry"]["raw_retained"] == 1
 
     # Serve traffic through the platform tier; it lands in the monitor.
     rows = [np.zeros(16 * 8).tolist() for _ in range(6)]
-    api.handle("POST", f"/api/projects/{pid}/classify", {"batch": rows},
+    api.handle("POST", f"/v1/projects/{pid}/classify", {"batch": rows},
                user="u")
-    r = api.handle("POST", f"/api/projects/{pid}/monitor/evaluate", {},
+    r = api.handle("POST", f"/v1/projects/{pid}/monitor/evaluate", {},
                    user="u")
-    assert r["status"] == 200 and r["sweep_job_status"] == "succeeded"
-    assert r["recent_records"] >= 6
+    assert r["status"] == 200 and r["data"]["sweep_job_status"] == "succeeded"
+    assert r["data"]["recent_records"] >= 6
 
-    r = api.handle("GET", f"/api/projects/{pid}/monitor/alerts", {}, user="u")
-    assert r["status"] == 200 and isinstance(r["alerts"], list)
+    r = api.handle("GET", f"/v1/projects/{pid}/monitor/alerts", {}, user="u")
+    assert r["status"] == 200 and isinstance(r["data"]["alerts"], list)
 
     # Unknown project -> 404 end to end.
-    assert api.handle("GET", "/api/projects/999/monitor", {})["status"] == 404
+    assert api.handle("GET", "/v1/projects/999/monitor", {},
+                      user="u")["status"] == 404
 
 
 def test_rest_fleet_device_classify(image):
     plat = Platform()
     plat.register_user("ops")
-    api = RestAPI(plat)
+    api = plat.gateway
     plat.fleet.register(VirtualDevice("edge-0", "nano33ble"))
     plat.fleet.ota_update(image)
     data = np.zeros((16, 8), dtype=np.float32).tolist()
     # Emits telemetry, so it needs a registered caller.
-    assert api.handle("POST", "/api/fleet/devices/edge-0/classify",
+    assert api.handle("POST", "/v1/fleet/devices/edge-0/classify",
                       {"data": data}, user="mallory")["status"] == 403
-    r = api.handle("POST", "/api/fleet/devices/edge-0/classify",
+    r = api.handle("POST", "/v1/fleet/devices/edge-0/classify",
                    {"data": data}, user="ops")
-    assert r["status"] == 200 and r["top"] in ("a", "b", "c")
-    r = api.handle("POST", "/api/fleet/devices/ghost/classify",
+    assert r["status"] == 200 and r["data"]["top"] in ("a", "b", "c")
+    r = api.handle("POST", "/v1/fleet/devices/ghost/classify",
                    {"data": data}, user="ops")
     assert r["status"] == 404
     assert r["error"] == "unknown device 'ghost'"  # no repr-quoting
-    assert api.handle("POST", "/api/fleet/devices/edge-0/classify",
+    assert api.handle("POST", "/v1/fleet/devices/edge-0/classify",
                       {}, user="ops")["status"] == 400
     plat.fleet.register(VirtualDevice("bare", "nano33ble"))
-    assert api.handle("POST", "/api/fleet/devices/bare/classify",
+    assert api.handle("POST", "/v1/fleet/devices/bare/classify",
                       {"data": data}, user="ops")["status"] == 409
 
 
@@ -763,8 +764,8 @@ def test_failed_rollout_does_not_steal_telemetry_binding(served_project):
     """A rejected rollout request must not rebind fleet telemetry: the
     binding happens only once the rollout is accepted."""
     platform, project = served_project
-    api = RestAPI(platform)
-    r = api.handle("POST", "/api/fleet/rollout",
+    api = platform.gateway
+    r = api.handle("POST", "/v1/fleet/rollout",
                    {"project_id": project.project_id,
                     "device_ids": ["ghost"]}, user="u")
     assert r["status"] == 404  # unknown device rejects the rollout

@@ -1,4 +1,4 @@
-"""The closed production loop, end to end through the REST surface:
+"""The closed production loop, end to end through the /v1/ API:
 
 train -> roll out to a device fleet -> devices serve traffic (telemetry)
 -> drifted traffic raises a drift alert -> the auto_retrain policy routes
@@ -12,7 +12,7 @@ half of the MLOps lifecycle (paper Sec. 4), asserted via REST routes.
 import numpy as np
 import pytest
 
-from repro.core import ClassificationBlock, Impulse, Platform, RestAPI, TimeSeriesInput
+from repro.core import ClassificationBlock, Impulse, Platform, TimeSeriesInput
 from repro.data.synthetic import vibration_dataset
 from repro.dsp import SpectralAnalysisBlock
 from repro.nn import TrainingConfig
@@ -35,7 +35,7 @@ def _impulse_spec() -> dict:
 
 
 def _wait_job(api, pid, jid, timeout=120.0):
-    r = api.handle("GET", f"/api/projects/{pid}/jobs/{jid}",
+    r = api.handle("GET", f"/v1/projects/{pid}/jobs/{jid}",
                    {"wait_s": timeout}, user="ops")
     assert r["status"] == 200
     return r
@@ -43,80 +43,81 @@ def _wait_job(api, pid, jid, timeout=120.0):
 
 def test_closed_loop_drift_to_canary_rollout():
     platform = Platform()
-    api = RestAPI(platform)
-    assert api.handle("POST", "/api/users", {"username": "ops"})["status"] == 200
-    pid = api.handle("POST", "/api/projects", {"name": "prod-loop"},
-                     user="ops")["project_id"]
+    api = platform.gateway
+    assert api.handle("POST", "/v1/users", {"username": "ops"})["status"] == 200
+    pid = api.handle("POST", "/v1/projects", {"name": "prod-loop"},
+                     user="ops")["data"]["project_id"]
     project = platform.get_project(pid)
     for s in vibration_dataset(samples_per_class=12, seed=0):
         project.dataset.add(s, category=s.category)
     train_before = len(project.dataset.samples(category="train"))
 
-    assert api.handle("POST", f"/api/projects/{pid}/impulse",
+    assert api.handle("POST", f"/v1/projects/{pid}/impulse",
                       {"impulse": _impulse_spec()}, user="ops")["status"] == 200
-    jid = api.handle("POST", f"/api/projects/{pid}/train", {}, user="ops")["job_id"]
-    assert _wait_job(api, pid, jid)["job_status"] == "succeeded"
+    jid = api.handle("POST", f"/v1/projects/{pid}/train", {}, user="ops")["data"]["job_id"]
+    assert _wait_job(api, pid, jid)["data"]["job_status"] == "succeeded"
     assert project.model_revision == 1
 
     # -- initial fleet rollout of revision 1 --------------------------------
     for i in range(N_DEVICES):
-        assert api.handle("POST", "/api/fleet/devices",
+        assert api.handle("POST", "/v1/fleet/devices",
                           {"device_id": f"dev-{i}", "profile": "nano33ble"},
                           user="ops")["status"] == 200
-    r = api.handle("POST", "/api/fleet/rollout",
+    r = api.handle("POST", "/v1/fleet/rollout",
                    {"project_id": pid, "canary_fraction": 0.4}, user="ops")
-    assert r["status"] == 200 and r["image_version"] == "1.0.1"
-    r = api.handle("GET", f"/api/fleet/rollout/{r['job_id']}", {"wait_s": 60.0})
-    assert r["job_status"] == "succeeded" and not r["result"]["aborted"]
-    versions = api.handle("GET", "/api/fleet/devices", {})["devices"]
+    assert r["status"] == 200 and r["data"]["image_version"] == "1.0.1"
+    r = api.handle("GET", f"/v1/fleet/rollout/{r['data']['job_id']}",
+                   {"wait_s": 60.0}, user="ops")
+    assert r["data"]["job_status"] == "succeeded" and not r["data"]["result"]["aborted"]
+    versions = api.handle("GET", "/v1/fleet/devices", {})["data"]["devices"]
     assert set(versions.values()) == {"1.0.1"}
 
     # -- monitoring policy: auto_retrain with a health-gated canary ---------
-    r = api.handle("POST", f"/api/projects/{pid}/monitor/policy", {
+    r = api.handle("POST", f"/v1/projects/{pid}/monitor/policy", {
         "reference_size": 16, "min_records": 8, "window": 64,
         "confidence_shift_threshold": 0.2, "label_mix_threshold": 0.2,
         "feature_drift_threshold": 0.3,
         "auto_retrain": True, "max_drift_samples": 16,
         "canary_fraction": 0.4, "cooldown_s": 300,
     }, user="ops")
-    assert r["status"] == 200 and r["policy"]["auto_retrain"] is True
+    assert r["status"] == 200 and r["data"]["policy"]["auto_retrain"] is True
 
     # -- baseline traffic: devices classify in-distribution recordings ------
     recordings = [s.data[:WINDOW_ROWS] for s in project.dataset.samples()][:16]
     assert len(recordings) == 16
     for i, data in enumerate(recordings):
         r = api.handle("POST",
-                       f"/api/fleet/devices/dev-{i % N_DEVICES}/classify",
+                       f"/v1/fleet/devices/dev-{i % N_DEVICES}/classify",
                        {"data": data.tolist()}, user="ops")
-        assert r["status"] == 200 and r["top"]
-    r = api.handle("POST", f"/api/projects/{pid}/monitor/reference",
+        assert r["status"] == 200 and r["data"]["top"]
+    r = api.handle("POST", f"/v1/projects/{pid}/monitor/reference",
                    {}, user="ops")
-    assert r["status"] == 200 and r["reference_records"] == 16
+    assert r["status"] == 200 and r["data"]["reference_records"] == 16
 
     # -- drifted traffic: scaled + noisy inputs on the same fleet -----------
     rng = np.random.default_rng(1)
     for i, data in enumerate(recordings):
         drifted = data * 3.0 + rng.normal(0, 0.8, size=data.shape)
         r = api.handle("POST",
-                       f"/api/fleet/devices/dev-{i % N_DEVICES}/classify",
+                       f"/v1/fleet/devices/dev-{i % N_DEVICES}/classify",
                        {"data": drifted.tolist()}, user="ops")
         assert r["status"] == 200
 
     # -- one monitor sweep: drift alert + closed loop kickoff ---------------
-    r = api.handle("POST", f"/api/projects/{pid}/monitor/evaluate",
+    r = api.handle("POST", f"/v1/projects/{pid}/monitor/evaluate",
                    {"wait_s": 60.0}, user="ops")
     assert r["status"] == 200
-    assert r["health"] == "drift"
-    assert "started_loop_job" in r, f"no loop started: {r['detectors']}"
-    triggered = [d["detector"] for d in r["detectors"] if d["triggered"]]
+    assert r["data"]["health"] == "drift"
+    assert "started_loop_job" in r["data"], f"no loop started: {r['data']['detectors']}"
+    triggered = [d["detector"] for d in r["data"]["detectors"] if d["triggered"]]
     assert triggered, "expected at least one drift detector to trigger"
     # Per-label attribution rides along in the monitor payload.
-    by_name = {d["detector"]: d for d in r["detectors"]}
+    by_name = {d["detector"]: d for d in r["data"]["detectors"]}
     assert "per_label_ks" in by_name["confidence_shift"]["detail"]
     assert "per_label_psi" in by_name["label_mix_shift"]["detail"]
 
-    alerts = api.handle("GET", f"/api/projects/{pid}/monitor/alerts",
-                        {}, user="ops")["alerts"]
+    alerts = api.handle("GET", f"/v1/projects/{pid}/monitor/alerts",
+                        {}, user="ops")["data"]["alerts"]
     drift_alerts = [a for a in alerts if a["severity"] == "warning"]
     assert drift_alerts
     assert any(a["action"] and "auto_retrain" in a["action"]
@@ -124,10 +125,10 @@ def test_closed_loop_drift_to_canary_rollout():
     assert all(a["model_version"] == "1.0.1" for a in drift_alerts)
 
     # -- the loop: drift samples -> retrain -> health-gated canary OTA ------
-    r = api.handle("GET", f"/api/projects/{pid}/monitor",
+    r = api.handle("GET", f"/v1/projects/{pid}/monitor",
                    {"wait_loop_s": 180.0}, user="ops")
     assert r["status"] == 200
-    loop = r["loop_jobs"][-1]
+    loop = r["data"]["loop_jobs"][-1]
     assert loop["job_status"] == "succeeded", loop
     result = loop["result"]
     assert result["model_version"] == "1.0.2"
@@ -141,7 +142,7 @@ def test_closed_loop_drift_to_canary_rollout():
 
     # Drift-window samples were routed back into the training set through
     # the ingestion service (visible in the data summary).
-    summary = api.handle("GET", f"/api/projects/{pid}/data/summary",
+    summary = api.handle("GET", f"/v1/projects/{pid}/data/summary",
                          {}, user="ops")
     assert summary["status"] == 200
     train_after = len(project.dataset.samples(category="train"))
@@ -152,12 +153,12 @@ def test_closed_loop_drift_to_canary_rollout():
     assert all(s.metadata["device_type"] == "monitor-drift" for s in routed)
 
     # The whole fleet runs the retrained model version.
-    versions = api.handle("GET", "/api/fleet/devices", {})["devices"]
+    versions = api.handle("GET", "/v1/fleet/devices", {})["data"]["devices"]
     assert set(versions.values()) == {"1.0.2"}
     assert project.model_revision == 2
 
     # The monitor re-baselined for the new generation.
-    r = api.handle("GET", f"/api/projects/{pid}/monitor", {}, user="ops")
-    assert r["health"] == "baselining"
-    assert r["telemetry"]["records"] == 0
-    assert r["alerts_total"] == len(alerts)  # history preserved
+    r = api.handle("GET", f"/v1/projects/{pid}/monitor", {}, user="ops")
+    assert r["data"]["health"] == "baselining"
+    assert r["data"]["telemetry"]["records"] == 0
+    assert r["data"]["alerts_total"] == len(alerts)  # history preserved

@@ -205,53 +205,51 @@ def test_f32_batch_vs_single_tolerance_contract(served_platform,
 
 
 def test_classify_rest_route(served_platform, tiny_classification_problem):
-    from repro.core import RestAPI
-
     platform, project = served_platform
     x, _ = tiny_classification_problem
-    api = RestAPI(platform)
+    api = platform.gateway
     pid = project.project_id
     feats = x[0].reshape(-1).tolist()
 
-    single = api.handle("POST", f"/api/projects/{pid}/classify",
+    single = api.handle("POST", f"/v1/projects/{pid}/classify",
                         {"features": feats}, user="alice")
     assert single["status"] == 200
-    assert set(single["classification"]) == {"a", "b", "c"}
-    assert single["top"] in ("a", "b", "c")
+    assert set(single["data"]["classification"]) == {"a", "b", "c"}
+    assert single["data"]["top"] in ("a", "b", "c")
 
-    batch = api.handle("POST", f"/api/projects/{pid}/classify",
+    batch = api.handle("POST", f"/v1/projects/{pid}/classify",
                        {"batch": [feats, feats], "precision": "float32"},
                        user="alice")
-    assert batch["status"] == 200 and batch["batch_size"] == 2
+    assert batch["status"] == 200 and batch["data"]["batch_size"] == 2
 
-    assert api.handle("POST", f"/api/projects/{pid}/classify", {},
+    assert api.handle("POST", f"/v1/projects/{pid}/classify", {},
                       user="alice")["status"] == 400
-    assert api.handle("POST", f"/api/projects/{pid}/classify",
+    assert api.handle("POST", f"/v1/projects/{pid}/classify",
                       {"features": feats, "batch": [feats]},
                       user="alice")["status"] == 400
-    assert api.handle("POST", f"/api/projects/{pid}/classify",
+    assert api.handle("POST", f"/v1/projects/{pid}/classify",
                       {"features": [0.0, 1.0]}, user="alice")["status"] == 400
-    assert api.handle("POST", f"/api/projects/{pid}/classify",
+    assert api.handle("POST", f"/v1/projects/{pid}/classify",
                       {"features": ["not", "numbers"]}, user="alice")["status"] == 400
-    assert api.handle("POST", f"/api/projects/{pid}/classify",
+    assert api.handle("POST", f"/v1/projects/{pid}/classify",
                       {"batch": 5}, user="alice")["status"] == 400
     # A malformed row mid-batch fails cleanly without stranding tickets.
-    bad_batch = api.handle("POST", f"/api/projects/{pid}/classify",
+    bad_batch = api.handle("POST", f"/v1/projects/{pid}/classify",
                            {"batch": [feats, [1.0], feats]}, user="alice")
     assert bad_batch["status"] == 400
-    again = api.handle("POST", f"/api/projects/{pid}/classify",
+    again = api.handle("POST", f"/v1/projects/{pid}/classify",
                        {"features": feats}, user="alice")
     assert again["status"] == 200
-    assert api.handle("POST", "/api/projects/999/classify",
+    assert api.handle("POST", "/v1/projects/999/classify",
                       {"features": feats}, user="alice")["status"] == 404
 
     project.int8_graph = None
     platform.serving.invalidate(pid)
-    assert api.handle("POST", f"/api/projects/{pid}/classify",
+    assert api.handle("POST", f"/v1/projects/{pid}/classify",
                       {"features": feats}, user="alice")["status"] == 409
 
-    stats = api.handle("GET", "/api/serving/stats")
-    assert stats["status"] == 200 and stats["requests"] >= 3
+    stats = api.handle("GET", "/v1/serving/stats")
+    assert stats["status"] == 200 and stats["data"]["requests"] >= 3
 
 
 # -- compiled plans ---------------------------------------------------------

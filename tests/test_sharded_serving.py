@@ -76,30 +76,28 @@ def test_sharded_cache_hammered_from_8_threads(sharded_platform,
 
 def test_sharded_platform_behind_rest_api(tiny_graphs, tiny_classification_problem):
     """Platform(serving_workers=N) swaps the sharded tier in behind the
-    classify route, and /api/serving/stats aggregates per-shard counters."""
-    from repro.core import RestAPI
-
+    classify route, and /v1/serving/stats aggregates per-shard counters."""
     platform = Platform(serving_workers=4)
     platform.register_user("alice")
     project = platform.create_project("sharded-api", owner="alice")
     project.float_graph, project.int8_graph = tiny_graphs
     project.label_map = {"a": 0, "b": 1, "c": 2}
     x, _ = tiny_classification_problem
-    api = RestAPI(platform)
+    api = platform.gateway
     feats = x[0].reshape(-1).tolist()
 
-    single = api.handle("POST", f"/api/projects/{project.project_id}/classify",
+    single = api.handle("POST", f"/v1/projects/{project.project_id}/classify",
                         {"features": feats}, user="alice")
-    assert single["status"] == 200 and single["top"] in ("a", "b", "c")
-    batch = api.handle("POST", f"/api/projects/{project.project_id}/classify",
+    assert single["status"] == 200 and single["data"]["top"] in ("a", "b", "c")
+    batch = api.handle("POST", f"/v1/projects/{project.project_id}/classify",
                        {"batch": [feats] * 3}, user="alice")
-    assert batch["status"] == 200 and batch["batch_size"] == 3
+    assert batch["status"] == 200 and batch["data"]["batch_size"] == 3
 
-    stats = api.handle("GET", "/api/serving/stats")
+    stats = api.handle("GET", "/v1/serving/stats")
     assert stats["status"] == 200
-    assert stats["workers"] == 4 and stats["backend"] == "thread"
-    assert stats["requests"] == 4
-    assert len(stats["per_shard"]) == 4
-    assert sum(s["requests"] for s in stats["per_shard"]) == 4
+    assert stats["data"]["workers"] == 4 and stats["data"]["backend"] == "thread"
+    assert stats["data"]["requests"] == 4
+    assert len(stats["data"]["per_shard"]) == 4
+    assert sum(s["requests"] for s in stats["data"]["per_shard"]) == 4
     platform.serving.close()
 
