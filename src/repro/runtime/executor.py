@@ -148,12 +148,6 @@ def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.nda
 
 # -- plan compilation -----------------------------------------------------
 
-# Explicit contraction path for the depthwise einsum: two operands admit a
-# single contraction, so handing einsum the path skips its per-call greedy
-# path search (the AOT "prepare" step a real kernel does once).
-_DW_EINSUM_PATH = ["einsum_path", (0, 1)]
-
-
 def _requantizer(graph: Graph, op: GOp) -> K.Requantizer:
     """The op's requantization, validated and pre-cast once."""
     a = op.attrs
@@ -207,12 +201,8 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
                 pool=fused_pool, pool_kind=pool_kind,
             )
         act = a.get("activation", "none")
-        if op.opcode == "DEPTHWISE_CONV_2D":
-            base = lambda v: K.dwconv2d_f32(
-                v[x_id], w, b, stride, pad_h, pad_w, act, path=_DW_EINSUM_PATH
-            )
-        else:
-            base = lambda v: K.conv2d_f32(v[x_id], w, b, stride, pad_h, pad_w, act)
+        fn = K.dwconv2d_f32 if op.opcode == "DEPTHWISE_CONV_2D" else K.conv2d_f32
+        base = lambda v: fn(v[x_id], w, b, stride, pad_h, pad_w, act)
         if fused_pool:
             pfn = K.maxpool2d_f32 if pool_kind == "max" else K.avgpool2d_f32
             return lambda v: pfn(base(v), fused_pool)
@@ -309,11 +299,7 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
                     b_const if b_const is not None else v[b_id],
                     out=v[inplace_id],
                 )
-                if act == "relu":
-                    np.maximum(out, 0.0, out=out)
-                elif act == "relu6":
-                    np.clip(out, 0.0, 6.0, out=out)
-                return out
+                return K.activate_f32(out, act)  # the tail add_f32 runs
 
             return add_f32_inplace
         if b_const is not None:

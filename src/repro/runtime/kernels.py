@@ -1,5 +1,11 @@
 """Reference kernels, float32 and integer-only int8.
 
+The float32 kernels are one family: dispatch, the TFLM interpreter's
+plan and EON's plan all call the same functions, so float32 outputs are
+bit-identical across engines for the same batch, and equal to a float64
+reference within float32 rounding (see the notes above them for how the
+convolutions are lowered).
+
 The int8 kernels mirror TFLM/CMSIS-NN arithmetic: int8 operands, int32
 biases, int64 accumulation, fixed-point requantization
 (:mod:`repro.quantize.fixedpoint`), asymmetric activation zero points and
@@ -16,16 +22,8 @@ import numpy as np
 from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
 
 # --------------------------------------------------------------------------
-# float32 kernels
+# shared geometry
 # --------------------------------------------------------------------------
-
-
-def _apply_activation_f32(x: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(x, 0.0)
-    if activation == "relu6":
-        return np.clip(x, 0.0, 6.0)
-    return x
 
 
 def _pad2d(x: np.ndarray, pad_h, pad_w, fill) -> np.ndarray:
@@ -64,37 +62,134 @@ def _windows_2d(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
+def _gemm(windows, w2d):
+    """``windows`` (a view whose trailing axes flatten to K) times
+    ``w2d``: ``(rows, cout)`` in ``w2d``'s dtype, always a fresh array.
+    One pass gathers (and, for int8, casts) the view into the contiguous
+    im2col matrix — or takes it as it is when it already is one, the
+    float32 pointwise case — so the product is one BLAS call: sgemm for
+    float32, dgemm exactly when ``prepare_gemm_i8`` chose float64 (whose
+    exact-integer results pool and take the bias as they are)."""
+    lhs = windows.astype(w2d.dtype, order="C", copy=False)
+    return lhs.reshape(-1, w2d.shape[0]) @ w2d
+
+
+# --------------------------------------------------------------------------
+# float32 kernels
+# --------------------------------------------------------------------------
+#
+# One family, shared by ``run_graph_dispatch``, the TFLM interpreter's
+# plan and EON's plan: float32 has no exactness proof to gate a second
+# route on, and the engines' bit-identity *is* this sharing.  Four
+# rewrites relative to the tensordot/einsum originals; sums are
+# reassociated, so results agree with a float64 reference to float32
+# rounding (rtol 1e-5 of the output scale), not with the originals to
+# the bit.
+#
+# 1. Convolutions lower the way ``conv2d_i8_plan`` does: pad, then one
+#    gather of the window view into a contiguous ``(rows, K)`` matrix
+#    and one sgemm (``_gemm``).  A pointwise (1x1, stride 1) conv skips
+#    the gather — its input already is that matrix.  ``np.tensordot``
+#    reached the same sgemm through a transpose + reshape + copy of both
+#    operands per call.
+# 2. The gather's cost is its number of inner runs, not its bytes: a
+#    C-order copy of the window view moves ``kw*c`` contiguous floats at
+#    a time, 4 for a 10x4 kernel over one channel.  When a kernel column
+#    is longer than a kernel row (``kh > kw*c``) K is ordered
+#    ``(kw, c, kh)`` instead, so the inner run is the ``kh`` taps
+#    (constant stride of one padded row), and the weights — a few
+#    thousand floats — are transposed to match.  Small: the KWS first
+#    layer goes 345 -> 284 us at batch 16 on the reference host, and
+#    does not move at batch 1.
+# 3. Depthwise convolution (depth multiplier 1, stride 1, C-contiguous
+#    input) flattens each padded row to ``Wp*c`` floats and views the
+#    tensor as ``(b, oh, kh, kw, ow*c)``: tap ``(i, j)`` of every output
+#    pixel of a row is one contiguous ``ow*c`` run starting ``j*c``
+#    floats into padded row ``x + i``.  One einsum contracts it with the
+#    taps tiled along ``ow``; its inner loop is a fused multiply-add
+#    over hundreds of floats instead of ``c``, and there is no
+#    ``optimize=`` path search (two operands have one contraction
+#    order).  Stride > 1 or a non-contiguous input takes the 6-D window
+#    view; a depth multiplier > 1 keeps the 4-index weights.  The
+#    accumulation order per output element is the ``(i, j)`` tap order
+#    whatever the batch size, so depthwise rows are batch-invariant bit
+#    for bit (sgemm makes no such promise for the GEMM kernels).
+# 4. Bias and activation are applied in place on the array the kernel
+#    just allocated (``_finish_f32``) — never on its input, which a
+#    residual ADD may still read — and nothing re-casts a float32 result
+#    to float32 (``astype`` copies even when the dtype already matches).
+
+
+def activate_f32(out: np.ndarray, activation: str) -> np.ndarray:
+    """``activation`` in place on ``out``, which the caller owns."""
+    # relu as a clip too: ``np.maximum(array, scalar)`` runs numpy's
+    # strided scalar loop (74us on 128k floats here), ``np.clip`` its
+    # SIMD one (22us); equal on every value, and -0.0 becomes +0.0.
+    if activation == "relu":
+        np.clip(out, 0.0, np.inf, out=out)
+    elif activation == "relu6":
+        np.clip(out, 0.0, 6.0, out=out)
+    return out
+
+
+def _finish_f32(out: np.ndarray, bias, activation: str) -> np.ndarray:
+    """Bias -> activation, in place on ``out``, which the caller owns
+    (it allocated it this call); returns float32."""
+    out = out.astype(np.float32, copy=False)  # a copy only for non-float32 operands
+    out += bias
+    return activate_f32(out, activation)
+
+
 def conv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none"):
     xp = _pad2d(x, pad_h, pad_w, 0.0)
-    view = _windows_2d(xp, w.shape[0], w.shape[1], stride)
-    out = np.tensordot(view, w, axes=([3, 4, 5], [0, 1, 2])) + b
-    return _apply_activation_f32(out.astype(np.float32), activation)
+    kh, kw, c, cout = w.shape
+    if kh == 1 and kw == 1 and stride == 1:
+        windows, w2d = xp, w.reshape(c, cout)  # pointwise: xp is the im2col matrix
+    else:
+        windows, w2d = _windows_2d(xp, kh, kw, stride), w.reshape(-1, cout)
+        if kh > kw * c:  # note 2: K as (kw, c, kh)
+            windows = windows.transpose(0, 1, 2, 4, 5, 3)
+            w2d = w.transpose(1, 2, 0, 3).reshape(-1, cout)
+    out = _gemm(windows, w2d).reshape(windows.shape[:3] + (cout,))
+    return _finish_f32(out, b, activation)
 
 
-def dwconv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none", path=True):
+def dwconv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none"):
     xp = _pad2d(x, pad_h, pad_w, 0.0)
-    view = _windows_2d(xp, w.shape[0], w.shape[1], stride)
-    out = np.einsum("bxyijc,ijcd->bxycd", view, w, optimize=path)
-    bsz, oh, ow, c, d = out.shape
-    out = out.reshape(bsz, oh, ow, c * d) + b
-    return _apply_activation_f32(out.astype(np.float32), activation)
+    kh, kw, c, mult = w.shape
+    if mult != 1:
+        out = np.einsum("bxyijc,ijcd->bxycd", _windows_2d(xp, kh, kw, stride), w)
+        out = out.reshape(out.shape[:3] + (c * mult,))
+    elif stride == 1 and xp.flags.c_contiguous:
+        bsz, hp, wp, _ = xp.shape
+        oh, ow = hp - kh + 1, wp - kw + 1
+        sb, sh, sw, sc = xp.strides
+        rows = np.lib.stride_tricks.as_strided(
+            xp, shape=(bsz, oh, kh, kw, ow * c), strides=(sb, sh, sh, sw, sc),
+            writeable=False,
+        )
+        taps = np.tile(w[..., 0], (1, 1, ow))
+        out = np.einsum("bxijm,ijm->bxm", rows, taps).reshape(bsz, oh, ow, c)
+    else:
+        out = np.einsum("bxyijc,ijc->bxyc", _windows_2d(xp, kh, kw, stride), w[..., 0])
+    return _finish_f32(out, b, activation)
 
 
 def conv1d_f32(x, w, b, stride, pad, activation="none"):
     xp = _pad1d(x, pad, 0.0)
     bsz, t, c = xp.shape
-    k = w.shape[0]
+    k, _, cout = w.shape
     ot = (t - k) // stride + 1
     sb, st, sc = xp.strides
-    view = np.lib.stride_tricks.as_strided(
+    windows = np.lib.stride_tricks.as_strided(
         xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
     )
-    out = np.tensordot(view, w, axes=([2, 3], [0, 1])) + b
-    return _apply_activation_f32(out.astype(np.float32), activation)
+    out = _gemm(windows, w.reshape(-1, cout)).reshape(bsz, ot, cout)
+    return _finish_f32(out, b, activation)
 
 
 def fc_f32(x, w, b, activation="none"):
-    return _apply_activation_f32((x @ w + b).astype(np.float32), activation)
+    return _finish_f32(_gemm(x, w), b, activation)
 
 
 def maxpool2d_f32(x, pool):
@@ -115,27 +210,27 @@ def avgpool2d_f32(x, pool):
     return (
         x[:, :th, :tw, :]
         .reshape(b, th // pool, pool, tw // pool, pool, c)
-        .mean(axis=(2, 4))
-        .astype(np.float32)
+        .mean(axis=(2, 4), dtype=np.float32)
     )
 
 
 def gap2d_f32(x):
-    return x.mean(axis=(1, 2)).astype(np.float32)
+    return x.mean(axis=(1, 2), dtype=np.float32)
 
 
 def gap1d_f32(x):
-    return x.mean(axis=1).astype(np.float32)
+    return x.mean(axis=1, dtype=np.float32)
 
 
 def add_f32(a, b, activation="none"):
-    return _apply_activation_f32((a + b).astype(np.float32), activation)
+    return activate_f32((a + b).astype(np.float32, copy=False), activation)
 
 
 def softmax_f32(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e.astype(np.float32, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -320,16 +415,6 @@ def prepare_dwconv_i8(w, bias, in_zp):
     return w.astype(np.int64), folded
 
 
-def _gemm_i8(windows, w2d):
-    """int8 ``windows`` (a view whose trailing axes flatten to K) times
-    ``w2d``: ``(rows, cout)`` accumulators in ``w2d``'s dtype.  One pass
-    gathers and casts the view into the contiguous im2col matrix, so the
-    GEMM is dgemm exactly when ``prepare_gemm_i8`` chose float64 — whose
-    exact-integer results pool and take the bias as they are."""
-    lhs = windows.astype(w2d.dtype, order="C").reshape(-1, w2d.shape[0])
-    return lhs @ w2d
-
-
 def _finish(acc, bias, requant, pool=None, pool_kind="max"):
     """Shared tail of the convs, on accumulators ``(batch, *spatial,
     channels)`` the caller owns: (max pool) -> bias -> requantize ->
@@ -363,7 +448,7 @@ def conv2d_i8_plan(
         windows = xp  # pointwise: the im2col matrix is the input itself
     else:
         windows = _windows_2d(xp, kh, kw, stride)
-    acc = _gemm_i8(windows, w2d).reshape(windows.shape[:3] + (-1,))
+    acc = _gemm(windows, w2d).reshape(windows.shape[:3] + (-1,))
     return _finish(acc, bias, requant, pool, pool_kind)
 
 
@@ -403,13 +488,13 @@ def conv1d_i8_plan(x, w2d, k, bias, stride, pad, in_zp, requant, pool=None):
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
     )
-    acc = _gemm_i8(windows, w2d).reshape(bsz, ot, -1)
+    acc = _gemm(windows, w2d).reshape(bsz, ot, -1)
     return _finish(acc, bias, requant, pool)
 
 
 def fc_i8_plan(x, w2d, bias, requant):
     """FULLY_CONNECTED on ``prepare_gemm_i8`` operands."""
-    return _finish(_gemm_i8(x, w2d), bias, requant)
+    return _finish(_gemm(x, w2d), bias, requant)
 
 
 def maxpool2d_i8(x, pool):

@@ -6,9 +6,11 @@ serving class; everything that does not depend on *where a batch runs*
 lives here, once:
 
 - admission is synchronous, in the caller's thread: the model key is
-  validated, the project and graph resolved, features coerced — so bad
-  requests fail fast with ``KeyError`` / :class:`ServingError` /
-  :class:`ModelNotTrainedError` and can never poison a worker;
+  validated, the project and graph resolved, features coerced to one
+  finite float32 array of the model's input shape — so bad requests
+  (NaN and infinities included) fail fast with ``KeyError`` /
+  :class:`ServingError` / :class:`ModelNotTrainedError` and can never
+  poison a worker or a telemetry record;
 - models are compiled once per ``(project_id, precision, engine)`` and
   held in an LRU cache, partitioned across ``workers`` shards by a
   stable crc32 of the key (:mod:`repro.serve.shard`); retraining is
@@ -138,11 +140,8 @@ class ModelServer:
         key = f"{project_id}|{precision}|{engine}".encode()
         return zlib.crc32(key) % self.workers
 
-    def _resolve(
-        self, project_id: int, precision: str, engine: str
-    ) -> tuple[_Shard, _CacheEntry]:
-        """Validate a model key and fetch (or build) its cache entry in
-        the owning shard — without touching any worker.
+    def _graph(self, project_id: int, precision: str, engine: str):
+        """Validate a model key and return the trained graph it names.
 
         Raises ``KeyError`` for an unknown project (a missing resource)
         and :class:`ServingError` for bad parameters or untrained models.
@@ -157,6 +156,24 @@ class ModelServer:
             raise ModelNotTrainedError(
                 f"project {project_id} has no trained {precision} model"
             )
+        return graph
+
+    def feature_shape(
+        self, project_id: int, precision: str = "int8", engine: str = "eon"
+    ) -> tuple[int, ...]:
+        """Shape of one feature window of the model a key names — what a
+        transport needs to size-check a packed payload before decoding
+        it.  Fails exactly as a classify on the same key would; touches
+        no shard, cache counter or worker."""
+        graph = self._graph(project_id, precision, engine)
+        return tuple(graph.tensors[graph.input_id].shape)
+
+    def _resolve(
+        self, project_id: int, precision: str, engine: str
+    ) -> tuple[_Shard, _CacheEntry]:
+        """Validate a model key and fetch (or build) its cache entry in
+        the owning shard — without touching any worker."""
+        graph = self._graph(project_id, precision, engine)
         shard = self.shards[self.shard_index(project_id, precision, engine)]
         return shard, shard.lookup((project_id, precision, engine), graph)
 
@@ -177,8 +194,10 @@ class ModelServer:
             shard.invalidate(project_id)
 
     def _coerce_features(self, entry: _CacheEntry, features) -> np.ndarray:
+        """One window -> finite float32 of the model's input shape."""
         try:
-            arr = np.asarray(features, dtype=np.float32)
+            with np.errstate(over="ignore"):  # 1e39 -> inf, rejected below
+                arr = np.asarray(features, dtype=np.float32)
         except (TypeError, ValueError) as exc:
             raise ServingError(f"features are not numeric: {exc}")
         if arr.size != entry.feature_size:
@@ -186,7 +205,26 @@ class ModelServer:
                 f"expected {entry.feature_size} features "
                 f"(shape {entry.feature_shape}), got {arr.size}"
             )
+        if not np.isfinite(arr).all():
+            raise ServingError("features must be finite")
         return arr.reshape(entry.feature_shape)
+
+    def _coerce_batch(self, entry: _CacheEntry, feature_rows) -> np.ndarray:
+        """Many windows -> one finite float32 ``(n, *feature_shape)``
+        array, all or nothing.  A 2-D array or a rectangular list is
+        converted and checked once; anything else (ragged rows, rows of
+        the wrong width, a non-numeric cell) goes row by row so the
+        error names what one window got wrong."""
+        try:
+            with np.errstate(over="ignore"):
+                arr = np.asarray(feature_rows, dtype=np.float32)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim < 2 or arr[0].size != entry.feature_size:
+            arr = np.stack([self._coerce_features(entry, row) for row in feature_rows])
+        elif not np.isfinite(arr).all():
+            raise ServingError("features must be finite")
+        return arr.reshape((len(arr),) + entry.feature_shape)
 
     # -- classification ----------------------------------------------------
 
@@ -222,15 +260,17 @@ class ModelServer:
         precision: str = "int8",
         engine: str = "eon",
     ) -> list[dict]:
-        """Classify many windows in micro-batches; one result per row."""
-        if not isinstance(feature_rows, (list, tuple)) or len(feature_rows) == 0:
+        """Classify many windows (a list of rows or one 2-D array) in
+        micro-batches; one result per row."""
+        if (not isinstance(feature_rows, (list, tuple, np.ndarray))
+                or len(feature_rows) == 0):
             raise ServingError("batch must be a non-empty list of feature rows")
         shard, entry = self._resolve(project_id, precision, engine)
         # Admission is all-or-nothing: every row is validated before any
         # is queued, and the group is queued under one lock acquisition —
         # so a malformed row (or a full queue) mid-batch cannot leave
         # earlier rows executing for a request the caller saw fail.
-        coerced = [self._coerce_features(entry, row) for row in feature_rows]
+        coerced = self._coerce_batch(entry, feature_rows)
         return [ticket.value() for ticket in shard.dispatch(entry, coerced)]
 
     # -- execution (shared by every placement) -----------------------------

@@ -114,7 +114,7 @@ class _Shard:
 
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch(self, entry: _CacheEntry, rows: list) -> list[PendingResult]:
+    def dispatch(self, entry: _CacheEntry, rows) -> list[PendingResult]:
         """Admit coerced ``rows`` as one all-or-nothing group; returns one
         ticket per row.  Inline tickets come back already resolved."""
         queued = entry.batcher is None

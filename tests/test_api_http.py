@@ -413,3 +413,337 @@ def test_vanished_client_prints_no_traceback(server, capsys):
         sock.close()
     time.sleep(0.3)  # let the handler threads run into the reset
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- packed float32 feature payloads -------------------------------------------
+#
+# ``features_b64`` / ``batch_b64`` carry the float32 values the list form
+# would be cast to, so the two forms of one request must get the same
+# reply bytes on every placement, and every malformed packing must be a
+# 400 at admission: no ticket, no telemetry, nothing decoded or allocated
+# from a length the server has not checked.
+
+LABELS = ("a", "b", "c")
+FEATURE_SHAPE = (16, 8)
+N_FEATURES = 128
+PLACEMENT_ARGS = {
+    "inline": dict(serving_workers=1, serving_backend="thread"),
+    "thread": dict(serving_workers=2, serving_backend="thread"),
+    "process": dict(serving_workers=2, serving_backend="process"),
+}
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f4").tobytes()).decode("ascii")
+
+
+class _Served:
+    """A platform serving the tiny graphs over HTTP, with one project."""
+
+    def __init__(self, tiny_graphs, placement="inline"):
+        from repro.monitor.telemetry import TelemetryStore
+
+        self.platform = Platform(**PLACEMENT_ARGS[placement])
+        self.platform.register_user("alice")
+        project = self.platform.create_project("served", owner="alice")
+        project.float_graph, project.int8_graph = tiny_graphs
+        project.label_map = dict(zip(LABELS, range(3)))
+        self.pid = project.project_id
+        self.path = f"/v1/projects/{self.pid}/classify"
+        self.platform.serving.telemetry = self.telemetry = TelemetryStore()
+        # The fuzz sweeps send ~1000 requests in a second or two.
+        self.gateway = ApiGateway(self.platform, rate_limit_capacity=1e6,
+                                  rate_limit_refill_per_s=1e6)
+        self.http = serve_http(self.gateway, port=0, background=True)
+        self.token = self.platform.issue_token("alice")
+        self.sent: list[dict] = []
+        served = self
+
+        class RecordingClient(Client):
+            def request(self, method, path, body=None):
+                served.sent.append(body)
+                return super().request(method, path, body)
+
+        self.client = RecordingClient(self.http.url, token=self.token, retries=0)
+
+    def post(self, body: dict) -> tuple[int, bytes]:
+        """Raw POST of ``body`` (Python's JSON, so NaN / Infinity literals
+        go out as a lax client would send them) -> (status, reply bytes)."""
+        request = urllib.request.Request(
+            self.http.url + self.path, data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json",
+                     "Authorization": f"Bearer {self.token}"}, method="POST")
+        try:
+            with urllib.request.urlopen(request) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
+
+    def handle(self, body: dict) -> dict:
+        """The same request in process (the fuzz loops need the speed)."""
+        return self.gateway.handle("POST", self.path, body, user="alice")
+
+    def assert_nothing_was_admitted(self):
+        snap = self.platform.serving.snapshot()
+        assert snap["requests"] == snap["batches"] == snap["batch_errors"] == 0
+        assert all(s["queue_depth"] == 0 for s in snap["per_shard"])
+        assert self.telemetry.count(self.pid) == 0
+
+    def close(self):
+        self.http.shutdown()
+        self.http.server_close()
+        self.platform.serving.close()
+
+
+@pytest.fixture()
+def served(tiny_graphs):
+    s = _Served(tiny_graphs)
+    yield s
+    s.close()
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENT_ARGS))
+def test_packed_and_list_requests_get_byte_identical_replies(
+        tiny_graphs, tiny_classification_problem, placement):
+    x, _ = tiny_classification_problem
+    s = _Served(tiny_graphs, placement)
+    try:
+        assert s.platform.serving.placement == placement
+        window, rows = x[0].reshape(-1), x[:5].reshape(5, -1)
+        for precision in ("int8", "float32"):
+            extra = {"precision": precision}
+            status, listed = s.post({"features": window.tolist(), **extra})
+            assert status == 200
+            assert s.post({"features_b64": _b64(window), **extra}) == (200, listed)
+            assert s.client.classify(s.pid, features=window.tolist(), **extra) \
+                == json.loads(listed)["data"]
+            assert set(s.sent[-1]) == {"features_b64", "precision"}
+
+            status, listed = s.post({"batch": rows.tolist(), **extra})
+            assert status == 200 and json.loads(listed)["data"]["batch_size"] == 5
+            assert s.post({"batch_b64": _b64(rows), "rows": 5, **extra}) \
+                == (200, listed)
+            assert s.client.classify(s.pid, batch=rows.tolist(), **extra) \
+                == json.loads(listed)["data"]
+            assert set(s.sent[-1]) == {"batch_b64", "rows", "precision"}
+        # Doubles that are not float32 values: the list path rounds them
+        # on arrival, the SDK rounds them when packing — same float32.
+        doubles = [0.1 * i - 3.3 for i in range(N_FEATURES)]
+        status, listed = s.post({"features": doubles})
+        assert status == 200
+        assert s.client.classify(s.pid, features=doubles) == json.loads(listed)["data"]
+        assert "features_b64" in s.sent[-1]
+    finally:
+        s.close()
+
+
+def test_sdk_packs_arrays_tuples_ints_and_nested_windows(
+        served, tiny_classification_problem):
+    """Everything rectangular and numeric goes out packed and classifies
+    like the flat float list (an ndarray used to die in ``json.dumps``
+    with a bare TypeError); the SDK module itself never touches numpy."""
+    import array
+
+    import repro.client as sdk
+
+    x, _ = tiny_classification_problem
+    window = np.round(x[0] * 4)  # small integers: exact as int, float32 and double
+    want = served.client.classify(served.pid, features=window.reshape(-1).tolist())
+    for form in (
+        window,                                   # float32 ndarray, nested (16, 8)
+        window.reshape(-1).astype(np.float64),    # flat float64 ndarray
+        array.array("f", window.reshape(-1).tolist()),
+        tuple(window.reshape(-1).tolist()),
+        [int(v) for v in window.reshape(-1)],     # Python ints
+        window.tolist(),                          # nested lists
+        [tuple(row) for row in window.tolist()],  # list of tuples
+        list(window.reshape(-1)),                 # list of numpy scalars
+    ):
+        assert served.client.classify(served.pid, features=form) == want
+        assert set(served.sent[-1]) == {"features_b64"}
+
+    batch = np.round(x[:3] * 4)
+    want = served.client.classify(served.pid, batch=batch.reshape(3, -1).tolist())
+    for form in (batch, list(batch), batch.reshape(3, -1), batch.tolist(),
+                 [array.array("f", row.reshape(-1).tolist()) for row in batch]):
+        assert served.client.classify(served.pid, batch=form) == want
+        assert served.sent[-1]["rows"] == 3 and "batch" not in served.sent[-1]
+
+    source = open(sdk.__file__).read()
+    assert "numpy" not in vars(sdk) and "np" not in vars(sdk)
+    assert "import numpy" not in source and "from numpy" not in source
+
+
+def test_sdk_sends_what_it_cannot_pack_in_list_form(served):
+    """Non-numeric, ragged and float32-overflowing input goes out as
+    given, so the server's 400 is the message the caller reads."""
+    good = [0.5] * N_FEATURES
+    cases = [
+        (dict(features=["not", "numbers"]), "not numeric"),
+        (dict(features=[[1.0, 2.0], [3.0]]), "not numeric"),
+        (dict(features=good[:-1] + [1e39]), "features must be finite"),
+        (dict(features=[]), "expected 128 features"),
+        (dict(batch=[good, good[:-1]]), "expected 128 features"),
+        (dict(batch=[good, "row"]), "not numeric"),
+        (dict(batch=[]), "non-empty list"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ClientError) as err:
+            served.client.classify(served.pid, **kwargs)
+        assert err.value.status == 400 and message in err.value.message
+        assert served.sent[-1] == kwargs, "sent as given, not packed"
+    # Packable but wrong: packed, and the same words come back.
+    for kwargs, message in [
+        (dict(features=good[:64]), "expected 128 features (shape (16, 8)), got 64"),
+        (dict(batch=[good[:64], good[:64]]),
+         "expected 128 features (shape (16, 8)), got 64"),
+        (dict(features=good[:-1] + [float("nan")]), "features must be finite"),
+        (dict(batch=[good, good[:-1] + [float("-inf")]]), "features must be finite"),
+    ]:
+        with pytest.raises(ClientError) as err:
+            served.client.classify(served.pid, **kwargs)
+        assert err.value.status == 400 and message in err.value.message
+        assert any(key.endswith("_b64") for key in served.sent[-1])
+    served.assert_nothing_was_admitted()
+
+
+@pytest.mark.parametrize("precision", ["int8", "float32"])
+def test_non_finite_features_are_a_400_in_either_form(served, precision):
+    """NaN / +-Inf used to be served: float32 answered 200 with ``NaN``
+    in the body (not JSON), int8 cast NaN to a platform-dependent byte,
+    and both wrote NaN confidences into the telemetry store."""
+    import warnings
+
+    good = np.full(N_FEATURES, 0.25, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in cast"
+        for bad in (float("nan"), float("inf"), float("-inf"), 1e39):
+            poisoned = good.astype(np.float64)
+            poisoned[77] = bad
+            rows = [good.tolist(), poisoned.tolist()]
+            bodies = [{"features": poisoned.tolist()}, {"batch": rows}]
+            if bad != 1e39:  # float32 has no 1e39 to pack
+                bodies += [{"features_b64": _b64(poisoned)},
+                           {"batch_b64": _b64(rows), "rows": 2}]
+            for body in bodies:
+                status, reply = served.post({**body, "precision": precision})
+                assert (status, json.loads(reply)["error"]) \
+                    == (400, "features must be finite"), body.keys()
+    served.assert_nothing_was_admitted()
+
+
+def test_malformed_packed_payloads_are_400s_before_any_work(served, monkeypatch):
+    good = np.linspace(-1.0, 1.0, N_FEATURES).astype(np.float32)
+    text = _b64(good)
+    assert len(text) == 684 and text.endswith("=") and not text.endswith("==")
+
+    def error_of(body):
+        reply = served.handle(body)
+        assert reply["status"] == 400, (body.keys(), reply)
+        return reply["error"]
+
+    # Wrong row width is the list path's message, even when the total
+    # divides: 2 x 64 floats are not one 128-float window.
+    halves = good.reshape(2, 64)
+    listed = error_of({"batch": halves.tolist()})
+    assert listed == "expected 128 features (shape (16, 8)), got 64"
+    assert error_of({"batch_b64": _b64(halves), "rows": 2}) == listed
+    assert error_of({"features_b64": _b64(good[:64])}) == listed
+    assert served.handle({"batch_b64": _b64(halves), "rows": 1})["status"] == 200
+
+    # Wrong totals, and a field that is not a string.
+    assert "got 127" in error_of({"features_b64": _b64(good[:-1])})
+    assert "not the base64 of 3 row(s)" in error_of({"batch_b64": text, "rows": 3})
+    assert "base64 string" in error_of({"features_b64": None})
+    assert "not the base64" in error_of({"features_b64": str(good.tolist())})
+
+    # Right length, wrong content: alphabet, padding where data belongs.
+    for bad in (text[:100] + "!" + text[101:], text[:100] + "\n" + text[101:],
+                text[:-2] + "==", "=" + text[1:], text[:-1] + "A",
+                text[:300] + "=" + text[301:]):
+        assert len(bad) == len(text)
+        reply = served.handle({"features_b64": bad})
+        # ``text[:-1] + "A"`` is valid base64 of 513 bytes: one too many.
+        assert reply["status"] == 400 and "base64" in reply["error"], bad[-4:]
+
+    # rows: missing, zero, negative, huge, not a number.
+    assert "needs 'rows'" in error_of({"batch_b64": text})
+    assert "needs 'rows'" in error_of({"batch_b64": text, "rows": None})
+    assert "rows must be >= 1" in error_of({"batch_b64": text, "rows": 0})
+    assert "rows must be >= 1" in error_of({"batch_b64": text, "rows": -1})
+    assert "rows must be int-like" in error_of({"batch_b64": text, "rows": "many"})
+    started = time.perf_counter()
+    assert "not the base64 of" in error_of({"batch_b64": text, "rows": 10**15})
+    assert time.perf_counter() - started < 0.5  # nothing sized by ``rows``
+
+    # Exactly one payload key.
+    payloads = {"features": good.tolist(), "batch": [good.tolist()],
+                "features_b64": text, "batch_b64": text}
+    for a, b in [("features", "features_b64"), ("batch", "batch_b64"),
+                 ("features_b64", "batch_b64"), ("features", "batch")]:
+        assert "exactly one of" in error_of(
+            {a: payloads[a], b: payloads[b], "rows": 1})
+    assert "exactly one of" in error_of({"rows": 1})
+
+    # The decode is guarded by the length check: a wrong-sized field must
+    # be refused without ever reaching base64.
+    import repro.api.resources.serving as route
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a payload of unchecked length")
+
+    monkeypatch.setattr(route.base64, "b64decode", no_decode)
+    for body in ({"features_b64": text + "AAAA"}, {"features_b64": text[:-4]},
+                 {"batch_b64": text * 2, "rows": 3},
+                 {"batch_b64": "A" * 1000, "rows": 10**9}):
+        error_of(body)
+    monkeypatch.undo()
+
+    # MAX_BODY_BYTES still bounds the request, whatever it packs.
+    import repro.api.http as http_module
+
+    monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 512)
+    status, reply = served.post({"features_b64": text})
+    assert status == 413 and "too large" in json.loads(reply)["error"]
+    monkeypatch.undo()
+
+    snap = served.platform.serving.snapshot()
+    assert snap["requests"] == 1  # the one well-formed request above
+    assert served.telemetry.count(served.pid) == 1
+
+
+def test_every_prefix_and_bit_flip_of_a_packed_payload(served):
+    """The every-prefix / bit-flip sweep of test_workers.py, over the
+    base64 text: each mutant is either refused with a 400 or — when it
+    still is base64 of 128 finite floats — served exactly as the list
+    form of the floats it now encodes.  Never a 5xx, never a hang."""
+    good = np.linspace(-2.0, 2.0, N_FEATURES).astype(np.float32)
+    text = _b64(good)
+    want = served.handle({"features": good.tolist()})
+    assert want["status"] == 200
+    assert served.handle({"features_b64": text}) == want
+
+    for cut in range(len(text)):  # lengths = 0..3 mod 4, with and without padding
+        reply = served.handle({"features_b64": text[:cut]})
+        assert reply["status"] == 400, cut
+    for cut in range(0, len(text), 7):
+        reply = served.handle({"batch_b64": text[:cut], "rows": 1})
+        assert reply["status"] == 400, cut
+
+    served_mutants = 0
+    for pos in list(range(0, len(text), 13)) + [len(text) - 2, len(text) - 1]:
+        for bit in range(8):
+            mutant = text[:pos] + chr(ord(text[pos]) ^ (1 << bit)) + text[pos + 1:]
+            reply = served.handle({"features_b64": mutant})
+            try:
+                raw = base64.b64decode(mutant, validate=True)
+                values = np.frombuffer(raw, dtype="<f4")
+                ok = len(raw) == 4 * N_FEATURES and bool(np.isfinite(values).all())
+            except ValueError:
+                ok = False
+            if not ok:
+                assert reply["status"] == 400, (pos, bit, reply)
+                continue
+            served_mutants += 1
+            assert reply == served.handle({"features": values.tolist()}), (pos, bit)
+    assert served_mutants > 20  # the sweep did reach the decoder

@@ -12,10 +12,16 @@
    Each graph is digested twice: whole (``output``: a dozen softmax
    bytes, nearly constant on the untrained VWW model) and cut after its
    last spatial op (``trunk``: thousands of feature-map bytes, which a
-   single off-by-one LSB in any conv changes).
+   single off-by-one LSB in any conv changes).  The graphs themselves
+   are committed (``tests/data/int8_<task>.eir``, the serialised
+   quantized graphs the digests were recorded on) rather than re-derived:
+   post-training calibration runs the float32 kernels, so a reassociated
+   f32 sum — another BLAS, or a rewrite of those kernels — moves a scale
+   by an ulp and would otherwise turn these cases into skips.
 
-Re-record the digests (only ever from a commit whose int8 arithmetic is
-the reference) with ``PYTHONPATH=src python tests/test_int8_fastpath.py``.
+Re-record graphs and digests (only ever from a commit whose int8
+arithmetic is the reference) with
+``PYTHONPATH=src python tests/test_int8_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.tasks import paper_scale_graphs
 from repro.graph import sequential_to_graph
-from repro.graph.serialize import graph_to_bytes
+from repro.graph.serialize import graph_from_bytes, graph_to_bytes
 from repro.nn.architectures import cifar_cnn, ds_cnn
 from repro.quantize import quantize_graph
 from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
@@ -45,7 +51,8 @@ from repro.runtime import (
 from repro.runtime import kernels as K
 from repro.runtime.passes import clone_graph
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "int8_golden.json"
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+GOLDEN_PATH = DATA_DIR / "int8_golden.json"
 GOLDEN_TASKS = ("kws", "ic", "vww")
 GOLDEN_BATCHES = (1, 4)
 
@@ -62,9 +69,13 @@ ROUTES = {
 _SPATIAL = ("CONV_2D", "DEPTHWISE_CONV_2D", "MAX_POOL_2D", "AVG_POOL_2D")
 
 
+def _graph_path(task: str) -> pathlib.Path:
+    return DATA_DIR / f"int8_{task}.eir"
+
+
 @functools.lru_cache(maxsize=None)
 def _golden_graphs(task: str) -> dict:
-    whole = paper_scale_graphs(task).int8_graph
+    whole = graph_from_bytes(_graph_path(task).read_bytes())
     trunk = clone_graph(whole)
     cut = max(i for i, op in enumerate(trunk.ops) if op.opcode in _SPATIAL) + 1
     trunk.ops = trunk.ops[:cut]
@@ -92,18 +103,13 @@ def _digests(task: str, route: str) -> dict[str, str]:
     return out
 
 
-def _graph_fingerprint(task: str) -> str:
-    return hashlib.sha256(graph_to_bytes(_golden_graphs(task)["output"])).hexdigest()
-
-
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("task", GOLDEN_TASKS)
 def test_golden_digests(task, route):
     golden = json.loads(GOLDEN_PATH.read_text())[task]
-    if _graph_fingerprint(task) != golden["graph"]:
-        # Post-training calibration runs float32 BLAS; a different BLAS
-        # build can move a scale by an ulp, which is a different graph.
-        pytest.skip("quantized graph differs from the recorded one on this BLAS")
+    blob = _graph_path(task).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == golden["graph"]
+    assert graph_to_bytes(_golden_graphs(task)["output"]) == blob  # the codec is lossless here
     assert _digests(task, route) == golden["digests"]
 
 
@@ -331,9 +337,11 @@ if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     recorded = {}
     for task in GOLDEN_TASKS:
+        _graph_path(task).write_bytes(graph_to_bytes(paper_scale_graphs(task).int8_graph))
         by_route = {route: _digests(task, route) for route in sorted(ROUTES)}
         digests = by_route["dispatch"]
         assert all(d == digests for d in by_route.values()), by_route
-        recorded[task] = {"graph": _graph_fingerprint(task), "digests": digests}
+        fingerprint = hashlib.sha256(_graph_path(task).read_bytes()).hexdigest()
+        recorded[task] = {"graph": fingerprint, "digests": digests}
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=2) + "\n")
     print(GOLDEN_PATH.read_text())

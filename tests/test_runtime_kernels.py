@@ -1,5 +1,7 @@
-"""Direct int8-kernel correctness: each integer kernel vs its float
-reference under controlled quantization, plus hypothesis sweeps."""
+"""Direct kernel correctness: each integer kernel vs its float reference
+under controlled quantization, and each float32 conv / dense kernel vs a
+float64 loop-over-taps reference that shares no code with it (the e2e
+oracle runs the runtime's own kernels, so it cannot vouch for them)."""
 
 import numpy as np
 import pytest
@@ -169,3 +171,227 @@ def test_conv2d_int8_property(stride, size, channels):
                         in_zp=xq_p.zero_point, out_zp=oq_p.zero_point,
                         out_mult=[mult] * 2, out_shift=[shift] * 2)
     assert np.abs(oq_p.dequantize(out_q) - ref).max() < 4 * float(oq_p.scale[0]) + 0.03
+
+
+# -- float32 kernels vs a float64 loop-over-taps reference ---------------------
+#
+# The reference accumulates tap by tap with explicit loops (no einsum, no
+# tensordot, no matmul over the window), in float64, so a wrong window
+# index, a wrong K order or a mis-tiled tap in the kernels cannot cancel
+# against the same mistake here.
+
+ACTIVATIONS = ("none", "relu", "relu6")
+
+
+def _ref_activation(out, activation):
+    if activation == "relu":
+        return np.maximum(out, 0.0)
+    if activation == "relu6":
+        return np.minimum(np.maximum(out, 0.0), 6.0)
+    return out
+
+
+def _ref_conv2d(x, w, b, stride, pad_h, pad_w, activation, depthwise=False):
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    xp = np.pad(x, ((0, 0), tuple(pad_h), tuple(pad_w), (0, 0)))
+    kh, kw, c, last = w.shape
+    oh = (xp.shape[1] - kh) // stride + 1
+    ow = (xp.shape[2] - kw) // stride + 1
+    out = np.zeros((x.shape[0], oh, ow, c * last if depthwise else last))
+    for i in range(kh):
+        for j in range(kw):
+            tap = xp[:, i : i + (oh - 1) * stride + 1 : stride,
+                     j : j + (ow - 1) * stride + 1 : stride, :]
+            for ch in range(c):
+                if depthwise:  # channel ch feeds outputs ch*mult .. ch*mult+mult-1
+                    out[..., ch * last : (ch + 1) * last] += tap[..., ch, None] * w[i, j, ch]
+                else:
+                    out += tap[..., ch, None] * w[i, j, ch]
+    return _ref_activation(out + b.astype(np.float64), activation)
+
+
+def _ref_conv1d(x, w, b, stride, pad, activation):
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    xp = np.pad(x, ((0, 0), tuple(pad), (0, 0)))
+    k, c, cout = w.shape
+    ot = (xp.shape[1] - k) // stride + 1
+    out = np.zeros((x.shape[0], ot, cout))
+    for i in range(k):
+        tap = xp[:, i : i + (ot - 1) * stride + 1 : stride, :]
+        for ch in range(c):
+            out += tap[..., ch, None] * w[i, ch]
+    return _ref_activation(out + b.astype(np.float64), activation)
+
+
+def _ref_fc(x, w, b, activation):
+    out = np.zeros((x.shape[0], w.shape[1]))
+    for k in range(w.shape[0]):
+        out += x[:, k, None].astype(np.float64) * w[k].astype(np.float64)
+    return _ref_activation(out + b.astype(np.float64), activation)
+
+
+def _assert_f32_kernel(fn, ref_fn, x, *args):
+    """``fn(x, *args)`` is float32, within rtol 1e-5 of the reference's
+    output scale, and leaves ``x`` bit-unchanged (the in-place bias /
+    activation tail must run on the kernel's own allocation: a residual
+    ADD may still read the input)."""
+    kept = x.copy()
+    got = fn(x, *args)
+    want = ref_fn(x, *args)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert not np.shares_memory(got, x)
+    assert x.tobytes() == kept.tobytes()
+    scale = max(float(np.abs(want).max()), 1.0)
+    assert np.abs(got - want).max() <= 1e-5 * scale
+    return got
+
+
+def _f32_operands(seed, x_shape, w_shape, cout):
+    rng = np.random.default_rng(seed)
+    x = (3.0 * rng.standard_normal(x_shape)).astype(np.float32)
+    w = rng.standard_normal(w_shape).astype(np.float32)
+    b = rng.standard_normal(cout).astype(np.float32)
+    return x, w, b
+
+
+_pads = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 3), height=st.integers(1, 9), width=st.integers(1, 7),
+    cin=st.integers(1, 5), cout=st.integers(1, 4),
+    kernel=st.sampled_from([(1, 1), (3, 3), (2, 3), (5, 1), (1, 2), (4, 1), (5, 2)]),
+    stride=st.integers(1, 3), pad_h=_pads, pad_w=_pads,
+    activation=st.sampled_from(ACTIVATIONS), seed=st.integers(0, 2**16),
+)
+def test_conv2d_f32_matches_float64_reference(
+    batch, height, width, cin, cout, kernel, stride, pad_h, pad_w, activation, seed
+):
+    kh, kw = kernel
+    if height + sum(pad_h) < kh or width + sum(pad_w) < kw:
+        return
+    x, w, b = _f32_operands(seed, (batch, height, width, cin), (kh, kw, cin, cout), cout)
+    _assert_f32_kernel(
+        K.conv2d_f32, _ref_conv2d, x, w, b, stride, pad_h, pad_w, activation
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batch=st.integers(1, 3), height=st.integers(1, 9), width=st.integers(1, 7),
+    channels=st.integers(1, 5), mult=st.sampled_from([1, 1, 2]),
+    kernel=st.sampled_from([(3, 3), (2, 3), (3, 1), (1, 1)]),
+    stride=st.sampled_from([1, 1, 2]), pad_h=_pads, pad_w=_pads,
+    activation=st.sampled_from(ACTIVATIONS), transposed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_dwconv2d_f32_matches_float64_reference(
+    batch, height, width, channels, mult, kernel, stride, pad_h, pad_w,
+    activation, transposed, seed,
+):
+    kh, kw = kernel
+    if height + sum(pad_h) < kh or width + sum(pad_w) < kw:
+        return
+    x, w, b = _f32_operands(
+        seed, (batch, height, width, channels), (kh, kw, channels, mult), channels * mult
+    )
+    if transposed:  # a TRANSPOSE op hands kernels a non-contiguous NHWC view
+        x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        assert not x.flags.c_contiguous or 1 in (height, width)
+    _assert_f32_kernel(
+        lambda *a: K.dwconv2d_f32(*a),
+        lambda *a: _ref_conv2d(*a, depthwise=True),
+        x, w, b, stride, pad_h, pad_w, activation,
+    )
+
+
+@pytest.mark.parametrize("case", [
+    # (x shape, kernel, stride, pad_h, pad_w): every depthwise route
+    ((2, 25, 5, 8), (3, 3), 1, (1, 1), (1, 1)),   # flat rows (the DS-CNN block)
+    ((2, 6, 1, 3), (3, 1), 1, (1, 1), (0, 0)),    # width 1
+    ((2, 7, 6, 3), (3, 3), 1, (0, 2), (3, 0)),    # asymmetric pads
+    ((2, 5, 4, 3), (3, 3), 1, (0, 0), (0, 0)),    # no pad: the input itself is viewed
+    ((2, 9, 8, 4), (3, 3), 2, (0, 1), (0, 1)),    # stride 2 (the MobileNet block)
+])
+@pytest.mark.parametrize("mult", [1, 2])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dwconv2d_f32_routes(case, mult, activation):
+    x_shape, kernel, stride, pad_h, pad_w = case
+    c = x_shape[-1]
+    x, w, b = _f32_operands(len(x_shape) + mult, x_shape, kernel + (c, mult), c * mult)
+    ref = lambda *a: _ref_conv2d(*a, depthwise=True)
+    got = _assert_f32_kernel(K.dwconv2d_f32, ref, x, w, b, stride, pad_h, pad_w, activation)
+    # A non-contiguous view of the same values takes the window route.
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    got_t = _assert_f32_kernel(K.dwconv2d_f32, ref, xt, w, b, stride, pad_h, pad_w, activation)
+    assert np.allclose(got, got_t, rtol=1e-5, atol=1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 3), length=st.integers(1, 12), cin=st.integers(1, 4),
+    cout=st.integers(1, 4), k=st.integers(1, 4), stride=st.integers(1, 3),
+    pad=_pads, activation=st.sampled_from(ACTIVATIONS), seed=st.integers(0, 2**16),
+)
+def test_conv1d_f32_matches_float64_reference(
+    batch, length, cin, cout, k, stride, pad, activation, seed
+):
+    if length + sum(pad) < k:
+        return
+    x, w, b = _f32_operands(seed, (batch, length, cin), (k, cin, cout), cout)
+    _assert_f32_kernel(K.conv1d_f32, _ref_conv1d, x, w, b, stride, pad, activation)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    batch=st.integers(1, 5), k=st.integers(1, 40), cout=st.integers(1, 6),
+    activation=st.sampled_from(ACTIVATIONS), seed=st.integers(0, 2**16),
+)
+def test_fc_f32_matches_float64_reference(batch, k, cout, activation, seed):
+    x, w, b = _f32_operands(seed, (batch, k), (k, cout), cout)
+    _assert_f32_kernel(K.fc_f32, _ref_fc, x, w, b, activation)
+
+
+def test_tall_kernel_takes_the_column_major_gather_and_stays_equal():
+    """kh > kw*c (the KWS first layer, 10x4 over one channel) orders K as
+    (kw, c, kh); a mismatch between that gather and the transposed
+    weights would survive any symmetric-kernel test."""
+    x, w, b = _f32_operands(9, (3, 49, 10, 1), (10, 4, 1, 6), 6)
+    _assert_f32_kernel(K.conv2d_f32, _ref_conv2d, x, w, b, 2, (4, 5), (1, 1), "relu")
+    x, w, b = _f32_operands(10, (2, 12, 5, 2), (7, 3, 2, 4), 4)  # kh > kw*c with c > 1
+    _assert_f32_kernel(K.conv2d_f32, _ref_conv2d, x, w, b, 1, (3, 3), (1, 1), "none")
+
+
+@pytest.mark.parametrize("stride,pad", [(1, (1, 1)), (2, (0, 1))])
+@pytest.mark.parametrize("mult", [1, 2])
+def test_dwconv2d_f32_is_batch_invariant_bit_for_bit(stride, pad, mult):
+    """Row ``i`` of a batch-16 call equals the batch-1 call on row ``i``:
+    each output element accumulates its taps in the same order whatever
+    the batch size (the GEMM kernels make no such promise)."""
+    x, w, b = _f32_operands(21, (16, 25, 5, 64), (3, 3, 64, mult), 64 * mult)
+    whole = K.dwconv2d_f32(x, w, b, stride, pad, pad, "relu")
+    for i in (0, 7, 15):
+        alone = K.dwconv2d_f32(x[i : i + 1], w, b, stride, pad, pad, "relu")
+        assert alone.tobytes() == whole[i : i + 1].tobytes()
+
+
+def test_elementwise_f32_kernels_return_float32_and_keep_their_input():
+    x = (4.0 * RNG.standard_normal((3, 6, 4, 5))).astype(np.float32)
+    kept = x.copy()
+    for out, want in [
+        (K.add_f32(x, x, "relu6"), np.clip(2.0 * x.astype(np.float64), 0.0, 6.0)),
+        (K.add_f32(x, x), 2.0 * x.astype(np.float64)),
+        (K.avgpool2d_f32(x, 2),
+         x[:, :6, :4].astype(np.float64).reshape(3, 3, 2, 2, 2, 5).mean(axis=(2, 4))),
+        (K.gap2d_f32(x), x.astype(np.float64).mean(axis=(1, 2))),
+        (K.gap1d_f32(x[:, :, 0]), x[:, :, 0].astype(np.float64).mean(axis=1)),
+    ]:
+        assert out.dtype == np.float32 and not np.shares_memory(out, x)
+        assert np.allclose(out, want, rtol=1e-5, atol=1e-6)
+    logits = x.reshape(3, -1)
+    probs = K.softmax_f32(logits)
+    e = np.exp(logits.astype(np.float64) - logits.max(axis=1, keepdims=True))
+    assert probs.dtype == np.float32 and not np.shares_memory(probs, x)
+    assert np.allclose(probs, e / e.sum(axis=1, keepdims=True), rtol=1e-5, atol=1e-8)
+    assert x.tobytes() == kept.tobytes()

@@ -134,6 +134,68 @@ def test_batch_admission_is_all_or_nothing(platform, placement,
         assert server.telemetry.count(pid) == 5
 
 
+def test_one_array_batch_equals_the_list_of_rows(platform, placement,
+                                                 tiny_classification_problem):
+    """``classify_batch`` takes the rows as one array — ``(n, size)`` as a
+    packed request decodes to, or ``(n, *feature_shape)`` — validates it
+    once, and serves exactly what the list of rows gets, float32
+    included (same rows, same batch, same kernels).  The array may be a
+    read-only view of request bytes: nothing on the path writes to it."""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    flat = np.frombuffer(x[:6].tobytes(), dtype="<f4").reshape(6, -1)
+    assert not flat.flags.writeable
+    with make_server(platform, placement) as server:
+        for precision in ("int8", "float32"):
+            want = server.classify_batch(pid, [row.tolist() for row in flat],
+                                         precision=precision)
+            assert server.classify_batch(pid, flat, precision=precision) == want
+            assert server.classify_batch(pid, x[:6], precision=precision) == want
+            assert server.classify_batch(pid, list(x[:6]), precision=precision) == want
+            # Rows of differing nesting still go row by row.
+            mixed = [x[0], x[1].reshape(-1).tolist(), *x[2:6]]
+            assert server.classify_batch(pid, mixed, precision=precision) == want
+        with pytest.raises(ServingError, match="expected 128 features"):
+            server.classify_batch(pid, flat.reshape(12, 64))  # the total divides
+        with pytest.raises(ServingError, match="expected 128 features"):
+            server.classify_batch(pid, flat.reshape(-1))
+        with pytest.raises(ServingError, match="non-empty list"):
+            server.classify_batch(pid, flat[:0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_non_finite_features_never_pass_admission(platform, placement, bad,
+                                                  tiny_classification_problem):
+    """NaN / +-Inf (and a double that overflows the float32 cast) are
+    refused before a ticket exists — on every entry point, either
+    precision, all-or-nothing for a batch — so no worker sees them and
+    no NaN confidence reaches the telemetry store."""
+    import warnings
+
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    poisoned = x[1].astype(np.float64)
+    poisoned[3, 5] = bad
+    stacked = np.stack([x[0], poisoned])  # float64: the cast is the server's
+    with make_server(platform, placement) as server, warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "invalid value encountered in cast"
+        server.telemetry = TelemetryStore()
+        for precision in ("int8", "float32"):
+            for call in (
+                lambda: server.classify(pid, poisoned, precision=precision),
+                lambda: server.submit(pid, poisoned.tolist(), precision=precision),
+                lambda: server.classify_batch(pid, [x[0], poisoned, x[2]],
+                                              precision=precision),
+                lambda: server.classify_batch(pid, stacked, precision=precision),
+            ):
+                with pytest.raises(ServingError, match="^features must be finite$"):
+                    call()
+        snap = server.snapshot()
+        assert snap["requests"] == snap["batches"] == snap["batch_errors"] == 0
+        assert all(s["queue_depth"] == 0 for s in snap["per_shard"])
+        assert server.telemetry.count(pid) == 0
+
+
 def test_queue_full_sheds_the_whole_group(platform, placement,
                                           tiny_classification_problem):
     """Overload sheds with a clear error instead of queueing unboundedly;

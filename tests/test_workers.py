@@ -1,5 +1,6 @@
 """Worker-process plumbing: frame protocol, handles, pools, heartbeats."""
 
+import os
 import socket
 import struct
 import threading
@@ -121,6 +122,25 @@ def test_unpack_array_validates_spec_against_blob():
         unpack_array({**spec, "shape": [2, 4]}, blob)  # size mismatch
     with pytest.raises(FrameError):
         unpack_array({**spec, "dtype": "complex128"}, blob)  # not whitelisted
+
+
+# -- worker environment -----------------------------------------------------
+
+
+def test_worker_env_defaults_blas_to_one_thread_and_exports_win(monkeypatch):
+    """N workers must not each start a BLAS thread per core; a value the
+    operator exported is left alone."""
+    from repro.core.workers.client import _worker_env
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    env = _worker_env()
+    assert [env[name] for name in names] == ["1", "1", "1"]
+    assert not any(name in os.environ for name in names)  # the parent is not touched
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    env = _worker_env()
+    assert env["OPENBLAS_NUM_THREADS"] == "4" and env["OMP_NUM_THREADS"] == "1"
 
 
 # -- worker handles ---------------------------------------------------------
