@@ -1,15 +1,13 @@
 """AutoML — the EON Tuner (paper Sec. 4.7, Table 3, Figure 3).
 
 Searches the joint DSP-preprocessing x model-architecture space under
-device resource constraints.  The shipping algorithm is random search with
-a resource-heuristic screen; Hyperband and a surrogate-model (Bayesian)
-search — the paper's "future work" — are implemented as drop-in strategies.
+device resource constraints.  The algorithm is the shipping one: random
+search with a resource-heuristic screen (Hyperband and surrogate-model
+search are the paper's "future work" and are not implemented here).
 """
 
 from repro.automl.space import SearchSpace, kws_search_space
 from repro.automl.tuner import EonTuner, TunerConstraints, TunerTrial
-from repro.automl.hyperband import hyperband_search
-from repro.automl.bayesian import surrogate_search
 
 __all__ = [
     "SearchSpace",
@@ -17,6 +15,4 @@ __all__ = [
     "EonTuner",
     "TunerConstraints",
     "TunerTrial",
-    "hyperband_search",
-    "surrogate_search",
 ]

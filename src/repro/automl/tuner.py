@@ -203,14 +203,9 @@ class EonTuner:
         dsp_spec: dict,
         model_spec: dict,
         seed: int = 0,
-        epochs: int | None = None,
-        skip_if_infeasible: bool = True,
     ) -> TunerTrial:
         """Price + (maybe) train one configuration, recording the trial."""
-        trial = self._evaluate_trial(
-            dsp_spec, model_spec, seed=seed, epochs=epochs,
-            skip_if_infeasible=skip_if_infeasible,
-        )
+        trial = self._evaluate_trial(dsp_spec, model_spec, seed=seed)
         self.trials.append(trial)
         return trial
 
@@ -219,8 +214,6 @@ class EonTuner:
         dsp_spec: dict,
         model_spec: dict,
         seed: int = 0,
-        epochs: int | None = None,
-        skip_if_infeasible: bool = True,
     ) -> TunerTrial:
         """One trial's work, without touching ``self.trials`` — safe to run
         concurrently from child jobs (results are committed in submission
@@ -251,13 +244,13 @@ class EonTuner:
         if compress_spec:
             trial.extra["compress"] = dict(compress_spec)
         trial.meets_constraints = self._check(trial)
-        if trial.meets_constraints or not skip_if_infeasible:
+        if trial.meets_constraints:
             rng = ensure_rng(seed)
             order = rng.permutation(len(feats))
             n_val = max(1, int(len(feats) * self.val_fraction))
             val_idx, train_idx = order[:n_val], order[n_val:]
             cfg = TrainingConfig(
-                epochs=epochs or self.train_epochs,
+                epochs=self.train_epochs,
                 batch_size=self.batch_size,
                 learning_rate=3e-3,
                 validation_split=0.0,

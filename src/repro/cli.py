@@ -233,19 +233,14 @@ def _cmd_deploy(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    """Classify raw recordings through the serving layer (compiled model,
-    micro-batched over each file's windows)."""
-    project = load_project(args.dir)
-    if project.impulse is None:
-        print("project has no impulse; run set-impulse and train first")
-        return 1
-
+def _classify_files(project, server, args) -> bool:
+    """Ingest each recording, classify its windows as one batch through
+    ``server`` and print the mean over windows (as live classification
+    does).  False — after printing why — on the first file that fails."""
     from repro.data.dataset import Dataset
     from repro.data.ingestion import IngestionService
-    from repro.serve import ModelServer, ServingError
+    from repro.serve import ServingError
 
-    server = ModelServer.for_project(project)
     scratch = IngestionService(Dataset(name="classify-scratch"))
     for filename in args.files:
         try:
@@ -259,8 +254,7 @@ def _cmd_classify(args) -> int:
             )
         except (OSError, ValueError, ServingError) as exc:
             print(f"  {filename}: error: {exc}")
-            return 1
-        # Mean over the recording's windows, as live classification does.
+            return False
         labels = results[0]["classification"].keys()
         mean = {
             label: sum(r["classification"][label] for r in results) / len(results)
@@ -270,6 +264,22 @@ def _cmd_classify(args) -> int:
         detail = ", ".join(f"{label}={p:.3f}" for label, p in
                            sorted(mean.items(), key=lambda kv: -kv[1]))
         print(f"  {filename}: {top} ({detail}) [{len(results)} window(s)]")
+    return True
+
+
+def _cmd_classify(args) -> int:
+    """Classify raw recordings through the serving layer (compiled model,
+    micro-batched over each file's windows)."""
+    project = load_project(args.dir)
+    if project.impulse is None:
+        print("project has no impulse; run set-impulse and train first")
+        return 1
+
+    from repro.serve import ModelServer
+
+    server = ModelServer.for_project(project)
+    if not _classify_files(project, server, args):
+        return 1
     stats = server.snapshot()
     print(f"served {stats['requests']} window(s) in {stats['batches']} batch(es), "
           f"mean batch size {stats['mean_batch_size']:.1f}")
@@ -340,12 +350,12 @@ def _cmd_serve_http(args) -> int:
 def _cmd_serve(args) -> int:
     """Classify recordings through the multi-worker sharded serving tier.
 
-    Every window of every file is submitted as an independent async
-    request and the owning shard worker drains its queue in batched
-    gulps.  Shards partition the model cache by (project, precision,
-    engine), so a single project's traffic lands on one shard — the
-    other ``--workers`` shards are capacity for *other* models, which is
-    where the multi-worker speedup shows (see
+    Each file's windows are admitted to the owning shard's queue as one
+    group and its worker drains them in batched gulps.  Shards partition
+    the model cache by (project, precision, engine), so a single
+    project's traffic lands on one shard — the other ``--workers``
+    shards are capacity for *other* models, which is where the
+    multi-worker speedup shows (see
     ``benchmarks/bench_serving_throughput.py``); the per-shard stats
     printed at the end make the placement visible.
 
@@ -366,39 +376,14 @@ def _cmd_serve(args) -> int:
         print("project has no impulse; run set-impulse and train first")
         return 1
 
-    from repro.data.dataset import Dataset
-    from repro.data.ingestion import IngestionService
-    from repro.serve import ModelServer, ServingError
+    from repro.serve import ModelServer
 
-    scratch = IngestionService(Dataset(name="serve-scratch"))
     with ModelServer.for_project(
         project, placement="process" if args.process else "thread",
         workers=args.workers,
     ) as server:
-        for filename in args.files:
-            try:
-                payload = pathlib.Path(filename).read_bytes()
-                sample_id = scratch.ingest(payload, label="?", fmt=args.format)
-                sample = scratch.dataset.get(sample_id)
-                features = project.impulse.features_for_sample(sample)
-                tickets = [
-                    server.submit(project.project_id, window,
-                                  precision=args.precision, engine=args.engine)
-                    for window in features
-                ]
-                results = [t.value() for t in tickets]
-            except (OSError, ValueError, ServingError) as exc:
-                print(f"  {filename}: error: {exc}")
-                return 1
-            labels = results[0]["classification"].keys()
-            mean = {
-                label: sum(r["classification"][label] for r in results) / len(results)
-                for label in labels
-            }
-            top = max(mean, key=mean.get)
-            print(f"  {filename}: {top} "
-                  f"({', '.join(f'{l}={p:.3f}' for l, p in sorted(mean.items(), key=lambda kv: -kv[1]))}) "
-                  f"[{len(results)} window(s)]")
+        if not _classify_files(project, server, args):
+            return 1
         stats = server.snapshot()
     print(f"served {stats['requests']} window(s) across {stats['workers']} worker shard(s): "
           f"{stats['batches']} batch(es), mean batch size {stats['mean_batch_size']:.1f}")

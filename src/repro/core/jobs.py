@@ -90,6 +90,8 @@ class Job:
     parent_id: int | None = None
     group: str | None = None
     children: list[int] = field(default_factory=list)
+    #: What a journal needs to resubmit the job after a restart (or None).
+    spec: dict | None = None
 
     def __post_init__(self):
         self._lock = threading.Lock()
@@ -103,9 +105,6 @@ class Job:
         self._finalize: Callable[["Job", list["Job"]], object] | None = None
         self._on_child_done: Callable[["Job", "Job"], None] | None = None
         self._fail_on_child_failure = True
-        # Terminal-state observer (set via submit(on_done=...)); fired
-        # outside the executor lock once, when the job lands.
-        self._on_done: Callable[["Job"], None] | None = None
 
     # -- worker-side hooks --------------------------------------------------
 
@@ -207,6 +206,11 @@ class JobExecutor:
         self._shutdown = False  # guarded-by: _cond
         self._group_limits: dict[str, int] = {}  # guarded-by: _cond
         self._group_running: dict[str, int] = {}  # guarded-by: _cond
+        # Optional lifecycle journal (the durable control plane sets one
+        # per project executor): ``job_begun(job)`` for every job this
+        # executor creates, ``job_done(job)`` once when it lands — both
+        # outside the executor lock.  Set before the first submit.
+        self.journal = None
 
     # -- submission ---------------------------------------------------------
 
@@ -217,15 +221,14 @@ class JobExecutor:
         retries: int = 0,
         parent: "Job | int | None" = None,
         group: str | None = None,
-        on_done: Callable[[Job], None] | None = None,
+        spec: dict | None = None,
     ) -> Job:
         """Queue a job; returns immediately with the (queued) Job.
 
         ``parent`` links the job under a coordinator created with
         :meth:`spawn_parent`; ``group`` subjects it to that group's
-        in-flight cap (see :meth:`set_group_limit`); ``on_done`` fires
-        once, outside the executor lock, when the job reaches a terminal
-        state (the durable control plane journals job completion here).
+        in-flight cap (see :meth:`set_group_limit`); ``spec`` rides on
+        the job for the journal (what a restart needs to resubmit it).
         """
         with self._cond:
             if self._shutdown:
@@ -234,9 +237,8 @@ class JobExecutor:
             job = Job(
                 job_id=self._next_id, name=name, fn=fn, max_retries=retries,
                 parent_id=parent_job.job_id if parent_job else None,
-                group=group,
+                group=group, spec=spec,
             )
-            job._on_done = on_done
             self._next_id += 1
             self.jobs[job.job_id] = job
             if parent_job is not None:
@@ -248,6 +250,8 @@ class JobExecutor:
             self._pending.append(job.job_id)
             self._autoscale_locked()
             self._cond.notify()
+        if self.journal is not None:
+            self.journal.job_begun(job)
         return job
 
     def _resolve_parent_locked(self, parent: "Job | int | None") -> Job | None:
@@ -304,6 +308,8 @@ class JobExecutor:
                 if parent_job.cancel_requested:
                     job._cancel.set()
         job.log(f"parent job {job.job_id} ({name}) spawned")
+        if self.journal is not None:
+            self.journal.job_begun(job)
         return job
 
     def seal_parent(self, parent: "Job | int") -> None:
@@ -462,7 +468,7 @@ class JobExecutor:
         job.log(log)  # before the status: a reader that sees `done` has every line
         job.status = status
         job._done.set()
-        if job._on_done is not None:
+        if self.journal is not None:
             notes.append(("ondone", job.job_id))
         if job.parent_id is not None:
             notes.append(("done", job.job_id))
@@ -472,6 +478,7 @@ class JobExecutor:
     def _process_notes(self, notes: list[tuple[str, int]]) -> None:
         """Drive parent bookkeeping outside the executor lock.
 
+        ``("ondone", job_id)`` reports a landed job to the journal;
         ``("done", child_id)`` fires the parent's ``on_child_done`` then
         re-checks the parent; ``("check", parent_id)`` re-checks
         completion directly.  Completion of a parent appends a ``done``
@@ -485,11 +492,9 @@ class JobExecutor:
                 continue
             if kind == "ondone":
                 try:
-                    job._on_done(job)
+                    self.journal.job_done(job)
                 except Exception as exc:  # noqa: BLE001 - observer isolation
-                    job.log(
-                        f"on_done callback error: {type(exc).__name__}: {exc}"
-                    )
+                    job.log(f"journal error: {type(exc).__name__}: {exc}")
             elif kind == "done":
                 with self._cond:
                     parent = self.jobs.get(job.parent_id)

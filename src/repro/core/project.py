@@ -102,8 +102,9 @@ class Project:
         self.saved_leaderboards: dict[int, list[dict]] = {}
         self.applied_trial: dict | None = None
         # Durable control plane hook (repro.core.storage.durable): set on
-        # projects owned by a Platform(state_dir=...); None everywhere
-        # else, so undurable projects pay nothing.
+        # projects owned by a Platform(state_dir=...) — together with
+        # ``self.jobs.journal`` — and None everywhere else, so undurable
+        # projects pay nothing.
         self._durability = None
 
     # -- durability notifications -------------------------------------------
@@ -118,16 +119,19 @@ class Project:
         if self._durability is not None:
             self._durability.committed(self)
 
-    def _durable_job(self, job: Job, kind: str, spec: dict | None) -> None:
-        if self._durability is not None:
-            self._durability.job_begun(self, job, kind, spec)
+    def _submit(self, name: str, fn, mutates: bool = False,
+                retries: int = 0, spec: dict | None = None) -> Job:
+        """Queue ``fn`` on the project's executor.  A job that ``mutates``
+        trained state runs under the mutation lock; ``spec`` is what a
+        durable platform needs to resubmit the job after a restart."""
 
-    def _durable_on_done(self):
-        """The ``on_done`` callback journaling job completion (or None)."""
-        if self._durability is None:
-            return None
-        durability = self._durability
-        return lambda job: durability.job_done(self, job)
+        def locked(job: Job):
+            with self._mutation_lock:
+                return fn(job)
+
+        return self.jobs.submit(
+            name, locked if mutates else fn, retries=retries, spec=spec
+        )
 
     # -- collaboration ------------------------------------------------------
 
@@ -163,10 +167,6 @@ class Project:
         worker pool does the work)."""
         if self.impulse is None:
             raise RuntimeError("set an impulse before training")
-
-        def _run(job: Job) -> dict:
-            with self._mutation_lock:
-                return _train(job)
 
         def _train(job: Job) -> dict:
             impulse = self.impulse
@@ -207,14 +207,10 @@ class Project:
             self._durable_commit()
             return metrics
 
-        job = self.jobs.submit(
-            "train", _run, retries=retries, on_done=self._durable_on_done()
-        )
-        self._durable_job(
-            job, kind="train",
+        return self._submit(
+            "train", _train, mutates=True, retries=retries,
             spec={"seed": seed, "quantize": quantize, "retries": retries},
         )
-        return job
 
     def train(self, seed: int = 0, quantize: bool = True) -> Job:
         """Train synchronously: queue the job, wait, raise on failure."""
@@ -235,10 +231,6 @@ class Project:
             raise RuntimeError("DSP autotune needs a time-series input block")
         if not 0 <= block_index < len(self.impulse.dsp_blocks):
             raise IndexError(f"no DSP block at index {block_index}")
-
-        def _run(job: Job) -> dict:
-            with self._mutation_lock:
-                return _autotune(job)
 
         def _autotune(job: Job) -> dict:
             from repro.dsp import autotune_dsp
@@ -268,14 +260,10 @@ class Project:
             return {"block_index": block_index, "config": tuned.config(),
                     "windows_used": min(len(windows), max_windows)}
 
-        job = self.jobs.submit(
-            "dsp-autotune", _run, on_done=self._durable_on_done()
-        )
-        self._durable_job(
-            job, kind="dsp-autotune",
+        return self._submit(
+            "dsp-autotune", _autotune, mutates=True,
             spec={"block_index": block_index, "max_windows": max_windows},
         )
-        return job
 
     # -- EON Tuner (distributed trials on the project's executor) -----------
 
@@ -481,7 +469,7 @@ class Project:
             job.log(f"profiling for {device_key} ({precision}/{engine})")
             return self.profile(device_key, precision=precision, engine=engine)
 
-        return self.jobs.submit("profile", _run)
+        return self._submit("profile", _run)
 
     def deploy_async(
         self, target: str = "cpp", engine: str = "eon", precision: str = "int8"
@@ -497,7 +485,7 @@ class Project:
             # JSON-safe: the manifest, not the artifact object itself.
             return {"manifest": artifact.manifest()}
 
-        return self.jobs.submit("deploy", _run)
+        return self._submit("deploy", _run)
 
     # -- evaluation ------------------------------------------------------------------
 

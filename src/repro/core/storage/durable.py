@@ -232,12 +232,16 @@ class LazyProjectMap(dict):
 
 
 class _ProjectDurability:
-    """The hook object a durable platform installs on each project
-    (``project._durability``) — the only coupling project.py has to the
-    storage layer is calling these at its commit points."""
+    """The hook object a durable platform installs on each project: as
+    ``project._durability`` (project.py calls it at its commit points —
+    its only coupling to the storage layer) and as the project
+    executor's ``journal``, so every job the executor creates — train,
+    profile, deploy, tuner / compression parents and their trial
+    children — is journaled begun and, once, landed."""
 
-    def __init__(self, registry: "DurableRegistry"):
+    def __init__(self, registry: "DurableRegistry", pid: int):
         self.registry = registry
+        self.pid = pid
 
     def meta_changed(self, project) -> None:
         self.registry.record({
@@ -253,15 +257,15 @@ class _ProjectDurability:
         """A mutating job committed trained state: checkpoint the tree."""
         self.registry.checkpoint(project)
 
-    def job_begun(self, project, job, kind: str, spec: dict | None) -> None:
+    def job_begun(self, job) -> None:
         self.registry.record({
-            "op": "job_begin", "pid": project.project_id, "jid": job.job_id,
-            "name": job.name, "kind": kind, "spec": spec,
+            "op": "job_begin", "pid": self.pid, "jid": job.job_id,
+            "name": job.name, "kind": job.name, "spec": job.spec,
         })
 
-    def job_done(self, project, job) -> None:
+    def job_done(self, job) -> None:
         self.registry.record({
-            "op": "job_end", "pid": project.project_id, "jid": job.job_id,
+            "op": "job_end", "pid": self.pid, "jid": job.job_id,
             "name": job.name, "status": job.status, "error": job.error,
         })
 
@@ -284,7 +288,6 @@ class DurableRegistry:
         # RLock: checkpoint() journals while already holding the lock.
         self._lock = threading.RLock()
         self._checkpoints = 0  # guarded-by: _lock (unique tree dir names)
-        self.hooks = _ProjectDurability(self)
         self.resumed_jobs: list[int] = []  # job ids resubmitted on recovery
 
     # -- journaling (the runtime write path) --------------------------------
@@ -322,7 +325,8 @@ class DurableRegistry:
                 shutil.rmtree(old, ignore_errors=True)
 
     def bind_project(self, project) -> None:
-        project._durability = self.hooks
+        hooks = _ProjectDurability(self, project.project_id)
+        project._durability = project.jobs.journal = hooks
 
     def spill_reference(self, project_id: int, records) -> None:
         """Journal a monitor reference window (bounded; raw payloads are

@@ -211,8 +211,6 @@ class WorkerServer:
         trial = self._tuner._evaluate_trial(
             params["dsp_spec"], params["model_spec"],
             seed=int(params.get("seed", 0)),
-            epochs=params.get("epochs"),
-            skip_if_infeasible=bool(params.get("skip_if_infeasible", True)),
         )
         return {"trial": asdict(trial)}, ()
 

@@ -4,10 +4,11 @@ The hosted platform serves inference for thousands of projects behind a
 REST API; this package is that tier.  :class:`ModelServer` compiles each
 (project, precision, engine) once into a plan-backed model, caches it in
 a sharded LRU, and coalesces classify requests into batched invokes.
-``ModelServer(platform, placement=...)`` picks where those invokes run:
-``"inline"`` (the caller's thread, via :class:`MicroBatcher`),
-``"thread"`` (one queue-draining thread per shard) or ``"process"``
-(one :mod:`repro.core.workers` process per shard).  Reached over
+Every request joins its shard's bounded queue; ``ModelServer(platform,
+placement=...)`` picks who drains it and where the invokes run:
+``"inline"`` (the submitting caller, in its own thread), ``"thread"``
+(one queue-draining thread per shard) or ``"process"`` (that thread plus
+one :mod:`repro.core.workers` process per shard).  Reached over
 ``POST /v1/projects/{pid}/classify`` and ``GET /v1/serving/stats``
 (:mod:`repro.api.resources.serving`), and the ``classify`` / ``serve``
 CLI commands.
@@ -15,8 +16,8 @@ CLI commands.
 
 import functools
 
-from repro.serve.batcher import MicroBatcher, PendingResult, ServingError
 from repro.serve.server import ModelNotTrainedError, ModelServer
+from repro.serve.shard import PendingResult, ServingError
 
 # The pre-placement constructor names, importable because the frozen
 # benchmarks/e2e probe pass constructs them.  They pin ``placement`` and
@@ -25,7 +26,6 @@ ShardedModelServer = functools.partial(ModelServer, placement="thread")
 ProcessShardedModelServer = functools.partial(ModelServer, placement="process")
 
 __all__ = [
-    "MicroBatcher",
     "PendingResult",
     "ModelServer",
     "ServingError",

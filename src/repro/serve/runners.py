@@ -31,7 +31,7 @@ from repro.core.workers.frames import pack_array, unpack_array
 from repro.graph.serialize import graph_to_bytes
 from repro.runtime.eon import EONCompiler
 from repro.runtime.interpreter import TFLMInterpreter
-from repro.serve.batcher import ServingError
+from repro.serve.shard import ServingError
 
 
 class LocalRunner:

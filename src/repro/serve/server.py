@@ -19,10 +19,10 @@ lives here, once:
   one invoke on the shard's runner, the result-row-count guard, label
   ordering, result shaping, counters and telemetry.
 
-``placement`` picks where batches run (:mod:`repro.serve.runners`):
-``"inline"`` in the caller's thread through a per-model
-:class:`MicroBatcher`, ``"thread"`` on one queue-draining thread per
-shard, ``"process"`` on one worker process per shard.  Results are
+``placement`` picks who drains a shard's queue and where its batches
+run (:mod:`repro.serve.runners`): ``"inline"`` the submitting caller,
+in its own thread; ``"thread"`` one queue-draining thread per shard;
+``"process"`` that thread plus one worker process per shard.  Results are
 bit-identical across placements (int8 exactly; float32 within BLAS
 reassociation, rtol 1e-5).  ``snapshot()`` has one shape on every
 placement and is served at ``GET /v1/serving/stats``.
@@ -38,9 +38,8 @@ import numpy as np
 
 from repro.active.embeddings import feature_sketch
 from repro.monitor.telemetry import TelemetryRecord, model_version_of
-from repro.serve.batcher import PendingResult, ServingError
 from repro.serve.runners import LocalRunner, WorkerRunner
-from repro.serve.shard import _CacheEntry, _Shard
+from repro.serve.shard import PendingResult, ServingError, _CacheEntry, _Shard
 
 ENGINES = ("eon", "tflm")
 PRECISIONS = ("float32", "int8")
@@ -236,7 +235,7 @@ class ModelServer:
         engine: str = "eon",
     ) -> PendingResult:
         """Admit one request; returns a ticket whose ``value()`` blocks
-        for the result dict (inline tickets are already resolved).
+        for the result dict (inline tickets have been drained already).
         Raises eagerly (``ServingError`` / ``KeyError``) on bad requests
         and when the owning shard's queue is full."""
         shard, entry = self._resolve(project_id, precision, engine)
@@ -279,8 +278,8 @@ class ModelServer:
         self, shard: _Shard, entry: _CacheEntry, stacked: np.ndarray
     ) -> list[dict]:
         """One batched invoke on ``shard``'s runner -> one result dict per
-        row.  Called from a :class:`MicroBatcher` flush (inline) or the
-        shard's worker thread; never while holding a shard lock."""
+        row.  Called from the shard's drain (the daemon thread, or the
+        inline caller); never while holding a shard lock."""
         telemetry = self.telemetry
         start = time.perf_counter() if telemetry is not None else 0.0
         try:

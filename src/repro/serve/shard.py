@@ -4,37 +4,71 @@ The hosted inference tier scales by sharding: each partition owns a
 disjoint slice of the compiled-model cache (its own LRU + lock), so
 cache state never needs cross-partition coherence and a cold compile on
 one shard never blocks admission on another.  A :class:`_Shard` is that
-partition plus the placement-dependent half of request dispatch:
+partition plus its bounded request queue and the one batching loop:
+every request, on every placement, is admitted to the queue as a
+:class:`PendingResult` ticket, and :meth:`_Shard._drain` gulps the
+queue, groups the gulp by admitted model and executes one batched
+invoke per ``max_batch`` chunk — so a flood of requests gets the
+micro-batching amortization without callers coordinating.  Placement
+decides only who calls ``_drain``: one daemon thread per shard on
+``thread`` / ``process``, the submitting caller itself on ``inline``
+(no thread hop; concurrent callers ride along in whichever drain
+claims their tickets).
 
-- ``inline`` (one partition): requests run in the caller's thread
-  through the entry's :class:`MicroBatcher` — no thread hop;
-- ``thread`` / ``process``: requests join a bounded queue that one
-  daemon thread drains in gulps, grouping each gulp by admitted model
-  and executing one batched invoke per ``max_batch`` chunk, so a flood
-  of requests gets the micro-batching amortization without callers
-  coordinating.
-
-Either way a chunk executes through ``server._serve_chunk`` on the
-shard's runner (:mod:`repro.serve.runners`), so counters, telemetry and
-result shaping are the same code on every placement.
+A chunk executes through ``server._serve_chunk`` on the shard's runner
+(:mod:`repro.serve.runners`), so counters, telemetry and result shaping
+are the same code on every placement.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
-from functools import partial
 
 import numpy as np
 
-from repro.serve.batcher import MicroBatcher, PendingResult, ServingError
+
+class ServingError(Exception):
+    """Invalid classify request (bad engine/precision/feature shape), an
+    overloaded or shut-down shard, or a broken serving contract (a
+    runner's row-count mismatch)."""
+
+
+class PendingResult:
+    """Ticket for one admitted request; resolved by the drain that
+    claims it.
+
+    ``entry`` is the cache entry the request was admitted against, so a
+    drain serves the model version the request was validated for without
+    a second cache lookup (which would double-count hit stats).
+    """
+
+    __slots__ = ("features", "entry", "ready", "result", "error")
+
+    def __init__(self, features: np.ndarray, entry):
+        self.features = features
+        self.entry = entry
+        self.ready = threading.Event()
+        self.result = None
+        self.error: Exception | None = None
+
+    def resolve(self, result=None, error: Exception | None = None) -> None:
+        self.result = result
+        self.error = error
+        self.ready.set()
+
+    def value(self):
+        """Block until resolved; the result row, or raises the error."""
+        self.ready.wait()
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 class _CacheEntry:
     """One served model, as cached by its owning partition."""
 
-    __slots__ = ("key", "graph", "model", "feature_shape", "feature_size",
-                 "batcher")
+    __slots__ = ("key", "graph", "model", "feature_shape", "feature_size")
 
     def __init__(self, key: tuple[int, str, str], graph, model):
         self.key = key  # (project_id, precision, engine)
@@ -42,12 +76,11 @@ class _CacheEntry:
         self.model = model  # whatever the shard's runner built
         self.feature_shape = tuple(graph.tensors[graph.input_id].shape)
         self.feature_size = int(np.prod(self.feature_shape))
-        self.batcher: MicroBatcher | None = None  # inline placement only
 
 
 class _Shard:
-    """A model-cache partition, its counters, and (on the queued
-    placements) its request queue + worker thread."""
+    """A model-cache partition, its counters, its request queue and (on
+    ``thread`` / ``process``) the daemon thread that drains it."""
 
     def __init__(self, server, index: int, name: str, runner):
         self.server = server
@@ -91,14 +124,9 @@ class _Shard:
                 self._cache.move_to_end(key)
                 return entry
             # Building under the lock serializes concurrent misses on the
-            # same key, so exactly one model (and batcher) is built.
+            # same key, so exactly one model is built.
             self.cache_misses += 1
             entry = _CacheEntry(key, graph, self.runner.build(graph, key[2]))
-            if self.server.placement == "inline":
-                entry.batcher = MicroBatcher(
-                    partial(self.server._serve_chunk, self, entry),
-                    max_batch=self.server.max_batch,
-                )
             self._cache[key] = entry  # replaces a retrained project's model
             self._cache.move_to_end(key)
             while len(self._cache) > self.server.cache_size:
@@ -116,28 +144,28 @@ class _Shard:
 
     def dispatch(self, entry: _CacheEntry, rows) -> list[PendingResult]:
         """Admit coerced ``rows`` as one all-or-nothing group; returns one
-        ticket per row.  Inline tickets come back already resolved."""
-        queued = entry.batcher is None
-        tickets = [PendingResult(row, entry) for row in rows] if queued else []
+        ticket per row.  On ``inline`` the caller then drains the queue
+        itself, so its tickets come back resolved — or claimed by a
+        concurrent caller's drain, which always resolves what it claims."""
+        tickets = [PendingResult(row, entry) for row in rows]
+        inline = self.server.placement == "inline"
         with self._cond:
             if self._stop:
                 raise ServingError(f"{self.name} is shut down")
-            if queued:
-                if len(self._queue) + len(tickets) > self.server.max_queue:
-                    raise ServingError(
-                        f"{self.name} queue full ({self.server.max_queue} requests)"
-                    )
-                self._queue.extend(tickets)
+            if len(self._queue) + len(tickets) > self.server.max_queue:
+                raise ServingError(
+                    f"{self.name} queue full ({self.server.max_queue} requests)"
+                )
+            self._queue.extend(tickets)
+            if not inline:
                 if self._thread is None or not self._thread.is_alive():
                     self._thread = threading.Thread(
                         target=self._worker, name=f"serve-{self.name}", daemon=True
                     )
                     self._thread.start()
                 self._cond.notify()
-                return tickets
-        tickets = [entry.batcher.submit(row) for row in rows]
-        for ticket in tickets:
-            entry.batcher.settle(ticket)
+        if inline:
+            self._drain()
         return tickets
 
     def _worker(self) -> None:
@@ -147,10 +175,16 @@ class _Shard:
                     if self._stop:
                         return
                     self._cond.wait()
-                # Gulp everything queued right now: the whole point of a
-                # shard worker is to turn a backlog into few big invokes.
-                gulp = list(self._queue)
-                self._queue.clear()
+            self._drain()
+
+    def _drain(self) -> None:
+        """Gulp everything queued right now — the whole point is to turn
+        a backlog into few big invokes — and serve it."""
+        with self._cond:
+            if not self._queue:
+                return  # another caller's drain (or stop) has the tickets
+            gulp = list(self._queue)
+            self._queue.clear()
             # Group the gulp by admitted cache entry (stable order).
             # Grouping on the entry (not just the key) keeps requests
             # admitted across a retrain boundary on the model they were
@@ -158,13 +192,20 @@ class _Shard:
             groups: dict[int, list[PendingResult]] = {}
             for ticket in gulp:
                 groups.setdefault(id(ticket.entry), []).append(ticket)
-            with self._cond:
-                self.drains += 1
-                self.grouped_batches += len(groups)
-            max_batch = self.server.max_batch
+            self.drains += 1
+            self.grouped_batches += len(groups)
+        max_batch = self.server.max_batch
+        try:
             for tickets in groups.values():
                 for i in range(0, len(tickets), max_batch):
                     self._execute(tickets[i:i + max_batch])
+        finally:
+            # Only reached with unresolved tickets when a non-``Exception``
+            # (KeyboardInterrupt in an inline caller) cut the loop short:
+            # whoever waits on a claimed ticket must still be woken.
+            for ticket in gulp:
+                if not ticket.ready.is_set():
+                    ticket.resolve(error=ServingError(f"{self.name} drain interrupted"))
 
     def _execute(self, chunk: list[PendingResult]) -> None:
         try:
@@ -182,8 +223,8 @@ class _Shard:
 
     def stop(self) -> None:
         # Claim the leftover queue under the lock so a still-running
-        # worker can never see (or double-resolve) these tickets; the
-        # worker drains its in-flight gulp normally and then exits.
+        # drain can never see (or double-resolve) these tickets; an
+        # in-flight gulp completes normally (and the thread then exits).
         with self._cond:
             self._stop = True
             leftovers = list(self._queue)

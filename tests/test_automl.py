@@ -7,9 +7,7 @@ from repro.automl import (
     EonTuner,
     SearchSpace,
     TunerConstraints,
-    hyperband_search,
     kws_search_space,
-    surrogate_search,
 )
 from repro.utils.rng import ensure_rng
 
@@ -108,32 +106,6 @@ def test_figure3_render():
     text = tuner.render_figure3()
     assert "EON Tuner — target" in text
     assert "ram" in text and "flash" in text
-
-
-def test_hyperband_progression():
-    tuner = _tiny_tuner()
-    trials = hyperband_search(tuner, max_epochs=4, eta=2, seed=0)
-    assert trials
-    rungs = {t.extra.get("hyperband_rung") for t in trials}
-    assert len(rungs) >= 2, "hyperband should run multiple rungs"
-    # Later rungs get more epochs.
-    by_rung = {}
-    for t in trials:
-        if "hyperband_epochs" in t.extra:
-            by_rung.setdefault(t.extra["hyperband_rung"], set()).add(
-                t.extra["hyperband_epochs"]
-            )
-    epochs = [max(v) for _, v in sorted(by_rung.items())]
-    assert epochs == sorted(epochs)
-    assert tuner.best_trial() is not None
-
-
-def test_surrogate_search_runs():
-    tuner = _tiny_tuner()
-    trials = surrogate_search(tuner, n_trials=5, n_init=2, seed=0)
-    assert 1 <= len(trials) <= 5
-    assert all(t.extra.get("strategy") == "surrogate" for t in trials)
-    assert tuner.best_trial() is not None
 
 
 def test_constraints_resolution_defaults():

@@ -259,6 +259,56 @@ class TestJobRecovery:
         # New submissions never collide with restored job ids.
         assert restored.jobs.submit("noop", lambda job: None).job_id > 3
 
+    def test_every_job_is_journaled_and_ids_are_never_reissued(self, tmp_path):
+        """train -> profile -> deploy -> 4-trial tune -> restart: the whole
+        history comes back with its terminal statuses (the journal hangs
+        on the project executor, not on individual submit sites), and the
+        next job's id is above every pre-restart id, trial children
+        included — so it can never collide with a saved leaderboard."""
+        import time
+
+        from repro.automl import SearchSpace
+
+        d = tmp_path / "state"
+        p1 = Platform(state_dir=d)
+        p1.register_user("alice")
+        project = p1.create_project("proj", owner="alice")
+        pid = project.project_id
+        _populate(project)
+        assert project.train(seed=0).job_id == 1
+        assert project.profile_async("nano33ble").wait(60).job_id == 2
+        assert project.deploy_async().wait(60).job_id == 3
+        space = SearchSpace(
+            dsp_templates=[{"type": "spectral-analysis", "sample_rate": 100,
+                            "fft_length": [32, 64]}],
+            model_templates=[{"architecture": "mlp", "hidden": [(8,), (16,)]}],
+        )
+        tune = project.tune_async(n_trials=4, space=space, train_epochs=2)
+        assert tune.wait(120).status == "succeeded" and len(tune.children) == 4
+        before = {j.job_id: (j.name, j.status) for j in project.jobs.list_jobs()}
+        assert len(before) == 8 and max(before) == max(tune.children)
+        # A job's journal entry lands just after its waiters wake (the
+        # registry lock covers mirror update + WAL append together).
+        def journaled():
+            with p1._durable._lock:
+                entries = p1._durable.state["jobs"].get(str(pid), {})
+                return len(entries) == 8 and all(
+                    e.get("status") for e in entries.values())
+
+        deadline = time.monotonic() + 10
+        while not journaled():
+            assert time.monotonic() < deadline, "job ends never journaled"
+            time.sleep(0.01)
+
+        restored = Platform(state_dir=d).get_project(pid)
+        after = {j.job_id: (j.name, j.status) for j in restored.jobs.list_jobs()}
+        assert after == before
+        assert [after[i] for i in (1, 2, 3)] == [
+            ("train", "succeeded"), ("profile", "succeeded"),
+            ("deploy", "succeeded"),
+        ]
+        assert restored.profile_async("nano33ble").job_id == max(before) + 1
+
     def test_resume_resubmits_interrupted_train(self, tmp_path):
         d = tmp_path / "state"
         p1 = Platform(state_dir=d)

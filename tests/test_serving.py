@@ -1,4 +1,4 @@
-"""Serving layer: micro-batcher, model cache, API route, compiled plans."""
+"""Serving layer: micro-batching, model cache, API route, compiled plans."""
 
 import threading
 
@@ -13,127 +13,188 @@ from repro.runtime import (
     run_graph,
     run_graph_dispatch,
 )
-from repro.serve import MicroBatcher, ServingError
+from repro.serve import ModelServer, ServingError
 
 RNG = np.random.default_rng(7)
 
 
-# -- micro-batcher ----------------------------------------------------------
+# -- micro-batching (the shard's one drain loop, inline placement) ----------
 
 
-def test_batcher_coalesces_pending_requests():
-    calls = []
+@pytest.fixture()
+def batching(served_platform, tiny_classification_problem):
+    """``make(**server_kwargs)`` -> an inline server over the served
+    project, the project id, and the list its runner appends every
+    executed batch size to."""
+    platform, project = served_platform
+    x, _ = tiny_classification_problem
 
-    def run_batch(stacked):
-        calls.append(len(stacked))
-        return stacked.sum(axis=1)
+    def make(**kwargs):
+        server = ModelServer(platform, placement="inline", **kwargs)
+        runner = server.shards[0].runner
+        run, calls = runner.run, []
 
-    batcher = MicroBatcher(run_batch, max_batch=8)
-    tickets = [batcher.submit(np.full(3, float(i))) for i in range(5)]
-    assert batcher.pending == 5 and calls == []
-    results = [batcher.wait(t) for t in tickets]
+        def spy(model, stacked):
+            calls.append(len(stacked))
+            return run(model, stacked)
+
+        runner.run = spy
+        return server, project.project_id, calls
+
+    return make, x
+
+
+def admit_only(server, pid, row):
+    """Admit one request the way a concurrent caller does, stopping just
+    short of that caller's own drain: the ticket stays queued."""
+    shard = server.shards[0]
+    shard._drain = lambda: None
+    try:
+        return server.submit(pid, row)
+    finally:
+        del shard._drain
+
+
+def test_batcher_coalesces_pending_requests(batching):
+    make, x = batching
+    server, pid, calls = make()
+    want = [server.classify(pid, row) for row in x[:5]]
+    del calls[:]
+    tickets = [admit_only(server, pid, row) for row in x[:4]]
+    assert server.shards[0].counters()["queue_depth"] == 4 and calls == []
+    assert server.classify(pid, x[4]) == want[4]
     assert calls == [5]  # one batched invoke for all five requests
-    assert [float(r) for r in results] == [0.0, 3.0, 6.0, 9.0, 12.0]
+    assert [t.value() for t in tickets] == want[:4]
 
 
-def test_batcher_flushes_at_max_batch():
-    calls = []
-
-    def run_batch(stacked):
-        calls.append(len(stacked))
-        return stacked
-
-    batcher = MicroBatcher(run_batch, max_batch=4)
-    for i in range(4):
-        batcher.submit(np.zeros(2))
-    assert calls == [4]  # submit of the 4th request triggered the flush
-    assert batcher.pending == 0
-    assert batcher.largest_batch == 4
+def test_batcher_flushes_at_max_batch(batching):
+    make, x = batching
+    server, pid, calls = make(max_batch=4)
+    assert len(server.classify_batch(pid, list(x[:9]))) == 9
+    assert calls == [4, 4, 1]
+    counters = server.shards[0].counters()
+    assert counters["largest_batch"] == 4 and counters["queue_depth"] == 0
 
 
-def test_batcher_propagates_errors_to_all_waiters():
-    def run_batch(stacked):
+def test_batcher_propagates_errors_to_all_waiters(batching):
+    make, x = batching
+    server, pid, _ = make()
+
+    def explode(model, stacked):
         raise RuntimeError("kernel exploded")
 
-    batcher = MicroBatcher(run_batch, max_batch=8)
-    t1, t2 = batcher.submit(np.zeros(2)), batcher.submit(np.zeros(2))
+    server.shards[0].runner.run = explode
+    t1, t2 = admit_only(server, pid, x[0]), admit_only(server, pid, x[1])
     with pytest.raises(RuntimeError):
-        batcher.wait(t1)
+        server.classify(pid, x[2])
     with pytest.raises(RuntimeError):
-        batcher.wait(t2)
+        t1.value()
+    with pytest.raises(RuntimeError):
+        t2.value()
 
 
-def test_batcher_threaded_requests_share_batches():
-    calls = []
-    lock = threading.Lock()
+def test_batcher_threaded_requests_share_batches(batching):
+    """16 concurrent callers (more than cores, switching every 10 us)
+    hammer the one inline queue: each gets its own row back, whichever
+    caller's drain served it, and no ticket or counter update is lost."""
+    import sys
 
-    def run_batch(stacked):
-        with lock:
-            calls.append(len(stacked))
-        return stacked * 2
-
-    batcher = MicroBatcher(run_batch, max_batch=64)
+    make, x = batching
+    server, pid, calls = make(max_batch=64)
+    want = [server.classify(pid, row) for row in x[:16]]
+    del calls[:]
     results = {}
+    rounds = 8
 
     def worker(i):
-        ticket = batcher.submit(np.full(2, float(i)))
-        results[i] = batcher.wait(ticket)
+        results[i] = [server.classify(pid, x[i]) for _ in range(rounds)]
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sorted(float(results[i][0]) for i in range(16)) == [
-        float(2 * i) for i in range(16)
-    ]
-    assert sum(calls) == 16
-    assert len(calls) <= 16  # at least some coalescing is allowed, none required
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(16)] == [[w] * rounds for w in want]
+    assert sum(calls) == 16 * rounds  # coalescing is allowed, none required
+    counters = server.shards[0].counters()
+    assert counters["requests"] == counters["batched_requests"] == 16 + 16 * rounds
+    assert counters["queue_depth"] == 0 and counters["batch_errors"] == 0
 
 
 @pytest.mark.parametrize("bad_rows", [0, 1, 5])
-def test_batcher_rejects_wrong_result_row_count(bad_rows):
-    """A run_batch that returns the wrong number of rows must fail every
-    ticket with a ServingError naming expected vs got — never silently
+def test_batcher_rejects_wrong_result_row_count(batching, bad_rows):
+    """A runner that returns the wrong number of rows must fail every
+    ticket with a ServingError naming got vs expected — never silently
     zip-truncate (which would strand tail tickets on result=None)."""
-
-    def run_batch(stacked):
-        return np.zeros((bad_rows, 2))
-
-    batcher = MicroBatcher(run_batch, max_batch=8)
-    tickets = [batcher.submit(np.zeros(2)) for _ in range(3)]
+    make, x = batching
+    server, pid, _ = make()
+    server.shards[0].runner.run = lambda model, stacked: np.zeros((bad_rows, 3))
+    tickets = [admit_only(server, pid, row) for row in x[:2]]
+    match = rf"got {bad_rows} result row\(s\) for a batch of 3"
+    with pytest.raises(ServingError, match=match):
+        server.classify(pid, x[2])
     for ticket in tickets:
-        with pytest.raises(ServingError, match=rf"returned {bad_rows} .* 3"):
-            batcher.wait(ticket)
+        with pytest.raises(ServingError, match=match):
+            ticket.value()
 
 
-def test_batcher_failed_flush_does_not_skew_stats():
-    """Failed flushes tick batch_errors and leave the batch-size stats
+def test_batcher_failed_flush_does_not_skew_stats(batching):
+    """Failed invokes tick batch_errors and leave the batch-size stats
     alone, so mean_batch_size describes batches that produced results."""
-    healthy = [False]
+    make, x = batching
+    server, pid, _ = make()
+    runner = server.shards[0].runner
+    run = runner.run
 
-    def run_batch(stacked):
-        if not healthy[0]:
-            raise RuntimeError("kernel exploded")
-        return stacked
+    def explode(model, stacked):
+        raise RuntimeError("kernel exploded")
 
-    batcher = MicroBatcher(run_batch, max_batch=8)
-    tickets = [batcher.submit(np.zeros(2)) for _ in range(5)]
+    runner.run = explode
     with pytest.raises(RuntimeError):
-        batcher.wait(tickets[0])
-    assert batcher.batch_errors == 1
-    assert batcher.batches == 0
-    assert batcher.batched_requests == 0
-    assert batcher.largest_batch == 0
+        server.classify_batch(pid, list(x[:5]))
+    counters = server.shards[0].counters()
+    assert counters["batch_errors"] == 1 and counters["requests"] == 5
+    assert counters["batches"] == counters["batched_requests"] == 0
+    assert counters["largest_batch"] == 0 and counters["mean_batch_size"] == 0.0
 
-    healthy[0] = True
-    tickets = [batcher.submit(np.zeros(2)) for _ in range(3)]
+    runner.run = run
+    assert len(server.classify_batch(pid, list(x[:3]))) == 3
+    counters = server.shards[0].counters()
+    assert counters["batch_errors"] == 1 and counters["batches"] == 1
+    assert counters["batched_requests"] == counters["largest_batch"] == 3
+
+
+def test_interrupted_drain_resolves_every_claimed_ticket(batching):
+    """A non-``Exception`` (Ctrl-C in an inline caller) propagates to the
+    draining caller, but every ticket that drain had claimed — other
+    callers' included, chunks that never ran included — still resolves,
+    so nobody waits forever; the shard keeps serving."""
+    make, x = batching
+    server, pid, calls = make(max_batch=1)
+    want = server.classify(pid, x[0])
+    runner = server.shards[0].runner
+    run = runner.run
+
+    def interrupt(model, stacked):
+        raise KeyboardInterrupt
+
+    runner.run = interrupt
+    tickets = [admit_only(server, pid, row) for row in x[:2]]
+    with pytest.raises(KeyboardInterrupt):
+        server.classify(pid, x[2])
     for ticket in tickets:
-        batcher.wait(ticket)
-    assert batcher.batch_errors == 1
-    assert batcher.batches == 1
-    assert batcher.batched_requests == 3
-    assert batcher.largest_batch == 3
+        assert ticket.ready.is_set()
+        with pytest.raises(ServingError, match="drain interrupted"):
+            ticket.value()
+    runner.run = run
+    assert server.classify(pid, x[0]) == want
+    assert server.shards[0].counters()["queue_depth"] == 0
 
 
 # -- model server -----------------------------------------------------------

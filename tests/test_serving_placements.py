@@ -7,8 +7,8 @@ Placement-specific behaviour (8-thread cache hammer, worker death and
 respawn) lives in test_sharded_serving.py / test_process_serving.py.
 """
 
+import contextlib
 import threading
-import time
 import zlib
 
 from types import SimpleNamespace
@@ -49,12 +49,38 @@ def probs(result):
     return [result["classification"][l] for l in LABELS]
 
 
-def wait_until_gulped(shard, timeout_s=10.0):
-    """Block until the shard's worker thread has claimed the queue."""
-    deadline = time.monotonic() + timeout_s
-    while shard.counters()["queue_depth"]:
-        assert time.monotonic() < deadline, "shard worker never drained"
-        time.sleep(0.001)
+@contextlib.contextmanager
+def parked_drain(server, pid, row):
+    """One request in flight inside a gated runner — so what is admitted
+    meanwhile stays queued — yielding ``(gate, in_flight)``; ``in_flight()``
+    is that request's result.  ``thread`` / ``process`` park the shard's
+    daemon thread.  ``inline`` has none: a helper thread's own drain is
+    parked, and later callers are held just short of theirs (the state a
+    caller descheduled between admission and drain is in) until exit."""
+    shard = server.shards[0]
+    gate, entered = threading.Event(), threading.Event()
+    run = shard.runner.run
+    shard.runner.run = lambda model, stacked: (
+        entered.set(), gate.wait(10), run(model, stacked))[2]
+    if server.placement == "inline":
+        box = []
+        caller = threading.Thread(
+            target=lambda: box.append(server.classify(pid, row)))
+        caller.start()
+        in_flight = lambda: (caller.join(10), box[0])[1]
+    else:
+        in_flight = server.submit(pid, row).value
+    assert entered.wait(10), "the in-flight request never reached the runner"
+    if server.placement == "inline":
+        shard._drain = lambda: None
+    try:
+        yield gate, in_flight
+    finally:
+        gate.set()
+        shard.runner.run = run
+        if server.placement == "inline":
+            del shard._drain
+            shard._drain()  # the held callers resume
 
 
 def test_results_match_inline_reference(platform, placement,
@@ -198,23 +224,17 @@ def test_non_finite_features_never_pass_admission(platform, placement, bad,
 
 def test_queue_full_sheds_the_whole_group(platform, placement,
                                           tiny_classification_problem):
-    """Overload sheds with a clear error instead of queueing unboundedly;
-    a batch that does not fit is rejected whole.  (Inline has no queue:
-    the caller's own thread is the back-pressure.)"""
+    """Overload sheds with a clear error instead of queueing unboundedly,
+    on every placement; a batch that does not fit is rejected whole."""
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
     with make_server(platform, placement, workers=1, max_queue=4) as server:
-        if placement == "inline":
-            assert len(server.classify_batch(pid, list(x[:6]))) == 6
-            return
         server.classify(pid, x[0])  # warm, so the gate below is the only wait
         shard = server.shards[0]
-        gate = threading.Event()
-        run = shard.runner.run
-        shard.runner.run = lambda model, stacked: (gate.wait(10), run(model, stacked))[1]
-        try:
-            first = server.submit(pid, x[0])  # occupies the worker thread
-            wait_until_gulped(shard)
+        with pytest.raises(ServingError, match="queue full"):
+            server.classify_batch(pid, list(x[:6]))  # 6 > 4, even when idle
+        assert shard.counters()["queue_depth"] == 0
+        with parked_drain(server, pid, x[0]) as (gate, in_flight):
             queued = [server.submit(pid, x[i]) for i in range(3)]
             with pytest.raises(ServingError, match="queue full"):
                 server.classify_batch(pid, list(x[:2]))  # 3 + 2 > 4
@@ -222,9 +242,8 @@ def test_queue_full_sheds_the_whole_group(platform, placement,
             queued.append(server.submit(pid, x[3]))  # exactly fills it
             with pytest.raises(ServingError, match="queue full"):
                 server.submit(pid, x[0])
-        finally:
-            gate.set()
-        assert all(t.value()["top"] in LABELS for t in [first, *queued])
+        assert in_flight()["top"] in LABELS
+        assert all(t.value()["top"] in LABELS for t in queued)
         assert server.snapshot()["requests"] == 6
 
 
@@ -382,22 +401,14 @@ def test_close_fails_queued_tickets_and_rejects_new(platform, placement,
     pid = next(iter(platform.projects))
     server = make_server(platform, placement, workers=1)
     want = server.classify(pid, x[0])
-    queued = []
-    if placement != "inline":
-        shard = server.shards[0]
-        gate = threading.Event()
-        run = shard.runner.run
-        shard.runner.run = lambda model, stacked: (gate.wait(10), run(model, stacked))[1]
-        in_flight = server.submit(pid, x[0])
-        wait_until_gulped(shard)
+    with parked_drain(server, pid, x[0]) as (gate, in_flight):
         queued = [server.submit(pid, x[i]) for i in range(3)]
         threading.Timer(0.2, gate.set).start()
-    server.close()
-    for ticket in queued:
-        with pytest.raises(ServingError, match="shut down"):
-            ticket.value()
-    if placement != "inline":
-        assert in_flight.value() == want  # the in-flight gulp drains normally
+        server.close()
+        for ticket in queued:
+            with pytest.raises(ServingError, match="shut down"):
+                ticket.value()
+        assert in_flight() == want  # the in-flight gulp drains normally
     with pytest.raises(ServingError, match="shut down"):
         server.submit(pid, x[0])
     with pytest.raises(ServingError, match="shut down"):
