@@ -83,9 +83,8 @@ def test_compiled_plan_beats_dispatch():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1,) + PLAN_SHAPE).astype(np.float32)
     lines = ["Serving — compiled plan vs. per-invoke dispatch (MobileNetV1 a=0.25)"]
-    speedups = {}
 
-    for name, graph in (("float32", float_graph), ("int8", int8_graph)):
+    for graph in (float_graph, int8_graph):
         # Identical outputs first — the speedup must not change results.
         assert np.array_equal(run_graph(graph, x), run_graph_dispatch(graph, x))
         assert np.array_equal(
@@ -95,28 +94,28 @@ def test_compiled_plan_beats_dispatch():
             EONCompiler().compile(graph).invoke(x), run_graph_dispatch(graph, x)
         )
 
-        plan = compile_plan(graph)
-        iters, reps = (8, 3) if smoke_mode() else (25, 9)
-        times = _interleaved_best_of(
-            {"dispatch": lambda: run_graph_dispatch(graph, x),
-             "plan": lambda: plan.execute(x)},
-            iters=iters, reps=reps,
-        )
-        speedups[name] = times["dispatch"] / times["plan"]
-        save_metric(f"plan_speedup_{name}", speedups[name])
-        lines.append(
-            f"  {name:<8} dispatch {times['dispatch'] * 1e3:7.3f} ms/invoke | "
-            f"plan {times['plan'] * 1e3:7.3f} ms/invoke | {speedups[name]:4.2f}x"
-        )
+    # Only int8 is timed: float32 dispatch and plan bind the same kernel
+    # family, so that ratio is 1.00x by construction.  int8 is the
+    # deployment precision; its bind-time work (weight casts, requant
+    # params, folded zero points) gives the plan a stable edge.
+    plan = compile_plan(int8_graph)
+    iters, reps = (8, 3) if smoke_mode() else (25, 9)
+    times = _interleaved_best_of(
+        {"dispatch": lambda: run_graph_dispatch(int8_graph, x),
+         "plan": lambda: plan.execute(x)},
+        iters=iters, reps=reps,
+    )
+    speedup = times["dispatch"] / times["plan"]
+    save_metric("plan_speedup_int8", speedup)
+    lines.append(
+        f"  int8     dispatch {times['dispatch'] * 1e3:7.3f} ms/invoke | "
+        f"plan {times['plan'] * 1e3:7.3f} ms/invoke | {speedup:4.2f}x"
+    )
 
     text = "\n".join(lines)
     save_result("serving_plan_vs_dispatch", text)
     print("\n" + text)
-    # int8 is the deployment precision; its prepare-hoisted work (weight
-    # casts, requant params, einsum path) gives the plan a stable edge.
-    assert speedups["int8"] > 1.0, (
-        f"compiled plan not faster than dispatch: {speedups}"
-    )
+    assert speedup > 1.0, f"compiled plan not faster than dispatch: {speedup:.2f}x"
 
 
 def test_batched_serving_throughput():

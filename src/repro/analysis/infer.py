@@ -19,18 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.ops import GOp, GTensor
-
-#: Ops whose int8 kernels operate on raw quantized values with no
-#: rescale: their output must carry the input's qparams unchanged
-#: (TFLite's "same scale" op constraint; mirrors repro.quantize.ptq).
-SAME_QPARAMS_OPS = (
-    "MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D",
-    "GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D", "RESHAPE", "TRANSPOSE",
-)
-
-#: Weighted ops: (input, weight, bias) in, one activation out.
-WEIGHTED_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
+# The op-class tables are re-exported for repro.analysis.verify.
+from repro.graph.ops import SAME_QPARAMS_OPS, WEIGHTED_OPS, GOp, GTensor
 
 #: Expected (n_inputs, n_outputs) per opcode.
 ARITY: dict[str, tuple[int, int]] = {

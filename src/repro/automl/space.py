@@ -84,8 +84,8 @@ class CompressionSpace:
         """The uniform-int8, unpruned reference configuration.
 
         Every precision key is ``"int8"`` and every sparsity 0, which
-        routes through the exact legacy quantization path — the Pareto
-        front's reduction figures are measured against this point.
+        quantizes to the plain uniform-int8 graph — the Pareto front's
+        reduction figures are measured against this point.
         """
         model = dict(self.model_spec)
         for layer in self.precision_layers:

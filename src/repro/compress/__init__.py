@@ -15,8 +15,8 @@ trial serialization without special handling.
 :func:`apply_compression` is the single entry point: prune first (on
 the float graph), then post-training-quantize with the precision map.
 An empty spec — or one whose every precision is ``"int8"`` and every
-sparsity 0 — routes through the exact legacy uniform-int8 path, so
-compression is strictly opt-in and the baseline stays bit-identical.
+sparsity 0 — yields the uniform-int8 graph byte for byte, so
+compression is strictly opt-in.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def apply_compression(
 ) -> Graph:
     """Prune then quantize a float graph according to a flat spec.
 
-    Always quantizes: with no ``compress.precision.*`` keys the result
-    is the uniform-int8 graph the legacy path produces, bit-identical.
+    Always quantizes: with no ``compress.precision.*`` keys (or only
+    int8 ones) the result is the uniform-int8 graph, byte for byte.
     """
     precision, sparsity = split_spec(spec)
     if any(s > 0.0 for s in sparsity.values()):
@@ -84,7 +84,7 @@ def apply_compression(
         graph,
         calibration_data,
         per_channel=per_channel,
-        precision_map=precision or None,
+        precision_map=precision,
     )
 
 

@@ -25,9 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.ops import GOp, GTensor
-
-_WEIGHTED = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
+from repro.graph.ops import WEIGHTED_OPS, GOp, GTensor
 
 #: Ops that carry a last-axis channel mask through unchanged.
 _PASS_THROUGH = (
@@ -43,7 +41,7 @@ class UnsupportedPruning(ValueError):
 
 def weighted_ops(graph: Graph) -> list[int]:
     """Op indices of weighted layers, in weighted-layer-index order."""
-    return [oi for oi, op in enumerate(graph.ops) if op.opcode in _WEIGHTED]
+    return [oi for oi, op in enumerate(graph.ops) if op.opcode in WEIGHTED_OPS]
 
 
 def channel_norms(graph: Graph, layer: int) -> np.ndarray:
@@ -137,7 +135,7 @@ def prune_graph(
     for oi, op in enumerate(graph.ops):
         attrs = dict(op.attrs)
         oc = op.opcode
-        if oc in _WEIGHTED:
+        if oc in WEIGHTED_OPS:
             in_id, w_id, b_id = op.inputs
             in_mask = tmask.get(in_id)
             w = new_t[w_id].data

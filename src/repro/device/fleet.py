@@ -4,26 +4,25 @@ The paper's case study hinges on pushing a new model to microcontrollers
 already in the field.  The fleet manager does staged OTA rollouts with
 checksum verification and automatic rollback on failed verification.
 
-Two rollout paths:
-
-- :meth:`DeviceFleet.ota_update` — the original synchronous staged
-  rollout (kept for scripts and as the semantics reference);
-- :meth:`DeviceFleet.ota_update_async` — the same staged rollout as a
-  **job** on a :class:`repro.core.jobs.JobExecutor`: one flash child job
-  per device (retried per-device via the job retry budget), a canary
-  cohort gating the fleet-wide stage behind a failure-rate threshold,
-  cooperative cancellation, and streamable per-device logs on the
-  parent job.
+One rollout path: :meth:`DeviceFleet.ota_update_async` runs the staged
+rollout as a **job** on a :class:`repro.core.jobs.JobExecutor` — one
+flash child job per device (retried per-device via the job retry
+budget), a canary cohort gating the fleet-wide stage behind a
+failure-rate threshold, cooperative cancellation, and streamable
+per-device logs on the parent job.  :meth:`DeviceFleet.ota_update` is a
+blocking convenience wrapper for scripts: the same job on a private
+one-worker executor, waited on, returned as a :class:`RolloutReport`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from repro.core.jobs import JobExecutor
 from repro.deploy.firmware import FirmwareImage
 from repro.device.firmware import VirtualDevice
 from repro.monitor.telemetry import TelemetryRecord
@@ -44,22 +43,11 @@ class RolloutReport:
         return asdict(self)
 
 
-class _SyncRolloutToken:
-    """Marks the fleet's rollout slot as held by a synchronous
-    :meth:`DeviceFleet.ota_update` (which has no Job to point at)."""
-
-    job_id = "sync"
-
-    def __init__(self):
-        self.done = False
-
-
 class DeviceFleet:
     """Registry of field devices with OTA orchestration."""
 
     def __init__(self):
         self.devices: dict[str, VirtualDevice] = {}
-        self._previous: dict[str, FirmwareImage | None] = {}
         # Rollouts are serialized per fleet: overlapping rollouts would
         # corrupt each other's previous-image/rollback bookkeeping.
         self._rollout_gate = threading.Lock()
@@ -205,67 +193,25 @@ class DeviceFleet:
         canary_fraction: float = 0.25,
         inject_failures: set[str] | None = None,
     ) -> RolloutReport:
-        """Staged rollout: canary cohort first; aborts the fleet-wide stage
-        if any canary fails, rolling canaries back.
+        """Blocking staged rollout: canary cohort first, one device at a
+        time; aborts the fleet-wide stage if any canary fails, rolling
+        canaries back.  Runs :meth:`ota_update_async` on a private
+        one-worker executor and waits for it.
 
         ``inject_failures`` marks device ids whose transfer corrupts —
         the failure-injection hook used by tests.
         """
-        with self._rollout_gate:
-            self._check_no_active_rollout_locked()
-            # Hold the slot so an async rollout started mid-flight is
-            # refused just like the reverse direction.
-            token = _SyncRolloutToken()
-            self._active_rollout = token
-        try:
-            return self._ota_update_sync(
-                image, device_ids, canary_fraction, inject_failures
-            )
-        finally:
-            token.done = True
+        job = self.ota_update_async(
+            image, JobExecutor(max_workers=1), device_ids=device_ids,
+            canary_fraction=canary_fraction, failure_threshold=0.0,
+            max_inflight=1, inject_failures=inject_failures,
+        ).wait()
+        if job.status != "succeeded":
+            raise RuntimeError(f"rollout {job.status}: {job.error}")
+        return RolloutReport(**{f.name: job.result[f.name]
+                                for f in fields(RolloutReport)})
 
-    def _ota_update_sync(
-        self, image, device_ids, canary_fraction, inject_failures
-    ) -> RolloutReport:
-        targets = device_ids if device_ids is not None else sorted(self.devices)
-        inject_failures = inject_failures or set()
-        report = RolloutReport(image_version=image.version)
-
-        n_canary = max(1, int(len(targets) * canary_fraction)) if targets else 0
-        canary, rest = targets[:n_canary], targets[n_canary:]
-
-        def _attempt(did: str) -> bool:
-            device = self.devices[did]
-            self._previous[did] = device.firmware
-            ok = self._try_flash(device, image, corrupt=did in inject_failures)
-            if ok:
-                report.updated.append(did)
-            else:
-                report.failed.append(did)
-                # Roll back to the previous image if there was one.
-                previous = self._previous.get(did)
-                if previous is not None:
-                    device.flash(previous)
-                report.rolled_back.append(did)
-            return ok
-
-        canary_ok = all([_attempt(did) for did in canary]) if canary else True
-        if not canary_ok:
-            # Abort: roll back successful canaries too.
-            for did in list(report.updated):
-                previous = self._previous.get(did)
-                if previous is not None:
-                    self.devices[did].flash(previous)
-                report.updated.remove(did)
-                report.rolled_back.append(did)
-            report.aborted = True
-            return report
-
-        for did in rest:
-            _attempt(did)
-        return report
-
-    # -- async staged rollout (as a managed job) ----------------------------
+    # -- the staged rollout (as a managed job) -------------------------------
 
     def ota_update_async(
         self,
@@ -343,10 +289,7 @@ class DeviceFleet:
                 job.check_cancelled()
                 device = self.devices[did]
                 with state["lock"]:
-                    if did not in state["previous"]:
-                        previous = device.firmware
-                        state["previous"][did] = previous
-                        self._previous[did] = previous
+                    state["previous"].setdefault(did, device.firmware)
                     state["attempts"][did] = attempt = state["attempts"].get(did, 0) + 1
                     corrupt = attempt <= inject.get(did, 0)
                 job.log(f"flashing {did} with {image.version} (attempt {attempt})")
@@ -373,6 +316,17 @@ class DeviceFleet:
                 self.devices[did].flash(previous)
 
         def on_child_done(parent, child):
+            try:
+                _child_done(parent, child)
+            except Exception as exc:  # e.g. a rollback flash that itself fails
+                # Fail the rollout (finalize re-raises) instead of leaving
+                # the parent unsealed, and so never done, behind a barrier
+                # that can no longer be reached.
+                state.setdefault("error", exc)
+                executor.seal_parent(parent)
+                raise
+
+        def _child_done(parent, child):
             report = state["report"]
             did = child.name.split(":", 1)[1]
             if child.status == "failed":
@@ -476,6 +430,8 @@ class DeviceFleet:
 
         def finalize(parent, children):
             executor.clear_group_limit(f"rollout-{parent.job_id}")
+            if "error" in state:
+                raise state["error"]
             report = state["report"]
             return {
                 **report.to_dict(),

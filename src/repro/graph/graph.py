@@ -20,13 +20,10 @@ class Graph:
         self.ops: list[GOp] = []
         self.input_id: int = -1
         self.output_id: int = -1
-        # Memoized CompiledPlan for the default (passes, engine)
-        # key (see repro.runtime.executor.compile_plan); invalidated by
+        # Memoized CompiledPlans keyed (pass signature, engine) (see
+        # repro.runtime.executor.compile_plan) and memoized pass-pipeline
+        # outcomes keyed by pass signature; both invalidated by
         # structural edits.
-        self._compiled_plan = None
-        # Non-default plan variants, keyed (pass signature, engine),
-        # and memoized pass-pipeline outcomes keyed by pass
-        # signature — same staleness contract as _compiled_plan.
         self._plan_cache: dict = {}
         self._pass_outcomes: dict = {}
         # Set after a successful full verification (repro.analysis); the
@@ -40,7 +37,6 @@ class Graph:
     def _invalidate(self) -> None:
         """Structural edit: drop every derived memo (plans, pass
         outcomes, verification)."""
-        self._compiled_plan = None
         self._plan_cache.clear()
         self._pass_outcomes.clear()
         self._verified_ok = False

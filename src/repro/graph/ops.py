@@ -26,6 +26,18 @@ OPCODES = (
     "TRANSPOSE",
 )
 
+#: Weighted ops: (input, weight, bias) in, one activation out.  Their
+#: execution order is the layer index precision maps and the pruner use.
+WEIGHTED_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
+
+#: Ops whose int8 kernels move raw quantized values with no rescale: the
+#: output must carry the input's qparams unchanged (TFLite's "same scale"
+#: constraint).  The quantizer propagates them; the verifier checks them.
+SAME_QPARAMS_OPS = (
+    "MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D",
+    "GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D", "RESHAPE", "TRANSPOSE",
+)
+
 ACTIVATIONS = ("none", "relu", "relu6")
 
 

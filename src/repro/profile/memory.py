@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.dsp.base import DSPBlock
 from repro.graph.graph import Graph
+from repro.graph.ops import WEIGHTED_OPS
 from repro.graph.serialize import graph_to_bytes
 from repro.profile.devices import DeviceProfile
 from repro.runtime.arena import plan_arena
@@ -42,8 +43,6 @@ KERNEL_CODE_BYTES = {
     "TRANSPOSE": {"float32": 500, "int8": 500},
 }
 
-_WEIGHTED_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
-
 
 def kernel_variants(graph: Graph) -> set[tuple[str, str]]:
     """The distinct (opcode, precision) kernel bodies a graph links in.
@@ -57,7 +56,7 @@ def kernel_variants(graph: Graph) -> set[tuple[str, str]]:
     for op in graph.ops:
         out_dtype = graph.tensors[op.outputs[0]].dtype
         prec = "int8" if out_dtype in ("int8", "int32") else "float32"
-        if (prec == "int8" and op.opcode in _WEIGHTED_OPS
+        if (prec == "int8" and op.opcode in WEIGHTED_OPS
                 and graph.tensors[op.inputs[1]].dtype == "int4"):
             prec = "int4"
         variants.add((op.opcode, prec))
@@ -107,11 +106,10 @@ class MemoryBreakdown:
 class MemoryEstimator:
     """Prices a graph under either engine, optionally adding DSP buffers."""
 
-    def __init__(self, engine: str = "tflm", arena_strategy: str = "greedy"):
+    def __init__(self, engine: str = "tflm"):
         if engine not in ("tflm", "eon"):
             raise ValueError("engine must be 'tflm' or 'eon'")
         self.engine = engine
-        self.arena_strategy = arena_strategy
 
     def estimate(
         self,
@@ -119,7 +117,7 @@ class MemoryEstimator:
         dsp_block: DSPBlock | None = None,
         raw_input_shape: tuple[int, ...] | None = None,
     ) -> MemoryBreakdown:
-        arena = plan_arena(graph, strategy=self.arena_strategy).total_bytes
+        arena = plan_arena(graph).total_bytes
         n_tensors = len(graph.tensors)
         n_ops = len(graph.ops)
 

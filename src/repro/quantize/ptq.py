@@ -1,13 +1,15 @@
 """Post-training quantization: float32 Graph -> int8 (or mixed) Graph.
 
-The default path quantizes every layer to int8.  A ``precision_map``
-({weighted-layer index -> "int8" | "int4" | "f32"}) switches to the
-mixed-precision builder: int4 layers pack weights two-per-byte with
-per-channel scales (activations stay int8 and run the exact int8
-kernels), f32 layers keep float weights, and QUANTIZE / DEQUANTIZE
-boundary ops are inserted automatically wherever adjacent layers
-disagree on domain.  An empty or all-int8 map takes the legacy path and
-produces bit-identical output.
+One builder serves every request.  Each op runs in one of two domains —
+quantized (int8 activations; weights int8 or int4) or float — and a
+``precision_map`` ({weighted-layer index -> "int8" | "int4" | "f32"})
+picks the domain per weighted layer: int4 layers pack weights
+two-per-byte with per-channel scales (activations stay int8 and run the
+exact int8 kernels), f32 layers keep float weights, and QUANTIZE /
+DEQUANTIZE boundary ops are inserted wherever adjacent layers disagree
+on domain.  No map — or one that only says int8 — is simply "every
+weighted layer int8": no boundary is ever needed and the result is the
+uniform int8 graph.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.ops import GOp, GTensor, QuantParams
+from repro.graph.ops import (
+    SAME_QPARAMS_OPS,
+    WEIGHTED_OPS,
+    GOp,
+    GTensor,
+    QuantParams,
+)
 from repro.quantize.calibrate import ActivationStats, calibrate_activations
 from repro.quantize.fixedpoint import quantize_multiplier
 
@@ -24,6 +32,9 @@ from repro.quantize.fixedpoint import quantize_multiplier
 SOFTMAX_SCALE = 1.0 / 256.0
 SOFTMAX_ZP = -128
 
+#: Weighted-layer precisions a precision map may assign.
+PRECISIONS = ("int8", "int4", "f32")
+
 
 def _activation_qparams(lo: float, hi: float) -> QuantParams:
     scale = (hi - lo) / 255.0
@@ -31,209 +42,89 @@ def _activation_qparams(lo: float, hi: float) -> QuantParams:
     return QuantParams(scale=np.array([scale]), zero_point=int(np.clip(zp, -128, 127)))
 
 
-def _weight_qparams(weights: np.ndarray, per_channel: bool) -> QuantParams:
-    if per_channel:
-        axes = tuple(range(weights.ndim - 1))
-        max_abs = np.maximum(np.abs(weights).max(axis=axes), 1e-9)
-        return QuantParams(scale=max_abs / 127.0, zero_point=0, per_channel=True)
-    max_abs = max(float(np.abs(weights).max()), 1e-9)
-    return QuantParams(scale=np.array([max_abs / 127.0]), zero_point=0)
+def _quantize_weights(
+    opcode: str, w: GTensor, precision: str, per_channel: bool
+) -> GTensor:
+    """Symmetric weight quantization of one weighted op, int8 or int4.
 
-
-#: Weighted-layer precisions a precision map may assign.
-PRECISIONS = ("int8", "int4", "f32")
-
-#: Weighted opcodes, in the order their indices count for precision maps.
-_WEIGHTED = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
-
-
-def _int4_quantize(weights: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Round to the int4 grid; storage stays int8-valued in [-8, 7]."""
-    return np.clip(np.round(weights / scale), -8, 7).astype(np.int8)
-
-
-def quantize_graph(
-    graph: Graph,
-    calibration_data: np.ndarray,
-    stats: ActivationStats | None = None,
-    per_channel: bool = True,
-    precision_map: dict[int, str] | None = None,
-) -> Graph:
-    """Quantize a float graph to int8 using calibration data.
-
-    Per-op requantization multipliers are precomputed here (as Q31
-    mantissa/exponent pairs) and stored in op attrs, exactly as a converter
-    bakes them into the flatbuffer — the runtime does integer math only.
-
-    ``precision_map`` maps weighted-layer indices (0-based, in execution
-    order over conv/dense ops) to ``"int8"``, ``"int4"`` or ``"f32"``;
-    unlisted layers default to int8.  ``None`` — or a map that only says
-    int8 — takes the uniform-int8 path unchanged.
+    int4 is always per-channel; int8 follows ``per_channel`` except for
+    dense layers, which stay per-tensor (TFLite).  The output channel is
+    the last weight axis — for depthwise weights (KH, KW, C, DM) the
+    (C, DM) pair, with scales stored flattened to C*DM so they line up
+    with the bias / requant-multiplier vectors.  int4 values are stored
+    int8-valued in [-8, 7]; packing happens at serialisation.
     """
-    if stats is None:
-        stats = calibrate_activations(graph, calibration_data)
-
-    if precision_map:
-        resolved = {int(k): str(v) for k, v in precision_map.items()}
-        bad = sorted(set(resolved.values()) - set(PRECISIONS))
-        if bad:
-            raise ValueError(
-                f"unknown precision(s) {bad}; expected one of {PRECISIONS}"
-            )
-        n_weighted = sum(op.opcode in _WEIGHTED for op in graph.ops)
-        out_of_range = sorted(k for k in resolved if not 0 <= k < n_weighted)
-        if out_of_range:
-            raise ValueError(
-                f"precision map indexes layers {out_of_range}, but the graph "
-                f"has {n_weighted} weighted layer(s)"
-            )
-        if any(v != "int8" for v in resolved.values()):
-            return _quantize_mixed(graph, stats, per_channel, resolved)
-
-    q = Graph(name=f"{graph.name}_int8")
-    act_q: dict[int, QuantParams] = {}
-
-    # Pass 1: clone tensors with quantized dtypes/params.
-    for tid, t in enumerate(graph.tensors):
-        if t.is_const:
-            # Weights are quantized in pass 2 where we know the consuming op
-            # (bias scale depends on the input's scale).  Placeholder clone.
-            q.add_tensor(GTensor(t.name, t.shape, t.dtype, data=t.data, quant=None))
-        else:
-            is_softmax_out = any(
-                op.opcode == "SOFTMAX" and tid in op.outputs for op in graph.ops
-            )
-            if is_softmax_out:
-                qp = QuantParams(scale=np.array([SOFTMAX_SCALE]), zero_point=SOFTMAX_ZP)
-            else:
-                lo, hi = stats.range_for(tid)
-                qp = _activation_qparams(lo, hi)
-            act_q[tid] = qp
-            q.add_tensor(GTensor(t.name, t.shape, "int8", quant=qp))
-
-    # Pass 1.5: pools and reshape must carry their input's qparams through
-    # unchanged — their int8 kernels operate on raw quantized values with no
-    # rescale (TFLite's "same scale" op constraint).  Walk in execution
-    # order so chains propagate.
-    _SAME_QPARAMS_OPS = (
-        "MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D",
-        "GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D", "RESHAPE",
+    qmax = 7 if precision == "int4" else 127
+    per_channel = precision == "int4" or (
+        per_channel and opcode != "FULLY_CONNECTED"
     )
-    for op in graph.ops:
-        if op.opcode in _SAME_QPARAMS_OPS:
-            in_q = act_q[op.inputs[0]]
-            out_id = op.outputs[0]
-            act_q[out_id] = in_q
-            q.tensors[out_id].quant = in_q
-
-    # Pass 2: clone ops, quantize weights/biases, precompute multipliers.
-    for op in graph.ops:
-        attrs = dict(op.attrs)
-        if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED"):
-            in_id, w_id, b_id = op.inputs
-            w_tensor = graph.tensors[w_id]
-            b_tensor = graph.tensors[b_id]
-            use_pc = per_channel and op.opcode != "FULLY_CONNECTED"
-            if use_pc and op.opcode == "DEPTHWISE_CONV_2D":
-                # Output channel for DW weights (KH,KW,C,DM) is the (C,DM)
-                # pair; scales are stored flattened to C*DM to line up with
-                # the bias / requant-multiplier vectors.
-                max_abs = np.maximum(np.abs(w_tensor.data).max(axis=(0, 1)), 1e-9)
-                per_ch_scale = max_abs / 127.0  # (C, DM)
-                w_int8 = np.clip(
-                    np.round(w_tensor.data / per_ch_scale), -128, 127
-                ).astype(np.int8)
-                wq = QuantParams(
-                    scale=per_ch_scale.reshape(-1), zero_point=0, per_channel=True
-                )
-            else:
-                wq = _weight_qparams(w_tensor.data, per_channel=use_pc)
-                w_int8 = wq.quantize(w_tensor.data, axis=-1)
-            q.tensors[w_id] = GTensor(
-                w_tensor.name, w_tensor.shape, "int8", data=w_int8, quant=wq
-            )
-
-            in_scale = float(act_q[in_id].scale[0])
-            bias_scale = in_scale * wq.scale  # per-channel array
-            b_int32 = np.round(b_tensor.data / bias_scale).astype(np.int64)
-            b_int32 = np.clip(b_int32, -(2**31), 2**31 - 1).astype(np.int32)
-            q.tensors[b_id] = GTensor(
-                b_tensor.name,
-                b_tensor.shape,
-                "int32",
-                data=b_int32,
-                quant=QuantParams(scale=bias_scale, zero_point=0, per_channel=use_pc),
-            )
-
-            out_id = op.outputs[0]
-            out_scale = float(act_q[out_id].scale[0])
-            mults = [quantize_multiplier(float(s) / out_scale) for s in bias_scale]
-            attrs["out_mult"] = [m for m, _ in mults]
-            attrs["out_shift"] = [s for _, s in mults]
-            attrs.update(_fused_clamp(attrs.get("activation", "none"), act_q[out_id]))
-
-        elif op.opcode == "ADD":
-            a_id, b_id = op.inputs
-            out_id = op.outputs[0]
-            # Zero-constant ADDs (standalone activations) keep the constant
-            # in float and quantize to the input scale.
-            if graph.tensors[b_id].is_const:
-                bt = graph.tensors[b_id]
-                qp = act_q[a_id]
-                q.tensors[b_id] = GTensor(
-                    bt.name, bt.shape, "int8", data=qp.quantize(bt.data), quant=qp
-                )
-                b_scale = float(qp.scale[0])
-            else:
-                b_scale = float(act_q[b_id].scale[0])
-            a_scale = float(act_q[a_id].scale[0])
-            out_scale = float(act_q[out_id].scale[0])
-            # TFLite ADD: rescale both inputs to twice the larger input
-            # scale at 20 fractional bits, sum, then rescale to output.
-            twice_max = 2.0 * max(a_scale, b_scale)
-            left_shift = 20
-            m1 = quantize_multiplier(a_scale / twice_max)
-            m2 = quantize_multiplier(b_scale / twice_max)
-            mo = quantize_multiplier(twice_max / ((1 << left_shift) * out_scale))
-            attrs["left_shift"] = left_shift
-            attrs["mult1"], attrs["shift1"] = m1
-            attrs["mult2"], attrs["shift2"] = m2
-            attrs["out_mult"], attrs["out_shift"] = mo
-            attrs.update(_fused_clamp(attrs.get("activation", "none"), act_q[out_id]))
-
-        q.add_op(GOp(op.opcode, list(op.inputs), list(op.outputs), attrs))
-
-    q.input_id = graph.input_id
-    q.output_id = graph.output_id
-    q.validate()
-    return q
+    depthwise = opcode == "DEPTHWISE_CONV_2D"
+    if per_channel:
+        axes = (0, 1) if depthwise else tuple(range(w.data.ndim - 1))
+        scale = np.maximum(np.abs(w.data).max(axis=axes), 1e-9) / float(qmax)
+        if precision == "int8" and not depthwise:
+            # int8 conv/dense round a float64 quotient, depthwise and int4
+            # a float32 one (about one weight per million lands on the
+            # other side of .5); kept so re-quantizing reproduces old bytes.
+            scale = scale.astype(np.float64)
+    else:
+        scale = np.array([max(float(np.abs(w.data).max()), 1e-9) / qmax])
+    data = np.clip(np.round(w.data / scale), -qmax - 1, qmax).astype(np.int8)
+    quant = QuantParams(
+        scale=scale.reshape(-1), zero_point=0, per_channel=per_channel
+    )
+    return GTensor(w.name, w.shape, precision, data=data, quant=quant)
 
 
-def _quantize_mixed(
-    graph: Graph,
-    stats: ActivationStats,
-    per_channel: bool,
-    pmap: dict[int, str],
-) -> Graph:
-    """Mixed-precision builder: per-layer int8/int4/f32 with automatic
-    QUANTIZE/DEQUANTIZE boundaries where adjacent layers disagree.
+def _add_rescale(a_scale: float, b_scale: float, out_scale: float) -> dict:
+    """TFLite ADD: rescale both inputs to twice the larger input scale at
+    20 fractional bits, sum, then rescale to the output scale."""
+    twice_max = 2.0 * max(a_scale, b_scale)
+    left_shift = 20
+    attrs: dict = {"left_shift": left_shift}
+    attrs["mult1"], attrs["shift1"] = quantize_multiplier(a_scale / twice_max)
+    attrs["mult2"], attrs["shift2"] = quantize_multiplier(b_scale / twice_max)
+    attrs["out_mult"], attrs["out_shift"] = quantize_multiplier(
+        twice_max / ((1 << left_shift) * out_scale)
+    )
+    return attrs
 
-    Every op runs in one of two domains — quantized (int8 activations;
-    weights int8 or int4) or float.  Weighted ops pick their domain from
-    ``pmap``; everything else inherits its activation input's domain
-    (ops ahead of the first weighted layer inherit from their consumer).
-    Redundant boundary pairs are left for the pass pipeline's
-    dequant→quant cancellation to clean up.
+
+def _resolve_precision_map(
+    graph: Graph, precision_map: dict[int, str] | None
+) -> dict[int, str]:
+    resolved = {int(k): str(v) for k, v in (precision_map or {}).items()}
+    bad = sorted(set(resolved.values()) - set(PRECISIONS))
+    if bad:
+        raise ValueError(
+            f"unknown precision(s) {bad}; expected one of {PRECISIONS}"
+        )
+    n_weighted = sum(op.opcode in WEIGHTED_OPS for op in graph.ops)
+    out_of_range = sorted(k for k in resolved if not 0 <= k < n_weighted)
+    if out_of_range:
+        raise ValueError(
+            f"precision map indexes layers {out_of_range}, but the graph "
+            f"has {n_weighted} weighted layer(s)"
+        )
+    return resolved
+
+
+def _assign_domains(
+    graph: Graph, pmap: dict[int, str]
+) -> tuple[list[str], dict[int, str]]:
+    """Per-op and per-activation domain: ``"q"`` (quantized) or ``"f"``.
+
+    Weighted ops pick their domain from ``pmap``; every other op inherits
+    its activation input's domain.  Ops ahead of the first weighted layer
+    inherit from their consumer, and an op with no weighted ancestor or
+    descendant at all (a pool/softmax-only graph) is quantized.
     """
-    n_ops = len(graph.ops)
-
-    # -- per-op domain assignment ("q" | "f") ------------------------------
-    dom_op: list[str | None] = [None] * n_ops
+    dom_op: list[str | None] = [None] * len(graph.ops)
     dom_t: dict[int, str] = {}
     deferred: list[int] = []
     wi = 0
     for oi, op in enumerate(graph.ops):
-        if op.opcode in _WEIGHTED:
+        if op.opcode in WEIGHTED_OPS:
             d = "f" if pmap.get(wi, "int8") == "f32" else "q"
             wi += 1
         else:
@@ -255,7 +146,7 @@ def _quantize_mixed(
             d = next(
                 (dom_op[c] for c in consumers.get(op.outputs[0], ())
                  if dom_op[c] is not None),
-                "f",
+                "q",
             )
             dom_op[oi] = d
             for t in op.outputs:
@@ -263,38 +154,67 @@ def _quantize_mixed(
     dom_t.setdefault(
         graph.input_id,
         next((dom_op[oi] for oi, op in enumerate(graph.ops)
-              if graph.input_id in op.inputs), "f"),
+              if graph.input_id in op.inputs), "q"),
     )
+    return dom_op, dom_t
+
+
+def quantize_graph(
+    graph: Graph,
+    calibration_data: np.ndarray,
+    stats: ActivationStats | None = None,
+    per_channel: bool = True,
+    precision_map: dict[int, str] | None = None,
+) -> Graph:
+    """Quantize a float graph using calibration data.
+
+    Per-op requantization multipliers are precomputed here (as Q31
+    mantissa/exponent pairs) and stored in op attrs, exactly as a converter
+    bakes them into the flatbuffer — the runtime does integer math only.
+
+    ``precision_map`` maps weighted-layer indices (0-based, in execution
+    order over conv/dense ops) to ``"int8"``, ``"int4"`` or ``"f32"``;
+    unlisted layers default to int8.  The result is named ``<name>_int8``
+    when every weighted layer is int8 and ``<name>_mixed`` otherwise.
+    Redundant boundary pairs are left for the pass pipeline's
+    dequant→quant cancellation to clean up.
+    """
+    pmap = _resolve_precision_map(graph, precision_map)
+    if stats is None:
+        stats = calibrate_activations(graph, calibration_data)
+    dom_op, dom_t = _assign_domains(graph, pmap)
 
     # -- activation qparams (every activation, both domains: a float-domain
     # tensor still needs qparams if a boundary later quantizes it) --------
+    softmax_outs = {
+        t for op in graph.ops if op.opcode == "SOFTMAX" for t in op.outputs
+    }
     act_q: dict[int, QuantParams] = {}
     for tid, t in enumerate(graph.tensors):
         if t.is_const:
             continue
-        if any(op.opcode == "SOFTMAX" and tid in op.outputs for op in graph.ops):
+        if tid in softmax_outs:
             act_q[tid] = QuantParams(
                 scale=np.array([SOFTMAX_SCALE]), zero_point=SOFTMAX_ZP
             )
         else:
-            lo, hi = stats.range_for(tid)
-            act_q[tid] = _activation_qparams(lo, hi)
-    same_scale = (
-        "MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D",
-        "GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D", "RESHAPE", "TRANSPOSE",
-    )
+            act_q[tid] = _activation_qparams(*stats.range_for(tid))
+    # Walk in execution order so same-qparams chains propagate.
     for oi, op in enumerate(graph.ops):
-        if op.opcode in same_scale and dom_op[oi] == "q":
+        if op.opcode in SAME_QPARAMS_OPS and dom_op[oi] == "q":
             act_q[op.outputs[0]] = act_q[op.inputs[0]]
 
     # -- clone tensors in their home domain --------------------------------
-    q = Graph(name=f"{graph.name}_mixed")
+    uniform = all(v == "int8" for v in pmap.values())
+    q = Graph(name=f"{graph.name}_{'int8' if uniform else 'mixed'}")
     q_id: dict[int, int] = {}
     f_id: dict[int, int] = {}
     for tid, t in enumerate(graph.tensors):
         if t.is_const:
+            # Weights are quantized below, where the consuming op is known
+            # (bias scale depends on the input's scale).  Placeholder clone.
             q.add_tensor(GTensor(t.name, t.shape, t.dtype, data=t.data, quant=None))
-        elif dom_t.get(tid, "f") == "q":
+        elif dom_t.get(tid, "q") == "q":
             q.add_tensor(GTensor(t.name, t.shape, "int8", quant=act_q[tid]))
             q_id[tid] = tid
         else:
@@ -324,108 +244,53 @@ def _quantize_mixed(
     wi = 0
     for oi, op in enumerate(graph.ops):
         attrs = dict(op.attrs)
-        d = dom_op[oi]
-        if op.opcode in _WEIGHTED:
-            prec = pmap.get(wi, "int8")
+        into = to_q if dom_op[oi] == "q" else to_f
+        inputs = [
+            tid if graph.tensors[tid].is_const else into(tid) for tid in op.inputs
+        ]
+        if op.opcode in WEIGHTED_OPS:
+            precision = pmap.get(wi, "int8")
             wi += 1
-            in_id, w_id, b_id = op.inputs
-            if d == "f":
-                q.add_op(GOp(op.opcode, [to_f(in_id), w_id, b_id],
-                             list(op.outputs), attrs))
-                continue
-            x = to_q(in_id)
-            w_tensor = graph.tensors[w_id]
-            b_tensor = graph.tensors[b_id]
-            if prec == "int4":
-                # Per-channel over the output-channel axis: (C, DM) pair
-                # for depthwise, last axis for conv/dense.
-                axes = (0, 1) if op.opcode == "DEPTHWISE_CONV_2D" else tuple(
-                    range(w_tensor.data.ndim - 1)
+            if precision != "f32":
+                in_id, w_id, b_id = op.inputs
+                w = _quantize_weights(
+                    op.opcode, graph.tensors[w_id], precision, per_channel
                 )
-                max_abs = np.maximum(np.abs(w_tensor.data).max(axis=axes), 1e-9)
-                per_scale = max_abs / 7.0
-                w_data = _int4_quantize(w_tensor.data, per_scale)
-                wq = QuantParams(
-                    scale=np.asarray(per_scale).reshape(-1),
-                    zero_point=0, per_channel=True,
-                )
-                q.tensors[w_id] = GTensor(
-                    w_tensor.name, w_tensor.shape, "int4", data=w_data, quant=wq
-                )
-            else:
-                use_pc = per_channel and op.opcode != "FULLY_CONNECTED"
-                if use_pc and op.opcode == "DEPTHWISE_CONV_2D":
-                    max_abs = np.maximum(
-                        np.abs(w_tensor.data).max(axis=(0, 1)), 1e-9
-                    )
-                    per_ch_scale = max_abs / 127.0
-                    w_int8 = np.clip(
-                        np.round(w_tensor.data / per_ch_scale), -128, 127
-                    ).astype(np.int8)
-                    wq = QuantParams(
-                        scale=per_ch_scale.reshape(-1), zero_point=0,
-                        per_channel=True,
-                    )
-                else:
-                    wq = _weight_qparams(w_tensor.data, per_channel=use_pc)
-                    w_int8 = wq.quantize(w_tensor.data, axis=-1)
-                q.tensors[w_id] = GTensor(
-                    w_tensor.name, w_tensor.shape, "int8", data=w_int8, quant=wq
-                )
-            in_scale = float(act_q[in_id].scale[0])
-            bias_scale = in_scale * wq.scale
-            b_int32 = np.round(b_tensor.data / bias_scale).astype(np.int64)
-            b_int32 = np.clip(b_int32, -(2**31), 2**31 - 1).astype(np.int32)
-            q.tensors[b_id] = GTensor(
-                b_tensor.name, b_tensor.shape, "int32", data=b_int32,
-                quant=QuantParams(
-                    scale=bias_scale, zero_point=0,
-                    per_channel=wq.per_channel,
-                ),
-            )
-            out_id = op.outputs[0]
-            out_scale = float(act_q[out_id].scale[0])
-            mults = [quantize_multiplier(float(s) / out_scale) for s in bias_scale]
-            attrs["out_mult"] = [m for m, _ in mults]
-            attrs["out_shift"] = [s for _, s in mults]
-            attrs.update(_fused_clamp(attrs.get("activation", "none"), act_q[out_id]))
-            q.add_op(GOp(op.opcode, [x, w_id, b_id], list(op.outputs), attrs))
-
-        elif op.opcode == "ADD" and d == "q":
-            a_id, b_id = op.inputs
-            out_id = op.outputs[0]
-            if graph.tensors[b_id].is_const:
-                bt = graph.tensors[b_id]
-                qp = act_q[a_id]
+                q.tensors[w_id] = w
+                b_tensor = graph.tensors[b_id]
+                bias_scale = float(act_q[in_id].scale[0]) * w.quant.scale
+                b_int32 = np.round(b_tensor.data / bias_scale).astype(np.int64)
+                b_int32 = np.clip(b_int32, -(2**31), 2**31 - 1).astype(np.int32)
                 q.tensors[b_id] = GTensor(
-                    bt.name, bt.shape, "int8", data=qp.quantize(bt.data), quant=qp
+                    b_tensor.name, b_tensor.shape, "int32", data=b_int32,
+                    quant=QuantParams(
+                        scale=bias_scale, zero_point=0,
+                        per_channel=w.quant.per_channel,
+                    ),
                 )
-                b_scale = float(qp.scale[0])
-                b_src = b_id
-            else:
-                b_scale = float(act_q[b_id].scale[0])
-                b_src = to_q(b_id)
-            a_src = to_q(a_id)
-            a_scale = float(act_q[a_id].scale[0])
-            out_scale = float(act_q[out_id].scale[0])
-            twice_max = 2.0 * max(a_scale, b_scale)
-            left_shift = 20
-            attrs["left_shift"] = left_shift
-            attrs["mult1"], attrs["shift1"] = quantize_multiplier(a_scale / twice_max)
-            attrs["mult2"], attrs["shift2"] = quantize_multiplier(b_scale / twice_max)
-            attrs["out_mult"], attrs["out_shift"] = quantize_multiplier(
-                twice_max / ((1 << left_shift) * out_scale)
-            )
-            attrs.update(_fused_clamp(attrs.get("activation", "none"), act_q[out_id]))
-            q.add_op(GOp("ADD", [a_src, b_src], [out_id], attrs))
-
-        else:
-            into = to_q if d == "q" else to_f
-            new_inputs = [
-                tid if graph.tensors[tid].is_const else into(tid)
-                for tid in op.inputs
-            ]
-            q.add_op(GOp(op.opcode, new_inputs, list(op.outputs), attrs))
+                out_q = act_q[op.outputs[0]]
+                out_scale = float(out_q.scale[0])
+                mults = [quantize_multiplier(float(s) / out_scale) for s in bias_scale]
+                attrs["out_mult"] = [m for m, _ in mults]
+                attrs["out_shift"] = [s for _, s in mults]
+                attrs.update(_fused_clamp(attrs.get("activation", "none"), out_q))
+        elif op.opcode == "ADD" and dom_op[oi] == "q":
+            a_id, b_id = op.inputs
+            bt = graph.tensors[b_id]
+            b_q = act_q[a_id if bt.is_const else b_id]
+            if bt.is_const:
+                # Zero-constant ADDs (standalone activations) quantize the
+                # constant to the input's qparams.
+                q.tensors[b_id] = GTensor(
+                    bt.name, bt.shape, "int8", data=b_q.quantize(bt.data), quant=b_q
+                )
+            out_q = act_q[op.outputs[0]]
+            attrs.update(_add_rescale(
+                float(act_q[a_id].scale[0]), float(b_q.scale[0]),
+                float(out_q.scale[0]),
+            ))
+            attrs.update(_fused_clamp(attrs.get("activation", "none"), out_q))
+        q.add_op(GOp(op.opcode, inputs, list(op.outputs), attrs))
 
     q.input_id = graph.input_id
     q.output_id = graph.output_id

@@ -69,13 +69,12 @@ class EONCompiler:
     plan binds, not the emitted C++.
     """
 
-    def __init__(self, arena_strategy: str = "greedy", passes: object = "default"):
-        self.arena_strategy = arena_strategy
+    def __init__(self, passes: object = "default"):
         self.passes = passes
 
     def compile(self, graph: Graph, emit_source: bool = False) -> EONModel:
         graph.validate()
-        arena = plan_arena(graph, strategy=self.arena_strategy)
+        arena = plan_arena(graph)
         model = EONModel(
             graph=graph,
             arena=arena,
@@ -92,7 +91,7 @@ class EONCompiler:
         """Emit ``model.h`` / ``model.cpp`` with weights, arena offsets and
         one fully-resolved kernel call per op."""
         if arena is None:
-            arena = plan_arena(graph, strategy=self.arena_strategy)
+            arena = plan_arena(graph)
         header = self._emit_header(graph, arena)
         cpp = self._emit_cpp(graph, arena)
         return {"eon_model.h": header, "eon_model.cpp": cpp}

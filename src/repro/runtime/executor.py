@@ -469,9 +469,9 @@ class CompiledPlan:
 # the *same* cold graph build exactly one plan.
 _PLAN_LOCKS_GUARD = threading.Lock()
 
-#: Cache key of the default-configured plan — stored in
-#: the legacy ``graph._compiled_plan`` slot (identity-stable across the
-#: pre-pass-pipeline API); every other key lives in ``graph._plan_cache``.
+#: Cache key of the default-configured plan in ``graph._plan_cache``;
+#: the one entry FIFO eviction never drops (same object back until a
+#: structural edit).
 _DEFAULT_PLAN_KEY = (DEFAULT_PASS_NAMES, None)
 
 #: Keyed-plan cache capacity per graph (FIFO eviction).
@@ -480,9 +480,7 @@ _PLAN_CACHE_CAP = 16
 
 def _pass_outcome(graph: Graph, config: PassConfig):
     """Run (or fetch the memoized) pass pipeline for this config."""
-    memo = getattr(graph, "_pass_outcomes", None)
-    if memo is None:
-        memo = graph._pass_outcomes = {}
+    memo = graph._pass_outcomes
     outcome = memo.get(config.names)
     if outcome is None:
         outcome = run_passes(graph, config)
@@ -503,21 +501,10 @@ def _build_plan(graph, verify, config, engine) -> CompiledPlan:
     )
 
 
-def _cached_plan(graph: Graph, key) -> CompiledPlan | None:
-    if key == _DEFAULT_PLAN_KEY:
-        return getattr(graph, "_compiled_plan", None)
-    return getattr(graph, "_plan_cache", {}).get(key)
-
-
 def _store_plan(graph: Graph, key, plan: CompiledPlan) -> None:
-    if key == _DEFAULT_PLAN_KEY:
-        graph._compiled_plan = plan
-        return
-    store = getattr(graph, "_plan_cache", None)
-    if store is None:
-        store = graph._plan_cache = {}
+    store = graph._plan_cache
     while len(store) >= _PLAN_CACHE_CAP:
-        store.pop(next(iter(store)))
+        store.pop(next(k for k in store if k != _DEFAULT_PLAN_KEY))
     store[key] = plan
 
 
@@ -554,7 +541,7 @@ def compile_plan(
     key = (config.names if config is not None else None, engine)
     if not cache:
         return _build_plan(graph, verify, config, engine)
-    plan = _cached_plan(graph, key)
+    plan = graph._plan_cache.get(key)
     if plan is not None:
         return plan
     with _PLAN_LOCKS_GUARD:
@@ -563,7 +550,7 @@ def compile_plan(
             lock = threading.Lock()
             graph._plan_compile_lock = lock
     with lock:
-        plan = _cached_plan(graph, key)
+        plan = graph._plan_cache.get(key)
         if plan is None:
             plan = _build_plan(graph, verify, config, engine)
             _store_plan(graph, key, plan)

@@ -27,10 +27,10 @@ class TFLMInterpreter:
     #: fixed interpreter state (MicroInterpreter, allocator, error reporter)
     FIXED_RAM_BYTES = 1536
 
-    def __init__(self, graph: Graph, arena_strategy: str = "greedy"):
+    def __init__(self, graph: Graph):
         graph.validate()
         self.graph = graph
-        self.arena: ArenaPlan = plan_arena(graph, strategy=arena_strategy)
+        self.arena: ArenaPlan = plan_arena(graph)
         # AllocateTensors-equivalent: every opcode is resolved to a bound
         # kernel once, here, instead of per-invoke.  The interpreter runs
         # the authored graph op-for-op (TFLM fidelity: the registry check

@@ -69,15 +69,15 @@ def _mixed_map(graph, pattern):
 def test_uniform_int8_map_is_bit_identical_to_legacy(
     tiny_graphs, tiny_classification_problem
 ):
-    """An all-int8 precision map must route through the exact legacy
-    path: compression is strictly opt-in."""
+    """No map, an empty map and an explicit all-int8 map are the same
+    request: compression is strictly opt-in."""
     float_graph, int8_graph = tiny_graphs
     x, _ = tiny_classification_problem
     n = len(weighted_ops(float_graph))
-    again = quantize_graph(
-        float_graph, x[:64], precision_map={i: "int8" for i in range(n)}
-    )
-    assert graph_to_bytes(again) == graph_to_bytes(int8_graph)
+    for pmap in (None, {}, {i: "int8" for i in range(n)}, {n - 1: "int8"}):
+        again = quantize_graph(float_graph, x[:64], precision_map=pmap)
+        assert again.name.endswith("_int8")
+        assert graph_to_bytes(again) == graph_to_bytes(int8_graph)
 
 
 def test_mixed_graph_verifies_and_serializes(
@@ -372,15 +372,17 @@ def test_apply_compression_uniform_int8_is_bit_identical(
 ):
     float_graph, int8_graph = tiny_graphs
     x, _ = tiny_classification_problem
-    spec = {
+    all_int8 = {
         f"compress.precision.{i}": "int8"
         for i in range(len(weighted_ops(float_graph)))
     }
-    spec.update({
+    no_sparsity = {
         f"compress.sparsity.{i}": 0.0 for i in prunable_layers(float_graph)
-    })
-    got = apply_compression(float_graph, spec, x[:64])
-    assert graph_to_bytes(got) == graph_to_bytes(int8_graph)
+    }
+    for spec in ({}, all_int8, no_sparsity, {**all_int8, **no_sparsity}):
+        got = apply_compression(float_graph, spec, x[:64])
+        assert got.name.endswith("_int8")
+        assert graph_to_bytes(got) == graph_to_bytes(int8_graph)
 
 
 def test_apply_compression_prunes_then_quantizes(

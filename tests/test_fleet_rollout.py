@@ -198,7 +198,7 @@ def test_concurrent_rollouts_are_refused(image, monkeypatch):
     with pytest.raises(RuntimeError, match="already in progress"):
         fleet.ota_update_async(_v2(image), executor)
     with pytest.raises(RuntimeError, match="already in progress"):
-        fleet.ota_update(_v2(image))  # the sync path respects it too
+        fleet.ota_update(_v2(image))  # the blocking wrapper respects it too
     release.set()
     first.wait(timeout=30.0)
     assert first.status == "succeeded"
@@ -257,8 +257,8 @@ def test_rollout_unknown_device_rejected(image):
 
 
 def test_sync_ota_update_unchanged_semantics(image):
-    """The legacy synchronous path still does the staged rollout (and now
-    reports aborts explicitly)."""
+    """The blocking wrapper does the same staged rollout and reports
+    aborts explicitly."""
     fleet = _fleet(8, "c")
     fleet.ota_update(image)
     report = fleet.ota_update(_v2(image), canary_fraction=0.25,
@@ -266,6 +266,49 @@ def test_sync_ota_update_unchanged_semantics(image):
     assert report.aborted is True
     assert report.updated == []
     assert set(fleet.versions().values()) == {"1.0.0"}
+
+
+def test_sync_rollout_failure_raises_and_frees_the_slot(image, monkeypatch):
+    """A rollback flash that itself fails fails the rollout job; the
+    blocking wrapper raises that job's error (a RuntimeError carrying the
+    device's message, as a direct call to the device would) rather than
+    wait forever on a parent nobody will seal."""
+    fleet = _fleet(4)
+    fleet.ota_update(image)
+    original = VirtualDevice.flash
+    broken = {"on": True}
+
+    def faulty(self, img):
+        if broken["on"] and self.device_id == "d0":
+            raise RuntimeError("flash bus fault")
+        original(self, img)
+
+    monkeypatch.setattr(VirtualDevice, "flash", faulty)
+    with pytest.raises(RuntimeError, match="flash bus fault"):
+        fleet.ota_update(_v2(image), inject_failures={"d0"})
+    broken["on"] = False
+    report = fleet.ota_update(_v2(image))
+    assert sorted(report.updated) == ["d0", "d1", "d2", "d3"]
+
+
+def test_async_rollout_fails_when_a_rollback_fails(image, monkeypatch):
+    """The canary barrier is never reached when a canary's rollback
+    raises; the parent must still seal and land as failed."""
+    fleet = _fleet(4)
+    fleet.ota_update(image)
+    original = VirtualDevice.flash
+
+    def faulty(self, img):
+        if self.device_id == "d0":
+            raise RuntimeError("flash bus fault")
+        original(self, img)
+
+    monkeypatch.setattr(VirtualDevice, "flash", faulty)
+    job = fleet.ota_update_async(_v2(image), JobExecutor(),
+                                 inject_failures={"d0"})
+    job.wait(timeout=30.0)
+    assert job.status == "failed"
+    assert job.error == "RuntimeError: flash bus fault"
 
 
 def test_rest_rollout_roundtrip(tiny_graphs):

@@ -23,6 +23,7 @@ from repro.runtime import (
     compile_plan,
     run_passes,
 )
+from repro.runtime.executor import _DEFAULT_PLAN_KEY, _PLAN_CACHE_CAP
 from repro.runtime.passes import GraphPass, clone_graph
 
 RNG = np.random.default_rng(0)
@@ -121,7 +122,18 @@ def test_default_plan_stays_identity_cached():
     graph = small_int8_graph()
     plan = compile_plan(graph)
     assert compile_plan(graph) is plan
-    assert graph._compiled_plan is plan
+    assert graph._plan_cache[_DEFAULT_PLAN_KEY] is plan
+
+
+def test_default_plan_survives_fifo_eviction():
+    graph = small_int8_graph()
+    plan = compile_plan(graph)
+    variants = [
+        compile_plan(graph, engine=f"e{i}") for i in range(_PLAN_CACHE_CAP + 3)
+    ]
+    assert len(graph._plan_cache) == _PLAN_CACHE_CAP
+    assert compile_plan(graph) is plan
+    assert compile_plan(graph, engine="e0") is not variants[0]  # oldest evicted
 
 
 def test_plans_cached_per_key():
@@ -141,7 +153,7 @@ def test_structural_edit_invalidates_every_cached_plan():
     default = compile_plan(graph)
     unopt = compile_plan(graph, passes=None)
     graph._invalidate()
-    assert graph._compiled_plan is None
+    assert graph._plan_cache == {}
     assert compile_plan(graph, passes=None) is not unopt
     assert compile_plan(graph) is not default
 

@@ -1,18 +1,26 @@
 """Quantization: fixed-point arithmetic properties, PTQ accuracy, qparams."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.ops import QuantParams
+from repro.analysis import verify_graph
+from repro.graph import Graph, graph_to_bytes, sequential_to_graph
+from repro.graph import ops as graph_ops
+from repro.graph.ops import GOp, GTensor, QuantParams
+from repro.nn.architectures import ARCHITECTURES
 from repro.quantize import (
     calibrate_activations,
     multiply_by_quantized_multiplier,
     quantize_graph,
     quantize_multiplier,
 )
-from repro.runtime import run_graph
+from repro.runtime import compile_plan, run_graph, run_graph_dispatch
 
 RNG = np.random.default_rng(0)
 
@@ -168,3 +176,130 @@ def test_fused_relu_clamps(tiny_graphs):
     for op in relu_ops:
         out_zp = int8_graph.tensors[op.outputs[0]].quant.zero_point
         assert op.attrs["clamp_min"] == max(-128, out_zp)
+
+
+# -- one builder: domains and shared op tables ---------------------------------
+
+
+def test_weightless_graph_quantizes_to_int8():
+    """With no weighted layer to anchor a domain on, ops default to the
+    quantized domain: an int8 request never comes back float."""
+    g = Graph("pool_only")
+    x = g.add_tensor(GTensor("x", (4, 4, 2)))
+    p = g.add_tensor(GTensor("pooled", (2, 2, 2)))
+    flat = g.add_tensor(GTensor("flat", (8,)))
+    probs = g.add_tensor(GTensor("probs", (8,)))
+    g.add_op(GOp("MAX_POOL_2D", [x], [p], {"pool_size": 2}))
+    g.add_op(GOp("RESHAPE", [p], [flat], {"shape": [8]}))
+    g.add_op(GOp("SOFTMAX", [flat], [probs], {}))
+    g.input_id, g.output_id = x, probs
+    data = RNG.normal(0, 1, (16, 4, 4, 2)).astype(np.float32)
+
+    q = quantize_graph(g, data)
+    assert q.name == "pool_only_int8"
+    assert [t.dtype for t in q.tensors] == ["int8"] * 4
+    assert [op.opcode for op in q.ops] == ["MAX_POOL_2D", "RESHAPE", "SOFTMAX"]
+    assert verify_graph(q).ok, verify_graph(q).format()
+    out = run_graph(q, data)
+    assert out.dtype == np.int8
+    assert np.array_equal(out, run_graph_dispatch(q, data))
+    assert (out.argmax(axis=1) == run_graph(g, data).argmax(axis=1)).mean() > 0.8
+
+
+def test_transpose_carries_qparams_through():
+    g = Graph("transposed")
+    x = g.add_tensor(GTensor("x", (3, 5)))
+    xt = g.add_tensor(GTensor("xt", (5, 3)))
+    flat = g.add_tensor(GTensor("flat", (15,)))
+    w = g.add_tensor(GTensor(
+        "w", (15, 4), data=RNG.normal(0, 0.3, (15, 4)).astype(np.float32)))
+    b = g.add_tensor(GTensor(
+        "b", (4,), data=RNG.normal(0, 0.1, 4).astype(np.float32)))
+    y = g.add_tensor(GTensor("y", (4,)))
+    g.add_op(GOp("TRANSPOSE", [x], [xt], {"perm": [1, 0]}))
+    g.add_op(GOp("RESHAPE", [xt], [flat], {"shape": [15]}))
+    g.add_op(GOp("FULLY_CONNECTED", [flat, w, b], [y], {"activation": "relu"}))
+    g.input_id, g.output_id = x, y
+    # Rows on different scales, so min/max of x and xt agree but a
+    # re-derived range for either would still have to match exactly.
+    data = (RNG.normal(0, 1, (32, 3, 5)) * [[1.0], [4.0], [0.25]]).astype(np.float32)
+
+    q = quantize_graph(g, data)
+    assert q.tensors[xt].quant is q.tensors[x].quant
+    assert q.tensors[flat].quant is q.tensors[x].quant
+    assert verify_graph(q).ok, verify_graph(q).format()
+    assert np.array_equal(
+        compile_plan(q).execute(data), run_graph_dispatch(q, data)
+    )
+
+
+def test_op_class_tables_are_shared_by_identity():
+    """The quantizer, the verifier that checks its output, the pruner
+    that indexes its layers and the profiler cannot disagree: they hold
+    the same tuple objects."""
+    from repro.analysis import infer
+    from repro.compress import prune
+    from repro.profile import memory
+    from repro.quantize import ptq
+
+    for module in (ptq, infer, prune, memory):
+        assert module.WEIGHTED_OPS is graph_ops.WEIGHTED_OPS
+    for module in (ptq, infer):
+        assert module.SAME_QPARAMS_OPS is graph_ops.SAME_QPARAMS_OPS
+    assert "TRANSPOSE" in graph_ops.SAME_QPARAMS_OPS
+
+
+# -- golden digests: the quantizer's bytes, recorded before the twin was deleted --
+
+PTQ_GOLDEN_PATH = Path(__file__).parent / "data" / "ptq_golden.json"
+
+#: Small input shapes so all six zoo architectures quantize in ~1 s.
+PTQ_GOLDEN_SHAPES = {
+    "ds_cnn": (24, 10),
+    "mobilenet_v1": (24, 24, 3),
+    "mobilenet_v2": (24, 24, 3),
+    "conv1d_stack": (32, 6),
+    "cifar_cnn": (16, 16, 3),
+    "mlp": (33,),
+}
+
+
+def ptq_golden_digest(arch: str, per_channel: bool) -> str:
+    """sha256 of the serialised int8 graph of one zoo architecture.
+
+    Every parameter (BatchNorm statistics included) is perturbed with
+    seeded noise so biases and folded scales are not the initialiser's
+    zeros and ones.  ``tests/data/ptq_golden.json`` holds this function's
+    output at the commit before PR 21 (see CHANGES.md for the command).
+    """
+    rng = np.random.default_rng(21)
+    shape = PTQ_GOLDEN_SHAPES[arch]
+    model = ARCHITECTURES[arch](shape, 4, seed=3)
+    weights = []
+    for w, role in zip(model.get_weights(), _weight_roles(model)):
+        w = w + rng.normal(0, 0.05, w.shape).astype(np.float32)
+        weights.append(np.abs(w) + 0.1 if role == "var" else w)
+    model.set_weights(weights)
+    graph = sequential_to_graph(model, name=arch)
+    x = rng.normal(0, 1, (16, *shape)).astype(np.float32)
+    q = quantize_graph(graph, x, per_channel=per_channel)
+    return hashlib.sha256(graph_to_bytes(q)).hexdigest()
+
+
+def _weight_roles(model):
+    """One tag per ``get_weights()`` entry; "var" marks running variances,
+    which must stay positive."""
+    roles = []
+    for layer in model.walk_layers():
+        roles += ["param"] * len(layer.params)
+        if hasattr(layer, "running_mean"):
+            roles += ["mean", "var"]
+    return roles
+
+
+@pytest.mark.parametrize("per_channel", [True, False])
+@pytest.mark.parametrize("arch", sorted(PTQ_GOLDEN_SHAPES))
+def test_ptq_golden_digests(arch, per_channel):
+    golden = json.loads(PTQ_GOLDEN_PATH.read_text())
+    key = f"{arch}/{'per_channel' if per_channel else 'per_tensor'}"
+    assert ptq_golden_digest(arch, per_channel) == golden[key]

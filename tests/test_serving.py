@@ -332,7 +332,7 @@ def test_plan_is_cached_and_invalidated():
     plan = compile_plan(graph)
     assert compile_plan(graph) is plan
     graph.add_tensor(GTensor("scratch", (4,)))
-    assert graph._compiled_plan is None
+    assert graph._plan_cache == {}
     assert compile_plan(graph) is not plan
 
 
