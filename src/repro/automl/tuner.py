@@ -101,7 +101,9 @@ class EonTuner:
         batch_size: int = 16,
         val_fraction: float = 0.25,
     ):
-        self.raw = np.asarray(raw_windows, dtype=np.float32)
+        # The training windows; None once a landed parallel search has
+        # released them (see release()).
+        self.raw: np.ndarray | None = np.asarray(raw_windows, dtype=np.float32)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.space = space
         self.constraints = (constraints or TunerConstraints()).resolved()
@@ -117,7 +119,24 @@ class EonTuner:
         self._cache_lock = threading.Lock()
         self._cache_events: dict[str, threading.Event] = {}
 
+    def release(self) -> None:
+        """Drop the training windows and the DSP feature cache.  Results
+        (``trials``, :meth:`leaderboard`, :meth:`apply_to_project`) need
+        neither, and a search kept for its leaderboard would otherwise
+        pin megabytes per project; evaluating further trials on a
+        released tuner raises :class:`RuntimeError`."""
+        with self._cache_lock:
+            self.raw = None
+            self._feature_cache.clear()
+
     # -- internals ----------------------------------------------------------
+
+    def _require_windows(self) -> None:
+        if self.raw is None:
+            raise RuntimeError(
+                "this tuner's search has landed and released its training "
+                "windows; build a new tuner to evaluate more configurations"
+            )
 
     def _features(self, dsp_spec: dict) -> tuple[DSPBlock, np.ndarray]:
         key = json.dumps(dsp_spec, sort_keys=True)
@@ -218,6 +237,7 @@ class EonTuner:
         """One trial's work, without touching ``self.trials`` — safe to run
         concurrently from child jobs (results are committed in submission
         order by the parent job's finalizer)."""
+        self._require_windows()
         block, features = self._features(dsp_spec)
         n_classes = int(self.labels.max()) + 1
         # ``compress.*`` keys ride inside the model spec (so trial plans,
@@ -290,11 +310,7 @@ class EonTuner:
         from repro.core.workers import WorkerPool
         from repro.core.workers.frames import pack_array
 
-        raw_spec, raw_blob = pack_array(self.raw)
-        labels_spec, labels_blob = pack_array(self.labels)
         init_params = {
-            "raw": raw_spec,
-            "labels": labels_spec,
             "constraints": asdict(self.constraints),
             "precision": self.precision,
             "engine": self.engine,
@@ -304,8 +320,15 @@ class EonTuner:
         }
 
         def prime(handle):
+            # Packed per spawn, not once up front: a blob captured here
+            # would outlive release() for as long as the job history
+            # keeps the trial closures (and so this pool) alive.
+            raw_spec, raw_blob = pack_array(self.raw)
+            labels_spec, labels_blob = pack_array(self.labels)
             handle.request(
-                "tuner_init", init_params, (raw_blob, labels_blob), timeout=120.0
+                "tuner_init",
+                dict(init_params, raw=raw_spec, labels=labels_spec),
+                (raw_blob, labels_blob), timeout=120.0,
             )
 
         return WorkerPool(size=size, initializer=prime, name="tuner")
@@ -321,6 +344,7 @@ class EonTuner:
         dedupe, then per-trial seed draw), so a plan executed in parallel
         is bit-identical to the serial sweep.
         """
+        self._require_windows()
         rng = ensure_rng(seed)
         seen: set[str] = set()
         attempts = 0
@@ -364,6 +388,9 @@ class EonTuner:
         leaderboard is order-independent and bit-identical to a serial
         :meth:`run` with the same ``seed``.  Trials are committed to
         ``self.trials`` (in plan order) only when every trial succeeded.
+        However the parent job lands — committed, cancelled or partially
+        failed — the tuner then calls :meth:`release`: it keeps serving
+        its results but holds no training data.
 
         ``placement="process"`` evaluates trials in worker *processes*
         (a :class:`repro.core.workers.WorkerPool` of ``max_inflight``
@@ -384,11 +411,11 @@ class EonTuner:
             )
         if executor is None:
             executor = JobExecutor(max_workers=max(2, max_inflight))
+        planned = self._sample_plan(n_trials, seed)
+        total = len(planned)
         pool = None
         if placement == "process":
             pool = self._trial_pool(max_inflight)
-        planned = self._sample_plan(n_trials, seed)
-        total = len(planned)
 
         def on_child_done(parent, child):
             done = sum(1 for c in executor.children(parent.job_id) if c.done)
@@ -408,6 +435,7 @@ class EonTuner:
             executor.clear_group_limit(f"tuner-{parent.job_id}")
             if pool is not None:
                 pool.close()
+            self.release()
             completed = [c for c in children if c.status == "succeeded"]
             if parent.cancel_requested or len(completed) != len(children):
                 # Cancelled or partially-failed search: commit nothing —

@@ -138,7 +138,13 @@ class CompressionSearch:
     ):
         """Distributed search (thread or process placement).  The
         baseline is evaluated serially up front; the sampled plan is
-        then bit-identical to :meth:`run` with the same seed."""
+        then bit-identical to :meth:`run` with the same seed.
+
+        A landed parallel sweep is final: however the job ends, the
+        tuner releases its training windows (``EonTuner.release``), so
+        :meth:`front` / :meth:`best` keep working but a later
+        :meth:`evaluate_spec`, :meth:`run` or :meth:`run_parallel`
+        raises :class:`RuntimeError`.  Probe before the sweep."""
         self._ensure_baseline(seed)
         return self.tuner.run_parallel(
             n_trials,
@@ -154,6 +160,9 @@ class CompressionSearch:
         ``compress.*`` keys, validated) through the tuner.  The trial is
         recorded alongside sampled ones, so it competes in the Pareto
         front — useful for seeding a sweep with a known-good candidate.
+        Call it before :meth:`run_parallel` (or around a serial
+        :meth:`run`): once a parallel sweep has landed the training
+        windows are released and this raises :class:`RuntimeError`.
         """
         from repro.compress import split_spec
 

@@ -88,8 +88,9 @@ class Project:
         self.model_revision = 0
         # Parent-job id -> the EonTuner behind it, so the API can render
         # (partial) leaderboards while the search runs.  Bounded: only
-        # the most recent searches are retained (a tuner pins its raw
-        # windows + per-DSP feature caches, which is multi-MB).
+        # the most recent searches are retained.  A running search pins
+        # its raw windows + per-DSP feature caches (multi-MB); once its
+        # parent job lands the tuner releases both and keeps only trials.
         self.tuners: dict[int, object] = {}
         self.max_retained_tuners = 8
         # Parent-job id -> the CompressionSearch behind it (Pareto fronts

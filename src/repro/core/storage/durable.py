@@ -17,7 +17,9 @@ Two durability tiers:
   ``state_dir/projects/p<pid>@<rev>.<n>/``, and *referenced* from the
   WAL by a ``project_saved`` op.  A kill mid-checkpoint leaves an
   orphan directory the WAL never points at; the previous checkpoint
-  stays live and orphans are swept on the next recovery.
+  stays live and orphans are swept on the next recovery.  Sample files
+  are content-addressed and hard-linked from the previous checkpoint,
+  so a commit rewrites only the samples that changed.
 
 Recovery (:meth:`DurableRegistry.recover`) rebuilds exact platform
 state: tokens resolve again, projects reload **lazily** (the tree loads
@@ -306,14 +308,21 @@ class DurableRegistry:
 
         Every checkpoint writes a *fresh* directory and only then
         journals it — a kill mid-save leaves the WAL pointing at the
-        previous good tree, never at a torn one.
+        previous good tree, never at a torn one.  Samples the previous
+        tree already holds are hard-linked into the fresh one, so the
+        commit costs what changed; each tree is still complete on its
+        own, and pruning the old one drops names, not the shared bytes.
         """
+        pid = project.project_id
         with self._lock:
             self._checkpoints += 1
             n = self._checkpoints
-        pid = project.project_id
+            previous = self.state["projects"].get(str(pid), {}).get("tree")
         dirname = f"p{pid}@{project.model_revision}.{n}"
-        save_project(project, self.projects_dir / dirname)
+        save_project(
+            project, self.projects_dir / dirname,
+            link_from=self.projects_dir / previous if previous else None,
+        )
         self.record({
             "op": "project_saved", "pid": pid,
             "revision": project.model_revision, "tree": dirname,

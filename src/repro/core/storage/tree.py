@@ -2,14 +2,21 @@
 
 The hosted platform stores projects server-side; the CLI-driven offline
 equivalent is a directory containing the project manifest, the impulse
-spec, the dataset (one ``.npz`` of arrays + a JSON metadata sidecar) and
-the trained graphs — everything needed to resume work or hand a project to
-a collaborator.
+spec, the dataset and the trained graphs — everything needed to resume
+work or hand a project to a collaborator.
+
+The dataset is one write-once, content-addressed file per sample
+(``dataset/<content digest>.npy``, uncompressed float32) beside a JSON
+metadata sidecar, so a save costs what changed: a sample file that is
+already there is left alone, and one that a previous tree holds is
+hard-linked rather than rewritten.  Nothing ever opens an existing
+sample file for writing — its inode may be shared with another tree.
 
 Re-saving over an existing tree must leave the directory reflecting the
 *current* project state: artifacts a prior save wrote but the project no
 longer carries (a cleared impulse, deleted models, dropped tuner
-history) are removed, never silently resurrected by the next
+history, removed or relabelled samples, the single ``samples.npz`` older
+versions wrote) are removed, never silently resurrected by the next
 :func:`load_project`.
 
 This module is also the heavy-blob tier of the durable control plane
@@ -20,9 +27,13 @@ metadata mutations and references project trees saved here by revision.
 from __future__ import annotations
 
 import json
+import math
+import os
 import pathlib
+import re
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.core.impulse import Impulse
 from repro.core.project import Project
@@ -30,9 +41,77 @@ from repro.data.dataset import Sample
 from repro.graph.serialize import graph_from_bytes, graph_to_bytes
 
 
-def save_project(project: Project, path: str | pathlib.Path) -> None:
-    """Write the full project state under ``path``."""
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def _write_sample_file(data: np.ndarray, target: pathlib.Path,
+                       link_dir: pathlib.Path | None) -> None:
+    """Make ``target`` hold ``data``: by hard link to the file of the
+    same name in ``link_dir`` (another tree's ``dataset/``) when that
+    works, else by writing it.  The write goes through a temporary
+    name, so a kill cannot leave a torn file under a digest a later
+    save would trust."""
+    if link_dir is not None:
+        try:
+            os.link(link_dir / target.name, target)
+            return
+        except OSError:
+            # Not in that tree, the tree is already pruned, or the
+            # filesystem has no hard links: write the bytes instead.
+            pass
+    partial = target.with_suffix(".partial")
+    with open(partial, "wb") as fh:
+        np.save(fh, data, allow_pickle=False)
+    os.replace(partial, target)
+
+
+def _read_sample_file(dataset_dir: pathlib.Path, digest: str) -> np.ndarray:
+    """Decode ``dataset/<digest>.npy``, trusting neither the name (it
+    comes from ``samples.json``) nor the bytes: the header must describe
+    a C-order float32 array of 1-3 dimensions whose size is exactly the
+    rest of the file, checked before the payload is read (a pickled
+    object array fails the dtype check unread)."""
+    if not _DIGEST_RE.fullmatch(digest):
+        raise ValueError(f"{dataset_dir}: {digest!r} is not a sample digest")
+    path = dataset_dir / f"{digest}.npy"
+    try:
+        with open(path, "rb") as fh:
+            try:
+                if npy_format.read_magic(fh) != (1, 0):
+                    raise ValueError("not the version 1.0 np.save writes")
+                shape, fortran_order, dtype = (
+                    npy_format.read_array_header_1_0(fh))
+            except Exception as exc:
+                # numpy parses the header as Python source; on hostile
+                # bytes that leaks tokenizer and ast errors of any type.
+                raise ValueError(f"bad .npy header ({exc!r})") from exc
+            if dtype != np.dtype("<f4") or fortran_order:
+                raise ValueError(f"expected C-order float32, found {dtype}")
+            if not 1 <= len(shape) <= 3:
+                raise ValueError(f"expected 1-3 dimensions, found {shape}")
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held != 4 * math.prod(shape):
+                raise ValueError(
+                    f"shape {shape} needs {4 * math.prod(shape)} bytes, "
+                    f"file holds {held}"
+                )
+            return np.frombuffer(fh.read(), dtype="<f4").reshape(shape)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"unreadable sample file {path}: {exc}") from exc
+
+
+def save_project(project: Project, path: str | pathlib.Path,
+                 link_from: str | pathlib.Path | None = None) -> None:
+    """Write the full project state under ``path``.
+
+    ``link_from`` names another saved tree of the same project on the
+    same filesystem (the durable registry passes the checkpoint it is
+    about to supersede): samples both trees hold are hard-linked from
+    it.  The result is a complete tree either way.
+    """
     root = pathlib.Path(path)
+    link_dir = (pathlib.Path(link_from) / "dataset"
+                if link_from is not None else None)
     (root / "dataset").mkdir(parents=True, exist_ok=True)
     (root / "models").mkdir(exist_ok=True)
 
@@ -73,13 +152,18 @@ def save_project(project: Project, path: str | pathlib.Path) -> None:
         # leaving the file behind would resurrect it on the next load.
         impulse_json.unlink()
 
-    arrays: dict[str, np.ndarray] = {}
     metadata = []
-    for i, sample in enumerate(project.dataset):
-        arrays[f"s{i}"] = sample.data
+    present = set(os.listdir(root / "dataset"))
+    keep = {"samples.json"}
+    for sample in project.dataset:
+        digest = sample.content_hash()
+        name = f"{digest}.npy"
+        if name not in present:
+            _write_sample_file(sample.data, root / "dataset" / name, link_dir)
+        keep.add(name)
         metadata.append(
             {
-                "key": f"s{i}",
+                "digest": digest,
                 "sample_id": sample.sample_id,
                 "label": sample.label,
                 "category": sample.category,
@@ -88,8 +172,9 @@ def save_project(project: Project, path: str | pathlib.Path) -> None:
                 "metadata": sample.metadata,
             }
         )
-    np.savez_compressed(root / "dataset" / "samples.npz", **arrays)
     (root / "dataset" / "samples.json").write_text(json.dumps(metadata, indent=2))
+    for stale in present - keep:
+        (root / "dataset" / stale).unlink()
 
     for name, graph in (("float", project.float_graph), ("int8", project.int8_graph)):
         target = root / "models" / f"{name}.eir"
@@ -131,16 +216,33 @@ def load_project(path: str | pathlib.Path) -> Project:
     samples_json = root / "dataset" / "samples.json"
     if samples_json.exists():
         metadata = json.loads(samples_json.read_text())
-        arrays = np.load(root / "dataset" / "samples.npz")
+        # Trees older than the per-sample layout hold one archive, keyed
+        # per entry; it is opened only if an entry still points into it.
+        legacy = None
         for entry in metadata:
+            digest = entry.get("digest")
+            if digest is not None:
+                data = _read_sample_file(root / "dataset", str(digest))
+            else:
+                if legacy is None:
+                    legacy = np.load(root / "dataset" / "samples.npz")
+                data = legacy[entry["key"]]
             sample = Sample(
-                data=arrays[entry["key"]],
+                data=data,
                 label=entry["label"],
                 sample_id=entry["sample_id"],
                 sensor=entry["sensor"],
                 interval_ms=entry["interval_ms"],
                 metadata=entry["metadata"],
             )
+            # The one hash recovery pays per sample: it both verifies the
+            # file against its name and is the memo ``add`` dedups on.
+            if digest is not None and sample.content_hash() != digest:
+                raise ValueError(
+                    f"sample file {root / 'dataset' / digest}.npy does not "
+                    f"hash to its name (label {sample.label!r}, content "
+                    f"{sample.content_hash()})"
+                )
             project.dataset.add(sample, category=entry["category"])
 
     impulse_json = root / "impulse.json"

@@ -8,6 +8,7 @@ consistency challenge).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 
@@ -16,7 +17,15 @@ import numpy as np
 
 @dataclass
 class Sample:
-    """One labelled sensor recording."""
+    """One labelled sensor recording.
+
+    ``data`` is a private, read-only float32 copy of what the caller
+    passed, so the content digest can be computed once and kept: the
+    only ways to change what it covers are assigning ``data`` or
+    ``label``, and both drop the memo.  While a :class:`Dataset` holds
+    the sample, both assignments are refused — its duplicate index is
+    keyed by that digest, so content changes go through the dataset.
+    """
 
     data: np.ndarray
     label: str
@@ -27,16 +36,39 @@ class Sample:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
         if not self.sample_id:
             self.sample_id = self.content_hash()[:16]
 
+    def __setattr__(self, name, value):
+        if name == "data":
+            value = np.array(value, dtype=np.float32, order="C")  # a copy
+            value.setflags(write=False)
+        if name in ("data", "label"):
+            if self.__dict__.get("_owned"):
+                raise AttributeError(
+                    f"sample {self.sample_id!r} is held by a dataset: change "
+                    f"its {name} with Dataset.relabel, or remove and re-add"
+                )
+            object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo):
+        # The array is immutable, so a clone shares it (and the digest
+        # memo); a default deep copy would hand back a writable array
+        # next to a memo that no longer guards it.
+        clone = copy.copy(self)
+        clone.metadata = copy.deepcopy(self.metadata, memo)
+        return clone
+
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.label.encode("utf-8"))
-        h.update(str(self.data.shape).encode())
-        h.update(np.ascontiguousarray(self.data).tobytes())
-        return h.hexdigest()
+        """SHA-256 over label, shape and bytes; computed once."""
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(self.label.encode("utf-8"))
+            h.update(str(self.data.shape).encode())
+            h.update(self.data.tobytes())
+            self._digest = h.hexdigest()
+        return self._digest
 
     @property
     def duration_ms(self) -> float:
@@ -49,6 +81,9 @@ class Dataset:
     def __init__(self, name: str = "dataset"):
         self.name = name
         self._samples: dict[str, Sample] = {}
+        # Content digest -> sample id, one entry per sample: what makes
+        # the duplicate check a lookup instead of a re-hash of the set.
+        self._by_digest: dict[str, str] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -60,25 +95,50 @@ class Dataset:
         runs and machines.
         """
         content = sample.content_hash()
-        for existing in self._samples.values():
-            if existing.content_hash() == content:
-                return existing.sample_id
+        existing = self._by_digest.get(content)
+        if existing is not None:
+            return existing
         if category is not None:
             sample.category = category
         else:
             sample.category = "test" if int(content[:8], 16) % 5 == 0 else "train"
         if sample.sample_id in self._samples:
-            sample.sample_id = content[:16]
+            # A relabelled sample keeps the id of its old content, so the
+            # 16-digit prefix can be taken too: lengthen it until free.
+            sample.sample_id = next(
+                content[:n] for n in range(16, len(content) + 1)
+                if content[:n] not in self._samples
+            )
         self._samples[sample.sample_id] = sample
+        self._by_digest[content] = sample.sample_id
+        sample._owned = True
         return sample.sample_id
 
     def remove(self, sample_id: str) -> None:
         if sample_id not in self._samples:
             raise KeyError(f"no sample {sample_id!r}")
-        del self._samples[sample_id]
+        sample = self._samples.pop(sample_id)
+        del self._by_digest[sample.content_hash()]
+        sample._owned = False
 
     def relabel(self, sample_id: str, label: str) -> None:
-        self._samples[sample_id].label = label
+        """Change a sample's label; refused when the same data already
+        exists under ``label`` (the collection stays deduplicated)."""
+        sample = self._samples[sample_id]
+        old_label, old_digest = sample.label, sample.content_hash()
+        sample._owned = False
+        try:
+            sample.label = label
+            twin = self._by_digest.get(sample.content_hash(), sample_id)
+            if twin != sample_id:
+                sample.label = old_label
+                raise ValueError(
+                    f"sample {twin!r} already holds this data as {label!r}"
+                )
+        finally:
+            sample._owned = True
+        del self._by_digest[old_digest]
+        self._by_digest[sample.content_hash()] = sample_id
 
     def move_to_category(self, sample_id: str, category: str) -> None:
         if category not in ("train", "test"):

@@ -51,3 +51,23 @@ def small_keyword_dataset():
         keywords=["yes", "no"], samples_per_class=12, sample_rate=8000,
         include_noise=True, include_unknown=False, seed=0,
     )
+
+
+@pytest.fixture
+def sample_digest_calls(monkeypatch):
+    """A list that grows by one per SHA-256 :mod:`repro.data.dataset`
+    starts — i.e. per sample content digest actually computed."""
+    import hashlib
+    import types
+
+    from repro.data import dataset as dataset_module
+
+    calls = []
+
+    def counting_sha256(*args):
+        calls.append(1)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(dataset_module, "hashlib",
+                        types.SimpleNamespace(sha256=counting_sha256))
+    return calls

@@ -585,3 +585,17 @@ def test_search_process_placement_matches_serial_front():
     assert job.status == "succeeded", job.error
     assert job.result["committed"] is True
     assert proc.front() == serial.front()
+
+    # A landed parallel sweep is final: it released its training windows,
+    # so a later probe or sweep is refused by name (not with a shape
+    # error) and the results stay served.  The serial sweep keeps its data.
+    probe = {k: v for k, v in proc.baseline.model_spec.items()
+             if k.startswith("compress.")}
+    for again in (lambda: proc.evaluate_spec(probe, seed=0),
+                  lambda: proc.run(n_trials=1, seed=1)):
+        with pytest.raises(RuntimeError, match="released its training"):
+            again()
+    assert proc.front() == serial.front() and proc.best() == serial.best()
+    n_before = len(serial.trials)
+    serial.evaluate_spec(probe, seed=0)
+    assert len(serial.trials) == n_before + 1

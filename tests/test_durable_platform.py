@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import errno
+import json
+import os
+
+import numpy as np
 import pytest
 
 from repro.core import ClassificationBlock, Impulse, Platform, TimeSeriesInput
@@ -11,6 +16,7 @@ from repro.core.storage.durable import (
     initial_state,
     reduce_ops,
 )
+from repro.data.dataset import Sample
 from repro.data.synthetic import vibration_dataset
 from repro.dsp import SpectralAnalysisBlock
 from repro.monitor.telemetry import TelemetryRecord
@@ -358,3 +364,216 @@ class TestTrainedRoundtrip:
         job2 = restored.train(seed=1)
         assert job2.status == "succeeded"
         assert restored.model_revision == 2
+
+
+    def test_landed_search_serves_results_and_recovers_equal(self, tmp_path):
+        """train -> tune -> apply on a durable platform: the landed
+        search still answers the leaderboard, GET .../tuner/{jid} and
+        apply with its windows released, and the reopened project equals
+        the live one — samples, digests, graphs, leaderboards."""
+        from repro.automl import SearchSpace
+        from repro.graph.serialize import graph_to_bytes
+
+        d = tmp_path / "state"
+        p1 = Platform(state_dir=d)
+        p1.register_user("alice")
+        project = p1.create_project("proj", owner="alice")
+        pid = project.project_id
+        _populate(project)
+        project.train(seed=0)
+        graphs = {"float": graph_to_bytes(project.float_graph),
+                  "int8": graph_to_bytes(project.int8_graph)}
+        space = SearchSpace(
+            dsp_templates=[{"type": "spectral-analysis", "sample_rate": 100,
+                            "fft_length": [32, 64]}],
+            model_templates=[{"architecture": "mlp", "hidden": [(8,), (16,)]}],
+        )
+        tune = project.tune_async(n_trials=3, space=space, train_epochs=2)
+        assert tune.wait(120).status == "succeeded"
+        tuner = project.tuners[tune.job_id]
+        assert tuner.raw is None and tuner._feature_cache == {}
+        board = tuner.leaderboard()
+        assert board and project.leaderboards() == {tune.job_id: board}
+        view = p1.gateway.handle(
+            "GET", f"/v1/projects/{pid}/tuner/{tune.job_id}", {}, user="alice")
+        assert view["status"] == 200 and view["data"]["leaderboard"] == board
+
+        def state(proj):
+            return [(s.sample_id, s.label, s.category, s.content_hash())
+                    for s in proj.dataset]
+
+        # What the build leaves behind (the train commit's checkpoint).
+        built = Platform(state_dir=d).get_project(pid)
+        assert state(built) == state(project)
+        assert {"float": graph_to_bytes(built.float_graph),
+                "int8": graph_to_bytes(built.int8_graph)} == graphs
+
+        # Applying the winner commits again: unchanged samples are
+        # linked, the leaderboard is persisted with the new impulse.
+        applied = p1.gateway.handle(
+            "POST", f"/v1/projects/{pid}/tuner/{tune.job_id}/apply",
+            {"rank": 1}, user="alice")
+        assert applied["status"] == 200, applied
+        restored = Platform(state_dir=d).get_project(pid)
+        assert state(restored) == state(project)
+        assert restored.leaderboards() == {tune.job_id: board}
+        as_saved = lambda doc: json.loads(json.dumps(doc))  # tuples -> lists
+        assert restored.applied_trial == as_saved(project.applied_trial)
+        assert restored.impulse.to_dict() == as_saved(project.impulse.to_dict())
+        assert restored.float_graph is None  # a new impulse drops the model
+
+
+class TestLinkedCheckpoints:
+    """Checkpoints hard-link unchanged samples from the tree they
+    supersede (PR 22); every tree stays complete on its own."""
+
+    @staticmethod
+    def _project(platform, n=100):
+        platform.register_user("alice")
+        project = platform.create_project("proj", owner="alice")
+        rng = np.random.default_rng(3)
+        for i in range(n):
+            project.dataset.add(Sample(
+                data=rng.standard_normal(12).astype(np.float32),
+                label=f"c{i % 3}",
+            ))
+        return project
+
+    @staticmethod
+    def _live_tree(platform, pid):
+        durable = platform._durable
+        return durable.projects_dir / durable.state["projects"][str(pid)]["tree"]
+
+    @staticmethod
+    def _sample_files(tree):
+        return {f.name: f for f in (tree / "dataset").glob("*.npy")}
+
+    @staticmethod
+    def _dataset_state(project):
+        return [(s.sample_id, s.label, s.category, s.content_hash())
+                for s in project.dataset]
+
+    def test_second_checkpoint_of_unchanged_dataset_rewrites_nothing(
+            self, tmp_path):
+        p1 = Platform(state_dir=tmp_path / "state")
+        project = self._project(p1)
+        pid = project.project_id
+        p1.checkpoint(pid)
+        first = self._live_tree(p1, pid)
+        inodes = {name: f.stat().st_ino
+                  for name, f in self._sample_files(first).items()}
+        assert len(inodes) == 100
+
+        p1.checkpoint(pid)
+        second = self._live_tree(p1, pid)
+        assert second != first and not first.exists()  # superseded, pruned
+        rewritten = [name for name, f in self._sample_files(second).items()
+                     if f.stat().st_ino != inodes.get(name)]
+        assert rewritten == [] and len(self._sample_files(second)) == 100
+
+        # One more sample, one relabel: exactly those two files are new.
+        project.dataset.add(Sample(data=np.ones(12, np.float32), label="c0"))
+        project.dataset.relabel(next(iter(project.dataset)).sample_id, "zz")
+        p1.checkpoint(pid)
+        third = self._sample_files(self._live_tree(p1, pid))
+        assert len(third) == 101
+        assert sum(1 for name, f in third.items()
+                   if f.stat().st_ino != inodes.get(name)) == 2
+
+        # The pruned trees took nothing with them.
+        p2 = Platform(state_dir=tmp_path / "state")
+        assert self._dataset_state(p2.get_project(pid)) \
+            == self._dataset_state(project)
+
+    def test_kill_between_tree_and_journal_recovers_previous_tree(
+            self, tmp_path):
+        """The new tree is on disk, linked to the live one, but its
+        ``project_saved`` never reached the WAL: recovery must serve the
+        previous tree complete and sweep the orphan."""
+        p1 = Platform(state_dir=tmp_path / "state")
+        project = self._project(p1, n=20)
+        pid = project.project_id
+        p1.checkpoint(pid)
+        committed = self._dataset_state(project)
+        live = self._live_tree(p1, pid)
+
+        project.dataset.add(Sample(data=np.ones(12, np.float32), label="c0"))
+        durable = p1._durable
+        journal = durable.record
+
+        def killed_before_journal(op):
+            if op["op"] == "project_saved":
+                raise KeyboardInterrupt("kill -9")
+            journal(op)
+
+        durable.record = killed_before_journal
+        with pytest.raises(KeyboardInterrupt):
+            p1.checkpoint(pid)
+        orphans = [t for t in durable.projects_dir.iterdir() if t != live]
+        assert len(orphans) == 1
+        assert len(self._sample_files(orphans[0])) == 21
+        assert live.exists()  # pruning comes after the journal entry
+
+        p2 = Platform(state_dir=tmp_path / "state")
+        assert not orphans[0].exists()
+        assert self._dataset_state(p2.get_project(pid)) == committed
+
+    def test_filesystem_without_links_writes_an_identical_tree(
+            self, tmp_path, monkeypatch):
+        p1 = Platform(state_dir=tmp_path / "state")
+        project = self._project(p1, n=10)
+        pid = project.project_id
+        p1.checkpoint(pid)
+        p1.checkpoint(pid)
+
+        def content(tree):
+            return {str(f.relative_to(tree)): f.read_bytes()
+                    for f in sorted(tree.rglob("*")) if f.is_file()}
+
+        linked_tree = self._live_tree(p1, pid)
+        linked = content(linked_tree)
+        linked_inodes = {f.stat().st_ino
+                         for f in self._sample_files(linked_tree).values()}
+
+        def no_links(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", no_links)
+        p1.checkpoint(pid)
+        written_tree = self._live_tree(p1, pid)
+        assert content(written_tree) == linked
+        assert not linked_inodes & {
+            f.stat().st_ino
+            for f in self._sample_files(written_tree).values()}
+        p2 = Platform(state_dir=tmp_path / "state")
+        assert self._dataset_state(p2.get_project(pid)) \
+            == self._dataset_state(project)
+
+    def test_bit_rot_is_carried_by_link_refused_on_load_and_repairable(
+            self, tmp_path):
+        """The trade-off docs/storage.md names: a checkpoint trusts a
+        present sample file by name, so a damaged one rides into the next
+        tree; the load refuses it loudly, and deleting the named file
+        while the project is live lets the next commit rewrite it."""
+        p1 = Platform(state_dir=tmp_path / "state")
+        project = self._project(p1, n=5)
+        pid = project.project_id
+        p1.checkpoint(pid)
+        name, victim = sorted(self._sample_files(
+            self._live_tree(p1, pid)).items())[0]
+        good = victim.read_bytes()
+        victim.write_bytes(good[:-1] + bytes([good[-1] ^ 0x01]))
+
+        p1.checkpoint(pid)  # links the damaged inode forward
+        carried = self._sample_files(self._live_tree(p1, pid))[name]
+        assert carried.read_bytes() != good
+        with pytest.raises(ValueError, match=name):
+            Platform(state_dir=tmp_path / "state").get_project(pid)
+
+        carried.unlink()  # the repair: memory still holds the sample
+        p1.checkpoint(pid)
+        assert self._sample_files(
+            self._live_tree(p1, pid))[name].read_bytes() == good
+        p2 = Platform(state_dir=tmp_path / "state")
+        assert self._dataset_state(p2.get_project(pid)) \
+            == self._dataset_state(project)

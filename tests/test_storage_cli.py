@@ -1,14 +1,18 @@
 """Project persistence + the CLI driving a full workflow on disk."""
 
+import errno
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core import ClassificationBlock, Impulse, Platform, TimeSeriesInput
+from repro.core.project import Project
 from repro.core.storage import load_project, save_project
+from repro.data.dataset import Sample
 from repro.data.synthetic import vibration_dataset
 from repro.dsp import SpectralAnalysisBlock
 from repro.formats.wav import write_wav
@@ -285,3 +289,210 @@ def test_resave_removes_stale_files(tmp_path):
     restored = load_project(target)
     assert restored.impulse is None
     assert restored.float_graph is None and restored.int8_graph is None
+
+
+# -- the per-sample dataset layout (PR 22) -----------------------------------
+
+
+def _small_project(n=4):
+    project = Project("layout", owner="alice")
+    rng = np.random.default_rng(5)
+    for i in range(n):
+        project.dataset.add(Sample(
+            data=rng.standard_normal((6, 2)).astype(np.float32),
+            label=f"c{i % 2}", sensor="accel", interval_ms=10.0,
+            metadata={"i": i},
+        ))
+    return project
+
+
+def _dataset_state(project):
+    return [(s.sample_id, s.label, s.category, s.sensor, s.interval_ms,
+             s.metadata, s.content_hash()) for s in project.dataset]
+
+
+def test_dataset_is_one_content_addressed_file_per_sample(tmp_path):
+    project = _small_project()
+    save_project(project, tmp_path / "proj")
+    names = sorted(p.name for p in (tmp_path / "proj" / "dataset").iterdir())
+    assert names == sorted(
+        [f"{s.content_hash()}.npy" for s in project.dataset] + ["samples.json"]
+    )
+    first = next(iter(project.dataset))
+    on_disk = np.load(tmp_path / "proj" / "dataset"
+                      / f"{first.content_hash()}.npy")
+    assert on_disk.dtype == np.float32
+    assert np.array_equal(on_disk, first.data)
+    assert _dataset_state(load_project(tmp_path / "proj")) \
+        == _dataset_state(project)
+
+
+def test_load_hashes_each_sample_once(tmp_path, sample_digest_calls):
+    """The digest that verifies a file against its name is the one the
+    dataset then dedups on: recovery hashes once per sample too."""
+    save_project(_small_project(6), tmp_path / "proj")
+    del sample_digest_calls[:]
+    restored = load_project(tmp_path / "proj")
+    assert len(restored.dataset) == 6 and len(sample_digest_calls) == 6
+
+
+def test_hostile_sample_file_bytes_raise_one_clear_error(tmp_path):
+    """Every strict prefix and every single-bit flip of a sample file:
+    load raises ValueError naming the file, or (a flip that decodes to
+    the same array, e.g. '<f4' -> '=f4' in the header) loads exactly the
+    original — never wrong data, never another exception type."""
+    project = _small_project(1)
+    save_project(project, tmp_path / "proj")
+    sample = next(iter(project.dataset))
+    target = tmp_path / "proj" / "dataset" / f"{sample.content_hash()}.npy"
+    good = target.read_bytes()
+    expected = _dataset_state(project)
+
+    def check(blob):
+        target.write_bytes(blob)
+        try:
+            restored = load_project(tmp_path / "proj")
+        except ValueError as exc:
+            assert target.name in str(exc)
+            return False
+        assert _dataset_state(restored) == expected
+        return True
+
+    assert check(good)
+    for cut in range(len(good)):
+        assert not check(good[:cut]), f"prefix of {cut} bytes loaded"
+    assert not check(good + b"\x00")  # padded
+    tolerated = 0
+    for i in range(len(good)):
+        for bit in range(8):
+            flipped = bytearray(good)
+            flipped[i] ^= 1 << bit
+            tolerated += check(bytes(flipped))
+    # A payload flip can never be tolerated: the digest covers it.
+    assert tolerated <= 8  # 3 with numpy 2.4, all in the 128-byte header
+
+
+def test_pickled_misnamed_or_escaping_sample_files_are_rejected(tmp_path):
+    project = _small_project(2)
+    save_project(project, tmp_path / "proj")
+    dataset_dir = tmp_path / "proj" / "dataset"
+    a, b = [dataset_dir / f"{s.content_hash()}.npy" for s in project.dataset]
+    good_a, good_b = a.read_bytes(), b.read_bytes()
+
+    # An object array: rejected on its dtype, before anything unpickles.
+    with open(a, "wb") as fh:
+        np.save(fh, np.array([{"boom": 1}], dtype=object), allow_pickle=True)
+    with pytest.raises(ValueError, match=a.name):
+        load_project(tmp_path / "proj")
+    # float64 content under a sample's name.
+    with open(a, "wb") as fh:
+        np.save(fh, np.zeros((6, 2), dtype=np.float64))
+    with pytest.raises(ValueError, match="expected C-order float32"):
+        load_project(tmp_path / "proj")
+    # Two valid files under each other's names.
+    a.write_bytes(good_b)
+    b.write_bytes(good_a)
+    with pytest.raises(ValueError, match="does not hash to its name"):
+        load_project(tmp_path / "proj")
+    a.write_bytes(good_a)
+    b.write_bytes(good_b)
+    # A missing file.
+    a.unlink()
+    with pytest.raises(ValueError, match=a.name):
+        load_project(tmp_path / "proj")
+    a.write_bytes(good_a)
+    load_project(tmp_path / "proj")
+    # samples.json naming something that is not a digest.
+    sidecar = dataset_dir / "samples.json"
+    entries = json.loads(sidecar.read_text())
+    entries[0]["digest"] = "../../outside"
+    sidecar.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match="not a sample digest"):
+        load_project(tmp_path / "proj")
+
+
+def test_tree_with_the_old_single_archive_still_loads(tmp_path):
+    """A tree as f7a5cf1 wrote it (dataset/samples.npz keyed s<i>) is
+    read; the next save rewrites it in the one current format."""
+    project = _small_project(3)
+    save_project(project, tmp_path / "proj")
+    dataset_dir = tmp_path / "proj" / "dataset"
+    entries = json.loads((dataset_dir / "samples.json").read_text())
+    arrays = {}
+    for i, (entry, sample) in enumerate(zip(entries, project.dataset)):
+        (dataset_dir / f"{entry.pop('digest')}.npy").unlink()
+        entry["key"] = f"s{i}"
+        arrays[f"s{i}"] = sample.data
+    np.savez_compressed(dataset_dir / "samples.npz", **arrays)
+    (dataset_dir / "samples.json").write_text(json.dumps(entries))
+
+    restored = load_project(tmp_path / "proj")
+    assert _dataset_state(restored) == _dataset_state(project)
+    save_project(restored, tmp_path / "proj")
+    assert not (dataset_dir / "samples.npz").exists()
+    assert _dataset_state(load_project(tmp_path / "proj")) \
+        == _dataset_state(project)
+
+
+def test_resave_drops_unreferenced_samples_and_rewrites_none(tmp_path):
+    project = _small_project(4)
+    target = tmp_path / "proj"
+    save_project(project, target)
+    dataset_dir = target / "dataset"
+    # Another tree shares these inodes, as a superseded checkpoint does.
+    other = tmp_path / "other"
+    other.mkdir()
+    for f in dataset_dir.glob("*.npy"):
+        os.link(f, other / f.name)
+    shared = {f.name: f.read_bytes() for f in other.iterdir()}
+    before = {f.name: (f.stat().st_ino, f.stat().st_mtime_ns)
+              for f in dataset_dir.glob("*.npy")}
+    (dataset_dir / "interrupted.partial").write_bytes(b"torn")
+
+    removed, relabelled, *_ = [s.sample_id for s in project.dataset]
+    gone = {project.dataset.get(removed).content_hash(),
+            project.dataset.get(relabelled).content_hash()}
+    project.dataset.remove(removed)
+    project.dataset.relabel(relabelled, "renamed")
+    save_project(project, target)
+
+    after = {f.name: (f.stat().st_ino, f.stat().st_mtime_ns)
+             for f in dataset_dir.glob("*.npy")}
+    assert sorted(after) == sorted(
+        f"{s.content_hash()}.npy" for s in project.dataset)
+    assert not any(f"{digest}.npy" in after for digest in gone)
+    assert not (dataset_dir / "interrupted.partial").exists()
+    # Kept samples were not touched at all; the other tree's bytes (even
+    # of the two this tree dropped) are what they were.
+    assert all(after[name] == before[name] for name in after if name in before)
+    assert {f.name: f.read_bytes() for f in other.iterdir()} == shared
+    assert _dataset_state(load_project(target)) == _dataset_state(project)
+
+
+def test_link_from_shares_inodes_and_falls_back_to_writing(tmp_path,
+                                                          monkeypatch):
+    project = _small_project(5)
+    save_project(project, tmp_path / "t1")
+    save_project(project, tmp_path / "t2", link_from=tmp_path / "t1")
+
+    def inodes(tree):
+        return {f.name: f.stat().st_ino
+                for f in (tmp_path / tree / "dataset").glob("*.npy")}
+
+    def content(tree):
+        return {str(f.relative_to(tmp_path / tree)): f.read_bytes()
+                for f in sorted((tmp_path / tree).rglob("*")) if f.is_file()}
+
+    assert inodes("t2") == inodes("t1") and len(inodes("t2")) == 5
+
+    def no_links(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "link", no_links)
+    save_project(project, tmp_path / "t3", link_from=tmp_path / "t1")
+    assert not set(inodes("t3").values()) & set(inodes("t1").values())
+    assert content("t3") == content("t2") == content("t1")
+    # A link_from tree that lacks a sample (or is gone) is not an error.
+    monkeypatch.undo()
+    save_project(project, tmp_path / "t4", link_from=tmp_path / "missing")
+    assert content("t4") == content("t1")

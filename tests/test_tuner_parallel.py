@@ -41,6 +41,15 @@ def _trial_key(t):
             t.nn_ram_kb, t.flash_kb)
 
 
+def _assert_released(tuner):
+    """However a parallel search landed, the tuner holds no training
+    windows or DSP features, and says so instead of failing on a shape."""
+    assert tuner.raw is None and tuner._feature_cache == {}
+    for search in (tuner.run, tuner.run_parallel):
+        with pytest.raises(RuntimeError, match="released its training windows"):
+            search(n_trials=len(tuner.trials) + 1)
+
+
 @pytest.mark.parametrize("max_inflight", [1, 4])
 def test_parallel_leaderboard_bit_identical_to_serial(max_inflight):
     """Same seed => run_parallel commits the exact trials serial run()
@@ -63,6 +72,11 @@ def test_parallel_leaderboard_bit_identical_to_serial(max_inflight):
     assert parallel.results_table() == serial.results_table()
     assert parallel.leaderboard() == serial.leaderboard()
     assert parallel.best_trial().accuracy == serial.best_trial().accuracy
+    # ... all of it served after the landed search let its data go.
+    _assert_released(parallel)
+    with pytest.raises(RuntimeError, match="released its training windows"):
+        parallel.evaluate_config(*parallel.space.sample(0))
+    assert serial.raw is not None and serial._feature_cache  # run() keeps it
 
 
 def test_parallel_respects_max_inflight():
@@ -113,6 +127,7 @@ def test_cancel_mid_search_commits_nothing():
     assert job.status == "cancelled"
     assert job.result["committed"] is False
     assert tuner.trials == []  # nothing committed
+    _assert_released(tuner)
     children = executor.children(job.job_id)
     assert all(c.done for c in children)
     # Queued trials never ran: they were dropped outright.
@@ -165,6 +180,8 @@ def test_project_state_untouched_by_cancelled_search(monkeypatch):
     assert project.impulse.to_dict() == impulse_before
     assert project.label_map == {} and project.float_graph is None
     assert project.tuners[job.job_id].trials == []
+    _assert_released(project.tuners[job.job_id])
+    assert project.leaderboards() == {}
     with pytest.raises(RuntimeError, match="no trials"):
         project.apply_tuner_result(job.job_id)
 
@@ -184,6 +201,7 @@ def test_failed_trial_fails_parent_and_commits_nothing():
     assert job.status == "failed"
     assert "synthetic trial crash" in job.error
     assert tuner.trials == []
+    _assert_released(tuner)
 
 
 def test_concurrent_tuner_runs_hammer_one_executor():

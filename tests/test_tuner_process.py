@@ -61,6 +61,48 @@ def test_process_placement_bit_identical_to_serial():
     assert proc.leaderboard() == serial.leaderboard()
 
 
+def _big_buffers(obj, floor, seen=None):
+    """Arrays / byte strings of at least ``floor`` bytes reachable from
+    ``obj`` through closures, attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return [obj] if len(obj) >= floor else []
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.nbytes >= floor else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        children = list(obj)
+    else:
+        children = [cell.cell_contents
+                    for cell in getattr(obj, "__closure__", None) or ()]
+        children += list(getattr(obj, "__dict__", {}).values())
+    return [hit for child in children
+            for hit in _big_buffers(child, floor, seen)]
+
+
+@pytest.mark.parametrize("placement", ["thread", "process"])
+def test_landed_search_pins_no_training_data(placement):
+    """The job history keeps every trial closure — and through it the
+    tuner and, on ``process``, the worker pool and its initializer —
+    alive; none of them may still hold the windows (or a packed copy)."""
+    tuner = _tiny_tuner()
+    floor = tuner.raw.nbytes
+    executor = JobExecutor(max_workers=4)
+    job = tuner.run_parallel(n_trials=3, executor=executor, max_inflight=2,
+                             seed=0, placement=placement)
+    job.wait(timeout=300.0)
+    assert job.status == "succeeded", job.error
+    assert tuner.raw is None and tuner._feature_cache == {}
+    assert len(tuner.leaderboard()) == len(job.result["leaderboard"]) > 0
+    with pytest.raises(RuntimeError, match="released its training windows"):
+        tuner.run_parallel(n_trials=1, executor=executor, placement=placement)
+    assert _big_buffers(list(executor.jobs.values()), floor) == []
+
+
 def test_bad_placement_rejected():
     with pytest.raises(ValueError, match="placement"):
         _tiny_tuner().run_parallel(n_trials=1, placement="gpu")
