@@ -6,12 +6,15 @@ Conventions:
   channels)`` for 1-D;
 - ``build(input_shape)`` receives the per-sample shape (no batch dim) and
   returns the per-sample output shape;
-- ``forward`` caches what ``backward`` needs; ``backward`` receives
-  dLoss/dOutput and returns dLoss/dInput while accumulating parameter
-  gradients in ``self.grads``.
+- ``forward(training=True)`` caches what ``backward`` needs in
+  underscore-named array attributes; ``backward`` receives dLoss/dOutput,
+  *assigns* every parameter gradient in ``self.grads`` and returns
+  dLoss/dInput; ``backward_params`` skips that input gradient.
 
-Convolutions use strided sliding-window views + ``tensordot``/``einsum`` so
-the heavy lifting stays inside BLAS, per the ml-systems guide.
+Convolutions lower like the inference kernels (``runtime/kernels.py``):
+zero-filled pad buffer, one gather of the window view into the ``(rows, K)``
+im2col matrix, one sgemm — the operands ``tensordot`` built through its
+transpose + reshape + copy, so results are its bits (docs/training.md).
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def zero_grads(self) -> None:
-        for key in self.params:
-            self.grads[key] = np.zeros_like(self.params[key])
+    def backward_params(self, grad: np.ndarray) -> None:
+        self.backward(grad)
 
     @property
     def name(self) -> str:
@@ -67,18 +69,42 @@ def _out_size(size: int, kernel: int, stride: int, pad: tuple[int, int]) -> int:
     return (size + pad[0] + pad[1] - kernel) // stride + 1
 
 
-def _windows_2d(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Strided view (B, OH, OW, KH, KW, C) over padded NHWC input."""
-    b, h, w, c = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sb, sh, sw, sc = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(b, oh, ow, kh, kw, c),
-        strides=(sb, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
-    )
+def _padded(x: np.ndarray, pads: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``x`` as float32, spatial axes zero-padded by ``pads`` (``(before,
+    after)`` per axis), in the memory order ``numpy.pad`` returns (the GEMM
+    route depends on it) — minus its ~70 us of Python per call, and minus
+    the copy when nothing is padded and ``x`` already has that layout."""
+    order = "F" if x.flags.fnc else "C"
+    if not any(map(any, pads)):
+        return np.asarray(x, dtype=np.float32, order=order)
+    shape = (len(x), *(lo + n + hi for (lo, hi), n in zip(pads, x.shape[1:])), x.shape[-1])
+    xp = np.zeros(shape, dtype=np.float32, order=order)
+    _unpadded(xp, pads)[...] = x
+    return xp
+
+
+def _unpadded(xp: np.ndarray, pads: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The view of ``xp`` that ``_padded`` fills from its input."""
+    return xp[(slice(None), *(slice(lo, n - hi) for (lo, hi), n in zip(pads, xp.shape[1:])))]
+
+
+def _windows(xp: np.ndarray, kernel: tuple[int, ...], stride: int) -> np.ndarray:
+    """Strided view ``(B, *out, *kernel, C)`` over padded channels-last input."""
+    sb, *spatial, sc = xp.strides
+    out = [(n - k) // stride + 1 for n, k in zip(xp.shape[1:], kernel)]
+    shape = (len(xp), *out, *kernel, xp.shape[-1])
+    strides = (sb, *(s * stride for s in spatial), *spatial, sc)
+    return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
+
+
+def _weight_grad(view: np.ndarray, grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """dLoss/dW of a conv from its forward window view: the ``(K, rows)``
+    transpose of the im2col matrix (one gather; a plain transposed view when
+    the input *is* that matrix, as for a pointwise conv) times ``grad``."""
+    n = view.ndim // 2  # batch + spatial axes, then as many kernel + channel axes
+    cols_t = view.transpose(*range(n, 2 * n), *range(n)).reshape(-1, grad.size // shape[-1])
+    dw = np.dot(cols_t, grad.reshape(-1, shape[-1]))
+    return dw.reshape(shape).astype(np.float32, copy=False)
 
 
 class Conv2D(Layer):
@@ -117,24 +143,24 @@ class Conv2D(Layer):
         return self.output_shape
 
     def forward(self, x, training=False):
-        xp = np.pad(
-            x, ((0, 0), self.pad_h, self.pad_w, (0, 0)), mode="constant"
-        ).astype(np.float32, copy=False)
-        view = _windows_2d(xp, self.kh, self.kw, self.stride)
-        out = np.tensordot(view, self.params["W"], axes=([3, 4, 5], [0, 1, 2]))
+        xp = _padded(x, (self.pad_h, self.pad_w))
+        view = _windows(xp, (self.kh, self.kw), self.stride)
+        cols = view.reshape(-1, self.kh * self.kw * xp.shape[-1])  # the one gather
+        out = np.dot(cols, self.params["W"].reshape(-1, self.filters))
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         if training:
             self._xp_shape = xp.shape
             self._view = view
-        return out.astype(np.float32, copy=False)
+        return out.reshape(view.shape[:3] + (self.filters,))
+
+    def backward_params(self, grad):
+        self.grads["W"] = _weight_grad(self._view, grad, self.params["W"].shape)
+        if self.use_bias:
+            self.grads["b"] = grad.sum(axis=(0, 1, 2)).astype(np.float32, copy=False)
 
     def backward(self, grad):
-        self.grads["W"] = np.tensordot(
-            self._view, grad, axes=([0, 1, 2], [0, 1, 2])
-        ).astype(np.float32)
-        if self.use_bias:
-            self.grads["b"] = grad.sum(axis=(0, 1, 2)).astype(np.float32)
+        self.backward_params(grad)
         b, oh, ow, _ = grad.shape
         dxp = np.zeros(self._xp_shape, dtype=np.float32)
         weights = self.params["W"]
@@ -143,10 +169,7 @@ class Conv2D(Layer):
             for j in range(self.kw):
                 contrib = grad @ weights[i, j].T  # (B, OH, OW, Cin)
                 dxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += contrib
-        ph, pw = self.pad_h, self.pad_w
-        h_end = dxp.shape[1] - ph[1] or None
-        w_end = dxp.shape[2] - pw[1] or None
-        return dxp[:, ph[0] : h_end, pw[0] : w_end, :]
+        return _unpadded(dxp, (self.pad_h, self.pad_w))
 
 
 class DepthwiseConv2D(Layer):
@@ -188,20 +211,19 @@ class DepthwiseConv2D(Layer):
         return self.output_shape
 
     def forward(self, x, training=False):
-        xp = np.pad(
-            x, ((0, 0), self.pad_h, self.pad_w, (0, 0)), mode="constant"
-        ).astype(np.float32, copy=False)
-        view = _windows_2d(xp, self.kh, self.kw, self.stride)
-        # (B,OH,OW,KH,KW,C) x (KH,KW,C,D) -> (B,OH,OW,C,D)
+        xp = _padded(x, (self.pad_h, self.pad_w))
+        view = _windows(xp, (self.kh, self.kw), self.stride)
+        # (B,OH,OW,KH,KW,C) x (KH,KW,C,D) -> (B,OH,OW,C,D).  ``optimize=True`` stays
+        # (numpy >= 2.3 makes it a batched matmul: other bits than plain einsum).
         out = np.einsum("bxyijc,ijcd->bxycd", view, self.params["W"], optimize=True)
         b, oh, ow, c, d = out.shape
         out = out.reshape(b, oh, ow, c * d)
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         if training:
             self._xp_shape = xp.shape
             self._view = view
-        return out.astype(np.float32, copy=False)
+        return out
 
     def backward(self, grad):
         b, oh, ow, _ = grad.shape
@@ -209,9 +231,9 @@ class DepthwiseConv2D(Layer):
         g = grad.reshape(b, oh, ow, c, self.depth_multiplier)
         self.grads["W"] = np.einsum(
             "bxyijc,bxycd->ijcd", self._view, g, optimize=True
-        ).astype(np.float32)
+        ).astype(np.float32, copy=False)
         if self.use_bias:
-            self.grads["b"] = grad.sum(axis=(0, 1, 2)).astype(np.float32)
+            self.grads["b"] = grad.sum(axis=(0, 1, 2)).astype(np.float32, copy=False)
         dxp = np.zeros(self._xp_shape, dtype=np.float32)
         weights = self.params["W"]  # (KH,KW,C,D)
         s = self.stride
@@ -220,10 +242,7 @@ class DepthwiseConv2D(Layer):
                 # (B,OH,OW,C,D) x (C,D) -> (B,OH,OW,C)
                 contrib = np.einsum("bxycd,cd->bxyc", g, weights[i, j], optimize=True)
                 dxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += contrib
-        ph, pw = self.pad_h, self.pad_w
-        h_end = dxp.shape[1] - ph[1] or None
-        w_end = dxp.shape[2] - pw[1] or None
-        return dxp[:, ph[0] : h_end, pw[0] : w_end, :]
+        return _unpadded(dxp, (self.pad_h, self.pad_w))
 
 
 class Conv1D(Layer):
@@ -258,39 +277,30 @@ class Conv1D(Layer):
         return self.output_shape
 
     def forward(self, x, training=False):
-        xp = np.pad(x, ((0, 0), self.pad, (0, 0)), mode="constant").astype(
-            np.float32, copy=False
-        )
-        b, t, c = xp.shape
-        ot = (t - self.k) // self.stride + 1
-        sb, st, sc = xp.strides
-        view = np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(b, ot, self.k, c),
-            strides=(sb, st * self.stride, st, sc),
-            writeable=False,
-        )
-        out = np.tensordot(view, self.params["W"], axes=([2, 3], [0, 1]))
+        xp = _padded(x, (self.pad,))
+        view = _windows(xp, (self.k,), self.stride)
+        cols = view.reshape(-1, self.k * xp.shape[-1])  # the one gather
+        out = np.dot(cols, self.params["W"].reshape(-1, self.filters))
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         if training:
             self._xp_shape = xp.shape
             self._view = view
-        return out.astype(np.float32, copy=False)
+        return out.reshape(view.shape[:2] + (self.filters,))
+
+    def backward_params(self, grad):
+        self.grads["W"] = _weight_grad(self._view, grad, self.params["W"].shape)
+        if self.use_bias:
+            self.grads["b"] = grad.sum(axis=(0, 1)).astype(np.float32, copy=False)
 
     def backward(self, grad):
-        self.grads["W"] = np.tensordot(
-            self._view, grad, axes=([0, 1], [0, 1])
-        ).astype(np.float32)
-        if self.use_bias:
-            self.grads["b"] = grad.sum(axis=(0, 1)).astype(np.float32)
+        self.backward_params(grad)
         b, ot, _ = grad.shape
         dxp = np.zeros(self._xp_shape, dtype=np.float32)
         s = self.stride
         for i in range(self.k):
             dxp[:, i : i + s * ot : s, :] += grad @ self.params["W"][i].T
-        t_end = dxp.shape[1] - self.pad[1] or None
-        return dxp[:, self.pad[0] : t_end, :]
+        return _unpadded(dxp, (self.pad,))
 
 
 class Dense(Layer):
@@ -318,13 +328,16 @@ class Dense(Layer):
             self._x = x
         out = x @ self.params["W"]
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         return out.astype(np.float32, copy=False)
 
-    def backward(self, grad):
-        self.grads["W"] = (self._x.T @ grad).astype(np.float32)
+    def backward_params(self, grad):
+        self.grads["W"] = (self._x.T @ grad).astype(np.float32, copy=False)
         if self.use_bias:
-            self.grads["b"] = grad.sum(axis=0).astype(np.float32)
+            self.grads["b"] = grad.sum(axis=0).astype(np.float32, copy=False)
+
+    def backward(self, grad):
+        self.backward_params(grad)
         return grad @ self.params["W"].T
 
 
@@ -402,6 +415,16 @@ class Reshape(Layer):
         return grad.reshape(self._shape)
 
 
+def _untrimmed(dx_trim: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A pool's input gradient as float32 of the input's ``shape``; the rows
+    and columns the pool dropped (``size % pool``), if any, get zero."""
+    if dx_trim.shape == shape:
+        return dx_trim.astype(np.float32, copy=False)
+    dx = np.zeros(shape, dtype=np.float32)
+    dx[tuple(slice(n) for n in dx_trim.shape)] = dx_trim
+    return dx
+
+
 class MaxPool2D(Layer):
     """Non-overlapping max pooling (stride == pool size)."""
 
@@ -435,10 +458,7 @@ class MaxPool2D(Layer):
         # Split ties evenly so gradient mass is conserved.
         counts = mask.sum(axis=(2, 4), keepdims=True)
         spread = mask * (grad[:, :, None, :, None, :] / counts)
-        dx_trim = spread.reshape(b, oh * p, ow * p, c)
-        dx = np.zeros(self._orig_shape, dtype=np.float32)
-        dx[:, : oh * p, : ow * p, :] = dx_trim
-        return dx
+        return _untrimmed(spread.reshape(b, oh * p, ow * p, c), self._orig_shape)
 
 
 class MaxPool1D(Layer):
@@ -473,9 +493,7 @@ class MaxPool1D(Layer):
         mask = self._x_trim == self._out[:, :, None, :]
         counts = mask.sum(axis=2, keepdims=True)
         spread = mask * (grad[:, :, None, :] / counts)
-        dx = np.zeros(self._orig_shape, dtype=np.float32)
-        dx[:, : ot * p, :] = spread.reshape(b, ot * p, c)
-        return dx
+        return _untrimmed(spread.reshape(b, ot * p, c), self._orig_shape)
 
 
 class AvgPool2D(Layer):
@@ -504,10 +522,8 @@ class AvgPool2D(Layer):
     def backward(self, grad):
         b, oh, ow, c = grad.shape
         p = self.p
-        dx = np.zeros(self._orig_shape, dtype=np.float32)
         expanded = np.repeat(np.repeat(grad, p, axis=1), p, axis=2) / (p * p)
-        dx[:, : oh * p, : ow * p, :] = expanded
-        return dx
+        return _untrimmed(expanded, self._orig_shape)
 
 
 class GlobalAvgPool2D(Layer):
@@ -572,10 +588,10 @@ class BatchNorm(Layer):
             var = x.var(axis=axes)
             self.running_mean = (
                 self.momentum * self.running_mean + (1 - self.momentum) * mean
-            ).astype(np.float32)
+            ).astype(np.float32, copy=False)
             self.running_var = (
                 self.momentum * self.running_var + (1 - self.momentum) * var
-            ).astype(np.float32)
+            ).astype(np.float32, copy=False)
             inv_std = 1.0 / np.sqrt(var + self.eps)
             x_hat = (x - mean) * inv_std
             self._x_hat = x_hat
@@ -593,8 +609,8 @@ class BatchNorm(Layer):
     def backward(self, grad):
         axes, n = self._axes, self._n
         x_hat, inv_std = self._x_hat, self._inv_std
-        self.grads["gamma"] = (grad * x_hat).sum(axis=axes).astype(np.float32)
-        self.grads["beta"] = grad.sum(axis=axes).astype(np.float32)
+        self.grads["gamma"] = (grad * x_hat).sum(axis=axes).astype(np.float32, copy=False)
+        self.grads["beta"] = grad.sum(axis=axes).astype(np.float32, copy=False)
         g = grad * self.params["gamma"]
         term = g - g.mean(axis=axes) - x_hat * (g * x_hat).mean(axis=axes)
         return (term * inv_std).astype(np.float32, copy=False)
@@ -654,10 +670,6 @@ class Residual(Layer):
         for layer in reversed(self.sublayers):
             g = layer.backward(g)
         return grad + g
-
-    def zero_grads(self):
-        for layer in self.sublayers:
-            layer.zero_grads()
 
     def walk(self):
         for layer in self.sublayers:

@@ -21,6 +21,8 @@ class Sequential:
         for layer in self.layers:
             shape = layer.build(shape, rng)
         self.output_shape = shape
+        trainable = [bool(l.params) or isinstance(l, Residual) for l in self.layers]
+        self._first_trainable = trainable.index(True) if True in trainable else 0
 
     # -- inference / training passes ----------------------------------------
 
@@ -30,19 +32,21 @@ class Sequential:
             h = layer.forward(h, training=training)
         return h
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
+        """Assign every parameter gradient.  Stops at the first layer that
+        has parameters: nothing reads the gradient of the model's input."""
         g = grad
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[self._first_trainable + 1 :]):
             g = layer.backward(g)
-        return g
+        self.layers[self._first_trainable].backward_params(g)
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Batched forward pass (no training caches)."""
         x = np.asarray(x, dtype=np.float32)
-        outs = []
+        outs = [np.zeros((0,) + self.output_shape, dtype=np.float32)]  # an empty batch's result
         for start in range(0, len(x), batch_size):
             outs.append(self.forward(x[start : start + batch_size]))
-        return np.concatenate(outs, axis=0) if outs else np.zeros((0,) + self.output_shape)
+        return np.concatenate(outs, axis=0)
 
     def predict_proba(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Softmax over the final logits."""
@@ -75,9 +79,12 @@ class Sequential:
                     pairs.append((param, grad))
         return pairs
 
-    def zero_grads(self) -> None:
+    def drop_caches(self) -> None:
+        """Forget what the last training pass cached for ``backward``."""
         for layer in self.walk_layers():
-            layer.zero_grads()
+            for name, value in list(vars(layer).items()):
+                if name.startswith("_") and isinstance(value, np.ndarray):
+                    delattr(layer, name)
 
     def count_params(self) -> int:
         return sum(

@@ -100,7 +100,6 @@ class Trainer:
             for start in range(0, len(x), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 xb, yb = x[idx], y[idx]
-                self.model.zero_grads()
                 logits = self.model.forward(xb, training=True)
                 loss, grad = self.loss(logits, yb)
                 self.model.backward(grad)
@@ -137,6 +136,7 @@ class Trainer:
         if best_weights is not None and cfg.restore_best:
             self.model.set_weights(best_weights)
             history.restored_best = True
+        self.model.drop_caches()  # the model outlives the fit; its last batch need not
         return history
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> dict:
@@ -179,7 +179,6 @@ def find_learning_rate(
         model.set_weights(saved)
         opt = Adam(learning_rate=float(lr))
         idx = rng.choice(len(x), size=min(batch_size, len(x)), replace=False)
-        model.zero_grads()
         out = model.forward(x[idx], training=True)
         loss, grad = loss_fn(out, y[idx])
         model.backward(grad)

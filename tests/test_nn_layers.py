@@ -31,7 +31,6 @@ LOSS = CrossEntropyFromLogits()
 
 def _grad_check(model, x, y, n_samples=4, tol=2e-2):
     """Compare backprop grads against central differences."""
-    model.zero_grads()
     logits = model.forward(x, training=True)
     _, grad = LOSS(logits, y)
     model.backward(grad)
@@ -100,6 +99,104 @@ def test_conv1d_gradients():
         (10, 3), seed=0,
     )
     _grad_check(model, x, y)
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_gradients_over_stride_and_padding(stride, padding):
+    """Odd sizes, and a trainable layer in front so the conv under test
+    also has to produce a correct input gradient."""
+    y = np.array([0, 1, 2, 1])
+    x1 = RNG.standard_normal((4, 11, 3)).astype(np.float32)
+    conv1 = Conv1D(5, 3, stride=stride, padding=padding)
+    _grad_check(
+        Sequential([Conv1D(4, 1), conv1, GlobalAvgPool1D(), Dense(3)], (11, 3), seed=0),
+        x1, y,
+    )
+    assert conv1.output_shape == ({1: 11, 2: 6}[stride] if padding == "same"
+                                  else {1: 9, 2: 5}[stride], 5)
+    x2 = RNG.standard_normal((4, 7, 5, 2)).astype(np.float32)
+    conv2 = Conv2D(3, (3, 5), stride=stride, padding=padding)
+    _grad_check(
+        Sequential([Conv2D(4, 1), conv2, GlobalAvgPool2D(), Dense(3)], (7, 5, 2), seed=0),
+        x2, y,
+    )
+    assert conv2.output_shape[:2] == (
+        {1: (7, 5), 2: (4, 3)}[stride] if padding == "same" else {1: (5, 1), 2: (3, 1)}[stride]
+    )
+
+
+@pytest.mark.parametrize("first, shape", [
+    (lambda: Conv1D(4, 3, stride=2), (9, 2)),
+    (lambda: Conv2D(3, 3, padding="valid"), (6, 5, 2)),
+    (lambda: DepthwiseConv2D(3), (6, 5, 2)),
+    (lambda: Dense(6), (10,)),
+])
+def test_backward_skips_only_the_model_input_gradient(first, shape):
+    """``Sequential.backward`` computes no input gradient for the first
+    trainable layer (nor anything before it); every parameter gradient
+    equals the layer-by-layer backward that does, with the layer first or
+    second behind an identity ``Reshape``."""
+    x = RNG.standard_normal((4,) + shape).astype(np.float32)
+    y = np.array([0, 1, 1, 0])
+    tail = [Flatten()] if len(shape) > 1 else []
+
+    def grads(layers, full):
+        model = Sequential(layers + tail + [Dense(2)], shape, seed=3)
+        _, grad = LOSS(model.forward(x, training=True), y)
+        if full:
+            for layer in reversed(model.layers):
+                grad = layer.backward(grad)
+            assert grad.shape == x.shape
+        else:
+            assert model.backward(grad) is None
+        return [g for _, g in model.params_and_grads()]
+
+    reference = grads([first()], full=True)
+    assert len(reference) >= 3
+    for layers in ([first()], [Reshape(shape), first()]):
+        for got, want in zip(grads(layers, full=False), reference, strict=True):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [8, 9])  # 9 % 2: the last row / column is dropped
+def test_maxpool_splits_ties_and_zeroes_what_it_trimmed(size):
+    grad_of = np.arange(1, 5, dtype=np.float32)
+    x1 = RNG.standard_normal((1, size, 1)).astype(np.float32)
+    x1[0, 2, 0] = x1[0, 3, 0] = 7.0  # an exact tie in window 1
+    pool = MaxPool1D(2)
+    pool.build((size, 1), RNG)
+    assert pool.forward(x1, training=True).shape == (1, 4, 1)
+    dx = pool.backward(grad_of.reshape(1, 4, 1))
+    assert dx.shape == x1.shape and dx.dtype == np.float32
+    assert dx[0, 2, 0] == dx[0, 3, 0] == 1.0  # window 1's gradient of 2, halved
+    assert np.array_equal(dx[0, :8, 0].reshape(4, 2).sum(axis=1), grad_of)
+    assert not dx[0, 8:].any()
+
+    x2 = RNG.standard_normal((1, size, size, 1)).astype(np.float32)
+    x2[0, 0:2, 2:4, 0] = 9.0  # a four-way tie
+    pool = MaxPool2D(2)
+    pool.build((size, size, 1), RNG)
+    g2 = RNG.standard_normal((1, 4, 4, 1)).astype(np.float32)
+    assert pool.forward(x2, training=True).shape == g2.shape
+    dx = pool.backward(g2)
+    assert dx.shape == x2.shape and dx.dtype == np.float32
+    assert np.array_equal(dx[0, 0:2, 2:4, 0], np.full((2, 2), g2[0, 0, 1, 0] / 4))
+    windows = dx[0, :8, :8, 0].reshape(4, 2, 4, 2).sum(axis=(1, 3))
+    assert np.allclose(windows, g2[0, :, :, 0], atol=1e-6)
+    assert not dx[0, 8:].any() and not dx[0, :, 8:].any()
+
+
+@pytest.mark.parametrize("length", [8, 9])
+def test_pool_gradients_when_the_input_is_trimmed_or_not(length):
+    y = np.array([0, 1, 0])
+    x = RNG.standard_normal((3, length, 2)).astype(np.float32)
+    model = Sequential([Conv1D(3, 3), MaxPool1D(2), Flatten(), Dense(2)], (length, 2), seed=0)
+    _grad_check(model, x, y)
+    x = RNG.standard_normal((3, length, length, 2)).astype(np.float32)
+    for pool in (MaxPool2D(2), AvgPool2D(2)):
+        model = Sequential([Conv2D(2, 3), pool, Flatten(), Dense(2)], (length, length, 2), seed=0)
+        _grad_check(model, x, y)
 
 
 def test_pool_gradients():
