@@ -16,7 +16,7 @@ off the Pareto front within the 2 pp budget.
 
 The reduction itself is a deterministic plan property of the compressed
 graph (packed int4 tensor sizes, pruned shapes) — timing-free, like
-``pass_arena_reduction``.  ``compress_ram_reduction`` (the min over
+``plan_arena_reduction``.  ``compress_ram_reduction`` (the min over
 both models) lands in the bench JSON artifact and is gated by
 ``scripts/check_bench_regression.py``; the >= 0.30 / <= 2 pp floors are
 hard-asserted here for BOTH models.

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Perf regression gate: compare a fresh benchmark artifact to the baseline.
 
-CI's ``bench-smoke`` job runs the serving + distributed-tuner +
-pass-pipeline benchmarks, which write their headline numbers to
+CI's ``bench-smoke`` job runs the serving + distributed-tuner + plan
+benchmarks (among others), which write their headline numbers to
 ``results/$BENCH_JSON`` (``results/BENCH_pr<N>.json`` in CI, derived
 from the PR number; see ``benchmarks/conftest.py``).  This script
 compares that artifact against the committed baseline

@@ -46,15 +46,21 @@ CODES: dict[str, tuple[str, str]] = {
     "G031": ("warning", "activation tensor never read or written"),
     "G040": ("error", "plan reads an activation after it is freed"),
     "G041": ("error", "arena assigns overlapping memory to live tensors"),
-    # -- pass pipeline (repro.runtime.passes) --
-    "G050": ("error", "optimization pass left the graph unverifiable"),
-    "G051": ("error", "optimization pass raised an exception"),
     # -- platform linter --
     "L001": ("error", "guarded attribute accessed outside its lock"),
     "L002": ("warning", "lock-acquisition-order inversion"),
     "L003": ("warning", "bare KeyError raised in API-layer code"),
     "L010": ("warning", "route registered without required metadata"),
     "L020": ("warning", "wall-clock time.time() used for a duration"),
+}
+
+#: Codes that meant something once and are never reused (no
+#: :class:`Diagnostic` can carry them).  G050/G051 reported failures of
+#: the graph-rewrite pass pipeline, deleted when the plan binder took
+#: over its decisions.
+RETIRED_CODES: dict[str, str] = {
+    "G050": "optimization pass left the graph unverifiable",
+    "G051": "optimization pass raised an exception",
 }
 
 

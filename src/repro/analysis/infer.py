@@ -3,8 +3,7 @@
 Each transfer function receives the op and its *declared* input tensors
 and returns the facts the op's kernels actually produce — the expected
 output shapes and dtypes plus any attribute requirements.  The verifier
-compares these against the declared output tensors; a future compiler
-pass can call the same functions to re-derive metadata after a rewrite.
+compares these against the declared output tensors.
 
 Shape conventions match the runtime kernels (``repro.runtime.kernels``):
 tensor shapes are per-sample (no batch dimension), images are HWC,
@@ -86,31 +85,6 @@ def _conv_extent(size: int, kernel: int, pad: tuple[int, int], stride: int,
     return out
 
 
-def _fused_pool(op: GOp) -> int | None:
-    """Fusion-pass annotation: the op's kernel max/avg-pools its own
-    output by this factor (see repro.runtime.passes.fusion), so the
-    declared output tensor carries the *pooled* spatial extent."""
-    pool = op.attrs.get("fused_pool")
-    if pool is None:
-        return None
-    pool = int(pool)
-    if pool < 1:
-        raise InferenceError(f"fused_pool must be >= 1, got {pool}")
-    if op.attrs.get("fused_pool_kind", "max") not in ("max", "avg"):
-        raise InferenceError(
-            f"fused_pool_kind must be 'max' or 'avg', "
-            f"got {op.attrs['fused_pool_kind']!r}"
-        )
-    return pool
-
-
-def _pool_extent(size: int, pool: int, axis: str) -> int:
-    out = size // pool
-    if out < 1:
-        raise InferenceError(f"fused_pool {pool} larger than {axis} extent {size}")
-    return out
-
-
 def _weighted_dtypes(x: GTensor, w: GTensor, b: GTensor) -> str:
     """Weight/bias dtype rules for conv/dense, returning the out dtype."""
     if x.dtype == "int8":
@@ -146,10 +120,6 @@ def _conv2d(op: GOp, ins: list[GTensor]) -> OpFacts:
     stride = _stride(op)
     oh = _conv_extent(x.shape[0], kh, _pad_pair(op, "pad_h"), stride, "height")
     ow = _conv_extent(x.shape[1], kw, _pad_pair(op, "pad_w"), stride, "width")
-    pool = _fused_pool(op)
-    if pool is not None:
-        oh = _pool_extent(oh, pool, "height")
-        ow = _pool_extent(ow, pool, "width")
     return OpFacts(((oh, ow, cout),), _weighted_dtypes(x, w, b))
 
 
@@ -169,10 +139,6 @@ def _dwconv2d(op: GOp, ins: list[GTensor]) -> OpFacts:
     stride = _stride(op)
     oh = _conv_extent(x.shape[0], kh, _pad_pair(op, "pad_h"), stride, "height")
     ow = _conv_extent(x.shape[1], kw, _pad_pair(op, "pad_w"), stride, "width")
-    pool = _fused_pool(op)
-    if pool is not None:
-        oh = _pool_extent(oh, pool, "height")
-        ow = _pool_extent(ow, pool, "width")
     return OpFacts(((oh, ow, c * dm),), _weighted_dtypes(x, w, b))
 
 
@@ -188,9 +154,6 @@ def _conv1d(op: GOp, ins: list[GTensor]) -> OpFacts:
     if b.shape != (cout,):
         raise InferenceError(f"bias shape {b.shape} != ({cout},)")
     ot = _conv_extent(x.shape[0], k, _pad_pair(op, "pad"), _stride(op), "time")
-    pool = _fused_pool(op)
-    if pool is not None:
-        ot = _pool_extent(ot, pool, "time")
     return OpFacts(((ot, cout),), _weighted_dtypes(x, w, b))
 
 

@@ -18,10 +18,7 @@ problem.  It subsumes the legacy ``Graph.validate()`` structural checks
 
 ``compile_plan`` runs :func:`verify_graph` on every cold compile (the
 ``verify=False`` opt-out skips it) and ``graph_from_bytes`` runs it on
-every deserialized graph.  Future graph-optimization passes should call
-it before *and* after each transform: a rewrite that leaves the graph
-unverifiable is a compiler bug, caught at the pass boundary instead of
-as a kernel crash three layers down.
+every deserialized graph.
 """
 
 from __future__ import annotations
@@ -270,8 +267,7 @@ def check_quantization(graph: Graph) -> Report:
 def check_liveness(graph: Graph) -> Report:
     """Dead ops (outputs unreachable from the graph output) and
     activation tensors no op ever touches.  Both are warnings: the graph
-    still executes, but it wastes arena bytes and kernel invokes — and a
-    future optimization pass should have eliminated them."""
+    still executes, but it wastes arena bytes and kernel invokes."""
     report = Report(subject=graph.name)
     needed = {graph.output_id}
     dead: list[int] = []
@@ -345,32 +341,33 @@ def check_arena(graph: Graph, plan=None) -> Report:
 
 def verify_plan(plan) -> Report:
     """Re-simulate a :class:`repro.runtime.executor.CompiledPlan`'s
-    release schedule and prove no step reads a freed activation.
+    release schedule over its steps and prove no step reads a freed
+    activation.
 
-    This is the post-compile (and, for the coming pass pipeline,
-    post-transform) guard: a stale release schedule over a rewritten
-    graph is exactly the bug class that corrupts results silently.
+    This is the post-compile guard: a release schedule out of step with
+    the plan (a conv step that absorbed a pool runs two ops) is exactly
+    the bug class that corrupts results silently.
     """
     graph = plan.graph
     report = Report(subject=f"{graph.name} (compiled plan)")
     live = {graph.input_id}
-    for oi, (op, dead) in enumerate(zip(graph.ops, plan._release)):
-        for t in op.inputs:
-            if not graph.tensors[t].is_const and t not in live:
+    for si, (step, dead) in enumerate(zip(plan.steps, plan._release)):
+        for t in step.reads:
+            if t not in live:
                 report.add(
                     "G040",
-                    f"plan step {oi} ({op.opcode}) reads tensor {t}, "
+                    f"plan step {si} ({step.opcode}) reads tensor {t}, "
                     f"which was already freed",
-                    op_index=oi, tensor_id=t,
+                    tensor_id=t,
                     hint="recompute the release schedule from graph.lifetimes()",
                 )
-        live.update(op.outputs)
+        live.add(step.out_id)
         for t in dead:
             if t == graph.output_id:
                 report.add(
                     "G040",
-                    f"plan step {oi} frees the graph output tensor {t}",
-                    op_index=oi, tensor_id=t,
+                    f"plan step {si} frees the graph output tensor {t}",
+                    tensor_id=t,
                 )
             live.discard(t)
     return report

@@ -51,7 +51,6 @@ class Platform:
     def __init__(
         self,
         serving_workers: int = 1,
-        passes: object = "default",
         serving_backend: str = "thread",
         state_dir: str | None = None,
         resume_jobs: bool = False,
@@ -68,8 +67,6 @@ class Platform:
         # runs those shards as worker *processes* (repro.core.workers),
         # so invokes execute on real cores instead of sharing one GIL;
         # one thread worker needs no hop at all, so it serves inline.
-        # ``passes`` selects the plan compiler's optimization pipeline
-        # for served EON models.
         if serving_backend not in ("thread", "process"):
             raise ValueError(
                 f"unknown serving_backend {serving_backend!r}; "
@@ -83,7 +80,6 @@ class Platform:
                 else serving_backend
             ),
             workers=workers,
-            passes=passes,
         )
         # The device fleet + its rollout executor (paper Sec. 8.2): OTA
         # updates run as staged jobs, not inline with the API request.

@@ -143,12 +143,11 @@ class WorkerServer:
 
         model_id = int(params["model_id"])
         engine = params.get("engine", "eon")
-        passes = params.get("passes", "default")
         if not blobs:
             raise ValueError("load_model needs the graph blob")
         graph = graph_from_bytes(blobs[0])
         model = (
-            EONCompiler(passes=passes).compile(graph)
+            EONCompiler().compile(graph)
             if engine == "eon"
             else TFLMInterpreter(graph)
         )

@@ -20,12 +20,10 @@ class Graph:
         self.ops: list[GOp] = []
         self.input_id: int = -1
         self.output_id: int = -1
-        # Memoized CompiledPlans keyed (pass signature, engine) (see
-        # repro.runtime.executor.compile_plan) and memoized pass-pipeline
-        # outcomes keyed by pass signature; both invalidated by
-        # structural edits.
+        # Memoized CompiledPlans keyed by engine (see
+        # repro.runtime.executor.compile_plan); invalidated by structural
+        # edits.
         self._plan_cache: dict = {}
-        self._pass_outcomes: dict = {}
         # Set after a successful full verification (repro.analysis); the
         # compile path skips re-verifying an unchanged graph.  Shares the
         # plan memo's staleness contract: structural edits clear it,
@@ -35,10 +33,9 @@ class Graph:
     # -- construction --------------------------------------------------------
 
     def _invalidate(self) -> None:
-        """Structural edit: drop every derived memo (plans, pass
-        outcomes, verification)."""
+        """Structural edit: drop every derived memo (plans,
+        verification)."""
         self._plan_cache.clear()
-        self._pass_outcomes.clear()
         self._verified_ok = False
 
     def add_tensor(self, tensor: GTensor) -> int:

@@ -37,16 +37,18 @@ def calibrate_activations(
 ) -> ActivationStats:
     """Run ``samples`` through the float graph recording activation ranges.
 
-    Import of the executor is deferred to avoid a circular dependency
-    (runtime imports quantize for its int8 kernels).
+    The dispatch path records every authored activation with the same
+    float32 kernels a compiled plan binds.  Import of the executor is
+    deferred to avoid a circular dependency (runtime imports quantize for
+    its int8 kernels).
     """
-    from repro.runtime.executor import run_graph
+    from repro.runtime.executor import run_graph_dispatch
 
     stats = ActivationStats()
     samples = np.asarray(samples, dtype=np.float32)
     for start in range(0, len(samples), batch_size):
         batch = samples[start : start + batch_size]
-        activations = run_graph(graph, batch, record=True)
+        activations = run_graph_dispatch(graph, batch, record=True)
         for tid, values in activations.items():
             stats.update(tid, values)
     return stats

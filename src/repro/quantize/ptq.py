@@ -176,8 +176,6 @@ def quantize_graph(
     order over conv/dense ops) to ``"int8"``, ``"int4"`` or ``"f32"``;
     unlisted layers default to int8.  The result is named ``<name>_int8``
     when every weighted layer is int8 and ``<name>_mixed`` otherwise.
-    Redundant boundary pairs are left for the pass pipeline's
-    dequant→quant cancellation to clean up.
     """
     pmap = _resolve_precision_map(graph, precision_map)
     if stats is None:

@@ -19,12 +19,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.interpreter import TFLMInterpreter
 from repro.runtime.eon import EONCompiler, EONModel
-from repro.runtime.passes import (
-    DEFAULT_PASS_NAMES,
-    PassConfig,
-    PassOutcome,
-    run_passes,
-)
 
 __all__ = [
     "run_graph",
@@ -36,8 +30,4 @@ __all__ = [
     "TFLMInterpreter",
     "EONCompiler",
     "EONModel",
-    "DEFAULT_PASS_NAMES",
-    "PassConfig",
-    "PassOutcome",
-    "run_passes",
 ]

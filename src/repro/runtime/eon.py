@@ -31,14 +31,13 @@ class EONModel:
     arena: ArenaPlan
     plan: CompiledPlan | None = None
     sources: dict[str, str] = field(default_factory=dict)
-    passes: object = "default"
 
     def invoke(self, batch: np.ndarray) -> np.ndarray:
         # Static plan: a straight-line sequence of bound kernels, no
         # registry lookups, dead activations freed as they die.  The one
         # plan runs every batch size.
         if self.plan is None:
-            self.plan = compile_plan(self.graph, passes=self.passes, engine="eon")
+            self.plan = compile_plan(self.graph, engine="eon")
         return self.plan.execute(batch)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
@@ -62,15 +61,10 @@ class EONModel:
 class EONCompiler:
     """Ahead-of-time compiler from Graph to :class:`EONModel`.
 
-    ``passes`` is forwarded to :func:`repro.runtime.executor.compile_plan`
-    (``"default"`` = the production optimization pipeline, ``None`` = bind
-    the authored graph exactly).  Code generation always walks the
-    authored graph — the pass pipeline changes which Python kernels the
-    plan binds, not the emitted C++.
+    Code generation walks the authored graph, one call per op; the
+    plan's bind-time decisions (conv+pool fusion, exact GEMM, in-place
+    ADD) change which Python kernels it binds, not the emitted C++.
     """
-
-    def __init__(self, passes: object = "default"):
-        self.passes = passes
 
     def compile(self, graph: Graph, emit_source: bool = False) -> EONModel:
         graph.validate()
@@ -78,8 +72,7 @@ class EONCompiler:
         model = EONModel(
             graph=graph,
             arena=arena,
-            plan=compile_plan(graph, passes=self.passes, engine="eon"),
-            passes=self.passes,
+            plan=compile_plan(graph, engine="eon"),
         )
         if emit_source:
             model.sources = self.generate_source(graph, arena)

@@ -9,26 +9,31 @@ Two ways to execute a :class:`repro.graph.Graph`:
   :class:`repro.runtime.interpreter.TFLMInterpreter` and
   :class:`repro.runtime.eon.EONModel`.
 - :func:`run_graph_dispatch` re-resolves each op through the opcode
-  dispatch chain on every call — the pre-plan behaviour, kept as the
-  reference implementation for equivalence tests and the serving
-  benchmark's baseline.
+  dispatch chain on every call — the reference implementation for
+  equivalence tests, and (``record=True``) the calibration path that
+  returns every activation.
 
 Dispatch calls the generic kernels (the spec); plans bind the
 ``*_i8_plan`` family of ``repro.runtime.kernels``, whose rewrites are
-each proven exact at bind time, so outputs are bit-identical.  Compiled
-plans additionally use ``graph.lifetimes()`` to drop dead activations as
-execution proceeds (non-record mode), so peak Python-side memory tracks
-the arena plan instead of the sum of all activations.
+each proven exact at bind time, so outputs are bit-identical.
 
-By default :func:`compile_plan` first runs the graph through the
-``repro.runtime.passes`` optimization pipeline (fusion, constant
-folding, simplification, in-place reuse — each bracketed by the graph
-verifier) and binds the optimized graph; ``passes=None`` binds the
-authored graph exactly as before.  Optimized plans produce bit-identical
-outputs (the pipeline only applies provably exact rewrites), and
-``record=True`` execution transparently delegates to an unoptimized plan
-so every authored activation is still observable.  Plans are cached per
-``(pass signature, engine)`` on the graph instance; a plan is
+The binder is also the plan optimizer.  While binding the authored
+graph it makes three local decisions, from the graph's structure and
+``graph.lifetimes()`` alone — never from op attributes, which a
+deserialized blob could forge — and each exact (docs/plan.md):
+
+- **conv+pool fusion** — a conv whose only reader is a compatible pool,
+  and whose output is not the graph output, runs that pool in its own
+  step; the pool's step is dropped and the pre-pool tensor never exists;
+- **exact GEMM** — ``prepare_gemm_i8`` runs an int8 contraction in
+  float64 BLAS when it proves every partial sum below 2**53;
+- **in-place ADD** — an ADD whose operand dies at the op writes into
+  that operand's buffer, unless the operand is the graph input, a
+  constant, or shares its buffer with a RESHAPE/TRANSPOSE view.
+
+Plans drop dead activations as execution proceeds, so peak Python-side
+memory tracks the arena plan instead of the sum of all activations.
+Plans are cached per engine on the graph instance; a plan is
 batch-polymorphic (kernels read window strides off the arrays they are
 handed), so one plan serves every batch size.
 """
@@ -44,7 +49,6 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.ops import GOp
 from repro.runtime import kernels as K
-from repro.runtime.passes import DEFAULT_PASS_NAMES, PassConfig, run_passes
 
 
 def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.ndarray:
@@ -148,6 +152,17 @@ def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.nda
 
 # -- plan compilation -----------------------------------------------------
 
+#: conv opcode -> {pool opcode it can absorb: pool kind}.
+_POOL_FUSION = {
+    "CONV_2D": {"MAX_POOL_2D": "max", "AVG_POOL_2D": "avg"},
+    "DEPTHWISE_CONV_2D": {"MAX_POOL_2D": "max", "AVG_POOL_2D": "avg"},
+    "CONV_1D": {"MAX_POOL_1D": "max"},
+}
+
+#: Opcodes whose plan kernels may return a view of their input's buffer.
+_VIEW_OPS = ("RESHAPE", "TRANSPOSE")
+
+
 def _requantizer(graph: Graph, op: GOp) -> K.Requantizer:
     """The op's requantization, validated and pre-cast once."""
     a = op.attrs
@@ -158,7 +173,9 @@ def _requantizer(graph: Graph, op: GOp) -> K.Requantizer:
     )
 
 
-def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndarray]:
+def _bind_op(
+    graph: Graph, op: GOp, pool: tuple[int, str] | None, inplace_id: int | None
+) -> Callable[[dict[int, np.ndarray]], np.ndarray]:
     """Resolve one op into a closure over pre-fetched weights/attrs.
 
     All dispatch decisions (opcode, dtype, activation), tensor-table
@@ -170,21 +187,20 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
     prepared here (zero point folded into the bias, requantizer
     constants, and the GEMM / depthwise dtype each layer's exactness
     proof allows — see the notes in ``repro.runtime.kernels``).
-    Pass-pipeline annotations (``gemm_exact``, ``fused_pool``,
-    ``inplace`` — see ``repro.runtime.passes``) pick the float64 GEMM
-    route and the pool a conv absorbs.
+    ``pool`` is the ``(size, kind)`` of the pool a conv absorbs and
+    ``inplace_id`` the dying operand an ADD writes into, both decided by
+    :func:`_bind_steps`.
     """
     t = graph.tensors
     a = op.attrs
     is_int8 = t[op.outputs[0]].dtype == "int8"
     x_id = op.inputs[0]
+    pool_size, pool_kind = pool or (None, "max")
 
     if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D"):
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
         stride, pad_h, pad_w = a["stride"], a["pad_h"], a["pad_w"]
-        fused_pool = a.get("fused_pool")
-        pool_kind = a.get("fused_pool_kind", "max")
         if is_int8:
             in_zp = t[x_id].quant.zero_point
             rq = _requantizer(graph, op)
@@ -192,39 +208,38 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
                 taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
                 return lambda v: K.dwconv2d_i8_plan(
                     v[x_id], taps, bias, stride, pad_h, pad_w, in_zp, rq,
-                    pool=fused_pool, pool_kind=pool_kind,
+                    pool=pool_size, pool_kind=pool_kind,
                 )
             kh, kw = w.shape[0], w.shape[1]
-            w2d, bias = K.prepare_gemm_i8(w, b, in_zp, a.get("gemm_exact"))
+            w2d, bias = K.prepare_gemm_i8(w, b, in_zp)
             return lambda v: K.conv2d_i8_plan(
                 v[x_id], w2d, kh, kw, bias, stride, pad_h, pad_w, in_zp, rq,
-                pool=fused_pool, pool_kind=pool_kind,
+                pool=pool_size, pool_kind=pool_kind,
             )
         act = a.get("activation", "none")
         fn = K.dwconv2d_f32 if op.opcode == "DEPTHWISE_CONV_2D" else K.conv2d_f32
         base = lambda v: fn(v[x_id], w, b, stride, pad_h, pad_w, act)
-        if fused_pool:
+        if pool_size:
             pfn = K.maxpool2d_f32 if pool_kind == "max" else K.avgpool2d_f32
-            return lambda v: pfn(base(v), fused_pool)
+            return lambda v: pfn(base(v), pool_size)
         return base
 
     if op.opcode == "CONV_1D":
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
         stride, pad = a["stride"], a["pad"]
-        fused_pool = a.get("fused_pool")
         if is_int8:
             k = w.shape[0]
             in_zp = t[x_id].quant.zero_point
             rq = _requantizer(graph, op)
-            w2d, bias = K.prepare_gemm_i8(w, b, in_zp, a.get("gemm_exact"))
+            w2d, bias = K.prepare_gemm_i8(w, b, in_zp)
             return lambda v: K.conv1d_i8_plan(
-                v[x_id], w2d, k, bias, stride, pad, in_zp, rq, pool=fused_pool
+                v[x_id], w2d, k, bias, stride, pad, in_zp, rq, pool=pool_size
             )
         act = a.get("activation", "none")
-        if fused_pool:
+        if pool_size:
             return lambda v: K.maxpool1d_f32(
-                K.conv1d_f32(v[x_id], w, b, stride, pad, act), fused_pool
+                K.conv1d_f32(v[x_id], w, b, stride, pad, act), pool_size
             )
         return lambda v: K.conv1d_f32(v[x_id], w, b, stride, pad, act)
 
@@ -233,15 +248,13 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
         b = t[op.inputs[2]].data
         if is_int8:
             rq = _requantizer(graph, op)
-            w2d, bias = K.prepare_gemm_i8(
-                w, b, t[x_id].quant.zero_point, a.get("gemm_exact")
-            )
+            w2d, bias = K.prepare_gemm_i8(w, b, t[x_id].quant.zero_point)
             return lambda v: K.fc_i8_plan(v[x_id], w2d, bias, rq)
         act = a.get("activation", "none")
         return lambda v: K.fc_f32(v[x_id], w, b, act)
 
     if op.opcode in ("MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D"):
-        pool = a["pool_size"]
+        size = a["pool_size"]
         fn = {
             ("MAX_POOL_2D", True): K.maxpool2d_i8,
             ("MAX_POOL_2D", False): K.maxpool2d_f32,
@@ -250,7 +263,7 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
             ("AVG_POOL_2D", True): K.avgpool2d_i8,
             ("AVG_POOL_2D", False): K.avgpool2d_f32,
         }[(op.opcode, is_int8)]
-        return lambda v: fn(v[x_id], pool)
+        return lambda v: fn(v[x_id], size)
 
     if op.opcode == "GLOBAL_AVG_POOL_2D":
         fn = K.gap2d_i8 if is_int8 else K.gap2d_f32
@@ -266,9 +279,6 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
     if op.opcode == "ADD":
         b_id = op.inputs[1]
         b_const = t[b_id].data if t[b_id].is_const else None
-        inplace_id = (
-            op.inputs[a["inplace"]] if "inplace" in a else None
-        )
         if is_int8:
             kw = dict(
                 zp_a=t[op.inputs[0]].quant.zero_point,
@@ -328,8 +338,10 @@ def _bind_op(graph: Graph, op: GOp) -> Callable[[dict[int, np.ndarray]], np.ndar
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One compiled op: output tensor id + fully bound kernel closure.
+    """One compiled step: output tensor id + fully bound kernel closure.
 
+    ``reads`` are the activation ids the closure reads.  A conv step that
+    absorbed a pool keeps the conv's opcode and writes the pool's output.
     ``inplace_src`` is the tensor id whose buffer the closure reuses for
     its output (``None`` for ordinary allocating steps) — the liveness
     accounting credits the reuse instead of double-counting.
@@ -338,28 +350,70 @@ class PlanStep:
     opcode: str
     out_id: int
     fn: Callable[[dict[int, np.ndarray]], np.ndarray]
+    reads: tuple[int, ...] = ()
     inplace_src: int | None = None
+
+
+def _bind_steps(
+    graph: Graph, lifetimes: dict[int, tuple[int, int]]
+) -> tuple[list[PlanStep], list[int]]:
+    """Bind the authored ops into steps, deciding conv+pool fusion and
+    in-place ADDs on the way (see the module docstring).  Returns the
+    steps and, per op index, the index of the step that runs the op (an
+    absorbed pool runs in its conv's step)."""
+    ops, t = graph.ops, graph.tensors
+    readers: dict[int, set[int]] = {}
+    for oi, op in enumerate(ops):
+        for tid in op.inputs:
+            readers.setdefault(tid, set()).add(oi)
+    views = {
+        tid for op in ops if op.opcode in _VIEW_OPS
+        for tid in (*op.inputs, *op.outputs)
+    }
+    steps: list[PlanStep] = []
+    step_of: list[int] = []
+    absorbed: dict[int, int] = {}  # pool op index -> its conv's step index
+    for oi, op in enumerate(ops):
+        if oi in absorbed:
+            step_of.append(absorbed[oi])
+            continue
+        out_id, pool, inplace_id = op.outputs[0], None, None
+        only = readers.get(out_id, ())
+        if op.opcode in _POOL_FUSION and out_id != graph.output_id and len(only) == 1:
+            (pi,) = only
+            kind = _POOL_FUSION[op.opcode].get(ops[pi].opcode)
+            if kind is not None:
+                absorbed[pi] = len(steps)
+                pool = (int(ops[pi].attrs["pool_size"]), kind)
+                out_id = ops[pi].outputs[0]
+        if op.opcode == "ADD":
+            out_t = t[out_id]
+            inplace_id = next((
+                tid for tid in op.inputs
+                if not t[tid].is_const and tid != graph.input_id
+                and tid not in views and lifetimes[tid][1] == oi
+                and tuple(t[tid].shape) == tuple(out_t.shape)
+                and t[tid].dtype == out_t.dtype
+            ), None)
+        reads = tuple(tid for tid in op.inputs if not t[tid].is_const)
+        steps.append(PlanStep(
+            op.opcode, out_id, _bind_op(graph, op, pool, inplace_id), reads, inplace_id
+        ))
+        step_of.append(len(steps) - 1)
+    return steps, step_of
 
 
 class CompiledPlan:
     """A straight-line executable plan over a graph.
 
-    Holds one :class:`PlanStep` per op plus, per step, the list of
-    activation tensor ids whose lifetime ends at that step (freed during
-    non-record execution).  Closures snapshot weights at compile time
-    (int8 weights are pre-cast to the kernels' accumulator dtype), so
-    editing a tensor's ``data`` afterwards requires recompiling the plan.
+    Holds the bound :class:`PlanStep` list plus, per step, the activation
+    tensor ids whose lifetime ends at that step (freed as execution
+    proceeds).  Closures snapshot weights at compile time (int8 weights
+    are pre-cast to the kernels' accumulator dtype), so editing a
+    tensor's ``data`` afterwards requires recompiling the plan.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        verify: bool = True,
-        *,
-        source_graph: Graph | None = None,
-        pass_outcome=None,
-        engine: str | None = None,
-    ):
+    def __init__(self, graph: Graph, verify: bool = True):
         if verify and not getattr(graph, "_verified_ok", False):
             # Full verification (topology + shapes/dtypes/quant/liveness)
             # once per graph lifetime — the success memo is cleared by
@@ -372,70 +426,27 @@ class CompiledPlan:
         elif not verify:
             graph.validate()
         self.graph = graph
-        #: The authored graph this plan was compiled from (``graph``
-        #: itself when no pass pipeline ran).  Record-mode execution
-        #: delegates to an unoptimized plan over it so every authored
-        #: activation stays observable.
-        self.source_graph = source_graph if source_graph is not None else graph
-        #: ``repro.runtime.passes.PassOutcome`` when the pipeline ran.
-        self.pass_outcome = pass_outcome
-        self.engine = engine
-        self.steps: list[PlanStep] = [
-            PlanStep(
-                op.opcode,
-                op.outputs[0],
-                _bind_op(graph, op),
-                op.inputs[op.attrs["inplace"]] if "inplace" in op.attrs else None,
-            )
-            for op in graph.ops
-        ]
+        lifetimes = graph.lifetimes()
+        self.steps, step_of = _bind_steps(graph, lifetimes)
         # Dead-activation schedule: tensor ids to drop after each step.
         # The graph output's lifetime extends past the last op, so it is
-        # never scheduled for release.
-        lifetimes = graph.lifetimes()
-        self._release: list[list[int]] = [[] for _ in graph.ops]
+        # never scheduled for release; a fused conv's pre-pool tensor is
+        # never materialized, so there is nothing to release.
+        materialized = {graph.input_id} | {step.out_id for step in self.steps}
+        self._release: list[list[int]] = [[] for _ in self.steps]
         for tid, (_, last) in lifetimes.items():
-            if tid != graph.output_id and last < len(graph.ops):
-                self._release[last].append(tid)
+            if tid != graph.output_id and tid in materialized:
+                self._release[step_of[last]].append(tid)
 
     def __len__(self) -> int:
         return len(self.steps)
 
-    def prepare_input(self, batch: np.ndarray) -> np.ndarray:
-        """Coerce caller input to the graph's input dtype (quantizing
-        float input for int8 graphs, as the SDK does on-device)."""
-        batch = np.asarray(batch)
-        in_t = self.graph.tensors[self.graph.input_id]
-        if in_t.dtype == "int8" and batch.dtype != np.int8:
-            batch = in_t.quant.quantize(batch.astype(np.float32))
-        elif in_t.dtype == "float32":
-            batch = batch.astype(np.float32)
-        return batch
-
-    def execute(
-        self, batch: np.ndarray, record: bool = False
-    ) -> np.ndarray | dict[int, np.ndarray]:
-        """Run the plan over a batch.
-
-        With ``record=True`` returns every activation tensor (used by
-        calibration and the active-learning embedding hook) and nothing
-        is freed; otherwise dead activations are dropped as soon as
-        their last consumer has run.  Plans over a pass-optimized graph
-        delegate record-mode execution to an unoptimized plan over the
-        authored graph, so fusion/folding never hides an activation from
-        calibration or the embedding hook.
-        """
-        if record and self.source_graph is not self.graph:
-            return compile_plan(self.source_graph, passes=None).execute(
-                batch, record=True
-            )
+    def execute(self, batch: np.ndarray) -> np.ndarray:
+        """Run the plan over a batch, dropping each dead activation as
+        soon as its last reader has run."""
         values: dict[int, np.ndarray] = {
-            self.graph.input_id: self.prepare_input(batch)
+            self.graph.input_id: prepare_input(self.graph, batch)
         }
-        if record:
-            for step in self.steps:
-                values[step.out_id] = step.fn(values)
-            return values
         for step, dead in zip(self.steps, self._release):
             values[step.out_id] = step.fn(values)
             for tid in dead:
@@ -469,79 +480,28 @@ class CompiledPlan:
 # the *same* cold graph build exactly one plan.
 _PLAN_LOCKS_GUARD = threading.Lock()
 
-#: Cache key of the default-configured plan in ``graph._plan_cache``;
-#: the one entry FIFO eviction never drops (same object back until a
-#: structural edit).
-_DEFAULT_PLAN_KEY = (DEFAULT_PASS_NAMES, None)
-
-#: Keyed-plan cache capacity per graph (FIFO eviction).
-_PLAN_CACHE_CAP = 16
-
-
-def _pass_outcome(graph: Graph, config: PassConfig):
-    """Run (or fetch the memoized) pass pipeline for this config."""
-    memo = graph._pass_outcomes
-    outcome = memo.get(config.names)
-    if outcome is None:
-        outcome = run_passes(graph, config)
-        memo[config.names] = outcome
-    return outcome
-
-
-def _build_plan(graph, verify, config, engine) -> CompiledPlan:
-    if config is None:
-        return CompiledPlan(graph, verify=verify, engine=engine)
-    outcome = _pass_outcome(graph, config)
-    return CompiledPlan(
-        outcome.graph,
-        verify=True,
-        source_graph=graph,
-        pass_outcome=outcome,
-        engine=engine,
-    )
-
-
-def _store_plan(graph: Graph, key, plan: CompiledPlan) -> None:
-    store = graph._plan_cache
-    while len(store) >= _PLAN_CACHE_CAP:
-        store.pop(next(k for k in store if k != _DEFAULT_PLAN_KEY))
-    store[key] = plan
-
 
 def compile_plan(
     graph: Graph,
     cache: bool = True,
     verify: bool = True,
-    passes: object = "default",
     engine: str | None = None,
 ) -> CompiledPlan:
     """Compile (or fetch the cached) execution plan for ``graph``.
 
-    ``passes`` selects the optimization pipeline run before binding:
-    ``"default"`` (the production pipeline — see
-    ``repro.runtime.passes``), ``None`` (bind the authored graph exactly,
-    the pre-pipeline behaviour), a :class:`~repro.runtime.passes.PassConfig`,
-    or an iterable of registered pass names.  ``engine`` is an opaque
-    cache-key component so e.g. the TFLM interpreter and the EON
-    compiler never share plan objects.  A plan runs every batch size.
-
-    Plans are memoized on the graph instance per
-    ``(pass signature, engine)``; structural edits via
-    ``Graph.add_tensor``/``Graph.add_op`` invalidate every cached plan.
-    Thread-safe: concurrent callers racing on a cold graph get the same
-    plan object.  Every cold compile runs the full graph verifier
-    (``repro.analysis.verify_graph``); ``verify=False`` opts out,
-    falling back to the legacy structural ``Graph.validate()`` — and
-    also disables the pass pipeline, since the pipeline *is* a sequence
-    of verifier brackets.
+    ``engine`` keys the per-graph plan cache (``graph._plan_cache``), so
+    e.g. the TFLM interpreter and the EON compiler never share plan
+    objects; every engine binds the same steps.  A plan runs every batch
+    size.  Structural edits via ``Graph.add_tensor``/``Graph.add_op``
+    invalidate every cached plan.  Thread-safe: concurrent callers
+    racing on a cold graph get the same plan object.  Every cold compile
+    runs the full graph verifier (``repro.analysis.verify_graph``);
+    ``verify=False`` opts out, falling back to the structural
+    ``Graph.validate()``.
     """
-    config = PassConfig.normalize(passes)
-    if not verify or (config is not None and not config.names):
-        config = None
-    key = (config.names if config is not None else None, engine)
     if not cache:
-        return _build_plan(graph, verify, config, engine)
-    plan = graph._plan_cache.get(key)
+        return CompiledPlan(graph, verify=verify)
+    plan = graph._plan_cache.get(engine)
     if plan is not None:
         return plan
     with _PLAN_LOCKS_GUARD:
@@ -550,31 +510,35 @@ def compile_plan(
             lock = threading.Lock()
             graph._plan_compile_lock = lock
     with lock:
-        plan = graph._plan_cache.get(key)
+        plan = graph._plan_cache.get(engine)
         if plan is None:
-            plan = _build_plan(graph, verify, config, engine)
-            _store_plan(graph, key, plan)
+            plan = graph._plan_cache[engine] = CompiledPlan(graph, verify=verify)
     return plan
 
 
 # -- entry points ----------------------------------------------------------
 
 
-def run_graph(
-    graph: Graph,
-    batch: np.ndarray,
-    record: bool = False,
-) -> np.ndarray | dict[int, np.ndarray]:
+def prepare_input(graph: Graph, batch: np.ndarray) -> np.ndarray:
+    """Coerce caller input to the graph's input dtype (quantizing float
+    input for int8 graphs, as the SDK does on-device)."""
+    batch = np.asarray(batch)
+    in_t = graph.tensors[graph.input_id]
+    if in_t.dtype == "int8" and batch.dtype != np.int8:
+        batch = in_t.quant.quantize(batch.astype(np.float32))
+    elif in_t.dtype == "float32":
+        batch = batch.astype(np.float32)
+    return batch
+
+
+def run_graph(graph: Graph, batch: np.ndarray) -> np.ndarray:
     """Execute the graph over a batch (via its compiled plan).
 
     Float graphs take/return float32.  int8 graphs accept float input (which
     is quantized with the input tensor's qparams, as the SDK does on-device)
     or pre-quantized int8, and return the raw int8 output tensor.
-
-    With ``record=True`` returns every activation tensor (used by
-    calibration and the active-learning embedding hook).
     """
-    return compile_plan(graph).execute(batch, record=record)
+    return compile_plan(graph).execute(batch)
 
 
 def run_graph_dispatch(
@@ -584,18 +548,12 @@ def run_graph_dispatch(
 ) -> np.ndarray | dict[int, np.ndarray]:
     """Reference path: per-invoke opcode dispatch, no plan, no freeing.
 
-    Kept for equivalence tests and as the baseline in
-    ``benchmarks/bench_serving_throughput.py``; produces bit-identical
-    outputs to :func:`run_graph`.
+    Produces bit-identical outputs to :func:`run_graph`.  With
+    ``record=True`` returns every activation of the authored graph
+    (calibration observes them all; a float32 graph runs the same f32
+    kernels here as in its plan).
     """
-    batch = np.asarray(batch)
-    in_t = graph.tensors[graph.input_id]
-    if in_t.dtype == "int8" and batch.dtype != np.int8:
-        batch = in_t.quant.quantize(batch.astype(np.float32))
-    elif in_t.dtype == "float32":
-        batch = batch.astype(np.float32)
-
-    values: dict[int, np.ndarray] = {graph.input_id: batch}
+    values: dict[int, np.ndarray] = {graph.input_id: prepare_input(graph, batch)}
     for op in graph.ops:
         values[op.outputs[0]] = _kernel_call(graph, op, values)
     if record:

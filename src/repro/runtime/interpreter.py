@@ -32,11 +32,9 @@ class TFLMInterpreter:
         self.graph = graph
         self.arena: ArenaPlan = plan_arena(graph)
         # AllocateTensors-equivalent: every opcode is resolved to a bound
-        # kernel once, here, instead of per-invoke.  The interpreter runs
-        # the authored graph op-for-op (TFLM fidelity: the registry check
-        # below must see exactly the ops the model was authored with), so
-        # the optimization pass pipeline is off for this engine.
-        self._plan: CompiledPlan = compile_plan(graph, passes=None, engine="tflm")
+        # kernel once, here, instead of per-invoke — the same steps EON
+        # binds.
+        self._plan: CompiledPlan = compile_plan(graph, engine="tflm")
         self._registry = {op.opcode for op in graph.ops}
 
     # -- execution -------------------------------------------------------------
@@ -46,10 +44,11 @@ class TFLMInterpreter:
         int8 — use :meth:`classify` or :meth:`predict_proba` for floats)."""
         # TFLM fidelity: an opcode removed from the registry (a kernel the
         # firmware never linked) must refuse to run, even though the plan
-        # has it bound.
-        for step in self._plan.steps:
-            if step.opcode not in self._registry:
-                raise RuntimeError(f"op {step.opcode} not registered")
+        # has it bound.  The check walks the authored ops, not the plan's
+        # steps: a pool a conv step absorbed still needs its kernel.
+        for op in self.graph.ops:
+            if op.opcode not in self._registry:
+                raise RuntimeError(f"op {op.opcode} not registered")
         return self._plan.execute(batch)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:

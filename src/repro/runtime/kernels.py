@@ -312,11 +312,11 @@ def fc_i8(
 # -- plan-bound int8 kernels -------------------------------------------------
 #
 # The kernels compiled plans bind (repro.runtime.executor._bind_op), on
-# both engines: the TFLM interpreter's ``passes=None`` plan and EON's
-# pass-optimized plan.  The generic kernels above are the spec; these
-# compute the same bytes faster through four rewrites, each exact and
-# each proven per layer before the plan binds it, with a slower exact
-# route for a layer that fails its proof.  Bind-time constants are only
+# both engines: the TFLM interpreter and EON bind the same plan steps.
+# The generic kernels above are the spec; these compute the same bytes
+# faster through four rewrites, each exact and each proven per layer
+# before the plan binds it, with a slower exact route for a layer that
+# fails its proof.  Bind-time constants are only
 # read and every per-call array is local, so one plan may run on several
 # threads at once; windows are taken with strides read off the array, so
 # one plan runs every batch size.
@@ -333,15 +333,13 @@ def fc_i8(
 #    Padding is filled with zp, so every window has all K taps and the
 #    identity holds at the borders too.  Kernels therefore contract the
 #    padded int8 tensor directly; there is no centering pass.
-# 3. A contraction the fusion pass marked ``gemm_exact`` runs in float64
-#    BLAS.  Uncentered int8 products are at most 128*128 in magnitude,
-#    so every partial sum of K of them, in any order, plus a folded bias
-#    of at most max|bias| + 128*K*128, stays within
-#    2*K*128*128 + max|bias| (``passes.fusion.gemm_accumulator_bound``,
-#    proven per layer before annotating).  Under 2**53 float64 holds
-#    every such integer, so dgemm returns the exact accumulators, ~10x
-#    faster than the int64 matmul a layer over the bound (or a
-#    ``passes=None`` plan) runs on the same kernel.
+# 3. A contraction runs in float64 BLAS when ``prepare_gemm_i8`` proves
+#    it exact.  Uncentered int8 products are at most 128*128 in
+#    magnitude, so every partial sum of K of them, in any order, plus a
+#    folded bias of at most max|bias| + 128*K*128, stays within
+#    2*K*128*128 + max|bias|.  Under 2**53 float64 holds every such
+#    integer, so dgemm returns the exact accumulators, ~10x faster than
+#    the int64 matmul a layer over the bound runs on the same kernel.
 # 4. Depthwise convolution with depth multiplier 1 has no GEMM form; it
 #    accumulates its kh*kw taps as strided multiply-adds into one int32
 #    accumulator (products in int16, which holds any int8 x int8).
@@ -392,12 +390,16 @@ class Requantizer:
         return acc.astype(np.int8)
 
 
-def prepare_gemm_i8(w, bias, in_zp, exact):
+def prepare_gemm_i8(w, bias, in_zp):
     """``(w2d, bias')`` for the GEMM kernels: weights flattened to
-    ``(K, cout)``, zero point folded into the bias; float64 when
-    ``exact`` (the layer carries the ``gemm_exact`` proof), else int64."""
+    ``(K, cout)``, zero point folded into the bias; float64 when every
+    partial sum provably fits its mantissa (note 3 above:
+    ``2*K*128*128 + max|bias| < 2**53``), else int64."""
     w2d = w.reshape(-1, w.shape[-1])
-    folded = bias.astype(np.int64) - in_zp * w2d.sum(axis=0, dtype=np.int64)
+    bias = bias.astype(np.int64)
+    folded = bias - in_zp * w2d.sum(axis=0, dtype=np.int64)
+    max_bias = int(np.abs(bias).max()) if bias.size else 0
+    exact = 2 * w2d.shape[0] * 128 * 128 + max_bias < 2 ** 53
     dtype = np.float64 if exact else np.int64
     return w2d.astype(dtype), folded.astype(dtype)
 
@@ -545,7 +547,7 @@ def add_i8(
     """TFLite-style int8 ADD: both inputs rescaled to a shared high-precision
     domain, summed, then requantized to the output scale.
 
-    ``out`` (the in-place pass) receives the result instead of a fresh
+    ``out`` (a plan's in-place ADD) receives the result instead of a fresh
     int8 allocation — it may alias ``a`` or ``b``, which are fully read
     into the int64 working domain before any store."""
     wa = (a.astype(np.int64) - zp_a) << left_shift

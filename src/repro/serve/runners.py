@@ -37,16 +37,11 @@ from repro.serve.shard import ServingError
 class LocalRunner:
     """Compile in this process, invoke in the calling thread."""
 
-    def __init__(self, passes: object):
-        # Optimization-pass selection for EON-compiled models ("default"
-        # or None; forwarded to compile_plan via EONCompiler).
-        self.passes = passes
-
     def build(self, graph, engine: str):
         """EON plan or TFLM interpreter — both execute a
         :class:`repro.runtime.executor.CompiledPlan`."""
         if engine == "eon":
-            return EONCompiler(passes=self.passes).compile(graph)
+            return EONCompiler().compile(graph)
         return TFLMInterpreter(graph)
 
     def run(self, model, stacked: np.ndarray) -> np.ndarray:
@@ -88,10 +83,9 @@ class WorkerRunner:
     and the next batch gets a fresh process that reloads models lazily.
     """
 
-    def __init__(self, name: str, passes: object, heartbeat_s: float,
+    def __init__(self, name: str, heartbeat_s: float,
                  heartbeat_timeout_s: float, request_timeout_s: float):
         self.name = name
-        self.passes = "default" if passes == "default" else None
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.request_timeout_s = request_timeout_s
@@ -125,8 +119,7 @@ class WorkerRunner:
         if model.loaded_session != self._session:
             handle.call(
                 "load_model",
-                {"model_id": model.model_id, "engine": model.engine,
-                 "passes": self.passes},
+                {"model_id": model.model_id, "engine": model.engine},
                 (model.graph_blob,),
                 timeout=self.request_timeout_s,
             )

@@ -79,7 +79,6 @@ class ModelServer:
         cache_size: int = 8,
         max_batch: int = 32,
         max_queue: int = 4096,
-        passes: object = "default",
         name: str | None = None,
         heartbeat_s: float = 5.0,
         heartbeat_timeout_s: float = 15.0,
@@ -111,8 +110,8 @@ class ModelServer:
 
         def runner(shard_name: str):
             if placement != "process":
-                return LocalRunner(passes)
-            return WorkerRunner(shard_name, passes, heartbeat_s,
+                return LocalRunner()
+            return WorkerRunner(shard_name, heartbeat_s,
                                 heartbeat_timeout_s, request_timeout_s)
 
         shard_names = (

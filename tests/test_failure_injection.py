@@ -29,6 +29,95 @@ def test_unregistered_op_refused(tiny_graphs):
         interp.invoke(np.zeros((1, 16, 8), dtype=np.float32))
 
 
+def test_unregistered_absorbed_pool_refused():
+    # The plan runs conv+pool as one CONV_2D step; the registry check
+    # must still see the pool the authored graph asks for.
+    from repro.graph import sequential_to_graph
+    from repro.nn.architectures import cifar_cnn
+
+    graph = sequential_to_graph(cifar_cnn((8, 8, 3), 2, base_filters=4, seed=0))
+    interp = TFLMInterpreter(graph)
+    assert "MAX_POOL_2D" not in {step.opcode for step in interp._plan.steps}
+    interp._registry.discard("MAX_POOL_2D")
+    with pytest.raises(RuntimeError, match="op MAX_POOL_2D not registered"):
+        interp.invoke(np.zeros((1, 8, 8, 3), dtype=np.float32))
+
+
+def _forged_residual_graph(forged_op: int, forged: dict):
+    """x -> FC(identity) -> t; u = ADD(t, 10); v = ADD(u, t), with
+    optimisation attrs forged onto op ``forged_op`` and round-tripped
+    through the serialised form."""
+    from repro.graph import GOp, Graph, GTensor
+
+    graph = Graph("forged")
+    x = graph.add_tensor(GTensor("x", (4,)))
+    w = graph.add_tensor(GTensor("w", (4, 4), data=np.eye(4, dtype=np.float32)))
+    b = graph.add_tensor(GTensor("b", (4,), data=np.zeros(4, np.float32)))
+    ten = graph.add_tensor(GTensor("ten", (4,), data=np.full(4, 10, np.float32)))
+    t, u, v = (graph.add_tensor(GTensor(n, (4,))) for n in ("t", "u", "v"))
+    graph.input_id, graph.output_id = x, v
+    graph.add_op(GOp("FULLY_CONNECTED", [x, w, b], [t], {"activation": "none"}))
+    graph.add_op(GOp("ADD", [t, ten], [u], {}))  # t is read again below
+    graph.add_op(GOp("ADD", [u, t], [v], {}))
+    graph.ops[forged_op].attrs.update(forged)
+    return graph_from_bytes(graph_to_bytes(graph))
+
+
+@pytest.mark.parametrize("forged_op,forged", [
+    (1, {"inplace": 0}),
+    (0, {"gemm_exact": True}),
+], ids=["inplace", "gemm_exact"])
+def test_forged_optimisation_attrs_are_ignored(forged_op, forged):
+    """The plan binder decides fusion, GEMM dtype and in-place reuse
+    itself; attrs on a deserialised blob change nothing."""
+    from types import SimpleNamespace
+
+    from repro.runtime import EONCompiler, compile_plan, run_graph_dispatch
+    from repro.serve import ModelServer
+
+    graph = _forged_residual_graph(forged_op, forged)
+    x = np.arange(4, dtype=np.float32)[None]
+    want = run_graph_dispatch(graph, x)
+    assert want.tolist() == [[10.0, 12.0, 14.0, 16.0]]
+    labels = ["a", "b", "c", "d"]
+    project = SimpleNamespace(
+        project_id=1, float_graph=graph, int8_graph=None,
+        label_map={label: i for i, label in enumerate(labels)},
+    )
+    with ModelServer.for_project(project, placement="inline") as server:
+        served = server.classify(1, x[0], precision="float32")["classification"]
+    outputs = {
+        "compile_plan": compile_plan(graph, cache=False).execute(x),
+        "tflm": TFLMInterpreter(graph).invoke(x),
+        "eon": EONCompiler().compile(graph).invoke(x),
+        "inline": np.array([[served[label] for label in labels]], dtype=np.float32),
+    }
+    for route, got in outputs.items():
+        assert np.array_equal(got, want), route
+
+
+def test_blob_declaring_a_fused_pool_is_rejected():
+    """A conv carrying ``fused_pool`` and a pooled output shape declares
+    an output its kernel does not produce: a shape mismatch (G010), so
+    a blob cannot smuggle a fusion past the verifier."""
+    from repro.analysis import GraphVerificationError
+    from repro.graph import GOp, Graph, GTensor
+
+    graph = Graph("fused-blob")
+    x = graph.add_tensor(GTensor("x", (8, 2)))
+    w = graph.add_tensor(GTensor("w", (3, 2, 2), data=np.ones((3, 2, 2), np.float32)))
+    b = graph.add_tensor(GTensor("b", (2,), data=np.zeros(2, np.float32)))
+    pooled = graph.add_tensor(GTensor("pooled", (4, 2)))
+    graph.input_id, graph.output_id = x, pooled
+    graph.add_op(GOp("CONV_1D", [x, w, b], [pooled], {
+        "stride": 1, "pad": [1, 1], "activation": "none",
+        "fused_pool": 2, "fused_pool_kind": "max",
+    }))
+    with pytest.raises(GraphVerificationError) as excinfo:
+        graph_from_bytes(graph_to_bytes(graph))
+    assert "G010" in excinfo.value.report.codes()
+
+
 def test_arena_overlap_detector_catches_bad_plans(tiny_graphs):
     from repro.runtime import plan_arena
 

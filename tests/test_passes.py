@@ -1,43 +1,59 @@
-"""The graph-optimization pass pipeline: verified rewrites, bit-identity,
-fallback diagnostics, plan caching, and the four production passes."""
+"""The plan binder's optimizations: conv+pool fusion, the exact-GEMM
+choice and in-place ADD are decided while binding the authored graph,
+from its structure and lifetimes, and change no output bit."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.graph import (
-    GOp,
-    Graph,
-    GTensor,
-    QuantParams,
-    sequential_to_graph,
-)
+from repro.graph import GOp, Graph, GTensor, sequential_to_graph
 from repro.nn.architectures import cifar_cnn, conv1d_stack, ds_cnn, mlp, mobilenet_v1
 from repro.quantize import quantize_graph
 from repro.runtime import (
-    DEFAULT_PASS_NAMES,
     EONCompiler,
-    PassConfig,
     TFLMInterpreter,
     compile_plan,
-    run_passes,
+    run_graph_dispatch,
 )
-from repro.runtime.executor import _DEFAULT_PLAN_KEY, _PLAN_CACHE_CAP
-from repro.runtime.passes import GraphPass, clone_graph
+from repro.runtime import kernels as K
 
 RNG = np.random.default_rng(0)
 
 
 def _graph_pair(factory, input_shape, n_classes, seed=0, **kwargs):
     model = factory(input_shape, n_classes, seed=seed, **kwargs)
-    fg = sequential_to_graph(model, "passes-test")
+    fg = sequential_to_graph(model, "binder-test")
     calib = RNG.standard_normal((8,) + input_shape).astype(np.float32)
     return fg, quantize_graph(fg, calib)
 
 
 def small_int8_graph() -> Graph:
     return _graph_pair(conv1d_stack, (16, 4), 3, n_layers=2)[1]
+
+
+def _producers(graph: Graph) -> dict[int, GOp]:
+    return {t: op for op in graph.ops for t in op.outputs}
+
+
+def _fused_steps(plan) -> list:
+    """Conv steps that absorbed a pool: they write a pool's output."""
+    producers = _producers(plan.graph)
+    return [s for s in plan.steps if producers[s.out_id].opcode != s.opcode]
+
+
+def _authored_peak(graph: Graph) -> int:
+    """Live-activation peak of the op-for-op plan: every op allocates
+    its output, activations die after their last reader."""
+    lifetimes = graph.lifetimes()
+    size = {tid: graph.tensors[tid].size_bytes for tid in lifetimes}
+    live = {graph.input_id}
+    peak = size[graph.input_id]
+    for oi, op in enumerate(graph.ops):
+        live.update(op.outputs)
+        peak = max(peak, sum(size[t] for t in live))
+        live -= {t for t in live if t != graph.output_id and lifetimes[t][1] == oi}
+    return peak
 
 
 # -- bit-identity across the model zoo -------------------------------------
@@ -56,63 +72,69 @@ ZOO = [
     ZOO, ids=[f.__name__ for f, *_ in ZOO],
 )
 def test_optimized_plans_bit_identical(factory, input_shape, n_classes, kwargs):
-    """The optimized plan, run at two batch sizes, reproduces the
-    unoptimized int8 output exactly, and the float output within the
-    BLAS tolerance."""
-    fg, qg = _graph_pair(factory, input_shape, n_classes, **kwargs)
-    x = RNG.standard_normal((4,) + input_shape).astype(np.float32)
-    for graph, exact in ((qg, True), (fg, False)):
-        baseline = compile_plan(graph, passes=None)
-        optimized = compile_plan(graph)
-        assert not optimized.pass_outcome.fell_back
+    """The bound plan, run at two batch sizes, reproduces the dispatch
+    spec exactly — float32 too, since both run the same f32 kernels on
+    the same batch."""
+    for graph in _graph_pair(factory, input_shape, n_classes, **kwargs):
+        plan = compile_plan(graph)
+        x = RNG.standard_normal((4,) + input_shape).astype(np.float32)
         for batch in (x, x[:3]):
-            got, want = optimized.execute(batch), baseline.execute(batch)
-            if exact:
-                assert np.array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+            assert np.array_equal(plan.execute(batch), run_graph_dispatch(graph, batch))
 
 
 def test_passes_none_binds_the_authored_graph():
+    # There is no rewritten copy to opt out of: every plan binds the
+    # authored graph itself, optimizations included.
     graph = small_int8_graph()
-    plan = compile_plan(graph, passes=None)
+    plan = compile_plan(graph)
     assert plan.graph is graph
-    assert plan.source_graph is graph
-    assert plan.pass_outcome is None
-    # No pass annotation ever appears on the authored ops.
+    assert _fused_steps(plan)  # the binder did optimize...
+    # ...without writing a pass annotation onto the authored ops.
     assert all(
         "gemm_exact" not in op.attrs and "fused_pool" not in op.attrs
         for op in graph.ops
     )
 
 
-def test_verify_false_disables_the_pipeline():
-    # The pipeline is a sequence of verifier brackets; opting out of
-    # verification must also opt out of the passes.
+def test_pipeline_never_mutates_the_source_graph():
     graph = small_int8_graph()
-    plan = compile_plan(graph, verify=False, cache=False)
-    assert plan.graph is graph and plan.pass_outcome is None
+    before = [(op.opcode, tuple(op.inputs), tuple(op.outputs), dict(op.attrs))
+              for op in graph.ops]
+    n_tensors = len(graph.tensors)
+    for engine in (None, "eon", "tflm"):
+        compile_plan(graph, engine=engine)
+    assert len(graph.tensors) == n_tensors
+    assert [(op.opcode, tuple(op.inputs), tuple(op.outputs), dict(op.attrs))
+            for op in graph.ops] == before
 
 
 def test_engines_still_agree_bit_for_bit():
     _, qg = _graph_pair(conv1d_stack, (16, 4), 3)
     x = RNG.standard_normal((2, 16, 4)).astype(np.float32)
-    interp = TFLMInterpreter(qg)  # authored graph, passes off
-    eon = EONCompiler().compile(qg)  # optimized plan
+    interp = TFLMInterpreter(qg)
+    eon = EONCompiler().compile(qg)
     assert np.array_equal(interp.invoke(x), eon.invoke(x))
-    assert eon.plan.pass_outcome is not None
+    # Both engines bind the same steps (as distinct plan objects).
+    assert interp._plan is not eon.plan
+    assert [(s.opcode, s.out_id) for s in interp._plan.steps] == [
+        (s.opcode, s.out_id) for s in eon.plan.steps
+    ]
 
 
 def test_record_mode_exposes_all_authored_activations():
     graph = small_int8_graph()
     plan = compile_plan(graph)
-    assert plan.graph is not graph  # fusion actually rewrote something
+    fused_away = {
+        op.outputs[0] for op in graph.ops
+        if op.opcode == "CONV_1D" and op.outputs[0] not in {s.out_id for s in plan.steps}
+    }
+    assert fused_away  # the plan never materializes these...
     x = RNG.standard_normal((2, 16, 4)).astype(np.float32)
-    recorded = plan.execute(x, record=True)
-    reference = compile_plan(graph, passes=None).execute(x, record=True)
-    assert set(recorded) == set(reference)
-    for tid in reference:
-        assert np.array_equal(recorded[tid], reference[tid])
+    recorded = run_graph_dispatch(graph, x, record=True)
+    # ...and the record path still shows every authored activation.
+    assert set(recorded) == set(graph.lifetimes())
+    assert fused_away <= set(recorded)
+    assert np.array_equal(recorded[graph.output_id], plan.execute(x))
 
 
 # -- plan caching ----------------------------------------------------------
@@ -122,289 +144,145 @@ def test_default_plan_stays_identity_cached():
     graph = small_int8_graph()
     plan = compile_plan(graph)
     assert compile_plan(graph) is plan
-    assert graph._plan_cache[_DEFAULT_PLAN_KEY] is plan
-
-
-def test_default_plan_survives_fifo_eviction():
-    graph = small_int8_graph()
-    plan = compile_plan(graph)
-    variants = [
-        compile_plan(graph, engine=f"e{i}") for i in range(_PLAN_CACHE_CAP + 3)
-    ]
-    assert len(graph._plan_cache) == _PLAN_CACHE_CAP
-    assert compile_plan(graph) is plan
-    assert compile_plan(graph, engine="e0") is not variants[0]  # oldest evicted
+    assert graph._plan_cache == {None: plan}
 
 
 def test_plans_cached_per_key():
     graph = small_int8_graph()
     default = compile_plan(graph)
-    unopt = compile_plan(graph, passes=None)
     eon = compile_plan(graph, engine="eon")
-    assert len({id(default), id(unopt), id(eon)}) == 3
-    assert compile_plan(graph, passes=None) is unopt
+    tflm = compile_plan(graph, engine="tflm")
+    assert len({id(default), id(eon), id(tflm)}) == 3
     assert compile_plan(graph, engine="eon") is eon
-    # The expensive pass run is shared across keys with the same config.
-    assert eon.pass_outcome is default.pass_outcome
+    assert compile_plan(graph, engine="tflm") is tflm
+    assert set(graph._plan_cache) == {None, "eon", "tflm"}
 
 
 def test_structural_edit_invalidates_every_cached_plan():
     graph = small_int8_graph()
     default = compile_plan(graph)
-    unopt = compile_plan(graph, passes=None)
+    eon = compile_plan(graph, engine="eon")
     graph._invalidate()
     assert graph._plan_cache == {}
-    assert compile_plan(graph, passes=None) is not unopt
+    assert compile_plan(graph, engine="eon") is not eon
     assert compile_plan(graph) is not default
 
 
-def test_pass_list_accepted_and_cached_under_its_signature():
-    graph = small_int8_graph()
-    fuse_only = compile_plan(graph, passes=("fuse",))
-    assert fuse_only.pass_outcome.config.names == ("fuse",)
-    assert compile_plan(graph, passes=["fuse"]) is fuse_only
-    assert compile_plan(graph).pass_outcome.config.names == DEFAULT_PASS_NAMES
-
-
-def test_unknown_pass_name_is_an_error():
-    graph = small_int8_graph()
-    with pytest.raises(ValueError, match="unknown pass"):
-        compile_plan(graph, passes=("no_such_pass",), cache=False)
-
-
-# -- fallback diagnostics: the verify bracket catches broken passes --------
-
-
-class _RaisingPass(GraphPass):
-    name = "explode"
-
-    def run(self, graph):
-        raise RuntimeError("kaboom")
-
-
-class _CorruptingPass(GraphPass):
-    name = "corrupt"
-
-    def run(self, graph):
-        # A realistic rewrite bug: a shape that no longer matches the op.
-        t = graph.tensors[graph.ops[0].outputs[0]]
-        t.shape = tuple(d + 1 for d in t.shape)
-        return {"corrupted": 1}
-
-
-def _broken_registry():
-    return {"explode": _RaisingPass, "corrupt": _CorruptingPass}
-
-
-def test_raising_pass_reports_G051_and_falls_back():
-    graph = small_int8_graph()
-    outcome = run_passes(
-        graph, PassConfig(("explode",)), registry=_broken_registry()
-    )
-    assert outcome.fell_back
-    assert outcome.graph is graph  # byte-for-byte the authored graph
-    diag = outcome.diagnostics[0]
-    assert diag.code == "G051"
-    assert diag.symbol == "explode"
-    assert "kaboom" in diag.message
-
-
-def test_corrupting_pass_caught_at_the_pass_boundary():
-    graph = small_int8_graph()
-    outcome = run_passes(
-        graph, PassConfig(("corrupt",)), registry=_broken_registry()
-    )
-    assert outcome.fell_back and outcome.graph is graph
-    diag = outcome.diagnostics[0]
-    assert diag.code == "G050"
-    assert diag.symbol == "corrupt"  # names the offending pass
-    assert "G010" in diag.message  # and carries the underlying verdict
-    # The authored graph was never touched: a fresh plan still runs.
-    x = RNG.standard_normal((2, 16, 4)).astype(np.float32)
-    compile_plan(graph, passes=None, cache=False).execute(x)
-
-
-def test_fallback_outcome_still_compiles_and_matches():
-    graph = small_int8_graph()
-    registry = dict(_broken_registry())
-    from repro.runtime.passes import PASS_REGISTRY
-
-    registry.update(PASS_REGISTRY)
-    outcome = run_passes(graph, PassConfig(("fuse", "corrupt")), registry=registry)
-    assert outcome.fell_back and outcome.applied == ["fuse"]
-    assert outcome.graph is graph
-
-
-# -- individual passes -----------------------------------------------------
-
-
-def _q(scale=0.1, zp=3):
-    return QuantParams(scale=np.array(scale), zero_point=zp)
-
-
-def test_simplify_cancels_dequantize_quantize():
-    graph = Graph(name="dqq")
-    q = _q()
-    a = graph.add_tensor(GTensor("in", (4, 4, 1), dtype="int8", quant=q))
-    f = graph.add_tensor(GTensor("f", (4, 4, 1), dtype="float32"))
-    b = graph.add_tensor(GTensor("b", (4, 4, 1), dtype="int8", quant=q))
-    out = graph.add_tensor(GTensor("out", (2, 2, 1), dtype="int8", quant=q))
-    graph.input_id, graph.output_id = a, out
-    graph.add_op(GOp("DEQUANTIZE", [a], [f], {}))
-    graph.add_op(GOp("QUANTIZE", [f], [b], {}))
-    graph.add_op(GOp("MAX_POOL_2D", [b], [out], {"pool_size": 2}))
-    outcome = run_passes(graph, PassConfig(("simplify",)))
-    assert not outcome.fell_back
-    assert outcome.stats["simplify"]["dq_q_cancelled"] == 1
-    assert [op.opcode for op in outcome.graph.ops] == ["MAX_POOL_2D"]
-    x = RNG.integers(-128, 128, size=(2, 4, 4, 1)).astype(np.int8)
-    want = compile_plan(graph, passes=None).execute(x)
-    got = compile_plan(outcome.graph, passes=None, cache=False).execute(x)
-    assert np.array_equal(got, want)
-
-
-def test_simplify_keeps_mismatched_qparams():
-    # Different scale on the re-quantize side: a real requantization,
-    # not a round-trip — must NOT cancel.
-    graph = Graph(name="dqq2")
-    a = graph.add_tensor(GTensor("in", (4, 4, 1), dtype="int8", quant=_q(0.1)))
-    f = graph.add_tensor(GTensor("f", (4, 4, 1), dtype="float32"))
-    b = graph.add_tensor(GTensor("b", (4, 4, 1), dtype="int8", quant=_q(0.2)))
-    out = graph.add_tensor(GTensor("out", (2, 2, 1), dtype="int8", quant=_q(0.2)))
-    graph.input_id, graph.output_id = a, out
-    graph.add_op(GOp("DEQUANTIZE", [a], [f], {}))
-    graph.add_op(GOp("QUANTIZE", [f], [b], {}))
-    graph.add_op(GOp("MAX_POOL_2D", [b], [out], {"pool_size": 2}))
-    outcome = run_passes(graph, PassConfig(("simplify",)))
-    assert outcome.stats["simplify"]["dq_q_cancelled"] == 0
-    assert len(outcome.graph.ops) == 3
-
-
-def test_simplify_elides_identity_transpose_and_composes_pairs():
-    graph = Graph(name="tt")
-    a = graph.add_tensor(GTensor("in", (2, 3, 4)))
-    t1 = graph.add_tensor(GTensor("t1", (4, 2, 3)))
-    t2 = graph.add_tensor(GTensor("t2", (3, 4, 2)))
-    out = graph.add_tensor(GTensor("out", (3, 4, 2)))
-    graph.input_id, graph.output_id = a, out
-    graph.add_op(GOp("TRANSPOSE", [a], [t1], {"perm": (2, 0, 1)}))
-    graph.add_op(GOp("TRANSPOSE", [t1], [t2], {"perm": (2, 0, 1)}))
-    graph.add_op(GOp("SOFTMAX", [t2], [out], {}))
-    outcome = run_passes(graph, PassConfig(("simplify",)))
-    assert not outcome.fell_back
-    # The pair composes into one transpose with the combined perm.
-    transposes = [op for op in outcome.graph.ops if op.opcode == "TRANSPOSE"]
-    assert len(transposes) == 1
-    x = RNG.standard_normal((2, 2, 3, 4)).astype(np.float32)
-    want = compile_plan(graph, passes=None).execute(x)
-    got = compile_plan(outcome.graph, passes=None, cache=False).execute(x)
-    np.testing.assert_allclose(got, want, rtol=1e-6)
-
-
-def test_fold_constants_evaluates_weight_only_subgraph():
-    graph = Graph(name="fold")
-    a = graph.add_tensor(GTensor("in", (4,)))
-    const = graph.add_tensor(
-        GTensor("c", (2, 2), data=np.arange(4, dtype=np.float32).reshape(2, 2))
-    )
-    flat = graph.add_tensor(GTensor("flat", (4,)))
-    out = graph.add_tensor(GTensor("out", (4,)))
-    graph.input_id, graph.output_id = a, out
-    graph.add_op(GOp("RESHAPE", [const], [flat], {"shape": (4,)}))
-    graph.add_op(GOp("ADD", [a, flat], [out], {}))
-    outcome = run_passes(graph, PassConfig(("fold_constants",)))
-    assert not outcome.fell_back
-    assert outcome.stats["fold_constants"]["ops_folded"] == 1
-    assert [op.opcode for op in outcome.graph.ops] == ["ADD"]
-    folded = outcome.graph.ops[0].inputs[1]
-    folded_t = outcome.graph.tensors[folded]
-    assert folded_t.is_const
-    np.testing.assert_array_equal(
-        folded_t.data, np.arange(4, dtype=np.float32)
-    )
-    x = RNG.standard_normal((3, 4)).astype(np.float32)
-    got = compile_plan(outcome.graph, passes=None, cache=False).execute(x)
-    np.testing.assert_allclose(got, x + np.arange(4, dtype=np.float32), rtol=1e-6)
+# -- conv+pool fusion and the exact-GEMM choice ------------------------------
 
 
 def test_fusion_collapses_conv_pool_and_lowers_gemm():
     _, qg = _graph_pair(cifar_cnn, (16, 16, 3), 4, base_filters=8)
-    outcome = run_passes(qg, PassConfig(("fuse",)))
-    stats = outcome.stats["fuse"]
-    assert stats["pools_fused"] >= 1 and stats["gemm_lowered"] >= 1
-    pools_before = sum("POOL" in op.opcode for op in qg.ops)
-    pools_after = sum(
-        "POOL" in op.opcode and "fused_pool" not in op.attrs
-        for op in outcome.graph.ops
-    )
-    assert pools_after < pools_before
-    fused = [op for op in outcome.graph.ops if "fused_pool" in op.attrs]
-    # The fused conv keeps its opcode (registry/serialization contract)
-    # and produces the pool's (smaller) output.
-    assert all(op.opcode.startswith(("CONV", "DEPTHWISE")) for op in fused)
+    plan = compile_plan(qg)
+    producers = _producers(qg)
+    fused = _fused_steps(plan)
+    # All three conv+pool pairs collapse (two max, one avg); each fused
+    # step keeps the conv's opcode and writes the pool's output.
+    assert len(fused) == 3 and len(plan.steps) == len(qg.ops) - 3
+    assert all(s.opcode == "CONV_2D" for s in fused)
+    assert [producers[s.out_id].opcode for s in fused] == [
+        "MAX_POOL_2D", "MAX_POOL_2D", "AVG_POOL_2D"
+    ]
+    for op in qg.ops:
+        if op.opcode in ("CONV_2D", "FULLY_CONNECTED"):
+            w, b = (qg.tensors[i].data for i in op.inputs[1:])
+            w2d, _ = K.prepare_gemm_i8(w, b, qg.tensors[op.inputs[0]].quant.zero_point)
+            assert w2d.dtype == np.float64
+    assert plan.live_tensor_peak() < _authored_peak(qg)
+    x = RNG.standard_normal((3, 16, 16, 3)).astype(np.float32)
+    assert np.array_equal(plan.execute(x), run_graph_dispatch(qg, x))
+
+
+def test_fusion_needs_the_pool_as_sole_reader_and_a_hidden_output():
+    graph = Graph(name="no-fuse")
+    x = graph.add_tensor(GTensor("in", (8, 2)))
+    w = graph.add_tensor(GTensor("w", (3, 2, 2), data=np.ones((3, 2, 2), np.float32)))
+    b = graph.add_tensor(GTensor("b", (2,), data=np.zeros(2, np.float32)))
+    conv = graph.add_tensor(GTensor("conv", (8, 2)))
+    pooled = graph.add_tensor(GTensor("pooled", (4, 2)))
+    graph.input_id, graph.output_id = x, conv
+    attrs = {"stride": 1, "pad": [1, 1], "activation": "none"}
+    graph.add_op(GOp("CONV_1D", [x, w, b], [conv], attrs))
+    graph.add_op(GOp("MAX_POOL_1D", [conv], [pooled], {"pool_size": 2}))
+    # The conv output is the graph output: the pool cannot absorb it.
+    assert len(compile_plan(graph).steps) == 2
+    # A second reader keeps the pre-pool tensor alive: no fusion either.
+    total = graph.add_tensor(GTensor("total", (8, 2)))
+    graph.add_op(GOp("ADD", [conv, conv], [total], {}))
+    graph.output_id = total
+    assert len(compile_plan(graph).steps) == 3
+    batch = RNG.standard_normal((2, 8, 2)).astype(np.float32)
+    assert np.array_equal(compile_plan(graph).execute(batch), run_graph_dispatch(graph, batch))
 
 
 def test_fusion_skips_convs_over_the_f64_bound():
-    from repro.runtime.passes.fusion import gemm_accumulator_bound
-
-    w_shape = (3, 3, 8, 4)
-    bias = np.zeros(4, dtype=np.int64)
-    assert gemm_accumulator_bound(w_shape, bias) == 2 * (3 * 3 * 8) * 128 * 128
-    # A contraction whose worst-case accumulator exceeds the 2^53
-    # exact-integer range must not be annotated (trigger via the bias,
-    # the cheap way to cross the bound on a small model).
+    w = np.ones((3, 3, 8, 4), dtype=np.int8)
+    k = 3 * 3 * 8
+    bound = 2 * k * 128 * 128
+    for max_bias, dtype in ((0, np.float64),
+                            (2**53 - 1 - bound, np.float64),
+                            (2**53 - bound, np.int64),
+                            (2**53, np.int64)):
+        bias = np.zeros(4, dtype=np.int64)
+        bias[0] = -max_bias
+        w2d, folded = K.prepare_gemm_i8(w, bias, in_zp=3)
+        assert w2d.dtype == folded.dtype == dtype, max_bias
+    # A layer over the bound still fuses its pool, on the int64 GEMM.
     _, qg = _graph_pair(conv1d_stack, (16, 4), 3, n_layers=1)
     conv = next(op for op in qg.ops if op.opcode == "CONV_1D")
     bias_t = qg.tensors[conv.inputs[2]]
     bias_t.data = bias_t.data.astype(np.int64)
-    bias_t.data[0] = 2 ** 53  # pushes the bound over the exact range
-    outcome = run_passes(qg, PassConfig(("fuse",)))
-    fused_conv = next(
-        op for op in outcome.graph.ops if op.opcode == "CONV_1D"
-    )
-    assert "gemm_exact" not in fused_conv.attrs
+    bias_t.data[0] = 2**53
+    conv.attrs["out_mult"][0] = 0  # keep the spec's int64 product in range
+    plan = compile_plan(qg, cache=False)
+    assert len(_fused_steps(plan)) == 1
+    x = RNG.integers(-128, 128, size=(2, 16, 4)).astype(np.int8)
+    assert np.array_equal(plan.execute(x), run_graph_dispatch(qg, x))
+
+
+# -- in-place ADD ------------------------------------------------------------
+
+
+def _softmax_chain(name, *adds):
+    """in -> SOFTMAX s1 -> SOFTMAX s2, then ``adds`` as (lhs, rhs, out)
+    names over {"in", "s1", "s2", ...}; the last add's output is the
+    graph output."""
+    graph = Graph(name=name)
+    ids = {"in": graph.add_tensor(GTensor("in", (4,)))}
+    for n in ("s1", "s2"):
+        ids[n] = graph.add_tensor(GTensor(n, (4,)))
+    graph.add_op(GOp("SOFTMAX", [ids["in"]], [ids["s1"]], {}))
+    graph.add_op(GOp("SOFTMAX", [ids["s1"]], [ids["s2"]], {}))
+    for lhs, rhs, out in adds:
+        ids[out] = graph.add_tensor(GTensor(out, (4,)))
+        graph.add_op(GOp("ADD", [ids[lhs], ids[rhs]], [ids[out]], {}))
+    graph.input_id, graph.output_id = ids["in"], ids[adds[-1][2]]
+    return graph, ids
+
+
+def _check_against_dispatch(graph):
+    x = RNG.standard_normal((2, 4)).astype(np.float32)
+    assert np.array_equal(compile_plan(graph).execute(x), run_graph_dispatch(graph, x))
 
 
 def test_inplace_annotates_dying_operand_only():
-    graph = Graph(name="inplace")
-    a = graph.add_tensor(GTensor("in", (4,)))
-    s1 = graph.add_tensor(GTensor("s1", (4,)))
-    s2 = graph.add_tensor(GTensor("s2", (4,)))
-    out = graph.add_tensor(GTensor("out", (4,)))
-    graph.input_id, graph.output_id = a, out
     # A chain, so the input is dead by the time the ADD runs and the
     # three-buffer ADD step is the liveness peak the reuse removes.
-    graph.add_op(GOp("SOFTMAX", [a], [s1], {}))
-    graph.add_op(GOp("SOFTMAX", [s1], [s2], {}))
-    graph.add_op(GOp("ADD", [s1, s2], [out], {}))
-    outcome = run_passes(graph, PassConfig(("inplace",)))
-    add = outcome.graph.ops[-1]
-    assert add.attrs["inplace"] == 0  # s1 dies at the add
-    x = RNG.standard_normal((2, 4)).astype(np.float32)
-    want = compile_plan(graph, passes=None).execute(x)
-    got = compile_plan(outcome.graph, passes=None, cache=False).execute(x)
-    np.testing.assert_allclose(got, want, rtol=1e-6)
+    graph, ids = _softmax_chain("inplace", ("s1", "s2", "out"))
+    plan = compile_plan(graph)
+    assert plan.steps[-1].inplace_src == ids["s1"]  # s1 dies at the add
+    _check_against_dispatch(graph)
     # The reuse shows up in the liveness accounting.
-    base = compile_plan(graph, passes=None)
-    opt = compile_plan(outcome.graph, passes=None, cache=False)
-    assert opt.live_tensor_peak() < base.live_tensor_peak()
+    assert plan.live_tensor_peak() < _authored_peak(graph)
 
 
 def test_inplace_never_reuses_the_graph_input():
-    # prepare_input may pass caller-owned int8 memory straight through;
-    # writing into it would corrupt the caller's buffer.
-    graph = Graph(name="inplace-input")
-    a = graph.add_tensor(GTensor("in", (4,)))
-    s = graph.add_tensor(GTensor("s", (4,)))
-    out = graph.add_tensor(GTensor("out", (4,)))
-    graph.input_id, graph.output_id = a, out
-    graph.add_op(GOp("SOFTMAX", [a], [s], {}))
-    graph.add_op(GOp("ADD", [a, s], [out], {}))
-    outcome = run_passes(graph, PassConfig(("inplace",)))
-    add = outcome.graph.ops[-1]
-    # Slot 0 (the graph input) is skipped... but slot 1 dies here, so it
-    # is legal — `a` itself must never be picked.
-    assert add.attrs.get("inplace") != 0
+    # The input may be caller-owned int8 memory passed through uncopied;
+    # writing into it would corrupt the caller's buffer.  s2 dies at the
+    # add too, so that is the one written.
+    graph, ids = _softmax_chain("inplace-input", ("in", "s2", "out"))
+    assert compile_plan(graph).steps[-1].inplace_src == ids["s2"]
+    _check_against_dispatch(graph)
 
 
 def test_inplace_skips_view_producing_operands():
@@ -417,57 +295,36 @@ def test_inplace_skips_view_producing_operands():
     graph.add_op(GOp("SOFTMAX", [a], [s], {}))
     graph.add_op(GOp("RESHAPE", [s], [r], {"shape": (4,)}))
     graph.add_op(GOp("ADD", [r, a], [out], {}))
-    outcome = run_passes(graph, PassConfig(("inplace",)))
-    assert "inplace" not in outcome.graph.ops[-1].attrs
+    assert compile_plan(graph).steps[-1].inplace_src is None
+    _check_against_dispatch(graph)
+
+
+def test_inplace_skips_operands_a_live_view_aliases():
+    """``r`` is a RESHAPE view of ``s`` that outlives it; an ADD writing
+    into the dying ``s`` would change what ``r`` reads afterwards."""
+    graph = Graph(name="inplace-alias")
+    t = {n: graph.add_tensor(GTensor(n, shape)) for n, shape in (
+        ("in", (4,)), ("s", (4,)), ("r", (2, 2)), ("u", (4,)),
+        ("w", (2, 2)), ("w2", (4,)), ("out", (4,)),
+    )}
+    ten = graph.add_tensor(GTensor("ten", (4,), data=np.full(4, 10, np.float32)))
+    zero = graph.add_tensor(GTensor("zero", (2, 2), data=np.zeros((2, 2), np.float32)))
+    graph.input_id, graph.output_id = t["in"], t["out"]
+    graph.add_op(GOp("SOFTMAX", [t["in"]], [t["s"]], {}))
+    graph.add_op(GOp("RESHAPE", [t["s"]], [t["r"]], {"shape": (2, 2)}))
+    graph.add_op(GOp("ADD", [t["s"], ten], [t["u"]], {}))  # s dies here
+    graph.add_op(GOp("ADD", [t["r"], zero], [t["w"]], {}))  # ...r reads it later
+    graph.add_op(GOp("RESHAPE", [t["w"]], [t["w2"]], {"shape": (4,)}))
+    graph.add_op(GOp("ADD", [t["u"], t["w2"]], [t["out"]], {}))
+    plan = compile_plan(graph)
+    assert plan.steps[2].inplace_src is None
+    assert plan.steps[-1].inplace_src == t["u"]
+    _check_against_dispatch(graph)
 
 
 def test_inplace_respects_longer_lifetimes():
-    graph = Graph(name="inplace-alive")
-    a = graph.add_tensor(GTensor("in", (4,)))
-    s = graph.add_tensor(GTensor("s", (4,)))
-    mid = graph.add_tensor(GTensor("mid", (4,)))
-    out = graph.add_tensor(GTensor("out", (4,)))
-    graph.input_id, graph.output_id = a, out
-    graph.add_op(GOp("SOFTMAX", [a], [s], {}))
-    graph.add_op(GOp("ADD", [s, s], [mid], {}))  # s also feeds the next add
-    graph.add_op(GOp("ADD", [mid, s], [out], {}))
-    outcome = run_passes(graph, PassConfig(("inplace",)))
-    first_add = outcome.graph.ops[1]
-    assert "inplace" not in first_add.attrs  # s is still alive afterwards
-
-
-# -- source graph is never mutated -----------------------------------------
-
-
-def test_pipeline_never_mutates_the_source_graph():
-    graph = small_int8_graph()
-    before_ops = [(op.opcode, tuple(op.inputs), dict(op.attrs)) for op in graph.ops]
-    before_n = len(graph.tensors)
-    run_passes(graph, PassConfig())
-    assert len(graph.tensors) == before_n
-    assert [
-        (op.opcode, tuple(op.inputs), dict(op.attrs)) for op in graph.ops
-    ] == before_ops
-
-
-def test_clone_graph_shares_weights_not_structure():
-    graph = small_int8_graph()
-    clone = clone_graph(graph)
-    assert clone.ops is not graph.ops
-    assert all(c is not o for c, o in zip(clone.ops, graph.ops))
-    w_id = next(
-        tid for tid, t in enumerate(graph.tensors) if t.is_const
-    )
-    assert clone.tensors[w_id].data is graph.tensors[w_id].data
-
-
-# -- the CLI ---------------------------------------------------------------
-
-
-def test_passes_dump_cli(capsys):
-    from repro.runtime.passes.__main__ import main
-
-    assert main(["--dump", "--arch", "mlp"]) == 0
-    out = capsys.readouterr().out
-    assert "mlp/int8" in out
-    assert "pass(es) applied" in out
+    graph, ids = _softmax_chain("inplace-alive", ("s2", "s2", "mid"), ("mid", "s2", "out"))
+    plan = compile_plan(graph)
+    assert plan.steps[2].inplace_src is None  # s2 is still alive afterwards
+    assert plan.steps[3].inplace_src == ids["mid"]
+    _check_against_dispatch(graph)
