@@ -302,13 +302,14 @@ def check_liveness(graph: Graph) -> Report:
 
 
 def check_arena(graph: Graph, plan=None) -> Report:
-    """Cross-check tensor lifetimes against the arena plan.
+    """Cross-check tensor lifetimes against an arena plan.
 
     Every read must land inside the reader's declared lifetime window,
     and no two simultaneously-live tensors may share arena bytes
-    (:meth:`repro.runtime.arena.ArenaPlan.overlaps`).  Pass ``plan`` to
-    audit a specific (possibly hand-edited) plan; by default the greedy
-    planner's output is checked.
+    (:meth:`repro.runtime.arena.ArenaPlan.overlaps`, over the lifetimes
+    the arena was planned on).  Pass ``plan`` to audit a specific arena —
+    EON's step arena, or a hand-edited one; by default the greedy
+    planner's arena over the authored graph is checked.
     """
     report = Report(subject=graph.name)
     lifetimes = graph.lifetimes()
@@ -328,7 +329,7 @@ def check_arena(graph: Graph, plan=None) -> Report:
         from repro.runtime.arena import plan_arena  # lazy: avoids an import
         # cycle (runtime.executor verifies graphs through this module)
         plan = plan_arena(graph)
-    for a, b in plan.overlaps(lifetimes):
+    for a, b in plan.overlaps():
         report.add(
             "G041",
             f"tensors {a} and {b} are simultaneously live but overlap in "

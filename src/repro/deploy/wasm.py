@@ -57,11 +57,11 @@ def build_wasm(
     engine: str = "eon",
     project_name: str = "project",
 ) -> Artifact:
-    from repro.runtime.arena import plan_arena
+    from repro.profile.memory import MemoryEstimator
 
     artifact = Artifact(target="wasm", project_name=project_name)
     blob = graph_to_bytes(graph)
-    arena = plan_arena(graph).total_bytes
+    arena = MemoryEstimator(engine).estimate(graph).arena_bytes
     labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
     artifact.files["edge-impulse-standalone.wat"] = _wat_module(blob, arena).encode()
     artifact.files["model.bin"] = blob

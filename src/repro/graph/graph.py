@@ -20,10 +20,10 @@ class Graph:
         self.ops: list[GOp] = []
         self.input_id: int = -1
         self.output_id: int = -1
-        # Memoized CompiledPlans keyed by engine (see
-        # repro.runtime.executor.compile_plan); invalidated by structural
+        # The memoized CompiledPlan every engine runs (see
+        # repro.runtime.executor.compile_plan); cleared by structural
         # edits.
-        self._plan_cache: dict = {}
+        self._plan = None
         # Set after a successful full verification (repro.analysis); the
         # compile path skips re-verifying an unchanged graph.  Shares the
         # plan memo's staleness contract: structural edits clear it,
@@ -33,9 +33,9 @@ class Graph:
     # -- construction --------------------------------------------------------
 
     def _invalidate(self) -> None:
-        """Structural edit: drop every derived memo (plans,
+        """Structural edit: drop every derived memo (plan,
         verification)."""
-        self._plan_cache.clear()
+        self._plan = None
         self._verified_ok = False
 
     def add_tensor(self, tensor: GTensor) -> int:
@@ -96,7 +96,7 @@ class Graph:
         """First-def / last-use op index per activation tensor.
 
         The graph input is alive from "before op 0"; the output must survive
-        past the last op.  Used by the arena planner.
+        past the last op.  Used by the plan binder and TFLM's arena.
         """
         first: dict[int, int] = {self.input_id: 0}
         last: dict[int, int] = {self.input_id: 0}

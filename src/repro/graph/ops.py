@@ -149,6 +149,17 @@ class GOp:
             raise ValueError(f"unknown opcode {self.opcode!r}")
 
 
+def kernel_precision(op: GOp, tensors: list[GTensor]) -> str:
+    """The precision of the kernel body an op links: its output dtype's
+    (int32 counts as int8), or ``"int4"`` for a weighted int8 op with
+    int4 weights."""
+    if tensors[op.outputs[0]].dtype not in ("int8", "int32"):
+        return "float32"
+    if op.opcode in WEIGHTED_OPS and tensors[op.inputs[1]].dtype == "int4":
+        return "int4"
+    return "int8"
+
+
 def op_macs(op: GOp, tensors: list[GTensor]) -> int:
     """Multiply-accumulate count for one op (drives the latency model)."""
     out = tensors[op.outputs[0]]

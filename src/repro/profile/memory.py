@@ -1,14 +1,17 @@
-"""RAM / flash estimation — the model behind Table 4.
+"""RAM / flash estimation — the model behind Table 4, and the one place
+either engine's memory is modelled.
 
 RAM(engine)  = arena + engine runtime overhead + allocator slack
 Flash(engine) = serialized model + kernel code for the opcodes present
                 (+ interpreter core, resolver and flatbuffer parser for TFLM)
 
-The EON Compiler's savings come from three removals the paper describes
-(Sec. 4.5): no interpreter core in flash, no flatbuffer parsing code, and no
-runtime tensor metadata in RAM.  Allocator slack is proportional to the
-arena (TFLM's allocator keeps temp buffers and padding), which is why the
-paper's RAM delta is larger for float models than int8 ones.
+The EON Compiler's savings come from the removals the paper describes
+(Sec. 4.5): no interpreter core in flash, no flatbuffer parsing code, no
+runtime tensor metadata in RAM, and an arena over the plan's steps
+instead of the authored ops (docs/plan.md).  Allocator slack is
+proportional to the arena (TFLM's allocator keeps temp buffers and
+padding), which is why the paper's RAM delta is larger for float models
+than int8 ones.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from dataclasses import dataclass
 
 from repro.dsp.base import DSPBlock
 from repro.graph.graph import Graph
-from repro.graph.ops import WEIGHTED_OPS
+from repro.graph.ops import kernel_precision
 from repro.graph.serialize import graph_to_bytes
 from repro.profile.devices import DeviceProfile
 from repro.runtime.arena import plan_arena
+from repro.runtime.executor import compile_plan
 
 #: approximate compiled kernel code sizes (bytes) per opcode and precision;
 #: int8 kernels (CMSIS-NN-class) are larger than the reference float ones,
@@ -45,22 +49,10 @@ KERNEL_CODE_BYTES = {
 
 
 def kernel_variants(graph: Graph) -> set[tuple[str, str]]:
-    """The distinct (opcode, precision) kernel bodies a graph links in.
-
-    Precision follows each op's *output* dtype (int32 counts as int8);
-    weighted ops with int4 weights are their own variant.  On uniform
-    graphs this degenerates to one precision per opcode — the same set
-    the pre-mixed-precision estimator priced.
-    """
-    variants: set[tuple[str, str]] = set()
-    for op in graph.ops:
-        out_dtype = graph.tensors[op.outputs[0]].dtype
-        prec = "int8" if out_dtype in ("int8", "int32") else "float32"
-        if (prec == "int8" and op.opcode in WEIGHTED_OPS
-                and graph.tensors[op.inputs[1]].dtype == "int4"):
-            prec = "int4"
-        variants.add((op.opcode, prec))
-    return variants
+    """The distinct (opcode, precision) kernel bodies a graph links in
+    (:func:`repro.graph.ops.kernel_precision`).  On uniform graphs this
+    degenerates to one precision per opcode."""
+    return {(op.opcode, kernel_precision(op, graph.tensors)) for op in graph.ops}
 
 #: TFLM-only flash components (interpreter core, op resolver, flatbuffer
 #: schema parsing) — the code EON codegen eliminates.
@@ -69,6 +61,14 @@ TFLM_RESOLVER_CODE = 1_536
 TFLM_FLATBUFFER_PARSER = 6_144
 #: EON emits a small amount of glue per op instead.
 EON_GLUE_PER_OP = 192
+
+#: TFLM's runtime RAM: interpreter state (MicroInterpreter, allocator,
+#: error reporter) + one struct per tensor + one per node; EON keeps no
+#: runtime metadata, just a small static context.
+TFLM_FIXED_RAM = 1536
+TFLM_TENSOR_STRUCT = 64
+TFLM_NODE_STRUCT = 32
+EON_FIXED_RAM = 256
 
 #: allocator slack as a fraction of the arena (temporary allocations,
 #: per-allocation padding) — TFLM's biggest RAM overhead beyond metadata.
@@ -117,21 +117,21 @@ class MemoryEstimator:
         dsp_block: DSPBlock | None = None,
         raw_input_shape: tuple[int, ...] | None = None,
     ) -> MemoryBreakdown:
-        arena = plan_arena(graph).total_bytes
-        n_tensors = len(graph.tensors)
         n_ops = len(graph.ops)
-
         kernel_code = sum(
             KERNEL_CODE_BYTES[opcode][prec] for opcode, prec in kernel_variants(graph)
         )
         if self.engine == "tflm":
+            arena = plan_arena(graph).total_bytes
             runtime_ram = int(
-                1536 + 64 * n_tensors + 32 * n_ops + TFLM_ARENA_SLACK * arena
+                TFLM_FIXED_RAM + TFLM_TENSOR_STRUCT * len(graph.tensors)
+                + TFLM_NODE_STRUCT * n_ops + TFLM_ARENA_SLACK * arena
             )
             code = (TFLM_INTERPRETER_CODE + TFLM_RESOLVER_CODE
                     + TFLM_FLATBUFFER_PARSER + kernel_code)
         else:
-            runtime_ram = int(256 + EON_ARENA_SLACK * arena)
+            arena = plan_arena(compile_plan(graph)).total_bytes
+            runtime_ram = int(EON_FIXED_RAM + EON_ARENA_SLACK * arena)
             code = EON_GLUE_PER_OP * n_ops + kernel_code
 
         dsp_ram = (

@@ -1,13 +1,14 @@
 """Inference runtimes.
 
-Two engines execute the same :class:`repro.graph.Graph` with the same
-kernels and produce bit-identical outputs; they differ in the overheads
-they carry — exactly the comparison of paper Sec. 5.3:
+Two engines execute the same :class:`repro.graph.Graph` through its one
+compiled plan and produce bit-identical outputs; they differ in the
+overheads they carry — exactly the comparison of paper Sec. 5.3, priced
+by :mod:`repro.profile.memory`:
 
-- :class:`repro.runtime.interpreter.TFLMInterpreter`: op registry +
-  per-tensor runtime metadata, the TFLM model.
-- :class:`repro.runtime.eon.EONCompiler`: ahead-of-time static plan plus
-  generated C++ source, the EON Compiler model.
+- :class:`repro.runtime.interpreter.TFLMInterpreter`: op registry over
+  the authored ops, the TFLM model.
+- :class:`repro.runtime.eon.EONCompiler`: the static plan plus generated
+  C++ source running its steps in the step arena, the EON Compiler model.
 """
 
 from repro.runtime.arena import ArenaPlan, plan_arena

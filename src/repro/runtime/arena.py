@@ -2,8 +2,11 @@
 
 Activation tensors live in one contiguous SRAM arena; the planner assigns
 byte offsets so tensors with overlapping lifetimes never overlap in memory.
-This is the mechanism behind the RAM numbers of Table 4: the planner's
-arena size is the dominant RAM term for both engines.
+The arena is the dominant RAM term of Table 4 for both engines:
+``plan_arena(graph)`` places the authored ops' lifetimes (TFLM's arena:
+TFLM fuses nothing), ``plan_arena(compile_plan(graph))`` the plan's steps
+(EON's: no fused conv's pre-pool tensor, an in-place ADD's output at its
+operand's offset).
 
 Strategies:
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.graph.graph import Graph
+from repro.runtime.executor import CompiledPlan
 
 _ALIGN = 16  # TFLM aligns arena allocations to 16 bytes
 
@@ -28,21 +32,28 @@ def _align(n: int) -> int:
 
 @dataclass
 class ArenaPlan:
-    """Result of planning: offsets per activation tensor + total size."""
+    """Result of planning: offsets per activation tensor + total size,
+    with the lifetimes they were planned on.  ``aliases`` maps an
+    in-place output to the tensor whose buffer it shares."""
 
     offsets: dict[int, int] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     total_bytes: int = 0
     strategy: str = "greedy"
+    lifetimes: dict[int, tuple[int, int]] = field(default_factory=dict)
+    aliases: dict[int, int] = field(default_factory=dict)
 
-    def overlaps(self, lifetimes: dict[int, tuple[int, int]]) -> list[tuple[int, int]]:
+    def overlaps(self) -> list[tuple[int, int]]:
         """Return pairs of tensors that violate the no-overlap invariant
-        (simultaneously alive AND overlapping in memory).  Empty == valid."""
+        (simultaneously alive AND overlapping in memory, and not one
+        buffer by aliasing).  Empty == valid."""
         bad = []
         ids = list(self.offsets)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                la, lb = lifetimes[a], lifetimes[b]
+                if self.aliases.get(a, a) == self.aliases.get(b, b):
+                    continue
+                la, lb = self.lifetimes[a], self.lifetimes[b]
                 alive_together = la[0] <= lb[1] and lb[0] <= la[1]
                 if not alive_together:
                     continue
@@ -53,48 +64,58 @@ class ArenaPlan:
         return bad
 
 
-def plan_arena(graph: Graph, strategy: str = "greedy") -> ArenaPlan:
-    """Assign arena offsets to every activation tensor in ``graph``."""
-    lifetimes = graph.lifetimes()
+def plan_arena(source: Graph | CompiledPlan, strategy: str = "greedy") -> ArenaPlan:
+    """Assign arena offsets to every activation of ``source``: an
+    authored graph (TFLM's arena) or a compiled plan's steps (EON's)."""
+    graph, aliases = source, {}
+    if isinstance(source, CompiledPlan):
+        graph = source.graph
+        for step in source.steps:
+            if step.inplace_src is not None:
+                aliases[step.out_id] = aliases.get(step.inplace_src, step.inplace_src)
+    lifetimes = source.lifetimes()
     sizes = {
         tid: _align(graph.tensors[tid].size_bytes)
         for tid in lifetimes
         if not graph.tensors[tid].is_const
     }
-    plan = ArenaPlan(strategy=strategy, sizes=sizes)
+    plan = ArenaPlan(strategy=strategy, sizes=sizes, lifetimes=lifetimes, aliases=aliases)
+    # One buffer per non-aliased tensor, alive until its last alias dies.
+    spans = {tid: lifetimes[tid] for tid in sizes if tid not in aliases}
+    for tid, root in aliases.items():
+        spans[root] = (spans[root][0], max(spans[root][1], lifetimes[tid][1]))
 
     if strategy == "naive":
         offset = 0
-        for tid in sizes:
+        for tid in spans:
             plan.offsets[tid] = offset
             offset += sizes[tid]
-        plan.total_bytes = offset
-        return plan
-
-    if strategy != "greedy":
+    elif strategy == "greedy":
+        # First-fit decreasing: place big buffers first at the lowest
+        # offset that does not collide with any already-placed,
+        # lifetime-overlapping buffer.
+        order = sorted(spans, key=lambda t: (-sizes[t], spans[t][0]))
+        placed: list[int] = []
+        for tid in order:
+            lt = spans[tid]
+            conflicts = []
+            for other in placed:
+                lo = spans[other]
+                if lt[0] <= lo[1] and lo[0] <= lt[1]:
+                    conflicts.append((plan.offsets[other], plan.offsets[other] + sizes[other]))
+            conflicts.sort()
+            offset = 0
+            for c0, c1 in conflicts:
+                if offset + sizes[tid] <= c0:
+                    break
+                offset = max(offset, c1)
+            plan.offsets[tid] = offset
+            placed.append(tid)
+    else:
         raise ValueError(f"unknown arena strategy {strategy!r}")
 
-    # First-fit decreasing: place big tensors first at the lowest offset
-    # that does not collide with any already-placed, lifetime-overlapping
-    # tensor.
-    order = sorted(sizes, key=lambda t: (-sizes[t], lifetimes[t][0]))
-    placed: list[int] = []
-    for tid in order:
-        lt = lifetimes[tid]
-        conflicts = []
-        for other in placed:
-            lo = lifetimes[other]
-            if lt[0] <= lo[1] and lo[0] <= lt[1]:
-                conflicts.append((plan.offsets[other], plan.offsets[other] + sizes[other]))
-        conflicts.sort()
-        offset = 0
-        for c0, c1 in conflicts:
-            if offset + sizes[tid] <= c0:
-                break
-            offset = max(offset, c1)
-        plan.offsets[tid] = offset
-        placed.append(tid)
-
+    for tid, root in aliases.items():
+        plan.offsets[tid] = plan.offsets[root]
     plan.total_bytes = max(
         (plan.offsets[t] + sizes[t] for t in plan.offsets), default=0
     )

@@ -3,10 +3,11 @@
 Compiles a graph to (a) a static execution plan run without any interpreter
 dispatch or runtime tensor metadata, and (b) compilable C++ source in which
 every kernel call, buffer offset and shape is resolved at compile time.
-The generated code calls the same kernels the interpreter dispatches to, so
-outputs are bit-identical; only the overheads differ — EON drops the
-interpreter core and per-tensor structs, which is where the "up to 55% less
-RAM and 35% less ROM" headline comes from.
+Both are the graph's one plan (the C++ runs its steps at the offsets of
+``plan_arena(plan)``, the arena Table 4 prices), so outputs are
+bit-identical and only the overheads differ: EON drops the interpreter
+core and per-tensor structs, which is where the "up to 55% less RAM and
+35% less ROM" headline comes from.
 """
 
 from __future__ import annotations
@@ -16,28 +17,39 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.ops import GOp
+from repro.graph.ops import GTensor, kernel_precision, pack_int4
 from repro.runtime.arena import ArenaPlan, plan_arena
-from repro.runtime.executor import CompiledPlan, compile_plan, dequantize_output
+from repro.runtime.executor import (
+    _POOL_FUSION, CompiledPlan, PlanStep, compile_plan, dequantize_output,
+)
 
-_CTYPE = {"float32": "float", "int8": "int8_t", "int32": "int32_t"}
+#: int4 weights are emitted packed, two nibbles per byte.
+_CTYPE = {"float32": "float", "int8": "int8_t", "int4": "uint8_t", "int32": "int32_t"}
+_SUFFIX = {"float32": "f32", "int8": "i8", "int4": "i4"}
+
+
+def _float_literal(v: float) -> str:
+    """Nine significant digits round-trip every float32; the point keeps
+    e.g. ``0`` and ``1`` from being integer constants, which take no
+    ``f`` suffix."""
+    s = f"{v:.9g}"
+    if "." not in s and "e" not in s:
+        s += ".0"
+    return s + "f"
 
 
 @dataclass
 class EONModel:
-    """A compiled model: static plan + optional generated sources."""
+    """A compiled model: the graph's plan + optional generated sources."""
 
     graph: Graph
-    arena: ArenaPlan
-    plan: CompiledPlan | None = None
+    plan: CompiledPlan
     sources: dict[str, str] = field(default_factory=dict)
 
     def invoke(self, batch: np.ndarray) -> np.ndarray:
         # Static plan: a straight-line sequence of bound kernels, no
         # registry lookups, dead activations freed as they die.  The one
         # plan runs every batch size.
-        if self.plan is None:
-            self.plan = compile_plan(self.graph, engine="eon")
         return self.plan.execute(batch)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
@@ -46,48 +58,32 @@ class EONModel:
     def classify(self, batch: np.ndarray) -> np.ndarray:
         return self.predict_proba(batch).argmax(axis=-1)
 
-    @property
-    def arena_bytes(self) -> int:
-        return self.arena.total_bytes
-
-    def ram_overhead_bytes(self) -> int:
-        """EON keeps no runtime metadata — just a small static context."""
-        return 256
-
-    def engine_name(self) -> str:
-        return "eon"
-
 
 class EONCompiler:
     """Ahead-of-time compiler from Graph to :class:`EONModel`.
 
-    Code generation walks the authored graph, one call per op; the
-    plan's bind-time decisions (conv+pool fusion, exact GEMM, in-place
-    ADD) change which Python kernels it binds, not the emitted C++.
+    Code generation walks the plan's steps, one kernel call per step: a
+    conv that absorbed its pool is one fused call writing the pooled
+    tensor, and an in-place ADD writes its operand's buffer.
     """
 
     def compile(self, graph: Graph, emit_source: bool = False) -> EONModel:
-        graph.validate()
-        arena = plan_arena(graph)
-        model = EONModel(
-            graph=graph,
-            arena=arena,
-            plan=compile_plan(graph, engine="eon"),
-        )
+        model = EONModel(graph=graph, plan=compile_plan(graph))
         if emit_source:
-            model.sources = self.generate_source(graph, arena)
+            model.sources = self.generate_source(graph)
         return model
 
     # -- C++ code generation -----------------------------------------------
 
-    def generate_source(self, graph: Graph, arena: ArenaPlan | None = None) -> dict[str, str]:
+    def generate_source(self, graph: Graph) -> dict[str, str]:
         """Emit ``model.h`` / ``model.cpp`` with weights, arena offsets and
-        one fully-resolved kernel call per op."""
-        if arena is None:
-            arena = plan_arena(graph)
-        header = self._emit_header(graph, arena)
-        cpp = self._emit_cpp(graph, arena)
-        return {"eon_model.h": header, "eon_model.cpp": cpp}
+        one fully-resolved kernel call per plan step."""
+        plan = compile_plan(graph)
+        arena = plan_arena(plan)
+        return {
+            "eon_model.h": self._emit_header(graph, arena),
+            "eon_model.cpp": self._emit_cpp(plan, arena),
+        }
 
     def _emit_header(self, graph: Graph, arena: ArenaPlan) -> str:
         in_t = graph.tensors[graph.input_id]
@@ -107,15 +103,15 @@ class EONCompiler:
         ]
         return "\n".join(lines)
 
-    def _array_literal(self, name: str, data: np.ndarray, ctype: str) -> str:
-        flat = data.reshape(-1)
-        if ctype == "float":
-            body = ", ".join(f"{v:.8g}f" for v in flat)
-        else:
-            body = ", ".join(str(int(v)) for v in flat)
-        return f"static const {ctype} {name}[{flat.size}] = {{ {body} }};"
+    def _array_literal(self, name: str, t: GTensor) -> str:
+        # int4 weights as the packed bytes graph_to_bytes stores.
+        flat = pack_int4(t.data) if t.dtype == "int4" else t.data.reshape(-1)
+        fmt = _float_literal if t.dtype == "float32" else str
+        body = ", ".join(fmt(v) for v in flat.tolist())
+        return f"static const {_CTYPE[t.dtype]} {name}[{flat.size}] = {{ {body} }};"
 
-    def _emit_cpp(self, graph: Graph, arena: ArenaPlan) -> str:
+    def _emit_cpp(self, plan: CompiledPlan, arena: ArenaPlan) -> str:
+        graph = plan.graph
         lines = [
             "// Generated by the EON Compiler (repro). Do not edit.",
             '#include "eon_model.h"',
@@ -130,7 +126,7 @@ class EONCompiler:
             if t.is_const:
                 cname = f"g_{t.name}".replace("-", "_")
                 const_names[tid] = cname
-                lines.append(self._array_literal(cname, t.data, _CTYPE[t.dtype]))
+                lines.append(self._array_literal(cname, t))
         lines.append("")
 
         def buf(tid: int) -> str:
@@ -145,8 +141,8 @@ class EONCompiler:
             f"  memcpy({buf(graph.input_id)}, input, "
             f"{in_t.size_bytes});",
         ]
-        for op in graph.ops:
-            lines.append("  " + self._emit_call(graph, op, arena, const_names, buf))
+        for step in plan.steps:
+            lines.append("  " + self._emit_call(graph, step, const_names, buf))
         lines += [
             f"  memcpy(output, {buf(graph.output_id)}, {out_t.size_bytes});",
             "  return 0;",
@@ -155,28 +151,30 @@ class EONCompiler:
         ]
         return "\n".join(lines)
 
-    def _emit_call(self, graph, op: GOp, arena, const_names, buf) -> str:
-        a = op.attrs
+    def _emit_call(self, graph: Graph, step: PlanStep, const_names, buf) -> str:
         t = graph.tensors
-        is_int8 = t[op.outputs[0]].dtype == "int8"
-        suffix = "i8" if is_int8 else "f32"
-        args = []
-        for tid in op.inputs:
-            args.append(const_names[tid] if t[tid].is_const else buf(tid))
-        args.append(buf(op.outputs[0]))
-        in_shape = t[op.inputs[0]].shape
-        out_shape = t[op.outputs[0]].shape
-        args.append("{" + ",".join(str(d) for d in in_shape) + "}")
-        args.append("{" + ",".join(str(d) for d in out_shape) + "}")
+        op = graph.ops[step.ops[0]]
+        a = dict(op.attrs)
+        name = op.opcode.lower()
+        if len(step.ops) == 2:  # conv + the pool it absorbed: one call
+            pool = graph.ops[step.ops[1]]
+            a["pool_size"] = pool.attrs["pool_size"]
+            name += f"_{_POOL_FUSION[op.opcode][pool.opcode]}pool"
+        prec = kernel_precision(op, t)
+        is_int = prec != "float32"
+        args = [const_names[tid] if t[tid].is_const else buf(tid) for tid in op.inputs]
+        # An in-place ADD's output shares its operand's arena offset.
+        args.append(buf(step.out_id))
+        args.append("{" + ",".join(str(d) for d in t[op.inputs[0]].shape) + "}")
+        args.append("{" + ",".join(str(d) for d in t[step.out_id].shape) + "}")
         for key in ("stride", "pool_size", "left_shift"):
             if key in a:
                 args.append(f"/*{key}=*/{a[key]}")
         if "pad_h" in a:
             args.append(f"/*pad=*/{{{a['pad_h'][0]},{a['pad_w'][0]}}}")
-        if is_int8 and "clamp_min" in a:
+        if is_int and "clamp_min" in a:
             args.append(f"/*clamp=*/{{{a['clamp_min']},{a['clamp_max']}}}")
         act = a.get("activation", "none")
-        if not is_int8 and act != "none":
+        if not is_int and act != "none":
             args.append(f"EON_ACT_{act.upper()}")
-        fn = f"eon_{op.opcode.lower()}_{suffix}"
-        return f"{fn}({', '.join(args)});"
+        return f"eon_{name}_{_SUFFIX[prec]}({', '.join(args)});"

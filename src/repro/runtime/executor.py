@@ -31,11 +31,11 @@ deserialized blob could forge — and each exact (docs/plan.md):
   that operand's buffer, unless the operand is the graph input, a
   constant, or shares its buffer with a RESHAPE/TRANSPOSE view.
 
-Plans drop dead activations as execution proceeds, so peak Python-side
-memory tracks the arena plan instead of the sum of all activations.
-Plans are cached per engine on the graph instance; a plan is
-batch-polymorphic (kernels read window strides off the arrays they are
-handed), so one plan serves every batch size.
+A plan drops each activation after the last *step* that reads it
+(:meth:`CompiledPlan.lifetimes`); EON's arena and generated C read the
+same steps.  A graph caches one plan (``graph._plan``) that TFLM and EON
+share, and a plan is batch-polymorphic (kernels read window strides off
+the arrays they are handed), so one plan serves every batch size.
 """
 
 from __future__ import annotations
@@ -340,27 +340,25 @@ def _bind_op(
 class PlanStep:
     """One compiled step: output tensor id + fully bound kernel closure.
 
-    ``reads`` are the activation ids the closure reads.  A conv step that
-    absorbed a pool keeps the conv's opcode and writes the pool's output.
-    ``inplace_src`` is the tensor id whose buffer the closure reuses for
-    its output (``None`` for ordinary allocating steps) — the liveness
-    accounting credits the reuse instead of double-counting.
+    ``ops`` are the authored op indices the step runs: ``(op,)``, or
+    ``(conv, pool)`` for a conv that absorbed its pool — the step keeps
+    the conv's opcode and writes the pool's output.  ``reads`` are the
+    activation ids the closure reads.  ``inplace_src`` is the tensor id
+    whose buffer the closure reuses for its output (``None`` for ordinary
+    allocating steps); the arena gives both the same offset.
     """
 
     opcode: str
     out_id: int
     fn: Callable[[dict[int, np.ndarray]], np.ndarray]
+    ops: tuple[int, ...]
     reads: tuple[int, ...] = ()
     inplace_src: int | None = None
 
 
-def _bind_steps(
-    graph: Graph, lifetimes: dict[int, tuple[int, int]]
-) -> tuple[list[PlanStep], list[int]]:
+def _bind_steps(graph: Graph, lifetimes: dict[int, tuple[int, int]]) -> list[PlanStep]:
     """Bind the authored ops into steps, deciding conv+pool fusion and
-    in-place ADDs on the way (see the module docstring).  Returns the
-    steps and, per op index, the index of the step that runs the op (an
-    absorbed pool runs in its conv's step)."""
+    in-place ADDs on the way (see the module docstring)."""
     ops, t = graph.ops, graph.tensors
     readers: dict[int, set[int]] = {}
     for oi, op in enumerate(ops):
@@ -371,19 +369,18 @@ def _bind_steps(
         for tid in (*op.inputs, *op.outputs)
     }
     steps: list[PlanStep] = []
-    step_of: list[int] = []
-    absorbed: dict[int, int] = {}  # pool op index -> its conv's step index
+    absorbed: set[int] = set()  # pool ops their conv's step runs
     for oi, op in enumerate(ops):
         if oi in absorbed:
-            step_of.append(absorbed[oi])
             continue
-        out_id, pool, inplace_id = op.outputs[0], None, None
+        out_id, step_ops, pool, inplace_id = op.outputs[0], (oi,), None, None
         only = readers.get(out_id, ())
         if op.opcode in _POOL_FUSION and out_id != graph.output_id and len(only) == 1:
             (pi,) = only
             kind = _POOL_FUSION[op.opcode].get(ops[pi].opcode)
             if kind is not None:
-                absorbed[pi] = len(steps)
+                absorbed.add(pi)
+                step_ops = (oi, pi)
                 pool = (int(ops[pi].attrs["pool_size"]), kind)
                 out_id = ops[pi].outputs[0]
         if op.opcode == "ADD":
@@ -397,17 +394,17 @@ def _bind_steps(
             ), None)
         reads = tuple(tid for tid in op.inputs if not t[tid].is_const)
         steps.append(PlanStep(
-            op.opcode, out_id, _bind_op(graph, op, pool, inplace_id), reads, inplace_id
+            op.opcode, out_id, _bind_op(graph, op, pool, inplace_id),
+            step_ops, reads, inplace_id,
         ))
-        step_of.append(len(steps) - 1)
-    return steps, step_of
+    return steps
 
 
 class CompiledPlan:
     """A straight-line executable plan over a graph.
 
     Holds the bound :class:`PlanStep` list plus, per step, the activation
-    tensor ids whose lifetime ends at that step (freed as execution
+    tensor ids whose step lifetime ends at that step (freed as execution
     proceeds).  Closures snapshot weights at compile time (int8 weights
     are pre-cast to the kernels' accumulator dtype), so editing a
     tensor's ``data`` afterwards requires recompiling the plan.
@@ -426,20 +423,37 @@ class CompiledPlan:
         elif not verify:
             graph.validate()
         self.graph = graph
-        lifetimes = graph.lifetimes()
-        self.steps, step_of = _bind_steps(graph, lifetimes)
+        self.steps = _bind_steps(graph, graph.lifetimes())
         # Dead-activation schedule: tensor ids to drop after each step.
-        # The graph output's lifetime extends past the last op, so it is
-        # never scheduled for release; a fused conv's pre-pool tensor is
-        # never materialized, so there is nothing to release.
-        materialized = {graph.input_id} | {step.out_id for step in self.steps}
+        # The graph output lives past the last step, so it is never
+        # scheduled for release.
         self._release: list[list[int]] = [[] for _ in self.steps]
-        for tid, (_, last) in lifetimes.items():
-            if tid != graph.output_id and tid in materialized:
-                self._release[step_of[last]].append(tid)
+        for tid, (_, last) in self.lifetimes().items():
+            if tid != graph.output_id:
+                self._release[last].append(tid)
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def lifetimes(self) -> dict[int, tuple[int, int]]:
+        """First-write / last-read *step* index per materialised activation.
+
+        The step analogue of ``Graph.lifetimes()``: the graph input is
+        alive from step 0, the graph output past the last step, and a
+        fused conv's pre-pool tensor, which no step writes, has none.  An
+        in-place ADD's output starts at the step where its operand dies;
+        the arena places both in one buffer.
+        """
+        graph = self.graph
+        first = {graph.input_id: 0}
+        last = {graph.input_id: 0}
+        for si, step in enumerate(self.steps):
+            for tid in step.reads:
+                last[tid] = si
+            first.setdefault(step.out_id, si)
+            last[step.out_id] = si
+        last[graph.output_id] = len(self.steps)
+        return {tid: (first[tid], last[tid]) for tid in first}
 
     def execute(self, batch: np.ndarray) -> np.ndarray:
         """Run the plan over a batch, dropping each dead activation as
@@ -452,26 +466,6 @@ class CompiledPlan:
             for tid in dead:
                 del values[tid]
         return values[self.graph.output_id]
-
-    def live_tensor_peak(self, batch_size: int = 1) -> int:
-        """Peak bytes of simultaneously-live activations under the
-        release schedule (per sample times ``batch_size``) — the
-        Python-side analogue of the arena plan's footprint."""
-        sizes = {
-            tid: self.graph.tensors[tid].size_bytes
-            for tid in self.graph.lifetimes()
-        }
-        live = {self.graph.input_id}
-        peak = sizes[self.graph.input_id]
-        for step, dead in zip(self.steps, self._release):
-            if step.inplace_src is not None:
-                # The step writes into a dying input's buffer; the
-                # "output" is the same allocation, not a second one.
-                live.discard(step.inplace_src)
-            live.add(step.out_id)
-            peak = max(peak, sum(sizes[t] for t in live))
-            live -= set(dead)
-        return peak * batch_size
 
 
 # Guards only the creation of per-graph compile locks (cheap, constant
@@ -489,19 +483,21 @@ def compile_plan(
 ) -> CompiledPlan:
     """Compile (or fetch the cached) execution plan for ``graph``.
 
-    ``engine`` keys the per-graph plan cache (``graph._plan_cache``), so
-    e.g. the TFLM interpreter and the EON compiler never share plan
-    objects; every engine binds the same steps.  A plan runs every batch
-    size.  Structural edits via ``Graph.add_tensor``/``Graph.add_op``
-    invalidate every cached plan.  Thread-safe: concurrent callers
-    racing on a cold graph get the same plan object.  Every cold compile
-    runs the full graph verifier (``repro.analysis.verify_graph``);
-    ``verify=False`` opts out, falling back to the structural
-    ``Graph.validate()``.
+    A graph has one plan (``graph._plan``): the TFLM interpreter, EON
+    and ``run_graph`` all run it, at every batch size.  Structural edits
+    via ``Graph.add_tensor``/``Graph.add_op`` clear it.  Thread-safe:
+    concurrent callers racing on a cold graph get the same plan object.
+    Every cold compile runs the full graph verifier
+    (``repro.analysis.verify_graph``); ``verify=False`` opts out, falling
+    back to the structural ``Graph.validate()``.
+
+    ``engine`` is ignored.  It is kept only because
+    ``benchmarks/e2e/probes.py`` still passes it, and is to be deleted
+    together with that argument.
     """
     if not cache:
         return CompiledPlan(graph, verify=verify)
-    plan = graph._plan_cache.get(engine)
+    plan = graph._plan
     if plan is not None:
         return plan
     with _PLAN_LOCKS_GUARD:
@@ -510,9 +506,9 @@ def compile_plan(
             lock = threading.Lock()
             graph._plan_compile_lock = lock
     with lock:
-        plan = graph._plan_cache.get(engine)
+        plan = graph._plan
         if plan is None:
-            plan = graph._plan_cache[engine] = CompiledPlan(graph, verify=verify)
+            plan = graph._plan = CompiledPlan(graph, verify=verify)
     return plan
 
 

@@ -123,12 +123,12 @@ def test_arena_overlap_detector_catches_bad_plans(tiny_graphs):
 
     _, int8_graph = tiny_graphs
     plan = plan_arena(int8_graph)
-    assert plan.overlaps(int8_graph.lifetimes()) == []
+    assert plan.overlaps() == []
     # Manufacture a collision: move every tensor to offset 0.
     for tid in plan.offsets:
         plan.offsets[tid] = 0
     if len(plan.offsets) > 1:
-        assert plan.overlaps(int8_graph.lifetimes()) != []
+        assert plan.overlaps() != []
 
 
 def test_firmware_corruption_never_flashes(tiny_graphs):

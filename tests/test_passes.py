@@ -14,6 +14,7 @@ from repro.runtime import (
     EONCompiler,
     TFLMInterpreter,
     compile_plan,
+    plan_arena,
     run_graph_dispatch,
 )
 from repro.runtime import kernels as K
@@ -40,20 +41,6 @@ def _fused_steps(plan) -> list:
     """Conv steps that absorbed a pool: they write a pool's output."""
     producers = _producers(plan.graph)
     return [s for s in plan.steps if producers[s.out_id].opcode != s.opcode]
-
-
-def _authored_peak(graph: Graph) -> int:
-    """Live-activation peak of the op-for-op plan: every op allocates
-    its output, activations die after their last reader."""
-    lifetimes = graph.lifetimes()
-    size = {tid: graph.tensors[tid].size_bytes for tid in lifetimes}
-    live = {graph.input_id}
-    peak = size[graph.input_id]
-    for oi, op in enumerate(graph.ops):
-        live.update(op.outputs)
-        peak = max(peak, sum(size[t] for t in live))
-        live -= {t for t in live if t != graph.output_id and lifetimes[t][1] == oi}
-    return peak
 
 
 # -- bit-identity across the model zoo -------------------------------------
@@ -101,8 +88,9 @@ def test_pipeline_never_mutates_the_source_graph():
     before = [(op.opcode, tuple(op.inputs), tuple(op.outputs), dict(op.attrs))
               for op in graph.ops]
     n_tensors = len(graph.tensors)
-    for engine in (None, "eon", "tflm"):
-        compile_plan(graph, engine=engine)
+    compile_plan(graph)
+    TFLMInterpreter(graph)
+    EONCompiler().compile(graph, emit_source=True)
     assert len(graph.tensors) == n_tensors
     assert [(op.opcode, tuple(op.inputs), tuple(op.outputs), dict(op.attrs))
             for op in graph.ops] == before
@@ -114,11 +102,8 @@ def test_engines_still_agree_bit_for_bit():
     interp = TFLMInterpreter(qg)
     eon = EONCompiler().compile(qg)
     assert np.array_equal(interp.invoke(x), eon.invoke(x))
-    # Both engines bind the same steps (as distinct plan objects).
-    assert interp._plan is not eon.plan
-    assert [(s.opcode, s.out_id) for s in interp._plan.steps] == [
-        (s.opcode, s.out_id) for s in eon.plan.steps
-    ]
+    # Both engines run the graph's one plan.
+    assert interp._plan is eon.plan is compile_plan(qg)
 
 
 def test_record_mode_exposes_all_authored_activations():
@@ -144,28 +129,26 @@ def test_default_plan_stays_identity_cached():
     graph = small_int8_graph()
     plan = compile_plan(graph)
     assert compile_plan(graph) is plan
-    assert graph._plan_cache == {None: plan}
+    assert graph._plan is plan
 
 
-def test_plans_cached_per_key():
+def test_every_engine_shares_one_plan():
     graph = small_int8_graph()
-    default = compile_plan(graph)
-    eon = compile_plan(graph, engine="eon")
-    tflm = compile_plan(graph, engine="tflm")
-    assert len({id(default), id(eon), id(tflm)}) == 3
-    assert compile_plan(graph, engine="eon") is eon
-    assert compile_plan(graph, engine="tflm") is tflm
-    assert set(graph._plan_cache) == {None, "eon", "tflm"}
+    plan = compile_plan(graph)
+    assert TFLMInterpreter(graph)._plan is plan
+    assert EONCompiler().compile(graph).plan is plan
+    # The ignored keyword a frozen caller still passes changes nothing.
+    assert compile_plan(graph, engine="eon") is plan
 
 
 def test_structural_edit_invalidates_every_cached_plan():
     graph = small_int8_graph()
-    default = compile_plan(graph)
-    eon = compile_plan(graph, engine="eon")
-    graph._invalidate()
-    assert graph._plan_cache == {}
-    assert compile_plan(graph, engine="eon") is not eon
-    assert compile_plan(graph) is not default
+    plan = compile_plan(graph)
+    graph.add_tensor(GTensor("scratch", (4,)))
+    assert graph._plan is None
+    fresh = compile_plan(graph)
+    assert fresh is not plan
+    assert TFLMInterpreter(graph)._plan is fresh
 
 
 # -- conv+pool fusion and the exact-GEMM choice ------------------------------
@@ -188,7 +171,7 @@ def test_fusion_collapses_conv_pool_and_lowers_gemm():
             w, b = (qg.tensors[i].data for i in op.inputs[1:])
             w2d, _ = K.prepare_gemm_i8(w, b, qg.tensors[op.inputs[0]].quant.zero_point)
             assert w2d.dtype == np.float64
-    assert plan.live_tensor_peak() < _authored_peak(qg)
+    assert plan_arena(plan).total_bytes < plan_arena(qg).total_bytes
     x = RNG.standard_normal((3, 16, 16, 3)).astype(np.float32)
     assert np.array_equal(plan.execute(x), run_graph_dispatch(qg, x))
 
@@ -272,8 +255,10 @@ def test_inplace_annotates_dying_operand_only():
     plan = compile_plan(graph)
     assert plan.steps[-1].inplace_src == ids["s1"]  # s1 dies at the add
     _check_against_dispatch(graph)
-    # The reuse shows up in the liveness accounting.
-    assert plan.live_tensor_peak() < _authored_peak(graph)
+    # The reuse shows up in EON's arena: the output takes s1's offset.
+    arena = plan_arena(plan)
+    assert arena.offsets[ids["out"]] == arena.offsets[ids["s1"]]
+    assert arena.total_bytes < plan_arena(graph).total_bytes
 
 
 def test_inplace_never_reuses_the_graph_input():

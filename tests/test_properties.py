@@ -89,7 +89,7 @@ def test_compiled_plan_matches_dispatch_property(n_layers, filters, seed):
         assert np.array_equal(run_graph(graph, x), run_graph_dispatch(graph, x))
         for strategy in ("greedy", "naive"):
             plan = plan_arena(graph, strategy=strategy)
-            assert plan.overlaps(graph.lifetimes()) == []
+            assert plan.overlaps() == []
 
 
 def test_latency_monotone_in_macs():

@@ -242,8 +242,11 @@ def test_op_class_tables_are_shared_by_identity():
     from repro.profile import memory
     from repro.quantize import ptq
 
-    for module in (ptq, infer, prune, memory):
+    for module in (ptq, infer, prune):
         assert module.WEIGHTED_OPS is graph_ops.WEIGHTED_OPS
+    # The profiler (and EON's codegen) name kernel variants through the
+    # graph layer's one rule, which reads the same table.
+    assert memory.kernel_precision is graph_ops.kernel_precision
     for module in (ptq, infer):
         assert module.SAME_QPARAMS_OPS is graph_ops.SAME_QPARAMS_OPS
     assert "TRANSPOSE" in graph_ops.SAME_QPARAMS_OPS

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import GOp, Graph, GTensor
-from repro.runtime import EONCompiler, TFLMInterpreter, plan_arena, run_graph
+from repro.profile import MemoryEstimator
+from repro.runtime import EONCompiler, TFLMInterpreter, compile_plan, plan_arena, run_graph
 
 RNG = np.random.default_rng(0)
 
@@ -50,10 +51,11 @@ def test_int8_input_passthrough(tiny_graphs):
 
 def test_ram_overhead_ordering(tiny_graphs):
     _, int8_graph = tiny_graphs
-    interp = TFLMInterpreter(int8_graph)
-    eon = EONCompiler().compile(int8_graph)
-    assert interp.ram_overhead_bytes() > eon.ram_overhead_bytes()
-    assert interp.arena_bytes == eon.arena_bytes  # same planner
+    tflm = MemoryEstimator("tflm").estimate(int8_graph)
+    eon = MemoryEstimator("eon").estimate(int8_graph)
+    assert tflm.runtime_ram_bytes > eon.runtime_ram_bytes
+    # DS-CNN has no pool to fuse and no ADD: one planner, equal arenas.
+    assert tflm.arena_bytes == eon.arena_bytes == plan_arena(int8_graph).total_bytes
 
 
 # -- arena planner ----------------------------------------------------------
@@ -62,7 +64,7 @@ def test_ram_overhead_ordering(tiny_graphs):
 def test_arena_no_overlap_invariant(tiny_graphs):
     for graph in tiny_graphs:
         plan = plan_arena(graph, strategy="greedy")
-        assert plan.overlaps(graph.lifetimes()) == []
+        assert plan.overlaps() == []
         assert plan.total_bytes % 16 == 0 or plan.total_bytes == max(
             plan.offsets[t] + plan.sizes[t] for t in plan.offsets
         )
@@ -105,7 +107,7 @@ def test_arena_chain_property(sizes):
     """For any chain: no overlaps, and total >= the largest live pair."""
     graph = _chain_graph(sizes)
     plan = plan_arena(graph, strategy="greedy")
-    assert plan.overlaps(graph.lifetimes()) == []
+    assert plan.overlaps() == []
     # In a chain, consecutive tensors are simultaneously alive.
     def aligned(n):
         return (n * 4 + 15) // 16 * 16
@@ -126,7 +128,8 @@ def test_eon_codegen_structure(tiny_graphs):
     header = model.sources["eon_model.h"]
     cpp = model.sources["eon_model.cpp"]
     assert "EON_ARENA_SIZE" in header
-    assert f"#define EON_ARENA_SIZE {model.arena_bytes}" in header
+    arena = plan_arena(compile_plan(int8_graph)).total_bytes
+    assert f"#define EON_ARENA_SIZE {arena}" in header
     assert "eon_run_classifier" in cpp
     # One kernel call per op.
     assert cpp.count("eon_conv_2d_i8(") == int8_graph.op_counts().get("CONV_2D", 0)

@@ -10,6 +10,7 @@ from repro.runtime import (
     EONCompiler,
     TFLMInterpreter,
     compile_plan,
+    plan_arena,
     run_graph,
     run_graph_dispatch,
 )
@@ -332,7 +333,7 @@ def test_plan_is_cached_and_invalidated():
     plan = compile_plan(graph)
     assert compile_plan(graph) is plan
     graph.add_tensor(GTensor("scratch", (4,)))
-    assert graph._plan_cache == {}
+    assert graph._plan is None
     assert compile_plan(graph) is not plan
 
 
@@ -355,14 +356,11 @@ def test_plan_record_keeps_all_activations(tiny_graphs):
 
 
 def test_plan_live_peak_below_total_activations(tiny_graphs):
-    """Lifetime-based freeing keeps live bytes under the sum of all
-    activations (the point of part 2 of the tentpole)."""
+    """Placing the plan's step lifetimes keeps the arena under the sum
+    of every activation it holds."""
     for graph in tiny_graphs:
-        plan = compile_plan(graph)
-        total = sum(
-            graph.tensors[tid].size_bytes for tid in graph.lifetimes()
-        )
-        assert 0 < plan.live_tensor_peak() < total
+        arena = plan_arena(compile_plan(graph))
+        assert 0 < arena.total_bytes < sum(arena.sizes.values())
 
 
 def _random_chain_graph(rng, dtype="float32"):
