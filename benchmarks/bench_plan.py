@@ -10,11 +10,21 @@ a deterministic plan property, not a timing, and CI gates it.
 
 Bit-identity is a hard assert, not a metric: every plan must reproduce
 the ``run_graph_dispatch`` spec exactly, at more than one batch size.
+
+``plan_faults.<task>.<precision>.b16`` is the steady-state minor page
+faults per warm execute of the paper-scale models at batch 16.  A plan
+runs in one reused buffer (EON's arena plus its scratch), so a warm
+execute should touch no fresh page; informational, with a hard assert
+of at most 16 on Linux.
 """
 
-import numpy as np
-from conftest import save_metric, save_result
+import sys
 
+import numpy as np
+import pytest
+from conftest import save_metric, save_result, smoke_mode
+
+from repro.experiments.tasks import paper_scale_graphs
 from repro.graph import sequential_to_graph
 from repro.nn.architectures import cifar_cnn, conv1d_stack, ds_cnn
 from repro.quantize import quantize_graph
@@ -66,3 +76,31 @@ def test_plan_arena_reduction():
     save_result("plan_arena_reduction", text)
     print("\n" + text)
     assert arena_reduction > 1.0, "conv+pool fusion no longer shrinks EON's arena"
+
+
+def test_plan_steady_state_faults():
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(4)
+    executes = 5 if smoke_mode() else 20
+    lines = ["Plan execution — minor page faults per warm execute, batch 16"]
+    worst = 0.0
+    for task in ("kws", "ic", "vww"):
+        spec = paper_scale_graphs(task)
+        for precision, graph in (("f32", spec.float_graph), ("int8", spec.int8_graph)):
+            plan = compile_plan(graph)
+            x = rng.standard_normal((16,) + tuple(graph.tensors[graph.input_id].shape))
+            x = x.astype(np.float32)
+            for _ in range(3):  # grow the buffer, carve the views
+                plan.execute(x)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(executes):
+                plan.execute(x)
+            faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / executes
+            save_metric(f"plan_faults.{task}.{precision}.b16", faults)
+            lines.append(f"  {task:<4} {precision:<5} {faults:7.1f}")
+            worst = max(worst, faults)
+    text = "\n".join(lines)
+    save_result("plan_faults", text)
+    print("\n" + text)
+    if sys.platform.startswith("linux"):
+        assert worst <= 16, "a warm execute touches fresh pages: something allocates per call"

@@ -57,22 +57,40 @@ class QuantParams:
     def __post_init__(self):
         self.scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
 
-    def quantize(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        scale = self.scale
-        if self.per_channel:
-            shape = [1] * values.ndim
-            shape[axis] = -1
-            scale = scale.reshape(shape)
-        q = np.round(values / scale) + self.zero_point
-        return np.clip(q, -128, 127).astype(np.int8)
+    def _scale_for(self, ndim: int, axis: int) -> np.ndarray:
+        if not self.per_channel:
+            return self.scale
+        shape = [1] * ndim
+        shape[axis] = -1
+        return self.scale.reshape(shape)
 
-    def dequantize(self, q: np.ndarray, axis: int = -1) -> np.ndarray:
-        scale = self.scale
-        if self.per_channel:
-            shape = [1] * q.ndim
-            shape[axis] = -1
-            scale = scale.reshape(shape)
-        return ((q.astype(np.float64) - self.zero_point) * scale).astype(np.float32)
+    def quantize(
+        self, values: np.ndarray, axis: int = -1, out=None, work=None
+    ) -> np.ndarray:
+        """int8 of ``values`` (into ``out`` when given); the float64
+        working array is ``work`` when given."""
+        values = np.asarray(values)
+        q = np.divide(values, self._scale_for(values.ndim, axis), out=work)
+        np.round(q, out=q)
+        q += self.zero_point
+        np.clip(q, -128, 127, out=q)
+        if out is None:
+            return q.astype(np.int8)
+        np.copyto(out, q, casting="unsafe")
+        return out
+
+    def dequantize(
+        self, q: np.ndarray, axis: int = -1, out=None, work=None
+    ) -> np.ndarray:
+        """float32 of ``q`` (into ``out`` when given), computed in
+        float64 (in ``work`` when given)."""
+        q = np.asarray(q)
+        r = np.subtract(q, self.zero_point, out=work, dtype=np.float64)
+        r *= self._scale_for(q.ndim, axis)
+        if out is None:
+            return r.astype(np.float32)
+        np.copyto(out, r, casting="same_kind")
+        return out
 
 
 def pack_int4(values: np.ndarray) -> np.ndarray:

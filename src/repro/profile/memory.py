@@ -59,8 +59,9 @@ def kernel_variants(graph: Graph) -> set[tuple[str, str]]:
 TFLM_INTERPRETER_CODE = 24_576
 TFLM_RESOLVER_CODE = 1_536
 TFLM_FLATBUFFER_PARSER = 6_144
-#: EON emits a small amount of glue per op instead.
-EON_GLUE_PER_OP = 192
+#: EON emits a small amount of glue per plan step instead (one kernel
+#: call each: a fused conv+pool is one step).
+EON_GLUE_PER_STEP = 192
 
 #: TFLM's runtime RAM: interpreter state (MicroInterpreter, allocator,
 #: error reporter) + one struct per tensor + one per node; EON keeps no
@@ -117,7 +118,6 @@ class MemoryEstimator:
         dsp_block: DSPBlock | None = None,
         raw_input_shape: tuple[int, ...] | None = None,
     ) -> MemoryBreakdown:
-        n_ops = len(graph.ops)
         kernel_code = sum(
             KERNEL_CODE_BYTES[opcode][prec] for opcode, prec in kernel_variants(graph)
         )
@@ -125,14 +125,15 @@ class MemoryEstimator:
             arena = plan_arena(graph).total_bytes
             runtime_ram = int(
                 TFLM_FIXED_RAM + TFLM_TENSOR_STRUCT * len(graph.tensors)
-                + TFLM_NODE_STRUCT * n_ops + TFLM_ARENA_SLACK * arena
+                + TFLM_NODE_STRUCT * len(graph.ops) + TFLM_ARENA_SLACK * arena
             )
             code = (TFLM_INTERPRETER_CODE + TFLM_RESOLVER_CODE
                     + TFLM_FLATBUFFER_PARSER + kernel_code)
         else:
-            arena = plan_arena(compile_plan(graph)).total_bytes
+            plan = compile_plan(graph)
+            arena = plan.arena.total_bytes
             runtime_ram = int(EON_FIXED_RAM + EON_ARENA_SLACK * arena)
-            code = EON_GLUE_PER_OP * n_ops + kernel_code
+            code = EON_GLUE_PER_STEP * len(plan.steps) + kernel_code
 
         dsp_ram = (
             dsp_block.buffer_bytes(raw_input_shape)

@@ -19,9 +19,12 @@ Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.graph.graph import Graph
-from repro.runtime.executor import CompiledPlan
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import CompiledPlan
 
 _ALIGN = 16  # TFLM aligns arena allocations to 16 bytes
 
@@ -64,11 +67,33 @@ class ArenaPlan:
         return bad
 
 
+def first_fit(sizes: dict, spans: dict) -> dict:
+    """First-fit decreasing: place big buffers first, each at the lowest
+    offset that does not collide with an already-placed buffer whose
+    inclusive ``(first, last)`` span meets its own."""
+    offsets: dict = {}
+    for key in sorted(spans, key=lambda k: (-sizes[k], spans[k][0])):
+        lt = spans[key]
+        conflicts = sorted(
+            (offsets[other], offsets[other] + sizes[other])
+            for other in offsets
+            if lt[0] <= spans[other][1] and spans[other][0] <= lt[1]
+        )
+        offset = 0
+        for c0, c1 in conflicts:
+            if offset + sizes[key] <= c0:
+                break
+            offset = max(offset, c1)
+        offsets[key] = offset
+    return offsets
+
+
 def plan_arena(source: Graph | CompiledPlan, strategy: str = "greedy") -> ArenaPlan:
     """Assign arena offsets to every activation of ``source``: an
-    authored graph (TFLM's arena) or a compiled plan's steps (EON's)."""
+    authored :class:`Graph` (TFLM's arena) or a compiled plan's steps
+    (EON's)."""
     graph, aliases = source, {}
-    if isinstance(source, CompiledPlan):
+    if not isinstance(source, Graph):
         graph = source.graph
         for step in source.steps:
             if step.inplace_src is not None:
@@ -91,26 +116,7 @@ def plan_arena(source: Graph | CompiledPlan, strategy: str = "greedy") -> ArenaP
             plan.offsets[tid] = offset
             offset += sizes[tid]
     elif strategy == "greedy":
-        # First-fit decreasing: place big buffers first at the lowest
-        # offset that does not collide with any already-placed,
-        # lifetime-overlapping buffer.
-        order = sorted(spans, key=lambda t: (-sizes[t], spans[t][0]))
-        placed: list[int] = []
-        for tid in order:
-            lt = spans[tid]
-            conflicts = []
-            for other in placed:
-                lo = spans[other]
-                if lt[0] <= lo[1] and lo[0] <= lt[1]:
-                    conflicts.append((plan.offsets[other], plan.offsets[other] + sizes[other]))
-            conflicts.sort()
-            offset = 0
-            for c0, c1 in conflicts:
-                if offset + sizes[tid] <= c0:
-                    break
-                offset = max(offset, c1)
-            plan.offsets[tid] = offset
-            placed.append(tid)
+        plan.offsets = first_fit(sizes, spans)
     else:
         raise ValueError(f"unknown arena strategy {strategy!r}")
 

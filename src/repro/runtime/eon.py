@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.ops import GTensor, kernel_precision, pack_int4
-from repro.runtime.arena import ArenaPlan, plan_arena
+from repro.runtime.arena import ArenaPlan
 from repro.runtime.executor import (
     _POOL_FUSION, CompiledPlan, PlanStep, compile_plan, dequantize_output,
 )
@@ -48,8 +48,8 @@ class EONModel:
 
     def invoke(self, batch: np.ndarray) -> np.ndarray:
         # Static plan: a straight-line sequence of bound kernels, no
-        # registry lookups, dead activations freed as they die.  The one
-        # plan runs every batch size.
+        # registry lookups, every step at its arena offset.  The one plan
+        # runs every batch size.
         return self.plan.execute(batch)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ class EONCompiler:
         """Emit ``model.h`` / ``model.cpp`` with weights, arena offsets and
         one fully-resolved kernel call per plan step."""
         plan = compile_plan(graph)
-        arena = plan_arena(plan)
+        arena = plan.arena
         return {
             "eon_model.h": self._emit_header(graph, arena),
             "eon_model.cpp": self._emit_cpp(plan, arena),

@@ -29,17 +29,29 @@ deserialized blob could forge — and each exact (docs/plan.md):
   float64 BLAS when it proves every partial sum below 2**53;
 - **in-place ADD** — an ADD whose operand dies at the op writes into
   that operand's buffer, unless the operand is the graph input, a
-  constant, or shares its buffer with a RESHAPE/TRANSPOSE view.
+  constant, or an input or output of a RESHAPE/TRANSPOSE.
 
-A plan drops each activation after the last *step* that reads it
-(:meth:`CompiledPlan.lifetimes`); EON's arena and generated C read the
-same steps.  A graph caches one plan (``graph._plan``) that TFLM and EON
-share, and a plan is batch-polymorphic (kernels read window strides off
-the arrays they are handed), so one plan serves every batch size.
+A plan executes in EON's arena (docs/plan.md, "Execution arena"), as
+the generated ``eon_run_classifier`` does.  ``plan.arena`` —
+``plan_arena(plan)``, over the *step* lifetimes of
+:meth:`CompiledPlan.lifetimes` — gives every activation a 16-byte
+aligned offset per row; a batch of ``rows`` puts it at ``offset *
+rows`` in one buffer the calling thread holds for the call.  The batch
+is copied in, every bound closure writes its output view in place
+(RESHAPE and TRANSPOSE copy into their own slot), and the output is
+copied out.  Padded inputs, im2col matrices, accumulators and the
+requantizer's working arrays live in a scratch region past the arena,
+laid out per step at bind time.  Buffers are reused across calls,
+threads and plans (:data:`ARENA_RETAIN_BYTES` caps what is kept), so a
+warm execute allocates nothing that scales with the batch.  A graph
+caches one plan (``graph._plan``) that TFLM and EON share, and a plan
+is batch-polymorphic, so one plan serves every batch size.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +61,7 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.ops import GOp
 from repro.runtime import kernels as K
+from repro.runtime.arena import ArenaPlan, _align, first_fit, plan_arena
 
 
 def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.ndarray:
@@ -159,7 +172,10 @@ _POOL_FUSION = {
     "CONV_1D": {"MAX_POOL_1D": "max"},
 }
 
-#: Opcodes whose plan kernels may return a view of their input's buffer.
+#: Opcodes whose inputs and outputs an in-place ADD never writes into.
+#: Plans copy both into their own slots (as the generated C does), so
+#: this is conservative; it keeps the binder's decisions those the
+#: views-era plans made.
 _VIEW_OPS = ("RESHAPE", "TRANSPOSE")
 
 
@@ -174,84 +190,104 @@ def _requantizer(graph: Graph, op: GOp) -> K.Requantizer:
 
 
 def _bind_op(
-    graph: Graph, op: GOp, pool: tuple[int, str] | None, inplace_id: int | None
-) -> Callable[[dict[int, np.ndarray]], np.ndarray]:
-    """Resolve one op into a closure over pre-fetched weights/attrs.
+    graph: Graph, op: GOp, pool: tuple[int, str] | None
+) -> tuple[Callable[[dict, np.ndarray, dict], object], tuple]:
+    """Resolve one op into a closure over pre-fetched weights/attrs,
+    plus the scratch that closure needs.
 
     All dispatch decisions (opcode, dtype, activation), tensor-table
     lookups, attribute reads and weight-side dtype preparation happen
-    here, once; the returned closure only indexes the live-values map
-    and calls the kernel.
+    here, once.  The closure ``fn(v, out, s)`` only indexes the
+    activation views ``v`` and calls the kernel, which writes the
+    step's output view ``out``.  The scratch spec is ``(name, per-row
+    shape, dtype, first, last)`` entries (``first``/``last``: the
+    kernel phases, below, it is live over), and ``s`` maps each name — a
+    keyword of the kernel — to a view of that shape with the batch's
+    rows in front.
 
     int8 conv / dense ops bind the ``*_i8_plan`` kernels on operands
     prepared here (zero point folded into the bias, requantizer
     constants, and the GEMM / depthwise dtype each layer's exactness
     proof allows — see the notes in ``repro.runtime.kernels``).
-    ``pool`` is the ``(size, kind)`` of the pool a conv absorbs and
-    ``inplace_id`` the dying operand an ADD writes into, both decided by
-    :func:`_bind_steps`.
+    ``pool`` is the ``(size, kind)`` of the pool a conv absorbs, decided
+    by :func:`_bind_steps`.
     """
     t = graph.tensors
     a = op.attrs
     is_int8 = t[op.outputs[0]].dtype == "int8"
     x_id = op.inputs[0]
+    in_shape = tuple(t[x_id].shape)
+    shape = tuple(t[op.outputs[0]].shape)  # a fused conv's: before its pool
     pool_size, pool_kind = pool or (None, "max")
+    act = a.get("activation", "none")
 
-    if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D"):
+    if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D"):
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
-        stride, pad_h, pad_w = a["stride"], a["pad_h"], a["pad_w"]
-        if is_int8:
-            in_zp = t[x_id].quant.zero_point
-            rq = _requantizer(graph, op)
+        stride = a["stride"]
+        is_1d = op.opcode == "CONV_1D"
+        pads = (a["pad"],) if is_1d else (a["pad_h"], a["pad_w"])
+        scratch = []
+        if any(map(any, pads)):
+            grown = tuple(n + sum(p) for n, p in zip(in_shape, pads)) + in_shape[-1:]
+            scratch.append(("xp", grown, t[x_id].dtype, _PAD, _GATHER))
+        pointwise = not is_1d and w.shape[:2] == (1, 1) and stride == 1
+        col_shape = (math.prod(shape[:-1]), math.prod(w.shape[:-1]))
+        if not is_int8:
             if op.opcode == "DEPTHWISE_CONV_2D":
-                taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
-                return lambda v: K.dwconv2d_i8_plan(
-                    v[x_id], taps, bias, stride, pad_h, pad_w, in_zp, rq,
-                    pool=pool_size, pool_kind=pool_kind,
-                )
-            kh, kw = w.shape[0], w.shape[1]
-            w2d, bias = K.prepare_gemm_i8(w, b, in_zp)
-            return lambda v: K.conv2d_i8_plan(
-                v[x_id], w2d, kh, kw, bias, stride, pad_h, pad_w, in_zp, rq,
-                pool=pool_size, pool_kind=pool_kind,
-            )
-        act = a.get("activation", "none")
-        fn = K.dwconv2d_f32 if op.opcode == "DEPTHWISE_CONV_2D" else K.conv2d_f32
-        base = lambda v: fn(v[x_id], w, b, stride, pad_h, pad_w, act)
-        if pool_size:
-            pfn = K.maxpool2d_f32 if pool_kind == "max" else K.avgpool2d_f32
-            return lambda v: pfn(base(v), pool_size)
-        return base
+                taps = (K.dwconv_taps_f32(w, shape[1])
+                        if w.shape[3] == 1 and stride == 1 else None)
+                conv = lambda x, **s: K.dwconv2d_f32(  # noqa: E731
+                    x, w, b, stride, *pads, act, taps=taps, **s)
+            else:
+                kernel = K.conv1d_f32 if is_1d else K.conv2d_f32
+                if not pointwise:
+                    scratch.append(("col", col_shape, np.float32, _GATHER, _GEMM))
+                conv = lambda x, **s: kernel(x, w, b, stride, *pads, act, **s)  # noqa: E731
+            if not pool_size:
+                return (lambda v, out, s: conv(v[x_id], out=out, **s)), tuple(scratch)
+            # The conv's own ``out`` is scratch: the pre-pool tensor.
+            scratch.append(("out", shape, np.float32, _GATHER, _POOL))
+            pool_fn = {"max": K.maxpool1d_f32 if is_1d else K.maxpool2d_f32,
+                       "avg": K.avgpool2d_f32}[pool_kind]
+            return (lambda v, out, s: pool_fn(conv(v[x_id], **s), pool_size, out)), tuple(scratch)
 
-    if op.opcode == "CONV_1D":
-        w = t[op.inputs[1]].data
-        b = t[op.inputs[2]].data
-        stride, pad = a["stride"], a["pad"]
-        if is_int8:
-            k = w.shape[0]
-            in_zp = t[x_id].quant.zero_point
-            rq = _requantizer(graph, op)
+        in_zp = t[x_id].quant.zero_point
+        rq = _requantizer(graph, op)
+        if op.opcode == "DEPTHWISE_CONV_2D":
+            taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
+            wide = taps.dtype != np.int8  # note 4's int64 route
+            acc_dtype = np.int64 if wide else np.int32
+            scratch.append(("prod", shape, np.int64 if wide else np.int16, _GATHER, _GATHER))
+            fn = lambda v, out, s: K.dwconv2d_i8_plan(  # noqa: E731
+                v[x_id], taps, bias, stride, *pads, in_zp, rq,
+                pool=pool_size, pool_kind=pool_kind, out=out, **s)
+        else:
             w2d, bias = K.prepare_gemm_i8(w, b, in_zp)
-            return lambda v: K.conv1d_i8_plan(
-                v[x_id], w2d, k, bias, stride, pad, in_zp, rq, pool=pool_size
-            )
-        act = a.get("activation", "none")
-        if pool_size:
-            return lambda v: K.maxpool1d_f32(
-                K.conv1d_f32(v[x_id], w, b, stride, pad, act), pool_size
-            )
-        return lambda v: K.conv1d_f32(v[x_id], w, b, stride, pad, act)
+            acc_dtype = w2d.dtype
+            scratch.append(("col", col_shape, acc_dtype, _GATHER, _GEMM))
+            if is_1d:
+                k = w.shape[0]
+                fn = lambda v, out, s: K.conv1d_i8_plan(  # noqa: E731
+                    v[x_id], w2d, k, bias, stride, *pads, in_zp, rq,
+                    pool=pool_size, out=out, **s)
+            else:
+                kh, kw = w.shape[0], w.shape[1]
+                fn = lambda v, out, s: K.conv2d_i8_plan(  # noqa: E731
+                    v[x_id], w2d, kh, kw, bias, stride, *pads, in_zp, rq,
+                    pool=pool_size, pool_kind=pool_kind, out=out, **s)
+        return fn, tuple(scratch) + _finish_scratch(shape, acc_dtype, pool_size, pool_kind)
 
     if op.opcode == "FULLY_CONNECTED":
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
-        if is_int8:
-            rq = _requantizer(graph, op)
-            w2d, bias = K.prepare_gemm_i8(w, b, t[x_id].quant.zero_point)
-            return lambda v: K.fc_i8_plan(v[x_id], w2d, bias, rq)
-        act = a.get("activation", "none")
-        return lambda v: K.fc_f32(v[x_id], w, b, act)
+        if not is_int8:
+            return (lambda v, out, s: K.fc_f32(v[x_id], w, b, act, out=out)), ()
+        rq = _requantizer(graph, op)
+        w2d, bias = K.prepare_gemm_i8(w, b, t[x_id].quant.zero_point)
+        return (
+            lambda v, out, s: K.fc_i8_plan(v[x_id], w2d, bias, rq, out=out, **s)
+        ), (("col", in_shape, w2d.dtype, _GATHER, _GEMM),) + _finish_scratch(shape, w2d.dtype)
 
     if op.opcode in ("MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D"):
         size = a["pool_size"]
@@ -263,20 +299,29 @@ def _bind_op(
             ("AVG_POOL_2D", True): K.avgpool2d_i8,
             ("AVG_POOL_2D", False): K.avgpool2d_f32,
         }[(op.opcode, is_int8)]
-        return lambda v: fn(v[x_id], size)
+        return (lambda v, out, s: fn(v[x_id], size, out)), ()
 
-    if op.opcode == "GLOBAL_AVG_POOL_2D":
-        fn = K.gap2d_i8 if is_int8 else K.gap2d_f32
-        return lambda v: fn(v[x_id])
-    if op.opcode == "GLOBAL_AVG_POOL_1D":
-        fn = K.gap1d_i8 if is_int8 else K.gap1d_f32
-        return lambda v: fn(v[x_id])
+    if op.opcode in ("GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D"):
+        fn = {
+            ("GLOBAL_AVG_POOL_2D", True): K.gap2d_i8,
+            ("GLOBAL_AVG_POOL_2D", False): K.gap2d_f32,
+            ("GLOBAL_AVG_POOL_1D", True): K.gap1d_i8,
+            ("GLOBAL_AVG_POOL_1D", False): K.gap1d_f32,
+        }[(op.opcode, is_int8)]
+        return (lambda v, out, s: fn(v[x_id], out)), ()
 
     if op.opcode == "RESHAPE":
-        out_shape = tuple(t[op.outputs[0]].shape)
-        return lambda v: v[x_id].reshape((v[x_id].shape[0],) + out_shape)
+        # A copy into the step's own slot, as the generated C does: a
+        # view would keep reading the input's slot after the arena has
+        # handed it to a later tensor.
+        return (lambda v, out, s: np.copyto(out, v[x_id].reshape(out.shape))), ()
+    if op.opcode == "TRANSPOSE":
+        axes = (0,) + tuple(int(d) + 1 for d in a["perm"])
+        return (lambda v, out, s: np.copyto(out, np.transpose(v[x_id], axes))), ()
 
     if op.opcode == "ADD":
+        # An in-place ADD needs nothing here: the arena gives its output
+        # its operand's offset, so ``out`` is that operand's view.
         b_id = op.inputs[1]
         b_const = t[b_id].data if t[b_id].is_const else None
         if is_int8:
@@ -290,50 +335,59 @@ def _bind_op(
                 out_mult=a["out_mult"], out_shift=a["out_shift"],
                 clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
             )
-            if inplace_id is not None:
-                if b_const is not None:
-                    return lambda v: K.add_i8(
-                        v[x_id], b_const, out=v[inplace_id], **kw
-                    )
-                return lambda v: K.add_i8(
-                    v[x_id], v[b_id], out=v[inplace_id], **kw
-                )
             if b_const is not None:
-                return lambda v: K.add_i8(v[x_id], b_const, **kw)
-            return lambda v: K.add_i8(v[x_id], v[b_id], **kw)
-        act = a.get("activation", "none")
-        if inplace_id is not None:
-            def add_f32_inplace(v):
-                out = np.add(
-                    v[x_id],
-                    b_const if b_const is not None else v[b_id],
-                    out=v[inplace_id],
-                )
-                return K.activate_f32(out, act)  # the tail add_f32 runs
-
-            return add_f32_inplace
+                return (lambda v, out, s: K.add_i8(v[x_id], b_const, out=out, **kw)), ()
+            return (lambda v, out, s: K.add_i8(v[x_id], v[b_id], out=out, **kw)), ()
         if b_const is not None:
-            return lambda v: K.add_f32(v[x_id], b_const, act)
-        return lambda v: K.add_f32(v[x_id], v[b_id], act)
+            return (lambda v, out, s: K.add_f32(v[x_id], b_const, act, out)), ()
+        return (lambda v, out, s: K.add_f32(v[x_id], v[b_id], act, out)), ()
 
     if op.opcode == "SOFTMAX":
         if is_int8:
-            qp = t[op.inputs[0]].quant
+            qp = t[x_id].quant
             in_scale, in_zp = float(qp.scale[0]), qp.zero_point
-            return lambda v: K.softmax_i8(v[x_id], in_scale, in_zp)
-        return lambda v: K.softmax_f32(v[x_id])
+            return (lambda v, out, s: K.softmax_i8(v[x_id], in_scale, in_zp, out)), ()
+        return (lambda v, out, s: K.softmax_f32(v[x_id], out)), ()
 
     if op.opcode == "QUANTIZE":
         out_q = t[op.outputs[0]].quant
-        return lambda v: out_q.quantize(v[x_id].astype(np.float32))
+        return (
+            lambda v, out, s: out_q.quantize(v[x_id].astype(np.float32, copy=False), out=out, **s)
+        ), (("work", in_shape, np.float64, _PAD, _PAD),)
     if op.opcode == "DEQUANTIZE":
         in_q = t[x_id].quant
-        return lambda v: in_q.dequantize(v[x_id])
-    if op.opcode == "TRANSPOSE":
-        axes = (0,) + tuple(int(d) + 1 for d in a["perm"])
-        return lambda v: np.ascontiguousarray(np.transpose(v[x_id], axes))
+        return (
+            lambda v, out, s: in_q.dequantize(v[x_id], out=out, **s)
+        ), (("work", in_shape, np.float64, _PAD, _PAD),)
 
     raise NotImplementedError(f"no kernel for opcode {op.opcode}")
+
+
+# The phases every plan kernel runs through, in order.  A scratch buffer
+# is live from the phase that writes it to the last one that reads it,
+# and buffers whose phases do not meet share bytes (``first_fit``).
+_PAD, _GATHER, _GEMM, _POOL, _REQUANT, _ROUND, _AVG = range(7)
+
+
+def _finish_scratch(shape, acc_dtype, pool_size=None, pool_kind="max") -> tuple:
+    """Scratch of ``kernels._finish`` over ``shape`` accumulators — the
+    accumulators, the max-pooled accumulators, the requantizer's int64
+    copy and sign word, the int8 tensor a fused avg pool reads."""
+    wide = np.dtype(acc_dtype) == np.int64  # the requantizer consumes it in place
+    requant_last = _ROUND if wide else _REQUANT
+    spec = []
+    if pool_size and pool_kind == "max":
+        spec.append(("acc", shape, acc_dtype, _GATHER, _POOL))
+        shape = tuple(n // pool_size for n in shape[:-1]) + shape[-1:]
+        spec.append(("pooled", shape, acc_dtype, _POOL, requant_last))
+    else:
+        spec.append(("acc", shape, acc_dtype, _GATHER, requant_last))
+    if not wide:
+        spec.append(("work", shape, np.int64, _REQUANT, _ROUND))
+    spec.append(("sign", shape, np.int64, _ROUND, _ROUND))
+    if pool_size and pool_kind == "avg":
+        spec.append(("q", shape, np.int8, _ROUND, _AVG))
+    return tuple(spec)
 
 
 @dataclass(frozen=True)
@@ -344,16 +398,19 @@ class PlanStep:
     ``(conv, pool)`` for a conv that absorbed its pool — the step keeps
     the conv's opcode and writes the pool's output.  ``reads`` are the
     activation ids the closure reads.  ``inplace_src`` is the tensor id
-    whose buffer the closure reuses for its output (``None`` for ordinary
-    allocating steps); the arena gives both the same offset.
+    whose buffer the step writes its output into (``None`` for ordinary
+    steps); the arena gives both the same offset.  ``scratch`` is the
+    ``(name, per-row shape, dtype, first, last)`` spec of the closure's
+    temporaries (:func:`_bind_op`).
     """
 
     opcode: str
     out_id: int
-    fn: Callable[[dict[int, np.ndarray]], np.ndarray]
+    fn: Callable[[dict, np.ndarray, dict], object]
     ops: tuple[int, ...]
     reads: tuple[int, ...] = ()
     inplace_src: int | None = None
+    scratch: tuple = ()
 
 
 def _bind_steps(graph: Graph, lifetimes: dict[int, tuple[int, int]]) -> list[PlanStep]:
@@ -393,21 +450,77 @@ def _bind_steps(graph: Graph, lifetimes: dict[int, tuple[int, int]]) -> list[Pla
                 and t[tid].dtype == out_t.dtype
             ), None)
         reads = tuple(tid for tid in op.inputs if not t[tid].is_const)
+        fn, scratch = _bind_op(graph, op, pool)
         steps.append(PlanStep(
-            op.opcode, out_id, _bind_op(graph, op, pool, inplace_id),
-            step_ops, reads, inplace_id,
+            op.opcode, out_id, fn, step_ops, reads, inplace_id, scratch,
         ))
     return steps
+
+
+# -- the execution arena ------------------------------------------------------
+
+#: Largest buffer (activations + scratch, bytes) kept for reuse between
+#: executes.  It is above the largest serving chunk of the paper-scale
+#: models — VWW int8 at ``ModelServer``'s ``max_batch=32`` needs 23.6 MB
+#: (VWW float32 19.8 MB, KWS float32 3.6 MB) — so serving never
+#: reallocates; a call needing more (a large evaluation batch) runs in a
+#: buffer dropped on return.
+ARENA_RETAIN_BYTES = 24 << 20
+
+#: Idle buffers kept: one per thread that executes concurrently, so
+#: handler threads that come and go share them instead of each growing
+#: its own.
+_IDLE_BUFFERS = 4
+
+#: Carvings one buffer remembers before it forgets them all.
+_CARVINGS_PER_BUFFER = 64
+
+
+class _Buffer:
+    """One execution buffer plus the views plans have carved from it,
+    keyed by ``(plan serial, rows)``.  A thread holds it for one execute."""
+
+    __slots__ = ("data", "carvings")
+
+    def __init__(self, nbytes: int):
+        self.data = np.empty(nbytes, dtype=np.uint8)
+        self.carvings: dict[tuple[int, int], tuple] = {}
+
+
+_idle: list[_Buffer] = []
+_idle_lock = threading.Lock()
+_serials = itertools.count()
+
+
+def _acquire_buffer(nbytes: int) -> _Buffer:
+    """The most recently released idle buffer, replaced by a fresh one
+    when it is smaller than ``nbytes``."""
+    buf = None
+    if nbytes <= ARENA_RETAIN_BYTES:
+        with _idle_lock:
+            if _idle:
+                buf = _idle.pop()
+    if buf is None or buf.data.nbytes < nbytes:
+        buf = _Buffer(nbytes)
+    return buf
+
+
+def _release_buffer(buf: _Buffer) -> None:
+    if buf.data.nbytes <= ARENA_RETAIN_BYTES:
+        with _idle_lock:
+            if len(_idle) < _IDLE_BUFFERS:
+                _idle.append(buf)
 
 
 class CompiledPlan:
     """A straight-line executable plan over a graph.
 
     Holds the bound :class:`PlanStep` list plus, per step, the activation
-    tensor ids whose step lifetime ends at that step (freed as execution
-    proceeds).  Closures snapshot weights at compile time (int8 weights
-    are pre-cast to the kernels' accumulator dtype), so editing a
-    tensor's ``data`` afterwards requires recompiling the plan.
+    tensor ids whose step lifetime ends at that step (their arena slot is
+    free for later tensors from the next step on).  Closures snapshot
+    weights at compile time (int8 weights are pre-cast to the kernels'
+    accumulator dtype), so editing a tensor's ``data`` afterwards
+    requires recompiling the plan.
     """
 
     def __init__(self, graph: Graph, verify: bool = True):
@@ -424,13 +537,17 @@ class CompiledPlan:
             graph.validate()
         self.graph = graph
         self.steps = _bind_steps(graph, graph.lifetimes())
-        # Dead-activation schedule: tensor ids to drop after each step.
-        # The graph output lives past the last step, so it is never
-        # scheduled for release.
+        # Dead-activation schedule: tensor ids whose slot is free after
+        # each step, which ``verify_plan`` (G040) re-simulates; execution
+        # needs none, the arena already reuses dead slots.  The graph
+        # output lives past the last step, so it is never scheduled.
         self._release: list[list[int]] = [[] for _ in self.steps]
         for tid, (_, last) in self.lifetimes().items():
             if tid != graph.output_id:
                 self._release[last].append(tid)
+        self._arena = None
+        self._scratch = None
+        self._serial = next(_serials)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -455,17 +572,94 @@ class CompiledPlan:
         last[graph.output_id] = len(self.steps)
         return {tid: (first[tid], last[tid]) for tid in first}
 
+    @property
+    def arena(self) -> ArenaPlan:
+        """EON's step arena, ``plan_arena(self)``, planned on first use
+        and kept: execution, the RAM estimate and the generated C all
+        read this one plan."""
+        if self._arena is None:
+            self._arena = plan_arena(self)
+        return self._arena
+
+    def _scratch_region(self) -> tuple[list, int]:
+        """Per-row scratch layouts (:func:`_scratch_layout`) of the input
+        load, then of every step, and the bytes the largest spans; laid
+        out on first use, like the arena, so compiling does not pay."""
+        if self._scratch is None:
+            # Loading a float batch into an int8 input quantizes it
+            # through a float64 working copy.
+            in_t = self.graph.tensors[self.graph.input_id]
+            load = (("work", tuple(in_t.shape), np.float64, _PAD, _PAD),) if in_t.dtype == "int8" else ()
+            layouts = [_scratch_layout(spec) for spec in [load] + [st.scratch for st in self.steps]]
+            self._scratch = layouts, max(total for _, total in layouts)
+        return self._scratch
+
+    def _carve(self, data: np.ndarray, rows: int) -> tuple:
+        """Views of ``data`` for a batch of ``rows``: each activation at
+        its arena offset times ``rows``, each step's scratch past the
+        arena — every offset and size scaled by ``rows``, so a 16-byte
+        aligned row layout stays aligned."""
+
+        def view(offset, shape, dtype):
+            start = offset * rows
+            stop = start + rows * _nbytes(shape, dtype)
+            return data[start:stop].view(dtype).reshape((rows, *shape))
+
+        arena, t = self.arena, self.graph.tensors
+        views = {tid: view(off, t[tid].shape, t[tid].dtype) for tid, off in arena.offsets.items()}
+        load, *scratch = [
+            {name: view(arena.total_bytes + off, shape, dtype) for name, off, shape, dtype in placed}
+            for placed, _ in self._scratch_region()[0]
+        ]
+        return views, load, [(views[st.out_id], s) for st, s in zip(self.steps, scratch)]
+
     def execute(self, batch: np.ndarray) -> np.ndarray:
-        """Run the plan over a batch, dropping each dead activation as
-        soon as its last reader has run."""
-        values: dict[int, np.ndarray] = {
-            self.graph.input_id: prepare_input(self.graph, batch)
-        }
-        for step, dead in zip(self.steps, self._release):
-            values[step.out_id] = step.fn(values)
-            for tid in dead:
-                del values[tid]
-        return values[self.graph.output_id]
+        """Run the plan over a batch in EON's arena, as the generated
+        ``eon_run_classifier`` does: copy the batch in, run every step
+        into its slot, copy the output out (so it survives the next
+        execute).  The buffer is the calling thread's for the call."""
+        batch = np.asarray(batch)
+        rows = batch.shape[0]
+        graph = self.graph
+        buf = _acquire_buffer((self.arena.total_bytes + self._scratch_region()[1]) * rows)
+        try:
+            key = (self._serial, rows)
+            carved = buf.carvings.get(key)
+            if carved is None:
+                if len(buf.carvings) >= _CARVINGS_PER_BUFFER:
+                    buf.carvings.clear()
+                carved = buf.carvings[key] = self._carve(buf.data, rows)
+            views, load_scratch, slots = carved
+            _load_input(graph, batch, views[graph.input_id], **load_scratch)
+            for step, (out, s) in zip(self.steps, slots):
+                step.fn(views, out, s)
+            return views[graph.output_id].copy()
+        finally:
+            _release_buffer(buf)
+
+
+def _nbytes(shape, dtype) -> int:
+    return math.prod(shape) * np.dtype(dtype).itemsize
+
+
+def _scratch_layout(spec: tuple) -> tuple[tuple, int]:
+    """One step's scratch entries placed per row — ``first_fit`` over
+    their phases — as ``(name, offset, shape, dtype)``, and the bytes
+    they span."""
+    sizes = {name: _align(_nbytes(shape, dtype)) for name, shape, dtype, *_ in spec}
+    offsets = first_fit(sizes, {name: tuple(span) for name, _, _, *span in spec})
+    placed = tuple((name, offsets[name], shape, dtype) for name, shape, dtype, *_ in spec)
+    return placed, max((offsets[n] + sizes[n] for n in sizes), default=0)
+
+
+def _load_input(graph: Graph, batch: np.ndarray, dst: np.ndarray, work=None) -> None:
+    """``prepare_input`` into ``dst``, the input's arena slot."""
+    batch = batch.reshape(dst.shape)
+    quant = graph.tensors[graph.input_id].quant
+    if dst.dtype == np.int8 and batch.dtype != np.int8:
+        quant.quantize(batch.astype(np.float32, copy=False), out=dst, work=work)
+    else:
+        np.copyto(dst, batch, casting="unsafe")
 
 
 # Guards only the creation of per-graph compile locks (cheap, constant

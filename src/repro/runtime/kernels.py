@@ -26,25 +26,30 @@ from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
 # --------------------------------------------------------------------------
 
 
-def _pad2d(x: np.ndarray, pad_h, pad_w, fill) -> np.ndarray:
-    """Constant-pad H/W of a NHWC batch.  ``np.pad`` costs ~50-80us of
-    pure-Python overhead per call, which dominates small-kernel invokes;
-    this is the same operation as one fill + one slice assign."""
+def _pad2d(x: np.ndarray, pad_h, pad_w, fill, out=None) -> np.ndarray:
+    """Constant-pad H/W of a NHWC batch (into ``out`` when given).
+    ``np.pad`` costs ~50-80us of pure-Python overhead per call, which
+    dominates small-kernel invokes; this is the same operation as one
+    fill + one slice assign."""
     (pt, pb), (pl, pr) = tuple(pad_h), tuple(pad_w)
     if pt == pb == pl == pr == 0:
         return x
     b, h, w, c = x.shape
-    out = np.full((b, h + pt + pb, w + pl + pr, c), fill, dtype=x.dtype)
+    if out is None:
+        out = np.empty((b, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
+    out.fill(fill)
     out[:, pt : pt + h, pl : pl + w, :] = x
     return out
 
 
-def _pad1d(x: np.ndarray, pad, fill) -> np.ndarray:
+def _pad1d(x: np.ndarray, pad, fill, out=None) -> np.ndarray:
     (pl, pr) = tuple(pad)
     if pl == pr == 0:
         return x
     b, t, c = x.shape
-    out = np.full((b, t + pl + pr, c), fill, dtype=x.dtype)
+    if out is None:
+        out = np.empty((b, t + pl + pr, c), dtype=x.dtype)
+    out.fill(fill)
     out[:, pl : pl + t, :] = x
     return out
 
@@ -62,16 +67,24 @@ def _windows_2d(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
-def _gemm(windows, w2d):
+def _gemm(windows, w2d, col=None, out=None):
     """``windows`` (a view whose trailing axes flatten to K) times
-    ``w2d``: ``(rows, cout)`` in ``w2d``'s dtype, always a fresh array.
-    One pass gathers (and, for int8, casts) the view into the contiguous
-    im2col matrix — or takes it as it is when it already is one, the
-    float32 pointwise case — so the product is one BLAS call: sgemm for
-    float32, dgemm exactly when ``prepare_gemm_i8`` chose float64 (whose
-    exact-integer results pool and take the bias as they are)."""
-    lhs = windows.astype(w2d.dtype, order="C", copy=False)
-    return lhs.reshape(-1, w2d.shape[0]) @ w2d
+    ``w2d``: ``(rows, cout)`` in ``w2d``'s dtype, written to ``out``
+    (a fresh array when ``None``).  One pass gathers (and, for int8,
+    casts) the view into the contiguous im2col matrix ``col`` — or takes
+    it as it is when it already is one, the float32 pointwise case — so
+    the product is one BLAS call: sgemm for float32, dgemm exactly when
+    ``prepare_gemm_i8`` chose float64 (whose exact-integer results pool
+    and take the bias as they are)."""
+    if col is None:
+        lhs = windows.astype(w2d.dtype, order="C", copy=False)
+    else:
+        lhs = col.reshape(windows.shape)
+        np.copyto(lhs, windows)
+    k, cout = w2d.shape
+    if out is not None:
+        out = out.reshape(-1, cout)
+    return np.matmul(lhs.reshape(-1, k), w2d, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +153,8 @@ def _finish_f32(out: np.ndarray, bias, activation: str) -> np.ndarray:
     return activate_f32(out, activation)
 
 
-def conv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none"):
-    xp = _pad2d(x, pad_h, pad_w, 0.0)
+def conv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none", out=None, xp=None, col=None):
+    xp = _pad2d(x, pad_h, pad_w, 0.0, xp)
     kh, kw, c, cout = w.shape
     if kh == 1 and kw == 1 and stride == 1:
         windows, w2d = xp, w.reshape(c, cout)  # pointwise: xp is the im2col matrix
@@ -150,33 +163,46 @@ def conv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none"):
         if kh > kw * c:  # note 2: K as (kw, c, kh)
             windows = windows.transpose(0, 1, 2, 4, 5, 3)
             w2d = w.transpose(1, 2, 0, 3).reshape(-1, cout)
-    out = _gemm(windows, w2d).reshape(windows.shape[:3] + (cout,))
+    out = _gemm(windows, w2d, col, out).reshape(windows.shape[:3] + (cout,))
     return _finish_f32(out, b, activation)
 
 
-def dwconv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none"):
-    xp = _pad2d(x, pad_h, pad_w, 0.0)
+def dwconv_taps_f32(w, ow):
+    """The taps of note 3's flat-row route, tiled along ``ow``."""
+    return np.tile(w[..., 0], (1, 1, ow))
+
+
+def dwconv2d_f32(
+    x, w, b, stride, pad_h, pad_w, activation="none", out=None, xp=None, taps=None
+):
+    """``taps`` (``dwconv_taps_f32``, a plan binds it once) or ``None``."""
+    xp = _pad2d(x, pad_h, pad_w, 0.0, xp)
     kh, kw, c, mult = w.shape
+    bsz, hp, wp, _ = xp.shape
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    if out is None:
+        out = np.empty((bsz, oh, ow, c * mult), dtype=np.float32)
     if mult != 1:
-        out = np.einsum("bxyijc,ijcd->bxycd", _windows_2d(xp, kh, kw, stride), w)
-        out = out.reshape(out.shape[:3] + (c * mult,))
+        np.einsum(
+            "bxyijc,ijcd->bxycd", _windows_2d(xp, kh, kw, stride), w,
+            out=out.reshape(bsz, oh, ow, c, mult),
+        )
     elif stride == 1 and xp.flags.c_contiguous:
-        bsz, hp, wp, _ = xp.shape
-        oh, ow = hp - kh + 1, wp - kw + 1
         sb, sh, sw, sc = xp.strides
         rows = np.lib.stride_tricks.as_strided(
             xp, shape=(bsz, oh, kh, kw, ow * c), strides=(sb, sh, sh, sw, sc),
             writeable=False,
         )
-        taps = np.tile(w[..., 0], (1, 1, ow))
-        out = np.einsum("bxijm,ijm->bxm", rows, taps).reshape(bsz, oh, ow, c)
+        if taps is None:
+            taps = dwconv_taps_f32(w, ow)
+        np.einsum("bxijm,ijm->bxm", rows, taps, out=out.reshape(bsz, oh, ow * c))
     else:
-        out = np.einsum("bxyijc,ijc->bxyc", _windows_2d(xp, kh, kw, stride), w[..., 0])
+        np.einsum("bxyijc,ijc->bxyc", _windows_2d(xp, kh, kw, stride), w[..., 0], out=out)
     return _finish_f32(out, b, activation)
 
 
-def conv1d_f32(x, w, b, stride, pad, activation="none"):
-    xp = _pad1d(x, pad, 0.0)
+def conv1d_f32(x, w, b, stride, pad, activation="none", out=None, xp=None, col=None):
+    xp = _pad1d(x, pad, 0.0, xp)
     bsz, t, c = xp.shape
     k, _, cout = w.shape
     ot = (t - k) // stride + 1
@@ -184,50 +210,52 @@ def conv1d_f32(x, w, b, stride, pad, activation="none"):
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
     )
-    out = _gemm(windows, w.reshape(-1, cout)).reshape(bsz, ot, cout)
+    out = _gemm(windows, w.reshape(-1, cout), col, out).reshape(bsz, ot, cout)
     return _finish_f32(out, b, activation)
 
 
-def fc_f32(x, w, b, activation="none"):
-    return _finish_f32(_gemm(x, w), b, activation)
+def fc_f32(x, w, b, activation="none", out=None):
+    return _finish_f32(_gemm(x, w, out=out), b, activation)
 
 
-def maxpool2d_f32(x, pool):
+def _pool_view(x, pool):
+    """``(b, h/p, p, w/p, p, c)``: the pool windows of a NHWC tensor,
+    trailing rows/columns that fill no window dropped."""
     b, h, w, c = x.shape
     th, tw = (h // pool) * pool, (w // pool) * pool
-    return x[:, :th, :tw, :].reshape(b, th // pool, pool, tw // pool, pool, c).max(axis=(2, 4))
+    return x[:, :th, :tw, :].reshape(b, th // pool, pool, tw // pool, pool, c)
 
 
-def maxpool1d_f32(x, pool):
+def maxpool2d_f32(x, pool, out=None):
+    return _pool_view(x, pool).max(axis=(2, 4), out=out)
+
+
+def maxpool1d_f32(x, pool, out=None):
     b, t, c = x.shape
     tt = (t // pool) * pool
-    return x[:, :tt, :].reshape(b, tt // pool, pool, c).max(axis=2)
+    return x[:, :tt, :].reshape(b, tt // pool, pool, c).max(axis=2, out=out)
 
 
-def avgpool2d_f32(x, pool):
-    b, h, w, c = x.shape
-    th, tw = (h // pool) * pool, (w // pool) * pool
-    return (
-        x[:, :th, :tw, :]
-        .reshape(b, th // pool, pool, tw // pool, pool, c)
-        .mean(axis=(2, 4), dtype=np.float32)
-    )
+def avgpool2d_f32(x, pool, out=None):
+    return _pool_view(x, pool).mean(axis=(2, 4), dtype=np.float32, out=out)
 
 
-def gap2d_f32(x):
-    return x.mean(axis=(1, 2), dtype=np.float32)
+def gap2d_f32(x, out=None):
+    return x.mean(axis=(1, 2), dtype=np.float32, out=out)
 
 
-def gap1d_f32(x):
-    return x.mean(axis=1, dtype=np.float32)
+def gap1d_f32(x, out=None):
+    return x.mean(axis=1, dtype=np.float32, out=out)
 
 
-def add_f32(a, b, activation="none"):
-    return activate_f32((a + b).astype(np.float32, copy=False), activation)
+def add_f32(a, b, activation="none", out=None):
+    """``out`` may be ``a`` or ``b`` itself (a plan's in-place ADD)."""
+    out = np.add(a, b, out=out).astype(np.float32, copy=False)
+    return activate_f32(out, activation)
 
 
-def softmax_f32(x):
-    e = x - x.max(axis=-1, keepdims=True)
+def softmax_f32(x, out=None):
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e.astype(np.float32, copy=False)
@@ -374,20 +402,29 @@ class Requantizer:
         self.half = np.int64(1) << (self.shift - 1)
         self.out_zp, self.clamp_min, self.clamp_max = out_zp, clamp_min, clamp_max
 
-    def __call__(self, acc: np.ndarray) -> np.ndarray:
+    def __call__(self, acc: np.ndarray, out=None, work=None, sign=None) -> np.ndarray:
         """``acc`` belongs to the caller and is consumed: an int64 array
         is overwritten in place, any other dtype (exact-integer float64,
-        int32) is converted once first."""
-        acc = acc.astype(np.int64, copy=False)
+        int32) is converted once first, into ``work`` when given.  The
+        int8 result lands in ``out`` and the rounding's int64 sign word
+        in ``sign``; each is a fresh array when ``None``."""
+        if acc.dtype != np.int64:
+            if work is None:
+                work = np.empty(acc.shape, dtype=np.int64)
+            np.copyto(work, acc, casting="unsafe")
+            acc = work
         acc *= self.mant
-        sign = acc >> 63
+        sign = np.right_shift(acc, 63, out=sign)
         acc += self.half
         acc += sign
         acc >>= self.shift
         acc += self.out_zp
         np.maximum(acc, self.clamp_min, out=acc)
         np.minimum(acc, self.clamp_max, out=acc)
-        return acc.astype(np.int8)
+        if out is None:
+            return acc.astype(np.int8)
+        np.copyto(out, acc, casting="unsafe")
+        return out
 
 
 def prepare_gemm_i8(w, bias, in_zp):
@@ -417,127 +454,136 @@ def prepare_dwconv_i8(w, bias, in_zp):
     return w.astype(np.int64), folded
 
 
-def _finish(acc, bias, requant, pool=None, pool_kind="max"):
+def _finish(
+    acc, bias, requant, pool=None, pool_kind="max", out=None, pooled=None,
+    work=None, sign=None, q=None,
+):
     """Shared tail of the convs, on accumulators ``(batch, *spatial,
     channels)`` the caller owns: (max pool) -> bias -> requantize ->
-    (avg pool)."""
+    (avg pool).  ``pooled`` (max pool), ``work`` / ``sign`` (the
+    requantizer's) and ``q`` (the int8 tensor an avg pool reads) are
+    scratch, allocated when ``None``."""
     if pool and pool_kind == "max":
         # Block max as pool**d strided maxima: elementwise over whole
         # channel runs, ~3x faster than a reshape + multi-axis reduce on
         # accumulator-width data.
         spatial = acc.shape[1:-1]
         ends = [(n // pool - 1) * pool + 1 for n in spatial]
-        pooled = None
-        for offsets in np.ndindex(*(pool,) * len(spatial)):
+        for i, offsets in enumerate(np.ndindex(*(pool,) * len(spatial))):
             tap = acc[(slice(None), *(slice(o, o + e, pool) for o, e in zip(offsets, ends)))]
-            pooled = tap.copy() if pooled is None else np.maximum(pooled, tap, out=pooled)
+            if i == 0 and pooled is None:
+                pooled = tap.copy()
+            elif i == 0:
+                np.copyto(pooled, tap)
+            else:
+                np.maximum(pooled, tap, out=pooled)
         acc = pooled
     acc += bias
-    out = requant(acc)
     if pool and pool_kind == "avg":
-        out = avgpool2d_i8(out, pool)
-    return out
+        return avgpool2d_i8(requant(acc, q, work, sign), pool, out)
+    return requant(acc, out, work, sign)
 
 
 def conv2d_i8_plan(
     x, w2d, kh, kw, bias, stride, pad_h, pad_w, in_zp, requant,
-    pool=None, pool_kind="max",
+    pool=None, pool_kind="max", out=None, xp=None, col=None, acc=None, **tail,
 ):
     """CONV_2D: pad -> int8 im2col -> GEMM -> ``_finish``.  ``w2d`` /
-    ``bias`` come from ``prepare_gemm_i8``."""
-    xp = _pad2d(x, pad_h, pad_w, in_zp)
+    ``bias`` come from ``prepare_gemm_i8``; ``xp`` / ``col`` / ``acc``
+    and the ``_finish`` scratch in ``tail`` are allocated when absent."""
+    xp = _pad2d(x, pad_h, pad_w, in_zp, xp)
     if kh == 1 and kw == 1 and stride == 1:
         windows = xp  # pointwise: the im2col matrix is the input itself
     else:
         windows = _windows_2d(xp, kh, kw, stride)
-    acc = _gemm(windows, w2d).reshape(windows.shape[:3] + (-1,))
-    return _finish(acc, bias, requant, pool, pool_kind)
+    acc = _gemm(windows, w2d, col, acc).reshape(windows.shape[:3] + (-1,))
+    return _finish(acc, bias, requant, pool, pool_kind, out, **tail)
 
 
 def dwconv2d_i8_plan(
     x, taps, bias, stride, pad_h, pad_w, in_zp, requant,
-    pool=None, pool_kind="max",
+    pool=None, pool_kind="max", out=None, xp=None, acc=None, prod=None, **tail,
 ):
     """DEPTHWISE_CONV_2D.  ``taps`` / ``bias`` come from
-    ``prepare_dwconv_i8``, whose dtype choice selects the route."""
-    xp = _pad2d(x, pad_h, pad_w, in_zp)
+    ``prepare_dwconv_i8``, whose dtype choice selects the route: int8
+    taps accumulate int16 products into int32 (note 4), int64 taps
+    ``(kh, kw, c, d)`` accumulate int64 products — exact either way, so
+    the order of the taps does not matter."""
+    xp = _pad2d(x, pad_h, pad_w, in_zp, xp)
     kh, kw = taps.shape[:2]
     b, h, w, c = xp.shape
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    if taps.dtype == np.int8:
-        acc = np.zeros((b, oh, ow, c), dtype=np.int32)
-        prod = np.empty((b, oh, ow, c), dtype=np.int16)
-        h_end, w_end = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-        for i in range(kh):
-            for j in range(kw):
-                window = xp[:, i : i + h_end : stride, j : j + w_end : stride, :]
-                np.multiply(window, taps[i, j], out=prod, dtype=np.int16)
-                acc += prod
-    else:
-        view = _windows_2d(xp, kh, kw, stride).astype(np.int64)
-        acc = np.einsum(
-            "bxyijc,ijcd->bxycd", view, taps, optimize=["einsum_path", (0, 1)]
-        ).reshape(b, oh, ow, -1)
-    return _finish(acc, bias, requant, pool, pool_kind)
+    wide = taps.dtype != np.int8
+    shape = (b, oh, ow, c) + taps.shape[3:]
+    dtypes = (np.int64, np.int64) if wide else (np.int32, np.int16)
+    acc = np.empty(shape, dtypes[0]) if acc is None else acc.reshape(shape)
+    prod = np.empty(shape, dtypes[1]) if prod is None else prod.reshape(shape)
+    acc.fill(0)
+    h_end, w_end = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, i : i + h_end : stride, j : j + w_end : stride, :]
+            if wide:
+                window = window[..., None]
+            np.multiply(window, taps[i, j], out=prod, dtype=prod.dtype)
+            acc += prod
+    acc = acc.reshape(b, oh, ow, -1)
+    return _finish(acc, bias, requant, pool, pool_kind, out, **tail)
 
 
-def conv1d_i8_plan(x, w2d, k, bias, stride, pad, in_zp, requant, pool=None):
+def conv1d_i8_plan(
+    x, w2d, k, bias, stride, pad, in_zp, requant, pool=None, out=None,
+    xp=None, col=None, acc=None, **tail,
+):
     """CONV_1D: pad -> int8 im2col -> GEMM -> ``_finish``."""
-    xp = _pad1d(x, pad, in_zp)
+    xp = _pad1d(x, pad, in_zp, xp)
     bsz, t, c = xp.shape
     ot = (t - k) // stride + 1
     sb, st, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
     )
-    acc = _gemm(windows, w2d).reshape(bsz, ot, -1)
-    return _finish(acc, bias, requant, pool)
+    acc = _gemm(windows, w2d, col, acc).reshape(bsz, ot, -1)
+    return _finish(acc, bias, requant, pool, out=out, **tail)
 
 
-def fc_i8_plan(x, w2d, bias, requant):
+def fc_i8_plan(x, w2d, bias, requant, out=None, col=None, acc=None, **tail):
     """FULLY_CONNECTED on ``prepare_gemm_i8`` operands."""
-    return _finish(_gemm(x, w2d), bias, requant)
+    return _finish(_gemm(x, w2d, col, acc), bias, requant, out=out, **tail)
 
 
-def maxpool2d_i8(x, pool):
-    return maxpool2d_f32(x, pool)  # max is order-preserving; qparams unchanged
+def maxpool2d_i8(x, pool, out=None):
+    return maxpool2d_f32(x, pool, out)  # max is order-preserving; qparams unchanged
 
 
-def maxpool1d_i8(x, pool):
-    return maxpool1d_f32(x, pool)
+def maxpool1d_i8(x, pool, out=None):
+    return maxpool1d_f32(x, pool, out)
 
 
-def avgpool2d_i8(x, pool):
-    b, h, w, c = x.shape
-    th, tw = (h // pool) * pool, (w // pool) * pool
-    acc = (
-        x[:, :th, :tw, :]
-        .astype(np.int32)
-        .reshape(b, th // pool, pool, tw // pool, pool, c)
-        .sum(axis=(2, 4))
-    )
-    count = pool * pool
+def _round_div_i8(acc, count, out=None):
+    """int sums / ``count``, rounded half away from zero, saturated to
+    int8 (into ``out`` when given)."""
     rounded = np.floor_divide(
         acc + np.where(acc >= 0, count // 2, -(count // 2)), count
     )
-    return np.clip(rounded, -128, 127).astype(np.int8)
+    np.clip(rounded, -128, 127, out=rounded)
+    if out is None:
+        return rounded.astype(np.int8)
+    np.copyto(out, rounded, casting="unsafe")
+    return out
 
 
-def gap2d_i8(x):
+def avgpool2d_i8(x, pool, out=None):
+    return _round_div_i8(_pool_view(x, pool).sum(axis=(2, 4), dtype=np.int64), pool * pool, out)
+
+
+def gap2d_i8(x, out=None):
     b, h, w, c = x.shape
-    acc = x.astype(np.int32).sum(axis=(1, 2))
-    count = h * w
-    rounded = np.floor_divide(
-        acc + np.where(acc >= 0, count // 2, -(count // 2)), count
-    )
-    return np.clip(rounded, -128, 127).astype(np.int8)
+    return _round_div_i8(x.sum(axis=(1, 2), dtype=np.int64), h * w, out)
 
 
-def gap1d_i8(x):
-    b, t, c = x.shape
-    acc = x.astype(np.int32).sum(axis=1)
-    rounded = np.floor_divide(acc + np.where(acc >= 0, t // 2, -(t // 2)), t)
-    return np.clip(rounded, -128, 127).astype(np.int8)
+def gap1d_i8(x, out=None):
+    return _round_div_i8(x.sum(axis=1, dtype=np.int64), x.shape[1], out)
 
 
 def add_i8(
@@ -547,9 +593,9 @@ def add_i8(
     """TFLite-style int8 ADD: both inputs rescaled to a shared high-precision
     domain, summed, then requantized to the output scale.
 
-    ``out`` (a plan's in-place ADD) receives the result instead of a fresh
-    int8 allocation — it may alias ``a`` or ``b``, which are fully read
-    into the int64 working domain before any store."""
+    ``out`` receives the result instead of a fresh int8 allocation — it
+    may alias ``a`` or ``b`` (a plan's in-place ADD), which are fully
+    read into the int64 working domain before any store."""
     wa = (a.astype(np.int64) - zp_a) << left_shift
     wb = (b.astype(np.int64) - zp_b) << left_shift
     sa = multiply_by_quantized_multiplier(wa, mult1, shift1)
@@ -563,7 +609,7 @@ def add_i8(
     return res.astype(np.int8)
 
 
-def softmax_i8(x, in_scale, in_zp):
+def softmax_i8(x, in_scale, in_zp, out=None):
     """Dequantize -> float softmax -> fixed (1/256, -128) requantization.
 
     TFLM implements this with a LUT over fixed-point exponentials; the
@@ -572,4 +618,8 @@ def softmax_i8(x, in_scale, in_zp):
     real = (x.astype(np.float32) - in_zp) * in_scale
     probs = softmax_f32(real)
     q = np.round(probs / (1.0 / 256.0)) + (-128)
-    return np.clip(q, -128, 127).astype(np.int8)
+    np.clip(q, -128, 127, out=q)
+    if out is None:
+        return q.astype(np.int8)
+    np.copyto(out, q, casting="unsafe")
+    return out
