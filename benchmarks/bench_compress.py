@@ -7,12 +7,13 @@ jointly over a trained impulse, cuts the model's RAM+flash footprint by
 
 Measured on the two Table-3 KWS zoo architectures — the ``conv1d_stack``
 family and ``ds_cnn`` — sized so weight bytes dominate the footprint,
-priced under the EON memory model.  Each search evaluates the
-uniform-int8 baseline, a few randomly sampled joint configurations, and
-one directed probe per model (all-int4 for ``ds_cnn``; all-int4 plus
-25 % channel sparsity for the conv stack, which tolerates pruning
-without fine-tuning).  The winning variant is whatever ``best()`` picks
-off the Pareto front within the 2 pp budget.
+priced under the EON memory model.  Each search is an EON Tuner sweep
+over the model's ``CompressionSpace``: the uniform-int8 baseline (trial
+0), a few randomly sampled joint configurations, and one directed probe
+per model (all-int4 for ``ds_cnn``; all-int4 plus 25 % channel sparsity
+for the conv stack, which tolerates pruning without fine-tuning).  The
+winning variant is whatever ``smallest_within()`` picks off the Pareto
+front within the 2 pp budget.
 
 The reduction itself is a deterministic plan property of the compressed
 graph (packed int4 tensor sizes, pruned shapes) — timing-free, like
@@ -27,10 +28,11 @@ import time
 import numpy as np
 from conftest import save_metric, save_result, smoke_mode
 
-from repro.compress import CompressionSearch
+from repro.automl import EonTuner
 from repro.data.synthetic import keyword_dataset
 
-N_SAMPLED = 1 if smoke_mode() else 4
+#: Trials per sweep, the baseline included (smoke: the baseline alone).
+N_TRIALS = 1 if smoke_mode() else 4
 TRAIN_EPOCHS = 15
 
 def _mfe(stride: float) -> dict:
@@ -78,27 +80,29 @@ def test_compress_pareto_reduction():
     raw, labels = _data()
     lines = [
         "repro.compress — joint precision/sparsity search "
-        f"({N_SAMPLED} sampled + 1 directed trial/model, EON memory model)",
+        f"({N_TRIALS} planned + 1 directed trial/model, EON memory model)",
     ]
     reductions = []
     for name, dsp_spec, model_spec, probe in MODELS:
         t0 = time.perf_counter()
-        search = CompressionSearch(raw, labels, dsp_spec, model_spec,
-                                   engine="eon", train_epochs=TRAIN_EPOCHS)
-        search.evaluate_spec(probe(search.space), seed=0)
-        search.run(n_trials=N_SAMPLED, seed=0)
+        tuner = EonTuner(raw, labels, space=None, engine="eon",
+                         train_epochs=TRAIN_EPOCHS)
+        tuner.space = tuner.compression_space(dsp_spec, model_spec)
+        tuner.run(n_trials=N_TRIALS, seed=0)
+        tuner.evaluate_config(dsp_spec, {**model_spec, **probe(tuner.space)},
+                              seed=0)
         dt = time.perf_counter() - t0
 
-        base = search.baseline
+        base = tuner.baseline_trial()
         assert base is not None and base.trained
-        best = search.best(max_accuracy_drop_pp=2.0)
+        best = tuner.smallest_within(max_accuracy_drop_pp=2.0)
         assert best is not None, f"{name}: no variant within the 2 pp budget"
         red, drop = best["ram_flash_reduction"], best["accuracy_drop_pp"]
         base_rf = base.nn_ram_kb + base.flash_kb
         lines.append(
             f"  {name:<22} int8 {base_rf:6.1f} kB -> "
             f"{best['ram_flash_kb']:6.1f} kB  ({red:5.1%} smaller, "
-            f"{drop:+.1f} pp, {len(search.trials)} trials, {dt:.1f} s)"
+            f"{drop:+.1f} pp, {len(tuner.trials)} trials, {dt:.1f} s)"
         )
         assert red >= 0.30, f"{name}: best reduction {red:.1%} < 30%"
         assert drop <= 2.0, f"{name}: accuracy drop {drop:.1f} pp > 2 pp"

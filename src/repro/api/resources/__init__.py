@@ -10,7 +10,6 @@ validation, auth, rate limiting and the response envelope.
 from __future__ import annotations
 
 from repro.api.resources import (
-    compress,
     fleet,
     jobs,
     meta,
@@ -22,7 +21,7 @@ from repro.api.resources import (
 )
 
 #: Import order fixes route-table order (and the benchmark's scan depth).
-MODULES = (projects, jobs, tuner, compress, fleet, monitor, serving, tokens, meta)
+MODULES = (projects, jobs, tuner, fleet, monitor, serving, tokens, meta)
 
 
 def register_all(router) -> None:

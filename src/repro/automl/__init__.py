@@ -6,13 +6,15 @@ search with a resource-heuristic screen (Hyperband and surrogate-model
 search are the paper's "future work" and are not implemented here).
 """
 
-from repro.automl.space import SearchSpace, kws_search_space
-from repro.automl.tuner import EonTuner, TunerConstraints, TunerTrial
+from repro.automl.space import CompressionSpace, SearchSpace, kws_search_space
+from repro.automl.tuner import EonTuner, TunerConstraints, TunerTrial, pareto_front
 
 __all__ = [
+    "CompressionSpace",
     "SearchSpace",
     "kws_search_space",
     "EonTuner",
     "TunerConstraints",
     "TunerTrial",
+    "pareto_front",
 ]

@@ -56,6 +56,10 @@ class SearchSpace:
     def enumerate(self) -> list[tuple[dict, dict]]:
         return [(d, m) for d in self.all_dsp() for m in self.all_models()]
 
+    def baseline(self) -> None:
+        """A DSP x model sweep has no fixed reference point."""
+        return None
+
 
 @dataclass
 class CompressionSpace:

@@ -5,6 +5,13 @@ For each candidate the tuner (1) prices resources with the profiler — the
 paper describes — before any training happens, (2) skips training for
 configurations that cannot fit the target, and (3) trains survivors briefly
 to measure accuracy.  Results render as the Table 3 / Figure 3 view.
+
+A compression sweep is the same search over a
+:class:`~repro.automl.space.CompressionSpace`: one fixed (dsp, model)
+pair whose per-layer weight precisions and channel sparsities are the
+axes.  Its uniform-int8 baseline is planned as the sweep's first trial,
+with the sweep's own seed, so it trains in a trial job like any other
+and :meth:`EonTuner.front` measures every reduction against it.
 """
 
 from __future__ import annotations
@@ -15,12 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.automl.space import CompressionSpace
+from repro.compress import apply_compression, prunable_layers, weighted_ops
 from repro.dsp.base import DSPBlock, get_dsp_block
 from repro.graph import sequential_to_graph
 from repro.nn import Trainer, TrainingConfig
 from repro.nn.architectures import ARCHITECTURES, describe
 from repro.profile import LatencyEstimator, MemoryEstimator, get_device
-from repro.quantize import quantize_graph
+from repro.runtime.executor import dequantize_output, run_graph
 from repro.utils.rng import ensure_rng
 
 
@@ -86,6 +95,31 @@ class TunerTrial:
         return self.dsp_ram_kb + self.nn_ram_kb
 
 
+def pareto_front(trials: list[TunerTrial]) -> list[TunerTrial]:
+    """Non-dominated trained trials over (accuracy up; RAM, flash and
+    latency down).  A trial is dominated when another is at least as
+    good on every axis and strictly better on one.  Sorted by
+    descending accuracy."""
+    pool = [t for t in trials if t.trained and t.accuracy is not None]
+
+    def dominates(u: TunerTrial, t: TunerTrial) -> bool:
+        as_good = (u.accuracy >= t.accuracy and u.ram_kb <= t.ram_kb
+                   and u.flash_kb <= t.flash_kb and u.total_ms <= t.total_ms)
+        better = (u.accuracy > t.accuracy or u.ram_kb < t.ram_kb
+                  or u.flash_kb < t.flash_kb or u.total_ms < t.total_ms)
+        return as_good and better
+
+    front = [t for t in pool if not any(dominates(u, t) for u in pool)]
+    return sorted(front, key=lambda t: -t.accuracy)
+
+
+def _dsp_block(dsp_spec: dict) -> DSPBlock:
+    """The DSP block a flat ``{"type": ..., **config}`` spec names."""
+    return get_dsp_block({"type": dsp_spec["type"],
+                          "config": {k: v for k, v in dsp_spec.items()
+                                     if k != "type"}})
+
+
 class EonTuner:
     """Joint DSP/NN search for one project's data."""
 
@@ -140,8 +174,7 @@ class EonTuner:
 
     def _features(self, dsp_spec: dict) -> tuple[DSPBlock, np.ndarray]:
         key = json.dumps(dsp_spec, sort_keys=True)
-        block = get_dsp_block({"type": dsp_spec["type"],
-                               "config": {k: v for k, v in dsp_spec.items() if k != "type"}})
+        block = _dsp_block(dsp_spec)
         while True:
             with self._cache_lock:
                 if key in self._feature_cache:
@@ -174,6 +207,36 @@ class EonTuner:
             input_shape = input_shape + (1,)
         return factory(input_shape, n_classes, seed=seed, **spec), input_shape
 
+    def compression_space(
+        self,
+        dsp_spec: dict,
+        model_spec: dict,
+        precisions: tuple = ("int8", "int4", "f32"),
+        sparsities: tuple = (0.0, 0.25, 0.5),
+    ) -> CompressionSpace:
+        """The per-layer compression axes of one fixed (dsp, model) pair.
+
+        Builds the architecture once, untrained, on the feature shape of
+        one window, to learn which weighted layers exist and which prune
+        safely.  Assign the result to :attr:`space` to make this tuner's
+        sweeps compression sweeps.
+        """
+        self._require_windows()
+        feature_shape = _dsp_block(dsp_spec).transform(self.raw[0]).shape
+        n_classes = int(self.labels.max()) + 1
+        model, _ = self._build_model(
+            dict(model_spec), tuple(feature_shape), n_classes, seed=0
+        )
+        graph = sequential_to_graph(model)
+        return CompressionSpace(
+            dsp_spec=dict(dsp_spec),
+            model_spec=dict(model_spec),
+            precision_layers=list(range(len(weighted_ops(graph)))),
+            sparsity_layers=prunable_layers(graph),
+            precisions=tuple(precisions),
+            sparsities=tuple(sparsities),
+        )
+
     def _price(
         self, block: DSPBlock, model, feature_shape, compress_spec=None
     ) -> dict:
@@ -181,18 +244,13 @@ class EonTuner:
         (and independent of) training.  A compression spec prices the
         pruned/mixed-precision graph instead — channel counts and
         precision assignments (what RAM/flash/latency depend on) are
-        already fixed before training."""
+        already fixed before training.  An empty spec on an int8 tuner
+        is the uniform-int8 graph."""
         graph = sequential_to_graph(model)
-        if compress_spec:
-            from repro.compress import apply_compression  # lazy: avoids cycle
-
+        if compress_spec or self.precision == "int8":
             rng = ensure_rng(0)
             calib = rng.standard_normal((8,) + tuple(feature_shape)).astype(np.float32)
-            graph = apply_compression(graph, compress_spec, calib)
-        elif self.precision == "int8":
-            rng = ensure_rng(0)
-            calib = rng.standard_normal((8,) + tuple(feature_shape)).astype(np.float32)
-            graph = quantize_graph(graph, calib)
+            graph = apply_compression(graph, compress_spec or {}, calib)
         device = get_device(self.constraints.device_key)
         lat = LatencyEstimator(device)
         mem = MemoryEstimator(engine=self.engine)
@@ -285,10 +343,6 @@ class EonTuner:
                 # trained-weight magnitude, quantize per the precision
                 # map with training windows as calibration, then run the
                 # compressed graph on the validation split.
-                from repro.compress import apply_compression  # lazy
-
-                from repro.runtime.executor import dequantize_output, run_graph
-
                 calib = feats[train_idx][:64] if len(train_idx) else feats[val_idx]
                 graph = apply_compression(
                     sequential_to_graph(model), compress_spec, calib
@@ -343,12 +397,21 @@ class EonTuner:
         Sampling consumes the search rng in the same order (config draw,
         dedupe, then per-trial seed draw), so a plan executed in parallel
         is bit-identical to the serial sweep.
+
+        A compression sweep plans its uniform-int8 baseline first, under
+        the sweep's own seed, unless this tuner already evaluated it; a
+        sampled draw equal to the baseline is a duplicate.
         """
         self._require_windows()
         rng = ensure_rng(seed)
         seen: set[str] = set()
         attempts = 0
         planned: list[tuple[dict, dict, int]] = []
+        base = self.space.baseline()
+        if base is not None:
+            seen.add(json.dumps(list(base), sort_keys=True))
+            if len(self.trials) < n_trials and self.baseline_trial() is None:
+                planned.append((*base, seed))
         while (
             len(self.trials) + len(planned) < n_trials
             and attempts < n_trials * 10
@@ -361,6 +424,19 @@ class EonTuner:
             seen.add(key)
             planned.append((dsp_spec, model_spec, int(rng.integers(1 << 31))))
         return planned
+
+    def baseline_trial(
+        self, trials: list[TunerTrial] | None = None
+    ) -> TunerTrial | None:
+        """The evaluated uniform-int8 baseline of a compression sweep
+        among ``trials`` (default: the committed ones), or None."""
+        base = self.space.baseline()
+        if base is None:
+            return None
+        pool = self.trials if trials is None else trials
+        return next(
+            (t for t in pool if (t.dsp_spec, t.model_spec) == base), None
+        )
 
     def run(self, n_trials: int = 12, seed: int = 0) -> list[TunerTrial]:
         """Random search (the shipping EON Tuner algorithm)."""
@@ -530,22 +606,83 @@ class EonTuner:
             for i, t in enumerate(rows)
         ]
 
+    def front(self, trials: list[TunerTrial] | None = None) -> list[dict]:
+        """JSON-safe Pareto rows (:func:`pareto_front`), sorted by
+        descending accuracy; pass ``trials`` to rank a partial set.
+
+        ``ram_flash_kb`` is the model footprint (NN RAM + flash, the
+        quantities compression moves).  Once a compression sweep's
+        baseline is among ``trials``, every row also carries
+        ``ram_flash_reduction`` and ``accuracy_drop_pp`` relative to it.
+        """
+        pool = self.trials if trials is None else trials
+        base = self.baseline_trial(pool)
+        base_rf = (
+            base.nn_ram_kb + base.flash_kb
+            if base is not None and base.trained
+            else None
+        )
+        rows = []
+        for t in pareto_front(pool):
+            rf = t.nn_ram_kb + t.flash_kb
+            row = {
+                "spec": dict(t.extra.get("compress", {})),
+                "baseline": t is base,
+                "accuracy": float(t.accuracy),
+                "nn_ram_kb": float(t.nn_ram_kb),
+                "flash_kb": float(t.flash_kb),
+                "ram_flash_kb": float(rf),
+                "total_ms": float(t.total_ms),
+                "meets_constraints": bool(t.meets_constraints),
+            }
+            if base_rf:
+                row["ram_flash_reduction"] = float(1.0 - rf / base_rf)
+                row["accuracy_drop_pp"] = float(
+                    (base.accuracy - t.accuracy) * 100.0
+                )
+            rows.append(row)
+        return rows
+
+    def smallest_within(
+        self,
+        max_accuracy_drop_pp: float = 2.0,
+        trials: list[TunerTrial] | None = None,
+    ) -> dict | None:
+        """The :meth:`front` row with the largest footprint reduction
+        whose accuracy stays within ``max_accuracy_drop_pp`` of the
+        baseline and which meets the device constraints."""
+        candidates = [
+            r for r in self.front(trials)
+            if r.get("accuracy_drop_pp", float("inf")) <= max_accuracy_drop_pp
+            and r["meets_constraints"]
+        ]
+        if not candidates:
+            return None
+        return max(candidates, key=lambda r: r["ram_flash_reduction"])
+
     def apply_to_project(self, project, trial: TunerTrial | None = None) -> None:
         """Update a project's impulse to a tuner result — the "update the
-        associated project to this configuration" flow of Sec. 4.7."""
+        associated project to this configuration" flow of Sec. 4.7.
+
+        A compression sweep's result is refused: its trials differ only
+        in ``compress.*`` keys, which an impulse cannot carry, so
+        applying one would discard the trained model for the
+        uncompressed architecture it already has.
+        """
         from repro.core.impulse import Impulse
         from repro.core.learn_blocks import ClassificationBlock
-        from repro.dsp.base import get_dsp_block
 
+        if self.space.baseline() is not None:
+            raise RuntimeError(
+                "a compression sweep's result cannot be applied to the "
+                "impulse: there is no compressed deploy path yet"
+            )
         trial = trial or self.best_trial()
         if trial is None:
             raise RuntimeError("no feasible trained configuration to apply")
         if project.impulse is None:
             raise RuntimeError("project has no impulse to update")
-        dsp = get_dsp_block(
-            {"type": trial.dsp_spec["type"],
-             "config": {k: v for k, v in trial.dsp_spec.items() if k != "type"}}
-        )
+        dsp = _dsp_block(trial.dsp_spec)
         model_spec = {
             k: v for k, v in trial.model_spec.items()
             if not k.startswith("compress.")

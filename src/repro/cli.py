@@ -147,19 +147,19 @@ def _cmd_compress(args) -> int:
     if job.status != "succeeded":
         print(f"compress job {job.status}: {job.error}")
         return 1
-    search = project.compressions[job.job_id]
+    tuner = project.tuners[job.job_id]
     header = (f"{'Acc.':>5} {'RAM kB':>8} {'Flash kB':>9} {'Total ms':>9} "
               f"{'Reduction':>10}  Spec")
     print(header)
     print("-" * len(header))
-    for row in search.front():
+    for row in tuner.front():
         spec = "int8 baseline" if row["baseline"] else ", ".join(
             f"{k.split('.', 1)[1]}={v}" for k, v in sorted(row["spec"].items())
         )
         print(f"{row['accuracy'] * 100:>4.0f}% {row['nn_ram_kb']:>8.1f} "
               f"{row['flash_kb']:>9.1f} {row['total_ms']:>9.1f} "
               f"{row.get('ram_flash_reduction', 0) * 100:>9.1f}%  {spec}")
-    best = search.best()
+    best = tuner.smallest_within()
     if best is not None:
         print(f"best within 2pp of baseline: "
               f"{best['ram_flash_reduction'] * 100:.1f}% smaller at "

@@ -17,6 +17,9 @@ the float graph), then post-training-quantize with the precision map.
 An empty spec — or one whose every precision is ``"int8"`` and every
 sparsity 0 — yields the uniform-int8 graph byte for byte, so
 compression is strictly opt-in.
+
+Searching over specs is an ordinary EON Tuner sweep whose space is a
+:class:`repro.automl.CompressionSpace` (see ``EonTuner.compression_space``).
 """
 
 from __future__ import annotations
@@ -99,14 +102,4 @@ __all__ = [
     "prune_graph",
     "split_spec",
     "weighted_ops",
-    "pareto_front",
-    "CompressionSearch",
 ]
-
-
-def __getattr__(name):  # lazy: search imports the tuner which imports us
-    if name in ("pareto_front", "CompressionSearch"):
-        from repro.compress import search
-
-        return getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -86,17 +86,14 @@ class Project:
         # "1.0.<revision>", so the monitoring plane can tell model
         # generations apart.
         self.model_revision = 0
-        # Parent-job id -> the EonTuner behind it, so the API can render
-        # (partial) leaderboards while the search runs.  Bounded: only
-        # the most recent searches are retained.  A running search pins
-        # its raw windows + per-DSP feature caches (multi-MB); once its
-        # parent job lands the tuner releases both and keeps only trials.
+        # Parent-job id -> the EonTuner behind it (tuner and compression
+        # sweeps alike), so the API can render (partial) leaderboards and
+        # Pareto fronts while the search runs.  Bounded: only the most
+        # recent searches are retained.  A running search pins its raw
+        # windows + per-DSP feature caches (multi-MB); once its parent
+        # job lands the tuner releases both and keeps only trials.
         self.tuners: dict[int, object] = {}
         self.max_retained_tuners = 8
-        # Parent-job id -> the CompressionSearch behind it (Pareto fronts
-        # render live from these); bounded like ``tuners`` and for the
-        # same reason.
-        self.compressions: dict[int, object] = {}
         # Tuner provenance that survives persistence: leaderboards loaded
         # from disk (job id -> rows; live tuners take precedence — see
         # leaderboards()) and the trial a deployed model came from.
@@ -337,11 +334,15 @@ class Project:
         tuner = self.build_tuner(
             space=space, constraints=constraints, train_epochs=train_epochs
         )
-        job = tuner.run_parallel(
-            n_trials=n_trials, executor=self.jobs,
-            max_inflight=max_inflight, seed=seed, retries=retries,
-            placement=placement,
+        return self._run_sweep(
+            tuner, n_trials=n_trials, max_inflight=max_inflight, seed=seed,
+            retries=retries, placement=placement,
         )
+
+    def _run_sweep(self, tuner, **run_kwargs) -> Job:
+        """Start ``tuner.run_parallel`` on this project's executor and
+        retain the tuner under its parent job's id."""
+        job = tuner.run_parallel(executor=self.jobs, **run_kwargs)
         self.tuners[job.job_id] = tuner
         while len(self.tuners) > self.max_retained_tuners:
             self.tuners.pop(next(iter(self.tuners)))
@@ -411,25 +412,17 @@ class Project:
         placement: str = "thread",
     ) -> Job:
         """Queue a joint compression search over the *current* impulse
-        configuration: per-layer weight precisions (int8/int4/f32) and
-        channel sparsities, Pareto-scored on accuracy vs RAM/flash/
-        latency against a uniform-int8 baseline.  The baseline trial is
-        evaluated synchronously before the job is queued (so serial and
-        parallel sweeps share it bit-identically); sampled trials run as
-        child jobs like :meth:`tune_async`.  The search behind the
-        returned parent job is kept in ``self.compressions[job.job_id]``
-        for Pareto-front rendering; nothing is committed to the project.
+        configuration: an EON Tuner sweep whose space is per-layer weight
+        precisions (int8/int4/f32) and channel sparsities, Pareto-scored
+        on accuracy vs RAM/flash/latency against a uniform-int8
+        baseline.  The baseline is the sweep's first trial job, so this
+        call trains nothing.  The tuner is kept in
+        ``self.tuners[job.job_id]`` like :meth:`tune_async`'s (its
+        ``front()`` renders the Pareto rows); nothing is committed to
+        the project.
         """
-        from repro.automl import TunerConstraints
-        from repro.compress import CompressionSearch
-        from repro.core.impulse import TimeSeriesInput
-
         if self.impulse is None:
             raise RuntimeError("set an impulse before compressing")
-        if not isinstance(self.impulse.input_block, TimeSeriesInput):
-            raise RuntimeError(
-                "the compression search needs a time-series input block"
-            )
         if not self.impulse.dsp_blocks:
             raise RuntimeError("the impulse has no DSP block")
         learn = self.impulse.learn_block
@@ -444,22 +437,17 @@ class Project:
         dsp_spec = {"type": dsp_block.block_type, **dsp_block.config()}
         model_spec = {"architecture": learn.architecture,
                       **getattr(learn, "arch_kwargs", {})}
-        raw, ys = self._search_windows(max_windows)
-        search = CompressionSearch(
-            raw, ys, dsp_spec, model_spec,
-            constraints=constraints or TunerConstraints(),
-            precisions=precisions, sparsities=sparsities,
-            engine=engine, train_epochs=train_epochs,
+        tuner = self.build_tuner(
+            constraints=constraints, train_epochs=train_epochs,
+            engine=engine, max_windows=max_windows,
         )
-        job = search.run_parallel(
-            n_trials=n_trials, executor=self.jobs,
-            max_inflight=max_inflight, seed=seed, retries=retries,
-            placement=placement,
+        tuner.space = tuner.compression_space(
+            dsp_spec, model_spec, precisions=precisions, sparsities=sparsities
         )
-        self.compressions[job.job_id] = search
-        while len(self.compressions) > self.max_retained_tuners:
-            self.compressions.pop(next(iter(self.compressions)))
-        return job
+        return self._run_sweep(
+            tuner, n_trials=n_trials, max_inflight=max_inflight, seed=seed,
+            retries=retries, placement=placement,
+        )
 
     def profile_async(
         self, device_key: str, precision: str = "int8", engine: str = "eon"

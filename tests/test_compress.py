@@ -1,22 +1,28 @@
 """repro.compress: int4 packing, mixed-precision PTQ, structured
-pruning, and the joint Pareto search."""
+pruning, and the joint Pareto search (an EON Tuner sweep over a
+CompressionSpace)."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.analysis import verify_graph
-from repro.automl.space import CompressionSpace
-from repro.automl.tuner import TunerTrial
+from repro.automl import (
+    CompressionSpace,
+    EonTuner,
+    SearchSpace,
+    TunerTrial,
+    pareto_front,
+)
 from repro.compress import (
     UnsupportedPruning,
     apply_compression,
-    pareto_front,
     prunable_layers,
     prune_graph,
     split_spec,
 )
 from repro.compress.prune import channel_norms, keep_mask, weighted_ops
-from repro.compress.search import CompressionSearch
 from repro.graph import graph_from_bytes, graph_to_bytes, sequential_to_graph
 from repro.graph.ops import pack_int4, unpack_int4
 from repro.quantize import quantize_graph
@@ -448,6 +454,8 @@ def test_compression_space_size_and_baseline():
     assert dsp == {"type": "mfe"}
     assert model["compress.precision.0"] == "int8"
     assert model["compress.sparsity.1"] == 0.0
+    # A DSP x model space has no reference point.
+    assert SearchSpace().baseline() is None
 
 
 def test_compression_space_sampling_is_seeded():
@@ -462,7 +470,9 @@ def test_compression_space_sampling_is_seeded():
 # -- joint search -------------------------------------------------------------
 
 
-def _search(**kwargs):
+def _tuner(**kwargs):
+    """A compression sweep: an EON Tuner whose space is the per-layer
+    axes of one fixed (mfe, conv1d_stack) pair."""
     from repro.data.synthetic import keyword_dataset
 
     ds = keyword_dataset(keywords=["yes", "no"], samples_per_class=8,
@@ -475,15 +485,18 @@ def _search(**kwargs):
            "frame_stride": 0.025, "n_filters": 16}
     model = {"architecture": "conv1d_stack", "n_layers": 2,
              "first_filters": 8, "last_filters": 16}
-    return CompressionSearch(raw, labels, dsp, model, train_epochs=2, **kwargs)
+    tuner = EonTuner(raw, labels, space=None, train_epochs=2, **kwargs)
+    tuner.space = tuner.compression_space(dsp, model)
+    return tuner
 
 
 def test_search_serial_front_has_baseline_and_reductions():
-    search = _search()
-    trials = search.run(n_trials=4, seed=0)
+    tuner = _tuner()
+    trials = tuner.run(n_trials=4, seed=0)
     assert len(trials) == 4  # baseline counts as one
-    assert trials[0].extra.get("baseline") is True
-    front = search.front()
+    assert tuner.baseline_trial() is trials[0]
+    assert (trials[0].dsp_spec, trials[0].model_spec) == tuner.space.baseline()
+    front = tuner.front()
     assert front, "Pareto front is empty"
     for row in front:
         assert set(row) >= {"spec", "accuracy", "ram_flash_kb",
@@ -492,8 +505,36 @@ def test_search_serial_front_has_baseline_and_reductions():
     for r in base_rows:
         assert r["ram_flash_reduction"] == pytest.approx(0.0)
         assert r["accuracy_drop_pp"] == pytest.approx(0.0)
-    best = search.best(max_accuracy_drop_pp=200.0)
+    best = tuner.smallest_within(max_accuracy_drop_pp=200.0)
     assert best is None or best["accuracy_drop_pp"] <= 200.0
+
+
+def test_baseline_is_planned_first_under_the_sweep_seed():
+    """The uniform-int8 baseline is trial 0 of the plan, with the sweep's
+    own seed; no sampled trial repeats it, and a later sweep on the same
+    tuner does not plan it again."""
+    tuner = _tuner()
+    base = tuner.space.baseline()
+    plan = tuner._sample_plan(6, seed=7)
+    assert len(plan) == 6
+    assert plan[0] == (*base, 7)
+    assert all((d, m) != base for d, m, _ in plan[1:])
+
+    tuner.run(n_trials=1, seed=0)
+    assert tuner.trials[0] is tuner.baseline_trial()
+    again = tuner._sample_plan(3, seed=0)
+    assert len(again) == 2 and all((d, m) != base for d, m, _ in again)
+
+
+def test_front_before_the_baseline_lands_has_no_reductions():
+    """A live view ranks whatever trials completed; until the baseline is
+    among them the rows carry no reductions and nothing is "best"."""
+    tuner = _tuner()
+    a, b = _trial(0.9, 10, 100, 5), _trial(0.8, 5, 50, 3)
+    rows = tuner.front([a, b])
+    assert [r["accuracy"] for r in rows] == [0.9, 0.8]
+    assert not any(r["baseline"] or "ram_flash_reduction" in r for r in rows)
+    assert tuner.smallest_within(trials=[a, b]) is None
 
 
 # -- project + API surface ----------------------------------------------------
@@ -553,19 +594,35 @@ def test_compress_api_routes():
     assert r["status"] == 200, r
     data = r["data"]
     assert data["job_status"] == "succeeded"
-    assert data["trials_completed"] == data["trials_total"]
+    assert data["trials_completed"] == data["trials_total"] == 3
     front = data["front"]
     assert front and any(row["baseline"] for row in front)
     assert all("ram_flash_reduction" in row for row in front)
     json.dumps(data)  # the whole payload is JSON-safe
 
+    # A compression sweep is a tuner sweep: the tuner view ranks it too.
+    r = gw.handle("GET", f"/v1/projects/{pid}/tuner/{jid}", {}, user="ops")
+    assert r["status"] == 200 and len(r["data"]["leaderboard"]) == 3
+
     # A job that isn't a compression search 404s on the compress view.
     train_jid = gw.handle("POST", f"/v1/projects/{pid}/train",
                           {"epochs": 1}, user="ops")["data"]["job_id"]
-    plat.get_project(pid).jobs.get(train_jid).wait(timeout=120.0)
+    project = plat.get_project(pid)
+    project.jobs.get(train_jid).wait(timeout=120.0)
     r = gw.handle("GET", f"/v1/projects/{pid}/compress/{train_jid}",
                   {}, user="ops")
     assert r["status"] == 404
+
+    # A compression result has no deploy path: applying it is a 409 and
+    # leaves the impulse, the trained model and the provenance alone.
+    impulse, graph = project.impulse.to_dict(), project.float_graph
+    assert graph is not None
+    r = gw.handle("POST", f"/v1/projects/{pid}/tuner/{jid}/apply", {},
+                  user="ops")
+    assert r["status"] == 409 and "compression" in r["error"]
+    assert project.impulse.to_dict() == impulse
+    assert project.float_graph is graph
+    assert project.applied_trial is None
 
 
 def test_search_process_placement_matches_serial_front():
@@ -573,10 +630,10 @@ def test_search_process_placement_matches_serial_front():
     same Pareto front as a serial sweep."""
     from repro.core.jobs import JobExecutor
 
-    serial = _search()
+    serial = _tuner()
     serial.run(n_trials=3, seed=0)
 
-    proc = _search()
+    proc = _tuner()
     job = proc.run_parallel(
         n_trials=3, executor=JobExecutor(max_workers=4),
         max_inflight=2, seed=0, placement="process",
@@ -589,13 +646,84 @@ def test_search_process_placement_matches_serial_front():
     # A landed parallel sweep is final: it released its training windows,
     # so a later probe or sweep is refused by name (not with a shape
     # error) and the results stay served.  The serial sweep keeps its data.
-    probe = {k: v for k, v in proc.baseline.model_spec.items()
-             if k.startswith("compress.")}
-    for again in (lambda: proc.evaluate_spec(probe, seed=0),
-                  lambda: proc.run(n_trials=1, seed=1)):
+    assert proc.trials[0] is proc.baseline_trial()
+    dsp, model = proc.space.baseline()
+    for again in (lambda: proc.evaluate_config(dsp, model, seed=0),
+                  lambda: proc.run(n_trials=4, seed=1)):
         with pytest.raises(RuntimeError, match="released its training"):
             again()
-    assert proc.front() == serial.front() and proc.best() == serial.best()
+    assert proc.front() == serial.front()
+    assert proc.smallest_within() == serial.smallest_within()
     n_before = len(serial.trials)
-    serial.evaluate_spec(probe, seed=0)
+    serial.evaluate_config(dsp, model, seed=0)
     assert len(serial.trials) == n_before + 1
+
+
+def test_compress_request_thread_trains_nothing(monkeypatch):
+    """POST /compress answers with every trial, the baseline included,
+    queued as a child job: nothing trains in the request thread."""
+    from repro.core import Platform
+    from repro.nn import Trainer
+
+    fit_threads = []
+    fit = Trainer.fit
+
+    def recording_fit(self, *args, **kwargs):
+        fit_threads.append(threading.get_ident())
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trainer, "fit", recording_fit)
+    plat = Platform()
+    plat.register_user("ops")
+    gw = plat.gateway
+    pid = gw.handle("POST", "/v1/projects", {"name": "cmp"},
+                    user="ops")["data"]["project_id"]
+    _project_with_data(plat, pid)
+    r = gw.handle("POST", f"/v1/projects/{pid}/compress",
+                  {"n_trials": 2, "epochs": 1, "seed": 3}, user="ops")
+    assert r["status"] == 200, r
+    assert r["data"]["trials_total"] == 2
+    job = plat.get_project(pid).jobs.get(r["data"]["job_id"]).wait(timeout=300.0)
+    assert job.status == "succeeded", job.error
+    assert len(fit_threads) == 2
+    assert threading.get_ident() not in fit_threads
+
+    tuner = plat.get_project(pid).tuners[job.job_id]
+    assert tuner.trials[0] is tuner.baseline_trial()
+    r = gw.handle("GET", f"/v1/projects/{pid}/compress/{job.job_id}", {},
+                  user="ops")
+    assert [row for row in r["data"]["front"] if row["baseline"]]
+
+    # A DSP x model sweep is not a compression sweep.
+    from repro.automl import kws_search_space
+
+    tuner.space = kws_search_space()
+    r = gw.handle("GET", f"/v1/projects/{pid}/compress/{job.job_id}", {},
+                  user="ops")
+    assert r["status"] == 404
+
+
+def test_compress_constraints_screen_every_trial():
+    """Constraint keys reach the sweep: under an impossible RAM budget
+    every trial, the baseline included, is screened out untrained."""
+    from repro.core import Platform
+
+    plat = Platform()
+    plat.register_user("ops")
+    gw = plat.gateway
+    pid = gw.handle("POST", "/v1/projects", {"name": "cmp"},
+                    user="ops")["data"]["project_id"]
+    _project_with_data(plat, pid)
+    r = gw.handle("POST", f"/v1/projects/{pid}/compress",
+                  {"n_trials": 2, "max_ram_kb": 0.001}, user="ops")
+    assert r["status"] == 200, r
+    jid = r["data"]["job_id"]
+    r = gw.handle("GET", f"/v1/projects/{pid}/compress/{jid}",
+                  {"wait_s": 120.0}, user="ops")
+    data = r["data"]
+    assert data["job_status"] == "succeeded"
+    assert data["trials_completed"] == 2
+    assert data["front"] == [] and data["best"] is None
+    tuner = plat.get_project(pid).tuners[jid]
+    assert tuner.constraints.max_ram_kb == 0.001
+    assert not any(t.trained for t in tuner.trials)
