@@ -22,7 +22,6 @@ from repro.analysis.verify import (
     check_topology,
     verify_graph,
     verify_graph_or_raise,
-    verify_plan,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "lint_platform",
     "verify_graph",
     "verify_graph_or_raise",
-    "verify_plan",
 ]

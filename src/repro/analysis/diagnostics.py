@@ -44,7 +44,7 @@ CODES: dict[str, tuple[str, str]] = {
     # -- graph verifier: liveness --
     "G030": ("warning", "dead op (output unreachable from graph output)"),
     "G031": ("warning", "activation tensor never read or written"),
-    "G040": ("error", "plan reads an activation after it is freed"),
+    "G040": ("error", "op reads a tensor outside its lifetime window"),
     "G041": ("error", "arena assigns overlapping memory to live tensors"),
     # -- platform linter --
     "L001": ("error", "guarded attribute accessed outside its lock"),

@@ -12,9 +12,7 @@ problem.  It subsumes the legacy ``Graph.validate()`` structural checks
   same-scale ops);
 - liveness (dead ops, unreachable tensors) and an arena cross-check
   against ``Graph.lifetimes()`` / the arena planner's no-overlap
-  invariant;
-- :func:`verify_plan` additionally re-simulates a compiled plan's
-  release schedule, proving no step reads an already-freed activation.
+  invariant.
 
 ``compile_plan`` runs :func:`verify_graph` on every cold compile (the
 ``verify=False`` opt-out skips it) and ``graph_from_bytes`` runs it on
@@ -337,40 +335,6 @@ def check_arena(graph: Graph, plan=None) -> Report:
             tensor_id=a,
             hint="the arena planner must re-run after any lifetime change",
         )
-    return report
-
-
-def verify_plan(plan) -> Report:
-    """Re-simulate a :class:`repro.runtime.executor.CompiledPlan`'s
-    release schedule over its steps and prove no step reads a freed
-    activation.
-
-    This is the post-compile guard: a release schedule out of step with
-    the plan (a conv step that absorbed a pool runs two ops) is exactly
-    the bug class that corrupts results silently.
-    """
-    graph = plan.graph
-    report = Report(subject=f"{graph.name} (compiled plan)")
-    live = {graph.input_id}
-    for si, (step, dead) in enumerate(zip(plan.steps, plan._release)):
-        for t in step.reads:
-            if t not in live:
-                report.add(
-                    "G040",
-                    f"plan step {si} ({step.opcode}) reads tensor {t}, "
-                    f"which was already freed",
-                    tensor_id=t,
-                    hint="recompute the release schedule from graph.lifetimes()",
-                )
-        live.add(step.out_id)
-        for t in dead:
-            if t == graph.output_id:
-                report.add(
-                    "G040",
-                    f"plan step {si} frees the graph output tensor {t}",
-                    tensor_id=t,
-                )
-            live.discard(t)
     return report
 
 

@@ -447,7 +447,8 @@ class EonTuner:
     def run_parallel(
         self,
         n_trials: int = 12,
-        executor=None,
+        *,
+        executor,
         max_inflight: int = 4,
         seed: int = 0,
         retries: int = 0,
@@ -477,16 +478,12 @@ class EonTuner:
         that child job with ``WorkerDied``; the job's ``retries`` budget
         re-runs it on a freshly-spawned (re-primed) worker.
         """
-        from repro.core.jobs import JobExecutor
-
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if placement not in ("thread", "process"):
             raise ValueError(
                 f"unknown placement {placement!r}; expected 'thread' or 'process'"
             )
-        if executor is None:
-            executor = JobExecutor(max_workers=max(2, max_inflight))
         planned = self._sample_plan(n_trials, seed)
         total = len(planned)
         pool = None
@@ -508,7 +505,6 @@ class EonTuner:
                 parent.log(f"trial {child.name}: {child.status} [{done}/{total}]")
 
         def finalize(parent, children):
-            executor.clear_group_limit(f"tuner-{parent.job_id}")
             if pool is not None:
                 pool.close()
             self.release()
@@ -536,9 +532,8 @@ class EonTuner:
             finalize=finalize,
             on_child_done=on_child_done,
             fail_on_child_failure=True,
+            max_inflight=max_inflight,
         )
-        group = f"tuner-{parent.job_id}"
-        executor.set_group_limit(group, max_inflight)
         for i, (dsp_spec, model_spec, trial_seed) in enumerate(planned):
             def _trial(job, dsp_spec=dsp_spec, model_spec=model_spec,
                        trial_seed=trial_seed):
@@ -558,8 +553,7 @@ class EonTuner:
                 return TunerTrial(**result["trial"])
 
             executor.submit(
-                f"tuner-trial-{i}", _trial, retries=retries,
-                parent=parent, group=group,
+                f"tuner-trial-{i}", _trial, retries=retries, parent=parent,
             )
         executor.seal_parent(parent)
         return parent

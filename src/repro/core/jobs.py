@@ -22,9 +22,10 @@ rollouts) are modelled as **parent jobs** with child jobs:
 - :meth:`JobExecutor.spawn_parent` creates a coordinator job that never
   occupies a worker thread — it completes when all of its children are
   terminal (so a fleet of parents can never deadlock the pool);
-- children are submitted with ``parent=`` and optionally a ``group=``
-  whose in-flight concurrency is capped via :meth:`set_group_limit`
-  (the per-job-group quota of the hosted cluster);
+- children are submitted with ``parent=``; a parent spawned with
+  ``max_inflight=N`` runs at most ``N`` of its children at once (the
+  per-workload quota of the hosted cluster) — the claim loop passes
+  over a capped parent's queued children, so unrelated jobs still run;
 - cancelling a parent cascades to every descendant: queued children are
   cancelled outright, running children drain cooperatively, and the
   parent finishes once the last child is terminal;
@@ -48,6 +49,9 @@ from typing import Callable
 
 #: Terminal job states — once reached, a job's status never changes again.
 TERMINAL_STATES = ("succeeded", "failed", "cancelled")
+
+#: Autoscaler decisions :attr:`JobExecutor.scaling_events` retains.
+MAX_SCALING_EVENTS = 1024
 
 
 class UnknownJobError(KeyError):
@@ -88,7 +92,6 @@ class Job:
     started_at: float | None = None
     ended_at: float | None = None
     parent_id: int | None = None
-    group: str | None = None
     children: list[int] = field(default_factory=list)
     #: What a journal needs to resubmit the job after a restart (or None).
     spec: dict | None = None
@@ -105,6 +108,8 @@ class Job:
         self._finalize: Callable[["Job", list["Job"]], object] | None = None
         self._on_child_done: Callable[["Job", "Job"], None] | None = None
         self._fail_on_child_failure = True
+        self._max_inflight: int | None = None  # cap on running children
+        self._running_children = 0
 
     # -- worker-side hooks --------------------------------------------------
 
@@ -202,10 +207,10 @@ class JobExecutor:
         self._tick = 0  # guarded-by: _cond
         self._running = 0  # guarded-by: _cond
         self.workers = 0  # guarded-by: _cond (live worker threads)
-        self.scaling_events: list[ScalingEvent] = []  # guarded-by: _cond
+        # The autoscaler trace keeps the newest decisions only: a
+        # long-lived executor scales up and down on every idle gap.
+        self.scaling_events = deque(maxlen=MAX_SCALING_EVENTS)  # guarded-by: _cond
         self._shutdown = False  # guarded-by: _cond
-        self._group_limits: dict[str, int] = {}  # guarded-by: _cond
-        self._group_running: dict[str, int] = {}  # guarded-by: _cond
         # Optional lifecycle journal (the durable control plane sets one
         # per project executor): ``job_begun(job)`` for every job this
         # executor creates, ``job_done(job)`` once when it lands — both
@@ -220,15 +225,14 @@ class JobExecutor:
         fn: Callable[[Job], object],
         retries: int = 0,
         parent: "Job | int | None" = None,
-        group: str | None = None,
         spec: dict | None = None,
     ) -> Job:
         """Queue a job; returns immediately with the (queued) Job.
 
         ``parent`` links the job under a coordinator created with
-        :meth:`spawn_parent`; ``group`` subjects it to that group's
-        in-flight cap (see :meth:`set_group_limit`); ``spec`` rides on
-        the job for the journal (what a restart needs to resubmit it).
+        :meth:`spawn_parent` (and subjects it to that parent's
+        ``max_inflight`` cap); ``spec`` rides on the job for the journal
+        (what a restart needs to resubmit it).
         """
         with self._cond:
             if self._shutdown:
@@ -237,7 +241,7 @@ class JobExecutor:
             job = Job(
                 job_id=self._next_id, name=name, fn=fn, max_retries=retries,
                 parent_id=parent_job.job_id if parent_job else None,
-                group=group, spec=spec,
+                spec=spec,
             )
             self._next_id += 1
             self.jobs[job.job_id] = job
@@ -273,6 +277,7 @@ class JobExecutor:
         finalize: Callable[[Job, list[Job]], object] | None = None,
         on_child_done: Callable[[Job, Job], None] | None = None,
         fail_on_child_failure: bool = True,
+        max_inflight: int | None = None,
     ) -> Job:
         """Create a coordinator job for a family of child jobs.
 
@@ -283,10 +288,13 @@ class JobExecutor:
         children)`` computes the parent's result; raising inside it fails
         the parent.  ``on_child_done(parent, child)`` fires once per child
         as it lands (outside the executor lock, so it may submit further
-        children for staged workloads).  Callers MUST eventually call
-        :meth:`seal_parent` or :meth:`cancel`, else the parent never
-        completes.
+        children for staged workloads).  ``max_inflight`` caps how many
+        of its children run at once (None: no cap).  Callers MUST
+        eventually call :meth:`seal_parent` or :meth:`cancel`, else the
+        parent never completes.
         """
+        if max_inflight is not None and max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
@@ -302,6 +310,7 @@ class JobExecutor:
             job._finalize = finalize
             job._on_child_done = on_child_done
             job._fail_on_child_failure = fail_on_child_failure
+            job._max_inflight = max_inflight
             self.jobs[job.job_id] = job
             if parent_job is not None:
                 parent_job.children.append(job.job_id)
@@ -324,23 +333,6 @@ class JobExecutor:
             job._sealed = True
             notes.append(("check", job.job_id))
         self._process_notes(notes)
-
-    def set_group_limit(self, group: str, max_inflight: int) -> None:
-        """Cap how many jobs of ``group`` may run concurrently."""
-        if max_inflight < 1:
-            raise ValueError("group limit must be >= 1")
-        with self._cond:
-            self._group_limits[group] = max_inflight
-            self._cond.notify_all()
-
-    def clear_group_limit(self, group: str) -> None:
-        """Drop a group's cap + counters (call once the group's jobs are
-        all terminal, e.g. from a parent finalizer) so per-workload
-        groups don't accumulate forever."""
-        with self._cond:
-            self._group_limits.pop(group, None)
-            self._group_running.pop(group, None)
-            self._cond.notify_all()
 
     def children(self, job_id: int) -> list[Job]:
         """The child jobs of ``job_id``, in submission order."""
@@ -376,16 +368,16 @@ class JobExecutor:
     # -- worker loop --------------------------------------------------------
 
     def _claim_locked(self) -> Job | None:
-        """Pop the first pending job whose group is under its cap."""
+        """Pop the first pending job whose parent is under its cap."""
         for jid in list(self._pending):
             job = self.jobs[jid]
             if job.status != "queued":  # cancelled while pending
                 self._pending.remove(jid)
                 continue
-            if job.group is not None:
-                limit = self._group_limits.get(job.group)
-                if limit is not None and self._group_running.get(job.group, 0) >= limit:
-                    continue  # group at capacity — leave in order, look on
+            parent = self.jobs.get(job.parent_id)
+            if (parent is not None and parent._max_inflight is not None
+                    and parent._running_children >= parent._max_inflight):
+                continue  # parent at capacity — leave in order, look on
             self._pending.remove(jid)
             return job
         return None
@@ -408,15 +400,14 @@ class JobExecutor:
                 job.started_at = time.time()
                 job.attempts += 1
                 self._running += 1
-                if job.group is not None:
-                    self._group_running[job.group] = (
-                        self._group_running.get(job.group, 0) + 1
-                    )
+                parent = self.jobs.get(job.parent_id)
+                if parent is not None:
+                    parent._running_children += 1
             notes = self._run_one(job)
             with self._cond:
                 self._running -= 1
-                if job.group is not None and job.group in self._group_running:
-                    self._group_running[job.group] -= 1
+                if parent is not None:
+                    parent._running_children -= 1
                 self._cond.notify_all()
             self._process_notes(notes)
 

@@ -260,7 +260,8 @@ class WorkerPool:
     Workers spawn lazily on first checkout.  ``initializer(handle)``
     runs once per worker *lifetime* (so a respawned worker is re-primed
     — e.g. the tuner pool re-sends its dataset).  ``restarts`` counts
-    replaced workers.
+    replaced workers; :meth:`workers` lists the current ones, checked
+    out or not.
     """
 
     def __init__(self, size: int, initializer=None, name: str = "pool",
@@ -274,6 +275,7 @@ class WorkerPool:
         self.restarts = 0  # guarded-by: _cond
         self._cond = threading.Condition()
         self._free: list[WorkerHandle] = []  # guarded-by: _cond
+        self._workers: list[WorkerHandle] = []  # guarded-by: _cond (spawned, not yet discarded)
         self._spawned = 0  # guarded-by: _cond (live + being-spawned slots)
         self._closed = False  # guarded-by: _cond
 
@@ -301,8 +303,7 @@ class WorkerPool:
                     if handle.alive:
                         return handle
                     # Discard the corpse; its slot frees up for a respawn.
-                    self._spawned -= 1
-                    self.restarts += 1
+                    self._discard_locked(handle)
                 if self._spawned < self.size:
                     self._spawned += 1
                     index = self._spawned + self.restarts
@@ -314,25 +315,38 @@ class WorkerPool:
                 if not self._cond.wait(timeout=remaining):
                     raise TimeoutError(f"no free worker in pool {self.name}")
         try:
-            return self._spawn(index)
+            handle = self._spawn(index)
         except BaseException:
             with self._cond:
                 self._spawned -= 1
                 self._cond.notify()
             raise
+        with self._cond:
+            self._workers.append(handle)
+        return handle
+
+    def _discard_locked(self, handle: WorkerHandle) -> None:
+        self._spawned -= 1
+        self._workers.remove(handle)
+        if not self._closed:
+            self.restarts += 1
 
     def release(self, handle: WorkerHandle) -> None:
         with self._cond:
             discard = self._closed or not handle.alive
             if discard:
-                self._spawned -= 1
-                if not self._closed:
-                    self.restarts += 1
+                self._discard_locked(handle)
             else:
                 self._free.append(handle)
             self._cond.notify()
         if discard:
             handle.close()
+
+    def workers(self) -> list[WorkerHandle]:
+        """The pool's current workers, free or checked out (a dead one
+        stays listed until the pool discards it); never spawns."""
+        with self._cond:
+            return list(self._workers)
 
     def run(self, method: str, params: dict | None = None, blobs: tuple = (),
             timeout: float | None = 600.0):
@@ -350,7 +364,8 @@ class WorkerPool:
             self._closed = True
             stragglers = list(self._free)
             self._free.clear()
-            self._spawned -= len(stragglers)
+            for handle in stragglers:
+                self._discard_locked(handle)
             self._cond.notify_all()
         for handle in stragglers:
             handle.close()

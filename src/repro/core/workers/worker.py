@@ -163,7 +163,9 @@ class WorkerServer:
         model_id = int(params["model_id"])
         entry = self._models.get(model_id)
         if entry is None:
-            raise ValueError(f"model {model_id} is not loaded in this worker")
+            # LookupError: the parent tells an evicted model (reload it)
+            # from a bad request by the exception type.
+            raise LookupError(f"model {model_id} is not loaded in this worker")
         self._models.move_to_end(model_id)
         if not blobs:
             raise ValueError("classify needs the feature blob")

@@ -301,13 +301,13 @@ class DeviceFleet:
                 return {"device_id": did, "version": image.version}
             return _run
 
-        def _submit_device(parent, group, did):
+        def _submit_device(parent, did):
             # The device id travels in the job name: on_child_done may run
             # (on a worker thread) before submit() even returns, so a
             # side-table keyed by job id would race.
             executor.submit(
                 f"ota-flash:{did}", _flash_fn(did),
-                retries=retries_per_device, parent=parent, group=group,
+                retries=retries_per_device, parent=parent,
             )
 
         def _rollback(did) -> None:
@@ -425,11 +425,10 @@ class DeviceFleet:
                 f"{len(rest)} remaining device(s)"
             )
             for did2 in rest:
-                _submit_device(parent, group, did2)
+                _submit_device(parent, did2)
             executor.seal_parent(parent)
 
         def finalize(parent, children):
-            executor.clear_group_limit(f"rollout-{parent.job_id}")
             if "error" in state:
                 raise state["error"]
             report = state["report"]
@@ -453,10 +452,9 @@ class DeviceFleet:
                 finalize=finalize,
                 on_child_done=on_child_done,
                 fail_on_child_failure=False,
+                max_inflight=max_inflight,
             )
             self._active_rollout = parent
-        group = f"rollout-{parent.job_id}"
-        executor.set_group_limit(group, max_inflight)
         parent.log(
             f"rollout of {image.version}: canary={canary or '[]'} "
             f"then {len(rest)} device(s), abort above "
@@ -466,7 +464,7 @@ class DeviceFleet:
             executor.seal_parent(parent)
             return parent
         for did in canary:
-            _submit_device(parent, group, did)
+            _submit_device(parent, did)
         # Stage 2 is submitted (or abandoned) by the canary barrier in
         # on_child_done; the parent is sealed there.
         return parent

@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.jobs import Job, JobExecutor
+from repro.core.jobs import Job
 
 
 class MonitorDaemon:
     """Periodic sweep scheduler over a :class:`MonitorService`."""
 
-    def __init__(self, service, interval_s: float = 5.0,
-                 executor: JobExecutor | None = None):
+    def __init__(self, service, interval_s: float = 5.0):
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
         self.service = service
         self.interval_s = interval_s
-        self.executor = executor or service.jobs
         self.sweeps: list[Job] = []
         self.max_retained_sweeps = 64  # the daemon runs forever; jobs pin logs
         self.ticks = 0
@@ -37,7 +35,7 @@ class MonitorDaemon:
 
     def tick(self, wait: bool = True, timeout: float | None = 30.0) -> Job:
         """Submit one monitoring sweep; by default wait for it."""
-        job = self.executor.submit(
+        job = self.service.jobs.submit(
             "monitor-sweep", lambda j: self.service.evaluate_all(job=j)
         )
         self.ticks += 1

@@ -74,11 +74,10 @@ class ProjectMonitor:
 class MonitorService:
     """Fleet-wide telemetry + drift detection + the closed retrain loop."""
 
-    def __init__(self, platform, executor: JobExecutor | None = None,
-                 window: int = 4096, raw_window: int = 256):
+    def __init__(self, platform, window: int = 4096, raw_window: int = 256):
         self.platform = platform
         self.telemetry = TelemetryStore(window=window, raw_window=raw_window)
-        self.jobs = executor or JobExecutor()
+        self.jobs = JobExecutor()
         self._monitors: dict[int, ProjectMonitor] = {}
         self._lock = threading.Lock()
         self._next_alert_id = 1

@@ -505,7 +505,7 @@ def _acquire_buffer(nbytes: int) -> _Buffer:
     return buf
 
 
-def _release_buffer(buf: _Buffer) -> None:
+def _return_buffer(buf: _Buffer) -> None:
     if buf.data.nbytes <= ARENA_RETAIN_BYTES:
         with _idle_lock:
             if len(_idle) < _IDLE_BUFFERS:
@@ -515,12 +515,11 @@ def _release_buffer(buf: _Buffer) -> None:
 class CompiledPlan:
     """A straight-line executable plan over a graph.
 
-    Holds the bound :class:`PlanStep` list plus, per step, the activation
-    tensor ids whose step lifetime ends at that step (their arena slot is
-    free for later tensors from the next step on).  Closures snapshot
-    weights at compile time (int8 weights are pre-cast to the kernels'
-    accumulator dtype), so editing a tensor's ``data`` afterwards
-    requires recompiling the plan.
+    Holds the bound :class:`PlanStep` list; :meth:`lifetimes` gives each
+    activation's first and last step, which the arena planner turns into
+    buffer offsets.  Closures snapshot weights at compile time (int8
+    weights are pre-cast to the kernels' accumulator dtype), so editing a
+    tensor's ``data`` afterwards requires recompiling the plan.
     """
 
     def __init__(self, graph: Graph, verify: bool = True):
@@ -537,14 +536,6 @@ class CompiledPlan:
             graph.validate()
         self.graph = graph
         self.steps = _bind_steps(graph, graph.lifetimes())
-        # Dead-activation schedule: tensor ids whose slot is free after
-        # each step, which ``verify_plan`` (G040) re-simulates; execution
-        # needs none, the arena already reuses dead slots.  The graph
-        # output lives past the last step, so it is never scheduled.
-        self._release: list[list[int]] = [[] for _ in self.steps]
-        for tid, (_, last) in self.lifetimes().items():
-            if tid != graph.output_id:
-                self._release[last].append(tid)
         self._arena = None
         self._scratch = None
         self._serial = next(_serials)
@@ -635,7 +626,7 @@ class CompiledPlan:
                 step.fn(views, out, s)
             return views[graph.output_id].copy()
         finally:
-            _release_buffer(buf)
+            _return_buffer(buf)
 
 
 def _nbytes(shape, dtype) -> int:

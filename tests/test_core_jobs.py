@@ -5,7 +5,12 @@ import time
 
 import pytest
 
-from repro.core.jobs import JobCancelled, JobExecutor, UnknownJobError
+from repro.core.jobs import (
+    MAX_SCALING_EVENTS,
+    JobCancelled,
+    JobExecutor,
+    UnknownJobError,
+)
 
 
 def test_job_lifecycle():
@@ -206,12 +211,33 @@ def test_shutdown_rejects_new_work():
         q.submit("late", lambda j: None)
 
 
-# -- parent/child jobs + group caps -----------------------------------------
+def test_scaling_trace_is_bounded_with_the_newest_event_last():
+    """Every idle -> busy -> idle cycle records a scale-up and a
+    scale-down; a long-lived executor keeps only the newest decisions."""
+    q = JobExecutor(idle_grace_s=0.0)
+    cycles = MAX_SCALING_EVENTS // 2 + 50
+    for i in range(cycles):
+        q.submit(f"j{i}", lambda j: None).wait(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while q.workers and time.monotonic() < deadline:
+            time.sleep(0.0005)  # let the idle worker scale down
+    assert len(q.scaling_events) == MAX_SCALING_EVENTS
+    with q._cond:
+        newest = q._tick
+    last = q.scaling_events[-1]
+    assert last.tick == newest and last.workers == 0
+    assert [e.tick for e in q.scaling_events] == sorted(
+        e.tick for e in q.scaling_events
+    )
+
+
+# -- parent/child jobs + parent caps ----------------------------------------
 
 
 def test_group_limit_caps_concurrency():
+    """A parent's ``max_inflight`` caps how many of its children run."""
     q = JobExecutor(max_workers=6, jobs_per_worker=1)
-    q.set_group_limit("g", 2)
+    parent = q.spawn_parent("capped", max_inflight=2)
     lock = threading.Lock()
     state = {"now": 0, "peak": 0}
 
@@ -223,25 +249,35 @@ def test_group_limit_caps_concurrency():
         with lock:
             state["now"] -= 1
 
-    jobs = [q.submit(f"j{i}", work, group="g") for i in range(6)]
+    jobs = [q.submit(f"j{i}", work, parent=parent) for i in range(6)]
+    q.seal_parent(parent)
     q.drain(timeout=10.0)
     assert all(j.status == "succeeded" for j in jobs)
+    assert parent.status == "succeeded"
     assert state["peak"] <= 2
 
 
 def test_grouped_and_ungrouped_jobs_coexist():
-    """A capped group must not starve jobs outside the group."""
+    """A capped parent must not starve jobs outside its family."""
     q = JobExecutor(max_workers=4, jobs_per_worker=1)
-    q.set_group_limit("slow", 1)
+    parent = q.spawn_parent("slow", max_inflight=1)
     gate = threading.Event()
-    slow = [q.submit(f"s{i}", lambda j: gate.wait(timeout=5.0), group="slow")
+    slow = [q.submit(f"s{i}", lambda j: gate.wait(timeout=5.0), parent=parent)
             for i in range(3)]
+    q.seal_parent(parent)
     free = q.submit("free", lambda j: "ran")
     free.wait(timeout=5.0)
-    assert free.status == "succeeded"  # while the slow group is capped
+    assert free.status == "succeeded"  # while the slow parent is capped
+    assert sum(1 for j in slow if j.status == "running") == 1
     gate.set()
     q.drain(timeout=10.0)
     assert all(j.status == "succeeded" for j in slow)
+    assert parent.status == "succeeded"
+
+
+def test_parent_cap_must_be_positive():
+    with pytest.raises(ValueError, match="max_inflight"):
+        JobExecutor().spawn_parent("p", max_inflight=0)
 
 
 def test_parent_aggregates_children():

@@ -1,6 +1,7 @@
 """Distributed EON Tuner trials: serial/parallel equivalence, cancellation
 hygiene, and concurrency stress against one shared JobExecutor."""
 
+import functools
 import threading
 
 import numpy as np
@@ -45,7 +46,8 @@ def _assert_released(tuner):
     """However a parallel search landed, the tuner holds no training
     windows or DSP features, and says so instead of failing on a shape."""
     assert tuner.raw is None and tuner._feature_cache == {}
-    for search in (tuner.run, tuner.run_parallel):
+    for search in (tuner.run,
+                   functools.partial(tuner.run_parallel, executor=JobExecutor())):
         with pytest.raises(RuntimeError, match="released its training windows"):
             search(n_trials=len(tuner.trials) + 1)
 

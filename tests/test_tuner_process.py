@@ -105,7 +105,9 @@ def test_landed_search_pins_no_training_data(placement):
 
 def test_bad_placement_rejected():
     with pytest.raises(ValueError, match="placement"):
-        _tiny_tuner().run_parallel(n_trials=1, placement="gpu")
+        _tiny_tuner().run_parallel(
+            n_trials=1, executor=JobExecutor(), placement="gpu"
+        )
 
 
 def test_worker_death_mid_search_is_retried_and_stays_bit_identical(monkeypatch):
