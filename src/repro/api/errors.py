@@ -11,11 +11,15 @@ from __future__ import annotations
 
 
 class ApiError(Exception):
-    """Raised for client errors; carries an HTTP-like status code."""
+    """Raised for client errors; carries an HTTP-like status code and,
+    for a refusal the caller may retry (429, 503), the ``retry_after_s``
+    hint the envelope and the ``Retry-After`` HTTP header expose."""
 
-    def __init__(self, status: int, message: str):
+    def __init__(self, status: int, message: str,
+                 retry_after_s: float | None = None):
         super().__init__(message)
         self.status = status
+        self.retry_after_s = retry_after_s
 
 
 class NotFoundError(ApiError):
@@ -33,13 +37,12 @@ class AuthError(ApiError):
 
 
 class RateLimitedError(ApiError):
-    """Token bucket exhausted; carries the retry hint the envelope and
-    the ``Retry-After`` HTTP header expose."""
+    """Token bucket exhausted; carries its retry hint."""
 
     def __init__(self, user: str, retry_after_s: float):
         super().__init__(
             429,
             f"rate limit exceeded for {user!r}; "
             f"retry in {retry_after_s:.2f}s",
+            retry_after_s=retry_after_s,
         )
-        self.retry_after_s = retry_after_s

@@ -18,6 +18,9 @@ payloads under ``data`` so they can never collide with
     {"status": 200, "data": {...}}
     {"status": 429, "error": "...", "retry_after_s": 0.31}
 
+(``retry_after_s`` is set on any error carrying a retry hint: a rate
+limit's 429, a shed classify's 503.)
+
 Error statuses: :class:`ApiError` carries its own; the typed lookups
 ``UnknownJobError``/``UnknownProjectError`` map to 404 and
 ``PermissionError`` to 403.  Anything else escaping a handler is a
@@ -31,7 +34,7 @@ import threading
 from typing import Iterator
 
 from repro.api.context import Request
-from repro.api.errors import ApiError, NotFoundError, RateLimitedError
+from repro.api.errors import ApiError, NotFoundError
 from repro.api.middleware import (
     AuthMiddleware,
     MetricsMiddleware,
@@ -132,8 +135,9 @@ class ApiGateway:
                 raise exc  # KeyboardInterrupt/SystemExit must propagate
             return {"status": 500, "error": f"{type(exc).__name__}: {exc}"}
         envelope = {"status": status, "error": str(exc)}
-        if isinstance(exc, RateLimitedError):
-            envelope["retry_after_s"] = round(exc.retry_after_s, 3)
+        retry_after_s = getattr(exc, "retry_after_s", None)
+        if retry_after_s is not None:
+            envelope["retry_after_s"] = round(retry_after_s, 3)
         return envelope
 
     # -- public surfaces ---------------------------------------------------

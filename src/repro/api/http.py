@@ -20,6 +20,10 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 from repro.api.errors import NotFoundError
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds a keep-alive connection may sit idle between requests before
+#: its handler thread hangs up.  It bounds socket waits only: a long-poll
+#: or a log stream waits inside the handler, not on the socket.
+KEEPALIVE_IDLE_S = 30.0
 
 
 class GatewayRequestHandler(BaseHTTPRequestHandler):
@@ -34,6 +38,10 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     # The owning GatewayHTTPServer sets this.
     gateway = None
+
+    def setup(self):
+        self.timeout = KEEPALIVE_IDLE_S  # read per connection, not at import
+        super().setup()
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request metrics live in the gateway, not stderr
@@ -56,9 +64,9 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             # Unparseable or negative (``rfile.read(-1)`` would wait for
             # EOF): the body's extent is unknown, so the connection
             # cannot be reused either.
-            self.close_connection = True
             self._send_json(
-                {"status": 400, "error": "malformed Content-Length header"}
+                {"status": 400, "error": "malformed Content-Length header"},
+                close=True,
             )
             return None
         if length == 0:
@@ -66,8 +74,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             # The oversized body is left unread, so this connection
             # cannot be reused for a further request.
-            self.close_connection = True
-            self._send_json({"status": 413, "error": "request body too large"})
+            self._send_json({"status": 413, "error": "request body too large"},
+                            close=True)
             return None
         raw = self.rfile.read(length)
         try:
@@ -84,12 +92,16 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             return None
         return body
 
-    def _send_json(self, envelope: dict) -> None:
+    def _send_json(self, envelope: dict, close: bool = False) -> None:
+        """Send ``envelope``; ``close`` ends the connection after it, and
+        says so, so a pooling client does not reuse it."""
         status = int(envelope.get("status", 500))
         data = json.dumps(envelope).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         if "retry_after_s" in envelope:
             self.send_header("Retry-After",
                              str(max(1, round(envelope["retry_after_s"]))))

@@ -24,7 +24,7 @@ _ENVELOPE_SCHEMA = {
         "data": {"type": "object", "description": "handler payload"},
         "error": {"type": "string", "description": "set on failures"},
         "retry_after_s": {"type": "number",
-                          "description": "set on 429 responses"},
+                          "description": "set on 429 and 503 responses"},
     },
     "required": ["status"],
 }
@@ -139,8 +139,9 @@ def render_markdown(router: Router) -> str:
         "> in `src/repro/api/resources/` — do not edit by hand.",
         "",
         "All endpoints return the JSON envelope `{\"status\": int, \"data\":"
-        " {...}}` (or `{\"status\": int, \"error\": \"...\"}`; 429s add"
-        " `retry_after_s`).  Routes marked **auth** require an API token"
+        " {...}}` (or `{\"status\": int, \"error\": \"...\"}`; 429s and"
+        " 503s add `retry_after_s`, also sent as `Retry-After`).  Routes"
+        " marked **auth** require an API token"
         " (`Authorization: Bearer <token>`) over HTTP.  Paginated listings"
         " accept `limit` (default 50, max 200) and `offset`, and return"
         " `total`.",

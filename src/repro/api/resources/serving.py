@@ -21,9 +21,12 @@ import numpy as np
 from repro.api.errors import ApiError
 from repro.api.router import Route
 from repro.api.schemas import Field, Schema
-from repro.serve import ModelNotTrainedError, ServingError
+from repro.serve import ModelNotTrainedError, ServingError, ServingOverloadedError
 
 _PAYLOAD_KEYS = ("features", "batch", "features_b64", "batch_b64")
+#: ``retry_after_s`` of a shed (queue-full) classify: a fixed hint, not
+#: yet derived from queue depth and recent batch time.
+OVERLOAD_RETRY_AFTER_S = 1.0
 
 
 def _unpack(key: str, text: str, rows: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -103,6 +106,8 @@ def classify(ctx) -> dict:
         }
     except ModelNotTrainedError as exc:
         raise ApiError(409, str(exc))
+    except ServingOverloadedError as exc:
+        raise ApiError(503, str(exc), retry_after_s=OVERLOAD_RETRY_AFTER_S)
     except ServingError as exc:
         raise ApiError(400, str(exc))
 

@@ -1,20 +1,21 @@
 """Python client SDK for the HTTP gateway (stdlib only).
 
-:class:`Client` speaks the v1 envelope over a real socket — retries with
-exponential backoff on connection errors and 5xx/429s, long-poll job
-waiting, and chunked log following::
+:class:`Client` speaks the v1 envelope over pooled keep-alive
+connections (see the last paragraph) — retries with exponential backoff
+on connection errors and 5xx/429s, long-poll job waiting, and chunked
+log following::
 
     from repro.client import Client
 
-    client = Client("http://127.0.0.1:8080", token="ei_...")
-    pid = client.create_project("kws")["project_id"]
-    client.upload_data(pid, wav_bytes, label="yes", fmt="wav")
-    client.set_impulse(pid, impulse_spec)
-    jid = client.train(pid)["job_id"]
-    for line in client.stream_logs(pid, jid):
-        print(line)
-    job = client.wait_job(pid, jid)
-    result = client.classify(pid, features)
+    with Client("http://127.0.0.1:8080", token="ei_...") as client:
+        pid = client.create_project("kws")["project_id"]
+        client.upload_data(pid, wav_bytes, label="yes", fmt="wav")
+        client.set_impulse(pid, impulse_spec)
+        jid = client.train(pid)["job_id"]
+        for line in client.stream_logs(pid, jid):
+            print(line)
+        job = client.wait_job(pid, jid)
+        result = client.classify(pid, features)
 
 ``classify`` puts feature windows on the wire packed: base64 of
 little-endian float32 in ``features_b64`` / ``batch_b64`` + ``rows``
@@ -27,19 +28,37 @@ either way.  Lists, tuples, ``array.array``, numpy arrays (via their
 windows all pack.  Input that cannot be packed — a non-numeric cell,
 ragged rows, a double beyond float32 range — is sent in the list form
 unchanged, so the server's 400 is the message the caller reads.
+
+A client keeps its connections.  A call checks out an idle keep-alive
+HTTP/1.1 connection (or opens one, ``TCP_NODELAY`` set), sends head and
+body in one send, reads the reply to its last byte and puts the
+connection back — unless the reply said ``Connection: close``.  Threads
+sharing one client each get their own connection.  The gateway drops a
+connection that idles for ``repro.api.http.KEEPALIVE_IDLE_S``; a pooled
+connection found closed that way fails before any reply byte arrives,
+and the request is re-sent once on a fresh connection whatever
+``retries`` says (never after the reply has started, never on a fresh
+connection).  ``close()`` — or leaving a ``with Client(...) as client:``
+block — closes the idle connections.  ``stream_logs`` follows a log on a
+connection of its own, closed when the generator ends or is dropped.
 """
 
 from __future__ import annotations
 
 import base64
+import http.client
 import json
+import socket
 import struct
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from itertools import chain
 from typing import Iterator
+
+#: Idle connections one client keeps.  More threads than this sharing a
+#: client still get a connection each; the surplus closes on return.
+MAX_IDLE_CONNECTIONS = 4
 
 
 def _rows(value) -> list | tuple:
@@ -94,6 +113,20 @@ class ClientError(Exception):
         self.retry_after_s = retry_after_s
 
 
+def _error_of(status: int, payload: bytes) -> ClientError:
+    """The :class:`ClientError` of a non-2xx reply: its envelope's words,
+    or the bare status when the body is not an envelope."""
+    try:
+        envelope = json.loads(payload.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError is one
+        envelope = None
+    if not isinstance(envelope, dict):
+        envelope = {}
+    return ClientError(envelope.get("status", status),
+                       envelope.get("error", f"HTTP {status}"),
+                       retry_after_s=envelope.get("retry_after_s"))
+
+
 class Client:
     """Minimal, dependency-free SDK over the v1 HTTP surface."""
 
@@ -105,12 +138,34 @@ class Client:
         self.retries = retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
+        split = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if split.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc, self._prefix = split.netloc, split.path
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []  # guarded-by: _lock
+
+    def close(self) -> None:
+        """Close the idle connections.  The client stays usable: a later
+        call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> Client:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ---------------------------------------------------------
 
-    def _build(self, method: str, path: str,
-               body: dict | None) -> urllib.request.Request:
-        url = self.base_url + path
+    def _prepare(self, method: str, path: str,
+                 body: dict | None) -> tuple[str, bytes | None, dict]:
+        """Request target, body bytes and headers of one call."""
+        target = self._prefix + path
         data = None
         headers = {"Accept": "application/json"}
         if self.token:
@@ -120,61 +175,93 @@ class Client:
                 query = urllib.parse.urlencode(
                     {k: v for k, v in body.items() if v is not None}
                 )
-                url += ("&" if "?" in url else "?") + query
+                target += ("&" if "?" in target else "?") + query
         else:
             data = json.dumps(body or {}).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        return urllib.request.Request(url, data=data, headers=headers,
-                                      method=method)
+        return target, data, headers
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._connection_class(self._netloc, timeout=self.timeout_s)
+
+    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    @staticmethod
+    def _exchange(conn: http.client.HTTPConnection, method: str, target: str,
+                  data: bytes | None, headers: dict) -> http.client.HTTPResponse:
+        """Send on ``conn`` and read the reply's head.  A *reused*
+        connection that fails before any reply byte arrives — the server
+        closed it while it idled — is reconnected and the request re-sent
+        once; a fresh connection never is."""
+        reused = conn.sock is not None
+        while True:
+            try:
+                if conn.sock is None:
+                    conn.connect()
+                    conn.sock.setsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_NODELAY, 1)
+                # A bytes body goes out in the same send as the head.
+                conn.request(method, target, body=data, headers=headers)
+                return conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected (EOF where the status line belongs)
+                # is a ConnectionResetError.
+                if not reused:
+                    raise
+                conn.close()
+                reused = False
 
     def _open(self, method: str, path: str, body: dict | None = None,
-              timeout_s: float | None = None):
-        """Open the response stream, retrying transport errors, 5xx and
-        429 (honouring ``retry_after_s``).  4xx client errors never
+              stream: http.client.HTTPConnection | None = None):
+        """Send one call and return its 2xx reply: the body bytes, or —
+        on ``stream``, a connection of the caller's — the response with
+        only its head read.  Transport errors, 5xx and 429 retry
+        (honouring ``retry_after_s`` on 429 and 503); other 4xx never
         retry."""
+        target, data, headers = self._prepare(method, path, body)
         last: Exception | None = None
         for attempt in range(self.retries + 1):
+            conn = stream or self._checkout()
             try:
-                return urllib.request.urlopen(
-                    self._build(method, path, body),
-                    timeout=timeout_s or self.timeout_s,
-                )
-            except urllib.error.HTTPError as exc:
-                envelope = self._envelope_of(exc)
-                error = ClientError(
-                    envelope.get("status", exc.code),
-                    envelope.get("error", str(exc)),
-                    retry_after_s=envelope.get("retry_after_s"),
-                )
-                if exc.code < 500 and exc.code != 429:
-                    raise error from None
-                last = error
-                wait = (error.retry_after_s if exc.code == 429
-                        and error.retry_after_s else None)
-            except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
-                last = exc
-                wait = None
+                response = self._exchange(conn, method, target, data, headers)
+                if stream is not None and 200 <= response.status < 300:
+                    return response
+                payload = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                last, wait = exc, None
+            except BaseException:
+                conn.close()
+                raise
+            else:
+                if stream is None and not response.will_close:
+                    self._checkin(conn)
+                if 200 <= response.status < 300:
+                    return payload
+                last = _error_of(response.status, payload)
+                if response.status < 500 and response.status != 429:
+                    raise last
+                wait = (last.retry_after_s
+                        if response.status in (429, 503) else None)
             if attempt < self.retries:
-                time.sleep(wait if wait is not None
-                           else self.backoff_s * (2 ** attempt))
+                time.sleep(wait or self.backoff_s * (2 ** attempt))
         if isinstance(last, ClientError):
             raise last
         raise ClientError(599, f"transport failure: {last}")
-
-    @staticmethod
-    def _envelope_of(exc: urllib.error.HTTPError) -> dict:
-        try:
-            envelope = json.loads(exc.read().decode("utf-8"))
-            return envelope if isinstance(envelope, dict) else {}
-        except Exception:
-            return {}
 
     def request(self, method: str, path: str,
                 body: dict | None = None) -> dict:
         """One enveloped request; returns the ``data`` payload or raises
         :class:`ClientError`."""
-        with self._open(method, path, body) as response:
-            envelope = json.loads(response.read().decode("utf-8"))
+        envelope = json.loads(self._open(method, path, body).decode("utf-8"))
         if envelope.get("error") is not None:
             raise ClientError(envelope.get("status", 500), envelope["error"],
                               retry_after_s=envelope.get("retry_after_s"))
@@ -243,13 +330,19 @@ class Client:
 
     def stream_logs(self, pid: int, jid: int, log_offset: int = 0,
                     timeout_s: float = 60.0) -> Iterator[str]:
-        """Follow a job's log lines over the chunked stream route."""
+        """Follow a job's log lines over the chunked stream route, on a
+        connection of its own that is never pooled: it closes when the
+        stream ends or the generator is dropped."""
         path = (f"/v1/projects/{pid}/jobs/{jid}/logs"
                 f"?log_offset={log_offset}&timeout_s={timeout_s}")
-        with self._open("GET", path, None,
-                        timeout_s=timeout_s + self.timeout_s) as response:
-            for raw in response:
-                yield raw.decode("utf-8").rstrip("\n")
+        conn = self._connection_class(self._netloc,
+                                      timeout=timeout_s + self.timeout_s)
+        try:
+            with self._open("GET", path, stream=conn) as response:
+                for raw in response:
+                    yield raw.decode("utf-8").rstrip("\n")
+        finally:
+            conn.close()
 
     def classify(self, pid: int, features=None, batch=None, **kwargs) -> dict:
         """Classify one window (``features``) or many (``batch``); sent

@@ -17,7 +17,7 @@ CLI commands.
 import functools
 
 from repro.serve.server import ModelNotTrainedError, ModelServer
-from repro.serve.shard import PendingResult, ServingError
+from repro.serve.shard import PendingResult, ServingError, ServingOverloadedError
 
 # The pre-placement constructor names, importable because the frozen
 # benchmarks/e2e probe pass constructs them.  They pin ``placement`` and
@@ -29,5 +29,6 @@ __all__ = [
     "PendingResult",
     "ModelServer",
     "ServingError",
+    "ServingOverloadedError",
     "ModelNotTrainedError",
 ]

@@ -34,6 +34,11 @@ class ServingError(Exception):
     runner's row-count mismatch)."""
 
 
+class ServingOverloadedError(ServingError):
+    """A shard's bounded queue cannot admit the request now; the caller
+    may retry later (HTTP 503 + ``Retry-After``)."""
+
+
 class PendingResult:
     """Ticket for one admitted request; resolved by the drain that
     claims it.
@@ -153,7 +158,7 @@ class _Shard:
             if self._stop:
                 raise ServingError(f"{self.name} is shut down")
             if len(self._queue) + len(tickets) > self.server.max_queue:
-                raise ServingError(
+                raise ServingOverloadedError(
                     f"{self.name} queue full ({self.server.max_queue} requests)"
                 )
             self._queue.extend(tickets)

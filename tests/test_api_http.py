@@ -54,8 +54,9 @@ def server():
 @pytest.fixture()
 def client(server):
     platform, srv = server
-    return Client(srv.url, token=platform.issue_token("alice"),
-                  retries=1, backoff_s=0.05)
+    with Client(srv.url, token=platform.issue_token("alice"),
+                retries=1, backoff_s=0.05) as client:
+        yield client
 
 
 def test_full_lifecycle_over_http(server, client):
@@ -114,19 +115,19 @@ def test_full_lifecycle_over_http(server, client):
 def test_openapi_and_auth_over_http(server):
     platform, srv = server
     # The OpenAPI doc is public.
-    anonymous = Client(srv.url)
-    doc = anonymous.openapi()
-    assert doc["openapi"].startswith("3.")
-    assert "/v1/projects" in doc["paths"]
+    with Client(srv.url) as anonymous:
+        doc = anonymous.openapi()
+        assert doc["openapi"].startswith("3.")
+        assert "/v1/projects" in doc["paths"]
 
-    # Protected routes 401 without a token, 401 with a bad one.
-    with pytest.raises(ClientError) as err:
-        anonymous.create_project("nope")
-    assert err.value.status == 401
-    bad = Client(srv.url, token="ei_wrong")
-    with pytest.raises(ClientError) as err:
-        bad.list_projects()
-    assert err.value.status == 401
+        # Protected routes 401 without a token, 401 with a bad one.
+        with pytest.raises(ClientError) as err:
+            anonymous.create_project("nope")
+        assert err.value.status == 401
+    with Client(srv.url, token="ei_wrong") as bad:
+        with pytest.raises(ClientError) as err:
+            bad.list_projects()
+        assert err.value.status == 401
 
     # HTTP status code mirrors the envelope status.
     request = urllib.request.Request(srv.url + "/v1/projects/999")
@@ -200,9 +201,9 @@ def test_rate_limit_over_http(server):
     gw = ApiGateway(platform, rate_limit_capacity=4,
                     rate_limit_refill_per_s=0.001)
     limited_srv = serve_http(gw, port=0, background=True)
+    client = Client(limited_srv.url, token=platform.issue_token("alice"),
+                    retries=0)
     try:
-        client = Client(limited_srv.url,
-                        token=platform.issue_token("alice"), retries=0)
         pid = client.create_project("limited")["project_id"]
         statuses = []
         for _ in range(8):
@@ -232,6 +233,7 @@ def test_rate_limit_over_http(server):
         for _ in range(3):
             assert client.list_projects()["total"] == 1
     finally:
+        client.close()
         limited_srv.shutdown()
         limited_srv.server_close()
 
@@ -244,11 +246,11 @@ def test_client_retries_transport_errors(server):
     assert err.value.status == 599
 
     # 4xx never retries (the server would see repeated requests).
-    good = Client(srv.url, token=platform.issue_token("alice"), retries=3)
-    before = srv.gateway.metrics.requests
-    with pytest.raises(ClientError):
-        good.get_project(999)
-    assert srv.gateway.metrics.requests == before + 1
+    with Client(srv.url, token=platform.issue_token("alice"), retries=3) as good:
+        before = srv.gateway.metrics.requests
+        with pytest.raises(ClientError):
+            good.get_project(999)
+        assert srv.gateway.metrics.requests == before + 1
 
 
 def test_legacy_telemetry_push_equivalent_over_v1(server, client):
@@ -386,6 +388,199 @@ def test_log_stream_still_arrives_line_by_line(server):
     assert lines[-1] == f"[job {job.job_id} succeeded]\n"
 
 
+# -- the SDK's connection pool ------------------------------------------------
+
+
+def _accepted_connections(srv, monkeypatch) -> list:
+    """Client addresses of the connections the server accepts from now on."""
+    accepted = []
+    handler = srv.RequestHandlerClass
+    original_setup = handler.setup
+
+    def setup(self):
+        original_setup(self)
+        accepted.append(self.client_address)
+
+    monkeypatch.setattr(handler, "setup", setup)
+    return accepted
+
+
+def test_sdk_calls_share_one_keepalive_connection(server, client, monkeypatch):
+    """GETs, POSTs, a 4xx and a response-cache hit: 20 calls, 1 connect."""
+    platform, srv = server
+    accepted = _accepted_connections(srv, monkeypatch)
+    cache = srv.gateway.response_cache
+    pid = client.create_project("pooled")["project_id"]
+    hits = cache.hits
+    for _ in range(3):
+        assert client.get_project(pid)["name"] == "pooled"
+        with pytest.raises(ClientError) as err:
+            client.get_project(999)
+        assert err.value.status == 404
+        client.list_projects()
+        client.list_projects()  # within the TTL: served from the cache
+        client.request("POST", "/v1/telemetry", {"records": [
+            {"project_id": pid, "confidence": 0.5, "top": "a"}]})
+        client.list_jobs(pid)
+    assert client.gateway_stats()["requests"] > 0  # the 20th call
+    assert cache.hits > hits
+    assert len(accepted) == 1
+    (conn,) = client._idle
+    assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_a_4xx_reply_leaves_the_connection_pooled(server, client, monkeypatch):
+    platform, srv = server
+    accepted = _accepted_connections(srv, monkeypatch)
+    client.list_projects()
+    (conn,) = client._idle
+    with pytest.raises(ClientError) as err:
+        client.request("GET", "/v1/nope")
+    assert err.value.status == 404
+    assert client._idle == [conn]
+    assert client.create_project("after-404")["project_id"]
+    assert client._idle == [conn] and len(accepted) == 1
+
+
+def test_a_connection_close_reply_is_not_pooled(server, client, monkeypatch):
+    """The 413 path leaves the body unread and says ``Connection:
+    close``; the SDK drops that connection instead of finding it dead
+    on the next call."""
+    import repro.api.http as http_module
+
+    platform, srv = server
+    accepted = _accepted_connections(srv, monkeypatch)
+    client.list_projects()
+    monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 512)
+    with pytest.raises(ClientError) as err:
+        client.create_project("x" * 1024)
+    assert err.value.status == 413
+    assert client._idle == []
+    monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 64 * 1024 * 1024)
+    before = srv.gateway.metrics.requests
+    assert client.create_project("after-413")["project_id"]
+    assert srv.gateway.metrics.requests == before + 1
+    assert len(accepted) == 2
+
+
+@pytest.mark.parametrize("n_threads", [2, 4])
+def test_threads_sharing_a_client_get_their_own_connections(
+        server, client, monkeypatch, n_threads):
+    """Each thread checks out a connection of its own: every reply is the
+    one its thread asked for, and no connection is opened beyond one per
+    thread or lost from the pool."""
+    import sys
+
+    platform, srv = server
+    names = [f"t{i}" for i in range(n_threads)]
+    pids = [client.create_project(name)["project_id"] for name in names]
+    accepted = _accepted_connections(srv, monkeypatch)
+    client.close()
+    barrier = threading.Barrier(n_threads)
+    wrong, errors = [], []
+
+    def worker(pid, name):
+        try:
+            barrier.wait(5.0)
+            for _ in range(25):
+                if client.get_project(pid)["name"] != name:
+                    wrong.append(pid)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=args)
+               for args in zip(pids, names)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert 1 <= len(accepted) <= n_threads
+    assert len(client._idle) == len(accepted)
+
+
+def test_an_answered_post_is_never_re_sent(server, client, monkeypatch):
+    """A reply cut short after its first bytes is a transport failure
+    (599 with ``retries=0``), not a stale socket: the POST that the
+    server ran is not sent again."""
+    platform, srv = server
+    handler = srv.RequestHandlerClass
+    with Client(srv.url, token=platform.issue_token("alice"),
+                retries=0) as once:
+        once.list_projects()  # the POST below goes out on a reused connection
+
+        def truncated(self, envelope, close=False):
+            data = json.dumps(envelope).encode("utf-8")
+            self.send_response(int(envelope["status"]))
+            self.send_header("Content-Length", str(len(data) + 10))
+            self.end_headers()
+            self.wfile.write(data)
+            self.close_connection = True
+
+        monkeypatch.setattr(handler, "_send_json", truncated)
+        before, projects = srv.gateway.metrics.requests, len(platform.projects)
+        with pytest.raises(ClientError) as err:
+            once.create_project("once")
+        assert err.value.status == 599
+        assert srv.gateway.metrics.requests == before + 1
+        assert len(platform.projects) == projects + 1
+        assert once._idle == []
+
+
+def test_a_connection_the_server_dropped_while_idle_is_replaced(
+        server, monkeypatch):
+    """Past ``KEEPALIVE_IDLE_S`` the gateway hangs up on an idle pooled
+    connection.  The next call finds it closed before any reply byte
+    and is re-sent once on a fresh connection — with ``retries=0`` —
+    and the server sees it exactly once."""
+    import repro.api.http as http_module
+
+    platform, srv = server
+    monkeypatch.setattr(http_module, "KEEPALIVE_IDLE_S", 0.2)
+    accepted = _accepted_connections(srv, monkeypatch)
+    with Client(srv.url, token=platform.issue_token("alice"),
+                retries=0) as client:
+        pid = client.create_project("idle")["project_id"]
+        time.sleep(0.6)
+        before = srv.gateway.metrics.requests
+        assert client.create_project("after-idle")["project_id"] == pid + 1
+        assert srv.gateway.metrics.requests == before + 1
+        assert len(accepted) == 2
+
+
+def test_an_abandoned_log_stream_closes_its_own_connection(server, client):
+    platform, srv = server
+    project = platform.create_project("logs", owner="alice")
+    gate = threading.Event()
+
+    def chatty(job):
+        job.log("one")
+        gate.wait(10.0)
+        job.log("two")
+
+    job = project.jobs.submit("chatty", chatty)
+    try:
+        pooled = client.get_project(project.project_id)
+        lines = client.stream_logs(project.project_id, job.job_id)
+        while next(lines) != "one":
+            pass
+        assert not job.done
+        conn = lines.gi_frame.f_locals["conn"]
+        assert conn.sock is not None and conn not in client._idle
+        lines.close()
+        assert conn.sock is None
+    finally:
+        gate.set()
+    assert client.get_project(project.project_id) == pooled
+    assert len(client._idle) == 1
+
+
 @pytest.mark.parametrize("length", ["-1", "-5", "abc"])
 def test_malformed_content_length_is_a_400_not_a_hang(server, length):
     """``-1`` used to park the handler in ``rfile.read(-1)`` until the
@@ -490,6 +685,7 @@ class _Served:
         assert self.telemetry.count(self.pid) == 0
 
     def close(self):
+        self.client.close()
         self.http.shutdown()
         self.http.server_close()
         self.platform.serving.close()
@@ -569,7 +765,8 @@ def test_sdk_packs_arrays_tuples_ints_and_nested_windows(
         assert served.client.classify(served.pid, batch=form) == want
         assert served.sent[-1]["rows"] == 3 and "batch" not in served.sent[-1]
 
-    source = open(sdk.__file__).read()
+    with open(sdk.__file__) as f:
+        source = f.read()
     assert "numpy" not in vars(sdk) and "np" not in vars(sdk)
     assert "import numpy" not in source and "from numpy" not in source
 
@@ -747,3 +944,39 @@ def test_every_prefix_and_bit_flip_of_a_packed_payload(served):
             served_mutants += 1
             assert reply == served.handle({"features": values.tolist()}), (pos, bit)
     assert served_mutants > 20  # the sweep did reach the decoder
+
+
+def test_a_full_shard_queue_is_a_503_with_retry_after(served, monkeypatch):
+    """Overload sheds as 503 + ``Retry-After`` (it used to be a 400), and
+    the SDK waits out ``retry_after_s`` before retrying it."""
+    import types
+
+    import repro.client as sdk
+
+    good = np.full(N_FEATURES, 0.25).tolist()
+    served.platform.serving.max_queue = 2  # a 3-row batch sheds whole
+    request = urllib.request.Request(
+        served.http.url + served.path,
+        data=json.dumps({"batch": [good] * 3}).encode(),
+        headers={"Content-Type": "application/json",
+                 "Authorization": f"Bearer {served.token}"}, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request)
+    with err.value:
+        assert err.value.code == 503
+        assert err.value.headers["Retry-After"] == "1"
+        envelope = json.loads(err.value.read())
+    assert envelope["retry_after_s"] == 1.0 and "queue full" in envelope["error"]
+    served.assert_nothing_was_admitted()
+
+    sleeps = []
+    monkeypatch.setattr(sdk, "time", types.SimpleNamespace(
+        sleep=sleeps.append, monotonic=time.monotonic))
+    with Client(served.http.url, token=served.token, retries=2) as client:
+        before = served.gateway.metrics.requests
+        with pytest.raises(ClientError) as cerr:
+            client.classify(served.pid, batch=[good] * 3)
+    assert (cerr.value.status, cerr.value.retry_after_s) == (503, 1.0)
+    assert sleeps == [1.0, 1.0]
+    assert served.gateway.metrics.requests == before + 3
+    assert served.client.classify(served.pid, batch=[good] * 2)["batch_size"] == 2

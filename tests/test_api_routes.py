@@ -48,8 +48,8 @@ def test_unknown_job_still_404_through_both_surfaces():
                                                  "error": "no job 99"}
     server = serve_http(plat.gateway, port=0, background=True)
     try:
-        client = Client(server.url, token=plat.issue_token("alice"))
-        with pytest.raises(ClientError) as err:
+        with Client(server.url, token=plat.issue_token("alice")) as client, \
+                pytest.raises(ClientError) as err:
             client.job(pid, 99)
         assert (err.value.status, err.value.message) == (404, "no job 99")
     finally:
