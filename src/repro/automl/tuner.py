@@ -338,19 +338,14 @@ class EonTuner:
                 feats[train_idx], self.labels[train_idx], cfg,
                 x_val=feats[val_idx], y_val=self.labels[val_idx],
             )
+            # Held-out accuracy of the graph the trial would ship, run through
+            # its plan: a compressed trial is magnitude-pruned and quantized
+            # per its precision map, calibrated on training windows.
+            graph = sequential_to_graph(model)
             if compress_spec:
-                # Held-out accuracy of the *compressed* model: prune by
-                # trained-weight magnitude, quantize per the precision
-                # map with training windows as calibration, then run the
-                # compressed graph on the validation split.
                 calib = feats[train_idx][:64] if len(train_idx) else feats[val_idx]
-                graph = apply_compression(
-                    sequential_to_graph(model), compress_spec, calib
-                )
-                probs = dequantize_output(graph, run_graph(graph, feats[val_idx]))
-                preds = probs.argmax(axis=-1)
-            else:
-                preds = model.predict_classes(feats[val_idx])
+                graph = apply_compression(graph, compress_spec, calib)
+            preds = dequantize_output(graph, run_graph(graph, feats[val_idx])).argmax(axis=-1)
             trial.accuracy = float((preds == self.labels[val_idx]).mean())
             trial.trained = True
         return trial

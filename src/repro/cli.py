@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="estimate on-device resources")
     p.add_argument("--dir", required=True)
     p.add_argument("--device", default="nano33ble")
-    p.add_argument("--precision", default="int8")
+    p.add_argument("--precision", default="int8", choices=("float32", "int8"))
     p.add_argument("--engine", default="eon", choices=("eon", "tflm"))
     p.set_defaults(fn=_cmd_profile)
 

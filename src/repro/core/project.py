@@ -24,6 +24,10 @@ from repro.evaluate import ClassificationReport, evaluate_classifier
 from repro.graph import Graph, sequential_to_graph
 from repro.profile import LatencyEstimator, MemoryEstimator, get_device
 from repro.quantize import quantize_graph
+from repro.runtime.executor import dequantize_output, run_graph
+
+#: The precisions a trained project commits a graph for.
+PRECISIONS = ("float32", "int8")
 
 _PROJECT_IDS = itertools.count(1)
 _PROJECT_IDS_LOCK = threading.Lock()
@@ -479,7 +483,12 @@ class Project:
     # -- evaluation ------------------------------------------------------------------
 
     def test(self, precision: str = "float32") -> ClassificationReport:
-        """Evaluate on the holdout split ("Model testing" in the Studio)."""
+        """Evaluate on the holdout split ("Model testing" in the Studio).
+
+        Scores the committed ``precision`` graph through its one plan —
+        the model serving, EIM and flashed firmware run — never the live
+        ``repro.nn`` model, whose forward pass is for training only.
+        """
         if self.impulse is None:
             raise RuntimeError("no impulse")
         if not self.label_map:
@@ -490,24 +499,23 @@ class Project:
         if len(x) == 0:
             raise RuntimeError("no test data")
         labels = [l for l, _ in sorted(self.label_map.items(), key=lambda kv: kv[1])]
-        if precision == "int8":
-            if self.int8_graph is None:
-                raise RuntimeError("no quantized model; train with quantize=True")
-            from repro.runtime import TFLMInterpreter
-
-            preds = TFLMInterpreter(self.int8_graph).classify(x)
-        else:
-            learn = self.impulse.learn_block
-            if getattr(learn, "model", None) is not None:
-                preds = learn.predict(x).argmax(axis=1)
-            elif self.float_graph is not None:
-                # Reloaded projects carry graphs, not live training state.
-                from repro.runtime import run_graph
-
-                preds = run_graph(self.float_graph, x).argmax(axis=1)
-            else:
-                raise RuntimeError("project is not trained")
+        preds = self.probabilities(x, precision).argmax(axis=1)
         return evaluate_classifier(y, preds, labels)
+
+    def trained_graph(self, precision: str) -> Graph:
+        """The committed graph of ``precision`` ("float32" or "int8")."""
+        if precision not in PRECISIONS:
+            raise ValueError(f"unknown precision {precision!r}; expected one of {PRECISIONS}")
+        graph = self.int8_graph if precision == "int8" else self.float_graph
+        if graph is None:
+            raise RuntimeError(f"no trained {precision} model")
+        return graph
+
+    def probabilities(self, x: np.ndarray, precision: str = "float32") -> np.ndarray:
+        """Class probabilities of a batch of feature windows, from the
+        committed ``precision`` graph's plan."""
+        graph = self.trained_graph(precision)
+        return dequantize_output(graph, run_graph(graph, x))
 
     def classify_sample(self, data: np.ndarray) -> list[tuple[str, float]]:
         """Live classification of one raw recording (mean over windows)."""
@@ -516,7 +524,7 @@ class Project:
         from repro.data.dataset import Sample
 
         feats = self.impulse.features_for_sample(Sample(data=data, label="?"))
-        probs = self.impulse.learn_block.predict(feats).mean(axis=0)
+        probs = self.probabilities(feats).mean(axis=0)
         labels = [l for l, _ in sorted(self.label_map.items(), key=lambda kv: kv[1])]
         return sorted(zip(labels, probs.tolist()), key=lambda kv: -kv[1])
 
@@ -524,9 +532,7 @@ class Project:
 
     def profile(self, device_key: str, precision: str = "int8", engine: str = "eon") -> dict:
         """Latency + memory estimates for a device target (Sec. 4.4)."""
-        graph = self.int8_graph if precision == "int8" else self.float_graph
-        if graph is None:
-            raise RuntimeError(f"no trained {precision} model")
+        graph = self.trained_graph(precision)
         device = get_device(device_key)
         lat = LatencyEstimator(device)
         mem = MemoryEstimator(engine=engine)
@@ -552,8 +558,8 @@ class Project:
         """Export a deployment artifact (Sec. 4.6)."""
         from repro.deploy import build_artifact
 
-        graph = self.int8_graph if precision == "int8" else self.float_graph
-        if graph is None or self.impulse is None:
+        graph = self.trained_graph(precision)
+        if self.impulse is None:
             raise RuntimeError("train before deploying")
         return build_artifact(
             target=target,
@@ -588,11 +594,9 @@ class Project:
         from repro.calibration import calibrate as ga_calibrate
         from repro.calibration import continuous_probabilities
 
-        learn = self.impulse.learn_block
-
         def classify(window: np.ndarray) -> np.ndarray:
             feats = self.impulse.features_for_window(window)
-            return learn.predict(feats[None, ...])[0]
+            return self.probabilities(feats[None, ...])[0]
 
         probs, times = continuous_probabilities(
             classify, np.asarray(stream, np.float32), sample_rate,
@@ -619,6 +623,9 @@ class Project:
         return version
 
     def restore_version(self, version_id: int) -> None:
+        n = len(self.project_versions)
+        if not 1 <= version_id <= n:
+            raise KeyError(f"no project version {version_id}; valid ids are 1..{n}")
         version = self.project_versions[version_id - 1]
         self.dataset = self.dataset_versions.checkout(
             version.dataset_version, name=f"{self.name}-data"

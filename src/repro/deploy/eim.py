@@ -66,7 +66,9 @@ class EIMRunner:
         self._impulse = Impulse.from_dict(bundle.header["impulse"])
 
     def handle(self, request: dict) -> dict:
-        """Protocol entry point."""
+        """Protocol entry point; a malformed request gets ``success: false``."""
+        if not isinstance(request, dict):
+            return {"success": False, "error": "request must be a JSON object"}
         kind = request.get("type")
         if kind == "hello":
             return {
@@ -76,15 +78,15 @@ class EIMRunner:
                 "engine": self.bundle.header["engine"],
             }
         if kind == "classify":
-            features = np.asarray(request["features"], dtype=np.float32)
-            expected = self._impulse.feature_shape()
+            expected = tuple(self._impulse.feature_shape())
+            features = request.get("features")
             try:
-                features = features.reshape((1,) + tuple(expected))
-            except ValueError:
-                return {
-                    "success": False,
-                    "error": f"expected {int(np.prod(expected))} features",
-                }
+                if not isinstance(features, list):
+                    raise TypeError("features must be a list")
+                features = np.asarray(features, dtype=np.float32).reshape((1,) + expected)
+            except (TypeError, ValueError):
+                n = int(np.prod(expected))
+                return {"success": False, "error": f"expected a list of {n} numeric features"}
             probs = self._model.predict_proba(features)[0]
             labels = self.bundle.header["labels"]
             return {

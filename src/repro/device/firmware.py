@@ -7,8 +7,9 @@ that protocol over :class:`VirtualSerialPort`:
 ``AT+HELLO?``, ``AT+CONFIG?``, ``AT+SAMPLESTART=<sensor>,<length_ms>``,
 ``AT+RUNIMPULSE``, ``AT+FLASH=<checksum>``, ``AT+VERSION?``
 
-Inference runs the flashed firmware image's graph through the EON runtime
-with cycle accounting from the device profile, so reported latencies match
+Inference runs the one plan EON compiles from the flashed graph — the
+plan serving, EIM and ``Project.test`` score with, bit for bit — with
+cycle accounting from the device profile, so reported latencies match
 the profiler.
 """
 

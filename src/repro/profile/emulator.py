@@ -1,9 +1,10 @@
 """Cycle-counting device emulator — the Renode substitute.
 
-Executes a graph with the real kernels while charging cycles from the
-device's cost model op by op, so "measured-on-emulator" latency and the
-static estimate agree by construction (the property the paper relies on
-when it presents estimator output as early-design-space truth).
+Runs a graph through its one compiled plan (what every engine executes,
+so outputs are bit-identical to serving's) while charging cycles from
+the device's cost model op by op, so "measured-on-emulator" latency and
+the static estimate agree by construction (the property the paper relies
+on when it presents estimator output as early-design-space truth).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.dsp.base import DSPBlock
 from repro.graph.graph import Graph
 from repro.profile.devices import DeviceProfile
 from repro.profile.latency import LatencyEstimator
-from repro.runtime.executor import _kernel_call, dequantize_output
+from repro.runtime.executor import dequantize_output, run_graph
 
 
 @dataclass
@@ -59,22 +60,15 @@ class EmulatedDevice:
         raw = np.asarray(sample, dtype=np.float32)
         if dsp_block is not None:
             trace.dsp_cycles = self._estimator.dsp_cycles(dsp_block, raw.shape)
-            features = (dsp_block.transform(raw) if features is None
-                        else np.asarray(features, dtype=np.float32))
-        else:
-            features = raw if features is None else np.asarray(
-                features, dtype=np.float32
-            )
-
-        batch = features[None, ...]
-        in_t = graph.tensors[graph.input_id]
-        if in_t.dtype == "int8":
-            batch = in_t.quant.quantize(batch)
-        values = {graph.input_id: batch}
-        for i, op in enumerate(graph.ops):
-            values[op.outputs[0]] = _kernel_call(graph, op, values)
-            trace.op_cycles.append((op.opcode, self._estimator.op_cycles(graph, i)))
-        probs = dequantize_output(graph, values[graph.output_id])[0]
+            if features is None:
+                features = dsp_block.transform(raw)
+        elif features is None:
+            features = raw
+        trace.op_cycles = [
+            (op.opcode, self._estimator.op_cycles(graph, i))
+            for i, op in enumerate(graph.ops)
+        ]
+        probs = dequantize_output(graph, run_graph(graph, np.asarray(features)[None]))[0]
         return probs, trace
 
     def latency_ms(self, trace: EmulationTrace) -> dict[str, float]:

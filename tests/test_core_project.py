@@ -119,6 +119,17 @@ def test_version_commit_restore():
     assert project.impulse is not None
 
 
+@pytest.mark.parametrize("version_id", [0, -1, 3])
+def test_restore_version_rejects_unknown_ids(version_id):
+    platform = Platform()
+    platform.register_user("alice")
+    project = _vibration_project(platform, name="versions", epochs=2)
+    project.commit_version("one")
+    project.commit_version("two")
+    with pytest.raises(KeyError, match=r"valid ids are 1\.\.2"):
+        project.restore_version(version_id)
+
+
 def test_collaboration_and_permissions():
     platform = Platform()
     platform.register_user("alice")

@@ -100,6 +100,25 @@ def test_eim_bundle_and_runner(deploy_ctx, tiny_classification_problem):
     assert not unknown["success"]
 
 
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"type": "classify"},
+        {"type": "classify", "features": "abc"},
+        {"type": "classify", "features": [[1, 2], [3]]},
+        ["classify"],
+    ],
+    ids=["no-features", "string-features", "ragged-features", "not-an-object"],
+)
+def test_eim_malformed_request_is_answered(deploy_ctx, request_):
+    graph, impulse, label_map = deploy_ctx
+    artifact = build_artifact("eim", graph, impulse, label_map, "eon", "proj")
+    runner = EIMRunner(EIMBundle.load(artifact.files["model.eim"]))
+    reply = runner.handle(request_)
+    assert reply["success"] is False
+    assert isinstance(reply["error"], str) and reply["error"]
+
+
 def test_firmware_image(deploy_ctx):
     graph, impulse, label_map = deploy_ctx
     artifact = build_artifact("firmware", graph, impulse, label_map, "eon", "proj")

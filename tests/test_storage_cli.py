@@ -265,6 +265,14 @@ def test_cli_rejects_unknown_command():
         cli_main(["frobnicate"])
 
 
+def test_cli_profile_rejects_unknown_precision(tmp_path, capsys):
+    """An unknown precision is refused before the project loads, rather
+    than profiled as float32 under the unknown label."""
+    with pytest.raises(SystemExit):
+        cli_main(["profile", "--dir", str(tmp_path), "--precision", "int4"])
+    assert "invalid choice: 'int4'" in capsys.readouterr().err
+
+
 def test_resave_removes_stale_files(tmp_path):
     """Re-saving a project over a previous save must not leave stale
     files behind: a dropped impulse, a cleared model, or a stray .eir
