@@ -33,6 +33,35 @@ def quantize_multiplier(real: float) -> tuple[int, int]:
     return q, exp
 
 
+#: Largest total shift applied.  A product of an int32-range accumulator
+#: and a mantissa below 2**31 is below 2**62 in magnitude, so from 63 on
+#: every result rounds to 0 — which a shift by 63 already gives, while a
+#: shift by 64 or more would overflow the rounding constant ``2**(s-1)``.
+#: Post-training quantization emits such shifts: an all-zero output
+#: channel gets a 1e-9 weight scale and an exponent near -36.
+MAX_TOTAL_SHIFT = 63
+
+
+def checked_mantissa(mantissa_q31) -> np.ndarray:
+    """The Q31 mantissas as int64, rejected unless in ``[0, 2**31)``:
+    a larger one would overflow ``acc * mantissa`` (a deserialized graph
+    can carry any value)."""
+    mant = np.asarray(mantissa_q31, dtype=np.int64)
+    if np.any(mant < 0) or np.any(mant >= 1 << 31):
+        raise ValueError("multiplier mantissa outside [0, 2**31); accumulator would overflow")
+    return mant
+
+
+def total_shift_of(exponent) -> np.ndarray:
+    """``31 - exponent`` as int64, capped at :data:`MAX_TOTAL_SHIFT`;
+    raises for a shift below 1 (an exponent that would need a left
+    shift)."""
+    total = 31 - np.asarray(exponent, dtype=np.int64)
+    if np.any(total < 1):
+        raise ValueError("multiplier exponent too large; accumulator would overflow")
+    return np.minimum(total, MAX_TOTAL_SHIFT)
+
+
 def multiply_by_quantized_multiplier(
     acc: np.ndarray, mantissa_q31, exponent
 ) -> np.ndarray:
@@ -41,14 +70,12 @@ def multiply_by_quantized_multiplier(
     ``acc`` is int64 (int32-range values); mantissa/exponent may be scalars
     or arrays broadcastable against ``acc`` (per-channel requantization).
     Computes ``round(acc * mantissa / 2**(31 - exponent))`` with
-    round-half-away-from-zero, matching the reference kernels.
+    round-half-away-from-zero, matching the reference kernels; the shift
+    is capped at :data:`MAX_TOTAL_SHIFT`, which changes no result.
     """
     acc = np.asarray(acc, dtype=np.int64)
-    mant = np.asarray(mantissa_q31, dtype=np.int64)
-    exp = np.asarray(exponent, dtype=np.int64)
-    total_shift = 31 - exp
-    if np.any(total_shift < 1):
-        raise ValueError("multiplier exponent too large; accumulator would overflow")
+    mant = checked_mantissa(mantissa_q31)
+    total_shift = total_shift_of(exponent)
     prod = acc * mant
     rounding = np.int64(1) << (total_shift - 1)
     # Round half away from zero, mirroring the positive formula for

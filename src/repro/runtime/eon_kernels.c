@@ -1,0 +1,281 @@
+/*
+ * EON's int8 kernels: integer-only C for the plan's convolution, depthwise
+ * and dense steps (docs/plan.md, "Native kernels").
+ *
+ * Every kernel computes the bytes of its numpy twin in
+ * repro/runtime/kernels.py (conv2d_i8_plan, dwconv2d_i8_plan,
+ * conv1d_i8_plan, fc_i8_plan), which equal the generic spec kernels:
+ *
+ *   - The input zero point is folded into the int32 bias at bind time, and
+ *     padding is filled with that zero point, so a window contracts the
+ *     padded int8 tensor directly.
+ *   - Accumulation is int32.  The binder calls a kernel only after proving
+ *     K*128*128 + max|bias'| < 2**31 for the layer, so no partial sum wraps
+ *     and the order of the products does not matter.
+ *   - A fused max pool takes the maximum of the biased accumulators, then
+ *     requantizes once: bias and requantization are monotone and
+ *     per-channel, so this equals pooling the requantized outputs.  A fused
+ *     average pool sums requantized outputs and divides rounding half away
+ *     from zero (a floor division after the offset, as numpy does).
+ *   - Requantization is (p + h + (p >> 63)) >> s with p = acc * mantissa,
+ *     h = 2**(s-1) and the total shift s = 31 - out_shift capped at 63;
+ *     mantissas are in [0, 2**31), so |p| < 2**62 and p + h cannot
+ *     overflow.  Right shifts of negative values are arithmetic and
+ *     narrowing to int8 keeps the low byte, as GCC and Clang define them.
+ *
+ * Shapes are NHWC.  A 1-D convolution is a 2-D one of height 1, and a dense
+ * layer a 1x1 convolution over a 1x1 image.  The layer constants arrive in
+ * one int64 array indexed by EON_P_*; ``rows`` is the batch size.  Weights
+ * are int8 values widened to int32 by the binder: a GEMM kernel's as
+ * (coutp / EON_CO, K, EON_CO) blocks of output channels, zero-filled past
+ * cout up to coutp, with bias and requantization constants filled alike;
+ * depthwise taps as (kh, kw, c).
+ */
+
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+
+enum {
+    EON_P_H, EON_P_W, EON_P_C,              /* unpadded input */
+    EON_P_PT, EON_P_PB, EON_P_PL, EON_P_PR, /* padding, filled with in_zp */
+    EON_P_KH, EON_P_KW, EON_P_STRIDE,
+    EON_P_OH, EON_P_OW, EON_P_COUT,         /* convolution output, unpooled */
+    EON_P_POOL_H, EON_P_POOL_W, EON_P_POOL_AVG,
+    EON_P_IN_ZP, EON_P_OUT_ZP, EON_P_CLAMP_MIN, EON_P_CLAMP_MAX,
+    EON_P_COUNT
+};
+
+/* Register tile of the GEMM kernel: EON_CO output channels of EON_PX
+ * output pixels are accumulated together in vector registers.  Unpooled
+ * layers are accumulated EON_CHUNK pixels at a time. */
+#define EON_CO 16
+#define EON_PX 8
+#define EON_CHUNK 64
+
+/* GCC and Clang vector types: one code path, compiled to the host's SIMD. */
+typedef int32_t eon_v16i __attribute__((vector_size(EON_CO * sizeof(int32_t))));
+
+int eon_param_count(void) { return EON_P_COUNT; }
+int eon_channel_block(void) { return EON_CO; }
+
+static int64_t padded_channels(const int64_t *p)
+{
+    return (p[EON_P_COUT] + EON_CO - 1) / EON_CO * EON_CO;
+}
+
+/* Output pixels accumulated at a time: a band of pool_h rows, or a chunk. */
+static int64_t band_pixels(const int64_t *p)
+{
+    const int64_t ow = p[EON_P_OW], all = p[EON_P_OH] * ow;
+    if (p[EON_P_POOL_H] * p[EON_P_POOL_W] > 1)
+        return p[EON_P_POOL_H] * ow;
+    return all < EON_CHUNK ? all : EON_CHUNK;
+}
+
+/* int32 scratch run_conv needs per image: a band of accumulators and, for
+ * a pooled layer, a row of pooled values and one pixel's requantized
+ * outputs, each pixel padded_channels() wide. */
+int64_t eon_scratch_size(const int64_t *p)
+{
+    const int64_t pool_w = p[EON_P_POOL_W];
+    const int64_t pooled = p[EON_P_POOL_H] * pool_w > 1 ? p[EON_P_OW] / pool_w + 1 : 0;
+    return (band_pixels(p) + pooled) * padded_channels(p);
+}
+
+/* n accumulators of channels 0..n-1 -> int8.  ``rq`` holds coutp each of
+ * mantissas, rounding halves 2**(s-1) and total shifts s. */
+static void requant_row(const int32_t *restrict acc, int64_t n,
+                        const int64_t *restrict rq, int64_t coutp,
+                        int64_t out_zp, int64_t lo, int64_t hi,
+                        int8_t *restrict dst)
+{
+    const int64_t *restrict mant = rq, *restrict half = rq + coutp;
+    const int64_t *restrict shift = rq + 2 * coutp;
+    for (int64_t o = 0; o < n; o++) {
+        const int64_t p = (int64_t)acc[o] * mant[o];
+        int64_t r = (p + half[o] + (p >> 63)) >> shift[o];
+        r += out_zp;
+        r = r < lo ? lo : r;
+        r = r > hi ? hi : r;
+        dst[o] = (int8_t)r;
+    }
+}
+
+/* ``n`` accumulators, channel i % channels each -> int8 (for tests);
+ * ``rq`` as for requant_row with coutp = channels. */
+void eon_requant_i8(const int32_t *acc, int64_t n, int64_t channels,
+                    const int64_t *rq, int64_t out_zp, int64_t lo, int64_t hi,
+                    int8_t *out)
+{
+    for (int64_t i = 0; i < n; i += channels)
+        requant_row(acc + i, channels, rq, channels, out_zp, lo, hi, out + i);
+}
+
+/* One image (h, w, c) into its (h + pt + pb, w + pl + pr, c) padding. */
+static void pad_image(const int64_t *p, const int8_t *x, int8_t *xp)
+{
+    const int64_t h = p[EON_P_H], w = p[EON_P_W], c = p[EON_P_C];
+    const int64_t wp = w + p[EON_P_PL] + p[EON_P_PR];
+    const int64_t hp = h + p[EON_P_PT] + p[EON_P_PB];
+    memset(xp, (int)(int8_t)p[EON_P_IN_ZP], (size_t)(hp * wp * c));
+    for (int64_t y = 0; y < h; y++)
+        memcpy(xp + ((y + p[EON_P_PT]) * wp + p[EON_P_PL]) * c, x + y * w * c,
+               (size_t)(w * c));
+}
+
+/* The window of output pixel n (row-major over oh x ow) in a padded image
+ * whose rows are ``row`` values long. */
+static const int8_t *window(const int64_t *p, const int8_t *img, int64_t n)
+{
+    const int64_t ow = p[EON_P_OW], stride = p[EON_P_STRIDE];
+    const int64_t row = (p[EON_P_W] + p[EON_P_PL] + p[EON_P_PR]) * p[EON_P_C];
+    return img + (n / ow) * stride * row + (n % ow) * stride * p[EON_P_C];
+}
+
+/* acc[i][o] = bias[o] + the window of output pixel n0 + i times the
+ * weights, for i < n.  ``w`` is (coutp / EON_CO, K, EON_CO) int32 blocks
+ * with K ordered (kh, kw, c), as the window reads. */
+static void gemm_pixels(const int64_t *p, const int8_t *img, int64_t n0,
+                        int64_t n, const int32_t *restrict w,
+                        const int32_t *restrict bias, int64_t coutp,
+                        int32_t *restrict acc)
+{
+    const int64_t kh = p[EON_P_KH], kwc = p[EON_P_KW] * p[EON_P_C];
+    const int64_t row = (p[EON_P_W] + p[EON_P_PL] + p[EON_P_PR]) * p[EON_P_C];
+    for (int64_t t = 0; t < n; t += EON_PX) {
+        const int8_t *win[EON_PX];
+        for (int j = 0; j < EON_PX; j++) /* a short tile repeats its last pixel */
+            win[j] = window(p, img, n0 + (t + j < n ? t + j : n - 1));
+        for (int64_t o0 = 0; o0 < coutp; o0 += EON_CO) {
+            const int32_t *restrict wb = w + o0 * kh * kwc;
+            eon_v16i b, a[EON_PX];
+            memcpy(&b, bias + o0, sizeof b);
+            for (int j = 0; j < EON_PX; j++)
+                a[j] = b;
+            for (int64_t i = 0; i < kh; i++)
+                for (int64_t k = 0; k < kwc; k++) {
+                    eon_v16i wv;
+                    memcpy(&wv, wb + (i * kwc + k) * EON_CO, sizeof wv);
+                    for (int j = 0; j < EON_PX; j++)
+                        a[j] += win[j][i * row + k] * wv;
+                }
+            for (int j = 0; j < EON_PX && t + j < n; j++)
+                memcpy(acc + (t + j) * coutp + o0, &a[j], sizeof a[j]);
+        }
+    }
+}
+
+/* The depthwise twin of gemm_pixels: channel o alone, ``taps`` is
+ * (kh, kw, c) int32. */
+static void depthwise_pixels(const int64_t *p, const int8_t *img, int64_t n0,
+                             int64_t n, const int32_t *restrict taps,
+                             const int32_t *restrict bias, int64_t coutp,
+                             int32_t *restrict acc)
+{
+    const int64_t kh = p[EON_P_KH], kw = p[EON_P_KW], c = p[EON_P_C];
+    const int64_t row = (p[EON_P_W] + p[EON_P_PL] + p[EON_P_PR]) * c;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t *restrict a = acc + i * coutp;
+        const int8_t *win = window(p, img, n0 + i);
+        for (int64_t o = 0; o < c; o++)
+            a[o] = bias[o];
+        for (int64_t y = 0; y < kh; y++)
+            for (int64_t x = 0; x < kw; x++) {
+                const int8_t *restrict xr = win + y * row + x * c;
+                const int32_t *restrict tr = taps + (y * kw + x) * c;
+                for (int64_t o = 0; o < c; o++)
+                    a[o] += xr[o] * tr[o];
+            }
+    }
+}
+
+/* The body both kernels share.  Per image: pad it into ``xp`` (when padded), then
+ * accumulate output pixels a band at a time and write them: an unpooled
+ * layer requantizes EON_CHUNK pixels at a time; a pooled one accumulates
+ * a band of pool_h output rows, pools it (the max of the accumulators, or
+ * the sum of requantized outputs for an average pool) and writes one
+ * pooled row.  ``scratch`` holds eon_scratch_size() int32. */
+static void run_conv(const int64_t *p, int depthwise, const int8_t *x,
+                     int8_t *xp, const int32_t *w, const int32_t *bias,
+                     const int64_t *rq, int32_t *scratch, int8_t *out,
+                     int64_t rows)
+{
+    const int64_t cout = p[EON_P_COUT], coutp = padded_channels(p);
+    const int64_t oh = p[EON_P_OH], ow = p[EON_P_OW];
+    const int64_t ph = p[EON_P_POOL_H], pw = p[EON_P_POOL_W];
+    const int64_t qh = oh / ph, qw = ow / pw;
+    const int64_t out_zp = p[EON_P_OUT_ZP], lo = p[EON_P_CLAMP_MIN];
+    const int64_t hi = p[EON_P_CLAMP_MAX];
+    const int avg = p[EON_P_POOL_AVG] != 0, pooled = ph * pw > 1;
+    const int64_t in_image = p[EON_P_H] * p[EON_P_W] * p[EON_P_C];
+    const int64_t band = band_pixels(p);
+    const int padded = p[EON_P_PT] || p[EON_P_PB] || p[EON_P_PL] || p[EON_P_PR];
+    int32_t *acc = scratch, *pool = scratch + band * coutp;
+    int8_t *q = (int8_t *)(pool + qw * coutp);
+
+    for (int64_t b = 0; b < rows; b++) {
+        const int8_t *img = x + b * in_image;
+        int8_t *dst = out + b * qh * qw * cout;
+        if (padded) {
+            pad_image(p, img, xp);
+            img = xp;
+        }
+        const int64_t n_all = pooled ? qh * ph * ow : oh * ow;
+        for (int64_t n0 = 0; n0 < n_all; n0 += band) {
+            const int64_t n = n_all - n0 < band ? n_all - n0 : band;
+            if (depthwise)
+                depthwise_pixels(p, img, n0, n, w, bias, coutp, acc);
+            else
+                gemm_pixels(p, img, n0, n, w, bias, coutp, acc);
+            if (!pooled) {
+                for (int64_t i = 0; i < n; i++)
+                    requant_row(acc + i * coutp, cout, rq, coutp, out_zp, lo, hi,
+                                dst + (n0 + i) * cout);
+                continue;
+            }
+            for (int64_t qx = 0; qx < qw; qx++) {
+                int32_t *restrict v = pool + qx * coutp;
+                for (int64_t d = 0; d < ph * pw; d++) {
+                    const int32_t *restrict src =
+                        acc + ((d / pw) * ow + qx * pw + d % pw) * coutp;
+                    if (avg) {
+                        requant_row(src, coutp, rq, coutp, out_zp, lo, hi, q);
+                        for (int64_t o = 0; o < coutp; o++)
+                            v[o] = d == 0 ? q[o] : v[o] + q[o];
+                    } else {
+                        for (int64_t o = 0; o < coutp; o++)
+                            v[o] = d == 0 || src[o] > v[o] ? src[o] : v[o];
+                    }
+                }
+                int8_t *px = dst + ((n0 / band) * qw + qx) * cout;
+                if (!avg) {
+                    requant_row(v, cout, rq, coutp, out_zp, lo, hi, px);
+                    continue;
+                }
+                const int64_t count = ph * pw, half = count / 2;
+                for (int64_t o = 0; o < cout; o++) {
+                    const int64_t s = v[o] + (v[o] >= 0 ? half : -half);
+                    const int64_t r = s / count - (s % count != 0 && s < 0); /* floor */
+                    px[o] = (int8_t)(r < -128 ? -128 : r > 127 ? 127 : r);
+                }
+            }
+        }
+    }
+}
+
+/* CONV_2D, CONV_1D and FULLY_CONNECTED. */
+void eon_conv_i8(const int64_t *p, const int8_t *x, int8_t *xp,
+                 const int32_t *w, const int32_t *bias, const int64_t *rq,
+                 int32_t *scratch, int8_t *out, int64_t rows)
+{
+    run_conv(p, 0, x, xp, w, bias, rq, scratch, out, rows);
+}
+
+/* DEPTHWISE_CONV_2D with depth multiplier 1. */
+void eon_dwconv_i8(const int64_t *p, const int8_t *x, int8_t *xp,
+                   const int32_t *taps, const int32_t *bias, const int64_t *rq,
+                   int32_t *scratch, int8_t *out, int64_t rows)
+{
+    run_conv(p, 1, x, xp, taps, bias, rq, scratch, out, rows);
+}

@@ -13,9 +13,13 @@ Two ways to execute a :class:`repro.graph.Graph`:
   equivalence tests, and (``record=True``) the calibration path that
   returns every activation.
 
-Dispatch calls the generic kernels (the spec); plans bind the
-``*_i8_plan`` family of ``repro.runtime.kernels``, whose rewrites are
-each proven exact at bind time, so outputs are bit-identical.
+Dispatch calls the generic kernels (the spec).  Plans bind every int8
+conv / depthwise / conv1d / dense step to EON's C kernels
+(``repro.runtime.native``, built once per host from ``eon_kernels.c``),
+and fall back to the ``*_i8_plan`` family of ``repro.runtime.kernels``
+where there is no compiler or a layer fails the C kernels' int32 proof;
+both routes' rewrites are proven exact at bind time, so outputs are
+bit-identical.
 
 The binder is also the plan optimizer.  While binding the authored
 graph it makes three local decisions, from the graph's structure and
@@ -50,6 +54,7 @@ is batch-polymorphic, so one plan serves every batch size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -61,6 +66,7 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.ops import GOp
 from repro.runtime import kernels as K
+from repro.runtime import native
 from repro.runtime.arena import ArenaPlan, _align, first_fit, plan_arena
 
 
@@ -205,10 +211,11 @@ def _bind_op(
     keyword of the kernel — to a view of that shape with the batch's
     rows in front.
 
-    int8 conv / dense ops bind the ``*_i8_plan`` kernels on operands
-    prepared here (zero point folded into the bias, requantizer
-    constants, and the GEMM / depthwise dtype each layer's exactness
-    proof allows — see the notes in ``repro.runtime.kernels``).
+    int8 conv / dense ops bind a C kernel (:func:`_bind_native`) or,
+    failing that, the ``*_i8_plan`` kernels, on operands prepared here
+    (zero point folded into the bias, requantizer constants, and the
+    GEMM / depthwise dtype each layer's exactness proof allows — see the
+    notes in ``repro.runtime.kernels``).
     ``pool`` is the ``(size, kind)`` of the pool a conv absorbs, decided
     by :func:`_bind_steps`.
     """
@@ -254,6 +261,9 @@ def _bind_op(
 
         in_zp = t[x_id].quant.zero_point
         rq = _requantizer(graph, op)
+        bound = _bind_native(graph, op, pool, rq)
+        if bound is not None:
+            return bound
         if op.opcode == "DEPTHWISE_CONV_2D":
             taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
             wide = taps.dtype != np.int8  # note 4's int64 route
@@ -284,6 +294,9 @@ def _bind_op(
         if not is_int8:
             return (lambda v, out, s: K.fc_f32(v[x_id], w, b, act, out=out)), ()
         rq = _requantizer(graph, op)
+        bound = _bind_native(graph, op, None, rq)
+        if bound is not None:
+            return bound
         w2d, bias = K.prepare_gemm_i8(w, b, t[x_id].quant.zero_point)
         return (
             lambda v, out, s: K.fc_i8_plan(v[x_id], w2d, bias, rq, out=out, **s)
@@ -363,6 +376,81 @@ def _bind_op(
     raise NotImplementedError(f"no kernel for opcode {op.opcode}")
 
 
+_INT = (int, np.integer)
+
+
+def _bind_native(
+    graph: Graph, op: GOp, pool: tuple[int, str] | None, rq: K.Requantizer
+) -> tuple[native.ConvKernel, tuple] | None:
+    """An int8 CONV_2D / DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED
+    bound to its C kernel, with its scratch; ``None`` — bind the numpy
+    kernels — where the kernel library is unavailable, the layer fails
+    the int32 proof, or its shapes are not the ones the kernel walks
+    (a depth multiplier, a graph that would fail at execute anyway).
+
+    Every layer is seen by the kernel as NHWC: a CONV_1D is a 2-D conv of
+    height 1, a FULLY_CONNECTED a 1x1 conv over a 1x1 image."""
+    lib = native.load()
+    t = graph.tensors
+    x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
+    if lib is None or x_t.dtype != "int8" or w.dtype != np.int8:
+        return None
+    a = op.attrs
+    in_zp = x_t.quant.zero_point
+    pads, stride, depthwise = ((0, 0), (0, 0)), 1, op.opcode == "DEPTHWISE_CONV_2D"
+    if op.opcode == "FULLY_CONNECTED":
+        in_shape, w4, out_shape = (1, 1) + tuple(x_t.shape), w.reshape((1, 1) + w.shape), (1, 1)
+    elif op.opcode == "CONV_1D":
+        in_shape, w4, out_shape = (1,) + tuple(x_t.shape), w[None], (1,)
+        pads, stride = ((0, 0), tuple(a["pad"])), a["stride"]
+    else:
+        in_shape, w4, out_shape = tuple(x_t.shape), w, ()
+        pads, stride = (tuple(a["pad_h"]), tuple(a["pad_w"])), a["stride"]
+    out_shape += tuple(t[op.outputs[0]].shape)
+    if len(in_shape) != 3 or w4.ndim != 4 or len(out_shape) != 3:
+        return None
+    (h, wd, c), (kh, kw, wc, cout) = in_shape, w4.shape
+    (pt, pb), (pl, pr) = pads
+    if not all(isinstance(v, _INT) and v >= 0 for v in (pt, pb, pl, pr)):
+        return None
+    if not (isinstance(stride, _INT) and stride >= 1 and wc == c):
+        return None
+    oh, ow = (h + pt + pb - kh) // stride + 1, (wd + pl + pr - kw) // stride + 1
+    if depthwise:
+        if cout != 1:
+            return None
+        cout = c
+        weights, bias = K.prepare_dwconv_i8(w, b, in_zp)
+        if weights.dtype != np.int8:
+            return None
+    else:
+        prepared = K.prepare_gemm_i32(w, b, in_zp)
+        if prepared is None:
+            return None
+        weights, bias = prepared
+    if min(oh, ow) < 1 or out_shape != (oh, ow, cout) or bias.shape != (cout,):
+        return None
+    if rq.mant.size not in (1, cout) or rq.shift.size not in (1, cout):
+        return None
+    if not (-128 <= in_zp <= 127 and -128 <= rq.out_zp <= 127):
+        return None  # unrepresentable: the verifier's G021, unless skipped
+    size, kind = pool or (1, None)
+    pool_h = 1 if op.opcode == "CONV_1D" else size
+    if size < 1 or (kind == "avg" and size * size >= 1 << 24):  # int32 sums of int8
+        return None
+    params = dict(
+        h=h, w=wd, c=c, pt=pt, pb=pb, pl=pl, pr=pr, kh=kh, kw=kw, stride=stride,
+        oh=oh, ow=ow, cout=cout, pool_h=pool_h, pool_w=size,
+        pool_avg=int(kind == "avg"), in_zp=in_zp, out_zp=rq.out_zp,
+        clamp_min=rq.clamp_min, clamp_max=rq.clamp_max,
+    )
+    kernel = native.ConvKernel(lib, depthwise, params, weights, bias, rq.mant, rq.shift, op.inputs[0])
+    scratch = (("acc", (kernel.scratch_size,), np.int32, _GATHER, _REQUANT),)
+    if pt or pb or pl or pr:
+        scratch += (("xp", (h + pt + pb, wd + pl + pr, c), np.int8, _PAD, _GATHER),)
+    return kernel, scratch
+
+
 # The phases every plan kernel runs through, in order.  A scratch buffer
 # is live from the phase that writes it to the last one that reads it,
 # and buffers whose phases do not meet share bytes (``first_fit``).
@@ -397,7 +485,8 @@ class PlanStep:
     ``ops`` are the authored op indices the step runs: ``(op,)``, or
     ``(conv, pool)`` for a conv that absorbed its pool — the step keeps
     the conv's opcode and writes the pool's output.  ``reads`` are the
-    activation ids the closure reads.  ``inplace_src`` is the tensor id
+    activation ids the closure ``fn`` reads (a :class:`native.ConvKernel`
+    for a step bound to C).  ``inplace_src`` is the tensor id
     whose buffer the step writes its output into (``None`` for ordinary
     steps); the arena gives both the same offset.  ``scratch`` is the
     ``(name, per-row shape, dtype, first, last)`` spec of the closure's
@@ -589,7 +678,8 @@ class CompiledPlan:
         """Views of ``data`` for a batch of ``rows``: each activation at
         its arena offset times ``rows``, each step's scratch past the
         arena — every offset and size scaled by ``rows``, so a 16-byte
-        aligned row layout stays aligned."""
+        aligned row layout stays aligned — and the call that runs each
+        step on them (a C kernel's pointers are bound here, once)."""
 
         def view(offset, shape, dtype):
             start = offset * rows
@@ -602,7 +692,12 @@ class CompiledPlan:
             {name: view(arena.total_bytes + off, shape, dtype) for name, off, shape, dtype in placed}
             for placed, _ in self._scratch_region()[0]
         ]
-        return views, load, [(views[st.out_id], s) for st, s in zip(self.steps, scratch)]
+        runs = [
+            st.fn.carve(views, views[st.out_id], s) if isinstance(st.fn, native.ConvKernel)
+            else functools.partial(st.fn, views, views[st.out_id], s)
+            for st, s in zip(self.steps, scratch)
+        ]
+        return views, load, runs
 
     def execute(self, batch: np.ndarray) -> np.ndarray:
         """Run the plan over a batch in EON's arena, as the generated
@@ -620,10 +715,10 @@ class CompiledPlan:
                 if len(buf.carvings) >= _CARVINGS_PER_BUFFER:
                     buf.carvings.clear()
                 carved = buf.carvings[key] = self._carve(buf.data, rows)
-            views, load_scratch, slots = carved
+            views, load_scratch, runs = carved
             _load_input(graph, batch, views[graph.input_id], **load_scratch)
-            for step, (out, s) in zip(self.steps, slots):
-                step.fn(views, out, s)
+            for run in runs:
+                run()
             return views[graph.output_id].copy()
         finally:
             _return_buffer(buf)

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
+from repro.quantize.fixedpoint import (
+    checked_mantissa,
+    multiply_by_quantized_multiplier,
+    total_shift_of,
+)
 
 # --------------------------------------------------------------------------
 # shared geometry
@@ -389,18 +393,18 @@ class Requantizer:
     """int32-range accumulators -> int8, constants prepared at bind time.
 
     Equals ``_requant`` (the spec) byte for byte; raises the spec's
-    ``ValueError`` at construction for a shift outside its range.
+    ``ValueError`` at construction for a shift or mantissa outside its
+    range, and caps the shift where the spec does.
     """
 
     __slots__ = ("mant", "shift", "half", "out_zp", "clamp_min", "clamp_max")
 
     def __init__(self, out_mult, out_shift, out_zp, clamp_min=-128, clamp_max=127):
-        self.mant = np.asarray(out_mult, dtype=np.int64)
-        self.shift = 31 - np.asarray(out_shift, dtype=np.int64)
-        if np.any(self.shift < 1):
-            raise ValueError("multiplier exponent too large; accumulator would overflow")
+        self.mant = checked_mantissa(out_mult)
+        self.shift = total_shift_of(out_shift)
         self.half = np.int64(1) << (self.shift - 1)
-        self.out_zp, self.clamp_min, self.clamp_max = out_zp, clamp_min, clamp_max
+        self.out_zp, self.clamp_min, self.clamp_max = (
+            np.int64(v) for v in (out_zp, clamp_min, clamp_max))
 
     def __call__(self, acc: np.ndarray, out=None, work=None, sign=None) -> np.ndarray:
         """``acc`` belongs to the caller and is consumed: an int64 array
@@ -441,6 +445,13 @@ def prepare_gemm_i8(w, bias, in_zp):
     return w2d.astype(dtype), folded.astype(dtype)
 
 
+def _fits_int32(k, folded) -> bool:
+    """Note 4's proof: ``k`` int8 products and the folded bias cannot
+    wrap an int32 accumulator, ``k*128*128 + max|bias'| < 2**31``."""
+    max_bias = int(np.abs(folded).max()) if folded.size else 0
+    return k * 128 * 128 + max_bias < 2 ** 31
+
+
 def prepare_dwconv_i8(w, bias, in_zp):
     """``(taps, bias')`` for ``dwconv2d_i8_plan``: int8 ``(kh, kw, c)``
     taps and an int32 bias when tap accumulation provably fits int32
@@ -448,10 +459,21 @@ def prepare_dwconv_i8(w, bias, in_zp):
     of the window route."""
     kh, kw, _, dm = w.shape
     folded = bias.astype(np.int64) - in_zp * w.sum(axis=(0, 1), dtype=np.int64).reshape(-1)
-    max_bias = int(np.abs(folded).max()) if folded.size else 0
-    if dm == 1 and kh * kw * 128 * 128 + max_bias < 2 ** 31:
+    if dm == 1 and _fits_int32(kh * kw, folded):
         return w[..., 0].astype(np.int8), folded.astype(np.int32)
     return w.astype(np.int64), folded
+
+
+def prepare_gemm_i32(w, bias, in_zp):
+    """``(w2d, bias')`` for the C kernels (``repro.runtime.native``): int8
+    weights as ``(K, cout)`` and the folded bias as int32, when int32
+    accumulation provably cannot wrap (note 4's proof over ``K`` taps);
+    ``None`` otherwise."""
+    w2d = w.reshape(-1, w.shape[-1])
+    folded = bias.astype(np.int64) - in_zp * w2d.sum(axis=0, dtype=np.int64)
+    if not _fits_int32(w2d.shape[0], folded):
+        return None
+    return w2d.astype(np.int8), folded.astype(np.int32)
 
 
 def _finish(

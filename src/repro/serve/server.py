@@ -329,27 +329,17 @@ class ModelServer:
             margin = conf
         sketches = feature_sketch(stacked, dim=SKETCH_DIM)
         version = model_version_of(self.platform.projects[project_id])
-        # Bulk-convert to Python scalars (one C loop each) and share one
-        # timestamp: per-record float()/time.time() calls add up on a
-        # path that runs once per served batch.
+        # Bulk-convert to Python scalars (one C loop each), share one
+        # timestamp and pass arguments by position: per-record
+        # float()/time.time() calls and keyword parsing add up on a path
+        # that runs once per served batch.
         ts = time.time()
-        n_labels = len(labels)
-        tops = top_idx.tolist()
-        confs = conf.tolist()
-        margins = margin.tolist()
+        tops = [labels[t] if t < len(labels) else None for t in top_idx.tolist()]
         telemetry.extend([
-            TelemetryRecord(
-                project_id,
-                model_version=version,
-                ts=ts,
-                latency_ms=latency_ms,
-                top=labels[tops[i]] if tops[i] < n_labels else None,
-                confidence=confs[i],
-                margin=margins[i],
-                source=source,
-                sketch=sketches[i],
-            )
-            for i in range(len(probs))
+            # project_id, model_version, ts, latency_ms, top, confidence,
+            # margin, ok, source, sketch
+            TelemetryRecord(project_id, version, ts, latency_ms, top, c, m, True, source, s)
+            for top, c, m, s in zip(tops, conf.tolist(), margin.tolist(), sketches)
         ])
 
     # -- observability / lifecycle -----------------------------------------

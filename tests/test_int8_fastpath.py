@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,16 +50,25 @@ from repro.runtime import (
     run_graph_dispatch,
 )
 from repro.runtime import kernels as K
+from repro.runtime import native
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN_PATH = DATA_DIR / "int8_golden.json"
 GOLDEN_TASKS = ("kws", "ic", "vww")
 GOLDEN_BATCHES = (1, 4)
 
-#: Every way the runtime can execute an int8 graph.
+def _numpy_plan(graph):
+    """The plan bound without the C kernel library (``runtime/native``)."""
+    with mock.patch.object(native, "load", lambda: None):
+        return compile_plan(graph, cache=False)
+
+
+#: Every way the runtime can execute an int8 graph.  Plans bind the C
+#: kernels where a compiler exists; ``plan_numpy`` forces the numpy ones.
 ROUTES = {
     "dispatch": lambda g: lambda x: run_graph_dispatch(g, x),
     "plan_default": lambda g: compile_plan(g, cache=False).execute,
+    "plan_numpy": lambda g: _numpy_plan(g).execute,
     "tflm": lambda g: TFLMInterpreter(g).invoke,
     "eon": lambda g: EONCompiler().compile(g).invoke,
 }
@@ -116,7 +126,7 @@ def test_golden_digests(task, route):
 
 INT32_MAX = 2**31 - 1
 _mantissas = st.one_of(st.just(0), st.integers(1, INT32_MAX), st.integers(2**30, INT32_MAX))
-_total_shifts = st.integers(1, 62)
+_total_shifts = st.integers(1, 70)  # 63 and up: capped, every result 0
 _accs = st.one_of(
     st.integers(-INT32_MAX, INT32_MAX),
     st.sampled_from([0, 1, -1, INT32_MAX, -INT32_MAX]),
@@ -162,6 +172,16 @@ def test_requantizer_equals_the_spec(case):
     requant = K.Requantizer(mult, shift, zp, lo, hi)
     for dtype in (np.int64, np.int32, np.float64):  # every accumulator a kernel hands over
         assert np.array_equal(requant(acc.astype(dtype)), want)
+    lib = native.load()
+    if lib is not None:  # the C kernels' requantization, on the same constants
+        channels = acc.shape[1]
+        table = np.stack([np.broadcast_to(a, (channels,)) for a in
+                          (requant.mant, requant.half, requant.shift)]).astype(np.int64)
+        acc32 = np.ascontiguousarray(acc, dtype=np.int32)
+        got = np.empty(acc.shape, np.int8)
+        lib.eon_requant_i8(acc32.ctypes.data, acc32.size, channels, table.ctypes.data,
+                           zp, lo, hi, got.ctypes.data)
+        assert np.array_equal(got, want)
 
 
 def test_requantizer_consumes_only_an_int64_accumulator():

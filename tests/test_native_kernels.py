@@ -1,0 +1,400 @@
+"""EON's int8 C kernels (``runtime/eon_kernels.c`` via ``runtime/native``)
+are a second route to the plan's bytes, pinned to the spec like the
+numpy route:
+
+1. every int8 conv / depthwise / conv1d / dense step of the paper-scale
+   plans binds C where a compiler exists, so a silent build failure
+   cannot quietly leave the numpy route in charge;
+2. one-layer graphs over the kernel-test grid (strides, asymmetric pads,
+   fused max and average pools, extreme zero points, batch 1 and 5)
+   equal the generic spec kernels through C;
+3. requantization at total shifts of 63 and beyond — which post-training
+   quantization emits for a dead output channel — rounds to 0 in the
+   spec, ``Requantizer`` and C alike, and a mantissa outside
+   ``[0, 2**31)`` is refused when the plan is bound;
+4. a compiler that fails falls back to the numpy route with the same
+   bytes, and two threads running one C plan agree.
+
+The golden digests run on both routes in ``tests/test_int8_fastpath.py``
+and ``tests/test_quantize.py``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import shutil
+import threading
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.experiments.tasks import paper_scale_graphs
+from repro.graph import GOp, Graph, GTensor, QuantParams, sequential_to_graph
+from repro.graph.serialize import graph_from_bytes, graph_to_bytes
+from repro.nn import Sequential
+from repro.nn.architectures import ds_cnn
+from repro.nn.layers import Conv1D, Dense, GlobalAvgPool1D
+from repro.quantize import quantize_graph
+from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
+from repro.runtime import compile_plan, run_graph_dispatch
+from repro.runtime import kernels as K
+from repro.runtime import native
+
+LIB = native.load()
+needs_cc = pytest.mark.skipif(LIB is None, reason="no C compiler / kernel library")
+
+#: The opcodes whose int8 steps bind C.
+NATIVE_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
+
+
+def numpy_plan(graph):
+    """``graph``'s plan bound without the kernel library: the numpy route."""
+    with mock.patch.object(native, "load", lambda: None):
+        return compile_plan(graph, cache=False)
+
+
+def _bound_native(plan) -> list[bool]:
+    return [isinstance(step.fn, native.ConvKernel) for step in plan.steps]
+
+
+# -- (1) the paper-scale plans really bind C -----------------------------------
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("task", ["kws", "ic", "vww"])
+def test_paper_scale_int8_plans_bind_c_for_every_weighted_step(task):
+    assert LIB is not None, "cc is on PATH but the kernel library did not build"
+    graph = paper_scale_graphs(task).int8_graph
+    plan = compile_plan(graph, cache=False)
+    weighted = [step.opcode in NATIVE_OPS for step in plan.steps]
+    assert any(weighted)
+    assert _bound_native(plan) == weighted
+    assert not any(_bound_native(numpy_plan(graph)))
+
+
+# -- (2) one-layer graphs through C equal the spec -----------------------------
+
+
+def _layer_graph(opcode, x, w, b, attrs, in_zp, out_zp, pool=None):
+    """An int8 graph of one weighted op (and the pool it may absorb)."""
+    g = Graph("layer")
+    q = lambda zp: QuantParams(np.array([0.05]), zero_point=zp)  # noqa: E731
+    xi = g.add_tensor(GTensor("x", x.shape[1:], "int8", quant=q(in_zp)))
+    wi = g.add_tensor(GTensor("w", w.shape, "int8", data=w))
+    bi = g.add_tensor(GTensor("b", b.shape, "int32", data=b))
+    spec = {
+        "CONV_2D": K.conv2d_i8, "DEPTHWISE_CONV_2D": K.dwconv2d_i8,
+        "CONV_1D": K.conv1d_i8, "FULLY_CONNECTED": K.fc_i8,
+    }[opcode]
+    geometry = {k: attrs[k] for k in ("stride", "pad_h", "pad_w", "pad") if k in attrs}
+    want = spec(x, w, b, *geometry.values(), in_zp, out_zp, attrs["out_mult"],
+                attrs["out_shift"], attrs["clamp_min"], attrs["clamp_max"])
+    yi = g.add_tensor(GTensor("y", want.shape[1:], "int8", quant=q(out_zp)))
+    g.add_op(GOp(opcode, [xi, wi, bi], [yi], dict(attrs)))
+    g.input_id = g.output_id = xi
+    if pool is not None:
+        size, kind = pool
+        want = {"max": K.maxpool1d_i8 if opcode == "CONV_1D" else K.maxpool2d_i8,
+                "avg": K.avgpool2d_i8}[kind](want, size)
+        pi = g.add_tensor(GTensor("p", want.shape[1:], "int8", quant=q(out_zp)))
+        pool_op = {"max": "MAX_POOL_1D" if opcode == "CONV_1D" else "MAX_POOL_2D",
+                   "avg": "AVG_POOL_2D"}[kind]
+        g.add_op(GOp(pool_op, [yi], [pi], {"pool_size": size}))
+        yi = pi
+    g.output_id = yi
+    return g, want
+
+
+def _requant_attrs(rng, cout, lo=-128, hi=127):
+    return {
+        "out_mult": rng.integers(2**30, 2**31, size=cout).tolist(),
+        "out_shift": rng.integers(-12, -6, size=cout).tolist(),
+        "clamp_min": lo, "clamp_max": hi,
+    }
+
+
+def _assert_c_equals_spec(graph, x, want):
+    plan = compile_plan(graph, cache=False, verify=False)
+    assert _bound_native(plan)[0]
+    got = plan.execute(x)
+    assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+POOLS = [None, (2, "max"), (2, "avg")]
+GRID_2D = [
+    ((3, 3), 1, [1, 1], [1, 1]),
+    ((3, 2), 2, [1, 0], [0, 2]),
+    ((1, 1), 1, [0, 0], [0, 0]),
+    ((1, 1), 2, [0, 1], [1, 0]),
+]
+
+
+@needs_cc
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("kernel,stride,pad_h,pad_w", GRID_2D)
+@pytest.mark.parametrize("batch", [1, 5])
+def test_c_conv2d_equals_the_spec(batch, kernel, stride, pad_h, pad_w, pool):
+    rng = np.random.default_rng([batch, *kernel, stride, bool(pool)])
+    for in_zp in (-128, -7, 0, 127):
+        cout = int(rng.integers(1, 40))  # whole and partial channel blocks
+        x = rng.integers(-128, 128, size=(batch, 9, 8, 3)).astype(np.int8)
+        w = rng.integers(-128, 128, size=kernel + (3, cout)).astype(np.int8)
+        b = rng.integers(-2000, 2000, size=cout).astype(np.int32)
+        attrs = {"stride": stride, "pad_h": pad_h, "pad_w": pad_w,
+                 **_requant_attrs(rng, cout)}
+        graph, want = _layer_graph("CONV_2D", x, w, b, attrs, in_zp,
+                                   int(rng.integers(-128, 128)), pool)
+        _assert_c_equals_spec(graph, x, want)
+
+
+@needs_cc
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("stride,pad_h,pad_w", [(1, [1, 1], [1, 1]), (2, [0, 1], [2, 0])])
+@pytest.mark.parametrize("channels", [4, 16, 21])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_c_depthwise_equals_the_spec(batch, channels, stride, pad_h, pad_w, pool):
+    rng = np.random.default_rng([batch, channels, stride, bool(pool)])
+    for in_zp in (-128, 5, 127):
+        x = rng.integers(-128, 128, size=(batch, 9, 8, channels)).astype(np.int8)
+        w = rng.integers(-128, 128, size=(3, 3, channels, 1)).astype(np.int8)
+        b = rng.integers(-2000, 2000, size=channels).astype(np.int32)
+        attrs = {"stride": stride, "pad_h": pad_h, "pad_w": pad_w,
+                 **_requant_attrs(rng, channels, lo=-100)}
+        graph, want = _layer_graph("DEPTHWISE_CONV_2D", x, w, b, attrs, in_zp,
+                                   int(rng.integers(-128, 128)), pool)
+        _assert_c_equals_spec(graph, x, want)
+
+
+@needs_cc
+@pytest.mark.parametrize("pool", [None, 2, 3])
+@pytest.mark.parametrize("stride,pad", [(1, [1, 1]), (2, [0, 2]), (1, [0, 0])])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_c_conv1d_equals_the_spec(batch, stride, pad, pool):
+    rng = np.random.default_rng([batch, stride, pool or 0])
+    for in_zp in (-128, 3, 127):
+        x = rng.integers(-128, 128, size=(batch, 14, 3)).astype(np.int8)
+        w = rng.integers(-128, 128, size=(3, 3, 5)).astype(np.int8)
+        b = rng.integers(-2000, 2000, size=5).astype(np.int32)
+        attrs = {"stride": stride, "pad": pad, **_requant_attrs(rng, 5)}
+        graph, want = _layer_graph("CONV_1D", x, w, b, attrs, in_zp,
+                                   int(rng.integers(-128, 128)),
+                                   pool and (pool, "max"))
+        _assert_c_equals_spec(graph, x, want)
+
+
+@needs_cc
+@pytest.mark.parametrize("batch", [1, 5])
+def test_c_dense_equals_the_spec(batch):
+    rng = np.random.default_rng([batch, 9])
+    for in_zp in (-128, -1, 127):
+        zp = int(rng.integers(-128, 128))
+        x = rng.integers(-128, 128, size=(batch, 33)).astype(np.int8)
+        w = rng.integers(-128, 128, size=(33, 7)).astype(np.int8)
+        b = rng.integers(-2000, 2000, size=7).astype(np.int32)
+        # A scalar multiplier and a relu clamp, as PTQ emits per-tensor.
+        attrs = {"out_mult": 1518500250, "out_shift": -9, "clamp_min": zp, "clamp_max": 127}
+        graph, want = _layer_graph("FULLY_CONNECTED", x, w, b, attrs, in_zp, zp)
+        _assert_c_equals_spec(graph, x, want)
+
+
+@needs_cc
+def test_a_layer_over_the_int32_bound_binds_numpy_and_stays_equal():
+    rng = np.random.default_rng(3)
+    x = rng.integers(-128, 128, size=(2, 6, 6, 4)).astype(np.int8)
+    w = rng.integers(-128, 128, size=(3, 3, 4, 5)).astype(np.int8)
+    b = np.zeros(5, np.int32)
+    b[1] = 2**31 - 36 * 128 * 128  # K*128*128 + |bias'| reaches 2**31
+    attrs = {"stride": 1, "pad_h": [1, 1], "pad_w": [1, 1], **_requant_attrs(rng, 5)}
+    graph, want = _layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
+    plan = compile_plan(graph, cache=False, verify=False)
+    assert _bound_native(plan) == [False]
+    assert np.array_equal(plan.execute(x), want)
+    b[1] -= 1  # one under the bound: C
+    graph, want = _layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
+    _assert_c_equals_spec(graph, x, want)
+
+
+# -- (3) requantization at the edges of its range -----------------------------
+
+
+def _exact_requant(acc, mant, out_shift, zp=0, lo=-128, hi=127):
+    """round-half-away(acc * mant / 2**(31 - out_shift)) in Python ints."""
+    out = []
+    for a in np.asarray(acc).reshape(-1).tolist():
+        p, s = a * mant, 31 - out_shift
+        r = (abs(p) + (1 << (s - 1))) >> s
+        out.append(min(max((r if p >= 0 else -r) + zp, lo), hi))
+    return np.array(out, dtype=np.int64)
+
+
+def _c_requant(acc, mant, out_shift, zp=0, lo=-128, hi=127):
+    acc = np.ascontiguousarray(acc, dtype=np.int32).reshape(-1)
+    rq = K.Requantizer(mant, out_shift, zp, lo, hi)
+    table = np.array([rq.mant, rq.half, rq.shift], dtype=np.int64).reshape(3, -1)
+    out = np.empty(acc.size, np.int8)
+    LIB.eon_requant_i8(acc.ctypes.data, acc.size, 1, table.ctypes.data, zp, lo, hi,
+                       out.ctypes.data)
+    return out
+
+
+#: Negative accumulators where the old shift arithmetic went wrong.
+_EDGE_ACCS = np.array([-(2**31), -(2**31) + 1, -1000, -3, -1, 0, 1, 1000, 2**31 - 1])
+
+
+@pytest.mark.parametrize("out_shift", list(range(-31, -41, -1)) + [-100])
+@pytest.mark.parametrize("mant", [1, 2**30, 2**31 - 1])
+def test_requantization_at_total_shifts_of_62_and_beyond(out_shift, mant):
+    want = _exact_requant(_EDGE_ACCS, mant, out_shift)
+    if out_shift <= -32:
+        assert not want.any()  # |acc * mant| < 2**62: every result rounds to 0
+    spec = np.clip(multiply_by_quantized_multiplier(_EDGE_ACCS, mant, out_shift), -128, 127)
+    assert np.array_equal(spec, want)
+    assert np.array_equal(K.Requantizer(mant, out_shift, 0)(_EDGE_ACCS.copy()), want)
+    if LIB is not None:
+        assert np.array_equal(_c_requant(_EDGE_ACCS, mant, out_shift), want)
+
+
+def test_a_dead_unit_with_a_negative_bias_runs_like_the_spec():
+    """PTQ gives an all-zero output channel a 1e-9 weight scale, so its
+    exponent lands near -36; with a negative bias the old requantizer
+    returned -1 there where the spec returned 0."""
+    model = Sequential([Conv1D(4, 3, padding="same"), GlobalAvgPool1D(), Dense(3)],
+                       input_shape=(12, 2), seed=0)
+    weights = model.get_weights()
+    weights[0][..., 0] = 0.0  # the conv's first output channel is dead...
+    weights[1][0] = -0.5      # ...with a negative bias, and no activation
+    model.set_weights(weights)
+    calib = np.random.default_rng(1).standard_normal((16, 12, 2)).astype(np.float32)
+    graph = quantize_graph(sequential_to_graph(model, "dead"), calib)
+    conv = next(op for op in graph.ops if op.opcode == "CONV_1D")
+    assert conv.attrs["out_shift"][0] <= -33
+    bias = graph.tensors[conv.inputs[2]].data
+    assert bias[0] < 0
+    x = np.random.default_rng(2).standard_normal((6, 12, 2)).astype(np.float32)
+    want = run_graph_dispatch(graph, x)
+    for plan in (compile_plan(graph, cache=False), numpy_plan(graph)):
+        assert np.array_equal(plan.execute(x), want)
+    bias[0] = -1000  # a small negative bias: int32-provable, so C runs it
+    want = run_graph_dispatch(graph, x)
+    plan = compile_plan(graph, cache=False)
+    assert _bound_native(plan)[0] == (LIB is not None)
+    assert np.array_equal(plan.execute(x), want)
+    assert np.array_equal(numpy_plan(graph).execute(x), want)
+
+
+def _ds_cnn_int8(per_channel=True):
+    fg = sequential_to_graph(ds_cnn((13, 8), 3, filters=8, n_blocks=1, seed=0), "forge")
+    calib = np.random.default_rng(5).standard_normal((8, 13, 8)).astype(np.float32)
+    return quantize_graph(fg, calib, per_channel=per_channel)
+
+
+def _forged_mantissas():
+    """Two forged blobs: a per-tensor JSON-scalar mantissa of 2**31, and a
+    negative value in a per-channel ``<i4`` mantissa blob."""
+    graph = _ds_cnn_int8()
+    fc = next(op for op in graph.ops if op.opcode == "FULLY_CONNECTED")
+    fc.attrs["out_mult"], fc.attrs["out_shift"] = 2**31, fc.attrs["out_shift"][0]
+    scalar = graph_to_bytes(graph)
+    assert b'"out_mult":2147483648' in scalar
+    graph = _ds_cnn_int8()
+    conv = next(op for op in graph.ops if op.opcode == "CONV_2D")
+    conv.attrs["out_mult"][0] = -(2**31)
+    negative = graph_to_bytes(graph)
+    assert b"__blob_out_mult" in negative
+    return graph_from_bytes(scalar), graph_from_bytes(negative)
+
+
+@pytest.mark.parametrize("route", ["native", "numpy"])
+def test_a_forged_mantissa_is_refused_at_bind_time(route):
+    for graph in _forged_mantissas():
+        with pytest.raises(ValueError, match="mantissa"):
+            if route == "numpy":
+                numpy_plan(graph)
+            else:
+                compile_plan(graph, cache=False)
+        with pytest.raises(ValueError, match="mantissa"):
+            run_graph_dispatch(graph, np.zeros((1, 13, 8), np.float32))
+
+
+# -- (4) the loader and its fallback ------------------------------------------
+
+
+def test_the_library_name_keys_every_input():
+    names = {
+        native.library_name(b"src", "cc:1:2", "avx2"),
+        native.library_name(b"src2", "cc:1:2", "avx2"),
+        native.library_name(b"src", "cc:1:3", "avx2"),
+        native.library_name(b"src", "cc:1:2", "avx512f"),
+    }
+    assert len(names) == 4
+    with mock.patch.object(native, "FLAGS", native.FLAGS + ("-O0",)):
+        assert native.library_name(b"src", "cc:1:2", "avx2") not in names
+
+
+def test_an_unwritable_cache_falls_back_to_a_private_directory():
+    with mock.patch.object(native.os, "access", lambda *a: False):
+        cache = native._cache_dir()
+    assert cache != native.SOURCE.parent / "__pycache__" and cache.is_dir()
+    cache.rmdir()
+
+
+@pytest.mark.parametrize("compiler", ["fails", "writes-garbage", "missing"])
+def test_a_broken_compiler_falls_back_to_the_same_bytes(tmp_path, compiler):
+    fake = tmp_path / "cc"
+    body = {"fails": "exit 1", "missing": "exit 0",
+            "writes-garbage": 'while [ "$1" != "-o" ]; do shift; done; echo junk > "$2"'}
+    fake.write_text("#!/bin/sh\n" + body[compiler] + "\n")
+    fake.chmod(0o755)
+    which = (lambda name: None) if compiler == "missing" else (lambda name: str(fake))
+    graph = _ds_cnn_int8()
+    x = np.random.default_rng(4).standard_normal((3, 13, 8)).astype(np.float32)
+    cache = native.SOURCE.parent / "__pycache__"
+    before = set(cache.iterdir())
+    with mock.patch.object(native, "_loaded", []), \
+            mock.patch.object(native.shutil, "which", which):
+        assert native.load() is None
+        plan = compile_plan(graph, cache=False)
+    assert set(cache.iterdir()) == before  # no half-written library left behind
+    assert not any(_bound_native(plan))
+    assert np.array_equal(plan.execute(x), run_graph_dispatch(graph, x))
+    if LIB is not None:
+        native_plan = compile_plan(graph, cache=False)
+        assert any(_bound_native(native_plan))
+        assert np.array_equal(native_plan.execute(x), plan.execute(x))
+
+
+@needs_cc
+def test_a_library_whose_constants_disagree_is_refused():
+    assert LIB.eon_param_count() == len(native.PARAMS)
+    with mock.patch.object(native, "PARAMS", native.PARAMS + ("extra",)), \
+            pytest.raises(AttributeError, match="disagree"):
+        native._declare(ctypes.CDLL(LIB._name))
+
+
+@needs_cc
+def test_two_threads_running_one_c_plan_agree():
+    graph = paper_scale_graphs("kws").int8_graph
+    plan = compile_plan(graph, cache=False)
+    assert any(_bound_native(plan))
+    rng = np.random.default_rng(11)
+    shape = tuple(graph.tensors[graph.input_id].shape)
+    inputs = [rng.standard_normal((rows,) + shape).astype(np.float32) for rows in (1, 3)]
+    wants = [run_graph_dispatch(graph, x) for x in inputs]
+    errors: list[str] = []
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        for n in range(100):
+            if not np.array_equal(plan.execute(inputs[i]), wants[i]):
+                errors.append(f"thread {i} iteration {n}")
+                return
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.quantize import (
     quantize_graph,
     quantize_multiplier,
 )
-from repro.runtime import compile_plan, run_graph, run_graph_dispatch
+from repro.runtime import compile_plan, native, run_graph, run_graph_dispatch
 
 RNG = np.random.default_rng(0)
 
@@ -268,13 +269,17 @@ PTQ_GOLDEN_SHAPES = {
 
 
 def ptq_golden_digest(arch: str, per_channel: bool) -> str:
-    """sha256 of the serialised int8 graph of one zoo architecture.
+    """sha256 of the serialised int8 graph of one zoo architecture
+    (:func:`ptq_golden_graph`).  ``tests/data/ptq_golden.json`` holds this
+    function's output from before the uniform-int8 quantizer twin was
+    deleted (see CHANGES.md for the command)."""
+    return hashlib.sha256(graph_to_bytes(ptq_golden_graph(arch, per_channel))).hexdigest()
 
-    Every parameter (BatchNorm statistics included) is perturbed with
-    seeded noise so biases and folded scales are not the initialiser's
-    zeros and ones.  ``tests/data/ptq_golden.json`` holds this function's
-    output at the commit before PR 21 (see CHANGES.md for the command).
-    """
+
+def ptq_golden_graph(arch: str, per_channel: bool) -> Graph:
+    """The int8 graph of one zoo architecture whose every parameter
+    (BatchNorm statistics included) is perturbed with seeded noise, so
+    biases and folded scales are not the initialiser's zeros and ones."""
     rng = np.random.default_rng(21)
     shape = PTQ_GOLDEN_SHAPES[arch]
     model = ARCHITECTURES[arch](shape, 4, seed=3)
@@ -285,8 +290,7 @@ def ptq_golden_digest(arch: str, per_channel: bool) -> str:
     model.set_weights(weights)
     graph = sequential_to_graph(model, name=arch)
     x = rng.normal(0, 1, (16, *shape)).astype(np.float32)
-    q = quantize_graph(graph, x, per_channel=per_channel)
-    return hashlib.sha256(graph_to_bytes(q)).hexdigest()
+    return quantize_graph(graph, x, per_channel=per_channel)
 
 
 def _weight_roles(model):
@@ -306,3 +310,17 @@ def test_ptq_golden_digests(arch, per_channel):
     golden = json.loads(PTQ_GOLDEN_PATH.read_text())
     key = f"{arch}/{'per_channel' if per_channel else 'per_tensor'}"
     assert ptq_golden_digest(arch, per_channel) == golden[key]
+
+
+@pytest.mark.parametrize("per_channel", [True, False])
+@pytest.mark.parametrize("arch", sorted(PTQ_GOLDEN_SHAPES))
+def test_ptq_golden_graphs_run_alike_on_both_plan_routes(arch, per_channel):
+    """The golden graphs execute to the spec's bytes whether the plan
+    binds the C kernels (where a compiler exists) or the numpy ones."""
+    graph = ptq_golden_graph(arch, per_channel)
+    x = np.random.default_rng(34).normal(0, 1, (3, *PTQ_GOLDEN_SHAPES[arch])).astype(np.float32)
+    want = run_graph_dispatch(graph, x)
+    assert np.array_equal(compile_plan(graph, cache=False).execute(x), want)
+    with mock.patch.object(native, "load", lambda: None):
+        numpy_plan = compile_plan(graph, cache=False)
+    assert np.array_equal(numpy_plan.execute(x), want)
