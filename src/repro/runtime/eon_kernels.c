@@ -1,8 +1,9 @@
 /*
- * EON's int8 kernels: integer-only C for the plan's convolution, depthwise
- * and dense steps (docs/plan.md, "Native kernels").
+ * EON's C kernels: integer-only C for the plan's int8 convolution,
+ * depthwise and dense steps, and the float32 depthwise step
+ * (docs/plan.md, "Native kernels").
  *
- * Every kernel computes the bytes of its numpy twin in
+ * Every int8 kernel computes the bytes of its numpy twin in
  * repro/runtime/kernels.py (conv2d_i8_plan, dwconv2d_i8_plan,
  * conv1d_i8_plan, fc_i8_plan), which equal the generic spec kernels:
  *
@@ -23,13 +24,21 @@
  *     overflow.  Right shifts of negative values are arithmetic and
  *     narrowing to int8 keeps the low byte, as GCC and Clang define them.
  *
+ * The float32 depthwise kernel has no exactness proof to lean on, so it
+ * follows its numpy twin (dwconv2d_f32) operation for operation: per
+ * output element the accumulator starts at +0.0f, each tap (i, j) is added
+ * in row-major tap order as acc = acc + x*t, then the bias, then the clamp
+ * v < lo ? lo : v, v > hi ? hi : v (np.clip: -0.0 and NaN pass through).
+ * The product and the sum are rounded separately: the library is built
+ * with -ffp-contract=off, or a compiler may fuse them into one FMA.
+ *
  * Shapes are NHWC.  A 1-D convolution is a 2-D one of height 1, and a dense
  * layer a 1x1 convolution over a 1x1 image.  The layer constants arrive in
  * one int64 array indexed by EON_P_*; ``rows`` is the batch size.  Weights
  * are int8 values widened to int32 by the binder: a GEMM kernel's as
  * (coutp / EON_CO, K, EON_CO) blocks of output channels, zero-filled past
  * cout up to coutp, with bias and requantization constants filled alike;
- * depthwise taps as (kh, kw, c).
+ * depthwise taps as (kh, kw, c), int32 or float32.
  */
 
 #include <stddef.h>
@@ -53,8 +62,13 @@ enum {
 #define EON_PX 8
 #define EON_CHUNK 64
 
+/* Channels the float32 depthwise kernel accumulates at a time. */
+#define EON_VF 8
+
 /* GCC and Clang vector types: one code path, compiled to the host's SIMD. */
 typedef int32_t eon_v16i __attribute__((vector_size(EON_CO * sizeof(int32_t))));
+typedef float eon_v8f __attribute__((vector_size(EON_VF * sizeof(float))));
+typedef int32_t eon_v8i __attribute__((vector_size(EON_VF * sizeof(int32_t))));
 
 int eon_param_count(void) { return EON_P_COUNT; }
 int eon_channel_block(void) { return EON_CO; }
@@ -112,16 +126,22 @@ void eon_requant_i8(const int32_t *acc, int64_t n, int64_t channels,
         requant_row(acc + i, channels, rq, channels, out_zp, lo, hi, out + i);
 }
 
-/* One image (h, w, c) into its (h + pt + pb, w + pl + pr, c) padding. */
-static void pad_image(const int64_t *p, const int8_t *x, int8_t *xp)
+/* One image (h, w, c) of ``size``-byte values into its
+ * (h + pt + pb, w + pl + pr, c) padding, every byte of which is ``fill``. */
+static void pad_image(const int64_t *p, const void *x, void *xp, size_t size, int fill)
 {
     const int64_t h = p[EON_P_H], w = p[EON_P_W], c = p[EON_P_C];
     const int64_t wp = w + p[EON_P_PL] + p[EON_P_PR];
     const int64_t hp = h + p[EON_P_PT] + p[EON_P_PB];
-    memset(xp, (int)(int8_t)p[EON_P_IN_ZP], (size_t)(hp * wp * c));
+    memset(xp, fill, (size_t)(hp * wp * c) * size);
     for (int64_t y = 0; y < h; y++)
-        memcpy(xp + ((y + p[EON_P_PT]) * wp + p[EON_P_PL]) * c, x + y * w * c,
-               (size_t)(w * c));
+        memcpy((char *)xp + ((y + p[EON_P_PT]) * wp + p[EON_P_PL]) * c * size,
+               (const char *)x + y * w * c * size, (size_t)(w * c) * size);
+}
+
+static int is_padded(const int64_t *p)
+{
+    return p[EON_P_PT] || p[EON_P_PB] || p[EON_P_PL] || p[EON_P_PR];
 }
 
 /* The window of output pixel n (row-major over oh x ow) in a padded image
@@ -210,7 +230,7 @@ static void run_conv(const int64_t *p, int depthwise, const int8_t *x,
     const int avg = p[EON_P_POOL_AVG] != 0, pooled = ph * pw > 1;
     const int64_t in_image = p[EON_P_H] * p[EON_P_W] * p[EON_P_C];
     const int64_t band = band_pixels(p);
-    const int padded = p[EON_P_PT] || p[EON_P_PB] || p[EON_P_PL] || p[EON_P_PR];
+    const int padded = is_padded(p);
     int32_t *acc = scratch, *pool = scratch + band * coutp;
     int8_t *q = (int8_t *)(pool + qw * coutp);
 
@@ -218,7 +238,7 @@ static void run_conv(const int64_t *p, int depthwise, const int8_t *x,
         const int8_t *img = x + b * in_image;
         int8_t *dst = out + b * qh * qw * cout;
         if (padded) {
-            pad_image(p, img, xp);
+            pad_image(p, img, xp, 1, (int)(int8_t)p[EON_P_IN_ZP]);
             img = xp;
         }
         const int64_t n_all = pooled ? qh * ph * ow : oh * ow;
@@ -278,4 +298,97 @@ void eon_dwconv_i8(const int64_t *p, const int8_t *x, int8_t *xp,
                    int32_t *scratch, int8_t *out, int64_t rows)
 {
     run_conv(p, 1, x, xp, taps, bias, rq, scratch, out, rows);
+}
+
+/* v < lo ? lo : v, then v > hi ? hi : v, lane by lane (np.clip). */
+static eon_v8f clamp_f32(eon_v8f v, eon_v8f lo, eon_v8f hi)
+{
+    eon_v8i below = v < lo, above = v > hi;
+    eon_v8i bits = ((eon_v8i)lo & below) | ((eon_v8i)v & ~below);
+    bits = ((eon_v8i)hi & above) | (bits & ~above);
+    return (eon_v8f)bits;
+}
+
+static float clamp_f32_1(float v, float lo, float hi)
+{
+    v = v < lo ? lo : v;
+    return v > hi ? hi : v;
+}
+
+/* Output pixels of one row the float32 depthwise kernel accumulates
+ * together: each tap vector is loaded once for all of them. */
+#define EON_PXF 8
+
+/* The ordered-tap sums of ``n`` <= EON_PXF output pixels whose windows
+ * start at win[k] = win + k * step, channels o..o+EON_VF-1, biased and
+ * clamped into dst + k * c. */
+static void dw_f32_block(const float *win, int64_t step, int64_t n, int64_t row,
+                         int64_t c, int64_t kh, int64_t kw, const float *taps,
+                         const float *bias, eon_v8f lo, eon_v8f hi, float *dst)
+{
+    eon_v8f acc[EON_PXF], xv, tv, bv;
+    for (int k = 0; k < EON_PXF; k++)
+        acc[k] = (eon_v8f){0};
+    for (int64_t i = 0; i < kh; i++)
+        for (int64_t j = 0; j < kw; j++) {
+            const float *xr = win + i * row + j * c;
+            memcpy(&tv, taps + (i * kw + j) * c, sizeof tv);
+            for (int k = 0; k < EON_PXF; k++) {
+                memcpy(&xv, xr + (k < n ? k : 0) * step, sizeof xv);
+                acc[k] = acc[k] + xv * tv;
+            }
+        }
+    memcpy(&bv, bias, sizeof bv);
+    for (int k = 0; k < n; k++) {
+        const eon_v8f v = clamp_f32(acc[k] + bv, lo, hi);
+        memcpy(dst + k * c, &v, sizeof v);
+    }
+}
+
+/* DEPTHWISE_CONV_2D in float32, depth multiplier 1: the ordered-tap sum of
+ * the header comment, EON_VF channels at a time and the tail one by one,
+ * clamped to [lo, hi] (-inf and inf for no activation, 0 and inf for relu,
+ * 0 and 6 for relu6).  The EON_P_* constants are those of the int8 kernels;
+ * cout must equal c, the zero points and pool are ignored.  ``taps`` is
+ * (kh, kw, c); a padded image is padded with +0.0f into ``xp``. */
+void eon_dwconv_f32(const int64_t *p, const float *x, float *xp,
+                    const float *taps, const float *bias, float lo, float hi,
+                    float *out, int64_t rows)
+{
+    const int64_t c = p[EON_P_C], kh = p[EON_P_KH], kw = p[EON_P_KW];
+    const int64_t oh = p[EON_P_OH], ow = p[EON_P_OW], stride = p[EON_P_STRIDE];
+    const int64_t row = (p[EON_P_W] + p[EON_P_PL] + p[EON_P_PR]) * c;
+    const int64_t in_image = p[EON_P_H] * p[EON_P_W] * c;
+    const int64_t vec_end = c / EON_VF * EON_VF, step = stride * c;
+    const int padded = is_padded(p);
+    eon_v8f lov, hiv;
+    for (int k = 0; k < EON_VF; k++) {
+        lov[k] = lo;
+        hiv[k] = hi;
+    }
+    for (int64_t b = 0; b < rows; b++) {
+        const float *img = x + b * in_image;
+        if (padded) {
+            pad_image(p, img, xp, sizeof(float), 0); /* all-zero bytes: +0.0f */
+            img = xp;
+        }
+        for (int64_t y = 0; y < oh; y++)
+            for (int64_t x0 = 0; x0 < ow; x0 += EON_PXF) {
+                const int64_t n = ow - x0 < EON_PXF ? ow - x0 : EON_PXF;
+                const float *win = img + y * stride * row + x0 * step;
+                float *dst = out + ((b * oh + y) * ow + x0) * c;
+                for (int64_t o = 0; o < vec_end; o += EON_VF)
+                    dw_f32_block(win + o, step, n, row, c, kh, kw, taps + o,
+                                 bias + o, lov, hiv, dst + o);
+                for (int64_t k = 0; k < n; k++)
+                    for (int64_t o = vec_end; o < c; o++) {
+                        float acc = 0.0f;
+                        for (int64_t i = 0; i < kh; i++)
+                            for (int64_t j = 0; j < kw; j++)
+                                acc = acc + win[k * step + i * row + j * c + o]
+                                                * taps[(i * kw + j) * c + o];
+                        dst[k * c + o] = clamp_f32_1(acc + bias[o], lo, hi);
+                    }
+            }
+    }
 }

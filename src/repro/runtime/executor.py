@@ -14,12 +14,14 @@ Two ways to execute a :class:`repro.graph.Graph`:
   returns every activation.
 
 Dispatch calls the generic kernels (the spec).  Plans bind every int8
-conv / depthwise / conv1d / dense step to EON's C kernels
-(``repro.runtime.native``, built once per host from ``eon_kernels.c``),
-and fall back to the ``*_i8_plan`` family of ``repro.runtime.kernels``
-where there is no compiler or a layer fails the C kernels' int32 proof;
-both routes' rewrites are proven exact at bind time, so outputs are
-bit-identical.
+conv / depthwise / conv1d / dense step, and every float32 depthwise step
+with depth multiplier 1, to EON's C kernels (``repro.runtime.native``,
+built once per host from ``eon_kernels.c``).  They fall back to the
+numpy kernels of ``repro.runtime.kernels`` — the ``*_i8_plan`` family,
+``dwconv2d_f32`` — where there is no compiler or a layer fails the C
+kernels' int32 proof.  The int8 routes' rewrites are proven exact at
+bind time, and the float32 depthwise kernel performs its twin's float32
+operations in the same order, so outputs are bit-identical.
 
 The binder is also the plan optimizer.  While binding the authored
 graph it makes three local decisions, from the graph's structure and
@@ -215,7 +217,8 @@ def _bind_op(
     failing that, the ``*_i8_plan`` kernels, on operands prepared here
     (zero point folded into the bias, requantizer constants, and the
     GEMM / depthwise dtype each layer's exactness proof allows — see the
-    notes in ``repro.runtime.kernels``).
+    notes in ``repro.runtime.kernels``).  A float32 depthwise op binds
+    ``eon_dwconv_f32`` (:func:`_bind_native_f32`) or ``dwconv2d_f32``.
     ``pool`` is the ``(size, kind)`` of the pool a conv absorbs, decided
     by :func:`_bind_steps`.
     """
@@ -242,10 +245,11 @@ def _bind_op(
         col_shape = (math.prod(shape[:-1]), math.prod(w.shape[:-1]))
         if not is_int8:
             if op.opcode == "DEPTHWISE_CONV_2D":
-                taps = (K.dwconv_taps_f32(w, shape[1])
-                        if w.shape[3] == 1 and stride == 1 else None)
-                conv = lambda x, **s: K.dwconv2d_f32(  # noqa: E731
-                    x, w, b, stride, *pads, act, taps=taps, **s)
+                bound = _bind_native_f32(graph, op, pool)
+                if bound is not None:
+                    return bound
+                scratch.append(("prod", shape, np.float32, _GATHER, _GATHER))
+                conv = lambda x, **s: K.dwconv2d_f32(x, w, b, stride, *pads, act, **s)  # noqa: E731
             else:
                 kernel = K.conv1d_f32 if is_1d else K.conv2d_f32
                 if not pointwise:
@@ -255,8 +259,7 @@ def _bind_op(
                 return (lambda v, out, s: conv(v[x_id], out=out, **s)), tuple(scratch)
             # The conv's own ``out`` is scratch: the pre-pool tensor.
             scratch.append(("out", shape, np.float32, _GATHER, _POOL))
-            pool_fn = {"max": K.maxpool1d_f32 if is_1d else K.maxpool2d_f32,
-                       "avg": K.avgpool2d_f32}[pool_kind]
+            pool_fn = _f32_pool(op, pool_kind)
             return (lambda v, out, s: pool_fn(conv(v[x_id], **s), pool_size, out)), tuple(scratch)
 
         in_zp = t[x_id].quant.zero_point
@@ -379,25 +382,24 @@ def _bind_op(
 _INT = (int, np.integer)
 
 
-def _bind_native(
-    graph: Graph, op: GOp, pool: tuple[int, str] | None, rq: K.Requantizer
-) -> tuple[native.ConvKernel, tuple] | None:
-    """An int8 CONV_2D / DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED
-    bound to its C kernel, with its scratch; ``None`` — bind the numpy
-    kernels — where the kernel library is unavailable, the layer fails
-    the int32 proof, or its shapes are not the ones the kernel walks
-    (a depth multiplier, a graph that would fail at execute anyway).
+def _f32_pool(op: GOp, kind: str):
+    """The float32 kernel of the ``kind`` pool a conv ``op`` absorbed."""
+    if kind == "avg":
+        return K.avgpool2d_f32
+    return K.maxpool1d_f32 if op.opcode == "CONV_1D" else K.maxpool2d_f32
+
+
+def _native_params(graph: Graph, op: GOp, pool: tuple[int, str] | None) -> dict | None:
+    """The layer constants of ``op`` as the C kernels walk it (``native.PARAMS``
+    but the zero points and clamp, which the caller adds), or ``None``
+    where its shapes are not the ones the kernel walks (a depth
+    multiplier, a graph that would fail at execute anyway).
 
     Every layer is seen by the kernel as NHWC: a CONV_1D is a 2-D conv of
     height 1, a FULLY_CONNECTED a 1x1 conv over a 1x1 image."""
-    lib = native.load()
-    t = graph.tensors
-    x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
-    if lib is None or x_t.dtype != "int8" or w.dtype != np.int8:
-        return None
-    a = op.attrs
-    in_zp = x_t.quant.zero_point
-    pads, stride, depthwise = ((0, 0), (0, 0)), 1, op.opcode == "DEPTHWISE_CONV_2D"
+    t, a = graph.tensors, op.attrs
+    x_t, w = t[op.inputs[0]], t[op.inputs[1]].data
+    pads, stride = ((0, 0), (0, 0)), 1
     if op.opcode == "FULLY_CONNECTED":
         in_shape, w4, out_shape = (1, 1) + tuple(x_t.shape), w.reshape((1, 1) + w.shape), (1, 1)
     elif op.opcode == "CONV_1D":
@@ -416,10 +418,48 @@ def _bind_native(
     if not (isinstance(stride, _INT) and stride >= 1 and wc == c):
         return None
     oh, ow = (h + pt + pb - kh) // stride + 1, (wd + pl + pr - kw) // stride + 1
-    if depthwise:
+    if op.opcode == "DEPTHWISE_CONV_2D":
         if cout != 1:
             return None
         cout = c
+    if min(oh, ow) < 1 or out_shape != (oh, ow, cout):
+        return None
+    size, kind = pool or (1, None)
+    if size < 1 or (kind == "avg" and size * size >= 1 << 24):  # int32 sums of int8
+        return None
+    return dict(
+        h=h, w=wd, c=c, pt=pt, pb=pb, pl=pl, pr=pr, kh=kh, kw=kw, stride=stride,
+        oh=oh, ow=ow, cout=cout, pool_h=1 if op.opcode == "CONV_1D" else size,
+        pool_w=size, pool_avg=int(kind == "avg"),
+    )
+
+
+def _native_scratch(params: dict, dtype) -> tuple:
+    """The padded image a C kernel writes per row, when it pads."""
+    p = params
+    if not (p["pt"] or p["pb"] or p["pl"] or p["pr"]):
+        return ()
+    shape = (p["h"] + p["pt"] + p["pb"], p["w"] + p["pl"] + p["pr"], p["c"])
+    return (("xp", shape, dtype, _PAD, _GATHER),)
+
+
+def _bind_native(
+    graph: Graph, op: GOp, pool: tuple[int, str] | None, rq: K.Requantizer
+) -> tuple[native.ConvKernel, tuple] | None:
+    """An int8 CONV_2D / DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED
+    bound to its C kernel, with its scratch; ``None`` — bind the numpy
+    kernels — where the kernel library is unavailable, the layer fails
+    the int32 proof, or :func:`_native_params` refuses its shapes."""
+    lib = native.load()
+    t = graph.tensors
+    x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
+    if lib is None or x_t.dtype != "int8" or w.dtype != np.int8:
+        return None
+    params = _native_params(graph, op, pool)
+    if params is None:
+        return None
+    in_zp, cout = x_t.quant.zero_point, params["cout"]
+    if op.opcode == "DEPTHWISE_CONV_2D":
         weights, bias = K.prepare_dwconv_i8(w, b, in_zp)
         if weights.dtype != np.int8:
             return None
@@ -428,26 +468,44 @@ def _bind_native(
         if prepared is None:
             return None
         weights, bias = prepared
-    if min(oh, ow) < 1 or out_shape != (oh, ow, cout) or bias.shape != (cout,):
+    if bias.shape != (cout,):
         return None
     if rq.mant.size not in (1, cout) or rq.shift.size not in (1, cout):
         return None
     if not (-128 <= in_zp <= 127 and -128 <= rq.out_zp <= 127):
         return None  # unrepresentable: the verifier's G021, unless skipped
-    size, kind = pool or (1, None)
-    pool_h = 1 if op.opcode == "CONV_1D" else size
-    if size < 1 or (kind == "avg" and size * size >= 1 << 24):  # int32 sums of int8
-        return None
-    params = dict(
-        h=h, w=wd, c=c, pt=pt, pb=pb, pl=pl, pr=pr, kh=kh, kw=kw, stride=stride,
-        oh=oh, ow=ow, cout=cout, pool_h=pool_h, pool_w=size,
-        pool_avg=int(kind == "avg"), in_zp=in_zp, out_zp=rq.out_zp,
-        clamp_min=rq.clamp_min, clamp_max=rq.clamp_max,
-    )
-    kernel = native.ConvKernel(lib, depthwise, params, weights, bias, rq.mant, rq.shift, op.inputs[0])
+    params.update(in_zp=in_zp, out_zp=rq.out_zp, clamp_min=rq.clamp_min, clamp_max=rq.clamp_max)
+    kernel = native.ConvKernel(lib, op.opcode == "DEPTHWISE_CONV_2D", params, weights, bias,
+                               rq.mant, rq.shift, op.inputs[0])
     scratch = (("acc", (kernel.scratch_size,), np.int32, _GATHER, _REQUANT),)
-    if pt or pb or pl or pr:
-        scratch += (("xp", (h + pt + pb, wd + pl + pr, c), np.int8, _PAD, _GATHER),)
+    return kernel, scratch + _native_scratch(params, np.int8)
+
+
+def _bind_native_f32(
+    graph: Graph, op: GOp, pool: tuple[int, str] | None
+) -> tuple[native.DepthwiseF32Kernel, tuple] | None:
+    """A float32 DEPTHWISE_CONV_2D bound to ``eon_dwconv_f32``, with its
+    scratch (a fused pool pools the kernel's pre-pool output in numpy);
+    ``None`` — bind ``K.dwconv2d_f32`` — where the kernel library is
+    unavailable, the activation is not one the kernel clamps, or
+    :func:`_native_params` refuses the shapes (a depth multiplier)."""
+    lib = native.load()
+    t = graph.tensors
+    act = op.attrs.get("activation", "none")
+    if lib is None or t[op.inputs[0]].dtype != "float32" or act not in native.F32_CLAMPS:
+        return None
+    params = _native_params(graph, op, None)
+    b = t[op.inputs[2]].data
+    if params is None or np.shape(b) != (params["c"],):
+        return None
+    params.update(in_zp=0, out_zp=0, clamp_min=0, clamp_max=0)
+    w = t[op.inputs[1]].data
+    scratch = _native_scratch(params, np.float32)
+    pool_fn = None
+    if pool:
+        pool_fn = (_f32_pool(op, pool[1]), pool[0])
+        scratch += (("out", tuple(t[op.outputs[0]].shape), np.float32, _GATHER, _POOL),)
+    kernel = native.DepthwiseF32Kernel(lib, params, w[..., 0], b, act, op.inputs[0], pool_fn)
     return kernel, scratch
 
 
@@ -485,7 +543,7 @@ class PlanStep:
     ``ops`` are the authored op indices the step runs: ``(op,)``, or
     ``(conv, pool)`` for a conv that absorbed its pool — the step keeps
     the conv's opcode and writes the pool's output.  ``reads`` are the
-    activation ids the closure ``fn`` reads (a :class:`native.ConvKernel`
+    activation ids the closure ``fn`` reads (a :class:`native.NativeKernel`
     for a step bound to C).  ``inplace_src`` is the tensor id
     whose buffer the step writes its output into (``None`` for ordinary
     steps); the arena gives both the same offset.  ``scratch`` is the
@@ -693,7 +751,7 @@ class CompiledPlan:
             for placed, _ in self._scratch_region()[0]
         ]
         runs = [
-            st.fn.carve(views, views[st.out_id], s) if isinstance(st.fn, native.ConvKernel)
+            st.fn.carve(views, views[st.out_id], s) if isinstance(st.fn, native.NativeKernel)
             else functools.partial(st.fn, views, views[st.out_id], s)
             for st, s in zip(self.steps, scratch)
         ]

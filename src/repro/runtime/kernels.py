@@ -118,19 +118,22 @@ def _gemm(windows, w2d, col=None, out=None):
 #    thousand floats — are transposed to match.  Small: the KWS first
 #    layer goes 345 -> 284 us at batch 16 on the reference host, and
 #    does not move at batch 1.
-# 3. Depthwise convolution (depth multiplier 1, stride 1, C-contiguous
-#    input) flattens each padded row to ``Wp*c`` floats and views the
-#    tensor as ``(b, oh, kh, kw, ow*c)``: tap ``(i, j)`` of every output
-#    pixel of a row is one contiguous ``ow*c`` run starting ``j*c``
-#    floats into padded row ``x + i``.  One einsum contracts it with the
-#    taps tiled along ``ow``; its inner loop is a fused multiply-add
-#    over hundreds of floats instead of ``c``, and there is no
-#    ``optimize=`` path search (two operands have one contraction
-#    order).  Stride > 1 or a non-contiguous input takes the 6-D window
-#    view; a depth multiplier > 1 keeps the 4-index weights.  The
-#    accumulation order per output element is the ``(i, j)`` tap order
-#    whatever the batch size, so depthwise rows are batch-invariant bit
-#    for bit (sgemm makes no such promise for the GEMM kernels).
+# 3. Depthwise convolution has one arithmetic, and EON's C kernel
+#    (``eon_dwconv_f32``) computes it too, so both routes give the same
+#    bytes.  Per output element: the accumulator starts at +0.0; each
+#    tap ``(i, j)`` is added in row-major tap order as ``acc = acc +
+#    x*t``, the product and the sum each rounded to float32 (never one
+#    fused multiply-add); then ``+ bias`` and the activation (note 4).
+#    ``dwconv2d_f32`` runs that loop as one multiply and one add pass
+#    per tap over every output pixel at once.  At stride 1 with depth
+#    multiplier 1 and a C-contiguous padded input it flattens each
+#    padded row to ``Wp*c`` floats, so tap ``(i, j)`` of a whole output
+#    row is one contiguous ``ow*c`` run starting ``j*c`` floats into
+#    padded row ``x + i``, against the taps tiled along ``ow``; otherwise
+#    it takes the strided ``(b, oh, ow, c, mult)`` window.  The order per
+#    element is the tap order whatever the batch size, so depthwise rows
+#    are batch-invariant bit for bit (sgemm makes no such promise for the
+#    GEMM kernels).
 # 4. Bias and activation are applied in place on the array the kernel
 #    just allocated (``_finish_f32``) — never on its input, which a
 #    residual ADD may still read — and nothing re-casts a float32 result
@@ -141,7 +144,9 @@ def activate_f32(out: np.ndarray, activation: str) -> np.ndarray:
     """``activation`` in place on ``out``, which the caller owns."""
     # relu as a clip too: ``np.maximum(array, scalar)`` runs numpy's
     # strided scalar loop (74us on 128k floats here), ``np.clip`` its
-    # SIMD one (22us); equal on every value, and -0.0 becomes +0.0.
+    # SIMD one (22us).  ``np.clip(v, lo, hi)`` is ``v < lo ? lo : v``,
+    # then ``v > hi ? hi : v``: -0.0 stays -0.0 and NaN passes through,
+    # on every element whatever its position (the C kernels rely on it).
     if activation == "relu":
         np.clip(out, 0.0, np.inf, out=out)
     elif activation == "relu6":
@@ -171,38 +176,35 @@ def conv2d_f32(x, w, b, stride, pad_h, pad_w, activation="none", out=None, xp=No
     return _finish_f32(out, b, activation)
 
 
-def dwconv_taps_f32(w, ow):
-    """The taps of note 3's flat-row route, tiled along ``ow``."""
-    return np.tile(w[..., 0], (1, 1, ow))
-
-
 def dwconv2d_f32(
-    x, w, b, stride, pad_h, pad_w, activation="none", out=None, xp=None, taps=None
+    x, w, b, stride, pad_h, pad_w, activation="none", out=None, xp=None, prod=None
 ):
-    """``taps`` (``dwconv_taps_f32``, a plan binds it once) or ``None``."""
+    """DEPTHWISE_CONV_2D, note 3's ordered taps; ``prod`` (one tap's
+    products, the output's size) is scratch, allocated when ``None``."""
+    w = np.asarray(w, dtype=np.float32)
     xp = _pad2d(x, pad_h, pad_w, 0.0, xp)
     kh, kw, c, mult = w.shape
     bsz, hp, wp, _ = xp.shape
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     if out is None:
         out = np.empty((bsz, oh, ow, c * mult), dtype=np.float32)
-    if mult != 1:
-        np.einsum(
-            "bxyijc,ijcd->bxycd", _windows_2d(xp, kh, kw, stride), w,
-            out=out.reshape(bsz, oh, ow, c, mult),
-        )
-    elif stride == 1 and xp.flags.c_contiguous:
-        sb, sh, sw, sc = xp.strides
-        rows = np.lib.stride_tricks.as_strided(
-            xp, shape=(bsz, oh, kh, kw, ow * c), strides=(sb, sh, sh, sw, sc),
-            writeable=False,
-        )
-        if taps is None:
-            taps = dwconv_taps_f32(w, ow)
-        np.einsum("bxijm,ijm->bxm", rows, taps, out=out.reshape(bsz, oh, ow * c))
+    if stride == 1 and mult == 1 and xp.flags.c_contiguous:
+        rows = xp.reshape(bsz, hp, wp * c)
+        taps = np.tile(w[..., 0], (1, 1, ow))
+        windows = lambda i, j: rows[:, i : i + oh, j * c : (j + ow) * c]  # noqa: E731
+        acc = out.reshape(bsz, oh, ow * c)
     else:
-        np.einsum("bxyijc,ijc->bxyc", _windows_2d(xp, kh, kw, stride), w[..., 0], out=out)
-    return _finish_f32(out, b, activation)
+        h_end, w_end = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+        taps = w
+        windows = lambda i, j: xp[:, i : i + h_end : stride, j : j + w_end : stride, :, None]  # noqa: E731
+        acc = out.reshape(bsz, oh, ow, c, mult)
+    prod = np.empty_like(acc) if prod is None else prod.reshape(acc.shape)
+    acc.fill(0.0)
+    for i in range(kh):
+        for j in range(kw):
+            np.multiply(windows(i, j), taps[i, j], out=prod)
+            acc += prod
+    return _finish_f32(out, np.asarray(b, dtype=np.float32), activation)
 
 
 def conv1d_f32(x, w, b, stride, pad, activation="none", out=None, xp=None, col=None):

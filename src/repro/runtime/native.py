@@ -1,14 +1,19 @@
-"""Build and load EON's int8 C kernels (``eon_kernels.c``).
+"""Build and load EON's C kernels (``eon_kernels.c``): the int8
+convolution, depthwise and dense steps, and the float32 depthwise step.
 
 :func:`load` compiles the kernel source once with the host C compiler
-(``cc -O3 -march=native -shared -fPIC``) into a shared library whose
-file name is a digest of everything that decides its bytes: the source,
-the compiler binary, the flags and the host CPU's feature flags (the
-library is tuned to this CPU).  Libraries live in this package's
-``__pycache__`` — written to a temporary name, then ``os.replace``\\ d,
-so concurrent builders never load a half-written file — or, when that
-directory is not writable, in a private temporary directory.  The
-library is loaded with :class:`ctypes.CDLL`, whose calls release the GIL.
+(``cc -O3 -march=native -ffp-contract=off -shared -fPIC``) into a shared
+library whose file name is a digest of everything that decides its
+bytes: the source, the compiler binary, the flags and the host CPU's
+feature flags (the library is tuned to this CPU).  ``-ffp-contract=off``
+keeps the float32 kernel's ``acc + x*t`` two roundings, as numpy computes
+it: Clang contracts it into one fused multiply-add by default.  Libraries
+live in this package's ``__pycache__`` — written to a temporary name,
+then ``os.replace``\\ d, so concurrent builders never load a
+half-written file — or, when that directory is not writable, in a
+private temporary directory that is removed as soon as the library is
+loaded.  The library is loaded with :class:`ctypes.CDLL`, whose calls
+release the GIL.
 
 Where there is no compiler, or the build or load fails, :func:`load`
 returns ``None`` and plans bind the numpy kernels of
@@ -31,13 +36,14 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("eon_kernels.c")
-FLAGS = ("-std=c99", "-O3", "-march=native", "-shared", "-fPIC")
+FLAGS = ("-std=c99", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+CACHE = SOURCE.parent / "__pycache__"
 
 _lock = threading.Lock()
 _loaded: list = []  # [library or None] once load() has run
 
 
-#: The layer constants of ``eon_conv_i8`` / ``eon_dwconv_i8``, in the
+#: The layer constants of every kernel of ``eon_kernels.c``, in the
 #: order of the ``EON_P_*`` indices of ``eon_kernels.c``.
 PARAMS = (
     "h", "w", "c", "pt", "pb", "pl", "pr", "kh", "kw", "stride",
@@ -74,11 +80,11 @@ def library_name(source: bytes, compiler: str, cpu: str) -> str:
 
 
 def _cache_dir() -> Path:
-    cache = SOURCE.parent / "__pycache__"
+    """``CACHE``, or a fresh private directory when it is not writable."""
     try:
-        cache.mkdir(exist_ok=True)
-        if os.access(cache, os.W_OK):
-            return cache
+        CACHE.mkdir(exist_ok=True)
+        if os.access(CACHE, os.W_OK):
+            return CACHE
     except OSError:
         pass
     return Path(tempfile.mkdtemp(prefix="repro-eon-"))
@@ -105,6 +111,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.argtypes = [ptr] * 8 + [i64]
         fn.restype = None
+    lib.eon_dwconv_f32.argtypes = [ptr] * 5 + [ctypes.c_float] * 2 + [ptr, i64]
+    lib.eon_dwconv_f32.restype = None
     lib.eon_requant_i8.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, ptr]
     lib.eon_requant_i8.restype = None
     lib.eon_scratch_size.argtypes = [ptr]
@@ -121,23 +129,30 @@ def _open() -> ctypes.CDLL | None:
     cc = shutil.which("cc")
     if cc is None:
         return None
+    cache = None
     try:
         source = SOURCE.read_bytes()
         name = library_name(source, _compiler_identity(cc), _cpu_flags())
-        path = SOURCE.parent / "__pycache__" / name
+        path = CACHE / name
         if not path.exists():
-            path = _cache_dir() / name
+            cache = _cache_dir()
+            path = cache / name
             if not path.exists():
                 _build(cc, path)
+        try:
+            return _declare(ctypes.CDLL(str(path)))
+        except (OSError, AttributeError):
+            # Not a loadable kernel library (a toolchain that wrote something
+            # else, a truncated file): drop it so the next process rebuilds.
+            path.unlink(missing_ok=True)
+            return None
     except (OSError, subprocess.SubprocessError):
         return None
-    try:
-        return _declare(ctypes.CDLL(str(path)))
-    except (OSError, AttributeError):
-        # Not a loadable kernel library (a toolchain that wrote something
-        # else, a truncated file): drop it so the next process rebuilds.
-        path.unlink(missing_ok=True)
-        return None
+    finally:
+        if cache is not None and cache != CACHE:
+            # A private directory serves this process alone, and a loaded
+            # library stays mapped after its file is gone.
+            shutil.rmtree(cache, ignore_errors=True)
 
 
 def load() -> ctypes.CDLL | None:
@@ -157,28 +172,68 @@ def _padded(a: np.ndarray, n: int, fill) -> np.ndarray:
     return out
 
 
-class ConvKernel:
-    """One plan step bound to ``eon_conv_i8`` (conv, conv1d, dense: int8
+def _pointers(*arrays) -> list:
+    """ctypes pointers to ``arrays`` (``None`` stays a null pointer); each
+    keeps its array alive."""
+    return [None if a is None else a.ctypes.data_as(ctypes.c_void_p) for a in arrays]
+
+
+class NativeKernel:
+    """One plan step bound to a kernel of ``eon_kernels.c``: the layer
+    constants ``params`` (``PARAMS``), laid out once at bind time, and
+    the id of the activation it reads.  The caller has checked every
+    shape in ``params`` against the graph; :meth:`carve` checks the
+    arrays it is handed, binds the pointers of one carving (input,
+    padding and other scratch, output) and returns the call that runs
+    the step.  Calling the kernel itself does the same for one execute.
+    """
+
+    def __init__(self, params: dict, x_id):
+        self.params = np.array([params[k] for k in PARAMS], dtype=np.int64)
+        self.x_id = x_id
+        self.in_size = params["h"] * params["w"] * params["c"]
+        self.padded_size = (  # one image, padded; 0 when nothing is padded
+            (params["h"] + params["pt"] + params["pb"]) * (params["w"] + params["pl"] + params["pr"])
+            * params["c"] if any(params[k] for k in ("pt", "pb", "pl", "pr")) else 0)
+
+    def _operands(self, views: dict, out: np.ndarray, scratch: dict, dtype, out_size: int):
+        """The input and padding scratch of one carving, checked with
+        ``out``: ``dtype``, C-contiguous and of this layer's sizes."""
+        x, xp = views[self.x_id], scratch.get("xp")
+        for a in (x, out, xp):
+            if a is not None and (a.dtype != dtype or not a.flags.c_contiguous):
+                raise ValueError("native kernel operands must be C-contiguous")
+        if x.size != x.shape[0] * self.in_size or out.size != x.shape[0] * out_size:
+            raise ValueError(f"native kernel shapes {x.shape} -> {out.shape}")
+        if (xp.size if xp is not None else 0) < self.padded_size:
+            raise ValueError("native kernel scratch too small")
+        return x, xp
+
+    def carve(self, views: dict, out: np.ndarray, scratch: dict):
+        raise NotImplementedError
+
+    def __call__(self, views: dict, out: np.ndarray, scratch: dict) -> None:
+        self.carve(views, out, scratch)()
+
+
+class ConvKernel(NativeKernel):
+    """An int8 step bound to ``eon_conv_i8`` (conv, conv1d, dense: int8
     weights ``(K, cout)``) or ``eon_dwconv_i8`` (depthwise: int8 taps
     ``(kh, kw, c)``), with the folded int32 bias and the requantizer's
-    mantissas, rounding halves and total shifts, laid out at bind time
-    the way ``eon_kernels.c`` reads them: weights widened to int32 (the
-    vector kernels multiply int32 lanes) in blocks of output channels,
-    every per-channel array filled to whole blocks.  The caller has
-    checked every shape in ``params`` against the graph and proven int32
-    accumulation exact; :meth:`carve` checks the arrays it is handed.
-
-    :meth:`carve` binds the pointers of one carving (input, padding
-    scratch, accumulator scratch, output) and returns the call that runs
-    the step; calling the kernel itself does the same for one execute.
+    mantissas, rounding halves and total shifts, laid out the way
+    ``eon_kernels.c`` reads them: weights widened to int32 (the vector
+    kernels multiply int32 lanes) in blocks of output channels, every
+    per-channel array filled to whole blocks.  The caller has proven
+    int32 accumulation exact.  A carving adds the int32 accumulator
+    scratch ``acc``.
     """
 
     def __init__(self, lib, depthwise: bool, params: dict, weights, bias, mant, shift, x_id):
+        super().__init__(params, x_id)
         block = lib.eon_channel_block()
         cout = params["cout"]
         coutp = -(-cout // block) * block
         self.fn = lib.eon_dwconv_i8 if depthwise else lib.eon_conv_i8
-        self.params = np.array([params[k] for k in PARAMS], dtype=np.int64)
         if not depthwise:  # (K, cout) -> (coutp / block, K, block)
             weights = _padded(weights, coutp, 0).reshape(len(weights), -1, block).transpose(1, 0, 2)
         self.weights = np.ascontiguousarray(weights, dtype=np.int32)
@@ -189,28 +244,54 @@ class ConvKernel:
             np.int64(1) << (shift - 1),
             shift,
         ])
-        self.x_id = x_id
         self.scratch_size = lib.eon_scratch_size(self.params.ctypes.data)
-        self.in_size = params["h"] * params["w"] * params["c"]
-        self.padded_size = (  # one image, padded; 0 when nothing is padded
-            (params["h"] + params["pt"] + params["pb"]) * (params["w"] + params["pl"] + params["pr"])
-            * params["c"] if any(params[k] for k in ("pt", "pb", "pl", "pr")) else 0)
         self.out_size = (params["oh"] // params["pool_h"]) * (params["ow"] // params["pool_w"]) * cout
 
     def carve(self, views: dict, out: np.ndarray, scratch: dict):
-        x = views[self.x_id]
-        rows = x.shape[0]
-        acc, xp = scratch["acc"], scratch.get("xp")
-        for a, dtype in ((x, np.int8), (out, np.int8), (acc, np.int32), (xp, np.int8)):
-            if a is not None and (a.dtype != dtype or not a.flags.c_contiguous):
-                raise ValueError("native kernel operands must be C-contiguous")
-        if x.size != rows * self.in_size or out.size != rows * self.out_size:
-            raise ValueError(f"native kernel shapes {x.shape} -> {out.shape}")
-        if acc.size < self.scratch_size or (xp.size if xp is not None else 0) < self.padded_size:
+        x, xp = self._operands(views, out, scratch, np.int8, self.out_size)
+        acc = scratch["acc"]
+        if acc.dtype != np.int32 or not acc.flags.c_contiguous:
+            raise ValueError("native kernel operands must be C-contiguous")
+        if acc.size < self.scratch_size:
             raise ValueError("native kernel scratch too small")
-        ptr = [None if a is None else a.ctypes.data_as(ctypes.c_void_p)  # keeps ``a`` alive
-               for a in (self.params, x, xp, self.weights, self.bias, self.rq, acc, out)]
-        return functools.partial(self.fn, *ptr, rows)
+        ptr = _pointers(self.params, x, xp, self.weights, self.bias, self.rq, acc, out)
+        return functools.partial(self.fn, *ptr, x.shape[0])
 
-    def __call__(self, views: dict, out: np.ndarray, scratch: dict) -> None:
-        self.carve(views, out, scratch)()
+
+#: Activation -> the ``(lo, hi)`` clamp ``eon_dwconv_f32`` applies; a
+#: clamp to (-inf, inf) leaves every value as it is, -0.0 and NaN included.
+F32_CLAMPS = {"none": (-np.inf, np.inf), "relu": (0.0, np.inf), "relu6": (0.0, 6.0)}
+
+
+class DepthwiseF32Kernel(NativeKernel):
+    """A float32 DEPTHWISE_CONV_2D step (depth multiplier 1) bound to
+    ``eon_dwconv_f32``: float32 taps ``(kh, kw, c)`` and bias, and the
+    activation (a key of :data:`F32_CLAMPS`) as clamp bounds.  With a
+    fused ``pool`` — ``(pool kernel, size)`` — the C kernel writes the
+    step's pre-pool scratch ``out`` and the pool kernel reads it, as on
+    the numpy route.
+    """
+
+    def __init__(self, lib, params: dict, taps, bias, activation: str, x_id, pool=None):
+        super().__init__(params, x_id)
+        self.fn = lib.eon_dwconv_f32
+        self.taps = np.ascontiguousarray(taps, dtype=np.float32)
+        self.bias = np.ascontiguousarray(bias, dtype=np.float32)
+        self.lo, self.hi = F32_CLAMPS[activation]
+        self.pool = pool
+        self.conv_size = params["oh"] * params["ow"] * params["c"]
+
+    def carve(self, views: dict, out: np.ndarray, scratch: dict):
+        conv_out = scratch["out"] if self.pool else out
+        x, xp = self._operands(views, conv_out, scratch, np.float32, self.conv_size)
+        ptr = _pointers(self.params, x, xp, self.taps, self.bias)
+        conv = functools.partial(self.fn, *ptr, self.lo, self.hi, *_pointers(conv_out), x.shape[0])
+        if self.pool is None:
+            return conv
+        pool_fn, size = self.pool
+
+        def conv_pool():
+            conv()
+            pool_fn(conv_out, size, out)
+
+        return conv_pool

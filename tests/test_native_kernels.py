@@ -1,19 +1,24 @@
-"""EON's int8 C kernels (``runtime/eon_kernels.c`` via ``runtime/native``)
+"""EON's C kernels (``runtime/eon_kernels.c`` via ``runtime/native``)
 are a second route to the plan's bytes, pinned to the spec like the
 numpy route:
 
-1. every int8 conv / depthwise / conv1d / dense step of the paper-scale
-   plans binds C where a compiler exists, so a silent build failure
-   cannot quietly leave the numpy route in charge;
+1. every int8 conv / depthwise / conv1d / dense step and every float32
+   depthwise step of the paper-scale plans binds C where a compiler
+   exists, so a silent build failure cannot quietly leave the numpy
+   route in charge;
 2. one-layer graphs over the kernel-test grid (strides, asymmetric pads,
    fused max and average pools, extreme zero points, batch 1 and 5)
-   equal the generic spec kernels through C;
+   equal the generic spec kernels through C; float32 depthwise layers
+   equal their numpy twin byte for byte — generated shapes, special
+   values, and operands where a fused multiply-add would round
+   differently;
 3. requantization at total shifts of 63 and beyond — which post-training
    quantization emits for a dead output channel — rounds to 0 in the
    spec, ``Requantizer`` and C alike, and a mantissa outside
    ``[0, 2**31)`` is refused when the plan is bound;
 4. a compiler that fails falls back to the numpy route with the same
-   bytes, and two threads running one C plan agree.
+   bytes, a private build directory is removed once its library is
+   loaded, and two threads running one C plan agree.
 
 The golden digests run on both routes in ``tests/test_int8_fastpath.py``
 and ``tests/test_quantize.py``.
@@ -23,11 +28,14 @@ from __future__ import annotations
 
 import ctypes
 import shutil
+import tempfile
 import threading
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.tasks import paper_scale_graphs
 from repro.graph import GOp, Graph, GTensor, QuantParams, sequential_to_graph
@@ -55,7 +63,7 @@ def numpy_plan(graph):
 
 
 def _bound_native(plan) -> list[bool]:
-    return [isinstance(step.fn, native.ConvKernel) for step in plan.steps]
+    return [isinstance(step.fn, native.NativeKernel) for step in plan.steps]
 
 
 # -- (1) the paper-scale plans really bind C -----------------------------------
@@ -70,6 +78,18 @@ def test_paper_scale_int8_plans_bind_c_for_every_weighted_step(task):
     weighted = [step.opcode in NATIVE_OPS for step in plan.steps]
     assert any(weighted)
     assert _bound_native(plan) == weighted
+    assert not any(_bound_native(numpy_plan(graph)))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("task", ["kws", "ic", "vww"])
+def test_paper_scale_float32_plans_bind_c_for_every_depthwise_step(task):
+    assert LIB is not None, "cc is on PATH but the kernel library did not build"
+    graph = paper_scale_graphs(task).float_graph
+    plan = compile_plan(graph, cache=False)
+    depthwise = [step.opcode == "DEPTHWISE_CONV_2D" for step in plan.steps]
+    assert any(depthwise) == (task != "ic")  # the IC CNN has no depthwise layer
+    assert [isinstance(step.fn, native.DepthwiseF32Kernel) for step in plan.steps] == depthwise
     assert not any(_bound_native(numpy_plan(graph)))
 
 
@@ -215,6 +235,158 @@ def test_a_layer_over_the_int32_bound_binds_numpy_and_stays_equal():
     _assert_c_equals_spec(graph, x, want)
 
 
+def _dwconv_f32_graph(x_shape, w, b, stride, pad_h, pad_w, activation, pool=None):
+    """A float32 graph of one depthwise op (and the pool it may absorb)."""
+    g = Graph("dw_f32")
+    xi = g.add_tensor(GTensor("x", x_shape[1:], "float32"))
+    wi = g.add_tensor(GTensor("w", w.shape, "float32", data=w))
+    bi = g.add_tensor(GTensor("b", b.shape, "float32", data=b))
+    kh, kw = w.shape[:2]
+    oh = (x_shape[1] + sum(pad_h) - kh) // stride + 1
+    ow = (x_shape[2] + sum(pad_w) - kw) // stride + 1
+    yi = g.add_tensor(GTensor("y", (oh, ow, w.shape[2]), "float32"))
+    g.add_op(GOp("DEPTHWISE_CONV_2D", [xi, wi, bi], [yi], {
+        "stride": stride, "pad_h": list(pad_h), "pad_w": list(pad_w),
+        "activation": activation, "depth_multiplier": 1}))
+    if pool is not None:
+        pi = g.add_tensor(GTensor("p", (oh // pool, ow // pool, w.shape[2]), "float32"))
+        g.add_op(GOp("MAX_POOL_2D", [yi], [pi], {"pool_size": pool}))
+        yi = pi
+    g.input_id, g.output_id = xi, yi
+    return g
+
+
+def _assert_c_f32_equals_numpy(graph, x):
+    """The C plan, the numpy plan and dispatch (the numpy twin
+    ``K.dwconv2d_f32``) return the same bytes; returns them."""
+    plan = compile_plan(graph, cache=False, verify=False)
+    assert isinstance(plan.steps[0].fn, native.DepthwiseF32Kernel)
+    got = plan.execute(x)
+    assert got.dtype == np.float32
+    with mock.patch.object(native, "load", lambda: None):
+        fallback = compile_plan(graph, cache=False, verify=False)
+    assert not _bound_native(fallback)[0]
+    assert got.tobytes() == fallback.execute(x).tobytes()
+    assert got.tobytes() == run_graph_dispatch(graph, x).tobytes()
+    return got
+
+
+_pads = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.sampled_from([1, 4]), height=st.integers(1, 9), width=st.integers(1, 9),
+    channels=st.sampled_from([1, 8, 17, 64]),
+    kernel=st.sampled_from([(3, 3), (1, 5), (5, 1), (1, 1), (2, 3), (4, 1), (1, 3)]),
+    stride=st.integers(1, 3), pad_h=_pads, pad_w=_pads,
+    activation=st.sampled_from(["none", "relu", "relu6"]), pool=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**16),
+)
+def test_c_float32_depthwise_equals_its_numpy_twin(
+    batch, height, width, channels, kernel, stride, pad_h, pad_w, activation, pool, seed
+):
+    kh, kw = kernel
+    oh = (height + sum(pad_h) - kh) // stride + 1
+    ow = (width + sum(pad_w) - kw) // stride + 1
+    if min(oh, ow) < (pool or 1):
+        return
+    rng = np.random.default_rng(seed)
+    x = (3.0 * rng.standard_normal((batch, height, width, channels))).astype(np.float32)
+    w = rng.standard_normal((kh, kw, channels, 1)).astype(np.float32)
+    b = rng.standard_normal(channels).astype(np.float32)
+    graph = _dwconv_f32_graph(x.shape, w, b, stride, pad_h, pad_w, activation, pool)
+    _assert_c_f32_equals_numpy(graph, x)
+
+
+_SPECIALS = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [1e-40, -1e-40, 1e-45, -1e-45],
+    "normals": [1.5, -2.5, 7.0],
+    "infinities": [np.inf, -np.inf],
+}
+
+
+def _special_operands(seed, kinds, nan=False, shape=(3, 6, 5, 17)):
+    rng = np.random.default_rng(seed)
+    values = np.array(sum((_SPECIALS[k] for k in kinds), []) + [np.nan] * nan, np.float32)
+    finite = np.array(sum((_SPECIALS[k] for k in kinds if k != "infinities"), []), np.float32)
+    return (rng.choice(values, size=shape), rng.choice(finite, size=(3, 3, shape[-1], 1)),
+            rng.choice(finite, size=shape[-1]))
+
+
+@needs_cc
+@pytest.mark.parametrize("activation", ["relu", "relu6", "none"])
+@pytest.mark.parametrize("pad", [(0, 0), (1, 1)])
+def test_special_values_take_both_float32_depthwise_routes_alike(activation, pad):
+    """Through C and numpy alike: NaN propagates, infinities make their
+    own NaNs (inf * 0), subnormals stay subnormal (no flush to zero),
+    and the clamp is ``np.clip``'s.  The accumulator starts at +0.0, so
+    no output is ever -0.0, even where every product and the bias are.
+    Lanes and the scalar channel tail both see them (17 channels)."""
+    cases = [
+        (["zeros"], False),
+        (["zeros", "subnormals", "normals"], True),
+        (["zeros", "subnormals", "normals", "infinities"], False),
+    ]
+    with np.errstate(invalid="ignore"):
+        for seed, (kinds, nan) in enumerate(cases):
+            x, w, b = _special_operands(seed, kinds, nan)
+            graph = _dwconv_f32_graph(x.shape, w, b, 1, pad, pad, activation)
+            got = _assert_c_f32_equals_numpy(graph, x)
+            assert not np.signbit(got[got == 0]).any()
+            assert np.isnan(got).any() == (nan or "infinities" in kinds)
+            if kinds == ["zeros"]:
+                assert not got.any()
+            elif "infinities" not in kinds:
+                assert (np.abs(got[np.isfinite(got)]) < 1.2e-38).any()  # subnormal outputs
+        # Every product -0.0 and a -0.0 bias: +0.0 + -0.0 + ... is +0.0.
+        x = np.full((2, 4, 3, 17), -0.0, np.float32)
+        w, b = np.zeros((3, 3, 17, 1), np.float32), np.full(17, -0.0, np.float32)
+        graph = _dwconv_f32_graph(x.shape, w, b, 1, pad, pad, activation)
+        got = _assert_c_f32_equals_numpy(graph, x)
+        assert got.tobytes() == np.zeros_like(got).tobytes()
+
+
+@needs_cc
+def test_mixed_nans_agree_on_every_number():
+    """A NaN from the input meeting a NaN from inf * 0 in one sum keeps one
+    of the two: x86 returns the first operand's, and neither numpy nor
+    the C compiler pins the operand order of a commutative add.  So such
+    an element is a NaN on both routes, possibly of another sign; every
+    other element is the same bytes."""
+    x, w, b = _special_operands(4, ["zeros", "subnormals", "normals", "infinities"], nan=True)
+    graph = _dwconv_f32_graph(x.shape, w, b, 1, (1, 1), (1, 1), "relu")
+    with np.errstate(invalid="ignore"):
+        got = compile_plan(graph, cache=False, verify=False).execute(x)
+        want = run_graph_dispatch(graph, x)
+    nan = np.isnan(want)
+    assert nan.any() and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@needs_cc
+def test_the_float32_depthwise_kernel_never_fuses_a_multiply_add():
+    """acc = -(1 + 2**-11) from the first tap, then x*t with x = t =
+    1 + 2**-12: the rounded product is 1 + 2**-11, so the unfused sum is
+    0, while one fused multiply-add keeps the product's 2**-24."""
+    one_up = np.float32(1 + 2.0**-12)
+    acc0 = np.float32(-(1 + 2.0**-11))
+    fused = np.float32(np.float64(one_up) * np.float64(one_up) + np.float64(acc0))
+    unfused = np.float32(acc0 + np.float32(one_up * one_up))
+    assert unfused == 0.0 and fused == 2.0**-24
+    channels = 17  # two vectors of 8 lanes and one tail channel
+    x = np.empty((1, 1, 2, channels), np.float32)
+    x[:, :, 0], x[:, :, 1] = acc0, one_up
+    w = np.empty((1, 2, channels, 1), np.float32)
+    w[0, 0], w[0, 1] = 1.0, one_up
+    graph = _dwconv_f32_graph(x.shape, w, np.zeros(channels, np.float32), 1, (0, 0), (0, 0), "none")
+    got = _assert_c_f32_equals_numpy(graph, x)
+    assert got.shape == (1, 1, 1, channels)
+    assert got.tobytes() == np.full(channels, unfused, np.float32).tobytes()
+
+
 # -- (3) requantization at the edges of its range -----------------------------
 
 
@@ -283,10 +455,13 @@ def test_a_dead_unit_with_a_negative_bias_runs_like_the_spec():
     assert np.array_equal(numpy_plan(graph).execute(x), want)
 
 
+def _ds_cnn_float():
+    return sequential_to_graph(ds_cnn((13, 8), 3, filters=8, n_blocks=1, seed=0), "forge")
+
+
 def _ds_cnn_int8(per_channel=True):
-    fg = sequential_to_graph(ds_cnn((13, 8), 3, filters=8, n_blocks=1, seed=0), "forge")
     calib = np.random.default_rng(5).standard_normal((8, 13, 8)).astype(np.float32)
-    return quantize_graph(fg, calib, per_channel=per_channel)
+    return quantize_graph(_ds_cnn_float(), calib, per_channel=per_channel)
 
 
 def _forged_mantissas():
@@ -332,11 +507,25 @@ def test_the_library_name_keys_every_input():
         assert native.library_name(b"src", "cc:1:2", "avx2") not in names
 
 
-def test_an_unwritable_cache_falls_back_to_a_private_directory():
-    with mock.patch.object(native.os, "access", lambda *a: False):
+def test_an_unwritable_cache_falls_back_to_a_private_directory(tmp_path, monkeypatch):
+    access = native.os.access
+    unwritable = lambda path, mode, *a, **k: (  # noqa: E731
+        False if native.Path(path) == native.CACHE else access(path, mode, *a, **k))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with mock.patch.object(native.os, "access", unwritable):
         cache = native._cache_dir()
-    assert cache != native.SOURCE.parent / "__pycache__" and cache.is_dir()
-    cache.rmdir()
+        assert cache != native.CACHE and cache.is_dir() and cache.parent == tmp_path
+        cache.rmdir()
+        if shutil.which("cc") is None:
+            return
+        # A flag the cached library was not built with: this process
+        # compiles its own, into a private directory, and removes it.
+        with mock.patch.object(native, "_loaded", []), \
+                mock.patch.object(native, "FLAGS", native.FLAGS + ("-DEON_PRIVATE_BUILD",)):
+            lib = native.load()
+    assert lib is not None and lib.eon_channel_block() == 16
+    assert list(tmp_path.iterdir()) == []  # nothing left under the temp root
+    assert not any("EON_PRIVATE" in p.name for p in native.CACHE.iterdir())
 
 
 @pytest.mark.parametrize("compiler", ["fails", "writes-garbage", "missing"])
@@ -347,21 +536,22 @@ def test_a_broken_compiler_falls_back_to_the_same_bytes(tmp_path, compiler):
     fake.write_text("#!/bin/sh\n" + body[compiler] + "\n")
     fake.chmod(0o755)
     which = (lambda name: None) if compiler == "missing" else (lambda name: str(fake))
-    graph = _ds_cnn_int8()
+    graphs = (_ds_cnn_int8(), _ds_cnn_float())
     x = np.random.default_rng(4).standard_normal((3, 13, 8)).astype(np.float32)
-    cache = native.SOURCE.parent / "__pycache__"
+    cache = native.CACHE
     before = set(cache.iterdir())
     with mock.patch.object(native, "_loaded", []), \
             mock.patch.object(native.shutil, "which", which):
         assert native.load() is None
-        plan = compile_plan(graph, cache=False)
+        plans = [compile_plan(graph, cache=False) for graph in graphs]
     assert set(cache.iterdir()) == before  # no half-written library left behind
-    assert not any(_bound_native(plan))
-    assert np.array_equal(plan.execute(x), run_graph_dispatch(graph, x))
-    if LIB is not None:
-        native_plan = compile_plan(graph, cache=False)
-        assert any(_bound_native(native_plan))
-        assert np.array_equal(native_plan.execute(x), plan.execute(x))
+    for graph, plan in zip(graphs, plans):
+        assert not any(_bound_native(plan))
+        assert plan.execute(x).tobytes() == run_graph_dispatch(graph, x).tobytes()
+        if LIB is not None:
+            native_plan = compile_plan(graph, cache=False)
+            assert any(_bound_native(native_plan))
+            assert native_plan.execute(x).tobytes() == plan.execute(x).tobytes()
 
 
 @needs_cc

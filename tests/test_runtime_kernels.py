@@ -3,13 +3,19 @@ under controlled quantization, and each float32 conv / dense kernel vs a
 float64 loop-over-taps reference that shares no code with it (the e2e
 oracle runs the runtime's own kernels, so it cannot vouch for them)."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import sequential_to_graph
 from repro.graph.ops import QuantParams
+from repro.nn.architectures import ds_cnn
 from repro.quantize.fixedpoint import quantize_multiplier
+from repro.runtime import compile_plan, executor, native
 from repro.runtime import kernels as K
 
 RNG = np.random.default_rng(0)
@@ -374,6 +380,64 @@ def test_dwconv2d_f32_is_batch_invariant_bit_for_bit(stride, pad, mult):
     for i in (0, 7, 15):
         alone = K.dwconv2d_f32(x[i : i + 1], w, b, stride, pad, pad, "relu")
         assert alone.tobytes() == whole[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("route", ["native", "numpy"])
+def test_ds_cnn_float32_depthwise_steps_are_batch_invariant_bit_for_bit(route):
+    """The same promise through a float32 DS-CNN plan, on the C kernel and
+    on its numpy twin: run at batch 16, each depthwise step run again at
+    batch 1 on one row of its batch-16 input gives that row's output."""
+    graph = sequential_to_graph(ds_cnn((13, 8), 3, filters=8, n_blocks=2, seed=0), "dw")
+    if route == "numpy":
+        with mock.patch.object(native, "load", lambda: None):
+            plan = compile_plan(graph, cache=False)
+    else:
+        plan = compile_plan(graph, cache=False)
+    depthwise = [si for si, st in enumerate(plan.steps) if st.opcode == "DEPTHWISE_CONV_2D"]
+    bound_c = [isinstance(plan.steps[si].fn, native.DepthwiseF32Kernel) for si in depthwise]
+    assert len(depthwise) == 2
+    assert bound_c == [route == "native" and native.load() is not None] * 2
+    x = (3.0 * RNG.standard_normal((16, 13, 8))).astype(np.float32)
+    seen = {}
+    with _carved(plan, 16) as (views, runs):
+        executor._load_input(graph, x, views[graph.input_id])
+        for si, run in enumerate(runs):
+            step = plan.steps[si]
+            if si in depthwise:
+                seen[si] = views[step.reads[0]].copy()
+            run()
+            if si in depthwise:
+                seen[si] = (seen[si], views[step.out_id].copy())
+    with _carved(plan, 1) as (views, runs):
+        for si in depthwise:
+            step = plan.steps[si]
+            for i in (0, 9, 15):
+                views[step.reads[0]][...] = seen[si][0][i : i + 1]
+                runs[si]()
+                assert views[step.out_id].tobytes() == seen[si][1][i : i + 1].tobytes()
+
+
+@contextlib.contextmanager
+def _carved(plan, rows):
+    """``(views, runs)`` of one carving of ``plan`` for ``rows``."""
+    buf = executor._acquire_buffer((plan.arena.total_bytes + plan._scratch_region()[1]) * rows)
+    try:
+        views, _, runs = plan._carve(buf.data, rows)
+        yield views, runs
+    finally:
+        executor._return_buffer(buf)
+
+
+def test_activate_f32_keeps_negative_zero_and_nan():
+    """``np.clip``'s order of comparisons, which the C clamp copies:
+    ``v < lo ? lo : v`` leaves -0.0 (not below +0.0) and NaN (never
+    below anything) as they are, at every position of a long array."""
+    values = np.array([-0.0, np.nan, -np.nan, -np.inf, np.inf, -1e-40, 1e-40, 7.0], np.float32)
+    x = np.tile(values, 37)
+    for activation, (lo, hi) in (("relu", (0.0, np.inf)), ("relu6", (0.0, 6.0))):
+        got = K.activate_f32(x.copy(), activation)
+        want = [lo if v < lo else hi if v > hi else v for v in x.tolist()]
+        assert got.tobytes() == np.array(want, np.float32).tobytes()
 
 
 def test_elementwise_f32_kernels_return_float32_and_keep_their_input():
