@@ -3,9 +3,9 @@
  * depthwise and dense steps, and the float32 depthwise step
  * (docs/plan.md, "Native kernels").
  *
- * Every int8 kernel computes the bytes of its numpy twin in
- * repro/runtime/kernels.py (conv2d_i8_plan, dwconv2d_i8_plan,
- * conv1d_i8_plan, fc_i8_plan), which equal the generic spec kernels:
+ * Every int8 kernel computes the bytes of its spec kernel in
+ * repro/runtime/kernels.py (conv2d_i8, dwconv2d_i8, conv1d_i8, fc_i8), which
+ * plans bind instead where a layer fails the proof below:
  *
  *   - The input zero point is folded into the int32 bias at bind time, and
  *     padding is filled with that zero point, so a window contracts the
@@ -16,8 +16,9 @@
  *   - A fused max pool takes the maximum of the biased accumulators, then
  *     requantizes once: bias and requantization are monotone and
  *     per-channel, so this equals pooling the requantized outputs.  A fused
- *     average pool sums requantized outputs and divides rounding half away
- *     from zero (a floor division after the offset, as numpy does).
+ *     average pool sums requantized outputs, offsets the sum by count/2
+ *     away from zero and floor-divides, as avgpool2d_i8 does: halves round
+ *     away from zero, other negative means round down.
  *   - Requantization is (p + h + (p >> 63)) >> s with p = acc * mantissa,
  *     h = 2**(s-1) and the total shift s = 31 - out_shift capped at 63;
  *     mantissas are in [0, 2**31), so |p| < 2**62 and p + h cannot

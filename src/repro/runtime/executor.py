@@ -13,26 +13,24 @@ Two ways to execute a :class:`repro.graph.Graph`:
   equivalence tests, and (``record=True``) the calibration path that
   returns every activation.
 
-Dispatch calls the generic kernels (the spec).  Plans bind every int8
-conv / depthwise / conv1d / dense step, and every float32 depthwise step
-with depth multiplier 1, to EON's C kernels (``repro.runtime.native``,
-built once per host from ``eon_kernels.c``).  They fall back to the
-numpy kernels of ``repro.runtime.kernels`` — the ``*_i8_plan`` family,
-``dwconv2d_f32`` — where there is no compiler or a layer fails the C
-kernels' int32 proof.  The int8 routes' rewrites are proven exact at
-bind time, and the float32 depthwise kernel performs its twin's float32
-operations in the same order, so outputs are bit-identical.
+Dispatch calls the generic kernels (the spec).  Each int8 conv /
+depthwise / conv1d / dense op has two kernels, the spec and EON's C
+kernel (``repro.runtime.native``, built once per host from
+``eon_kernels.c``): a plan binds the C kernel, or the spec itself where
+there is no compiler, the layer fails the C kernel's int32 proof, or it
+has a depth multiplier.  Every float32 depthwise step with depth
+multiplier 1 binds C too, else its numpy twin ``dwconv2d_f32``, which
+performs the same float32 operations in the same order.  So outputs are
+bit-identical on every route.
 
 The binder is also the plan optimizer.  While binding the authored
-graph it makes three local decisions, from the graph's structure and
+graph it makes two local decisions, from the graph's structure and
 ``graph.lifetimes()`` alone — never from op attributes, which a
 deserialized blob could forge — and each exact (docs/plan.md):
 
 - **conv+pool fusion** — a conv whose only reader is a compatible pool,
   and whose output is not the graph output, runs that pool in its own
   step; the pool's step is dropped and the pre-pool tensor never exists;
-- **exact GEMM** — ``prepare_gemm_i8`` runs an int8 contraction in
-  float64 BLAS when it proves every partial sum below 2**53;
 - **in-place ADD** — an ADD whose operand dies at the op writes into
   that operand's buffer, unless the operand is the graph input, a
   constant, or an input or output of a RESHAPE/TRANSPOSE.
@@ -45,9 +43,9 @@ aligned offset per row; a batch of ``rows`` puts it at ``offset *
 rows`` in one buffer the calling thread holds for the call.  The batch
 is copied in, every bound closure writes its output view in place
 (RESHAPE and TRANSPOSE copy into their own slot), and the output is
-copied out.  Padded inputs, im2col matrices, accumulators and the
-requantizer's working arrays live in a scratch region past the arena,
-laid out per step at bind time.  Buffers are reused across calls,
+copied out.  Padded inputs, im2col matrices, pre-pool tensors and the C
+kernels' accumulators live in a scratch region past the arena, laid out
+per step at bind time.  Buffers are reused across calls,
 threads and plans (:data:`ARENA_RETAIN_BYTES` caps what is kept), so a
 warm execute allocates nothing that scales with the batch.  A graph
 caches one plan (``graph._plan``) that TFLM and EON share, and a plan
@@ -67,9 +65,44 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.ops import GOp
+from repro.quantize.fixedpoint import checked_mantissa, total_shift_of
 from repro.runtime import kernels as K
 from repro.runtime import native
 from repro.runtime.arena import ArenaPlan, _align, first_fit, plan_arena
+
+
+#: int8 weighted opcode -> its spec kernel and the geometry attrs that
+#: follow ``(x, w, bias)`` in its signature.
+_I8_LAYERS = {
+    "CONV_2D": (K.conv2d_i8, ("stride", "pad_h", "pad_w")),
+    "DEPTHWISE_CONV_2D": (K.dwconv2d_i8, ("stride", "pad_h", "pad_w")),
+    "CONV_1D": (K.conv1d_i8, ("stride", "pad")),
+    "FULLY_CONNECTED": (K.fc_i8, ()),
+}
+
+#: (pool opcode, int8?) -> its kernel ``fn(x, size, out=None)``.
+_POOLS = {
+    ("MAX_POOL_2D", True): K.maxpool2d_i8,
+    ("MAX_POOL_2D", False): K.maxpool2d_f32,
+    ("MAX_POOL_1D", True): K.maxpool1d_i8,
+    ("MAX_POOL_1D", False): K.maxpool1d_f32,
+    ("AVG_POOL_2D", True): K.avgpool2d_i8,
+    ("AVG_POOL_2D", False): K.avgpool2d_f32,
+}
+
+
+def _spec_i8(graph: Graph, op: GOp) -> Callable[[np.ndarray], np.ndarray]:
+    """The spec kernel of an int8 weighted ``op`` with its weights, bias,
+    zero points and attrs fetched now: ``x -> int8 output``."""
+    t, a = graph.tensors, op.attrs
+    kernel, geometry = _I8_LAYERS[op.opcode]
+    return functools.partial(
+        kernel, w=t[op.inputs[1]].data, bias=t[op.inputs[2]].data,
+        **{k: a[k] for k in geometry},
+        in_zp=t[op.inputs[0]].quant.zero_point, out_zp=t[op.outputs[0]].quant.zero_point,
+        out_mult=a["out_mult"], out_shift=a["out_shift"],
+        clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
+    )
 
 
 def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.ndarray:
@@ -79,53 +112,22 @@ def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.nda
     is_int8 = t[op.outputs[0]].dtype == "int8"
     x = values[op.inputs[0]]
 
+    if is_int8 and op.opcode in _I8_LAYERS:
+        return _spec_i8(graph, op)(x)
     if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D"):
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
-        fn_f = K.conv2d_f32 if op.opcode == "CONV_2D" else K.dwconv2d_f32
-        fn_i = K.conv2d_i8 if op.opcode == "CONV_2D" else K.dwconv2d_i8
-        if is_int8:
-            return fn_i(
-                x, w, b, a["stride"], a["pad_h"], a["pad_w"],
-                in_zp=t[op.inputs[0]].quant.zero_point,
-                out_zp=t[op.outputs[0]].quant.zero_point,
-                out_mult=a["out_mult"], out_shift=a["out_shift"],
-                clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
-            )
-        return fn_f(x, w, b, a["stride"], a["pad_h"], a["pad_w"], a.get("activation", "none"))
-
+        fn = K.conv2d_f32 if op.opcode == "CONV_2D" else K.dwconv2d_f32
+        return fn(x, w, b, a["stride"], a["pad_h"], a["pad_w"], a.get("activation", "none"))
     if op.opcode == "CONV_1D":
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
-        if is_int8:
-            return K.conv1d_i8(
-                x, w, b, a["stride"], a["pad"],
-                in_zp=t[op.inputs[0]].quant.zero_point,
-                out_zp=t[op.outputs[0]].quant.zero_point,
-                out_mult=a["out_mult"], out_shift=a["out_shift"],
-                clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
-            )
         return K.conv1d_f32(x, w, b, a["stride"], a["pad"], a.get("activation", "none"))
-
     if op.opcode == "FULLY_CONNECTED":
-        w = t[op.inputs[1]].data
-        b = t[op.inputs[2]].data
-        if is_int8:
-            return K.fc_i8(
-                x, w, b,
-                in_zp=t[op.inputs[0]].quant.zero_point,
-                out_zp=t[op.outputs[0]].quant.zero_point,
-                out_mult=a["out_mult"], out_shift=a["out_shift"],
-                clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
-            )
-        return K.fc_f32(x, w, b, a.get("activation", "none"))
+        return K.fc_f32(x, t[op.inputs[1]].data, t[op.inputs[2]].data, a.get("activation", "none"))
 
-    if op.opcode == "MAX_POOL_2D":
-        return K.maxpool2d_i8(x, a["pool_size"]) if is_int8 else K.maxpool2d_f32(x, a["pool_size"])
-    if op.opcode == "MAX_POOL_1D":
-        return K.maxpool1d_i8(x, a["pool_size"]) if is_int8 else K.maxpool1d_f32(x, a["pool_size"])
-    if op.opcode == "AVG_POOL_2D":
-        return K.avgpool2d_i8(x, a["pool_size"]) if is_int8 else K.avgpool2d_f32(x, a["pool_size"])
+    if (op.opcode, is_int8) in _POOLS:
+        return _POOLS[(op.opcode, is_int8)](x, a["pool_size"])
     if op.opcode == "GLOBAL_AVG_POOL_2D":
         return K.gap2d_i8(x) if is_int8 else K.gap2d_f32(x)
     if op.opcode == "GLOBAL_AVG_POOL_1D":
@@ -187,16 +189,6 @@ _POOL_FUSION = {
 _VIEW_OPS = ("RESHAPE", "TRANSPOSE")
 
 
-def _requantizer(graph: Graph, op: GOp) -> K.Requantizer:
-    """The op's requantization, validated and pre-cast once."""
-    a = op.attrs
-    return K.Requantizer(
-        a["out_mult"], a["out_shift"],
-        graph.tensors[op.outputs[0]].quant.zero_point,
-        a["clamp_min"], a["clamp_max"],
-    )
-
-
 def _bind_op(
     graph: Graph, op: GOp, pool: tuple[int, str] | None
 ) -> tuple[Callable[[dict, np.ndarray, dict], object], tuple]:
@@ -213,14 +205,12 @@ def _bind_op(
     keyword of the kernel — to a view of that shape with the batch's
     rows in front.
 
-    int8 conv / dense ops bind a C kernel (:func:`_bind_native`) or,
-    failing that, the ``*_i8_plan`` kernels, on operands prepared here
-    (zero point folded into the bias, requantizer constants, and the
-    GEMM / depthwise dtype each layer's exactness proof allows — see the
-    notes in ``repro.runtime.kernels``).  A float32 depthwise op binds
-    ``eon_dwconv_f32`` (:func:`_bind_native_f32`) or ``dwconv2d_f32``.
-    ``pool`` is the ``(size, kind)`` of the pool a conv absorbs, decided
-    by :func:`_bind_steps`.
+    An int8 conv / depthwise / conv1d / dense op binds its C kernel
+    (:func:`_bind_native`) or, failing that, its spec kernel
+    (:func:`_spec_i8`), whose output a fused pool pools into ``out``.  A
+    float32 depthwise op binds ``eon_dwconv_f32`` (:func:`_bind_native_f32`)
+    or ``dwconv2d_f32``.  ``pool`` is the ``(size, kind)`` of the pool a
+    conv absorbs, decided by :func:`_bind_steps`.
     """
     t = graph.tensors
     a = op.attrs
@@ -230,6 +220,19 @@ def _bind_op(
     shape = tuple(t[op.outputs[0]].shape)  # a fused conv's: before its pool
     pool_size, pool_kind = pool or (None, "max")
     act = a.get("activation", "none")
+
+    if is_int8 and op.opcode in _I8_LAYERS:
+        # A forged multiplier is refused here on either route, as the spec
+        # refuses it when it runs.
+        mant, shift = checked_mantissa(a["out_mult"]), total_shift_of(a["out_shift"])
+        bound = _bind_native(graph, op, pool, mant, shift)
+        if bound is not None:
+            return bound
+        spec = _spec_i8(graph, op)
+        if not pool_size:
+            return (lambda v, out, s: np.copyto(out, spec(v[x_id]))), ()
+        pool_fn = _pool_kernel(op, pool_kind, True)
+        return (lambda v, out, s: pool_fn(spec(v[x_id]), pool_size, out)), ()
 
     if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D"):
         w = t[op.inputs[1]].data
@@ -241,80 +244,32 @@ def _bind_op(
         if any(map(any, pads)):
             grown = tuple(n + sum(p) for n, p in zip(in_shape, pads)) + in_shape[-1:]
             scratch.append(("xp", grown, t[x_id].dtype, _PAD, _GATHER))
-        pointwise = not is_1d and w.shape[:2] == (1, 1) and stride == 1
-        col_shape = (math.prod(shape[:-1]), math.prod(w.shape[:-1]))
-        if not is_int8:
-            if op.opcode == "DEPTHWISE_CONV_2D":
-                bound = _bind_native_f32(graph, op, pool)
-                if bound is not None:
-                    return bound
-                scratch.append(("prod", shape, np.float32, _GATHER, _GATHER))
-                conv = lambda x, **s: K.dwconv2d_f32(x, w, b, stride, *pads, act, **s)  # noqa: E731
-            else:
-                kernel = K.conv1d_f32 if is_1d else K.conv2d_f32
-                if not pointwise:
-                    scratch.append(("col", col_shape, np.float32, _GATHER, _GEMM))
-                conv = lambda x, **s: kernel(x, w, b, stride, *pads, act, **s)  # noqa: E731
-            if not pool_size:
-                return (lambda v, out, s: conv(v[x_id], out=out, **s)), tuple(scratch)
-            # The conv's own ``out`` is scratch: the pre-pool tensor.
-            scratch.append(("out", shape, np.float32, _GATHER, _POOL))
-            pool_fn = _f32_pool(op, pool_kind)
-            return (lambda v, out, s: pool_fn(conv(v[x_id], **s), pool_size, out)), tuple(scratch)
-
-        in_zp = t[x_id].quant.zero_point
-        rq = _requantizer(graph, op)
-        bound = _bind_native(graph, op, pool, rq)
-        if bound is not None:
-            return bound
         if op.opcode == "DEPTHWISE_CONV_2D":
-            taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
-            wide = taps.dtype != np.int8  # note 4's int64 route
-            acc_dtype = np.int64 if wide else np.int32
-            scratch.append(("prod", shape, np.int64 if wide else np.int16, _GATHER, _GATHER))
-            fn = lambda v, out, s: K.dwconv2d_i8_plan(  # noqa: E731
-                v[x_id], taps, bias, stride, *pads, in_zp, rq,
-                pool=pool_size, pool_kind=pool_kind, out=out, **s)
+            bound = _bind_native_f32(graph, op, pool)
+            if bound is not None:
+                return bound
+            scratch.append(("prod", shape, np.float32, _GATHER, _GATHER))
+            conv = lambda x, **s: K.dwconv2d_f32(x, w, b, stride, *pads, act, **s)  # noqa: E731
         else:
-            w2d, bias = K.prepare_gemm_i8(w, b, in_zp)
-            acc_dtype = w2d.dtype
-            scratch.append(("col", col_shape, acc_dtype, _GATHER, _GEMM))
-            if is_1d:
-                k = w.shape[0]
-                fn = lambda v, out, s: K.conv1d_i8_plan(  # noqa: E731
-                    v[x_id], w2d, k, bias, stride, *pads, in_zp, rq,
-                    pool=pool_size, out=out, **s)
-            else:
-                kh, kw = w.shape[0], w.shape[1]
-                fn = lambda v, out, s: K.conv2d_i8_plan(  # noqa: E731
-                    v[x_id], w2d, kh, kw, bias, stride, *pads, in_zp, rq,
-                    pool=pool_size, pool_kind=pool_kind, out=out, **s)
-        return fn, tuple(scratch) + _finish_scratch(shape, acc_dtype, pool_size, pool_kind)
+            kernel = K.conv1d_f32 if is_1d else K.conv2d_f32
+            if is_1d or w.shape[:2] != (1, 1) or stride != 1:  # not pointwise
+                col_shape = (math.prod(shape[:-1]), math.prod(w.shape[:-1]))
+                scratch.append(("col", col_shape, np.float32, _GATHER, _GEMM))
+            conv = lambda x, **s: kernel(x, w, b, stride, *pads, act, **s)  # noqa: E731
+        if not pool_size:
+            return (lambda v, out, s: conv(v[x_id], out=out, **s)), tuple(scratch)
+        # The conv's own ``out`` is scratch: the pre-pool tensor.
+        scratch.append(("out", shape, np.float32, _GATHER, _POOL))
+        pool_fn = _pool_kernel(op, pool_kind, False)
+        return (lambda v, out, s: pool_fn(conv(v[x_id], **s), pool_size, out)), tuple(scratch)
 
     if op.opcode == "FULLY_CONNECTED":
         w = t[op.inputs[1]].data
         b = t[op.inputs[2]].data
-        if not is_int8:
-            return (lambda v, out, s: K.fc_f32(v[x_id], w, b, act, out=out)), ()
-        rq = _requantizer(graph, op)
-        bound = _bind_native(graph, op, None, rq)
-        if bound is not None:
-            return bound
-        w2d, bias = K.prepare_gemm_i8(w, b, t[x_id].quant.zero_point)
-        return (
-            lambda v, out, s: K.fc_i8_plan(v[x_id], w2d, bias, rq, out=out, **s)
-        ), (("col", in_shape, w2d.dtype, _GATHER, _GEMM),) + _finish_scratch(shape, w2d.dtype)
+        return (lambda v, out, s: K.fc_f32(v[x_id], w, b, act, out=out)), ()
 
-    if op.opcode in ("MAX_POOL_2D", "MAX_POOL_1D", "AVG_POOL_2D"):
-        size = a["pool_size"]
-        fn = {
-            ("MAX_POOL_2D", True): K.maxpool2d_i8,
-            ("MAX_POOL_2D", False): K.maxpool2d_f32,
-            ("MAX_POOL_1D", True): K.maxpool1d_i8,
-            ("MAX_POOL_1D", False): K.maxpool1d_f32,
-            ("AVG_POOL_2D", True): K.avgpool2d_i8,
-            ("AVG_POOL_2D", False): K.avgpool2d_f32,
-        }[(op.opcode, is_int8)]
+    if (op.opcode, is_int8) in _POOLS:
+        size, fn = a["pool_size"], _POOLS[(op.opcode, is_int8)]
         return (lambda v, out, s: fn(v[x_id], size, out)), ()
 
     if op.opcode in ("GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D"):
@@ -382,11 +337,11 @@ def _bind_op(
 _INT = (int, np.integer)
 
 
-def _f32_pool(op: GOp, kind: str):
-    """The float32 kernel of the ``kind`` pool a conv ``op`` absorbed."""
+def _pool_kernel(op: GOp, kind: str, is_int8: bool):
+    """The kernel of the ``kind`` pool a conv ``op`` absorbed."""
     if kind == "avg":
-        return K.avgpool2d_f32
-    return K.maxpool1d_f32 if op.opcode == "CONV_1D" else K.maxpool2d_f32
+        return _POOLS[("AVG_POOL_2D", is_int8)]
+    return _POOLS[("MAX_POOL_1D" if op.opcode == "CONV_1D" else "MAX_POOL_2D", is_int8)]
 
 
 def _native_params(graph: Graph, op: GOp, pool: tuple[int, str] | None) -> dict | None:
@@ -444,12 +399,14 @@ def _native_scratch(params: dict, dtype) -> tuple:
 
 
 def _bind_native(
-    graph: Graph, op: GOp, pool: tuple[int, str] | None, rq: K.Requantizer
+    graph: Graph, op: GOp, pool: tuple[int, str] | None, mant: np.ndarray, shift: np.ndarray
 ) -> tuple[native.ConvKernel, tuple] | None:
     """An int8 CONV_2D / DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED
-    bound to its C kernel, with its scratch; ``None`` — bind the numpy
-    kernels — where the kernel library is unavailable, the layer fails
-    the int32 proof, or :func:`_native_params` refuses its shapes."""
+    bound to its C kernel, with its scratch; ``mant`` / ``shift`` are its
+    checked mantissas and total shifts.  ``None`` — bind the spec kernel —
+    where the kernel library is unavailable, the layer fails the int32
+    proof, or :func:`_native_params` refuses its shapes (a depth
+    multiplier)."""
     lib = native.load()
     t = graph.tensors
     x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
@@ -458,25 +415,19 @@ def _bind_native(
     params = _native_params(graph, op, pool)
     if params is None:
         return None
-    in_zp, cout = x_t.quant.zero_point, params["cout"]
-    if op.opcode == "DEPTHWISE_CONV_2D":
-        weights, bias = K.prepare_dwconv_i8(w, b, in_zp)
-        if weights.dtype != np.int8:
-            return None
-    else:
-        prepared = K.prepare_gemm_i32(w, b, in_zp)
-        if prepared is None:
-            return None
-        weights, bias = prepared
-    if bias.shape != (cout,):
+    in_zp, out_zp, cout = x_t.quant.zero_point, t[op.outputs[0]].quant.zero_point, params["cout"]
+    depthwise = op.opcode == "DEPTHWISE_CONV_2D"
+    prepared = (K.prepare_dwconv_i8 if depthwise else K.prepare_gemm_i32)(w, b, in_zp)
+    if prepared is None:
         return None
-    if rq.mant.size not in (1, cout) or rq.shift.size not in (1, cout):
+    weights, bias = prepared
+    if bias.shape != (cout,) or mant.size not in (1, cout) or shift.size not in (1, cout):
         return None
-    if not (-128 <= in_zp <= 127 and -128 <= rq.out_zp <= 127):
+    if not (-128 <= in_zp <= 127 and -128 <= out_zp <= 127):
         return None  # unrepresentable: the verifier's G021, unless skipped
-    params.update(in_zp=in_zp, out_zp=rq.out_zp, clamp_min=rq.clamp_min, clamp_max=rq.clamp_max)
-    kernel = native.ConvKernel(lib, op.opcode == "DEPTHWISE_CONV_2D", params, weights, bias,
-                               rq.mant, rq.shift, op.inputs[0])
+    params.update(in_zp=in_zp, out_zp=out_zp,
+                  clamp_min=op.attrs["clamp_min"], clamp_max=op.attrs["clamp_max"])
+    kernel = native.ConvKernel(lib, depthwise, params, weights, bias, mant, shift, op.inputs[0])
     scratch = (("acc", (kernel.scratch_size,), np.int32, _GATHER, _REQUANT),)
     return kernel, scratch + _native_scratch(params, np.int8)
 
@@ -503,37 +454,16 @@ def _bind_native_f32(
     scratch = _native_scratch(params, np.float32)
     pool_fn = None
     if pool:
-        pool_fn = (_f32_pool(op, pool[1]), pool[0])
+        pool_fn = (_pool_kernel(op, pool[1], False), pool[0])
         scratch += (("out", tuple(t[op.outputs[0]].shape), np.float32, _GATHER, _POOL),)
     kernel = native.DepthwiseF32Kernel(lib, params, w[..., 0], b, act, op.inputs[0], pool_fn)
     return kernel, scratch
 
 
-# The phases every plan kernel runs through, in order.  A scratch buffer
-# is live from the phase that writes it to the last one that reads it,
-# and buffers whose phases do not meet share bytes (``first_fit``).
-_PAD, _GATHER, _GEMM, _POOL, _REQUANT, _ROUND, _AVG = range(7)
-
-
-def _finish_scratch(shape, acc_dtype, pool_size=None, pool_kind="max") -> tuple:
-    """Scratch of ``kernels._finish`` over ``shape`` accumulators — the
-    accumulators, the max-pooled accumulators, the requantizer's int64
-    copy and sign word, the int8 tensor a fused avg pool reads."""
-    wide = np.dtype(acc_dtype) == np.int64  # the requantizer consumes it in place
-    requant_last = _ROUND if wide else _REQUANT
-    spec = []
-    if pool_size and pool_kind == "max":
-        spec.append(("acc", shape, acc_dtype, _GATHER, _POOL))
-        shape = tuple(n // pool_size for n in shape[:-1]) + shape[-1:]
-        spec.append(("pooled", shape, acc_dtype, _POOL, requant_last))
-    else:
-        spec.append(("acc", shape, acc_dtype, _GATHER, requant_last))
-    if not wide:
-        spec.append(("work", shape, np.int64, _REQUANT, _ROUND))
-    spec.append(("sign", shape, np.int64, _ROUND, _ROUND))
-    if pool_size and pool_kind == "avg":
-        spec.append(("q", shape, np.int8, _ROUND, _AVG))
-    return tuple(spec)
+# The phases a plan kernel runs through, in order.  A scratch buffer is
+# live from the phase that writes it to the last one that reads it, and
+# buffers whose phases do not meet share bytes (``first_fit``).
+_PAD, _GATHER, _GEMM, _POOL, _REQUANT = range(5)
 
 
 @dataclass(frozen=True)
@@ -664,9 +594,9 @@ class CompiledPlan:
 
     Holds the bound :class:`PlanStep` list; :meth:`lifetimes` gives each
     activation's first and last step, which the arena planner turns into
-    buffer offsets.  Closures snapshot weights at compile time (int8
-    weights are pre-cast to the kernels' accumulator dtype), so editing a
-    tensor's ``data`` afterwards requires recompiling the plan.
+    buffer offsets.  Closures fetch weights at compile time (a C kernel
+    lays out its own copy), so editing a tensor's ``data`` afterwards
+    requires recompiling the plan.
     """
 
     def __init__(self, graph: Graph, verify: bool = True):

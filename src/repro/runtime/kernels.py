@@ -9,21 +9,19 @@ convolutions are lowered).
 The int8 kernels mirror TFLM/CMSIS-NN arithmetic: int8 operands, int32
 biases, int64 accumulation, fixed-point requantization
 (:mod:`repro.quantize.fixedpoint`), asymmetric activation zero points and
-symmetric (zero-zp) weights.  The generic ``*_i8`` kernels are the spec
-(and what ``run_graph_dispatch`` calls); compiled plans bind the
-``*_i8_plan`` family further down, which both engines share — that is
-what makes the TFLM-vs-EON comparison a pure overhead comparison.
+symmetric (zero-zp) weights.  They are the spec.  Each int8 conv /
+depthwise / conv1d / dense op has two kernels: the spec here, which
+``run_graph_dispatch`` calls, and EON's C kernel
+(``repro.runtime.native``), which compiled plans bind; a plan binds the
+spec itself where C cannot run the layer.  Both engines share the plan —
+that is what makes the TFLM-vs-EON comparison a pure overhead comparison.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.quantize.fixedpoint import (
-    checked_mantissa,
-    multiply_by_quantized_multiplier,
-    total_shift_of,
-)
+from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
 
 # --------------------------------------------------------------------------
 # shared geometry
@@ -73,13 +71,10 @@ def _windows_2d(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 def _gemm(windows, w2d, col=None, out=None):
     """``windows`` (a view whose trailing axes flatten to K) times
-    ``w2d``: ``(rows, cout)`` in ``w2d``'s dtype, written to ``out``
-    (a fresh array when ``None``).  One pass gathers (and, for int8,
-    casts) the view into the contiguous im2col matrix ``col`` — or takes
-    it as it is when it already is one, the float32 pointwise case — so
-    the product is one BLAS call: sgemm for float32, dgemm exactly when
-    ``prepare_gemm_i8`` chose float64 (whose exact-integer results pool
-    and take the bias as they are)."""
+    ``w2d``: ``(rows, cout)`` float32, written to ``out`` (a fresh array
+    when ``None``).  One pass gathers the view into the contiguous im2col
+    matrix ``col`` — or takes it as it is when it already is one, the
+    pointwise case — so the product is one sgemm."""
     if col is None:
         lhs = windows.astype(w2d.dtype, order="C", copy=False)
     else:
@@ -103,9 +98,9 @@ def _gemm(windows, w2d, col=None, out=None):
 # rounding (rtol 1e-5 of the output scale), not with the originals to
 # the bit.
 #
-# 1. Convolutions lower the way ``conv2d_i8_plan`` does: pad, then one
-#    gather of the window view into a contiguous ``(rows, K)`` matrix
-#    and one sgemm (``_gemm``).  A pointwise (1x1, stride 1) conv skips
+# 1. Convolutions lower to im2col: pad, then one gather of the window
+#    view into a contiguous ``(rows, K)`` matrix and one sgemm
+#    (``_gemm``).  A pointwise (1x1, stride 1) conv skips
 #    the gather — its input already is that matrix.  ``np.tensordot``
 #    reached the same sgemm through a transpose + reshape + copy of both
 #    operands per call.
@@ -296,13 +291,13 @@ def conv2d_i8(
 
 def dwconv2d_i8(
     x, w, bias, stride, pad_h, pad_w, in_zp, out_zp, out_mult, out_shift,
-    clamp_min=-128, clamp_max=127, path=True,
+    clamp_min=-128, clamp_max=127,
 ):
     xp = _pad2d(x, pad_h, pad_w, in_zp)
     view = _windows_2d(xp.astype(np.int32) - in_zp, w.shape[0], w.shape[1], stride)
     acc = np.einsum(
         "bxyijc,ijcd->bxycd", view.astype(np.int64),
-        w.astype(np.int64, copy=False), optimize=path,
+        w.astype(np.int64, copy=False), optimize=True,
     )
     bsz, oh, ow, c, d = acc.shape
     acc = acc.reshape(bsz, oh, ow, c * d) + bias.astype(np.int64, copy=False)
@@ -343,237 +338,46 @@ def fc_i8(
     return _requant(acc, mult, shift, out_zp, clamp_min, clamp_max)
 
 
-# -- plan-bound int8 kernels -------------------------------------------------
+# -- operands of EON's C kernels ----------------------------------------------
 #
-# The kernels compiled plans bind (repro.runtime.executor._bind_op), on
-# both engines: the TFLM interpreter and EON bind the same plan steps.
-# The generic kernels above are the spec; these compute the same bytes
-# faster through four rewrites, each exact and each proven per layer
-# before the plan binds it, with a slower exact route for a layer that
-# fails its proof.  Bind-time constants are only
-# read and every per-call array is local, so one plan may run on several
-# threads at once; windows are taken with strides read off the array, so
-# one plan runs every batch size.
-#
-# 1. Requantization constants are derived once (``Requantizer``) and
-#    applied in place on the accumulator the kernel owns.  Round half
-#    away from zero needs no abs/where: with h = 2**(s-1), a product
-#    p >= 0 rounds to (p + h) >> s, and for p < 0 the spec's
-#      -((-p + h) >> s) = ceil((p - h) / 2**s)
-#                       = (p - h + 2**s - 1) >> s = (p + h - 1) >> s,
-#    so both signs are (p + h + (p >> 63)) >> s.
-# 2. The input zero point is folded into the bias (``prepare_*_i8``):
-#    sum_k (x_k - zp) w_k + b = sum_k x_k w_k + (b - zp sum_k w_k).
-#    Padding is filled with zp, so every window has all K taps and the
-#    identity holds at the borders too.  Kernels therefore contract the
-#    padded int8 tensor directly; there is no centering pass.
-# 3. A contraction runs in float64 BLAS when ``prepare_gemm_i8`` proves
-#    it exact.  Uncentered int8 products are at most 128*128 in
-#    magnitude, so every partial sum of K of them, in any order, plus a
-#    folded bias of at most max|bias| + 128*K*128, stays within
-#    2*K*128*128 + max|bias|.  Under 2**53 float64 holds every such
-#    integer, so dgemm returns the exact accumulators, ~10x faster than
-#    the int64 matmul a layer over the bound runs on the same kernel.
-# 4. Depthwise convolution with depth multiplier 1 has no GEMM form; it
-#    accumulates its kh*kw taps as strided multiply-adds into one int32
-#    accumulator (products in int16, which holds any int8 x int8).
-#    ``prepare_dwconv_i8`` selects this only after proving
-#    kh*kw*128*128 + max|bias'| < 2**31, so neither a partial sum nor
-#    the biased total can wrap; otherwise the int64 window route runs.
-#
-# A fused max-pool runs on the accumulators *before* the bias and the
-# requantization: adding a per-channel bias and requantizing (multiply +
-# rounding shift + clip) are monotone non-decreasing and per-channel,
-# and spatial pooling never crosses channels, so
-# requant(max(acc) + b) == max(requant(acc + b)) element for element
-# while the bias and requant work shrinks by pool^2.  Average pooling
-# does not commute with the rounding, so a fused avg pool runs on the
-# requantized int8 output (same kernel as unfused).
-
-
-class Requantizer:
-    """int32-range accumulators -> int8, constants prepared at bind time.
-
-    Equals ``_requant`` (the spec) byte for byte; raises the spec's
-    ``ValueError`` at construction for a shift or mantissa outside its
-    range, and caps the shift where the spec does.
-    """
-
-    __slots__ = ("mant", "shift", "half", "out_zp", "clamp_min", "clamp_max")
-
-    def __init__(self, out_mult, out_shift, out_zp, clamp_min=-128, clamp_max=127):
-        self.mant = checked_mantissa(out_mult)
-        self.shift = total_shift_of(out_shift)
-        self.half = np.int64(1) << (self.shift - 1)
-        self.out_zp, self.clamp_min, self.clamp_max = (
-            np.int64(v) for v in (out_zp, clamp_min, clamp_max))
-
-    def __call__(self, acc: np.ndarray, out=None, work=None, sign=None) -> np.ndarray:
-        """``acc`` belongs to the caller and is consumed: an int64 array
-        is overwritten in place, any other dtype (exact-integer float64,
-        int32) is converted once first, into ``work`` when given.  The
-        int8 result lands in ``out`` and the rounding's int64 sign word
-        in ``sign``; each is a fresh array when ``None``."""
-        if acc.dtype != np.int64:
-            if work is None:
-                work = np.empty(acc.shape, dtype=np.int64)
-            np.copyto(work, acc, casting="unsafe")
-            acc = work
-        acc *= self.mant
-        sign = np.right_shift(acc, 63, out=sign)
-        acc += self.half
-        acc += sign
-        acc >>= self.shift
-        acc += self.out_zp
-        np.maximum(acc, self.clamp_min, out=acc)
-        np.minimum(acc, self.clamp_max, out=acc)
-        if out is None:
-            return acc.astype(np.int8)
-        np.copyto(out, acc, casting="unsafe")
-        return out
-
-
-def prepare_gemm_i8(w, bias, in_zp):
-    """``(w2d, bias')`` for the GEMM kernels: weights flattened to
-    ``(K, cout)``, zero point folded into the bias; float64 when every
-    partial sum provably fits its mantissa (note 3 above:
-    ``2*K*128*128 + max|bias| < 2**53``), else int64."""
-    w2d = w.reshape(-1, w.shape[-1])
-    bias = bias.astype(np.int64)
-    folded = bias - in_zp * w2d.sum(axis=0, dtype=np.int64)
-    max_bias = int(np.abs(bias).max()) if bias.size else 0
-    exact = 2 * w2d.shape[0] * 128 * 128 + max_bias < 2 ** 53
-    dtype = np.float64 if exact else np.int64
-    return w2d.astype(dtype), folded.astype(dtype)
+# Compiled plans bind every int8 conv / depthwise / conv1d / dense step to
+# EON's C kernels (``repro.runtime.native``) where the layer passes the
+# int32 proof below, and to the spec kernels above where it does not.  The
+# C kernels contract the *padded* int8 tensor: the input zero point is
+# folded into the bias, ``sum_k (x_k - zp) w_k + b = sum_k x_k w_k +
+# (b - zp sum_k w_k)``, and padding is filled with zp so every window has
+# all K taps.  Uncentered int8 products are at most 128*128 in magnitude,
+# so ``K*128*128 + max|bias'| < 2**31`` keeps every partial sum, in any
+# order, and the biased total inside an int32 accumulator.
 
 
 def _fits_int32(k, folded) -> bool:
-    """Note 4's proof: ``k`` int8 products and the folded bias cannot
+    """The int32 proof: ``k`` int8 products and the folded bias cannot
     wrap an int32 accumulator, ``k*128*128 + max|bias'| < 2**31``."""
     max_bias = int(np.abs(folded).max()) if folded.size else 0
     return k * 128 * 128 + max_bias < 2 ** 31
 
 
 def prepare_dwconv_i8(w, bias, in_zp):
-    """``(taps, bias')`` for ``dwconv2d_i8_plan``: int8 ``(kh, kw, c)``
-    taps and an int32 bias when tap accumulation provably fits int32
-    (note 4 above), else the int64 ``(kh, kw, c, d)`` weights and bias
-    of the window route."""
+    """``(taps, bias')`` for the C depthwise kernel: int8 ``(kh, kw, c)``
+    taps and the folded bias as int32, when the depth multiplier is 1 and
+    int32 tap accumulation provably cannot wrap; ``None`` otherwise."""
     kh, kw, _, dm = w.shape
     folded = bias.astype(np.int64) - in_zp * w.sum(axis=(0, 1), dtype=np.int64).reshape(-1)
-    if dm == 1 and _fits_int32(kh * kw, folded):
-        return w[..., 0].astype(np.int8), folded.astype(np.int32)
-    return w.astype(np.int64), folded
+    if dm != 1 or not _fits_int32(kh * kw, folded):
+        return None
+    return w[..., 0].astype(np.int8), folded.astype(np.int32)
 
 
 def prepare_gemm_i32(w, bias, in_zp):
-    """``(w2d, bias')`` for the C kernels (``repro.runtime.native``): int8
-    weights as ``(K, cout)`` and the folded bias as int32, when int32
-    accumulation provably cannot wrap (note 4's proof over ``K`` taps);
-    ``None`` otherwise."""
+    """``(w2d, bias')`` for the C GEMM kernel: int8 weights as ``(K,
+    cout)`` and the folded bias as int32, when int32 accumulation over
+    ``K`` taps provably cannot wrap; ``None`` otherwise."""
     w2d = w.reshape(-1, w.shape[-1])
     folded = bias.astype(np.int64) - in_zp * w2d.sum(axis=0, dtype=np.int64)
     if not _fits_int32(w2d.shape[0], folded):
         return None
     return w2d.astype(np.int8), folded.astype(np.int32)
-
-
-def _finish(
-    acc, bias, requant, pool=None, pool_kind="max", out=None, pooled=None,
-    work=None, sign=None, q=None,
-):
-    """Shared tail of the convs, on accumulators ``(batch, *spatial,
-    channels)`` the caller owns: (max pool) -> bias -> requantize ->
-    (avg pool).  ``pooled`` (max pool), ``work`` / ``sign`` (the
-    requantizer's) and ``q`` (the int8 tensor an avg pool reads) are
-    scratch, allocated when ``None``."""
-    if pool and pool_kind == "max":
-        # Block max as pool**d strided maxima: elementwise over whole
-        # channel runs, ~3x faster than a reshape + multi-axis reduce on
-        # accumulator-width data.
-        spatial = acc.shape[1:-1]
-        ends = [(n // pool - 1) * pool + 1 for n in spatial]
-        for i, offsets in enumerate(np.ndindex(*(pool,) * len(spatial))):
-            tap = acc[(slice(None), *(slice(o, o + e, pool) for o, e in zip(offsets, ends)))]
-            if i == 0 and pooled is None:
-                pooled = tap.copy()
-            elif i == 0:
-                np.copyto(pooled, tap)
-            else:
-                np.maximum(pooled, tap, out=pooled)
-        acc = pooled
-    acc += bias
-    if pool and pool_kind == "avg":
-        return avgpool2d_i8(requant(acc, q, work, sign), pool, out)
-    return requant(acc, out, work, sign)
-
-
-def conv2d_i8_plan(
-    x, w2d, kh, kw, bias, stride, pad_h, pad_w, in_zp, requant,
-    pool=None, pool_kind="max", out=None, xp=None, col=None, acc=None, **tail,
-):
-    """CONV_2D: pad -> int8 im2col -> GEMM -> ``_finish``.  ``w2d`` /
-    ``bias`` come from ``prepare_gemm_i8``; ``xp`` / ``col`` / ``acc``
-    and the ``_finish`` scratch in ``tail`` are allocated when absent."""
-    xp = _pad2d(x, pad_h, pad_w, in_zp, xp)
-    if kh == 1 and kw == 1 and stride == 1:
-        windows = xp  # pointwise: the im2col matrix is the input itself
-    else:
-        windows = _windows_2d(xp, kh, kw, stride)
-    acc = _gemm(windows, w2d, col, acc).reshape(windows.shape[:3] + (-1,))
-    return _finish(acc, bias, requant, pool, pool_kind, out, **tail)
-
-
-def dwconv2d_i8_plan(
-    x, taps, bias, stride, pad_h, pad_w, in_zp, requant,
-    pool=None, pool_kind="max", out=None, xp=None, acc=None, prod=None, **tail,
-):
-    """DEPTHWISE_CONV_2D.  ``taps`` / ``bias`` come from
-    ``prepare_dwconv_i8``, whose dtype choice selects the route: int8
-    taps accumulate int16 products into int32 (note 4), int64 taps
-    ``(kh, kw, c, d)`` accumulate int64 products — exact either way, so
-    the order of the taps does not matter."""
-    xp = _pad2d(x, pad_h, pad_w, in_zp, xp)
-    kh, kw = taps.shape[:2]
-    b, h, w, c = xp.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    wide = taps.dtype != np.int8
-    shape = (b, oh, ow, c) + taps.shape[3:]
-    dtypes = (np.int64, np.int64) if wide else (np.int32, np.int16)
-    acc = np.empty(shape, dtypes[0]) if acc is None else acc.reshape(shape)
-    prod = np.empty(shape, dtypes[1]) if prod is None else prod.reshape(shape)
-    acc.fill(0)
-    h_end, w_end = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[:, i : i + h_end : stride, j : j + w_end : stride, :]
-            if wide:
-                window = window[..., None]
-            np.multiply(window, taps[i, j], out=prod, dtype=prod.dtype)
-            acc += prod
-    acc = acc.reshape(b, oh, ow, -1)
-    return _finish(acc, bias, requant, pool, pool_kind, out, **tail)
-
-
-def conv1d_i8_plan(
-    x, w2d, k, bias, stride, pad, in_zp, requant, pool=None, out=None,
-    xp=None, col=None, acc=None, **tail,
-):
-    """CONV_1D: pad -> int8 im2col -> GEMM -> ``_finish``."""
-    xp = _pad1d(x, pad, in_zp, xp)
-    bsz, t, c = xp.shape
-    ot = (t - k) // stride + 1
-    sb, st, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
-    )
-    acc = _gemm(windows, w2d, col, acc).reshape(bsz, ot, -1)
-    return _finish(acc, bias, requant, pool, out=out, **tail)
-
-
-def fc_i8_plan(x, w2d, bias, requant, out=None, col=None, acc=None, **tail):
-    """FULLY_CONNECTED on ``prepare_gemm_i8`` operands."""
-    return _finish(_gemm(x, w2d, col, acc), bias, requant, out=out, **tail)
 
 
 def maxpool2d_i8(x, pool, out=None):
@@ -585,8 +389,12 @@ def maxpool1d_i8(x, pool, out=None):
 
 
 def _round_div_i8(acc, count, out=None):
-    """int sums / ``count``, rounded half away from zero, saturated to
-    int8 (into ``out`` when given)."""
+    """int sums / ``count``, saturated to int8 (into ``out`` when given):
+    ``floor((acc + count//2) / count)`` for a non-negative sum and
+    ``floor((acc - count//2) / count)`` for a negative one.  Halves round
+    away from zero, but a negative mean that is not a half rounds down
+    (-0.25 -> -1, -1.25 -> -2), where TFLM's reference truncates after
+    adding -count/2 (0, -1)."""
     rounded = np.floor_divide(
         acc + np.where(acc >= 0, count // 2, -(count // 2)), count
     )

@@ -16,8 +16,9 @@ loaded.  The library is loaded with :class:`ctypes.CDLL`, whose calls
 release the GIL.
 
 Where there is no compiler, or the build or load fails, :func:`load`
-returns ``None`` and plans bind the numpy kernels of
-``repro.runtime.kernels``, which compute the same bytes.
+returns ``None`` and plans bind the kernels of ``repro.runtime.kernels``:
+the int8 spec kernels and the float32 depthwise kernel's numpy twin,
+which compute the same bytes.
 """
 
 from __future__ import annotations
@@ -216,16 +217,28 @@ class NativeKernel:
         self.carve(views, out, scratch)()
 
 
+def requant_table(mant, shift, cout: int, coutp: int) -> np.ndarray:
+    """The requantization constants as ``eon_kernels.c`` reads them: the
+    mantissas, rounding halves ``2**(s-1)`` and total shifts ``s`` of
+    ``cout`` channels (``mant`` / ``shift``: per channel or one for all,
+    checked by ``repro.quantize.fixedpoint``), each filled to ``coutp``."""
+    shift = _padded(np.broadcast_to(shift, (cout,)).astype(np.int64), coutp, 1)
+    return np.concatenate([
+        _padded(np.broadcast_to(mant, (cout,)).astype(np.int64), coutp, 0),
+        np.int64(1) << (shift - 1),
+        shift,
+    ])
+
+
 class ConvKernel(NativeKernel):
     """An int8 step bound to ``eon_conv_i8`` (conv, conv1d, dense: int8
     weights ``(K, cout)``) or ``eon_dwconv_i8`` (depthwise: int8 taps
-    ``(kh, kw, c)``), with the folded int32 bias and the requantizer's
-    mantissas, rounding halves and total shifts, laid out the way
-    ``eon_kernels.c`` reads them: weights widened to int32 (the vector
-    kernels multiply int32 lanes) in blocks of output channels, every
-    per-channel array filled to whole blocks.  The caller has proven
-    int32 accumulation exact.  A carving adds the int32 accumulator
-    scratch ``acc``.
+    ``(kh, kw, c)``), with the folded int32 bias and the
+    :func:`requant_table`, laid out the way ``eon_kernels.c`` reads them:
+    weights widened to int32 (the vector kernels multiply int32 lanes) in
+    blocks of output channels, every per-channel array filled to whole
+    blocks.  The caller has proven int32 accumulation exact.  A carving
+    adds the int32 accumulator scratch ``acc``.
     """
 
     def __init__(self, lib, depthwise: bool, params: dict, weights, bias, mant, shift, x_id):
@@ -238,12 +251,7 @@ class ConvKernel(NativeKernel):
             weights = _padded(weights, coutp, 0).reshape(len(weights), -1, block).transpose(1, 0, 2)
         self.weights = np.ascontiguousarray(weights, dtype=np.int32)
         self.bias = _padded(np.asarray(bias, dtype=np.int32), coutp, 0)
-        shift = _padded(np.broadcast_to(shift, (cout,)).astype(np.int64), coutp, 1)
-        self.rq = np.concatenate([
-            _padded(np.broadcast_to(mant, (cout,)).astype(np.int64), coutp, 0),
-            np.int64(1) << (shift - 1),
-            shift,
-        ])
+        self.rq = requant_table(mant, shift, cout, coutp)
         self.scratch_size = lib.eon_scratch_size(self.params.ctypes.data)
         self.out_size = (params["oh"] // params["pool_h"]) * (params["ow"] // params["pool_w"]) * cout
 
@@ -268,8 +276,8 @@ class DepthwiseF32Kernel(NativeKernel):
     ``eon_dwconv_f32``: float32 taps ``(kh, kw, c)`` and bias, and the
     activation (a key of :data:`F32_CLAMPS`) as clamp bounds.  With a
     fused ``pool`` — ``(pool kernel, size)`` — the C kernel writes the
-    step's pre-pool scratch ``out`` and the pool kernel reads it, as on
-    the numpy route.
+    step's pre-pool scratch ``out`` and the pool kernel reads it, as
+    ``dwconv2d_f32``'s plan step does.
     """
 
     def __init__(self, lib, params: dict, taps, bias, activation: str, x_id, pool=None):

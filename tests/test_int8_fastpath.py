@@ -1,11 +1,15 @@
-"""The plan-bound int8 fast path is pinned to the spec three ways:
+"""The int8 plan is pinned to the spec three ways.  Each int8 conv /
+depthwise / conv1d / dense step binds EON's C kernel or, where C cannot
+run the layer, the spec kernel itself:
 
-1. the bind-time requantizer equals ``multiply_by_quantized_multiplier``
+1. C's requantization (``eon_requant_i8``, on the constants
+   ``native.ConvKernel`` lays out) equals ``multiply_by_quantized_multiplier``
    (+ zero point, clipped) on every int32-range accumulator;
-2. each plan-bound kernel equals its generic twin in ``runtime.kernels``
-   on random tensors, including one case per bind-time bound that fails;
+2. each bound step equals dispatch on one-layer graphs over random
+   tensors, on both routes, including one case per reason a layer binds
+   the spec (a bias past the int32 bound, a depth multiplier);
 3. golden digests: sha256 of the int8 output bytes of the paper-scale
-   graphs, recorded from the commit *before* the fast path existed
+   graphs, recorded from the commit *before* the plan had a fast path
    (``tests/data/int8_golden.json``), reproduced by every execution
    route.  The e2e oracle shares the runtime's kernels, so its
    ``failed == 0`` is not independent evidence; these digests are.
@@ -30,7 +34,6 @@ import functools
 import hashlib
 import json
 import pathlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +45,11 @@ from repro.graph import sequential_to_graph
 from repro.graph.serialize import graph_from_bytes, graph_to_bytes
 from repro.nn.architectures import cifar_cnn, ds_cnn
 from repro.quantize import quantize_graph
-from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
+from repro.quantize.fixedpoint import (
+    checked_mantissa,
+    multiply_by_quantized_multiplier,
+    total_shift_of,
+)
 from repro.runtime import (
     EONCompiler,
     TFLMInterpreter,
@@ -51,24 +58,19 @@ from repro.runtime import (
 )
 from repro.runtime import kernels as K
 from repro.runtime import native
+from test_native_kernels import assert_plan_equals_spec, layer_graph, needs_cc, spec_plan
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN_PATH = DATA_DIR / "int8_golden.json"
 GOLDEN_TASKS = ("kws", "ic", "vww")
 GOLDEN_BATCHES = (1, 4)
 
-def _numpy_plan(graph):
-    """The plan bound without the C kernel library (``runtime/native``)."""
-    with mock.patch.object(native, "load", lambda: None):
-        return compile_plan(graph, cache=False)
-
-
 #: Every way the runtime can execute an int8 graph.  Plans bind the C
-#: kernels where a compiler exists; ``plan_numpy`` forces the numpy ones.
+#: kernels where a compiler exists; ``plan_spec`` binds the spec kernels.
 ROUTES = {
     "dispatch": lambda g: lambda x: run_graph_dispatch(g, x),
     "plan_default": lambda g: compile_plan(g, cache=False).execute,
-    "plan_numpy": lambda g: _numpy_plan(g).execute,
+    "plan_spec": lambda g: spec_plan(g).execute,
     "tflm": lambda g: TFLMInterpreter(g).invoke,
     "eon": lambda g: EONCompiler().compile(g).invoke,
 }
@@ -122,7 +124,7 @@ def test_golden_digests(task, route):
     assert _digests(task, route) == golden["digests"]
 
 
-# -- (i) the bound requantizer equals the spec --------------------------------
+# -- (i) C's requantization equals the spec -----------------------------------
 
 INT32_MAX = 2**31 - 1
 _mantissas = st.one_of(st.just(0), st.integers(1, INT32_MAX), st.integers(2**30, INT32_MAX))
@@ -163,78 +165,78 @@ def _requant_cases(draw):
     return acc, mult, shift, zp, lo, hi
 
 
+@needs_cc
 @settings(max_examples=300, deadline=None)
 @given(_requant_cases())
 @example((np.array([[-5], [5], [-6]], dtype=np.int64), 1, 29, 0, -128, 127))  # prod=-5, shift=2
 def test_requantizer_equals_the_spec(case):
     acc, mult, shift, zp, lo, hi = case
     want = _spec_requant(acc, mult, shift, zp, lo, hi)
-    requant = K.Requantizer(mult, shift, zp, lo, hi)
-    for dtype in (np.int64, np.int32, np.float64):  # every accumulator a kernel hands over
-        assert np.array_equal(requant(acc.astype(dtype)), want)
-    lib = native.load()
-    if lib is not None:  # the C kernels' requantization, on the same constants
-        channels = acc.shape[1]
-        table = np.stack([np.broadcast_to(a, (channels,)) for a in
-                          (requant.mant, requant.half, requant.shift)]).astype(np.int64)
-        acc32 = np.ascontiguousarray(acc, dtype=np.int32)
-        got = np.empty(acc.shape, np.int8)
-        lib.eon_requant_i8(acc32.ctypes.data, acc32.size, channels, table.ctypes.data,
-                           zp, lo, hi, got.ctypes.data)
-        assert np.array_equal(got, want)
-
-
-def test_requantizer_consumes_only_an_int64_accumulator():
-    requant = K.Requantizer([2**30, 2**30], [-3, -4], 3)
-    acc32 = np.array([[1000, -1000]], dtype=np.int32)
-    kept = acc32.copy()
-    out = requant(acc32)
-    assert np.array_equal(acc32, kept) and out.dtype == np.int8
-    acc64 = acc32.astype(np.int64)
-    assert np.array_equal(requant(acc64), out)
-    assert not np.array_equal(acc64, kept)  # overwritten in place, as documented
+    channels = acc.shape[1]
+    table = native.requant_table(checked_mantissa(mult), total_shift_of(shift), channels, channels)
+    acc32 = np.ascontiguousarray(acc, dtype=np.int32)
+    got = np.empty(acc.shape, np.int8)
+    native.load().eon_requant_i8(acc32.ctypes.data, acc32.size, channels, table.ctypes.data,
+                                 zp, lo, hi, got.ctypes.data)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shift", [31, [0, 40]])
 def test_requantizer_rejects_the_shifts_the_spec_rejects(shift):
+    """A plan refuses, when it is bound and on both routes, the shifts the
+    spec refuses when it runs, with the spec's message."""
     acc = np.zeros((1, 2), dtype=np.int64)
     with pytest.raises(ValueError, match="multiplier exponent too large") as spec:
         multiply_by_quantized_multiplier(acc, 2**30, shift)
-    with pytest.raises(ValueError) as bound:
-        K.Requantizer(2**30, shift, 0)
-    assert str(bound.value) == str(spec.value)
-    K.Requantizer(2**30, 30, 0)(acc)  # total shift 1: the last legal one
+    rng = np.random.default_rng(1)
+    x = rng.integers(-128, 128, size=(1, 5)).astype(np.int8)
+    w = rng.integers(-128, 128, size=(5, 2)).astype(np.int8)
+    attrs = {"out_mult": 2**30, "out_shift": 30, "clamp_min": -128, "clamp_max": 127}
+    graph, want = layer_graph("FULLY_CONNECTED", x, w, np.zeros(2, np.int32), attrs, 0, 0)
+    assert_plan_equals_spec(graph, x, want)  # total shift 1: the last legal one
+    graph.ops[0].attrs["out_shift"] = shift
+    for bind in (lambda: compile_plan(graph, cache=False, verify=False),
+                 lambda: spec_plan(graph, verify=False)):
+        with pytest.raises(ValueError) as bound:
+            bind()
+        assert str(bound.value) == str(spec.value)
 
 
-# -- (ii) each plan-bound kernel equals its generic twin ----------------------
+# -- (ii) each bound step equals dispatch, on both routes ---------------------
+#
+# One-layer graphs through ``assert_plan_equals_spec``: the plan binds C
+# where the library loads, the plan bound without it and dispatch run the
+# spec, and all three return the spec's bytes.  A case's ``in_bound``
+# (test ids "f64" / "int64", the GEMM dtypes an older numpy route bound
+# these two cases with) decides whether the bias keeps the layer inside
+# C's int32 proof or pushes it past, so that it binds the spec.
 
 
-def _conv_case(rng, x_shape, w_shape, cout=None, bias_scale=2000):
+def _conv_case(rng, x_shape, w_shape, cout=None):
     cout = cout or w_shape[-1]
     x = rng.integers(-128, 128, size=x_shape).astype(np.int8)
     w = rng.integers(-128, 128, size=w_shape).astype(np.int8)
-    b = rng.integers(-bias_scale, bias_scale, size=cout).astype(np.int32)
+    b = rng.integers(-2000, 2000, size=cout).astype(np.int32)
     mult = rng.integers(2**30, 2**31, size=cout).tolist()
     shift = rng.integers(-12, -6, size=cout).tolist()
     return x, w, b, mult, shift
 
 
+def _past_the_int32_bound(b, w0, in_zp):
+    """Push output channel 0's folded bias, ``b[0] - in_zp * sum(w0)``
+    (``w0``: that channel's weights), past C's int32 proof."""
+    b[0] = INT32_MAX if in_zp * int(w0.sum(dtype=np.int64)) <= 0 else -(2**31)
+
+
+def _requant(mult, shift, lo=-128, hi=127):
+    return {"out_mult": mult, "out_shift": shift, "clamp_min": lo, "clamp_max": hi}
+
+
 POOLS = [(None, "max"), (2, "max"), (2, "avg")]
+BOUNDS = pytest.mark.parametrize("in_bound", [True, False], ids=["f64", "int64"])
 
 
-def _gemm_operands(w, b, in_zp, exact):
-    """``prepare_gemm_i8``'s operands on the route under test: it proves
-    these small layers exact (float64); the int64 route — what a layer
-    over the 2**53 bound binds — gets the same values widened."""
-    w2d, bias = K.prepare_gemm_i8(w, b, in_zp)
-    assert w2d.dtype == bias.dtype == np.float64
-    if exact:
-        return w2d, bias
-    return w2d.astype(np.int64), bias.astype(np.int64)
-_POOL_FN = {"max": K.maxpool2d_i8, "avg": K.avgpool2d_i8}
-
-
-@pytest.mark.parametrize("exact", [True, False], ids=["f64", "int64"])
+@BOUNDS
 @pytest.mark.parametrize("pool,pool_kind", POOLS)
 @pytest.mark.parametrize("kernel,stride,pad_h,pad_w", [
     ((3, 3), 1, (1, 1), (1, 1)),
@@ -243,81 +245,67 @@ _POOL_FN = {"max": K.maxpool2d_i8, "avg": K.avgpool2d_i8}
     ((1, 1), 2, (0, 1), (1, 0)),
 ])
 @pytest.mark.parametrize("batch", [1, 5])
-def test_conv2d_plan_kernel_equals_generic(batch, kernel, stride, pad_h, pad_w, pool, pool_kind, exact):
+def test_conv2d_plan_kernel_equals_generic(batch, kernel, stride, pad_h, pad_w, pool, pool_kind, in_bound):
     rng = np.random.default_rng([batch, *kernel, stride, bool(pool)])
     for in_zp in (-128, -7, 0, 127):
         x, w, b, mult, shift = _conv_case(rng, (batch, 9, 8, 3), kernel + (3, 4))
-        zp, lo, hi = int(rng.integers(-128, 128)), -128, 127
-        want = K.conv2d_i8(x, w, b, stride, pad_h, pad_w, in_zp, zp, mult, shift, lo, hi)
-        if pool:
-            want = _POOL_FN[pool_kind](want, pool)
-        w2d, bias = _gemm_operands(w, b, in_zp, exact)
-        got = K.conv2d_i8_plan(
-            x, w2d, *kernel, bias, stride, pad_h, pad_w, in_zp,
-            K.Requantizer(mult, shift, zp, lo, hi), pool=pool, pool_kind=pool_kind,
-        )
-        assert got.dtype == np.int8 and np.array_equal(got, want)
+        if not in_bound:
+            _past_the_int32_bound(b, w[..., 0], in_zp)
+        zp = int(rng.integers(-128, 128))
+        attrs = {"stride": stride, "pad_h": pad_h, "pad_w": pad_w, **_requant(mult, shift)}
+        graph, want = layer_graph("CONV_2D", x, w, b, attrs, in_zp, zp, pool and (pool, pool_kind))
+        assert_plan_equals_spec(graph, x, want, binds_c=in_bound)
 
 
 @pytest.mark.parametrize("pool,pool_kind", POOLS)
 @pytest.mark.parametrize("stride,pad_h,pad_w", [(1, (1, 1), (1, 1)), (2, (0, 1), (2, 0))])
-@pytest.mark.parametrize("depth_mult,bias_scale,route", [
-    (1, 2000, np.int8),          # int32 tap accumulation proven
-    (1, INT32_MAX, np.int64),    # bias too big for the int32 proof
-    (2, 2000, np.int64),         # no tap route for depth multipliers
+@pytest.mark.parametrize("depth_mult,in_bound", [
+    (1, True),   # int32 tap accumulation proven: C
+    (1, False),  # bias too big for the int32 proof: the spec
+    (2, True),   # C has no depth multiplier: the spec
 ], ids=["taps", "huge-bias", "depth-mult"])
 @pytest.mark.parametrize("batch", [1, 5])
-def test_dwconv2d_plan_kernel_equals_generic(batch, depth_mult, bias_scale, route, stride, pad_h, pad_w, pool, pool_kind):
+def test_dwconv2d_plan_kernel_equals_generic(batch, depth_mult, in_bound, stride, pad_h, pad_w, pool, pool_kind):
     rng = np.random.default_rng([batch, depth_mult, stride, bool(pool)])
     for in_zp in (-128, 5, 127):
-        x, w, b, mult, shift = _conv_case(
-            rng, (batch, 9, 8, 4), (3, 3, 4, depth_mult), 4 * depth_mult, bias_scale
-        )
-        if bias_scale == INT32_MAX:
-            b[0] = INT32_MAX
-        zp, lo, hi = int(rng.integers(-128, 128)), -100, 127
-        want = K.dwconv2d_i8(x, w, b, stride, pad_h, pad_w, in_zp, zp, mult, shift, lo, hi)
-        if pool:
-            want = _POOL_FN[pool_kind](want, pool)
-        taps, bias = K.prepare_dwconv_i8(w, b, in_zp)
-        assert taps.dtype == route
-        got = K.dwconv2d_i8_plan(
-            x, taps, bias, stride, pad_h, pad_w, in_zp,
-            K.Requantizer(mult, shift, zp, lo, hi), pool=pool, pool_kind=pool_kind,
-        )
-        assert got.dtype == np.int8 and np.array_equal(got, want)
+        x, w, b, mult, shift = _conv_case(rng, (batch, 9, 8, 4), (3, 3, 4, depth_mult), 4 * depth_mult)
+        if not in_bound:
+            _past_the_int32_bound(b, w[:, :, 0, 0], in_zp)
+        zp = int(rng.integers(-128, 128))
+        attrs = {"stride": stride, "pad_h": pad_h, "pad_w": pad_w, **_requant(mult, shift, lo=-100)}
+        graph, want = layer_graph("DEPTHWISE_CONV_2D", x, w, b, attrs, in_zp, zp,
+                                  pool and (pool, pool_kind))
+        assert_plan_equals_spec(graph, x, want, binds_c=in_bound and depth_mult == 1)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["f64", "int64"])
+@BOUNDS
 @pytest.mark.parametrize("pool", [None, 2, 3])
 @pytest.mark.parametrize("stride,pad", [(1, (1, 1)), (2, (0, 2)), (1, (0, 0))])
 @pytest.mark.parametrize("batch", [1, 5])
-def test_conv1d_plan_kernel_equals_generic(batch, stride, pad, pool, exact):
+def test_conv1d_plan_kernel_equals_generic(batch, stride, pad, pool, in_bound):
     rng = np.random.default_rng([batch, stride, pool or 0])
     for in_zp in (-128, 3, 127):
         x, w, b, mult, shift = _conv_case(rng, (batch, 14, 3), (3, 3, 5))
+        if not in_bound:
+            _past_the_int32_bound(b, w[..., 0], in_zp)
         zp = int(rng.integers(-128, 128))
-        want = K.conv1d_i8(x, w, b, stride, pad, in_zp, zp, mult, shift)
-        if pool:
-            want = K.maxpool1d_i8(want, pool)
-        w2d, bias = _gemm_operands(w, b, in_zp, exact)
-        got = K.conv1d_i8_plan(
-            x, w2d, 3, bias, stride, pad, in_zp, K.Requantizer(mult, shift, zp), pool=pool
-        )
-        assert got.dtype == np.int8 and np.array_equal(got, want)
+        attrs = {"stride": stride, "pad": pad, **_requant(mult, shift)}
+        graph, want = layer_graph("CONV_1D", x, w, b, attrs, in_zp, zp, pool and (pool, "max"))
+        assert_plan_equals_spec(graph, x, want, binds_c=in_bound)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["f64", "int64"])
+@BOUNDS
 @pytest.mark.parametrize("batch", [1, 5])
-def test_fc_plan_kernel_equals_generic(batch, exact):
-    rng = np.random.default_rng([batch, exact])
+def test_fc_plan_kernel_equals_generic(batch, in_bound):
+    rng = np.random.default_rng([batch, in_bound])
     for in_zp in (-128, -1, 127):
         x, w, b, _, _ = _conv_case(rng, (batch, 33), (33, 7))
+        if not in_bound:
+            _past_the_int32_bound(b, w[..., 0], in_zp)
         zp = int(rng.integers(-128, 128))
-        want = K.fc_i8(x, w, b, in_zp, zp, 1518500250, -9, zp, 127)  # scalar multiplier, relu clamp
-        w2d, bias = _gemm_operands(w, b, in_zp, exact)
-        got = K.fc_i8_plan(x, w2d, bias, K.Requantizer(1518500250, -9, zp, zp, 127))
-        assert got.dtype == np.int8 and np.array_equal(got, want)
+        attrs = _requant(1518500250, -9, zp, 127)  # scalar multiplier, relu clamp
+        graph, want = layer_graph("FULLY_CONNECTED", x, w, b, attrs, in_zp, zp)
+        assert_plan_equals_spec(graph, x, want, binds_c=in_bound)
 
 
 def _tiny_int8_graph(factory, input_shape, **kwargs):
@@ -326,25 +314,20 @@ def _tiny_int8_graph(factory, input_shape, **kwargs):
     return quantize_graph(fg, rng.standard_normal((8,) + input_shape).astype(np.float32))
 
 
-def test_layer_over_the_f64_bound_binds_the_int64_gemm_and_stays_equal():
+def test_layer_past_the_int32_bound_binds_the_spec_and_stays_equal():
     graph = _tiny_int8_graph(cifar_cnn, (8, 8, 3), base_filters=4)
-    conv = next(op for op in graph.ops if op.opcode == "CONV_2D")
-    bias_t = graph.tensors[conv.inputs[2]]
-    bias_t.data = bias_t.data.astype(np.int64)
-    bias_t.data[0] = 2**53  # no float64 can promise this accumulator
-    conv.attrs["out_mult"][0] = 0  # ...and no int64 product could hold it either
-    plan = compile_plan(graph, cache=False)
     convs = [op for op in graph.ops if op.opcode == "CONV_2D"]
-    gemm_dtypes = [
-        K.prepare_gemm_i8(*(graph.tensors[i].data for i in op.inputs[1:]),
-                          graph.tensors[op.inputs[0]].quant.zero_point)[0].dtype
-        for op in convs
-    ]
-    assert gemm_dtypes == [np.int64] + [np.float64] * (len(convs) - 1)
-    # The over-bound conv still absorbs its pool: its step writes the
+    w = graph.tensors[convs[0].inputs[1]].data
+    _past_the_int32_bound(graph.tensors[convs[0].inputs[2]].data, w[..., 0],
+                          graph.tensors[convs[0].inputs[0]].quant.zero_point)
+    plan = compile_plan(graph, cache=False)
+    conv_steps = [step for step in plan.steps if step.opcode == "CONV_2D"]
+    bound_c = [isinstance(step.fn, native.ConvKernel) for step in conv_steps]
+    assert bound_c == [False] + [native.load() is not None] * (len(convs) - 1)
+    # The conv past the bound still absorbs its pool: its step writes the
     # pool's output.
     pool_out = next(op for op in graph.ops if op.inputs[0] == convs[0].outputs[0]).outputs[0]
-    assert plan.steps[0].opcode == "CONV_2D" and plan.steps[0].out_id == pool_out
+    assert plan.steps[0] is conv_steps[0] and plan.steps[0].out_id == pool_out
     x = np.random.default_rng(6).integers(-128, 128, size=(3, 8, 8, 3)).astype(np.int8)
     assert np.array_equal(plan.execute(x), run_graph_dispatch(graph, x))
 
@@ -367,6 +350,21 @@ def test_one_eon_plan_serves_every_batch_size():
         assert np.array_equal(model.invoke(x), run_graph_dispatch(graph, x))
         assert model.plan is plan
 
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_round_div_i8 floors a negative mean that is not a half (-0.25 -> -1); "
+    "fixing it moves the kws and ic golden digests, so it is a re-recording change"))
+def test_int8_averages_round_like_tflm():
+    """TFLM's reference average pool adds count/2 away from zero, then
+    divides truncating toward zero: -0.25 -> 0, -1.25 -> -1, -0.5 -> -1."""
+    sums = np.array([-1, -5, -2, -6, -3, 1, 5, 2, 6])
+    want = np.sign(sums) * ((np.abs(sums) + 2) // 4)  # count 4
+    rows = np.zeros((sums.size, 4, 1), np.int8)
+    rows[:, 0, 0] = sums  # one nonzero value per window of 4
+    assert np.array_equal(K.gap1d_i8(rows).reshape(-1), want)
+    image = rows.reshape(1, sums.size, 2, 2).transpose(0, 2, 1, 3).reshape(1, 2, 2 * sums.size, 1)
+    assert np.array_equal(K.avgpool2d_i8(image, 2).reshape(-1), want)
 
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)

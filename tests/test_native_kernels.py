@@ -1,24 +1,27 @@
 """EON's C kernels (``runtime/eon_kernels.c`` via ``runtime/native``)
-are a second route to the plan's bytes, pinned to the spec like the
-numpy route:
+are the second kernel of every int8 conv / depthwise / conv1d / dense
+op, pinned to the first, the spec; a plan binds C, or the spec itself
+where C cannot run the layer:
 
 1. every int8 conv / depthwise / conv1d / dense step and every float32
    depthwise step of the paper-scale plans binds C where a compiler
-   exists, so a silent build failure cannot quietly leave the numpy
+   exists, so a silent build failure cannot quietly leave the spec
    route in charge;
 2. one-layer graphs over the kernel-test grid (strides, asymmetric pads,
    fused max and average pools, extreme zero points, batch 1 and 5)
-   equal the generic spec kernels through C; float32 depthwise layers
-   equal their numpy twin byte for byte — generated shapes, special
-   values, and operands where a fused multiply-add would round
-   differently;
+   equal the generic spec kernels through C, through the plan bound
+   without the library, and through dispatch (``assert_plan_equals_spec``,
+   which ``tests/test_int8_fastpath.py``'s grids share); float32
+   depthwise layers equal their numpy twin byte for byte — generated
+   shapes, special values, and operands where a fused multiply-add would
+   round differently;
 3. requantization at total shifts of 63 and beyond — which post-training
    quantization emits for a dead output channel — rounds to 0 in the
-   spec, ``Requantizer`` and C alike, and a mantissa outside
-   ``[0, 2**31)`` is refused when the plan is bound;
-4. a compiler that fails falls back to the numpy route with the same
-   bytes, a private build directory is removed once its library is
-   loaded, and two threads running one C plan agree.
+   spec and C alike, and a mantissa outside ``[0, 2**31)`` is refused
+   when the plan is bound;
+4. a compiler that fails falls back to the spec with the same bytes, a
+   private build directory is removed once its library is loaded, and
+   two threads running one C plan agree.
 
 The golden digests run on both routes in ``tests/test_int8_fastpath.py``
 and ``tests/test_quantize.py``.
@@ -44,7 +47,11 @@ from repro.nn import Sequential
 from repro.nn.architectures import ds_cnn
 from repro.nn.layers import Conv1D, Dense, GlobalAvgPool1D
 from repro.quantize import quantize_graph
-from repro.quantize.fixedpoint import multiply_by_quantized_multiplier
+from repro.quantize.fixedpoint import (
+    checked_mantissa,
+    multiply_by_quantized_multiplier,
+    total_shift_of,
+)
 from repro.runtime import compile_plan, run_graph_dispatch
 from repro.runtime import kernels as K
 from repro.runtime import native
@@ -56,10 +63,10 @@ needs_cc = pytest.mark.skipif(LIB is None, reason="no C compiler / kernel librar
 NATIVE_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
 
 
-def numpy_plan(graph):
-    """``graph``'s plan bound without the kernel library: the numpy route."""
+def spec_plan(graph, **kwargs):
+    """``graph``'s plan bound without the kernel library: the spec route."""
     with mock.patch.object(native, "load", lambda: None):
-        return compile_plan(graph, cache=False)
+        return compile_plan(graph, cache=False, **kwargs)
 
 
 def _bound_native(plan) -> list[bool]:
@@ -78,7 +85,7 @@ def test_paper_scale_int8_plans_bind_c_for_every_weighted_step(task):
     weighted = [step.opcode in NATIVE_OPS for step in plan.steps]
     assert any(weighted)
     assert _bound_native(plan) == weighted
-    assert not any(_bound_native(numpy_plan(graph)))
+    assert not any(_bound_native(spec_plan(graph)))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -90,14 +97,15 @@ def test_paper_scale_float32_plans_bind_c_for_every_depthwise_step(task):
     depthwise = [step.opcode == "DEPTHWISE_CONV_2D" for step in plan.steps]
     assert any(depthwise) == (task != "ic")  # the IC CNN has no depthwise layer
     assert [isinstance(step.fn, native.DepthwiseF32Kernel) for step in plan.steps] == depthwise
-    assert not any(_bound_native(numpy_plan(graph)))
+    assert not any(_bound_native(spec_plan(graph)))
 
 
 # -- (2) one-layer graphs through C equal the spec -----------------------------
 
 
-def _layer_graph(opcode, x, w, b, attrs, in_zp, out_zp, pool=None):
-    """An int8 graph of one weighted op (and the pool it may absorb)."""
+def layer_graph(opcode, x, w, b, attrs, in_zp, out_zp, pool=None):
+    """An int8 graph of one weighted op (and the ``(size, kind)`` pool it
+    may absorb), and the spec's output for ``x``."""
     g = Graph("layer")
     q = lambda zp: QuantParams(np.array([0.05]), zero_point=zp)  # noqa: E731
     xi = g.add_tensor(GTensor("x", x.shape[1:], "int8", quant=q(in_zp)))
@@ -134,11 +142,15 @@ def _requant_attrs(rng, cout, lo=-128, hi=127):
     }
 
 
-def _assert_c_equals_spec(graph, x, want):
+def assert_plan_equals_spec(graph, x, want, binds_c=True):
+    """The layer's step binds its C kernel exactly when ``binds_c`` and
+    the library loads, else the spec; that plan, the plan bound without
+    the library and dispatch all return ``want``, the spec's bytes."""
     plan = compile_plan(graph, cache=False, verify=False)
-    assert _bound_native(plan)[0]
-    got = plan.execute(x)
-    assert got.dtype == np.int8 and np.array_equal(got, want)
+    assert _bound_native(plan)[0] == (binds_c and LIB is not None)
+    for got in (plan.execute(x), spec_plan(graph, verify=False).execute(x),
+                run_graph_dispatch(graph, x)):
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 POOLS = [None, (2, "max"), (2, "avg")]
@@ -163,9 +175,9 @@ def test_c_conv2d_equals_the_spec(batch, kernel, stride, pad_h, pad_w, pool):
         b = rng.integers(-2000, 2000, size=cout).astype(np.int32)
         attrs = {"stride": stride, "pad_h": pad_h, "pad_w": pad_w,
                  **_requant_attrs(rng, cout)}
-        graph, want = _layer_graph("CONV_2D", x, w, b, attrs, in_zp,
-                                   int(rng.integers(-128, 128)), pool)
-        _assert_c_equals_spec(graph, x, want)
+        graph, want = layer_graph("CONV_2D", x, w, b, attrs, in_zp,
+                                  int(rng.integers(-128, 128)), pool)
+        assert_plan_equals_spec(graph, x, want)
 
 
 @needs_cc
@@ -181,9 +193,9 @@ def test_c_depthwise_equals_the_spec(batch, channels, stride, pad_h, pad_w, pool
         b = rng.integers(-2000, 2000, size=channels).astype(np.int32)
         attrs = {"stride": stride, "pad_h": pad_h, "pad_w": pad_w,
                  **_requant_attrs(rng, channels, lo=-100)}
-        graph, want = _layer_graph("DEPTHWISE_CONV_2D", x, w, b, attrs, in_zp,
-                                   int(rng.integers(-128, 128)), pool)
-        _assert_c_equals_spec(graph, x, want)
+        graph, want = layer_graph("DEPTHWISE_CONV_2D", x, w, b, attrs, in_zp,
+                                  int(rng.integers(-128, 128)), pool)
+        assert_plan_equals_spec(graph, x, want)
 
 
 @needs_cc
@@ -197,10 +209,10 @@ def test_c_conv1d_equals_the_spec(batch, stride, pad, pool):
         w = rng.integers(-128, 128, size=(3, 3, 5)).astype(np.int8)
         b = rng.integers(-2000, 2000, size=5).astype(np.int32)
         attrs = {"stride": stride, "pad": pad, **_requant_attrs(rng, 5)}
-        graph, want = _layer_graph("CONV_1D", x, w, b, attrs, in_zp,
-                                   int(rng.integers(-128, 128)),
-                                   pool and (pool, "max"))
-        _assert_c_equals_spec(graph, x, want)
+        graph, want = layer_graph("CONV_1D", x, w, b, attrs, in_zp,
+                                  int(rng.integers(-128, 128)),
+                                  pool and (pool, "max"))
+        assert_plan_equals_spec(graph, x, want)
 
 
 @needs_cc
@@ -214,25 +226,24 @@ def test_c_dense_equals_the_spec(batch):
         b = rng.integers(-2000, 2000, size=7).astype(np.int32)
         # A scalar multiplier and a relu clamp, as PTQ emits per-tensor.
         attrs = {"out_mult": 1518500250, "out_shift": -9, "clamp_min": zp, "clamp_max": 127}
-        graph, want = _layer_graph("FULLY_CONNECTED", x, w, b, attrs, in_zp, zp)
-        _assert_c_equals_spec(graph, x, want)
+        graph, want = layer_graph("FULLY_CONNECTED", x, w, b, attrs, in_zp, zp)
+        assert_plan_equals_spec(graph, x, want)
 
 
 @needs_cc
 def test_a_layer_over_the_int32_bound_binds_numpy_and_stays_equal():
+    """Past the bound the plan binds the spec's numpy kernel."""
     rng = np.random.default_rng(3)
     x = rng.integers(-128, 128, size=(2, 6, 6, 4)).astype(np.int8)
     w = rng.integers(-128, 128, size=(3, 3, 4, 5)).astype(np.int8)
     b = np.zeros(5, np.int32)
     b[1] = 2**31 - 36 * 128 * 128  # K*128*128 + |bias'| reaches 2**31
     attrs = {"stride": 1, "pad_h": [1, 1], "pad_w": [1, 1], **_requant_attrs(rng, 5)}
-    graph, want = _layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
-    plan = compile_plan(graph, cache=False, verify=False)
-    assert _bound_native(plan) == [False]
-    assert np.array_equal(plan.execute(x), want)
+    graph, want = layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
+    assert_plan_equals_spec(graph, x, want, binds_c=False)
     b[1] -= 1  # one under the bound: C
-    graph, want = _layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
-    _assert_c_equals_spec(graph, x, want)
+    graph, want = layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
+    assert_plan_equals_spec(graph, x, want)
 
 
 def _dwconv_f32_graph(x_shape, w, b, stride, pad_h, pad_w, activation, pool=None):
@@ -402,8 +413,7 @@ def _exact_requant(acc, mant, out_shift, zp=0, lo=-128, hi=127):
 
 def _c_requant(acc, mant, out_shift, zp=0, lo=-128, hi=127):
     acc = np.ascontiguousarray(acc, dtype=np.int32).reshape(-1)
-    rq = K.Requantizer(mant, out_shift, zp, lo, hi)
-    table = np.array([rq.mant, rq.half, rq.shift], dtype=np.int64).reshape(3, -1)
+    table = native.requant_table(checked_mantissa(mant), total_shift_of(out_shift), 1, 1)
     out = np.empty(acc.size, np.int8)
     LIB.eon_requant_i8(acc.ctypes.data, acc.size, 1, table.ctypes.data, zp, lo, hi,
                        out.ctypes.data)
@@ -422,7 +432,6 @@ def test_requantization_at_total_shifts_of_62_and_beyond(out_shift, mant):
         assert not want.any()  # |acc * mant| < 2**62: every result rounds to 0
     spec = np.clip(multiply_by_quantized_multiplier(_EDGE_ACCS, mant, out_shift), -128, 127)
     assert np.array_equal(spec, want)
-    assert np.array_equal(K.Requantizer(mant, out_shift, 0)(_EDGE_ACCS.copy()), want)
     if LIB is not None:
         assert np.array_equal(_c_requant(_EDGE_ACCS, mant, out_shift), want)
 
@@ -445,14 +454,14 @@ def test_a_dead_unit_with_a_negative_bias_runs_like_the_spec():
     assert bias[0] < 0
     x = np.random.default_rng(2).standard_normal((6, 12, 2)).astype(np.float32)
     want = run_graph_dispatch(graph, x)
-    for plan in (compile_plan(graph, cache=False), numpy_plan(graph)):
+    for plan in (compile_plan(graph, cache=False), spec_plan(graph)):
         assert np.array_equal(plan.execute(x), want)
     bias[0] = -1000  # a small negative bias: int32-provable, so C runs it
     want = run_graph_dispatch(graph, x)
     plan = compile_plan(graph, cache=False)
     assert _bound_native(plan)[0] == (LIB is not None)
     assert np.array_equal(plan.execute(x), want)
-    assert np.array_equal(numpy_plan(graph).execute(x), want)
+    assert np.array_equal(spec_plan(graph).execute(x), want)
 
 
 def _ds_cnn_float():
@@ -485,7 +494,7 @@ def test_a_forged_mantissa_is_refused_at_bind_time(route):
     for graph in _forged_mantissas():
         with pytest.raises(ValueError, match="mantissa"):
             if route == "numpy":
-                numpy_plan(graph)
+                spec_plan(graph)
             else:
                 compile_plan(graph, cache=False)
         with pytest.raises(ValueError, match="mantissa"):

@@ -1,6 +1,6 @@
-"""The plan binder's optimizations: conv+pool fusion, the exact-GEMM
-choice and in-place ADD are decided while binding the authored graph,
-from its structure and lifetimes, and change no output bit."""
+"""The plan binder's decisions: conv+pool fusion, C kernel or spec and
+in-place ADD are decided while binding the authored graph, from its
+structure, lifetimes and weights, and change no output bit."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from repro.runtime import (
     run_graph_dispatch,
 )
 from repro.runtime import kernels as K
+from repro.runtime import native
 
 RNG = np.random.default_rng(0)
 
@@ -151,7 +152,7 @@ def test_structural_edit_invalidates_every_cached_plan():
     assert TFLMInterpreter(graph)._plan is fresh
 
 
-# -- conv+pool fusion and the exact-GEMM choice ------------------------------
+# -- conv+pool fusion and the C-or-spec choice -------------------------------
 
 
 def test_fusion_collapses_conv_pool_and_lowers_gemm():
@@ -166,11 +167,9 @@ def test_fusion_collapses_conv_pool_and_lowers_gemm():
     assert [producers[s.out_id].opcode for s in fused] == [
         "MAX_POOL_2D", "MAX_POOL_2D", "AVG_POOL_2D"
     ]
-    for op in qg.ops:
-        if op.opcode in ("CONV_2D", "FULLY_CONNECTED"):
-            w, b = (qg.tensors[i].data for i in op.inputs[1:])
-            w2d, _ = K.prepare_gemm_i8(w, b, qg.tensors[op.inputs[0]].quant.zero_point)
-            assert w2d.dtype == np.float64
+    for step in plan.steps:
+        if step.opcode in ("CONV_2D", "FULLY_CONNECTED"):
+            assert isinstance(step.fn, native.ConvKernel) == (native.load() is not None)
     assert plan_arena(plan).total_bytes < plan_arena(qg).total_bytes
     x = RNG.standard_normal((3, 16, 16, 3)).astype(np.float32)
     assert np.array_equal(plan.execute(x), run_graph_dispatch(qg, x))
@@ -198,27 +197,26 @@ def test_fusion_needs_the_pool_as_sole_reader_and_a_hidden_output():
     assert np.array_equal(compile_plan(graph).execute(batch), run_graph_dispatch(graph, batch))
 
 
-def test_fusion_skips_convs_over_the_f64_bound():
+def test_fusion_keeps_convs_past_the_int32_bound():
     w = np.ones((3, 3, 8, 4), dtype=np.int8)
     k = 3 * 3 * 8
-    bound = 2 * k * 128 * 128
-    for max_bias, dtype in ((0, np.float64),
-                            (2**53 - 1 - bound, np.float64),
-                            (2**53 - bound, np.int64),
-                            (2**53, np.int64)):
+    bound = k * 128 * 128
+    for max_bias, fits in ((0, True),
+                           (2**31 - 1 - bound, True),
+                           (2**31 - bound, False),
+                           (2**31, False)):
         bias = np.zeros(4, dtype=np.int64)
-        bias[0] = -max_bias
-        w2d, folded = K.prepare_gemm_i8(w, bias, in_zp=3)
-        assert w2d.dtype == folded.dtype == dtype, max_bias
-    # A layer over the bound still fuses its pool, on the int64 GEMM.
+        bias[0] = -max_bias - 3 * k  # folding in_zp -3 adds 3 * k: |bias'| is max_bias
+        assert (K.prepare_gemm_i32(w, bias, in_zp=-3) is not None) == fits, max_bias
+    # A layer past the bound binds the spec and still fuses its pool.
     _, qg = _graph_pair(conv1d_stack, (16, 4), 3, n_layers=1)
     conv = next(op for op in qg.ops if op.opcode == "CONV_1D")
-    bias_t = qg.tensors[conv.inputs[2]]
-    bias_t.data = bias_t.data.astype(np.int64)
-    bias_t.data[0] = 2**53
-    conv.attrs["out_mult"][0] = 0  # keep the spec's int64 product in range
+    in_zp = qg.tensors[conv.inputs[0]].quant.zero_point
+    w_sum = int(qg.tensors[conv.inputs[1]].data[..., 0].sum(dtype=np.int64))
+    qg.tensors[conv.inputs[2]].data[0] = 2**31 - 1 if in_zp * w_sum <= 0 else -(2**31)
     plan = compile_plan(qg, cache=False)
-    assert len(_fused_steps(plan)) == 1
+    fused = _fused_steps(plan)
+    assert len(fused) == 1 and not isinstance(fused[0].fn, native.NativeKernel)
     x = RNG.integers(-128, 128, size=(2, 16, 4)).astype(np.int8)
     assert np.array_equal(plan.execute(x), run_graph_dispatch(qg, x))
 

@@ -316,11 +316,11 @@ def test_ptq_golden_digests(arch, per_channel):
 @pytest.mark.parametrize("arch", sorted(PTQ_GOLDEN_SHAPES))
 def test_ptq_golden_graphs_run_alike_on_both_plan_routes(arch, per_channel):
     """The golden graphs execute to the spec's bytes whether the plan
-    binds the C kernels (where a compiler exists) or the numpy ones."""
+    binds the C kernels (where a compiler exists) or the spec kernels."""
     graph = ptq_golden_graph(arch, per_channel)
     x = np.random.default_rng(34).normal(0, 1, (3, *PTQ_GOLDEN_SHAPES[arch])).astype(np.float32)
     want = run_graph_dispatch(graph, x)
     assert np.array_equal(compile_plan(graph, cache=False).execute(x), want)
     with mock.patch.object(native, "load", lambda: None):
-        numpy_plan = compile_plan(graph, cache=False)
-    assert np.array_equal(numpy_plan.execute(x), want)
+        spec_plan = compile_plan(graph, cache=False)
+    assert np.array_equal(spec_plan.execute(x), want)
