@@ -40,7 +40,7 @@ def _gateway(platform):
     # Effectively-uncapped rate limiter: the bench hammers one identity
     # far past the production default, and 429s are not the measurement.
     return ApiGateway(platform, rate_limit_capacity=1e9,
-                      rate_limit_refill_per_s=1e9, emit_telemetry=False)
+                      rate_limit_refill_per_s=1e9)
 
 
 def _wav_payload() -> bytes:

@@ -66,8 +66,7 @@ class ApiGateway:
     """Layered dispatch over a :class:`Platform` instance."""
 
     def __init__(self, platform, *, rate_limit_capacity: float = 500.0,
-                 rate_limit_refill_per_s: float = 100.0,
-                 emit_telemetry: bool = True):
+                 rate_limit_refill_per_s: float = 100.0):
         self.platform = platform
         self.router = build_router()
         self.metrics = RequestMetrics()
@@ -83,7 +82,7 @@ class ApiGateway:
         # before rate limiting (buckets key on the *resolved* identity,
         # and invalid tokens cost a 401, not a bucket).
         self._middlewares = (
-            MetricsMiddleware(self.metrics, emit_telemetry=emit_telemetry),
+            MetricsMiddleware(self.metrics),
             AuthMiddleware(),
             self.rate_limit,
         )

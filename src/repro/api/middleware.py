@@ -249,9 +249,8 @@ class MetricsMiddleware:
     (``source="gateway"`` — the monitor's drift detectors exclude it,
     but per-project summaries and dashboards see API traffic)."""
 
-    def __init__(self, metrics: RequestMetrics, emit_telemetry: bool = True):
+    def __init__(self, metrics: RequestMetrics):
         self.metrics = metrics
-        self.emit_telemetry = emit_telemetry
 
     def __call__(self, ctx, call_next):
         start = time.perf_counter()
@@ -264,8 +263,7 @@ class MetricsMiddleware:
         finally:
             elapsed = time.perf_counter() - start
             self.metrics.record(ctx.route.name, status, elapsed)
-            if self.emit_telemetry:
-                self._emit(ctx, status, elapsed)
+            self._emit(ctx, status, elapsed)
 
     def _emit(self, ctx, status: int, elapsed_s: float) -> None:
         pid = ctx.params.get("pid")

@@ -134,15 +134,14 @@ class TelemetryStore:
     #: never evict inference observations from the drift window.
     INFRA_SOURCE = "gateway"
 
-    def __init__(self, window: int = 4096, raw_window: int = 256,
-                 infra_window: int = 1024):
-        if window < 1 or raw_window < 0 or infra_window < 0:
-            raise ValueError(
-                "window must be >= 1, raw_window/infra_window >= 0"
-            )
+    #: Records each project's gateway ring keeps.
+    INFRA_WINDOW = 1024
+
+    def __init__(self, window: int = 4096, raw_window: int = 256):
+        if window < 1 or raw_window < 0:
+            raise ValueError("window must be >= 1, raw_window >= 0")
         self.window = window
         self.raw_window = raw_window
-        self.infra_window = infra_window
         self._lock = threading.Lock()
         self._rings: dict[int, deque[TelemetryRecord]] = {}  # guarded-by: _lock
         self._raw: dict[int, deque[TelemetryRecord]] = {}  # guarded-by: _lock
@@ -161,13 +160,10 @@ class TelemetryStore:
                 if rec.source == self.INFRA_SOURCE:
                     # Gateway request metrics: separate bounded ring —
                     # API polling must not starve drift detection.
-                    if self.infra_window:
-                        infra = self._infra.get(pid)
-                        if infra is None:
-                            infra = self._infra[pid] = deque(
-                                maxlen=self.infra_window
-                            )
-                        infra.append(rec)
+                    infra = self._infra.get(pid)
+                    if infra is None:
+                        infra = self._infra[pid] = deque(maxlen=self.INFRA_WINDOW)
+                    infra.append(rec)
                     continue
                 ring = self._rings.get(pid)
                 if ring is None:

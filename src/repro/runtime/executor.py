@@ -8,20 +8,23 @@ Two ways to execute a :class:`repro.graph.Graph`:
   This is the hot path used by :func:`run_graph`,
   :class:`repro.runtime.interpreter.TFLMInterpreter` and
   :class:`repro.runtime.eon.EONModel`.
-- :func:`run_graph_dispatch` re-resolves each op through the opcode
-  dispatch chain on every call — the reference implementation for
-  equivalence tests, and (``record=True``) the calibration path that
-  returns every activation.
+- :func:`run_graph_dispatch` binds every authored op again on every
+  call — the reference implementation for equivalence tests, and
+  (``record=True``) the calibration path that returns every activation.
 
-Dispatch calls the generic kernels (the spec).  Each int8 conv /
-depthwise / conv1d / dense op has two kernels, the spec and EON's C
-kernel (``repro.runtime.native``, built once per host from
-``eon_kernels.c``): a plan binds the C kernel, or the spec itself where
-there is no compiler, the layer fails the C kernel's int32 proof, or it
-has a depth multiplier.  Every float32 depthwise step with depth
-multiplier 1 binds C too, else its numpy twin ``dwconv2d_f32``, which
-performs the same float32 operations in the same order.  So outputs are
-bit-identical on every route.
+There is one op switch, the binder.  :func:`_bind_spec` binds an op to
+the generic kernels of ``repro.runtime.kernels`` (the spec);
+:func:`_bind_native` binds it to EON's C kernel (``repro.runtime.native``,
+built once per host from ``eon_kernels.c``) where there is one: every
+int8 conv / depthwise / conv1d / dense op and every float32 depthwise op
+with depth multiplier 1, on a host with a compiler, when the layer
+passes the C kernel's checks (the int32 proof for int8).  A plan binds
+``_bind_native(...) or _bind_spec(...)``; dispatch binds ``_bind_spec``
+alone, unfused, into freshly allocated arrays, so it never shares C, the
+arena, fusion or an in-place ADD with the plan it checks.  The float32
+depthwise spec, ``dwconv2d_f32``, performs the C kernel's float32
+operations in the same order, so outputs are bit-identical on every
+route.
 
 The binder is also the plan optimizer.  While binding the authored
 graph it makes two local decisions, from the graph's structure and
@@ -44,8 +47,8 @@ rows`` in one buffer the calling thread holds for the call.  The batch
 is copied in, every bound closure writes its output view in place
 (RESHAPE and TRANSPOSE copy into their own slot), and the output is
 copied out.  Padded inputs, im2col matrices, pre-pool tensors and the C
-kernels' accumulators live in a scratch region past the arena, laid out
-per step at bind time.  Buffers are reused across calls,
+kernels' accumulators live in a scratch region past the arena, one
+step's buffers back to back.  Buffers are reused across calls,
 threads and plans (:data:`ARENA_RETAIN_BYTES` caps what is kept), so a
 warm execute allocates nothing that scales with the batch.  A graph
 caches one plan (``graph._plan``) that TFLM and EON share, and a plan
@@ -68,7 +71,7 @@ from repro.graph.ops import GOp
 from repro.quantize.fixedpoint import checked_mantissa, total_shift_of
 from repro.runtime import kernels as K
 from repro.runtime import native
-from repro.runtime.arena import ArenaPlan, _align, first_fit, plan_arena
+from repro.runtime.arena import ArenaPlan, _align, plan_arena
 
 
 #: int8 weighted opcode -> its spec kernel and the geometry attrs that
@@ -91,88 +94,6 @@ _POOLS = {
 }
 
 
-def _spec_i8(graph: Graph, op: GOp) -> Callable[[np.ndarray], np.ndarray]:
-    """The spec kernel of an int8 weighted ``op`` with its weights, bias,
-    zero points and attrs fetched now: ``x -> int8 output``."""
-    t, a = graph.tensors, op.attrs
-    kernel, geometry = _I8_LAYERS[op.opcode]
-    return functools.partial(
-        kernel, w=t[op.inputs[1]].data, bias=t[op.inputs[2]].data,
-        **{k: a[k] for k in geometry},
-        in_zp=t[op.inputs[0]].quant.zero_point, out_zp=t[op.outputs[0]].quant.zero_point,
-        out_mult=a["out_mult"], out_shift=a["out_shift"],
-        clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
-    )
-
-
-def _kernel_call(graph: Graph, op: GOp, values: dict[int, np.ndarray]) -> np.ndarray:
-    """Execute one op against the tensor-id -> array map."""
-    t = graph.tensors
-    a = op.attrs
-    is_int8 = t[op.outputs[0]].dtype == "int8"
-    x = values[op.inputs[0]]
-
-    if is_int8 and op.opcode in _I8_LAYERS:
-        return _spec_i8(graph, op)(x)
-    if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D"):
-        w = t[op.inputs[1]].data
-        b = t[op.inputs[2]].data
-        fn = K.conv2d_f32 if op.opcode == "CONV_2D" else K.dwconv2d_f32
-        return fn(x, w, b, a["stride"], a["pad_h"], a["pad_w"], a.get("activation", "none"))
-    if op.opcode == "CONV_1D":
-        w = t[op.inputs[1]].data
-        b = t[op.inputs[2]].data
-        return K.conv1d_f32(x, w, b, a["stride"], a["pad"], a.get("activation", "none"))
-    if op.opcode == "FULLY_CONNECTED":
-        return K.fc_f32(x, t[op.inputs[1]].data, t[op.inputs[2]].data, a.get("activation", "none"))
-
-    if (op.opcode, is_int8) in _POOLS:
-        return _POOLS[(op.opcode, is_int8)](x, a["pool_size"])
-    if op.opcode == "GLOBAL_AVG_POOL_2D":
-        return K.gap2d_i8(x) if is_int8 else K.gap2d_f32(x)
-    if op.opcode == "GLOBAL_AVG_POOL_1D":
-        return K.gap1d_i8(x) if is_int8 else K.gap1d_f32(x)
-
-    if op.opcode == "RESHAPE":
-        return x.reshape((x.shape[0],) + tuple(t[op.outputs[0]].shape))
-
-    if op.opcode == "ADD":
-        other = (
-            t[op.inputs[1]].data
-            if t[op.inputs[1]].is_const
-            else values[op.inputs[1]]
-        )
-        if is_int8:
-            return K.add_i8(
-                x, other,
-                zp_a=t[op.inputs[0]].quant.zero_point,
-                zp_b=t[op.inputs[1]].quant.zero_point,
-                out_zp=t[op.outputs[0]].quant.zero_point,
-                left_shift=a["left_shift"],
-                mult1=a["mult1"], shift1=a["shift1"],
-                mult2=a["mult2"], shift2=a["shift2"],
-                out_mult=a["out_mult"], out_shift=a["out_shift"],
-                clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
-            )
-        return K.add_f32(x, other, a.get("activation", "none"))
-
-    if op.opcode == "SOFTMAX":
-        if is_int8:
-            qp = t[op.inputs[0]].quant
-            return K.softmax_i8(x, float(qp.scale[0]), qp.zero_point)
-        return K.softmax_f32(x)
-
-    if op.opcode == "QUANTIZE":
-        return t[op.outputs[0]].quant.quantize(x.astype(np.float32))
-    if op.opcode == "DEQUANTIZE":
-        return t[op.inputs[0]].quant.dequantize(x)
-    if op.opcode == "TRANSPOSE":
-        perm = tuple(int(d) for d in a["perm"])
-        return np.transpose(x, (0,) + tuple(d + 1 for d in perm))
-
-    raise NotImplementedError(f"no kernel for opcode {op.opcode}")
-
-
 # -- plan compilation -----------------------------------------------------
 
 #: conv opcode -> {pool opcode it can absorb: pool kind}.
@@ -193,24 +114,29 @@ def _bind_op(
     graph: Graph, op: GOp, pool: tuple[int, str] | None
 ) -> tuple[Callable[[dict, np.ndarray, dict], object], tuple]:
     """Resolve one op into a closure over pre-fetched weights/attrs,
-    plus the scratch that closure needs.
+    plus the scratch that closure needs: its C kernel
+    (:func:`_bind_native`) or, failing that, its spec kernel
+    (:func:`_bind_spec`).  ``pool`` is the ``(size, kind)`` of the pool
+    a conv absorbs, decided by :func:`_bind_steps`."""
+    return _bind_native(graph, op, pool) or _bind_spec(graph, op, pool)
+
+
+def _bind_spec(
+    graph: Graph, op: GOp, pool: tuple[int, str] | None
+) -> tuple[Callable[[dict, np.ndarray, dict], object], tuple]:
+    """``op`` bound to the kernels of ``repro.runtime.kernels`` (the spec),
+    and the scratch they need; no C.  Plans bind it where
+    :func:`_bind_native` does not, and :func:`run_graph_dispatch` binds
+    every op through it, unfused.
 
     All dispatch decisions (opcode, dtype, activation), tensor-table
     lookups, attribute reads and weight-side dtype preparation happen
     here, once.  The closure ``fn(v, out, s)`` only indexes the
     activation views ``v`` and calls the kernel, which writes the
     step's output view ``out``.  The scratch spec is ``(name, per-row
-    shape, dtype, first, last)`` entries (``first``/``last``: the
-    kernel phases, below, it is live over), and ``s`` maps each name — a
-    keyword of the kernel — to a view of that shape with the batch's
-    rows in front.
-
-    An int8 conv / depthwise / conv1d / dense op binds its C kernel
-    (:func:`_bind_native`) or, failing that, its spec kernel
-    (:func:`_spec_i8`), whose output a fused pool pools into ``out``.  A
-    float32 depthwise op binds ``eon_dwconv_f32`` (:func:`_bind_native_f32`)
-    or ``dwconv2d_f32``.  ``pool`` is the ``(size, kind)`` of the pool a
-    conv absorbs, decided by :func:`_bind_steps`.
+    shape, dtype)`` entries, and ``s`` maps each name — a keyword of the
+    kernel — to a view of that shape with the batch's rows in front.
+    A fused pool pools the conv's output into ``out``.
     """
     t = graph.tensors
     a = op.attrs
@@ -222,13 +148,18 @@ def _bind_op(
     act = a.get("activation", "none")
 
     if is_int8 and op.opcode in _I8_LAYERS:
-        # A forged multiplier is refused here on either route, as the spec
-        # refuses it when it runs.
-        mant, shift = checked_mantissa(a["out_mult"]), total_shift_of(a["out_shift"])
-        bound = _bind_native(graph, op, pool, mant, shift)
-        if bound is not None:
-            return bound
-        spec = _spec_i8(graph, op)
+        # A forged multiplier is refused here, as the spec refuses it
+        # when it runs.
+        checked_mantissa(a["out_mult"])
+        total_shift_of(a["out_shift"])
+        kernel, geometry = _I8_LAYERS[op.opcode]
+        spec = functools.partial(
+            kernel, w=t[op.inputs[1]].data, bias=t[op.inputs[2]].data,
+            **{k: a[k] for k in geometry},
+            in_zp=t[x_id].quant.zero_point, out_zp=t[op.outputs[0]].quant.zero_point,
+            out_mult=a["out_mult"], out_shift=a["out_shift"],
+            clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
+        )
         if not pool_size:
             return (lambda v, out, s: np.copyto(out, spec(v[x_id]))), ()
         pool_fn = _pool_kernel(op, pool_kind, True)
@@ -243,23 +174,20 @@ def _bind_op(
         scratch = []
         if any(map(any, pads)):
             grown = tuple(n + sum(p) for n, p in zip(in_shape, pads)) + in_shape[-1:]
-            scratch.append(("xp", grown, t[x_id].dtype, _PAD, _GATHER))
+            scratch.append(("xp", grown, t[x_id].dtype))
         if op.opcode == "DEPTHWISE_CONV_2D":
-            bound = _bind_native_f32(graph, op, pool)
-            if bound is not None:
-                return bound
-            scratch.append(("prod", shape, np.float32, _GATHER, _GATHER))
+            scratch.append(("prod", shape, np.float32))
             conv = lambda x, **s: K.dwconv2d_f32(x, w, b, stride, *pads, act, **s)  # noqa: E731
         else:
             kernel = K.conv1d_f32 if is_1d else K.conv2d_f32
             if is_1d or w.shape[:2] != (1, 1) or stride != 1:  # not pointwise
                 col_shape = (math.prod(shape[:-1]), math.prod(w.shape[:-1]))
-                scratch.append(("col", col_shape, np.float32, _GATHER, _GEMM))
+                scratch.append(("col", col_shape, np.float32))
             conv = lambda x, **s: kernel(x, w, b, stride, *pads, act, **s)  # noqa: E731
         if not pool_size:
             return (lambda v, out, s: conv(v[x_id], out=out, **s)), tuple(scratch)
         # The conv's own ``out`` is scratch: the pre-pool tensor.
-        scratch.append(("out", shape, np.float32, _GATHER, _POOL))
+        scratch.append(("out", shape, np.float32))
         pool_fn = _pool_kernel(op, pool_kind, False)
         return (lambda v, out, s: pool_fn(conv(v[x_id], **s), pool_size, out)), tuple(scratch)
 
@@ -324,12 +252,12 @@ def _bind_op(
         out_q = t[op.outputs[0]].quant
         return (
             lambda v, out, s: out_q.quantize(v[x_id].astype(np.float32, copy=False), out=out, **s)
-        ), (("work", in_shape, np.float64, _PAD, _PAD),)
+        ), (("work", in_shape, np.float64),)
     if op.opcode == "DEQUANTIZE":
         in_q = t[x_id].quant
         return (
             lambda v, out, s: in_q.dequantize(v[x_id], out=out, **s)
-        ), (("work", in_shape, np.float64, _PAD, _PAD),)
+        ), (("work", in_shape, np.float64),)
 
     raise NotImplementedError(f"no kernel for opcode {op.opcode}")
 
@@ -395,22 +323,41 @@ def _native_scratch(params: dict, dtype) -> tuple:
     if not (p["pt"] or p["pb"] or p["pl"] or p["pr"]):
         return ()
     shape = (p["h"] + p["pt"] + p["pb"], p["w"] + p["pl"] + p["pr"], p["c"])
-    return (("xp", shape, dtype, _PAD, _GATHER),)
+    return (("xp", shape, dtype),)
 
 
 def _bind_native(
-    graph: Graph, op: GOp, pool: tuple[int, str] | None, mant: np.ndarray, shift: np.ndarray
-) -> tuple[native.ConvKernel, tuple] | None:
-    """An int8 CONV_2D / DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED
-    bound to its C kernel, with its scratch; ``mant`` / ``shift`` are its
-    checked mantissas and total shifts.  ``None`` — bind the spec kernel —
-    where the kernel library is unavailable, the layer fails the int32
-    proof, or :func:`_native_params` refuses its shapes (a depth
-    multiplier)."""
+    graph: Graph, op: GOp, pool: tuple[int, str] | None
+) -> tuple[native.NativeKernel, tuple] | None:
+    """``op`` bound to its C kernel, with its scratch: an int8 CONV_2D /
+    DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED to ``eon_conv_i8`` /
+    ``eon_dwconv_i8`` (a fused pool included), a float32
+    DEPTHWISE_CONV_2D to ``eon_dwconv_f32`` (a fused pool pools the
+    kernel's pre-pool output in numpy).  ``None`` — bind the spec — for
+    any other op, and where the kernel library is unavailable,
+    :func:`_native_params` refuses the shapes (a depth multiplier), an
+    int8 layer fails the int32 proof or a float32 activation is not one
+    the kernel clamps."""
     lib = native.load()
-    t = graph.tensors
+    if lib is None or op.opcode not in _I8_LAYERS:
+        return None
+    t, a = graph.tensors, op.attrs
     x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
-    if lib is None or x_t.dtype != "int8" or w.dtype != np.int8:
+    if t[op.outputs[0]].dtype != "int8":
+        act = a.get("activation", "none")
+        if op.opcode != "DEPTHWISE_CONV_2D" or x_t.dtype != "float32" or act not in native.F32_CLAMPS:
+            return None
+        params = _native_params(graph, op, None)
+        if params is None or np.shape(b) != (params["c"],):
+            return None
+        params.update(in_zp=0, out_zp=0, clamp_min=0, clamp_max=0)
+        scratch, pool_fn = _native_scratch(params, np.float32), None
+        if pool:
+            pool_fn = (_pool_kernel(op, pool[1], False), pool[0])
+            scratch += (("out", tuple(t[op.outputs[0]].shape), np.float32),)
+        return native.DepthwiseF32Kernel(lib, params, w[..., 0], b, act, op.inputs[0], pool_fn), scratch
+
+    if x_t.dtype != "int8" or w.dtype != np.int8:
         return None
     params = _native_params(graph, op, pool)
     if params is None:
@@ -421,49 +368,14 @@ def _bind_native(
     if prepared is None:
         return None
     weights, bias = prepared
+    mant, shift = checked_mantissa(a["out_mult"]), total_shift_of(a["out_shift"])
     if bias.shape != (cout,) or mant.size not in (1, cout) or shift.size not in (1, cout):
         return None
     if not (-128 <= in_zp <= 127 and -128 <= out_zp <= 127):
         return None  # unrepresentable: the verifier's G021, unless skipped
-    params.update(in_zp=in_zp, out_zp=out_zp,
-                  clamp_min=op.attrs["clamp_min"], clamp_max=op.attrs["clamp_max"])
+    params.update(in_zp=in_zp, out_zp=out_zp, clamp_min=a["clamp_min"], clamp_max=a["clamp_max"])
     kernel = native.ConvKernel(lib, depthwise, params, weights, bias, mant, shift, op.inputs[0])
-    scratch = (("acc", (kernel.scratch_size,), np.int32, _GATHER, _REQUANT),)
-    return kernel, scratch + _native_scratch(params, np.int8)
-
-
-def _bind_native_f32(
-    graph: Graph, op: GOp, pool: tuple[int, str] | None
-) -> tuple[native.DepthwiseF32Kernel, tuple] | None:
-    """A float32 DEPTHWISE_CONV_2D bound to ``eon_dwconv_f32``, with its
-    scratch (a fused pool pools the kernel's pre-pool output in numpy);
-    ``None`` — bind ``K.dwconv2d_f32`` — where the kernel library is
-    unavailable, the activation is not one the kernel clamps, or
-    :func:`_native_params` refuses the shapes (a depth multiplier)."""
-    lib = native.load()
-    t = graph.tensors
-    act = op.attrs.get("activation", "none")
-    if lib is None or t[op.inputs[0]].dtype != "float32" or act not in native.F32_CLAMPS:
-        return None
-    params = _native_params(graph, op, None)
-    b = t[op.inputs[2]].data
-    if params is None or np.shape(b) != (params["c"],):
-        return None
-    params.update(in_zp=0, out_zp=0, clamp_min=0, clamp_max=0)
-    w = t[op.inputs[1]].data
-    scratch = _native_scratch(params, np.float32)
-    pool_fn = None
-    if pool:
-        pool_fn = (_pool_kernel(op, pool[1], False), pool[0])
-        scratch += (("out", tuple(t[op.outputs[0]].shape), np.float32, _GATHER, _POOL),)
-    kernel = native.DepthwiseF32Kernel(lib, params, w[..., 0], b, act, op.inputs[0], pool_fn)
-    return kernel, scratch
-
-
-# The phases a plan kernel runs through, in order.  A scratch buffer is
-# live from the phase that writes it to the last one that reads it, and
-# buffers whose phases do not meet share bytes (``first_fit``).
-_PAD, _GATHER, _GEMM, _POOL, _REQUANT = range(5)
+    return kernel, (("acc", (kernel.scratch_size,), np.int32),) + _native_scratch(params, np.int8)
 
 
 @dataclass(frozen=True)
@@ -477,8 +389,8 @@ class PlanStep:
     for a step bound to C).  ``inplace_src`` is the tensor id
     whose buffer the step writes its output into (``None`` for ordinary
     steps); the arena gives both the same offset.  ``scratch`` is the
-    ``(name, per-row shape, dtype, first, last)`` spec of the closure's
-    temporaries (:func:`_bind_op`).
+    ``(name, per-row shape, dtype)`` spec of the closure's temporaries
+    (:func:`_bind_spec`).
     """
 
     opcode: str
@@ -657,7 +569,7 @@ class CompiledPlan:
             # Loading a float batch into an int8 input quantizes it
             # through a float64 working copy.
             in_t = self.graph.tensors[self.graph.input_id]
-            load = (("work", tuple(in_t.shape), np.float64, _PAD, _PAD),) if in_t.dtype == "int8" else ()
+            load = (("work", tuple(in_t.shape), np.float64),) if in_t.dtype == "int8" else ()
             layouts = [_scratch_layout(spec) for spec in [load] + [st.scratch for st in self.steps]]
             self._scratch = layouts, max(total for _, total in layouts)
         return self._scratch
@@ -717,17 +629,19 @@ def _nbytes(shape, dtype) -> int:
 
 
 def _scratch_layout(spec: tuple) -> tuple[tuple, int]:
-    """One step's scratch entries placed per row — ``first_fit`` over
-    their phases — as ``(name, offset, shape, dtype)``, and the bytes
-    they span."""
-    sizes = {name: _align(_nbytes(shape, dtype)) for name, shape, dtype, *_ in spec}
-    offsets = first_fit(sizes, {name: tuple(span) for name, _, _, *span in spec})
-    placed = tuple((name, offsets[name], shape, dtype) for name, shape, dtype, *_ in spec)
-    return placed, max((offsets[n] + sizes[n] for n in sizes), default=0)
+    """One step's scratch entries placed per row, back to back, as
+    ``(name, offset, shape, dtype)``, and the bytes they span."""
+    placed, end = [], 0
+    for name, shape, dtype in spec:
+        placed.append((name, end, shape, dtype))
+        end += _align(_nbytes(shape, dtype))
+    return tuple(placed), end
 
 
 def _load_input(graph: Graph, batch: np.ndarray, dst: np.ndarray, work=None) -> None:
-    """``prepare_input`` into ``dst``, the input's arena slot."""
+    """Caller input into ``dst``, the input's slot, in the graph's input
+    dtype: float input to an int8 graph is quantized with the input
+    tensor's qparams (through ``work``), as the SDK does on-device."""
     batch = batch.reshape(dst.shape)
     quant = graph.tensors[graph.input_id].quant
     if dst.dtype == np.int8 and batch.dtype != np.int8:
@@ -783,18 +697,6 @@ def compile_plan(
 # -- entry points ----------------------------------------------------------
 
 
-def prepare_input(graph: Graph, batch: np.ndarray) -> np.ndarray:
-    """Coerce caller input to the graph's input dtype (quantizing float
-    input for int8 graphs, as the SDK does on-device)."""
-    batch = np.asarray(batch)
-    in_t = graph.tensors[graph.input_id]
-    if in_t.dtype == "int8" and batch.dtype != np.int8:
-        batch = in_t.quant.quantize(batch.astype(np.float32))
-    elif in_t.dtype == "float32":
-        batch = batch.astype(np.float32)
-    return batch
-
-
 def run_graph(graph: Graph, batch: np.ndarray) -> np.ndarray:
     """Execute the graph over a batch (via its compiled plan).
 
@@ -810,19 +712,30 @@ def run_graph_dispatch(
     batch: np.ndarray,
     record: bool = False,
 ) -> np.ndarray | dict[int, np.ndarray]:
-    """Reference path: per-invoke opcode dispatch, no plan, no freeing.
+    """Reference path: every authored op bound through :func:`_bind_spec`
+    on every call and run into a freshly allocated output and scratch —
+    no C kernel, no fusion, no arena, no in-place ADD.
 
     Produces bit-identical outputs to :func:`run_graph`.  With
     ``record=True`` returns every activation of the authored graph
     (calibration observes them all; a float32 graph runs the same f32
     kernels here as in its plan).
     """
-    values: dict[int, np.ndarray] = {graph.input_id: prepare_input(graph, batch)}
+    batch = np.asarray(batch)
+    t = graph.tensors
+
+    def fresh(shape, dtype):
+        return np.empty((batch.shape[0], *shape), dtype)
+
+    in_t = t[graph.input_id]
+    values = {graph.input_id: fresh(in_t.shape, in_t.dtype)}
+    _load_input(graph, batch, values[graph.input_id])
     for op in graph.ops:
-        values[op.outputs[0]] = _kernel_call(graph, op, values)
-    if record:
-        return values
-    return values[graph.output_id]
+        fn, scratch = _bind_spec(graph, op, None)
+        out_t = t[op.outputs[0]]
+        out = values[op.outputs[0]] = fresh(out_t.shape, out_t.dtype)
+        fn(values, out, {name: fresh(shape, dtype) for name, shape, dtype in scratch})
+    return values if record else values[graph.output_id]
 
 
 def dequantize_output(graph: Graph, output: np.ndarray) -> np.ndarray:

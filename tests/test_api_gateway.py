@@ -398,7 +398,7 @@ def test_rate_limit_multithread_hammer(platform):
     retry hint, and nothing errors out."""
     capacity, threads, per_thread = 40, 8, 20
     gw = ApiGateway(platform, rate_limit_capacity=capacity,
-                    rate_limit_refill_per_s=0.001, emit_telemetry=False)
+                    rate_limit_refill_per_s=0.001)
     results: list[dict] = []
     lock = threading.Lock()
 
@@ -486,7 +486,7 @@ def test_gateway_telemetry_cannot_starve_inference_window(gw, platform):
     assert all(r.source != "gateway" for r in inference)
     # The infra ring is itself bounded.
     assert (len(platform.monitor.telemetry.recent(pid, source="gateway"))
-            <= platform.monitor.telemetry.infra_window)
+            <= platform.monitor.telemetry.INFRA_WINDOW)
 
 
 # -- streaming ---------------------------------------------------------------

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.verify import check_arena
 from repro.graph import GOp, Graph, GTensor, sequential_to_graph
+from repro.graph.serialize import graph_from_bytes
 from repro.nn.architectures import cifar_cnn, conv1d_stack, ds_cnn, mobilenet_v2
 from repro.quantize import quantize_graph
 from repro.runtime import compile_plan, run_graph_dispatch
 from repro.runtime import executor as E
+from test_native_kernels import LIB, committed_blob, spec_plan
 
 
 @pytest.fixture
@@ -67,7 +69,7 @@ def _residual_graph() -> Graph:
 def _assert_arena_matches_reference(graph, seed=0):
     """At b1 and b3, the arena-resident plan equals the freshly
     allocating reference bit for bit: ``run_graph_dispatch`` runs the
-    generic int8 kernels (the spec) and the f32 kernels without ``out=``."""
+    spec kernels, unfused, into arrays it allocates per call."""
     plan = compile_plan(graph)
     shape = tuple(graph.tensors[graph.input_id].shape)
     rng = np.random.default_rng(seed)
@@ -234,3 +236,20 @@ def test_the_arena_is_planned_on_first_execute_and_shared():
     assert MemoryEstimator("eon").estimate(graph).arena_bytes == arena.total_bytes
     EONCompiler().generate_source(graph)
     assert plan.arena is arena
+
+
+#: The per-row scratch region (bytes) of each committed ``.eir`` plan,
+#: bound with and without the kernel library, recorded when a step's
+#: scratch buffers were placed by the kernel phases they are live over;
+#: back to back, they must take the same bytes.
+SCRATCH_BYTES = {"kws": (28480, 3920), "ic": (24576, 24576), "vww": (221184, 221184)}
+
+
+@pytest.mark.parametrize("route", ["c", "spec"])
+@pytest.mark.parametrize("task", sorted(SCRATCH_BYTES))
+def test_the_committed_plans_keep_their_scratch_region(task, route):
+    if route == "c" and LIB is None:
+        pytest.skip("no C compiler / kernel library")
+    graph = graph_from_bytes(committed_blob(task))
+    plan = compile_plan(graph, cache=False) if route == "c" else spec_plan(graph)
+    assert plan._scratch_region()[1] == SCRATCH_BYTES[task][route == "spec"]

@@ -6,12 +6,15 @@ where C cannot run the layer:
 1. every int8 conv / depthwise / conv1d / dense step and every float32
    depthwise step of the paper-scale plans binds C where a compiler
    exists, so a silent build failure cannot quietly leave the spec
-   route in charge;
+   route in charge, and ``run_graph_dispatch`` never binds C, so every
+   "plan == dispatch" check compares C with the spec;
 2. one-layer graphs over the kernel-test grid (strides, asymmetric pads,
    fused max and average pools, extreme zero points, batch 1 and 5)
    equal the generic spec kernels through C, through the plan bound
    without the library, and through dispatch (``assert_plan_equals_spec``,
-   which ``tests/test_int8_fastpath.py``'s grids share); float32
+   which ``tests/test_int8_fastpath.py``'s grids share); the committed
+   graphs with another stride or padding on a conv are refused at load
+   or run their plan as dispatch runs them; float32
    depthwise layers equal their numpy twin byte for byte — generated
    shapes, special values, and operands where a fused multiply-add would
    round differently;
@@ -30,6 +33,8 @@ and ``tests/test_quantize.py``.
 from __future__ import annotations
 
 import ctypes
+import itertools
+import pathlib
 import shutil
 import tempfile
 import threading
@@ -61,6 +66,13 @@ needs_cc = pytest.mark.skipif(LIB is None, reason="no C compiler / kernel librar
 
 #: The opcodes whose int8 steps bind C.
 NATIVE_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+COMMITTED = ("kws", "ic", "vww")  # tests/data/int8_<task>.eir
+
+
+def committed_blob(task: str) -> bytes:
+    return (DATA_DIR / f"int8_{task}.eir").read_bytes()
 
 
 def spec_plan(graph, **kwargs):
@@ -98,6 +110,26 @@ def test_paper_scale_float32_plans_bind_c_for_every_depthwise_step(task):
     assert any(depthwise) == (task != "ic")  # the IC CNN has no depthwise layer
     assert [isinstance(step.fn, native.DepthwiseF32Kernel) for step in plan.steps] == depthwise
     assert not any(_bound_native(spec_plan(graph)))
+
+
+@needs_cc
+def test_dispatch_never_binds_c():
+    """While C kernels cannot be constructed, ``run_graph_dispatch`` still
+    runs the committed int8 graphs and a float32 depthwise graph, and
+    their plans, bound afterwards, run C and return dispatch's bytes."""
+    graphs = [graph_from_bytes(committed_blob(task)) for task in COMMITTED]
+    graphs.append(paper_scale_graphs("kws").float_graph)
+    refuse = mock.Mock(side_effect=AssertionError("run_graph_dispatch bound a C kernel"))
+    rng = np.random.default_rng(3)
+    for graph in graphs:
+        x = rng.standard_normal((2,) + tuple(graph.tensors[graph.input_id].shape)).astype(np.float32)
+        with mock.patch.object(native, "ConvKernel", refuse), \
+                mock.patch.object(native, "DepthwiseF32Kernel", refuse):
+            want = run_graph_dispatch(graph, x)
+        plan = compile_plan(graph, cache=False)
+        assert any(_bound_native(plan))
+        assert np.array_equal(plan.execute(x), want)
+    assert not refuse.called
 
 
 # -- (2) one-layer graphs through C equal the spec -----------------------------
@@ -244,6 +276,47 @@ def test_a_layer_over_the_int32_bound_binds_numpy_and_stays_equal():
     b[1] -= 1  # one under the bound: C
     graph, want = layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
     assert_plan_equals_spec(graph, x, want)
+
+
+#: The ``(before, after)`` paddings the geometry sweep gives each axis.
+SWEEP_PADS = [(0, 0), (0, 1), (1, 1), (0, 2), (2, 0)]
+
+
+def _geometry_variants(blob: bytes):
+    """``blob`` re-serialised with one of its first four CONV_2D /
+    DEPTHWISE_CONV_2D ops given each stride in 1..3 and each pair of
+    :data:`SWEEP_PADS`."""
+    graph = graph_from_bytes(blob)
+    convs = [op for op in graph.ops if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D")][:4]
+    for op in convs:
+        kept = {k: op.attrs[k] for k in ("stride", "pad_h", "pad_w")}
+        for stride, pad_h, pad_w in itertools.product((1, 2, 3), SWEEP_PADS, SWEEP_PADS):
+            op.attrs.update(stride=stride, pad_h=list(pad_h), pad_w=list(pad_w))
+            yield graph_to_bytes(graph)
+        op.attrs.update(kept)
+
+
+@pytest.mark.parametrize("task", COMMITTED)
+def test_conv_geometry_is_refused_at_load_or_runs_as_dispatch(task):
+    """Every stride / padding variant of a committed graph's convs is
+    either refused by ``graph_from_bytes`` (the output shapes no longer
+    chain) or binds a plan — C where the library loads — that returns
+    dispatch's bytes."""
+    accepted, bound_c = 0, 0
+    rng = np.random.default_rng(COMMITTED.index(task))
+    for blob in _geometry_variants(committed_blob(task)):
+        try:
+            graph = graph_from_bytes(blob)
+        except ValueError:
+            continue
+        accepted += 1
+        x = rng.integers(-128, 128, size=(1,) + tuple(graph.tensors[graph.input_id].shape))
+        x = x.astype(np.int8)
+        plan = compile_plan(graph, cache=False)
+        bound_c += any(_bound_native(plan))
+        assert np.array_equal(plan.execute(x), run_graph_dispatch(graph, x))
+    assert accepted > 4  # more than the authored geometry of each swept op
+    assert bound_c == (accepted if LIB is not None else 0)
 
 
 def _dwconv_f32_graph(x_shape, w, b, stride, pad_h, pad_w, activation, pool=None):
