@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from repro.api.errors import ApiError
 from repro.api.resources.fleet import require_operator
 from repro.api.router import Route
@@ -18,8 +22,13 @@ def telemetry_ingest(ctx) -> dict:
     training-data-influencing route, so like the other mutating fleet
     surfaces it requires a registered caller (real device daemons
     authenticate as the operator that provisioned them).
+
+    A record with a non-finite number (JSON's ``NaN`` / ``Infinity``,
+    which ``json.loads`` accepts) is a 400: one NaN latency makes the
+    window's p95 NaN, and a NaN score never triggers an SLO.  So is the
+    ``gateway`` source, which the gateway's own request records own.
     """
-    from repro.monitor import TelemetryRecord
+    from repro.monitor import TelemetryRecord, TelemetryStore
 
     require_operator(ctx)
     items = ctx.body["records"]
@@ -33,6 +42,12 @@ def telemetry_ingest(ctx) -> dict:
             record = TelemetryRecord.from_dict(item)
         except (KeyError, TypeError, ValueError) as exc:
             raise ApiError(400, f"records[{i}] is malformed: {exc!r}")
+        numbers = (record.ts, record.latency_ms, record.confidence, record.margin)
+        arrays = [a for a in (record.sketch, record.raw) if a is not None]
+        if not (all(map(math.isfinite, numbers)) and all(np.isfinite(a).all() for a in arrays)):
+            raise ApiError(400, f"records[{i}] must be finite")
+        if record.source == TelemetryStore.INFRA_SOURCE:
+            raise ApiError(400, f"records[{i}]: source {record.source!r} is reserved")
         if record.project_id not in ctx.platform.projects:
             raise ApiError(404, f"no project {record.project_id}")
         # Telemetry can carry training data (raw drift windows), so

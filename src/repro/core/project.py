@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.impulse import Impulse, TimeSeriesInput
 from repro.core.jobs import Job, JobExecutor
 from repro.core.learn_blocks import AnomalyBlock, ClassificationBlock
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, ordered_labels
 from repro.data.ingestion import IngestionService
 from repro.data.versioning import DatasetVersionStore
 from repro.evaluate import ClassificationReport, evaluate_classifier
@@ -498,7 +498,7 @@ class Project:
         )
         if len(x) == 0:
             raise RuntimeError("no test data")
-        labels = [l for l, _ in sorted(self.label_map.items(), key=lambda kv: kv[1])]
+        labels = ordered_labels(self.label_map)
         preds = self.probabilities(x, precision).argmax(axis=1)
         return evaluate_classifier(y, preds, labels)
 
@@ -525,7 +525,7 @@ class Project:
 
         feats = self.impulse.features_for_sample(Sample(data=data, label="?"))
         probs = self.probabilities(feats).mean(axis=0)
-        labels = [l for l, _ in sorted(self.label_map.items(), key=lambda kv: kv[1])]
+        labels = ordered_labels(self.label_map)
         return sorted(zip(labels, probs.tolist()), key=lambda kv: -kv[1])
 
     # -- profiling --------------------------------------------------------------------

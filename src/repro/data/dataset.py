@@ -75,6 +75,12 @@ class Sample:
         return float(self.data.shape[0] * self.interval_ms)
 
 
+def ordered_labels(label_map: dict[str, int]) -> list[str]:
+    """The labels of ``label_map`` (label -> class index) in class-index
+    order: the order of a classifier's output columns."""
+    return sorted(label_map, key=label_map.__getitem__)
+
+
 class Dataset:
     """An ordered, deduplicated collection of samples."""
 

@@ -3,6 +3,7 @@ metadata (``library.properties``) and an example sketch."""
 
 from __future__ import annotations
 
+from repro.data.dataset import ordered_labels
 from repro.deploy.artifact import Artifact
 from repro.deploy.cpp import build_cpp_library
 from repro.graph.graph import Graph
@@ -46,7 +47,7 @@ def build_arduino_library(
     lib = project_name.replace(" ", "_")
     for name, data in base.files.items():
         artifact.files[f"src/{name}"] = data
-    labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+    labels = ordered_labels(label_map)
     artifact.files["library.properties"] = (
         f"name={lib}_inferencing\n"
         "version=1.0.0\n"

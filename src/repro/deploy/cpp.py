@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from repro.data.dataset import ordered_labels
 from repro.deploy.artifact import Artifact
 from repro.graph.graph import Graph
 from repro.graph.serialize import graph_to_bytes
@@ -17,7 +18,7 @@ from repro.runtime.eon import EONCompiler
 
 
 def _model_parameters_header(impulse, label_map: dict[str, int], graph: Graph) -> str:
-    labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+    labels = ordered_labels(label_map)
     raw = impulse.input_block.raw_shape()
     feat = impulse.feature_shape()
     lines = [

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from repro.data.dataset import ordered_labels
 from repro.deploy.artifact import Artifact
 from repro.graph.graph import Graph
 from repro.graph.serialize import graph_from_bytes, graph_to_bytes
@@ -26,7 +27,7 @@ def build_eim(
     project_name: str = "project",
 ) -> Artifact:
     artifact = Artifact(target="eim", project_name=project_name)
-    labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+    labels = ordered_labels(label_map)
     header = {
         "project": project_name,
         "engine": engine,

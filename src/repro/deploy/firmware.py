@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from repro.data.dataset import ordered_labels
 from repro.deploy.artifact import Artifact
 from repro.graph.graph import Graph
 from repro.graph.serialize import graph_from_bytes, graph_to_bytes
@@ -48,7 +49,7 @@ def build_firmware(
     engine: str = "eon",
     project_name: str = "project",
 ) -> Artifact:
-    labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+    labels = ordered_labels(label_map)
     image = FirmwareImage(
         project_name=project_name,
         version="1.0.0",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from repro.data.dataset import ordered_labels
 from repro.deploy.artifact import Artifact
 from repro.graph.graph import Graph
 from repro.graph.serialize import graph_to_bytes
@@ -62,7 +63,7 @@ def build_wasm(
     artifact = Artifact(target="wasm", project_name=project_name)
     blob = graph_to_bytes(graph)
     arena = MemoryEstimator(engine).estimate(graph).arena_bytes
-    labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+    labels = ordered_labels(label_map)
     artifact.files["edge-impulse-standalone.wat"] = _wat_module(blob, arena).encode()
     artifact.files["model.bin"] = blob
     artifact.files["edge-impulse-standalone.js"] = _JS_GLUE.encode()

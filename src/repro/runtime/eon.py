@@ -20,7 +20,7 @@ from repro.graph.graph import Graph
 from repro.graph.ops import GTensor, kernel_precision, pack_int4
 from repro.runtime.arena import ArenaPlan
 from repro.runtime.executor import (
-    _POOL_FUSION, CompiledPlan, PlanStep, compile_plan, dequantize_output,
+    _POOL_KINDS, CompiledPlan, PlanStep, compile_plan, dequantize_output,
 )
 
 #: int4 weights are emitted packed, two nibbles per byte.
@@ -159,7 +159,7 @@ class EONCompiler:
         if len(step.ops) == 2:  # conv + the pool it absorbed: one call
             pool = graph.ops[step.ops[1]]
             a["pool_size"] = pool.attrs["pool_size"]
-            name += f"_{_POOL_FUSION[op.opcode][pool.opcode]}pool"
+            name += f"_{_POOL_KINDS[pool.opcode]}pool"
         prec = kernel_precision(op, t)
         is_int = prec != "float32"
         args = [const_names[tid] if t[tid].is_const else buf(tid) for tid in op.inputs]

@@ -4,7 +4,8 @@
  * (docs/plan.md, "Native kernels").
  *
  * Every int8 kernel computes the bytes of its spec kernel in
- * repro/runtime/kernels.py (conv2d_i8, dwconv2d_i8, conv1d_i8, fc_i8), which
+ * repro/runtime/kernels.py (conv2d_i8, dwconv2d_i8; both see a 1-D conv
+ * or a dense layer through the same NHWC mapping as these kernels), which
  * plans bind instead where a layer fails the proof below:
  *
  *   - The input zero point is folded into the int32 bias at bind time, and

@@ -24,7 +24,9 @@ alone, unfused, into freshly allocated arrays, so it never shares C, the
 arena, fusion or an in-place ADD with the plan it checks.  The float32
 depthwise spec, ``dwconv2d_f32``, performs the C kernel's float32
 operations in the same order, so outputs are bit-identical on every
-route.
+route.  Both routes see an op as :func:`_nhwc` maps it: the spec's
+kernels are NHWC and 2-D only, and a 1-D conv, dense layer or 1-D pool
+runs on them as C walks it, through reshaped views of the op's buffers.
 
 The binder is also the plan optimizer.  While binding the authored
 graph it makes two local decisions, from the graph's structure and
@@ -62,45 +64,36 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.ops import GOp
+from repro.graph.ops import WEIGHTED_OPS, GOp
 from repro.quantize.fixedpoint import checked_mantissa, total_shift_of
 from repro.runtime import kernels as K
 from repro.runtime import native
 from repro.runtime.arena import ArenaPlan, _align, plan_arena
 
 
-#: int8 weighted opcode -> its spec kernel and the geometry attrs that
-#: follow ``(x, w, bias)`` in its signature.
-_I8_LAYERS = {
-    "CONV_2D": (K.conv2d_i8, ("stride", "pad_h", "pad_w")),
-    "DEPTHWISE_CONV_2D": (K.dwconv2d_i8, ("stride", "pad_h", "pad_w")),
-    "CONV_1D": (K.conv1d_i8, ("stride", "pad")),
-    "FULLY_CONNECTED": (K.fc_i8, ()),
-}
+#: pool kind -> its NHWC kernels ``fn(x, (ph, pw), out=None)``, float32
+#: and int8 (index by ``is_int8``).
+_POOLS = {"max": (K.maxpool2d_f32, K.maxpool2d_i8), "avg": (K.avgpool2d_f32, K.avgpool2d_i8)}
 
-#: (pool opcode, int8?) -> its kernel ``fn(x, size, out=None)``.
-_POOLS = {
-    ("MAX_POOL_2D", True): K.maxpool2d_i8,
-    ("MAX_POOL_2D", False): K.maxpool2d_f32,
-    ("MAX_POOL_1D", True): K.maxpool1d_i8,
-    ("MAX_POOL_1D", False): K.maxpool1d_f32,
-    ("AVG_POOL_2D", True): K.avgpool2d_i8,
-    ("AVG_POOL_2D", False): K.avgpool2d_f32,
-}
+#: pool opcode -> its kind.
+_POOL_KINDS = {"MAX_POOL_2D": "max", "MAX_POOL_1D": "max", "AVG_POOL_2D": "avg"}
+
+#: The 1-D opcodes: each runs as its 2-D twin of height 1.
+_ONE_D = ("CONV_1D", "MAX_POOL_1D", "GLOBAL_AVG_POOL_1D")
 
 
 # -- plan compilation -----------------------------------------------------
 
-#: conv opcode -> {pool opcode it can absorb: pool kind}.
+#: conv opcode -> the pool opcodes it can absorb.
 _POOL_FUSION = {
-    "CONV_2D": {"MAX_POOL_2D": "max", "AVG_POOL_2D": "avg"},
-    "DEPTHWISE_CONV_2D": {"MAX_POOL_2D": "max", "AVG_POOL_2D": "avg"},
-    "CONV_1D": {"MAX_POOL_1D": "max"},
+    "CONV_2D": ("MAX_POOL_2D", "AVG_POOL_2D"),
+    "DEPTHWISE_CONV_2D": ("MAX_POOL_2D", "AVG_POOL_2D"),
+    "CONV_1D": ("MAX_POOL_1D",),
 }
 
 #: Opcodes whose inputs and outputs an in-place ADD never writes into.
@@ -108,6 +101,44 @@ _POOL_FUSION = {
 #: this is conservative; it keeps the binder's decisions those the
 #: views-era plans made.
 _VIEW_OPS = ("RESHAPE", "TRANSPOSE")
+
+
+class _Nhwc(NamedTuple):
+    """An op as the NHWC 2-D kernels walk it (:func:`_nhwc`)."""
+
+    x: tuple  # input shape, per row
+    y: tuple  # output shape, per row (a fused conv's: before its pool)
+    w: np.ndarray | None  # weights (kh, kw, cin, cout); None unweighted
+    stride: int
+    pad_h: tuple
+    pad_w: tuple
+    window: tuple | None  # (ph, pw) of the op's pool or the one it absorbed
+
+
+def _nhwc(graph: Graph, op: GOp, pool_size: int | None = None) -> _Nhwc:
+    """``op`` as the NHWC 2-D kernels walk it, spec and C alike: a
+    CONV_1D / MAX_POOL_1D / GLOBAL_AVG_POOL_1D is its 2-D twin of height
+    1 (a 1-D pool window is ``(1, size)``), and a FULLY_CONNECTED a 1x1
+    conv over a 1xM image, M the product of its input's leading axes (1
+    for a vector).  Every shape has the op's own element order, so the
+    kernels run on reshaped views of the buffers the op reads and writes.
+    ``pool_size`` is that of a pool a conv absorbed."""
+    t, a = graph.tensors, op.attrs
+    x, y = (tuple(t[tid].shape) for tid in (op.inputs[0], op.outputs[0]))
+    w = t[op.inputs[1]].data if op.opcode in WEIGHTED_OPS else None
+    stride, pad_h, pad_w = 1, (0, 0), (0, 0)
+    if op.opcode == "FULLY_CONNECTED":
+        x, y = ((1, math.prod(s[:-1]), s[-1]) for s in (x, y))
+        w = w[None, None]
+    elif op.opcode in _ONE_D:
+        x, y = (1,) + x, (1,) + y
+    if op.opcode == "CONV_1D":
+        w, stride, pad_w = w[None], a["stride"], tuple(a["pad"])
+    elif op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D"):
+        stride, pad_h, pad_w = a["stride"], tuple(a["pad_h"]), tuple(a["pad_w"])
+    size = a["pool_size"] if op.opcode in _POOL_KINDS else pool_size
+    window = None if size is None else (1, size) if op.opcode in _ONE_D else (size, size)
+    return _Nhwc(x, y, w, stride, pad_h, pad_w, window)
 
 
 def _bind_op(
@@ -143,71 +174,57 @@ def _bind_spec(
     is_int8 = t[op.outputs[0]].dtype == "int8"
     x_id = op.inputs[0]
     in_shape = tuple(t[x_id].shape)
-    shape = tuple(t[op.outputs[0]].shape)  # a fused conv's: before its pool
-    pool_size, pool_kind = pool or (None, "max")
     act = a.get("activation", "none")
 
-    if is_int8 and op.opcode in _I8_LAYERS:
-        # A forged multiplier is refused here, as the spec refuses it
-        # when it runs.
-        checked_mantissa(a["out_mult"])
-        total_shift_of(a["out_shift"])
-        kernel, geometry = _I8_LAYERS[op.opcode]
-        spec = functools.partial(
-            kernel, w=t[op.inputs[1]].data, bias=t[op.inputs[2]].data,
-            **{k: a[k] for k in geometry},
-            in_zp=t[x_id].quant.zero_point, out_zp=t[op.outputs[0]].quant.zero_point,
-            out_mult=a["out_mult"], out_shift=a["out_shift"],
-            clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
-        )
-        if not pool_size:
-            return (lambda v, out, s: np.copyto(out, spec(v[x_id]))), ()
-        pool_fn = _pool_kernel(op, pool_kind, True)
-        return (lambda v, out, s: pool_fn(spec(v[x_id]), pool_size, out)), ()
-
-    if op.opcode in ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D"):
-        w = t[op.inputs[1]].data
+    if op.opcode in WEIGHTED_OPS:
+        g = _nhwc(graph, op, pool and pool[0])
         b = t[op.inputs[2]].data
-        stride = a["stride"]
-        is_1d = op.opcode == "CONV_1D"
-        pads = (a["pad"],) if is_1d else (a["pad_h"], a["pad_w"])
+        depthwise = op.opcode == "DEPTHWISE_CONV_2D"
+        xs, ys = (-1, *g.x), (-1, *g.y)
+        if pool:  # the step writes the pooled tensor
+            ys = (-1, g.y[0] // g.window[0], g.y[1] // g.window[1], g.y[2])
         scratch = []
-        if any(map(any, pads)):
-            grown = tuple(n + sum(p) for n, p in zip(in_shape, pads)) + in_shape[-1:]
-            scratch.append(("xp", grown, t[x_id].dtype))
-        if op.opcode == "DEPTHWISE_CONV_2D":
-            scratch.append(("prod", shape, np.float32))
-            conv = lambda x, **s: K.dwconv2d_f32(x, w, b, stride, *pads, act, **s)  # noqa: E731
+        if is_int8:
+            # A forged multiplier is refused here, as the spec refuses it
+            # when it runs.
+            checked_mantissa(a["out_mult"])
+            total_shift_of(a["out_shift"])
+            conv = functools.partial(
+                K.dwconv2d_i8 if depthwise else K.conv2d_i8, w=g.w, bias=b,
+                stride=g.stride, pad_h=g.pad_h, pad_w=g.pad_w,
+                in_zp=t[x_id].quant.zero_point, out_zp=t[op.outputs[0]].quant.zero_point,
+                out_mult=a["out_mult"], out_shift=a["out_shift"],
+                clamp_min=a["clamp_min"], clamp_max=a["clamp_max"],
+            )
         else:
-            kernel = K.conv1d_f32 if is_1d else K.conv2d_f32
-            if is_1d or w.shape[:2] != (1, 1) or stride != 1:  # not pointwise
-                col_shape = (math.prod(shape[:-1]), math.prod(w.shape[:-1]))
-                scratch.append(("col", col_shape, np.float32))
-            conv = lambda x, **s: kernel(x, w, b, stride, *pads, act, **s)  # noqa: E731
-        if not pool_size:
-            return (lambda v, out, s: conv(v[x_id], out=out, **s)), tuple(scratch)
-        # The conv's own ``out`` is scratch: the pre-pool tensor.
-        scratch.append(("out", shape, np.float32))
-        pool_fn = _pool_kernel(op, pool_kind, False)
-        return (lambda v, out, s: pool_fn(conv(v[x_id], **s), pool_size, out)), tuple(scratch)
+            if any(g.pad_h + g.pad_w):
+                grown = (g.x[0] + sum(g.pad_h), g.x[1] + sum(g.pad_w), g.x[2])
+                scratch.append(("xp", grown, t[x_id].dtype))
+            if depthwise:
+                scratch.append(("prod", g.y, np.float32))
+            elif g.w.shape[:2] != (1, 1) or g.stride != 1:  # not pointwise
+                scratch.append(("col", (math.prod(g.y[:-1]), math.prod(g.w.shape[:-1])), np.float32))
+            kernel = K.dwconv2d_f32 if depthwise else K.conv2d_f32
+            conv = lambda x, **s: kernel(x, g.w, b, g.stride, g.pad_h, g.pad_w, act, **s)  # noqa: E731
+        if pool:
+            if not is_int8:  # the conv's own ``out`` is scratch: the pre-pool tensor
+                scratch.append(("out", g.y, np.float32))
+            pool_fn = _POOLS[pool[1]][is_int8]
+            return (
+                lambda v, out, s: pool_fn(conv(v[x_id].reshape(xs), **s), g.window, out.reshape(ys))
+            ), tuple(scratch)
+        if is_int8:
+            return (lambda v, out, s: np.copyto(out.reshape(ys), conv(v[x_id].reshape(xs)))), ()
+        return (lambda v, out, s: conv(v[x_id].reshape(xs), out=out.reshape(ys), **s)), tuple(scratch)
 
-    if op.opcode == "FULLY_CONNECTED":
-        w = t[op.inputs[1]].data
-        b = t[op.inputs[2]].data
-        return (lambda v, out, s: K.fc_f32(v[x_id], w, b, act, out=out)), ()
-
-    if (op.opcode, is_int8) in _POOLS:
-        size, fn = a["pool_size"], _POOLS[(op.opcode, is_int8)]
-        return (lambda v, out, s: fn(v[x_id], size, out)), ()
+    if op.opcode in _POOL_KINDS:
+        g = _nhwc(graph, op)
+        fn, xs, ys = _POOLS[_POOL_KINDS[op.opcode]][is_int8], (-1, *g.x), (-1, *g.y)
+        return (lambda v, out, s: fn(v[x_id].reshape(xs), g.window, out.reshape(ys))), ()
 
     if op.opcode in ("GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D"):
-        fn = {
-            ("GLOBAL_AVG_POOL_2D", True): K.gap2d_i8,
-            ("GLOBAL_AVG_POOL_2D", False): K.gap2d_f32,
-            ("GLOBAL_AVG_POOL_1D", True): K.gap1d_i8,
-            ("GLOBAL_AVG_POOL_1D", False): K.gap1d_f32,
-        }[(op.opcode, is_int8)]
-        return (lambda v, out, s: fn(v[x_id], out)), ()
+        fn, xs = K.gap2d_i8 if is_int8 else K.gap2d_f32, (-1, *_nhwc(graph, op).x)
+        return (lambda v, out, s: fn(v[x_id].reshape(xs), out)), ()
 
     if op.opcode == "RESHAPE":
         # A copy into the step's own slot, as the generated C does: a
@@ -265,37 +282,17 @@ def _bind_spec(
 _INT = (int, np.integer)
 
 
-def _pool_kernel(op: GOp, kind: str, is_int8: bool):
-    """The kernel of the ``kind`` pool a conv ``op`` absorbed."""
-    if kind == "avg":
-        return _POOLS[("AVG_POOL_2D", is_int8)]
-    return _POOLS[("MAX_POOL_1D" if op.opcode == "CONV_1D" else "MAX_POOL_2D", is_int8)]
-
-
 def _native_params(graph: Graph, op: GOp, pool: tuple[int, str] | None) -> dict | None:
-    """The layer constants of ``op`` as the C kernels walk it (``native.PARAMS``
-    but the zero points and clamp, which the caller adds), or ``None``
-    where its shapes are not the ones the kernel walks (a depth
-    multiplier, a graph that would fail at execute anyway).
-
-    Every layer is seen by the kernel as NHWC: a CONV_1D is a 2-D conv of
-    height 1, a FULLY_CONNECTED a 1x1 conv over a 1x1 image."""
-    t, a = graph.tensors, op.attrs
-    x_t, w = t[op.inputs[0]], t[op.inputs[1]].data
-    pads, stride = ((0, 0), (0, 0)), 1
-    if op.opcode == "FULLY_CONNECTED":
-        in_shape, w4, out_shape = (1, 1) + tuple(x_t.shape), w.reshape((1, 1) + w.shape), (1, 1)
-    elif op.opcode == "CONV_1D":
-        in_shape, w4, out_shape = (1,) + tuple(x_t.shape), w[None], (1,)
-        pads, stride = ((0, 0), tuple(a["pad"])), a["stride"]
-    else:
-        in_shape, w4, out_shape = tuple(x_t.shape), w, ()
-        pads, stride = (tuple(a["pad_h"]), tuple(a["pad_w"])), a["stride"]
-    out_shape += tuple(t[op.outputs[0]].shape)
-    if len(in_shape) != 3 or w4.ndim != 4 or len(out_shape) != 3:
+    """The layer constants of ``op`` as the C kernels walk it, NHWC
+    (:func:`_nhwc`) — ``native.PARAMS`` but the zero points and clamp,
+    which the caller adds — or ``None`` where its shapes are not the ones
+    the kernel walks (a depth multiplier, a graph that would fail at
+    execute anyway)."""
+    g = _nhwc(graph, op, pool and pool[0])
+    if len(g.x) != 3 or g.w.ndim != 4 or len(g.y) != 3:
         return None
-    (h, wd, c), (kh, kw, wc, cout) = in_shape, w4.shape
-    (pt, pb), (pl, pr) = pads
+    (h, wd, c), (kh, kw, wc, cout) = g.x, g.w.shape
+    (pt, pb), (pl, pr), stride = g.pad_h, g.pad_w, g.stride
     if not all(isinstance(v, _INT) and v >= 0 for v in (pt, pb, pl, pr)):
         return None
     if not (isinstance(stride, _INT) and stride >= 1 and wc == c):
@@ -305,15 +302,14 @@ def _native_params(graph: Graph, op: GOp, pool: tuple[int, str] | None) -> dict 
         if cout != 1:
             return None
         cout = c
-    if min(oh, ow) < 1 or out_shape != (oh, ow, cout):
+    if min(oh, ow) < 1 or g.y != (oh, ow, cout):
         return None
-    size, kind = pool or (1, None)
-    if size < 1 or (kind == "avg" and size * size >= 1 << 24):  # int32 sums of int8
+    (ph, pw), avg = g.window or (1, 1), pool is not None and pool[1] == "avg"
+    if min(ph, pw) < 1 or (avg and ph * pw >= 1 << 24):  # int32 sums of int8
         return None
     return dict(
         h=h, w=wd, c=c, pt=pt, pb=pb, pl=pl, pr=pr, kh=kh, kw=kw, stride=stride,
-        oh=oh, ow=ow, cout=cout, pool_h=1 if op.opcode == "CONV_1D" else size,
-        pool_w=size, pool_avg=int(kind == "avg"),
+        oh=oh, ow=ow, cout=cout, pool_h=ph, pool_w=pw, pool_avg=int(avg),
     )
 
 
@@ -339,7 +335,7 @@ def _bind_native(
     int8 layer fails the int32 proof or a float32 activation is not one
     the kernel clamps."""
     lib = native.load()
-    if lib is None or op.opcode not in _I8_LAYERS:
+    if lib is None or op.opcode not in WEIGHTED_OPS:
         return None
     t, a = graph.tensors, op.attrs
     x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
@@ -353,7 +349,7 @@ def _bind_native(
         params.update(in_zp=0, out_zp=0, clamp_min=0, clamp_max=0)
         scratch, pool_fn = _native_scratch(params, np.float32), None
         if pool:
-            pool_fn = (_pool_kernel(op, pool[1], False), pool[0])
+            pool_fn = (_POOLS[pool[1]][False], (pool[0], pool[0]))
             scratch += (("out", tuple(t[op.outputs[0]].shape), np.float32),)
         return native.DepthwiseF32Kernel(lib, params, w[..., 0], b, act, op.inputs[0], pool_fn), scratch
 
@@ -423,11 +419,10 @@ def _bind_steps(graph: Graph, lifetimes: dict[int, tuple[int, int]]) -> list[Pla
         only = readers.get(out_id, ())
         if op.opcode in _POOL_FUSION and out_id != graph.output_id and len(only) == 1:
             (pi,) = only
-            kind = _POOL_FUSION[op.opcode].get(ops[pi].opcode)
-            if kind is not None:
+            if ops[pi].opcode in _POOL_FUSION[op.opcode]:
                 absorbed.add(pi)
                 step_ops = (oi, pi)
-                pool = (int(ops[pi].attrs["pool_size"]), kind)
+                pool = (int(ops[pi].attrs["pool_size"]), _POOL_KINDS[ops[pi].opcode])
                 out_id = ops[pi].outputs[0]
         if op.opcode == "ADD":
             out_t = t[out_id]

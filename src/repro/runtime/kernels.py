@@ -15,6 +15,15 @@ depthwise / conv1d / dense op has two kernels: the spec here, which
 (``repro.runtime.native``), which compiled plans bind; a plan binds the
 spec itself where C cannot run the layer.  Both engines share the plan —
 that is what makes the TFLM-vs-EON comparison a pure overhead comparison.
+
+Every kernel here is NHWC and 2-D, one conv, one depthwise, one max
+pool, one average pool and one global-average pool per dtype.  The 1-D
+and dense ops run on them as EON's C kernels walk them: a CONV_1D,
+MAX_POOL_1D or GLOBAL_AVG_POOL_1D as its 2-D twin of height 1 (a 1-D
+pool window is ``(1, size)``), a FULLY_CONNECTED as a 1x1 conv over a
+1x1 image (1xM for an input with M leading positions).
+``repro.runtime.executor._nhwc`` is that mapping; the kernels read and
+write reshaped views of the op's own buffers.
 """
 
 from __future__ import annotations
@@ -41,18 +50,6 @@ def _pad2d(x: np.ndarray, pad_h, pad_w, fill, out=None) -> np.ndarray:
         out = np.empty((b, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
     out.fill(fill)
     out[:, pt : pt + h, pl : pl + w, :] = x
-    return out
-
-
-def _pad1d(x: np.ndarray, pad, fill, out=None) -> np.ndarray:
-    (pl, pr) = tuple(pad)
-    if pl == pr == 0:
-        return x
-    b, t, c = x.shape
-    if out is None:
-        out = np.empty((b, t + pl + pr, c), dtype=x.dtype)
-    out.fill(fill)
-    out[:, pl : pl + t, :] = x
     return out
 
 
@@ -100,10 +97,10 @@ def _gemm(windows, w2d, col=None, out=None):
 #
 # 1. Convolutions lower to im2col: pad, then one gather of the window
 #    view into a contiguous ``(rows, K)`` matrix and one sgemm
-#    (``_gemm``).  A pointwise (1x1, stride 1) conv skips
-#    the gather — its input already is that matrix.  ``np.tensordot``
-#    reached the same sgemm through a transpose + reshape + copy of both
-#    operands per call.
+#    (``_gemm``).  A pointwise (1x1, stride 1) conv — a dense layer
+#    among them — skips the gather: its input already is that matrix.
+#    ``np.tensordot`` reached the same sgemm through a transpose +
+#    reshape + copy of both operands per call.
 # 2. The gather's cost is its number of inner runs, not its bytes: a
 #    C-order copy of the window view moves ``kw*c`` contiguous floats at
 #    a time, 4 for a 10x4 kernel over one channel.  When a kernel column
@@ -202,51 +199,25 @@ def dwconv2d_f32(
     return _finish_f32(out, np.asarray(b, dtype=np.float32), activation)
 
 
-def conv1d_f32(x, w, b, stride, pad, activation="none", out=None, xp=None, col=None):
-    xp = _pad1d(x, pad, 0.0, xp)
-    bsz, t, c = xp.shape
-    k, _, cout = w.shape
-    ot = (t - k) // stride + 1
-    sb, st, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
-    )
-    out = _gemm(windows, w.reshape(-1, cout), col, out).reshape(bsz, ot, cout)
-    return _finish_f32(out, b, activation)
-
-
-def fc_f32(x, w, b, activation="none", out=None):
-    return _finish_f32(_gemm(x, w, out=out), b, activation)
-
-
-def _pool_view(x, pool):
-    """``(b, h/p, p, w/p, p, c)``: the pool windows of a NHWC tensor,
-    trailing rows/columns that fill no window dropped."""
+def _pool_view(x, window):
+    """``(b, h/ph, ph, w/pw, pw, c)``: the ``(ph, pw)`` pool windows of a
+    NHWC tensor, trailing rows/columns that fill no window dropped."""
+    ph, pw = window
     b, h, w, c = x.shape
-    th, tw = (h // pool) * pool, (w // pool) * pool
-    return x[:, :th, :tw, :].reshape(b, th // pool, pool, tw // pool, pool, c)
+    th, tw = (h // ph) * ph, (w // pw) * pw
+    return x[:, :th, :tw, :].reshape(b, th // ph, ph, tw // pw, pw, c)
 
 
-def maxpool2d_f32(x, pool, out=None):
-    return _pool_view(x, pool).max(axis=(2, 4), out=out)
+def maxpool2d_f32(x, window, out=None):
+    return _pool_view(x, window).max(axis=(2, 4), out=out)
 
 
-def maxpool1d_f32(x, pool, out=None):
-    b, t, c = x.shape
-    tt = (t // pool) * pool
-    return x[:, :tt, :].reshape(b, tt // pool, pool, c).max(axis=2, out=out)
-
-
-def avgpool2d_f32(x, pool, out=None):
-    return _pool_view(x, pool).mean(axis=(2, 4), dtype=np.float32, out=out)
+def avgpool2d_f32(x, window, out=None):
+    return _pool_view(x, window).mean(axis=(2, 4), dtype=np.float32, out=out)
 
 
 def gap2d_f32(x, out=None):
     return x.mean(axis=(1, 2), dtype=np.float32, out=out)
-
-
-def gap1d_f32(x, out=None):
-    return x.mean(axis=1, dtype=np.float32, out=out)
 
 
 def add_f32(a, b, activation="none", out=None):
@@ -306,38 +277,6 @@ def dwconv2d_i8(
     return _requant(acc, mult, shift, out_zp, clamp_min, clamp_max)
 
 
-def conv1d_i8(
-    x, w, bias, stride, pad, in_zp, out_zp, out_mult, out_shift,
-    clamp_min=-128, clamp_max=127,
-):
-    xp = _pad1d(x, pad, in_zp)
-    bsz, t, c = xp.shape
-    k = w.shape[0]
-    ot = (t - k) // stride + 1
-    centered = xp.astype(np.int32) - in_zp
-    sb, st, sc = centered.strides
-    view = np.lib.stride_tricks.as_strided(
-        centered, shape=(bsz, ot, k, c), strides=(sb, st * stride, st, sc), writeable=False
-    )
-    acc = np.tensordot(
-        view.astype(np.int64), w.astype(np.int64, copy=False), axes=([2, 3], [0, 1])
-    )
-    acc += bias.astype(np.int64, copy=False)
-    mult = np.asarray(out_mult, dtype=np.int64)
-    shift = np.asarray(out_shift, dtype=np.int64)
-    return _requant(acc, mult, shift, out_zp, clamp_min, clamp_max)
-
-
-def fc_i8(
-    x, w, bias, in_zp, out_zp, out_mult, out_shift, clamp_min=-128, clamp_max=127
-):
-    centered = x.astype(np.int64) - in_zp
-    acc = centered @ w.astype(np.int64, copy=False) + bias.astype(np.int64, copy=False)
-    mult = np.asarray(out_mult, dtype=np.int64)
-    shift = np.asarray(out_shift, dtype=np.int64)
-    return _requant(acc, mult, shift, out_zp, clamp_min, clamp_max)
-
-
 # -- operands of EON's C kernels ----------------------------------------------
 #
 # Compiled plans bind every int8 conv / depthwise / conv1d / dense step to
@@ -380,12 +319,8 @@ def prepare_gemm_i32(w, bias, in_zp):
     return w2d.astype(np.int8), folded.astype(np.int32)
 
 
-def maxpool2d_i8(x, pool, out=None):
-    return maxpool2d_f32(x, pool, out)  # max is order-preserving; qparams unchanged
-
-
-def maxpool1d_i8(x, pool, out=None):
-    return maxpool1d_f32(x, pool, out)
+def maxpool2d_i8(x, window, out=None):
+    return maxpool2d_f32(x, window, out)  # max is order-preserving; qparams unchanged
 
 
 def _round_div_i8(acc, count, out=None):
@@ -405,17 +340,14 @@ def _round_div_i8(acc, count, out=None):
     return out
 
 
-def avgpool2d_i8(x, pool, out=None):
-    return _round_div_i8(_pool_view(x, pool).sum(axis=(2, 4), dtype=np.int64), pool * pool, out)
+def avgpool2d_i8(x, window, out=None):
+    count = window[0] * window[1]
+    return _round_div_i8(_pool_view(x, window).sum(axis=(2, 4), dtype=np.int64), count, out)
 
 
 def gap2d_i8(x, out=None):
     b, h, w, c = x.shape
     return _round_div_i8(x.sum(axis=(1, 2), dtype=np.int64), h * w, out)
-
-
-def gap1d_i8(x, out=None):
-    return _round_div_i8(x.sum(axis=1, dtype=np.int64), x.shape[1], out)
 
 
 def add_i8(

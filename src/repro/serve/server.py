@@ -37,6 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.active.embeddings import feature_sketch
+from repro.data.dataset import ordered_labels
 from repro.monitor.telemetry import TelemetryRecord, model_version_of
 from repro.serve.runners import LocalRunner, WorkerRunner
 from repro.serve.shard import PendingResult, ServingError, _CacheEntry, _Shard
@@ -292,7 +293,7 @@ class ModelServer:
                     f"batch of {len(stacked)} request(s)"
                 )
             label_map = self.platform.projects[entry.key[0]].label_map
-            labels = [l for l, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
+            labels = ordered_labels(label_map)
             results = [self._to_result(labels, row) for row in probs]
         except Exception:
             shard.count_batch(len(stacked), ok=False)

@@ -266,6 +266,12 @@ def test_legacy_telemetry_push_equivalent_over_v1(server, client):
         client.request("POST", "/v1/telemetry",
                        {"records": [{"project_id": 999}]})
     assert err.value.status == 404
+    # ``json.dumps`` writes NaN as the bare token ``NaN``, which the
+    # server's ``json.loads`` parses; the route refuses it.
+    with pytest.raises(ClientError) as err:
+        client.request("POST", "/v1/telemetry",
+                       {"records": [{"project_id": pid, "latency_ms": float("nan")}]})
+    assert err.value.status == 400
 
 
 def test_base64_upload_roundtrip_over_http(server, client):

@@ -362,9 +362,9 @@ def test_int8_averages_round_like_tflm():
     want = np.sign(sums) * ((np.abs(sums) + 2) // 4)  # count 4
     rows = np.zeros((sums.size, 4, 1), np.int8)
     rows[:, 0, 0] = sums  # one nonzero value per window of 4
-    assert np.array_equal(K.gap1d_i8(rows).reshape(-1), want)
+    assert np.array_equal(K.gap2d_i8(rows[:, None]).reshape(-1), want)  # GAP_1D: height 1
     image = rows.reshape(1, sums.size, 2, 2).transpose(0, 2, 1, 3).reshape(1, 2, 2 * sums.size, 1)
-    assert np.array_equal(K.avgpool2d_i8(image, 2).reshape(-1), want)
+    assert np.array_equal(K.avgpool2d_i8(image, (2, 2)).reshape(-1), want)
 
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)

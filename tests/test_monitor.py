@@ -736,6 +736,32 @@ def test_rest_monitor_routes(served_project):
                       user="u")["status"] == 404
 
 
+@pytest.mark.parametrize("bad", [
+    {"latency_ms": float("nan")}, {"latency_ms": float("inf")},
+    {"ts": float("nan")}, {"confidence": float("-inf")}, {"margin": float("nan")},
+    {"sketch": [0.5, float("nan")]}, {"raw": [float("inf")] * 4},
+    {"source": "gateway"},
+])
+def test_telemetry_push_refuses_non_finite_values_and_the_gateway_source(served_project, bad):
+    """A pushed NaN latency would make the window's p95 NaN, so the SLO
+    detector would score NaN and never trigger, and a rollout's health
+    gate would pass a breaching canary; a pushed ``gateway`` record would
+    land in the gateway's ring, unseen by drift detection.  Both are a
+    400 that stores nothing."""
+    platform, project = served_project
+    api, pid = platform.gateway, project.project_id
+    slow = [{"project_id": pid, "latency_ms": 500.0} for _ in range(50)]
+    assert api.handle("POST", "/v1/telemetry", {"records": slow}, user="u")["status"] == 200
+    r = api.handle("POST", "/v1/telemetry",
+                   {"records": [{"project_id": pid, "latency_ms": 500.0},
+                                {"project_id": pid, **bad}]}, user="u")
+    assert r["status"] == 400 and "records[1]" in r["error"]
+    recent = platform.monitor.telemetry.recent(pid)
+    assert len(recent) == 50
+    result = LatencySLODetector(max_p95_ms=100.0).evaluate([], recent)
+    assert result.score == 5.0 and result.triggered
+
+
 def test_rest_fleet_device_classify(image):
     plat = Platform()
     plat.register_user("ops")

@@ -137,33 +137,43 @@ def test_dispatch_never_binds_c():
 
 def layer_graph(opcode, x, w, b, attrs, in_zp, out_zp, pool=None):
     """An int8 graph of one weighted op (and the ``(size, kind)`` pool it
-    may absorb), and the spec's output for ``x``."""
+    may absorb), and the spec's output for ``x``: the NHWC 2-D kernels on
+    views of the op's arrays — a CONV_1D is a conv of height 1 (its pool
+    window ``(1, size)``), a FULLY_CONNECTED a 1x1 conv over a 1xM image
+    (M = 1 for a vector)."""
     g = Graph("layer")
     q = lambda zp: QuantParams(np.array([0.05]), zero_point=zp)  # noqa: E731
     xi = g.add_tensor(GTensor("x", x.shape[1:], "int8", quant=q(in_zp)))
     wi = g.add_tensor(GTensor("w", w.shape, "int8", data=w))
     bi = g.add_tensor(GTensor("b", b.shape, "int32", data=b))
-    spec = {
-        "CONV_2D": K.conv2d_i8, "DEPTHWISE_CONV_2D": K.dwconv2d_i8,
-        "CONV_1D": K.conv1d_i8, "FULLY_CONNECTED": K.fc_i8,
-    }[opcode]
-    geometry = {k: attrs[k] for k in ("stride", "pad_h", "pad_w", "pad") if k in attrs}
-    want = spec(x, w, b, *geometry.values(), in_zp, out_zp, attrs["out_mult"],
-                attrs["out_shift"], attrs["clamp_min"], attrs["clamp_max"])
-    yi = g.add_tensor(GTensor("y", want.shape[1:], "int8", quant=q(out_zp)))
+    x4, w4, per_op = x, w, lambda a: a  # noqa: E731
+    if opcode == "FULLY_CONNECTED":  # a 1x1 conv over a 1xM image
+        x4, w4 = x.reshape(len(x), 1, -1, x.shape[-1]), w[None, None]
+        per_op = lambda a: a.reshape(x.shape[:-1] + a.shape[-1:])  # noqa: E731
+    elif opcode == "CONV_1D":  # height 1
+        x4, w4, per_op = x[:, None], w[None], lambda a: a[:, 0]  # noqa: E731
+    if opcode == "CONV_1D":
+        pads = ((0, 0), attrs["pad"])
+    else:
+        pads = (attrs.get("pad_h", (0, 0)), attrs.get("pad_w", (0, 0)))
+    spec = K.dwconv2d_i8 if opcode == "DEPTHWISE_CONV_2D" else K.conv2d_i8
+    want = spec(x4, w4, b, attrs.get("stride", 1), *pads,
+                in_zp, out_zp, attrs["out_mult"], attrs["out_shift"],
+                attrs["clamp_min"], attrs["clamp_max"])
+    yi = g.add_tensor(GTensor("y", per_op(want).shape[1:], "int8", quant=q(out_zp)))
     g.add_op(GOp(opcode, [xi, wi, bi], [yi], dict(attrs)))
     g.input_id = g.output_id = xi
     if pool is not None:
         size, kind = pool
-        want = {"max": K.maxpool1d_i8 if opcode == "CONV_1D" else K.maxpool2d_i8,
-                "avg": K.avgpool2d_i8}[kind](want, size)
-        pi = g.add_tensor(GTensor("p", want.shape[1:], "int8", quant=q(out_zp)))
+        window = (1, size) if opcode == "CONV_1D" else (size, size)
+        want = {"max": K.maxpool2d_i8, "avg": K.avgpool2d_i8}[kind](want, window)
+        pi = g.add_tensor(GTensor("p", per_op(want).shape[1:], "int8", quant=q(out_zp)))
         pool_op = {"max": "MAX_POOL_1D" if opcode == "CONV_1D" else "MAX_POOL_2D",
                    "avg": "AVG_POOL_2D"}[kind]
         g.add_op(GOp(pool_op, [yi], [pi], {"pool_size": size}))
         yi = pi
     g.output_id = yi
-    return g, want
+    return g, per_op(want)
 
 
 def _requant_attrs(rng, cout, lo=-128, hi=127):
@@ -260,6 +270,20 @@ def test_c_dense_equals_the_spec(batch):
         attrs = {"out_mult": 1518500250, "out_shift": -9, "clamp_min": zp, "clamp_max": 127}
         graph, want = layer_graph("FULLY_CONNECTED", x, w, b, attrs, in_zp, zp)
         assert_plan_equals_spec(graph, x, want)
+
+
+@needs_cc
+@pytest.mark.parametrize("batch", [1, 5])
+def test_c_dense_over_a_sequence_equals_the_spec(batch):
+    """A FULLY_CONNECTED over a ``(T, F)`` input is a 1x1 conv over a 1xT
+    image, on C and in the spec."""
+    rng = np.random.default_rng([batch, 10])
+    x = rng.integers(-128, 128, size=(batch, 6, 9)).astype(np.int8)
+    w = rng.integers(-128, 128, size=(9, 4)).astype(np.int8)
+    b = rng.integers(-2000, 2000, size=4).astype(np.int32)
+    graph, want = layer_graph("FULLY_CONNECTED", x, w, b, _requant_attrs(rng, 4), 5, -3)
+    assert want.shape == (batch, 6, 4)
+    assert_plan_equals_spec(graph, x, want)
 
 
 @needs_cc

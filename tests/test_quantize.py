@@ -280,6 +280,12 @@ def ptq_golden_graph(arch: str, per_channel: bool) -> Graph:
     """The int8 graph of one zoo architecture whose every parameter
     (BatchNorm statistics included) is perturbed with seeded noise, so
     biases and folded scales are not the initialiser's zeros and ones."""
+    return quantize_graph(*ptq_golden_float_graph(arch), per_channel=per_channel)
+
+
+def ptq_golden_float_graph(arch: str) -> tuple[Graph, np.ndarray]:
+    """The float32 graph :func:`ptq_golden_graph` quantizes, and the
+    calibration batch it quantizes it with."""
     rng = np.random.default_rng(21)
     shape = PTQ_GOLDEN_SHAPES[arch]
     model = ARCHITECTURES[arch](shape, 4, seed=3)
@@ -289,8 +295,7 @@ def ptq_golden_graph(arch: str, per_channel: bool) -> Graph:
         weights.append(np.abs(w) + 0.1 if role == "var" else w)
     model.set_weights(weights)
     graph = sequential_to_graph(model, name=arch)
-    x = rng.normal(0, 1, (16, *shape)).astype(np.float32)
-    return quantize_graph(graph, x, per_channel=per_channel)
+    return graph, rng.normal(0, 1, (16, *shape)).astype(np.float32)
 
 
 def _weight_roles(model):
@@ -324,3 +329,81 @@ def test_ptq_golden_graphs_run_alike_on_both_plan_routes(arch, per_channel):
     with mock.patch.object(native, "load", lambda: None):
         spec_plan = compile_plan(graph, cache=False)
     assert np.array_equal(spec_plan.execute(x), want)
+
+
+#: sha256 of the ``conv1d_stack`` (CONV_1D, MAX_POOL_1D,
+#: GLOBAL_AVG_POOL_1D, FULLY_CONNECTED) and ``mlp`` (FULLY_CONNECTED)
+#: golden graphs run on :func:`one_d_inputs`: every activation
+#: ``run_graph_dispatch(record=True)`` returns, and the output every route
+#: returns.  Recorded while the spec still had a kernel of its own per
+#: 1-D op; the 2-D kernels that replaced them must give the same bytes.
+ONE_D_GOLDEN = {
+    "conv1d_stack/float32/b1": {
+        "activations": "d247d941533ec2d8e5bf8a880550346af37cc1db8038b903f5a5de412546f680",
+        "output": "c21cdf45a4d2cf9f0f233c902b569a4621688abfdb891115d62de679849c0c37",
+    },
+    "conv1d_stack/float32/b16": {
+        "activations": "a99570670b78588dffed2c0274ac34fbcb40eb1cdcfb5a73ee5777c370e78e7d",
+        "output": "26f0959b183740e6696c8c5ff6b73096b2fda0c5e7aaaedf1704ff35f32c7ac1",
+    },
+    "conv1d_stack/int8/b1": {
+        "activations": "2b2225703d6bc8fb801595c790e682f6e1660626dfaf1c6bb075d0a51e8a35ad",
+        "output": "ec7665932396690e90e6497edc22334adfd94c94430d5b4777462efe0e442d7d",
+    },
+    "conv1d_stack/int8/b16": {
+        "activations": "ff447cb6fc5129debb8773f37e179122aa42cc68e03829dc74331aff6e9579fe",
+        "output": "ed2a68599f229d41f9f0adfedee4bdf37e7c44b8d1f415f3ed5519d827e077a2",
+    },
+    "mlp/float32/b1": {
+        "activations": "b8a7e45f42b43847ce95947875b15d9f32bf219be7ca08867d828c770529b363",
+        "output": "0adb5ca541fa9f2380a29df060e97d4adbb681ea9c65599270507fc18ad2b270",
+    },
+    "mlp/float32/b16": {
+        "activations": "0b02ccd8ecf9e3d96d45b5036d404b442a378edae28b141b3a860280828502fe",
+        "output": "7ef4e56b64df70b215d32ceb603eda562099ef84c899a2b9c9943d327fe9519a",
+    },
+    "mlp/int8/b1": {
+        "activations": "88849370a41838025dc93085b3639c7f4e1b4b2e18a87262ca893850280dba3c",
+        "output": "112e5026ae1d4b0f1959fa4319bd7787dee8d8148dae52ad33b3bce11559a4df",
+    },
+    "mlp/int8/b16": {
+        "activations": "6dc9f128dc4dec1904e804fcbd864aede8c2be15ac61c73684910cc91375946f",
+        "output": "2d10b3e3f72bec3d1aed76b87e7709313884f6728b839e77f992a0a92de6d3d5",
+    },
+}
+
+
+def one_d_inputs(arch: str, batch: int) -> np.ndarray:
+    shape = PTQ_GOLDEN_SHAPES[arch]
+    return np.random.default_rng(38).normal(0, 1, (16, *shape)).astype(np.float32)[:batch]
+
+
+def one_d_digests(arch: str, precision: str, batch: int, route: str) -> dict:
+    """``{"activations": ..., "output": ...}`` digests of one run; a plan
+    route has only the output.  ``route``: ``dispatch``, ``spec`` (the
+    plan bound without the kernel library) or ``native`` (with it)."""
+    graph, calib = ptq_golden_float_graph(arch)
+    if precision == "int8":
+        graph = quantize_graph(graph, calib, per_channel=True)
+    x = one_d_inputs(arch, batch)
+    sha = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()  # noqa: E731
+    if route == "dispatch":
+        values = run_graph_dispatch(graph, x, record=True)
+        acts = [values[op.outputs[0]] for op in graph.ops]
+        return {"activations": sha(*acts), "output": sha(values[graph.output_id])}
+    if route == "spec":
+        with mock.patch.object(native, "load", lambda: None):
+            return {"output": sha(run_graph(graph, x))}
+    return {"output": sha(run_graph(graph, x))}
+
+
+@pytest.mark.parametrize("route", ["dispatch", "spec", "native"])
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
+@pytest.mark.parametrize("arch", ["conv1d_stack", "mlp"])
+def test_one_d_family_keeps_its_bytes(arch, precision, batch, route):
+    if route == "native" and native.load() is None:
+        pytest.skip("no C compiler / kernel library")
+    golden = ONE_D_GOLDEN[f"{arch}/{precision}/b{batch}"]
+    got = one_d_digests(arch, precision, batch, route)
+    assert got == {k: golden[k] for k in got}

@@ -1,7 +1,9 @@
 """Direct kernel correctness: each integer kernel vs its float reference
-under controlled quantization, and each float32 conv / dense kernel vs a
-float64 loop-over-taps reference that shares no code with it (the e2e
-oracle runs the runtime's own kernels, so it cannot vouch for them)."""
+under controlled quantization, and each float32 conv kernel vs a float64
+loop-over-taps reference that shares no code with it (the e2e oracle
+runs the runtime's own kernels, so it cannot vouch for them).  The 1-D
+and dense ops, which run on the 2-D kernels through views, are checked
+as one-op graphs through ``run_graph_dispatch`` and ``run_graph``."""
 
 import contextlib
 from unittest import mock
@@ -11,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import sequential_to_graph
+from repro.graph import GOp, Graph, GTensor, sequential_to_graph
 from repro.graph.ops import QuantParams
 from repro.nn.architectures import ds_cnn
 from repro.quantize.fixedpoint import quantize_multiplier
-from repro.runtime import compile_plan, executor, native
+from repro.runtime import compile_plan, executor, native, run_graph, run_graph_dispatch
 from repro.runtime import kernels as K
 
 RNG = np.random.default_rng(0)
@@ -76,23 +78,57 @@ def test_dwconv2d_int8_close_to_float():
     assert np.abs(dequant - ref).max() < 3 * float(oq_p.scale[0]) + 0.02
 
 
+def _layer(opcode, x_shape, y_shape, attrs, consts=(), dtype="float32", x_q=None, y_q=None):
+    """A graph of one ``opcode`` op over per-row ``x_shape``, its
+    constants ``consts`` (weights, bias) given as ``(array, qparams)``."""
+    g = Graph(opcode.lower())
+    xi = g.add_tensor(GTensor("x", x_shape, dtype, quant=x_q))
+    ins = [xi] + [
+        g.add_tensor(GTensor(f"c{i}", c.shape, str(c.dtype), data=c, quant=q))
+        for i, (c, q) in enumerate(consts)
+    ]
+    yi = g.add_tensor(GTensor("y", y_shape, dtype, quant=y_q))
+    g.add_op(GOp(opcode, ins, [yi], attrs))
+    g.input_id, g.output_id = xi, yi
+    return g
+
+
+def _run_layer(graph, x):
+    """``graph`` on ``x`` through ``run_graph_dispatch`` (the spec, op by
+    op) and ``run_graph`` (its plan), which must agree to the byte; ``x``
+    must come back bit-unchanged."""
+    kept = x.copy()
+    got = run_graph_dispatch(graph, x)
+    assert run_graph(graph, x).tobytes() == got.tobytes()
+    assert x.tobytes() == kept.tobytes()
+    return got
+
+
+def _int8_layer_close_to_float(opcode, x, w, b, attrs, ref):
+    """The int8 layer, quantized from float ``x, w, b``, dequantizes to
+    within a few LSB of the float64 reference ``ref``."""
+    xq, wq, bq, xq_p, oq_p, mult, shift = _quantize_conv(x, w, b, ref)
+    wq_p = _qparams_for(w, symmetric=True)
+    bq_p = QuantParams(scale=xq_p.scale * wq_p.scale, zero_point=0)
+    cout = w.shape[-1]
+    attrs = dict(attrs, activation="none", out_mult=[mult] * cout, out_shift=[shift] * cout,
+                 clamp_min=-128, clamp_max=127)
+    consts = ((wq, wq_p), (bq, bq_p))
+    graph = _layer(opcode, x.shape[1:], ref.shape[1:], attrs, consts, "int8", xq_p, oq_p)
+    out_q = _run_layer(graph, xq)
+    assert out_q.dtype == np.int8
+    assert np.abs(oq_p.dequantize(out_q) - ref).max() < 3 * float(oq_p.scale[0]) + 0.02
+
+
 def test_conv1d_int8_close_to_float():
     x, w, b = _conv_setup((2, 12, 3), (3, 3, 5))
-    ref = K.conv1d_f32(x, w, b, 1, (1, 1))
-    xq, wq, bq, xq_p, oq_p, mult, shift = _quantize_conv(x, w, b, ref)
-    out_q = K.conv1d_i8(xq, wq, bq, 1, (1, 1),
-                        in_zp=xq_p.zero_point, out_zp=oq_p.zero_point,
-                        out_mult=[mult] * 5, out_shift=[shift] * 5)
-    assert np.abs(oq_p.dequantize(out_q) - ref).max() < 3 * float(oq_p.scale[0]) + 0.02
+    ref = _ref_conv1d(x, w, b, 1, (1, 1), "none")
+    _int8_layer_close_to_float("CONV_1D", x, w, b, {"stride": 1, "pad": [1, 1]}, ref)
 
 
 def test_fc_int8_close_to_float():
     x, w, b = _conv_setup((4, 10), (10, 6))
-    ref = K.fc_f32(x, w, b)
-    xq, wq, bq, xq_p, oq_p, mult, shift = _quantize_conv(x, w, b, ref)
-    out_q = K.fc_i8(xq, wq, bq, in_zp=xq_p.zero_point, out_zp=oq_p.zero_point,
-                    out_mult=mult, out_shift=shift)
-    assert np.abs(oq_p.dequantize(out_q) - ref).max() < 3 * float(oq_p.scale[0]) + 0.02
+    _int8_layer_close_to_float("FULLY_CONNECTED", x, w, b, {}, _ref_fc(x, w, b, "none"))
 
 
 def test_relu_clamp_matches_float_relu():
@@ -111,7 +147,7 @@ def test_relu_clamp_matches_float_relu():
 def test_avgpool_int8_rounding():
     qp = QuantParams(scale=np.array([0.1]), zero_point=0)
     x = np.array([[[[10], [11]], [[12], [13]]]], dtype=np.int8)
-    out = K.avgpool2d_i8(x, 2)
+    out = K.avgpool2d_i8(x, (2, 2))
     assert out[0, 0, 0, 0] == 12  # (10+11+12+13)/4 = 11.5 -> round 12
 
 
@@ -126,7 +162,7 @@ def test_gap_int8_matches_float_within_lsb():
 
 def test_maxpool_int8_is_exact():
     x = RNG.integers(-128, 128, size=(1, 8, 8, 2)).astype(np.int8)
-    out = K.maxpool2d_i8(x, 2)
+    out = K.maxpool2d_i8(x, (2, 2))
     assert out.dtype == np.int8
     assert out[0, 0, 0, 0] == x[0, :2, :2, 0].max()
 
@@ -230,9 +266,9 @@ def _ref_conv1d(x, w, b, stride, pad, activation):
 
 
 def _ref_fc(x, w, b, activation):
-    out = np.zeros((x.shape[0], w.shape[1]))
+    out = np.zeros(x.shape[:-1] + w.shape[1:])
     for k in range(w.shape[0]):
-        out += x[:, k, None].astype(np.float64) * w[k].astype(np.float64)
+        out += x[..., k, None].astype(np.float64) * w[k].astype(np.float64)
     return _ref_activation(out + b.astype(np.float64), activation)
 
 
@@ -250,6 +286,16 @@ def _assert_f32_kernel(fn, ref_fn, x, *args):
     scale = max(float(np.abs(want).max()), 1.0)
     assert np.abs(got - want).max() <= 1e-5 * scale
     return got
+
+
+def _assert_f32_layer(opcode, x, w, b, attrs, want):
+    """A float32 one-op graph returns the float64 reference ``want``
+    within rtol 1e-5 of its output scale, through dispatch and the plan."""
+    graph = _layer(opcode, x.shape[1:], want.shape[1:], attrs, ((w, None), (b, None)))
+    got = _run_layer(graph, x)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    scale = max(float(np.abs(want).max()), 1.0)
+    assert np.abs(got - want).max() <= 1e-5 * scale
 
 
 def _f32_operands(seed, x_shape, w_shape, cout):
@@ -346,17 +392,49 @@ def test_conv1d_f32_matches_float64_reference(
     if length + sum(pad) < k:
         return
     x, w, b = _f32_operands(seed, (batch, length, cin), (k, cin, cout), cout)
-    _assert_f32_kernel(K.conv1d_f32, _ref_conv1d, x, w, b, stride, pad, activation)
+    attrs = {"stride": stride, "pad": list(pad), "activation": activation}
+    want = _ref_conv1d(x, w, b, stride, pad, activation)
+    _assert_f32_layer("CONV_1D", x, w, b, attrs, want)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    batch=st.integers(1, 5), k=st.integers(1, 40), cout=st.integers(1, 6),
-    activation=st.sampled_from(ACTIVATIONS), seed=st.integers(0, 2**16),
+    batch=st.integers(1, 5), lead=st.sampled_from([(), (3,), (2, 3)]), k=st.integers(1, 40),
+    cout=st.integers(1, 6), activation=st.sampled_from(ACTIVATIONS), seed=st.integers(0, 2**16),
 )
-def test_fc_f32_matches_float64_reference(batch, k, cout, activation, seed):
-    x, w, b = _f32_operands(seed, (batch, k), (k, cout), cout)
-    _assert_f32_kernel(K.fc_f32, _ref_fc, x, w, b, activation)
+def test_fc_f32_matches_float64_reference(batch, lead, k, cout, activation, seed):
+    x, w, b = _f32_operands(seed, (batch, *lead, k), (k, cout), cout)
+    want = _ref_fc(x, w, b, activation)
+    _assert_f32_layer("FULLY_CONNECTED", x, w, b, {"activation": activation}, want)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int8"])
+@pytest.mark.parametrize("length,size", [(11, 3), (8, 2), (5, 5), (4, 1)])
+def test_one_d_pools_match_float64_reference(dtype, length, size):
+    """MAX_POOL_1D and GLOBAL_AVG_POOL_1D one-op graphs, through dispatch
+    and the plan: the max of each window exactly, the float32 mean to
+    float32 rounding, the int8 mean exactly as ``_round_div_i8`` rounds
+    (``tests/test_int8_fastpath.py::test_int8_averages_round_like_tflm``)."""
+    rng = np.random.default_rng(length * 10 + size)
+    qp = QuantParams(scale=np.array([0.1]), zero_point=-3) if dtype == "int8" else None
+    if qp is None:
+        x = (3.0 * rng.standard_normal((3, length, 4))).astype(np.float32)
+    else:
+        x = rng.integers(-128, 128, size=(3, length, 4)).astype(np.int8)
+    ot = length // size
+    windows = x[:, : ot * size].astype(np.float64).reshape(3, ot, size, 4)
+    graph = _layer("MAX_POOL_1D", (length, 4), (ot, 4), {"pool_size": size}, (), dtype, qp, qp)
+    assert np.array_equal(_run_layer(graph, x), windows.max(axis=2))
+    graph = _layer("GLOBAL_AVG_POOL_1D", (length, 4), (4,), {}, (), dtype, qp, qp)
+    got = _run_layer(graph, x)
+    assert got.dtype == x.dtype
+    if qp is None:
+        want = x.astype(np.float64).mean(axis=1)
+        assert np.abs(got - want).max() <= 1e-5 * max(float(np.abs(want).max()), 1.0)
+    else:
+        sums = x.astype(np.int64).sum(axis=1)
+        half = np.where(sums >= 0, length // 2, -(length // 2))
+        assert np.array_equal(got, (sums + half) // length)
 
 
 def test_tall_kernel_takes_the_column_major_gather_and_stays_equal():
@@ -446,10 +524,9 @@ def test_elementwise_f32_kernels_return_float32_and_keep_their_input():
     for out, want in [
         (K.add_f32(x, x, "relu6"), np.clip(2.0 * x.astype(np.float64), 0.0, 6.0)),
         (K.add_f32(x, x), 2.0 * x.astype(np.float64)),
-        (K.avgpool2d_f32(x, 2),
+        (K.avgpool2d_f32(x, (2, 2)),
          x[:, :6, :4].astype(np.float64).reshape(3, 3, 2, 2, 2, 5).mean(axis=(2, 4))),
         (K.gap2d_f32(x), x.astype(np.float64).mean(axis=(1, 2))),
-        (K.gap1d_f32(x[:, :, 0]), x[:, :, 0].astype(np.float64).mean(axis=1)),
     ]:
         assert out.dtype == np.float32 and not np.shares_memory(out, x)
         assert np.allclose(out, want, rtol=1e-5, atol=1e-6)
