@@ -14,7 +14,8 @@ A layered redesign of the platform's programmatic surface:
 - :mod:`repro.api.openapi` — the generated OpenAPI document
   (``GET /v1/openapi.json``) and markdown reference;
 - :mod:`repro.api.http` — real socket serving on a stdlib
-  ``ThreadingHTTPServer`` with chunked job-log streaming.
+  ``HTTPServer`` with reused handler threads and chunked job-log
+  streaming.
 
 ``ApiGateway.handle(method, "/v1/...", body, user=... | token=...)`` is
 the platform's one programmatic surface, in process and over sockets;

@@ -1,4 +1,4 @@
-"""Real HTTP serving for the gateway: stdlib ``ThreadingHTTPServer``.
+"""Real HTTP serving for the gateway, over the stdlib ``http.server``.
 
 ``serve_http(gateway, port)`` exposes every v1 route over sockets —
 JSON bodies in, the JSON envelope out, with the envelope's ``status``
@@ -6,23 +6,32 @@ mirrored as the HTTP status code.  Query parameters on GETs land in the
 request body dict (the schemas coerce the strings).  Streaming routes
 (``GET .../jobs/<jid>/logs``) are sent with ``Transfer-Encoding:
 chunked``, one log line per chunk, so clients can follow a training job
-live.  Wired into the CLI as ``repro-cli serve --http PORT``.
+live; request bodies must be ``Content-Length``-framed.  Each accepted
+connection is served by an idle handler thread, or by a new one when
+none is idle, so ``accept`` never waits and a parked long-poll never
+starves a new connection; a handler thread idle for
+``KEEPALIVE_IDLE_S`` exits.  Wired into the CLI as
+``repro-cli serve --http PORT``.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from collections import deque
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.api.errors import NotFoundError
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Seconds a keep-alive connection may sit idle between requests before
-#: its handler thread hangs up.  It bounds socket waits only: a long-poll
-#: or a log stream waits inside the handler, not on the socket.
+#: its handler thread hangs up, and a handler thread may wait for its
+#: next connection before it exits.  It bounds socket waits only: a
+#: long-poll or a log stream waits inside the handler, not on the socket.
 KEEPALIVE_IDLE_S = 30.0
 
 
@@ -55,7 +64,23 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         return None
 
     def _read_body(self) -> dict | None:
-        """JSON request body; None signals an already-sent 400."""
+        """JSON request body; None signals an already-sent error reply."""
+        # A body framed any other way than by one Content-Length has an
+        # extent this server cannot find: reading a wrong one would run
+        # the rest of the body as a further request on this connection.
+        if "Transfer-Encoding" in self.headers:
+            self._send_json(
+                {"status": 501, "error": "Transfer-Encoding is not supported; "
+                 "send a Content-Length body"},
+                close=True,
+            )
+            return None
+        if len(set(self.headers.get_all("Content-Length", ()))) > 1:
+            self._send_json(
+                {"status": 400, "error": "conflicting Content-Length headers"},
+                close=True,
+            )
+            return None
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except (TypeError, ValueError):
@@ -242,8 +267,15 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
 
-class GatewayHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class GatewayHTTPServer(HTTPServer):
+    """The accept loop plus a pool of reusable handler threads.
+
+    An accepted connection joins ``_pending``; an idle handler thread
+    takes it, and a new thread starts only when none is idle.  Threads
+    are never capped, so connections parked on long-polls or log
+    streams cannot starve new ones.  ``server_close`` also shuts the
+    connections being served and ends the idle threads."""
+
     allow_reuse_address = True
 
     def __init__(self, gateway, address=("127.0.0.1", 0)):
@@ -252,8 +284,75 @@ class GatewayHTTPServer(ThreadingHTTPServer):
             (GatewayRequestHandler,),
             {"gateway": gateway},
         )
+        self._cond = threading.Condition()
+        self._pending: deque[tuple] = deque()  # guarded-by: _cond
+        self._serving: set[socket.socket] = set()  # guarded-by: _cond
+        self._idle = 0  # guarded-by: _cond
+        self._closed = False  # guarded-by: _cond
         super().__init__(address, handler)
         self.gateway = gateway
+
+    def process_request(self, request, client_address):
+        """Hand an accepted connection to a handler thread; never waits."""
+        with self._cond:
+            if self._closed:
+                self.shutdown_request(request)
+                return
+            self._pending.append((request, client_address))
+            if len(self._pending) <= self._idle:
+                self._cond.notify()
+                return
+            threading.Thread(target=self._handler_loop, daemon=True,
+                             name=f"gateway-handler-{self.server_port}").start()
+
+    def _handler_loop(self) -> None:
+        while (conn := self._next_connection()) is not None:
+            request, client_address = conn
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - socketserver's own loop does this
+                self.handle_error(request, client_address)
+            finally:
+                with self._cond:
+                    self._serving.discard(request)
+                self.shutdown_request(request)
+
+    def _next_connection(self) -> tuple | None:
+        """The next accepted connection, or None once the server is
+        closed or none came for ``KEEPALIVE_IDLE_S``."""
+        deadline = time.monotonic() + KEEPALIVE_IDLE_S
+        with self._cond:
+            self._idle += 1
+            try:
+                while not self._pending:
+                    remaining = deadline - time.monotonic()
+                    if self._closed or remaining <= 0:
+                        return None
+                    self._cond.wait(remaining)
+                request, client_address = self._pending.popleft()
+                self._serving.add(request)
+                return request, client_address
+            finally:
+                self._idle -= 1
+
+    def server_close(self):
+        """Stop listening, hang up on every held connection (a handler
+        reading its next request sees EOF, one mid-reply a broken pipe)
+        and wake the idle handler threads so they exit."""
+        super().server_close()
+        with self._cond:
+            self._closed = True
+            for request, _ in self._pending:
+                self.shutdown_request(request)
+            self._pending.clear()
+            # Under the lock: a handler discards its connection here
+            # before closing it, so none of these is closed yet.
+            for request in self._serving:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already reset it
+            self._cond.notify_all()
 
     def handle_error(self, request, client_address):
         # A client that hung up mid-exchange is its own problem, not a

@@ -8,7 +8,9 @@ Every request joins its shard's bounded queue; ``ModelServer(platform,
 placement=...)`` picks who drains it and where the invokes run:
 ``"inline"`` (the submitting caller, in its own thread), ``"thread"``
 (one queue-draining thread per shard) or ``"process"`` (that thread plus
-one :mod:`repro.core.workers` process per shard).  Reached over
+one :mod:`repro.core.workers` process per shard).  A waiting
+``classify`` runs in its caller when its shard is idle, else on the
+shard thread.  Reached over
 ``POST /v1/projects/{pid}/classify`` and ``GET /v1/serving/stats``
 (:mod:`repro.api.resources.serving`), and the ``classify`` / ``serve``
 CLI commands.

@@ -22,10 +22,13 @@ lives here, once:
 ``placement`` picks who drains a shard's queue and where its batches
 run (:mod:`repro.serve.runners`): ``"inline"`` the submitting caller,
 in its own thread; ``"thread"`` one queue-draining thread per shard;
-``"process"`` that thread plus one worker process per shard.  Results are
-bit-identical across placements (int8 exactly; float32 within BLAS
-reassociation, rtol 1e-5).  ``snapshot()`` has one shape on every
-placement and is served at ``GET /v1/serving/stats``.
+``"process"`` that thread plus one worker process per shard.  On the
+last two, ``classify`` / ``classify_batch`` run in the caller when its
+shard is idle, else on the shard thread; ``submit`` always queues for
+the shard thread.  Results are bit-identical across placements (int8
+exactly; float32 within BLAS reassociation, rtol 1e-5).  ``snapshot()``
+has one shape on every placement and is served at
+``GET /v1/serving/stats``.
 """
 
 from __future__ import annotations
@@ -249,8 +252,12 @@ class ModelServer:
         engine: str = "eon",
     ) -> dict:
         """Classify one feature window; returns ``{"classification",
-        "top"}``.  Concurrent callers share batched invokes."""
-        return self.submit(project_id, features, precision, engine).value()
+        "top"}``.  Runs in the calling thread when its shard is idle;
+        otherwise it queues, and concurrent callers share batched
+        invokes."""
+        shard, entry = self._resolve(project_id, precision, engine)
+        row = self._coerce_features(entry, features)
+        return shard.dispatch(entry, [row], caller_waits=True)[0].value()
 
     def classify_batch(
         self,
@@ -270,7 +277,8 @@ class ModelServer:
         # so a malformed row (or a full queue) mid-batch cannot leave
         # earlier rows executing for a request the caller saw fail.
         coerced = self._coerce_batch(entry, feature_rows)
-        return [ticket.value() for ticket in shard.dispatch(entry, coerced)]
+        tickets = shard.dispatch(entry, coerced, caller_waits=True)
+        return [ticket.value() for ticket in tickets]
 
     # -- execution (shared by every placement) -----------------------------
 
@@ -278,8 +286,8 @@ class ModelServer:
         self, shard: _Shard, entry: _CacheEntry, stacked: np.ndarray
     ) -> list[dict]:
         """One batched invoke on ``shard``'s runner -> one result dict per
-        row.  Called from the shard's drain (the daemon thread, or the
-        inline caller); never while holding a shard lock."""
+        row.  Called from a drain (the shard's daemon thread, or a
+        caller); never while holding a shard lock."""
         telemetry = self.telemetry
         start = time.perf_counter() if telemetry is not None else 0.0
         try:

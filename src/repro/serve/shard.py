@@ -5,15 +5,18 @@ disjoint slice of the compiled-model cache (its own LRU + lock), so
 cache state never needs cross-partition coherence and a cold compile on
 one shard never blocks admission on another.  A :class:`_Shard` is that
 partition plus its bounded request queue and the one batching loop:
-every request, on every placement, is admitted to the queue as a
-:class:`PendingResult` ticket, and :meth:`_Shard._drain` gulps the
-queue, groups the gulp by admitted model and executes one batched
-invoke per ``max_batch`` chunk — so a flood of requests gets the
+every request, on every placement, is admitted as a
+:class:`PendingResult` ticket, and a drain gulps the queue, groups the
+gulp by admitted model and executes one batched invoke per
+``max_batch`` chunk — so a flood of requests gets the
 micro-batching amortization without callers coordinating.  Placement
-decides only who calls ``_drain``: one daemon thread per shard on
-``thread`` / ``process``, the submitting caller itself on ``inline``
-(no thread hop; concurrent callers ride along in whichever drain
-claims their tickets).
+decides only who runs a group: on ``inline`` the submitting caller
+drains the queue itself (concurrent callers ride along in whichever
+drain claims their tickets); on ``thread`` / ``process`` one daemon
+thread per shard drains it, except that a caller who waits for its
+result anyway (``classify``, ``classify_batch``) runs its own group in
+its own thread when the shard is idle — queue empty, no drain running —
+so a lone request takes no thread hop.  ``submit()`` always queues.
 
 A chunk executes through ``server._serve_chunk`` on the shard's runner
 (:mod:`repro.serve.runners`), so counters, telemetry and result shaping
@@ -103,6 +106,10 @@ class _Shard:
         self._queue: deque[PendingResult] = deque()  # guarded-by: _cond
         self._thread: threading.Thread | None = None  # guarded-by: _cond
         self._stop = False  # guarded-by: _cond
+        # Drains claimed and not yet served: the shard thread's, and those
+        # of callers running their own group on an idle shard (inline
+        # drains are not counted: nothing reads the count there).
+        self._draining = 0  # guarded-by: _cond
         # ``requests`` counts rows that reached execution; ``batches`` /
         # ``batched_requests`` only successful invokes (failed ones tick
         # ``batch_errors``), so mean_batch_size stays a statement about
@@ -147,11 +154,15 @@ class _Shard:
 
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch(self, entry: _CacheEntry, rows) -> list[PendingResult]:
+    def dispatch(self, entry: _CacheEntry, rows,
+                 caller_waits: bool = False) -> list[PendingResult]:
         """Admit coerced ``rows`` as one all-or-nothing group; returns one
         ticket per row.  On ``inline`` the caller then drains the queue
         itself, so its tickets come back resolved — or claimed by a
-        concurrent caller's drain, which always resolves what it claims."""
+        concurrent caller's drain, which always resolves what it claims.
+        ``caller_waits`` (the caller blocks on the tickets anyway) runs
+        the group in the calling thread when the shard is idle; with a
+        backlog or a drain in flight it queues for the shard thread."""
         tickets = [PendingResult(row, entry) for row in rows]
         inline = self.server.placement == "inline"
         with self._cond:
@@ -161,47 +172,88 @@ class _Shard:
                 raise ServingOverloadedError(
                     f"{self.name} queue full ({self.server.max_queue} requests)"
                 )
-            self._queue.extend(tickets)
-            if not inline:
-                if self._thread is None or not self._thread.is_alive():
-                    self._thread = threading.Thread(
-                        target=self._worker, name=f"serve-{self.name}", daemon=True
-                    )
-                    self._thread.start()
-                self._cond.notify()
-        if inline:
+            if not inline and (self._thread is None or not self._thread.is_alive()):
+                # Started at the first dispatch, even one the caller runs,
+                # so a later burst of submit()s finds it parked and is
+                # served as one gulp.
+                self._thread = threading.Thread(
+                    target=self._worker, name=f"serve-{self.name}", daemon=True
+                )
+                self._thread.start()
+            here = (caller_waits and not inline and not self._queue
+                    and not self._draining)
+            if here:
+                self.drains += 1
+                self.grouped_batches += 1
+                self._draining += 1
+            else:
+                self._queue.extend(tickets)
+                if not inline:
+                    self._cond.notify()
+        if here:
+            try:
+                self._serve(tickets, [tickets])
+            finally:
+                with self._cond:
+                    self._drained_locked()
+        elif inline:
             self._drain()
         return tickets
 
     def _worker(self) -> None:
-        while True:
-            with self._cond:
+        with self._cond:
+            while True:
                 while not self._queue:
                     if self._stop:
                         return
                     self._cond.wait()
-            self._drain()
+                gulp, groups = self._gulp_locked()
+                self._draining += 1
+                # Served outside the lock; retaking it both ends this
+                # drain and checks the queue again, so a flood costs the
+                # shard thread one lock round-trip per gulp.
+                self._cond.release()
+                try:
+                    self._serve(gulp, groups)
+                finally:
+                    self._cond.acquire()
+                    self._drained_locked()
+
+    def _drained_locked(self) -> None:
+        self._draining -= 1
+        if self._stop:
+            self._cond.notify_all()  # stop() waits for the last drain
 
     def _drain(self) -> None:
-        """Gulp everything queued right now — the whole point is to turn
-        a backlog into few big invokes — and serve it."""
+        """The inline caller's drain: gulp everything queued right now
+        and serve it."""
         with self._cond:
             if not self._queue:
                 return  # another caller's drain (or stop) has the tickets
-            gulp = list(self._queue)
-            self._queue.clear()
-            # Group the gulp by admitted cache entry (stable order).
-            # Grouping on the entry (not just the key) keeps requests
-            # admitted across a retrain boundary on the model they were
-            # validated against.
-            groups: dict[int, list[PendingResult]] = {}
-            for ticket in gulp:
-                groups.setdefault(id(ticket.entry), []).append(ticket)
-            self.drains += 1
-            self.grouped_batches += len(groups)
+            gulp, groups = self._gulp_locked()
+        self._serve(gulp, groups)
+
+    def _gulp_locked(self) -> tuple[list[PendingResult], list]:
+        """Claim everything queued — the whole point is to turn a backlog
+        into few big invokes — grouped by admitted cache entry (stable
+        order).  Grouping on the entry (not just the key) keeps requests
+        admitted across a retrain boundary on the model they were
+        validated against."""
+        gulp = list(self._queue)
+        self._queue.clear()
+        groups: dict[int, list[PendingResult]] = {}
+        for ticket in gulp:
+            groups.setdefault(id(ticket.entry), []).append(ticket)
+        self.drains += 1
+        self.grouped_batches += len(groups)
+        return gulp, list(groups.values())
+
+    def _serve(self, gulp: list[PendingResult], groups) -> None:
+        """Execute a claimed gulp, one invoke per ``max_batch`` chunk of
+        each group."""
         max_batch = self.server.max_batch
         try:
-            for tickets in groups.values():
+            for tickets in groups:
                 for i in range(0, len(tickets), max_batch):
                     self._execute(tickets[i:i + max_batch])
         finally:
@@ -229,7 +281,9 @@ class _Shard:
     def stop(self) -> None:
         # Claim the leftover queue under the lock so a still-running
         # drain can never see (or double-resolve) these tickets; an
-        # in-flight gulp completes normally (and the thread then exits).
+        # in-flight gulp completes normally (the thread then exits, and
+        # a caller running its own group finishes it) before the runner
+        # closes.
         with self._cond:
             self._stop = True
             leftovers = list(self._queue)
@@ -240,6 +294,8 @@ class _Shard:
             ticket.resolve(error=ServingError(f"{self.name} shut down"))
         if thread is not None:
             thread.join(timeout=5.0)
+        with self._cond:
+            self._cond.wait_for(lambda: not self._draining, timeout=5.0)
         self.runner.close()
 
     # -- counters ----------------------------------------------------------

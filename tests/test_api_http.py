@@ -616,6 +616,152 @@ def test_vanished_client_prints_no_traceback(server, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _handler_threads(srv) -> list:
+    return [t for t in threading.enumerate()
+            if t.name == f"gateway-handler-{srv.server_port}"]
+
+
+def _raw_post_projects(platform, *framing: str, body: bytes) -> bytes:
+    return ("POST /v1/projects HTTP/1.1\r\nHost: test\r\n"
+            f"Authorization: Bearer {platform.issue_token('alice')}\r\n"
+            "Content-Type: application/json\r\n"
+            + "".join(f"{line}\r\n" for line in framing)
+            + "\r\n").encode("ascii") + body
+
+
+def test_a_chunked_request_body_is_a_501_that_closes(server):
+    """The body used to be ignored (the POST ran with ``{}``) and its
+    chunk bytes were then parsed as the next request."""
+    platform, srv = server
+    body = json.dumps({"name": "chunked"}).encode()
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    before = srv.gateway.metrics.requests
+    with _connect(srv) as sock:
+        sock.sendall(_raw_post_projects(
+            platform, "Transfer-Encoding: chunked", body=chunked))
+        status, reply = _read_reply(sock)
+        assert status == 501
+        assert "Transfer-Encoding" in json.loads(reply)["error"]
+        assert sock.recv(65536) == b""  # Connection: close, no second reply
+    assert srv.gateway.metrics.requests == before
+    assert platform.projects == {}
+
+
+def test_conflicting_content_lengths_are_a_400_that_closes(server):
+    """The first header used to win, so the rest of the body ran as a
+    second, smuggled request."""
+    platform, srv = server
+    body = json.dumps({"name": "first"}).encode()
+    smuggled = (f"GET /v1/projects HTTP/1.1\r\nHost: test\r\n"
+                f"Authorization: Bearer {platform.issue_token('alice')}\r\n"
+                f"\r\n").encode("ascii")
+    before = srv.gateway.metrics.requests
+    with _connect(srv) as sock:
+        sock.sendall(_raw_post_projects(
+            platform, f"Content-Length: {len(body)}",
+            f"Content-Length: {len(body) + len(smuggled)}",
+            body=body + smuggled))
+        status, reply = _read_reply(sock)
+        assert status == 400
+        assert json.loads(reply)["error"] == "conflicting Content-Length headers"
+        assert sock.recv(65536) == b""
+    assert srv.gateway.metrics.requests == before
+    assert platform.projects == {}
+
+    # A repeated, agreeing Content-Length is one length, not a conflict.
+    with _connect(srv) as sock:
+        sock.sendall(_raw_post_projects(
+            platform, *[f"Content-Length: {len(body)}"] * 2, body=body))
+        assert _read_reply(sock)[0] == 200
+    assert [p.name for p in platform.projects.values()] == ["first"]
+
+
+def test_new_connections_reuse_idle_handler_threads(server):
+    """A new connection per request used to start a thread per
+    connection; an idle handler thread now takes the next one, so once
+    the previous connection's thread is parked, one thread serves all."""
+    platform, srv = server
+    pid = platform.create_project("reused", owner="alice").project_id
+    request = (f"GET /v1/projects/{pid} HTTP/1.1\r\nHost: test\r\n"
+               f"Authorization: Bearer {platform.issue_token('alice')}\r\n"
+               f"Connection: close\r\n\r\n").encode("ascii")
+    most = 0
+    for _ in range(50):
+        with _connect(srv) as sock:
+            sock.sendall(request)
+            status, reply = _read_reply(sock)
+            assert sock.recv(1) == b""
+        assert status == 200
+        assert json.loads(reply)["data"]["name"] == "reused"
+        most = max(most, len(_handler_threads(srv)))
+        deadline = time.monotonic() + 5.0
+        while not srv._idle and time.monotonic() < deadline:
+            time.sleep(0.001)
+    assert most == 1
+
+
+def test_handler_threads_under_concurrent_new_connections(server):
+    """8 clients, a new connection per request, a short switch interval:
+    every request is answered (a stranded connection would time out) and
+    afterwards every handler thread is parked, none double-counted."""
+    import sys
+
+    platform, srv = server
+    pid = platform.create_project("stress", owner="alice").project_id
+    request = (f"GET /v1/projects/{pid} HTTP/1.1\r\nHost: test\r\n"
+               f"Authorization: Bearer {platform.issue_token('alice')}\r\n"
+               f"Connection: close\r\n\r\n").encode("ascii")
+    replies, errors = [], []
+
+    def client():
+        try:
+            for _ in range(10):
+                with _connect(srv) as sock:
+                    sock.sendall(request)
+                    replies.append(_read_reply(sock))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients) and errors == []
+    assert len(replies) == 80
+    assert all(status == 200 and json.loads(body)["data"]["name"] == "stress"
+               for status, body in replies)
+    deadline = time.monotonic() + 5.0
+    while srv._idle != len(_handler_threads(srv)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert srv._idle == len(_handler_threads(srv)) >= 1
+    assert not srv._pending and not srv._serving
+
+
+def test_a_closed_gateway_stops_serving_pooled_connections(server, client):
+    """``server_close`` used to leave a pooled keep-alive connection
+    served — a POST on it after close still created a project — and its
+    handler thread alive for ``KEEPALIVE_IDLE_S``."""
+    platform, srv = server
+    pid = client.create_project("before-close")["project_id"]
+    assert len(client._idle) == 1 and _handler_threads(srv)
+    srv.shutdown()
+    srv.server_close()
+    with pytest.raises(ClientError) as err:
+        client.create_project("after-close")
+    assert err.value.status == 599  # a transport failure
+    assert list(platform.projects) == [pid]
+    deadline = time.monotonic() + 5.0
+    while _handler_threads(srv) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _handler_threads(srv) == []
+
+
 # -- packed float32 feature payloads -------------------------------------------
 #
 # ``features_b64`` / ``batch_b64`` carry the float32 values the list form

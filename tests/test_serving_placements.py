@@ -9,6 +9,7 @@ respawn) lives in test_sharded_serving.py / test_process_serving.py.
 
 import contextlib
 import threading
+import time
 import zlib
 
 from types import SimpleNamespace
@@ -414,6 +415,146 @@ def test_close_fails_queued_tickets_and_rejects_new(platform, placement,
     with pytest.raises(ServingError, match="shut down"):
         server.classify_batch(pid, list(x[:2]))
     server.close()  # idempotent
+
+
+def runner_spy(shard, monkeypatch) -> list[int]:
+    """The thread idents that invoke ``shard``'s runner, in order."""
+    threads = []
+    run = shard.runner.run
+
+    def spy(model, stacked):
+        threads.append(threading.get_ident())
+        return run(model, stacked)
+
+    monkeypatch.setattr(shard.runner, "run", spy)
+    return threads
+
+
+def test_classify_on_an_idle_shard_runs_in_its_caller(
+        platform, placement, tiny_classification_problem, monkeypatch):
+    """A caller who waits for its result anyway takes no thread hop when
+    its shard is idle — yet the shard thread is started all the same."""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    want = ModelServer(platform).classify_batch(pid, list(x[:3]))
+    with make_server(platform, placement, workers=1) as server:
+        shard = server.shards[0]
+        ran_on = runner_spy(shard, monkeypatch)
+        assert server.classify(pid, x[0]) == want[0]
+        assert server.classify_batch(pid, list(x[:3])) == want
+        assert ran_on == [threading.get_ident()] * 2
+        assert placement == "inline" or shard._thread.is_alive()
+        assert shard.counters()["drains"] == 2
+
+
+def test_classify_behind_a_parked_drain_runs_on_the_shard_thread(
+        platform, placement, tiny_classification_problem, monkeypatch):
+    if placement == "inline":
+        pytest.skip("inline has no shard thread")
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    want = ModelServer(platform).classify(pid, x[1])
+    with make_server(platform, placement, workers=1) as server:
+        server.classify(pid, x[0])  # warm
+        shard = server.shards[0]
+        ran_on = runner_spy(shard, monkeypatch)
+        box = []
+        with parked_drain(server, pid, x[0]) as (gate, in_flight):
+            caller = threading.Thread(
+                target=lambda: box.append(server.classify(pid, x[1])))
+            caller.start()
+            deadline = time.monotonic() + 10
+            while shard.counters()["queue_depth"] < 1:
+                assert time.monotonic() < deadline, "the classify never queued"
+                time.sleep(0.001)
+            gate.set()
+            caller.join(10)
+            in_flight()
+        assert box == [want]
+        assert ran_on == [shard._thread.ident] * 2
+
+
+def test_a_submit_flood_is_still_drained_by_the_shard_thread(
+        platform, placement, tiny_classification_problem, monkeypatch):
+    if placement == "inline":
+        pytest.skip("inline has no shard thread")
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    want = ModelServer(platform).classify_batch(pid, list(x[:10]))
+    with make_server(platform, placement, workers=1) as server:
+        server.classify(pid, x[0])  # warm
+        shard = server.shards[0]
+        ran_on = runner_spy(shard, monkeypatch)
+        with parked_drain(server, pid, x[0]) as (gate, in_flight):
+            tickets = [server.submit(pid, row) for row in x[:10]]
+        assert [t.value() for t in tickets] == want
+        in_flight()
+        assert set(ran_on) == {shard._thread.ident}
+        assert server.snapshot()["mean_batch_size"] > 1
+
+
+def test_concurrent_classify_callers_under_a_short_switch_interval(
+        platform, placement, tiny_classification_problem):
+    """8 threads classify on one shard at once, so callers race for the
+    idle shard and the shard thread: every result is right, every row
+    is counted once, and the shard ends idle with nothing queued."""
+    import sys
+
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    want = ModelServer(platform).classify_batch(pid, list(x[:8]))
+    got, errors = {}, []
+    with make_server(platform, placement, workers=1) as server:
+        server.classify(pid, x[0])  # warm
+
+        def caller(k):
+            try:
+                got[k] = [server.classify(pid, x[k]) for _ in range(10)]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert all(got[k] == [want[k]] * 10 for k in range(8))
+        shard = server.shards[0]
+        assert shard.counters()["requests"] == 81
+        assert shard.counters()["queue_depth"] == 0
+        with shard._cond:
+            assert shard._draining == 0
+
+
+def test_close_waits_for_a_request_running_in_its_caller(
+        platform, placement, tiny_classification_problem):
+    """The runner closes only after a caller's own drain has finished."""
+    x, _ = tiny_classification_problem
+    pid = next(iter(platform.projects))
+    server = make_server(platform, placement, workers=1)
+    want = server.classify(pid, x[0])
+    shard = server.shards[0]
+    gate, entered = threading.Event(), threading.Event()
+    run = shard.runner.run
+    shard.runner.run = lambda model, stacked: (
+        entered.set(), gate.wait(10), run(model, stacked))[2]
+    box = []
+    caller = threading.Thread(target=lambda: box.append(server.classify(pid, x[0])))
+    caller.start()
+    try:
+        assert entered.wait(10)
+        threading.Timer(0.2, gate.set).start()
+        server.close()
+        caller.join(10)
+    finally:
+        gate.set()
+    assert box == [want]
 
 
 def test_shard_index_is_stable_crc32(platform, placement):
