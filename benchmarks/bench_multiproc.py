@@ -4,7 +4,8 @@ Measures what the cross-process execution plane buys: a flood of
 independent classify requests over several projects, served by
 ``ModelServer(placement="process")`` worker *processes* (batched queue
 gulps, frame-protocol transport) vs. the same flood pushed one-at-a-time
-through an inline ``ModelServer``.
+through a default one-shard ``ModelServer``, whose idle shard runs each
+``classify`` in its caller.
 
 On a single-core runner the speedup comes from the same place the
 threaded tier's does — queue gulps turn N requests into few big

@@ -147,8 +147,7 @@ def register(router) -> None:
         cache_ttl_s=0.5,
         response={"description": "Server-wide serving counters plus the "
                                  "per-shard breakdown; the same shape on "
-                                 "every placement (per_shard is empty for "
-                                 "inline)",
+                                 "every placement",
                   "fields": ("name", "requests", "batches", "batched_requests",
                              "batch_errors", "mean_batch_size", "cache_size",
                              "cache_hits", "cache_misses", "cache_evictions",

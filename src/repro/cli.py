@@ -277,10 +277,10 @@ def _cmd_classify(args) -> int:
 
     from repro.serve import ModelServer
 
-    server = ModelServer.for_project(project)
-    if not _classify_files(project, server, args):
-        return 1
-    stats = server.snapshot()
+    with ModelServer.for_project(project) as server:
+        if not _classify_files(project, server, args):
+            return 1
+        stats = server.snapshot()
     print(f"served {stats['requests']} window(s) in {stats['batches']} batch(es), "
           f"mean batch size {stats['mean_batch_size']:.1f}")
     return 0
@@ -417,9 +417,6 @@ def _cmd_monitor(args) -> int:
 
     platform = SimpleNamespace(projects={project.project_id: project}, fleet=None)
     service = MonitorService(platform)
-    server = ModelServer.for_project(project)
-    server.telemetry = service.telemetry
-
     samples = project.dataset.samples()[: args.windows]
     if not samples:
         print("project has no data to replay")
@@ -440,33 +437,35 @@ def _cmd_monitor(args) -> int:
         "auto_rollout": False,
     })
     baseline = [first_window(s) for s in samples]
-    server.classify_batch(pid, baseline, precision=args.precision,
-                          engine=args.engine)
-    service.set_reference(pid)
-    print(f"baseline: served {len(baseline)} window(s), reference pinned")
+    with ModelServer.for_project(project) as server:
+        server.telemetry = service.telemetry
+        server.classify_batch(pid, baseline, precision=args.precision,
+                              engine=args.engine)
+        service.set_reference(pid)
+        print(f"baseline: served {len(baseline)} window(s), reference pinned")
 
-    # Drift in the raw domain, classify through the serving layer, and
-    # push one device-style record per input that *retains the raw
-    # recording* — exactly what a monitored fleet device emits, and what
-    # the auto-retrain loop routes back through the ingestion service.
-    server.telemetry = None  # the push below is the drift-phase record
-    rng = np.random.default_rng(0)
-    version = model_version_of(project)
-    for s in samples:
-        drifted = (s.data * args.drift_gain
-                   + rng.normal(0, args.drift_noise, size=s.data.shape)
-                   ).astype(np.float32)
-        row = first_window(Sample(data=drifted, label="?"))
-        result = server.classify(pid, row, precision=args.precision,
-                                 engine=args.engine)
-        ranked = sorted(result["classification"].values(), reverse=True)
-        service.telemetry.record(TelemetryRecord(
-            pid, model_version=version, top=result["top"],
-            confidence=ranked[0],
-            margin=ranked[0] - ranked[1] if len(ranked) > 1 else ranked[0],
-            sketch=feature_sketch(row.reshape(1, -1))[0],
-            raw=drifted, source="cli-replay",
-        ))
+        # Drift in the raw domain, classify through the serving layer, and
+        # push one device-style record per input that *retains the raw
+        # recording* — exactly what a monitored fleet device emits, and what
+        # the auto-retrain loop routes back through the ingestion service.
+        server.telemetry = None  # the push below is the drift-phase record
+        rng = np.random.default_rng(0)
+        version = model_version_of(project)
+        for s in samples:
+            drifted = (s.data * args.drift_gain
+                       + rng.normal(0, args.drift_noise, size=s.data.shape)
+                       ).astype(np.float32)
+            row = first_window(Sample(data=drifted, label="?"))
+            result = server.classify(pid, row, precision=args.precision,
+                                     engine=args.engine)
+            ranked = sorted(result["classification"].values(), reverse=True)
+            service.telemetry.record(TelemetryRecord(
+                pid, model_version=version, top=result["top"],
+                confidence=ranked[0],
+                margin=ranked[0] - ranked[1] if len(ranked) > 1 else ranked[0],
+                sketch=feature_sketch(row.reshape(1, -1))[0],
+                raw=drifted, source="cli-replay",
+            ))
     print(f"injected {len(samples)} drifted recording(s) "
           f"(gain {args.drift_gain}, noise {args.drift_noise})")
 

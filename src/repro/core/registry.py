@@ -65,21 +65,14 @@ class Platform:
         # placement.  ``serving_workers > 1`` partitions the model cache
         # across that many shard workers; ``serving_backend="process"``
         # runs those shards as worker *processes* (repro.core.workers),
-        # so invokes execute on real cores instead of sharing one GIL;
-        # one thread worker needs no hop at all, so it serves inline.
+        # so invokes execute on real cores instead of sharing one GIL.
         if serving_backend not in ("thread", "process"):
             raise ValueError(
                 f"unknown serving_backend {serving_backend!r}; "
                 f"expected 'thread' or 'process'"
             )
-        workers = max(serving_workers, 1)
         self.serving = ModelServer(
-            self,
-            placement=(
-                "inline" if serving_backend == "thread" and workers == 1
-                else serving_backend
-            ),
-            workers=workers,
+            self, placement=serving_backend, workers=max(serving_workers, 1)
         )
         # The device fleet + its rollout executor (paper Sec. 8.2): OTA
         # updates run as staged jobs, not inline with the API request.

@@ -4,13 +4,12 @@ The hosted platform serves inference for thousands of projects behind a
 REST API; this package is that tier.  :class:`ModelServer` compiles each
 (project, precision, engine) once into a plan-backed model, caches it in
 a sharded LRU, and coalesces classify requests into batched invokes.
-Every request joins its shard's bounded queue; ``ModelServer(platform,
-placement=...)`` picks who drains it and where the invokes run:
-``"inline"`` (the submitting caller, in its own thread), ``"thread"``
-(one queue-draining thread per shard) or ``"process"`` (that thread plus
-one :mod:`repro.core.workers` process per shard).  A waiting
-``classify`` runs in its caller when its shard is idle, else on the
-shard thread.  Reached over
+Every request joins its shard's bounded queue, drained by one thread
+per shard; ``ModelServer(platform, placement=...)`` picks where the
+invokes run: ``"thread"`` (in this process) or ``"process"`` (in one
+:mod:`repro.core.workers` process per shard).  A waiting ``classify``
+runs in its caller when its shard is idle, else on the shard thread.
+Reached over
 ``POST /v1/projects/{pid}/classify`` and ``GET /v1/serving/stats``
 (:mod:`repro.api.resources.serving`), and the ``classify`` / ``serve``
 CLI commands.

@@ -12,8 +12,8 @@ owns one:
 - ``warm(model)`` / ``status()`` / ``close()`` — eager load, snapshot
   extras, teardown.
 
-:class:`LocalRunner` executes in the calling thread (the ``inline`` and
-``thread`` placements); :class:`WorkerRunner` drives a worker *process*
+:class:`LocalRunner` executes in the calling thread (the ``thread``
+placement); :class:`WorkerRunner` drives a worker *process*
 (:mod:`repro.core.workers`) over the frame protocol, so invokes run on
 real cores instead of time-slicing one GIL.  Both execute the same
 compiled plan on the same stacked rows, so results are bit-identical.
@@ -36,6 +36,10 @@ from repro.graph.serialize import graph_to_bytes
 from repro.runtime.eon import EONCompiler
 from repro.runtime.interpreter import TFLMInterpreter
 from repro.serve.shard import ServingError
+
+#: Seconds a worker process may take over one ``load_model`` or
+#: ``classify`` exchange before it is killed and the batch fails.
+REQUEST_TIMEOUT_S = 120.0
 
 
 class LocalRunner:
@@ -89,18 +93,14 @@ class WorkerRunner:
     batch fails with a clean :class:`ServingError` (callers never hang),
     and the next batch gets a fresh process that reloads models lazily.
     A model the worker's own LRU evicted is reloaded and the batch
-    retried once.
+    retried once.  Heartbeats use :class:`WorkerHandle`'s defaults; every
+    exchange waits at most :data:`REQUEST_TIMEOUT_S`.
     """
 
-    def __init__(self, name: str, heartbeat_s: float,
-                 heartbeat_timeout_s: float, request_timeout_s: float):
+    def __init__(self, name: str):
         self.name = name
-        self.request_timeout_s = request_timeout_s
         self._model_ids = itertools.count(1)
-        self._pool = WorkerPool(
-            1, name=name, heartbeat_s=heartbeat_s,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-        )
+        self._pool = WorkerPool(1, name=name)
 
     def build(self, graph, engine: str) -> _RemoteModel:
         return _RemoteModel(next(self._model_ids), engine, graph_to_bytes(graph))
@@ -111,7 +111,7 @@ class WorkerRunner:
                 "load_model",
                 {"model_id": model.model_id, "engine": model.engine},
                 (model.graph_blob,),
-                timeout=self.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
             model.loaded_on = handle
 
@@ -130,7 +130,7 @@ class WorkerRunner:
         self._load(handle, model)
         try:
             result, out_blobs = handle.request(
-                "classify", params, (blob,), timeout=self.request_timeout_s
+                "classify", params, (blob,), timeout=REQUEST_TIMEOUT_S
             )
         except WorkerError as exc:
             if exc.remote_type != "LookupError":
@@ -139,7 +139,7 @@ class WorkerRunner:
             model.loaded_on = None
             self._load(handle, model)
             result, out_blobs = handle.request(
-                "classify", params, (blob,), timeout=self.request_timeout_s
+                "classify", params, (blob,), timeout=REQUEST_TIMEOUT_S
             )
         return unpack_array(result["probs"], out_blobs[0])
 

@@ -19,16 +19,14 @@ lives here, once:
   one invoke on the shard's runner, the result-row-count guard, label
   ordering, result shaping, counters and telemetry.
 
-``placement`` picks who drains a shard's queue and where its batches
-run (:mod:`repro.serve.runners`): ``"inline"`` the submitting caller,
-in its own thread; ``"thread"`` one queue-draining thread per shard;
-``"process"`` that thread plus one worker process per shard.  On the
-last two, ``classify`` / ``classify_batch`` run in the caller when its
-shard is idle, else on the shard thread; ``submit`` always queues for
-the shard thread.  Results are bit-identical across placements (int8
-exactly; float32 within BLAS reassociation, rtol 1e-5).  ``snapshot()``
-has one shape on every placement and is served at
-``GET /v1/serving/stats``.
+Every shard has one queue-draining thread; ``placement`` picks where its
+batches run (:mod:`repro.serve.runners`): ``"thread"`` in this process,
+``"process"`` in one worker process per shard.  ``classify`` /
+``classify_batch`` run in the caller when its shard is idle, else on
+the shard thread; ``submit`` always queues for the shard thread.
+Results are bit-identical across placements (int8 exactly; float32
+within BLAS reassociation, rtol 1e-5).  ``snapshot()`` has one shape on
+every placement and is served at ``GET /v1/serving/stats``.
 """
 
 from __future__ import annotations
@@ -47,13 +45,13 @@ from repro.serve.shard import PendingResult, ServingError, _CacheEntry, _Shard
 
 ENGINES = ("eon", "tflm")
 PRECISIONS = ("float32", "int8")
-PLACEMENTS = ("inline", "thread", "process")
+PLACEMENTS = ("thread", "process")
 
 #: Dimensionality of the per-inference feature sketch telemetry carries.
 SKETCH_DIM = 8
 
-#: Default ``name`` per placement; shards are named ``<name>-<index>``.
-_DEFAULT_NAMES = {"inline": "server", "thread": "shard", "process": "proc-shard"}
+#: Server name per placement; shards are named ``<name>-<index>``.
+_NAMES = {"thread": "shard", "process": "proc-shard"}
 
 #: Per-shard counters that ``snapshot()`` sums into server-wide totals.
 _SUMMED = (
@@ -71,60 +69,46 @@ class ModelServer:
     """Batched serving over compiled models with a sharded LRU cache.
 
     ``cache_size`` and ``max_queue`` are per shard; ``max_batch`` caps
-    every batched invoke on every placement.  The three timeouts only
-    apply to ``placement="process"`` (worker heartbeat / request kill).
+    every batched invoke on every placement.
     """
 
     def __init__(
         self,
         platform,
-        placement: str = "inline",
+        placement: str = "thread",
         workers: int = 1,
         cache_size: int = 8,
         max_batch: int = 32,
         max_queue: int = 4096,
-        name: str | None = None,
-        heartbeat_s: float = 5.0,
-        heartbeat_timeout_s: float = 15.0,
-        request_timeout_s: float = 120.0,
     ):
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; expected {PLACEMENTS}")
-        if workers < 1 or (placement == "inline" and workers != 1):
-            raise ValueError(
-                "workers must be >= 1 (and exactly 1 for placement='inline', "
-                "which runs in the caller's thread)"
-            )
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        if max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
         self.platform = platform
         self.placement = placement
         self.workers = workers
         self.cache_size = cache_size
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.name = name or _DEFAULT_NAMES[placement]
+        self.name = _NAMES[placement]
         # Optional monitoring sink (a repro.monitor TelemetryStore).  When
         # None — the default — the serving path pays one attribute test
         # per batch and nothing else.  Emission is always parent-side, so
         # the process placement monitors exactly like the others.
         self.telemetry = None
 
-        def runner(shard_name: str):
-            if placement != "process":
-                return LocalRunner()
-            return WorkerRunner(shard_name, heartbeat_s,
-                                heartbeat_timeout_s, request_timeout_s)
-
-        shard_names = (
-            [self.name] if placement == "inline"
-            else [f"{self.name}-{i}" for i in range(workers)]
-        )
+        names = [f"{self.name}-{index}" for index in range(workers)]
         self.shards = [
-            _Shard(self, index, shard_name, runner(shard_name))
-            for index, shard_name in enumerate(shard_names)
+            _Shard(self, index, name,
+                   WorkerRunner(name) if placement == "process" else LocalRunner())
+            for index, name in enumerate(names)
         ]
 
     @classmethod
@@ -238,9 +222,9 @@ class ModelServer:
         engine: str = "eon",
     ) -> PendingResult:
         """Admit one request; returns a ticket whose ``value()`` blocks
-        for the result dict (inline tickets have been drained already).
-        Raises eagerly (``ServingError`` / ``KeyError``) on bad requests
-        and when the owning shard's queue is full."""
+        for the result dict.  Raises eagerly (``ServingError`` /
+        ``KeyError``) on bad requests and when the owning shard's queue
+        is full."""
         shard, entry = self._resolve(project_id, precision, engine)
         return shard.dispatch(entry, [self._coerce_features(entry, features)])[0]
 
@@ -287,7 +271,7 @@ class ModelServer:
     ) -> list[dict]:
         """One batched invoke on ``shard``'s runner -> one result dict per
         row.  Called from a drain (the shard's daemon thread, or a
-        caller); never while holding a shard lock."""
+        caller on an idle shard); never while holding a shard lock."""
         telemetry = self.telemetry
         start = time.perf_counter() if telemetry is not None else 0.0
         try:
@@ -354,8 +338,7 @@ class ModelServer:
     # -- observability / lifecycle -----------------------------------------
 
     def snapshot(self) -> dict:
-        """Server-wide totals plus the per-shard breakdown (empty on
-        ``inline``, whose single partition *is* the total)."""
+        """Server-wide totals plus the per-shard breakdown."""
         per_shard = [shard.counters() for shard in self.shards]
         total = {k: sum(s[k] for s in per_shard) for k in _SUMMED}
         total["mean_batch_size"] = (
@@ -364,7 +347,7 @@ class ModelServer:
         total["name"] = self.name
         total["workers"] = self.workers
         total["backend"] = self.placement
-        total["per_shard"] = [] if self.placement == "inline" else per_shard
+        total["per_shard"] = per_shard
         return total
 
     def close(self) -> None:

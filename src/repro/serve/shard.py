@@ -9,14 +9,12 @@ every request, on every placement, is admitted as a
 :class:`PendingResult` ticket, and a drain gulps the queue, groups the
 gulp by admitted model and executes one batched invoke per
 ``max_batch`` chunk — so a flood of requests gets the
-micro-batching amortization without callers coordinating.  Placement
-decides only who runs a group: on ``inline`` the submitting caller
-drains the queue itself (concurrent callers ride along in whichever
-drain claims their tickets); on ``thread`` / ``process`` one daemon
-thread per shard drains it, except that a caller who waits for its
-result anyway (``classify``, ``classify_batch``) runs its own group in
-its own thread when the shard is idle — queue empty, no drain running —
-so a lone request takes no thread hop.  ``submit()`` always queues.
+micro-batching amortization without callers coordinating.  One daemon
+thread per shard drains the queue, except that a caller who waits for
+its result anyway (``classify``, ``classify_batch``) runs its own group
+in its own thread when the shard is idle — queue empty, no drain
+running — so a lone request takes no thread hop.  ``submit()`` always
+queues.
 
 A chunk executes through ``server._serve_chunk`` on the shard's runner
 (:mod:`repro.serve.runners`), so counters, telemetry and result shaping
@@ -32,9 +30,10 @@ import numpy as np
 
 
 class ServingError(Exception):
-    """Invalid classify request (bad engine/precision/feature shape), an
-    overloaded or shut-down shard, or a broken serving contract (a
-    runner's row-count mismatch)."""
+    """Invalid classify request (bad engine/precision/feature shape, a
+    group larger than a shard's whole queue), an overloaded or shut-down
+    shard, or a broken serving contract (a runner's row-count
+    mismatch)."""
 
 
 class ServingOverloadedError(ServingError):
@@ -87,8 +86,8 @@ class _CacheEntry:
 
 
 class _Shard:
-    """A model-cache partition, its counters, its request queue and (on
-    ``thread`` / ``process``) the daemon thread that drains it."""
+    """A model-cache partition, its counters, its request queue and the
+    daemon thread that drains it."""
 
     def __init__(self, server, index: int, name: str, runner):
         self.server = server
@@ -107,8 +106,7 @@ class _Shard:
         self._thread: threading.Thread | None = None  # guarded-by: _cond
         self._stop = False  # guarded-by: _cond
         # Drains claimed and not yet served: the shard thread's, and those
-        # of callers running their own group on an idle shard (inline
-        # drains are not counted: nothing reads the count there).
+        # of callers running their own group on an idle shard.
         self._draining = 0  # guarded-by: _cond
         # ``requests`` counts rows that reached execution; ``batches`` /
         # ``batched_requests`` only successful invokes (failed ones tick
@@ -157,22 +155,26 @@ class _Shard:
     def dispatch(self, entry: _CacheEntry, rows,
                  caller_waits: bool = False) -> list[PendingResult]:
         """Admit coerced ``rows`` as one all-or-nothing group; returns one
-        ticket per row.  On ``inline`` the caller then drains the queue
-        itself, so its tickets come back resolved — or claimed by a
-        concurrent caller's drain, which always resolves what it claims.
-        ``caller_waits`` (the caller blocks on the tickets anyway) runs
-        the group in the calling thread when the shard is idle; with a
-        backlog or a drain in flight it queues for the shard thread."""
+        ticket per row.  ``caller_waits`` (the caller blocks on the
+        tickets anyway) runs the group in the calling thread when the
+        shard is idle; with a backlog or a drain in flight it queues for
+        the shard thread."""
+        max_queue = self.server.max_queue
+        if len(rows) > max_queue:
+            # Not an overload: no amount of waiting makes this group fit.
+            raise ServingError(
+                f"{len(rows)} rows exceed {self.name}'s queue capacity "
+                f"({max_queue}); send at most {max_queue} per request"
+            )
         tickets = [PendingResult(row, entry) for row in rows]
-        inline = self.server.placement == "inline"
         with self._cond:
             if self._stop:
                 raise ServingError(f"{self.name} is shut down")
-            if len(self._queue) + len(tickets) > self.server.max_queue:
+            if len(self._queue) + len(tickets) > max_queue:
                 raise ServingOverloadedError(
-                    f"{self.name} queue full ({self.server.max_queue} requests)"
+                    f"{self.name} queue full ({max_queue} requests)"
                 )
-            if not inline and (self._thread is None or not self._thread.is_alive()):
+            if self._thread is None or not self._thread.is_alive():
                 # Started at the first dispatch, even one the caller runs,
                 # so a later burst of submit()s finds it parked and is
                 # served as one gulp.
@@ -180,24 +182,20 @@ class _Shard:
                     target=self._worker, name=f"serve-{self.name}", daemon=True
                 )
                 self._thread.start()
-            here = (caller_waits and not inline and not self._queue
-                    and not self._draining)
+            here = caller_waits and not self._queue and not self._draining
             if here:
                 self.drains += 1
                 self.grouped_batches += 1
                 self._draining += 1
             else:
                 self._queue.extend(tickets)
-                if not inline:
-                    self._cond.notify()
+                self._cond.notify()
         if here:
             try:
                 self._serve(tickets, [tickets])
             finally:
                 with self._cond:
                     self._drained_locked()
-        elif inline:
-            self._drain()
         return tickets
 
     def _worker(self) -> None:
@@ -224,15 +222,6 @@ class _Shard:
         if self._stop:
             self._cond.notify_all()  # stop() waits for the last drain
 
-    def _drain(self) -> None:
-        """The inline caller's drain: gulp everything queued right now
-        and serve it."""
-        with self._cond:
-            if not self._queue:
-                return  # another caller's drain (or stop) has the tickets
-            gulp, groups = self._gulp_locked()
-        self._serve(gulp, groups)
-
     def _gulp_locked(self) -> tuple[list[PendingResult], list]:
         """Claim everything queued — the whole point is to turn a backlog
         into few big invokes — grouped by admitted cache entry (stable
@@ -258,7 +247,7 @@ class _Shard:
                     self._execute(tickets[i:i + max_batch])
         finally:
             # Only reached with unresolved tickets when a non-``Exception``
-            # (KeyboardInterrupt in an inline caller) cut the loop short:
+            # (KeyboardInterrupt in a caller's own drain) cut the loop short:
             # whoever waits on a claimed ticket must still be woken.
             for ticket in gulp:
                 if not ticket.ready.is_set():

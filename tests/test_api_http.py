@@ -774,7 +774,7 @@ LABELS = ("a", "b", "c")
 FEATURE_SHAPE = (16, 8)
 N_FEATURES = 128
 PLACEMENT_ARGS = {
-    "inline": dict(serving_workers=1, serving_backend="thread"),
+    "default": dict(serving_workers=1, serving_backend="thread"),
     "thread": dict(serving_workers=2, serving_backend="thread"),
     "process": dict(serving_workers=2, serving_backend="process"),
 }
@@ -787,7 +787,7 @@ def _b64(values) -> str:
 class _Served:
     """A platform serving the tiny graphs over HTTP, with one project."""
 
-    def __init__(self, tiny_graphs, placement="inline"):
+    def __init__(self, tiny_graphs, placement="default"):
         from repro.monitor.telemetry import TelemetryStore
 
         self.platform = Platform(**PLACEMENT_ARGS[placement])
@@ -856,7 +856,8 @@ def test_packed_and_list_requests_get_byte_identical_replies(
     x, _ = tiny_classification_problem
     s = _Served(tiny_graphs, placement)
     try:
-        assert s.platform.serving.placement == placement
+        assert s.platform.serving.placement == \
+            PLACEMENT_ARGS[placement]["serving_backend"]
         window, rows = x[0].reshape(-1), x[:5].reshape(5, -1)
         for precision in ("int8", "float32"):
             extra = {"precision": precision}
@@ -1100,25 +1101,67 @@ def test_every_prefix_and_bit_flip_of_a_packed_payload(served):
 
 def test_a_full_shard_queue_is_a_503_with_retry_after(served, monkeypatch):
     """Overload sheds as 503 + ``Retry-After`` (it used to be a 400), and
-    the SDK waits out ``retry_after_s`` before retrying it."""
+    the SDK waits out ``retry_after_s`` before retrying it.  The queue is
+    full for real: the shard thread is parked on one request and two
+    more wait behind it."""
+    import types
+
+    import repro.client as sdk
+    from test_serving_placements import parked_drain
+
+    good = np.full(N_FEATURES, 0.25).tolist()
+    serving = served.platform.serving
+    serving.max_queue = 2
+    request = urllib.request.Request(
+        served.http.url + served.path,
+        data=json.dumps({"batch": [good] * 2}).encode(),
+        headers={"Content-Type": "application/json",
+                 "Authorization": f"Bearer {served.token}"}, method="POST")
+    with parked_drain(serving, served.pid, good) as (gate, in_flight):
+        queued = [serving.submit(served.pid, good) for _ in range(2)]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        with err.value:
+            assert err.value.code == 503
+            assert err.value.headers["Retry-After"] == "1"
+            envelope = json.loads(err.value.read())
+        assert envelope["retry_after_s"] == 1.0 and "queue full" in envelope["error"]
+        snap = serving.snapshot()  # nothing of the shed batch was admitted
+        assert snap["requests"] == snap["batches"] == snap["batch_errors"] == 0
+        assert [s["queue_depth"] for s in snap["per_shard"]] == [2]
+        assert served.telemetry.count(served.pid) == 0
+
+        sleeps = []
+        monkeypatch.setattr(sdk, "time", types.SimpleNamespace(
+            sleep=sleeps.append, monotonic=time.monotonic))
+        with Client(served.http.url, token=served.token, retries=2) as client:
+            before = served.gateway.metrics.requests
+            with pytest.raises(ClientError) as cerr:
+                client.classify(served.pid, batch=[good] * 2)
+        assert (cerr.value.status, cerr.value.retry_after_s) == (503, 1.0)
+        assert sleeps == [1.0, 1.0]
+        assert served.gateway.metrics.requests == before + 3
+    assert in_flight()["top"] in LABELS
+    assert all(t.value()["top"] in LABELS for t in queued)
+    assert served.client.classify(served.pid, batch=[good] * 2)["batch_size"] == 2
+
+
+def test_a_batch_larger_than_the_queue_is_a_400(served, monkeypatch):
+    """A batch with more rows than the shard's whole queue can never be
+    admitted, so it is not an overload: a 400 naming the row count and
+    the capacity, with no ``Retry-After``, and the SDK does not retry
+    it — even on an idle server."""
     import types
 
     import repro.client as sdk
 
     good = np.full(N_FEATURES, 0.25).tolist()
-    served.platform.serving.max_queue = 2  # a 3-row batch sheds whole
-    request = urllib.request.Request(
-        served.http.url + served.path,
-        data=json.dumps({"batch": [good] * 3}).encode(),
-        headers={"Content-Type": "application/json",
-                 "Authorization": f"Bearer {served.token}"}, method="POST")
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(request)
-    with err.value:
-        assert err.value.code == 503
-        assert err.value.headers["Retry-After"] == "1"
-        envelope = json.loads(err.value.read())
-    assert envelope["retry_after_s"] == 1.0 and "queue full" in envelope["error"]
+    served.platform.serving.max_queue = 2
+    status, reply = served.post({"batch": [good] * 3})
+    envelope = json.loads(reply)
+    assert status == 400 and "retry_after_s" not in envelope
+    assert envelope["error"].startswith("3 rows exceed")
+    assert "queue capacity (2)" in envelope["error"]
     served.assert_nothing_was_admitted()
 
     sleeps = []
@@ -1128,7 +1171,7 @@ def test_a_full_shard_queue_is_a_503_with_retry_after(served, monkeypatch):
         before = served.gateway.metrics.requests
         with pytest.raises(ClientError) as cerr:
             client.classify(served.pid, batch=[good] * 3)
-    assert (cerr.value.status, cerr.value.retry_after_s) == (503, 1.0)
-    assert sleeps == [1.0, 1.0]
-    assert served.gateway.metrics.requests == before + 3
+    assert cerr.value.status == 400 and cerr.value.retry_after_s is None
+    assert sleeps == [] and served.gateway.metrics.requests == before + 1
+    served.assert_nothing_was_admitted()
     assert served.client.classify(served.pid, batch=[good] * 2)["batch_size"] == 2

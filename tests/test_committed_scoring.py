@@ -159,9 +159,8 @@ def test_every_surface_returns_the_plan_probabilities(kws, precision):
         got["classify_sample"] = [
             _ranked_probs(project.classify_sample(a), labels) for a in audio
         ]
-    for placement in ("inline", "thread", "process"):
-        workers = 1 if placement == "inline" else 2
-        with ModelServer(platform, placement=placement, workers=workers) as server:
+    for placement in ("thread", "process"):
+        with ModelServer(platform, placement=placement, workers=2) as server:
             for engine in ("eon", "tflm"):
                 got[f"{placement}/{engine}"] = [
                     _ranked_probs(server.classify(

@@ -84,13 +84,13 @@ def test_forged_optimisation_attrs_are_ignored(forged_op, forged):
         project_id=1, float_graph=graph, int8_graph=None,
         label_map={label: i for i, label in enumerate(labels)},
     )
-    with ModelServer.for_project(project, placement="inline") as server:
+    with ModelServer.for_project(project) as server:
         served = server.classify(1, x[0], precision="float32")["classification"]
     outputs = {
         "compile_plan": compile_plan(graph, cache=False).execute(x),
         "tflm": TFLMInterpreter(graph).invoke(x),
         "eon": EONCompiler().compile(graph).invoke(x),
-        "inline": np.array([[served[label] for label in labels]], dtype=np.float32),
+        "served": np.array([[served[label] for label in labels]], dtype=np.float32),
     }
     for route, got in outputs.items():
         assert np.array_equal(got, want), route

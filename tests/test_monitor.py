@@ -279,9 +279,9 @@ def test_serving_without_telemetry_unchanged(tiny_graphs):
     project = plat.create_project("off", owner="u")
     project.float_graph, project.int8_graph = tiny_graphs
     project.label_map = {"a": 0, "b": 1, "c": 2}
-    server = ModelServer.for_project(project)
-    assert server.telemetry is None
-    result = server.classify(project.project_id, np.zeros(16 * 8))
+    with ModelServer.for_project(project) as server:
+        assert server.telemetry is None
+        result = server.classify(project.project_id, np.zeros(16 * 8))
     assert set(result) == {"classification", "top"}
 
 

@@ -15,23 +15,26 @@ from repro.runtime import (
     run_graph_dispatch,
 )
 from repro.serve import ModelServer, ServingError
+from test_serving_placements import parked_drain
 
 RNG = np.random.default_rng(7)
 
 
-# -- micro-batching (the shard's one drain loop, inline placement) ----------
+# -- micro-batching (the shard's one drain loop) ---------------------------
 
 
 @pytest.fixture()
 def batching(served_platform, tiny_classification_problem):
-    """``make(**server_kwargs)`` -> an inline server over the served
+    """``make(**server_kwargs)`` -> a one-shard server over the served
     project, the project id, and the list its runner appends every
-    executed batch size to."""
+    executed batch size to.  Servers are closed at teardown."""
     platform, project = served_platform
     x, _ = tiny_classification_problem
+    servers = []
 
     def make(**kwargs):
-        server = ModelServer(platform, placement="inline", **kwargs)
+        server = ModelServer(platform, **kwargs)
+        servers.append(server)
         runner = server.shards[0].runner
         run, calls = runner.run, []
 
@@ -42,30 +45,24 @@ def batching(served_platform, tiny_classification_problem):
         runner.run = spy
         return server, project.project_id, calls
 
-    return make, x
-
-
-def admit_only(server, pid, row):
-    """Admit one request the way a concurrent caller does, stopping just
-    short of that caller's own drain: the ticket stays queued."""
-    shard = server.shards[0]
-    shard._drain = lambda: None
-    try:
-        return server.submit(pid, row)
-    finally:
-        del shard._drain
+    yield make, x
+    for server in servers:
+        server.close()
 
 
 def test_batcher_coalesces_pending_requests(batching):
+    """A backlog that builds up behind a busy shard thread is served as
+    one batched invoke."""
     make, x = batching
     server, pid, calls = make()
     want = [server.classify(pid, row) for row in x[:5]]
     del calls[:]
-    tickets = [admit_only(server, pid, row) for row in x[:4]]
-    assert server.shards[0].counters()["queue_depth"] == 4 and calls == []
-    assert server.classify(pid, x[4]) == want[4]
-    assert calls == [5]  # one batched invoke for all five requests
-    assert [t.value() for t in tickets] == want[:4]
+    with parked_drain(server, pid, x[0]) as (gate, in_flight):
+        tickets = [server.submit(pid, row) for row in x[:5]]
+        assert server.shards[0].counters()["queue_depth"] == 5 and calls == []
+    assert [t.value() for t in tickets] == want
+    assert in_flight() == want[0]
+    assert calls == [1, 5]  # the parked request, then all five at once
 
 
 def test_batcher_flushes_at_max_batch(batching):
@@ -84,20 +81,19 @@ def test_batcher_propagates_errors_to_all_waiters(batching):
     def explode(model, stacked):
         raise RuntimeError("kernel exploded")
 
-    server.shards[0].runner.run = explode
-    t1, t2 = admit_only(server, pid, x[0]), admit_only(server, pid, x[1])
-    with pytest.raises(RuntimeError):
-        server.classify(pid, x[2])
-    with pytest.raises(RuntimeError):
-        t1.value()
-    with pytest.raises(RuntimeError):
-        t2.value()
+    with parked_drain(server, pid, x[0]) as (gate, in_flight):
+        tickets = [server.submit(pid, row) for row in x[:3]]
+        server.shards[0].runner.run = explode
+    for ticket in tickets:  # one chunk of three, three failures
+        with pytest.raises(RuntimeError, match="kernel exploded"):
+            ticket.value()
+    assert server.shards[0].counters()["batch_errors"] == 1
 
 
 def test_batcher_threaded_requests_share_batches(batching):
     """16 concurrent callers (more than cores, switching every 10 us)
-    hammer the one inline queue: each gets its own row back, whichever
-    caller's drain served it, and no ticket or counter update is lost."""
+    hammer one shard: each gets its own row back, whichever drain served
+    it, and no ticket or counter update is lost."""
     import sys
 
     make, x = batching
@@ -135,11 +131,10 @@ def test_batcher_rejects_wrong_result_row_count(batching, bad_rows):
     zip-truncate (which would strand tail tickets on result=None)."""
     make, x = batching
     server, pid, _ = make()
-    server.shards[0].runner.run = lambda model, stacked: np.zeros((bad_rows, 3))
-    tickets = [admit_only(server, pid, row) for row in x[:2]]
+    with parked_drain(server, pid, x[0]) as (gate, in_flight):
+        tickets = [server.submit(pid, row) for row in x[:3]]
+        server.shards[0].runner.run = lambda model, stacked: np.zeros((bad_rows, 3))
     match = rf"got {bad_rows} result row\(s\) for a batch of 3"
-    with pytest.raises(ServingError, match=match):
-        server.classify(pid, x[2])
     for ticket in tickets:
         with pytest.raises(ServingError, match=match):
             ticket.value()
@@ -171,31 +166,36 @@ def test_batcher_failed_flush_does_not_skew_stats(batching):
     assert counters["batched_requests"] == counters["largest_batch"] == 3
 
 
-def test_interrupted_drain_resolves_every_claimed_ticket(batching):
-    """A non-``Exception`` (Ctrl-C in an inline caller) propagates to the
-    draining caller, but every ticket that drain had claimed — other
-    callers' included, chunks that never ran included — still resolves,
-    so nobody waits forever; the shard keeps serving."""
+def test_interrupted_drain_resolves_every_claimed_ticket(batching, monkeypatch):
+    """A non-``Exception`` (Ctrl-C in a caller running its own group)
+    propagates to that caller, but every ticket its drain had claimed —
+    chunks that never ran included — still resolves, so nobody waits
+    forever; the shard keeps serving."""
     make, x = batching
     server, pid, calls = make(max_batch=1)
     want = server.classify(pid, x[0])
-    runner = server.shards[0].runner
-    run = runner.run
+    shard = server.shards[0]
+    runner = shard.runner
+    run, serve, claimed = runner.run, shard._serve, []
+    monkeypatch.setattr(shard, "_serve", lambda gulp, groups: (
+        claimed.extend(gulp), serve(gulp, groups))[1])
 
     def interrupt(model, stacked):
         raise KeyboardInterrupt
 
     runner.run = interrupt
-    tickets = [admit_only(server, pid, row) for row in x[:2]]
     with pytest.raises(KeyboardInterrupt):
-        server.classify(pid, x[2])
-    for ticket in tickets:
+        server.classify_batch(pid, list(x[:3]))
+    assert len(claimed) == 3
+    for ticket in claimed:
         assert ticket.ready.is_set()
         with pytest.raises(ServingError, match="drain interrupted"):
             ticket.value()
     runner.run = run
     assert server.classify(pid, x[0]) == want
-    assert server.shards[0].counters()["queue_depth"] == 0
+    assert shard.counters()["queue_depth"] == 0
+    with shard._cond:
+        assert shard._draining == 0
 
 
 # -- model server -----------------------------------------------------------

@@ -1,7 +1,7 @@
 """The serving contract, once, on every placement.
 
-``ModelServer(placement="inline"|"thread"|"process")`` differ only in
-where a stacked batch runs; everything a caller can observe — results,
+``ModelServer(placement="thread"|"process")`` differ only in where a
+stacked batch runs; everything a caller can observe — results,
 admission errors, counters, telemetry, lifecycle — must be the same.
 Placement-specific behaviour (8-thread cache hammer, worker death and
 respawn) lives in test_sharded_serving.py / test_process_serving.py.
@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.monitor.telemetry import TelemetryStore
-from repro.serve import ModelNotTrainedError, ModelServer, ServingError
+from repro.serve import (ModelNotTrainedError, ModelServer, ServingError,
+                         ServingOverloadedError)
 
-PLACEMENTS = ["inline", "thread", "process"]
+PLACEMENTS = ["thread", "process"]
 LABELS = ("a", "b", "c")
 RNG = np.random.default_rng(17)
 
@@ -29,7 +30,9 @@ pytestmark = pytest.mark.parametrize("placement", PLACEMENTS)
 
 @pytest.fixture()
 def platform(tiny_graphs):
-    """A platform with several 'trained' projects sharing the tiny graphs."""
+    """A platform with several 'trained' projects sharing the tiny graphs;
+    its own ``serving`` (the default one-shard server) is the reference
+    the placements are compared with."""
     from repro.core import Platform
 
     platform = Platform()
@@ -38,12 +41,13 @@ def platform(tiny_graphs):
         p = platform.create_project(f"placed-p{i}", owner="alice")
         p.float_graph, p.int8_graph = tiny_graphs
         p.label_map = dict(zip(LABELS, range(3)))
-    return platform
+    yield platform
+    platform.serving.close()
 
 
 def make_server(platform, placement, **kwargs):
-    workers = kwargs.pop("workers", 1 if placement == "inline" else 2)
-    return ModelServer(platform, placement=placement, workers=workers, **kwargs)
+    return ModelServer(platform, placement=placement,
+                       workers=kwargs.pop("workers", 2), **kwargs)
 
 
 def probs(result):
@@ -52,45 +56,39 @@ def probs(result):
 
 @contextlib.contextmanager
 def parked_drain(server, pid, row):
-    """One request in flight inside a gated runner — so what is admitted
-    meanwhile stays queued — yielding ``(gate, in_flight)``; ``in_flight()``
-    is that request's result.  ``thread`` / ``process`` park the shard's
-    daemon thread.  ``inline`` has none: a helper thread's own drain is
-    parked, and later callers are held just short of theirs (the state a
-    caller descheduled between admission and drain is in) until exit."""
+    """One submitted request parked inside the runner on shard 0's
+    thread — so what is admitted meanwhile stays queued — yielding
+    ``(gate, in_flight)``; ``in_flight()`` is that request's result.
+    Only that one invoke parks: the runner is restored before the block
+    runs, so a runner the block installs serves the queued gulp."""
     shard = server.shards[0]
     gate, entered = threading.Event(), threading.Event()
     run = shard.runner.run
-    shard.runner.run = lambda model, stacked: (
-        entered.set(), gate.wait(10), run(model, stacked))[2]
-    if server.placement == "inline":
-        box = []
-        caller = threading.Thread(
-            target=lambda: box.append(server.classify(pid, row)))
-        caller.start()
-        in_flight = lambda: (caller.join(10), box[0])[1]
-    else:
-        in_flight = server.submit(pid, row).value
+
+    def parked(model, stacked):
+        shard.runner.run = run
+        entered.set()
+        gate.wait(10)
+        return run(model, stacked)
+
+    shard.runner.run = parked
+    in_flight = server.submit(pid, row).value
     assert entered.wait(10), "the in-flight request never reached the runner"
-    if server.placement == "inline":
-        shard._drain = lambda: None
     try:
         yield gate, in_flight
     finally:
         gate.set()
-        shard.runner.run = run
-        if server.placement == "inline":
-            del shard._drain
-            shard._drain()  # the held callers resume
 
 
 def test_results_match_inline_reference(platform, placement,
                                         tiny_classification_problem):
     """int8 is bit-identical (dict equality) on every path — classify,
-    classify_batch, submit; float32 agrees to rtol 1e-5 (a batched
-    invoke may reassociate BLAS reductions)."""
+    classify_batch, submit — to the platform's default one-shard
+    server, which runs a lone classify inline in its caller; float32
+    agrees to rtol 1e-5 (a batched invoke may reassociate BLAS
+    reductions)."""
     x, _ = tiny_classification_problem
-    reference = ModelServer(platform)
+    reference = platform.serving
     with make_server(platform, placement) as server:
         for pid in list(platform.projects)[:3]:
             assert server.classify(pid, x[0]) == reference.classify(pid, x[0])
@@ -226,22 +224,27 @@ def test_non_finite_features_never_pass_admission(platform, placement, bad,
 def test_queue_full_sheds_the_whole_group(platform, placement,
                                           tiny_classification_problem):
     """Overload sheds with a clear error instead of queueing unboundedly,
-    on every placement; a batch that does not fit is rejected whole."""
+    on every placement; a batch that does not fit is rejected whole.  A
+    batch larger than the whole queue can never fit: a plain (not
+    retryable) error naming its row count and the capacity."""
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
     with make_server(platform, placement, workers=1, max_queue=4) as server:
         server.classify(pid, x[0])  # warm, so the gate below is the only wait
         shard = server.shards[0]
-        with pytest.raises(ServingError, match="queue full"):
+        with pytest.raises(ServingError, match=r"^6 rows exceed .*\(4\)") as err:
             server.classify_batch(pid, list(x[:6]))  # 6 > 4, even when idle
+        assert not isinstance(err.value, ServingOverloadedError)
         assert shard.counters()["queue_depth"] == 0
         with parked_drain(server, pid, x[0]) as (gate, in_flight):
             queued = [server.submit(pid, x[i]) for i in range(3)]
-            with pytest.raises(ServingError, match="queue full"):
+            with pytest.raises(ServingOverloadedError, match="queue full"):
                 server.classify_batch(pid, list(x[:2]))  # 3 + 2 > 4
             assert shard.counters()["queue_depth"] == 3  # nothing half-queued
+            with pytest.raises(ServingError, match="^5 rows exceed"):
+                server.classify_batch(pid, list(x[:5]))  # never fits
             queued.append(server.submit(pid, x[3]))  # exactly fills it
-            with pytest.raises(ServingError, match="queue full"):
+            with pytest.raises(ServingOverloadedError, match="queue full"):
                 server.submit(pid, x[0])
         assert in_flight()["top"] in LABELS
         assert all(t.value()["top"] in LABELS for t in queued)
@@ -252,17 +255,16 @@ def test_max_batch_chunks_every_placement(platform, placement,
                                           tiny_classification_problem):
     """``max_batch`` caps every batched invoke: a 70-row group is served
     as 32 + 32 + 6 (three worker frames on ``process``), bit-identical
-    to the inline reference."""
+    to the default server."""
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
-    want = ModelServer(platform).classify_batch(pid, list(x[:70]))
+    want = platform.serving.classify_batch(pid, list(x[:70]))
     with make_server(platform, placement, workers=1, max_batch=32) as server:
         assert server.classify_batch(pid, list(x[:70])) == want
         snap = server.snapshot()
         assert snap["batches"] == 3 and snap["batched_requests"] == 70
         assert snap["mean_batch_size"] == pytest.approx(70 / 3)
-        if placement != "inline":
-            assert snap["per_shard"][0]["largest_batch"] == 32
+        assert snap["per_shard"][0]["largest_batch"] == 32
 
 
 def test_cache_hits_invalidate_retrain_and_lru(platform, placement,
@@ -329,9 +331,6 @@ def test_snapshot_shape_and_per_shard_sums(platform, placement,
         assert snap["cache_size"] == snap["cache_misses"] == len(pids)
         assert snap["mean_batch_size"] > 1.0
         assert snap["batch_errors"] == snap["restarts"] == 0
-        if placement == "inline":
-            assert snap["per_shard"] == []
-            return
         rows = snap["per_shard"]
         assert [s["name"] for s in rows] == [s.name for s in server.shards]
         for key in ("requests", "batches", "cache_size", "cache_hits"):
@@ -436,24 +435,22 @@ def test_classify_on_an_idle_shard_runs_in_its_caller(
     its shard is idle — yet the shard thread is started all the same."""
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
-    want = ModelServer(platform).classify_batch(pid, list(x[:3]))
+    want = platform.serving.classify_batch(pid, list(x[:3]))
     with make_server(platform, placement, workers=1) as server:
         shard = server.shards[0]
         ran_on = runner_spy(shard, monkeypatch)
         assert server.classify(pid, x[0]) == want[0]
         assert server.classify_batch(pid, list(x[:3])) == want
         assert ran_on == [threading.get_ident()] * 2
-        assert placement == "inline" or shard._thread.is_alive()
+        assert shard._thread.is_alive()
         assert shard.counters()["drains"] == 2
 
 
 def test_classify_behind_a_parked_drain_runs_on_the_shard_thread(
         platform, placement, tiny_classification_problem, monkeypatch):
-    if placement == "inline":
-        pytest.skip("inline has no shard thread")
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
-    want = ModelServer(platform).classify(pid, x[1])
+    want = platform.serving.classify(pid, x[1])
     with make_server(platform, placement, workers=1) as server:
         server.classify(pid, x[0])  # warm
         shard = server.shards[0]
@@ -476,11 +473,9 @@ def test_classify_behind_a_parked_drain_runs_on_the_shard_thread(
 
 def test_a_submit_flood_is_still_drained_by_the_shard_thread(
         platform, placement, tiny_classification_problem, monkeypatch):
-    if placement == "inline":
-        pytest.skip("inline has no shard thread")
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
-    want = ModelServer(platform).classify_batch(pid, list(x[:10]))
+    want = platform.serving.classify_batch(pid, list(x[:10]))
     with make_server(platform, placement, workers=1) as server:
         server.classify(pid, x[0])  # warm
         shard = server.shards[0]
@@ -502,7 +497,7 @@ def test_concurrent_classify_callers_under_a_short_switch_interval(
 
     x, _ = tiny_classification_problem
     pid = next(iter(platform.projects))
-    want = ModelServer(platform).classify_batch(pid, list(x[:8]))
+    want = platform.serving.classify_batch(pid, list(x[:8]))
     got, errors = {}, []
     with make_server(platform, placement, workers=1) as server:
         server.classify(pid, x[0])  # warm
@@ -560,7 +555,7 @@ def test_close_waits_for_a_request_running_in_its_caller(
 def test_shard_index_is_stable_crc32(platform, placement):
     """Placement of a model key is crc32 (not ``hash``), so it is the
     same on every placement and across interpreter restarts."""
-    workers = 1 if placement == "inline" else 4
+    workers = 4
     with make_server(platform, placement, workers=workers) as server:
         seen = set()
         for pid in platform.projects:
@@ -569,8 +564,7 @@ def test_shard_index_is_stable_crc32(platform, placement):
                 idx = server.shard_index(pid, precision, "eon")
                 assert idx == zlib.crc32(key) % workers
                 seen.add(idx)
-        # Keys actually spread across shards (inline has exactly one).
-        assert seen == {0} if placement == "inline" else len(seen) > 1
+        assert len(seen) > 1  # keys actually spread across shards
 
 
 def test_constructor_validation(platform, placement):
@@ -580,8 +574,10 @@ def test_constructor_validation(platform, placement):
         ModelServer(platform, placement=placement, cache_size=0)
     with pytest.raises(ValueError, match="max_batch"):
         ModelServer(platform, placement=placement, max_batch=0)
+    for max_queue in (0, -1):
+        with pytest.raises(ValueError, match="max_queue"):
+            ModelServer(platform, placement=placement, max_queue=max_queue)
     with pytest.raises(ValueError, match="placement"):
         ModelServer(platform, placement=placement + "x")
-    if placement == "inline":
-        with pytest.raises(ValueError, match="workers"):
-            ModelServer(platform, placement="inline", workers=2)
+    with pytest.raises(ValueError, match="placement"):
+        ModelServer(platform, placement="inline")

@@ -34,12 +34,12 @@ def test_sharded_cache_hammered_from_8_threads(sharded_platform,
     x, _ = tiny_classification_problem
     with ModelServer(platform, placement="thread", workers=4,
                      cache_size=2) as server:
-        reference = ModelServer(platform)
-        expected = {
-            (p.project_id, precision): reference.classify(
-                p.project_id, x[0], precision=precision)
-            for p in projects for precision in ("float32", "int8")
-        }
+        with ModelServer(platform) as reference:
+            expected = {
+                (p.project_id, precision): reference.classify(
+                    p.project_id, x[0], precision=precision)
+                for p in projects for precision in ("float32", "int8")
+            }
         errors = []
         n_per_thread = 25
 

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -216,11 +217,16 @@ def test_cli_full_workflow(tmp_path, capsys):
     # Serve classification for a fresh recording via the serving layer.
     clip = tmp_path / "query.wav"
     _wav_file(clip, 800.0, seed=99)
+    shard_threads = lambda: {t for t in threading.enumerate()
+                             if t.name.startswith("serve-")}
+    before = shard_threads()
     assert cli_main(["classify", "--dir", proj, "--precision", "int8",
                      str(clip)]) == 0
     out = capsys.readouterr().out
     assert "high (" in out  # an 800 Hz tone classifies as the 'high' class
     assert "batch(es)" in out
+    # The command closes the server it opened: no shard thread outlives it.
+    assert shard_threads() <= before
 
     # Same recording through the multi-worker sharded serving tier.
     clip2 = tmp_path / "query2.wav"
@@ -234,6 +240,7 @@ def test_cli_full_workflow(tmp_path, capsys):
     # Replay traffic with drift injection through the monitored serving
     # layer: the drifted phase must raise drift alerts.
     assert cli_main(["monitor", "--dir", proj, "--windows", "8"]) == 0
+    assert shard_threads() <= before
     out = capsys.readouterr().out
     assert "reference pinned" in out
     assert "monitor status: drift" in out
