@@ -1,25 +1,34 @@
 /*
  * EON's C kernels: integer-only C for the plan's int8 convolution,
- * depthwise and dense steps, and the float32 depthwise step
- * (docs/plan.md, "Native kernels").
+ * depthwise, dense and global average pool steps, and the float32
+ * depthwise step (docs/plan.md, "Native kernels").
  *
  * Every int8 kernel computes the bytes of its spec kernel in
- * repro/runtime/kernels.py (conv2d_i8, dwconv2d_i8; both see a 1-D conv
- * or a dense layer through the same NHWC mapping as these kernels), which
- * plans bind instead where a layer fails the proof below:
+ * repro/runtime/kernels.py (conv2d_i8, dwconv2d_i8, gap2d_i8; all see a
+ * 1-D op or a dense layer through the same NHWC mapping as these
+ * kernels), which plans bind instead where a layer fails the proof below:
  *
  *   - The input zero point is folded into the int32 bias at bind time, and
  *     padding is filled with that zero point, so a window contracts the
  *     padded int8 tensor directly.
- *   - Accumulation is int32.  The binder calls a kernel only after proving
- *     K*128*128 + max|bias'| < 2**31 for the layer, so no partial sum wraps
- *     and the order of the products does not matter.
+ *   - The GEMM kernel reads each window byte x as the unsigned x ^ 0x80 =
+ *     x + 128, in [0, 255], and the binder folds -128 * sum_k w[k][o] into
+ *     the bias, so sum_k (x + 128) w + bias'' = sum_k x w + bias'.  That is
+ *     the operand pair of the CPU's unsigned-by-signed byte dot product.
+ *   - Accumulation is 32-bit and wraps.  The binder calls a kernel only
+ *     after proving K*128*128 + max|bias'| < 2**31 for the layer, so the
+ *     true total bias' + sum_k x w lies in int32 (and so does bias''), and
+ *     a total computed modulo 2**32 is exact, whatever the order of the
+ *     products and whatever a partial sum does on the way.  The VNNI
+ *     instruction wraps by definition; the portable loop adds uint32 lanes
+ *     (signed overflow is undefined in C).
  *   - A fused max pool takes the maximum of the biased accumulators, then
  *     requantizes once: bias and requantization are monotone and
  *     per-channel, so this equals pooling the requantized outputs.  A fused
- *     average pool sums requantized outputs, offsets the sum by count/2
- *     away from zero and floor-divides, as avgpool2d_i8 does: halves round
- *     away from zero, other negative means round down.
+ *     average pool and a global average pool sum int8 values, offset the
+ *     sum by count/2 away from zero and floor-divide (round_div_i8), as
+ *     _round_div_i8 does: halves round away from zero, other negative means
+ *     round down.
  *   - Requantization is (p + h + (p >> 63)) >> s with p = acc * mantissa,
  *     h = 2**(s-1) and the total shift s = 31 - out_shift capped at 63;
  *     mantissas are in [0, 2**31), so |p| < 2**62 and p + h cannot
@@ -36,16 +45,24 @@
  *
  * Shapes are NHWC.  A 1-D convolution is a 2-D one of height 1, and a dense
  * layer a 1x1 convolution over a 1x1 image.  The layer constants arrive in
- * one int64 array indexed by EON_P_*; ``rows`` is the batch size.  Weights
- * are int8 values widened to int32 by the binder: a GEMM kernel's as
- * (coutp / EON_CO, K, EON_CO) blocks of output channels, zero-filled past
- * cout up to coutp, with bias and requantization constants filled alike;
- * depthwise taps as (kh, kw, c), int32 or float32.
+ * one int64 array indexed by EON_P_*; ``rows`` is the batch size.  GEMM
+ * weights are int8 quads, (coutp / EON_CO, kh, kq, EON_CO, 4) with kq =
+ * ceil(kw * c / 4): byte j of quad q of channel o is tap 4q + j of a
+ * window row, zero-filled past kw * c and past cout up to coutp, with bias
+ * and requantization constants filled alike.  Where -march=native defines
+ * __AVX512VNNI__, one vpdpbusd adds four taps of 16 channels per pixel;
+ * elsewhere a GCC/Clang vector loop over the same quads runs (the MCU
+ * reference).  Depthwise taps are (kh, kw, c), widened to int32, or
+ * float32.
  */
 
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__AVX512VNNI__)
+#include <immintrin.h>
+#endif
 
 enum {
     EON_P_H, EON_P_W, EON_P_C,              /* unpadded input */
@@ -69,6 +86,7 @@ enum {
 
 /* GCC and Clang vector types: one code path, compiled to the host's SIMD. */
 typedef int32_t eon_v16i __attribute__((vector_size(EON_CO * sizeof(int32_t))));
+typedef uint32_t eon_v16u __attribute__((vector_size(EON_CO * sizeof(uint32_t))));
 typedef float eon_v8f __attribute__((vector_size(EON_VF * sizeof(float))));
 typedef int32_t eon_v8i __attribute__((vector_size(EON_VF * sizeof(int32_t))));
 
@@ -155,33 +173,98 @@ static const int8_t *window(const int64_t *p, const int8_t *img, int64_t n)
     return img + (n / ow) * stride * row + (n % ow) * stride * p[EON_P_C];
 }
 
+/* The ``n`` <= 4 window bytes at ``x`` as x ^ 0x80 = x + 128 bytes in
+ * memory order, in one 32-bit word; bytes past ``n`` are never read.  The
+ * whole quad is its own branch so that it compiles to one 4-byte load:
+ * with only the variable-size copy, GCC 12 ran the GEMM steps 1.6-1.9x
+ * slower. */
+static inline uint32_t window_quad(const int8_t *x, int64_t n)
+{
+    uint32_t quad = 0;
+    if (n == 4)
+        memcpy(&quad, x, 4);
+    else
+        memcpy(&quad, x, (size_t)n);
+    return quad ^ 0x80808080u;
+}
+
+#if !defined(__AVX512VNNI__)
+/* 32 16-bit lanes: two per 32-bit lane of eon_v16u. */
+typedef uint16_t eon_v32h __attribute__((vector_size(EON_CO * sizeof(uint32_t))));
+typedef int16_t eon_v32s __attribute__((vector_size(EON_CO * sizeof(uint32_t))));
+#endif
+
+/* Adds window bytes k..k+n-1 (n <= 4) of each of the EON_PX windows
+ * times quad ``wq`` of the weights to the pixel's accumulators.  With VNNI
+ * that is one vpdpbusd per pixel into a[j].  The portable loop splits the
+ * quad into the low and the high byte of each 16-bit half; each such pair
+ * of bytes times its weights is two exact 16-bit products per 32-bit lane
+ * P (|(x + 128) w| <= 255 * 128 < 2**15), whose sum is kept as
+ * a[j] += P ^ 0x8000 (= 65536 * hi + lo + 32768) and h[j] += P >> 16
+ * (= hi): after N such P, the sum of the products is
+ * a[j] - 65535 * h[j] - 32768 * N, which gemm_pixels takes. */
+static inline void quad_mac(eon_v16u *restrict a, eon_v16u *restrict h,
+                            const int8_t *const *win, int64_t k,
+                            const int8_t *restrict wq, int64_t n)
+{
+#if defined(__AVX512VNNI__)
+    const __m512i wv = _mm512_loadu_si512(wq);
+    for (int j = 0; j < EON_PX; j++) {
+        const __m512i xv = _mm512_set1_epi32((int)window_quad(win[j] + k, n));
+        a[j] = (eon_v16u)_mm512_dpbusd_epi32((__m512i)a[j], xv, wv);
+    }
+    (void)h;
+#else
+    eon_v32h w16;
+    memcpy(&w16, wq, sizeof w16);
+    const eon_v32h w_lo = (eon_v32h)((eon_v32s)(w16 << 8) >> 8);
+    const eon_v32h w_hi = (eon_v32h)((eon_v32s)w16 >> 8);
+    for (int j = 0; j < EON_PX; j++) {
+        const uint32_t x = window_quad(win[j] + k, n);
+        const eon_v16u x_lo = (eon_v16u){0} + (x & 0x00ff00ffu);
+        const eon_v16u x_hi = (eon_v16u){0} + ((x >> 8) & 0x00ff00ffu);
+        const eon_v16u p_lo = (eon_v16u)((eon_v32h)x_lo * w_lo);
+        const eon_v16u p_hi = (eon_v16u)((eon_v32h)x_hi * w_hi);
+        a[j] += (p_lo ^ 0x8000u) + (p_hi ^ 0x8000u);
+        h[j] += (eon_v16u)(((eon_v16i)p_lo >> 16) + ((eon_v16i)p_hi >> 16));
+    }
+#endif
+}
+
 /* acc[i][o] = bias[o] + the window of output pixel n0 + i times the
- * weights, for i < n.  ``w`` is (coutp / EON_CO, K, EON_CO) int32 blocks
- * with K ordered (kh, kw, c), as the window reads. */
+ * weights, for i < n, in wrapping 32-bit arithmetic.  ``w`` is the int8
+ * (coutp / EON_CO, kh, kq, EON_CO, 4) quads of the header comment. */
 static void gemm_pixels(const int64_t *p, const int8_t *img, int64_t n0,
-                        int64_t n, const int32_t *restrict w,
+                        int64_t n, const int8_t *restrict w,
                         const int32_t *restrict bias, int64_t coutp,
                         int32_t *restrict acc)
 {
     const int64_t kh = p[EON_P_KH], kwc = p[EON_P_KW] * p[EON_P_C];
+    const int64_t kq = (kwc + 3) / 4, whole = kwc / 4, tail = kwc % 4;
     const int64_t row = (p[EON_P_W] + p[EON_P_PL] + p[EON_P_PR]) * p[EON_P_C];
     for (int64_t t = 0; t < n; t += EON_PX) {
         const int8_t *win[EON_PX];
         for (int j = 0; j < EON_PX; j++) /* a short tile repeats its last pixel */
             win[j] = window(p, img, n0 + (t + j < n ? t + j : n - 1));
         for (int64_t o0 = 0; o0 < coutp; o0 += EON_CO) {
-            const int32_t *restrict wb = w + o0 * kh * kwc;
-            eon_v16i b, a[EON_PX];
-            memcpy(&b, bias + o0, sizeof b);
+            const int8_t *restrict wb = w + o0 * kh * kq * 4;
+            eon_v16u a[EON_PX], h[EON_PX];
+            memcpy(&a[0], bias + o0, sizeof a[0]);
+            for (int j = 0; j < EON_PX; j++) {
+                a[j] = a[0];
+                h[j] = (eon_v16u){0};
+            }
+            for (int64_t i = 0; i < kh; i++) {
+                const int8_t *restrict wr = wb + i * kq * EON_CO * 4;
+                for (int64_t q = 0; q < whole; q++)
+                    quad_mac(a, h, win, i * row + 4 * q, wr + q * EON_CO * 4, 4);
+                if (tail)
+                    quad_mac(a, h, win, i * row + 4 * whole, wr + whole * EON_CO * 4, tail);
+            }
+#if !defined(__AVX512VNNI__)
             for (int j = 0; j < EON_PX; j++)
-                a[j] = b;
-            for (int64_t i = 0; i < kh; i++)
-                for (int64_t k = 0; k < kwc; k++) {
-                    eon_v16i wv;
-                    memcpy(&wv, wb + (i * kwc + k) * EON_CO, sizeof wv);
-                    for (int j = 0; j < EON_PX; j++)
-                        a[j] += win[j][i * row + k] * wv;
-                }
+                a[j] -= 65535u * h[j] + 32768u * (uint32_t)(2 * kh * kq);
+#endif
             for (int j = 0; j < EON_PX && t + j < n; j++)
                 memcpy(acc + (t + j) * coutp + o0, &a[j], sizeof a[j]);
         }
@@ -212,6 +295,17 @@ static void depthwise_pixels(const int64_t *p, const int8_t *img, int64_t n0,
     }
 }
 
+/* The mean of ``count`` int8 values whose sum is ``s``, as _round_div_i8
+ * rounds it: offset by count / 2 away from zero, floor-divided and
+ * saturated to int8. */
+static int8_t round_div_i8(int64_t s, int64_t count)
+{
+    const int64_t half = count / 2;
+    s += s >= 0 ? half : -half;
+    const int64_t r = s / count - (s % count != 0 && s < 0); /* floor */
+    return (int8_t)(r < -128 ? -128 : r > 127 ? 127 : r);
+}
+
 /* The body both kernels share.  Per image: pad it into ``xp`` (when padded), then
  * accumulate output pixels a band at a time and write them: an unpooled
  * layer requantizes EON_CHUNK pixels at a time; a pooled one accumulates
@@ -219,7 +313,7 @@ static void depthwise_pixels(const int64_t *p, const int8_t *img, int64_t n0,
  * the sum of requantized outputs for an average pool) and writes one
  * pooled row.  ``scratch`` holds eon_scratch_size() int32. */
 static void run_conv(const int64_t *p, int depthwise, const int8_t *x,
-                     int8_t *xp, const int32_t *w, const int32_t *bias,
+                     int8_t *xp, const void *w, const int32_t *bias,
                      const int64_t *rq, int32_t *scratch, int8_t *out,
                      int64_t rows)
 {
@@ -275,20 +369,16 @@ static void run_conv(const int64_t *p, int depthwise, const int8_t *x,
                     requant_row(v, cout, rq, coutp, out_zp, lo, hi, px);
                     continue;
                 }
-                const int64_t count = ph * pw, half = count / 2;
-                for (int64_t o = 0; o < cout; o++) {
-                    const int64_t s = v[o] + (v[o] >= 0 ? half : -half);
-                    const int64_t r = s / count - (s % count != 0 && s < 0); /* floor */
-                    px[o] = (int8_t)(r < -128 ? -128 : r > 127 ? 127 : r);
-                }
+                for (int64_t o = 0; o < cout; o++)
+                    px[o] = round_div_i8(v[o], ph * pw);
             }
         }
     }
 }
 
-/* CONV_2D, CONV_1D and FULLY_CONNECTED. */
+/* CONV_2D, CONV_1D and FULLY_CONNECTED; ``w`` is the int8 quads. */
 void eon_conv_i8(const int64_t *p, const int8_t *x, int8_t *xp,
-                 const int32_t *w, const int32_t *bias, const int64_t *rq,
+                 const int8_t *w, const int32_t *bias, const int64_t *rq,
                  int32_t *scratch, int8_t *out, int64_t rows)
 {
     run_conv(p, 0, x, xp, w, bias, rq, scratch, out, rows);
@@ -300,6 +390,28 @@ void eon_dwconv_i8(const int64_t *p, const int8_t *x, int8_t *xp,
                    int32_t *scratch, int8_t *out, int64_t rows)
 {
     run_conv(p, 1, x, xp, taps, bias, rq, scratch, out, rows);
+}
+
+/* Channels eon_gap_i8 sums at a time. */
+enum { EON_GAP_CO = 64 };
+
+/* GLOBAL_AVG_POOL_2D and _1D: per image (h, w, c), each channel's
+ * round_div_i8 mean over its h * w pixels.  The binder has checked
+ * h * w < 2**24, so the int32 sums of int8 values cannot overflow. */
+void eon_gap_i8(const int64_t *p, const int8_t *x, int8_t *out, int64_t rows)
+{
+    const int64_t hw = p[EON_P_H] * p[EON_P_W], c = p[EON_P_C];
+    for (int64_t b = 0; b < rows; b++)
+        for (int64_t o0 = 0; o0 < c; o0 += EON_GAP_CO) {
+            const int64_t n = c - o0 < EON_GAP_CO ? c - o0 : EON_GAP_CO;
+            const int8_t *img = x + b * hw * c + o0;
+            int32_t sum[EON_GAP_CO] = {0};
+            for (int64_t i = 0; i < hw; i++)
+                for (int64_t o = 0; o < n; o++)
+                    sum[o] += img[i * c + o];
+            for (int64_t o = 0; o < n; o++)
+                out[b * c + o0 + o] = round_div_i8(sum[o], hw);
+        }
 }
 
 /* v < lo ? lo : v, then v > hi ? hi : v, lane by lane (np.clip). */

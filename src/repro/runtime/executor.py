@@ -16,9 +16,10 @@ There is one op switch, the binder.  :func:`_bind_spec` binds an op to
 the generic kernels of ``repro.runtime.kernels`` (the spec);
 :func:`_bind_native` binds it to EON's C kernel (``repro.runtime.native``,
 built once per host from ``eon_kernels.c``) where there is one: every
-int8 conv / depthwise / conv1d / dense op and every float32 depthwise op
-with depth multiplier 1, on a host with a compiler, when the layer
-passes the C kernel's checks (the int32 proof for int8).  A plan binds
+int8 conv / depthwise / conv1d / dense / global average pool op and
+every float32 depthwise op with depth multiplier 1, on a host with a
+compiler, when the layer passes the C kernel's checks (the int32 proof
+for int8).  A plan binds
 ``_bind_native(...) or _bind_spec(...)``; dispatch binds ``_bind_spec``
 alone, unfused, into freshly allocated arrays, so it never shares C, the
 arena, fusion or an in-place ADD with the plan it checks.  The float32
@@ -327,17 +328,27 @@ def _bind_native(
 ) -> tuple[native.NativeKernel, tuple] | None:
     """``op`` bound to its C kernel, with its scratch: an int8 CONV_2D /
     DEPTHWISE_CONV_2D / CONV_1D / FULLY_CONNECTED to ``eon_conv_i8`` /
-    ``eon_dwconv_i8`` (a fused pool included), a float32
+    ``eon_dwconv_i8`` (a fused pool included), an int8
+    GLOBAL_AVG_POOL_2D / _1D to ``eon_gap_i8``, a float32
     DEPTHWISE_CONV_2D to ``eon_dwconv_f32`` (a fused pool pools the
     kernel's pre-pool output in numpy).  ``None`` — bind the spec — for
     any other op, and where the kernel library is unavailable,
     :func:`_native_params` refuses the shapes (a depth multiplier), an
-    int8 layer fails the int32 proof or a float32 activation is not one
-    the kernel clamps."""
+    int8 layer fails the int32 proof, a global pool's int32 sums could
+    overflow or a float32 activation is not one the kernel clamps."""
     lib = native.load()
-    if lib is None or op.opcode not in WEIGHTED_OPS:
+    if lib is None:
         return None
     t, a = graph.tensors, op.attrs
+    if op.opcode in ("GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D"):
+        x = _nhwc(graph, op).x
+        if t[op.inputs[0]].dtype != "int8" or t[op.outputs[0]].dtype != "int8" or len(x) != 3:
+            return None
+        if not 1 <= x[0] * x[1] < 1 << 24:  # int32 sums of int8
+            return None
+        return native.GapKernel(lib, *x, op.inputs[0]), ()
+    if op.opcode not in WEIGHTED_OPS:
+        return None
     x_t, w, b = t[op.inputs[0]], t[op.inputs[1]].data, t[op.inputs[2]].data
     if t[op.outputs[0]].dtype != "int8":
         act = a.get("activation", "none")

@@ -286,8 +286,10 @@ def dwconv2d_i8(
 # folded into the bias, ``sum_k (x_k - zp) w_k + b = sum_k x_k w_k +
 # (b - zp sum_k w_k)``, and padding is filled with zp so every window has
 # all K taps.  Uncentered int8 products are at most 128*128 in magnitude,
-# so ``K*128*128 + max|bias'| < 2**31`` keeps every partial sum, in any
-# order, and the biased total inside an int32 accumulator.
+# so ``K*128*128 + max|bias'| < 2**31`` keeps the biased total inside
+# int32, and a 32-bit accumulator that wraps computes it exactly in any
+# order (the GEMM kernel's unsigned-offset bias, ``native.gemm_operands``,
+# rests on that).
 
 
 def _fits_int32(k, folded) -> bool:

@@ -1,5 +1,6 @@
 """Build and load EON's C kernels (``eon_kernels.c``): the int8
-convolution, depthwise and dense steps, and the float32 depthwise step.
+convolution, depthwise, dense and global average pool steps, and the
+float32 depthwise step.
 
 :func:`load` compiles the kernel source once with the host C compiler
 (``cc -O3 -march=native -ffp-contract=off -shared -fPIC``) into a shared
@@ -114,6 +115,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn.restype = None
     lib.eon_dwconv_f32.argtypes = [ptr] * 5 + [ctypes.c_float] * 2 + [ptr, i64]
     lib.eon_dwconv_f32.restype = None
+    lib.eon_gap_i8.argtypes = [ptr] * 3 + [i64]
+    lib.eon_gap_i8.restype = None
     lib.eon_requant_i8.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, ptr]
     lib.eon_requant_i8.restype = None
     lib.eon_scratch_size.argtypes = [ptr]
@@ -230,15 +233,36 @@ def requant_table(mant, shift, cout: int, coutp: int) -> np.ndarray:
     ])
 
 
+def gemm_operands(w2d, bias, kh: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and bias of ``eon_conv_i8`` from the int8 ``(K, cout)``
+    weights (``K`` ordered ``(kh, kw, c)``) and the folded int32 bias of
+    :func:`repro.runtime.kernels.prepare_gemm_i32`: int8 quads ``(coutp /
+    block, kh, kq, block, 4)`` with ``kq = ceil(kw*c / 4)`` — byte ``j``
+    of quad ``q`` is tap ``4q + j`` of a window row — zero past ``kw*c``
+    and past ``cout``; and the int32 bias with ``-128 * sum_k w[k, o]``
+    folded in, filled to ``coutp``, since the kernel reads each window
+    byte as ``x + 128``.  ``|bias''| <= |bias'| + 128*128*K < 2**31``
+    under the caller's int32 proof, so the int32 bias is exact."""
+    k, cout = w2d.shape
+    kwc, coutp = k // kh, -(-cout // block) * block
+    kq = -(-kwc // 4)
+    quads = np.zeros((kh, kq * 4, coutp), np.int8)
+    quads[:, :kwc, :cout] = w2d.reshape(kh, kwc, cout)
+    quads = quads.reshape(kh, kq, 4, coutp // block, block).transpose(3, 0, 1, 4, 2)
+    offset = np.asarray(bias, np.int64) - 128 * w2d.sum(axis=0, dtype=np.int64)
+    return np.ascontiguousarray(quads), _padded(offset.astype(np.int32), coutp, 0)
+
+
 class ConvKernel(NativeKernel):
     """An int8 step bound to ``eon_conv_i8`` (conv, conv1d, dense: int8
     weights ``(K, cout)``) or ``eon_dwconv_i8`` (depthwise: int8 taps
     ``(kh, kw, c)``), with the folded int32 bias and the
     :func:`requant_table`, laid out the way ``eon_kernels.c`` reads them:
-    weights widened to int32 (the vector kernels multiply int32 lanes) in
-    blocks of output channels, every per-channel array filled to whole
-    blocks.  The caller has proven int32 accumulation exact.  A carving
-    adds the int32 accumulator scratch ``acc``.
+    GEMM weights as the int8 quads of :func:`gemm_operands` (with their
+    offset bias), depthwise taps widened to int32, every per-channel
+    array filled to whole blocks of output channels.  The caller has
+    proven int32 accumulation exact.  A carving adds the int32
+    accumulator scratch ``acc``.
     """
 
     def __init__(self, lib, depthwise: bool, params: dict, weights, bias, mant, shift, x_id):
@@ -246,11 +270,13 @@ class ConvKernel(NativeKernel):
         block = lib.eon_channel_block()
         cout = params["cout"]
         coutp = -(-cout // block) * block
-        self.fn = lib.eon_dwconv_i8 if depthwise else lib.eon_conv_i8
-        if not depthwise:  # (K, cout) -> (coutp / block, K, block)
-            weights = _padded(weights, coutp, 0).reshape(len(weights), -1, block).transpose(1, 0, 2)
-        self.weights = np.ascontiguousarray(weights, dtype=np.int32)
-        self.bias = _padded(np.asarray(bias, dtype=np.int32), coutp, 0)
+        if depthwise:
+            self.fn = lib.eon_dwconv_i8
+            self.weights = np.ascontiguousarray(weights, dtype=np.int32)
+            self.bias = _padded(np.asarray(bias, dtype=np.int32), coutp, 0)
+        else:
+            self.fn = lib.eon_conv_i8
+            self.weights, self.bias = gemm_operands(weights, bias, params["kh"], block)
         self.rq = requant_table(mant, shift, cout, coutp)
         self.scratch_size = lib.eon_scratch_size(self.params.ctypes.data)
         self.out_size = (params["oh"] // params["pool_h"]) * (params["ow"] // params["pool_w"]) * cout
@@ -264,6 +290,21 @@ class ConvKernel(NativeKernel):
             raise ValueError("native kernel scratch too small")
         ptr = _pointers(self.params, x, xp, self.weights, self.bias, self.rq, acc, out)
         return functools.partial(self.fn, *ptr, x.shape[0])
+
+
+class GapKernel(NativeKernel):
+    """An int8 GLOBAL_AVG_POOL_2D / _1D step bound to ``eon_gap_i8``:
+    each channel's mean over an ``(h, w, c)`` image, rounded as
+    ``gap2d_i8`` rounds it.  The caller has checked ``h*w < 2**24``."""
+
+    def __init__(self, lib, h: int, w: int, c: int, x_id):
+        super().__init__(dict(dict.fromkeys(PARAMS, 0), h=h, w=w, c=c), x_id)
+        self.fn = lib.eon_gap_i8
+        self.out_size = c
+
+    def carve(self, views: dict, out: np.ndarray, scratch: dict):
+        x, _ = self._operands(views, out, scratch, np.int8, self.out_size)
+        return functools.partial(self.fn, *_pointers(self.params, x, out), x.shape[0])
 
 
 #: Activation -> the ``(lo, hi)`` clamp ``eon_dwconv_f32`` applies; a

@@ -1,9 +1,10 @@
 """EON's C kernels (``runtime/eon_kernels.c`` via ``runtime/native``)
-are the second kernel of every int8 conv / depthwise / conv1d / dense
-op, pinned to the first, the spec; a plan binds C, or the spec itself
-where C cannot run the layer:
+are the second kernel of every int8 conv / depthwise / conv1d / dense /
+global average pool op, pinned to the first, the spec; a plan binds C,
+or the spec itself where C cannot run the layer:
 
-1. every int8 conv / depthwise / conv1d / dense step and every float32
+1. every int8 conv / depthwise / conv1d / dense / global average pool
+   step and every float32
    depthwise step of the paper-scale plans binds C where a compiler
    exists, so a silent build failure cannot quietly leave the spec
    route in charge, and ``run_graph_dispatch`` never binds C, so every
@@ -17,7 +18,11 @@ where C cannot run the layer:
    or run their plan as dispatch runs them; float32
    depthwise layers equal their numpy twin byte for byte — generated
    shapes, special values, and operands where a fused multiply-add would
-   round differently;
+   round differently; on a VNNI host a second library built with
+   ``-mno-avx512vnni`` (the portable loop) runs the GEMM grids, tail
+   quads, a layer at the int32 bound, a window that ends at a
+   ``PROT_NONE`` page and the golden digests to the same bytes as the
+   ``vpdpbusd`` build; the int8 global average pool equals ``gap2d_i8``;
 3. requantization at total shifts of 63 and beyond — which post-training
    quantization emits for a dead output channel — rounds to 0 in the
    spec and C alike, and a mantissa outside ``[0, 2**31)`` is refused
@@ -34,6 +39,8 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import json
+import mmap
 import pathlib
 import shutil
 import tempfile
@@ -65,7 +72,8 @@ LIB = native.load()
 needs_cc = pytest.mark.skipif(LIB is None, reason="no C compiler / kernel library")
 
 #: The opcodes whose int8 steps bind C.
-NATIVE_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED")
+NATIVE_OPS = ("CONV_2D", "DEPTHWISE_CONV_2D", "CONV_1D", "FULLY_CONNECTED",
+              "GLOBAL_AVG_POOL_2D", "GLOBAL_AVG_POOL_1D")
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 COMMITTED = ("kws", "ic", "vww")  # tests/data/int8_<task>.eir
@@ -124,7 +132,8 @@ def test_dispatch_never_binds_c():
     for graph in graphs:
         x = rng.standard_normal((2,) + tuple(graph.tensors[graph.input_id].shape)).astype(np.float32)
         with mock.patch.object(native, "ConvKernel", refuse), \
-                mock.patch.object(native, "DepthwiseF32Kernel", refuse):
+                mock.patch.object(native, "DepthwiseF32Kernel", refuse), \
+                mock.patch.object(native, "GapKernel", refuse):
             want = run_graph_dispatch(graph, x)
         plan = compile_plan(graph, cache=False)
         assert any(_bound_native(plan))
@@ -190,6 +199,13 @@ def assert_plan_equals_spec(graph, x, want, binds_c=True):
     the library and dispatch all return ``want``, the spec's bytes."""
     plan = compile_plan(graph, cache=False, verify=False)
     assert _bound_native(plan)[0] == (binds_c and LIB is not None)
+    kernel = plan.steps[0].fn
+    if isinstance(kernel, native.ConvKernel) and graph.ops[0].opcode != "DEPTHWISE_CONV_2D":
+        # int8 quads: coutp x kh x ceil(kw*c / 4) x 4 bytes
+        p = dict(zip(native.PARAMS, kernel.params.tolist()))
+        coutp = -(-p["cout"] // 16) * 16
+        assert kernel.weights.dtype == np.int8
+        assert kernel.weights.nbytes == coutp * p["kh"] * -(-p["kw"] * p["c"] // 4) * 4
     for got in (plan.execute(x), spec_plan(graph, verify=False).execute(x),
                 run_graph_dispatch(graph, x)):
         assert got.dtype == np.int8 and np.array_equal(got, want)
@@ -300,6 +316,170 @@ def test_a_layer_over_the_int32_bound_binds_numpy_and_stays_equal():
     b[1] -= 1  # one under the bound: C
     graph, want = layer_graph("CONV_2D", x, w, b, attrs, 0, 0)
     assert_plan_equals_spec(graph, x, want)
+
+
+# -- (2b) the portable loop and the VNNI loop compute one answer --------------
+
+
+@pytest.fixture(scope="module")
+def portable_lib(tmp_path_factory):
+    """A second kernel library, built with ``-mno-avx512vnni``: on a host
+    whose CPU has VNNI the default build accumulates with ``vpdpbusd``,
+    and this one runs the portable vector loop over the same quads."""
+    if LIB is None or "avx512_vnni" not in native._cpu_flags().split():
+        pytest.skip("no avx512_vnni: the host's one build is the portable loop")
+    path = tmp_path_factory.mktemp("portable") / "eon_kernels_portable.so"
+    with mock.patch.object(native, "FLAGS", native.FLAGS + ("-mno-avx512vnni",)):
+        native._build(shutil.which("cc"), path)
+    return native._declare(ctypes.CDLL(str(path)))
+
+
+@pytest.fixture(params=["default", "portable"])
+def each_library(request):
+    """``native.load`` returns the host's library, then the portable build."""
+    lib = LIB if request.param == "default" else request.getfixturevalue("portable_lib")
+    if lib is None:
+        pytest.skip("no C compiler / kernel library")
+    with mock.patch.object(native, "load", lambda: lib):
+        yield lib
+
+
+def test_the_portable_build_equals_the_spec(portable_lib):
+    """The kernel-test grids of the GEMM kernel, through the portable loop."""
+    with mock.patch.object(native, "load", lambda: portable_lib):
+        for batch in (1, 5):
+            for (kernel, stride, pad_h, pad_w), pool in itertools.product(GRID_2D, POOLS):
+                test_c_conv2d_equals_the_spec(batch, kernel, stride, pad_h, pad_w, pool)
+            for (stride, pad), pool in itertools.product(
+                    [(1, [1, 1]), (2, [0, 2]), (1, [0, 0])], [None, 2, 3]):
+                test_c_conv1d_equals_the_spec(batch, stride, pad, pool)
+            test_c_dense_equals_the_spec(batch)
+            test_c_dense_over_a_sequence_equals_the_spec(batch)
+
+
+@pytest.mark.parametrize("task", COMMITTED)
+def test_the_portable_build_keeps_the_golden_digests(portable_lib, task):
+    from test_int8_fastpath import GOLDEN_PATH, _digests, _golden_graphs
+
+    with mock.patch.object(native, "load", lambda: portable_lib):
+        plan = compile_plan(_golden_graphs(task)["output"], cache=False)
+        assert any(step.fn.fn is portable_lib.eon_conv_i8 for step in plan.steps
+                   if isinstance(step.fn, native.ConvKernel))
+        assert _digests(task, "plan_default") == json.loads(GOLDEN_PATH.read_text())[task]["digests"]
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_layers_with_a_tail_quad_equal_the_spec(each_library, batch):
+    """``kw*c % 4 != 0`` (a CONV_1D with kw 3 over 13 channels, a dense
+    39 -> 12), cout not a multiple of 16, and all -128 weights and inputs."""
+    rng = np.random.default_rng([batch, 13])
+    for extreme in (False, True):
+        draw = lambda shape: (np.full(shape, -128) if extreme  # noqa: E731
+                              else rng.integers(-128, 128, size=shape)).astype(np.int8)
+        for in_zp in (-128, 0, 127):
+            x, w = draw((batch, 11, 13)), draw((3, 13, 21))
+            b = rng.integers(-2000, 2000, size=21).astype(np.int32)
+            attrs = {"stride": 1, "pad": [1, 2], **_requant_attrs(rng, 21)}
+            graph, want = layer_graph("CONV_1D", x, w, b, attrs, in_zp, 7)
+            assert_plan_equals_spec(graph, x, want)
+            x, w = draw((batch, 39)), draw((39, 12))
+            b = rng.integers(-2000, 2000, size=12).astype(np.int32)
+            graph, want = layer_graph("FULLY_CONNECTED", x, w, b, _requant_attrs(rng, 12),
+                                      in_zp, -5)
+            assert_plan_equals_spec(graph, x, want)
+
+
+def test_a_layer_at_the_int32_bound_equals_the_spec(each_library):
+    """``K*128*128 + max|bias'| = 2**31 - 1`` exactly, K = 70001 taps (a
+    one-byte tail quad).  Row 0 takes channel 0's ``(x + 128) * w`` at
+    its largest, 255 * 127, so the unsigned-offset products alone sum past
+    2**31; row 1 takes channel 1 to 2**31 - 1 itself."""
+    k = 70_001
+    bound = 2**31 - 1 - k * 128 * 128
+    x = np.stack([np.full(k, 127), np.full(k, -128)]).astype(np.int8)
+    w = np.stack([np.full(k, 127), np.full(k, -128), np.full(k, 127)], axis=1).astype(np.int8)
+    b = np.array([bound, bound, -bound], np.int32)
+    attrs = {"out_mult": 1 << 30, "out_shift": -24, "clamp_min": -128, "clamp_max": 127}
+    graph, want = layer_graph("FULLY_CONNECTED", x, w, b, attrs, 0, 0)
+    acc = x.astype(np.int64) @ w.astype(np.int64) + b
+    assert k * 255 * 127 >= 2**31 and acc[1, 1] == 2**31 - 1 and np.abs(acc).max() < 2**31
+    assert want[1, 1] == 64 and len(set(want.reshape(-1).tolist())) > 2
+    assert_plan_equals_spec(graph, x, want)
+
+
+def test_the_last_window_never_reads_past_its_image(each_library):
+    """A CONV_1D with ``kw*c % 4 != 0`` whose input ends at the last byte
+    before a ``PROT_NONE`` page: a kernel that read a byte past the
+    window would fault here."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    if not hasattr(libc, "mprotect"):
+        pytest.skip("no mmap / mprotect")
+    libc.mmap.restype = ctypes.c_void_p
+    libc.mmap.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+                          ctypes.c_int, ctypes.c_long]
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    libc.munmap.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
+    page = mmap.PAGESIZE
+    base = libc.mmap(None, 2 * page, mmap.PROT_READ | mmap.PROT_WRITE,
+                     mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0)
+    assert base not in (None, ctypes.c_void_p(-1).value)
+    try:
+        assert libc.mprotect(base + page, page, 0) == 0  # PROT_NONE
+        rng = np.random.default_rng(21)
+        shape = (3, 10, 13)  # kw 3 x c 13 = 39 bytes per window: a 3-byte tail quad
+        size = int(np.prod(shape))
+        x = np.ctypeslib.as_array((ctypes.c_int8 * size).from_address(base + page - size))
+        x = x.reshape(shape)
+        x[...] = rng.integers(-128, 128, size=shape)
+        w = rng.integers(-128, 128, size=(3, 13, 18)).astype(np.int8)
+        b = rng.integers(-2000, 2000, size=18).astype(np.int32)
+        attrs = {"stride": 1, "pad": [0, 0], **_requant_attrs(rng, 18)}
+        graph, want = layer_graph("CONV_1D", np.array(x), w, b, attrs, -9, 4)
+        kernel = compile_plan(graph, cache=False, verify=False).steps[0].fn
+        assert isinstance(kernel, native.ConvKernel)
+        out = np.empty(want.shape, np.int8)
+        kernel({kernel.x_id: x}, out, {"acc": np.empty(kernel.scratch_size, np.int32)})
+        assert np.array_equal(out, want)
+    finally:
+        libc.munmap(base, 2 * page)
+
+
+# -- (2c) the int8 global average pool ---------------------------------------
+
+
+def gap_graph(x_shape):
+    """An int8 graph of one GLOBAL_AVG_POOL_2D (a 3-D row shape) or
+    GLOBAL_AVG_POOL_1D (2-D)."""
+    g = Graph("gap")
+    q = QuantParams(np.array([0.05]), zero_point=3)
+    xi = g.add_tensor(GTensor("x", x_shape, "int8", quant=q))
+    yi = g.add_tensor(GTensor("y", x_shape[-1:], "int8", quant=q))
+    g.add_op(GOp("GLOBAL_AVG_POOL_2D" if len(x_shape) == 3 else "GLOBAL_AVG_POOL_1D",
+                 [xi], [yi], {}))
+    g.input_id, g.output_id = xi, yi
+    return g
+
+
+@needs_cc
+@pytest.mark.parametrize("x_shape", [(2, 3, 70), (6, 8)], ids=["2d", "1d"])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_c_global_average_pool_equals_the_spec(batch, x_shape):
+    """``eon_gap_i8`` returns ``gap2d_i8``'s bytes over 6 pixels, past one
+    block of 64 channels: negative means that are halves round away from
+    zero (-0.5 -> -1, -1.5 -> -2), those that are not round down
+    (-1/3 -> -1, -7/6 -> -2), and means saturate."""
+    rng = np.random.default_rng([batch, len(x_shape)])
+    x = rng.integers(-128, 128, size=(batch, *x_shape)).astype(np.int8)
+    pixels = x.reshape(batch, 6, x_shape[-1])  # a view
+    pixels[..., 0], pixels[..., 1], pixels[..., 2:6] = -128, 127, 0
+    pixels[:, 0, 2:6] = (-3, -2, -9, -7)
+    graph = gap_graph(x_shape)
+    plan = compile_plan(graph, cache=False)
+    assert isinstance(plan.steps[0].fn, native.GapKernel)
+    want = K.gap2d_i8(x if len(x_shape) == 3 else x[:, None])
+    assert want[:, :6].tolist() == [[-128, 127, -1, -1, -2, -2]] * batch
+    for got in (plan.execute(x), spec_plan(graph).execute(x), run_graph_dispatch(graph, x)):
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 #: The ``(before, after)`` paddings the geometry sweep gives each axis.
