@@ -173,6 +173,7 @@ static const int8_t *window(const int64_t *p, const int8_t *img, int64_t n)
     return img + (n / ow) * stride * row + (n % ow) * stride * p[EON_P_C];
 }
 
+#if defined(__AVX512VNNI__)
 /* The ``n`` <= 4 window bytes at ``x`` as x ^ 0x80 = x + 128 bytes in
  * memory order, in one 32-bit word; bytes past ``n`` are never read.  The
  * whole quad is its own branch so that it compiles to one 4-byte load:
@@ -187,25 +188,15 @@ static inline uint32_t window_quad(const int8_t *x, int64_t n)
         memcpy(&quad, x, (size_t)n);
     return quad ^ 0x80808080u;
 }
-
-#if !defined(__AVX512VNNI__)
-/* 32 16-bit lanes: two per 32-bit lane of eon_v16u. */
-typedef uint16_t eon_v32h __attribute__((vector_size(EON_CO * sizeof(uint32_t))));
-typedef int16_t eon_v32s __attribute__((vector_size(EON_CO * sizeof(uint32_t))));
 #endif
 
-/* Adds window bytes k..k+n-1 (n <= 4) of each of the EON_PX windows
- * times quad ``wq`` of the weights to the pixel's accumulators.  With VNNI
- * that is one vpdpbusd per pixel into a[j].  The portable loop splits the
- * quad into the low and the high byte of each 16-bit half; each such pair
- * of bytes times its weights is two exact 16-bit products per 32-bit lane
- * P (|(x + 128) w| <= 255 * 128 < 2**15), whose sum is kept as
- * a[j] += P ^ 0x8000 (= 65536 * hi + lo + 32768) and h[j] += P >> 16
- * (= hi): after N such P, the sum of the products is
- * a[j] - 65535 * h[j] - 32768 * N, which gemm_pixels takes. */
-static inline void quad_mac(eon_v16u *restrict a, eon_v16u *restrict h,
-                            const int8_t *const *win, int64_t k,
-                            const int8_t *restrict wq, int64_t n)
+/* Adds window bytes k..k+n-1 (n <= 4) of each of the EON_PX windows, as
+ * x + 128, times quad ``wq`` of the weights to the pixel's accumulators
+ * a[j].  With VNNI that is one vpdpbusd per pixel.  The portable loop
+ * sign-extends tap t of each channel out of its 32-bit lane (little-endian)
+ * and multiplies it by each window's byte t in uint32 lanes. */
+static inline void quad_mac(eon_v16u *restrict a, const int8_t *const *win,
+                            int64_t k, const int8_t *restrict wq, int64_t n)
 {
 #if defined(__AVX512VNNI__)
     const __m512i wv = _mm512_loadu_si512(wq);
@@ -213,20 +204,13 @@ static inline void quad_mac(eon_v16u *restrict a, eon_v16u *restrict h,
         const __m512i xv = _mm512_set1_epi32((int)window_quad(win[j] + k, n));
         a[j] = (eon_v16u)_mm512_dpbusd_epi32((__m512i)a[j], xv, wv);
     }
-    (void)h;
 #else
-    eon_v32h w16;
-    memcpy(&w16, wq, sizeof w16);
-    const eon_v32h w_lo = (eon_v32h)((eon_v32s)(w16 << 8) >> 8);
-    const eon_v32h w_hi = (eon_v32h)((eon_v32s)w16 >> 8);
-    for (int j = 0; j < EON_PX; j++) {
-        const uint32_t x = window_quad(win[j] + k, n);
-        const eon_v16u x_lo = (eon_v16u){0} + (x & 0x00ff00ffu);
-        const eon_v16u x_hi = (eon_v16u){0} + ((x >> 8) & 0x00ff00ffu);
-        const eon_v16u p_lo = (eon_v16u)((eon_v32h)x_lo * w_lo);
-        const eon_v16u p_hi = (eon_v16u)((eon_v32h)x_hi * w_hi);
-        a[j] += (p_lo ^ 0x8000u) + (p_hi ^ 0x8000u);
-        h[j] += (eon_v16u)(((eon_v16i)p_lo >> 16) + ((eon_v16i)p_hi >> 16));
+    eon_v16u wq32;
+    memcpy(&wq32, wq, sizeof wq32);
+    for (int64_t t = 0; t < n; t++) {
+        const eon_v16u wt = (eon_v16u)((eon_v16i)(wq32 << (24 - 8 * t)) >> 24);
+        for (int j = 0; j < EON_PX; j++)
+            a[j] += (uint32_t)(win[j][k + t] + 128) * wt;
     }
 #endif
 }
@@ -248,23 +232,17 @@ static void gemm_pixels(const int64_t *p, const int8_t *img, int64_t n0,
             win[j] = window(p, img, n0 + (t + j < n ? t + j : n - 1));
         for (int64_t o0 = 0; o0 < coutp; o0 += EON_CO) {
             const int8_t *restrict wb = w + o0 * kh * kq * 4;
-            eon_v16u a[EON_PX], h[EON_PX];
+            eon_v16u a[EON_PX];
             memcpy(&a[0], bias + o0, sizeof a[0]);
-            for (int j = 0; j < EON_PX; j++) {
+            for (int j = 1; j < EON_PX; j++)
                 a[j] = a[0];
-                h[j] = (eon_v16u){0};
-            }
             for (int64_t i = 0; i < kh; i++) {
                 const int8_t *restrict wr = wb + i * kq * EON_CO * 4;
                 for (int64_t q = 0; q < whole; q++)
-                    quad_mac(a, h, win, i * row + 4 * q, wr + q * EON_CO * 4, 4);
+                    quad_mac(a, win, i * row + 4 * q, wr + q * EON_CO * 4, 4);
                 if (tail)
-                    quad_mac(a, h, win, i * row + 4 * whole, wr + whole * EON_CO * 4, tail);
+                    quad_mac(a, win, i * row + 4 * whole, wr + whole * EON_CO * 4, tail);
             }
-#if !defined(__AVX512VNNI__)
-            for (int j = 0; j < EON_PX; j++)
-                a[j] -= 65535u * h[j] + 32768u * (uint32_t)(2 * kh * kq);
-#endif
             for (int j = 0; j < EON_PX && t + j < n; j++)
                 memcpy(acc + (t + j) * coutp + o0, &a[j], sizeof a[j]);
         }

@@ -334,38 +334,43 @@ def portable_lib(tmp_path_factory):
     return native._declare(ctypes.CDLL(str(path)))
 
 
+@pytest.fixture
+def portable_library(portable_lib):
+    """``native.load`` returns the portable build."""
+    with mock.patch.object(native, "load", lambda: portable_lib):
+        yield portable_lib
+
+
 @pytest.fixture(params=["default", "portable"])
 def each_library(request):
-    """``native.load`` returns the host's library, then the portable build."""
-    lib = LIB if request.param == "default" else request.getfixturevalue("portable_lib")
-    if lib is None:
+    """The host's library, then the portable build, as ``native.load``."""
+    if request.param == "portable":
+        yield request.getfixturevalue("portable_library")
+        return
+    if LIB is None:
         pytest.skip("no C compiler / kernel library")
-    with mock.patch.object(native, "load", lambda: lib):
-        yield lib
+    yield LIB
 
 
-def test_the_portable_build_equals_the_spec(portable_lib):
-    """The kernel-test grids of the GEMM kernel, through the portable loop."""
-    with mock.patch.object(native, "load", lambda: portable_lib):
-        for batch in (1, 5):
-            for (kernel, stride, pad_h, pad_w), pool in itertools.product(GRID_2D, POOLS):
-                test_c_conv2d_equals_the_spec(batch, kernel, stride, pad_h, pad_w, pool)
-            for (stride, pad), pool in itertools.product(
-                    [(1, [1, 1]), (2, [0, 2]), (1, [0, 0])], [None, 2, 3]):
-                test_c_conv1d_equals_the_spec(batch, stride, pad, pool)
-            test_c_dense_equals_the_spec(batch)
-            test_c_dense_over_a_sequence_equals_the_spec(batch)
+@pytest.mark.usefixtures("portable_library")
+class TestThePortableBuild:
+    """The GEMM kernel's tests, each case run again on the portable build."""
+
+    test_c_conv2d_equals_the_spec = staticmethod(test_c_conv2d_equals_the_spec)
+    test_c_conv1d_equals_the_spec = staticmethod(test_c_conv1d_equals_the_spec)
+    test_c_dense_equals_the_spec = staticmethod(test_c_dense_equals_the_spec)
+    test_c_dense_over_a_sequence_equals_the_spec = staticmethod(
+        test_c_dense_over_a_sequence_equals_the_spec)
 
 
 @pytest.mark.parametrize("task", COMMITTED)
-def test_the_portable_build_keeps_the_golden_digests(portable_lib, task):
+def test_the_portable_build_keeps_the_golden_digests(portable_library, task):
     from test_int8_fastpath import GOLDEN_PATH, _digests, _golden_graphs
 
-    with mock.patch.object(native, "load", lambda: portable_lib):
-        plan = compile_plan(_golden_graphs(task)["output"], cache=False)
-        assert any(step.fn.fn is portable_lib.eon_conv_i8 for step in plan.steps
-                   if isinstance(step.fn, native.ConvKernel))
-        assert _digests(task, "plan_default") == json.loads(GOLDEN_PATH.read_text())[task]["digests"]
+    plan = compile_plan(_golden_graphs(task)["output"], cache=False)
+    assert any(step.fn.fn is portable_library.eon_conv_i8 for step in plan.steps
+               if isinstance(step.fn, native.ConvKernel))
+    assert _digests(task, "plan_default") == json.loads(GOLDEN_PATH.read_text())[task]["digests"]
 
 
 @pytest.mark.parametrize("batch", [1, 5])
