@@ -10,7 +10,7 @@ from conftest import save_result
 
 from repro.graph import graph_to_bytes
 from repro.profile import LatencyEstimator, get_device
-from repro.runtime import TFLMInterpreter, run_graph
+from repro.runtime import EONModel, run_graph
 
 
 def test_ablation_quantization_tradeoff(benchmark, kws_trained):
@@ -38,7 +38,7 @@ def test_ablation_quantization_tradeoff(benchmark, kws_trained):
 
     # Numerical closeness of the quantized probabilities.
     float_probs = run_graph(bundle.float_graph, bundle.x_test[:32])
-    int8_probs = TFLMInterpreter(bundle.int8_graph).predict_proba(bundle.x_test[:32])
+    int8_probs = EONModel(bundle.int8_graph).predict_proba(bundle.x_test[:32])
     max_err = float(np.abs(float_probs - int8_probs).max())
     assert max_err < 0.25, f"int8 probabilities far from float: {max_err}"
 

@@ -31,7 +31,6 @@ from repro.nn.architectures import mobilenet_v1
 from repro.quantize import quantize_graph
 from repro.runtime import (
     EONCompiler,
-    TFLMInterpreter,
     compile_plan,
     run_graph,
     run_graph_dispatch,
@@ -87,9 +86,6 @@ def test_compiled_plan_beats_dispatch():
     for graph in (float_graph, int8_graph):
         # Identical outputs first — the speedup must not change results.
         assert np.array_equal(run_graph(graph, x), run_graph_dispatch(graph, x))
-        assert np.array_equal(
-            TFLMInterpreter(graph).invoke(x), run_graph_dispatch(graph, x)
-        )
         assert np.array_equal(
             EONCompiler().compile(graph).invoke(x), run_graph_dispatch(graph, x)
         )
@@ -196,8 +192,8 @@ def test_sharded_serving_throughput():
     single = ModelServer(platform)
     sharded = ModelServer(platform, placement="thread", workers=workers)
     for p in projects:  # warm every cache so compile time is excluded
-        single.get_model(p.project_id, "float32", "eon")
-        sharded.get_model(p.project_id, "float32", "eon")
+        single.get_model(p.project_id, "float32")
+        sharded.get_model(p.project_id, "float32")
 
     def single_pass():
         return [single.classify(pid, f, precision="float32")

@@ -64,7 +64,9 @@ def classify(ctx) -> dict:
 
     Body: exactly one of ``features`` (one flat window), ``batch`` (list
     of windows), ``features_b64`` or ``batch_b64`` + ``rows`` (the same,
-    packed), plus optional ``precision``/``engine``.
+    packed), plus optional ``precision``/``engine``.  ``engine`` is
+    echoed, not dispatched on: TFLM and EON run the same plan, so both
+    spellings are served by the one cached model of the precision.
     """
     p = ctx.platform.get_project(ctx.params["pid"], username=ctx.user)
     body = ctx.body
@@ -86,18 +88,14 @@ def classify(ctx) -> dict:
                                     "feature windows it packs")
             payload = _unpack(
                 key, payload, rows,
-                serving.feature_shape(p.project_id, precision, engine),
+                serving.feature_shape(p.project_id, precision),
             )
             if single:
                 payload = payload[0]
         if single:
-            result = serving.classify(
-                p.project_id, payload, precision=precision, engine=engine
-            )
+            result = serving.classify(p.project_id, payload, precision=precision)
             return {**result, "precision": precision, "engine": engine}
-        results = serving.classify_batch(
-            p.project_id, payload, precision=precision, engine=engine
-        )
+        results = serving.classify_batch(p.project_id, payload, precision=precision)
         return {
             "results": results,
             "batch_size": len(results),

@@ -249,8 +249,7 @@ def _classify_files(project, server, args) -> bool:
             sample = scratch.dataset.get(sample_id)
             features = project.impulse.features_for_sample(sample)
             results = server.classify_batch(
-                project.project_id, list(features),
-                precision=args.precision, engine=args.engine,
+                project.project_id, list(features), precision=args.precision,
             )
         except (OSError, ValueError, ServingError) as exc:
             print(f"  {filename}: error: {exc}")
@@ -352,8 +351,8 @@ def _cmd_serve(args) -> int:
 
     Each file's windows are admitted to the owning shard's queue as one
     group and its worker drains them in batched gulps.  Shards partition
-    the model cache by (project, precision, engine), so a single
-    project's traffic lands on one shard — the other ``--workers``
+    the model cache by (project, precision), so a single project's
+    traffic lands on one shard — the other ``--workers``
     shards are capacity for *other* models, which is where the
     multi-worker speedup shows (see
     ``benchmarks/bench_serving_throughput.py``); the per-shard stats
@@ -439,8 +438,7 @@ def _cmd_monitor(args) -> int:
     baseline = [first_window(s) for s in samples]
     with ModelServer.for_project(project) as server:
         server.telemetry = service.telemetry
-        server.classify_batch(pid, baseline, precision=args.precision,
-                              engine=args.engine)
+        server.classify_batch(pid, baseline, precision=args.precision)
         service.set_reference(pid)
         print(f"baseline: served {len(baseline)} window(s), reference pinned")
 
@@ -456,8 +454,7 @@ def _cmd_monitor(args) -> int:
                        + rng.normal(0, args.drift_noise, size=s.data.shape)
                        ).astype(np.float32)
             row = first_window(Sample(data=drifted, label="?"))
-            result = server.classify(pid, row, precision=args.precision,
-                                     engine=args.engine)
+            result = server.classify(pid, row, precision=args.precision)
             ranked = sorted(result["classification"].values(), reverse=True)
             service.telemetry.record(TelemetryRecord(
                 pid, model_version=version, top=result["top"],
@@ -608,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify raw recordings via the serving layer")
     p.add_argument("--dir", required=True)
     p.add_argument("--precision", default="int8", choices=("float32", "int8"))
-    p.add_argument("--engine", default="eon", choices=("eon", "tflm"))
     p.add_argument("--format", default=None)
     p.add_argument("files", nargs="+")
     p.set_defaults(fn=_cmd_classify)
@@ -644,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --state-dir: resubmit re-runnable jobs "
                         "(train) that a crash interrupted")
     p.add_argument("--precision", default="int8", choices=("float32", "int8"))
-    p.add_argument("--engine", default="eon", choices=("eon", "tflm"))
     p.add_argument("--format", default=None)
     p.add_argument("files", nargs="*")
     p.set_defaults(fn=_cmd_serve)
@@ -664,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift-noise", type=float, default=0.5,
                    help="noise stddev added to the drifted traffic")
     p.add_argument("--precision", default="int8", choices=("float32", "int8"))
-    p.add_argument("--engine", default="eon", choices=("eon", "tflm"))
     p.add_argument("--auto-retrain", action="store_true",
                    help="let the closed loop retrain on the drift window "
                         "and save the new revision")

@@ -138,19 +138,13 @@ class WorkerServer:
         (shape/dtype/quant) before any plan is compiled.
         """
         from repro.graph.serialize import graph_from_bytes
-        from repro.runtime.eon import EONCompiler
-        from repro.runtime.interpreter import TFLMInterpreter
+        from repro.runtime.eon import EONModel
 
         model_id = int(params["model_id"])
-        engine = params.get("engine", "eon")
         if not blobs:
             raise ValueError("load_model needs the graph blob")
         graph = graph_from_bytes(blobs[0])
-        model = (
-            EONCompiler().compile(graph)
-            if engine == "eon"
-            else TFLMInterpreter(graph)
-        )
+        model = EONModel(graph)
         self._models[model_id] = {"model": model}
         self._models.move_to_end(model_id)
         while len(self._models) > MODEL_CACHE_SIZE:

@@ -7,10 +7,9 @@ that protocol over :class:`VirtualSerialPort`:
 ``AT+HELLO?``, ``AT+CONFIG?``, ``AT+SAMPLESTART=<sensor>,<length_ms>``,
 ``AT+RUNIMPULSE``, ``AT+FLASH=<checksum>``, ``AT+VERSION?``
 
-Inference runs the one plan EON compiles from the flashed graph — the
-plan serving, EIM and ``Project.test`` score with, bit for bit — with
-cycle accounting from the device profile, so reported latencies match
-the profiler.
+Inference runs the flashed graph's one plan — the plan serving, EIM and
+``Project.test`` score with, bit for bit — on the cycle-counting
+emulator, so reported latencies match the profiler.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.deploy.firmware import FirmwareImage
 from repro.device.serial import VirtualSerialPort
 from repro.profile.devices import DeviceProfile, get_device
 from repro.profile.emulator import EmulatedDevice
-from repro.runtime.eon import EONCompiler
 
 
 class VirtualDevice:
@@ -40,7 +38,7 @@ class VirtualDevice:
         self.serial = VirtualSerialPort()
         self.firmware: FirmwareImage | None = None
         self._impulse: Impulse | None = None
-        self._model = None
+        self._graph = None
         self._emulator = EmulatedDevice(self.profile)
         self._last_sample: np.ndarray | None = None
         self._last_sensor: str | None = None
@@ -52,8 +50,7 @@ class VirtualDevice:
 
     def flash(self, image: FirmwareImage) -> None:
         """Install a firmware image (USB or OTA path)."""
-        graph = image.load_graph()
-        self._model = EONCompiler().compile(graph)
+        self._graph = image.load_graph()
         self._impulse = Impulse.from_dict(image.impulse_spec)
         self.firmware = image
 
@@ -88,9 +85,8 @@ class VirtualDevice:
         self._last_features = dsp_block.transform(
             np.asarray(window, dtype=np.float32)
         )
-        graph = self._model.graph
         probs, trace = self._emulator.run(
-            graph, window, dsp_block=dsp_block, features=self._last_features
+            self._graph, window, dsp_block=dsp_block, features=self._last_features
         )
         timing = self._emulator.latency_ms(trace)
         ranked = sorted(

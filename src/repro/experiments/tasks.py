@@ -157,10 +157,10 @@ def trained_task(task: str, seed: int = 0, samples_per_class: int | None = None)
     float_graph = sequential_to_graph(model, name=task)
     int8_graph = quantize_graph(float_graph, x_train[: min(len(x_train), 96)])
 
-    from repro.runtime import TFLMInterpreter, run_graph
+    from repro.runtime import EONModel, run_graph
 
     float_preds = run_graph(float_graph, x_test).argmax(axis=1)
-    int8_preds = TFLMInterpreter(int8_graph).classify(x_test)
+    int8_preds = EONModel(int8_graph).classify(x_test)
     bundle = TrainedTask(
         name=task,
         impulse=impulse,

@@ -20,7 +20,7 @@ class Graph:
         self.ops: list[GOp] = []
         self.input_id: int = -1
         self.output_id: int = -1
-        # The memoized CompiledPlan every engine runs (see
+        # The memoized CompiledPlan every runtime path runs (see
         # repro.runtime.executor.compile_plan); cleared by structural
         # edits.
         self._plan = None

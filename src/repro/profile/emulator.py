@@ -1,7 +1,7 @@
 """Cycle-counting device emulator — the Renode substitute.
 
-Runs a graph through its one compiled plan (what every engine executes,
-so outputs are bit-identical to serving's) while charging cycles from
+Runs a graph through its one compiled plan (what serving executes, so
+outputs are bit-identical to serving's) while charging cycles from
 the device's cost model op by op, so "measured-on-emulator" latency and
 the static estimate agree by construction (the property the paper relies
 on when it presents estimator output as early-design-space truth).

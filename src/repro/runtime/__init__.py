@@ -1,14 +1,13 @@
-"""Inference runtimes.
+"""Inference runtime.
 
-Two engines execute the same :class:`repro.graph.Graph` through its one
-compiled plan and produce bit-identical outputs; they differ in the
-overheads they carry — exactly the comparison of paper Sec. 5.3, priced
-by :mod:`repro.profile.memory`:
-
-- :class:`repro.runtime.interpreter.TFLMInterpreter`: op registry over
-  the authored ops, the TFLM model.
-- :class:`repro.runtime.eon.EONCompiler`: the static plan plus generated
-  C++ source running its steps in the step arena, the EON Compiler model.
+One model class executes a :class:`repro.graph.Graph`:
+:class:`repro.runtime.eon.EONModel`, the graph's one compiled plan, made
+by :class:`repro.runtime.eon.EONCompiler` (which also emits the plan as
+C++ source).  The TFLM and EON engines of paper Sec. 5.3 do the same
+arithmetic and differ in RAM and flash only — interpreter core,
+per-tensor structs, the arena over the authored ops — which
+:mod:`repro.profile.memory` prices; no runtime path depends on the
+engine.
 """
 
 from repro.runtime.arena import ArenaPlan, plan_arena
@@ -18,8 +17,12 @@ from repro.runtime.executor import (
     run_graph,
     run_graph_dispatch,
 )
-from repro.runtime.interpreter import TFLMInterpreter
 from repro.runtime.eon import EONCompiler, EONModel
+
+# The deleted TFLM interpreter's name, importable only because the frozen
+# benchmarks/e2e workloads build their oracle with it.  It is EONModel:
+# no registry, no second plan, no isinstance meaning.
+TFLMInterpreter = EONModel
 
 __all__ = [
     "run_graph",
@@ -28,7 +31,6 @@ __all__ = [
     "CompiledPlan",
     "plan_arena",
     "ArenaPlan",
-    "TFLMInterpreter",
     "EONCompiler",
     "EONModel",
 ]

@@ -1,18 +1,20 @@
 """The EON Compiler (paper Sec. 4.5, Jongboom 2022).
 
-Compiles a graph to (a) a static execution plan run without any interpreter
-dispatch or runtime tensor metadata, and (b) compilable C++ source in which
-every kernel call, buffer offset and shape is resolved at compile time.
-Both are the graph's one plan (the C++ runs its steps at the offsets of
-``plan_arena(plan)``, the arena Table 4 prices), so outputs are
-bit-identical and only the overheads differ: EON drops the interpreter
-core and per-tensor structs, which is where the "up to 55% less RAM and
-35% less ROM" headline comes from.
+Compiles a graph to (a) :class:`EONModel`, the one runtime model: the
+graph's static execution plan, run without any interpreter dispatch or
+runtime tensor metadata, and (b) compilable C++ source in which every
+kernel call, buffer offset and shape is resolved at compile time, the
+same plan's steps at the offsets of ``plan_arena(plan)`` (the arena
+Table 4 prices).
+
+EON and TFLM do the same arithmetic and differ only in overheads: EON
+drops the interpreter core and per-tensor structs, which is where the
+"up to 55% less RAM and 35% less ROM" headline comes from.
+:mod:`repro.profile.memory` prices that difference; nothing here runs
+it, so one model serves either engine bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,18 +40,19 @@ def _float_literal(v: float) -> str:
     return s + "f"
 
 
-@dataclass
 class EONModel:
-    """A compiled model: the graph's plan + optional generated sources."""
+    """A compiled model: the graph and its one plan, run with no
+    interpreter dispatch and no per-tensor metadata."""
 
-    graph: Graph
-    plan: CompiledPlan
-    sources: dict[str, str] = field(default_factory=dict)
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.plan = compile_plan(graph)
 
     def invoke(self, batch: np.ndarray) -> np.ndarray:
-        # Static plan: a straight-line sequence of bound kernels, no
-        # registry lookups, every step at its arena offset.  The one plan
-        # runs every batch size.
+        """Raw output tensor (an int8 graph returns int8 — use
+        :meth:`predict_proba` or :meth:`classify` for floats).  The
+        static plan is a straight-line sequence of bound kernels, every
+        step at its arena offset; it runs every batch size."""
         return self.plan.execute(batch)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
@@ -67,11 +70,8 @@ class EONCompiler:
     tensor, and an in-place ADD writes its operand's buffer.
     """
 
-    def compile(self, graph: Graph, emit_source: bool = False) -> EONModel:
-        model = EONModel(graph=graph, plan=compile_plan(graph))
-        if emit_source:
-            model.sources = self.generate_source(graph)
-        return model
+    def compile(self, graph: Graph) -> EONModel:
+        return EONModel(graph)
 
     # -- C++ code generation -----------------------------------------------
 

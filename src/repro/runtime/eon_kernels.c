@@ -392,16 +392,8 @@ void eon_gap_i8(const int64_t *p, const int8_t *x, int8_t *out, int64_t rows)
         }
 }
 
-/* v < lo ? lo : v, then v > hi ? hi : v, lane by lane (np.clip). */
-static eon_v8f clamp_f32(eon_v8f v, eon_v8f lo, eon_v8f hi)
-{
-    eon_v8i below = v < lo, above = v > hi;
-    eon_v8i bits = ((eon_v8i)lo & below) | ((eon_v8i)v & ~below);
-    bits = ((eon_v8i)hi & above) | (bits & ~above);
-    return (eon_v8f)bits;
-}
-
-static float clamp_f32_1(float v, float lo, float hi)
+/* v < lo ? lo : v, then v > hi ? hi : v (np.clip). */
+static float clamp_f32(float v, float lo, float hi)
 {
     v = v < lo ? lo : v;
     return v > hi ? hi : v;
@@ -413,12 +405,18 @@ static float clamp_f32_1(float v, float lo, float hi)
 
 /* The ordered-tap sums of ``n`` <= EON_PXF output pixels whose windows
  * start at win[k] = win + k * step, channels o..o+EON_VF-1, biased and
- * clamped into dst + k * c. */
+ * clamped, lane by lane as clamp_f32 does, into dst + k * c.  No vector
+ * crosses a call by value: that ABI differs between hosts with and
+ * without AVX (gcc's -Wpsabi). */
 static void dw_f32_block(const float *win, int64_t step, int64_t n, int64_t row,
                          int64_t c, int64_t kh, int64_t kw, const float *taps,
-                         const float *bias, eon_v8f lo, eon_v8f hi, float *dst)
+                         const float *bias, float lo, float hi, float *dst)
 {
-    eon_v8f acc[EON_PXF], xv, tv, bv;
+    eon_v8f acc[EON_PXF], xv, tv, bv, lov, hiv;
+    for (int k = 0; k < EON_VF; k++) {
+        lov[k] = lo;
+        hiv[k] = hi;
+    }
     for (int k = 0; k < EON_PXF; k++)
         acc[k] = (eon_v8f){0};
     for (int64_t i = 0; i < kh; i++)
@@ -432,8 +430,11 @@ static void dw_f32_block(const float *win, int64_t step, int64_t n, int64_t row,
         }
     memcpy(&bv, bias, sizeof bv);
     for (int k = 0; k < n; k++) {
-        const eon_v8f v = clamp_f32(acc[k] + bv, lo, hi);
-        memcpy(dst + k * c, &v, sizeof v);
+        const eon_v8f v = acc[k] + bv;
+        const eon_v8i below = v < lov, above = v > hiv;
+        eon_v8i bits = ((eon_v8i)lov & below) | ((eon_v8i)v & ~below);
+        bits = ((eon_v8i)hiv & above) | (bits & ~above);
+        memcpy(dst + k * c, &bits, sizeof bits);
     }
 }
 
@@ -453,11 +454,6 @@ void eon_dwconv_f32(const int64_t *p, const float *x, float *xp,
     const int64_t in_image = p[EON_P_H] * p[EON_P_W] * c;
     const int64_t vec_end = c / EON_VF * EON_VF, step = stride * c;
     const int padded = is_padded(p);
-    eon_v8f lov, hiv;
-    for (int k = 0; k < EON_VF; k++) {
-        lov[k] = lo;
-        hiv[k] = hi;
-    }
     for (int64_t b = 0; b < rows; b++) {
         const float *img = x + b * in_image;
         if (padded) {
@@ -471,7 +467,7 @@ void eon_dwconv_f32(const int64_t *p, const float *x, float *xp,
                 float *dst = out + ((b * oh + y) * ow + x0) * c;
                 for (int64_t o = 0; o < vec_end; o += EON_VF)
                     dw_f32_block(win + o, step, n, row, c, kh, kw, taps + o,
-                                 bias + o, lov, hiv, dst + o);
+                                 bias + o, lo, hi, dst + o);
                 for (int64_t k = 0; k < n; k++)
                     for (int64_t o = vec_end; o < c; o++) {
                         float acc = 0.0f;
@@ -479,7 +475,7 @@ void eon_dwconv_f32(const int64_t *p, const float *x, float *xp,
                             for (int64_t j = 0; j < kw; j++)
                                 acc = acc + win[k * step + i * row + j * c + o]
                                                 * taps[(i * kw + j) * c + o];
-                        dst[k * c + o] = clamp_f32_1(acc + bias[o], lo, hi);
+                        dst[k * c + o] = clamp_f32(acc + bias[o], lo, hi);
                     }
             }
     }

@@ -5,9 +5,8 @@ Two ways to execute a :class:`repro.graph.Graph`:
 - :func:`compile_plan` resolves every op **once** into a bound closure
   (kernel function, weights, biases, quant params and attributes all
   pre-looked-up), so repeated invokes run a straight list of closures.
-  This is the hot path used by :func:`run_graph`,
-  :class:`repro.runtime.interpreter.TFLMInterpreter` and
-  :class:`repro.runtime.eon.EONModel`.
+  This is the hot path used by :func:`run_graph` and
+  :class:`repro.runtime.eon.EONModel`, the one runtime model.
 - :func:`run_graph_dispatch` binds every authored op again on every
   call — the reference implementation for equivalence tests, and
   (``record=True``) the calibration path that returns every activation.
@@ -671,8 +670,8 @@ def compile_plan(
 ) -> CompiledPlan:
     """Compile (or fetch the cached) execution plan for ``graph``.
 
-    A graph has one plan (``graph._plan``): the TFLM interpreter, EON
-    and ``run_graph`` all run it, at every batch size.  Structural edits
+    A graph has one plan (``graph._plan``): ``EONModel`` and
+    ``run_graph`` run it, at every batch size.  Structural edits
     via ``Graph.add_tensor``/``Graph.add_op`` clear it.  Thread-safe:
     concurrent callers racing on a cold graph get the same plan object.
     Every cold compile runs the full graph verifier

@@ -1,8 +1,8 @@
 """Reference kernels, float32 and integer-only int8.
 
-The float32 kernels are one family: dispatch, the TFLM interpreter's
-plan and EON's plan all call the same functions, so float32 outputs are
-bit-identical across engines for the same batch, and equal to a float64
+The float32 kernels are one family: dispatch and the compiled plan
+call the same functions, so float32 outputs are bit-identical across
+routes for the same batch, and equal to a float64
 reference within float32 rounding (see the notes above them for how the
 convolutions are lowered).
 
@@ -13,8 +13,9 @@ symmetric (zero-zp) weights.  They are the spec.  Each int8 conv /
 depthwise / conv1d / dense op has two kernels: the spec here, which
 ``run_graph_dispatch`` calls, and EON's C kernel
 (``repro.runtime.native``), which compiled plans bind; a plan binds the
-spec itself where C cannot run the layer.  Both engines share the plan —
-that is what makes the TFLM-vs-EON comparison a pure overhead comparison.
+spec itself where C cannot run the layer.  TFLM and EON do the same
+arithmetic, so one plan serves both and the TFLM-vs-EON comparison is a
+pure overhead comparison (``repro.profile.memory``).
 
 Every kernel here is NHWC and 2-D, one conv, one depthwise, one max
 pool, one average pool and one global-average pool per dtype.  The 1-D
@@ -87,9 +88,9 @@ def _gemm(windows, w2d, col=None, out=None):
 # float32 kernels
 # --------------------------------------------------------------------------
 #
-# One family, shared by ``run_graph_dispatch``, the TFLM interpreter's
-# plan and EON's plan: float32 has no exactness proof to gate a second
-# route on, and the engines' bit-identity *is* this sharing.  Four
+# One family, shared by ``run_graph_dispatch`` and the compiled plan:
+# float32 has no exactness proof to gate a second route on, and the
+# routes' bit-identity *is* this sharing.  Four
 # rewrites relative to the tensordot/einsum originals; sums are
 # reassociated, so results agree with a float64 reference to float32
 # rounding (rtol 1e-5 of the output scale), not with the originals to

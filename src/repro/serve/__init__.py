@@ -2,8 +2,10 @@
 
 The hosted platform serves inference for thousands of projects behind a
 REST API; this package is that tier.  :class:`ModelServer` compiles each
-(project, precision, engine) once into a plan-backed model, caches it in
-a sharded LRU, and coalesces classify requests into batched invokes.
+(project, precision) once into a plan-backed model, caches it in a
+sharded LRU, and coalesces classify requests into batched invokes.  A
+request may name either engine: TFLM and EON run the same plan, so one
+model serves both.
 Every request joins its shard's bounded queue, drained by one thread
 per shard; ``ModelServer(platform, placement=...)`` picks where the
 invokes run: ``"thread"`` (in this process) or ``"process"`` (in one

@@ -5,7 +5,7 @@ of one stacked ``(n, *feature_shape)`` batch.  A *runner* is that one
 difference; each cache partition (:class:`repro.serve.shard._Shard`)
 owns one:
 
-- ``build(graph, engine)`` — what the partition caches as
+- ``build(graph)`` — what the partition caches as
   ``entry.model`` (called under the partition's cache lock, so exactly
   one model is built per miss);
 - ``run(model, stacked)`` — one batched invoke, probability rows out;
@@ -33,8 +33,7 @@ from repro.core.workers.client import (
 )
 from repro.core.workers.frames import pack_array, unpack_array
 from repro.graph.serialize import graph_to_bytes
-from repro.runtime.eon import EONCompiler
-from repro.runtime.interpreter import TFLMInterpreter
+from repro.runtime.eon import EONModel
 from repro.serve.shard import ServingError
 
 #: Seconds a worker process may take over one ``load_model`` or
@@ -45,12 +44,8 @@ REQUEST_TIMEOUT_S = 120.0
 class LocalRunner:
     """Compile in this process, invoke in the calling thread."""
 
-    def build(self, graph, engine: str):
-        """EON plan or TFLM interpreter — both execute a
-        :class:`repro.runtime.executor.CompiledPlan`."""
-        if engine == "eon":
-            return EONCompiler().compile(graph)
-        return TFLMInterpreter(graph)
+    def build(self, graph) -> EONModel:
+        return EONModel(graph)
 
     def run(self, model, stacked: np.ndarray) -> np.ndarray:
         return model.predict_proba(stacked)
@@ -71,11 +66,10 @@ class _RemoteModel:
     loaded on — so a respawned worker (or one whose own LRU evicted the
     model) reloads it lazily on first use, not by an eager re-push."""
 
-    __slots__ = ("model_id", "engine", "graph_blob", "loaded_on")
+    __slots__ = ("model_id", "graph_blob", "loaded_on")
 
-    def __init__(self, model_id: int, engine: str, graph_blob: bytes):
+    def __init__(self, model_id: int, graph_blob: bytes):
         self.model_id = model_id
-        self.engine = engine
         self.graph_blob = graph_blob
         self.loaded_on: WorkerHandle | None = None
 
@@ -102,14 +96,14 @@ class WorkerRunner:
         self._model_ids = itertools.count(1)
         self._pool = WorkerPool(1, name=name)
 
-    def build(self, graph, engine: str) -> _RemoteModel:
-        return _RemoteModel(next(self._model_ids), engine, graph_to_bytes(graph))
+    def build(self, graph) -> _RemoteModel:
+        return _RemoteModel(next(self._model_ids), graph_to_bytes(graph))
 
     def _load(self, handle: WorkerHandle, model: _RemoteModel) -> None:
         if model.loaded_on is not handle:
             handle.call(
                 "load_model",
-                {"model_id": model.model_id, "engine": model.engine},
+                {"model_id": model.model_id},
                 (model.graph_blob,),
                 timeout=REQUEST_TIMEOUT_S,
             )

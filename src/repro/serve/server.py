@@ -11,10 +11,13 @@ lives here, once:
   (NaN and infinities included) fail fast with ``KeyError`` /
   :class:`ServingError` / :class:`ModelNotTrainedError` and can never
   poison a worker or a telemetry record;
-- models are compiled once per ``(project_id, precision, engine)`` and
-  held in an LRU cache, partitioned across ``workers`` shards by a
-  stable crc32 of the key (:mod:`repro.serve.shard`); retraining is
-  detected by graph identity, so an entry never serves a stale model;
+- models are compiled once per ``(project_id, precision)`` and held in
+  an LRU cache, partitioned across ``workers`` shards by a stable crc32
+  of the key (:mod:`repro.serve.shard`); retraining is detected by
+  graph identity, so an entry never serves a stale model.  There is no
+  engine in the key: TFLM and EON run the same plan (they differ in
+  RAM and flash, which :mod:`repro.profile.memory` prices), so one
+  model serves a request that names either;
 - every stacked batch goes through :meth:`ModelServer._serve_chunk`:
   one invoke on the shard's runner, the result-row-count guard, label
   ordering, result shaping, counters and telemetry.
@@ -43,7 +46,6 @@ from repro.monitor.telemetry import TelemetryRecord, model_version_of
 from repro.serve.runners import LocalRunner, WorkerRunner
 from repro.serve.shard import PendingResult, ServingError, _CacheEntry, _Shard
 
-ENGINES = ("eon", "tflm")
 PRECISIONS = ("float32", "int8")
 PLACEMENTS = ("thread", "process")
 
@@ -119,14 +121,14 @@ class ModelServer:
 
     # -- admission ---------------------------------------------------------
 
-    def shard_index(self, project_id: int, precision: str, engine: str) -> int:
+    def shard_index(self, project_id: int, precision: str) -> int:
         """Stable shard assignment for a model key (crc32, not ``hash``,
         so placement survives interpreter restarts and PYTHONHASHSEED —
         and is the same on every placement)."""
-        key = f"{project_id}|{precision}|{engine}".encode()
+        key = f"{project_id}|{precision}".encode()
         return zlib.crc32(key) % self.workers
 
-    def _graph(self, project_id: int, precision: str, engine: str):
+    def _graph(self, project_id: int, precision: str):
         """Validate a model key and return the trained graph it names.
 
         Raises ``KeyError`` for an unknown project (a missing resource)
@@ -134,8 +136,6 @@ class ModelServer:
         """
         if precision not in PRECISIONS:
             raise ServingError(f"unknown precision {precision!r}; expected {PRECISIONS}")
-        if engine not in ENGINES:
-            raise ServingError(f"unknown engine {engine!r}; expected {ENGINES}")
         project = self.platform.projects[project_id]
         graph = project.int8_graph if precision == "int8" else project.float_graph
         if graph is None:
@@ -144,32 +144,26 @@ class ModelServer:
             )
         return graph
 
-    def feature_shape(
-        self, project_id: int, precision: str = "int8", engine: str = "eon"
-    ) -> tuple[int, ...]:
+    def feature_shape(self, project_id: int, precision: str = "int8") -> tuple[int, ...]:
         """Shape of one feature window of the model a key names — what a
         transport needs to size-check a packed payload before decoding
         it.  Fails exactly as a classify on the same key would; touches
         no shard, cache counter or worker."""
-        graph = self._graph(project_id, precision, engine)
+        graph = self._graph(project_id, precision)
         return tuple(graph.tensors[graph.input_id].shape)
 
-    def _resolve(
-        self, project_id: int, precision: str, engine: str
-    ) -> tuple[_Shard, _CacheEntry]:
+    def _resolve(self, project_id: int, precision: str) -> tuple[_Shard, _CacheEntry]:
         """Validate a model key and fetch (or build) its cache entry in
         the owning shard — without touching any worker."""
-        graph = self._graph(project_id, precision, engine)
-        shard = self.shards[self.shard_index(project_id, precision, engine)]
-        return shard, shard.lookup((project_id, precision, engine), graph)
+        graph = self._graph(project_id, precision)
+        shard = self.shards[self.shard_index(project_id, precision)]
+        return shard, shard.lookup((project_id, precision), graph)
 
-    def get_model(
-        self, project_id: int, precision: str = "int8", engine: str = "eon"
-    ) -> _CacheEntry:
+    def get_model(self, project_id: int, precision: str = "int8") -> _CacheEntry:
         """Resolve the served model for a project **and** warm it where
         it will run (on ``process``: spawn the owning worker and compile
         the model in it)."""
-        shard, entry = self._resolve(project_id, precision, engine)
+        shard, entry = self._resolve(project_id, precision)
         shard.runner.warm(entry.model)
         return entry
 
@@ -214,48 +208,32 @@ class ModelServer:
 
     # -- classification ----------------------------------------------------
 
-    def submit(
-        self,
-        project_id: int,
-        features,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> PendingResult:
+    def submit(self, project_id: int, features, precision: str = "int8") -> PendingResult:
         """Admit one request; returns a ticket whose ``value()`` blocks
         for the result dict.  Raises eagerly (``ServingError`` /
         ``KeyError``) on bad requests and when the owning shard's queue
         is full."""
-        shard, entry = self._resolve(project_id, precision, engine)
+        shard, entry = self._resolve(project_id, precision)
         return shard.dispatch(entry, [self._coerce_features(entry, features)])[0]
 
-    def classify(
-        self,
-        project_id: int,
-        features,
-        precision: str = "int8",
-        engine: str = "eon",
-    ) -> dict:
+    def classify(self, project_id: int, features, precision: str = "int8") -> dict:
         """Classify one feature window; returns ``{"classification",
         "top"}``.  Runs in the calling thread when its shard is idle;
         otherwise it queues, and concurrent callers share batched
         invokes."""
-        shard, entry = self._resolve(project_id, precision, engine)
+        shard, entry = self._resolve(project_id, precision)
         row = self._coerce_features(entry, features)
         return shard.dispatch(entry, [row], caller_waits=True)[0].value()
 
     def classify_batch(
-        self,
-        project_id: int,
-        feature_rows,
-        precision: str = "int8",
-        engine: str = "eon",
+        self, project_id: int, feature_rows, precision: str = "int8"
     ) -> list[dict]:
         """Classify many windows (a list of rows or one 2-D array) in
         micro-batches; one result per row."""
         if (not isinstance(feature_rows, (list, tuple, np.ndarray))
                 or len(feature_rows) == 0):
             raise ServingError("batch must be a non-empty list of feature rows")
-        shard, entry = self._resolve(project_id, precision, engine)
+        shard, entry = self._resolve(project_id, precision)
         # Admission is all-or-nothing: every row is validated before any
         # is queued, and the group is queued under one lock acquisition —
         # so a malformed row (or a full queue) mid-batch cannot leave

@@ -30,8 +30,8 @@ import numpy as np
 
 
 class ServingError(Exception):
-    """Invalid classify request (bad engine/precision/feature shape, a
-    group larger than a shard's whole queue), an overloaded or shut-down
+    """Invalid classify request (bad precision or feature shape, a group
+    larger than a shard's whole queue), an overloaded or shut-down
     shard, or a broken serving contract (a runner's row-count
     mismatch)."""
 
@@ -77,8 +77,8 @@ class _CacheEntry:
 
     __slots__ = ("key", "graph", "model", "feature_shape", "feature_size")
 
-    def __init__(self, key: tuple[int, str, str], graph, model):
-        self.key = key  # (project_id, precision, engine)
+    def __init__(self, key: tuple[int, str], graph, model):
+        self.key = key  # (project_id, precision)
         self.graph = graph
         self.model = model  # whatever the shard's runner built
         self.feature_shape = tuple(graph.tensors[graph.input_id].shape)
@@ -123,7 +123,7 @@ class _Shard:
 
     # -- model cache -------------------------------------------------------
 
-    def lookup(self, key: tuple[int, str, str], graph) -> _CacheEntry:
+    def lookup(self, key: tuple[int, str], graph) -> _CacheEntry:
         """Fetch (or build and cache) the entry for ``key``.  Retraining
         is detected by graph identity, so an entry never serves a stale
         model."""
@@ -136,7 +136,7 @@ class _Shard:
             # Building under the lock serializes concurrent misses on the
             # same key, so exactly one model is built.
             self.cache_misses += 1
-            entry = _CacheEntry(key, graph, self.runner.build(graph, key[2]))
+            entry = _CacheEntry(key, graph, self.runner.build(graph))
             self._cache[key] = entry  # replaces a retrained project's model
             self._cache.move_to_end(key)
             while len(self._cache) > self.server.cache_size:

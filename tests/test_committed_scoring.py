@@ -142,9 +142,10 @@ def test_precision_selector_rejects_unknown_precisions(kws):
 
 @pytest.mark.parametrize("precision", ["float32", "int8"])
 def test_every_surface_returns_the_plan_probabilities(kws, precision):
-    """The project, every serving placement x engine, the EIM runner and
-    a device flashed with that precision's firmware return bit-identical
-    probabilities for the same windows."""
+    """The project, every serving placement, the REST route under either
+    engine spelling, the EIM runner and a device flashed with that
+    precision's firmware return bit-identical probabilities for the same
+    windows."""
     platform, project = kws
     labels = sorted(project.label_map, key=project.label_map.get)
     audio = _windows(project)
@@ -161,13 +162,22 @@ def test_every_surface_returns_the_plan_probabilities(kws, precision):
         ]
     for placement in ("thread", "process"):
         with ModelServer(platform, placement=placement, workers=2) as server:
-            for engine in ("eon", "tflm"):
-                got[f"{placement}/{engine}"] = [
-                    _ranked_probs(server.classify(
-                        project.project_id, f, precision=precision, engine=engine,
-                    )["classification"].items(), labels)
-                    for f in feats
-                ]
+            got[placement] = [
+                _ranked_probs(server.classify(
+                    project.project_id, f, precision=precision,
+                )["classification"].items(), labels)
+                for f in feats
+            ]
+    for engine in ("eon", "tflm"):
+        replies = [platform.gateway.handle(
+            "POST", f"/v1/projects/{project.project_id}/classify",
+            {"features": f.ravel().tolist(), "precision": precision,
+             "engine": engine}, user="u",
+        )["data"] for f in feats]
+        assert {r["engine"] for r in replies} == {engine}
+        got[f"rest/{engine}"] = [
+            _ranked_probs(r["classification"].items(), labels) for r in replies
+        ]
     eim = EIMRunner(EIMBundle.load(
         project.deploy("eim", precision=precision).files["model.eim"]
     ))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.graph import graph_from_bytes, graph_to_bytes
-from repro.runtime import TFLMInterpreter
+from repro.runtime import EONModel
 
 
 def test_corrupted_graph_header_rejected(tiny_graphs):
@@ -21,26 +21,36 @@ def test_truncated_graph_blob_rejected(tiny_graphs):
         graph_from_bytes(blob[: len(blob) - 100])
 
 
-def test_unregistered_op_refused(tiny_graphs):
+def test_forged_opcode_is_refused_before_any_plan_is_compiled(tiny_graphs, monkeypatch):
+    """An opcode no kernel implements is refused where a blob enters —
+    the graph loader, an .eim bundle, a firmware flash — never by a
+    plan, which is not even built."""
+    from repro.deploy import EIMBundle, FirmwareImage
+    from repro.device import VirtualDevice
+    from repro.graph import OPCODES
+    from repro.runtime.executor import CompiledPlan
+
     _, int8_graph = tiny_graphs
-    interp = TFLMInterpreter(int8_graph)
-    interp._registry.discard("SOFTMAX")  # simulate a missing kernel
-    with pytest.raises(RuntimeError, match="not registered"):
-        interp.invoke(np.zeros((1, 16, 8), dtype=np.float32))
+    blob = graph_to_bytes(int8_graph)
+    # A name of the same length keeps the header's length field true, so
+    # only the opcode check can refuse the blob.
+    assert "SOFTMIN" not in OPCODES and blob.count(b"SOFTMAX") == 1
+    forged = blob.replace(b"SOFTMAX", b"SOFTMIN")
 
+    def compiled(*args, **kwargs):
+        raise AssertionError("a plan was compiled for a forged blob")
 
-def test_unregistered_absorbed_pool_refused():
-    # The plan runs conv+pool as one CONV_2D step; the registry check
-    # must still see the pool the authored graph asks for.
-    from repro.graph import sequential_to_graph
-    from repro.nn.architectures import cifar_cnn
-
-    graph = sequential_to_graph(cifar_cnn((8, 8, 3), 2, base_filters=4, seed=0))
-    interp = TFLMInterpreter(graph)
-    assert "MAX_POOL_2D" not in {step.opcode for step in interp._plan.steps}
-    interp._registry.discard("MAX_POOL_2D")
-    with pytest.raises(RuntimeError, match="op MAX_POOL_2D not registered"):
-        interp.invoke(np.zeros((1, 8, 8, 3), dtype=np.float32))
+    monkeypatch.setattr(CompiledPlan, "__init__", compiled)
+    with pytest.raises(ValueError, match="unknown opcode 'SOFTMIN'"):
+        graph_from_bytes(forged)
+    with pytest.raises(ValueError, match="unknown opcode 'SOFTMIN'"):
+        EIMBundle.load(b'{"engine": "eon"}\x00' + forged)
+    device = VirtualDevice("forged", "nano33ble")
+    image = FirmwareImage(project_name="forged", version="v1", impulse_spec={},
+                          labels=["a", "b", "c"], graph_blob=forged, engine="eon")
+    with pytest.raises(ValueError, match="unknown opcode 'SOFTMIN'"):
+        device.flash(image)
+    assert device.firmware is None
 
 
 def _forged_residual_graph(forged_op: int, forged: dict):
@@ -88,7 +98,6 @@ def test_forged_optimisation_attrs_are_ignored(forged_op, forged):
         served = server.classify(1, x[0], precision="float32")["classification"]
     outputs = {
         "compile_plan": compile_plan(graph, cache=False).execute(x),
-        "tflm": TFLMInterpreter(graph).invoke(x),
         "eon": EONCompiler().compile(graph).invoke(x),
         "served": np.array([[served[label] for label in labels]], dtype=np.float32),
     }
@@ -248,7 +257,7 @@ def test_quantize_without_calibration_data(tiny_graphs):
 
     float_graph, _ = tiny_graphs
     qg = quantize_graph(float_graph, np.zeros((1, 16, 8), dtype=np.float32))
-    out = TFLMInterpreter(qg).invoke(np.zeros((1, 16, 8), dtype=np.float32))
+    out = EONModel(qg).invoke(np.zeros((1, 16, 8), dtype=np.float32))
     assert out.shape == (1, 3)
 
 

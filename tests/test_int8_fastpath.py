@@ -52,7 +52,6 @@ from repro.quantize.fixedpoint import (
 )
 from repro.runtime import (
     EONCompiler,
-    TFLMInterpreter,
     compile_plan,
     run_graph_dispatch,
 )
@@ -71,7 +70,6 @@ ROUTES = {
     "dispatch": lambda g: lambda x: run_graph_dispatch(g, x),
     "plan_default": lambda g: compile_plan(g, cache=False).execute,
     "plan_spec": lambda g: spec_plan(g).execute,
-    "tflm": lambda g: TFLMInterpreter(g).invoke,
     "eon": lambda g: EONCompiler().compile(g).invoke,
 }
 

@@ -42,6 +42,7 @@ import itertools
 import json
 import mmap
 import pathlib
+import platform
 import shutil
 import tempfile
 import threading
@@ -640,6 +641,34 @@ def test_special_values_take_both_float32_depthwise_routes_alike(activation, pad
         graph = _dwconv_f32_graph(x.shape, w, b, 1, pad, pad, activation)
         got = _assert_c_f32_equals_numpy(graph, x)
         assert got.tobytes() == np.zeros_like(got).tobytes()
+
+
+@pytest.fixture(scope="module")
+def baseline_x86_lib(tmp_path_factory):
+    """The kernels built for baseline x86-64 (SSE2, no AVX), where an
+    8-float vector spans two registers and passing one by value would
+    change the calling convention."""
+    if LIB is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("needs a C compiler on an x86-64 host")
+    path = tmp_path_factory.mktemp("x86-64") / "eon_kernels_x86_64.so"
+    with mock.patch.object(native, "FLAGS", native.FLAGS + ("-march=x86-64",)):
+        native._build(shutil.which("cc"), path)
+    return native._declare(ctypes.CDLL(str(path)))
+
+
+@pytest.fixture
+def baseline_x86_library(baseline_x86_lib):
+    """``native.load`` returns the baseline x86-64 build."""
+    with mock.patch.object(native, "load", lambda: baseline_x86_lib):
+        yield baseline_x86_lib
+
+
+@pytest.mark.usefixtures("baseline_x86_library")
+class TestTheBaselineX86Build:
+    """The float32 depthwise special values again on a build without AVX."""
+
+    test_special_values_take_both_float32_depthwise_routes_alike = staticmethod(
+        test_special_values_take_both_float32_depthwise_routes_alike)
 
 
 @needs_cc

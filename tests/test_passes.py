@@ -12,7 +12,7 @@ from repro.nn.architectures import cifar_cnn, conv1d_stack, ds_cnn, mlp, mobilen
 from repro.quantize import quantize_graph
 from repro.runtime import (
     EONCompiler,
-    TFLMInterpreter,
+    EONModel,
     compile_plan,
     plan_arena,
     run_graph_dispatch,
@@ -90,8 +90,8 @@ def test_pipeline_never_mutates_the_source_graph():
               for op in graph.ops]
     n_tensors = len(graph.tensors)
     compile_plan(graph)
-    TFLMInterpreter(graph)
-    EONCompiler().compile(graph, emit_source=True)
+    EONModel(graph)
+    EONCompiler().generate_source(graph)
     assert len(graph.tensors) == n_tensors
     assert [(op.opcode, tuple(op.inputs), tuple(op.outputs), dict(op.attrs))
             for op in graph.ops] == before
@@ -100,11 +100,10 @@ def test_pipeline_never_mutates_the_source_graph():
 def test_engines_still_agree_bit_for_bit():
     _, qg = _graph_pair(conv1d_stack, (16, 4), 3)
     x = RNG.standard_normal((2, 16, 4)).astype(np.float32)
-    interp = TFLMInterpreter(qg)
     eon = EONCompiler().compile(qg)
-    assert np.array_equal(interp.invoke(x), eon.invoke(x))
-    # Both engines run the graph's one plan.
-    assert interp._plan is eon.plan is compile_plan(qg)
+    assert np.array_equal(run_graph_dispatch(qg, x), eon.invoke(x))
+    # The one runtime model runs the graph's one plan.
+    assert eon.plan is EONModel(qg).plan is compile_plan(qg)
 
 
 def test_record_mode_exposes_all_authored_activations():
@@ -136,7 +135,7 @@ def test_default_plan_stays_identity_cached():
 def test_every_engine_shares_one_plan():
     graph = small_int8_graph()
     plan = compile_plan(graph)
-    assert TFLMInterpreter(graph)._plan is plan
+    assert EONModel(graph).plan is plan
     assert EONCompiler().compile(graph).plan is plan
     # The ignored keyword a frozen caller still passes changes nothing.
     assert compile_plan(graph, engine="eon") is plan
@@ -149,7 +148,7 @@ def test_structural_edit_invalidates_every_cached_plan():
     assert graph._plan is None
     fresh = compile_plan(graph)
     assert fresh is not plan
-    assert TFLMInterpreter(graph)._plan is fresh
+    assert EONModel(graph).plan is fresh
 
 
 # -- conv+pool fusion and the C-or-spec choice -------------------------------

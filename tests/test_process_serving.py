@@ -77,7 +77,7 @@ def test_worker_rejecting_a_batch_fails_it_and_survives(
     p = projects[0]
     with ModelServer(platform, placement="process", workers=1) as server:
         want = server.classify(p.project_id, x[0])
-        entry = server.get_model(p.project_id, "int8", "eon")
+        entry = server.get_model(p.project_id, "int8")
         pid_before = server.snapshot()["per_shard"][0]["worker_pid"]
         good_blob = entry.model.graph_blob
         entry.model.model_id += 1000  # the worker never loaded this id

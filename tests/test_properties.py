@@ -11,7 +11,6 @@ from repro.nn.architectures import conv1d_stack, ds_cnn
 from repro.quantize import quantize_graph
 from repro.runtime import (
     EONCompiler,
-    TFLMInterpreter,
     plan_arena,
     run_graph,
     run_graph_dispatch,
@@ -53,7 +52,7 @@ def test_windowing_property(length, window, stride):
 )
 def test_engine_equality_property(n_layers, filters, n_classes):
     """For any small architecture: float graph == model output, int8
-    interpreter == int8 EON, bit-exact."""
+    dispatch (the interpreter-style reference) == int8 EON, bit-exact."""
     rng = np.random.default_rng(n_layers * 10 + filters)
     model = conv1d_stack((12, 4), n_classes, n_layers=n_layers,
                          first_filters=filters, last_filters=filters * 2,
@@ -63,7 +62,7 @@ def test_engine_equality_property(n_layers, filters, n_classes):
     np.testing.assert_allclose(run_graph(graph, x), model.predict_proba(x),
                                atol=1e-4)
     qg = quantize_graph(graph, x)
-    a = TFLMInterpreter(qg).invoke(x)
+    a = run_graph_dispatch(qg, x)
     b = EONCompiler().compile(qg).invoke(x)
     assert np.array_equal(a, b)
 

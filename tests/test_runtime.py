@@ -1,4 +1,4 @@
-"""Runtimes: interpreter ≡ EON, arena invariants, codegen content."""
+"""Runtime: dispatch ≡ EON, arena invariants, codegen content."""
 
 import numpy as np
 import pytest
@@ -7,37 +7,45 @@ from hypothesis import strategies as st
 
 from repro.graph import GOp, Graph, GTensor
 from repro.profile import MemoryEstimator
-from repro.runtime import EONCompiler, TFLMInterpreter, compile_plan, plan_arena, run_graph
+from repro.runtime import (
+    EONCompiler,
+    EONModel,
+    compile_plan,
+    plan_arena,
+    run_graph,
+    run_graph_dispatch,
+)
 
 RNG = np.random.default_rng(0)
 
 
 def test_interpreter_eon_bit_identical(tiny_graphs, tiny_classification_problem):
-    """The paper's implicit contract: EON changes resources, not results."""
+    """The paper's implicit contract: EON changes resources, not results.
+    Dispatch, which binds every authored op on every call as an
+    interpreter does, is the reference EON's plan must equal."""
     _, int8_graph = tiny_graphs
     x, _ = tiny_classification_problem
-    interp = TFLMInterpreter(int8_graph)
     eon = EONCompiler().compile(int8_graph)
-    assert np.array_equal(interp.invoke(x[:32]), eon.invoke(x[:32]))
+    assert np.array_equal(run_graph_dispatch(int8_graph, x[:32]), eon.invoke(x[:32]))
 
 
 def test_float_engines_match_executor(tiny_graphs):
     float_graph, _ = tiny_graphs
     x = RNG.standard_normal((4, 16, 8)).astype(np.float32)
     expected = run_graph(float_graph, x)
-    assert np.allclose(TFLMInterpreter(float_graph).invoke(x), expected)
-    assert np.allclose(EONCompiler().compile(float_graph).invoke(x), expected)
+    assert np.array_equal(run_graph_dispatch(float_graph, x), expected)
+    assert np.array_equal(EONCompiler().compile(float_graph).invoke(x), expected)
 
 
 def test_classify_and_predict_proba(tiny_graphs, tiny_classification_problem):
     _, int8_graph = tiny_graphs
     x, _ = tiny_classification_problem
-    interp = TFLMInterpreter(int8_graph)
-    probs = interp.predict_proba(x[:8])
+    model = EONModel(int8_graph)
+    probs = model.predict_proba(x[:8])
     assert probs.shape == (8, 3)
     assert (probs >= 0).all()
     assert np.allclose(probs.sum(axis=1), 1.0, atol=0.02)  # int8 rounding
-    assert np.array_equal(interp.classify(x[:8]), probs.argmax(axis=1))
+    assert np.array_equal(model.classify(x[:8]), probs.argmax(axis=1))
 
 
 def test_int8_input_passthrough(tiny_graphs):
@@ -45,8 +53,8 @@ def test_int8_input_passthrough(tiny_graphs):
     _, int8_graph = tiny_graphs
     x = RNG.standard_normal((2, 16, 8)).astype(np.float32)
     q_in = int8_graph.tensors[int8_graph.input_id].quant.quantize(x)
-    interp = TFLMInterpreter(int8_graph)
-    assert np.array_equal(interp.invoke(q_in), interp.invoke(x))
+    model = EONModel(int8_graph)
+    assert np.array_equal(model.invoke(q_in), model.invoke(x))
 
 
 def test_ram_overhead_ordering(tiny_graphs):
@@ -124,9 +132,9 @@ def test_arena_chain_property(sizes):
 
 def test_eon_codegen_structure(tiny_graphs):
     _, int8_graph = tiny_graphs
-    model = EONCompiler().compile(int8_graph, emit_source=True)
-    header = model.sources["eon_model.h"]
-    cpp = model.sources["eon_model.cpp"]
+    sources = EONCompiler().generate_source(int8_graph)
+    header = sources["eon_model.h"]
+    cpp = sources["eon_model.cpp"]
     assert "EON_ARENA_SIZE" in header
     arena = plan_arena(compile_plan(int8_graph)).total_bytes
     assert f"#define EON_ARENA_SIZE {arena}" in header

@@ -8,7 +8,6 @@ import pytest
 from repro.graph import GOp, Graph, GTensor
 from repro.runtime import (
     EONCompiler,
-    TFLMInterpreter,
     compile_plan,
     plan_arena,
     run_graph,
@@ -222,13 +221,11 @@ def test_server_matches_direct_inference(served_platform, tiny_classification_pr
 
     for precision, graph in (("float32", project.float_graph),
                              ("int8", project.int8_graph)):
-        for engine in ("eon", "tflm"):
-            result = server.classify(project.project_id, features,
-                                     precision=precision, engine=engine)
-            expected = EONCompiler().compile(graph).predict_proba(features[None])[0]
-            got = np.array([result["classification"][l] for l in ("a", "b", "c")])
-            np.testing.assert_allclose(got, expected, atol=1e-6)
-            assert result["top"] == ("a", "b", "c")[int(expected.argmax())]
+        result = server.classify(project.project_id, features, precision=precision)
+        expected = EONCompiler().compile(graph).predict_proba(features[None])[0]
+        got = np.array([result["classification"][l] for l in ("a", "b", "c")])
+        np.testing.assert_allclose(got, expected, atol=1e-6)
+        assert result["top"] == ("a", "b", "c")[int(expected.argmax())]
 
 
 def test_server_batch_matches_singles(served_platform, tiny_classification_problem):
@@ -343,7 +340,6 @@ def test_plan_matches_dispatch_reference(tiny_graphs, tiny_classification_proble
         expected = run_graph_dispatch(graph, x[:16])
         assert np.array_equal(run_graph(graph, x[:16]), expected)
         assert np.array_equal(compile_plan(graph).execute(x[:16]), expected)
-        assert np.array_equal(TFLMInterpreter(graph).invoke(x[:16]), expected)
         assert np.array_equal(EONCompiler().compile(graph).invoke(x[:16]), expected)
 
 

@@ -102,7 +102,7 @@ def test_results_match_inline_reference(platform, placement,
             for g, w in zip(got, want):
                 assert g["top"] == w["top"]
                 np.testing.assert_allclose(probs(g), probs(w), rtol=1e-5, atol=1e-7)
-            single = server.classify(pid, x[0], precision="float32", engine="tflm")
+            single = server.classify(pid, x[0], precision="float32")
             np.testing.assert_allclose(probs(single), probs(want[0]),
                                        rtol=1e-5, atol=1e-7)
 
@@ -119,8 +119,6 @@ def test_bad_requests_fail_eagerly_with_zero_work(platform, placement):
             server.submit(pid, ["not", "numbers"])
         with pytest.raises(ServingError, match="unknown precision"):
             server.classify(pid, good, precision="float16")
-        with pytest.raises(ServingError, match="unknown engine"):
-            server.get_model(pid, "int8", "cuda")
         with pytest.raises(KeyError):
             server.classify(999, good)
         with pytest.raises(ServingError, match="non-empty list"):
@@ -274,13 +272,13 @@ def test_cache_hits_invalidate_retrain_and_lru(platform, placement,
     project = platform.projects[pid]
     with make_server(platform, placement, workers=1, cache_size=2) as server:
         want = server.classify(pid, x[0])
-        entry = server.get_model(pid, "int8", "eon")
-        assert server.get_model(pid, "int8", "eon") is entry
+        entry = server.get_model(pid, "int8")
+        assert server.get_model(pid, "int8") is entry
         snap = server.snapshot()
         assert (snap["cache_hits"], snap["cache_misses"]) == (2, 1)
 
         other = list(platform.projects)[1]
-        server.get_model(other, "int8", "eon")
+        server.get_model(other, "int8")
         server.invalidate(pid)
         assert server.snapshot()["cache_size"] == 1  # only pid's entry dropped
         server.invalidate(other)
@@ -292,21 +290,63 @@ def test_cache_hits_invalidate_retrain_and_lru(platform, placement,
 
         calib = RNG.standard_normal((8, 16, 8)).astype(np.float32)
         project.int8_graph = quantize_graph(project.float_graph, calib)
-        assert server.get_model(pid, "int8", "eon") is not entry
+        assert server.get_model(pid, "int8") is not entry
         assert server.snapshot()["cache_misses"] == 4
         assert server.snapshot()["cache_size"] == 1  # replaced, not added
 
         # LRU: cache_size is per shard; a third key evicts the oldest,
         # which then has to recompile.
-        server.get_model(pid, "float32", "eon")
-        server.get_model(pid, "int8", "tflm")
+        server.get_model(pid, "float32")
+        server.get_model(other, "int8")
         snap = server.snapshot()
         assert (snap["cache_size"], snap["cache_evictions"]) == (2, 1)
-        server.get_model(pid, "int8", "eon")
+        server.get_model(pid, "int8")
         assert server.snapshot()["cache_misses"] == 7
         server.invalidate()
         assert server.snapshot()["cache_size"] == 0
 
+
+
+def test_one_model_serves_both_engine_spellings(placement, tiny_graphs, monkeypatch,
+                                                tiny_classification_problem):
+    """TFLM and EON run the same plan, so the REST route serves either
+    ``engine`` from one cached model: one compile, one cache entry and,
+    on ``process``, one ``load_model`` sent to the worker."""
+    from repro.core import Platform
+    from repro.core.workers.client import WorkerHandle
+
+    x, _ = tiny_classification_problem
+    loads = []
+    request = WorkerHandle.request
+
+    def counted(handle, method, *args, **kwargs):
+        if method == "load_model":
+            loads.append(method)
+        return request(handle, method, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerHandle, "request", counted)
+    platform = Platform(serving_backend=placement)
+    try:
+        platform.register_user("alice")
+        project = platform.create_project("spellings", owner="alice")
+        project.float_graph, project.int8_graph = tiny_graphs
+        project.label_map = dict(zip(LABELS, range(3)))
+        replies = {}
+        for engine in ("eon", "tflm"):
+            reply = platform.gateway.handle(
+                "POST", f"/v1/projects/{project.project_id}/classify",
+                {"features": x[0].ravel().tolist(), "engine": engine},
+                user="alice",
+            )
+            assert reply["status"] == 200, reply
+            replies[engine] = reply["data"]
+            assert replies[engine].pop("engine") == engine
+        assert replies["eon"] == replies["tflm"]
+        stats = platform.gateway.handle("GET", "/v1/serving/stats", user="alice")
+        assert (stats["data"]["cache_misses"], stats["data"]["cache_size"]) == (1, 1)
+        assert len(loads) == (1 if placement == "process" else 0)
+    finally:
+        platform.serving.close()
 
 SNAPSHOT_KEYS = {
     "name", "requests", "batches", "batched_requests", "batch_errors",
@@ -336,7 +376,7 @@ def test_snapshot_shape_and_per_shard_sums(platform, placement,
         for key in ("requests", "batches", "cache_size", "cache_hits"):
             assert sum(s[key] for s in rows) == snap[key]
         for pid in pids:  # a model lives only in its owning shard's cache
-            owner = server.shard_index(pid, "int8", "eon")
+            owner = server.shard_index(pid, "int8")
             assert rows[owner]["cache_size"] >= 1
         for s in rows:
             # Worker counters only tick on shards that saw traffic — and
@@ -384,7 +424,7 @@ def test_telemetry_one_record_per_served_row(platform, placement,
         server.classify(pid, x[5])
         records = store.recent(pid)
         assert len(records) == store.count(pid) == 6
-        shard = server.shards[server.shard_index(pid, "int8", "eon")]
+        shard = server.shards[server.shard_index(pid, "int8")]
         assert {r.source for r in records} == {shard.name}
         assert [r.top for r in records[:5]] == [r["top"] for r in results]
         assert all(r.sketch.shape == (8,) and r.latency_ms >= 0 for r in records)
@@ -560,8 +600,8 @@ def test_shard_index_is_stable_crc32(platform, placement):
         seen = set()
         for pid in platform.projects:
             for precision in ("float32", "int8"):
-                key = f"{pid}|{precision}|eon".encode()
-                idx = server.shard_index(pid, precision, "eon")
+                key = f"{pid}|{precision}".encode()
+                idx = server.shard_index(pid, precision)
                 assert idx == zlib.crc32(key) % workers
                 seen.add(idx)
         assert len(seen) > 1  # keys actually spread across shards

@@ -80,9 +80,9 @@ def test_categories_survive_roundtrip(tmp_path):
 
 def test_classify_outputs_bit_identical_after_roundtrip(tmp_path):
     """Property-style: a saved+reloaded project's trained f32/int8 graphs
-    produce bit-identical outputs, on both engines, for real feature
-    windows and random probes alike."""
-    from repro.runtime import EONCompiler, TFLMInterpreter
+    produce bit-identical outputs for real feature windows and random
+    probes alike."""
+    from repro.runtime import EONModel
 
     project = _trained_project()
     save_project(project, tmp_path / "p")
@@ -100,11 +100,10 @@ def test_classify_outputs_bit_identical_after_roundtrip(tmp_path):
             rng = np.random.default_rng(seed)
             probes.append(rng.standard_normal((8,) + shape).astype(np.float32))
         for x in probes:
-            for engine in (TFLMInterpreter, lambda g: EONCompiler().compile(g)):
-                a = engine(graph).predict_proba(x)
-                b = engine(twin).predict_proba(x)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(a, b)
+            a = EONModel(graph).predict_proba(x)
+            b = EONModel(twin).predict_proba(x)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 def test_tuner_leaderboard_and_provenance_roundtrip(tmp_path):
