@@ -1,9 +1,10 @@
 """Telemetry-ingest overhead on the serving hot path.
 
 The monitoring plane (``repro.monitor``) hangs a TelemetryStore off the
-serving tier: every served batch emits compact per-inference records
-(top/confidence/margin, latency, an 8-dim feature sketch) built in one
-vectorized pass and pushed under a single lock.  This bench measures
+serving tier: every served batch emits one record that holds its rows'
+top/confidence/margin and 8-dim feature sketches as columns (one
+vectorized pass), pushed under a single lock into per-project column
+rings.  This bench measures
 what that costs where it matters — the batched classify path — by
 timing the *same* server with the sink detached vs. attached,
 round-robin so warm-up and CPU drift hit both sides equally.
@@ -113,8 +114,8 @@ def test_monitor_ingest_overhead_on_serving_path():
 
 def test_store_ingest_throughput():
     """Raw TelemetryStore.extend throughput: build + ingest batches of
-    compact records (the worst case — the serving path amortizes record
-    construction over a vectorized batch)."""
+    one-row records (the worst case — the serving path builds one record
+    per served batch)."""
     store = TelemetryStore(window=4096)
     sketch = np.zeros(8, dtype=np.float32)
     batch_size = 32

@@ -278,14 +278,13 @@ class MetricsMiddleware:
         try:
             from repro.monitor import TelemetryRecord
 
-            monitor.telemetry.record(TelemetryRecord(
+            monitor.telemetry.extend((TelemetryRecord(
                 project_id=pid,
                 latency_ms=elapsed_s * 1000.0,
                 ok=status < 400,
                 source="gateway",
-                top=None,
                 error=None if status < 400 else f"http {status}",
-            ))
+            ),))
         except Exception:
             # Metrics must never break serving the request itself.
             pass

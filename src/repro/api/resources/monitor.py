@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.api.errors import ApiError
@@ -15,18 +13,19 @@ from repro.api.schemas import EMPTY, PAGINATION, Field, Schema, paginate
 def telemetry_ingest(ctx) -> dict:
     """Device/client telemetry push: ``{"records": [{...}, ...]}``.
 
-    Each record needs ``project_id``; everything else (model_version,
-    latency_ms, top, confidence, margin, ok, source, sketch, raw) is
-    optional — ``raw`` carries a drift-window sample the closed loop
-    may route back into the dataset.  That makes this a
+    Each record is one inference and needs ``project_id``; everything
+    else (model_version, latency_ms, top, confidence, margin, ok, source,
+    sketch, raw) is optional — ``raw`` carries a drift-window sample the
+    closed loop may route back into the dataset.  That makes this a
     training-data-influencing route, so like the other mutating fleet
     surfaces it requires a registered caller (real device daemons
     authenticate as the operator that provisioned them).
 
     A record with a non-finite number (JSON's ``NaN`` / ``Infinity``,
     which ``json.loads`` accepts) is a 400: one NaN latency makes the
-    window's p95 NaN, and a NaN score never triggers an SLO.  So is the
-    ``gateway`` source, which the gateway's own request records own.
+    window's p95 NaN, and a NaN score never triggers an SLO.  So is a
+    ``sketch`` that is not ``SKETCH_DIM`` (8) numbers (drift is scored
+    per dimension), and the ``gateway`` source, the gateway's own.
     """
     from repro.monitor import TelemetryRecord, TelemetryStore
 
@@ -42,9 +41,9 @@ def telemetry_ingest(ctx) -> dict:
             record = TelemetryRecord.from_dict(item)
         except (KeyError, TypeError, ValueError) as exc:
             raise ApiError(400, f"records[{i}] is malformed: {exc!r}")
-        numbers = (record.ts, record.latency_ms, record.confidence, record.margin)
-        arrays = [a for a in (record.sketch, record.raw) if a is not None]
-        if not (all(map(math.isfinite, numbers)) and all(np.isfinite(a).all() for a in arrays)):
+        arrays = [(record.ts, record.latency_ms), record.confidence, record.margin]
+        arrays += [a for a in (record.sketch, record.raw) if a is not None]
+        if not all(np.isfinite(a).all() for a in arrays):
             raise ApiError(400, f"records[{i}] must be finite")
         if record.source == TelemetryStore.INFRA_SOURCE:
             raise ApiError(400, f"records[{i}]: source {record.source!r} is reserved")
@@ -123,7 +122,8 @@ def register(router) -> None:
         tag="monitor", summary="Push device/client telemetry records",
         request=Schema(
             Field("records", "list", required=True,
-                  doc="telemetry records; each needs project_id"),
+                  doc="telemetry records, one inference each; each needs "
+                      "project_id, and a sketch must be 8 finite numbers"),
         ),
         response={"description": "How many records were accepted",
                   "fields": ("accepted",)},

@@ -411,6 +411,7 @@ def _cmd_monitor(args) -> int:
     from repro.data.dataset import Sample
     from repro.monitor import (MonitorDaemon, MonitorService, TelemetryRecord,
                                model_version_of)
+    from repro.monitor.telemetry import SKETCH_DIM
     from repro.serve import ModelServer
     from types import SimpleNamespace
 
@@ -456,13 +457,13 @@ def _cmd_monitor(args) -> int:
             row = first_window(Sample(data=drifted, label="?"))
             result = server.classify(pid, row, precision=args.precision)
             ranked = sorted(result["classification"].values(), reverse=True)
-            service.telemetry.record(TelemetryRecord(
+            service.telemetry.extend((TelemetryRecord(
                 pid, model_version=version, top=result["top"],
                 confidence=ranked[0],
                 margin=ranked[0] - ranked[1] if len(ranked) > 1 else ranked[0],
-                sketch=feature_sketch(row.reshape(1, -1))[0],
+                sketch=feature_sketch(row.reshape(1, -1), dim=SKETCH_DIM)[0],
                 raw=drifted, source="cli-replay",
-            ))
+            ),))
     print(f"injected {len(samples)} drifted recording(s) "
           f"(gain {args.drift_gain}, noise {args.drift_noise})")
 

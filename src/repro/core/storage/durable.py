@@ -35,6 +35,8 @@ import pathlib
 import shutil
 import threading
 
+import numpy as np
+
 from repro.core.jobs import TERMINAL_STATES
 from repro.core.storage.engine import COMPACT_MARKER_OP, StorageEngine
 from repro.core.storage.tree import load_project, save_project
@@ -337,18 +339,18 @@ class DurableRegistry:
         hooks = _ProjectDurability(self, project.project_id)
         project._durability = project.jobs.journal = hooks
 
-    def spill_reference(self, project_id: int, records) -> None:
+    def spill_reference(self, project_id: int, window) -> None:
         """Journal a monitor reference window (bounded; raw payloads are
         never spilled — they are drift-loop working data, not baseline)."""
-        spilled = []
-        for rec in records[-MAX_SPILLED_REFERENCE:]:
-            body = rec.to_dict()
-            body.pop("has_raw", None)
-            sketch = getattr(rec, "sketch", None)
-            body["sketch"] = None if sketch is None else [
-                float(v) for v in sketch
-            ]
-            spilled.append(body)
+        rows = window[-MAX_SPILLED_REFERENCE:]
+        names = ("model_version", "ts", "latency_ms", "top", "confidence",
+                 "margin", "ok", "source", "error")
+        spilled = [
+            dict(zip(names, values), project_id=project_id,
+                 sketch=sketch if np.isfinite(sketch).all() else None)
+            for *values, sketch in zip(*(getattr(rows, name).tolist()
+                                         for name in names), rows.sketch.tolist())
+        ]
         pm = self.platform.monitor.monitor(project_id)
         self.record({
             "op": "monitor_reference", "pid": project_id,
@@ -420,10 +422,18 @@ class DurableRegistry:
             monitor.on_reference = self.spill_reference
 
     def _restore_reference(self, pid: int, entry: dict) -> None:
-        from repro.monitor.telemetry import TelemetryRecord
+        from repro.monitor.telemetry import (SKETCH_DIM, TelemetryRecord,
+                                             TelemetryStore)
 
+        # Replayed through a scratch store.  A sketch of another width (an
+        # older writer took any) is dropped, not a failed recovery.
+        rows = TelemetryStore(window=max(1, len(entry["records"])), raw_window=0)
+        rows.extend([TelemetryRecord.from_dict(
+            r if len(r.get("sketch") or ()) == SKETCH_DIM else {**r, "sketch": None}
+        ) for r in entry["records"]])
         pm = self.platform.monitor.monitor(pid)
-        pm.reference = [TelemetryRecord.from_dict(r) for r in entry["records"]]
+        pm.reference = rows.recent(pid)
+        pm.reference.seq[:] = -1  # no sequence numbers: before every live row
         if pm.reference:
             pm.status = entry.get("health") or "ok"
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.jobs import JobExecutor
 from repro.deploy.firmware import FirmwareImage
 from repro.device.firmware import VirtualDevice
-from repro.monitor.telemetry import TelemetryRecord
+from repro.monitor.telemetry import SKETCH_DIM, TelemetryRecord
 
 
 @dataclass
@@ -122,32 +122,19 @@ class DeviceFleet:
         if self.telemetry is None or project_id is None:
             return
         version = device.firmware.version if device.firmware else "unflashed"
-        if result is not None:
-            probs = list(result["classification"].values())  # ranked desc
-            timing = result.get("timing", {})
-            record = TelemetryRecord(
-                project_id,
-                model_version=version,
-                latency_ms=(timing.get("dsp_ms", 0.0)
-                            + timing.get("inference_ms", 0.0)),
-                top=result["top"],
-                confidence=probs[0] if probs else 0.0,
-                margin=(probs[0] - probs[1]) if len(probs) > 1
-                       else (probs[0] if probs else 0.0),
-                source=device.device_id,
-                sketch=self._sketch(device),
-                raw=raw,
-            )
-        else:
-            record = TelemetryRecord(
-                project_id,
-                model_version=version,
-                ok=False,
-                source=device.device_id,
-                raw=raw,
-                error=error,
-            )
-        self.telemetry.extend((record,))
+        if result is None:  # a failed inference: no prediction, no sketch
+            self.telemetry.extend((TelemetryRecord(
+                project_id, version, ok=False, source=device.device_id,
+                raw=raw, error=error),))
+            return
+        probs = list(result["classification"].values()) or [0.0]  # ranked desc
+        timing = result.get("timing", {})
+        self.telemetry.extend((TelemetryRecord(
+            project_id, version,
+            latency_ms=timing.get("dsp_ms", 0.0) + timing.get("inference_ms", 0.0),
+            top=result["top"], confidence=probs[0],
+            margin=probs[0] - probs[1] if len(probs) > 1 else probs[0],
+            source=device.device_id, sketch=self._sketch(device), raw=raw),))
 
     @staticmethod
     def _sketch(device: VirtualDevice):
@@ -163,7 +150,7 @@ class DeviceFleet:
         feats = device._last_features
         if feats is None:  # only reachable if classify() semantics change
             return None
-        return feature_sketch(np.asarray(feats, np.float32).reshape(1, -1))[0]
+        return feature_sketch(np.asarray(feats, np.float32).reshape(1, -1), dim=SKETCH_DIM)[0]
 
     def _try_flash(self, device: VirtualDevice, image: FirmwareImage,
                    corrupt: bool = False) -> bool:

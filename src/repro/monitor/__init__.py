@@ -3,9 +3,9 @@ closed retrain → rollout loop.
 
 The "monitor in production, feed data back, retrain, redeploy" half of
 the MLOps lifecycle (paper Sec. 4).  Deployed models — the hosted
-serving tier and field devices alike — emit compact inference telemetry
-into a ring-buffered :class:`TelemetryStore`; windowed drift and SLO
-detectors score it on a schedule (:class:`MonitorDaemon`); threshold
+serving tier and field devices alike — emit inference telemetry into
+the per-project column rings of a :class:`TelemetryStore`; windowed
+drift and SLO detectors score it on a schedule (:class:`MonitorDaemon`); threshold
 policies raise structured :class:`Alert`\\ s; and the ``auto_retrain``
 policy closes the loop: drift-window samples are routed back into the
 dataset, the model retrains, and the new version ships via a canary OTA

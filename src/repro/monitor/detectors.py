@@ -1,8 +1,9 @@
-"""Windowed drift + health detectors over telemetry records.
+"""Windowed drift + health detectors over telemetry windows.
 
 Each detector compares a **reference** window (telemetry captured while
 the deployed model was known-good, or set explicitly) against the
-**recent** window, and reports a :class:`DetectorResult` with a score,
+**recent** window — both :class:`repro.monitor.telemetry.TelemetryWindow`
+columns — and reports a :class:`DetectorResult` with a score,
 its threshold, and whether it triggered:
 
 - :class:`ConfidenceShiftDetector` — KS statistic between the reference
@@ -28,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.monitor.telemetry import SKETCH_DIM
 
 
 def ks_statistic(a, b) -> float:
@@ -98,33 +101,25 @@ class ConfidenceShiftDetector:
     def __init__(self, threshold: float = 0.25):
         self.threshold = threshold
 
-    @staticmethod
-    def _by_label(records) -> dict:
-        groups: dict[str, list[float]] = {}
-        for r in records:
-            if r.top is not None:
-                groups.setdefault(r.top, []).append(r.confidence)
-        return groups
-
     def evaluate(self, reference, recent) -> DetectorResult:
-        ref = [r.confidence for r in reference]
-        cur = [r.confidence for r in recent]
+        ref, cur = reference.confidence, recent.confidence
         score = ks_statistic(ref, cur)
         # Per-label attribution: the KS of each predicted class's own
         # confidence distribution, so an alert names *which* class got
         # less certain (labels present on only one side are skipped —
         # that shift is the label-mix detector's finding).
-        ref_by, cur_by = self._by_label(reference), self._by_label(recent)
+        shared = set(reference.counts("top")) & set(recent.counts("top"))
         per_label = {
-            label: round(ks_statistic(ref_by[label], cur_by[label]), 4)
-            for label in sorted(set(ref_by) & set(cur_by))
+            label: round(ks_statistic(ref[reference.top == label],
+                                      cur[recent.top == label]), 4)
+            for label in sorted(shared)
         }
         return DetectorResult(
             self.name, score, self.threshold, score > self.threshold,
             kind=self.kind,
             detail={
-                "reference_mean": float(np.mean(ref)) if ref else None,
-                "recent_mean": float(np.mean(cur)) if cur else None,
+                "reference_mean": float(np.mean(ref)) if len(ref) else None,
+                "recent_mean": float(np.mean(cur)) if len(cur) else None,
                 "per_label_ks": per_label,
             },
         )
@@ -139,16 +134,8 @@ class LabelMixShiftDetector:
     def __init__(self, threshold: float = 0.25):
         self.threshold = threshold
 
-    @staticmethod
-    def _mix(records) -> dict:
-        mix: dict[str, int] = {}
-        for r in records:
-            if r.top is not None:
-                mix[r.top] = mix.get(r.top, 0) + 1
-        return mix
-
     def evaluate(self, reference, recent) -> DetectorResult:
-        ref_mix, cur_mix = self._mix(reference), self._mix(recent)
+        ref_mix, cur_mix = reference.counts("top"), recent.counts("top")
         contributions = psi_contributions(ref_mix, cur_mix)
         score = float(sum(contributions.values()))
         return DetectorResult(
@@ -173,25 +160,16 @@ class FeatureDriftDetector:
     def __init__(self, threshold: float = 0.35):
         self.threshold = threshold
 
-    @staticmethod
-    def _sketches(records) -> np.ndarray | None:
-        rows = [r.sketch for r in records if r.sketch is not None]
-        if not rows:
-            return None
-        width = min(len(np.ravel(s)) for s in rows)
-        return np.stack([np.ravel(s)[:width] for s in rows])
-
     def evaluate(self, reference, recent) -> DetectorResult:
-        ref = self._sketches(reference)
-        cur = self._sketches(recent)
-        if ref is None or cur is None:
+        ref = reference.sketch[np.isfinite(reference.sketch).all(axis=1)]
+        cur = recent.sketch[np.isfinite(recent.sketch).all(axis=1)]
+        if not len(ref) or not len(cur):
             return DetectorResult(
                 self.name, 0.0, self.threshold, False, kind=self.kind,
                 detail={"reason": "no feature sketches in window"},
             )
-        dims = min(ref.shape[1], cur.shape[1])
-        per_dim = [ks_statistic(ref[:, d], cur[:, d]) for d in range(dims)]
-        score = max(per_dim) if per_dim else 0.0
+        per_dim = [ks_statistic(ref[:, d], cur[:, d]) for d in range(SKETCH_DIM)]
+        score = max(per_dim)
         return DetectorResult(
             self.name, score, self.threshold, score > self.threshold,
             kind=self.kind,
@@ -212,8 +190,8 @@ class LatencySLODetector:
         self.threshold = 1.0
 
     def evaluate(self, reference, recent) -> DetectorResult:
-        lats = [r.latency_ms for r in recent]
-        p95 = float(np.percentile(lats, 95)) if lats else 0.0
+        lats = recent.latency_ms
+        p95 = float(np.percentile(lats, 95)) if len(lats) else 0.0
         score = p95 / self.max_p95_ms
         return DetectorResult(
             self.name, score, self.threshold, score > self.threshold,
@@ -234,8 +212,8 @@ class ErrorRateSLODetector:
         self.threshold = max_rate
 
     def evaluate(self, reference, recent) -> DetectorResult:
-        errors = sum(1 for r in recent if not r.ok)
-        rate = errors / len(recent) if recent else 0.0
+        errors = int(np.count_nonzero(~recent.ok))
+        rate = recent.error_rate()
         return DetectorResult(
             self.name, rate, self.threshold, rate > self.threshold,
             kind=self.kind,

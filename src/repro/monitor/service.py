@@ -37,8 +37,8 @@ from repro.monitor.detectors import (
 )
 from repro.monitor.policy import Alert, MonitorPolicy
 from repro.monitor.telemetry import (
-    TelemetryRecord,
     TelemetryStore,
+    TelemetryWindow,
     model_version_of,
 )
 
@@ -49,7 +49,7 @@ class ProjectMonitor:
     def __init__(self, project_id: int, policy: MonitorPolicy | None = None):
         self.project_id = project_id
         self.policy = policy or MonitorPolicy()
-        self.reference: list[TelemetryRecord] = []
+        self.reference = TelemetryWindow()
         self.alerts: list[Alert] = []
         self.last_results: list = []
         self.last_evaluated: float | None = None
@@ -82,7 +82,7 @@ class MonitorService:
         self._lock = threading.Lock()
         self._next_alert_id = 1
         # Durability hook (repro.core.storage.durable): called with
-        # (project_id, records) whenever a reference window is pinned, so
+        # (project_id, window) whenever a reference window is pinned, so
         # monitor baselines survive a restart.  None on in-memory
         # platforms.
         self.on_reference = None
@@ -111,23 +111,18 @@ class MonitorService:
             pm.policy.update(body)
             return pm.policy
 
-    def set_reference(self, project_id: int,
-                      records: list[TelemetryRecord] | None = None) -> int:
-        """Pin the reference window (default: the newest
-        ``policy.reference_size`` records) — "this is what healthy
-        production traffic looks like"."""
+    def set_reference(self, project_id: int) -> int:
+        """Pin the newest ``policy.reference_size`` rows as the reference
+        window — "this is what healthy production traffic looks like"."""
         pm = self.monitor(project_id)
         with pm._lock:
-            if records is None:
-                records = self.telemetry.recent(
-                    project_id, n=pm.policy.reference_size
-                )
-            if not records:
+            rows = self.telemetry.recent(project_id, n=pm.policy.reference_size)
+            if not rows:
                 # Nothing to capture: keep any existing baseline intact
                 # (the API reports this as a 409, so the caller must not
                 # find their previous reference silently destroyed).
                 return 0
-            pm.reference = list(records)
+            pm.reference = rows
             if pm.status == "baselining":
                 pm.status = "ok"
             if self.on_reference is not None:
@@ -168,13 +163,6 @@ class MonitorService:
             detectors.append(LatencySLODetector(policy.max_latency_ms))
         return detectors
 
-    def _slo_results(self, policy: MonitorPolicy, recent) -> list:
-        return [
-            d.evaluate([], recent)
-            for d in self._detectors(policy)
-            if d.kind == "slo"
-        ]
-
     def evaluate(self, project_id: int, job: Job | None = None) -> dict:
         """Run one monitoring sweep for a project: capture/refresh the
         baseline, score every detector, raise alerts, and (policy
@@ -197,9 +185,11 @@ class MonitorService:
                         f"project {project_id}: captured reference window "
                         f"({len(pm.reference)} records)"
                     )
-            ref_ids = {id(r) for r in pm.reference}
-            recent = [r for r in records if id(r) not in ref_ids]
-            recent = recent[-policy.window:]
+            # The recent window is the traffic after the reference's
+            # newest row (a reference restored from the WAL has no
+            # sequence numbers, seq -1, and sees every row).
+            newest = pm.reference.seq.max() if pm.reference else -1
+            recent = records[records.seq > newest][-policy.window:]
 
             if not pm.reference or len(recent) < policy.min_records:
                 # A skipped sweep learned nothing: keep the last evaluated
@@ -298,14 +288,14 @@ class MonitorService:
         project = getattr(self.platform, "projects", {}).get(pm.project_id)
         if project is None:
             return None
-        # Only healthy, predicted records can be routed back: a record
-        # without a top label would pseudo-label as a phantom class.
-        # max_drift_samples=0 means "retrain without routing anything"
-        # (a plain [-0:] slice would be the whole list).
+        # Only healthy, predicted rows of the recent window can be routed
+        # back: a row without a top label would pseudo-label as a phantom
+        # class.  max_drift_samples=0 means "retrain without routing
+        # anything" (a plain [-0:] slice would be the whole window).
         limit = pm.policy.max_drift_samples
-        candidates = [r for r in recent
-                      if r.raw is not None and r.top is not None and r.ok]
-        candidates = candidates[-limit:] if limit else []
+        raw = self.telemetry.drift_candidates(pm.project_id)
+        usable = np.isin(raw.seq, recent.seq) & (raw.top != None) & raw.ok  # noqa: E711
+        candidates = raw[usable][-limit:] if limit else TelemetryWindow()
         loop_job = self.start_retrain_loop(
             project, candidates,
             reason=", ".join(r.detector for r in drift),
@@ -388,7 +378,7 @@ class MonitorService:
             # model's world and re-fires forever).
             self.telemetry.clear(project.project_id)
             with pm._lock:
-                pm.reference = []
+                pm.reference = TelemetryWindow()
                 pm.status = "baselining"
                 pm._previously_triggered = set()
             job.log("monitor re-baselined for the new model generation")
@@ -445,9 +435,9 @@ class MonitorService:
         rollout.wait()
         return rollout
 
-    def route_drift_samples(self, project, records) -> int:
-        """Route drift-window telemetry back into the dataset through the
-        project's :class:`~repro.data.ingestion.IngestionService`, as
+    def route_drift_samples(self, project, rows: TelemetryWindow) -> int:
+        """Route drift-window telemetry rows back into the dataset through
+        the project's :class:`~repro.data.ingestion.IngestionService`, as
         acquisition envelopes pseudo-labeled with the model's own
         predictions."""
         from repro.core.impulse import TimeSeriesInput
@@ -459,31 +449,32 @@ class MonitorService:
         if isinstance(project.impulse.input_block, TimeSeriesInput):
             interval_ms = 1000.0 / project.impulse.input_block.frequency_hz
         routed = 0
-        for rec in records:
-            # A record must carry both a payload and a prediction: the
+        for i in range(len(rows)):
+            # A row must carry both a payload and a prediction: the
             # pseudo-label is the model's own top — never a made-up
             # class like "unlabeled", which would silently widen the
             # retrained model's output layer.
-            if rec.raw is None or rec.top is None or not rec.ok:
+            raw, top = rows.raw[i], rows.top[i]
+            if raw is None or top is None or not rows.ok[i]:
                 continue
-            values = np.asarray(rec.raw, dtype=np.float32)
+            values = np.asarray(raw, dtype=np.float32)
             axes = 1 if values.ndim == 1 else values.shape[1]
             payload = AcquisitionPayload(
-                device_name=rec.source,
+                device_name=rows.source[i],
                 device_type="monitor-drift",
                 interval_ms=interval_ms,
                 sensors=[{"name": f"axis{i}", "units": "unit"}
                          for i in range(axes)],
                 values=values,
                 metadata={"monitor": True,
-                          "model_version": rec.model_version,
-                          "confidence": rec.confidence},
+                          "model_version": rows.model_version[i],
+                          "confidence": float(rows.confidence[i])},
             )
             blob = encode_acquisition(
                 payload, hmac_key=project.ingestion.hmac_key, fmt="json"
             )
             project.ingestion.ingest(
-                blob, label=rec.top, fmt="json", category="train",
+                blob, label=top, fmt="json", category="train",
             )
             routed += 1
         return routed
@@ -504,10 +495,9 @@ class MonitorService:
             recent = self.telemetry.recent(
                 project_id, n=pm.policy.window, model_version=model_version
             )
-            if len(recent) < min_records:
-                return True
-            return not any(
-                r.triggered for r in self._slo_results(pm.policy, recent)
+            return len(recent) < min_records or not any(
+                d.evaluate(None, recent).triggered
+                for d in self._detectors(pm.policy) if d.kind == "slo"
             )
 
         return gate

@@ -1,22 +1,14 @@
-"""Inference telemetry: compact records + a ring-buffered, thread-safe store.
+"""Inference telemetry: records in, per-project column rings out.
 
 Production monitoring (paper Sec. 4, the "monitor in production" half of
-the MLOps loop) starts with observability on the inference path.  Both
-the hosted serving tier (:mod:`repro.serve`) and field devices
-(:mod:`repro.device.fleet`) emit one :class:`TelemetryRecord` per
-inference; the :class:`TelemetryStore` keeps a bounded per-project window
-of them for the drift/health detectors.
-
-The ingest path is designed to sit on the serving hot path:
-
-- records are plain ``__slots__`` objects, built in one vectorized pass
-  per served batch (see ``ModelServer._emit_telemetry``);
-- :meth:`TelemetryStore.extend` takes a whole batch under a single lock
-  acquisition, so the per-record cost is one ``deque.append`` on a
-  bounded ring (no allocation growth, no copying);
-- raw payloads (the drift-window samples the closed loop routes back
-  into the dataset) are kept in a separate, much smaller ring so
-  retaining them cannot blow up memory.
+the MLOps loop) starts with observability on the inference path.  The
+serving tier (:mod:`repro.serve`) emits one :class:`TelemetryRecord` per
+served batch, its rows as columns; devices, the gateway, the REST push
+and ``cli monitor`` emit one-row records.  :meth:`TelemetryStore.extend`
+writes them under one lock into per-project numpy column rings and
+numbers every row, so the monitor tells a pinned reference from the
+traffic after it.  Raw payloads (drift-window samples the closed loop
+routes back into the dataset) live in a much smaller ring of their own.
 
 ``benchmarks/bench_monitor_ingest.py`` gates the overhead of all of this
 on the serving path at < 10%.
@@ -24,117 +16,213 @@ on the serving path at < 10%.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
-from collections import Counter, deque
 
 import numpy as np
+
+#: Dimensionality of the feature sketch a telemetry row carries.
+SKETCH_DIM = 8
+
+#: Per-row columns of a :class:`TelemetryWindow` and their dtypes; the
+#: ``(rows, SKETCH_DIM)`` float32 ``sketch`` column comes on top.
+_COLUMNS = {
+    "seq": np.int64, "ts": np.float64, "latency_ms": np.float64,
+    "ok": np.bool_, "top": object, "confidence": np.float64,
+    "margin": np.float64, "source": object, "model_version": object,
+    "error": object, "raw": object,
+}
 
 
 def model_version_of(project) -> str:
     """The version stamp a project's current model ships under — the
     single definition shared by serving telemetry, OTA firmware stamps,
-    and the monitor's version-scoped queries."""
-    return f"1.0.{getattr(project, 'model_revision', 0)}"
+    and the monitor's version-scoped queries.  Interned, so the rows of
+    one revision share one string."""
+    return sys.intern(f"1.0.{getattr(project, 'model_revision', 0)}")
 
 
 class TelemetryRecord:
-    """One inference observation — the compact wire format of the
-    monitoring plane."""
+    """One unit of telemetry ingest: ``n >= 1`` inference rows that share
+    a project, model version, timestamp, latency, outcome and source.
 
-    __slots__ = (
-        "project_id", "model_version", "ts", "latency_ms", "top",
-        "confidence", "margin", "ok", "source", "sketch", "raw", "error",
-    )
+    ``top``, ``confidence`` and ``margin`` are per-row columns, and
+    ``sketch`` is an ``(n, SKETCH_DIM)`` matrix; a scalar (and a 1-D
+    sketch) is one row.  ``raw``, a drift-window sample the closed loop
+    may route back into the dataset, rides only on one-row records.
+    """
 
-    def __init__(
-        self,
-        project_id: int,
-        model_version: str = "unknown",
-        ts: float | None = None,
-        latency_ms: float = 0.0,
-        top: str | None = None,
-        confidence: float = 0.0,
-        margin: float = 0.0,
-        ok: bool = True,
-        source: str = "serving",
-        sketch: np.ndarray | None = None,
-        raw: np.ndarray | None = None,
-        error: str | None = None,
-    ):
+    __slots__ = ("project_id", "model_version", "ts", "latency_ms", "top",
+                 "confidence", "margin", "ok", "source", "sketch", "raw", "error")
+
+    def __init__(self, project_id: int, model_version: str = "unknown",
+                 ts: float | None = None, latency_ms: float = 0.0, top=None,
+                 confidence=0.0, margin=0.0, ok: bool = True,
+                 source: str = "serving", sketch=None, raw=None,
+                 error: str | None = None):
+        self.confidence = np.array(confidence, np.float64, ndmin=1)
+        self.top = np.array(top, object, ndmin=1)
+        self.margin = np.array(margin, np.float64, ndmin=1)
+        n = len(self.confidence)
+        if self.top.shape != (n,) or self.margin.shape != (n,):
+            raise ValueError("top, confidence and margin need one value per row")
+        if sketch is not None:
+            sketch = np.asarray(sketch, np.float32)
+            if sketch.size != n * SKETCH_DIM:
+                raise ValueError(f"sketch must hold {SKETCH_DIM} numbers per row")
+            sketch = sketch.reshape(n, SKETCH_DIM)
+        if raw is not None and n != 1:
+            raise ValueError("raw rides only on one-row records")
         self.project_id = int(project_id)
         self.model_version = model_version
         self.ts = time.time() if ts is None else float(ts)
         self.latency_ms = float(latency_ms)
-        self.top = top
-        self.confidence = float(confidence)
-        self.margin = float(margin)
         self.ok = bool(ok)
         self.source = source
         self.sketch = sketch
-        self.raw = raw
+        self.raw = None if raw is None else np.asarray(raw, np.float32)
         self.error = error
 
-    def to_dict(self) -> dict:
-        """JSON-safe view (raw payloads and sketches summarized, not dumped)."""
-        return {
-            "project_id": self.project_id,
-            "model_version": self.model_version,
-            "ts": self.ts,
-            "latency_ms": self.latency_ms,
-            "top": self.top,
-            "confidence": self.confidence,
-            "margin": self.margin,
-            "ok": self.ok,
-            "source": self.source,
-            "has_raw": self.raw is not None,
-            "error": self.error,
-        }
+    def __len__(self) -> int:
+        return len(self.confidence)
 
     @classmethod
     def from_dict(cls, body: dict) -> "TelemetryRecord":
-        """Build a record from an API payload (the device push path).
+        """Build a one-row record from an API payload (the device push path).
 
         Raises ``ValueError``/``TypeError``/``KeyError`` on malformed
         input; the API layer maps those to a 400.
         """
-        raw = body.get("raw")
-        if raw is not None:
-            raw = np.asarray(raw, dtype=np.float32)
-        sketch = body.get("sketch")
-        if sketch is not None:
-            sketch = np.asarray(sketch, dtype=np.float32)
+        top, ts, error = body.get("top"), body.get("ts"), body.get("error")
         return cls(
             project_id=int(body["project_id"]),
             model_version=str(body.get("model_version", "unknown")),
-            ts=None if body.get("ts") is None else float(body["ts"]),
+            ts=None if ts is None else float(ts),
             latency_ms=float(body.get("latency_ms", 0.0)),
-            top=body.get("top"),
+            top=None if top is None else str(top),
             confidence=float(body.get("confidence", 0.0)),
             margin=float(body.get("margin", 0.0)),
             ok=bool(body.get("ok", True)),
             source=str(body.get("source", "api")),
-            sketch=sketch,
-            raw=raw,
-            error=None if body.get("error") is None else str(body["error"]),
+            sketch=body.get("sketch"),
+            raw=body.get("raw"),
+            error=None if error is None else str(error),
         )
 
 
-class TelemetryStore:
-    """Bounded per-project telemetry windows with batched, lock-amortized
-    ingest.
+class TelemetryWindow:
+    """Telemetry rows as columns, oldest first: what readers get.
 
-    ``window`` bounds how many records each project retains; ``raw_window``
-    separately bounds how many of those may pin a raw payload (the
-    candidate drift-window samples for the closed retrain loop).
+    ``seq`` is the store's ingest order (-1: restored from the WAL);
+    ``top``, ``source``, ``model_version``, ``error`` and ``raw`` hold
+    objects or None, and ``sketch`` is NaN on rows without one.  A slice,
+    mask or index array selects a window of copies; empty is falsy.
+    """
+
+    __slots__ = (*_COLUMNS, "sketch")
+
+    def __init__(self, rows: int = 0):
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.empty(rows, dtype))
+        self.sketch = np.empty((rows, SKETCH_DIM), np.float32)
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, index) -> "TelemetryWindow":
+        window = TelemetryWindow.__new__(TelemetryWindow)
+        for name in self.__slots__:
+            setattr(window, name, getattr(self, name)[index].copy())
+        return window
+
+    def counts(self, column: str) -> dict:
+        """``{value: rows}`` over a str column; None is not counted."""
+        values = getattr(self, column)
+        keys, counts = np.unique(values[values != None],  # noqa: E711
+                                 return_counts=True)
+        return dict(zip(keys.tolist(), counts.tolist()))
+
+    def error_rate(self) -> float:
+        return np.count_nonzero(~self.ok) / len(self) if len(self) else 0.0
+
+
+class _Ring:
+    """The newest ``capacity`` rows written, in columns that grow like a
+    list up to ``capacity`` (a project with little traffic holds little).
+    ``keep_raw`` rings (fed one-row records) also keep the payloads."""
+
+    __slots__ = ("rows", "capacity", "written", "keep_raw")
+
+    def __init__(self, capacity: int, keep_raw: bool = False):
+        self.rows = TelemetryWindow(min(capacity, 16))
+        self.capacity = capacity
+        self.written = 0
+        self.keep_raw = keep_raw
+
+    def __len__(self) -> int:
+        return min(self.written, self.capacity)
+
+    def write(self, rec: TelemetryRecord, seq: int) -> None:
+        """Append ``rec``'s rows numbered from ``seq``: one row as scalar
+        stores, more as at most two slices (keeping the newest rows)."""
+        capacity, n = self.capacity, len(rec)
+        if len(self.rows) < min(capacity, self.written + n):
+            # Not yet wrapped: rows [0, written) keep their positions.
+            grown = TelemetryWindow(min(capacity, max(2 * len(self.rows),
+                                                      self.written + n)))
+            for name in grown.__slots__:
+                getattr(grown, name)[:self.written] = getattr(self.rows, name)[:self.written]
+            self.rows = grown
+        if n == 1:
+            self._put(self.written % capacity, rec, 0, seq)
+        else:
+            k = max(0, n - capacity)
+            while k < n:
+                at = (self.written + k) % capacity
+                m = min(n - k, capacity - at)
+                self._put(slice(at, at + m), rec, slice(k, k + m),
+                          np.arange(seq + k, seq + k + m))
+                k += m
+        self.written += n
+
+    def _put(self, at, rec: TelemetryRecord, rows, seq) -> None:
+        """Store ``rec``'s ``rows`` at ``at``: two ints or two slices."""
+        col = self.rows
+        col.seq[at] = seq
+        col.ts[at] = rec.ts
+        col.latency_ms[at] = rec.latency_ms
+        col.ok[at] = rec.ok
+        col.source[at] = rec.source
+        col.model_version[at] = rec.model_version
+        col.error[at] = rec.error
+        col.top[at] = rec.top[rows]
+        col.confidence[at] = rec.confidence[rows]
+        col.margin[at] = rec.margin[rows]
+        col.sketch[at] = np.nan if rec.sketch is None else rec.sketch[rows]
+        if self.keep_raw:
+            col.raw[at] = rec.raw
+
+    def snapshot(self) -> TelemetryWindow:
+        """Copies of the retained rows, oldest first."""
+        return self.rows[np.arange(self.written - len(self), self.written)
+                         % self.capacity]
+
+
+class TelemetryStore:
+    """Bounded per-project telemetry rings with lock-amortized ingest.
+
+    ``window`` bounds how many rows each project retains; ``raw_window``
+    separately bounds how many rows with a raw payload (the candidate
+    drift-window samples for the closed retrain loop) it retains.
     """
 
     #: Source tag reserved for the API gateway's request metrics; these
-    #: records live in their own per-project ring so request traffic can
+    #: rows live in their own per-project ring so request traffic can
     #: never evict inference observations from the drift window.
     INFRA_SOURCE = "gateway"
 
-    #: Records each project's gateway ring keeps.
+    #: Rows each project's gateway ring keeps.
     INFRA_WINDOW = 1024
 
     def __init__(self, window: int = 4096, raw_window: int = 256):
@@ -143,129 +231,85 @@ class TelemetryStore:
         self.window = window
         self.raw_window = raw_window
         self._lock = threading.Lock()
-        self._rings: dict[int, deque[TelemetryRecord]] = {}  # guarded-by: _lock
-        self._raw: dict[int, deque[TelemetryRecord]] = {}  # guarded-by: _lock
-        self._infra: dict[int, deque[TelemetryRecord]] = {}  # guarded-by: _lock
+        self._rows: dict[int, _Ring] = {}  # guarded-by: _lock
+        self._raw: dict[int, _Ring] = {}  # guarded-by: _lock
+        self._infra: dict[int, _Ring] = {}  # guarded-by: _lock
         self.total_records = 0  # guarded-by: _lock
 
-    # -- ingest (hot path) -------------------------------------------------
-
     def extend(self, records) -> int:
-        """Ingest a batch of records under one lock acquisition."""
-        if not records:
-            return 0
+        """Ingest records under one lock acquisition; returns how many.
+        ``total_records`` counts rows and numbers them (``seq``)."""
         with self._lock:
             for rec in records:
-                pid = rec.project_id
+                pid, seq = rec.project_id, self.total_records
                 if rec.source == self.INFRA_SOURCE:
-                    # Gateway request metrics: separate bounded ring —
-                    # API polling must not starve drift detection.
-                    infra = self._infra.get(pid)
-                    if infra is None:
-                        infra = self._infra[pid] = deque(maxlen=self.INFRA_WINDOW)
-                    infra.append(rec)
-                    continue
-                ring = self._rings.get(pid)
-                if ring is None:
-                    ring = self._rings[pid] = deque(maxlen=self.window)
-                    self._raw[pid] = deque(maxlen=self.raw_window)
-                ring.append(rec)
-                if rec.raw is not None:
-                    raw_ring = self._raw[pid]
-                    if self.raw_window == 0:
-                        rec.raw = None
-                    else:
-                        # The raw ring is the *only* thing keeping a
-                        # payload alive: on eviction the record stays in
-                        # the main ring but its raw is dropped, so
-                        # raw_window genuinely bounds payload memory.
-                        if len(raw_ring) == self.raw_window:
-                            raw_ring[0].raw = None
-                        raw_ring.append(rec)
-            self.total_records += len(records)
+                    _ring(self._infra, pid, self.INFRA_WINDOW).write(rec, seq)
+                else:
+                    _ring(self._rows, pid, self.window).write(rec, seq)
+                    if rec.raw is not None and self.raw_window:
+                        _ring(self._raw, pid, self.raw_window, True).write(rec, seq)
+                self.total_records += len(rec)
         return len(records)
 
-    def record(self, rec: TelemetryRecord) -> None:
-        """Single-record convenience wrapper around :meth:`extend`."""
-        self.extend((rec,))
-
-    # -- observation (cold path) -------------------------------------------
-
-    def recent(
-        self,
-        project_id: int,
-        n: int | None = None,
-        source: str | None = None,
-        model_version: str | None = None,
-        since: float | None = None,
-    ) -> list[TelemetryRecord]:
-        """Newest-last snapshot of a project's window, optionally filtered
-        by source (device id / "serving"), model version, or timestamp.
-        ``source="gateway"`` reads the separate infra ring."""
+    def recent(self, project_id: int, n: int | None = None,
+               source: str | None = None,
+               model_version: str | None = None) -> TelemetryWindow:
+        """Newest-last copy of a project's rows, optionally filtered by
+        source (device id / shard name) and model version, then cut to
+        the newest ``n``.  ``source="gateway"`` reads the gateway ring."""
         with self._lock:
-            if source == self.INFRA_SOURCE:
-                return list(self._infra.get(project_id, ()))
-            records = list(self._rings.get(project_id, ()))
+            rings = self._infra if source == self.INFRA_SOURCE else self._rows
+            ring = rings.get(project_id)
+            rows = ring.snapshot() if ring else TelemetryWindow()
         if source is not None:
-            records = [r for r in records if r.source == source]
+            rows = rows[rows.source == source]
         if model_version is not None:
-            records = [r for r in records if r.model_version == model_version]
-        if since is not None:
-            records = [r for r in records if r.ts >= since]
-        if n is not None:
-            records = records[-n:]
-        return records
+            rows = rows[rows.model_version == model_version]
+        return rows if n is None else rows[-n:]
 
-    def drift_candidates(
-        self, project_id: int, n: int | None = None
-    ) -> list[TelemetryRecord]:
-        """The retained raw-payload records — what the closed loop routes
-        back into the dataset when drift fires."""
+    def drift_candidates(self, project_id: int) -> TelemetryWindow:
+        """The retained rows with a raw payload — what the closed loop
+        routes back into the dataset when drift fires."""
         with self._lock:
-            records = list(self._raw.get(project_id, ()))
-        return records if n is None else records[-n:]
+            ring = self._raw.get(project_id)
+            return ring.snapshot() if ring else TelemetryWindow()
 
     def count(self, project_id: int) -> int:
         with self._lock:
-            return len(self._rings.get(project_id, ()))
+            return len(self._rows.get(project_id, ()))
 
     def project_ids(self) -> list[int]:
         with self._lock:
-            return sorted(self._rings)
+            return sorted(self._rows)
 
     def clear(self, project_id: int | None = None) -> None:
         with self._lock:
-            if project_id is None:
-                self._rings.clear()
-                self._raw.clear()
-                self._infra.clear()
-            else:
-                self._rings.pop(project_id, None)
-                self._raw.pop(project_id, None)
-                self._infra.pop(project_id, None)
+            for rings in (self._rows, self._raw, self._infra):
+                if project_id is None:
+                    rings.clear()
+                else:
+                    rings.pop(project_id, None)
 
     def summary(self, project_id: int) -> dict:
         """JSON-safe per-project ingest summary for the monitor API."""
-        records = self.recent(project_id)
-        by_source = Counter(r.source for r in records)
-        by_label = Counter(r.top for r in records if r.top is not None)
-        by_version = Counter(r.model_version for r in records)
-        with self._lock:
-            infra = list(self._infra.get(project_id, ()))
+        rows = self.recent(project_id)
+        gateway = self.recent(project_id, source=self.INFRA_SOURCE)
         return {
-            "records": len(records),
+            "records": len(rows),
             "window": self.window,
             "raw_retained": len(self.drift_candidates(project_id)),
-            "gateway_requests": len(infra),
-            "gateway_error_rate": (
-                sum(1 for r in infra if not r.ok) / len(infra)
-                if infra else 0.0
-            ),
-            "by_source": dict(by_source),
-            "by_label": dict(by_label),
-            "by_model_version": dict(by_version),
-            "error_rate": (
-                sum(1 for r in records if not r.ok) / len(records)
-                if records else 0.0
-            ),
+            "gateway_requests": len(gateway),
+            "gateway_error_rate": gateway.error_rate(),
+            "by_source": rows.counts("source"),
+            "by_label": rows.counts("top"),
+            "by_model_version": rows.counts("model_version"),
+            "error_rate": rows.error_rate(),
         }
+
+
+def _ring(rings: dict, project_id: int, capacity: int,
+          keep_raw: bool = False) -> _Ring:
+    ring = rings.get(project_id)
+    if ring is None:
+        ring = rings[project_id] = _Ring(capacity, keep_raw)
+    return ring

@@ -42,15 +42,12 @@ import numpy as np
 
 from repro.active.embeddings import feature_sketch
 from repro.data.dataset import ordered_labels
-from repro.monitor.telemetry import TelemetryRecord, model_version_of
+from repro.monitor.telemetry import SKETCH_DIM, TelemetryRecord, model_version_of
 from repro.serve.runners import LocalRunner, WorkerRunner
 from repro.serve.shard import PendingResult, ServingError, _CacheEntry, _Shard
 
 PRECISIONS = ("float32", "int8")
 PLACEMENTS = ("thread", "process")
-
-#: Dimensionality of the per-inference feature sketch telemetry carries.
-SKETCH_DIM = 8
 
 #: Server name per placement; shards are named ``<name>-<index>``.
 _NAMES = {"thread": "shard", "process": "proc-shard"}
@@ -289,29 +286,20 @@ class ModelServer:
         self, telemetry, source: str, project_id: int, labels: list[str],
         stacked: np.ndarray, probs: np.ndarray, latency_ms: float,
     ) -> None:
-        """One compact record per served row — vectorized over the batch
-        (one argmax/partition/matmul) and pushed to the store under a
-        single lock (:meth:`TelemetryStore.extend`)."""
+        """One record for the served chunk: its rows' top label,
+        confidence, margin and feature sketch as columns (one argmax, sort
+        and matmul), pushed under one lock (:meth:`TelemetryStore.extend`)."""
         top_idx = probs.argmax(axis=1)
-        conf = probs[np.arange(len(probs)), top_idx]
-        if probs.shape[1] > 1:
-            margin = conf - np.partition(probs, -2, axis=1)[:, -2]
-        else:
-            margin = conf
-        sketches = feature_sketch(stacked, dim=SKETCH_DIM)
-        version = model_version_of(self.platform.projects[project_id])
-        # Bulk-convert to Python scalars (one C loop each), share one
-        # timestamp and pass arguments by position: per-record
-        # float()/time.time() calls and keyword parsing add up on a path
-        # that runs once per served batch.
-        ts = time.time()
-        tops = [labels[t] if t < len(labels) else None for t in top_idx.tolist()]
-        telemetry.extend([
-            # project_id, model_version, ts, latency_ms, top, confidence,
-            # margin, ok, source, sketch
-            TelemetryRecord(project_id, version, ts, latency_ms, top, c, m, True, source, s)
-            for top, c, m, s in zip(tops, conf.tolist(), margin.tolist(), sketches)
-        ])
+        ranked = np.sort(probs, axis=1)
+        conf = ranked[:, -1]
+        margin = conf - ranked[:, -2] if probs.shape[1] > 1 else conf
+        # An output past the label map has no label: clipped onto None.
+        tops = np.array([*labels, None], dtype=object).take(top_idx, mode="clip")
+        telemetry.extend((TelemetryRecord(
+            project_id, model_version_of(self.platform.projects[project_id]),
+            latency_ms=latency_ms, top=tops, confidence=conf, margin=margin,
+            source=source, sketch=feature_sketch(stacked, dim=SKETCH_DIM),
+        ),))
 
     # -- observability / lifecycle -----------------------------------------
 

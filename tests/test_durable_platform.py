@@ -210,18 +210,20 @@ class TestDurableRegistry:
         p1 = Platform(state_dir=d)
         p1.register_user("alice")
         pid = p1.create_project("proj", owner="alice").project_id
-        records = [
+        p1.monitor.telemetry.extend([
             TelemetryRecord(project_id=pid, latency_ms=float(i),
                             top="ok", confidence=0.9)
             for i in range(5)
-        ]
-        assert p1.monitor.set_reference(pid, records) == 5
+        ])
+        assert p1.monitor.set_reference(pid) == 5
 
         p2 = Platform(state_dir=d)
         pm = p2.monitor.monitor(pid)
         assert len(pm.reference) == 5
         assert pm.status == "ok"
-        assert [r.latency_ms for r in pm.reference] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert pm.reference.latency_ms.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        # Restored rows have no sequence numbers: they precede every row.
+        assert (pm.reference.seq == -1).all()
 
 
 class TestJobRecovery:

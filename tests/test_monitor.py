@@ -2,7 +2,10 @@
 serving/fleet emission, health-gated rollouts, and the REST surface."""
 
 import copy
+import gc
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +41,13 @@ def _records(n, project_id=1, confidence=0.9, top="a", ok=True,
     ]
 
 
+def _window(records):
+    """The rows of ``records`` as the detectors read them."""
+    store = TelemetryStore(window=len(records))
+    store.extend(records)
+    return store.recent(records[0].project_id)
+
+
 # -- telemetry store ---------------------------------------------------------
 
 
@@ -51,19 +61,46 @@ def test_store_ring_is_bounded_per_project():
     assert store.project_ids() == [1, 2]
 
 
+def test_store_ring_keeps_the_newest_rows_of_batch_records():
+    """Multi-row records wrap around the ring as slices, a record longer
+    than the ring keeps its newest rows, and rows are numbered in ingest
+    order across the store."""
+    def batch(values):
+        values = np.asarray(values, dtype=np.float64)
+        return TelemetryRecord(1, top=["a"] * len(values), confidence=values,
+                               margin=values)
+
+    store = TelemetryStore(window=5)
+    store.extend([batch([0.0, 0.1, 0.2]), batch([0.3, 0.4, 0.5, 0.6])])
+    rows = store.recent(1)
+    assert rows.seq.tolist() == [2, 3, 4, 5, 6]
+    assert rows.confidence.tolist() == [0.2, 0.3, 0.4, 0.5, 0.6]
+    store.extend([batch(np.arange(12) / 10), TelemetryRecord(1, confidence=0.9)])
+    rows = store.recent(1)
+    assert rows.seq.tolist() == [15, 16, 17, 18, 19] == list(range(15, 20))
+    assert rows.confidence.tolist() == [0.8, 0.9, 1.0, 1.1, 0.9]
+    assert rows.top.tolist() == ["a", "a", "a", "a", None]
+    assert store.total_records == 20 and store.count(1) == 5
+    with pytest.raises(ValueError, match="one value per row"):
+        TelemetryRecord(1, top="a", confidence=[0.1, 0.2])
+
+
 def test_store_raw_ring_is_bounded_separately():
     store = TelemetryStore(window=64, raw_window=4)
     store.extend(_records(10, raw=np.ones(5, dtype=np.float32)))
     assert store.count(1) == 10
-    assert len(store.drift_candidates(1)) == 4
-    # raw_window genuinely bounds payload memory: records evicted from
-    # the raw ring stay in the main ring but their payload is dropped.
-    assert sum(1 for r in store.recent(1) if r.raw is not None) == 4
+    candidates = store.drift_candidates(1)
+    assert len(candidates) == 4
+    # raw_window genuinely bounds payload memory: only the raw ring holds
+    # payloads (the newest four); every row stays in the main ring.
+    assert all(r is not None for r in candidates.raw)
+    assert all(r is None for r in store.recent(1).raw)
+    assert candidates.seq.tolist() == store.recent(1).seq[-4:].tolist()
     # raw_window=0 never retains payloads at all.
     none_store = TelemetryStore(window=8, raw_window=0)
     none_store.extend(_records(3, raw=np.ones(5, dtype=np.float32)))
-    assert none_store.drift_candidates(1) == []
-    assert all(r.raw is None for r in none_store.recent(1))
+    assert len(none_store.drift_candidates(1)) == 0
+    assert all(r is None for r in none_store.recent(1).raw)
 
 
 def test_store_recent_filters():
@@ -76,7 +113,7 @@ def test_store_recent_filters():
     assert len(store.recent(1, source="dev-0")) == 4
     assert len(store.recent(1, model_version="1.0.2")) == 1
     assert len(store.recent(1, n=3)) == 3
-    assert store.recent(99) == []
+    assert len(store.recent(99)) == 0
 
 
 def test_store_concurrent_ingest_preserves_totals():
@@ -84,16 +121,29 @@ def test_store_concurrent_ingest_preserves_totals():
     n_threads, per_thread = 8, 200
 
     def pump():
-        for _ in range(per_thread // 10):
-            store.extend(_records(10))
+        for i in range(per_thread // 10):
+            if i % 2:  # one-row records and one ten-row record
+                store.extend(_records(10))
+            else:
+                store.extend([TelemetryRecord(1, top=[None] * 10,
+                                              confidence=np.zeros(10),
+                                              margin=np.zeros(10))])
 
     threads = [threading.Thread(target=pump) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # widen any unsynchronised ring write
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert store.total_records == n_threads * per_thread
     assert store.count(1) == n_threads * per_thread
+    # Every row landed once, in its own slot, numbered in ingest order.
+    assert store.recent(1).seq.tolist() == list(range(n_threads * per_thread))
 
 
 def test_store_summary():
@@ -121,12 +171,12 @@ def test_psi_behaviour():
 
 def test_confidence_shift_detector():
     rng = np.random.default_rng(0)
-    ref = [TelemetryRecord(1, confidence=c)
-           for c in rng.uniform(0.85, 0.99, 200)]
-    same = [TelemetryRecord(1, confidence=c)
-            for c in rng.uniform(0.85, 0.99, 200)]
-    collapsed = [TelemetryRecord(1, confidence=c)
-                 for c in rng.uniform(0.3, 0.6, 200)]
+    ref = _window([TelemetryRecord(1, confidence=c)
+                   for c in rng.uniform(0.85, 0.99, 200)])
+    same = _window([TelemetryRecord(1, confidence=c)
+                    for c in rng.uniform(0.85, 0.99, 200)])
+    collapsed = _window([TelemetryRecord(1, confidence=c)
+                         for c in rng.uniform(0.3, 0.6, 200)])
     detector = ConfidenceShiftDetector(threshold=0.25)
     assert not detector.evaluate(ref, same).triggered
     result = detector.evaluate(ref, collapsed)
@@ -134,9 +184,9 @@ def test_confidence_shift_detector():
 
 
 def test_label_mix_detector():
-    ref = _records(50, top="a") + _records(50, top="b")
-    same = _records(25, top="a") + _records(25, top="b")
-    skewed = _records(50, top="b")
+    ref = _window(_records(50, top="a") + _records(50, top="b"))
+    same = _window(_records(25, top="a") + _records(25, top="b"))
+    skewed = _window(_records(50, top="b"))
     detector = LabelMixShiftDetector(threshold=0.25)
     assert not detector.evaluate(ref, same).triggered
     assert detector.evaluate(ref, skewed).triggered
@@ -146,13 +196,13 @@ def test_confidence_shift_per_label_attribution():
     """The detail names which predicted class's confidence moved: 'a'
     collapses, 'b' stays — per-label KS must separate them."""
     rng = np.random.default_rng(1)
-    ref = (
+    ref = _window(
         [TelemetryRecord(1, top="a", confidence=c)
          for c in rng.uniform(0.85, 0.99, 100)]
         + [TelemetryRecord(1, top="b", confidence=c)
            for c in rng.uniform(0.85, 0.99, 100)]
     )
-    recent = (
+    recent = _window(
         [TelemetryRecord(1, top="a", confidence=c)
          for c in rng.uniform(0.3, 0.5, 100)]      # class a got uncertain
         + [TelemetryRecord(1, top="b", confidence=c)
@@ -164,14 +214,14 @@ def test_confidence_shift_per_label_attribution():
     assert per_label["a"] > 0.9 and per_label["b"] < 0.25
     # Labels present on only one side are skipped, not crashed on.
     result = ConfidenceShiftDetector().evaluate(
-        _records(10, top="a"), _records(10, top="c")
+        _window(_records(10, top="a")), _window(_records(10, top="c"))
     )
     assert result.detail["per_label_ks"] == {}
 
 
 def test_label_mix_per_label_psi_sums_to_score():
-    ref = _records(50, top="a") + _records(50, top="b")
-    skewed = _records(10, top="a") + _records(90, top="b")
+    ref = _window(_records(50, top="a") + _records(50, top="b"))
+    skewed = _window(_records(10, top="a") + _records(90, top="b"))
     result = LabelMixShiftDetector(threshold=0.25).evaluate(ref, skewed)
     contributions = result.detail["per_label_psi"]
     assert set(contributions) == {"a", "b"}
@@ -183,25 +233,46 @@ def test_label_mix_per_label_psi_sums_to_score():
 
 def test_feature_drift_detector():
     rng = np.random.default_rng(0)
-    ref = [TelemetryRecord(1, sketch=rng.normal(0, 1, 8)) for _ in range(100)]
-    same = [TelemetryRecord(1, sketch=rng.normal(0, 1, 8)) for _ in range(100)]
-    shifted = [TelemetryRecord(1, sketch=rng.normal(4, 1, 8))
-               for _ in range(100)]
+    ref = _window([TelemetryRecord(1, sketch=rng.normal(0, 1, 8))
+                   for _ in range(100)])
+    same = _window([TelemetryRecord(1, sketch=rng.normal(0, 1, 8))
+                    for _ in range(100)])
+    shifted = _window([TelemetryRecord(1, sketch=rng.normal(4, 1, 8))
+                       for _ in range(100)])
     detector = FeatureDriftDetector(threshold=0.35)
     assert not detector.evaluate(ref, same).triggered
     assert detector.evaluate(ref, shifted).triggered
     # No sketches at all -> cleanly not triggered.
-    no_sketch = detector.evaluate(_records(5), _records(5))
+    no_sketch = detector.evaluate(_window(_records(5)), _window(_records(5)))
     assert not no_sketch.triggered and "reason" in no_sketch.detail
+
+
+def test_a_sketch_of_another_width_is_refused_not_truncated():
+    """One short sketch used to cut every row of both windows to its
+    width: a single ``sketch=[]`` row scored a fully shifted window 0.0
+    with ``per_dimension == []``.  Records now refuse it, and the
+    detector always compares all SKETCH_DIM dimensions."""
+    for bad in ([], [0.1] * 7, [0.1] * 9):
+        with pytest.raises(ValueError, match="sketch"):
+            TelemetryRecord(1, sketch=bad)
+    rng = np.random.default_rng(0)
+    ref = _window([TelemetryRecord(1, sketch=rng.normal(0, 1, 8))
+                   for _ in range(100)])
+    shifted = _window([TelemetryRecord(1, sketch=rng.normal(4, 1, 8))
+                       for _ in range(100)] + _records(1))
+    result = FeatureDriftDetector(threshold=0.35).evaluate(ref, shifted)
+    assert result.triggered and result.score > 0.9
+    assert len(result.detail["per_dimension"]) == 8
 
 
 def test_slo_detectors():
     lat = LatencySLODetector(max_p95_ms=10.0)
-    assert not lat.evaluate([], _records(20, latency_ms=1.0)).triggered
-    assert lat.evaluate([], _records(20, latency_ms=50.0)).triggered
+    assert not lat.evaluate(None, _window(_records(20, latency_ms=1.0))).triggered
+    assert lat.evaluate(None, _window(_records(20, latency_ms=50.0))).triggered
     err = ErrorRateSLODetector(max_rate=0.1)
-    assert not err.evaluate([], _records(20, ok=True)).triggered
-    assert err.evaluate([], _records(5, ok=True) + _records(5, ok=False)).triggered
+    assert not err.evaluate(None, _window(_records(20, ok=True))).triggered
+    assert err.evaluate(
+        None, _window(_records(5, ok=True) + _records(5, ok=False))).triggered
 
 
 # -- policy ------------------------------------------------------------------
@@ -257,16 +328,16 @@ def test_serving_emits_telemetry(served_project):
     rows = [np.random.default_rng(0).standard_normal(16 * 8).tolist()
             for _ in range(6)]
     platform.serving.classify_batch(project.project_id, rows)
-    records = store.recent(project.project_id)
-    assert len(records) == 6
-    for rec in records:
-        assert rec.top in ("a", "b", "c")
-        assert 0.0 <= rec.confidence <= 1.0
-        assert rec.margin <= rec.confidence + 1e-6
-        assert rec.sketch is not None and rec.sketch.shape == (8,)
-        assert rec.model_version == "1.0.0"
-        assert rec.latency_ms >= 0.0
-        assert rec.raw is None  # serving does not retain payloads
+    rows = store.recent(project.project_id)
+    assert len(rows) == 6
+    assert set(rows.top) <= {"a", "b", "c"}
+    assert ((0.0 <= rows.confidence) & (rows.confidence <= 1.0)).all()
+    assert (rows.margin <= rows.confidence + 1e-6).all()
+    assert rows.sketch.shape == (6, 8) and np.isfinite(rows.sketch).all()
+    assert set(rows.model_version) == {"1.0.0"}
+    assert (rows.latency_ms >= 0.0).all()
+    assert all(r is None for r in rows.raw)  # serving does not retain payloads
+    assert len(store.drift_candidates(project.project_id)) == 0
     assert platform.serving.snapshot()["telemetry_errors"] == 0
 
 
@@ -297,7 +368,7 @@ def test_sharded_serving_propagates_telemetry(tiny_graphs):
     plat.serving.classify_batch(project.project_id, rows)
     records = plat.monitor.telemetry.recent(project.project_id)
     assert len(records) == 4
-    assert {r.source for r in records} <= {f"shard-{i}" for i in range(3)}
+    assert set(records.source) <= {f"shard-{i}" for i in range(3)}
     plat.serving.close()
 
 
@@ -333,25 +404,25 @@ def test_fleet_classify_emits_telemetry_with_raw(image):
     data = np.random.default_rng(0).standard_normal((16, 8)).astype(np.float32)
     result = fleet.classify_on("d0", data)
     assert result["top"] in ("a", "b", "c")
-    records = store.recent(7)
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.source == "d0"
-    assert rec.model_version == "1.0.0"
-    assert rec.raw is not None and rec.raw.shape == (16, 8)
+    rows = store.recent(7)
+    assert len(rows) == 1
+    assert rows.source[0] == "d0"
+    assert rows.model_version[0] == "1.0.0"
+    candidates = store.drift_candidates(7)
+    assert candidates.seq.tolist() == rows.seq.tolist()
+    assert candidates.raw[0].shape == (16, 8)
     # The sketch is taken in the feature domain (same projection as the
     # serving tier's sketches for this impulse).
     from repro.active import feature_sketch
 
     window = fleet.devices["d0"]._impulse.input_block.windows(data)[0]
     feats = fleet.devices["d0"]._impulse.features_for_window(window)
-    assert np.allclose(rec.sketch, feature_sketch(feats.reshape(1, -1))[0])
-    assert store.drift_candidates(7) == [rec]
+    assert np.allclose(rows.sketch[0], feature_sketch(feats.reshape(1, -1))[0])
     # Unflashed device: error telemetry + the exception propagates.
     fleet.register(VirtualDevice("bare", "nano33ble"))
     with pytest.raises(RuntimeError, match="no firmware"):
         fleet.classify_on("bare", data)
-    assert any(not r.ok for r in store.recent(7))
+    assert not store.recent(7).ok.all()
     with pytest.raises(KeyError):
         fleet.classify_on("ghost", data)
 
@@ -531,8 +602,10 @@ def test_route_drift_samples_skips_unlabeled_and_failed(served_project):
                               raw=np.ones((16, 8), dtype=np.float32) * 2)
     failed = TelemetryRecord(project.project_id, top="b", ok=False,
                              raw=np.ones((16, 8), dtype=np.float32) * 3)
+    store = TelemetryStore()
+    store.extend([good, topless, failed])
     routed = platform.monitor.route_drift_samples(
-        project, [good, topless, failed]
+        project, store.drift_candidates(project.project_id)
     )
     assert routed == 1
     assert project.dataset.labels == ["a"]
@@ -558,8 +631,8 @@ def test_fleet_telemetry_attribution_per_device(image):
     plat.fleet.classify_on("dev-b", data)
     plat.fleet.classify_on("dev-c", data)
     store = plat.monitor.telemetry
-    assert [r.source for r in store.recent(a.project_id)] == ["dev-a", "dev-c"]
-    assert [r.source for r in store.recent(b.project_id)] == ["dev-b"]
+    assert store.recent(a.project_id).source.tolist() == ["dev-a", "dev-c"]
+    assert store.recent(b.project_id).source.tolist() == ["dev-b"]
     assert sorted(plat.fleet.devices_for_project(a.project_id)) == [
         "dev-a", "dev-c"]
     assert plat.fleet.devices_for_project(b.project_id) == ["dev-b"]
@@ -594,6 +667,31 @@ def test_loop_rollout_scoped_to_project_devices(served_project, tiny_graphs):
     versions = platform.fleet.versions()
     assert versions["d0"] == versions["d1"] == "unflashed"
     assert versions["d2"] == versions["d3"] == "1.0.0"
+
+
+def test_a_pinned_reference_is_compared_with_later_traffic_only():
+    """Pinning takes the newest rows; the next sweep judges the rows
+    after them, never the older traffic before the pin."""
+    plat = Platform()
+    plat.register_user("u")
+    pid = plat.create_project("pinned", owner="u").project_id
+    service = plat.monitor
+    service.set_policy(pid, {"reference_size": 64, "min_records": 16})
+    rng = np.random.default_rng(0)
+    service.telemetry.extend([TelemetryRecord(pid, confidence=c, top="a")
+                              for c in rng.uniform(0.9, 0.99, 200)])
+    service.telemetry.extend([TelemetryRecord(pid, confidence=c, top="a")
+                              for c in rng.uniform(0.5, 0.7, 64)])
+    assert service.set_reference(pid) == 64
+    snap = service.evaluate(pid)  # no traffic since the pin
+    assert snap["skipped"] is True and snap["recent_records"] == 0
+    assert snap["health"] == "ok" and service.alerts(pid) == []
+    # Traffic like the pinned window after the pin: judged, and healthy.
+    service.telemetry.extend([TelemetryRecord(pid, confidence=c, top="a")
+                              for c in rng.uniform(0.5, 0.7, 32)])
+    snap = service.evaluate(pid)
+    assert snap["recent_records"] == 32 and "skipped" not in snap
+    assert snap["health"] == "ok" and service.alerts(pid) == []
 
 
 def test_set_reference_empty_capture_preserves_baseline():
@@ -758,8 +856,22 @@ def test_telemetry_push_refuses_non_finite_values_and_the_gateway_source(served_
     assert r["status"] == 400 and "records[1]" in r["error"]
     recent = platform.monitor.telemetry.recent(pid)
     assert len(recent) == 50
-    result = LatencySLODetector(max_p95_ms=100.0).evaluate([], recent)
+    result = LatencySLODetector(max_p95_ms=100.0).evaluate(None, recent)
     assert result.score == 5.0 and result.triggered
+
+
+@pytest.mark.parametrize("sketch", [[], [0.5] * 7, [0.5] * 9])
+def test_telemetry_push_refuses_a_sketch_of_another_width(served_project, sketch):
+    """A pushed sketch must be SKETCH_DIM numbers: one ``"sketch": []``
+    used to switch off feature-drift detection for the whole window."""
+    platform, project = served_project
+    api, pid = platform.gateway, project.project_id
+    r = api.handle("POST", "/v1/telemetry", {"records": [
+        {"project_id": pid, "sketch": [0.5] * 8},
+        {"project_id": pid, "sketch": sketch},
+    ]}, user="u")
+    assert r["status"] == 400 and "records[1]" in r["error"]
+    assert len(platform.monitor.telemetry.recent(pid)) == 0
 
 
 def test_rest_fleet_device_classify(image):
@@ -797,3 +909,47 @@ def test_failed_rollout_does_not_steal_telemetry_binding(served_project):
     assert r["status"] == 404  # unknown device rejects the rollout
     assert platform.fleet.telemetry_project is None
     assert platform.fleet.telemetry_projects == {}
+
+
+# -- ingest cost pins --------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+def test_telemetry_retains_at_most_160_bytes_per_row(served_project, batch):
+    """A full 4,096-row store holds its rows in columns: at most 160
+    retained bytes per row, whatever the serving batch size."""
+    platform, project = served_project
+    pid = project.project_id
+    rows = [np.random.default_rng(0).standard_normal(16 * 8).tolist()
+            for _ in range(batch)]
+    platform.serving.classify_batch(pid, rows)  # warm the serving path
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = platform.serving.telemetry = TelemetryStore(window=4096)
+        for _ in range(4096 // batch):
+            platform.serving.classify_batch(pid, rows)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert store.count(pid) == 4096
+    assert retained / 4096 <= 160, f"{retained / 4096:.0f} B/row"
+
+
+def test_a_served_chunk_reaches_the_store_as_one_record(served_project):
+    platform, project = served_project
+    calls = []
+
+    class Recording(TelemetryStore):
+        def extend(self, records):
+            calls.append(list(records))
+            return super().extend(records)
+
+    store = platform.serving.telemetry = Recording()
+    rows = [np.random.default_rng(0).standard_normal(16 * 8).tolist()
+            for _ in range(32)]
+    platform.serving.classify_batch(project.project_id, rows)
+    assert len(calls) == 1 and len(calls[0]) == 1
+    assert len(calls[0][0]) == 32 and store.count(project.project_id) == 32
