@@ -294,7 +294,7 @@ class MonitorService:
         # anything" (a plain [-0:] slice would be the whole window).
         limit = pm.policy.max_drift_samples
         raw = self.telemetry.drift_candidates(pm.project_id)
-        usable = np.isin(raw.seq, recent.seq) & (raw.top != None) & raw.ok  # noqa: E711
+        usable = np.isin(raw.seq, recent.seq) & np.not_equal(raw.top, None) & raw.ok
         candidates = raw[usable][-limit:] if limit else TelemetryWindow()
         loop_job = self.start_retrain_loop(
             project, candidates,

@@ -139,7 +139,7 @@ class TelemetryWindow:
     def counts(self, column: str) -> dict:
         """``{value: rows}`` over a str column; None is not counted."""
         values = getattr(self, column)
-        keys, counts = np.unique(values[values != None],  # noqa: E711
+        keys, counts = np.unique(values[np.not_equal(values, None)],
                                  return_counts=True)
         return dict(zip(keys.tolist(), counts.tolist()))
 

@@ -722,6 +722,34 @@ def test_max_drift_samples_zero_disables_routing():
                for line in loop.logs)
 
 
+def test_auto_retrain_routes_only_the_recent_windows_usable_raw_rows():
+    """The loop's drift samples are the raw rows of the recent window
+    that carry a prediction and succeeded: not the reference's rows, not
+    a top-less or failed row."""
+    plat = Platform()
+    plat.register_user("u")
+    pid = plat.create_project("routes", owner="u").project_id
+    service = plat.monitor
+    service.set_policy(pid, {"reference_size": 20, "min_records": 10,
+                             "window": 64, "auto_retrain": True,
+                             "max_drift_samples": 100})
+    rng = np.random.default_rng(0)
+    raw = np.ones(4, dtype=np.float32)
+    service.telemetry.extend([TelemetryRecord(pid, confidence=c, top="a", raw=raw)
+                              for c in rng.uniform(0.85, 0.99, 20)])
+    service.evaluate(pid)  # the 20 raw rows become the reference
+    service.telemetry.extend(
+        [TelemetryRecord(pid, confidence=c, top="a", raw=raw)
+         for c in rng.uniform(0.2, 0.5, 30)]
+        + [TelemetryRecord(pid, confidence=0.3, raw=raw),
+           TelemetryRecord(pid, confidence=0.3, top="a", ok=False, raw=raw)])
+    assert "started_loop_job" in service.evaluate(pid)
+    loop = service.monitor(pid).loop_jobs[-1]
+    loop.wait(30.0)  # fails later (no impulse) — the count is in the log
+    assert any("30 drift-window sample(s) to route back" in line
+               for line in loop.logs)
+
+
 def test_loop_fails_cleanly_without_impulse():
     plat = Platform()
     plat.register_user("u")
