@@ -2,9 +2,8 @@
 
 The monitoring plane (``repro.monitor``) hangs a TelemetryStore off the
 serving tier: every served batch emits one record that holds its rows'
-top/confidence/margin and 8-dim feature sketches as columns (one
-vectorized pass), pushed under a single lock into per-project column
-rings.  This bench measures
+top/confidence and 8-dim feature sketches as columns (one vectorized
+pass), pushed under a single lock into per-project column rings.  This bench measures
 what that costs where it matters — the batched classify path — by
 timing the *same* server with the sink detached vs. attached,
 round-robin so warm-up and CPU drift hit both sides equally.
@@ -125,8 +124,7 @@ def test_store_ingest_throughput():
     for _ in range(batches):
         store.extend([
             TelemetryRecord(1, model_version="1.0.1", latency_ms=0.2,
-                            top="person", confidence=0.9, margin=0.8,
-                            sketch=sketch)
+                            top="person", confidence=0.9, sketch=sketch)
             for _ in range(batch_size)
         ])
     elapsed = time.perf_counter() - start

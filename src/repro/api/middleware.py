@@ -244,10 +244,10 @@ def status_of(exc: BaseException) -> int:
 
 
 class MetricsMiddleware:
-    """Times every request into :class:`RequestMetrics` and feeds
-    project-scoped request telemetry into ``repro.monitor.telemetry``
-    (``source="gateway"`` — the monitor's drift detectors exclude it,
-    but per-project summaries and dashboards see API traffic)."""
+    """Times every request into :class:`RequestMetrics` and notes each
+    project-scoped request's outcome in the monitor's telemetry store
+    (:meth:`~repro.monitor.TelemetryStore.record_request`: per-project
+    summaries see API traffic; the drift detectors never do)."""
 
     def __init__(self, metrics: RequestMetrics):
         self.metrics = metrics
@@ -261,30 +261,18 @@ class MetricsMiddleware:
             status = status_of(exc)
             raise
         finally:
-            elapsed = time.perf_counter() - start
-            self.metrics.record(ctx.route.name, status, elapsed)
-            self._emit(ctx, status, elapsed)
+            self.metrics.record(ctx.route.name, status,
+                                time.perf_counter() - start)
+            self._emit(ctx, status)
 
-    def _emit(self, ctx, status: int, elapsed_s: float) -> None:
+    def _emit(self, ctx, status: int) -> None:
         pid = ctx.params.get("pid")
         monitor = getattr(ctx.platform, "monitor", None)
-        # Only authenticated requests against *existing* projects emit:
+        # Only authenticated requests against *existing* projects count:
         # an anonymous caller iterating project ids must not mint
-        # telemetry rings (unbounded memory) or inject records into
+        # outcome windows (unbounded memory) or inject requests into
         # real projects' summaries.
         if (pid is None or monitor is None or ctx.user is None
                 or pid not in getattr(ctx.platform, "projects", {})):
             return
-        try:
-            from repro.monitor import TelemetryRecord
-
-            monitor.telemetry.extend((TelemetryRecord(
-                project_id=pid,
-                latency_ms=elapsed_s * 1000.0,
-                ok=status < 400,
-                source="gateway",
-                error=None if status < 400 else f"http {status}",
-            ),))
-        except Exception:
-            # Metrics must never break serving the request itself.
-            pass
+        monitor.telemetry.record_request(pid, status < 400)

@@ -14,8 +14,8 @@ def telemetry_ingest(ctx) -> dict:
     """Device/client telemetry push: ``{"records": [{...}, ...]}``.
 
     Each record is one inference and needs ``project_id``; everything
-    else (model_version, latency_ms, top, confidence, margin, ok, source,
-    sketch, raw) is optional — ``raw`` carries a drift-window sample the
+    else (model_version, latency_ms, top, confidence, ok, source, sketch,
+    raw) is optional — ``raw`` carries a drift-window sample the
     closed loop may route back into the dataset.  That makes this a
     training-data-influencing route, so like the other mutating fleet
     surfaces it requires a registered caller (real device daemons
@@ -25,9 +25,10 @@ def telemetry_ingest(ctx) -> dict:
     which ``json.loads`` accepts) is a 400: one NaN latency makes the
     window's p95 NaN, and a NaN score never triggers an SLO.  So is a
     ``sketch`` that is not ``SKETCH_DIM`` (8) numbers (drift is scored
-    per dimension), and the ``gateway`` source, the gateway's own.
+    per dimension), and the ``gateway`` source, which names the gateway's
+    own requests in the project summary.
     """
-    from repro.monitor import TelemetryRecord, TelemetryStore
+    from repro.monitor import TelemetryRecord
 
     require_operator(ctx)
     items = ctx.body["records"]
@@ -41,11 +42,11 @@ def telemetry_ingest(ctx) -> dict:
             record = TelemetryRecord.from_dict(item)
         except (KeyError, TypeError, ValueError) as exc:
             raise ApiError(400, f"records[{i}] is malformed: {exc!r}")
-        arrays = [(record.ts, record.latency_ms), record.confidence, record.margin]
+        arrays = [record.latency_ms, record.confidence]
         arrays += [a for a in (record.sketch, record.raw) if a is not None]
         if not all(np.isfinite(a).all() for a in arrays):
             raise ApiError(400, f"records[{i}] must be finite")
-        if record.source == TelemetryStore.INFRA_SOURCE:
+        if record.source == "gateway":
             raise ApiError(400, f"records[{i}]: source {record.source!r} is reserved")
         if record.project_id not in ctx.platform.projects:
             raise ApiError(404, f"no project {record.project_id}")
@@ -123,7 +124,9 @@ def register(router) -> None:
         request=Schema(
             Field("records", "list", required=True,
                   doc="telemetry records, one inference each; each needs "
-                      "project_id, and a sketch must be 8 finite numbers"),
+                      "project_id, and a sketch must be 8 finite numbers; "
+                      "keys other than model_version, latency_ms, top, "
+                      "confidence, ok, source, sketch and raw are ignored"),
         ),
         response={"description": "How many records were accepted",
                   "fields": ("accepted",)},

@@ -14,6 +14,7 @@ so existing clients and tests see identical diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.api.errors import ApiError
@@ -80,6 +81,9 @@ class Field:
             raise ApiError(
                 400, f"{self.name} must be {kind}-like: {exc}"
             ) from None
+        if kind == "float" and not math.isfinite(value):
+            # NaN passes every bound check and inf outlasts every cap.
+            raise ApiError(400, f"{self.name} must be a finite number")
         if self.enum is not None and value not in self.enum:
             raise ApiError(
                 400,

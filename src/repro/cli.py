@@ -456,11 +456,9 @@ def _cmd_monitor(args) -> int:
                        ).astype(np.float32)
             row = first_window(Sample(data=drifted, label="?"))
             result = server.classify(pid, row, precision=args.precision)
-            ranked = sorted(result["classification"].values(), reverse=True)
             service.telemetry.extend((TelemetryRecord(
                 pid, model_version=version, top=result["top"],
-                confidence=ranked[0],
-                margin=ranked[0] - ranked[1] if len(ranked) > 1 else ranked[0],
+                confidence=max(result["classification"].values()),
                 sketch=feature_sketch(row.reshape(1, -1), dim=SKETCH_DIM)[0],
                 raw=drifted, source="cli-replay",
             ),))

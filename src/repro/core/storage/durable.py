@@ -343,8 +343,8 @@ class DurableRegistry:
         """Journal a monitor reference window (bounded; raw payloads are
         never spilled — they are drift-loop working data, not baseline)."""
         rows = window[-MAX_SPILLED_REFERENCE:]
-        names = ("model_version", "ts", "latency_ms", "top", "confidence",
-                 "margin", "ok", "source", "error")
+        names = ("model_version", "latency_ms", "top", "confidence", "ok",
+                 "source")
         spilled = [
             dict(zip(names, values), project_id=project_id,
                  sketch=sketch if np.isfinite(sketch).all() else None)

@@ -107,15 +107,14 @@ class DeviceFleet:
         raw = np.asarray(data, dtype=np.float32)
         try:
             result = device.classify(raw)
-        except RuntimeError as exc:
-            self._emit_telemetry(device, raw, error=str(exc))
+        except RuntimeError:
+            self._emit_telemetry(device, raw)
             raise
         self._emit_telemetry(device, raw, result=result)
         return result
 
     def _emit_telemetry(self, device: VirtualDevice, raw: np.ndarray,
-                        result: dict | None = None,
-                        error: str | None = None) -> None:
+                        result: dict | None = None) -> None:
         project_id = self.telemetry_projects.get(
             device.device_id, self.telemetry_project
         )
@@ -125,15 +124,14 @@ class DeviceFleet:
         if result is None:  # a failed inference: no prediction, no sketch
             self.telemetry.extend((TelemetryRecord(
                 project_id, version, ok=False, source=device.device_id,
-                raw=raw, error=error),))
+                raw=raw),))
             return
-        probs = list(result["classification"].values()) or [0.0]  # ranked desc
         timing = result.get("timing", {})
         self.telemetry.extend((TelemetryRecord(
             project_id, version,
             latency_ms=timing.get("dsp_ms", 0.0) + timing.get("inference_ms", 0.0),
-            top=result["top"], confidence=probs[0],
-            margin=probs[0] - probs[1] if len(probs) > 1 else probs[0],
+            top=result["top"],
+            confidence=max(result["classification"].values(), default=0.0),
             source=device.device_id, sketch=self._sketch(device), raw=raw),))
 
     @staticmethod

@@ -13,6 +13,7 @@ what it did about it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -83,8 +84,17 @@ class MonitorPolicy:
         return self
 
     def validate(self) -> None:
+        # A NaN threshold never triggers and a NaN cooldown never backs
+        # off: either silently switches a safeguard off.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.window < 1 or self.reference_size < 1 or self.min_records < 1:
             raise ValueError("window/reference_size/min_records must be >= 1")
+        if self.min_records > self.window:
+            # A sweep judges at most ``window`` rows: it would skip forever.
+            raise ValueError("min_records must be <= window")
         if not 0.0 <= self.canary_fraction <= 1.0:
             raise ValueError("canary_fraction must be in [0, 1]")
         if not 0.0 <= self.failure_threshold <= 1.0:

@@ -170,9 +170,9 @@ class MonitorService:
         pm = self.monitor(project_id)
         with pm._lock:
             policy = pm.policy
-            # The gateway's request telemetry lives in the store's
-            # separate infra ring (TelemetryStore.INFRA_SOURCE), so
-            # recent() only ever yields inference observations here.
+            # The gateway's requests are outcome flags outside the rows
+            # (TelemetryStore.record_request), so recent() only ever
+            # yields inference observations here.
             records = self.telemetry.recent(project_id)
             # Auto-capture the baseline from the oldest traffic if no
             # explicit reference was pinned.

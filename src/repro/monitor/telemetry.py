@@ -3,12 +3,14 @@
 Production monitoring (paper Sec. 4, the "monitor in production" half of
 the MLOps loop) starts with observability on the inference path.  The
 serving tier (:mod:`repro.serve`) emits one :class:`TelemetryRecord` per
-served batch, its rows as columns; devices, the gateway, the REST push
-and ``cli monitor`` emit one-row records.  :meth:`TelemetryStore.extend`
-writes them under one lock into per-project numpy column rings and
-numbers every row, so the monitor tells a pinned reference from the
-traffic after it.  Raw payloads (drift-window samples the closed loop
-routes back into the dataset) live in a much smaller ring of their own.
+served batch, its rows as columns; devices, the REST push and ``cli
+monitor`` emit one-row records.  :meth:`TelemetryStore.extend` writes
+them under one lock into per-project numpy column rings and numbers
+every row, so the monitor tells a pinned reference from the traffic
+after it.  Raw payloads (drift-window samples the closed loop routes
+back into the dataset) live in a much smaller ring of their own.  The
+API gateway's requests are no rows at all: each project keeps the
+outcomes of its last 1,024 requests for the summary.
 
 ``benchmarks/bench_monitor_ingest.py`` gates the overhead of all of this
 on the serving path at < 10%.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
+from collections import deque
 
 import numpy as np
 
@@ -28,10 +30,9 @@ SKETCH_DIM = 8
 #: Per-row columns of a :class:`TelemetryWindow` and their dtypes; the
 #: ``(rows, SKETCH_DIM)`` float32 ``sketch`` column comes on top.
 _COLUMNS = {
-    "seq": np.int64, "ts": np.float64, "latency_ms": np.float64,
-    "ok": np.bool_, "top": object, "confidence": np.float64,
-    "margin": np.float64, "source": object, "model_version": object,
-    "error": object, "raw": object,
+    "seq": np.int64, "latency_ms": np.float64, "ok": np.bool_,
+    "top": object, "confidence": np.float64, "source": object,
+    "model_version": object, "raw": object,
 }
 
 
@@ -45,28 +46,26 @@ def model_version_of(project) -> str:
 
 class TelemetryRecord:
     """One unit of telemetry ingest: ``n >= 1`` inference rows that share
-    a project, model version, timestamp, latency, outcome and source.
+    a project, model version, latency, outcome and source.
 
-    ``top``, ``confidence`` and ``margin`` are per-row columns, and
-    ``sketch`` is an ``(n, SKETCH_DIM)`` matrix; a scalar (and a 1-D
-    sketch) is one row.  ``raw``, a drift-window sample the closed loop
-    may route back into the dataset, rides only on one-row records.
+    ``top`` and ``confidence`` are per-row columns, and ``sketch`` is an
+    ``(n, SKETCH_DIM)`` matrix; a scalar (and a 1-D sketch) is one row.
+    ``raw``, a drift-window sample the closed loop may route back into
+    the dataset, rides only on one-row records.
     """
 
-    __slots__ = ("project_id", "model_version", "ts", "latency_ms", "top",
-                 "confidence", "margin", "ok", "source", "sketch", "raw", "error")
+    __slots__ = ("project_id", "model_version", "latency_ms", "top",
+                 "confidence", "ok", "source", "sketch", "raw")
 
     def __init__(self, project_id: int, model_version: str = "unknown",
-                 ts: float | None = None, latency_ms: float = 0.0, top=None,
-                 confidence=0.0, margin=0.0, ok: bool = True,
-                 source: str = "serving", sketch=None, raw=None,
-                 error: str | None = None):
+                 latency_ms: float = 0.0, top=None, confidence=0.0,
+                 ok: bool = True, source: str = "serving", sketch=None,
+                 raw=None):
         self.confidence = np.array(confidence, np.float64, ndmin=1)
         self.top = np.array(top, object, ndmin=1)
-        self.margin = np.array(margin, np.float64, ndmin=1)
         n = len(self.confidence)
-        if self.top.shape != (n,) or self.margin.shape != (n,):
-            raise ValueError("top, confidence and margin need one value per row")
+        if self.top.shape != (n,):
+            raise ValueError("top and confidence need one value per row")
         if sketch is not None:
             sketch = np.asarray(sketch, np.float32)
             if sketch.size != n * SKETCH_DIM:
@@ -76,13 +75,11 @@ class TelemetryRecord:
             raise ValueError("raw rides only on one-row records")
         self.project_id = int(project_id)
         self.model_version = model_version
-        self.ts = time.time() if ts is None else float(ts)
         self.latency_ms = float(latency_ms)
         self.ok = bool(ok)
         self.source = source
         self.sketch = sketch
         self.raw = None if raw is None else np.asarray(raw, np.float32)
-        self.error = error
 
     def __len__(self) -> int:
         return len(self.confidence)
@@ -92,22 +89,20 @@ class TelemetryRecord:
         """Build a one-row record from an API payload (the device push path).
 
         Raises ``ValueError``/``TypeError``/``KeyError`` on malformed
-        input; the API layer maps those to a 400.
+        input; the API layer maps those to a 400.  Undeclared keys are
+        ignored.
         """
-        top, ts, error = body.get("top"), body.get("ts"), body.get("error")
+        top = body.get("top")
         return cls(
             project_id=int(body["project_id"]),
             model_version=str(body.get("model_version", "unknown")),
-            ts=None if ts is None else float(ts),
             latency_ms=float(body.get("latency_ms", 0.0)),
             top=None if top is None else str(top),
             confidence=float(body.get("confidence", 0.0)),
-            margin=float(body.get("margin", 0.0)),
             ok=bool(body.get("ok", True)),
             source=str(body.get("source", "api")),
             sketch=body.get("sketch"),
             raw=body.get("raw"),
-            error=None if error is None else str(error),
         )
 
 
@@ -115,9 +110,9 @@ class TelemetryWindow:
     """Telemetry rows as columns, oldest first: what readers get.
 
     ``seq`` is the store's ingest order (-1: restored from the WAL);
-    ``top``, ``source``, ``model_version``, ``error`` and ``raw`` hold
-    objects or None, and ``sketch`` is NaN on rows without one.  A slice,
-    mask or index array selects a window of copies; empty is falsy.
+    ``top``, ``source``, ``model_version`` and ``raw`` hold objects or
+    None, and ``sketch`` is NaN on rows without one.  A slice, mask or
+    index array selects a window of copies; empty is falsy.
     """
 
     __slots__ = (*_COLUMNS, "sketch")
@@ -190,15 +185,12 @@ class _Ring:
         """Store ``rec``'s ``rows`` at ``at``: two ints or two slices."""
         col = self.rows
         col.seq[at] = seq
-        col.ts[at] = rec.ts
         col.latency_ms[at] = rec.latency_ms
         col.ok[at] = rec.ok
         col.source[at] = rec.source
         col.model_version[at] = rec.model_version
-        col.error[at] = rec.error
         col.top[at] = rec.top[rows]
         col.confidence[at] = rec.confidence[rows]
-        col.margin[at] = rec.margin[rows]
         col.sketch[at] = np.nan if rec.sketch is None else rec.sketch[rows]
         if self.keep_raw:
             col.raw[at] = rec.raw
@@ -214,16 +206,10 @@ class TelemetryStore:
 
     ``window`` bounds how many rows each project retains; ``raw_window``
     separately bounds how many rows with a raw payload (the candidate
-    drift-window samples for the closed retrain loop) it retains.
+    drift-window samples for the closed retrain loop) it retains.  The
+    gateway's request outcomes are kept apart from the rows, so request
+    traffic can never evict inference observations from the drift window.
     """
-
-    #: Source tag reserved for the API gateway's request metrics; these
-    #: rows live in their own per-project ring so request traffic can
-    #: never evict inference observations from the drift window.
-    INFRA_SOURCE = "gateway"
-
-    #: Rows each project's gateway ring keeps.
-    INFRA_WINDOW = 1024
 
     def __init__(self, window: int = 4096, raw_window: int = 256):
         if window < 1 or raw_window < 0:
@@ -233,7 +219,7 @@ class TelemetryStore:
         self._lock = threading.Lock()
         self._rows: dict[int, _Ring] = {}  # guarded-by: _lock
         self._raw: dict[int, _Ring] = {}  # guarded-by: _lock
-        self._infra: dict[int, _Ring] = {}  # guarded-by: _lock
+        self._requests: dict[int, deque] = {}  # guarded-by: _lock
         self.total_records = 0  # guarded-by: _lock
 
     def extend(self, records) -> int:
@@ -242,24 +228,29 @@ class TelemetryStore:
         with self._lock:
             for rec in records:
                 pid, seq = rec.project_id, self.total_records
-                if rec.source == self.INFRA_SOURCE:
-                    _ring(self._infra, pid, self.INFRA_WINDOW).write(rec, seq)
-                else:
-                    _ring(self._rows, pid, self.window).write(rec, seq)
-                    if rec.raw is not None and self.raw_window:
-                        _ring(self._raw, pid, self.raw_window, True).write(rec, seq)
+                _ring(self._rows, pid, self.window).write(rec, seq)
+                if rec.raw is not None and self.raw_window:
+                    _ring(self._raw, pid, self.raw_window, True).write(rec, seq)
                 self.total_records += len(rec)
         return len(records)
+
+    def record_request(self, project_id: int, ok: bool) -> None:
+        """Note one gateway request's outcome: each project keeps its
+        last 1,024, which :meth:`summary` counts."""
+        with self._lock:
+            outcomes = self._requests.get(project_id)
+            if outcomes is None:
+                outcomes = self._requests[project_id] = deque(maxlen=1024)
+            outcomes.append(ok)
 
     def recent(self, project_id: int, n: int | None = None,
                source: str | None = None,
                model_version: str | None = None) -> TelemetryWindow:
         """Newest-last copy of a project's rows, optionally filtered by
         source (device id / shard name) and model version, then cut to
-        the newest ``n``.  ``source="gateway"`` reads the gateway ring."""
+        the newest ``n``."""
         with self._lock:
-            rings = self._infra if source == self.INFRA_SOURCE else self._rows
-            ring = rings.get(project_id)
+            ring = self._rows.get(project_id)
             rows = ring.snapshot() if ring else TelemetryWindow()
         if source is not None:
             rows = rows[rows.source == source]
@@ -284,7 +275,7 @@ class TelemetryStore:
 
     def clear(self, project_id: int | None = None) -> None:
         with self._lock:
-            for rings in (self._rows, self._raw, self._infra):
+            for rings in (self._rows, self._raw, self._requests):
                 if project_id is None:
                     rings.clear()
                 else:
@@ -293,13 +284,15 @@ class TelemetryStore:
     def summary(self, project_id: int) -> dict:
         """JSON-safe per-project ingest summary for the monitor API."""
         rows = self.recent(project_id)
-        gateway = self.recent(project_id, source=self.INFRA_SOURCE)
+        with self._lock:
+            outcomes = self._requests.get(project_id, ())
+            requests, failed = len(outcomes), outcomes.count(False)
         return {
             "records": len(rows),
             "window": self.window,
             "raw_retained": len(self.drift_candidates(project_id)),
-            "gateway_requests": len(gateway),
-            "gateway_error_rate": gateway.error_rate(),
+            "gateway_requests": requests,
+            "gateway_error_rate": failed / requests if requests else 0.0,
             "by_source": rows.counts("source"),
             "by_label": rows.counts("top"),
             "by_model_version": rows.counts("model_version"),

@@ -287,17 +287,14 @@ class ModelServer:
         stacked: np.ndarray, probs: np.ndarray, latency_ms: float,
     ) -> None:
         """One record for the served chunk: its rows' top label,
-        confidence, margin and feature sketch as columns (one argmax, sort
-        and matmul), pushed under one lock (:meth:`TelemetryStore.extend`)."""
+        confidence and feature sketch as columns (one argmax, max and
+        matmul), pushed under one lock (:meth:`TelemetryStore.extend`)."""
         top_idx = probs.argmax(axis=1)
-        ranked = np.sort(probs, axis=1)
-        conf = ranked[:, -1]
-        margin = conf - ranked[:, -2] if probs.shape[1] > 1 else conf
         # An output past the label map has no label: clipped onto None.
         tops = np.array([*labels, None], dtype=object).take(top_idx, mode="clip")
         telemetry.extend((TelemetryRecord(
             project_id, model_version_of(self.platform.projects[project_id]),
-            latency_ms=latency_ms, top=tops, confidence=conf, margin=margin,
+            latency_ms=latency_ms, top=tops, confidence=probs.max(axis=1),
             source=source, sketch=feature_sketch(stacked, dim=SKETCH_DIM),
         ),))
 

@@ -370,7 +370,8 @@ def test_rate_limited_request_is_429_with_hint(platform):
 @pytest.mark.parametrize("credential", ["user", "token"])
 def test_every_caller_runs_the_whole_chain(platform, credential):
     """A trusted in-process ``user=`` caller is rate-limited, counted
-    and emits request telemetry exactly like a ``token=`` caller."""
+    and feeds the project's request outcomes exactly like a ``token=``
+    caller."""
     gw = ApiGateway(platform, rate_limit_capacity=3,
                     rate_limit_refill_per_s=0.001)
     pid = platform.create_project("metered", owner="alice").project_id
@@ -386,10 +387,10 @@ def test_every_caller_runs_the_whole_chain(platform, credential):
     assert stats["by_status"] == {"200": 3, "429": 2}
     assert stats["routes"]["getProject"]["requests"] == 5
     assert gw.rate_limit.rejected == 2
-    records = platform.monitor.telemetry.recent(pid, source="gateway")
-    assert records.ok.tolist() == [True, True, True, False, False]
-    assert records.error[-1] == "http 429"
-    assert len(platform.monitor.telemetry.recent(pid)) == 0  # infra ring only
+    summary = platform.monitor.telemetry.summary(pid)
+    assert summary["gateway_requests"] == 5
+    assert summary["gateway_error_rate"] == 2 / 5  # the two 429s
+    assert len(platform.monitor.telemetry.recent(pid)) == 0  # no rows
 
 
 def test_rate_limit_multithread_hammer(platform):
@@ -434,6 +435,27 @@ def test_rate_limit_multithread_hammer(platform):
     assert gw.rate_limit.rejected == len(limited)
 
 
+@pytest.mark.parametrize("method, path, body, field", [
+    ("GET", "/v1/projects/{pid}/jobs/1/logs", {"timeout_s": "nan"}, "timeout_s"),
+    ("GET", "/v1/projects/{pid}/jobs/1", {"wait_s": "-inf"}, "wait_s"),
+    ("POST", "/v1/fleet/rollout", {"project_id": "{pid}", "soak_s": float("inf")},
+     "soak_s"),
+    ("POST", "/v1/projects/{pid}/tuner", {"max_ram_kb": float("nan")},
+     "max_ram_kb"),
+])
+def test_schema_floats_refuse_non_finite_values(gw, method, path, body, field):
+    """NaN passes every ``minimum`` / ``maximum`` check and a clamp keeps
+    it: ``timeout_s=nan`` would follow a log stream past its 600 s cap,
+    ``soak_s=inf`` would soak forever and ``max_ram_kb=nan`` would switch
+    a tuner constraint off.  Each is a 400 before the handler runs."""
+    pid = gw.handle("POST", "/v1/projects", {"name": "f"},
+                    user="alice")["data"]["project_id"]
+    body = {k: pid if v == "{pid}" else v for k, v in body.items()}
+    response = gw.handle(method, path.format(pid=pid), body, user="alice")
+    assert response == {"status": 400,
+                        "error": f"{field} must be a finite number"}
+
+
 # -- metrics + telemetry -----------------------------------------------------
 
 
@@ -452,14 +474,13 @@ def test_request_metrics_feed_monitor_telemetry(gw, platform):
                     user="alice")["data"]["project_id"]
     for _ in range(5):
         gw.handle("GET", f"/v1/projects/{pid}", user="alice")
-    records = platform.monitor.telemetry.recent(pid, source="gateway")
-    assert len(records) == 5
-    assert (records.latency_ms >= 0).all() and records.ok.all()
-    # Infrastructure telemetry is visible in summaries...
+    gw.handle("GET", f"/v1/projects/{pid}/jobs/999", user="alice")  # 404
+    gw.handle("GET", f"/v1/projects/{pid}")  # anonymous: not counted
+    # Request outcomes are visible in summaries...
     summary = platform.monitor.telemetry.summary(pid)
-    assert summary["gateway_requests"] == 5
-    assert summary["gateway_error_rate"] == 0.0
-    # ...but lives in its own ring: it never enters drift baselines,
+    assert summary["gateway_requests"] == 6
+    assert summary["gateway_error_rate"] == 1 / 6
+    # ...but are no telemetry rows: they never enter drift baselines,
     # evaluation windows, or the inference window at all (so request
     # floods cannot evict inference records either).
     assert len(platform.monitor.telemetry.recent(pid)) == 0
@@ -471,7 +492,8 @@ def test_request_metrics_feed_monitor_telemetry(gw, platform):
 
 def test_gateway_telemetry_cannot_starve_inference_window(gw, platform):
     """A request flood against a project leaves its inference telemetry
-    ring untouched (the PR 4 drift window survives API polling)."""
+    ring untouched (the drift window survives API polling), and the
+    request outcomes it keeps stay bounded at 1,024."""
     from repro.monitor import TelemetryRecord
 
     pid = gw.handle("POST", "/v1/projects", {"name": "flood"},
@@ -479,14 +501,16 @@ def test_gateway_telemetry_cannot_starve_inference_window(gw, platform):
     platform.monitor.telemetry.extend([
         TelemetryRecord(pid, confidence=0.9, top="a") for _ in range(10)
     ])
-    for _ in range(200):
+    for _ in range(1100):
         gw.handle("GET", f"/v1/projects/{pid}", user="alice")
     inference = platform.monitor.telemetry.recent(pid)
     assert len(inference) == 10
     assert "gateway" not in set(inference.source)
-    # The infra ring is itself bounded.
-    assert (len(platform.monitor.telemetry.recent(pid, source="gateway"))
-            <= platform.monitor.telemetry.INFRA_WINDOW)
+    summary = platform.monitor.telemetry.summary(pid)
+    assert summary["gateway_requests"] == 1024
+    assert summary["records"] == 10
+    platform.monitor.telemetry.clear(pid)
+    assert platform.monitor.telemetry.summary(pid)["gateway_requests"] == 0
 
 
 # -- streaming ---------------------------------------------------------------

@@ -163,6 +163,13 @@ def test_http_malformed_requests(server, client):
         client.request("GET", f"/v1/projects/{pid}/jobs/1",
                        {"wait_s": "soon"})
     assert cerr.value.status == 400 and "wait_s" in cerr.value.message
+    # ...and a non-finite float is a 400, not a bound-check bypass.
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ClientError) as cerr:
+            client.request("GET", f"/v1/projects/{pid}/jobs/1/logs",
+                           {"timeout_s": value})
+        assert cerr.value.status == 400
+        assert cerr.value.message == "timeout_s must be a finite number"
 
 
 def test_encoded_slash_cannot_change_the_route_shape(server, client):

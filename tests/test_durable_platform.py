@@ -225,6 +225,42 @@ class TestDurableRegistry:
         # Restored rows have no sequence numbers: they precede every row.
         assert (pm.reference.seq == -1).all()
 
+    @pytest.mark.parametrize("row_format", ["current", "with ts/margin/error"])
+    def test_monitor_reference_restores_from_either_row_format(self, tmp_path,
+                                                              row_format):
+        """A reference spilled by an older writer also carries ``ts``,
+        ``margin`` and ``error``: recovery ignores those keys and restores
+        the same columns as a spill in the current format."""
+        d = tmp_path / "state"
+        p1 = Platform(state_dir=d)
+        p1.register_user("alice")
+        pid = p1.create_project("proj", owner="alice").project_id
+        p1.monitor.telemetry.extend([
+            TelemetryRecord(pid, model_version=f"1.0.{i % 2}",
+                            latency_ms=float(i), top=None if i == 2 else "ok",
+                            confidence=0.5 + i / 10, ok=i != 3,
+                            source=f"dev-{i % 2}",
+                            sketch=None if i == 1 else np.full(8, i / 4))
+            for i in range(5)
+        ])
+        assert p1.monitor.set_reference(pid) == 5
+        spilled = p1._durable.state["monitor"][str(pid)]["records"]
+        assert set(spilled[0]) == {"project_id", "model_version", "latency_ms",
+                                   "top", "confidence", "ok", "source", "sketch"}
+        if row_format != "current":
+            p1._durable.record({"op": "monitor_reference", "pid": pid, "records": [
+                {**r, "ts": 1.7e9 + i, "margin": r["confidence"] / 2,
+                 "error": None if r["ok"] else "sensor fault"}
+                for i, r in enumerate(spilled)], "health": "ok"})
+        want = p1.monitor.monitor(pid).reference
+
+        got = Platform(state_dir=d).monitor.monitor(pid).reference
+        for name in ("latency_ms", "ok", "top", "confidence", "source",
+                     "model_version"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        np.testing.assert_array_equal(got.sketch, want.sketch)  # NaN row too
+        assert (got.seq == -1).all()
+
 
 class TestJobRecovery:
     def test_interrupted_job_lands_terminal_failed(self, tmp_path):

@@ -67,8 +67,7 @@ def test_store_ring_keeps_the_newest_rows_of_batch_records():
     order across the store."""
     def batch(values):
         values = np.asarray(values, dtype=np.float64)
-        return TelemetryRecord(1, top=["a"] * len(values), confidence=values,
-                               margin=values)
+        return TelemetryRecord(1, top=["a"] * len(values), confidence=values)
 
     store = TelemetryStore(window=5)
     store.extend([batch([0.0, 0.1, 0.2]), batch([0.3, 0.4, 0.5, 0.6])])
@@ -126,8 +125,7 @@ def test_store_concurrent_ingest_preserves_totals():
                 store.extend(_records(10))
             else:
                 store.extend([TelemetryRecord(1, top=[None] * 10,
-                                              confidence=np.zeros(10),
-                                              margin=np.zeros(10))])
+                                              confidence=np.zeros(10))])
 
     threads = [threading.Thread(target=pump) for _ in range(n_threads)]
     interval = sys.getswitchinterval()
@@ -290,6 +288,40 @@ def test_policy_update_and_validation():
         policy.update({"window": 0})
 
 
+@pytest.mark.parametrize("key", [
+    "confidence_shift_threshold", "label_mix_threshold",
+    "feature_drift_threshold", "cooldown_s", "soak_s", "max_latency_ms",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_policy_refuses_non_finite_numbers(served_project, key, value):
+    """A NaN threshold never triggers (its detector is off) and a NaN
+    cooldown never backs off; the REST route answers either with a 400
+    (``json.loads`` parses a bare ``NaN``) and keeps the policy."""
+    policy = MonitorPolicy()
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        policy.update({key: value})
+    assert policy == MonitorPolicy()
+    platform, project = served_project
+    pid = project.project_id
+    r = platform.gateway.handle("POST", f"/v1/projects/{pid}/monitor/policy",
+                                {key: value}, user="u")
+    assert r["status"] == 400 and "finite" in r["error"]
+    assert platform.monitor.monitor(pid).policy == MonitorPolicy()
+
+
+def test_policy_refuses_more_min_records_than_the_window():
+    """A sweep judges at most ``window`` rows, so a larger
+    ``min_records`` would skip every sweep forever."""
+    policy = MonitorPolicy()
+    with pytest.raises(ValueError, match="min_records must be <= window"):
+        policy.update({"min_records": 257})
+    with pytest.raises(ValueError, match="min_records must be <= window"):
+        policy.update({"window": 8})
+    assert policy == MonitorPolicy()
+    policy.update({"window": 8, "min_records": 8})
+    assert (policy.window, policy.min_records) == (8, 8)
+
+
 def test_rejected_policy_update_rolls_back():
     """A rejected update must leave the policy untouched — half-applied
     settings would otherwise block every later update via validate()."""
@@ -327,12 +359,13 @@ def test_serving_emits_telemetry(served_project):
     store = platform.monitor.telemetry
     rows = [np.random.default_rng(0).standard_normal(16 * 8).tolist()
             for _ in range(6)]
-    platform.serving.classify_batch(project.project_id, rows)
+    results = platform.serving.classify_batch(project.project_id, rows)
     rows = store.recent(project.project_id)
     assert len(rows) == 6
-    assert set(rows.top) <= {"a", "b", "c"}
-    assert ((0.0 <= rows.confidence) & (rows.confidence <= 1.0)).all()
-    assert (rows.margin <= rows.confidence + 1e-6).all()
+    assert rows.top.tolist() == [r["top"] for r in results]
+    # Each row's confidence is its top class's probability, bit for bit.
+    assert rows.confidence.tolist() == [max(r["classification"].values())
+                                        for r in results]
     assert rows.sketch.shape == (6, 8) and np.isfinite(rows.sketch).all()
     assert set(rows.model_version) == {"1.0.0"}
     assert (rows.latency_ms >= 0.0).all()
@@ -864,16 +897,16 @@ def test_rest_monitor_routes(served_project):
 
 @pytest.mark.parametrize("bad", [
     {"latency_ms": float("nan")}, {"latency_ms": float("inf")},
-    {"ts": float("nan")}, {"confidence": float("-inf")}, {"margin": float("nan")},
+    {"confidence": float("-inf")},
     {"sketch": [0.5, float("nan")]}, {"raw": [float("inf")] * 4},
     {"source": "gateway"},
 ])
 def test_telemetry_push_refuses_non_finite_values_and_the_gateway_source(served_project, bad):
     """A pushed NaN latency would make the window's p95 NaN, so the SLO
     detector would score NaN and never trigger, and a rollout's health
-    gate would pass a breaching canary; a pushed ``gateway`` record would
-    land in the gateway's ring, unseen by drift detection.  Both are a
-    400 that stores nothing."""
+    gate would pass a breaching canary; the ``gateway`` source names the
+    gateway's own traffic, which a device must not pass itself off as.
+    Both are a 400 that stores nothing."""
     platform, project = served_project
     api, pid = platform.gateway, project.project_id
     slow = [{"project_id": pid, "latency_ms": 500.0} for _ in range(50)]
