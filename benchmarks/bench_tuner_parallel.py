@@ -98,7 +98,7 @@ def test_parallel_tuner_speedup():
     t_serial = time.perf_counter() - t0
 
     parallel = _tuner(DispatchTuner)
-    executor = JobExecutor(max_workers=MAX_INFLIGHT, jobs_per_worker=1)
+    executor = JobExecutor(max_workers=MAX_INFLIGHT)
     t0 = time.perf_counter()
     job = parallel.run_parallel(
         n_trials=N_TRIALS, executor=executor,

@@ -178,9 +178,9 @@ class ScalingEvent:
 class JobExecutor:
     """Thread-pooled job orchestrator with queue-depth autoscaling.
 
-    Worker threads are spawned on demand up to
-    ``min(max_workers, ceil(queue_depth / jobs_per_worker))`` (never
-    below ``min_workers`` while work exists) and exit after a short idle
+    Worker threads are spawned on demand, one per in-flight job up to
+    ``max_workers`` (never below ``min_workers`` while work exists), so
+    jobs submitted together run together.  They exit after a short idle
     grace once the queue empties — so test suites creating many
     projects don't accumulate threads.  All worker threads are daemons.
     """
@@ -189,14 +189,12 @@ class JobExecutor:
         self,
         min_workers: int = 1,
         max_workers: int = 8,
-        jobs_per_worker: int = 2,
         idle_grace_s: float = 0.05,
     ):
         if min_workers < 1 or max_workers < min_workers:
             raise ValueError("need 1 <= min_workers <= max_workers")
         self.min_workers = min_workers
         self.max_workers = max_workers
-        self.jobs_per_worker = jobs_per_worker
         self.idle_grace_s = idle_grace_s
         self.jobs: dict[int, Job] = {}  # guarded-by: _cond
         self._pending: deque[int] = deque()  # guarded-by: _cond
@@ -340,7 +338,7 @@ class JobExecutor:
             return [self.jobs[c] for c in self.get(job_id).children]
 
     def _autoscale_locked(self) -> None:
-        """Spawn workers toward ceil(in_flight / jobs_per_worker), clamped.
+        """Spawn workers toward one per in-flight job, clamped.
 
         In-flight counts queued *and* running jobs — a busy worker is not
         spare capacity, so a backlog behind long jobs still scales out.
@@ -349,7 +347,7 @@ class JobExecutor:
         in_flight = len(self._pending) + self._running
         desired = max(
             self.min_workers if in_flight else 0,
-            min(self.max_workers, -(-in_flight // self.jobs_per_worker)),
+            min(self.max_workers, in_flight),
         )
         while self.workers < desired:
             self.workers += 1

@@ -7,8 +7,8 @@ on: parents talk to worker processes over length-prefixed frames
 (:mod:`~repro.core.workers.frames`), workers rehydrate compiled plans
 from serialized graphs (:mod:`~repro.core.workers.worker`), and
 :class:`WorkerHandle` / :class:`WorkerPool`
-(:mod:`~repro.core.workers.client`) give parents spawn, heartbeat,
-dead-worker detection, and respawn.
+(:mod:`~repro.core.workers.client`) give parents spawn, one exchange
+per call, dead-worker detection, and respawn.
 
 Built on top of it: ``repro.serve.ModelServer(placement="process")``
 (serving shards as processes, :mod:`repro.serve.runners`) and ``EonTuner.run_parallel(...,

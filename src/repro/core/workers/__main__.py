@@ -1,8 +1,7 @@
-"""Worker-process entry point: ``python -m repro.core.workers``.
+"""Worker-process entry point: ``python -m repro.core.workers --fd N``.
 
-Spawned by :class:`repro.core.workers.client.WorkerHandle` with either an
-inherited socketpair fd (``--fd N``, the default transport) or a TCP
-address to dial (``--connect HOST:PORT``, for workers on other hosts).
+Spawned by :class:`repro.core.workers.client.WorkerHandle`, which passes
+its end of a socketpair as the inherited file descriptor ``N``.
 """
 
 from __future__ import annotations
@@ -16,21 +15,11 @@ from repro.core.workers.worker import worker_main
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.core.workers")
-    transport = parser.add_mutually_exclusive_group(required=True)
-    transport.add_argument(
-        "--fd", type=int, help="inherited socket file descriptor"
-    )
-    transport.add_argument(
-        "--connect", metavar="HOST:PORT", help="TCP address of the parent"
+    parser.add_argument(
+        "--fd", type=int, required=True, help="inherited socket file descriptor"
     )
     args = parser.parse_args(argv)
-
-    if args.fd is not None:
-        sock = socket.socket(fileno=args.fd)
-    else:
-        host, _, port = args.connect.rpartition(":")
-        sock = socket.create_connection((host, int(port)))
-    worker_main(sock)
+    worker_main(socket.socket(fileno=args.fd))
     return 0
 
 

@@ -1,20 +1,19 @@
 """Parent-side handles for worker processes.
 
 :class:`WorkerHandle` owns one worker: it spawns ``python -m
-repro.core.workers`` connected over a ``socket.socketpair``, multiplexes
-request/response frames by correlation id (a receiver thread resolves
-waiters, so any number of caller threads can share one handle), and runs
-a heartbeat that distinguishes *dead* from *busy* — pings are answered
-by the worker's reader thread even while a long task runs, so a missed
-pong means the process is gone or wedged and the handle kills it.
+repro.core.workers`` connected over a ``socket.socketpair``, and each
+:meth:`~WorkerHandle.request` is one exchange done in the calling
+thread — send a frame, read the reply frame.  A lock per handle lets
+any number of threads share it; their exchanges run one after another,
+as the worker serves them.  The handle starts no thread.
 
 Failure semantics are uniform: once anything breaks the stream (EOF,
-protocol error, missed heartbeat, request timeout) the handle is
-**dead** — every in-flight and future request raises
-:class:`WorkerDied`, immediately and exactly once.  Handles are cheap to
-replace; :class:`WorkerPool` does exactly that, respawning (and
-re-initializing) dead workers on checkout so callers only ever see live
-ones.
+protocol error, a reply for another request, request timeout) the
+handle is **dead** — its process is killed, the exchange raises
+:class:`WorkerDied`, and so does every later request, at once.  Handles
+are cheap to replace; :class:`WorkerPool` does exactly that, respawning
+(and re-initializing) dead workers on checkout so callers only ever see
+live ones.
 """
 
 from __future__ import annotations
@@ -38,26 +37,8 @@ class WorkerError(RuntimeError):
 
 
 class WorkerDied(RuntimeError):
-    """The worker process died (or its stream broke) with requests
-    outstanding; the handle is permanently dead."""
-
-
-class _Reply:
-    """One in-flight request's parking spot."""
-
-    __slots__ = ("ready", "result", "blobs", "error")
-
-    def __init__(self):
-        self.ready = threading.Event()
-        self.result: dict | None = None
-        self.blobs: list[bytes] = []
-        self.error: Exception | None = None
-
-    def resolve(self, result=None, blobs=None, error=None) -> None:
-        self.result = result
-        self.blobs = blobs or []
-        self.error = error
-        self.ready.set()
+    """The worker process died (or its stream broke) during or before
+    an exchange; the handle is permanently dead."""
 
 
 #: One BLAS thread per worker unless the operator exported otherwise: N
@@ -90,21 +71,11 @@ def _worker_env() -> dict:
 class WorkerHandle:
     """Spawn + drive one worker process (see module docstring)."""
 
-    def __init__(
-        self,
-        name: str = "worker",
-        heartbeat_s: float = 5.0,
-        heartbeat_timeout_s: float = 15.0,
-    ):
+    def __init__(self, name: str = "worker"):
         self.name = name
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self._lock = threading.Lock()
-        self._pending: dict[int, _Reply] = {}  # guarded-by: _lock
+        self._lock = threading.Lock()  # one exchange at a time
         self._next_id = 1  # guarded-by: _lock
-        self._send_lock = threading.Lock()  # serializes send_frame
-        self._dead = threading.Event()
-        self._stop_heartbeat = threading.Event()
+        self._dead = False
 
         parent_sock, child_sock = socket.socketpair()
         try:
@@ -120,93 +91,57 @@ class WorkerHandle:
         finally:
             child_sock.close()
         self._sock = parent_sock
-        self._receiver = threading.Thread(
-            target=self._receive_loop, name=f"{name}-recv", daemon=True
-        )
-        self._receiver.start()
-        self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop, name=f"{name}-beat", daemon=True
-        )
-        self._heartbeat.start()
 
     # -- liveness ----------------------------------------------------------
 
     @property
     def alive(self) -> bool:
-        return not self._dead.is_set() and self.process.poll() is None
+        return not self._dead and self.process.poll() is None
 
     @property
     def pid(self) -> int:
         return self.process.pid
 
-    def _mark_dead(self, reason: str) -> None:
-        """Fail every in-flight request and refuse future ones."""
-        if self._dead.is_set():
-            return
-        self._dead.set()
-        self._stop_heartbeat.set()
-        with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for reply in pending:
-            reply.resolve(error=WorkerDied(f"{self.name}: {reason}"))
+    def _mark_dead(self, reason: str) -> WorkerDied:
+        """Kill the process, drop the stream; the error to raise."""
+        self._dead = True
         try:
             self.process.kill()
         except OSError:
             pass
+        self._sock.close()
+        return WorkerDied(f"{self.name}: {reason}")
+
+    # -- exchanges ---------------------------------------------------------
+
+    def _exchange_locked(self, method: str, params: dict | None,
+                         blobs: tuple, timeout: float | None):
+        if self._dead:
+            raise WorkerDied(f"{self.name}: worker is dead")
+        req_id = self._next_id
+        self._next_id += 1
         try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    # -- request plumbing --------------------------------------------------
-
-    def _receive_loop(self) -> None:
-        while True:
-            try:
-                header, blobs = recv_frame(self._sock)
-            except (FrameError, OSError):
-                self._mark_dead("worker process disconnected")
-                return
-            with self._lock:
-                reply = self._pending.pop(header.get("id"), None)
-            if reply is None:
-                continue  # a timed-out request's late answer
-            if header.get("ok"):
-                reply.resolve(result=header.get("result"), blobs=blobs)
-            else:
-                err = header.get("error") or {}
-                reply.resolve(error=WorkerError(
-                    err.get("type", "Exception"), err.get("message", "")
-                ))
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stop_heartbeat.wait(self.heartbeat_s):
-            if not self.alive:
-                return
-            try:
-                self.request("ping", timeout=self.heartbeat_timeout_s)
-            except (WorkerDied, WorkerError):
-                return  # request() already marked us dead (or worker said no)
-
-    def request_nowait(self, method: str, params: dict | None = None,
-                       blobs: tuple = ()) -> _Reply:
-        """Send one request; returns the :class:`_Reply` to wait on."""
-        reply = _Reply()
-        if self._dead.is_set():
-            reply.resolve(error=WorkerDied(f"{self.name}: worker is dead"))
-            return reply
-        with self._lock:
-            req_id = self._next_id
-            self._next_id += 1
-            self._pending[req_id] = reply
-        header = {"id": req_id, "method": method, "params": params or {}}
-        try:
-            with self._send_lock:
-                send_frame(self._sock, header, blobs)
-        except (FrameError, OSError):
-            self._mark_dead("send to worker failed")
-        return reply
+            self._sock.settimeout(timeout)
+            send_frame(
+                self._sock,
+                {"id": req_id, "method": method, "params": params or {}},
+                blobs,
+            )
+            header, out_blobs = recv_frame(self._sock)
+        except TimeoutError:
+            raise self._mark_dead(
+                f"request {method!r} timed out after {timeout}s"
+            ) from None
+        except (FrameError, OSError) as exc:
+            raise self._mark_dead(f"worker stream broke ({exc})") from None
+        if header.get("id") != req_id:
+            raise self._mark_dead(
+                f"reply for request {header.get('id')!r}, expected {req_id}"
+            )
+        if not header.get("ok"):
+            err = header.get("error") or {}
+            raise WorkerError(err.get("type", "Exception"), err.get("message", ""))
+        return header.get("result"), out_blobs
 
     def request(self, method: str, params: dict | None = None,
                 blobs: tuple = (), timeout: float | None = 60.0):
@@ -214,16 +149,12 @@ class WorkerHandle:
 
         Raises :class:`WorkerError` for a handler exception (worker still
         healthy) and :class:`WorkerDied` for anything that breaks the
-        worker — including a timeout, which kills it: a worker whose
-        answers we can no longer attribute is replaced, not trusted.
+        worker — including no reply within ``timeout`` seconds, which
+        kills it: a worker whose answers we can no longer attribute is
+        replaced, not trusted.
         """
-        reply = self.request_nowait(method, params, blobs)
-        if not reply.ready.wait(timeout):
-            self._mark_dead(f"request {method!r} timed out after {timeout}s")
-            raise WorkerDied(f"{self.name}: request {method!r} timed out")
-        if reply.error is not None:
-            raise reply.error
-        return reply.result, reply.blobs
+        with self._lock:
+            return self._exchange_locked(method, params, blobs, timeout)
 
     def call(self, method: str, params: dict | None = None,
              blobs: tuple = (), timeout: float | None = 60.0) -> dict:
@@ -233,13 +164,18 @@ class WorkerHandle:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self, timeout: float = 2.0) -> None:
-        """Ask the worker to exit; escalate to SIGKILL if it dawdles."""
-        self._stop_heartbeat.set()
-        if self.alive:
+        """Ask the worker to exit; kill it if another thread's exchange
+        holds it past ``timeout`` or it dawdles over exiting."""
+        if self._lock.acquire(timeout=timeout):
             try:
-                self.request("shutdown", timeout=timeout)
+                if self.alive:
+                    self._exchange_locked("shutdown", None, (), timeout)
             except (WorkerDied, WorkerError):
                 pass
+            finally:
+                self._lock.release()
+        else:
+            self.process.kill()
         try:
             self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -264,14 +200,12 @@ class WorkerPool:
     out or not.
     """
 
-    def __init__(self, size: int, initializer=None, name: str = "pool",
-                 **handle_kwargs):
+    def __init__(self, size: int, initializer=None, name: str = "pool"):
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.size = size
         self.name = name
         self.initializer = initializer
-        self.handle_kwargs = handle_kwargs
         self.restarts = 0  # guarded-by: _cond
         self._cond = threading.Condition()
         self._free: list[WorkerHandle] = []  # guarded-by: _cond
@@ -280,9 +214,7 @@ class WorkerPool:
         self._closed = False  # guarded-by: _cond
 
     def _spawn(self, index: int) -> WorkerHandle:
-        handle = WorkerHandle(
-            name=f"{self.name}-{index}", **self.handle_kwargs
-        )
+        handle = WorkerHandle(name=f"{self.name}-{index}")
         try:
             if self.initializer is not None:
                 self.initializer(handle)

@@ -26,6 +26,7 @@ smuggle object dtypes through ``np.frombuffer``.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 
@@ -138,9 +139,13 @@ def unpack_array(spec: dict, blob: bytes) -> np.ndarray:
     if any(d < 0 for d in shape):
         raise FrameError(f"negative dimension in array shape {shape}")
     dtype = np.dtype(dtype_name)
-    expected = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
+    # Python ints: np.prod wraps in int64, letting a huge shape match.
+    expected = math.prod(shape) * dtype.itemsize
     if len(blob) != expected:
         raise FrameError(
             f"array blob is {len(blob)} bytes; spec {spec!r} needs {expected}"
         )
-    return np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+    try:
+        return np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+    except (ValueError, OverflowError) as exc:  # e.g. more dims than numpy allows
+        raise FrameError(f"bad array spec {spec!r}: {exc}")

@@ -1,38 +1,31 @@
 """Worker-process side of the execution plane.
 
 A worker is one Python process running :class:`WorkerServer.serve` over
-a single socket to its parent.  Two threads split the work so the
-process stays observable while it computes:
-
-- the **reader** thread owns ``recv``: control frames (``ping``,
-  ``shutdown``) are answered inline, so heartbeats measure process
-  liveness — a worker grinding through a 30 s tuner trial still pongs;
-  task frames are queued for the executor;
-- the **executor** thread runs task handlers strictly in arrival order
-  and writes each response frame (writes are serialized by a lock
-  shared with the reader).
+a single socket to its parent, in one thread: receive a frame, run its
+handler, reply — then the next frame.  The parent sends one frame at a
+time and waits for its reply, so there is never a second frame to
+interleave.
 
 Handlers rehydrate state from what crosses the wire — compiled plans
 come from serialized graphs via :func:`repro.graph.serialize.
 graph_from_bytes`, which re-verifies at the trust boundary — so a
 respawned worker is indistinguishable from a fresh one.  A handler
 exception becomes an ``ok: false`` response naming the exception type;
-the connection survives.  A *protocol* error (garbage bytes, oversized
-frame) cannot be survived — the stream has lost sync — so the worker
-exits and the parent's dead-worker detection takes over.
+the connection survives.  ``shutdown`` replies, then the loop ends.  A
+*protocol* error (garbage bytes, oversized frame) cannot be survived —
+the stream has lost sync — so the worker exits and the parent sees the
+connection drop; so does a reply that :func:`send_frame` refuses to
+encode.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
-import threading
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.core.workers.frames import (
-    ConnectionClosed,
     FrameError,
     pack_array,
     recv_frame,
@@ -49,9 +42,6 @@ class WorkerServer:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._wlock = threading.Lock()  # serializes send_frame on _sock
-        self._tasks: queue.Queue = queue.Queue()
-        self._stopping = threading.Event()
         # Handler state: compiled serving models + the rehydrated tuner.
         self._models: OrderedDict[int, dict] = OrderedDict()
         self._tuner = None
@@ -62,72 +52,46 @@ class WorkerServer:
             "run_trial": self._handle_run_trial,
             "sleep": self._handle_sleep,
             "echo": self._handle_echo,
+            "shutdown": lambda params, blobs: ({"stopping": True}, ()),
         }
 
-    # -- plumbing ----------------------------------------------------------
-
-    def _respond(self, req_id, result: dict, blobs: tuple = ()) -> None:
-        with self._wlock:
-            send_frame(self._sock, {"id": req_id, "ok": True, "result": result}, blobs)
-
-    def _respond_error(self, req_id, exc: BaseException) -> None:
-        with self._wlock:
-            send_frame(self._sock, {
+    def _answer(self, header: dict, blobs: list) -> tuple[dict, tuple]:
+        """Run one frame's handler: the reply frame's header and blobs."""
+        req_id = header.get("id")
+        method = header.get("method")
+        try:
+            handler = self.handlers.get(method)
+            if handler is None:
+                raise ValueError(f"unknown worker method {method!r}")
+            result, out_blobs = handler(header.get("params") or {}, blobs)
+        except BaseException as exc:  # noqa: BLE001 - isolate per request
+            return {
                 "id": req_id, "ok": False,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
-            })
+            }, ()
+        return {"id": req_id, "ok": True, "result": result}, out_blobs
 
     def serve(self) -> None:
         """Run until the parent disconnects or sends ``shutdown``."""
-        executor = threading.Thread(
-            target=self._execute_loop, name="worker-executor", daemon=True
-        )
-        executor.start()
         try:
             while True:
                 try:
                     header, blobs = recv_frame(self._sock)
-                except ConnectionClosed:
-                    break
                 except FrameError:
-                    # Out-of-sync stream: nothing after this byte can be
-                    # trusted, so exit; the parent respawns us.
-                    break
-                req_id = header.get("id")
-                method = header.get("method")
-                if method == "ping":
-                    self._respond(req_id, {"pong": True})
-                elif method == "shutdown":
-                    self._respond(req_id, {"stopping": True})
-                    break
-                else:
-                    self._tasks.put((req_id, method, header.get("params") or {}, blobs))
+                    # EOF, or an out-of-sync stream: nothing after this
+                    # byte can be trusted, so exit; the parent respawns us.
+                    return
+                send_frame(self._sock, *self._answer(header, blobs))
+                if header.get("method") == "shutdown":
+                    return
+        except OSError:
+            return  # the parent is gone
         finally:
-            self._stopping.set()
-            self._tasks.put(None)  # unblock the executor
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             self._sock.close()
-
-    def _execute_loop(self) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is None or self._stopping.is_set():
-                return
-            req_id, method, params, blobs = item
-            handler = self.handlers.get(method)
-            try:
-                if handler is None:
-                    raise ValueError(f"unknown worker method {method!r}")
-                result, out_blobs = handler(params, blobs)
-                self._respond(req_id, result, out_blobs)
-            except BaseException as exc:  # noqa: BLE001 - isolate per request
-                try:
-                    self._respond_error(req_id, exc)
-                except OSError:
-                    return  # parent is gone; serve() is tearing down
 
     # -- serving handlers --------------------------------------------------
 
@@ -212,8 +176,7 @@ class WorkerServer:
     # -- test/diagnostic handlers ------------------------------------------
 
     def _handle_sleep(self, params: dict, blobs: list) -> tuple[dict, tuple]:
-        """Occupy the executor thread (tests stage in-flight work with it;
-        pings still pong from the reader while it runs)."""
+        """Occupy the worker (tests stage an in-flight exchange with it)."""
         import time
 
         time.sleep(float(params.get("s", 0.1)))

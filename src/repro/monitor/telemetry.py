@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -133,10 +133,9 @@ class TelemetryWindow:
 
     def counts(self, column: str) -> dict:
         """``{value: rows}`` over a str column; None is not counted."""
-        values = getattr(self, column)
-        keys, counts = np.unique(values[np.not_equal(values, None)],
-                                 return_counts=True)
-        return dict(zip(keys.tolist(), counts.tolist()))
+        counts = Counter(getattr(self, column).tolist())
+        counts.pop(None, None)
+        return {key: counts[key] for key in sorted(counts)}
 
     def error_rate(self) -> float:
         return np.count_nonzero(~self.ok) / len(self) if len(self) else 0.0

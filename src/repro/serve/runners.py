@@ -83,12 +83,11 @@ class WorkerRunner:
     rehydrates and *re-verifies* the serialized graph before compiling),
     then one ``classify`` frame per stacked batch.  The checkout
     serializes every exchange with the worker.  Crash semantics: the
-    handle's heartbeat + receiver detect a dead worker, the in-flight
-    batch fails with a clean :class:`ServingError` (callers never hang),
-    and the next batch gets a fresh process that reloads models lazily.
-    A model the worker's own LRU evicted is reloaded and the batch
-    retried once.  Heartbeats use :class:`WorkerHandle`'s defaults; every
-    exchange waits at most :data:`REQUEST_TIMEOUT_S`.
+    exchange itself sees a dead worker (the connection drops, or no
+    reply within :data:`REQUEST_TIMEOUT_S`), the in-flight batch fails
+    with a clean :class:`ServingError` (callers never hang), and the next
+    batch gets a fresh process that reloads models lazily.  A model the
+    worker's own LRU evicted is reloaded and the batch retried once.
     """
 
     def __init__(self, name: str):

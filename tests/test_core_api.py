@@ -221,15 +221,18 @@ def test_train_job_async_lifecycle(api):
 
 
 def test_cancel_queued_train_job(api):
-    """Cancelling a still-queued job works over the API."""
+    """Cancelling a still-queued job works over the API: with every
+    worker of the project's executor busy, the train job stays queued."""
     import threading
 
     pid = _project_with_data(api)
     platform = api.platform
     project = platform.projects[pid]
     gate = threading.Event()
-    project.jobs.submit("blocker", lambda j: gate.wait(timeout=10.0))
+    blockers = [project.jobs.submit(f"blocker-{i}", lambda j: gate.wait(timeout=10.0))
+                for i in range(project.jobs.max_workers)]
     queued = api.handle("POST", f"/v1/projects/{pid}/train", {}, user="alice")
+    assert project.jobs.status(queued["data"]["job_id"]) == "queued"
     cancel = api.handle("POST",
                         f"/v1/projects/{pid}/jobs/{queued['data']['job_id']}/cancel",
                         user="alice")
@@ -238,6 +241,8 @@ def test_cancel_queued_train_job(api):
     status = api.handle("GET", f"/v1/projects/{pid}/jobs/{queued['data']['job_id']}",
                         {"wait_s": 10.0}, user="alice")
     assert status["data"]["job_status"] == "cancelled"
+    for blocker in blockers:
+        blocker.wait(timeout=10.0)
 
 
 def test_profile_deploy_autotune_as_jobs(api):

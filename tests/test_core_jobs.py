@@ -119,8 +119,20 @@ def test_retry_budget_exhausted():
     assert "ValueError" in job.error
 
 
+def test_jobs_submitted_together_run_together():
+    """A default executor gives every in-flight job its own worker: two
+    jobs that each wait for the other both finish."""
+    q = JobExecutor()
+    barrier = threading.Barrier(2)
+    jobs = [q.submit(f"j{i}", lambda j: barrier.wait(timeout=5.0))
+            for i in range(2)]
+    for job in jobs:
+        job.wait(timeout=10.0)
+    assert [j.status for j in jobs] == ["succeeded", "succeeded"]
+
+
 def test_cancel_queued_job():
-    q = JobExecutor(max_workers=1, jobs_per_worker=100)
+    q = JobExecutor(max_workers=1)
     gate = threading.Event()
     blocker = q.submit("blocker", lambda j: gate.wait(timeout=5.0))
     victim = q.submit("victim", lambda j: "never ran")
@@ -171,11 +183,11 @@ def test_unknown_job_id_raises_clear_error():
 
 
 def test_autoscaling_records_pool_growth():
-    q = JobExecutor(min_workers=1, max_workers=4, jobs_per_worker=2)
+    q = JobExecutor(min_workers=1, max_workers=4)
     gates = threading.Event()
 
     jobs = [q.submit(f"j{i}", lambda j: gates.wait(timeout=5.0)) for i in range(8)]
-    # 8 queued jobs / 2 per worker -> the pool scales toward 4 workers.
+    # 8 queued jobs, one worker each -> the pool scales to its cap of 4.
     deadline = time.monotonic() + 5.0
     while q.workers < 4 and time.monotonic() < deadline:
         time.sleep(0.005)
@@ -193,7 +205,7 @@ def test_autoscaling_records_pool_growth():
 
 
 def test_worker_cap_respected():
-    q = JobExecutor(min_workers=2, max_workers=3, jobs_per_worker=1)
+    q = JobExecutor(min_workers=2, max_workers=3)
     gate = threading.Event()
     for i in range(10):
         q.submit(f"j{i}", lambda j: gate.wait(timeout=5.0))
@@ -236,7 +248,7 @@ def test_scaling_trace_is_bounded_with_the_newest_event_last():
 
 def test_group_limit_caps_concurrency():
     """A parent's ``max_inflight`` caps how many of its children run."""
-    q = JobExecutor(max_workers=6, jobs_per_worker=1)
+    q = JobExecutor(max_workers=6)
     parent = q.spawn_parent("capped", max_inflight=2)
     lock = threading.Lock()
     state = {"now": 0, "peak": 0}
@@ -259,7 +271,7 @@ def test_group_limit_caps_concurrency():
 
 def test_grouped_and_ungrouped_jobs_coexist():
     """A capped parent must not starve jobs outside its family."""
-    q = JobExecutor(max_workers=4, jobs_per_worker=1)
+    q = JobExecutor(max_workers=4)
     parent = q.spawn_parent("slow", max_inflight=1)
     gate = threading.Event()
     slow = [q.submit(f"s{i}", lambda j: gate.wait(timeout=5.0), parent=parent)
@@ -342,7 +354,7 @@ def test_finalizer_error_fails_parent():
 
 
 def test_cancel_parent_cascades_to_children():
-    q = JobExecutor(max_workers=1, jobs_per_worker=100)
+    q = JobExecutor(max_workers=1)
     running = threading.Event()
 
     def slow(job):

@@ -3,6 +3,7 @@ death/respawn semantics, a worker that rejects a batch, and the Platform
 wiring.  The placement-independent contract (bit-identity included) is
 in test_serving_placements.py."""
 
+import threading
 import time
 
 import pytest
@@ -27,35 +28,64 @@ def process_platform(tiny_graphs):
 
 
 def test_killed_worker_fails_inflight_cleanly_and_respawns(
-    process_platform, tiny_classification_problem
+    process_platform, tiny_classification_problem, monkeypatch
 ):
-    """Kill the worker process while requests are in flight: every caller
-    gets a clean ServingError (nobody hangs), the shard respawns the
+    """Kill the worker process while a batch is in flight: every row of
+    it gets a clean ServingError (nobody hangs), the shard respawns the
     worker, and the next request serves the same answer as before."""
     platform, projects = process_platform
     x, _ = tiny_classification_problem
     p = projects[0]
     with ModelServer(platform, placement="process", workers=1) as server:
         want = server.classify(p.project_id, x[0])  # warm + reference
-        (handle,) = server.shards[0].runner._pool.workers()
+        shard = server.shards[0]
+        (handle,) = shard.runner._pool.workers()
         assert handle.alive
 
-        # Occupy the worker's executor so the next gulp is guaranteed to
-        # be in flight (queued behind the sleep) when the process dies.
-        handle.request_nowait("sleep", {"s": 30.0})
-        time.sleep(0.2)
-        tickets = [server.submit(p.project_id, x[i]) for i in range(5)]
+        # The batch's exchange parks in the worker's sleep handler, so
+        # it is guaranteed to be in flight when the process dies.
+        parked = threading.Event()
+
+        def parks_in_sleep(handle, model, stacked):
+            parked.set()
+            handle.request("sleep", {"s": 30.0})
+            raise AssertionError("the sleep outlived its worker")
+
+        monkeypatch.setattr(shard.runner, "_classify", parks_in_sleep)
+        tickets = []
+
+        def recording_dispatch(*args, dispatch=shard.dispatch, **kwargs):
+            admitted = dispatch(*args, **kwargs)
+            tickets.extend(admitted)
+            return admitted
+
+        monkeypatch.setattr(shard, "dispatch", recording_dispatch)
+        errors = []
+
+        def send_batch():
+            try:
+                server.classify_batch(p.project_id, list(x[:5]))
+            except ServingError as exc:
+                errors.append(exc)
+
+        sender = threading.Thread(target=send_batch)
+        sender.start()
+        assert parked.wait(10.0)
         time.sleep(0.2)
         handle.process.kill()
 
         start = time.monotonic()
+        sender.join(30.0)
+        assert not sender.is_alive(), "the caller hung on a dead worker"
+        assert time.monotonic() - start < 30.0
+        assert len(errors) == 1 and len(tickets) == 5
         for ticket in tickets:
             with pytest.raises(ServingError, match="died mid-request"):
                 ticket.value()
-        assert time.monotonic() - start < 30.0, "callers hung on a dead worker"
 
         # The shard respawns and the fresh worker reloads the model from
         # its serialized graph — same compiled plan, same bits.
+        monkeypatch.undo()
         got = server.classify(p.project_id, x[0])
         assert got == want
         snap = server.snapshot()

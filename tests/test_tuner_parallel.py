@@ -98,7 +98,7 @@ def test_parallel_respects_max_inflight():
                     state["now"] -= 1
 
     tuner = _tiny_tuner(cls=Counting)
-    executor = JobExecutor(max_workers=8, jobs_per_worker=1)
+    executor = JobExecutor(max_workers=8)
     job = tuner.run_parallel(n_trials=6, executor=executor,
                              max_inflight=2, seed=0)
     job.wait(timeout=60.0)

@@ -1,9 +1,10 @@
-"""Worker-process plumbing: frame protocol, handles, pools, heartbeats."""
+"""Worker-process plumbing: frame protocol, handles, pools."""
 
 import os
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,12 @@ def test_unpack_array_validates_spec_against_blob():
         unpack_array({**spec, "shape": [2, 4]}, blob)  # size mismatch
     with pytest.raises(FrameError):
         unpack_array({**spec, "dtype": "complex128"}, blob)  # not whitelisted
+    # Specs numpy cannot honour: a size that wraps int64 (2**64 * 4
+    # bytes reads 0 there), too many dimensions, a dimension past int64.
+    for shape, blob in (([2**32, 2**32], b""), ([1] * 65, b"\0" * 4),
+                        ([0, 2**70], b"")):
+        with pytest.raises(FrameError):
+            unpack_array({**spec, "shape": shape}, blob)
 
 
 # -- worker environment -----------------------------------------------------
@@ -166,26 +173,56 @@ def test_worker_unknown_method_is_worker_error_not_death(worker):
     assert worker.call("echo")["n_blobs"] == 0
 
 
-def test_worker_answers_pings_while_busy(worker):
-    """The reader thread pongs while the executor runs a long task, so
-    heartbeats measure liveness, not busyness."""
-    busy = worker.request_nowait("sleep", {"s": 1.0})
-    result, _ = worker.request("ping", timeout=5.0)
-    assert result.get("pong") is True
-    assert busy.ready.wait(10.0)
-    assert busy.error is None
-
-
-def test_killed_worker_fails_all_inflight_requests_quickly():
+def test_killed_worker_fails_the_inflight_exchange_quickly():
     with WorkerHandle(name="doomed") as handle:
-        replies = [handle.request_nowait("sleep", {"s": 30.0}) for _ in range(3)]
-        handle.process.kill()
-        for reply in replies:
-            assert reply.ready.wait(10.0), "in-flight request hung after kill"
-            assert isinstance(reply.error, WorkerDied)
+        killer = threading.Timer(0.3, handle.process.kill)
+        killer.start()
+        start = time.monotonic()
+        with pytest.raises(WorkerDied):
+            handle.request("sleep", {"s": 30.0})
+        assert time.monotonic() - start < 5.0, "in-flight exchange hung after kill"
+        killer.join()
         assert not handle.alive
+        start = time.monotonic()
         with pytest.raises(WorkerDied):
             handle.request("echo")
+        assert time.monotonic() - start < 0.5
+
+
+def test_exchange_past_its_timeout_kills_the_worker():
+    with WorkerHandle(name="slow") as handle:
+        start = time.monotonic()
+        with pytest.raises(WorkerDied, match="timed out"):
+            handle.request("sleep", {"s": 5.0}, timeout=0.3)
+        assert time.monotonic() - start < 3.0
+        assert not handle.alive
+        assert handle.process.wait(timeout=5.0) is not None  # killed
+
+
+def test_threads_sharing_a_handle_each_get_their_own_reply(worker):
+    results = {}
+
+    def call(i):
+        results[i] = worker.request("echo", {"i": i}, (bytes([i]) * (i + 1),))
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
+    for i in range(8):
+        result, blobs = results[i]
+        assert result["params"] == {"i": i}
+        assert blobs == [bytes([i]) * (i + 1)]
+
+
+def test_a_handle_starts_no_thread():
+    before = threading.active_count()
+    with WorkerHandle(name="threadless") as handle:
+        handle.call("echo")
+        handle.call("sleep", {"s": 0.01})
+        assert threading.active_count() == before
+    assert threading.active_count() == before
 
 
 def test_pool_respawns_dead_workers_and_counts_restarts():
