@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset, Sample
-from repro.dsp.base import DSPBlock, get_dsp_block
+from repro.dsp.base import DSPBlock, get_dsp_block, transform_window
 
 
 @dataclass
@@ -116,10 +116,7 @@ class Impulse:
     # -- feature extraction ---------------------------------------------------
 
     def features_for_window(self, window: np.ndarray) -> np.ndarray:
-        feats = [b.transform(window) for b in self.dsp_blocks]
-        if len(feats) == 1:
-            return feats[0]
-        return np.concatenate([f.reshape(-1) for f in feats]).astype(np.float32)
+        return transform_window(self.dsp_blocks, window)
 
     def features_for_sample(self, sample: Sample) -> np.ndarray:
         """All windows of one recording -> feature batch."""

@@ -1,13 +1,13 @@
-"""Job orchestration: a thread-pooled executor with a real lifecycle (paper Sec. 4.10).
+"""Job orchestration: a job table with a real lifecycle (paper Sec. 4.10).
 
 The hosted platform runs every training / tuning / export job in a
 container on an autoscaled Kubernetes cluster.  This module reproduces
 that control plane as an in-process orchestrator:
 
-- :class:`JobExecutor` owns a FIFO queue and a pool of worker threads
-  that scales between ``min_workers`` and ``max_workers`` with queue
-  depth (scaling decisions are recorded as :class:`ScalingEvent`, the
-  autoscaler trace the paper describes);
+- :class:`JobExecutor` is a table of jobs plus a FIFO of queued ones;
+  each running job has a thread of its own (at most ``max_workers`` at
+  once), and a thread whose job lands runs the next claimable job or
+  exits, so an idle executor holds no thread;
 - every :class:`Job` moves through ``queued -> running ->
   succeeded | failed | cancelled``, carries a streamable log, a
   ``progress`` fraction, and a retry budget;
@@ -20,8 +20,8 @@ Distributed workloads (the EON Tuner's parallel trials, fleet OTA
 rollouts) are modelled as **parent jobs** with child jobs:
 
 - :meth:`JobExecutor.spawn_parent` creates a coordinator job that never
-  occupies a worker thread — it completes when all of its children are
-  terminal (so a fleet of parents can never deadlock the pool);
+  occupies a thread — it completes when all of its children are
+  terminal (so a fleet of parents can never deadlock the executor);
 - children are submitted with ``parent=``; a parent spawned with
   ``max_inflight=N`` runs at most ``N`` of its children at once (the
   per-workload quota of the hosted cluster) — the claim loop passes
@@ -50,9 +50,6 @@ from typing import Callable
 #: Terminal job states — once reached, a job's status never changes again.
 TERMINAL_STATES = ("succeeded", "failed", "cancelled")
 
-#: Autoscaler decisions :attr:`JobExecutor.scaling_events` retains.
-MAX_SCALING_EVENTS = 1024
-
 
 class UnknownJobError(KeyError):
     """Lookup of a job id the executor has never issued.
@@ -80,7 +77,7 @@ class Job:
 
     job_id: int
     name: str
-    fn: Callable[["Job"], object] = field(repr=False, default=None)
+    fn: Callable[["Job"], object] = field(repr=False, default=None)  # None once landed
     status: str = "queued"  # queued | running | succeeded | failed | cancelled
     logs: list[str] = field(default_factory=list)
     result: object = None
@@ -111,7 +108,7 @@ class Job:
         self._max_inflight: int | None = None  # cap on running children
         self._running_children = 0
 
-    # -- worker-side hooks --------------------------------------------------
+    # -- job-side hooks -----------------------------------------------------
 
     def log(self, message: str) -> None:
         with self._lock:
@@ -166,49 +163,27 @@ class Job:
         }
 
 
-@dataclass
-class ScalingEvent:
-    """One autoscaler decision: pool resized at ``tick``."""
-
-    tick: int
-    queue_depth: int
-    workers: int
-
-
 class JobExecutor:
-    """Thread-pooled job orchestrator with queue-depth autoscaling.
+    """Job table whose running jobs each hold a thread of their own.
 
-    Worker threads are spawned on demand, one per in-flight job up to
-    ``max_workers`` (never below ``min_workers`` while work exists), so
-    jobs submitted together run together.  They exit after a short idle
-    grace once the queue empties — so test suites creating many
-    projects don't accumulate threads.  All worker threads are daemons.
+    ``submit`` starts a thread while fewer than ``max_workers`` exist,
+    so jobs submitted together run together.  A thread whose job lands
+    claims the next claimable job or exits at once, so an executor with
+    nothing running holds no thread.  All job threads are daemons.
     """
 
-    def __init__(
-        self,
-        min_workers: int = 1,
-        max_workers: int = 8,
-        idle_grace_s: float = 0.05,
-    ):
-        if min_workers < 1 or max_workers < min_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
-        self.min_workers = min_workers
+    def __init__(self, max_workers: int = 8):
+        if max_workers < 1:
+            raise ValueError("need max_workers >= 1")
         self.max_workers = max_workers
-        self.idle_grace_s = idle_grace_s
-        self.jobs: dict[int, Job] = {}  # guarded-by: _cond
-        self._pending: deque[int] = deque()  # guarded-by: _cond
-        # RLock: parent-completion bookkeeping re-enters the lock from
-        # paths that may already hold it (cancel cascade, seal).
-        self._cond = threading.Condition(threading.RLock())
-        self._next_id = 1  # guarded-by: _cond
-        self._tick = 0  # guarded-by: _cond
-        self._running = 0  # guarded-by: _cond
-        self.workers = 0  # guarded-by: _cond (live worker threads)
-        # The autoscaler trace keeps the newest decisions only: a
-        # long-lived executor scales up and down on every idle gap.
-        self.scaling_events = deque(maxlen=MAX_SCALING_EVENTS)  # guarded-by: _cond
-        self._shutdown = False  # guarded-by: _cond
+        self.jobs: dict[int, Job] = {}  # guarded-by: _lock
+        self._pending: deque[int] = deque()  # guarded-by: _lock
+        # Reentrant: parent-completion bookkeeping re-enters the lock
+        # from paths that may already hold it (cancel cascade, seal).
+        self._lock = threading.RLock()
+        self._next_id = 1  # guarded-by: _lock
+        self._threads = 0  # guarded-by: _lock (live job threads)
+        self._shutdown = False  # guarded-by: _lock
         # Optional lifecycle journal (the durable control plane sets one
         # per project executor): ``job_begun(job)`` for every job this
         # executor creates, ``job_done(job)`` once when it lands — both
@@ -232,7 +207,7 @@ class JobExecutor:
         ``max_inflight`` cap); ``spec`` rides on the job for the journal
         (what a restart needs to resubmit it).
         """
-        with self._cond:
+        with self._lock:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
             parent_job = self._resolve_parent_locked(parent)
@@ -250,8 +225,11 @@ class JobExecutor:
                     # born cancelled (it still counts as a terminal child).
                     job._cancel.set()
             self._pending.append(job.job_id)
-            self._autoscale_locked()
-            self._cond.notify()
+            spawn = self._threads < self.max_workers
+            if spawn:
+                self._threads += 1
+        if spawn:
+            threading.Thread(target=self._run_jobs, name="job-worker", daemon=True).start()
         if self.journal is not None:
             self.journal.job_begun(job)
         return job
@@ -279,7 +257,7 @@ class JobExecutor:
     ) -> Job:
         """Create a coordinator job for a family of child jobs.
 
-        The parent never occupies a worker thread: it is ``running`` from
+        The parent never occupies a job thread: it is ``running`` from
         birth and completes when it has been sealed (:meth:`seal_parent`)
         and every child is terminal — or, if cancelled, as soon as its
         (cascaded-cancelled) children have drained.  ``finalize(parent,
@@ -293,7 +271,7 @@ class JobExecutor:
         """
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        with self._cond:
+        with self._lock:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
             parent_job = self._resolve_parent_locked(parent)
@@ -324,7 +302,7 @@ class JobExecutor:
         ``parent``; the parent completes once all children are terminal
         (immediately, if they already are)."""
         notes: list[tuple[str, int]] = []
-        with self._cond:
+        with self._lock:
             job = self.get(parent.job_id if isinstance(parent, Job) else parent)
             if not job._is_parent:
                 raise ValueError(f"job {job.job_id} is not a parent job")
@@ -334,94 +312,51 @@ class JobExecutor:
 
     def children(self, job_id: int) -> list[Job]:
         """The child jobs of ``job_id``, in submission order."""
-        with self._cond:
+        with self._lock:
             return [self.jobs[c] for c in self.get(job_id).children]
 
-    def _autoscale_locked(self) -> None:
-        """Spawn workers toward one per in-flight job, clamped.
-
-        In-flight counts queued *and* running jobs — a busy worker is not
-        spare capacity, so a backlog behind long jobs still scales out.
-        """
-        self._tick += 1
-        in_flight = len(self._pending) + self._running
-        desired = max(
-            self.min_workers if in_flight else 0,
-            min(self.max_workers, in_flight),
-        )
-        while self.workers < desired:
-            self.workers += 1
-            self._record_scale_locked()
-            threading.Thread(
-                target=self._worker, name=f"job-worker-{self.workers}", daemon=True
-            ).start()
-
-    def _record_scale_locked(self) -> None:
-        self.scaling_events.append(
-            ScalingEvent(
-                tick=self._tick, queue_depth=len(self._pending), workers=self.workers
-            )
-        )
-
-    # -- worker loop --------------------------------------------------------
+    # -- job threads --------------------------------------------------------
 
     def _claim_locked(self) -> Job | None:
-        """Pop the first pending job whose parent is under its cap."""
+        """Start the first pending job whose parent is under its cap."""
         for jid in list(self._pending):
             job = self.jobs[jid]
-            if job.status != "queued":  # cancelled while pending
-                self._pending.remove(jid)
-                continue
             parent = self.jobs.get(job.parent_id)
             if (parent is not None and parent._max_inflight is not None
                     and parent._running_children >= parent._max_inflight):
                 continue  # parent at capacity — leave in order, look on
             self._pending.remove(jid)
+            job.status = "running"
+            job.started_at = time.time()
+            job.attempts += 1
+            if parent is not None:
+                parent._running_children += 1
             return job
         return None
 
-    def _worker(self) -> None:
+    def _run_jobs(self) -> None:
+        """A job thread: run claimable jobs until none is left, then exit."""
         while True:
-            with self._cond:
+            with self._lock:
                 job = self._claim_locked()
-                while job is None:
-                    if self._shutdown or not self._cond.wait(timeout=self.idle_grace_s):
-                        job = self._claim_locked()
-                        if job is None:  # idle grace expired: scale down
-                            self.workers -= 1
-                            self._tick += 1
-                            self._record_scale_locked()
-                            return
-                    else:
-                        job = self._claim_locked()
-                job.status = "running"
-                job.started_at = time.time()
-                job.attempts += 1
-                self._running += 1
+                if job is None:
+                    self._threads -= 1
+                    return
+            notes = self._run_one(job)
+            with self._lock:
                 parent = self.jobs.get(job.parent_id)
                 if parent is not None:
-                    parent._running_children += 1
-            notes = self._run_one(job)
-            with self._cond:
-                self._running -= 1
-                if parent is not None:
                     parent._running_children -= 1
-                self._cond.notify_all()
             self._process_notes(notes)
 
     def _run_one(self, job: Job) -> list[tuple[str, int]]:
         notes: list[tuple[str, int]] = []
-        with self._cond:
-            pool = max(self.workers, 1)
-        job.log(
-            f"job {job.job_id} ({job.name}) started on worker pool of "
-            f"{pool} (attempt {job.attempts})"
-        )
+        job.log(f"job {job.job_id} ({job.name}) started (attempt {job.attempts})")
         try:
             job.check_cancelled()
             job.result = job.fn(job)
         except JobCancelled:
-            with self._cond:
+            with self._lock:
                 self._finish_locked(job, "cancelled", "job cancelled", notes)
             return notes
         except Exception as exc:  # noqa: BLE001 - job isolation
@@ -431,14 +366,12 @@ class JobExecutor:
                     f"attempt {job.attempts} failed ({job.error}); retrying "
                     f"({job.max_retries - job.attempts + 1} retr(y/ies) left)"
                 )
-                with self._cond:
+                with self._lock:  # this thread claims it again
                     job.status = "queued"
                     job.progress = 0.0
                     self._pending.append(job.job_id)
-                    self._autoscale_locked()
-                    self._cond.notify()
                 return notes
-            with self._cond:
+            with self._lock:
                 self._finish_locked(
                     job, "failed",
                     "job failed:\n" + traceback.format_exc(limit=3), notes,
@@ -446,7 +379,7 @@ class JobExecutor:
             return notes
         job.error = None
         job.set_progress(1.0)
-        with self._cond:
+        with self._lock:
             self._finish_locked(job, "succeeded", "job succeeded", notes)
         return notes
 
@@ -456,6 +389,8 @@ class JobExecutor:
         job.ended_at = time.time()
         job.log(log)  # before the status: a reader that sees `done` has every line
         job.status = status
+        # A landed job runs no more code: drop what its closures pin.
+        job.fn = job._finalize = job._on_child_done = None
         job._done.set()
         if self.journal is not None:
             notes.append(("ondone", job.job_id))
@@ -475,7 +410,7 @@ class JobExecutor:
         """
         while notes:
             kind, jid = notes.pop(0)
-            with self._cond:
+            with self._lock:
                 job = self.jobs.get(jid)
             if job is None:
                 continue
@@ -485,7 +420,7 @@ class JobExecutor:
                 except Exception as exc:  # noqa: BLE001 - observer isolation
                     job.log(f"journal error: {type(exc).__name__}: {exc}")
             elif kind == "done":
-                with self._cond:
+                with self._lock:
                     parent = self.jobs.get(job.parent_id)
                 if parent is None:
                     continue
@@ -498,7 +433,7 @@ class JobExecutor:
                             f"{job.job_id}: {type(exc).__name__}: {exc}"
                         )
                 else:
-                    with self._cond:
+                    with self._lock:
                         total = len(parent.children)
                         done = sum(
                             1 for c in parent.children if self.jobs[c].done
@@ -509,7 +444,7 @@ class JobExecutor:
                 # the parent cannot complete (and finalize cannot read a
                 # partially-updated aggregate) until every child's
                 # observer has finished.
-                with self._cond:
+                with self._lock:
                     parent._notified_children += 1
                 notes.append(("check", parent.job_id))
             else:  # "check"
@@ -518,7 +453,7 @@ class JobExecutor:
     def _try_complete_parent(
         self, parent: Job, notes: list[tuple[str, int]]
     ) -> None:
-        with self._cond:
+        with self._lock:
             if not parent._is_parent or parent.done or parent._completing:
                 return
             if not (parent._sealed or parent.cancel_requested):
@@ -547,7 +482,7 @@ class JobExecutor:
                 parent.error = f"{type(exc).__name__}: {exc}"
         if status == "succeeded":
             parent.set_progress(1.0)
-        with self._cond:
+        with self._lock:
             self._finish_locked(
                 parent, status,
                 f"parent job {status} ({len(kids)} child job(s))", notes,
@@ -573,7 +508,7 @@ class JobExecutor:
             raise ValueError(
                 f"can only restore terminal jobs, not {status!r}"
             )
-        with self._cond:
+        with self._lock:
             existing = self.jobs.get(job_id)
             if existing is not None:
                 return existing
@@ -590,7 +525,7 @@ class JobExecutor:
     # -- control plane ------------------------------------------------------
 
     def get(self, job_id: int) -> Job:
-        with self._cond:
+        with self._lock:
             job = self.jobs.get(job_id)
         if job is None:
             raise UnknownJobError(job_id)
@@ -609,7 +544,7 @@ class JobExecutor:
         Returns the job's status after the attempt.
         """
         notes: list[tuple[str, int]] = []
-        with self._cond:
+        with self._lock:
             job = self.get(job_id)
             if job.done:
                 return job.status
@@ -623,13 +558,9 @@ class JobExecutor:
         job._cancel.set()
         for cid in list(job.children):
             self._cancel_locked(self.jobs[cid], notes)
-        if job.status == "queued":
-            try:
-                self._pending.remove(job.job_id)
-            except ValueError:
-                pass  # a worker claimed it between checks
-            else:
-                self._finish_locked(job, "cancelled", "cancelled while queued", notes)
+        if job.status == "queued":  # queued exactly while in _pending
+            self._pending.remove(job.job_id)
+            self._finish_locked(job, "cancelled", "cancelled while queued", notes)
         elif job._is_parent:
             # All children may already be terminal — re-check completion.
             notes.append(("check", job.job_id))
@@ -647,18 +578,17 @@ class JobExecutor:
         return [j for j in self.list_jobs() if j.done]
 
     def list_jobs(self) -> list[Job]:
-        with self._cond:
+        with self._lock:
             return list(self.jobs.values())
 
     @property
     def queue_depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._pending)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work; optionally wait for in-flight jobs."""
-        with self._cond:
+        with self._lock:
             self._shutdown = True
-            self._cond.notify_all()
         if wait:
             self.drain()

@@ -81,12 +81,10 @@ class VirtualDevice:
         if self.firmware is None or self._impulse is None:
             raise RuntimeError("no firmware flashed")
         window = self._impulse.input_block.windows(np.asarray(data))[0]
-        dsp_block = self._impulse.dsp_blocks[0]
-        self._last_features = dsp_block.transform(
-            np.asarray(window, dtype=np.float32)
-        )
+        self._last_features = self._impulse.features_for_window(window)
         probs, trace = self._emulator.run(
-            self._graph, window, dsp_block=dsp_block, features=self._last_features
+            self._graph, window, dsp_blocks=self._impulse.dsp_blocks,
+            features=self._last_features,
         )
         timing = self._emulator.latency_ms(trace)
         ranked = sorted(

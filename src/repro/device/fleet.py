@@ -288,7 +288,7 @@ class DeviceFleet:
 
         def _submit_device(parent, did):
             # The device id travels in the job name: on_child_done may run
-            # (on a worker thread) before submit() even returns, so a
+            # (on a job thread) before submit() even returns, so a
             # side-table keyed by job id would race.
             executor.submit(
                 f"ota-flash:{did}", _flash_fn(did),

@@ -12,6 +12,7 @@ bookkeeping the rest of the platform needs:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,3 +102,12 @@ def get_dsp_block(spec: dict) -> DSPBlock:
 
 def registered_dsp_blocks() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def transform_window(blocks: Sequence[DSPBlock], window: np.ndarray) -> np.ndarray:
+    """A window's features under an impulse's DSP blocks: one block's
+    output as it is, several blocks' outputs flattened and concatenated."""
+    feats = [b.transform(window) for b in blocks]
+    if len(feats) == 1:
+        return feats[0]
+    return np.concatenate([f.reshape(-1) for f in feats]).astype(np.float32)

@@ -9,11 +9,12 @@ on when it presents estimator output as early-design-space truth).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dsp.base import DSPBlock
+from repro.dsp.base import DSPBlock, transform_window
 from repro.graph.graph import Graph
 from repro.profile.devices import DeviceProfile
 from repro.profile.latency import LatencyEstimator
@@ -47,23 +48,22 @@ class EmulatedDevice:
         self,
         graph: Graph,
         sample: np.ndarray,
-        dsp_block: DSPBlock | None = None,
+        dsp_blocks: Sequence[DSPBlock] = (),
         features: np.ndarray | None = None,
     ) -> tuple[np.ndarray, EmulationTrace]:
         """Process one raw sample end to end; returns (probabilities, trace).
 
-        ``features`` lets a caller that already ran ``dsp_block`` over
-        ``sample`` supply the result, so the transform is not repeated;
-        DSP cycles are still accounted from the raw sample shape.
+        Every block of ``dsp_blocks`` is charged for the raw sample.
+        ``features`` lets a caller that already ran them over ``sample``
+        supply the result, so the transform is not repeated.
         """
         trace = EmulationTrace()
         raw = np.asarray(sample, dtype=np.float32)
-        if dsp_block is not None:
-            trace.dsp_cycles = self._estimator.dsp_cycles(dsp_block, raw.shape)
-            if features is None:
-                features = dsp_block.transform(raw)
-        elif features is None:
-            features = raw
+        trace.dsp_cycles = float(
+            sum(self._estimator.dsp_cycles(block, raw.shape) for block in dsp_blocks)
+        )
+        if features is None:
+            features = transform_window(dsp_blocks, raw) if dsp_blocks else raw
         trace.op_cycles = [
             (op.opcode, self._estimator.op_cycles(graph, i))
             for i, op in enumerate(graph.ops)

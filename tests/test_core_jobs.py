@@ -1,12 +1,14 @@
-"""Job orchestration: lifecycle, isolation, cancellation, retry, autoscaling."""
+"""Job orchestration: lifecycle, isolation, cancellation, retry, job threads."""
 
+import gc
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.core.jobs import (
-    MAX_SCALING_EVENTS,
     JobCancelled,
     JobExecutor,
     UnknownJobError,
@@ -182,37 +184,148 @@ def test_unknown_job_id_raises_clear_error():
         q.get(99)
 
 
-def test_autoscaling_records_pool_growth():
-    q = JobExecutor(min_workers=1, max_workers=4)
-    gates = threading.Event()
-
-    jobs = [q.submit(f"j{i}", lambda j: gates.wait(timeout=5.0)) for i in range(8)]
-    # 8 queued jobs, one worker each -> the pool scales to its cap of 4.
-    deadline = time.monotonic() + 5.0
-    while q.workers < 4 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert q.workers == 4
-    gates.set()
-    q.drain(timeout=10.0)
-    assert all(j.status == "succeeded" for j in jobs)
-    peaks = [e.workers for e in q.scaling_events]
-    assert max(peaks) == 4
-    # Idle workers exit after the grace period -> scale back down.
-    deadline = time.monotonic() + 5.0
-    while q.workers > 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert q.workers == 0
-
-
-def test_worker_cap_respected():
-    q = JobExecutor(min_workers=2, max_workers=3)
+def test_running_jobs_peak_at_max_workers():
+    """Ten blocked jobs on a four-thread executor: four run at once."""
+    q = JobExecutor(max_workers=4)
     gate = threading.Event()
-    for i in range(10):
-        q.submit(f"j{i}", lambda j: gate.wait(timeout=5.0))
-    assert q.workers <= 3
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0}
+
+    def work(job):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        gate.wait(timeout=5.0)
+        with lock:
+            state["now"] -= 1
+
+    jobs = [q.submit(f"j{i}", work) for i in range(10)]
+    deadline = time.monotonic() + 5.0
+    while state["peak"] < 4 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    time.sleep(0.05)  # room for a fifth job to start, were it allowed to
+    assert state["peak"] == 4
+    assert sum(j.status == "queued" for j in jobs) == 6
     gate.set()
     q.drain(timeout=10.0)
-    assert max(e.workers for e in q.scaling_events) == 3
+    assert all(j.status == "succeeded" for j in jobs)
+    assert state["peak"] == 4
+
+
+def test_no_job_thread_outlives_the_drained_jobs():
+    """Each thread that ran a job exits once nothing is claimable."""
+    q = JobExecutor(max_workers=3)
+    ran_on = set()
+
+    def work(job):
+        ran_on.add(threading.current_thread())
+        time.sleep(0.01)
+
+    for i in range(9):
+        q.submit(f"j{i}", work)
+    q.drain(timeout=10.0)
+    assert ran_on and all(t.name == "job-worker" for t in ran_on)
+    for t in ran_on:
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    assert q._threads == 0
+
+
+def test_racing_submitters_run_every_job_once_within_the_caps():
+    """Eight threads race 200 jobs onto a four-thread executor under a
+    tiny switch interval; the even-numbered ones sit under a parent
+    capped at two, and every fifth fails once and retries.  Each attempt
+    runs exactly once, neither cap is ever exceeded, and every job
+    thread exits."""
+    q = JobExecutor(max_workers=4)
+    parent = q.spawn_parent("capped", max_inflight=2)
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0, "kids": 0, "kids_peak": 0}
+    runs: dict[int, int] = {}
+
+    def work(job, capped, flaky):
+        with lock:
+            runs[job.job_id] = runs.get(job.job_id, 0) + 1
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+            state["kids"] += capped
+            state["kids_peak"] = max(state["kids_peak"], state["kids"])
+        time.sleep(0)
+        with lock:
+            state["now"] -= 1
+            state["kids"] -= capped
+        if flaky and job.attempts == 1:
+            raise RuntimeError("first attempt fails")
+
+    def submitter(k):
+        for i in range(25):
+            capped = i % 2 == 0
+            q.submit(
+                f"s{k}-{i}",
+                lambda job, c=capped, f=i % 5 == 0: work(job, c, f),
+                retries=1, parent=parent if capped else None,
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # widen any unsynchronised claim or count
+    try:
+        submitters = [threading.Thread(target=submitter, args=(k,)) for k in range(8)]
+        for t in submitters:
+            t.start()
+        for t in submitters:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        q.seal_parent(parent)
+        q.drain(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    jobs = [j for j in q.list_jobs() if j is not parent]
+    assert len(jobs) == 200
+    assert all(j.status == "succeeded" for j in jobs)
+    assert all(runs[j.job_id] == j.attempts for j in jobs)
+    assert sum(j.attempts == 2 for j in jobs) == 40
+    assert parent.status == "succeeded" and len(parent.children) == 8 * 13
+    assert state["peak"] <= 4 and state["kids_peak"] <= 2
+    deadline = time.monotonic() + 5.0
+    while q._threads and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert q._threads == 0
+
+
+def test_landed_jobs_release_their_closures():
+    """The job table keeps every landed job, not what its closures hold."""
+
+    class Payload:
+        pass
+
+    q = JobExecutor()
+    refs = []
+
+    def closure_over(payload):
+        return lambda job: id(payload)
+
+    def failing_over(payload):
+        def fn(job):
+            raise RuntimeError(f"boom {id(payload)}")
+        return fn
+
+    for i in range(200):
+        payload = Payload()
+        refs.append(weakref.ref(payload))
+        q.submit(f"j{i}", (failing_over if i % 10 == 0 else closure_over)(payload))
+    parent_payload = Payload()
+    refs.append(weakref.ref(parent_payload))
+    parent = q.spawn_parent(
+        "parent", finalize=lambda p, kids, pp=parent_payload: len(kids),
+        on_child_done=lambda p, kid, pp=parent_payload: None,
+    )
+    q.submit("child", lambda job: None, parent=parent)
+    q.seal_parent(parent)
+    del payload, parent_payload
+    q.drain(timeout=10.0)
+    assert len(q.list_jobs()) == 202 and parent.result == 1
+    gc.collect()
+    assert sum(r() is not None for r in refs) == 0
 
 
 def test_shutdown_rejects_new_work():
@@ -221,26 +334,6 @@ def test_shutdown_rejects_new_work():
     q.shutdown(wait=True)
     with pytest.raises(RuntimeError):
         q.submit("late", lambda j: None)
-
-
-def test_scaling_trace_is_bounded_with_the_newest_event_last():
-    """Every idle -> busy -> idle cycle records a scale-up and a
-    scale-down; a long-lived executor keeps only the newest decisions."""
-    q = JobExecutor(idle_grace_s=0.0)
-    cycles = MAX_SCALING_EVENTS // 2 + 50
-    for i in range(cycles):
-        q.submit(f"j{i}", lambda j: None).wait(timeout=5.0)
-        deadline = time.monotonic() + 5.0
-        while q.workers and time.monotonic() < deadline:
-            time.sleep(0.0005)  # let the idle worker scale down
-    assert len(q.scaling_events) == MAX_SCALING_EVENTS
-    with q._cond:
-        newest = q._tick
-    last = q.scaling_events[-1]
-    assert last.tick == newest and last.workers == 0
-    assert [e.tick for e in q.scaling_events] == sorted(
-        e.tick for e in q.scaling_events
-    )
 
 
 # -- parent/child jobs + parent caps ----------------------------------------

@@ -13,8 +13,9 @@ from repro.device import (
     VirtualDevice,
     VirtualSerialPort,
 )
-from repro.dsp import SpectralAnalysisBlock
+from repro.dsp import RawBlock, SpectralAnalysisBlock
 from repro.nn import TrainingConfig
+from repro.profile import LatencyEstimator, get_device
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +201,37 @@ def test_fleet_duplicate_registration():
     fleet.register(VirtualDevice("x", "nano33ble"))
     with pytest.raises(ValueError):
         fleet.register(VirtualDevice("x", "nano33ble"))
+
+
+def test_flashed_device_runs_every_dsp_block():
+    """A two-block impulse classifies on the device as it does in the
+    project, and the device is charged for both blocks' DSP."""
+    platform = Platform()
+    platform.register_user("u")
+    project = platform.create_project("two-blocks", owner="u")
+    dataset = vibration_dataset(samples_per_class=6, seed=0)
+    for s in dataset:
+        project.dataset.add(s, category=s.category)
+    blocks = [SpectralAnalysisBlock(sample_rate=100, fft_length=64), RawBlock()]
+    project.set_impulse(
+        Impulse(
+            TimeSeriesInput(window_size_ms=2000, window_increase_ms=2000,
+                            frequency_hz=100, axes=3),
+            blocks,
+            ClassificationBlock(
+                architecture="mlp", arch_kwargs=dict(hidden=(8,)),
+                training=TrainingConfig(epochs=2, batch_size=16, seed=0),
+            ),
+        )
+    )
+    project.train(seed=0)
+    device = VirtualDevice("dev-two", "nano33ble")
+    device.flash(project.deploy(target="firmware", precision="float32").metadata["image"])
+    sample = next(iter(dataset)).data
+    result = device.classify(sample)
+    assert result["classification"] == dict(project.classify_sample(sample))
+    est = LatencyEstimator(get_device("nano33ble"))
+    raw_shape = project.impulse.input_block.raw_shape()
+    assert result["timing"]["dsp_ms"] == pytest.approx(
+        sum(est.dsp_ms(b, raw_shape) for b in blocks)
+    )

@@ -148,7 +148,7 @@ def test_emulator_with_dsp(tiny_graphs):
 
     model = mlp(feats.shape, 2, hidden=(8,), seed=0)
     graph = sequential_to_graph(model)
-    _, trace = emulator.run(graph, audio, dsp_block=block)
+    _, trace = emulator.run(graph, audio, dsp_blocks=[block])
     timing = emulator.latency_ms(trace)
     assert timing["dsp_ms"] > 0
     assert timing["total_ms"] == pytest.approx(
