@@ -41,7 +41,7 @@ def test_ablation_dsp_nn_split(benchmark):
             ("more_nn", nn_heavy_block, model_n),
         ):
             graph = sequential_to_graph(model)
-            mem = MemoryEstimator(engine="tflm").estimate(graph, block, raw_shape)
+            mem = MemoryEstimator(engine="tflm").estimate(graph, (block,), raw_shape)
             out[name] = {
                 "dsp_ms": est.dsp_ms(block, raw_shape),
                 "nn_ms": est.inference_ms(graph),

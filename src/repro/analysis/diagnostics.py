@@ -87,10 +87,6 @@ class Diagnostic:
         elif self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == "error"
-
     def location(self) -> str:
         if self.file is not None:
             where = f"{self.file}:{self.line if self.line is not None else '?'}"

@@ -252,16 +252,15 @@ class EonTuner:
             calib = rng.standard_normal((8,) + tuple(feature_shape)).astype(np.float32)
             graph = apply_compression(graph, compress_spec or {}, calib)
         device = get_device(self.constraints.device_key)
-        lat = LatencyEstimator(device)
-        mem = MemoryEstimator(engine=self.engine)
         raw_shape = tuple(self.raw.shape[1:])
-        est = mem.estimate(graph)
+        latency = LatencyEstimator(device).end_to_end(graph, (block,), raw_shape)
+        memory = MemoryEstimator(self.engine).estimate(graph, (block,), raw_shape)
         return {
-            "dsp_ms": lat.dsp_ms(block, raw_shape),
-            "nn_ms": lat.inference_ms(graph),
-            "dsp_ram_kb": block.buffer_bytes(raw_shape) / 1024.0,
-            "nn_ram_kb": est.ram_kb,
-            "flash_kb": est.flash_kb,
+            "dsp_ms": latency.dsp_ms,
+            "nn_ms": latency.inference_ms,
+            "dsp_ram_kb": memory.dsp_ram_bytes / 1024.0,
+            "nn_ram_kb": (memory.ram_bytes - memory.dsp_ram_bytes) / 1024.0,
+            "flash_kb": memory.flash_kb,
         }
 
     def _check(self, trial: TunerTrial) -> bool:

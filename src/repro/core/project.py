@@ -427,8 +427,10 @@ class Project:
         """
         if self.impulse is None:
             raise RuntimeError("set an impulse before compressing")
-        if not self.impulse.dsp_blocks:
-            raise RuntimeError("the impulse has no DSP block")
+        if len(self.impulse.dsp_blocks) != 1:
+            raise RuntimeError(
+                "compression search needs an impulse with exactly one DSP block"
+            )
         learn = self.impulse.learn_block
         if getattr(learn, "expert_factory", None) is not None or not hasattr(
             learn, "architecture"
@@ -437,7 +439,7 @@ class Project:
                 "compression search needs a zoo-architecture "
                 "classification block"
             )
-        dsp_block = self.impulse.dsp_blocks[0]
+        (dsp_block,) = self.impulse.dsp_blocks
         dsp_spec = {"type": dsp_block.block_type, **dsp_block.config()}
         model_spec = {"architecture": learn.architecture,
                       **getattr(learn, "arch_kwargs", {})}
@@ -534,12 +536,10 @@ class Project:
         """Latency + memory estimates for a device target (Sec. 4.4)."""
         graph = self.trained_graph(precision)
         device = get_device(device_key)
-        lat = LatencyEstimator(device)
-        mem = MemoryEstimator(engine=engine)
-        dsp_block = self.impulse.dsp_blocks[0]
+        dsp_blocks = self.impulse.dsp_blocks
         raw_shape = self.impulse.input_block.raw_shape()
-        breakdown = lat.end_to_end(graph, dsp_block, raw_shape)
-        memory = mem.estimate(graph, dsp_block, raw_shape)
+        breakdown = LatencyEstimator(device).end_to_end(graph, dsp_blocks, raw_shape)
+        memory = MemoryEstimator(engine).estimate(graph, dsp_blocks, raw_shape)
         return {
             "device": device.name,
             "precision": precision,
@@ -549,7 +549,7 @@ class Project:
             "total_ms": breakdown.total_ms,
             "ram_kb": memory.ram_kb,
             "flash_kb": memory.flash_kb,
-            "fits": mem.fits(graph, device, dsp_block, raw_shape),
+            "fits": memory.fits(device),
         }
 
     # -- deployment ---------------------------------------------------------------------

@@ -263,11 +263,6 @@ class StorageEngine:
             self._records_since_snapshot += 1
             return self._seq
 
-    @property
-    def records_since_snapshot(self) -> int:
-        with self._lock:
-            return self._records_since_snapshot
-
     def should_compact(self) -> bool:
         with self._lock:
             return self._records_since_snapshot >= self.compact_every

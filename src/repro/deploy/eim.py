@@ -99,9 +99,3 @@ class EIMRunner:
                 },
             }
         return {"success": False, "error": f"unknown request type {kind!r}"}
-
-    def classify_raw(self, raw_window: np.ndarray) -> dict:
-        """Convenience: run the DSP block here (as the Linux SDK does) and
-        classify."""
-        feats = self._impulse.features_for_window(np.asarray(raw_window, np.float32))
-        return self.handle({"type": "classify", "features": feats.reshape(-1).tolist()})

@@ -8,8 +8,9 @@ that protocol over :class:`VirtualSerialPort`:
 ``AT+RUNIMPULSE``, ``AT+FLASH=<checksum>``, ``AT+VERSION?``
 
 Inference runs the flashed graph's one plan — the plan serving, EIM and
-``Project.test`` score with, bit for bit — on the cycle-counting
-emulator, so reported latencies match the profiler.
+``Project.test`` score with, bit for bit — and reports the latency
+estimator's price for the flashed impulse, the same numbers
+``Project.profile`` gives for the device.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.core.impulse import Impulse
 from repro.deploy.firmware import FirmwareImage
 from repro.device.serial import VirtualSerialPort
 from repro.profile.devices import DeviceProfile, get_device
-from repro.profile.emulator import EmulatedDevice
+from repro.profile.latency import LatencyBreakdown, LatencyEstimator
+from repro.runtime.executor import dequantize_output, run_graph
 
 
 class VirtualDevice:
@@ -39,7 +41,7 @@ class VirtualDevice:
         self.firmware: FirmwareImage | None = None
         self._impulse: Impulse | None = None
         self._graph = None
-        self._emulator = EmulatedDevice(self.profile)
+        self._latency: LatencyBreakdown | None = None
         self._last_sample: np.ndarray | None = None
         self._last_sensor: str | None = None
         # DSP features of the most recent classify(), reused by fleet
@@ -52,6 +54,9 @@ class VirtualDevice:
         """Install a firmware image (USB or OTA path)."""
         self._graph = image.load_graph()
         self._impulse = Impulse.from_dict(image.impulse_spec)
+        self._latency = LatencyEstimator(self.profile).end_to_end(
+            self._graph, self._impulse.dsp_blocks, self._impulse.input_block.raw_shape()
+        )
         self.firmware = image
 
     # -- sampling / inference -----------------------------------------------
@@ -82,18 +87,19 @@ class VirtualDevice:
             raise RuntimeError("no firmware flashed")
         window = self._impulse.input_block.windows(np.asarray(data))[0]
         self._last_features = self._impulse.features_for_window(window)
-        probs, trace = self._emulator.run(
-            self._graph, window, dsp_blocks=self._impulse.dsp_blocks,
-            features=self._last_features,
-        )
-        timing = self._emulator.latency_ms(trace)
+        out = run_graph(self._graph, self._last_features[None])
+        probs = dequantize_output(self._graph, out)[0]
         ranked = sorted(
             zip(self.firmware.labels, probs.tolist()), key=lambda kv: -kv[1]
         )
         return {
             "classification": dict(ranked),
             "top": ranked[0][0],
-            "timing": timing,
+            "timing": {
+                "dsp_ms": self._latency.dsp_ms,
+                "inference_ms": self._latency.inference_ms,
+                "total_ms": self._latency.total_ms,
+            },
         }
 
     # -- AT protocol ------------------------------------------------------------

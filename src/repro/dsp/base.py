@@ -100,10 +100,6 @@ def get_dsp_block(spec: dict) -> DSPBlock:
     return _REGISTRY[block_type](**spec.get("config", {}))
 
 
-def registered_dsp_blocks() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def transform_window(blocks: Sequence[DSPBlock], window: np.ndarray) -> np.ndarray:
     """A window's features under an impulse's DSP blocks: one block's
     output as it is, several blocks' outputs flattened and concatenated."""

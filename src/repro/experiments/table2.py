@@ -40,16 +40,17 @@ def run() -> dict:
         for device_key in TABLE1_KEYS:
             device = get_device(device_key)
             estimator = LatencyEstimator(device)
+            mem = MemoryEstimator(engine="tflm")
             results[task][device_key] = {}
             for precision, graph in (
                 ("float32", spec.float_graph),
                 ("int8", spec.int8_graph),
             ):
-                mem = MemoryEstimator(engine="tflm")
-                if not mem.fits(graph, device, spec.dsp_block, spec.raw_shape):
+                blocks = (spec.dsp_block,)
+                if not mem.estimate(graph, blocks, spec.raw_shape).fits(device):
                     results[task][device_key][precision] = None
                     continue
-                breakdown = estimator.end_to_end(graph, spec.dsp_block, spec.raw_shape)
+                breakdown = estimator.end_to_end(graph, blocks, spec.raw_shape)
                 results[task][device_key][precision] = {
                     "preprocessing_ms": breakdown.dsp_ms,
                     "inference_ms": breakdown.inference_ms,

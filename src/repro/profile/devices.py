@@ -48,7 +48,7 @@ class DeviceProfile:
     has_nn_extension: bool = False  # CMSIS-NN-class int8 kernels
     # Firmware footprint reserved before any model fits: RTOS + drivers +
     # the Edge Impulse SDK glue.  The tuner's RAM/flash budgets and
-    # MemoryEstimator.fits() subtract these.
+    # MemoryBreakdown.fits() subtract these.
     firmware_ram_bytes: int = 40_000
     firmware_flash_bytes: int = 180_000
 

@@ -1,4 +1,4 @@
-"""Latency estimation: graph + DSP block -> milliseconds on a device.
+"""Latency estimation: graph + DSP blocks -> milliseconds on a device.
 
 Walks the graph charging ``cycles = op_overhead + work * cost`` per op,
 where ``work`` is MACs for conv/dense-class ops and elements for the rest.
@@ -9,6 +9,7 @@ Tuner's latency column (Fig. 3) and the Table 2 reproduction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,17 +100,14 @@ class LatencyEstimator:
     def end_to_end(
         self,
         graph: Graph,
-        dsp_block: DSPBlock | None = None,
-        raw_input_shape: tuple[int, ...] | None = None,
+        dsp_blocks: Sequence[DSPBlock],
+        raw_input_shape: tuple[int, ...],
     ) -> LatencyBreakdown:
-        """Full Table-2-style breakdown for one classification call."""
-        dsp = (
-            self.dsp_ms(dsp_block, raw_input_shape)
-            if dsp_block is not None and raw_input_shape is not None
-            else 0.0
-        )
+        """Full Table-2-style breakdown for one classification call: every
+        block of the impulse runs over the raw window, then the graph."""
+        dsp_cycles = sum(self.dsp_cycles(b, raw_input_shape) for b in dsp_blocks)
         return LatencyBreakdown(
-            dsp_ms=dsp,
+            dsp_ms=self.device.ms(dsp_cycles),
             inference_ms=self.inference_ms(graph),
             overhead_ms=self.device.ms(self.INVOKE_OVERHEAD_CYCLES),
         )

@@ -16,6 +16,7 @@ than int8 ones.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.dsp.base import DSPBlock
@@ -103,9 +104,19 @@ class MemoryBreakdown:
     def flash_kb(self) -> float:
         return self.flash_bytes / 1024.0
 
+    def fits(self, device: DeviceProfile) -> bool:
+        """Whether the deployment fits ``device`` alongside its base
+        firmware (the profile's ``firmware_flash_bytes`` /
+        ``firmware_ram_bytes``).  Reproduces Table 2's '-' cells (model
+        did not fit due to flash or RAM constraints)."""
+        return (
+            self.flash_bytes + device.firmware_flash_bytes <= device.flash_bytes
+            and self.ram_bytes + device.firmware_ram_bytes <= device.ram_bytes
+        )
+
 
 class MemoryEstimator:
-    """Prices a graph under either engine, optionally adding DSP buffers."""
+    """Prices a graph under either engine, plus its impulse's DSP buffers."""
 
     def __init__(self, engine: str = "tflm"):
         if engine not in ("tflm", "eon"):
@@ -115,9 +126,12 @@ class MemoryEstimator:
     def estimate(
         self,
         graph: Graph,
-        dsp_block: DSPBlock | None = None,
-        raw_input_shape: tuple[int, ...] | None = None,
+        dsp_blocks: Sequence[DSPBlock] = (),
+        raw_input_shape: tuple[int, ...] = (),
     ) -> MemoryBreakdown:
+        """Memory of ``graph`` deployed behind ``dsp_blocks``.  The blocks
+        run one after another over the raw window, so DSP RAM is the
+        largest block's peak scratch (:meth:`DSPBlock.buffer_bytes`)."""
         kernel_code = sum(
             KERNEL_CODE_BYTES[opcode][prec] for opcode, prec in kernel_variants(graph)
         )
@@ -135,41 +149,11 @@ class MemoryEstimator:
             runtime_ram = int(EON_FIXED_RAM + EON_ARENA_SLACK * arena)
             code = EON_GLUE_PER_STEP * len(plan.steps) + kernel_code
 
-        dsp_ram = (
-            dsp_block.buffer_bytes(raw_input_shape)
-            if dsp_block is not None and raw_input_shape is not None
-            else 0
-        )
+        dsp_ram = max((b.buffer_bytes(raw_input_shape) for b in dsp_blocks), default=0)
         return MemoryBreakdown(
             arena_bytes=arena,
             runtime_ram_bytes=runtime_ram,
             model_flash_bytes=len(graph_to_bytes(graph)),
             code_flash_bytes=code,
             dsp_ram_bytes=dsp_ram,
-        )
-
-    def fits(
-        self,
-        graph: Graph,
-        device: DeviceProfile,
-        dsp_block: DSPBlock | None = None,
-        raw_input_shape: tuple[int, ...] | None = None,
-        firmware_flash_bytes: int | None = None,
-        firmware_ram_bytes: int | None = None,
-    ) -> bool:
-        """Whether the deployment fits the device alongside base firmware.
-
-        Firmware overheads default to the device profile's own
-        ``firmware_flash_bytes`` / ``firmware_ram_bytes`` fields.
-        Reproduces Table 2's '-' cells (model did not fit due to flash or
-        RAM constraints).
-        """
-        if firmware_flash_bytes is None:
-            firmware_flash_bytes = device.firmware_flash_bytes
-        if firmware_ram_bytes is None:
-            firmware_ram_bytes = device.firmware_ram_bytes
-        est = self.estimate(graph, dsp_block, raw_input_shape)
-        return (
-            est.flash_bytes + firmware_flash_bytes <= device.flash_bytes
-            and est.ram_bytes + firmware_ram_bytes <= device.ram_bytes
         )

@@ -625,6 +625,29 @@ def test_compress_api_routes():
     assert project.applied_trial is None
 
 
+def test_compress_refuses_a_multi_block_impulse():
+    """A sweep prices and trains one DSP block's features, so an impulse
+    with two blocks is refused, by the method and the route alike."""
+    from repro.core import Impulse, Platform
+    from repro.dsp import RawBlock
+
+    plat = Platform()
+    plat.register_user("ops")
+    gw = plat.gateway
+    pid = gw.handle("POST", "/v1/projects", {"name": "two"},
+                    user="ops")["data"]["project_id"]
+    project = _project_with_data(plat, pid)
+    one = project.impulse
+    project.set_impulse(Impulse(one.input_block, [*one.dsp_blocks, RawBlock()],
+                                one.learn_block))
+    with pytest.raises(RuntimeError, match="one DSP block"):
+        project.compress_async(n_trials=2, train_epochs=1)
+    r = gw.handle("POST", f"/v1/projects/{pid}/compress",
+                  {"n_trials": 2, "epochs": 1}, user="ops")
+    assert r["status"] == 409 and "one DSP block" in r["error"]
+    assert project.tuners == {}
+
+
 def test_search_process_placement_matches_serial_front():
     """The acceptance property: process-placement trials produce the
     same Pareto front as a serial sweep."""

@@ -203,21 +203,19 @@ def test_fleet_duplicate_registration():
         fleet.register(VirtualDevice("x", "nano33ble"))
 
 
-def test_flashed_device_runs_every_dsp_block():
-    """A two-block impulse classifies on the device as it does in the
-    project, and the device is charged for both blocks' DSP."""
+@pytest.fixture(scope="module")
+def two_block_project():
+    """A trained vibration project whose impulse has two DSP blocks."""
     platform = Platform()
     platform.register_user("u")
     project = platform.create_project("two-blocks", owner="u")
-    dataset = vibration_dataset(samples_per_class=6, seed=0)
-    for s in dataset:
+    for s in vibration_dataset(samples_per_class=6, seed=0):
         project.dataset.add(s, category=s.category)
-    blocks = [SpectralAnalysisBlock(sample_rate=100, fft_length=64), RawBlock()]
     project.set_impulse(
         Impulse(
             TimeSeriesInput(window_size_ms=2000, window_increase_ms=2000,
                             frequency_hz=100, axes=3),
-            blocks,
+            [SpectralAnalysisBlock(sample_rate=100, fft_length=64), RawBlock()],
             ClassificationBlock(
                 architecture="mlp", arch_kwargs=dict(hidden=(8,)),
                 training=TrainingConfig(epochs=2, batch_size=16, seed=0),
@@ -225,13 +223,42 @@ def test_flashed_device_runs_every_dsp_block():
         )
     )
     project.train(seed=0)
-    device = VirtualDevice("dev-two", "nano33ble")
+    return project
+
+
+def _flash_float32(project, device_id):
+    device = VirtualDevice(device_id, "nano33ble")
     device.flash(project.deploy(target="firmware", precision="float32").metadata["image"])
-    sample = next(iter(dataset)).data
+    return device
+
+
+def test_flashed_device_runs_every_dsp_block(two_block_project):
+    """A two-block impulse classifies on the device as it does in the
+    project, and the device is charged for both blocks' DSP."""
+    project = two_block_project
+    device = _flash_float32(project, "dev-two")
+    sample = next(iter(project.dataset)).data
     result = device.classify(sample)
     assert result["classification"] == dict(project.classify_sample(sample))
     est = LatencyEstimator(get_device("nano33ble"))
     raw_shape = project.impulse.input_block.raw_shape()
     assert result["timing"]["dsp_ms"] == pytest.approx(
-        sum(est.dsp_ms(b, raw_shape) for b in blocks)
+        sum(est.dsp_ms(b, raw_shape) for b in project.impulse.dsp_blocks)
     )
+
+
+def test_profile_and_flashed_device_price_every_dsp_block_alike(two_block_project):
+    """``Project.profile`` charges every DSP block of the impulse, and a
+    flashed device reports the same price for the same model."""
+    project = two_block_project
+    profile = project.profile("nano33ble", precision="float32")
+    est = LatencyEstimator(get_device("nano33ble"))
+    raw_shape = project.impulse.input_block.raw_shape()
+    blocks = project.impulse.dsp_blocks
+    assert len(blocks) == 2
+    assert profile["dsp_ms"] == pytest.approx(sum(est.dsp_ms(b, raw_shape) for b in blocks))
+    device = _flash_float32(project, "dev-price")
+    timing = device.classify(next(iter(project.dataset)).data)["timing"]
+    assert timing["dsp_ms"] == profile["dsp_ms"]
+    assert timing["inference_ms"] == profile["inference_ms"]
+    assert timing["total_ms"] == profile["total_ms"]

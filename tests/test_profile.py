@@ -1,17 +1,11 @@
-"""Profiler: device registry, latency/memory models, emulator consistency."""
+"""Profiler: device registry, latency and memory models."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
-from repro.dsp import MFCCBlock
-from repro.profile import (
-    DEVICES,
-    EmulatedDevice,
-    LatencyEstimator,
-    MemoryEstimator,
-    get_device,
-)
-from repro.runtime import run_graph
+from repro.dsp import MFCCBlock, MFEBlock
+from repro.profile import DEVICES, LatencyEstimator, MemoryEstimator, get_device
 
 
 def test_device_registry():
@@ -67,11 +61,13 @@ def test_end_to_end_breakdown(tiny_graphs):
     _, int8_graph = tiny_graphs
     block = MFCCBlock(sample_rate=8000)
     est = LatencyEstimator(get_device("nano33ble"))
-    breakdown = est.end_to_end(int8_graph, block, (8000,))
+    breakdown = est.end_to_end(int8_graph, (block,), (8000,))
+    assert breakdown.dsp_ms == est.dsp_ms(block, (8000,))
     assert breakdown.total_ms == pytest.approx(
         breakdown.dsp_ms + breakdown.inference_ms + breakdown.overhead_ms
     )
     assert breakdown.overhead_ms > 0
+    assert est.end_to_end(int8_graph, (), (8000,)).dsp_ms == 0.0
 
 
 # -- memory --------------------------------------------------------------------
@@ -102,55 +98,27 @@ def test_memory_int8_smaller(tiny_graphs):
 
 def test_fits_boundaries(tiny_graphs):
     _, int8_graph = tiny_graphs
-    est = MemoryEstimator(engine="eon")
-    assert est.fits(int8_graph, get_device("nano33ble"))
+    memory = MemoryEstimator(engine="eon").estimate(int8_graph)
+    nano = get_device("nano33ble")
+    assert memory.fits(nano)
     # An absurd firmware reservation must fail the fit.
-    assert not est.fits(
-        int8_graph, get_device("nano33ble"), firmware_flash_bytes=10**7
-    )
+    assert not memory.fits(dataclasses.replace(nano, firmware_flash_bytes=10**7))
+    assert not memory.fits(dataclasses.replace(nano, firmware_ram_bytes=10**7))
+
+
+def test_dsp_ram_is_the_largest_block_buffer(tiny_graphs):
+    """The blocks run one after another, so their scratch is reused."""
+    _, int8_graph = tiny_graphs
+    small = MFEBlock(sample_rate=8000, n_filters=16)
+    big = MFCCBlock(sample_rate=8000, n_filters=40, n_coefficients=13)
+    small_bytes, big_bytes = small.buffer_bytes((8000,)), big.buffer_bytes((8000,))
+    assert 0 < small_bytes < big_bytes
+    est = MemoryEstimator(engine="eon")
+    for blocks in ((small, big), (big, small)):
+        assert est.estimate(int8_graph, blocks, (8000,)).dsp_ram_bytes == big_bytes
+    assert est.estimate(int8_graph, (), (8000,)).dsp_ram_bytes == 0
 
 
 def test_memory_rejects_unknown_engine():
     with pytest.raises(ValueError):
         MemoryEstimator(engine="tvm")
-
-
-# -- emulator ----------------------------------------------------------------------
-
-
-def test_emulator_matches_estimator(tiny_graphs):
-    """Cycle-counting execution and static estimation agree exactly."""
-    _, int8_graph = tiny_graphs
-    device = get_device("nano33ble")
-    emulator = EmulatedDevice(device)
-    rng = np.random.default_rng(0)
-    sample = rng.standard_normal((16, 8)).astype(np.float32)
-    probs, trace = emulator.run(int8_graph, sample)
-    est = LatencyEstimator(device)
-    assert trace.inference_cycles == pytest.approx(est.graph_cycles(int8_graph))
-    # And the outputs match the plain runtime.
-    from repro.runtime.executor import dequantize_output
-
-    expected = dequantize_output(int8_graph, run_graph(int8_graph, sample[None]))[0]
-    assert np.allclose(probs, expected)
-
-
-def test_emulator_with_dsp(tiny_graphs):
-    _, int8_graph = tiny_graphs
-    emulator = EmulatedDevice(get_device("rp2040"))
-    block = MFCCBlock(sample_rate=8000, frame_length=0.02, frame_stride=0.16,
-                      n_filters=16, n_coefficients=8)
-    audio = np.random.default_rng(0).standard_normal(8000).astype(np.float32)
-    feats = block.transform(audio)
-    # Feed the emulator a graph whose input matches the feature shape.
-    from repro.graph import sequential_to_graph
-    from repro.nn.architectures import mlp
-
-    model = mlp(feats.shape, 2, hidden=(8,), seed=0)
-    graph = sequential_to_graph(model)
-    _, trace = emulator.run(graph, audio, dsp_blocks=[block])
-    timing = emulator.latency_ms(trace)
-    assert timing["dsp_ms"] > 0
-    assert timing["total_ms"] == pytest.approx(
-        timing["dsp_ms"] + timing["inference_ms"]
-    )
