@@ -148,13 +148,8 @@ def prune_graph(
                     b = b[out_mask]
                     shrink(op.outputs[0], out_mask)
             else:
-                if in_mask is not None:
-                    if oc == "CONV_2D":
-                        w = w[:, :, in_mask, :]
-                    elif oc == "CONV_1D":
-                        w = w[:, in_mask, :]
-                    else:  # FULLY_CONNECTED
-                        w = w[in_mask, :]
+                if in_mask is not None:  # Cin is second to last in every weight
+                    w = w[..., in_mask, :]
                 keep = own_mask.get(oi)
                 if keep is not None:
                     w = w[..., keep]

@@ -97,18 +97,20 @@ def _emit_layers(
             attrs = {"activation": activation}
             if isinstance(layer, L.Conv2D):
                 opcode = "CONV_2D"
-                attrs.update(stride=layer.stride, pad_h=list(layer.pad_h), pad_w=list(layer.pad_w))
+                attrs.update(
+                    stride=layer.stride, pad_h=list(layer.pads[0]), pad_w=list(layer.pads[1])
+                )
             elif isinstance(layer, L.DepthwiseConv2D):
                 opcode = "DEPTHWISE_CONV_2D"
                 attrs.update(
                     stride=layer.stride,
-                    pad_h=list(layer.pad_h),
-                    pad_w=list(layer.pad_w),
+                    pad_h=list(layer.pads[0]),
+                    pad_w=list(layer.pads[1]),
                     depth_multiplier=layer.depth_multiplier,
                 )
             elif isinstance(layer, L.Conv1D):
                 opcode = "CONV_1D"
-                attrs.update(stride=layer.stride, pad=list(layer.pad))
+                attrs.update(stride=layer.stride, pad=list(layer.pads[0]))
             else:
                 opcode = "FULLY_CONNECTED"
             graph.add_op(GOp(opcode, [current, w_id, b_id], [out_id], attrs))
@@ -133,7 +135,7 @@ def _emit_layers(
                 L.AvgPool2D: "AVG_POOL_2D",
             }[type(layer)]
             out_id = builder.act(f"{prefix}t{i}", layer.output_shape)
-            graph.add_op(GOp(opcode, [current], [out_id], {"pool_size": layer.p}))
+            graph.add_op(GOp(opcode, [current], [out_id], {"pool_size": layer.pool_size}))
             current = out_id
             i += 1
             continue

@@ -2,14 +2,24 @@
 
 Conventions:
 
-- activations are NHWC (batch last-channel) for 2-D, ``(batch, time,
+- activations are channels-last: NHWC for 2-D, ``(batch, time,
   channels)`` for 1-D;
 - ``build(input_shape)`` receives the per-sample shape (no batch dim) and
-  returns the per-sample output shape;
+  returns the per-sample output shape; a conv or pool whose output extent
+  is empty on any axis is refused there with a ``ValueError``;
 - ``forward(training=True)`` caches what ``backward`` needs in
   underscore-named array attributes; ``backward`` receives dLoss/dOutput,
   *assigns* every parameter gradient in ``self.grads`` and returns
   dLoss/dInput; ``backward_params`` skips that input gradient.
+
+The spatial layers are rank-generic: one convolution (``_Conv``), one
+non-overlapping pool (``_Pool``) and one global average pool work over a
+kernel or pool tuple of any length, so a 1-D layer is its 2-D twin's code
+over one spatial axis and equals that twin at height 1, bit for bit.  The
+public classes differ only in their constructors, except that
+``DepthwiseConv2D`` keeps its einsum contractions and ``AvgPool2D`` its
+backward.  Whatever a call needs besides the batch size (pads, per-tap
+slices, tile shapes, reduction axes) is worked out once, in ``build``.
 
 Convolutions lower like the inference kernels (``runtime/kernels.py``):
 zero-filled pad buffer, one gather of the window view into the ``(rows, K)``
@@ -18,6 +28,8 @@ transpose + reshape + copy, so results are its bits (docs/training.md).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,9 +48,15 @@ class Layer:
         self.output_shape: tuple[int, ...] | None = None
 
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+        return self._record_shapes(input_shape, input_shape)
+
+    def _record_shapes(
+        self, input_shape: tuple[int, ...], output_shape: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        """Record the shapes ``build`` worked out; returns the output's."""
         self.built = True
         self.input_shape = tuple(input_shape)
-        self.output_shape = tuple(input_shape)
+        self.output_shape = tuple(output_shape)
         return self.output_shape
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -67,6 +85,29 @@ def _pad_amount(size: int, kernel: int, stride: int, padding: str) -> tuple[int,
 
 def _out_size(size: int, kernel: int, stride: int, pad: tuple[int, int]) -> int:
     return (size + pad[0] + pad[1] - kernel) // stride + 1
+
+
+def _spatial(layer: Layer, input_shape: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """The spatial extents of channels-last ``input_shape``, which must have
+    ``rank`` of them."""
+    if len(input_shape) != rank + 1:
+        raise ValueError(
+            f"{layer.name} expects {rank} spatial axes + channels, got input {tuple(input_shape)}"
+        )
+    return tuple(input_shape[:-1])
+
+
+def _nonempty(layer: Layer, input_shape: tuple[int, ...], out: tuple[int, ...]) -> tuple[int, ...]:
+    """``out``, the spatial output extent of ``layer``'s window over
+    ``input_shape``; refused when empty on any axis (the window is larger
+    than its padded input), which would otherwise train to NaN or fail
+    steps later in an unrelated reshape."""
+    if min(out) < 1:
+        raise ValueError(
+            f"{layer.name} with kernel/pool size {layer.kernel} on input "
+            f"{tuple(input_shape)} has an empty output extent {out}"
+        )
+    return out
 
 
 def _padded(x: np.ndarray, pads: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -107,7 +148,76 @@ def _weight_grad(view: np.ndarray, grad: np.ndarray, shape: tuple[int, ...]) -> 
     return dw.reshape(shape).astype(np.float32, copy=False)
 
 
-class Conv2D(Layer):
+class _Conv(Layer):
+    """Convolution over the ``len(kernel)`` spatial axes of channels-last
+    input, weights ``(*kernel, Cin, F)``: the window view times the weights
+    as one im2col GEMM, and the input gradient as one GEMM per kernel tap."""
+
+    def __init__(
+        self, kernel_size: int | tuple[int, ...], rank: int, stride: int, padding: str,
+        use_bias: bool,
+    ):
+        super().__init__()
+        self.kernel = tuple(int(k) for k in np.broadcast_to(kernel_size, rank))
+        self.stride = int(stride)
+        self.padding = padding
+        self.use_bias = use_bias
+
+    def _weights(self, c: int) -> tuple[tuple[int, ...], int, int]:
+        """``(W shape, fan-in, output channels)`` over ``c`` input channels."""
+        return (*self.kernel, c, self.filters), math.prod(self.kernel) * c, self.filters
+
+    def build(self, input_shape, rng):
+        spatial = _spatial(self, input_shape, len(self.kernel))
+        s = self.stride
+        self.pads = tuple(_pad_amount(n, k, s, self.padding) for n, k in zip(spatial, self.kernel))
+        out = _nonempty(self, input_shape, tuple(
+            _out_size(n, k, s, pad) for n, k, pad in zip(spatial, self.kernel, self.pads)
+        ))
+        shape, fan_in, channels = self._weights(input_shape[-1])
+        self.params["W"] = he_normal(shape, fan_in, rng)
+        if self.use_bias:
+            self.params["b"] = np.zeros(channels, dtype=np.float32)
+        # Per call only the batch varies: every slice and shape is fixed here.
+        self._taps = [
+            (tap, (slice(None), *(slice(i, i + s * o, s) for i, o in zip(tap, out))))
+            for tap in np.ndindex(self.kernel)
+        ]
+        self._cols = (-1, math.prod(shape[:-1]))
+        self._rows = (-1, *out, channels)
+        self._bias_axes = tuple(range(len(out) + 1))
+        return self._record_shapes(input_shape, (*out, channels))
+
+    def _product(self, view: np.ndarray) -> np.ndarray:
+        cols = view.reshape(self._cols)  # the one gather
+        return np.dot(cols, self.params["W"].reshape(self._cols[1], -1))
+
+    def forward(self, x, training=False):
+        xp = _padded(x, self.pads)
+        view = _windows(xp, self.kernel, self.stride)
+        out = self._product(view).reshape(self._rows)
+        if self.use_bias:
+            out += self.params["b"]
+        if training:
+            self._xp_shape = xp.shape
+            self._view = view
+        return out
+
+    def backward_params(self, grad):
+        self.grads["W"] = _weight_grad(self._view, grad, self.params["W"].shape)
+        if self.use_bias:
+            self.grads["b"] = grad.sum(axis=self._bias_axes).astype(np.float32, copy=False)
+
+    def backward(self, grad):
+        self.backward_params(grad)
+        weights = self.params["W"]
+        dxp = np.zeros(self._xp_shape, dtype=np.float32)
+        for tap, window in self._taps:
+            dxp[window] += grad @ weights[tap].T
+        return _unpadded(dxp, self.pads)
+
+
+class Conv2D(_Conv):
     """2-D convolution, NHWC, weights ``(KH, KW, Cin, F)``."""
 
     def __init__(
@@ -118,135 +228,12 @@ class Conv2D(Layer):
         padding: str = "same",
         use_bias: bool = True,
     ):
-        super().__init__()
+        super().__init__(kernel_size, 2, stride, padding, use_bias)
         self.filters = int(filters)
-        self.kh, self.kw = (
-            (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
-        )
-        self.stride = int(stride)
-        self.padding = padding
-        self.use_bias = use_bias
-
-    def build(self, input_shape, rng):
-        h, w, c = input_shape
-        fan_in = self.kh * self.kw * c
-        self.params["W"] = he_normal((self.kh, self.kw, c, self.filters), fan_in, rng)
-        if self.use_bias:
-            self.params["b"] = np.zeros(self.filters, dtype=np.float32)
-        self.pad_h = _pad_amount(h, self.kh, self.stride, self.padding)
-        self.pad_w = _pad_amount(w, self.kw, self.stride, self.padding)
-        oh = _out_size(h, self.kh, self.stride, self.pad_h)
-        ow = _out_size(w, self.kw, self.stride, self.pad_w)
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (oh, ow, self.filters)
-        return self.output_shape
-
-    def forward(self, x, training=False):
-        xp = _padded(x, (self.pad_h, self.pad_w))
-        view = _windows(xp, (self.kh, self.kw), self.stride)
-        cols = view.reshape(-1, self.kh * self.kw * xp.shape[-1])  # the one gather
-        out = np.dot(cols, self.params["W"].reshape(-1, self.filters))
-        if self.use_bias:
-            out += self.params["b"]
-        if training:
-            self._xp_shape = xp.shape
-            self._view = view
-        return out.reshape(view.shape[:3] + (self.filters,))
-
-    def backward_params(self, grad):
-        self.grads["W"] = _weight_grad(self._view, grad, self.params["W"].shape)
-        if self.use_bias:
-            self.grads["b"] = grad.sum(axis=(0, 1, 2)).astype(np.float32, copy=False)
-
-    def backward(self, grad):
-        self.backward_params(grad)
-        b, oh, ow, _ = grad.shape
-        dxp = np.zeros(self._xp_shape, dtype=np.float32)
-        weights = self.params["W"]
-        s = self.stride
-        for i in range(self.kh):
-            for j in range(self.kw):
-                contrib = grad @ weights[i, j].T  # (B, OH, OW, Cin)
-                dxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += contrib
-        return _unpadded(dxp, (self.pad_h, self.pad_w))
 
 
-class DepthwiseConv2D(Layer):
-    """Depthwise 2-D convolution, weights ``(KH, KW, C, depth_multiplier)``."""
-
-    def __init__(
-        self,
-        kernel_size: int | tuple[int, int] = 3,
-        stride: int = 1,
-        padding: str = "same",
-        depth_multiplier: int = 1,
-        use_bias: bool = True,
-    ):
-        super().__init__()
-        self.kh, self.kw = (
-            (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
-        )
-        self.stride = int(stride)
-        self.padding = padding
-        self.depth_multiplier = int(depth_multiplier)
-        self.use_bias = use_bias
-
-    def build(self, input_shape, rng):
-        h, w, c = input_shape
-        fan_in = self.kh * self.kw
-        self.params["W"] = he_normal(
-            (self.kh, self.kw, c, self.depth_multiplier), fan_in, rng
-        )
-        out_c = c * self.depth_multiplier
-        if self.use_bias:
-            self.params["b"] = np.zeros(out_c, dtype=np.float32)
-        self.pad_h = _pad_amount(h, self.kh, self.stride, self.padding)
-        self.pad_w = _pad_amount(w, self.kw, self.stride, self.padding)
-        oh = _out_size(h, self.kh, self.stride, self.pad_h)
-        ow = _out_size(w, self.kw, self.stride, self.pad_w)
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (oh, ow, out_c)
-        return self.output_shape
-
-    def forward(self, x, training=False):
-        xp = _padded(x, (self.pad_h, self.pad_w))
-        view = _windows(xp, (self.kh, self.kw), self.stride)
-        # (B,OH,OW,KH,KW,C) x (KH,KW,C,D) -> (B,OH,OW,C,D).  ``optimize=True`` stays
-        # (numpy >= 2.3 makes it a batched matmul: other bits than plain einsum).
-        out = np.einsum("bxyijc,ijcd->bxycd", view, self.params["W"], optimize=True)
-        b, oh, ow, c, d = out.shape
-        out = out.reshape(b, oh, ow, c * d)
-        if self.use_bias:
-            out += self.params["b"]
-        if training:
-            self._xp_shape = xp.shape
-            self._view = view
-        return out
-
-    def backward(self, grad):
-        b, oh, ow, _ = grad.shape
-        c = self.params["W"].shape[2]
-        g = grad.reshape(b, oh, ow, c, self.depth_multiplier)
-        self.grads["W"] = np.einsum(
-            "bxyijc,bxycd->ijcd", self._view, g, optimize=True
-        ).astype(np.float32, copy=False)
-        if self.use_bias:
-            self.grads["b"] = grad.sum(axis=(0, 1, 2)).astype(np.float32, copy=False)
-        dxp = np.zeros(self._xp_shape, dtype=np.float32)
-        weights = self.params["W"]  # (KH,KW,C,D)
-        s = self.stride
-        for i in range(self.kh):
-            for j in range(self.kw):
-                # (B,OH,OW,C,D) x (C,D) -> (B,OH,OW,C)
-                contrib = np.einsum("bxycd,cd->bxyc", g, weights[i, j], optimize=True)
-                dxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += contrib
-        return _unpadded(dxp, (self.pad_h, self.pad_w))
-
-
-class Conv1D(Layer):
-    """1-D convolution over ``(batch, time, channels)``."""
+class Conv1D(_Conv):
+    """1-D convolution over ``(batch, time, channels)``, weights ``(K, Cin, F)``."""
 
     def __init__(
         self,
@@ -256,51 +243,53 @@ class Conv1D(Layer):
         padding: str = "same",
         use_bias: bool = True,
     ):
-        super().__init__()
+        super().__init__(kernel_size, 1, stride, padding, use_bias)
         self.filters = int(filters)
-        self.k = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = padding
-        self.use_bias = use_bias
 
-    def build(self, input_shape, rng):
-        t, c = input_shape
-        fan_in = self.k * c
-        self.params["W"] = he_normal((self.k, c, self.filters), fan_in, rng)
-        if self.use_bias:
-            self.params["b"] = np.zeros(self.filters, dtype=np.float32)
-        self.pad = _pad_amount(t, self.k, self.stride, self.padding)
-        ot = _out_size(t, self.k, self.stride, self.pad)
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (ot, self.filters)
-        return self.output_shape
 
-    def forward(self, x, training=False):
-        xp = _padded(x, (self.pad,))
-        view = _windows(xp, (self.k,), self.stride)
-        cols = view.reshape(-1, self.k * xp.shape[-1])  # the one gather
-        out = np.dot(cols, self.params["W"].reshape(-1, self.filters))
-        if self.use_bias:
-            out += self.params["b"]
-        if training:
-            self._xp_shape = xp.shape
-            self._view = view
-        return out.reshape(view.shape[:2] + (self.filters,))
+class DepthwiseConv2D(_Conv):
+    """Depthwise 2-D convolution, weights ``(KH, KW, C, depth_multiplier)``.
+
+    Its contractions stay ``einsum(..., optimize=True)``: numpy >= 2.3 makes
+    a two-operand ``optimize=True`` einsum a batched matmul, whose bits plain
+    einsum does not reproduce (docs/training.md)."""
+
+    def __init__(
+        self,
+        kernel_size: int | tuple[int, int] = 3,
+        stride: int = 1,
+        padding: str = "same",
+        depth_multiplier: int = 1,
+        use_bias: bool = True,
+    ):
+        super().__init__(kernel_size, 2, stride, padding, use_bias)
+        self.depth_multiplier = int(depth_multiplier)
+
+    def _weights(self, c):
+        dm = self.depth_multiplier
+        return (*self.kernel, c, dm), math.prod(self.kernel), c * dm
+
+    def _product(self, view):
+        # (B,OH,OW,KH,KW,C) x (KH,KW,C,D) -> (B,OH,OW,C,D)
+        return np.einsum("bxyijc,ijcd->bxycd", view, self.params["W"], optimize=True)
 
     def backward_params(self, grad):
-        self.grads["W"] = _weight_grad(self._view, grad, self.params["W"].shape)
+        g = grad.reshape(*grad.shape[:-1], *self.params["W"].shape[2:])
+        self.grads["W"] = np.einsum(
+            "bxyijc,bxycd->ijcd", self._view, g, optimize=True
+        ).astype(np.float32, copy=False)
         if self.use_bias:
-            self.grads["b"] = grad.sum(axis=(0, 1)).astype(np.float32, copy=False)
+            self.grads["b"] = grad.sum(axis=self._bias_axes).astype(np.float32, copy=False)
 
     def backward(self, grad):
         self.backward_params(grad)
-        b, ot, _ = grad.shape
+        weights = self.params["W"]
+        g = grad.reshape(*grad.shape[:-1], *weights.shape[2:])
         dxp = np.zeros(self._xp_shape, dtype=np.float32)
-        s = self.stride
-        for i in range(self.k):
-            dxp[:, i : i + s * ot : s, :] += grad @ self.params["W"][i].T
-        return _unpadded(dxp, (self.pad,))
+        for tap, window in self._taps:
+            # (B,OH,OW,C,D) x (C,D) -> (B,OH,OW,C)
+            dxp[window] += np.einsum("bxycd,cd->bxyc", g, weights[tap], optimize=True)
+        return _unpadded(dxp, self.pads)
 
 
 class Dense(Layer):
@@ -318,10 +307,7 @@ class Dense(Layer):
         self.params["W"] = glorot_uniform((fan_in, self.units), fan_in, self.units, rng)
         if self.use_bias:
             self.params["b"] = np.zeros(self.units, dtype=np.float32)
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (self.units,)
-        return self.output_shape
+        return self._record_shapes(input_shape, (self.units,))
 
     def forward(self, x, training=False):
         if training:
@@ -381,10 +367,7 @@ class Softmax(Layer):
 
 class Flatten(Layer):
     def build(self, input_shape, rng):
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (int(np.prod(input_shape)),)
-        return self.output_shape
+        return self._record_shapes(input_shape, (int(np.prod(input_shape)),))
 
     def forward(self, x, training=False):
         self._shape = x.shape
@@ -402,10 +385,7 @@ class Reshape(Layer):
     def build(self, input_shape, rng):
         if int(np.prod(input_shape)) != int(np.prod(self.target_shape)):
             raise ValueError(f"cannot reshape {input_shape} to {self.target_shape}")
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = self.target_shape
-        return self.output_shape
+        return self._record_shapes(input_shape, self.target_shape)
 
     def forward(self, x, training=False):
         self._shape = x.shape
@@ -425,141 +405,113 @@ def _untrimmed(dx_trim: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return dx
 
 
-class MaxPool2D(Layer):
+class _Pool(Layer):
+    """Non-overlapping pooling (stride == pool size) over ``rank`` spatial
+    axes of channels-last input."""
+
+    def __init__(self, pool_size: int, rank: int):
+        super().__init__()
+        self.pool_size = int(pool_size)
+        self.kernel = (self.pool_size,) * rank
+
+    def build(self, input_shape, rng):
+        spatial = _spatial(self, input_shape, len(self.kernel))
+        p = self.pool_size
+        out = _nonempty(self, input_shape, tuple(n // p for n in spatial))
+        c = input_shape[-1]
+        self._trim = (slice(None), *(slice(o * p) for o in out))
+        self._tiles = (-1, *(d for o in out for d in (o, p)), c)
+        self._untiled = (-1, *(o * p for o in out), c)
+        self._axes = tuple(range(2, 2 * len(out) + 1, 2))
+        self._expand = (slice(None), *(a for _ in out for a in (slice(None), None)))
+        return self._record_shapes(input_shape, (*out, c))
+
+    def _tiled(self, x: np.ndarray) -> np.ndarray:
+        """``x`` trimmed to whole windows, each window's cells on ``_axes``."""
+        return x[self._trim].reshape(self._tiles)
+
+
+class _MaxPool(_Pool):
+    """Max over each window; a tie shares the window's gradient evenly."""
+
+    def forward(self, x, training=False):
+        xt = self._tiled(x)
+        out = xt.max(axis=self._axes)
+        if training:
+            self._x_trim = xt
+            self._out = out
+            self._orig_shape = x.shape
+        return out
+
+    def backward(self, grad):
+        mask = self._x_trim == self._out[self._expand]
+        # Split ties evenly so gradient mass is conserved.
+        counts = mask.sum(axis=self._axes, keepdims=True)
+        spread = mask * (grad[self._expand] / counts)
+        return _untrimmed(spread.reshape(self._untiled), self._orig_shape)
+
+
+class MaxPool2D(_MaxPool):
     """Non-overlapping max pooling (stride == pool size)."""
 
     def __init__(self, pool_size: int = 2):
-        super().__init__()
-        self.p = int(pool_size)
-
-    def build(self, input_shape, rng):
-        h, w, c = input_shape
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (h // self.p, w // self.p, c)
-        return self.output_shape
-
-    def forward(self, x, training=False):
-        b, h, w, c = x.shape
-        p = self.p
-        th, tw = (h // p) * p, (w // p) * p
-        xt = x[:, :th, :tw, :].reshape(b, th // p, p, tw // p, p, c)
-        out = xt.max(axis=(2, 4))
-        if training:
-            self._x_trim = xt
-            self._out = out
-            self._orig_shape = x.shape
-        return out
-
-    def backward(self, grad):
-        b, oh, ow, c = grad.shape
-        p = self.p
-        mask = self._x_trim == self._out[:, :, None, :, None, :]
-        # Split ties evenly so gradient mass is conserved.
-        counts = mask.sum(axis=(2, 4), keepdims=True)
-        spread = mask * (grad[:, :, None, :, None, :] / counts)
-        return _untrimmed(spread.reshape(b, oh * p, ow * p, c), self._orig_shape)
+        super().__init__(pool_size, 2)
 
 
-class MaxPool1D(Layer):
+class MaxPool1D(_MaxPool):
     """Non-overlapping 1-D max pooling."""
 
     def __init__(self, pool_size: int = 2):
-        super().__init__()
-        self.p = int(pool_size)
-
-    def build(self, input_shape, rng):
-        t, c = input_shape
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (t // self.p, c)
-        return self.output_shape
-
-    def forward(self, x, training=False):
-        b, t, c = x.shape
-        p = self.p
-        tt = (t // p) * p
-        xt = x[:, :tt, :].reshape(b, tt // p, p, c)
-        out = xt.max(axis=2)
-        if training:
-            self._x_trim = xt
-            self._out = out
-            self._orig_shape = x.shape
-        return out
-
-    def backward(self, grad):
-        b, ot, c = grad.shape
-        p = self.p
-        mask = self._x_trim == self._out[:, :, None, :]
-        counts = mask.sum(axis=2, keepdims=True)
-        spread = mask * (grad[:, :, None, :] / counts)
-        return _untrimmed(spread.reshape(b, ot * p, c), self._orig_shape)
+        super().__init__(pool_size, 1)
 
 
-class AvgPool2D(Layer):
+class AvgPool2D(_Pool):
     """Non-overlapping average pooling."""
 
     def __init__(self, pool_size: int = 2):
-        super().__init__()
-        self.p = int(pool_size)
-
-    def build(self, input_shape, rng):
-        h, w, c = input_shape
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (h // self.p, w // self.p, c)
-        return self.output_shape
+        super().__init__(pool_size, 2)
 
     def forward(self, x, training=False):
-        b, h, w, c = x.shape
-        p = self.p
-        th, tw = (h // p) * p, (w // p) * p
-        xt = x[:, :th, :tw, :].reshape(b, th // p, p, tw // p, p, c)
         if training:
             self._orig_shape = x.shape
-        return xt.mean(axis=(2, 4))
+        return self._tiled(x).mean(axis=self._axes)
 
     def backward(self, grad):
-        b, oh, ow, c = grad.shape
-        p = self.p
+        p = self.pool_size
         expanded = np.repeat(np.repeat(grad, p, axis=1), p, axis=2) / (p * p)
         return _untrimmed(expanded, self._orig_shape)
 
 
-class GlobalAvgPool2D(Layer):
+class _GlobalAvgPool(Layer):
+    """Mean over the ``rank`` spatial axes of channels-last input."""
+
+    def __init__(self, rank: int):
+        super().__init__()
+        self.rank = rank
+
     def build(self, input_shape, rng):
-        h, w, c = input_shape
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (c,)
-        return self.output_shape
+        self._n = math.prod(_spatial(self, input_shape, self.rank))
+        self._axes = tuple(range(1, self.rank + 1))
+        self._expand = (slice(None), *(None,) * self.rank)
+        return self._record_shapes(input_shape, input_shape[-1:])
 
     def forward(self, x, training=False):
         if training:
             self._shape = x.shape
-        return x.mean(axis=(1, 2))
+        return x.mean(axis=self._axes)
 
     def backward(self, grad):
-        b, h, w, c = self._shape
-        return np.broadcast_to(grad[:, None, None, :], self._shape) / (h * w)
+        return np.broadcast_to(grad[self._expand], self._shape) / self._n
 
 
-class GlobalAvgPool1D(Layer):
-    def build(self, input_shape, rng):
-        t, c = input_shape
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (c,)
-        return self.output_shape
+class GlobalAvgPool2D(_GlobalAvgPool):
+    def __init__(self):
+        super().__init__(2)
 
-    def forward(self, x, training=False):
-        if training:
-            self._shape = x.shape
-        return x.mean(axis=1)
 
-    def backward(self, grad):
-        b, t, c = self._shape
-        return np.broadcast_to(grad[:, None, :], self._shape) / t
+class GlobalAvgPool1D(_GlobalAvgPool):
+    def __init__(self):
+        super().__init__(1)
 
 
 class BatchNorm(Layer):
@@ -576,10 +528,7 @@ class BatchNorm(Layer):
         self.params["beta"] = np.zeros(c, dtype=np.float32)
         self.running_mean = np.zeros(c, dtype=np.float32)
         self.running_var = np.ones(c, dtype=np.float32)
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = tuple(input_shape)
-        return self.output_shape
+        return self._record_shapes(input_shape, input_shape)
 
     def forward(self, x, training=False):
         axes = tuple(range(x.ndim - 1))
@@ -654,10 +603,7 @@ class Residual(Layer):
             raise ValueError(
                 f"Residual branch changed shape {tuple(input_shape)} -> {shape}"
             )
-        self.built = True
-        self.input_shape = tuple(input_shape)
-        self.output_shape = tuple(input_shape)
-        return self.output_shape
+        return self._record_shapes(input_shape, input_shape)
 
     def forward(self, x, training=False):
         h = x

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import ClassificationBlock, Impulse, Platform, TimeSeriesInput
+from repro.core import ClassificationBlock, ImageInput, Impulse, Platform, TimeSeriesInput
 from repro.data.dataset import Sample
-from repro.dsp import RawBlock, SpectralAnalysisBlock
+from repro.dsp import ImageBlock, RawBlock, SpectralAnalysisBlock
 from repro.nn import TrainingConfig
 
 
@@ -175,3 +175,21 @@ def test_org_members_become_collaborators():
     platform.join_organization("team", "b")
     project = platform.create_project("teamproj", owner="a", organization="team")
     project.require_member("b")
+
+
+def test_a_train_job_fails_naming_the_layer_the_image_is_too_small_for():
+    """Image size and architecture arrive with the impulse spec: a pool
+    whose window outgrows its input fails the job with the reason, not a
+    reshape error steps into the fit."""
+    platform = Platform()
+    platform.register_user("alice")
+    project = platform.create_project("tiny", owner="alice")
+    rng = np.random.default_rng(0)
+    for i in range(6):
+        project.dataset.add(Sample(rng.random((3, 3, 3)), label="ab"[i % 2]), category="train")
+    project.set_impulse(Impulse(
+        ImageInput(width=3, height=3, channels=3), [ImageBlock(3, 3, 3)],
+        ClassificationBlock(architecture="cifar_cnn", training=TrainingConfig(epochs=1)),
+    ))
+    with pytest.raises(RuntimeError, match=r"MaxPool2D .* on input \(1, 1, 32\) .* empty output"):
+        project.train()

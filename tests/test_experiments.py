@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import figure2, table1, table2, table4, table5
-from repro.experiments.tasks import paper_scale_graphs
+from repro.experiments.tasks import TASKS, paper_scale_graphs
+from repro.profile import MemoryEstimator
 
 
 def test_table1_rows():
@@ -61,6 +62,18 @@ def test_table4_memory_shape():
     assert all(checks.values()), checks
     text = table4.render(results)
     assert "FP (EON)" in text
+
+
+def test_table4_preprocessing_ram_is_the_estimators():
+    """The Preprocessing cell is the estimator's DSP RAM for the impulse,
+    and a model row's RAM is what the estimator charges beside it."""
+    results = table4.run(with_accuracy=False)
+    for task in TASKS:
+        spec = paper_scale_graphs(task)
+        est = MemoryEstimator("eon").estimate(spec.int8_graph, (spec.dsp_block,), spec.raw_shape)
+        assert est.dsp_ram_bytes > 0
+        assert results[task]["dsp_ram_kb"] == est.dsp_ram_bytes / 1024.0
+        assert results[task]["int8_eon"]["ram_kb"] == (est.ram_bytes - est.dsp_ram_bytes) / 1024.0
 
 
 def test_table5_row_is_introspected():

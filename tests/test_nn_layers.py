@@ -1,5 +1,7 @@
 """Layer-level numerical gradient checks and shape contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.nn import (
     Sequential,
     Softmax,
 )
+from repro.nn.architectures import ARCHITECTURES
 
 RNG = np.random.default_rng(42)
 LOSS = CrossEntropyFromLogits()
@@ -288,3 +291,56 @@ def test_deterministic_initialisation():
     b = Sequential([Dense(4), Dense(2)], (6,), seed=7)
     for wa, wb in zip(a.get_weights(), b.get_weights()):
         assert np.array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_a_1d_layer_is_its_2d_twin_of_height_1(stride, padding):
+    """The design contract of the rank-generic layers: forward, every
+    gradient and the input gradient agree to the bit."""
+    x = RNG.standard_normal((3, 11, 4)).astype(np.float32)
+    conv1 = Conv1D(5, 3, stride=stride, padding=padding)
+    conv2 = Conv2D(5, (1, 3), stride=stride, padding=padding)
+    conv1.build((11, 4), np.random.default_rng(0))
+    conv2.build((1, 11, 4), np.random.default_rng(1))
+    conv1.params["b"] = RNG.standard_normal(5).astype(np.float32)
+    conv2.params["W"] = conv1.params["W"][None]
+    conv2.params["b"] = conv1.params["b"].copy()
+    y1 = conv1.forward(x, training=True)
+    y2 = conv2.forward(x[:, None], training=True)
+    assert np.array_equal(y1, y2[:, 0])
+    grad = RNG.standard_normal(y1.shape).astype(np.float32)
+    dx1, dx2 = conv1.backward(grad), conv2.backward(grad[:, None])
+    assert np.array_equal(dx1, dx2[:, 0])
+    assert np.array_equal(conv1.grads["W"], conv2.grads["W"][0])
+    assert np.array_equal(conv1.grads["b"], conv2.grads["b"])
+
+    gap1, gap2 = GlobalAvgPool1D(), GlobalAvgPool2D()
+    gap1.build((11, 4), RNG)
+    gap2.build((1, 11, 4), RNG)
+    assert np.array_equal(gap1.forward(x, training=True), gap2.forward(x[:, None], training=True))
+    g = RNG.standard_normal((3, 4)).astype(np.float32)
+    assert np.array_equal(gap1.backward(g), gap2.backward(g)[:, 0])
+
+
+@pytest.mark.parametrize("make, message", [
+    # Trained to loss [nan, nan] before: the pool's window outgrew its input.
+    (lambda: Sequential([Conv1D(4, 3), MaxPool1D(8), GlobalAvgPool1D(), Dense(2)], (5, 2)),
+     "MaxPool1D with kernel/pool size (8,) on input (5, 4)"),
+    # Built an output shape of (-1, -1, 4) before.
+    (lambda: Sequential([Conv2D(4, 5, padding="valid")], (3, 3, 1)),
+     "Conv2D with kernel/pool size (5, 5) on input (3, 3, 1)"),
+    # Built MaxPool2D -> (0, 0, 32), and the fit died in an unrelated reshape.
+    (lambda: ARCHITECTURES["cifar_cnn"]((3, 3, 3), 2),
+     "MaxPool2D with kernel/pool size (2, 2) on input (1, 1, 32)"),
+], ids=["maxpool1d", "conv2d_valid", "cifar_cnn"])
+def test_an_empty_output_extent_is_refused_at_build(make, message):
+    with pytest.raises(ValueError, match=re.escape(message) + ".* empty output"):
+        make()
+
+
+def test_a_spatial_layer_refuses_input_of_another_rank():
+    for layer, shape in ((Conv1D(4, 3), (5, 5, 2)), (MaxPool2D(2), (8, 2)),
+                         (GlobalAvgPool1D(), (4, 4, 2))):
+        with pytest.raises(ValueError, match=f"{layer.name} expects"):
+            Sequential([layer], shape)
