@@ -16,6 +16,7 @@ from repro.calibration import (
     evaluate_detections,
 )
 from repro.data.synthetic import streaming_scene
+from repro.dsp import extract_features
 from repro.utils.rng import ensure_rng
 
 
@@ -31,8 +32,8 @@ def _scene_probs(kws_trained):
     model = impulse.learn_block.model
 
     def classify(window):
-        feats = impulse.features_for_window(window)
-        return model.predict_proba(feats[None, ...])[0]
+        feats = extract_features(impulse.dsp_blocks, window[None])
+        return model.predict_proba(feats)[0]
 
     probs, times = continuous_probabilities(
         classify, audio, sample_rate=8000, window_s=1.0, stride_s=0.25

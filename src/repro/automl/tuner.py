@@ -24,12 +24,12 @@ import numpy as np
 
 from repro.automl.space import CompressionSpace
 from repro.compress import apply_compression, prunable_layers, weighted_ops
-from repro.dsp.base import DSPBlock, get_dsp_block
+from repro.dsp.base import DSPBlock, extract_features, get_dsp_block
 from repro.graph import sequential_to_graph
 from repro.nn import Trainer, TrainingConfig
 from repro.nn.architectures import ARCHITECTURES, describe
 from repro.profile import LatencyEstimator, MemoryEstimator, get_device
-from repro.runtime.executor import dequantize_output, run_graph
+from repro.runtime.eon import EONModel
 from repro.utils.rng import ensure_rng
 
 
@@ -187,7 +187,7 @@ class EonTuner:
                     owner = False
             if owner:
                 try:
-                    features = block.transform_batch(self.raw)
+                    features = extract_features((block,), self.raw)
                 except BaseException:
                     with self._cache_lock:
                         del self._cache_events[key]
@@ -222,7 +222,7 @@ class EonTuner:
         sweeps compression sweeps.
         """
         self._require_windows()
-        feature_shape = _dsp_block(dsp_spec).transform(self.raw[0]).shape
+        feature_shape = _dsp_block(dsp_spec).output_shape(self.raw.shape[1:])
         n_classes = int(self.labels.max()) + 1
         model, _ = self._build_model(
             dict(model_spec), tuple(feature_shape), n_classes, seed=0
@@ -314,7 +314,7 @@ class EonTuner:
         trial = TunerTrial(
             dsp_spec=dict(dsp_spec),
             model_spec=dict(model_spec),
-            dsp_name=repr(block) if hasattr(block, "__repr__") else block.describe(),
+            dsp_name=repr(block),
             model_name=describe(model),
             **self._price(block, model, in_shape, compress_spec),
         )
@@ -344,7 +344,7 @@ class EonTuner:
             if compress_spec:
                 calib = feats[train_idx][:64] if len(train_idx) else feats[val_idx]
                 graph = apply_compression(graph, compress_spec, calib)
-            preds = dequantize_output(graph, run_graph(graph, feats[val_idx])).argmax(axis=-1)
+            preds = EONModel(graph).classify(feats[val_idx])
             trial.accuracy = float((preds == self.labels[val_idx]).mean())
             trial.trained = True
         return trial

@@ -239,6 +239,7 @@ def _classify_files(project, server, args) -> bool:
     does).  False — after printing why — on the first file that fails."""
     from repro.data.dataset import Dataset
     from repro.data.ingestion import IngestionService
+    from repro.dsp.base import extract_features
     from repro.serve import ServingError
 
     scratch = IngestionService(Dataset(name="classify-scratch"))
@@ -247,7 +248,8 @@ def _classify_files(project, server, args) -> bool:
             payload = pathlib.Path(filename).read_bytes()
             sample_id = scratch.ingest(payload, label="?", fmt=args.format)
             sample = scratch.dataset.get(sample_id)
-            features = project.impulse.features_for_sample(sample)
+            windows = project.impulse.input_block.windows(sample.data)
+            features = extract_features(project.impulse.dsp_blocks, windows)
             results = server.classify_batch(
                 project.project_id, list(features), precision=args.precision,
             )
@@ -408,7 +410,7 @@ def _cmd_monitor(args) -> int:
         return 1
 
     from repro.active.embeddings import feature_sketch
-    from repro.data.dataset import Sample
+    from repro.dsp.base import extract_features
     from repro.monitor import (MonitorDaemon, MonitorService, TelemetryRecord,
                                model_version_of)
     from repro.monitor.telemetry import SKETCH_DIM
@@ -425,10 +427,9 @@ def _cmd_monitor(args) -> int:
           f"(live twin over HTTP: GET /v1/projects/{project.project_id}"
           f"/monitor via `serve --http PORT`)")
 
-    def first_window(sample) -> np.ndarray:
-        return np.asarray(
-            project.impulse.features_for_sample(sample)[0], np.float32
-        ).reshape(-1)
+    def first_window(data) -> np.ndarray:
+        windows = project.impulse.input_block.windows(data)[:1]
+        return extract_features(project.impulse.dsp_blocks, windows).reshape(-1)
 
     pid = project.project_id
     service.set_policy(pid, {
@@ -436,7 +437,7 @@ def _cmd_monitor(args) -> int:
         "window": 2 * len(samples), "auto_retrain": args.auto_retrain,
         "auto_rollout": False,
     })
-    baseline = [first_window(s) for s in samples]
+    baseline = [first_window(s.data) for s in samples]
     with ModelServer.for_project(project) as server:
         server.telemetry = service.telemetry
         server.classify_batch(pid, baseline, precision=args.precision)
@@ -454,7 +455,7 @@ def _cmd_monitor(args) -> int:
             drifted = (s.data * args.drift_gain
                        + rng.normal(0, args.drift_noise, size=s.data.shape)
                        ).astype(np.float32)
-            row = first_window(Sample(data=drifted, label="?"))
+            row = first_window(drifted)
             result = server.classify(pid, row, precision=args.precision)
             service.telemetry.extend((TelemetryRecord(
                 pid, model_version=version, top=result["top"],

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Sample
-from repro.dsp.base import DSPBlock, get_dsp_block, transform_window
+from repro.data.dataset import Dataset
+from repro.dsp.base import DSPBlock, extract_features, get_dsp_block
 
 
 @dataclass
@@ -36,7 +36,8 @@ class TimeSeriesInput:
         return (self.window_samples,) if self.axes == 1 else (self.window_samples, self.axes)
 
     def windows(self, series: np.ndarray) -> np.ndarray:
-        """Slice a full recording into overlapping windows.
+        """Slice a full recording into overlapping windows: read-only
+        ``(n, window_samples[, axes])`` views of it, no copy.
 
         A recording shorter than one window is zero-padded to one window —
         matching the Studio behaviour of padding short samples.
@@ -45,12 +46,12 @@ class TimeSeriesInput:
         if series.ndim == 1 and self.axes > 1:
             raise ValueError("multi-axis input block got 1-D data")
         length = series.shape[0]
-        win, stride = self.window_samples, self.stride_samples
+        win = self.window_samples
         if length < win:
             pad = [(0, win - length)] + [(0, 0)] * (series.ndim - 1)
             return np.pad(series, pad)[None, ...]
-        n = 1 + (length - win) // stride
-        return np.stack([series[i * stride : i * stride + win] for i in range(n)])
+        views = np.lib.stride_tricks.sliding_window_view(series, win, axis=0)
+        return np.moveaxis(views[:: self.stride_samples], -1, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -115,14 +116,6 @@ class Impulse:
 
     # -- feature extraction ---------------------------------------------------
 
-    def features_for_window(self, window: np.ndarray) -> np.ndarray:
-        return transform_window(self.dsp_blocks, window)
-
-    def features_for_sample(self, sample: Sample) -> np.ndarray:
-        """All windows of one recording -> feature batch."""
-        windows = self.input_block.windows(sample.data)
-        return np.stack([self.features_for_window(w) for w in windows])
-
     def features_for_dataset(
         self,
         dataset: Dataset,
@@ -134,7 +127,7 @@ class Impulse:
             label_map = {lbl: i for i, lbl in enumerate(dataset.labels)}
         xs, ys = [], []
         for sample in dataset.samples(category=category):
-            feats = self.features_for_sample(sample)
+            feats = extract_features(self.dsp_blocks, self.input_block.windows(sample.data))
             xs.append(feats)
             ys.extend([label_map[sample.label]] * len(feats))
         if not xs:

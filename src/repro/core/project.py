@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,11 +20,12 @@ from repro.core.learn_blocks import AnomalyBlock, ClassificationBlock
 from repro.data.dataset import Dataset, ordered_labels
 from repro.data.ingestion import IngestionService
 from repro.data.versioning import DatasetVersionStore
+from repro.dsp.base import extract_features
 from repro.evaluate import ClassificationReport, evaluate_classifier
 from repro.graph import Graph, sequential_to_graph
 from repro.profile import LatencyEstimator, MemoryEstimator, get_device
 from repro.quantize import quantize_graph
-from repro.runtime.executor import dequantize_output, run_graph
+from repro.runtime.eon import EONModel
 
 #: The precisions a trained project commits a graph for.
 PRECISIONS = ("float32", "int8")
@@ -240,19 +241,11 @@ class Project:
             impulse = self.impulse
             block = impulse.dsp_blocks[block_index]
             job.log(f"autotuning DSP block {block_index} ({block.block_type})")
-            windows: list = []
-            for sample in self.dataset.samples(category="train"):
-                windows.extend(impulse.input_block.windows(sample.data))
-                if len(windows) >= max_windows:
-                    break
-            if not windows:
-                raise RuntimeError("no training data to autotune against")
+            windows, _ = self._training_windows(max_windows)
             job.set_progress(0.3)
             job.check_cancelled()
             tuned = autotune_dsp(
-                block.block_type,
-                windows[:max_windows],
-                int(impulse.input_block.frequency_hz),
+                block.block_type, windows, int(impulse.input_block.frequency_hz)
             )
             impulse.dsp_blocks[block_index] = tuned
             # A new feature extractor invalidates trained artifacts.
@@ -260,7 +253,7 @@ class Project:
             self._durable_commit()
             job.log(f"tuned config: {tuned.config()}")
             return {"block_index": block_index, "config": tuned.config(),
-                    "windows_used": min(len(windows), max_windows)}
+                    "windows_used": len(windows)}
 
         return self._submit(
             "dsp-autotune", _autotune, mutates=True,
@@ -269,8 +262,10 @@ class Project:
 
     # -- EON Tuner (distributed trials on the project's executor) -----------
 
-    def _search_windows(self, max_windows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (pre-DSP) training windows + integer labels for a search."""
+    def _training_windows(self, max_windows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``max_windows`` raw (pre-DSP) training windows and
+        their integer labels (labels in sorted order), for DSP autotune
+        and the EON Tuner."""
         names = sorted({s.label for s in self.dataset.samples(category="train")})
         label_map = {l: i for i, l in enumerate(names)}
         windows, ys = [], []
@@ -281,7 +276,7 @@ class Project:
             if len(windows) >= max_windows:
                 break
         if not windows:
-            raise RuntimeError("no training data to tune on")
+            raise RuntimeError("no training data to tune against")
         return np.stack(windows[:max_windows]), np.array(ys[:max_windows])
 
     def build_tuner(
@@ -303,7 +298,7 @@ class Project:
             raise RuntimeError("set an impulse before tuning")
         if not isinstance(self.impulse.input_block, TimeSeriesInput):
             raise RuntimeError("the EON Tuner needs a time-series input block")
-        raw, ys = self._search_windows(max_windows)
+        raw, ys = self._training_windows(max_windows)
         space = space or kws_search_space(
             sample_rate=int(self.impulse.input_block.frequency_hz)
         )
@@ -516,16 +511,13 @@ class Project:
     def probabilities(self, x: np.ndarray, precision: str = "float32") -> np.ndarray:
         """Class probabilities of a batch of feature windows, from the
         committed ``precision`` graph's plan."""
-        graph = self.trained_graph(precision)
-        return dequantize_output(graph, run_graph(graph, x))
+        return EONModel(self.trained_graph(precision)).predict_proba(x)
 
     def classify_sample(self, data: np.ndarray) -> list[tuple[str, float]]:
         """Live classification of one raw recording (mean over windows)."""
         if self.impulse is None:
             raise RuntimeError("no impulse")
-        from repro.data.dataset import Sample
-
-        feats = self.impulse.features_for_sample(Sample(data=data, label="?"))
+        feats = extract_features(self.impulse.dsp_blocks, self.impulse.input_block.windows(data))
         probs = self.probabilities(feats).mean(axis=0)
         labels = ordered_labels(self.label_map)
         return sorted(zip(labels, probs.tolist()), key=lambda kv: -kv[1])
@@ -578,7 +570,6 @@ class Project:
         events: list[tuple[float, float]],
         target_label: str,
         sample_rate: float,
-        window_s: float = 1.0,
         stride_s: float = 0.25,
         population: int = 16,
         generations: int = 6,
@@ -586,24 +577,28 @@ class Project:
     ) -> list:
         """Performance calibration (Sec. 4.4): run the trained impulse over
         a stream with known events and return the FAR/FRR Pareto front of
-        post-processing configurations."""
+        post-processing configurations.  The stream, at the input block's
+        ``sample_rate``, is framed into the impulse's windows every
+        ``stride_s`` seconds, and each window runs through the plan alone."""
         if self.impulse is None or not self.label_map:
             raise RuntimeError("train before calibrating")
         if target_label not in self.label_map:
             raise KeyError(f"unknown label {target_label!r}")
+        inp = self.impulse.input_block
+        if not isinstance(inp, TimeSeriesInput):
+            raise ValueError(f"calibration needs a time-series input block, "
+                             f"not {type(inp).__name__}")
+        if sample_rate != inp.frequency_hz:
+            raise ValueError(f"stream sample_rate {sample_rate} Hz differs from the "
+                             f"impulse's input frequency {inp.frequency_hz} Hz")
         from repro.calibration import calibrate as ga_calibrate
-        from repro.calibration import continuous_probabilities
 
-        def classify(window: np.ndarray) -> np.ndarray:
-            feats = self.impulse.features_for_window(window)
-            return self.probabilities(feats[None, ...])[0]
-
-        probs, times = continuous_probabilities(
-            classify, np.asarray(stream, np.float32), sample_rate,
-            window_s=window_s, stride_s=stride_s,
-        )
+        frames = replace(inp, window_increase_ms=1000.0 * stride_s)
+        feats = extract_features(self.impulse.dsp_blocks, frames.windows(stream))
+        probs = np.concatenate([self.probabilities(f[None]) for f in feats])
+        ends = np.arange(len(feats)) * frames.stride_samples + frames.window_samples
         return ga_calibrate(
-            probs, times, events, self.label_map[target_label],
+            probs, ends / sample_rate, events, self.label_map[target_label],
             stream_duration_s=len(stream) / sample_rate,
             population=population, generations=generations, seed=seed,
         )

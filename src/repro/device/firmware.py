@@ -20,9 +20,10 @@ import numpy as np
 from repro.core.impulse import Impulse
 from repro.deploy.firmware import FirmwareImage
 from repro.device.serial import VirtualSerialPort
+from repro.dsp.base import extract_features
 from repro.profile.devices import DeviceProfile, get_device
 from repro.profile.latency import LatencyBreakdown, LatencyEstimator
-from repro.runtime.executor import dequantize_output, run_graph
+from repro.runtime.eon import EONModel
 
 
 class VirtualDevice:
@@ -40,7 +41,7 @@ class VirtualDevice:
         self.serial = VirtualSerialPort()
         self.firmware: FirmwareImage | None = None
         self._impulse: Impulse | None = None
-        self._graph = None
+        self._model: EONModel | None = None
         self._latency: LatencyBreakdown | None = None
         self._last_sample: np.ndarray | None = None
         self._last_sensor: str | None = None
@@ -52,10 +53,10 @@ class VirtualDevice:
 
     def flash(self, image: FirmwareImage) -> None:
         """Install a firmware image (USB or OTA path)."""
-        self._graph = image.load_graph()
+        self._model = EONModel(image.load_graph())
         self._impulse = Impulse.from_dict(image.impulse_spec)
         self._latency = LatencyEstimator(self.profile).end_to_end(
-            self._graph, self._impulse.dsp_blocks, self._impulse.input_block.raw_shape()
+            self._model.graph, self._impulse.dsp_blocks, self._impulse.input_block.raw_shape()
         )
         self.firmware = image
 
@@ -85,10 +86,9 @@ class VirtualDevice:
         observes via :meth:`repro.device.fleet.DeviceFleet.classify_on`."""
         if self.firmware is None or self._impulse is None:
             raise RuntimeError("no firmware flashed")
-        window = self._impulse.input_block.windows(np.asarray(data))[0]
-        self._last_features = self._impulse.features_for_window(window)
-        out = run_graph(self._graph, self._last_features[None])
-        probs = dequantize_output(self._graph, out)[0]
+        windows = self._impulse.input_block.windows(np.asarray(data))[:1]
+        self._last_features = extract_features(self._impulse.dsp_blocks, windows)[0]
+        probs = self._model.predict_proba(self._last_features[None])[0]
         ranked = sorted(
             zip(self.firmware.labels, probs.tolist()), key=lambda kv: -kv[1]
         )

@@ -6,7 +6,7 @@ latency and RAM (paper Sec. 4.4).  Blocks are registered by name so impulses
 can be (de)serialised and the EON Tuner can sweep over them.
 """
 
-from repro.dsp.base import DSPBlock, OpCounts, get_dsp_block, register_dsp_block
+from repro.dsp.base import DSPBlock, OpCounts, extract_features, get_dsp_block, register_dsp_block
 from repro.dsp.window import frame_signal, window_function
 from repro.dsp.filterbank import mel_filterbank, hz_to_mel, mel_to_hz
 from repro.dsp.mfe import MFEBlock
@@ -20,6 +20,7 @@ from repro.dsp.custom import CustomBlock, register_custom_transform
 __all__ = [
     "DSPBlock",
     "OpCounts",
+    "extract_features",
     "register_dsp_block",
     "get_dsp_block",
     "frame_signal",

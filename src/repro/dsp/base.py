@@ -67,14 +67,13 @@ class DSPBlock(ABC):
 
     # -- shared helpers ----------------------------------------------------
 
-    def transform_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorised convenience: apply ``transform`` over the first axis."""
-        return np.stack([self.transform(w) for w in windows]).astype(np.float32)
-
     def describe(self) -> str:
         """One-line summary used by the Studio dataflow renderer (Fig. 2)."""
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.config().items()))
         return f"{self.block_type}({params})"
+
+    def __repr__(self) -> str:
+        return self.describe()
 
     def to_dict(self) -> dict:
         return {"type": self.block_type, "config": self.config()}
@@ -100,10 +99,12 @@ def get_dsp_block(spec: dict) -> DSPBlock:
     return _REGISTRY[block_type](**spec.get("config", {}))
 
 
-def transform_window(blocks: Sequence[DSPBlock], window: np.ndarray) -> np.ndarray:
-    """A window's features under an impulse's DSP blocks: one block's
-    output as it is, several blocks' outputs flattened and concatenated."""
-    feats = [b.transform(window) for b in blocks]
-    if len(feats) == 1:
-        return feats[0]
-    return np.concatenate([f.reshape(-1) for f in feats]).astype(np.float32)
+def extract_features(blocks: Sequence[DSPBlock], windows: np.ndarray) -> np.ndarray:
+    """The float32 features of a batch of raw windows under a DSP block
+    sequence, one row per window: one block's output as it is, several
+    blocks' outputs flattened and concatenated in block order.  Each
+    block transforms one window at a time."""
+    feats = [np.stack([b.transform(w) for w in windows]) for b in blocks]
+    if len(feats) > 1:
+        feats = [np.concatenate([f.reshape(len(f), -1) for f in feats], axis=1)]
+    return feats[0].astype(np.float32, copy=False)

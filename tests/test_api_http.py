@@ -18,6 +18,7 @@ import pytest
 from repro.api import ApiGateway, serve_http
 from repro.client import Client, ClientError
 from repro.core import Platform
+from repro.dsp import extract_features
 from repro.formats.wav import write_wav
 
 IMPULSE_SPEC = {
@@ -93,11 +94,10 @@ def test_full_lifecycle_over_http(server, client):
     assert job["progress"] == 1.0
 
     # Classify one window and a batch through the serving layer.
-    features = np.asarray(
-        platform.projects[pid].impulse.features_for_sample(
-            platform.projects[pid].dataset.samples()[0]
-        )
-    )[0].tolist()
+    impulse = platform.projects[pid].impulse
+    features = extract_features(impulse.dsp_blocks, impulse.input_block.windows(
+        platform.projects[pid].dataset.samples()[0].data
+    ))[0].tolist()
     single = client.classify(pid, features=features)
     assert single["top"] in ("low", "high")
     batch = client.classify(pid, batch=[features, features])

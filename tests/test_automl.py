@@ -58,6 +58,43 @@ def test_kws_space_matches_table3():
     assert archs == {"conv1d_stack", "mobilenet_v2"}
 
 
+def test_output_shape_is_the_transform_shape_over_the_kws_space():
+    """``compression_space`` reads a DSP config's feature shape from
+    ``output_shape`` instead of transforming a window."""
+    from repro.automl.tuner import _dsp_block
+
+    window = ensure_rng(0).standard_normal(8000).astype(np.float32)
+    configs = kws_search_space(8000).all_dsp()
+    assert len(configs) == 32
+    for spec in configs:
+        block = _dsp_block(spec)
+        assert block.output_shape(window.shape) == block.transform(window).shape, spec
+
+
+def test_spectral_trial_names_are_stable_across_runs():
+    """A trial is named by its DSP block's ``repr``, which for a block
+    without a short form of its own is ``describe()`` — never the
+    object's address, which differs between runs and placements."""
+    rng = ensure_rng(0)
+    labels = np.arange(24) % 2
+    raw = rng.standard_normal((24, 64, 3)).astype(np.float32)
+    raw *= 1.0 + labels[:, None, None]
+    dsp = {"type": "spectral-analysis", "sample_rate": 100, "fft_length": 32}
+    model = {"architecture": "mlp", "hidden": [16]}
+    boards = []
+    for _ in range(2):
+        tuner = EonTuner(raw, labels, space=None, train_epochs=2)
+        tuner.space = tuner.compression_space(dsp, model)
+        tuner.run(n_trials=3, seed=0)
+        assert len(tuner.trials) == 3
+        for trial in tuner.trials:
+            assert " at 0x" not in trial.dsp_name
+            assert trial.dsp_name.startswith("spectral-analysis(")
+        assert " at 0x" not in tuner.results_table()
+        boards.append(tuner.leaderboard())
+    assert boards[0] == boards[1]
+
+
 def test_tuner_run_and_results():
     tuner = _tiny_tuner()
     trials = tuner.run(n_trials=3, seed=0)

@@ -14,7 +14,7 @@ from repro.core.storage import load_project, save_project
 from repro.data.synthetic import keyword_dataset, streaming_scene
 from repro.deploy import EIMBundle, EIMRunner
 from repro.device import VirtualDevice
-from repro.dsp import MFCCBlock
+from repro.dsp import MFCCBlock, extract_features
 from repro.nn import TrainingConfig
 from repro.runtime import run_graph
 from repro.runtime.executor import dequantize_output
@@ -74,7 +74,7 @@ def _check_reloaded(project, original):
     audio = _windows(original, 1)[0]
     labels = sorted(project.label_map, key=project.label_map.get)
     ranked = project.classify_sample(audio)
-    feats = project.impulse.features_for_window(audio)[None]
+    feats = extract_features(project.impulse.dsp_blocks, audio[None])
     want = _plan_probs(project.float_graph, feats)[0]
     assert np.array_equal(_ranked_probs(ranked, labels), want)
     assert ranked == original.classify_sample(audio)
@@ -149,7 +149,7 @@ def test_every_surface_returns_the_plan_probabilities(kws, precision):
     platform, project = kws
     labels = sorted(project.label_map, key=project.label_map.get)
     audio = _windows(project)
-    feats = [project.impulse.features_for_window(a) for a in audio]
+    feats = list(extract_features(project.impulse.dsp_blocks, np.stack(audio)))
     want = [project.probabilities(f[None], precision)[0] for f in feats]
     graph = project.trained_graph(precision)
     for f, w in zip(feats, want):

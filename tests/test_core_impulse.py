@@ -6,7 +6,7 @@ import pytest
 from repro.core import ClassificationBlock, ImageInput, Impulse, TimeSeriesInput
 from repro.core.learn_blocks import AnomalyBlock
 from repro.data.dataset import Dataset, Sample
-from repro.dsp import MFEBlock, RawBlock, SpectralAnalysisBlock
+from repro.dsp import MFEBlock, RawBlock, SpectralAnalysisBlock, extract_features
 
 
 def test_time_series_windowing():
@@ -62,7 +62,7 @@ def test_multi_dsp_blocks_concatenate():
     expected = 3 * spectral.features_per_axis + 100 * 3
     assert shape == (expected,)
     window = np.random.default_rng(0).standard_normal((100, 3)).astype(np.float32)
-    assert imp.features_for_window(window).shape == (expected,)
+    assert extract_features(imp.dsp_blocks, window[None])[0].shape == (expected,)
 
 
 def test_features_for_dataset_label_map_stability():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import ClassificationBlock, Impulse, TimeSeriesInput
 from repro.deploy import build_artifact
-from repro.dsp import CustomBlock, RawBlock, register_custom_transform
+from repro.dsp import CustomBlock, RawBlock, extract_features, register_custom_transform
 from repro.dsp.base import get_dsp_block
 
 
@@ -97,7 +97,7 @@ def test_custom_block_in_impulse():
     )
     assert impulse.feature_shape() == (3,)
     window = np.random.default_rng(0).standard_normal((50, 3)).astype(np.float32)
-    assert impulse.features_for_window(window).shape == (3,)
+    assert extract_features(impulse.dsp_blocks, window[None])[0].shape == (3,)
 
 
 def test_custom_block_resource_declaration():

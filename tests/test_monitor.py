@@ -14,7 +14,7 @@ from repro.core import ClassificationBlock, Impulse, Platform, TimeSeriesInput
 from repro.core.jobs import JobExecutor
 from repro.deploy import build_artifact
 from repro.device import DeviceFleet, VirtualDevice
-from repro.dsp import RawBlock
+from repro.dsp import RawBlock, extract_features
 from repro.monitor import (
     ConfidenceShiftDetector,
     ErrorRateSLODetector,
@@ -448,8 +448,8 @@ def test_fleet_classify_emits_telemetry_with_raw(image):
     # serving tier's sketches for this impulse).
     from repro.active import feature_sketch
 
-    window = fleet.devices["d0"]._impulse.input_block.windows(data)[0]
-    feats = fleet.devices["d0"]._impulse.features_for_window(window)
+    impulse = fleet.devices["d0"]._impulse
+    feats = extract_features(impulse.dsp_blocks, impulse.input_block.windows(data)[:1])
     assert np.allclose(rows.sketch[0], feature_sketch(feats.reshape(1, -1))[0])
     # Unflashed device: error telemetry + the exception propagates.
     fleet.register(VirtualDevice("bare", "nano33ble"))
