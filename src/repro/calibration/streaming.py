@@ -17,10 +17,12 @@ def continuous_probabilities(
     """Slide a window over ``stream`` and classify each position.
 
     ``classify_window(window) -> probability vector``.  Returns
-    ``(probabilities, end_timestamps_s)``.
+    ``(probabilities, end_timestamps_s)``.  Window and stride lengths
+    are rounded to whole samples, as :class:`repro.core.TimeSeriesInput`
+    rounds its own.
     """
-    win = int(window_s * sample_rate)
-    stride = int(stride_s * sample_rate)
+    win = int(round(window_s * sample_rate))
+    stride = int(round(stride_s * sample_rate))
     if win < 1:
         raise ValueError(
             f"window_s * sample_rate must be >= 1 sample; got "

@@ -36,8 +36,7 @@ class TimeSeriesInput:
         return (self.window_samples,) if self.axes == 1 else (self.window_samples, self.axes)
 
     def windows(self, series: np.ndarray) -> np.ndarray:
-        """Slice a full recording into overlapping windows: read-only
-        ``(n, window_samples[, axes])`` views of it, no copy.
+        """Slice a full recording into overlapping windows.
 
         A recording shorter than one window is zero-padded to one window —
         matching the Studio behaviour of padding short samples.
@@ -46,12 +45,12 @@ class TimeSeriesInput:
         if series.ndim == 1 and self.axes > 1:
             raise ValueError("multi-axis input block got 1-D data")
         length = series.shape[0]
-        win = self.window_samples
+        win, stride = self.window_samples, self.stride_samples
         if length < win:
             pad = [(0, win - length)] + [(0, 0)] * (series.ndim - 1)
             return np.pad(series, pad)[None, ...]
-        views = np.lib.stride_tricks.sliding_window_view(series, win, axis=0)
-        return np.moveaxis(views[:: self.stride_samples], -1, 1)
+        n = 1 + (length - win) // stride
+        return np.stack([series[i * stride : i * stride + win] for i in range(n)])
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -592,13 +592,18 @@ class Project:
             raise ValueError(f"stream sample_rate {sample_rate} Hz differs from the "
                              f"impulse's input frequency {inp.frequency_hz} Hz")
         from repro.calibration import calibrate as ga_calibrate
+        from repro.calibration import continuous_probabilities
 
-        frames = replace(inp, window_increase_ms=1000.0 * stride_s)
-        feats = extract_features(self.impulse.dsp_blocks, frames.windows(stream))
-        probs = np.concatenate([self.probabilities(f[None]) for f in feats])
-        ends = np.arange(len(feats)) * frames.stride_samples + frames.window_samples
+        def classify(window: np.ndarray) -> np.ndarray:
+            feats = extract_features(self.impulse.dsp_blocks, window[None])
+            return self.probabilities(feats)[0]
+
+        probs, times = continuous_probabilities(
+            classify, np.asarray(stream, np.float32), sample_rate,
+            window_s=inp.window_samples / sample_rate, stride_s=stride_s,
+        )
         return ga_calibrate(
-            probs, ends / sample_rate, events, self.label_map[target_label],
+            probs, times, events, self.label_map[target_label],
             stream_duration_s=len(stream) / sample_rate,
             population=population, generations=generations, seed=seed,
         )

@@ -209,10 +209,43 @@ def test_calibrate_refuses_an_image_impulse(project):
         images.calibrate(np.zeros(64, np.float32), [], "yes", sample_rate=SAMPLE_RATE)
 
 
-def test_calibrate_frames_the_stream_with_the_impulse_window(project):
+def test_calibrate_has_no_window_length_knob(project):
     with pytest.raises(TypeError, match="window_s"):
         project.calibrate(np.zeros(SAMPLE_RATE * 2, np.float32), [], "yes",
                           sample_rate=SAMPLE_RATE, window_s=0.5)
+
+
+def test_calibrate_frames_the_stream_with_the_impulse_window(project, monkeypatch):
+    """A stream that is not a whole number of strides long: one window
+    per full stride, each ending ``window_samples`` after its start."""
+    seen = {}
+
+    def spy(probs, times, *args, **kwargs):
+        seen.update(probs=probs, times=times)
+        return []
+
+    monkeypatch.setattr(calibration, "calibrate", spy)
+    inp = project.impulse.input_block
+    stride = SAMPLE_RATE // 4
+    stream = np.zeros(int(2.3 * SAMPLE_RATE), np.float32)
+    project.calibrate(stream, [], "yes", sample_rate=SAMPLE_RATE, stride_s=0.25)
+    n = 1 + (len(stream) - inp.window_samples) // stride
+    expected = (np.arange(n) * stride + inp.window_samples) / SAMPLE_RATE
+    np.testing.assert_array_equal(seen["times"], expected)
+    assert seen["probs"].shape == (n, len(project.label_map))
+
+
+@pytest.mark.parametrize("stride_s", [0.0, -0.25, 1e-5])
+def test_calibrate_refuses_a_stride_under_one_sample(project, stride_s):
+    with pytest.raises(ValueError, match="stride_s"):
+        project.calibrate(np.zeros(SAMPLE_RATE * 2, np.float32), [], "yes",
+                          sample_rate=SAMPLE_RATE, stride_s=stride_s)
+
+
+def test_calibrate_refuses_a_stream_shorter_than_one_window(project):
+    with pytest.raises(ValueError, match="shorter than one window"):
+        project.calibrate(np.zeros(SAMPLE_RATE // 2, np.float32), [], "yes",
+                          sample_rate=SAMPLE_RATE)
 
 
 if __name__ == "__main__":
