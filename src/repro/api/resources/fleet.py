@@ -11,8 +11,8 @@ from repro.api.schemas import EMPTY, PAGINATION, Field, Schema, paginate
 def require_operator(ctx) -> None:
     """Mutating fleet routes need a registered platform user — the fleet
     is shared infrastructure, so anonymous callers may look but not
-    touch (rollout *start* is additionally gated on project
-    membership)."""
+    touch (rollout start and cancel are additionally gated on
+    membership of the rolled-out project)."""
     if ctx.user not in ctx.platform.users:
         raise PermissionError(
             f"{ctx.user} is not a registered user; fleet management needs "
@@ -64,7 +64,8 @@ def fleet_device_classify(ctx) -> dict:
 
 def fleet_rollout(ctx) -> dict:
     """Start a staged OTA rollout job: build firmware from a trained
-    project and push it canary-first across the registered fleet."""
+    project and push it canary-first across the registered fleet
+    (:meth:`repro.monitor.MonitorService.rollout`)."""
     body = ctx.body
     p = ctx.platform.get_project(body["project_id"])
     p.require_member(ctx.user)
@@ -76,56 +77,33 @@ def fleet_rollout(ctx) -> dict:
             inject = {str(k): int(v) for k, v in inject.items()}
     except (TypeError, ValueError) as exc:
         raise ApiError(400, f"invalid inject_failures: {exc}")
+    device_ids = body.get("device_ids")
     try:
-        artifact = p.deploy(
-            target="firmware",
-            engine=body.get("engine", "eon"),
-            precision=body.get("precision", "int8"),
-        )
-    except RuntimeError as exc:
-        raise ApiError(409, str(exc))
-    from repro.monitor import model_version_of
-
-    image = artifact.metadata["image"]
-    # Stamp the project's model revision so monitoring can tell the
-    # rolled-out generation apart.  ``health_gate: true`` gates the
-    # fleet-wide stage on monitor health after ``soak_s`` seconds of
-    # canary soak.
-    image.version = model_version_of(p)
-    health_gate = None
-    if body.get("health_gate"):
-        health_gate = ctx.platform.monitor.health_gate(
-            p.project_id, model_version=image.version
-        )
-    try:
-        job = ctx.platform.fleet.ota_update_async(
-            image,
-            ctx.platform.fleet_jobs,
-            device_ids=body.get("device_ids"),
+        job = ctx.platform.monitor.rollout(
+            p,
             canary_fraction=body.get("canary_fraction", 0.25),
             failure_threshold=body.get("failure_threshold", 0.0),
             max_inflight=body.get("max_inflight", 4),
-            retries_per_device=body.get("retries", 0),
-            inject_failures=inject,
-            health_gate=health_gate,
+            retries=body.get("retries", 0),
+            device_ids=device_ids,
+            engine=body.get("engine", "eon"),
+            precision=body.get("precision", "int8"),
+            health_gate=bool(body.get("health_gate")),
             soak_s=body.get("soak_s", 0.0),
+            inject_failures=inject,
         )
     except KeyError as exc:  # unknown device id — clean 404 message
         raise ApiError(404, exc.args[0] if exc.args else str(exc))
     except ValueError as exc:
         raise ApiError(400, str(exc))
     except RuntimeError as exc:
-        raise ApiError(409, str(exc))  # e.g. a rollout is in progress
-    # Bind telemetry attribution only after the rollout is actually
-    # accepted — a rejected request must not steal another project's
-    # fleet binding (or register bindings for unvalidated devices).
-    ctx.platform.monitor.watch_fleet(
-        p.project_id, device_ids=body.get("device_ids")
-    )
+        # An untrained project, or a rollout already in progress.
+        raise ApiError(409, str(exc))
+    from repro.monitor import model_version_of
+
     return {"job_id": job.job_id, "job_status": job.status,
-            "image_version": image.version,
-            "devices_total": len(body.get("device_ids")
-                                 if body.get("device_ids") is not None
+            "image_version": model_version_of(p),
+            "devices_total": len(device_ids if device_ids is not None
                                  else ctx.platform.fleet.devices)}
 
 
@@ -143,8 +121,18 @@ def fleet_rollout_status(ctx) -> dict:
 
 
 def fleet_rollout_cancel(ctx) -> dict:
+    """Cancel a rollout: only a member of the project it rolls out may
+    (a flash child's cancel is its parent rollout's)."""
     require_operator(ctx)
-    status = ctx.platform.fleet_jobs.cancel(ctx.params["jid"])
+    jobs = ctx.platform.fleet_jobs
+    job = jobs.get(ctx.params["jid"])
+    while job.parent_id is not None:
+        job = jobs.get(job.parent_id)
+    pid = ctx.platform.monitor.rollout_projects.get(job.job_id)
+    if pid is None:  # not (yet) recorded as any project's rollout
+        raise PermissionError(f"job {job.job_id} is no project's rollout")
+    ctx.platform.get_project(pid).require_member(ctx.user)
+    status = jobs.cancel(ctx.params["jid"])
     return {"job_id": ctx.params["jid"], "job_status": status}
 
 

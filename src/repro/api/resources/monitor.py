@@ -94,11 +94,7 @@ def monitor_evaluate(ctx) -> dict:
     snapshot (plus the sweep job id)."""
     p = ctx.platform.get_project(ctx.params["pid"])
     p.require_member(ctx.user)
-    monitor = ctx.platform.monitor
-    job = monitor.jobs.submit(
-        f"monitor-sweep p{p.project_id}",
-        lambda j: monitor.evaluate(p.project_id, job=j),
-    )
+    job = ctx.platform.monitor.sweep(p.project_id)
     job.wait(ctx.body.get("wait_s", 30.0))
     if job.status == "failed":
         raise ApiError(500, f"monitor sweep failed: {job.error}")

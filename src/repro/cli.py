@@ -15,12 +15,14 @@ Usage::
     python -m repro.cli classify --dir proj --precision int8 clip.wav
     python -m repro.cli serve   --dir proj --workers 4 clip.wav clip2.wav
     python -m repro.cli monitor --dir proj --auto-retrain
+    python -m repro.cli fleet-rollout --dir proj --devices 8 --canary 0.25
     python -m repro.cli deploy  --dir proj --target cpp --out build/
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -167,45 +169,56 @@ def _cmd_compress(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _platform_for(project):
+    """A :class:`repro.core.Platform` that adopts ``project`` (its serving
+    tier, monitor, fleet and rollout executor); the serving tier is
+    closed when the block ends."""
+    from repro.core import Platform
+
+    platform = Platform()
+    platform.register_user(project.owner)
+    platform.adopt_project(project)
+    try:
+        yield platform
+    finally:
+        platform.serving.close()
+
+
 def _cmd_fleet_rollout(args) -> int:
-    """Simulate a staged OTA rollout: build firmware from the project,
-    register a virtual fleet, and push canary-first as a job."""
-    from repro.core.jobs import JobExecutor
-    from repro.device import DeviceFleet, VirtualDevice
+    """Simulate a staged OTA rollout: register a virtual fleet and put
+    the project's model on it canary-first as a job, stamped with the
+    project's model version."""
+    from repro.device import VirtualDevice
 
     project = load_project(args.dir)
-    try:
-        artifact = project.deploy(target="firmware", engine=args.engine,
-                                  precision=args.precision)
-    except RuntimeError as exc:
-        print(f"cannot build firmware: {exc}")
-        return 1
-    image = artifact.metadata["image"]
-    if args.version:
-        image.version = args.version
-
-    fleet = DeviceFleet()
-    for i in range(args.devices):
-        fleet.register(VirtualDevice(f"dev-{i}", args.device))
     inject = {d for d in (args.inject_failures or "").split(",") if d}
-
-    executor = JobExecutor()
-    job = fleet.ota_update_async(
-        image, executor,
-        canary_fraction=args.canary,
-        failure_threshold=args.threshold,
-        max_inflight=args.parallel,
-        retries_per_device=args.retries,
-        inject_failures=inject or None,
-    )
-    _stream_job_logs(job)
+    with _platform_for(project) as platform:
+        for i in range(args.devices):
+            platform.fleet.register(VirtualDevice(f"dev-{i}", args.device))
+        try:
+            job = platform.monitor.rollout(
+                project,
+                canary_fraction=args.canary,
+                failure_threshold=args.threshold,
+                max_inflight=args.parallel,
+                retries=args.retries,
+                engine=args.engine,
+                precision=args.precision,
+                inject_failures=inject or None,
+            )
+        except (ValueError, RuntimeError) as exc:
+            print(f"cannot start the rollout: {exc}")
+            return 1
+        _stream_job_logs(job)
+        versions = platform.fleet.versions()
     report = job.result or {}
     print(f"rollout {job.status}: {len(report.get('updated', []))} updated, "
           f"{len(report.get('failed', []))} failed, "
           f"{len(report.get('rolled_back', []))} rolled back, "
           f"{len(report.get('skipped', []))} skipped"
           + (" [ABORTED at canary]" if report.get("aborted") else ""))
-    for did, version in sorted(fleet.versions().items()):
+    for did, version in sorted(versions.items()):
         print(f"  {did}: {version}")
     return 0 if job.status == "succeeded" and not report.get("aborted") else 1
 
@@ -399,8 +412,8 @@ def _cmd_monitor(args) -> int:
     """Offline closed-loop demo over a directory project: serve baseline
     traffic through the monitored serving layer, pin it as the reference,
     inject drifted traffic (raw-domain drift, pushed device-style so the
-    raw windows are retained as drift-loop candidates), then run a
-    MonitorDaemon sweep and print the alerts (optionally letting the
+    raw windows are retained as drift-loop candidates), then run one
+    monitor sweep and print the alerts (optionally letting the
     auto-retrain loop route the drift windows back and retrain)."""
     import numpy as np
 
@@ -408,38 +421,33 @@ def _cmd_monitor(args) -> int:
     if project.impulse is None or project.float_graph is None:
         print("project has no trained model; run set-impulse and train first")
         return 1
-
-    from repro.active.embeddings import feature_sketch
-    from repro.dsp.base import extract_features
-    from repro.monitor import (MonitorDaemon, MonitorService, TelemetryRecord,
-                               model_version_of)
-    from repro.monitor.telemetry import SKETCH_DIM
-    from repro.serve import ModelServer
-    from types import SimpleNamespace
-
-    platform = SimpleNamespace(projects={project.project_id: project}, fleet=None)
-    service = MonitorService(platform)
     samples = project.dataset.samples()[: args.windows]
     if not samples:
         print("project has no data to replay")
         return 1
-    print(f"monitoring project {project.project_id} offline "
-          f"(live twin over HTTP: GET /v1/projects/{project.project_id}"
+
+    from repro.active.embeddings import feature_sketch
+    from repro.dsp.base import extract_features
+    from repro.monitor import TelemetryRecord, model_version_of
+    from repro.monitor.telemetry import SKETCH_DIM
+
+    pid = project.project_id
+    print(f"monitoring project {pid} offline "
+          f"(live twin over HTTP: GET /v1/projects/{pid}"
           f"/monitor via `serve --http PORT`)")
 
     def first_window(data) -> np.ndarray:
         windows = project.impulse.input_block.windows(data)[:1]
         return extract_features(project.impulse.dsp_blocks, windows).reshape(-1)
 
-    pid = project.project_id
-    service.set_policy(pid, {
-        "reference_size": len(samples), "min_records": min(8, len(samples)),
-        "window": 2 * len(samples), "auto_retrain": args.auto_retrain,
-        "auto_rollout": False,
-    })
-    baseline = [first_window(s.data) for s in samples]
-    with ModelServer.for_project(project) as server:
-        server.telemetry = service.telemetry
+    with _platform_for(project) as platform:
+        service, server = platform.monitor, platform.serving
+        service.set_policy(pid, {
+            "reference_size": len(samples), "min_records": min(8, len(samples)),
+            "window": 2 * len(samples), "auto_retrain": args.auto_retrain,
+            "auto_rollout": False,
+        })
+        baseline = [first_window(s.data) for s in samples]
         server.classify_batch(pid, baseline, precision=args.precision)
         service.set_reference(pid)
         print(f"baseline: served {len(baseline)} window(s), reference pinned")
@@ -463,35 +471,33 @@ def _cmd_monitor(args) -> int:
                 sketch=feature_sketch(row.reshape(1, -1), dim=SKETCH_DIM)[0],
                 raw=drifted, source="cli-replay",
             ),))
-    print(f"injected {len(samples)} drifted recording(s) "
-          f"(gain {args.drift_gain}, noise {args.drift_noise})")
+        print(f"injected {len(samples)} drifted recording(s) "
+              f"(gain {args.drift_gain}, noise {args.drift_noise})")
 
-    daemon = MonitorDaemon(service, interval_s=60.0)
-    sweep = daemon.tick(wait=True)
-    for line in sweep.logs:
-        print(f"  {line}")
-    snapshot = service.snapshot(pid)
-    print(f"monitor status: {snapshot['health']}")
-    for result in snapshot["detectors"]:
-        flag = "TRIGGERED" if result["triggered"] else "ok"
-        print(f"  {result['detector']:<22} score={result['score']:.3f} "
-              f"threshold={result['threshold']:.3f} [{flag}]")
-    for alert in service.alerts(pid):
-        print(f"  ALERT #{alert['alert_id']} {alert['severity']}: "
-              f"{alert['message']}"
-              + (f" -> {alert['action']}" if alert['action'] else ""))
-    if args.auto_retrain and snapshot.get("loop_jobs"):
-        loop = service.monitor(pid).loop_jobs[-1]
-        loop.wait()
-        for line in loop.logs:
+        sweep = service.sweep(pid).wait()
+        for line in sweep.logs:
             print(f"  {line}")
-        if loop.status == "succeeded":
-            save_project(project, args.dir)
-            print(f"closed loop complete: model revision "
-                  f"{project.model_revision} saved back to {args.dir}")
-        else:
-            print(f"closed loop {loop.status}: {loop.error}")
-            return 1
+        snapshot = service.snapshot(pid)
+        print(f"monitor status: {snapshot['health']}")
+        for result in snapshot["detectors"]:
+            flag = "TRIGGERED" if result["triggered"] else "ok"
+            print(f"  {result['detector']:<22} score={result['score']:.3f} "
+                  f"threshold={result['threshold']:.3f} [{flag}]")
+        for alert in service.alerts(pid):
+            print(f"  ALERT #{alert['alert_id']} {alert['severity']}: "
+                  f"{alert['message']}"
+                  + (f" -> {alert['action']}" if alert['action'] else ""))
+        if not (args.auto_retrain and snapshot.get("loop_jobs")):
+            return 0
+        loop = service.monitor(pid).loop_jobs[-1].wait()
+    for line in loop.logs:
+        print(f"  {line}")
+    if loop.status != "succeeded":
+        print(f"closed loop {loop.status}: {loop.error}")
+        return 1
+    save_project(project, args.dir)
+    print(f"closed loop complete: model revision "
+          f"{project.model_revision} saved back to {args.dir}")
     return 0
 
 
@@ -578,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max concurrent device flashes")
     p.add_argument("--retries", type=int, default=0,
                    help="per-device flash retry budget")
-    p.add_argument("--version", default=None, help="override image version")
     p.add_argument("--engine", default="eon", choices=("eon", "tflm"))
     p.add_argument("--precision", default="int8", choices=("float32", "int8"))
     p.add_argument("--inject-failures", default=None,

@@ -60,6 +60,11 @@ class VirtualDevice:
         )
         self.firmware = image
 
+    def erase(self) -> None:
+        """Remove the flashed impulse: the device is unflashed again."""
+        self.firmware = self._impulse = self._model = self._latency = None
+        self._last_features = None
+
     # -- sampling / inference -----------------------------------------------
 
     def acquire(self, sensor: str, length_ms: float) -> np.ndarray:

@@ -296,8 +296,12 @@ class DeviceFleet:
             )
 
         def _rollback(did) -> None:
-            previous = state["previous"].get(did)
-            if previous is not None:
+            # A device that had no firmware before this rollout goes back
+            # to having none, never stays on the rejected image.
+            previous = state["previous"][did]
+            if previous is None:
+                self.devices[did].erase()
+            else:
                 self.devices[did].flash(previous)
 
         def on_child_done(parent, child):

@@ -61,8 +61,10 @@ def autotune_dsp(
         fft = 1
         while fft * 2 <= n:
             fft *= 2
+        # The first axis of each window, whatever its rank: a 1-axis
+        # ``(n,)`` window is all of its n samples, not its first one.
         bandwidth = _dominant_bandwidth(
-            [np.atleast_2d(w)[:, 0] for w in windows], sample_rate
+            [np.reshape(w, (len(w), -1))[:, 0] for w in windows], sample_rate
         )
         cutoff = float(min(sample_rate / 2.0, bandwidth * 1.5))
         return SpectralAnalysisBlock(

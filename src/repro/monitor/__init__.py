@@ -5,14 +5,16 @@ The "monitor in production, feed data back, retrain, redeploy" half of
 the MLOps lifecycle (paper Sec. 4).  Deployed models — the hosted
 serving tier and field devices alike — emit inference telemetry into
 the per-project column rings of a :class:`TelemetryStore`; windowed
-drift and SLO detectors score it on a schedule (:class:`MonitorDaemon`); threshold
-policies raise structured :class:`Alert`\\ s; and the ``auto_retrain``
-policy closes the loop: drift-window samples are routed back into the
-dataset, the model retrains, and the new version ships via a canary OTA
-rollout gated on monitor health.
+drift and SLO detectors score it in on-demand sweeps
+(:meth:`MonitorService.sweep`, a ``monitor-sweep`` job: ``POST
+.../monitor/evaluate`` or ``cli monitor``); threshold policies raise
+structured :class:`Alert`\\ s; and the ``auto_retrain`` policy closes
+the loop: drift-window samples are routed back into the dataset, the
+model retrains, and the new version ships via a canary OTA rollout
+(:meth:`MonitorService.rollout`, the one way a model reaches the fleet)
+gated on monitor health.
 """
 
-from repro.monitor.daemon import MonitorDaemon
 from repro.monitor.detectors import (
     ConfidenceShiftDetector,
     DetectorResult,
@@ -36,7 +38,6 @@ __all__ = [
     "FeatureDriftDetector",
     "LabelMixShiftDetector",
     "LatencySLODetector",
-    "MonitorDaemon",
     "MonitorPolicy",
     "MonitorService",
     "ProjectMonitor",

@@ -20,8 +20,9 @@ its threshold, and whether it triggered:
   gate for OTA rollouts.
 
 The statistics are deliberately classic (KS / PSI): they are cheap,
-distribution-free, and evaluated on the cold path by the
-:class:`repro.monitor.daemon.MonitorDaemon`, never per-inference.
+distribution-free, and evaluated on the cold path by a monitor sweep
+(:meth:`repro.monitor.service.MonitorService.sweep`), never
+per-inference.
 """
 
 from __future__ import annotations

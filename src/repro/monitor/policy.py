@@ -47,7 +47,7 @@ class MonitorPolicy:
     # Minimum seconds between retrain loops.  Non-zero by default so a
     # persistently-failing loop (e.g. a health gate that keeps aborting
     # the rollout) backs off instead of rebuilding firmware on every
-    # daemon sweep.
+    # sweep.
     cooldown_s: float = 60.0
 
     def to_dict(self) -> dict:

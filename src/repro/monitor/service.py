@@ -86,6 +86,9 @@ class MonitorService:
         # monitor baselines survive a restart.  None on in-memory
         # platforms.
         self.on_reference = None
+        # Rollout job id -> the project it put on the fleet (every
+        # rollout on ``platform.fleet_jobs`` starts in :meth:`rollout`).
+        self.rollout_projects: dict[int, int] = {}
 
     # -- monitor registry ---------------------------------------------------
 
@@ -136,9 +139,7 @@ class MonitorService:
         fleet-wide default.  Per-device bindings win over the default,
         so projects rolling out to disjoint fleet subsets keep their
         telemetry (and drift-loop training data) separate."""
-        fleet = getattr(self.platform, "fleet", None)
-        if fleet is None:
-            return
+        fleet = self.platform.fleet
         fleet.telemetry = self.telemetry
         if device_ids is None:
             fleet.telemetry_project = int(project_id)
@@ -150,7 +151,7 @@ class MonitorService:
             for did in device_ids:
                 fleet.telemetry_projects[str(did)] = int(project_id)
 
-    # -- evaluation (the MonitorDaemon's work) ------------------------------
+    # -- evaluation (a sweep's work) ----------------------------------------
 
     def _detectors(self, policy: MonitorPolicy) -> list:
         detectors = [
@@ -241,17 +242,27 @@ class MonitorService:
             return self._snapshot_locked(pm, recent_count=len(recent),
                                          started_loop=loop_job)
 
-    def evaluate_all(self, job: Job | None = None) -> dict:
-        """One sweep over every watched project (the daemon's tick)."""
-        statuses = {}
-        for pid in self.watched_projects():
-            statuses[pid] = self.evaluate(pid, job=job)["health"]
-        if job is not None:
+    def sweep(self, project_id: int | None = None) -> Job:
+        """Submit one ``monitor-sweep`` job on the monitor executor: one
+        project's :meth:`evaluate`, or (``project_id=None``) every
+        watched project's.  Returns the job immediately; its result is
+        that project's snapshot, or ``{"projects": {pid: health}}``."""
+        if project_id is not None:
+            return self.jobs.submit(
+                f"monitor-sweep p{project_id}",
+                lambda job: self.evaluate(project_id, job=job),
+            )
+
+        def _run(job: Job) -> dict:
+            statuses = {pid: self.evaluate(pid, job=job)["health"]
+                        for pid in self.watched_projects()}
             job.log(f"sweep complete: {statuses or 'no watched projects'}")
-        return {"projects": statuses}
+            return {"projects": statuses}
+
+        return self.jobs.submit("monitor-sweep", _run)
 
     def _current_version(self, project_id: int) -> str | None:
-        project = getattr(self.platform, "projects", {}).get(project_id)
+        project = self.platform.projects.get(project_id)
         return None if project is None else model_version_of(project)
 
     def _raise_alert_locked(self, pm: ProjectMonitor, result, window: int,
@@ -285,7 +296,7 @@ class MonitorService:
         if (pm.policy.cooldown_s and pm.last_loop_started is not None
                 and time.monotonic() - pm.last_loop_started < pm.policy.cooldown_s):
             return None
-        project = getattr(self.platform, "projects", {}).get(pm.project_id)
+        project = self.platform.projects.get(pm.project_id)
         if project is None:
             return None
         # Only healthy, predicted rows of the recent window can be routed
@@ -351,9 +362,24 @@ class MonitorService:
                 "rollout_job": None,
                 "rollout": None,
             }
-            fleet = getattr(self.platform, "fleet", None)
-            if policy.auto_rollout and fleet is not None and fleet.devices:
-                rollout = self.rollout_version(project, job)
+            fleet = self.platform.fleet
+            if policy.auto_rollout and fleet.devices:
+                # Only the devices attributed to this project (the whole
+                # fleet when it is unbound): auto-retrain must never
+                # reflash another project's devices on a shared fleet.
+                targets = fleet.devices_for_project(project.project_id)
+                job.log(
+                    f"staging canary rollout of {version} to "
+                    f"{'the whole fleet' if targets is None else targets} "
+                    f"(canary {policy.canary_fraction:.0%}, "
+                    f"soak {policy.soak_s:.1f}s, health-gated)"
+                )
+                rollout = self.rollout(
+                    project, device_ids=targets,
+                    canary_fraction=policy.canary_fraction,
+                    failure_threshold=policy.failure_threshold,
+                    health_gate=True, soak_s=policy.soak_s,
+                ).wait()
                 result["rollout_job"] = rollout.job_id
                 report = rollout.result if isinstance(rollout.result, dict) else {}
                 result["rollout"] = report
@@ -396,44 +422,48 @@ class MonitorService:
             pm.loop_jobs.pop(0)
         return loop_job
 
-    def rollout_version(self, project, job: Job | None = None) -> Job:
-        """Build firmware from the project's current model and stage a
-        canary OTA rollout gated on monitor health (waits for it).
+    def rollout(self, project, *, canary_fraction: float = 0.25,
+                failure_threshold: float = 0.0, max_inflight: int = 4,
+                retries: int = 0, device_ids: list[str] | None = None,
+                engine: str = "eon", precision: str = "int8",
+                health_gate: bool = False, soak_s: float = 0.0,
+                inject_failures=None) -> Job:
+        """Put the project's current model on the fleet: build its
+        firmware, stamp it with :func:`model_version_of` (so monitoring
+        tells the generations apart), and start the staged canary OTA
+        rollout on ``platform.fleet_jobs``.  ``health_gate=True`` gates
+        the fleet-wide stage on :meth:`health_gate` for that version
+        after ``soak_s`` seconds of canary soak.  Telemetry attribution
+        is bound only once the rollout was accepted, so a refused
+        request never steals another project's fleet binding.
 
-        The rollout targets only the devices whose telemetry is
-        attributed to this project (or the whole fleet when it is
-        unbound/single-project) — auto-retrain must never reflash
-        another project's devices on a shared fleet.
+        Returns the parent rollout job without waiting.  Raises
+        ``RuntimeError`` for an untrained project or a rollout already
+        in progress, ``KeyError`` for an unknown device and
+        ``ValueError`` for an out-of-range fraction.
         """
-        fleet = self.platform.fleet
-        policy = self.monitor(project.project_id).policy
-        version = model_version_of(project)
-        targets = fleet.devices_for_project(project.project_id)
-        artifact = project.deploy(target="firmware")
+        artifact = project.deploy(target="firmware", engine=engine,
+                                  precision=precision)
         image = artifact.metadata["image"]
-        image.version = version
-        if job is not None:
-            job.log(
-                f"staging canary rollout of {version} to "
-                f"{'the whole fleet' if targets is None else targets} "
-                f"(canary {policy.canary_fraction:.0%}, "
-                f"soak {policy.soak_s:.1f}s, health-gated)"
-            )
-        rollout = fleet.ota_update_async(
+        image.version = model_version_of(project)
+        gate = (self.health_gate(project.project_id,
+                                 model_version=image.version)
+                if health_gate else None)
+        job = self.platform.fleet.ota_update_async(
             image,
             self.platform.fleet_jobs,
-            device_ids=targets,
-            canary_fraction=policy.canary_fraction,
-            failure_threshold=policy.failure_threshold,
-            health_gate=self.health_gate(project.project_id,
-                                         model_version=version),
-            soak_s=policy.soak_s,
+            device_ids=device_ids,
+            canary_fraction=canary_fraction,
+            failure_threshold=failure_threshold,
+            max_inflight=max_inflight,
+            retries_per_device=retries,
+            inject_failures=inject_failures,
+            health_gate=gate,
+            soak_s=soak_s,
         )
-        # Bind attribution only once the rollout was accepted (mirrors
-        # the REST rollout route).
-        self.watch_fleet(project.project_id, device_ids=targets)
-        rollout.wait()
-        return rollout
+        self.rollout_projects[job.job_id] = project.project_id
+        self.watch_fleet(project.project_id, device_ids=device_ids)
+        return job
 
     def route_drift_samples(self, project, rows: TelemetryWindow) -> int:
         """Route drift-window telemetry rows back into the dataset through

@@ -48,3 +48,16 @@ def test_autotune_spectral_sets_fft_and_filter():
 def test_autotune_unknown_block():
     with pytest.raises(ValueError):
         autotune_dsp("image", [np.zeros(10)], 100)
+
+
+def test_autotune_spectral_reads_1_axis_windows_whole():
+    """A 1-axis ``(n,)`` window tunes like the same data on 3 axes: its
+    first axis is all n samples, not the first sample."""
+    t = np.arange(200) / 100
+    one_axis = [np.sin(2 * np.pi * 5 * t + k).astype(np.float32)
+                for k in range(4)]
+    three_axes = [np.stack([w] * 3, axis=1) for w in one_axis]
+    a = autotune_dsp("spectral-analysis", one_axis, 100)
+    b = autotune_dsp("spectral-analysis", three_axes, 100)
+    assert a.to_dict() == b.to_dict()
+    assert a.filter_cutoff_hz > 5.0

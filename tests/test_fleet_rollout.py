@@ -4,6 +4,7 @@ rollback consistency, cancellation, and the REST surface."""
 import copy
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import ClassificationBlock, Impulse, TimeSeriesInput
@@ -139,6 +140,20 @@ def test_retry_budget_exhausted_rolls_device_back(image):
     assert all(versions[f"d{i}"] == "2.0.0" for i in range(3))
     by_name = {c.name: c for c in executor.children(job.job_id)}
     assert by_name["ota-flash:d3"].attempts == 2  # budget honoured
+
+
+def test_aborted_rollout_returns_fresh_canaries_to_unflashed(image):
+    """A canary that had no firmware before the rollout is rolled back
+    to none, not left on the rejected image."""
+    fleet = _fleet(4)
+    job = fleet.ota_update_async(image, JobExecutor(), canary_fraction=0.5,
+                                 health_gate=lambda: False).wait(30.0)
+    assert job.status == "succeeded" and job.result["aborted"] is True
+    assert sorted(job.result["rolled_back"]) == ["d0", "d1"]
+    assert set(fleet.versions().values()) == {"unflashed"}
+    for did in ("d0", "d1"):
+        with pytest.raises(RuntimeError, match="no firmware flashed"):
+            fleet.classify_on(did, np.zeros((16, 8), dtype=np.float32))
 
 
 def test_cancel_mid_rollout_leaves_versions_consistent(image, monkeypatch):
@@ -311,16 +326,14 @@ def test_async_rollout_fails_when_a_rollback_fails(image, monkeypatch):
     assert job.error == "RuntimeError: flash bus fault"
 
 
-def test_rest_rollout_roundtrip(tiny_graphs):
-    """Register devices, roll out a trained project's firmware with an
-    injected transient failure, and stream the result over the API."""
+def _rest_fleet_project(tiny_graphs, member="ops"):
     from repro.core import Platform
 
     platform = Platform()
     api = platform.gateway
-    api.handle("POST", "/v1/users", {"username": "ops"})
+    api.handle("POST", "/v1/users", {"username": member})
     pid = api.handle("POST", "/v1/projects", {"name": "fleet-proj"},
-                     user="ops")["data"]["project_id"]
+                     user=member)["data"]["project_id"]
     project = platform.get_project(pid)
     project.set_impulse(Impulse(
         TimeSeriesInput(window_size_ms=1000, window_increase_ms=1000,
@@ -331,6 +344,13 @@ def test_rest_rollout_roundtrip(tiny_graphs):
     # Wire trained graphs directly — the API deploy path only needs them.
     project.float_graph, project.int8_graph = tiny_graphs
     project.label_map = {"a": 0, "b": 1, "c": 2}
+    return platform, api, pid
+
+
+def test_rest_rollout_roundtrip(tiny_graphs):
+    """Register devices, roll out a trained project's firmware with an
+    injected transient failure, and stream the result over the API."""
+    platform, api, pid = _rest_fleet_project(tiny_graphs)
 
     for i in range(4):
         r = api.handle("POST", "/v1/fleet/devices",
@@ -366,6 +386,33 @@ def test_rest_rollout_roundtrip(tiny_graphs):
     # Cancel by an unregistered user is refused before touching the job.
     assert api.handle("POST", f"/v1/fleet/rollout/{jid}/cancel", {},
                       user="mallory")["status"] == 403
+
+
+def test_rest_rollout_cancel_needs_project_membership(tiny_graphs):
+    """A registered user outside the project can read a rollout's status
+    but can neither start nor cancel it."""
+    platform, api, pid = _rest_fleet_project(tiny_graphs, member="alice")
+    api.handle("POST", "/v1/users", {"username": "bob"})
+    for i in range(4):
+        api.handle("POST", "/v1/fleet/devices", {"device_id": f"r{i}"},
+                   user="alice")
+    body = {"project_id": pid, "health_gate": True, "soak_s": 30.0}
+    r = api.handle("POST", "/v1/fleet/rollout", body, user="alice")
+    assert r["status"] == 200
+    jid = r["data"]["job_id"]
+    assert api.handle("POST", "/v1/fleet/rollout", body,
+                      user="bob")["status"] == 403
+    assert api.handle("POST", f"/v1/fleet/rollout/{jid}/cancel", {},
+                      user="bob")["status"] == 403
+    child = platform.fleet_jobs.children(jid)[0].job_id
+    assert api.handle("POST", f"/v1/fleet/rollout/{child}/cancel", {},
+                      user="bob")["status"] == 403
+    r = api.handle("GET", f"/v1/fleet/rollout/{jid}", {}, user="bob")
+    assert r["status"] == 200 and r["data"]["job_status"] == "running"
+    r = api.handle("POST", f"/v1/fleet/rollout/{jid}/cancel", {},
+                   user="alice")
+    assert r["status"] == 200
+    assert platform.fleet_jobs.get(jid).wait(30.0).status == "cancelled"
 
 
 def test_rest_rollout_requires_trained_project():

@@ -21,7 +21,6 @@ from repro.monitor import (
     FeatureDriftDetector,
     LabelMixShiftDetector,
     LatencySLODetector,
-    MonitorDaemon,
     MonitorPolicy,
     MonitorService,
     TelemetryRecord,
@@ -606,23 +605,16 @@ def test_slo_breach_is_critical():
                for a in service.alerts(pid))
 
 
-def test_daemon_tick_and_schedule():
+def test_sweep_is_a_monitor_job():
     plat, project, service, rng = _drift_setup()
-    daemon = MonitorDaemon(service, interval_s=0.05)
-    job = daemon.tick()
-    assert job.status == "succeeded"
-    assert str(project.project_id) in " ".join(job.logs) or job.result
-    daemon.start()
-    assert daemon.running
-    deadline = 50
-    while len(daemon.sweeps) < 2 and deadline:
-        threading.Event().wait(0.05)
-        deadline -= 1
-    daemon.stop()
-    assert not daemon.running
-    assert len(daemon.sweeps) >= 2
-    with pytest.raises(ValueError):
-        MonitorDaemon(service, interval_s=0)
+    job = service.sweep().wait(30.0)
+    assert job.status == "succeeded" and job.name == "monitor-sweep"
+    assert job.result == {"projects": {project.project_id: "baselining"}}
+    assert any("captured reference window" in line for line in job.logs)
+    one = service.sweep(project.project_id).wait(30.0)
+    assert one.status == "succeeded"
+    assert one.name == f"monitor-sweep p{project.project_id}"
+    assert one.result["health"] == "baselining" and one.result["skipped"]
 
 
 def test_route_drift_samples_skips_unlabeled_and_failed(served_project):
@@ -675,31 +667,42 @@ def test_fleet_telemetry_attribution_per_device(image):
     assert plat.fleet.telemetry_projects == {}
 
 
-def test_loop_rollout_scoped_to_project_devices(served_project, tiny_graphs):
+def test_loop_rollout_scoped_to_project_devices(served_project):
     """Auto-retrain rollouts must never reflash another project's
-    devices on a shared fleet: targets are the devices attributed to
-    the retraining project."""
+    devices on a shared fleet: the closed loop targets the devices
+    attributed to the retraining project."""
+    from repro.data import Sample
+    from repro.monitor.telemetry import TelemetryWindow
+    from repro.nn import TrainingConfig
+
     platform, project_a = served_project
     project_b = platform.create_project("mon-b", owner="u")
     project_b.set_impulse(Impulse(
         TimeSeriesInput(window_size_ms=1000, window_increase_ms=1000,
                         frequency_hz=16, axes=8),
         [RawBlock()],
-        ClassificationBlock(),
+        ClassificationBlock(training=TrainingConfig(epochs=3)),
     ))
-    project_b.float_graph, project_b.int8_graph = tiny_graphs
-    project_b.label_map = {"a": 0, "b": 1, "c": 2}
+    rng = np.random.default_rng(0)
+    for i in range(20):
+        scale = 1.0 + 3.0 * (i % 2)
+        project_b.dataset.add(Sample(
+            (rng.standard_normal((16, 8)) * scale).astype(np.float32),
+            label="ab"[i % 2]), category="train")
     for did in ("d0", "d1", "d2", "d3"):
         platform.fleet.register(VirtualDevice(did, "nano33ble"))
     platform.monitor.watch_fleet(project_a.project_id, device_ids=["d0", "d1"])
     platform.monitor.watch_fleet(project_b.project_id, device_ids=["d2", "d3"])
-    rollout = platform.monitor.rollout_version(project_b)
-    assert rollout.status == "succeeded"
-    report = rollout.result
+    loop = platform.monitor.start_retrain_loop(
+        project_b, TelemetryWindow()).wait(120.0)
+    assert loop.status == "succeeded", loop.error
+    assert loop.result["model_version"] == "1.0.1"
+    report = loop.result["rollout"]
     assert sorted(report["updated"]) == ["d2", "d3"]
+    assert report["health_gate_passed"] is True
     versions = platform.fleet.versions()
     assert versions["d0"] == versions["d1"] == "unflashed"
-    assert versions["d2"] == versions["d3"] == "1.0.0"
+    assert versions["d2"] == versions["d3"] == "1.0.1"
 
 
 def test_a_pinned_reference_is_compared_with_later_traffic_only():

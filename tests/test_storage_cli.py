@@ -266,6 +266,34 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert (out_dir / "edge-impulse-standalone.wat").exists()
 
 
+def _printed_versions(out: str) -> dict:
+    """The ``  dev-i: <version>`` lines ``fleet-rollout`` ends with."""
+    return dict(line.strip().split(": ", 1) for line in out.splitlines()
+                if line.startswith("  dev-"))
+
+
+def test_cli_fleet_rollout_ships_the_project_model_version(tmp_path, capsys):
+    project = _trained_project()
+    save_project(project, tmp_path / "p")
+    version = f"1.0.{project.model_revision}"
+    capsys.readouterr()
+    assert cli_main(["fleet-rollout", "--dir", str(tmp_path / "p"),
+                     "--devices", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "rollout succeeded: 4 updated" in out
+    assert _printed_versions(out) == {f"dev-{i}": version for i in range(4)}
+
+    # A failed canary over a zero threshold aborts before the fleet-wide
+    # stage: the canary rolls back to unflashed, the rest is never touched.
+    assert cli_main(["fleet-rollout", "--dir", str(tmp_path / "p"),
+                     "--devices", "4", "--canary", "0.25", "--threshold",
+                     "0", "--inject-failures", "dev-0"]) == 1
+    out = capsys.readouterr().out
+    assert "[ABORTED at canary]" in out
+    assert _printed_versions(out) == {f"dev-{i}": "unflashed"
+                                      for i in range(4)}
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli_main(["frobnicate"])
