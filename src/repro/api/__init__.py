@@ -13,9 +13,9 @@ A layered redesign of the platform's programmatic surface:
 - :mod:`repro.api.gateway` — the dispatch core + response envelope;
 - :mod:`repro.api.openapi` — the generated OpenAPI document
   (``GET /v1/openapi.json``) and markdown reference;
-- :mod:`repro.api.http` — real socket serving on a stdlib
-  ``HTTPServer`` with reused handler threads and chunked job-log
-  streaming.
+- :mod:`repro.api.http` — real socket serving on a ``socketserver``
+  accept loop with reused handler threads, the HTTP/1.1 head codec of
+  :mod:`repro.utils.http1` and chunked job-log streaming.
 
 ``ApiGateway.handle(method, "/v1/...", body, user=... | token=...)`` is
 the platform's one programmatic surface, in process and over sockets;

@@ -1,4 +1,5 @@
-"""Real HTTP serving for the gateway, over the stdlib ``http.server``.
+"""Real HTTP/1.1 serving for the gateway, on a ``socketserver`` accept
+loop and the head codec of :mod:`repro.utils.http1`.
 
 ``serve_http(gateway, port)`` exposes every v1 route over sockets —
 JSON bodies in, the JSON envelope out, with the envelope's ``status``
@@ -6,26 +7,48 @@ mirrored as the HTTP status code.  Query parameters on GETs land in the
 request body dict (the schemas coerce the strings).  Streaming routes
 (``GET .../jobs/<jid>/logs``) are sent with ``Transfer-Encoding:
 chunked``, one log line per chunk, so clients can follow a training job
-live; request bodies must be ``Content-Length``-framed.  Each accepted
-connection is served by an idle handler thread, or by a new one when
-none is idle, so ``accept`` never waits and a parked long-poll never
-starves a new connection; a handler thread idle for
-``KEEPALIVE_IDLE_S`` exits.  Wired into the CLI as
-``repro-cli serve --http PORT``.
+live.  Wired into the CLI as ``repro-cli serve --http PORT``.
+
+What a request may be.  Its head is read line by line into a flat
+case-insensitive map (:func:`repro.utils.http1.read_head`): lines of at
+most 65,536 bytes (414 for the request line, 431 for a header line), at
+most 100 header fields (431), a request line ``method SP target SP
+HTTP/1.x`` (400; 505 past 1.x; 501 for a method with no route), and a
+leading ``//`` of the path collapsed to ``/``.  A malformed head — a
+bare LF, a header line with no colon, whitespace before the colon, an
+empty name, an obs-fold continuation line, a control byte — is a 400
+that closes the connection: the body's extent is unknown, and reading
+on would run the body as a further request.  A peer that hangs up
+mid-head gets no reply.  The body must be framed by one
+``Content-Length`` (a ``Transfer-Encoding`` body is a 501, and a
+negative, unparseable or conflicting length a 400, each closing).  An
+HTTP/1.1 connection persists unless the request says ``Connection:
+close``, an HTTP/1.0 one only when it says ``keep-alive``; ``Expect:
+100-continue`` is answered before the body is read.
+
+Each reply leaves in one send: status line, ``Server``, ``Date``
+(formatted once a second), fields and body joined into one buffer, on a
+``TCP_NODELAY`` socket.  Each accepted connection is served by an idle
+handler thread, or by a new one when none is idle, so ``accept`` never
+waits and a parked long-poll never starves a new connection; a handler
+thread idle for ``KEEPALIVE_IDLE_S`` exits.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import sys
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.api.errors import NotFoundError
+from repro.utils.http1 import HeadError, content_length, read_head, request_line
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Seconds a keep-alive connection may sit idle between requests before
@@ -34,15 +57,28 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: long-poll or a log stream waits inside the handler, not on the socket.
 KEEPALIVE_IDLE_S = 30.0
 
+_SERVER_VERSION = f"repro-gateway/1.0 Python/{sys.version.split()[0]}"
+_METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
+_STATUS_LINES = {int(s): f"HTTP/1.1 {int(s)} {s.phrase}\r\n".encode("ascii")
+                 for s in HTTPStatus}
+#: (second, the ``Server`` and ``Date`` lines of a reply in that second)
+_stamp = (0, b"")
 
-class GatewayRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-gateway/1.0"
-    # One send per response: with an unbuffered ``wfile`` head and body
-    # leave as two small segments, and on a persistent connection the
-    # second waits out the client's delayed ACK (~40 ms).  The base
-    # class flushes once per request; ``_send_stream`` flushes per chunk.
-    wbufsize = -1
+
+def _server_and_date() -> bytes:
+    global _stamp
+    now = int(time.time())
+    if _stamp[0] != now:  # two threads may both rebuild it: same bytes
+        _stamp = (now, f"Server: {_SERVER_VERSION}\r\n"
+                       f"Date: {formatdate(now, usegmt=True)}\r\n".encode("ascii"))
+    return _stamp[1]
+
+
+class GatewayRequestHandler(socketserver.StreamRequestHandler):
+    # Unbuffered: a reply is one ``sendall`` of head and body, so on a
+    # persistent connection no second segment waits out the client's
+    # delayed ACK (~40 ms).
+    wbufsize = 0
     disable_nagle_algorithm = True
 
     # The owning GatewayHTTPServer sets this.
@@ -52,8 +88,43 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self.timeout = KEEPALIVE_IDLE_S  # read per connection, not at import
         super().setup()
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # request metrics live in the gateway, not stderr
+    def handle(self):
+        """Serve requests on this connection until one ends it."""
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._serve_one()
+        except TimeoutError:
+            pass  # idle past KEEPALIVE_IDLE_S, or a stalled peer: hang up
+
+    def _serve_one(self) -> None:
+        """Read one request head and answer the request."""
+        self.close_connection = True
+        try:
+            head = read_head(self.rfile)
+            if head is None:
+                return  # the peer closed between requests
+            start, self.headers = head
+            method, target, version = request_line(start)
+        except HeadError as exc:
+            if exc.status is not None:
+                self._send_json({"status": exc.status, "error": str(exc)},
+                                close=True)
+            return
+        connection = self.headers.get("Connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive")
+        if version >= (1, 1) and \
+                self.headers.get("Expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if method not in _METHODS:
+            self._send_json({"status": 501,
+                             "error": f"unsupported method {method!r}"},
+                            close=True)
+            return
+        if target.startswith("//"):  # never read as a scheme-less URL
+            target = "/" + target.lstrip("/")
+        self._dispatch(method, target)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -75,24 +146,13 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                 close=True,
             )
             return None
-        if len(set(self.headers.get_all("Content-Length", ()))) > 1:
-            self._send_json(
-                {"status": 400, "error": "conflicting Content-Length headers"},
-                close=True,
-            )
-            return None
         try:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-        except (TypeError, ValueError):
-            length = -1
-        if length < 0:
             # Unparseable or negative (``rfile.read(-1)`` would wait for
-            # EOF): the body's extent is unknown, so the connection
-            # cannot be reused either.
-            self._send_json(
-                {"status": 400, "error": "malformed Content-Length header"},
-                close=True,
-            )
+            # EOF), or conflicting: the body's extent is unknown, so the
+            # connection cannot be reused either.
+            length = content_length(self.headers) or 0
+        except HeadError as exc:
+            self._send_json({"status": 400, "error": str(exc)}, close=True)
             return None
         if length == 0:
             return {}
@@ -117,48 +177,45 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             return None
         return body
 
-    def _send_json(self, envelope: dict, close: bool = False) -> None:
-        """Send ``envelope``; ``close`` ends the connection after it, and
-        says so, so a pooling client does not reuse it."""
-        status = int(envelope.get("status", 500))
-        data = json.dumps(envelope).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+    def _send(self, status: int, fields: str, body: bytes = b"",
+              close: bool = False) -> None:
+        """One reply in one send: the status line, ``Server``, ``Date``,
+        ``fields`` (CRLF-ended lines) and ``body``.  ``close`` ends the
+        connection after it; a reply that ends it says so, so a pooling
+        client does not reuse it."""
         if close:
-            self.send_header("Connection", "close")  # sets close_connection
+            self.close_connection = True
+        status_line = (_STATUS_LINES.get(status)
+                       or f"HTTP/1.1 {status} \r\n".encode("ascii"))
+        self.wfile.write(b"".join((
+            status_line, _server_and_date(), fields.encode("latin-1"),
+            b"Connection: close\r\n\r\n" if self.close_connection else b"\r\n",
+            body)))
+
+    def _send_json(self, envelope: dict, close: bool = False) -> None:
+        data = json.dumps(envelope).encode("utf-8")
+        fields = f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
         if "retry_after_s" in envelope:
-            self.send_header("Retry-After",
-                             str(max(1, round(envelope["retry_after_s"]))))
-        self.end_headers()
-        self.wfile.write(data)
+            fields += f"Retry-After: {max(1, round(envelope['retry_after_s']))}\r\n"
+        self._send(int(envelope.get("status", 500)), fields, data, close)
 
     def _send_json_bytes(self, data: bytes, etag: str) -> None:
         """A pre-serialized 200 envelope (response-cache hit)."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("ETag", etag)
-        self.end_headers()
-        self.wfile.write(data)
+        self._send(200, f"Content-Type: application/json\r\n"
+                        f"Content-Length: {len(data)}\r\nETag: {etag}\r\n", data)
 
     def _send_not_modified(self, etag: str) -> None:
-        self.send_response(304)
-        self.send_header("ETag", etag)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+        self._send(304, f"ETag: {etag}\r\nContent-Length: 0\r\n")
 
     def _send_stream(self, lines) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        self.wfile.flush()  # the head goes out now, not with the first line
+        """A chunked reply: the head now, then one chunk per line as it
+        is produced."""
+        self._send(200, "Content-Type: text/plain; charset=utf-8\r\n"
+                        "Transfer-Encoding: chunked\r\n")
         try:
             for line in lines:
                 chunk = (line + "\n").encode("utf-8")
-                self.wfile.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
-                self.wfile.flush()
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
         except Exception:
             # A crashed stream must NOT look complete: withhold the
             # chunked terminator and drop the connection, so the client
@@ -169,8 +226,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     # -- dispatch ----------------------------------------------------------
 
-    def _dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
+    def _dispatch(self, method: str, target: str) -> None:
+        split = urlsplit(target)
         # Percent-decode each segment *after* splitting, so encoded
         # characters in string placeholders resolve (device id "dev a"
         # -> /dev%20a/) and an encoded slash ("a%2Fb") stays one
@@ -254,20 +311,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             return
         self._send_json_bytes(data, etag)
 
-    def do_GET(self):
-        self._dispatch("GET")
 
-    def do_POST(self):
-        self._dispatch("POST")
-
-    def do_PUT(self):
-        self._dispatch("PUT")
-
-    def do_DELETE(self):
-        self._dispatch("DELETE")
-
-
-class GatewayHTTPServer(HTTPServer):
+class GatewayHTTPServer(socketserver.TCPServer):
     """The accept loop plus a pool of reusable handler threads.
 
     An accepted connection joins ``_pending``; an idle handler thread
@@ -356,10 +401,13 @@ class GatewayHTTPServer(HTTPServer):
 
     def handle_error(self, request, client_address):
         # A client that hung up mid-exchange is its own problem, not a
-        # server fault worth a traceback; with a buffered ``wfile`` the
-        # error surfaces at the base class's flush, outside ``_dispatch``.
+        # server fault worth a traceback.
         if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
             super().handle_error(request, client_address)
+
+    @property
+    def server_port(self) -> int:
+        return self.server_address[1]
 
     @property
     def url(self) -> str:

@@ -29,32 +29,48 @@ windows all pack.  Input that cannot be packed — a non-numeric cell,
 ragged rows, a double beyond float32 range — is sent in the list form
 unchanged, so the server's 400 is the message the caller reads.
 
-A client keeps its connections.  A call checks out an idle keep-alive
-HTTP/1.1 connection (or opens one, ``TCP_NODELAY`` set), sends head and
-body in one send, reads the reply to its last byte and puts the
-connection back — unless the reply said ``Connection: close``.  Threads
-sharing one client each get their own connection.  The gateway drops a
-connection that idles for ``repro.api.http.KEEPALIVE_IDLE_S``; a pooled
-connection found closed that way fails before any reply byte arrives,
-and the request is re-sent once on a fresh connection whatever
-``retries`` says (never after the reply has started, never on a fresh
-connection).  ``close()`` — or leaving a ``with Client(...) as client:``
-block — closes the idle connections.  ``stream_logs`` follows a log on a
-connection of its own, closed when the generator ends or is dropped.
+A client keeps its connections.  It speaks HTTP/1.1 itself, with the head
+codec the gateway uses (:mod:`repro.utils.http1`), over plain sockets
+(``TCP_NODELAY`` set; an ``https`` base URL wraps the same socket with
+``ssl.create_default_context()``).  A call checks out an idle connection
+(or opens one), sends head and body in one ``sendall``, reads the reply
+to its last byte through the connection's buffered reader and puts the
+connection back.  A reply is framed by ``Content-Length`` or chunked
+``Transfer-Encoding``, or else runs to EOF; only a fully read HTTP/1.1
+reply with a length or chunked framing and no ``Connection: close`` is
+pooled.  Threads sharing one client each get their own connection.  The
+gateway drops a connection that idles for
+``repro.api.http.KEEPALIVE_IDLE_S``; a pooled connection found closed
+that way fails before the first reply byte arrives, and the request is
+re-sent once on a fresh connection whatever ``retries`` says (never
+after the first reply byte, never on a fresh connection).  A reply cut
+short is a transport failure: a 599 once ``retries`` are spent.
+``close()`` — or leaving a ``with Client(...) as client:`` block —
+closes the idle connections.  ``stream_logs`` follows a log's chunks on
+a connection of its own, closed when the generator ends or is dropped.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import socket
+import ssl
 import struct
 import threading
 import time
 import urllib.parse
 from itertools import chain
 from typing import Iterator
+
+from repro.utils.http1 import (
+    MAX_LINE,
+    HeadError,
+    Headers,
+    content_length,
+    read_head,
+    status_line,
+)
 
 #: Idle connections one client keeps.  More threads than this sharing a
 #: client still get a connection each; the surplus closes on return.
@@ -127,6 +143,72 @@ def _error_of(status: int, payload: bytes) -> ClientError:
                        retry_after_s=envelope.get("retry_after_s"))
 
 
+class _Connection:
+    """One keep-alive HTTP/1.1 connection: its socket (None until opened
+    and once closed) and the buffered reader its replies are read
+    through."""
+
+    __slots__ = ("sock", "rfile", "timeout")
+
+    def __init__(self, timeout: float):
+        self.sock = self.rfile = None
+        self.timeout = timeout
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
+
+
+def _is_chunked(headers: Headers) -> bool:
+    return headers.get("Transfer-Encoding", "").lower().endswith("chunked")
+
+
+def _chunks(rfile) -> Iterator[bytes]:
+    """The chunks of a chunked body, through its terminator; HeadError
+    when the framing is broken or cut short."""
+    while True:
+        line = rfile.readline(MAX_LINE + 1)
+        if not line.endswith(b"\r\n"):
+            raise HeadError("chunked body cut short", None)
+        digits = line[:-2]
+        if not 0 < len(digits) <= 16 or digits.strip(b"0123456789abcdefABCDEF"):
+            raise HeadError(f"bad chunk size line {line[:64]!r}", None)
+        size = int(digits, 16)
+        if size == 0:
+            if rfile.readline(MAX_LINE + 1) != b"\r\n":
+                raise HeadError("chunked body cut short", None)
+            return
+        chunk = rfile.read(size + 2)
+        if chunk[size:] != b"\r\n":
+            raise HeadError("chunked body cut short", None)
+        yield chunk[:size]
+
+
+def _body(rfile, headers: Headers) -> Iterator[bytes]:
+    """The pieces of a reply body, by its framing: chunked, one
+    ``Content-Length``, or everything up to EOF."""
+    if _is_chunked(headers):
+        yield from _chunks(rfile)
+    elif (length := content_length(headers)) is not None:
+        data = rfile.read(length)
+        if len(data) < length:
+            raise HeadError("reply body cut short", None)
+        yield data
+    else:
+        yield rfile.read()
+
+
+def _reusable(version: tuple[int, int], headers: Headers) -> bool:
+    """Whether the connection may carry another request once this reply
+    has been read: HTTP/1.1, no ``Connection: close``, and a body whose
+    end is known without EOF."""
+    return (version >= (1, 1)
+            and "close" not in headers.get("Connection", "").lower()
+            and (_is_chunked(headers) or "Content-Length" in headers))
+
+
 class Client:
     """Minimal, dependency-free SDK over the v1 HTTP surface."""
 
@@ -139,12 +221,12 @@ class Client:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         split = urllib.parse.urlsplit(self.base_url)
-        self._connection_class = (http.client.HTTPSConnection
-                                  if split.scheme == "https"
-                                  else http.client.HTTPConnection)
+        https = split.scheme == "https"
+        self._tls = ssl.create_default_context() if https else None
+        self._address = (split.hostname, split.port or (443 if https else 80))
         self._netloc, self._prefix = split.netloc, split.path
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []  # guarded-by: _lock
+        self._idle: list[_Connection] = []  # guarded-by: _lock
 
     def close(self) -> None:
         """Close the idle connections.  The client stays usable: a later
@@ -162,14 +244,10 @@ class Client:
 
     # -- transport ---------------------------------------------------------
 
-    def _prepare(self, method: str, path: str,
-                 body: dict | None) -> tuple[str, bytes | None, dict]:
-        """Request target, body bytes and headers of one call."""
+    def _message(self, method: str, path: str, body: dict | None) -> bytes:
+        """Head and body of one call, as one buffer."""
         target = self._prefix + path
-        data = None
-        headers = {"Accept": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
+        data, fields = b"", ""
         if method == "GET":
             if body:
                 query = urllib.parse.urlencode(
@@ -178,79 +256,104 @@ class Client:
                 target += ("&" if "?" in target else "?") + query
         else:
             data = json.dumps(body or {}).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        return target, data, headers
+            fields = ("Content-Type: application/json\r\n"
+                      f"Content-Length: {len(data)}\r\n")
+        if self.token:
+            fields += f"Authorization: Bearer {self.token}\r\n"
+        # Nothing may end a head line early or split the request line.
+        if " " in target or not (target.isascii() and target.isprintable()) \
+                or not (self.token or "").isprintable():
+            raise ValueError(f"cannot send request target {target!r} "
+                             "or token as an HTTP head")
+        head = (f"{method} {target} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+                f"Accept: application/json\r\n{fields}\r\n")
+        return head.encode("latin-1") + data
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _connect(self, conn: _Connection) -> None:
+        sock = socket.create_connection(self._address, timeout=conn.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock,
+                                             server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        conn.sock, conn.rfile = sock, sock.makefile("rb")
+
+    def _checkout(self) -> _Connection:
         with self._lock:
             if self._idle:
                 return self._idle.pop()
-        return self._connection_class(self._netloc, timeout=self.timeout_s)
+        return _Connection(self.timeout_s)
 
-    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+    def _checkin(self, conn: _Connection) -> None:
         with self._lock:
             if len(self._idle) < MAX_IDLE_CONNECTIONS:
                 self._idle.append(conn)
                 return
         conn.close()
 
-    @staticmethod
-    def _exchange(conn: http.client.HTTPConnection, method: str, target: str,
-                  data: bytes | None, headers: dict) -> http.client.HTTPResponse:
-        """Send on ``conn`` and read the reply's head.  A *reused*
-        connection that fails before any reply byte arrives — the server
-        closed it while it idled — is reconnected and the request re-sent
-        once; a fresh connection never is."""
+    def _exchange(self, conn: _Connection,
+                  message: bytes) -> tuple[tuple[int, int], int, Headers]:
+        """Send ``message`` on ``conn`` and read the reply's head.  A
+        *reused* connection that fails before the first reply byte — the
+        server closed it while it idled — is reconnected and the message
+        re-sent once; a fresh connection never is."""
         reused = conn.sock is not None
         while True:
+            if conn.sock is None:
+                self._connect(conn)
             try:
-                if conn.sock is None:
-                    conn.connect()
-                    conn.sock.setsockopt(socket.IPPROTO_TCP,
-                                         socket.TCP_NODELAY, 1)
-                # A bytes body goes out in the same send as the head.
-                conn.request(method, target, body=data, headers=headers)
-                return conn.getresponse()
+                conn.sock.sendall(message)
+                started = conn.rfile.peek(1)  # b"" at EOF
             except (ConnectionResetError, BrokenPipeError):
-                # RemoteDisconnected (EOF where the status line belongs)
-                # is a ConnectionResetError.
-                if not reused:
-                    raise
-                conn.close()
-                reused = False
+                started = b""
+            if started:
+                break
+            conn.close()
+            if not reused:
+                raise ConnectionResetError(
+                    "the server closed the connection without a reply")
+            reused = False
+        start, headers = read_head(conn.rfile)  # not None: a byte was peeked
+        version, status = status_line(start)
+        return version, status, headers
 
     def _open(self, method: str, path: str, body: dict | None = None,
-              stream: http.client.HTTPConnection | None = None):
+              stream: _Connection | None = None):
         """Send one call and return its 2xx reply: the body bytes, or —
-        on ``stream``, a connection of the caller's — the response with
-        only its head read.  Transport errors, 5xx and 429 retry
+        on ``stream``, a connection of the caller's — the head's fields,
+        with the body left to read.  Transport errors, 5xx and 429 retry
         (honouring ``retry_after_s`` on 429 and 503); other 4xx never
         retry."""
-        target, data, headers = self._prepare(method, path, body)
+        message = self._message(method, path, body)
         last: Exception | None = None
         for attempt in range(self.retries + 1):
             conn = stream or self._checkout()
             try:
-                response = self._exchange(conn, method, target, data, headers)
-                if stream is not None and 200 <= response.status < 300:
-                    return response
-                payload = response.read()
-            except (OSError, http.client.HTTPException) as exc:
+                version, status, headers = self._exchange(conn, message)
+                if stream is not None and 200 <= status < 300:
+                    return headers
+                payload = b"".join(_body(conn.rfile, headers))
+            except (OSError, HeadError) as exc:
                 conn.close()
                 last, wait = exc, None
             except BaseException:
                 conn.close()
                 raise
             else:
-                if stream is None and not response.will_close:
+                if stream is None and _reusable(version, headers):
                     self._checkin(conn)
-                if 200 <= response.status < 300:
+                else:
+                    conn.close()
+                if 200 <= status < 300:
                     return payload
-                last = _error_of(response.status, payload)
-                if response.status < 500 and response.status != 429:
+                last = _error_of(status, payload)
+                if status < 500 and status != 429:
                     raise last
                 wait = (last.retry_after_s
-                        if response.status in (429, 503) else None)
+                        if status in (429, 503) else None)
             if attempt < self.retries:
                 time.sleep(wait or self.backoff_s * (2 ** attempt))
         if isinstance(last, ClientError):
@@ -335,12 +438,19 @@ class Client:
         stream ends or the generator is dropped."""
         path = (f"/v1/projects/{pid}/jobs/{jid}/logs"
                 f"?log_offset={log_offset}&timeout_s={timeout_s}")
-        conn = self._connection_class(self._netloc,
-                                      timeout=timeout_s + self.timeout_s)
+        conn = _Connection(timeout_s + self.timeout_s)
         try:
-            with self._open("GET", path, stream=conn) as response:
-                for raw in response:
-                    yield raw.decode("utf-8").rstrip("\n")
+            headers = self._open("GET", path, stream=conn)
+            pending = b""
+            try:
+                for chunk in _body(conn.rfile, headers):
+                    *lines, pending = (pending + chunk).split(b"\n")
+                    for line in lines:
+                        yield line.decode("utf-8")
+            except (OSError, HeadError) as exc:
+                raise ClientError(599, f"transport failure: {exc}") from exc
+            if pending:
+                yield pending.decode("utf-8")
         finally:
             conn.close()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import re
 import socket
 import statistics
 import struct
@@ -530,11 +531,8 @@ def test_an_answered_post_is_never_re_sent(server, client, monkeypatch):
 
         def truncated(self, envelope, close=False):
             data = json.dumps(envelope).encode("utf-8")
-            self.send_response(int(envelope["status"]))
-            self.send_header("Content-Length", str(len(data) + 10))
-            self.end_headers()
-            self.wfile.write(data)
-            self.close_connection = True
+            self._send(int(envelope["status"]),
+                       f"Content-Length: {len(data) + 10}\r\n", data, close=True)
 
         monkeypatch.setattr(handler, "_send_json", truncated)
         before, projects = srv.gateway.metrics.requests, len(platform.projects)
@@ -767,6 +765,332 @@ def test_a_closed_gateway_stops_serving_pooled_connections(server, client):
     while _handler_threads(srv) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _handler_threads(srv) == []
+
+
+def _replies(sock) -> list[tuple[int, str, bytes]]:
+    """Every ``Content-Length``-framed reply the server sends before it
+    closes, as (status, lower-cased head, body); a timeout raises."""
+    data = b""
+    try:
+        while chunk := sock.recv(65536):
+            data += chunk
+    except ConnectionResetError:
+        pass  # a reset after the replies: they were read already
+    replies = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        assert sep, f"a reply cut short: {data[:80]!r}"
+        text = head.decode("latin-1").lower()
+        length = int(re.search(r"\r\ncontent-length: (\d+)", text)[1])
+        replies.append((int(text.split()[1]), text, rest[:length]))
+        data = rest[length:]
+    return replies
+
+
+@pytest.mark.parametrize("bad_line", ["X-Note : hi", "X-Note hi", ": hi", " folded"])
+def test_a_malformed_header_line_is_a_400_that_closes(server, bad_line):
+    """The stdlib's ``email`` header parser stopped at a line it could not
+    read and dropped every field after it, ``Content-Length`` included:
+    the POST ran with no body and its body — here a whole second POST —
+    ran as the next request on the connection, creating "smuggled"."""
+    platform, srv = server
+    inner_body = json.dumps({"name": "smuggled"}).encode()
+    inner = _raw_post_projects(platform, f"Content-Length: {len(inner_body)}",
+                               body=inner_body)
+    outer = _raw_post_projects(platform, bad_line, f"Content-Length: {len(inner)}",
+                               body=inner)
+    before, projects = srv.gateway.metrics.requests, len(platform.projects)
+    with _connect(srv) as sock:
+        sock.sendall(outer)
+        sock.shutdown(socket.SHUT_WR)
+        replies = _replies(sock)
+    assert srv.gateway.metrics.requests - before <= 1
+    assert len(platform.projects) - projects <= 1
+    assert "smuggled" not in [p.name for p in platform.projects.values()]
+    assert len(replies) == 1
+    status, head, reply = replies[0]
+    assert status == 400 and "\r\nconnection: close" in head
+    assert "malformed header line" in json.loads(reply)["error"]
+
+
+REFUSED_HEADS = [
+    ("GET /v1/openapi.json HTTP/2.0\r\n\r\n", 505),
+    ("GET /v1/openapi.json HTTP/1.x\r\n\r\n", 400),
+    ("GET /v1/openapi.json\r\n\r\n", 400),  # HTTP/0.9 has no head to reply with
+    ("GET  /v1/openapi.json HTTP/1.1\r\n\r\n", 400),
+    ("GET /v1/openapi.json HTTP/1.1\n\n", 400),
+    ("BREW /v1/openapi.json HTTP/1.1\r\n\r\n", 501),
+    # Each limit is hit by the last byte sent, so nothing is left unread.
+    ("GET /" + "a" * 65536, 414),
+    ("GET / HTTP/1.1\r\nX-Long: " + "a" * 65529, 431),
+    ("GET / HTTP/1.1\r\n" + "X-A: 1\r\n" * 101, 431),
+]
+
+
+def test_refused_request_heads_are_answered_and_closed(server):
+    """The request-line, version and size rules the stdlib parser kept,
+    each answered with its status and a closed connection."""
+    platform, srv = server
+    for head, status in REFUSED_HEADS:
+        with _connect(srv) as sock:
+            sock.sendall(head.encode("ascii"))
+            ((got, text, reply),) = _replies(sock)
+        assert got == status and "\r\nconnection: close" in text, head[:40]
+        assert json.loads(reply)["status"] == status
+
+
+def test_http10_closes_unless_asked_and_expect_100_is_answered(server):
+    platform, srv = server
+    get = "GET /v1/openapi.json HTTP/1.0\r\n{}\r\n"
+    with _connect(srv) as sock:
+        sock.sendall(get.format("").encode("ascii"))
+        ((status, text, _),) = _replies(sock)  # then EOF: no keep-alive asked
+    assert status == 200 and "\r\nconnection: close" in text
+    with _connect(srv) as sock:
+        for _ in range(2):
+            sock.sendall(get.format("Connection: keep-alive\r\n").encode("ascii"))
+            assert _read_reply(sock)[0] == 200
+
+    # The body waits for the interim 100, which must not sit in a buffer.
+    body = json.dumps({"name": "expected"}).encode()
+    head = _raw_post_projects(platform, "Expect: 100-continue",
+                              f"Content-Length: {len(body)}", body=b"")
+    with _connect(srv) as sock:
+        sock.sendall(head)
+        assert sock.recv(25) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        assert _read_reply(sock)[0] == 200
+    assert [p.name for p in platform.projects.values()] == ["expected"]
+
+
+def test_every_prefix_and_byte_flip_of_a_request_head(served):
+    """ROADMAP 9(c)'s sweep at the socket: every strict prefix of one
+    classify request's head, and every byte of it flipped to NUL, ':', SP
+    or LF with the body unchanged, each on a connection of its own that
+    the client then half-closes.  Each gets one 4xx, the clean request's
+    reply, or — only when no complete head arrived — a close with no
+    reply; never a 5xx, a hang, or a second request run."""
+    body = json.dumps({"features_b64": _b64(np.full(N_FEATURES, 0.25))}).encode()
+    head = (f"POST {served.path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Authorization: Bearer {served.token}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii")
+
+    def exchange(data: bytes) -> list:
+        before = served.gateway.metrics.requests
+        with socket.create_connection(served.http.server_address[:2],
+                                      timeout=5.0) as sock:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            replies = _replies(sock)
+        assert served.gateway.metrics.requests - before <= 1
+        assert len(replies) <= 1
+        return replies
+
+    ((status, _, want),) = exchange(head + body)
+    assert status == 200 and json.loads(want)["data"]["top"] in LABELS
+    for cut in range(len(head)):
+        assert exchange(head[:cut]) == [], cut
+
+    seen = set()
+    for pos in range(len(head)):
+        for byte in b"\x00: \n":
+            if head[pos] == byte:
+                continue
+            mutant = head[:pos] + bytes([byte]) + head[pos + 1:]
+            replies = exchange(mutant + body)
+            if not replies:
+                assert b"\r\n\r\n" not in mutant, (pos, byte)
+                seen.add("closed")
+                continue
+            ((status, _, reply),) = replies
+            assert status == 200 and reply == want or 400 <= status < 500, \
+                (pos, byte, status, reply)
+            seen.add(status)
+    assert {200, 400, 401, 404, "closed"} <= seen
+
+
+# -- the SDK's transport against canned replies ------------------------------
+
+
+class _Canned:
+    """A one-thread server that reads each request head and answers with
+    the next canned reply: a list of byte strings (sent in turn) and
+    events (waited for), then a hang-up when ``close`` is set."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(10.0)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    @property
+    def url(self) -> str:
+        return "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+
+    def _serve(self):
+        while self.replies:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            with conn, conn.makefile("rb") as rfile:
+                while self.replies and self._read_head(rfile):
+                    parts, close = self.replies.pop(0)
+                    for part in parts:
+                        if isinstance(part, threading.Event):
+                            part.wait(10.0)
+                        else:
+                            conn.sendall(part)
+                    if close:
+                        break
+
+    @staticmethod
+    def _read_head(rfile) -> bool:
+        """Skip one request head; False at EOF."""
+        while (line := rfile.readline()) not in (b"\r\n", b""):
+            pass
+        return line == b"\r\n"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.listener.close()
+        self.thread.join(10.0)
+
+
+def _reply(head: str, body: bytes = b"") -> bytes:
+    return head.replace("\n", "\r\n").encode("ascii") + b"\r\n" + body
+
+
+ENVELOPE = json.dumps({"status": 200, "data": {"ok": 1}}).encode()
+
+
+def test_sdk_reads_an_unframed_reply_to_eof_and_does_not_pool_it():
+    unframed = _reply("HTTP/1.1 200 OK\nContent-Type: application/json\n", ENVELOPE)
+    with _Canned([([unframed], True)] * 2) as canned, \
+            Client(canned.url, retries=0) as client:
+        assert client.request("GET", "/a") == {"ok": 1}
+        assert client._idle == []
+        assert client.request("GET", "/b") == {"ok": 1}
+        assert client._idle == [] and canned.accepted == 2
+
+
+def test_sdk_does_not_pool_an_http10_reply():
+    """The server keeps the connection open, but an HTTP/1.0 reply does
+    not promise that: the next call connects afresh."""
+    framed = _reply(f"HTTP/1.0 200 OK\nContent-Length: {len(ENVELOPE)}\n", ENVELOPE)
+    with _Canned([([framed], False)] * 2) as canned, \
+            Client(canned.url, retries=0) as client:
+        assert client.request("GET", "/a") == {"ok": 1}
+        assert client._idle == []
+        assert client.request("GET", "/b") == {"ok": 1}
+        assert canned.accepted == 2
+    # The same reply as HTTP/1.1 is pooled: one connection for both.
+    framed = framed.replace(b"HTTP/1.0", b"HTTP/1.1")
+    with _Canned([([framed], False)] * 2) as canned, \
+            Client(canned.url, retries=0) as client:
+        client.request("GET", "/a")
+        (conn,) = client._idle
+        client.request("GET", "/b")
+        assert client._idle == [conn] and canned.accepted == 1
+
+
+def test_sdk_stream_logs_yields_lines_across_chunks_and_closes_its_socket():
+    """Lines split across chunks and several lines in one chunk come out
+    one per line, each as soon as its chunk arrives; the stream's
+    connection is closed at its end; a stream cut short before its
+    terminator is a 599, never a clean end."""
+    head = _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n")
+    later = threading.Event()
+    chunks = [b"4\r\none\n\r\n", later, b"6\r\ntwo\nth\r\n4\r\nree\n\r\n",
+              b"0\r\n\r\n"]
+    with _Canned([([head, *chunks], False), ([head, chunks[0]], True)]) as canned, \
+            Client(canned.url, retries=0) as client:
+        lines = client.stream_logs(1, 2)
+        assert next(lines) == "one"  # before the server sends the rest
+        conn = lines.gi_frame.f_locals["conn"]
+        later.set()
+        assert list(lines) == ["two", "three"]
+        assert conn.sock is None and client._idle == []
+
+        lines = client.stream_logs(1, 2)
+        assert next(lines) == "one"
+        with pytest.raises(ClientError) as err:
+            next(lines)
+        assert err.value.status == 599 and "cut short" in err.value.message
+        assert canned.accepted == 2
+
+
+def test_an_https_base_url_wraps_the_pooled_socket_in_tls(monkeypatch):
+    """With a stand-in context (no certificate needed) that records the
+    wrap and hands back the plain socket."""
+    import ssl
+
+    wrapped = []
+
+    class Context:
+        def wrap_socket(self, sock, server_hostname):
+            wrapped.append((server_hostname,
+                            sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)))
+            return sock
+
+    monkeypatch.setattr(ssl, "create_default_context", Context)
+    framed = _reply(f"HTTP/1.1 200 OK\nContent-Length: {len(ENVELOPE)}\n", ENVELOPE)
+    with _Canned([([framed], False)] * 2) as canned, \
+            Client(canned.url.replace("http:", "https:"), retries=0) as client:
+        assert client.request("GET", "/a") == client.request("GET", "/b") == {"ok": 1}
+        assert canned.accepted == 1
+    assert wrapped == [("127.0.0.1", 1)]
+
+
+def test_sdk_round_trip_over_tls(tmp_path, monkeypatch):
+    """A real TLS session against the gateway, with a self-signed
+    certificate made by the ``openssl`` command line."""
+    import shutil
+    import ssl
+    import subprocess
+
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl command to make a certificate with")
+    key, cert = tmp_path / "key.pem", tmp_path / "cert.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                    "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+                    "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                    "-keyout", str(key), "-out", str(cert)],
+                   check=True, capture_output=True)
+    platform = Platform()
+    platform.register_user("alice")
+    srv = serve_http(platform.gateway, port=0)
+    server_tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server_tls.load_cert_chain(cert, key)
+    srv.socket = server_tls.wrap_socket(srv.socket, server_side=True)
+    srv.serve_in_background()
+    default_context = ssl.create_default_context
+
+    def trusting_the_certificate():
+        context = default_context(cafile=str(cert))
+        # Newer Pythons set X509_STRICT, which refuses a self-signed CA
+        # used as its own server certificate; chain and host still verify.
+        context.verify_flags &= ~ssl.VERIFY_X509_STRICT
+        return context
+
+    monkeypatch.setattr(ssl, "create_default_context", trusting_the_certificate)
+    try:
+        with Client(srv.url.replace("http:", "https:"),
+                    token=platform.issue_token("alice"), retries=0) as client:
+            pid = client.create_project("over-tls")["project_id"]
+            assert client.get_project(pid)["name"] == "over-tls"
+            (conn,) = client._idle
+            assert isinstance(conn.sock, ssl.SSLSocket)
+            assert conn.sock.version().startswith("TLS")
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 # -- packed float32 feature payloads -------------------------------------------

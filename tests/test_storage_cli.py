@@ -391,6 +391,10 @@ def test_hostile_sample_file_bytes_raise_one_clear_error(tmp_path):
     expected = _dataset_state(project)
 
     def check(blob):
+        # A new file each time: rewriting one in place truncates it, and
+        # a truncating rewrite can flush to disk on close (ext4's
+        # auto_da_alloc), which made this sweep take minutes.
+        target.unlink()
         target.write_bytes(blob)
         try:
             restored = load_project(tmp_path / "proj")
